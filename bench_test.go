@@ -482,38 +482,25 @@ func BenchmarkRankBatch(b *testing.B) {
 }
 
 // BenchmarkOnline2SBound measures one online top-10 query with the default
-// slack, the unit of work behind Fig. 11-13, in both execution modes: Flat
-// is the pooled scratch-state path (the serving default on CSR views), Map
-// forces the pre-flat map-based searcher via Options.ForceMap — which keeps
-// the CSR-streaming BCA fast path the map searcher always had, so the ratio
-// isolates exactly the scratch-state rewrite. cmd/benchrunner -fig online
-// runs the same comparison per scheme and records it in BENCH_PR5.json.
+// slack, the unit of work behind Fig. 11-13, on the pooled searcher over CSR
+// arrays (the serving default).
 func BenchmarkOnline2SBound(b *testing.B) {
 	net, _ := benchData(b)
 	queries := benchEffQueryNodes(net)
-	modes := []struct {
-		name     string
-		forceMap bool
-	}{{"Flat", false}, {"Map", true}}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				opt := topk.Options{K: 10, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, ForceMap: m.forceMap}
-				if _, err := topk.TopK(context.Background(), net.Graph, walk.SingleNode(q), opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opt := topk.Options{K: 10, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if _, err := topk.TopK(context.Background(), net.Graph, walk.SingleNode(q), opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkOnlineEngineRank measures the full serving path of one online
 // query — request planning, the pooled 2SBound search, response assembly —
 // through Engine.Rank, serially and with GOMAXPROCS goroutines sharing the
-// engine (RunParallel), the configuration behind the queries/sec figure in
-// BENCH_PR5.json.
+// engine (RunParallel).
 func BenchmarkOnlineEngineRank(b *testing.B) {
 	net, _ := benchData(b)
 	engine, err := NewEngine(net.Graph)

@@ -20,20 +20,12 @@
 // fast path and the generic interface path (the pre-CSR implementation) and
 // writes ns/op, B/op and allocs/op to -bench-out (default BENCH_PR2.json).
 //
-// -fig online is likewise not a paper figure: it benchmarks one online top-K
-// query per bound scheme in both execution modes — the pooled scratch-state
-// path ("flat", the serving default) and the pre-flat map-based path ("map",
-// forced by hiding the CSR) — plus concurrent queries/sec through
-// Engine.Rank, and writes the results to -online-out (default
-// BENCH_PR5.json).
-//
 // -fig remote compares the online 2SBound path local vs remote: the same
 // queries through Engine.Rank against the in-process CSR and against a
 // 2-worker HTTP fleet via the row-serving path (TwoSBoundRemote), on a cold
 // and a warm row cache. It records rows fetched, row-fetch RPCs, the cache
 // hit rate and qps/p50 per pass, and writes the report to -remote-out
-// (default BENCH_PR6.json). It shares -online-scale and -eff-queries with
-// -fig online.
+// (default BENCH_PR6.json). -online-scale and -eff-queries size it.
 //
 // -fig scale is the million-node sweep: synthetic R-MAT graphs at 10^4, 10^5
 // and 10^6 nodes (10^7 when -scale-max allows it), recording generator build
@@ -63,8 +55,8 @@
 // clients. It verifies every shed response is a 429 bearing Retry-After,
 // checks the gate keeps the admitted tail latency bounded, scrapes the
 // stack's own /metrics for the shed counter, and writes the report to
-// -overload-out (default BENCH_PR7.json). It shares -online-scale and
-// -eff-queries with -fig online.
+// -overload-out (default BENCH_PR7.json). -online-scale and -eff-queries
+// size it.
 package main
 
 import (
@@ -79,8 +71,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -94,7 +84,6 @@ import (
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/tasks"
 	"roundtriprank/internal/testgraphs"
-	"roundtriprank/internal/topk"
 	"roundtriprank/internal/walk"
 )
 
@@ -114,7 +103,7 @@ type runner struct {
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11a,11b,12,13, kernels, online, remote, overload, chaos, scale, anytime, or all (scale and anytime run only when named)")
+		fig         = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11a,11b,12,13, kernels, remote, overload, chaos, scale, anytime, or all (scale and anytime run only when named)")
 		scale       = flag.Float64("scale", 0.5, "effectiveness dataset scale (1.0 = paper-subgraph scale)")
 		queries     = flag.Int("queries", 120, "test queries per task (paper: 1000)")
 		devQueries  = flag.Int("dev-queries", 60, "development queries per task for beta tuning (paper: 1000)")
@@ -122,8 +111,7 @@ func main() {
 		effQueries  = flag.Int("eff-queries", 15, "queries per setting for the efficiency study (paper: 1000)")
 		seed        = flag.Int64("seed", 42, "random seed for query sampling")
 		benchOut    = flag.String("bench-out", "BENCH_PR2.json", "output file of -fig kernels")
-		onlineOut   = flag.String("online-out", "BENCH_PR5.json", "output file of -fig online")
-		onlineScale = flag.Float64("online-scale", onlineBenchScale, "BibNet scale of -fig online and -fig remote (default matches go test -bench Online)")
+		onlineScale = flag.Float64("online-scale", onlineBenchScale, "BibNet scale of -fig remote, overload and chaos (default matches go test -bench Online)")
 		remoteOut   = flag.String("remote-out", "BENCH_PR6.json", "output file of -fig remote")
 		overloadOut = flag.String("overload-out", "BENCH_PR7.json", "output file of -fig overload")
 		overloadCap = flag.Int("overload-inflight", 2, "admission limit of the gated -fig overload pass")
@@ -167,7 +155,6 @@ func main() {
 	}
 
 	run("kernels", func() error { return r.kernels(*benchOut) })
-	run("online", func() error { return r.online(*onlineOut, *onlineScale) })
 	run("remote", func() error { return r.remote(*remoteOut, *onlineScale) })
 	run("overload", func() error { return r.overload(*overloadOut, *onlineScale, *overloadCap) })
 	run("chaos", func() error { return r.chaosFig(*chaosOut, *onlineScale) })
@@ -608,224 +595,6 @@ func (r *runner) kernels(outPath string) error {
 // onlineBenchScale matches benchScale in bench_test.go, so the JSON numbers
 // are comparable with `go test -bench Online`.
 const onlineBenchScale = 0.12
-
-// onlineResult is one bound scheme benchmarked in one execution mode.
-type onlineResult struct {
-	Scheme       string  `json:"scheme"`
-	Mode         string  `json:"mode"` // "flat" (pooled scratch state) or "map" (pre-flat baseline)
-	NsPerOp      int64   `json:"ns_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	Iterations   int     `json:"iterations"`
-	SpeedupVsMap float64 `json:"speedup_vs_map,omitempty"`
-	// AllocsReductionVsMap is map allocs/op divided by flat allocs/op (with
-	// a floor of one flat alloc to keep the ratio finite).
-	AllocsReductionVsMap float64 `json:"allocs_reduction_vs_map,omitempty"`
-}
-
-// engineRankResult records concurrent throughput through Engine.Rank.
-type engineRankResult struct {
-	Workers     int     `json:"workers"`
-	FlatQueries int     `json:"flat_queries_measured"`
-	MapQueries  int     `json:"map_queries_measured"`
-	FlatQPS     float64 `json:"flat_queries_per_sec"`
-	MapQPS      float64 `json:"map_queries_per_sec"`
-	Speedup     float64 `json:"speedup_vs_map"`
-}
-
-// onlineReport is the schema of BENCH_PR5.json.
-type onlineReport struct {
-	GeneratedAt string           `json:"generated_at"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	Dataset     string           `json:"dataset"`
-	Scale       float64          `json:"scale"`
-	Nodes       int              `json:"nodes"`
-	Edges       int              `json:"edges"`
-	K           int              `json:"k"`
-	Epsilon     float64          `json:"epsilon"`
-	Schemes     []onlineResult   `json:"schemes"`
-	EngineRank  engineRankResult `json:"engine_rank_concurrent"`
-}
-
-// online benchmarks the online top-K hot path per bound scheme in the flat
-// (pooled scratch-state) and map (pre-flat baseline) modes, measures
-// concurrent Engine.Rank throughput in both, and writes the report.
-func (r *runner) online(outPath string, scale float64) error {
-	net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(scale))
-	if err != nil {
-		return err
-	}
-	g := net.Graph
-	fmt.Printf("Online benchmark BibNet: %d nodes, %d edges, GOMAXPROCS=%d\n",
-		g.NumNodes(), g.NumEdges(), runtime.GOMAXPROCS(0))
-	queries := make([]graph.NodeID, 0, r.effQueries)
-	for i := 0; i < r.effQueries; i++ {
-		queries = append(queries, net.Papers[(i*7919)%len(net.Papers)])
-	}
-	const k, eps = 10, 0.01
-	report := onlineReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Dataset:     "bibnet",
-		Scale:       scale,
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		K:           k,
-		Epsilon:     eps,
-	}
-
-	// The "map" mode forces the pre-flat map-based searcher via
-	// Options.ForceMap (rather than hiding the CSR behind a wrapper), so the
-	// baseline keeps the CSR-streaming BCA fast path it always had on CSR
-	// views: the A/B isolates exactly the scratch-state rewrite.
-	schemes := []topk.Scheme{topk.Scheme2SBound, topk.SchemeGS, topk.SchemeGupta, topk.SchemeSarkar}
-	modes := []struct {
-		name     string
-		forceMap bool
-	}{{"map", true}, {"flat", false}}
-	for _, scheme := range schemes {
-		var mapNs, mapAllocs int64
-		for _, mode := range modes {
-			opt := topk.Options{K: k, Epsilon: eps, Alpha: 0.25, Beta: 0.5, Scheme: scheme, ForceMap: mode.forceMap}
-			var benchErr error
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					q := queries[i%len(queries)]
-					if _, err := topk.TopK(r.ctx, g, walk.SingleNode(q), opt); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			if benchErr != nil {
-				return fmt.Errorf("online %s (%s): %w", scheme, mode.name, benchErr)
-			}
-			or := onlineResult{
-				Scheme:      scheme.String(),
-				Mode:        mode.name,
-				NsPerOp:     res.NsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				Iterations:  res.N,
-			}
-			if mode.name == "map" {
-				mapNs, mapAllocs = or.NsPerOp, or.AllocsPerOp
-			} else {
-				if or.NsPerOp > 0 {
-					or.SpeedupVsMap = float64(mapNs) / float64(or.NsPerOp)
-				}
-				flatAllocs := or.AllocsPerOp
-				if flatAllocs < 1 {
-					flatAllocs = 1
-				}
-				or.AllocsReductionVsMap = float64(mapAllocs) / float64(flatAllocs)
-			}
-			report.Schemes = append(report.Schemes, or)
-			fmt.Printf("  %-8s %-5s %12d ns/op %10d B/op %8d allocs/op",
-				or.Scheme, or.Mode, or.NsPerOp, or.BytesPerOp, or.AllocsPerOp)
-			if or.SpeedupVsMap > 0 {
-				fmt.Printf("  (%.2fx vs map, %.0fx fewer allocs)", or.SpeedupVsMap, or.AllocsReductionVsMap)
-			}
-			fmt.Println()
-		}
-	}
-
-	// Concurrent serving throughput through the public Engine.Rank path:
-	// GOMAXPROCS goroutines sharing one engine (and, on the flat path, the
-	// scratch pool).
-	report.EngineRank.Workers = runtime.GOMAXPROCS(0)
-	for _, mode := range modes {
-		var opts []roundtriprank.Option
-		if mode.forceMap {
-			opts = append(opts, roundtriprank.WithOnlineMapBaseline())
-		}
-		engine, err := roundtriprank.NewEngine(g, opts...)
-		if err != nil {
-			return err
-		}
-		qps, measured, err := concurrentRankQPS(r.ctx, engine, queries, k, eps, report.EngineRank.Workers)
-		if err != nil {
-			return fmt.Errorf("online engine-rank (%s): %w", mode.name, err)
-		}
-		if mode.name == "map" {
-			report.EngineRank.MapQPS, report.EngineRank.MapQueries = qps, measured
-		} else {
-			report.EngineRank.FlatQPS, report.EngineRank.FlatQueries = qps, measured
-		}
-		fmt.Printf("  Engine.Rank %-5s %d workers: %.0f queries/sec (over %d queries)\n",
-			mode.name, report.EngineRank.Workers, qps, measured)
-	}
-	if report.EngineRank.MapQPS > 0 {
-		report.EngineRank.Speedup = report.EngineRank.FlatQPS / report.EngineRank.MapQPS
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
-// concurrentRankQPS issues queries round-robin from workers goroutines
-// sharing one engine and returns the measured throughput plus the number of
-// queries the returned figure was actually measured over (the timed block is
-// repeated until it runs long enough to trust). It warms the scratch pool
-// (and plans) with one query before timing.
-func concurrentRankQPS(ctx context.Context, engine *roundtriprank.Engine, queries []graph.NodeID, k int, eps float64, workers int) (float64, int, error) {
-	total := workers * 16
-	req := func(i int) roundtriprank.Request {
-		return roundtriprank.Request{
-			Query:   walk.SingleNode(queries[i%len(queries)]),
-			K:       k,
-			Epsilon: eps,
-			Method:  roundtriprank.TwoSBound,
-		}
-	}
-	if _, err := engine.Rank(ctx, req(0)); err != nil {
-		return 0, 0, err
-	}
-	// Repeat the timed block until it runs long enough to trust.
-	rounds := 1
-	for {
-		var (
-			wg       sync.WaitGroup
-			next     atomic.Int64
-			errOnce  sync.Once
-			firstErr error
-		)
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= total*rounds {
-						return
-					}
-					if _, err := engine.Rank(ctx, req(i)); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if firstErr != nil {
-			return 0, 0, firstErr
-		}
-		if elapsed >= 500*time.Millisecond || rounds >= 64 {
-			return float64(total*rounds) / elapsed.Seconds(), total * rounds, nil
-		}
-		rounds *= 2
-	}
-}
 
 // remotePassResult is one pass of the remote-vs-local comparison: the same
 // query set through one engine path, with its latency distribution and (on

@@ -40,9 +40,7 @@
 // Requests are served with read/write timeouts, and SIGINT/SIGTERM trigger a
 // graceful drain before exit. GET /metrics serves the worker's Prometheus
 // exposition (request counts and latency by route, stripe/epoch gauges); an
-// optional -max-inflight gate sheds excess load with 429 + Retry-After. The
-// -legacy-gob flag additionally serves the AP/GP adjacency protocol over TCP
-// for the online-search path.
+// optional -max-inflight gate sheds excess load with 429 + Retry-After.
 package main
 
 import (
@@ -81,7 +79,6 @@ func main() {
 		stripe     = flag.Int("stripe", 0, "stripe index served by this worker (with -graph/-dataset)")
 		of         = flag.Int("of", 1, "total number of workers in the deployment (with -graph/-dataset)")
 		listen     = flag.String("listen", "127.0.0.1:7001", "HTTP listen address")
-		legacyGob  = flag.String("legacy-gob", "", "optional TCP listen address for the legacy AP/GP gob adjacency protocol")
 		writeTmo   = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (must cover the slowest multiply)")
 		readTmo    = flag.Duration("read-timeout", time.Minute, "HTTP request read timeout (must cover a stripe upload)")
 		maxInflt   = flag.Int("max-inflight", 0, "admitted concurrent requests before shedding with 429 (0, the default, disables the gate: a worker's load is its coordinator's concurrency)")
@@ -105,18 +102,6 @@ func main() {
 			s.Index, s.Count, s.OwnedNodes(), s.NumNodes, float64(s.SizeBytes())/(1<<20))
 	} else {
 		log.Printf("worker starting empty; POST a stripe to /v1/stripe to begin serving")
-	}
-
-	if *legacyGob != "" {
-		if s == nil {
-			log.Fatal("-legacy-gob needs a stripe at startup (the gob protocol has no install endpoint)")
-		}
-		gp, err := distributed.ServeGP(*legacyGob, s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer gp.Close()
-		log.Printf("legacy AP/GP adjacency protocol on %s", gp.Addr())
 	}
 
 	reg := obs.NewRegistry("gpserver")

@@ -18,14 +18,13 @@
 // query distribution, K, per-query α/β/ε overrides, a declarative Filter and
 // an execution Method — and returns Responses. The default Method, Auto,
 // plans exact full-vector solves on small in-memory graphs and the online
-// 2SBound branch-and-bound search on large (or remote, AP/GP-distributed)
-// ones; Exact, TwoSBound and BoundScheme select a path explicitly, and
-// Distributed fans the exact solve out to a cluster of stripe workers
-// configured with WithWorkers (see distributed.go and ARCHITECTURE.md).
+// 2SBound branch-and-bound search on large ones; Exact, TwoSBound and
+// BoundScheme select a path explicitly, and Distributed fans the exact solve
+// out to a cluster of stripe workers configured with WithWorkers (see
+// distributed.go and ARCHITECTURE.md).
 // Engine.RankBatch amortizes a batch of queries by sharing single-node score
 // vectors through the Linearity Theorem, and every computation honors context
-// cancellation. The Ranker type is the deprecated pre-Engine API, kept as a
-// thin shim.
+// cancellation.
 //
 // # Live graphs
 //

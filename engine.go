@@ -361,9 +361,6 @@ type Engine struct {
 	params     core.Params
 	exactLimit int
 	cache      *vecCache // nil when the cache is disabled
-	// onlineMapBaseline forces the online methods onto the map-based
-	// searcher (WithOnlineMapBaseline); serving engines leave it false.
-	onlineMapBaseline bool
 	// statsHook, when set, observes every executed plan (WithQueryStatsHook).
 	statsHook func(QueryStat)
 
@@ -783,8 +780,8 @@ func (e *Engine) rowView(ctx context.Context, snap *snapshot) (*rowserve.RemoteC
 }
 
 // rankRemote executes an online-method plan against the worker fleet: the
-// pooled flat 2SBound searcher runs on the coordinator, streaming only the
-// rows it touches from the stripe workers through the row cache. Scores are
+// pooled 2SBound searcher runs on the coordinator, streaming only the rows it
+// touches from the stripe workers through the row cache. Scores are
 // bit-identical to the local online path (rankOnline on the same snapshot);
 // the response additionally carries the query's row-serving footprint in
 // Rows. Fleet failures are wrapped in ClusterError, like rankDistributed.
@@ -794,15 +791,7 @@ func (e *Engine) rankRemote(ctx context.Context, p *plan) (*Response, error) {
 		return nil, &ClusterError{Err: err}
 	}
 	sess := r.Session(ctx)
-	res, err := topk.TopKRows(ctx, sess, p.query, topk.Options{
-		K:       p.k,
-		Epsilon: p.epsilon,
-		Alpha:   p.params.Walk.Alpha,
-		Beta:    p.params.Beta,
-		Scheme:  p.method.scheme,
-		Keep:    p.keep,
-		Budget:  p.topkBudget(ctx),
-	})
+	res, err := topk.TopKRows(ctx, sess, p.query, p.topkOptions(ctx))
 	if err != nil {
 		// The caller's own cancellation is not backend trouble.
 		if cerr := ctx.Err(); cerr != nil {
@@ -810,85 +799,70 @@ func (e *Engine) rankRemote(ctx context.Context, p *plan) (*Response, error) {
 		}
 		return nil, &ClusterError{Err: err}
 	}
-	// Same normalization as rankOnline: square roots map the squared-scale
-	// lower bounds onto the exact path's f^(1−β)·t^β scale.
-	results := toResults(trimZeroScores(res.TopK))
-	for i := range results {
-		results[i].Score = math.Sqrt(results[i].Score)
-	}
+	resp := onlineResponse(p, res)
 	st := sess.Stats()
-	return &Response{
-		Results:         results,
-		Method:          p.method,
-		Converged:       res.Converged,
-		Degraded:        res.Degraded,
-		CertifiedK:      certifiedLen(res, results),
-		AchievedEpsilon: res.AchievedEpsilon,
-		Rounds:          res.Rounds,
-		FSeen:           res.FSeen,
-		TSeen:           res.TSeen,
-		RSeen:           res.RSeen,
-		Rows: &RowQueryStats{
-			Fetched:     st.Fetched,
-			RPCs:        st.RPCs,
-			CacheHits:   st.CacheHits,
-			CacheMisses: st.CacheMisses,
-		},
-	}, nil
-}
-
-// certifiedLen clamps the searcher's certified prefix to the trimmed result
-// length. Certified positions always have strictly positive lower bounds, so
-// the zero-score trim never cuts into the certified prefix; the clamp only
-// guards the public CertifiedK ≤ len(Results) invariant.
-func certifiedLen(res *topk.Result, results []Result) int {
-	ck := res.CertifiedK
-	if ck > len(results) {
-		ck = len(results)
+	resp.Rows = &RowQueryStats{
+		Fetched:     st.Fetched,
+		RPCs:        st.RPCs,
+		CacheHits:   st.CacheHits,
+		CacheMisses: st.CacheMisses,
 	}
-	return ck
+	return resp, nil
 }
 
-// rankOnline executes an online-method plan through topk.TopK, which picks
-// the pooled scratch-state searcher for CSR-capable snapshot views and the
-// map-based fallback otherwise. The scratch pool is process-wide: queries
-// racing an Apply simply re-size the recycled arrays to their own snapshot's
-// NumNodes on acquisition, so epoch swaps need no pool coordination.
+// rankOnline executes an online-method plan through topk.TopK: the pooled
+// searcher reads a CSR-capable snapshot view's arrays directly and any other
+// view through a per-query row session. The scratch pool is process-wide:
+// queries racing an Apply simply re-size the recycled arrays to their own
+// snapshot's NumNodes on acquisition, so epoch swaps need no pool
+// coordination.
 func (e *Engine) rankOnline(ctx context.Context, p *plan) (*Response, error) {
-	res, err := topk.TopK(ctx, p.snap.view, p.query, topk.Options{
-		K:        p.k,
-		Epsilon:  p.epsilon,
-		Alpha:    p.params.Walk.Alpha,
-		Beta:     p.params.Beta,
-		Scheme:   p.method.scheme,
-		Keep:     p.keep,
-		ForceMap: e.onlineMapBaseline,
-		Budget:   p.topkBudget(ctx),
-	})
+	res, err := topk.TopK(ctx, p.snap.view, p.query, p.topkOptions(ctx))
 	if err != nil {
 		return nil, err
 	}
-	// The online search ranks by lower bounds on the squared-scale measure
-	// f^(2(1−β))·t^(2β); the square root maps them (order-preserving) onto the
-	// exact path's f^(1−β)·t^β scale so scores are comparable across methods.
-	// Zero-lower-bound candidates (possible on a non-converged best-effort
-	// result) are trimmed, matching the exact path's contract.
+	return onlineResponse(p, res), nil
+}
+
+// topkOptions translates an online-method plan into searcher options.
+func (p *plan) topkOptions(ctx context.Context) topk.Options {
+	return topk.Options{
+		K:       p.k,
+		Epsilon: p.epsilon,
+		Alpha:   p.params.Walk.Alpha,
+		Beta:    p.params.Beta,
+		Scheme:  p.method.scheme,
+		Keep:    p.keep,
+		Budget:  p.topkBudget(ctx),
+	}
+}
+
+// onlineResponse assembles the response of an online search. The search ranks
+// by lower bounds on the squared-scale measure f^(2(1−β))·t^(2β); the square
+// root maps them (order-preserving) onto the exact path's f^(1−β)·t^β scale so
+// scores are comparable across methods. Zero-lower-bound candidates (possible
+// on a non-converged best-effort result) are trimmed, matching the exact
+// path's contract.
+func onlineResponse(p *plan, res *topk.Result) *Response {
 	results := toResults(trimZeroScores(res.TopK))
 	for i := range results {
 		results[i].Score = math.Sqrt(results[i].Score)
 	}
 	return &Response{
-		Results:         results,
-		Method:          p.method,
-		Converged:       res.Converged,
-		Degraded:        res.Degraded,
-		CertifiedK:      certifiedLen(res, results),
+		Results:   results,
+		Method:    p.method,
+		Converged: res.Converged,
+		Degraded:  res.Degraded,
+		// Certified positions always have strictly positive lower bounds, so
+		// the zero-score trim never cuts into the certified prefix; the clamp
+		// only guards the public CertifiedK ≤ len(Results) invariant.
+		CertifiedK:      min(res.CertifiedK, len(results)),
 		AchievedEpsilon: res.AchievedEpsilon,
 		Rounds:          res.Rounds,
 		FSeen:           res.FSeen,
 		TSeen:           res.TSeen,
 		RSeen:           res.RSeen,
-	}, nil
+	}
 }
 
 // RankBatch executes a batch of requests concurrently, sharing work across

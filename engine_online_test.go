@@ -20,8 +20,7 @@ import (
 // online query through the full public path. Engine.Rank adds request
 // planning, filter compilation and response assembly on top of the
 // near-zero-alloc search itself, so the budget is a small constant rather
-// than zero — but three orders of magnitude below the map-based path's
-// per-query footprint (see BENCH_PR5.json).
+// than zero.
 func TestOnlineRankSteadyStateAllocs(t *testing.T) {
 	if scratch.RaceEnabled {
 		t.Skip("sync.Pool bypasses reuse under the race detector; allocation counts are not meaningful")

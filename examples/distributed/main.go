@@ -6,10 +6,10 @@
 // Distributed method fans exact power iterations out to them, returning
 // bit-identical results to the local exact solver.
 //
-// Then the AP/GP path of Sect. V-B: the same stripes answer adjacency
-// requests over TCP while the active processor runs the online 2SBound
-// search, assembling only the query's active set — the observation that makes
-// the distributed deployment practical.
+// Then the active-set architecture of Sect. V-B on the same workers: the
+// TwoSBoundRemote method runs the online 2SBound search on the coordinator
+// and fetches only the rows the query touches from the stripes, caching them
+// — the observation that makes the distributed deployment practical.
 package main
 
 import (
@@ -88,33 +88,27 @@ func main() {
 	rpcs, retries := engine.ClusterStats()
 	fmt.Printf("  Cluster: %d worker RPCs, %d retries\n", rpcs, retries)
 
-	// --- Part 2: the online 2SBound search over the AP/GP active set. ---
-	cluster, err := distributed.StartCluster(g, *gps)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Close()
-	apEngine, err := roundtriprank.NewEngine(cluster.AP)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nStarted %d TCP graph processors for the online path:\n", len(cluster.GPs))
+	// --- Part 2: the online 2SBound search over the same workers. ---
+	// The searcher runs here; adjacency arrives row by row from the stripes
+	// and stays in the engine's row cache, which is the active set.
+	fmt.Printf("\nOnline 2SBound over the same workers (rows fetched on demand):\n")
 	for i := 0; i < *queries && i < len(net_.Papers); i++ {
 		q := net_.Papers[i*17%len(net_.Papers)]
-		resp, err := apEngine.Rank(ctx, roundtriprank.Request{
+		resp, err := engine.Rank(ctx, roundtriprank.Request{
 			Query:   roundtriprank.SingleNode(q),
 			K:       10,
 			Epsilon: 0.01,
+			Method:  roundtriprank.TwoSBoundRemote,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-28s top-%d via %s from %d GP round trips\n",
-			g.Label(q)+":", len(resp.Results), resp.Method, cluster.AP.Requests())
+		fmt.Printf("  %-28s top-%d: %d rows fetched in %d RPCs, %d cache hits\n",
+			g.Label(q)+":", len(resp.Results), resp.Rows.Fetched, resp.Rows.RPCs, resp.Rows.CacheHits)
 	}
-	fmt.Printf("\nActive set after %d queries: %d nodes (%.1f KB) — %.2f%% of the graph\n",
-		*queries, cluster.AP.ActiveNodes(), float64(cluster.AP.ActiveSetBytes())/1024,
-		100*float64(cluster.AP.ActiveNodes())/float64(g.NumNodes()))
+	st := engine.RowServeStats()
+	fmt.Printf("\nActive set after %d queries: %d rows cached — %.2f%% of the graph\n",
+		*queries, st.CachedRows, 100*float64(st.CachedRows)/float64(g.NumNodes()))
 }
 
 // startHTTPWorkers stripes g across n workers, each serving the gpserver

@@ -1,3 +1,18 @@
+// Package bca implements the Bookmark-Coloring Algorithm (Berkhin, 2006) for
+// Personalized PageRank, which is the Stage-I engine of 2SBound's F-Rank side
+// (Sect. V-A3 of the RoundTripRank paper).
+//
+// BCA maintains, for a fixed query q, a sparse estimate rho(q, v) of PPR and a
+// sparse residual mu(q, v). Initially all residual (one unit) sits at the
+// query. Processing a node converts an alpha fraction of its residual into
+// estimate and spreads the remaining (1-alpha) fraction to its out-neighbors
+// proportionally to edge weights. The invariant
+//
+//	PPR(q, v) = rho(q, v) + sum_u mu(q, u) * PPR(u, v)
+//
+// implies rho is always a lower bound of PPR and that the total residual
+// bounds the remaining error, which is exactly what the Proposition 4 bounds
+// build on.
 package bca
 
 import (
@@ -10,31 +25,24 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Flat is the scratch-state BCA engine behind the online serving path: the
-// same algorithm as State, but with every map[NodeID]float64 replaced by a
-// generation-stamped dense array and the lazy benefit heap replaced by an
-// index-keyed heap with in-place decrease-key. A Flat is reusable: Init
-// rebinds it to a new query in O(1) without freeing its arrays, so a pooled
-// instance serves a stream of queries with no steady-state allocation (see
-// internal/topk's searcher pool). It requires a CSR-capable view; wrapped
-// views without flat adjacency keep using the map-based State.
-//
-// Differences from State worth knowing:
+// Flat is a BCA computation for one query. Estimates and residuals live in
+// generation-stamped dense arrays and the greedy selection in an index-keyed
+// heap with in-place decrease-key. A Flat is reusable: Init (local CSR arrays)
+// or InitRows (any graph.Rows session) rebinds it to a new query in O(1)
+// without freeing its arrays, so a pooled instance serves a stream of queries
+// with no steady-state allocation (see internal/topk's searcher pool).
 //
 //   - MaxResidual is O(1): a second indexed heap orders nodes by raw
-//     residual, maintained incrementally alongside the benefit heap, instead
-//     of rescanning the residual map per call.
+//     residual, maintained incrementally alongside the benefit heap.
 //   - ProcessBest never sees a stale priority: addResidual moves the node
 //     within the benefit heap at update time, so the heap holds exactly the
-//     nodes with positive residual (|heap| <= touched nodes) and the
-//     pop-and-repush churn of the lazy heap is gone.
+//     nodes with positive residual (|heap| <= touched nodes).
 //   - The restart distribution is a deduplicated slice pair, so the
-//     dangling-node spread iterates in deterministic first-occurrence order
-//     rather than random map order.
+//     dangling-node spread iterates in deterministic first-occurrence order.
 type Flat struct {
 	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row provider
-	// (typically a stripe-backed remote view, see InitRows); pre is its
+	// remote, when non-nil, replaces the CSR arrays with a row session
+	// (packed, stripe-backed remote or adapted view, see InitRows); pre is its
 	// optional prefetch capability and prefetch the reusable frontier buffer
 	// handed to it. The local path keeps reading the CSR fields directly so
 	// the remote seam costs it one nil check per row access.
@@ -144,7 +152,8 @@ func (s *Flat) Rho(v graph.NodeID) float64 { return s.rho.Get(v) }
 // Residual returns the current residual at v.
 func (s *Flat) Residual(v graph.NodeID) float64 { return s.mu.Get(v) }
 
-// TotalResidual returns the total remaining residual mass.
+// TotalResidual returns the total remaining residual mass; it decreases
+// monotonically as nodes are processed and bounds the total estimation error.
 func (s *Flat) TotalResidual() float64 {
 	if s.totalResidual < 0 {
 		return 0
@@ -215,9 +224,11 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	s.resid.Update(v, nm)
 }
 
-// Process applies one BCA processing step to node v, mirroring State.Process:
-// alpha of the residual becomes estimate, the rest spreads along out-edges,
-// and residual at dangling nodes restarts at the query.
+// Process applies one BCA processing step to node v: alpha of its residual is
+// added to its estimate, the rest is spread to out-neighbors. Processing a
+// node with no residual is a no-op. Residual at dangling nodes is restarted at
+// the query, matching the dangling-node handling of the iterative F-Rank
+// solver so that both converge to the same PPR vector.
 func (s *Flat) Process(v graph.NodeID) {
 	residual := s.mu.Get(v)
 	if residual <= 0 {
@@ -244,8 +255,10 @@ func (s *Flat) Process(v graph.NodeID) {
 }
 
 // ProcessBest processes up to m nodes chosen greedily by benefit
-// mu(v)/|Out(v)|. Because the benefit heap is updated in place there are no
-// stale entries: the top of the heap is always the true best candidate.
+// mu(v)/|Out(v)| (Sect. V-A3: large residual, few out-neighbors) and returns
+// the number actually processed, which is smaller than m when the residual
+// frontier is exhausted. Because the benefit heap is updated in place there
+// are no stale entries: the top of the heap is always the true best candidate.
 func (s *Flat) ProcessBest(m int) int {
 	if m > 1 && s.pre != nil {
 		// Announce the whole live-residual frontier before a multi-node
@@ -274,7 +287,8 @@ func (s *Flat) ProcessBest(m int) int {
 }
 
 // Run processes best-benefit nodes until the total residual drops below tol,
-// maxOps steps have been performed, or the context is cancelled.
+// maxOps steps have been performed, or the context is cancelled (checked once
+// per step). It is the standalone approximate-PPR mode of BCA.
 func (s *Flat) Run(ctx context.Context, tol float64, maxOps int) error {
 	ctx = walk.OrBackground(ctx)
 	if tol <= 0 {
@@ -301,10 +315,10 @@ func (s *Flat) Estimates(n int) []float64 {
 	return out
 }
 
-// CheckInvariant verifies the same mass-conservation invariants as
-// State.CheckInvariant, plus the flat-specific ones: both heaps hold exactly
-// the positive-residual nodes and the residual heap's top matches a full
-// scan. Used by tests.
+// CheckInvariant verifies what must hold at every step: estimates sum to at
+// most 1 (rho lower-bounds PPR), residuals are non-negative and add up to the
+// running total, both heaps hold exactly the positive-residual nodes, and the
+// residual heap's top matches a full scan. Used by tests.
 func (s *Flat) CheckInvariant() error {
 	mass := 0.0
 	s.rho.Each(func(_ graph.NodeID, r float64) { mass += r })

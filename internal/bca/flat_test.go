@@ -12,95 +12,107 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-func TestFlatInitValidation(t *testing.T) {
+// binding is one of the two ways a Flat attaches to a graph: directly to its
+// CSR arrays (Init), or through a graph.Rows session (InitRows) — here the
+// graph.ViewRows adapter over a wrapper that hides the CSR, the route every
+// view without flat arrays takes. Tests that take a binding run under both.
+type binding func(*Flat, *graph.Graph, walk.Query, float64) error
+
+func bindCSR(s *Flat, g *graph.Graph, q walk.Query, alpha float64) error { return s.Init(g, q, alpha) }
+
+func bindRows(s *Flat, g *graph.Graph, q walk.Query, alpha float64) error {
+	return s.InitRows(graph.ViewRows(struct{ graph.View }{g}), q, alpha)
+}
+
+func initValidation(t *testing.T, bind binding) {
 	g := testgraphs.Cycle(4)
 	var s Flat
-	if err := s.Init(g, walk.SingleNode(0), 0); err == nil {
+	if err := bind(&s, g, walk.SingleNode(0), 0); err == nil {
 		t.Errorf("alpha 0 should error")
 	}
-	if err := s.Init(g, walk.SingleNode(0), 1); err == nil {
+	if err := bind(&s, g, walk.SingleNode(0), 1); err == nil {
 		t.Errorf("alpha 1 should error")
 	}
-	if err := s.Init(g, walk.Query{}, 0.25); err == nil {
+	if err := bind(&s, g, walk.Query{}, 0.25); err == nil {
 		t.Errorf("empty query should error")
 	}
-	if err := s.Init(g, walk.SingleNode(99), 0.25); err == nil {
+	if err := bind(&s, g, walk.SingleNode(99), 0.25); err == nil {
 		t.Errorf("out-of-range query node should error")
 	}
 	// A failed Init must not poison a later successful one.
-	if err := s.Init(g, walk.SingleNode(2), 0.25); err != nil {
+	if err := bind(&s, g, walk.SingleNode(2), 0.25); err != nil {
 		t.Fatalf("Init after failures: %v", err)
 	}
 	if got := s.TotalResidual(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("initial total residual = %g, want 1", got)
 	}
+}
+
+func TestFlatInitValidation(t *testing.T) { initValidation(t, bindCSR) }
+func TestNewValidation(t *testing.T)      { initValidation(t, bindRows) }
+
+func TestInitialState(t *testing.T) {
+	g := testgraphs.Cycle(4)
+	var s Flat
+	if err := s.Init(g, walk.SingleNode(2), 0.25); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	if s.Alpha() != 0.25 {
+		t.Errorf("Alpha = %g", s.Alpha())
+	}
+	if got := s.TotalResidual(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("initial total residual = %g, want 1", got)
+	}
+	if got := s.Residual(2); math.Abs(got-1) > 1e-12 {
+		t.Errorf("initial residual at query = %g, want 1", got)
+	}
 	if s.MaxResidual() != s.Residual(2) {
 		t.Errorf("MaxResidual should equal the query residual initially")
 	}
+	if s.SeenCount() != 0 {
+		t.Errorf("no node should be seen before processing")
+	}
+	if s.Rho(2) != 0 {
+		t.Errorf("rho should start at zero")
+	}
 }
 
-// TestFlatProcessMatchesMapState drives the flat and map engines through the
-// same explicit processing sequence and checks estimates, residuals and
-// counters stay bit-identical: Process performs the same arithmetic in the
-// same order on both paths.
-func TestFlatProcessMatchesMapState(t *testing.T) {
+func TestProcessSpreadsResidual(t *testing.T) {
 	toy := testgraphs.NewToy()
-	q := walk.SingleNode(toy.T1)
-	ms, err := New(toy.Graph, q, 0.25)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var fs Flat
-	if err := fs.Init(toy.Graph, q, 0.25); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	n := toy.Graph.NumNodes()
-	for step := 0; step < 200; step++ {
-		// Pick the map engine's best-benefit node by scan, so the choice is
-		// implementation-independent, and process it on both engines.
-		best, bestBenefit := graph.NoNode, -1.0
-		ms.EachResidual(func(v graph.NodeID, mu float64) {
-			deg := toy.Graph.OutDegree(v)
-			if deg < 1 {
-				deg = 1
-			}
-			if b := mu / float64(deg); b > bestBenefit {
-				best, bestBenefit = v, b
-			}
-		})
-		if best == graph.NoNode {
-			break
+	for _, bind := range []binding{bindCSR, bindRows} {
+		var s Flat
+		if err := bind(&s, toy.Graph, walk.SingleNode(toy.T1), 0.25); err != nil {
+			t.Fatalf("Init: %v", err)
 		}
-		// Occasionally process a random node instead (often a no-op),
-		// exercising the zero-residual paths.
-		if rng.Intn(4) == 0 {
-			best = graph.NodeID(rng.Intn(n))
+		s.Process(toy.T1)
+		if got := s.Rho(toy.T1); math.Abs(got-0.25) > 1e-12 {
+			t.Errorf("rho(q) after one process = %g, want 0.25", got)
 		}
-		ms.Process(best)
-		fs.Process(best)
-		if ms.TotalResidual() != fs.TotalResidual() {
-			t.Fatalf("step %d: total residual %g (map) != %g (flat)", step, ms.TotalResidual(), fs.TotalResidual())
-		}
-		if ms.Processed() != fs.Processed() || ms.SeenCount() != fs.SeenCount() {
-			t.Fatalf("step %d: counters diverged", step)
-		}
-		for v := 0; v < n; v++ {
-			node := graph.NodeID(v)
-			if ms.Rho(node) != fs.Rho(node) {
-				t.Fatalf("step %d: rho(%d) %g != %g", step, v, ms.Rho(node), fs.Rho(node))
-			}
-			if ms.Residual(node) != fs.Residual(node) {
-				t.Fatalf("step %d: mu(%d) %g != %g", step, v, ms.Residual(node), fs.Residual(node))
+		// t1 has 5 neighbors (p1..p5), each receives 0.75/5 = 0.15 residual.
+		for i := 0; i < 5; i++ {
+			if got := s.Residual(toy.P[i]); math.Abs(got-0.15) > 1e-12 {
+				t.Errorf("residual at p%d = %g, want 0.15", i+1, got)
 			}
 		}
-		if err := fs.CheckInvariant(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+		if got := s.TotalResidual(); math.Abs(got-0.75) > 1e-12 {
+			t.Errorf("total residual = %g, want 0.75", got)
+		}
+		if s.SeenCount() != 1 {
+			t.Errorf("SeenCount = %d, want 1", s.SeenCount())
+		}
+		if err := s.CheckInvariant(); err != nil {
+			t.Errorf("invariant: %v", err)
+		}
+		// Processing a node without residual is a no-op.
+		before := s.Processed()
+		s.Process(toy.V1)
+		if s.Processed() != before {
+			t.Errorf("processing a zero-residual node should be a no-op")
 		}
 	}
 }
 
-func TestFlatRunConvergesToExactPPR(t *testing.T) {
+func runConvergesToExactPPR(t *testing.T, bind binding) {
 	toy := testgraphs.NewToy()
 	alpha := 0.25
 	q := walk.SingleNode(toy.T1)
@@ -109,7 +121,7 @@ func TestFlatRunConvergesToExactPPR(t *testing.T) {
 		t.Fatalf("FRank: %v", err)
 	}
 	var s Flat
-	if err := s.Init(toy.Graph, q, alpha); err != nil {
+	if err := bind(&s, toy.Graph, q, alpha); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
 	s.Run(context.Background(), 1e-10, 0)
@@ -119,7 +131,7 @@ func TestFlatRunConvergesToExactPPR(t *testing.T) {
 	est := s.Estimates(toy.Graph.NumNodes())
 	for v := range est {
 		if math.Abs(est[v]-exact[v]) > 1e-8 {
-			t.Errorf("node %d: flat BCA %g vs exact %g", v, est[v], exact[v])
+			t.Errorf("node %d: BCA %g vs exact %g", v, est[v], exact[v])
 		}
 	}
 	if err := s.CheckInvariant(); err != nil {
@@ -127,9 +139,113 @@ func TestFlatRunConvergesToExactPPR(t *testing.T) {
 	}
 }
 
-// TestFlatHeapNeverExceedsTouched pins the decrease-key property the lazy
-// map heap lacked: the benefit heap holds exactly the live-residual nodes,
-// so its size can never exceed the number of touched nodes.
+func TestFlatRunConvergesToExactPPR(t *testing.T) { runConvergesToExactPPR(t, bindCSR) }
+func TestRunConvergesToExactPPR(t *testing.T)     { runConvergesToExactPPR(t, bindRows) }
+
+func TestRhoIsAlwaysLowerBound(t *testing.T) {
+	toy := testgraphs.NewToy()
+	alpha := 0.25
+	q := walk.SingleNode(toy.T1)
+	exact, _ := walk.FRank(context.Background(), toy.Graph, q, walk.Params{Alpha: alpha, Tol: 1e-12, MaxIter: 1000})
+	var s Flat
+	if err := s.Init(toy.Graph, q, alpha); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	for step := 0; step < 200; step++ {
+		if s.ProcessBest(1) == 0 {
+			break
+		}
+		s.EachSeen(func(v graph.NodeID, rho float64) {
+			if rho > exact[v]+1e-9 {
+				t.Fatalf("rho(%d) exceeded exact PPR at step %d", v, step)
+			}
+		})
+	}
+}
+
+func TestProcessBestStopsWhenExhausted(t *testing.T) {
+	// On a line graph the residual eventually drains into the restart cycle;
+	// with a dangling end, residual restarts at the query.
+	g := testgraphs.Line(3)
+	for _, bind := range []binding{bindCSR, bindRows} {
+		var s Flat
+		if err := bind(&s, g, walk.SingleNode(0), 0.5); err != nil {
+			t.Fatalf("Init: %v", err)
+		}
+		s.Run(context.Background(), 1e-12, 100000)
+		if s.TotalResidual() > 1e-12 {
+			t.Fatalf("residual should drain, got %g", s.TotalResidual())
+		}
+		// Processing further must never increase the residual, and the residual
+		// only ever becomes exactly zero asymptotically (Berkhin), so
+		// ProcessBest may still perform a few vanishing steps.
+		before := s.TotalResidual()
+		s.ProcessBest(5)
+		if s.TotalResidual() > before+1e-15 {
+			t.Errorf("ProcessBest increased residual: %g -> %g", before, s.TotalResidual())
+		}
+		// The dangling correction keeps total estimates at 1.
+		est := s.Estimates(g.NumNodes())
+		total := 0.0
+		for _, e := range est {
+			total += e
+		}
+		if math.Abs(total-1) > 1e-9 {
+			t.Errorf("estimates should sum to 1 with dangling restart, got %g", total)
+		}
+		// And must agree with the iterative solver, which uses the same
+		// dangling-node convention.
+		exact, _ := walk.FRank(context.Background(), g, walk.SingleNode(0), walk.Params{Alpha: 0.5, Tol: 1e-13, MaxIter: 2000})
+		for v := range est {
+			if math.Abs(est[v]-exact[v]) > 1e-8 {
+				t.Errorf("node %d: BCA %g vs iterative %g", v, est[v], exact[v])
+			}
+		}
+	}
+}
+
+func TestMultiNodeQuery(t *testing.T) {
+	toy := testgraphs.NewToy()
+	q := walk.MultiNode(toy.T1, toy.T2)
+	var s Flat
+	if err := s.Init(toy.Graph, q, 0.25); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	if math.Abs(s.Residual(toy.T1)-0.5) > 1e-12 || math.Abs(s.Residual(toy.T2)-0.5) > 1e-12 {
+		t.Fatalf("initial residual should split evenly across query nodes")
+	}
+	s.Run(context.Background(), 1e-10, 0)
+	exact, _ := walk.FRank(context.Background(), toy.Graph, q, walk.Params{Alpha: 0.25, Tol: 1e-12, MaxIter: 1000})
+	est := s.Estimates(toy.Graph.NumNodes())
+	for v := range est {
+		if math.Abs(est[v]-exact[v]) > 1e-8 {
+			t.Errorf("node %d: %g vs %g", v, est[v], exact[v])
+		}
+	}
+}
+
+func TestEachResidualAndSeen(t *testing.T) {
+	toy := testgraphs.NewToy()
+	var s Flat
+	if err := s.Init(toy.Graph, walk.SingleNode(toy.T1), 0.25); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	s.ProcessBest(3)
+	seen := 0
+	s.EachSeen(func(graph.NodeID, float64) { seen++ })
+	if seen != s.SeenCount() {
+		t.Errorf("EachSeen visited %d, SeenCount %d", seen, s.SeenCount())
+	}
+	resTotal := 0.0
+	s.EachResidual(func(_ graph.NodeID, mu float64) { resTotal += mu })
+	if math.Abs(resTotal-s.TotalResidual()) > 1e-9 {
+		t.Errorf("EachResidual total %g vs TotalResidual %g", resTotal, s.TotalResidual())
+	}
+}
+
+// TestFlatHeapNeverExceedsTouched pins the decrease-key property: the benefit
+// heap holds exactly the live-residual nodes (no stale entries), so its size
+// can never exceed the number of touched nodes.
 func TestFlatHeapNeverExceedsTouched(t *testing.T) {
 	toy := testgraphs.NewToy()
 	var s Flat
@@ -157,7 +273,7 @@ func TestFlatHeapNeverExceedsTouched(t *testing.T) {
 }
 
 // TestFlatMaxResidualIncremental checks the O(1) MaxResidual against a full
-// scan throughout a run (the map path rescanned the residual map per call).
+// scan throughout a run.
 func TestFlatMaxResidualIncremental(t *testing.T) {
 	toy := testgraphs.NewToy()
 	var s Flat
@@ -220,9 +336,10 @@ func TestFlatReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
-// Property: the flat engine upholds the same invariants as the map engine on
-// random graphs (mirrors TestQuickBCAInvariants).
-func TestQuickFlatInvariants(t *testing.T) {
+// Property: at any point during BCA, every rho is a lower bound of exact PPR,
+// residuals are non-negative, total residual decreases monotonically, and the
+// invariant check passes.
+func quickInvariants(t *testing.T, bind binding) {
 	f := func(seed int64, stepsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(20)
@@ -247,7 +364,7 @@ func TestQuickFlatInvariants(t *testing.T) {
 			return false
 		}
 		var s Flat
-		if err := s.Init(g, walk.SingleNode(q), alpha); err != nil {
+		if err := bind(&s, g, walk.SingleNode(q), alpha); err != nil {
 			return false
 		}
 		prevResidual := s.TotalResidual()
@@ -276,3 +393,6 @@ func TestQuickFlatInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestQuickFlatInvariants(t *testing.T) { quickInvariants(t, bindCSR) }
+func TestQuickBCAInvariants(t *testing.T)  { quickInvariants(t, bindRows) }

@@ -8,16 +8,6 @@
 // provided as options.
 package bounds
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"roundtriprank/internal/bca"
-	"roundtriprank/internal/graph"
-	"roundtriprank/internal/walk"
-)
-
 // Default expansion granularities from Sect. V-A3.
 const (
 	DefaultFExpansion = 100 // m for the f-neighborhood (BCA benefit selection)
@@ -30,7 +20,7 @@ const (
 	DefaultRefineMaxIter = 60
 )
 
-// FOptions configures an FBounds computation.
+// FOptions configures an FFlat computation.
 type FOptions struct {
 	// Alpha is the teleport probability.
 	Alpha float64
@@ -73,212 +63,4 @@ func (o FOptions) normalized() FOptions {
 		o.RefineMaxIter = DefaultRefineMaxIter
 	}
 	return o
-}
-
-// FBounds maintains lower/upper bounds on F-Rank over the f-neighborhood Sf
-// (the nodes with a non-zero BCA estimate) plus a common upper bound for all
-// unseen nodes.
-type FBounds struct {
-	view    graph.View
-	opt     FOptions
-	restart map[graph.NodeID]float64
-
-	engine *bca.State
-
-	lower  map[graph.NodeID]float64
-	upper  map[graph.NodeID]float64
-	unseen float64
-
-	expansions int
-}
-
-// NewFBounds starts an F-Rank bounds computation for the query.
-func NewFBounds(view graph.View, q walk.Query, opt FOptions) (*FBounds, error) {
-	opt = opt.normalized()
-	engine, err := bca.New(view, q, opt.Alpha)
-	if err != nil {
-		return nil, fmt.Errorf("bounds: %w", err)
-	}
-	nq, err := q.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("bounds: %w", err)
-	}
-	restart := make(map[graph.NodeID]float64, len(nq.Nodes))
-	for i, v := range nq.Nodes {
-		restart[v] += nq.Weights[i]
-	}
-	fb := &FBounds{
-		view:    view,
-		opt:     opt,
-		restart: restart,
-		engine:  engine,
-		lower:   make(map[graph.NodeID]float64),
-		upper:   make(map[graph.NodeID]float64),
-		unseen:  1,
-	}
-	return fb, nil
-}
-
-// Expansions returns the number of Stage-I expansions performed so far.
-func (fb *FBounds) Expansions() int { return fb.expansions }
-
-// SeenCount returns |Sf|.
-func (fb *FBounds) SeenCount() int { return len(fb.lower) }
-
-// Seen reports whether v is in the f-neighborhood.
-func (fb *FBounds) Seen(v graph.NodeID) bool {
-	_, ok := fb.lower[v]
-	return ok
-}
-
-// Lower returns the lower bound for a seen node (zero for unseen nodes).
-func (fb *FBounds) Lower(v graph.NodeID) float64 { return fb.lower[v] }
-
-// Upper returns the upper bound for v: its individual bound when seen, the
-// unseen upper bound otherwise.
-func (fb *FBounds) Upper(v graph.NodeID) float64 {
-	if u, ok := fb.upper[v]; ok {
-		return u
-	}
-	return fb.unseen
-}
-
-// UnseenUpper returns the common upper bound for all unseen nodes.
-func (fb *FBounds) UnseenUpper() float64 { return fb.unseen }
-
-// EachSeen calls fn for every node in the f-neighborhood with its current
-// bounds.
-func (fb *FBounds) EachSeen(fn func(v graph.NodeID, lower, upper float64)) {
-	for v, lo := range fb.lower {
-		fn(v, lo, fb.upper[v])
-	}
-}
-
-// Exhausted reports whether further expansion cannot meaningfully tighten the
-// bounds (the BCA residual has essentially drained).
-func (fb *FBounds) Exhausted() bool {
-	return fb.engine.TotalResidual() < 1e-15
-}
-
-// Expand performs one Stage-I step: process up to M best-benefit nodes with
-// BCA, fold the new estimates into the bounds, and recompute the unseen upper
-// bound. When StageII is enabled it then refines the bounds iteratively. It
-// returns the number of BCA processing operations performed (zero when the
-// computation is exhausted).
-func (fb *FBounds) Expand() int {
-	processed := fb.engine.ProcessBest(fb.opt.M)
-	fb.expansions++
-	fb.initializeBounds()
-	if fb.opt.StageII {
-		fb.Refine()
-	}
-	return processed
-}
-
-// initializeBounds applies the Stage-I bound initialization (Prop. 4 for the
-// improved scheme, the first-arrival-only bound otherwise), keeping bounds
-// monotone: lower bounds never decrease, upper bounds never increase.
-func (fb *FBounds) initializeBounds() {
-	alpha := fb.opt.Alpha
-	maxRes := fb.engine.MaxResidual()
-	totRes := fb.engine.TotalResidual()
-
-	var unseen float64
-	if fb.opt.ImprovedBound {
-		// Eq. 19: α/(2−α)·max_u µ(u) + (1−α)/(2−α)·Σ_u µ(u).
-		unseen = alpha/(2-alpha)*maxRes + (1-alpha)/(2-alpha)*totRes
-	} else {
-		// Weaker first-arrival bound (Gupta et al.): residual may reach an
-		// unseen node once and convert entirely; no credit for the α-split of
-		// repeated returns.
-		unseen = maxRes + (1-alpha)*totRes
-	}
-	if unseen < fb.unseen {
-		fb.unseen = unseen
-	}
-
-	fb.engine.EachSeen(func(v graph.NodeID, rho float64) {
-		if lo, ok := fb.lower[v]; !ok || rho > lo {
-			fb.lower[v] = rho // Eq. 20
-		}
-		up := rho + fb.unseen // Eq. 21
-		if prev, ok := fb.upper[v]; !ok || up < prev {
-			fb.upper[v] = up
-		} else {
-			fb.upper[v] = prev
-		}
-	})
-}
-
-// Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// f-neighborhood until the bounds converge or the iteration cap is reached.
-func (fb *FBounds) Refine() {
-	if len(fb.lower) == 0 {
-		return
-	}
-	seen := make([]graph.NodeID, 0, len(fb.lower))
-	for v := range fb.lower {
-		seen = append(seen, v)
-	}
-	sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-
-	alpha := fb.opt.Alpha
-	for iter := 0; iter < fb.opt.RefineMaxIter; iter++ {
-		maxChange := 0.0
-		for _, v := range seen {
-			restart := fb.restart[v]
-			sumLo, sumUp := 0.0, 0.0
-			fb.view.EachIn(v, func(from graph.NodeID, w float64) bool {
-				outSum := fb.view.OutWeightSum(from)
-				if outSum <= 0 {
-					return true
-				}
-				m := w / outSum
-				if lo, ok := fb.lower[from]; ok {
-					sumLo += m * lo
-					sumUp += m * fb.upper[from]
-				} else {
-					// Unseen in-neighbor: lower bound zero, upper bound is the
-					// unseen upper bound.
-					sumUp += m * fb.unseen
-				}
-				return true
-			})
-			newLo := alpha*restart + (1-alpha)*sumLo
-			newUp := alpha*restart + (1-alpha)*sumUp
-			if newLo > fb.lower[v] {
-				if d := newLo - fb.lower[v]; d > maxChange {
-					maxChange = d
-				}
-				fb.lower[v] = newLo
-			}
-			if newUp < fb.upper[v] {
-				if d := fb.upper[v] - newUp; d > maxChange {
-					maxChange = d
-				}
-				fb.upper[v] = newUp
-			}
-		}
-		if maxChange < fb.opt.RefineTol {
-			return
-		}
-	}
-}
-
-// CheckConsistent verifies lower <= upper for every seen node and that the
-// unseen upper bound is finite and non-negative. Used by tests.
-func (fb *FBounds) CheckConsistent() error {
-	if fb.unseen < 0 || math.IsNaN(fb.unseen) || math.IsInf(fb.unseen, 0) {
-		return fmt.Errorf("bounds: invalid unseen upper bound %g", fb.unseen)
-	}
-	for v, lo := range fb.lower {
-		up := fb.upper[v]
-		if lo > up+1e-12 {
-			return fmt.Errorf("bounds: node %d lower %g exceeds upper %g", v, lo, up)
-		}
-		if lo < -1e-12 {
-			return fmt.Errorf("bounds: node %d negative lower bound %g", v, lo)
-		}
-	}
-	return nil
 }

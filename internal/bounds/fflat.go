@@ -10,19 +10,19 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// FFlat is the scratch-state implementation of FBounds used on the online
-// serving path: per-node bounds live in one generation-stamped dense
-// structure, the Stage-II sweep streams the transposed CSR rows directly, and
-// Init rebinds the whole tracker to a new query in O(1), so a pooled
-// instance serves a stream of queries with no steady-state allocation. The
-// map-based FBounds remains the fallback for views without CSR adjacency and
-// the correctness baseline the parity tests compare against.
+// FFlat maintains lower/upper bounds on F-Rank over the f-neighborhood Sf
+// (the nodes with a non-zero BCA estimate) plus a common upper bound for all
+// unseen nodes: Stage I folds each BCA expansion into the bounds (Prop. 4,
+// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18). Per-node bounds live
+// in one generation-stamped dense structure and Init/InitRows rebind the whole
+// tracker to a new query in O(1), so a pooled instance serves a stream of
+// queries with no steady-state allocation.
 type FFlat struct {
 	opt FOptions
 	in  graph.CSR
 	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row provider
-	// (InitRows); the Stage-II sweep then streams cached in-rows from it.
+	// remote, when non-nil, replaces the CSR arrays with a row session
+	// (InitRows); the Stage-II sweep then streams its in-rows.
 	remote graph.Rows
 
 	engine  bca.Flat
@@ -142,7 +142,11 @@ func (fb *FFlat) Exhausted() bool {
 	return fb.engine.TotalResidual() < 1e-15
 }
 
-// Expand performs one Stage-I step exactly like FBounds.Expand.
+// Expand performs one Stage-I step: process up to M best-benefit nodes with
+// BCA, fold the new estimates into the bounds, and recompute the unseen upper
+// bound. When StageII is enabled it then refines the bounds iteratively. It
+// returns the number of BCA processing operations performed (zero when the
+// computation is exhausted).
 func (fb *FFlat) Expand() int {
 	processed := fb.engine.ProcessBest(fb.opt.M)
 	fb.expansions++
@@ -153,8 +157,9 @@ func (fb *FFlat) Expand() int {
 	return processed
 }
 
-// initializeBounds applies the Stage-I bound initialization (Prop. 4 or the
-// first-arrival bound), keeping bounds monotone.
+// initializeBounds applies the Stage-I bound initialization (Prop. 4 for the
+// improved scheme, the first-arrival-only bound otherwise), keeping bounds
+// monotone: lower bounds never decrease, upper bounds never increase.
 func (fb *FFlat) initializeBounds() {
 	alpha := fb.opt.Alpha
 	maxRes := fb.engine.MaxResidual()
@@ -165,7 +170,9 @@ func (fb *FFlat) initializeBounds() {
 		// Eq. 19: α/(2−α)·max_u µ(u) + (1−α)/(2−α)·Σ_u µ(u).
 		unseen = alpha/(2-alpha)*maxRes + (1-alpha)/(2-alpha)*totRes
 	} else {
-		// Weaker first-arrival bound (Gupta et al.).
+		// Weaker first-arrival bound (Gupta et al.): residual may reach an
+		// unseen node once and convert entirely; no credit for the α-split of
+		// repeated returns.
 		unseen = maxRes + (1-alpha)*totRes
 	}
 	if unseen < fb.unseen {
@@ -189,7 +196,9 @@ func (fb *FFlat) initializeBounds() {
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// f-neighborhood, streaming the transposed CSR rows.
+// f-neighborhood (in node-ID order, streaming in-rows) until the bounds
+// converge or the iteration cap is reached. An unseen in-neighbor contributes
+// lower bound zero and the unseen upper bound.
 func (fb *FFlat) Refine() {
 	if fb.b.Len() == 0 {
 		return
@@ -243,8 +252,8 @@ func (fb *FFlat) Refine() {
 	}
 }
 
-// CheckConsistent verifies the same invariants as FBounds.CheckConsistent.
-// Used by tests.
+// CheckConsistent verifies 0 <= lower <= upper for every seen node and that
+// the unseen upper bound is finite and non-negative. Used by tests.
 func (fb *FFlat) CheckConsistent() error {
 	return checkBounds(&fb.b, fb.unseen, false)
 }

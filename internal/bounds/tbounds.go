@@ -1,15 +1,6 @@
 package bounds
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"roundtriprank/internal/graph"
-	"roundtriprank/internal/walk"
-)
-
-// TOptions configures a TBounds computation.
+// TOptions configures a TFlat computation.
 type TOptions struct {
 	// Alpha is the teleport probability.
 	Alpha float64
@@ -61,326 +52,4 @@ func (o TOptions) normalized() TOptions {
 		o.RefineMaxIter = DefaultRefineMaxIter
 	}
 	return o
-}
-
-// TBounds maintains lower/upper bounds on T-Rank over the t-neighborhood St
-// plus the unseen upper bound of Eq. 22. St grows by pulling in all
-// in-neighbors of the border nodes with the largest upper bounds, which makes
-// those nodes interior and therefore lowers the unseen bound.
-type TBounds struct {
-	view    graph.View
-	opt     TOptions
-	restart map[graph.NodeID]float64
-
-	lower map[graph.NodeID]float64
-	upper map[graph.NodeID]float64
-	// outsideIn counts, for every node in St, how many of its in-neighbors are
-	// still outside St; a node is a border node iff its count is positive.
-	outsideIn map[graph.NodeID]int
-	// order lists St in insertion order (query nodes first, then newcomers in
-	// admission order) — the same order the flat tracker's touched list holds.
-	// Border picking iterates it instead of the outsideIn map so that
-	// upper-bound ties (all same-round newcomers share upper = prevUnseen)
-	// break identically on both trackers; without it, map iteration order
-	// would decide budget-capped (mid-search) results nondeterministically.
-	order  []graph.NodeID
-	unseen float64
-
-	expansions int
-}
-
-// NewTBounds starts a T-Rank bounds computation for the query. The initial
-// t-neighborhood contains exactly the query nodes with lower bound α·w(q_i)
-// and upper bound 1; the initial unseen upper bound is 1−α (Stage I of the
-// T-Rank realization).
-func NewTBounds(view graph.View, q walk.Query, opt TOptions) (*TBounds, error) {
-	opt = opt.normalized()
-	if opt.Alpha <= 0 || opt.Alpha >= 1 {
-		return nil, fmt.Errorf("bounds: alpha must be in (0,1), got %g", opt.Alpha)
-	}
-	nq, err := q.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("bounds: %w", err)
-	}
-	tb := &TBounds{
-		view:      view,
-		opt:       opt,
-		restart:   make(map[graph.NodeID]float64, len(nq.Nodes)),
-		lower:     make(map[graph.NodeID]float64),
-		upper:     make(map[graph.NodeID]float64),
-		outsideIn: make(map[graph.NodeID]int),
-		unseen:    1 - opt.Alpha,
-	}
-	for i, v := range nq.Nodes {
-		if int(v) < 0 || int(v) >= view.NumNodes() {
-			return nil, fmt.Errorf("bounds: query node %d out of range", v)
-		}
-		if _, ok := tb.restart[v]; !ok {
-			tb.order = append(tb.order, v)
-		}
-		tb.restart[v] += nq.Weights[i]
-	}
-	// Bounds first, border counts second: countOutsideIn must see the full
-	// initial neighborhood, or a query node processed before an adjacent
-	// query node would count it as outside — permanently, since query nodes
-	// never re-join St — leaving a phantom border node whose (dis)appearance
-	// depended on map iteration order. The flat tracker (TFlat.Init) does
-	// the same two passes.
-	for _, v := range tb.order {
-		tb.lower[v] = opt.Alpha * tb.restart[v]
-		tb.upper[v] = 1
-	}
-	for _, v := range tb.order {
-		tb.outsideIn[v] = tb.countOutsideIn(v)
-	}
-	tb.expansions = 1 // the paper counts the initial St = {q} as the first expansion
-	tb.recomputeUnseen()
-	return tb, nil
-}
-
-func (tb *TBounds) countOutsideIn(v graph.NodeID) int {
-	count := 0
-	tb.view.EachIn(v, func(from graph.NodeID, _ float64) bool {
-		if _, ok := tb.lower[from]; !ok {
-			count++
-		}
-		return true
-	})
-	return count
-}
-
-// Expansions returns the number of Stage-I expansions performed (including the
-// initial singleton neighborhood).
-func (tb *TBounds) Expansions() int { return tb.expansions }
-
-// SeenCount returns |St|.
-func (tb *TBounds) SeenCount() int { return len(tb.lower) }
-
-// Seen reports whether v is in the t-neighborhood.
-func (tb *TBounds) Seen(v graph.NodeID) bool {
-	_, ok := tb.lower[v]
-	return ok
-}
-
-// Lower returns the lower bound for a seen node (zero for unseen nodes).
-func (tb *TBounds) Lower(v graph.NodeID) float64 { return tb.lower[v] }
-
-// Upper returns the upper bound for v: its individual bound when seen, the
-// unseen upper bound otherwise.
-func (tb *TBounds) Upper(v graph.NodeID) float64 {
-	if u, ok := tb.upper[v]; ok {
-		return u
-	}
-	return tb.unseen
-}
-
-// UnseenUpper returns the common upper bound for unseen nodes (Eq. 22).
-func (tb *TBounds) UnseenUpper() float64 { return tb.unseen }
-
-// EachSeen calls fn for every node in the t-neighborhood with its bounds.
-func (tb *TBounds) EachSeen(fn func(v graph.NodeID, lower, upper float64)) {
-	for v, lo := range tb.lower {
-		fn(v, lo, tb.upper[v])
-	}
-}
-
-// BorderCount returns the number of border nodes of St.
-func (tb *TBounds) BorderCount() int {
-	n := 0
-	for _, c := range tb.outsideIn {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Exhausted reports whether the t-neighborhood has no border nodes left, i.e.
-// every node that can reach the query is already seen.
-func (tb *TBounds) Exhausted() bool { return tb.BorderCount() == 0 }
-
-// Expand performs one Stage-I step: pick up to M border nodes with the largest
-// upper bounds, pull all of their in-neighbors into St (up to the frontier
-// cap), initialize the bounds of the newcomers, recompute the unseen upper
-// bound, and (when enabled) run the Stage-II refinement. It returns the number
-// of new nodes added.
-func (tb *TBounds) Expand() int {
-	// Select the M border nodes with the largest upper bounds, iterating the
-	// insertion-ordered seen list with the same kept-sorted pick the flat
-	// tracker uses (ties keep earlier insertion) so both trackers expand the
-	// identical frontier every round.
-	m := tb.opt.M
-	pickN := make([]graph.NodeID, 0, m+1)
-	pickP := make([]float64, 0, m+1)
-	for _, v := range tb.order {
-		if tb.outsideIn[v] <= 0 {
-			continue
-		}
-		up := tb.upper[v]
-		if len(pickN) == m && up <= pickP[m-1] {
-			continue
-		}
-		pickN = append(pickN, v)
-		pickP = append(pickP, up)
-		for i := len(pickN) - 1; i > 0 && pickP[i] > pickP[i-1]; i-- {
-			pickN[i], pickN[i-1] = pickN[i-1], pickN[i]
-			pickP[i], pickP[i-1] = pickP[i-1], pickP[i]
-		}
-		if len(pickN) > m {
-			pickN = pickN[:m]
-			pickP = pickP[:m]
-		}
-	}
-	if len(pickN) == 0 {
-		return 0
-	}
-	limit := tb.opt.FrontierCap
-	added := 0
-	prevUnseen := tb.unseen
-	for _, u := range pickN {
-		if limit > 0 && added >= limit {
-			break
-		}
-		tb.view.EachIn(u, func(from graph.NodeID, _ float64) bool {
-			if limit > 0 && added >= limit {
-				return false
-			}
-			if _, ok := tb.lower[from]; !ok {
-				// Newly included node: lower bound zero, upper bound is the
-				// unseen upper bound from the previous expansion.
-				tb.lower[from] = 0
-				tb.upper[from] = prevUnseen
-				tb.order = append(tb.order, from)
-				tb.outsideIn[from] = tb.countOutsideIn(from)
-				// Every seen out-neighbor of the newcomer loses one outside
-				// in-neighbor. (The newcomer itself already counted its own
-				// membership, so it is skipped.)
-				tb.view.EachOut(from, func(to graph.NodeID, _ float64) bool {
-					if to == from {
-						return true
-					}
-					if _, seen := tb.lower[to]; seen {
-						tb.outsideIn[to]--
-					}
-					return true
-				})
-				added++
-			}
-			return true
-		})
-	}
-	tb.expansions++
-	tb.recomputeUnseen()
-	if tb.opt.StageII {
-		tb.Refine()
-	} else {
-		tb.localUpdate()
-		tb.recomputeUnseen()
-	}
-	return added
-}
-
-// recomputeUnseen applies Eq. 22, keeping the bound monotone non-increasing.
-func (tb *TBounds) recomputeUnseen() {
-	maxBorder := 0.0
-	for v, c := range tb.outsideIn {
-		if c > 0 && tb.upper[v] > maxBorder {
-			maxBorder = tb.upper[v]
-		}
-	}
-	candidate := (1 - tb.opt.Alpha) * maxBorder
-	if candidate < tb.unseen {
-		tb.unseen = candidate
-	}
-}
-
-// localUpdate applies a single pass of the recursion to the seen nodes. It is
-// the Sarkar-style (expansion-only) realization used when Stage II is
-// disabled.
-func (tb *TBounds) localUpdate() {
-	seen := tb.sortedSeen()
-	tb.applyRecursion(seen)
-}
-
-// Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// t-neighborhood, also re-tightening the unseen upper bound (Eq. 22) after
-// every sweep, until convergence or the iteration cap.
-func (tb *TBounds) Refine() {
-	seen := tb.sortedSeen()
-	for iter := 0; iter < tb.opt.RefineMaxIter; iter++ {
-		maxChange := tb.applyRecursion(seen)
-		if tb.opt.TightenUnseenInRefine {
-			tb.recomputeUnseen()
-		}
-		if maxChange < tb.opt.RefineTol {
-			return
-		}
-	}
-}
-
-func (tb *TBounds) sortedSeen() []graph.NodeID {
-	seen := make([]graph.NodeID, 0, len(tb.lower))
-	for v := range tb.lower {
-		seen = append(seen, v)
-	}
-	sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-	return seen
-}
-
-// applyRecursion performs one sweep of Eq. 17–18 (T-Rank form: out-neighbors,
-// transition M[v][v']) over the given nodes and returns the largest bound
-// change.
-func (tb *TBounds) applyRecursion(seen []graph.NodeID) float64 {
-	alpha := tb.opt.Alpha
-	maxChange := 0.0
-	for _, v := range seen {
-		restart := tb.restart[v]
-		outSum := tb.view.OutWeightSum(v)
-		sumLo, sumUp := 0.0, 0.0
-		if outSum > 0 {
-			tb.view.EachOut(v, func(to graph.NodeID, w float64) bool {
-				m := w / outSum
-				if lo, ok := tb.lower[to]; ok {
-					sumLo += m * lo
-					sumUp += m * tb.upper[to]
-				} else {
-					sumUp += m * tb.unseen
-				}
-				return true
-			})
-		}
-		newLo := alpha*restart + (1-alpha)*sumLo
-		newUp := alpha*restart + (1-alpha)*sumUp
-		if newLo > tb.lower[v] {
-			if d := newLo - tb.lower[v]; d > maxChange {
-				maxChange = d
-			}
-			tb.lower[v] = newLo
-		}
-		if newUp < tb.upper[v] {
-			if d := tb.upper[v] - newUp; d > maxChange {
-				maxChange = d
-			}
-			tb.upper[v] = newUp
-		}
-	}
-	return maxChange
-}
-
-// CheckConsistent verifies lower <= upper for every seen node and sane unseen
-// bounds. Used by tests.
-func (tb *TBounds) CheckConsistent() error {
-	if tb.unseen < 0 || math.IsNaN(tb.unseen) || math.IsInf(tb.unseen, 0) {
-		return fmt.Errorf("bounds: invalid unseen upper bound %g", tb.unseen)
-	}
-	for v, lo := range tb.lower {
-		up := tb.upper[v]
-		if lo > up+1e-12 {
-			return fmt.Errorf("bounds: node %d lower %g exceeds upper %g", v, lo, up)
-		}
-		if lo < -1e-12 || up > 1+1e-9 {
-			return fmt.Errorf("bounds: node %d bounds out of range [%g, %g]", v, lo, up)
-		}
-	}
-	return nil
 }

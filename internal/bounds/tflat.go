@@ -10,17 +10,19 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// TFlat is the scratch-state implementation of TBounds used on the online
-// serving path: the t-neighborhood, both bounds and the border counters live
-// in generation-stamped dense arrays, expansions and the Stage-II sweep
-// stream CSR rows directly, and Init rebinds the tracker to a new query in
-// O(1). The map-based TBounds remains the fallback for views without CSR
-// adjacency and the correctness baseline.
+// TFlat maintains lower/upper bounds on T-Rank over the t-neighborhood St
+// plus the unseen upper bound of Eq. 22. St starts as the query nodes (lower
+// bound α·w(q_i), upper bound 1, unseen bound 1−α) and grows by pulling in all
+// in-neighbors of the border nodes with the largest upper bounds, which makes
+// those nodes interior and therefore lowers the unseen bound; Stage II refines
+// the bounds over St (Eq. 17–18). The neighborhood, both bounds and the border
+// counters live in generation-stamped dense arrays and Init/InitRows rebind
+// the tracker to a new query in O(1).
 type TFlat struct {
 	opt TOptions
 	in  graph.CSR
 	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row provider
+	// remote, when non-nil, replaces the CSR arrays with a row session
 	// (InitRows); pre is its optional prefetch capability and wave the
 	// reusable buffer of rows each expansion announces to it.
 	remote graph.Rows
@@ -41,8 +43,7 @@ type TFlat struct {
 	expansions int
 	sweep      []graph.NodeID // reusable ID-sorted seen list for Stage II
 	// pickN/pickP are the reusable top-M border selection (descending by
-	// upper bound, ties keep earlier insertion), replacing the per-expansion
-	// heapx.TopK allocation.
+	// upper bound, ties keep earlier insertion).
 	pickN []graph.NodeID
 	pickP []float64
 }
@@ -93,7 +94,8 @@ func (tb *TFlat) init(n int, q walk.Query, opt TOptions) error {
 		tb.b.Set(v, opt.Alpha*w, 1)
 	}
 	// Border counts go in a second pass: countOutsideIn must see the full
-	// initial neighborhood.
+	// initial neighborhood, or a query node counted before an adjacent query
+	// node joined would keep it as a phantom outside in-neighbor forever.
 	for _, v := range tb.restartNodes {
 		tb.outsideIn.Set(v, tb.countOutsideIn(v))
 	}
@@ -190,13 +192,15 @@ func (tb *TFlat) BorderCount() int {
 // Exhausted reports whether the t-neighborhood has no border nodes left.
 func (tb *TFlat) Exhausted() bool { return tb.BorderCount() == 0 }
 
-// Expand performs one Stage-I step exactly like TBounds.Expand: pull the
-// in-neighborhoods of the M border nodes with the largest upper bounds into
-// St, initialize the newcomers, retighten the unseen bound, and refine.
+// Expand performs one Stage-I step: pick up to M border nodes with the largest
+// upper bounds, pull all of their in-neighbors into St (up to the frontier
+// cap), initialize the bounds of the newcomers, recompute the unseen upper
+// bound, and (when enabled) run the Stage-II refinement. It returns the number
+// of new nodes added.
 func (tb *TFlat) Expand() int {
 	// Select the M border nodes with the largest upper bounds into the
-	// reusable pick buffers (kept sorted descending, like heapx.TopK but
-	// with deterministic insertion order from the touched list).
+	// reusable pick buffers (kept sorted descending; ties keep the touched
+	// list's insertion order, so budget-capped results are deterministic).
 	m := tb.opt.M
 	tb.pickN, tb.pickP = tb.pickN[:0], tb.pickP[:0]
 	for _, v := range tb.b.Touched() {
@@ -380,8 +384,8 @@ func (tb *TFlat) applyRecursion() float64 {
 	return maxChange
 }
 
-// CheckConsistent verifies the same invariants as TBounds.CheckConsistent.
-// Used by tests.
+// CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a
+// finite, non-negative unseen bound. Used by tests.
 func (tb *TFlat) CheckConsistent() error {
 	return checkBounds(&tb.b, tb.unseen, true)
 }

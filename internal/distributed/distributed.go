@@ -1,39 +1,15 @@
-// This file holds the Stripe structure and the legacy AP/GP topology; the
-// package documentation lives in doc.go.
+// This file holds the Stripe structure; the package documentation lives in
+// doc.go.
 package distributed
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 
 	"roundtriprank/internal/graph"
 )
 
-// NodeAdjacency is the unit of transfer between a GP and the AP: one node's
-// full in/out adjacency.
-type NodeAdjacency struct {
-	Node   graph.NodeID
-	OutTo  []graph.NodeID
-	OutW   []float64
-	InFrom []graph.NodeID
-	InW    []float64
-}
-
-// Request asks a GP for the adjacency of a set of nodes in its stripe.
-type Request struct {
-	Nodes []graph.NodeID
-}
-
-// Response carries the requested adjacency records.
-type Response struct {
-	Nodes []NodeAdjacency
-	Err   string
-}
-
-// Stripe holds the subset of a graph assigned to one GP: every node v with
+// Stripe holds the subset of a graph assigned to one worker: every node v with
 // v mod numStripes == index, along with its full adjacency. The adjacency is
 // stored as two compact CSR structures over the stripe's local node index
 // (node v maps to local row v/Count, since v = Index + row*Count), so a
@@ -124,18 +100,6 @@ func DecodeStripe(r io.Reader) (*Stripe, error) {
 	return StripeFromData(d)
 }
 
-// adjacency returns the stored adjacency of node v as slices referencing the
-// stripe's CSR arrays, or false when v is not assigned to this stripe.
-func (s *Stripe) adjacency(v graph.NodeID) (NodeAdjacency, bool) {
-	if v < 0 || int(v) >= s.NumNodes || int(v)%s.Count != s.Index {
-		return NodeAdjacency{}, false
-	}
-	r := graph.NodeID(int(v) / s.Count)
-	outTo, outW := s.out.Row(r)
-	inFrom, inW := s.in.Row(r)
-	return NodeAdjacency{Node: v, OutTo: outTo, OutW: outW, InFrom: inFrom, InW: inW}, true
-}
-
 // OwnedNodes returns the number of nodes assigned to this stripe.
 func (s *Stripe) OwnedNodes() int { return s.rows }
 
@@ -189,301 +153,4 @@ func (s *Stripe) multiply(c graph.CSR, x, dst []float64) error {
 func (s *Stripe) SizeBytes() int64 {
 	edges := int64(len(s.out.Col) + len(s.in.Col))
 	return int64(s.rows)*48 + edges*12
-}
-
-// GP is a graph processor serving one stripe over TCP.
-type GP struct {
-	stripe   *Stripe
-	listener net.Listener
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	closed   bool
-}
-
-// ServeGP starts a GP listening on addr (use "127.0.0.1:0" for an ephemeral
-// port) and serving the given stripe. It returns immediately; call Close to
-// stop.
-func ServeGP(addr string, stripe *Stripe) (*GP, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("distributed: listen: %w", err)
-	}
-	gp := &GP{stripe: stripe, listener: ln}
-	gp.wg.Add(1)
-	go gp.acceptLoop()
-	return gp, nil
-}
-
-// Addr returns the GP's listen address.
-func (g *GP) Addr() string { return g.listener.Addr().String() }
-
-// Close stops the GP.
-func (g *GP) Close() error {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	err := g.listener.Close()
-	g.wg.Wait()
-	return err
-}
-
-func (g *GP) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		conn, err := g.listener.Accept()
-		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.serveConn(conn)
-		}()
-	}
-}
-
-func (g *GP) serveConn(conn net.Conn) {
-	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := Response{}
-		for _, v := range req.Nodes {
-			adj, ok := g.stripe.adjacency(v)
-			if !ok {
-				resp.Err = fmt.Sprintf("node %d not in stripe %d", v, g.stripe.Index)
-				break
-			}
-			resp.Nodes = append(resp.Nodes, adj)
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-// AP is the active processor: a graph.View whose adjacency is fetched on
-// demand from the GPs and cached locally. The cache is exactly the active set
-// of Sect. V-B1.
-type AP struct {
-	numNodes int
-	conns    []*gpConn
-	mu       sync.Mutex
-	cache    map[graph.NodeID]NodeAdjacency
-	requests int
-}
-
-type gpConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// NewAP connects to the GPs at the given addresses. numNodes is the total node
-// count of the striped graph; addrs[i] must serve stripe i of len(addrs).
-func NewAP(numNodes int, addrs []string) (*AP, error) {
-	if numNodes <= 0 || len(addrs) == 0 {
-		return nil, fmt.Errorf("distributed: AP needs nodes and at least one GP")
-	}
-	ap := &AP{numNodes: numNodes, cache: make(map[graph.NodeID]NodeAdjacency)}
-	for _, addr := range addrs {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			ap.Close()
-			return nil, fmt.Errorf("distributed: dial %s: %w", addr, err)
-		}
-		ap.conns = append(ap.conns, &gpConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)})
-	}
-	return ap, nil
-}
-
-// Close closes all GP connections.
-func (a *AP) Close() error {
-	var firstErr error
-	for _, c := range a.conns {
-		if c != nil && c.conn != nil {
-			if err := c.conn.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// Requests returns the number of GP round trips performed so far.
-func (a *AP) Requests() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.requests
-}
-
-// ActiveNodes returns the number of nodes currently in the active set.
-func (a *AP) ActiveNodes() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.cache)
-}
-
-// ActiveSetBytes estimates the in-memory size of the assembled active set.
-func (a *AP) ActiveSetBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var edges int64
-	for _, adj := range a.cache {
-		edges += int64(len(adj.OutTo) + len(adj.InFrom))
-	}
-	return int64(len(a.cache))*48 + edges*12
-}
-
-func (a *AP) fetch(v graph.NodeID) (NodeAdjacency, error) {
-	a.mu.Lock()
-	if adj, ok := a.cache[v]; ok {
-		a.mu.Unlock()
-		return adj, nil
-	}
-	a.mu.Unlock()
-
-	c := a.conns[int(v)%len(a.conns)]
-	c.mu.Lock()
-	err := c.enc.Encode(&Request{Nodes: []graph.NodeID{v}})
-	var resp Response
-	if err == nil {
-		err = c.dec.Decode(&resp)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return NodeAdjacency{}, fmt.Errorf("distributed: fetch node %d: %w", v, err)
-	}
-	if resp.Err != "" {
-		return NodeAdjacency{}, fmt.Errorf("distributed: GP error: %s", resp.Err)
-	}
-	if len(resp.Nodes) != 1 {
-		return NodeAdjacency{}, fmt.Errorf("distributed: unexpected response size %d", len(resp.Nodes))
-	}
-	adj := resp.Nodes[0]
-	a.mu.Lock()
-	a.cache[v] = adj
-	a.requests++
-	a.mu.Unlock()
-	return adj, nil
-}
-
-func (a *AP) mustFetch(v graph.NodeID) NodeAdjacency {
-	adj, err := a.fetch(v)
-	if err != nil {
-		// graph.View has no error channel; a network failure during query
-		// processing is unrecoverable for this query, so panic with context
-		// (callers in cmd/ recover and report).
-		panic(err)
-	}
-	return adj
-}
-
-// NumNodes implements graph.View.
-func (a *AP) NumNodes() int { return a.numNodes }
-
-// OutDegree implements graph.View.
-func (a *AP) OutDegree(v graph.NodeID) int { return len(a.mustFetch(v).OutTo) }
-
-// InDegree implements graph.View.
-func (a *AP) InDegree(v graph.NodeID) int { return len(a.mustFetch(v).InFrom) }
-
-// OutWeightSum implements graph.View.
-func (a *AP) OutWeightSum(v graph.NodeID) float64 {
-	adj := a.mustFetch(v)
-	sum := 0.0
-	for _, w := range adj.OutW {
-		sum += w
-	}
-	return sum
-}
-
-// InWeightSum implements graph.View.
-func (a *AP) InWeightSum(v graph.NodeID) float64 {
-	adj := a.mustFetch(v)
-	sum := 0.0
-	for _, w := range adj.InW {
-		sum += w
-	}
-	return sum
-}
-
-// EachOut implements graph.View.
-func (a *AP) EachOut(v graph.NodeID, fn func(to graph.NodeID, w float64) bool) {
-	adj := a.mustFetch(v)
-	for i, to := range adj.OutTo {
-		if !fn(to, adj.OutW[i]) {
-			return
-		}
-	}
-}
-
-// EachIn implements graph.View.
-func (a *AP) EachIn(v graph.NodeID, fn func(from graph.NodeID, w float64) bool) {
-	adj := a.mustFetch(v)
-	for i, from := range adj.InFrom {
-		if !fn(from, adj.InW[i]) {
-			return
-		}
-	}
-}
-
-// Cluster is a convenience helper that runs every GP in-process (one per
-// stripe) and returns a connected AP; it is used by tests, examples and the
-// scalability experiments to simulate an n-machine deployment on localhost.
-type Cluster struct {
-	GPs []*GP
-	AP  *AP
-}
-
-// StartCluster stripes g across n in-process GPs on loopback TCP and connects
-// an AP to them.
-func StartCluster(g *graph.Graph, n int) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("distributed: cluster needs at least one GP")
-	}
-	c := &Cluster{}
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		stripe, err := BuildStripe(g, i, n)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		gp, err := ServeGP("127.0.0.1:0", stripe)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.GPs = append(c.GPs, gp)
-		addrs = append(addrs, gp.Addr())
-	}
-	ap, err := NewAP(g.NumNodes(), addrs)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.AP = ap
-	return c, nil
-}
-
-// Close shuts down the AP and every GP.
-func (c *Cluster) Close() {
-	if c.AP != nil {
-		c.AP.Close()
-	}
-	for _, gp := range c.GPs {
-		gp.Close()
-	}
 }

@@ -1,14 +1,9 @@
 package distributed
 
 import (
-	"context"
 	"testing"
 
-	"roundtriprank/internal/datasets"
-	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
-	"roundtriprank/internal/topk"
-	"roundtriprank/internal/walk"
 )
 
 func TestBuildStripeCoversGraph(t *testing.T) {
@@ -33,136 +28,5 @@ func TestBuildStripeCoversGraph(t *testing.T) {
 	}
 	if _, err := BuildStripe(toy.Graph, 0, 0); err == nil {
 		t.Errorf("zero stripe count should error")
-	}
-}
-
-func TestClusterViewMatchesLocalGraph(t *testing.T) {
-	toy := testgraphs.NewToy()
-	cluster, err := StartCluster(toy.Graph, 3)
-	if err != nil {
-		t.Fatalf("StartCluster: %v", err)
-	}
-	defer cluster.Close()
-	ap := cluster.AP
-
-	if ap.NumNodes() != toy.Graph.NumNodes() {
-		t.Fatalf("NumNodes mismatch")
-	}
-	for v := 0; v < toy.Graph.NumNodes(); v++ {
-		node := graph.NodeID(v)
-		if ap.OutDegree(node) != toy.Graph.OutDegree(node) || ap.InDegree(node) != toy.Graph.InDegree(node) {
-			t.Errorf("degree mismatch at %d", v)
-		}
-		if ap.OutWeightSum(node) != toy.Graph.OutWeightSum(node) {
-			t.Errorf("out weight sum mismatch at %d", v)
-		}
-		if ap.InWeightSum(node) != toy.Graph.InWeightSum(node) {
-			t.Errorf("in weight sum mismatch at %d", v)
-		}
-		localEdges := map[graph.NodeID]float64{}
-		toy.Graph.EachOut(node, func(to graph.NodeID, w float64) bool {
-			localEdges[to] = w
-			return true
-		})
-		remote := map[graph.NodeID]float64{}
-		ap.EachOut(node, func(to graph.NodeID, w float64) bool {
-			remote[to] = w
-			return true
-		})
-		if len(localEdges) != len(remote) {
-			t.Errorf("out edge count mismatch at %d", v)
-		}
-		for to, w := range localEdges {
-			if remote[to] != w {
-				t.Errorf("edge weight mismatch %d->%d", v, to)
-			}
-		}
-	}
-	if ap.ActiveNodes() != toy.Graph.NumNodes() {
-		t.Errorf("after touching every node the active set should cover the graph")
-	}
-	if ap.ActiveSetBytes() <= 0 || ap.Requests() == 0 {
-		t.Errorf("active set accounting broken")
-	}
-}
-
-func TestDistributedTopKMatchesSingleMachine(t *testing.T) {
-	cfg := datasets.SmallBibNetConfig()
-	cfg.Papers = 150
-	cfg.Authors = 80
-	net, err := datasets.GenerateBibNet(cfg)
-	if err != nil {
-		t.Fatalf("GenerateBibNet: %v", err)
-	}
-	g := net.Graph
-	cluster, err := StartCluster(g, 4)
-	if err != nil {
-		t.Fatalf("StartCluster: %v", err)
-	}
-	defer cluster.Close()
-
-	opt := topk.Options{K: 5, Epsilon: 0.01, Alpha: walk.DefaultAlpha, Beta: 0.5}
-	for _, q := range []graph.NodeID{net.Papers[0], net.Papers[37]} {
-		local, err := topk.TopK(context.Background(), g, walk.SingleNode(q), opt)
-		if err != nil {
-			t.Fatalf("local TopK: %v", err)
-		}
-		remote, err := topk.TopK(context.Background(), cluster.AP, walk.SingleNode(q), opt)
-		if err != nil {
-			t.Fatalf("distributed TopK: %v", err)
-		}
-		if len(local.TopK) != len(remote.TopK) {
-			t.Fatalf("result size mismatch: %d vs %d", len(local.TopK), len(remote.TopK))
-		}
-		for i := range local.TopK {
-			if local.TopK[i].Node != remote.TopK[i].Node {
-				t.Errorf("query %d rank %d: local %d vs distributed %d",
-					q, i, local.TopK[i].Node, remote.TopK[i].Node)
-			}
-		}
-	}
-	// The active set must be a small fraction of the graph (the Sect. V-B
-	// observation that motivates the architecture).
-	if cluster.AP.ActiveNodes() >= g.NumNodes() {
-		t.Errorf("active set should be a strict subset of the graph")
-	}
-}
-
-func TestAPValidation(t *testing.T) {
-	if _, err := NewAP(0, []string{"127.0.0.1:1"}); err == nil {
-		t.Errorf("zero nodes should error")
-	}
-	if _, err := NewAP(10, nil); err == nil {
-		t.Errorf("no GP addresses should error")
-	}
-	if _, err := NewAP(10, []string{"127.0.0.1:1"}); err == nil {
-		t.Errorf("unreachable GP should error")
-	}
-	if _, err := StartCluster(testgraphs.NewToy().Graph, 0); err == nil {
-		t.Errorf("zero GPs should error")
-	}
-}
-
-func TestGPWrongStripeRequest(t *testing.T) {
-	toy := testgraphs.NewToy()
-	stripe, err := BuildStripe(toy.Graph, 0, 2)
-	if err != nil {
-		t.Fatalf("BuildStripe: %v", err)
-	}
-	gp, err := ServeGP("127.0.0.1:0", stripe)
-	if err != nil {
-		t.Fatalf("ServeGP: %v", err)
-	}
-	defer gp.Close()
-	ap, err := NewAP(toy.Graph.NumNodes(), []string{gp.Addr()})
-	if err != nil {
-		t.Fatalf("NewAP: %v", err)
-	}
-	defer ap.Close()
-	// Node 1 belongs to stripe 1 of 2, which this single-GP AP wrongly maps to
-	// the only connection; the GP must reject it and fetch must surface the
-	// error.
-	if _, err := ap.fetch(graph.NodeID(1)); err == nil {
-		t.Errorf("fetching a node outside the stripe should error")
 	}
 }

@@ -1,5 +1,5 @@
 // Package distributed implements serving a round-robin-striped graph from
-// multiple processes. It has two cooperating topologies.
+// multiple processes. Two subsystems share the stripe workers.
 //
 // # Coordinator/worker (exact solves)
 //
@@ -19,12 +19,12 @@
 // for changed stripes and the cheap retag RPC (StripeRetagger) for stripes
 // whose content the commit did not touch.
 //
-// # AP/GP (online search)
+// # Row serving (online search)
 //
-// The AP/GP pair reproduces the paper's architecture of Sect. V-B for the
-// online search: Graph Processors answer adjacency requests for their stripe
-// over TCP while the Active Processor runs 2SBound and assembles only the
-// active set — the nodes and edges the query actually touches — in local
-// memory, exposed as a graph.View so the same 2SBound implementation runs
-// unchanged on one machine or a cluster.
+// The row-fetch RPCs (rows.go: FetchRows, OutDegrees) reproduce the paper's
+// AP/GP architecture of Sect. V-B for the online search: workers answer
+// batched adjacency-row requests for their stripe while the coordinator runs
+// 2SBound over an internal/rowserve session that assembles only the active
+// set — the rows the query actually touches — in a local cache, exposed as
+// graph.Rows so the same searcher runs unchanged on one machine or a cluster.
 package distributed

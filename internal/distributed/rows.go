@@ -80,16 +80,14 @@ func (w *Worker) FetchRowsAt(index int, graphSum uint32, nodes []graph.NodeID) (
 	}
 	batch := RowBatch{Epoch: s.epoch, Content: s.content, Rows: make([]RowData, 0, len(nodes))}
 	for _, v := range nodes {
-		adj, ok := s.adjacency(v)
-		if !ok {
+		if v < 0 || int(v) >= s.NumNodes || int(v)%s.Count != s.Index {
 			return RowBatch{}, fmt.Errorf("distributed: node %d is not owned by stripe %d of %d", v, s.Index, s.Count)
 		}
-		batch.Rows = append(batch.Rows, RowData{
-			Node:   v,
-			OutSum: s.out.Sum[int(v)/s.Count],
-			OutTo:  adj.OutTo, OutW: adj.OutW,
-			InFrom: adj.InFrom, InW: adj.InW,
-		})
+		r := graph.NodeID(int(v) / s.Count) // local row of v = Index + r*Count
+		row := RowData{Node: v, OutSum: s.out.Sum[r]}
+		row.OutTo, row.OutW = s.out.Row(r)
+		row.InFrom, row.InW = s.in.Row(r)
+		batch.Rows = append(batch.Rows, row)
 	}
 	return batch, nil
 }

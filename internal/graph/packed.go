@@ -425,13 +425,8 @@ func (p *Packed) NewRows() Rows { return &packedRows{p: p} }
 // (internal/rowserve), which pins cached rows for the same reason.
 type packedRows struct {
 	p   *Packed
-	out map[NodeID]packedRow
-	in  map[NodeID]packedRow
-}
-
-type packedRow struct {
-	cols []NodeID
-	wts  []float64
+	out map[NodeID]sessionRow
+	in  map[NodeID]sessionRow
 }
 
 // NumNodes implements Rows.
@@ -446,7 +441,7 @@ func (r *packedRows) OutSum(v NodeID) float64 { return r.p.out.Sum[v] }
 // OutRow implements Rows.
 func (r *packedRows) OutRow(v NodeID) ([]NodeID, []float64) {
 	if r.out == nil {
-		r.out = make(map[NodeID]packedRow)
+		r.out = make(map[NodeID]sessionRow)
 	}
 	return cachedRow(r.out, &r.p.out, v)
 }
@@ -454,17 +449,17 @@ func (r *packedRows) OutRow(v NodeID) ([]NodeID, []float64) {
 // InRow implements Rows.
 func (r *packedRows) InRow(v NodeID) ([]NodeID, []float64) {
 	if r.in == nil {
-		r.in = make(map[NodeID]packedRow)
+		r.in = make(map[NodeID]sessionRow)
 	}
 	return cachedRow(r.in, &r.p.in, v)
 }
 
-func cachedRow(cache map[NodeID]packedRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
+func cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
 	if row, ok := cache[v]; ok {
 		return row.cols, row.wts
 	}
 	deg := c.Degree(v)
-	row := packedRow{cols: make([]NodeID, 0, deg), wts: make([]float64, 0, deg)}
+	row := sessionRow{cols: make([]NodeID, 0, deg), wts: make([]float64, 0, deg)}
 	row.cols, row.wts = c.AppendRow(v, row.cols, row.wts)
 	cache[v] = row
 	return row.cols, row.wts

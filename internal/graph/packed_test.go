@@ -108,31 +108,36 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestPackedRowsSession checks both in-package Rows sessions — a packed view's
+// own and the ViewRows adapter over a view that hides its CSR — against the
+// flat arrays, asking for every row twice (the second answer is the kept one).
 func TestPackedRowsSession(t *testing.T) {
 	g := packedTestGraph(t, 120, 900, 3)
-	p := Pack(g)
-	rows := p.NewRows()
-	if rows.NumNodes() != g.NumNodes() {
-		t.Fatalf("NumNodes %d != %d", rows.NumNodes(), g.NumNodes())
-	}
 	out := g.OutCSR()
 	in := g.InCSR()
-	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		if rows.OutDegree(v) != out.Degree(v) {
-			t.Fatalf("node %d OutDegree mismatch", v)
+	for name, rows := range map[string]Rows{"packed": Pack(g).NewRows(), "adapter": ViewRows(struct{ View }{g})} {
+		if rows.NumNodes() != g.NumNodes() {
+			t.Fatalf("%s: NumNodes %d != %d", name, rows.NumNodes(), g.NumNodes())
 		}
-		if rows.OutSum(v) != out.Sum[v] {
-			t.Fatalf("node %d OutSum mismatch", v)
-		}
-		cols, wts := rows.OutRow(v)
-		wantC, wantW := out.Row(v)
-		if !sameRow(cols, wts, wantC, wantW) {
-			t.Fatalf("node %d OutRow differs", v)
-		}
-		cols, wts = rows.InRow(v)
-		wantC, wantW = in.Row(v)
-		if !sameRow(cols, wts, wantC, wantW) {
-			t.Fatalf("node %d InRow differs", v)
+		for pass := 0; pass < 2; pass++ {
+			for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+				if rows.OutDegree(v) != out.Degree(v) {
+					t.Fatalf("%s: node %d OutDegree mismatch", name, v)
+				}
+				if rows.OutSum(v) != out.Sum[v] {
+					t.Fatalf("%s: node %d OutSum mismatch", name, v)
+				}
+				cols, wts := rows.OutRow(v)
+				wantC, wantW := out.Row(v)
+				if !sameRow(cols, wts, wantC, wantW) {
+					t.Fatalf("%s: node %d OutRow differs", name, v)
+				}
+				cols, wts = rows.InRow(v)
+				wantC, wantW = in.Row(v)
+				if !sameRow(cols, wts, wantC, wantW) {
+					t.Fatalf("%s: node %d InRow differs", name, v)
+				}
+			}
 		}
 	}
 }

@@ -2,13 +2,14 @@ package graph
 
 // Rows is the row-streaming access pattern of the online top-K searcher: the
 // exact set of reads bca.Flat and bounds.FFlat/TFlat perform against a graph,
-// expressed per row instead of as whole CSR arrays. A local CSRView satisfies
-// it trivially; the point of the interface is the remote implementation
-// (internal/rowserve.Session), which serves OutRow/InRow from a row cache
-// filled by batched worker RPCs while OutSum/OutDegree come from small dense
-// per-node arrays assembled once at connect time. That split mirrors the
-// paper's AP/GP architecture: the searcher's working set is O(rows touched),
-// never the full adjacency.
+// expressed per row instead of as whole CSR arrays. It is the one seam under
+// the searcher: a CSRView is read directly, everything else is read through a
+// per-query Rows session — graph.Packed decodes rows, the remote
+// implementation (internal/rowserve.Session) serves OutRow/InRow from a row
+// cache filled by batched worker RPCs with OutSum/OutDegree in small dense
+// per-node arrays assembled once at connect time, and ViewRows adapts any
+// other View. The remote split mirrors the paper's AP/GP architecture: the
+// searcher's working set is O(rows touched), never the full adjacency.
 //
 // Implementations may panic with *RowFetchError when a row cannot be
 // materialized (the searcher has no error channel on its row reads);
@@ -26,10 +27,92 @@ type Rows interface {
 	// fetching the rows of its neighbors (see bounds.TFlat), so a provider
 	// cannot serve every row from one reused buffer. CSR-backed providers
 	// return slices of the underlying arrays; rowserve pins cached rows;
-	// graph.Packed sessions cache each decoded row for the session lifetime.
+	// graph.Packed and ViewRows sessions keep each materialized row for the
+	// session lifetime.
 	OutRow(v NodeID) (cols []NodeID, weights []float64)
 	// InRow returns the in-edge sources and weights of v, same contract.
 	InRow(v NodeID) (cols []NodeID, weights []float64)
+}
+
+// ViewRows returns a per-query Rows session over an arbitrary View: the route
+// by which views with neither flat CSR arrays (CSRView) nor sessions of their
+// own (RowsProvider) — MaskedView, TrackingView, DeltaView, ad-hoc wrappers —
+// reach the online searcher. A row is materialized through EachOut/EachIn on
+// first touch and kept for the session, and OutDegree/OutSum are asked of the
+// view once per touched node (on a DeltaView every such call merges a row, and
+// Stage II asks once per in-edge per sweep). The session holds O(rows touched)
+// memory, is not safe for concurrent use and must not outlive the view.
+func ViewRows(v View) Rows { return &viewRows{view: v, nodes: make(map[NodeID]*viewNode)} }
+
+type viewRows struct {
+	view  View
+	nodes map[NodeID]*viewNode
+}
+
+// viewNode is what a session has learned about one node so far.
+type viewNode struct {
+	hasDeg, hasSum bool
+	deg            int
+	sum            float64
+	out, in        *sessionRow // nil until first touch
+}
+
+// sessionRow is one row a session (viewRows, packedRows) has materialized.
+type sessionRow struct {
+	cols []NodeID
+	wts  []float64
+}
+
+func (r *viewRows) node(v NodeID) *viewNode {
+	n := r.nodes[v]
+	if n == nil {
+		n = new(viewNode)
+		r.nodes[v] = n
+	}
+	return n
+}
+
+// NumNodes implements Rows.
+func (r *viewRows) NumNodes() int { return r.view.NumNodes() }
+
+// OutDegree implements Rows.
+func (r *viewRows) OutDegree(v NodeID) int {
+	n := r.node(v)
+	if !n.hasDeg {
+		n.deg, n.hasDeg = r.view.OutDegree(v), true
+	}
+	return n.deg
+}
+
+// OutSum implements Rows.
+func (r *viewRows) OutSum(v NodeID) float64 {
+	n := r.node(v)
+	if !n.hasSum {
+		n.sum, n.hasSum = r.view.OutWeightSum(v), true
+	}
+	return n.sum
+}
+
+// OutRow implements Rows.
+func (r *viewRows) OutRow(v NodeID) ([]NodeID, []float64) {
+	return materialize(&r.node(v).out, r.view.EachOut, v)
+}
+
+// InRow implements Rows.
+func (r *viewRows) InRow(v NodeID) ([]NodeID, []float64) {
+	return materialize(&r.node(v).in, r.view.EachIn, v)
+}
+
+func materialize(slot **sessionRow, each func(NodeID, func(NodeID, float64) bool), v NodeID) ([]NodeID, []float64) {
+	if *slot == nil {
+		row := new(sessionRow)
+		each(v, func(u NodeID, w float64) bool {
+			row.cols, row.wts = append(row.cols, u), append(row.wts, w)
+			return true
+		})
+		*slot = row
+	}
+	return (*slot).cols, (*slot).wts
 }
 
 // RowPrefetcher is optionally implemented by a Rows provider that can

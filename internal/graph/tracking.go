@@ -8,7 +8,6 @@ type TrackingView struct {
 	base View
 
 	accessed map[NodeID]bool
-	edges    int64
 }
 
 // NewTrackingView wraps base with access tracking.
@@ -33,26 +32,14 @@ func (t *TrackingView) InWeightSum(v NodeID) float64 { return t.base.InWeightSum
 
 // EachOut implements View, recording the access.
 func (t *TrackingView) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	t.touch(v)
-	t.base.EachOut(v, func(to NodeID, w float64) bool {
-		t.edges++
-		return fn(to, w)
-	})
+	t.accessed[v] = true
+	t.base.EachOut(v, fn)
 }
 
 // EachIn implements View, recording the access.
 func (t *TrackingView) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
-	t.touch(v)
-	t.base.EachIn(v, func(from NodeID, w float64) bool {
-		t.edges++
-		return fn(from, w)
-	})
-}
-
-func (t *TrackingView) touch(v NodeID) {
-	if !t.accessed[v] {
-		t.accessed[v] = true
-	}
+	t.accessed[v] = true
+	t.base.EachIn(v, fn)
 }
 
 // ActiveNodes returns the number of distinct nodes whose adjacency was read.
@@ -74,5 +61,4 @@ func (t *TrackingView) ActiveSetBytes() int64 {
 // Reset clears the recorded accesses.
 func (t *TrackingView) Reset() {
 	t.accessed = make(map[NodeID]bool)
-	t.edges = 0
 }

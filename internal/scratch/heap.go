@@ -9,10 +9,10 @@ import "roundtriprank/internal/graph"
 const heapArity = 4
 
 // Heap is an index-keyed d-ary max-heap over node IDs with float64
-// priorities. Unlike heapx.Max, it tracks each node's position, so a
-// priority change moves the existing entry in place — there are no stale
-// entries and no lazy reinsertion, and the heap size never exceeds the
-// number of distinct live nodes. Position slots are generation-stamped like
+// priorities. It tracks each node's position, so a priority change moves the
+// existing entry in place — there are no stale entries and no lazy
+// reinsertion, and the heap size never exceeds the number of distinct live
+// nodes. Position slots are generation-stamped like
 // the other scratch structures, so Reset is O(1) with no clearing.
 //
 // The zero value is empty; Reset must be called before use.

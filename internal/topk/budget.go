@@ -12,9 +12,9 @@ import (
 //
 // Rounds- and touched-capped budgets are deterministic: the same budget on
 // the same graph stops at the same round with the same bounds, so the result
-// and its certificate are bit-identical across the map, flat, packed-session
-// and remote execution paths. Deadline budgets depend on the wall clock and
-// carry no such guarantee.
+// and its certificate are bit-identical whichever way the searcher reads the
+// graph (CSR arrays, packed, adapted-view or remote row session). Deadline
+// budgets depend on the wall clock and carry no such guarantee.
 type Budget struct {
 	// MaxRounds caps expansion rounds. It composes with Options.MaxRounds:
 	// the tighter of the two wins.

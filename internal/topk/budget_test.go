@@ -33,13 +33,9 @@ type budgetCase struct {
 
 func budgetCases(t testing.TB) []budgetCase {
 	t.Helper()
-	toy := testgraphs.NewToy()
-	cases := []budgetCase{
-		{"toy", toy.Graph, toy.T1, 5, 25, 40},
-		{"toyPaper", toy.Graph, toy.P[2], 5, 25, 40},
-		{"line", testgraphs.Line(10), 0, 5, 25, 40},
-		{"cycle", testgraphs.Cycle(12), 7, 5, 25, 40},
-		{"star", testgraphs.Star(8), 0, 5, 25, 40},
+	var cases []budgetCase
+	for _, gc := range goldenCases() {
+		cases = append(cases, budgetCase{gc.name, gc.g, gc.q, 5, 25, 40})
 	}
 	trials := 8
 	if scratch.RaceEnabled {
@@ -115,9 +111,8 @@ func checkCertificate(t *testing.T, label string, res *Result, opt Options, naiv
 // TestBudgetCertifiedPrefixSound is the certification soundness property
 // test: on every golden graph and the R-MAT instance, under seeded-random
 // budgets, the certified prefix of the (possibly heavily truncated) anytime
-// result is node-identical to the exact ranking's prefix, on both the flat
-// and the map execution paths, and a replay of the same budget is
-// bit-identical.
+// result is node-identical to the exact ranking's prefix, and a replay of
+// the same budget is bit-identical.
 func TestBudgetCertifiedPrefixSound(t *testing.T) {
 	ctx := context.Background()
 	for ci, bc := range budgetCases(t) {
@@ -137,21 +132,6 @@ func TestBudgetCertifiedPrefixSound(t *testing.T) {
 			checkCertificate(t, bc.name+"/flat", flat, opt, naive)
 			if b.MaxRounds > 0 && flat.Rounds > b.MaxRounds {
 				t.Fatalf("%s trial %d: ran %d rounds past cap %d", bc.name, trial, flat.Rounds, b.MaxRounds)
-			}
-
-			// The map fallback certifies independently against the same
-			// reference. (Scores may diverge from flat in the last float bit —
-			// the parity gate for that tolerance is TestFlatMatchesMapPath —
-			// but soundness must hold on both paths.)
-			if bc.g.NumNodes() <= 1000 {
-				mapped, err := TopK(ctx, hideCSR(bc.g), walk.SingleNode(bc.q), opt)
-				if err != nil {
-					t.Fatalf("%s trial %d (%+v): map TopK: %v", bc.name, trial, b, err)
-				}
-				if mapped.Flat {
-					t.Fatalf("%s: hidden CSR still took the flat path", bc.name)
-				}
-				checkCertificate(t, bc.name+"/map", mapped, opt, naive)
 			}
 
 			// Determinism: the same budget replays bit-identically on the

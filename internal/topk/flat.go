@@ -12,10 +12,9 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// flatSearcher is the scratch-state counterpart of searcher: the whole
-// per-query state of Algorithm 1 — BCA engine, both bound trackers, the
-// candidate buffer — lives in one pooled object backed by dense
-// generation-stamped arrays, so a steady-state query allocates (almost)
+// flatSearcher carries the whole per-query state of Algorithm 1 — BCA engine,
+// both bound trackers, the candidate buffer — in one pooled object backed by
+// dense generation-stamped arrays, so a steady-state query allocates (almost)
 // nothing. Instances are recycled through flatPool and rebound to the query
 // (and, after an engine epoch swap, resized to the new NumNodes) by Init.
 type flatSearcher struct {
@@ -60,24 +59,43 @@ func putSearcher(s *flatSearcher) {
 	poolInUse.Add(-1)
 }
 
-// flatTopK answers one online top-K query on the scratch-state path. The
-// caller has already normalized opt and derived the scheme's bound options.
-func flatTopK(ctx context.Context, view graph.CSRView, q walk.Query, opt Options, fOpt bounds.FOptions, tOpt bounds.TOptions) (*Result, error) {
+// flatTopK answers one online top-K query with a pooled searcher bound either
+// to view's CSR arrays or, when rows is non-nil, to that row session.
+func flatTopK(ctx context.Context, view graph.CSRView, rows graph.Rows, q walk.Query, opt Options) (*Result, error) {
+	ctx = walk.OrBackground(ctx)
+	opt, err := opt.normalized()
+	if err != nil {
+		return nil, err
+	}
+	fOpt, tOpt, err := boundOptions(opt)
+	if err != nil {
+		return nil, err
+	}
 	s := getSearcher()
 	// Release drops the searcher's references to the snapshot's CSR arrays
-	// and the caller's Keep closure before the object idles in the pool:
-	// after an epoch swap, a pooled searcher must not pin the superseded
-	// graph (or whatever Keep captured) until its next reuse.
+	// (or row session) and the caller's Keep closure before the object idles
+	// in the pool: after an epoch swap, a pooled searcher must not pin the
+	// superseded graph (or whatever Keep captured) until its next reuse. A
+	// *graph.RowFetchError panic from a session unwinds through here too, so
+	// the searcher goes back to the pool detached before TopKRows recovers.
 	defer func() {
 		s.opt = Options{}
 		s.fb.Detach()
 		s.tb.Detach()
 		putSearcher(s)
 	}()
-	if err := s.fb.Init(view, q, fOpt); err != nil {
-		return nil, err
+	if rows == nil {
+		err = s.fb.Init(view, q, fOpt)
+		if err == nil {
+			err = s.tb.Init(view, q, tOpt)
+		}
+	} else {
+		err = s.fb.InitRows(rows, q, fOpt)
+		if err == nil {
+			err = s.tb.InitRows(rows, q, tOpt)
+		}
 	}
-	if err := s.tb.Init(view, q, tOpt); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	s.opt = opt
@@ -86,44 +104,20 @@ func flatTopK(ctx context.Context, view graph.CSRView, q walk.Query, opt Options
 	return s.run(ctx)
 }
 
-// flatTopKRows is flatTopK against a row provider instead of a CSR view: the
-// same pooled searcher, the same round loop, with both bound trackers bound
-// through InitRows. Row-fetch failures arrive as *graph.RowFetchError panics;
-// they unwind through the deferred release here (the searcher goes back to
-// the pool detached) and are recovered by TopKRows.
-func flatTopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options, fOpt bounds.FOptions, tOpt bounds.TOptions) (*Result, error) {
-	s := getSearcher()
-	defer func() {
-		s.opt = Options{}
-		s.fb.Detach()
-		s.tb.Detach()
-		putSearcher(s)
-	}()
-	if err := s.fb.InitRows(rows, q, fOpt); err != nil {
-		return nil, err
-	}
-	if err := s.tb.InitRows(rows, q, tOpt); err != nil {
-		return nil, err
-	}
-	s.opt = opt
-	s.expF = 2 * (1 - opt.Beta)
-	s.expT = 2 * opt.Beta
-	return s.run(ctx)
-}
-
-// run is Algorithm 1's round loop, mirroring searcher.run — same budget
-// checks at the same points, so both paths stop at the same round with the
-// same bounds and emit bit-identical certificates.
+// run is Algorithm 1's round loop: expand both neighborhoods, rebuild the
+// candidate ranking, test the ε-relaxed top-K conditions, and check the budget
+// at fixed points of the round so every graph representation stops at the same
+// round with the same bounds and emits a bit-identical certificate.
 func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
-	res := &Result{Flat: true}
+	res := &Result{}
 	b := s.opt.Budget
 	maxRounds := effectiveMaxRounds(s.opt)
 	stop := StopRounds
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			// No budget: abort with ctx.Err() as always. With a budget, the
-			// anytime contract wins: finalize the completed rounds' bounds
-			// into a certificate instead of discarding them.
+			// Without a budget, cancellation aborts and surfaces ctx.Err().
+			// With one, the anytime contract wins: finalize the completed
+			// rounds' bounds into a certificate instead of discarding them.
 			if b == nil {
 				return nil, err
 			}
@@ -146,8 +140,10 @@ func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		if fProgress == 0 && tProgress == 0 {
-			// Nothing left to expand: refine to convergence and return what
-			// the neighborhood holds.
+			// Nothing left to expand. Refine both sides to convergence (the
+			// only remaining way to tighten bounds), then return whatever the
+			// neighborhood holds — possibly fewer than K nodes when the graph
+			// around the query is smaller than K.
 			s.fb.Refine()
 			s.tb.Refine()
 			ok = s.candidate()
@@ -197,7 +193,8 @@ func (s *flatSearcher) rUpper(v graph.NodeID) float64 {
 }
 
 // unseenUpper computes the unseen upper bound rˆ(q) for nodes outside
-// S = Sf ∩ St (Eq. 16) by streaming both touched lists.
+// S = Sf ∩ St (Eq. 16): the maximum of (a) both-unseen, (b) seen only by Sf,
+// (c) seen only by St.
 func (s *flatSearcher) unseenUpper() float64 {
 	fu, tu := s.fb.UnseenUpper(), s.tb.UnseenUpper()
 	best := combineBounds(fu, tu, s.expF, s.expT)
@@ -230,7 +227,10 @@ func (s *flatSearcher) intersectionSize() int {
 
 // candidate assembles the r-neighborhood S = Sf ∩ St (restricted to nodes
 // the Keep filter admits) into the reusable members buffer, sorted by lower
-// bound, and reports whether it already holds at least K nodes.
+// bound, and reports whether it already holds at least K nodes. Nodes
+// rejected by Keep never enter the candidate ranking, but the unseen upper
+// bound remains over all unseen nodes, which is conservative: it can only
+// delay termination, never admit a wrong result.
 func (s *flatSearcher) candidate() bool {
 	s.members = s.members[:0]
 	for _, v := range s.fb.SeenList() {
@@ -263,6 +263,8 @@ func (s *flatSearcher) satisfied() bool {
 		return false
 	}
 	eps := s.opt.Epsilon
+	// Eq. 13: the K-th lower bound must dominate every other node's upper
+	// bound (seen beyond K, or unseen) up to ε.
 	maxOther := s.unseenUpper()
 	for _, m := range s.members[k:] {
 		if m.upper > maxOther {
@@ -272,6 +274,7 @@ func (s *flatSearcher) satisfied() bool {
 	if !(s.members[k-1].lower > maxOther-eps) {
 		return false
 	}
+	// Eq. 14: the top K must be correctly ordered up to ε.
 	for i := 0; i+1 < k; i++ {
 		if !(s.members[i].lower > s.members[i+1].upper-eps) {
 			return false

@@ -3,115 +3,161 @@ package topk
 import (
 	"context"
 	"fmt"
-	"math"
+	"reflect"
 	"testing"
 
+	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/testgraphs"
 	"roundtriprank/internal/walk"
 )
 
-// hideCSR wraps a view so it no longer satisfies graph.CSRView, forcing the
-// map-based searcher — the same trick the kernel benchmarks use to compare
-// the CSR and generic walk paths.
+// hideCSR wraps a view so it satisfies neither graph.CSRView nor
+// graph.RowsProvider, which routes it through the graph.ViewRows adapter —
+// the path of masked, tracking, overlay and ad-hoc wrapper views.
 func hideCSR(v graph.View) graph.View { return struct{ graph.View }{v} }
 
-// TestFlatDispatch pins the path selection: CSR-capable views take the
-// pooled scratch-state searcher, wrapped views fall back to the map-based
-// one, and both report it through Result.Flat.
+// csrSpy is a CSR view that counts reads through the generic View iterators.
+type csrSpy struct {
+	*graph.Graph
+	iterated int
+}
+
+func (s *csrSpy) EachOut(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
+	s.iterated++
+	s.Graph.EachOut(v, fn)
+}
+
+func (s *csrSpy) EachIn(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
+	s.iterated++
+	s.Graph.EachIn(v, fn)
+}
+
+// TestFlatDispatch pins how the one searcher reads each kind of view: a
+// CSR-capable view through its arrays alone (never the View iterators), any
+// other view through a row session that touches only the rows the search
+// reaches — with the same answer either way.
 func TestFlatDispatch(t *testing.T) {
-	toy := testgraphs.NewToy()
-	q := walk.SingleNode(toy.T1)
-	opt := Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
-	flat, err := TopK(context.Background(), toy.Graph, q, opt)
+	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
 	if err != nil {
-		t.Fatalf("flat TopK: %v", err)
+		t.Fatalf("GenerateBibNet: %v", err)
 	}
-	if !flat.Flat {
-		t.Errorf("CSR view should take the scratch-state path")
-	}
-	mapped, err := TopK(context.Background(), hideCSR(toy.Graph), q, opt)
+	g := net.Graph
+	q := walk.SingleNode(net.Papers[0])
+	opt := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
+	spy := &csrSpy{Graph: g}
+	direct, err := TopK(context.Background(), spy, q, opt)
 	if err != nil {
-		t.Fatalf("map TopK: %v", err)
+		t.Fatalf("CSR TopK: %v", err)
 	}
-	if mapped.Flat {
-		t.Errorf("wrapped view should take the map fallback")
+	if spy.iterated != 0 {
+		t.Errorf("CSR view was read through EachOut/EachIn %d times", spy.iterated)
 	}
-	forced, err := TopK(context.Background(), toy.Graph, q, Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, ForceMap: true})
+	tracked := graph.NewTrackingView(g)
+	adapted, err := TopK(context.Background(), tracked, q, opt)
 	if err != nil {
-		t.Fatalf("forced-map TopK: %v", err)
+		t.Fatalf("tracked TopK: %v", err)
 	}
-	if forced.Flat {
-		t.Errorf("ForceMap should take the map searcher even on a CSR view")
+	if !reflect.DeepEqual(direct, adapted) {
+		t.Errorf("adapted view diverged from CSR:\n%+v\n%+v", adapted, direct)
+	}
+	if a := tracked.ActiveNodes(); a <= 0 || a > adapted.Touched || adapted.Touched >= g.NumNodes() {
+		t.Errorf("want 0 < active %d <= touched %d < nodes %d", a, adapted.Touched, g.NumNodes())
 	}
 }
 
-// TestFlatMatchesMapPath is the flat-vs-map parity gate: on every test graph
-// and scheme, the scratch-state path and the map-based baseline must return
-// the same top-K node sets in the same order with matching scores (both are
-// exact lower bounds at an ε≈0-converged termination, so tiny floating-point
-// divergence from different processing orders is all that is tolerated). K
-// is chosen at a strict score gap of the exact ranking, as in the root
-// parity suite: across an exact tie the ε≈0 conditions are unsatisfiable.
-func TestFlatMatchesMapPath(t *testing.T) {
+// strictGapK returns the largest K ≤ 5 at a strict score gap of the exact
+// ranking: across an exact tie the ε≈0 conditions are unsatisfiable and the
+// search spins to MaxRounds.
+func strictGapK(t *testing.T, g *graph.Graph, q walk.Query) int {
+	t.Helper()
+	naive, _, err := Naive(context.Background(), g, q, Options{K: g.NumNodes(), Alpha: 0.25, Beta: 0.5})
+	if err != nil {
+		t.Fatalf("Naive: %v", err)
+	}
+	k := 0
+	for i := 0; i < len(naive) && i < 5; i++ {
+		if naive[i].Score <= 0 {
+			break
+		}
+		if i+1 < len(naive) && naive[i].Score-naive[i+1].Score <= 1e-6 {
+			break
+		}
+		k = i + 1
+	}
+	if k == 0 {
+		t.Fatalf("no strict gap to pin K at")
+	}
+	return k
+}
+
+// goldenCase is one (graph, query) instance of the parity and budget suites.
+type goldenCase struct {
+	name string
+	g    *graph.Graph
+	q    graph.NodeID
+}
+
+func goldenCases() []goldenCase {
 	toy := testgraphs.NewToy()
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		q    graph.NodeID
-	}{
+	return []goldenCase{
 		{"toy", toy.Graph, toy.T1},
 		{"toyPaper", toy.Graph, toy.P[2]},
 		{"line", testgraphs.Line(10), 0},
 		{"cycle", testgraphs.Cycle(12), 7},
 		{"star", testgraphs.Star(8), 0},
 	}
-	for _, tc := range cases {
+}
+
+// TestFlatMatchesMapPath is the representation parity gate of the searcher
+// (the name dates from when wrapped views ran a separate map-based searcher;
+// they now run the same one through the graph.ViewRows adapter). On every
+// golden graph, scheme and budget, the three ways the searcher reads a graph —
+// CSR arrays, a packed view's own session, the adapter — must return deeply
+// equal Results: ranking, score bits, certificate, counters. A masked view
+// must likewise match its compaction.
+func TestFlatMatchesMapPath(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range goldenCases() {
 		q := walk.SingleNode(tc.q)
-		naive, _, err := Naive(context.Background(), tc.g, q, Options{K: tc.g.NumNodes(), Alpha: 0.25, Beta: 0.5})
-		if err != nil {
-			t.Fatalf("%s: Naive: %v", tc.name, err)
+		k := strictGapK(t, tc.g, q)
+		var hide []graph.EdgeKey
+		if cols, _ := tc.g.OutNeighbors(tc.q); len(cols) > 1 {
+			hide = []graph.EdgeKey{{From: tc.q, To: cols[0]}, {From: cols[0], To: tc.q}}
 		}
-		k := 0
-		for i := 0; i < len(naive) && i < 5; i++ {
-			if naive[i].Score <= 0 {
-				break
-			}
-			if i+1 < len(naive) && naive[i].Score-naive[i+1].Score <= 1e-6 {
-				break
-			}
-			k = i + 1
-		}
-		if k == 0 {
-			t.Fatalf("%s: no strict gap to pin K at", tc.name)
-		}
+		masked := graph.NewMaskedView(tc.g, hide)
+		compacted := graph.Compact(masked)
+		others := map[string]graph.View{"adapter": hideCSR(tc.g), "packed": graph.Pack(tc.g)}
 		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS, SchemeGupta, SchemeSarkar} {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, scheme), func(t *testing.T) {
-				opt := Options{K: k, Epsilon: 1e-9, Alpha: 0.25, Beta: 0.5, Scheme: scheme}
-				flat, err := TopK(context.Background(), tc.g, q, opt)
-				if err != nil {
-					t.Fatalf("flat: %v", err)
-				}
-				mapped, err := TopK(context.Background(), hideCSR(tc.g), q, opt)
-				if err != nil {
-					t.Fatalf("map: %v", err)
-				}
-				if !flat.Flat || mapped.Flat {
-					t.Fatalf("dispatch wrong: flat=%v mapped=%v", flat.Flat, mapped.Flat)
-				}
-				if flat.Converged != mapped.Converged {
-					t.Fatalf("convergence disagrees: flat=%v map=%v", flat.Converged, mapped.Converged)
-				}
-				if len(flat.TopK) != len(mapped.TopK) {
-					t.Fatalf("sizes disagree: flat %d, map %d", len(flat.TopK), len(mapped.TopK))
-				}
-				for i := range flat.TopK {
-					if flat.TopK[i].Node != mapped.TopK[i].Node {
-						t.Errorf("rank %d: flat node %d, map node %d", i, flat.TopK[i].Node, mapped.TopK[i].Node)
+				for _, b := range []*Budget{nil, {MaxRounds: 3}, {MaxTouched: 8}} {
+					opt := Options{K: k, Epsilon: 1e-9, Alpha: 0.25, Beta: 0.5, Scheme: scheme, Budget: b}
+					want, err := TopK(ctx, tc.g, q, opt)
+					if err != nil {
+						t.Fatalf("csr: %v", err)
 					}
-					if d := math.Abs(flat.TopK[i].Score - mapped.TopK[i].Score); d > 1e-9 {
-						t.Errorf("rank %d: score diff %g", i, d)
+					for name, view := range others {
+						got, err := TopK(ctx, view, q, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("budget %+v: %s diverged from csr:\n%+v\n%+v", b, name, got, want)
+						}
+					}
+					// The masked graph has its own ties, so ε is loose here.
+					opt.Epsilon = 0.01
+					want, err = TopK(ctx, compacted, q, opt)
+					if err != nil {
+						t.Fatalf("compacted mask: %v", err)
+					}
+					got, err := TopK(ctx, masked, q, opt)
+					if err != nil {
+						t.Fatalf("mask: %v", err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("budget %+v: masked view diverged from its compaction:\n%+v\n%+v", b, got, want)
 					}
 				}
 			})
@@ -162,10 +208,10 @@ func TestFlatPoolReuseAcrossSizes(t *testing.T) {
 	}
 }
 
-// TestFlatSteadyStateAllocs pins the headline property of the scratch-state
-// path: once the pool is warm, an online 2SBound query performs only a small
-// constant number of allocations (the Result struct and ranked slice),
-// versus thousands of map/heap allocations on the pre-PR path.
+// TestFlatSteadyStateAllocs pins the headline property of the pooled
+// searcher: once the pool is warm, an online 2SBound query over CSR arrays
+// performs only a small constant number of allocations (the Result struct and
+// ranked slice).
 func TestFlatSteadyStateAllocs(t *testing.T) {
 	if scratch.RaceEnabled {
 		t.Skip("sync.Pool bypasses reuse under the race detector; allocation counts are not meaningful")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"roundtriprank/internal/graph"
@@ -11,28 +12,38 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// TestPackedDispatch pins the path selection for packed views: a
-// *graph.Packed must take the scratch-state searcher through its row session
-// (Result.Flat true), and ForceMap must still force the map baseline through
-// the packed view's streaming View methods.
+// sessionSpy counts the row sessions a packed view mints.
+type sessionSpy struct {
+	*graph.Packed
+	sessions int
+}
+
+func (s *sessionSpy) NewRows() graph.Rows {
+	s.sessions++
+	return s.Packed.NewRows()
+}
+
+// TestPackedDispatch pins the path selection for packed views: a view that
+// mints its own row sessions is searched through exactly one of them (not
+// through the generic adapter), with the CSR answer.
 func TestPackedDispatch(t *testing.T) {
 	toy := testgraphs.NewToy()
-	pg := graph.Pack(toy.Graph)
+	spy := &sessionSpy{Packed: graph.Pack(toy.Graph)}
 	q := walk.SingleNode(toy.T1)
 	opt := Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
-	res, err := TopK(context.Background(), pg, q, opt)
+	res, err := TopK(context.Background(), spy, q, opt)
 	if err != nil {
 		t.Fatalf("packed TopK: %v", err)
 	}
-	if !res.Flat {
-		t.Errorf("packed view should take the scratch-state path")
+	if spy.sessions != 1 {
+		t.Errorf("packed view minted %d row sessions, want 1", spy.sessions)
 	}
-	forced, err := TopK(context.Background(), pg, q, Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, ForceMap: true})
+	want, err := TopK(context.Background(), toy.Graph, q, opt)
 	if err != nil {
-		t.Fatalf("forced-map TopK: %v", err)
+		t.Fatalf("flat TopK: %v", err)
 	}
-	if forced.Flat {
-		t.Errorf("ForceMap should take the map searcher even on a packed view")
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("packed result diverged from CSR:\n%+v\n%+v", res, want)
 	}
 }
 
@@ -42,41 +53,10 @@ func TestPackedDispatch(t *testing.T) {
 // bit-identical scores, since both paths run the same searcher over the same
 // row contents in the same order.
 func TestPackedMatchesFlatBitForBit(t *testing.T) {
-	toy := testgraphs.NewToy()
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		q    graph.NodeID
-	}{
-		{"toy", toy.Graph, toy.T1},
-		{"toyPaper", toy.Graph, toy.P[2]},
-		{"line", testgraphs.Line(10), 0},
-		{"cycle", testgraphs.Cycle(12), 7},
-		{"star", testgraphs.Star(8), 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases() {
 		pg := graph.Pack(tc.g)
 		q := walk.SingleNode(tc.q)
-		// Pin K at a strict score gap of the exact ranking, as in the flat-vs-
-		// map suite: across an exact tie the ε≈0 conditions are unsatisfiable
-		// and the search spins to MaxRounds.
-		naive, _, err := Naive(context.Background(), tc.g, q, Options{K: tc.g.NumNodes(), Alpha: 0.25, Beta: 0.5})
-		if err != nil {
-			t.Fatalf("%s: Naive: %v", tc.name, err)
-		}
-		k := 0
-		for i := 0; i < len(naive) && i < 5; i++ {
-			if naive[i].Score <= 0 {
-				break
-			}
-			if i+1 < len(naive) && naive[i].Score-naive[i+1].Score <= 1e-6 {
-				break
-			}
-			k = i + 1
-		}
-		if k == 0 {
-			t.Fatalf("%s: no strict gap to pin K at", tc.name)
-		}
+		k := strictGapK(t, tc.g, q)
 		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS, SchemeGupta, SchemeSarkar} {
 			for _, eps := range []float64{1e-9, 0.01} {
 				t.Run(fmt.Sprintf("%s/%s/eps=%g", tc.name, scheme, eps), func(t *testing.T) {

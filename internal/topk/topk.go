@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"roundtriprank/internal/bounds"
@@ -89,13 +88,6 @@ type Options struct {
 	// candidate ranking with a quality certificate (Result.CertifiedK,
 	// Result.AchievedEpsilon) instead of burning until convergence.
 	Budget *Budget
-	// ForceMap forces the map-based searcher even on CSR-capable views. It
-	// exists for the flat-vs-map benchmarks (cmd/benchrunner -fig online,
-	// BenchmarkOnline*): with it, the baseline keeps the CSR-streaming BCA
-	// fast path the map searcher always had, so the comparison isolates
-	// exactly what this option's name says — the map-based searcher state —
-	// and nothing else. Serving paths should never set it.
-	ForceMap bool
 }
 
 // DefaultOptions returns the configuration used in the paper's efficiency
@@ -164,71 +156,34 @@ type Result struct {
 	// FSeen, TSeen and RSeen are the final sizes of the f-, t- and
 	// r-neighborhoods (|Sf|, |St|, |S| = |Sf ∩ St|).
 	FSeen, TSeen, RSeen int
-	// Flat reports which execution path answered the query: true for the
-	// pooled scratch-state path (CSR-capable views), false for the map-based
-	// fallback.
-	Flat bool
 	// Touched is the number of distinct rows the searcher's working set could
 	// reach: every node that ever held BCA residual plus every t-neighborhood
-	// member outside that set. On the scratch-state path only (zero on the
-	// map fallback). It upper-bounds the rows a remote row provider fetches
-	// for the query — the O(touched) property the row-serving layer asserts.
+	// member outside that set. It upper-bounds the rows a row session
+	// materializes for the query — the O(touched) property the row-serving
+	// layer asserts.
 	Touched int
-}
-
-// searcher carries the per-query state of Algorithm 1.
-type searcher struct {
-	view graph.View
-	opt  Options
-	fb   *bounds.FBounds
-	tb   *bounds.TBounds
-	expF float64 // exponent applied to F bounds: 2(1−β)
-	expT float64 // exponent applied to T bounds: 2β
 }
 
 // TopK runs the online top-K algorithm for the query and returns the
 // approximate top-K ranking by RoundTripRank+. Cancelling the context aborts
 // the search within one expansion round and returns ctx.Err().
+//
+// There is one searcher (Algorithm 1 over pooled scratch state, near-zero
+// allocation per query) and one rule for how it reads the graph: flat CSR
+// arrays are read directly; anything else is read through a per-query
+// graph.Rows session — the view's own (graph.Packed) or the graph.ViewRows
+// adapter (masked, tracking, overlay and ad-hoc wrapper views). Arithmetic and
+// expansion order are the same on every route, so for the same graph content
+// the results are bit-identical.
 func TopK(ctx context.Context, view graph.View, q walk.Query, opt Options) (*Result, error) {
-	ctx = walk.OrBackground(ctx)
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
+	switch v := view.(type) {
+	case graph.CSRView:
+		return flatTopK(ctx, v, nil, q, opt)
+	case graph.RowsProvider:
+		return TopKRows(ctx, v.NewRows(), q, opt)
+	default:
+		return TopKRows(ctx, graph.ViewRows(view), q, opt)
 	}
-	fOpt, tOpt, err := boundOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	// Views that expose flat CSR adjacency take the pooled scratch-state
-	// path (near-zero allocation per query); wrapped views — masked,
-	// tracking, remote — keep the map-based implementation, which doubles as
-	// the correctness baseline the parity tests and benchmarks compare
-	// against. Packed views (graph.Packed) run the same searcher through a
-	// per-query row session — identical arithmetic and expansion order, so
-	// bit-identical to the flat path for the same graph content.
-	if cv, ok := view.(graph.CSRView); ok && !opt.ForceMap {
-		return flatTopK(ctx, cv, q, opt, fOpt, tOpt)
-	}
-	if rp, ok := view.(graph.RowsProvider); ok && !opt.ForceMap {
-		return topKRowsNormalized(ctx, rp.NewRows(), q, opt, fOpt, tOpt)
-	}
-	fb, err := bounds.NewFBounds(view, q, fOpt)
-	if err != nil {
-		return nil, err
-	}
-	tb, err := bounds.NewTBounds(view, q, tOpt)
-	if err != nil {
-		return nil, err
-	}
-	s := &searcher{
-		view: view,
-		opt:  opt,
-		fb:   fb,
-		tb:   tb,
-		expF: 2 * (1 - opt.Beta),
-		expT: 2 * opt.Beta,
-	}
-	return s.run(ctx)
 }
 
 // boundOptions derives both sides' bound options from the query options:
@@ -265,34 +220,13 @@ func boundOptions(opt Options) (bounds.FOptions, bounds.TOptions, error) {
 	return fOpt, tOpt, nil
 }
 
-// TopKRows runs the online top-K algorithm against a row provider — the
-// remote-backed serving path, where adjacency streams in row by row from
-// stripe workers (internal/rowserve) instead of living in coordinator memory.
-// It always uses the pooled scratch-state searcher; the provider's row reads
-// signal failure by panicking with *graph.RowFetchError, which this function
-// converts back into an ordinary error (any other panic propagates).
-//
-// The searcher's arithmetic and expansion order are identical to the local
-// flat path, so for the same graph content the returned ranking and scores
-// are bit-identical to TopK over a CSR view.
+// TopKRows runs the online top-K algorithm against a row session — a packed
+// or adapted view, or the remote-backed serving path, where adjacency streams
+// in row by row from stripe workers (internal/rowserve) instead of living in
+// coordinator memory. A session's row reads signal failure by panicking with
+// *graph.RowFetchError, which this function converts back into an ordinary
+// error (any other panic propagates).
 func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (res *Result, err error) {
-	ctx = walk.OrBackground(ctx)
-	opt, err = opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	fOpt, tOpt, err := boundOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	return topKRowsNormalized(ctx, rows, q, opt, fOpt, tOpt)
-}
-
-// topKRowsNormalized is the shared tail of TopKRows and the RowsProvider
-// branch of TopK: it runs the pooled scratch-state searcher over a row
-// provider with already-normalized options, converting *graph.RowFetchError
-// panics back into ordinary errors (any other panic propagates).
-func topKRowsNormalized(ctx context.Context, rows graph.Rows, q walk.Query, opt Options, fOpt bounds.FOptions, tOpt bounds.TOptions) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fe, ok := r.(*graph.RowFetchError)
@@ -302,7 +236,7 @@ func topKRowsNormalized(ctx context.Context, rows graph.Rows, q walk.Query, opt 
 			res, err = nil, fe.Err
 		}
 	}()
-	return flatTopKRows(ctx, rows, q, opt, fOpt, tOpt)
+	return flatTopK(ctx, nil, rows, q, opt)
 }
 
 // effectiveMaxRounds composes the MaxRounds valve with the budget's round
@@ -326,87 +260,8 @@ func pastDeadline(b *Budget, round int) bool {
 	return b != nil && round > 0 && !b.Deadline.IsZero() && time.Now().After(b.Deadline)
 }
 
-func (s *searcher) run(ctx context.Context) (*Result, error) {
-	res := &Result{}
-	b := s.opt.Budget
-	maxRounds := effectiveMaxRounds(s.opt)
-	var members []member
-	stop := StopRounds
-	for round := 0; round < maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			// Without a budget, cancellation keeps its historical contract:
-			// abort and surface ctx.Err(). With one, the anytime contract
-			// wins — finalize the completed rounds' bounds into a certificate
-			// instead of discarding them.
-			if b == nil {
-				return nil, err
-			}
-			members, _ = s.candidate()
-			stop = StopCanceled
-			break
-		}
-		if pastDeadline(b, round) {
-			members, _ = s.candidate()
-			stop = StopDeadline
-			break
-		}
-		fProgress := s.fb.Expand()
-		tProgress := s.tb.Expand()
-		res.Rounds++
-
-		var ok bool
-		members, ok = s.candidate()
-		if ok && s.satisfied(members) {
-			stop = StopConverged
-			break
-		}
-		if fProgress == 0 && tProgress == 0 {
-			// Nothing left to expand. Refine both sides to convergence (the
-			// only remaining way to tighten bounds), then return whatever the
-			// neighborhood holds — possibly fewer than K nodes when the graph
-			// around the query is smaller than K.
-			s.fb.Refine()
-			s.tb.Refine()
-			members, ok = s.candidate()
-			if ok && s.satisfied(members) {
-				stop = StopConverged
-			} else {
-				stop = StopExhausted
-			}
-			break
-		}
-		if overTouched(b, s.fb.SeenCount(), s.tb.SeenCount()) {
-			stop = StopTouched
-			break
-		}
-	}
-	res.Stop = stop
-	res.Converged = stop == StopConverged
-	res.Degraded = stop.degraded()
-	res.TopK = s.rankedFrom(members)
-	res.CertifiedK, res.AchievedEpsilon = certify(members, len(res.TopK), s.unseenUpper())
-	res.FSeen = s.fb.SeenCount()
-	res.TSeen = s.tb.SeenCount()
-	res.RSeen = s.intersectionSize()
-	return res, nil
-}
-
-// rLower and rUpper combine the F/T bounds for a node in S (Eq. 15, with the
-// β exponents).
-func (s *searcher) rLower(v graph.NodeID) float64 {
-	return s.combine(s.fb.Lower(v), s.tb.Lower(v))
-}
-
-func (s *searcher) rUpper(v graph.NodeID) float64 {
-	return s.combine(s.fb.Upper(v), s.tb.Upper(v))
-}
-
-func (s *searcher) combine(f, t float64) float64 {
-	return combineBounds(f, t, s.expF, s.expT)
-}
-
 // combineBounds combines one F-side and one T-side bound with the β
-// exponents (Eq. 15); shared by the map and scratch-state searchers.
+// exponents (Eq. 15).
 func combineBounds(f, t, expF, expT float64) float64 {
 	if f < 0 {
 		f = 0
@@ -426,104 +281,10 @@ func combineBounds(f, t, expF, expT float64) float64 {
 	}
 }
 
-// unseenUpper computes the unseen upper bound rˆ(q) for nodes outside
-// S = Sf ∩ St (Eq. 16): the maximum of (a) both-unseen, (b) seen only by Sf,
-// (c) seen only by St.
-func (s *searcher) unseenUpper() float64 {
-	fu, tu := s.fb.UnseenUpper(), s.tb.UnseenUpper()
-	best := s.combine(fu, tu)
-	s.fb.EachSeen(func(v graph.NodeID, _, upper float64) {
-		if !s.tb.Seen(v) {
-			if c := s.combine(upper, tu); c > best {
-				best = c
-			}
-		}
-	})
-	s.tb.EachSeen(func(v graph.NodeID, _, upper float64) {
-		if !s.fb.Seen(v) {
-			if c := s.combine(fu, upper); c > best {
-				best = c
-			}
-		}
-	})
-	return best
-}
-
-func (s *searcher) intersectionSize() int {
-	n := 0
-	s.fb.EachSeen(func(v graph.NodeID, _, _ float64) {
-		if s.tb.Seen(v) {
-			n++
-		}
-	})
-	return n
-}
-
 // member is a node of the r-neighborhood with its combined bounds.
 type member struct {
 	node         graph.NodeID
 	lower, upper float64
-}
-
-// candidate assembles the r-neighborhood S = Sf ∩ St (restricted to nodes the
-// Keep filter admits) sorted by lower bound and reports whether it already
-// holds at least K nodes. Nodes rejected by Keep never enter the candidate
-// ranking, but the unseen upper bound remains over all unseen nodes, which is
-// conservative: it can only delay termination, never admit a wrong result.
-func (s *searcher) candidate() ([]member, bool) {
-	var members []member
-	s.fb.EachSeen(func(v graph.NodeID, _, _ float64) {
-		if s.tb.Seen(v) && (s.opt.Keep == nil || s.opt.Keep(v)) {
-			members = append(members, member{node: v, lower: s.rLower(v), upper: s.rUpper(v)})
-		}
-	})
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].lower != members[j].lower {
-			return members[i].lower > members[j].lower
-		}
-		return members[i].node < members[j].node
-	})
-	return members, len(members) >= s.opt.K
-}
-
-// satisfied checks the ε-relaxed top-K conditions (Eq. 13–14) against the
-// sorted candidate neighborhood.
-func (s *searcher) satisfied(members []member) bool {
-	k := s.opt.K
-	if len(members) < k {
-		return false
-	}
-	eps := s.opt.Epsilon
-	// Eq. 13: the K-th lower bound must dominate every other node's upper
-	// bound (seen beyond K, or unseen) up to ε.
-	maxOther := s.unseenUpper()
-	for _, m := range members[k:] {
-		if m.upper > maxOther {
-			maxOther = m.upper
-		}
-	}
-	if !(members[k-1].lower > maxOther-eps) {
-		return false
-	}
-	// Eq. 14: the top K must be correctly ordered up to ε.
-	for i := 0; i+1 < k; i++ {
-		if !(members[i].lower > members[i+1].upper-eps) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *searcher) rankedFrom(members []member) []core.Ranked {
-	k := s.opt.K
-	if len(members) < k {
-		k = len(members)
-	}
-	out := make([]core.Ranked, k)
-	for i := 0; i < k; i++ {
-		out[i] = core.Ranked{Node: members[i].node, Score: members[i].lower}
-	}
-	return out
 }
 
 // Naive computes the exact top-K ranking with the iterative solvers (Eq. 5 and

@@ -13,7 +13,7 @@ import (
 // results are bit-identical for every worker count, including the serial
 // reference (see kernels_test.go). The generic View versions in walk.go remain
 // as the fallback for views that cannot expose CSR arrays (masked, tracking,
-// remote) and as the pre-CSR baseline for benchmarking.
+// delta overlay) and as the pre-CSR baseline for benchmarking.
 
 // fRankCSR computes F-Rank by pulling over the transposed adjacency:
 //

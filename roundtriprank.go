@@ -1,9 +1,8 @@
-// This file collects the graph-construction re-exports and the deprecated
-// Ranker shim; the package documentation lives in doc.go.
+// This file collects the graph-construction re-exports and the engine
+// options; the package documentation lives in doc.go.
 package roundtriprank
 
 import (
-	"context"
 	"fmt"
 
 	"roundtriprank/internal/core"
@@ -67,9 +66,8 @@ type Result struct {
 	Score float64
 }
 
-// Option configures the default parameters of an Engine (and of the
-// deprecated Ranker, which wraps one). Per-query overrides on the Request take
-// precedence over these defaults.
+// Option configures the default parameters of an Engine. Per-query overrides
+// on the Request take precedence over these defaults.
 type Option func(*Engine) error
 
 // WithAlpha sets the default teleport probability α of the underlying
@@ -153,118 +151,6 @@ func WithVectorCache(entries int) Option {
 		e.cache = newVecCache(entries)
 		return nil
 	}
-}
-
-// WithOnlineMapBaseline forces the engine's online methods (TwoSBound and
-// the BoundScheme baselines) onto the map-based searcher even when the view
-// is CSR-capable, instead of the pooled flat scratch-state path. It exists
-// for the flat-vs-map benchmarks (cmd/benchrunner -fig online measures both
-// configurations through Engine.Rank) and as an operational escape hatch;
-// the map path allocates per query, so serving engines should not set it.
-func WithOnlineMapBaseline() Option {
-	return func(e *Engine) error {
-		e.onlineMapBaseline = true
-		return nil
-	}
-}
-
-// Ranker computes RoundTripRank(+) scores and rankings over one graph view.
-//
-// Deprecated: Ranker is the pre-Engine API. It freezes parameters at
-// construction, has no context support and splits inconsistent entry points
-// (Rank takes a filter but no ε, TopK takes ε but no filter). Use Engine with
-// a Request instead; Ranker remains as a thin shim over it.
-type Ranker struct {
-	engine *Engine
-}
-
-// NewRanker creates a Ranker over the given graph view with the paper's
-// default parameters (α = 0.25, β = 0.5), modified by the options.
-//
-// Deprecated: use NewEngine.
-func NewRanker(view View, opts ...Option) (*Ranker, error) {
-	e, err := NewEngine(view, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Ranker{engine: e}, nil
-}
-
-// Beta returns the ranker's specificity bias.
-func (r *Ranker) Beta() float64 { return r.engine.Beta() }
-
-// Alpha returns the ranker's teleport probability.
-func (r *Ranker) Alpha() float64 { return r.engine.Alpha() }
-
-// Scores computes the full score vectors for a query: F-Rank (importance),
-// T-Rank (specificity) and the combined RoundTripRank+.
-type Scores struct {
-	Importance    []float64
-	Specificity   []float64
-	RoundTripRank []float64
-}
-
-// Scores computes exact scores for every node using the iterative solvers.
-func (r *Ranker) Scores(q Query) (*Scores, error) {
-	s, err := core.Compute(context.Background(), r.engine.View(), q, r.engine.params)
-	if err != nil {
-		return nil, err
-	}
-	return &Scores{Importance: s.F, Specificity: s.T, RoundTripRank: s.R}, nil
-}
-
-// Rank returns the top n nodes by exact RoundTripRank+ score. A nil filter
-// keeps every node; otherwise only nodes for which filter returns true are
-// ranked (use this to restrict to a target type and exclude the query).
-//
-// Unlike the pre-Engine implementation, zero-score nodes are no longer
-// returned (the Engine's result contract), so fewer than n results may come
-// back on sparsely connected graphs.
-//
-// Deprecated: use Engine.Rank with Method Exact and a declarative Filter.
-func (r *Ranker) Rank(q Query, n int, filter ...func(NodeID) bool) ([]Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("roundtriprank: n must be positive")
-	}
-	p, err := r.engine.plan(Request{Query: q, K: n, Method: Exact})
-	if err != nil {
-		return nil, err
-	}
-	if len(filter) > 0 {
-		p.keep = filter[0]
-	}
-	resp, err := r.engine.rankExact(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// TopK runs the online 2SBound algorithm and returns an ε-approximate top-K
-// ranking without computing scores for the whole graph. epsilon = 0 demands
-// the exact top K; the paper's efficiency study uses ε between 0.01 and 0.03.
-//
-// Unlike the pre-Engine implementation, scores are normalized onto the exact
-// path's f^(1−β)·t^β scale (the square root of the raw squared-scale lower
-// bounds); the ranking order is unchanged.
-//
-// Deprecated: use Engine.Rank with Method TwoSBound.
-func (r *Ranker) TopK(q Query, k int, epsilon float64) ([]Result, error) {
-	resp, err := r.engine.Rank(context.Background(), Request{
-		Query: q, K: k, Epsilon: epsilon, Method: TwoSBound,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// TypeFilter builds a filter usable with Ranker.Rank that keeps only nodes of
-// the given type and drops the listed nodes (typically the query itself).
-//
-// Deprecated: use the declarative Filter on a Request.
-func TypeFilter(g *Graph, t NodeType, exclude ...NodeID) func(NodeID) bool {
-	return core.TypeFilter(g, t, exclude...)
 }
 
 func toResults(in []core.Ranked) []Result {

@@ -1,7 +1,8 @@
 package roundtriprank
 
 import (
-	"math"
+	"context"
+	"reflect"
 	"testing"
 
 	"roundtriprank/internal/testgraphs"
@@ -9,96 +10,108 @@ import (
 
 func TestPublicAPIOnToyGraph(t *testing.T) {
 	toy := testgraphs.NewToy()
-	ranker, err := NewRanker(toy.Graph)
+	engine, err := NewEngine(toy.Graph)
 	if err != nil {
-		t.Fatalf("NewRanker: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	if ranker.Alpha() != 0.25 || ranker.Beta() != 0.5 {
-		t.Errorf("defaults wrong: alpha=%g beta=%g", ranker.Alpha(), ranker.Beta())
+	if engine.Alpha() != 0.25 || engine.Beta() != 0.5 {
+		t.Errorf("defaults wrong: alpha=%g beta=%g", engine.Alpha(), engine.Beta())
 	}
-	scores, err := ranker.Scores(SingleNode(toy.T1))
-	if err != nil {
-		t.Fatalf("Scores: %v", err)
-	}
-	if len(scores.RoundTripRank) != toy.Graph.NumNodes() {
-		t.Fatalf("score vector length mismatch")
-	}
-	// v2 (important and specific) must beat v1 and v3.
-	if !(scores.RoundTripRank[toy.V2] > scores.RoundTripRank[toy.V1]) ||
-		!(scores.RoundTripRank[toy.V2] > scores.RoundTripRank[toy.V3]) {
-		t.Errorf("v2 should win: %v", scores.RoundTripRank)
-	}
-
-	venueFilter := TypeFilter(toy.Graph, testgraphs.TypeVenue, toy.T1)
-	ranked, err := ranker.Rank(SingleNode(toy.T1), 3, venueFilter)
+	ctx := context.Background()
+	all, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: toy.Graph.NumNodes(), Method: Exact})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
-	if len(ranked) != 3 || ranked[0].Node != toy.V2 {
-		t.Errorf("venue ranking wrong: %+v", ranked)
+	score := map[NodeID]float64{}
+	for _, r := range all.Results {
+		score[r.Node] = r.Score
+	}
+	// v2 (important and specific) must beat v1 and v3.
+	if !(score[toy.V2] > score[toy.V1]) || !(score[toy.V2] > score[toy.V3]) {
+		t.Errorf("v2 should win: %v", all.Results)
 	}
 
-	online, err := ranker.TopK(SingleNode(toy.T1), 4, 0.001)
+	venues, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: 3, Method: Exact,
+		Filter: &Filter{Types: []NodeType{testgraphs.TypeVenue}, ExcludeQuery: true}})
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("Rank venues: %v", err)
 	}
-	if len(online) == 0 || online[0].Node != toy.T1 {
-		t.Errorf("online top-1 should be the query itself: %+v", online)
+	if len(venues.Results) != 3 || venues.Results[0].Node != toy.V2 {
+		t.Errorf("venue ranking wrong: %+v", venues.Results)
+	}
+
+	online, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: 4, Epsilon: 0.001, Method: TwoSBound})
+	if err != nil {
+		t.Fatalf("Rank online: %v", err)
+	}
+	if len(online.Results) == 0 || online.Results[0].Node != toy.T1 {
+		t.Errorf("online top-1 should be the query itself: %+v", online.Results)
 	}
 }
 
 func TestOptions(t *testing.T) {
 	toy := testgraphs.NewToy()
-	r, err := NewRanker(toy.Graph, WithAlpha(0.3), WithBeta(0.7), WithTolerance(1e-10))
+	e, err := NewEngine(toy.Graph, WithAlpha(0.3), WithBeta(0.7), WithTolerance(1e-10))
 	if err != nil {
-		t.Fatalf("NewRanker with options: %v", err)
+		t.Fatalf("NewEngine with options: %v", err)
 	}
-	if r.Alpha() != 0.3 || r.Beta() != 0.7 {
+	if e.Alpha() != 0.3 || e.Beta() != 0.7 {
 		t.Errorf("options not applied")
 	}
-	// Surfer composition: only importance surfers -> beta 0.
-	r2, err := NewRanker(toy.Graph, WithSurferComposition(0, 5, 0))
+	// Surfer composition: only importance surfers -> beta 0, which ranks
+	// exactly like an engine configured for pure importance.
+	surfers, err := NewEngine(toy.Graph, WithSurferComposition(0, 5, 0))
 	if err != nil {
-		t.Fatalf("NewRanker: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	if r2.Beta() != 0 {
-		t.Errorf("surfer composition beta = %g, want 0", r2.Beta())
+	if surfers.Beta() != 0 {
+		t.Errorf("surfer composition beta = %g, want 0", surfers.Beta())
 	}
-	// β = 0 ranking equals pure importance ranking.
-	s, _ := r2.Scores(SingleNode(toy.T1))
-	for v := range s.RoundTripRank {
-		if math.Abs(s.RoundTripRank[v]-s.Importance[v]) > 1e-12 {
-			t.Errorf("beta=0 should equal importance at node %d", v)
-		}
+	importance, err := NewEngine(toy.Graph, WithBeta(0))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	req := Request{Query: SingleNode(toy.T1), K: toy.Graph.NumNodes(), Method: Exact}
+	got, err := surfers.Rank(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Rank: %v", err)
+	}
+	want, err := importance.Rank(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Rank: %v", err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("beta=0 by surfers %+v != beta=0 by option %+v", got.Results, want.Results)
 	}
 
 	for _, bad := range []Option{WithAlpha(0), WithAlpha(1), WithBeta(-1), WithBeta(2), WithTolerance(0), WithSurferComposition(0, 0, 0)} {
-		if _, err := NewRanker(toy.Graph, bad); err == nil {
+		if _, err := NewEngine(toy.Graph, bad); err == nil {
 			t.Errorf("invalid option should error")
 		}
 	}
-	if _, err := NewRanker(nil); err == nil {
+	if _, err := NewEngine(nil); err == nil {
 		t.Errorf("nil view should error")
 	}
-	if _, err := NewRanker(NewGraphBuilder().MustBuild()); err == nil {
+	if _, err := NewEngine(NewGraphBuilder().MustBuild()); err == nil {
 		t.Errorf("empty graph should error")
 	}
 }
 
+// TestRankValidation checks that bad requests are refused under an explicit
+// method too (TestRequestValidation covers the cases under Auto).
 func TestRankValidation(t *testing.T) {
 	toy := testgraphs.NewToy()
-	r, _ := NewRanker(toy.Graph)
-	if _, err := r.Rank(SingleNode(toy.T1), 0); err == nil {
-		t.Errorf("n=0 should error")
+	e, err := NewEngine(toy.Graph)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
-	if _, err := r.Rank(Query{}, 3); err == nil {
-		t.Errorf("empty query should error")
-	}
-	if _, err := r.TopK(Query{}, 3, 0.01); err == nil {
-		t.Errorf("empty query should error in TopK")
-	}
-	if _, err := r.Scores(Query{}); err == nil {
-		t.Errorf("empty query should error in Scores")
+	for _, m := range []Method{Exact, TwoSBound} {
+		if _, err := e.Rank(context.Background(), Request{Query: SingleNode(toy.T1), K: 0, Method: m}); err == nil {
+			t.Errorf("%s: K=0 should error", m)
+		}
+		if _, err := e.Rank(context.Background(), Request{Query: Query{}, K: 3, Method: m}); err == nil {
+			t.Errorf("%s: empty query should error", m)
+		}
 	}
 }
 
