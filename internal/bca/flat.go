@@ -183,9 +183,9 @@ func (s *Flat) LiveResidualCount() int { return s.benefit.Len() }
 
 // ResidualTouchedCount returns the number of distinct nodes that ever held
 // residual during this query — the F-side share of the rows the searcher's
-// working set can reach (processing, prefetching and Stage-II refinement all
-// stay inside this set). The remote parity tests assert rows fetched never
-// exceeds it plus the T-side neighborhood.
+// working set can reach (processing, prefetching and the Stage-II kernel's
+// build pass all stay inside this set). The remote parity tests assert rows
+// fetched never exceeds it plus the T-side neighborhood.
 func (s *Flat) ResidualTouchedCount() int { return s.mu.Len() }
 
 // ResidualTouched reports whether v ever held residual during this query.

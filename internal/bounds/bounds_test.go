@@ -4,11 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/testgraphs"
 	"roundtriprank/internal/walk"
 )
@@ -19,20 +22,20 @@ import (
 // view without flat arrays takes. The soundness tests run under both, against
 // the independent walk.FRank/TRank reference.
 type binding struct {
-	f func(*FFlat, *graph.Graph, walk.Query, FOptions) error
-	t func(*TFlat, *graph.Graph, walk.Query, TOptions) error
+	f func(*FFlat, graph.CSRView, walk.Query, FOptions) error
+	t func(*TFlat, graph.CSRView, walk.Query, TOptions) error
 }
 
-func hidden(g *graph.Graph) graph.Rows { return graph.ViewRows(struct{ graph.View }{g}) }
+func hidden(g graph.View) graph.Rows { return graph.ViewRows(struct{ graph.View }{g}) }
 
 var (
 	csrBinding = binding{
-		f: func(fb *FFlat, g *graph.Graph, q walk.Query, o FOptions) error { return fb.Init(g, q, o) },
-		t: func(tb *TFlat, g *graph.Graph, q walk.Query, o TOptions) error { return tb.Init(g, q, o) },
+		f: func(fb *FFlat, g graph.CSRView, q walk.Query, o FOptions) error { return fb.Init(g, q, o) },
+		t: func(tb *TFlat, g graph.CSRView, q walk.Query, o TOptions) error { return tb.Init(g, q, o) },
 	}
 	rowsBinding = binding{
-		f: func(fb *FFlat, g *graph.Graph, q walk.Query, o FOptions) error { return fb.InitRows(hidden(g), q, o) },
-		t: func(tb *TFlat, g *graph.Graph, q walk.Query, o TOptions) error { return tb.InitRows(hidden(g), q, o) },
+		f: func(fb *FFlat, g graph.CSRView, q walk.Query, o FOptions) error { return fb.InitRows(hidden(g), q, o) },
+		t: func(tb *TFlat, g graph.CSRView, q walk.Query, o TOptions) error { return tb.InitRows(hidden(g), q, o) },
 	}
 )
 
@@ -365,67 +368,395 @@ func TestFlatBoundsReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
-// Property: on random strongly connected graphs, both trackers always sandwich
-// the exact F-Rank / T-Rank values after a random number of expansions, under
-// every scheme combination.
+// countingRows counts the reads made through the graph.Rows seam.
+type countingRows struct {
+	graph.Rows
+	outRows, inRows, outSums int
+}
+
+func (c *countingRows) OutRow(v graph.NodeID) ([]graph.NodeID, []float64) {
+	c.outRows++
+	return c.Rows.OutRow(v)
+}
+
+func (c *countingRows) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
+	c.inRows++
+	return c.Rows.InRow(v)
+}
+
+func (c *countingRows) OutSum(v graph.NodeID) float64 {
+	c.outSums++
+	return c.Rows.OutSum(v)
+}
+
+// TestRefineReadsEachSeenRowOnce pins Stage II's cost model at the row seam: a
+// refinement reads the row of every seen node exactly once, whether it then
+// sweeps once or sixty times. F reads in-rows plus one out-sum per in-edge, T
+// reads out-rows plus one out-sum per row.
+func TestRefineReadsEachSeenRowOnce(t *testing.T) {
+	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
+	if err != nil {
+		t.Fatalf("GenerateBibNet: %v", err)
+	}
+	q := walk.SingleNode(net.Papers[0])
+	for _, maxIter := range []int{1, 60} {
+		rows := &countingRows{Rows: graph.ViewRows(net.Graph)}
+		// Expand under a one-sweep cap, so the bounds are still far from
+		// converged when the refinement under test gets its own cap.
+		fOpt, tOpt := DefaultFOptions(0.25), DefaultTOptions(0.25)
+		fOpt.RefineMaxIter, tOpt.RefineMaxIter = 1, 1
+		var fb FFlat
+		var tb TFlat
+		if err := fb.InitRows(rows, q, fOpt); err != nil {
+			t.Fatalf("FFlat.InitRows: %v", err)
+		}
+		if err := tb.InitRows(rows, q, tOpt); err != nil {
+			t.Fatalf("TFlat.InitRows: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			fb.Expand()
+			tb.Expand()
+		}
+		fb.opt.RefineMaxIter, tb.opt.RefineMaxIter = maxIter, maxIter
+
+		*rows = countingRows{Rows: rows.Rows}
+		tb.Refine()
+		if seen := tb.SeenCount(); seen < 2 || rows.outRows != seen || rows.outSums != seen || rows.inRows != 0 {
+			t.Errorf("RefineMaxIter %d: T refinement over %d seen nodes read %d out-rows, %d out-sums, %d in-rows",
+				maxIter, seen, rows.outRows, rows.outSums, rows.inRows)
+		}
+
+		inEdges := 0
+		for _, v := range fb.SeenList() {
+			cols, _ := rows.Rows.InRow(v)
+			inEdges += len(cols)
+		}
+		*rows = countingRows{Rows: rows.Rows}
+		fb.Refine()
+		if seen := fb.SeenCount(); seen < 2 || rows.inRows != seen || rows.outSums != inEdges || rows.outRows != 0 {
+			t.Errorf("RefineMaxIter %d: F refinement over %d seen nodes with %d in-edges read %d in-rows, %d out-sums, %d out-rows",
+				maxIter, seen, inEdges, rows.inRows, rows.outSums, rows.outRows)
+		}
+	}
+}
+
+// rawGraph is an adjacency assembled straight into CSR arrays, so it can hold
+// what graph.Builder refuses — self-loops and zero-weight edges — next to
+// dangling nodes. It serves both bindings: the CSR arrays directly, and the
+// View methods through graph.ViewRows.
+type rawGraph struct{ out, in graph.CSR }
+
+type rawEdge struct {
+	from, to graph.NodeID
+	w        float64
+}
+
+func newRawGraph(n int, edges []rawEdge) *rawGraph {
+	csr := func(row, col func(rawEdge) graph.NodeID) graph.CSR {
+		c := graph.CSR{
+			RowPtr: make([]int64, n+1),
+			Col:    make([]graph.NodeID, len(edges)),
+			Weight: make([]float64, len(edges)),
+			Sum:    make([]float64, n),
+		}
+		for _, e := range edges {
+			c.RowPtr[row(e)+1]++
+		}
+		for v := 0; v < n; v++ {
+			c.RowPtr[v+1] += c.RowPtr[v]
+		}
+		next := slices.Clone(c.RowPtr[:n])
+		for _, e := range edges {
+			i := next[row(e)]
+			next[row(e)]++
+			c.Col[i], c.Weight[i] = col(e), e.w
+			c.Sum[row(e)] += e.w
+		}
+		return c
+	}
+	from := func(e rawEdge) graph.NodeID { return e.from }
+	to := func(e rawEdge) graph.NodeID { return e.to }
+	return &rawGraph{out: csr(from, to), in: csr(to, from)}
+}
+
+func (g *rawGraph) OutCSR() graph.CSR                   { return g.out }
+func (g *rawGraph) InCSR() graph.CSR                    { return g.in }
+func (g *rawGraph) NumNodes() int                       { return len(g.out.Sum) }
+func (g *rawGraph) OutDegree(v graph.NodeID) int        { return g.out.Degree(v) }
+func (g *rawGraph) InDegree(v graph.NodeID) int         { return g.in.Degree(v) }
+func (g *rawGraph) OutWeightSum(v graph.NodeID) float64 { return g.out.Sum[v] }
+func (g *rawGraph) InWeightSum(v graph.NodeID) float64  { return g.in.Sum[v] }
+func (g *rawGraph) EachOut(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
+	eachEntry(g.out, v, fn)
+}
+func (g *rawGraph) EachIn(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
+	eachEntry(g.in, v, fn)
+}
+
+func eachEntry(c graph.CSR, v graph.NodeID, fn func(graph.NodeID, float64) bool) {
+	cols, wts := c.Row(v)
+	for i, u := range cols {
+		if !fn(u, wts[i]) {
+			return
+		}
+	}
+}
+
+// randomGraph draws a graph of 5–29 nodes: a unit-weight cycle plus random
+// weighted chords, some of zero weight. Every other draw is rough: chords may
+// be self-loops, and a few nodes lose all their out-edges. The Stage-II
+// recursion is the same iteration either way, but only a graph that is not
+// rough is one the bounds are proven for — Prop. 4 assumes a walk cannot
+// return in one step, and the exact solvers restart dangling mass at the query
+// where Eq. 17–18 has no such term.
+func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
+	n := 5 + rng.Intn(25)
+	rough = rng.Intn(2) == 0
+	dangling := make([]bool, n)
+	if rough {
+		for i := rng.Intn(3); i > 0; i-- {
+			dangling[rng.Intn(n)] = true
+		}
+	}
+	var edges []rawEdge
+	have := make(map[[2]int]bool) // no parallel edges
+	add := func(u, v int, w float64) {
+		if !dangling[u] && (rough || u != v) && !have[[2]int{u, v}] {
+			have[[2]int{u, v}] = true
+			edges = append(edges, rawEdge{graph.NodeID(u), graph.NodeID(v), w})
+		}
+	}
+	for i := 0; i < n; i++ {
+		add(i, (i+1)%n, 1)
+	}
+	for i := rng.Intn(3 * n); i > 0; i-- {
+		w := 0.25 + rng.Float64()
+		if rng.Intn(6) == 0 {
+			w = 0
+		}
+		add(rng.Intn(n), rng.Intn(n), w)
+	}
+	return newRawGraph(n, edges), rough
+}
+
+// refSweep is one Gauss–Seidel sweep of Eq. 17–18 in the row-streaming form
+// the trackers used before the induced-subgraph kernel: every neighbor of
+// every seen node is looked up in the bounds as it streams past. row yields
+// the neighbors of v the recursion sums over, with their transition
+// probabilities. It is the reference the kernel is checked against, and
+// returns the largest bound change.
+func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64,
+	row func(v graph.NodeID, fn func(u graph.NodeID, m float64))) float64 {
+	order := slices.Clone(b.Touched())
+	slices.Sort(order)
+	maxChange := 0.0
+	for _, v := range order {
+		sumLo, sumUp := 0.0, 0.0
+		row(v, func(u graph.NodeID, m float64) {
+			if lo, up, seen := b.Get(u); seen {
+				sumLo += m * lo
+				sumUp += m * up
+			} else {
+				sumUp += m * unseen
+			}
+		})
+		lo, up, _ := b.Get(v)
+		newLo := alpha*restart.Get(v) + (1-alpha)*sumLo
+		newUp := alpha*restart.Get(v) + (1-alpha)*sumUp
+		if newLo > lo {
+			maxChange = max(maxChange, newLo-lo)
+			lo = newLo
+		}
+		if newUp < up {
+			maxChange = max(maxChange, up-newUp)
+			up = newUp
+		}
+		b.Set(v, lo, up)
+	}
+	return maxChange
+}
+
+// refStageII applies to fb what Expand does after Stage I, with refSweep in
+// place of the kernel.
+func (fb *FFlat) refStageII(opt FOptions) {
+	if !opt.StageII {
+		return
+	}
+	for iter := 0; iter < opt.RefineMaxIter; iter++ {
+		change := refSweep(&fb.b, &fb.restart, opt.Alpha, fb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
+			cols, wts := fb.inRow(v)
+			for i, from := range cols {
+				if outSum := fb.outSum(from); outSum > 0 {
+					fn(from, wts[i]/outSum)
+				}
+			}
+		})
+		if change < opt.RefineTol {
+			return
+		}
+	}
+}
+
+// refStageII is the T-side counterpart, including the Sarkar-style single
+// local update when Stage II is off.
+func (tb *TFlat) refStageII(opt TOptions) {
+	sweep := func() float64 {
+		return refSweep(&tb.b, &tb.restart, opt.Alpha, tb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
+			outSum := tb.outSum(v)
+			if outSum <= 0 {
+				return
+			}
+			cols, wts := tb.outRow(v)
+			for i, to := range cols {
+				fn(to, wts[i]/outSum)
+			}
+		})
+	}
+	if !opt.StageII {
+		sweep()
+		tb.recomputeUnseen()
+		return
+	}
+	for iter := 0; iter < opt.RefineMaxIter; iter++ {
+		change := sweep()
+		if opt.TightenUnseenInRefine {
+			tb.recomputeUnseen()
+		}
+		if change < opt.RefineTol {
+			return
+		}
+	}
+}
+
+// sameBounds reports whether two trackers hold the same neighborhood with
+// bounds and unseen bound equal within tol.
+func sameBounds(t *testing.T, label string, a, b *scratch.Bounds, unseenA, unseenB, tol float64) bool {
+	ok := a.Len() == b.Len() && math.Abs(unseenA-unseenB) <= tol
+	a.Each(func(v graph.NodeID, lo, up float64) {
+		rlo, rup, seen := b.Get(v)
+		if !(seen && math.Abs(lo-rlo) <= tol && math.Abs(up-rup) <= tol) {
+			t.Logf("%s: node %d kernel [%g, %g] reference [%g, %g] (seen %v)", label, v, lo, up, rlo, rup, seen)
+			ok = false
+		}
+	})
+	if !ok {
+		t.Logf("%s: kernel and reference sweep disagree (|S| %d vs %d, unseen %g vs %g)", label, a.Len(), b.Len(), unseenA, unseenB)
+	}
+	return ok
+}
+
+// monotone reports whether, against the previous round's snapshot, no lower
+// bound fell, no upper bound rose and the unseen bound did not rise; it then
+// replaces the snapshot with the current bounds.
+func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, prev map[graph.NodeID][2]float64, prevUnseen *float64) bool {
+	ok := unseen <= *prevUnseen
+	b.Each(func(v graph.NodeID, lo, up float64) {
+		if p, seen := prev[v]; seen && (lo < p[0] || up > p[1]) {
+			ok = false
+		}
+		prev[v] = [2]float64{lo, up}
+	})
+	if !ok {
+		t.Logf("%s: bounds moved the wrong way across a round (unseen %g after %g)", label, unseen, *prevUnseen)
+	}
+	*prevUnseen = unseen
+	return ok
+}
+
+// Property: on random graphs (see randomGraph), under every scheme
+// combination, single- and multi-node queries and α ∈ {0.15, 0.25, 0.5}, after
+// every expansion (a) the kernel's bounds equal, within 1e-12, what the
+// row-streaming reference sweep makes of the same pre-refinement state,
+// (b) bounds only tighten from round to round, and (c) unless the graph is
+// rough both trackers sandwich the exact F-Rank / T-Rank values.
+//
+// The reference runs on a second tracker pair whose own refinement is switched
+// off (an iteration cap of zero leaves Expand with Stage I alone), refined by
+// refStageII and then synchronized to the kernel's result, so every round
+// starts both from the same state.
 func quickBoundsSoundness(t *testing.T, bind binding) {
 	f := func(seed int64, roundsRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(25)
-		b := graph.NewBuilder()
-		ids := make([]graph.NodeID, n)
-		for i := 0; i < n; i++ {
-			ids[i] = b.AddNode(graph.Untyped, "n"+strconv.Itoa(i))
+		g, rough := randomGraph(rng)
+		n := g.NumNodes()
+		alpha := []float64{0.15, 0.25, 0.5}[rng.Intn(3)]
+		first := rng.Intn(n)
+		q := walk.SingleNode(graph.NodeID(first))
+		if rng.Intn(3) == 0 {
+			q = walk.MultiNode(graph.NodeID(first), graph.NodeID((first+1+rng.Intn(n-1))%n))
 		}
-		// Base cycle guarantees strong connectivity, then random chords.
-		for i := 0; i < n; i++ {
-			b.MustAddEdge(ids[i], ids[(i+1)%n], 1)
-		}
-		extra := rng.Intn(3 * n)
-		for i := 0; i < extra; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				v = (u + 1) % n
+		var exactF, exactT []float64
+		if !rough {
+			p := walk.Params{Alpha: alpha, Tol: 1e-13, MaxIter: 2000}
+			var err error
+			if exactF, err = walk.FRank(context.Background(), g, q, p); err != nil {
+				t.Logf("FRank: %v", err)
+				return false
 			}
-			b.MustAddEdge(ids[u], ids[v], 0.25+rng.Float64())
-		}
-		g := b.MustBuild()
-		alpha := 0.15 + 0.5*rng.Float64()
-		q := walk.SingleNode(ids[rng.Intn(n)])
-		p := walk.Params{Alpha: alpha, Tol: 1e-13, MaxIter: 2000}
-		exactF, err := walk.FRank(context.Background(), g, q, p)
-		if err != nil {
-			return false
-		}
-		exactT, err := walk.TRank(context.Background(), g, q, p)
-		if err != nil {
-			return false
+			if exactT, err = walk.TRank(context.Background(), g, q, p); err != nil {
+				t.Logf("TRank: %v", err)
+				return false
+			}
 		}
 		rounds := 1 + int(roundsRaw%8)
 		m := 1 + int(mRaw%6)
 
-		improved := rng.Intn(2) == 0
 		stageII := rng.Intn(2) == 0
-		var fb FFlat
-		if err := bind.f(&fb, g, q, FOptions{Alpha: alpha, M: m, ImprovedBound: improved, StageII: stageII}); err != nil {
-			return false
+		fOpt := FOptions{Alpha: alpha, M: m, ImprovedBound: rng.Intn(2) == 0, StageII: stageII}
+		tOpt := TOptions{Alpha: alpha, M: m, StageII: stageII, TightenUnseenInRefine: rng.Intn(2) == 0}
+		var fb, fref FFlat
+		var tb, tref TFlat
+		for _, err := range []error{
+			bind.f(&fb, g, q, fOpt), bind.f(&fref, g, q, fOpt),
+			bind.t(&tb, g, q, tOpt), bind.t(&tref, g, q, tOpt),
+		} {
+			if err != nil {
+				t.Logf("Init: %v", err)
+				return false
+			}
 		}
-		var tb TFlat
-		if err := bind.t(&tb, g, q, TOptions{Alpha: alpha, M: m, StageII: stageII}); err != nil {
-			return false
-		}
+		fref.opt.StageII, fref.opt.RefineMaxIter = true, 0
+		tref.opt.StageII, tref.opt.RefineMaxIter = true, 0
+
+		fPrev, tPrev := map[graph.NodeID][2]float64{}, map[graph.NodeID][2]float64{}
+		fUnseen, tUnseen := fb.unseen, tb.unseen
 		for i := 0; i < rounds; i++ {
 			fb.Expand()
+			fref.Expand()
+			fref.refStageII(fb.opt)
 			tb.Expand()
+			if !tref.Exhausted() { // Expand on an exhausted St does nothing at all
+				tref.Expand()
+				tref.refStageII(tb.opt)
+			}
+			if !sameBounds(t, "F", &fb.b, &fref.b, fb.unseen, fref.unseen, 1e-12) ||
+				!sameBounds(t, "T", &tb.b, &tref.b, tb.unseen, tref.unseen, 1e-12) {
+				return false
+			}
+			fb.b.Each(fref.b.Set)
+			tb.b.Each(tref.b.Set)
+			fref.unseen, tref.unseen = fb.unseen, tb.unseen
+
+			if !monotone(t, "F", &fb.b, fb.unseen, fPrev, &fUnseen) ||
+				!monotone(t, "T", &tb.b, tb.unseen, tPrev, &tUnseen) {
+				return false
+			}
+			if !rough {
+				if ferr, terr := fb.CheckConsistent(), tb.CheckConsistent(); ferr != nil || terr != nil {
+					t.Logf("inconsistent bounds: F %v, T %v", ferr, terr)
+					return false
+				}
+				fv, fOK := sandwiched(&fb, exactF, 1e-8)
+				tv, tOK := sandwiched(&tb, exactT, 1e-8)
+				if !fOK || !tOK {
+					t.Logf("round %d: exact value escapes its bounds (F ok %v node %d, T ok %v node %d)", i, fOK, fv, tOK, tv)
+					return false
+				}
+			}
 		}
-		if fb.CheckConsistent() != nil || tb.CheckConsistent() != nil {
-			return false
-		}
-		_, fOK := sandwiched(&fb, exactF, 1e-8)
-		_, tOK := sandwiched(&tb, exactT, 1e-8)
-		return fOK && tOK
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,11 @@
 // Eq. 17–18). The weaker Stage-I-only bound schemes used by the paper's
 // efficiency baselines (Gupta et al. for F-Rank, Sarkar et al. for T-Rank) are
 // provided as options.
+//
+// Stage II costs one graph read per seen row per round, not per sweep: both
+// trackers copy the subgraph their neighborhood induces into one shared
+// kernel (refiner, refine.go) and iterate on that copy, so the sweeps touch
+// |E(S)| local entries however large the degrees of the seen nodes are.
 package bounds
 
 // Default expansion granularities from Sect. V-A3.

@@ -2,7 +2,6 @@ package bounds
 
 import (
 	"fmt"
-	"slices"
 
 	"roundtriprank/internal/bca"
 	"roundtriprank/internal/graph"
@@ -13,16 +12,17 @@ import (
 // FFlat maintains lower/upper bounds on F-Rank over the f-neighborhood Sf
 // (the nodes with a non-zero BCA estimate) plus a common upper bound for all
 // unseen nodes: Stage I folds each BCA expansion into the bounds (Prop. 4,
-// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18). Per-node bounds live
-// in one generation-stamped dense structure and Init/InitRows rebind the whole
-// tracker to a new query in O(1), so a pooled instance serves a stream of
-// queries with no steady-state allocation.
+// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's copy
+// of the subgraph Sf induces, built from one read of every seen in-row per
+// refinement. Per-node bounds live in one generation-stamped dense structure
+// and Init/InitRows rebind the whole tracker to a new query in O(1), so a
+// pooled instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
 	opt FOptions
 	in  graph.CSR
 	out graph.CSR
 	// remote, when non-nil, replaces the CSR arrays with a row session
-	// (InitRows); the Stage-II sweep then streams its in-rows.
+	// (InitRows); the Stage-II build then reads its in-rows.
 	remote graph.Rows
 
 	engine  bca.Flat
@@ -31,7 +31,7 @@ type FFlat struct {
 	unseen  float64
 
 	expansions int
-	sweep      []graph.NodeID // reusable ID-sorted seen list for Stage II
+	k          refiner // Stage-II kernel arrays, rebuilt by every Refine
 }
 
 // Init starts (or restarts) an F-Rank bounds computation for the query,
@@ -49,7 +49,7 @@ func (fb *FFlat) Init(view graph.CSRView, q walk.Query, opt FOptions) error {
 }
 
 // InitRows starts a computation against a row provider instead of local CSR
-// arrays; see bca.Flat.InitRows. The Stage-II sweep only revisits rows the
+// arrays; see bca.Flat.InitRows. The Stage-II build only revisits rows the
 // BCA engine already processed, so on a caching provider Refine never causes
 // a fetch of its own.
 func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
@@ -70,7 +70,6 @@ func (fb *FFlat) reset(n int, opt FOptions) {
 	fb.b.Reset(n)
 	fb.unseen = 1
 	fb.expansions = 0
-	fb.sweep = fb.sweep[:0]
 }
 
 // Detach drops the tracker's references to the graph's CSR arrays so a
@@ -196,60 +195,33 @@ func (fb *FFlat) initializeBounds() {
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// f-neighborhood (in node-ID order, streaming in-rows) until the bounds
-// converge or the iteration cap is reached. An unseen in-neighbor contributes
-// lower bound zero and the unseen upper bound.
+// f-neighborhood until the bounds converge or the iteration cap is reached.
+// It reads the in-row of every seen node once (and the out-sum of each of its
+// in-neighbors) to build the induced subgraph, then sweeps that copy; see
+// refiner. An unseen in-neighbor contributes lower bound zero and the unseen
+// upper bound.
 func (fb *FFlat) Refine() {
 	if fb.b.Len() == 0 {
 		return
 	}
-	fb.sweep = append(fb.sweep[:0], fb.b.Touched()...)
-	slices.Sort(fb.sweep)
-
-	alpha := fb.opt.Alpha
-	for iter := 0; iter < fb.opt.RefineMaxIter; iter++ {
-		maxChange := 0.0
-		for _, v := range fb.sweep {
-			restart := fb.restart.Get(v)
-			sumLo, sumUp := 0.0, 0.0
-			cols, wts := fb.inRow(v)
-			for i, from := range cols {
-				outSum := fb.outSum(from)
-				if outSum <= 0 {
-					continue
-				}
-				m := wts[i] / outSum
-				if lo, up, seen := fb.b.Get(from); seen {
-					sumLo += m * lo
-					sumUp += m * up
-				} else {
-					sumUp += m * fb.unseen
-				}
+	k, b := &fb.k, &fb.b
+	k.begin(b)
+	for _, v := range k.nodes {
+		unseenMass := 0.0
+		cols, wts := fb.inRow(v)
+		for i, from := range cols {
+			outSum := fb.outSum(from)
+			if outSum <= 0 {
+				continue
 			}
-			lo, up, _ := fb.b.Get(v)
-			newLo := alpha*restart + (1-alpha)*sumLo
-			newUp := alpha*restart + (1-alpha)*sumUp
-			changed := false
-			if newLo > lo {
-				if d := newLo - lo; d > maxChange {
-					maxChange = d
-				}
-				lo, changed = newLo, true
-			}
-			if newUp < up {
-				if d := up - newUp; d > maxChange {
-					maxChange = d
-				}
-				up, changed = newUp, true
-			}
-			if changed {
-				fb.b.Set(v, lo, up)
+			if m := wts[i] / outSum; !k.edge(b, from, m) {
+				unseenMass += m
 			}
 		}
-		if maxChange < fb.opt.RefineTol {
-			return
-		}
+		k.endRow(b, v, fb.restart.Get(v), unseenMass)
 	}
+	k.run(fb.opt.Alpha, fb.opt.RefineMaxIter, fb.opt.RefineTol, fb.unseen, false)
+	k.commit(b)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

@@ -3,7 +3,6 @@ package bounds
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/scratch"
@@ -15,9 +14,10 @@ import (
 // bound α·w(q_i), upper bound 1, unseen bound 1−α) and grows by pulling in all
 // in-neighbors of the border nodes with the largest upper bounds, which makes
 // those nodes interior and therefore lowers the unseen bound; Stage II refines
-// the bounds over St (Eq. 17–18). The neighborhood, both bounds and the border
-// counters live in generation-stamped dense arrays and Init/InitRows rebind
-// the tracker to a new query in O(1).
+// the bounds over St (Eq. 17–18) on the kernel's copy of the subgraph St
+// induces, built from one read of every seen out-row per refinement. The
+// neighborhood, both bounds and the border counters live in generation-stamped
+// dense arrays and Init/InitRows rebind the tracker to a new query in O(1).
 type TFlat struct {
 	opt TOptions
 	in  graph.CSR
@@ -41,7 +41,7 @@ type TFlat struct {
 	unseen    float64
 
 	expansions int
-	sweep      []graph.NodeID // reusable ID-sorted seen list for Stage II
+	k          refiner // Stage-II kernel arrays, rebuilt by every refinement
 	// pickN/pickP are the reusable top-M border selection (descending by
 	// upper bound, ties keep earlier insertion).
 	pickN []graph.NodeID
@@ -87,7 +87,6 @@ func (tb *TFlat) init(n int, q walk.Query, opt TOptions) error {
 	tb.b.Reset(n)
 	tb.outsideIn.Reset(n)
 	tb.unseen = 1 - opt.Alpha
-	tb.sweep = tb.sweep[:0]
 	for i, v := range tb.restartNodes {
 		w := tb.restartW[i]
 		tb.restart.Set(v, w)
@@ -315,73 +314,46 @@ func (tb *TFlat) recomputeUnseen() {
 // localUpdate applies a single pass of the recursion to the seen nodes
 // (Sarkar-style expansion-only realization).
 func (tb *TFlat) localUpdate() {
-	tb.sortSweep()
-	tb.applyRecursion()
+	tb.build()
+	tb.k.run(tb.opt.Alpha, 1, tb.opt.RefineTol, tb.unseen, false)
+	tb.k.commit(&tb.b)
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
 // t-neighborhood, re-tightening the unseen bound after every sweep when the
-// scheme asks for it.
+// scheme asks for it. It reads the out-row of every seen node once to build
+// the induced subgraph, then sweeps that copy; see refiner.
 func (tb *TFlat) Refine() {
-	tb.sortSweep()
-	for iter := 0; iter < tb.opt.RefineMaxIter; iter++ {
-		maxChange := tb.applyRecursion()
-		if tb.opt.TightenUnseenInRefine {
-			tb.recomputeUnseen()
-		}
-		if maxChange < tb.opt.RefineTol {
-			return
+	tb.build()
+	tighten := tb.opt.TightenUnseenInRefine
+	if tighten {
+		for slot, v := range tb.b.Touched() {
+			if tb.outsideIn.Get(v) > 0 {
+				tb.k.border = append(tb.k.border, int32(slot))
+			}
 		}
 	}
+	tb.unseen = tb.k.run(tb.opt.Alpha, tb.opt.RefineMaxIter, tb.opt.RefineTol, tb.unseen, tighten)
+	tb.k.commit(&tb.b)
 }
 
-func (tb *TFlat) sortSweep() {
-	tb.sweep = append(tb.sweep[:0], tb.b.Touched()...)
-	slices.Sort(tb.sweep)
-}
-
-// applyRecursion performs one sweep of Eq. 17–18 (T-Rank form: out-neighbors)
-// over the sorted seen list and returns the largest bound change.
-func (tb *TFlat) applyRecursion() float64 {
-	alpha := tb.opt.Alpha
-	maxChange := 0.0
-	for _, v := range tb.sweep {
-		restart := tb.restart.Get(v)
-		outSum := tb.outSum(v)
-		sumLo, sumUp := 0.0, 0.0
-		if outSum > 0 {
+// build loads the subgraph St induces on the out-edges (the T-Rank form of the
+// recursion) into the kernel.
+func (tb *TFlat) build() {
+	k, b := &tb.k, &tb.b
+	k.begin(b)
+	for _, v := range k.nodes {
+		unseenMass := 0.0
+		if outSum := tb.outSum(v); outSum > 0 {
 			cols, wts := tb.outRow(v)
 			for i, to := range cols {
-				m := wts[i] / outSum
-				if lo, up, seen := tb.b.Get(to); seen {
-					sumLo += m * lo
-					sumUp += m * up
-				} else {
-					sumUp += m * tb.unseen
+				if m := wts[i] / outSum; !k.edge(b, to, m) {
+					unseenMass += m
 				}
 			}
 		}
-		lo, up, _ := tb.b.Get(v)
-		newLo := alpha*restart + (1-alpha)*sumLo
-		newUp := alpha*restart + (1-alpha)*sumUp
-		changed := false
-		if newLo > lo {
-			if d := newLo - lo; d > maxChange {
-				maxChange = d
-			}
-			lo, changed = newLo, true
-		}
-		if newUp < up {
-			if d := up - newUp; d > maxChange {
-				maxChange = d
-			}
-			up, changed = newUp, true
-		}
-		if changed {
-			tb.b.Set(v, lo, up)
-		}
+		k.endRow(b, v, tb.restart.Get(v), unseenMass)
 	}
-	return maxChange
 }
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a

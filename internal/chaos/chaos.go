@@ -12,7 +12,11 @@
 // stream, so concurrent calls cannot reorder each other's decisions — the
 // multiset of faults a schedule injects over N calls is identical run to
 // run, which is what lets CI replay a chaos schedule and get the same
-// answer.
+// answer. A multiply's op names its direction, because the F-Rank and T-Rank
+// solves of one query multiply concurrently over the same targets: each then
+// draws from a sequence only it advances, and (distributed.ReplicaSet keeping
+// a failover preference per direction) meets the same faults on the same
+// replicas in every run.
 package chaos
 
 import (
@@ -213,7 +217,10 @@ func (t *Transport) OutSums(ctx context.Context) ([]float64, error) {
 
 // Multiply implements distributed.Transport.
 func (t *Transport) Multiply(ctx context.Context, dir distributed.Direction, graphSum uint32, x []float64) ([]float64, error) {
-	if err := t.gate(ctx, "multiply"); err != nil {
+	// The direction is part of the op: a Distributed solve multiplies in both
+	// directions concurrently over the same transports, and a sequence the
+	// two shared would hand out its numbers in goroutine order.
+	if err := t.gate(ctx, "multiply/"+dir.String()); err != nil {
 		return nil, err
 	}
 	return t.inner.Multiply(ctx, dir, graphSum, x)

@@ -23,6 +23,16 @@ import (
 // would answer the same. A successful failover promotes the answering replica
 // to preferred, so a dead member costs one timeout once, not once per call.
 //
+// The preference is kept per kind of call: one for each multiply direction
+// and one for everything else. An exact distributed solve iterates F-Rank
+// (DirIn) and T-Rank (DirOut) concurrently over the same replica sets; with
+// one shared preference, the instant at which one solve's failover re-routed
+// the other was a race, so an identical fault schedule reached the replicas as
+// different call sequences from run to run. Separate preferences make each
+// solve's routing a function of its own calls alone, which is what lets a
+// seeded chaos schedule replay exactly (a dead member then costs one timeout
+// per direction).
+//
 // The replica list is swappable at runtime (fleet reconciliation calls
 // SetReplicas as placement moves stripes between members); in-flight calls
 // finish on the list they started with. All methods are safe for concurrent
@@ -30,7 +40,7 @@ import (
 type ReplicaSet struct {
 	stripe     int
 	replicas   atomic.Pointer[[]Transport]
-	preferred  atomic.Int64
+	preferred  [DirOut + 1]atomic.Int64 // indexed by Direction; slot 0: calls without one
 	failovers  atomic.Int64
 	hedges     atomic.Int64
 	hedgeDelay time.Duration
@@ -58,7 +68,9 @@ func (rs *ReplicaSet) StripeIndex() int { return rs.stripe }
 func (rs *ReplicaSet) SetReplicas(replicas []Transport) {
 	list := append([]Transport(nil), replicas...)
 	rs.replicas.Store(&list)
-	rs.preferred.Store(0)
+	for i := range rs.preferred {
+		rs.preferred[i].Store(0)
+	}
 }
 
 // Replicas returns the current replica list (read-only snapshot).
@@ -75,19 +87,24 @@ func (rs *ReplicaSet) Hedges() int64 { return rs.hedges.Load() }
 // errNoReplicas reports a replica set whose placement has no live member.
 var errNoReplicas = errors.New("distributed: replica set has no members")
 
-// replicaCall runs op against the replicas in preference order. Transient
+// replicaCall runs op against the replicas in the preference order kept for
+// dir (zero for calls that are not multiplies). Transient
 // failures advance to the next replica (recording a failover and promoting
 // the survivor); a permanent failure or a success returns immediately. When
 // every replica fails transiently the last error is returned — still marked
 // transient, so the coordinator's own retry loop re-enters and picks up any
 // replica that recovered in the meantime.
-func replicaCall[T any](ctx context.Context, rs *ReplicaSet, op func(Transport) (T, error)) (T, error) {
+func replicaCall[T any](ctx context.Context, rs *ReplicaSet, dir Direction, op func(Transport) (T, error)) (T, error) {
 	var zero T
 	replicas := *rs.replicas.Load()
 	if len(replicas) == 0 {
 		return zero, &TransientError{Err: errNoReplicas}
 	}
-	start := int(rs.preferred.Load()) % len(replicas)
+	if int(dir) >= len(rs.preferred) {
+		dir = 0 // not a direction; the worker is the one to say so
+	}
+	preferred := &rs.preferred[dir]
+	start := int(preferred.Load()) % len(replicas)
 	if start < 0 {
 		start = 0
 	}
@@ -98,7 +115,7 @@ func replicaCall[T any](ctx context.Context, rs *ReplicaSet, op func(Transport) 
 		if err == nil {
 			if i > 0 {
 				rs.failovers.Add(1)
-				rs.preferred.Store(int64(idx))
+				preferred.Store(int64(idx))
 			}
 			return out, nil
 		}
@@ -112,24 +129,24 @@ func replicaCall[T any](ctx context.Context, rs *ReplicaSet, op func(Transport) 
 
 // Info implements Transport.
 func (rs *ReplicaSet) Info(ctx context.Context) (WorkerInfo, error) {
-	return replicaCall(ctx, rs, func(t Transport) (WorkerInfo, error) { return t.Info(ctx) })
+	return replicaCall(ctx, rs, 0, func(t Transport) (WorkerInfo, error) { return t.Info(ctx) })
 }
 
 // OutSums implements Transport.
 func (rs *ReplicaSet) OutSums(ctx context.Context) ([]float64, error) {
-	return replicaCall(ctx, rs, func(t Transport) ([]float64, error) { return t.OutSums(ctx) })
+	return replicaCall(ctx, rs, 0, func(t Transport) ([]float64, error) { return t.OutSums(ctx) })
 }
 
 // Multiply implements Transport.
 func (rs *ReplicaSet) Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
-	return replicaCall(ctx, rs, func(t Transport) ([]float64, error) {
+	return replicaCall(ctx, rs, dir, func(t Transport) ([]float64, error) {
 		return t.Multiply(ctx, dir, graphSum, x)
 	})
 }
 
 // OutDegrees implements RowFetcher.
 func (rs *ReplicaSet) OutDegrees(ctx context.Context) ([]int32, error) {
-	return replicaCall(ctx, rs, func(t Transport) ([]int32, error) {
+	return replicaCall(ctx, rs, 0, func(t Transport) ([]int32, error) {
 		f, ok := t.(RowFetcher)
 		if !ok {
 			return nil, fmt.Errorf("distributed: replica transport %T serves no rows", t)
@@ -154,10 +171,11 @@ func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 	}
 	replicas := *rs.replicas.Load()
 	if rs.hedgeDelay <= 0 || len(replicas) < 2 {
-		return replicaCall(ctx, rs, fetch)
+		return replicaCall(ctx, rs, 0, fetch)
 	}
 
-	start := int(rs.preferred.Load()) % len(replicas)
+	preferred := &rs.preferred[0]
+	start := int(preferred.Load()) % len(replicas)
 	if start < 0 {
 		start = 0
 	}
@@ -193,7 +211,7 @@ func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 			if r.err == nil {
 				if r.idx != start {
 					rs.failovers.Add(1)
-					rs.preferred.Store(int64(r.idx))
+					preferred.Store(int64(r.idx))
 				}
 				return r.batch, nil
 			}
@@ -215,7 +233,7 @@ func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 		b, err := fetch(replicas[(start+i)%len(replicas)])
 		if err == nil {
 			rs.failovers.Add(1)
-			rs.preferred.Store(int64((start + i) % len(replicas)))
+			preferred.Store(int64((start + i) % len(replicas)))
 			return b, nil
 		}
 		if !IsTransient(err) || ctx.Err() != nil {

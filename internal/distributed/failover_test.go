@@ -147,6 +147,17 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	if wrapped[0].calls.Load() != before {
 		t.Errorf("dead replica was called again after promotion")
 	}
+
+	// The promotion belongs to the direction that failed over: the other
+	// direction's routing is its own, so it still starts at replica 0, finds
+	// it dead once, and promotes for itself.
+	if _, err := rs.Multiply(ctx, DirOut, s.GraphFingerprint(), x); err != nil {
+		t.Fatalf("Multiply in the other direction: %v", err)
+	}
+	if rs.Failovers() != 2 || wrapped[0].calls.Load() != before+1 {
+		t.Errorf("other direction: failovers = %d, calls on the dead replica = %d; want 2 and %d",
+			rs.Failovers(), wrapped[0].calls.Load(), before+1)
+	}
 }
 
 func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
@@ -449,4 +460,3 @@ func TestMultiStripeWorkerOverHTTP(t *testing.T) {
 		t.Errorf("sole stripe is %d, want 0", info.Index)
 	}
 }
-

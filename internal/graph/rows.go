@@ -40,8 +40,9 @@ type Rows interface {
 // reach the online searcher. A row is materialized through EachOut/EachIn on
 // first touch and kept for the session, and OutDegree/OutSum are asked of the
 // view once per touched node (on a DeltaView every such call merges a row, and
-// Stage II asks once per in-edge per sweep). The session holds O(rows touched)
-// memory, is not safe for concurrent use and must not outlive the view.
+// Stage II asks once per in-edge of a seen node per round). The session holds
+// O(rows touched) memory, is not safe for concurrent use and must not outlive
+// the view.
 func ViewRows(v View) Rows { return &viewRows{view: v, nodes: make(map[NodeID]*viewNode)} }
 
 type viewRows struct {

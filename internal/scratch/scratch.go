@@ -138,10 +138,14 @@ func (m *Ints) Add(v graph.NodeID, delta int) int {
 // Bounds is the per-node lower/upper bound pair of the two-stage framework:
 // one stamped seen-set with two dense value arrays, so a node's membership in
 // the neighborhood and both of its bounds live on the same cache-friendly
-// index. The zero value is empty; Reset must be called before use.
+// index. Each node also records its insertion position under the same stamp,
+// which is the node's slot in any array laid out parallel to Touched (the
+// Stage-II kernel's dense copies). The zero value is empty; Reset must be
+// called before use.
 type Bounds struct {
 	lo      []float64
 	up      []float64
+	pos     []int32
 	stamp   []uint32
 	gen     uint32
 	touched []graph.NodeID
@@ -152,6 +156,7 @@ func (b *Bounds) Reset(n int) {
 	b.touched = b.touched[:0]
 	b.lo = growFloats(b.lo, n)
 	b.up = growFloats(b.up, n)
+	b.pos = growInts(b.pos, n)
 	b.stamp = growStamps(b.stamp, n)
 	b.gen++
 	if b.gen == 0 {
@@ -190,10 +195,19 @@ func (b *Bounds) Get(v graph.NodeID) (lo, up float64, seen bool) {
 	return b.lo[v], b.up[v], true
 }
 
+// Index returns the position of v in Touched and whether v is seen.
+func (b *Bounds) Index(v graph.NodeID) (int32, bool) {
+	if b.stamp[v] != b.gen {
+		return 0, false
+	}
+	return b.pos[v], true
+}
+
 // Set stores both bounds of v, adding it to the neighborhood if new.
 func (b *Bounds) Set(v graph.NodeID, lo, up float64) {
 	if b.stamp[v] != b.gen {
 		b.stamp[v] = b.gen
+		b.pos[v] = int32(len(b.touched))
 		b.touched = append(b.touched, v)
 	}
 	b.lo[v] = lo

@@ -132,6 +132,16 @@ func TestBoundsBasics(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 4 {
 		t.Errorf("Touched = %v, want [1 4]", order)
 	}
+	// Index is the node's position in Touched, unmoved by in-place updates.
+	if i, ok := b.Index(1); !ok || i != 0 {
+		t.Errorf("Index(1) = %d %v, want 0 true", i, ok)
+	}
+	if i, ok := b.Index(4); !ok || i != 1 {
+		t.Errorf("Index(4) = %d %v, want 1 true", i, ok)
+	}
+	if _, ok := b.Index(7); ok {
+		t.Errorf("Index on unseen should report absent")
+	}
 	n := 0
 	b.Each(func(v graph.NodeID, lo, up float64) { n++ })
 	if n != 2 {
@@ -140,6 +150,13 @@ func TestBoundsBasics(t *testing.T) {
 	b.Reset(8)
 	if b.Seen(1) || b.Len() != 0 {
 		t.Errorf("Reset should empty Bounds")
+	}
+	b.Set(4, 0, 1)
+	if i, ok := b.Index(4); !ok || i != 0 {
+		t.Errorf("Index(4) after Reset = %d %v, want 0 true", i, ok)
+	}
+	if _, ok := b.Index(1); ok {
+		t.Errorf("Index should not survive Reset")
 	}
 }
 

@@ -173,7 +173,8 @@ func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
 
 // touchedRows counts the distinct rows the query's working set could reach:
 // the F side's residual-touched set (processing, frontier prefetches and the
-// Stage-II sweep all stay inside it) unioned with the t-neighborhood.
+// Stage-II kernel's build pass all stay inside it) unioned with the
+// t-neighborhood.
 func (s *flatSearcher) touchedRows() int {
 	n := s.fb.ResidualTouchedCount()
 	for _, v := range s.tb.SeenList() {

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -234,5 +235,67 @@ func TestFlatSteadyStateAllocs(t *testing.T) {
 	const budget = 12
 	if avg > budget {
 		t.Errorf("steady-state TopK allocates %.1f objects/query, budget %d", avg, budget)
+	}
+}
+
+// failingRows is a row session whose failAt-th row read (OutRow and InRow
+// counted together, from 1) panics with *graph.RowFetchError, the way a remote
+// session reports a fetch it could not complete; failAt 0 never fails.
+type failingRows struct {
+	graph.Rows
+	reads, failAt int
+}
+
+var errRowFetch = errors.New("row fetch failed")
+
+func (f *failingRows) read() {
+	f.reads++
+	if f.reads == f.failAt {
+		panic(&graph.RowFetchError{Err: errRowFetch})
+	}
+}
+
+func (f *failingRows) OutRow(v graph.NodeID) ([]graph.NodeID, []float64) {
+	f.read()
+	return f.Rows.OutRow(v)
+}
+
+func (f *failingRows) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
+	f.read()
+	return f.Rows.InRow(v)
+}
+
+// TestRowFetchFailureLeavesPoolReusable fails a query at every one of its row
+// reads in turn — BCA processing, border expansion and the Stage-II kernel's
+// build pass over the seen rows of either side — and checks that TopKRows
+// returns the fetch error each time and that the searcher the failed query
+// hands back to the pool (its kernel arrays half built, when the failure fell
+// in a build) answers the next query exactly like one that never failed.
+func TestRowFetchFailureLeavesPoolReusable(t *testing.T) {
+	toy := testgraphs.NewToy()
+	q := walk.SingleNode(toy.T1)
+	opt := Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
+	session := func(failAt int) *failingRows {
+		return &failingRows{Rows: graph.ViewRows(toy.Graph), failAt: failAt}
+	}
+	healthy := session(0)
+	want, err := TopKRows(context.Background(), healthy, q, opt)
+	if err != nil {
+		t.Fatalf("TopKRows: %v", err)
+	}
+	if healthy.reads < want.FSeen+want.TSeen {
+		t.Fatalf("query made %d row reads, fewer than one refinement of its %d+%d seen rows", healthy.reads, want.FSeen, want.TSeen)
+	}
+	for k := 1; k <= healthy.reads; k++ {
+		if res, err := TopKRows(context.Background(), session(k), q, opt); !errors.Is(err, errRowFetch) || res != nil {
+			t.Fatalf("read %d failing: got (%v, %v), want the fetch error", k, res, err)
+		}
+		got, err := TopKRows(context.Background(), session(0), q, opt)
+		if err != nil {
+			t.Fatalf("query after read %d failed: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query after read %d failed diverged:\n%+v\n%+v", k, got, want)
+		}
 	}
 }
