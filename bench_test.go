@@ -416,44 +416,32 @@ func BenchmarkExactRoundTripRank(b *testing.B) {
 }
 
 // BenchmarkWalkKernels measures each iterative solver on the benchmark BibNet
-// in both execution modes: CSR is the parallel flat-array kernel path, and
-// Generic forces the interface-iteration fallback by hiding the CSR behind an
-// opaque wrapper — which is exactly the pre-CSR implementation, so the
-// CSR/Generic ratio is the kernel speedup. cmd/benchrunner -fig kernels runs
-// the same comparison and records it in BENCH_PR2.json.
+// through the flat-array kernels (the bench spine reports the same solves on
+// R-MAT as walk.frank_ms / walk.trank_ms of the rmat-exact workload).
 func BenchmarkWalkKernels(b *testing.B) {
 	net, _ := benchData(b)
 	q := walk.SingleNode(net.Papers[0])
-	views := []struct {
-		name string
-		view graph.View
-	}{
-		{"CSR", net.Graph},
-		{"Generic", struct{ graph.View }{net.Graph}},
-	}
-	for _, v := range views {
-		b.Run("FRank/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := walk.FRank(context.Background(), v.view, q, benchWalk); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("FRank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := walk.FRank(context.Background(), net.Graph, q, benchWalk); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("TRank/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := walk.TRank(context.Background(), v.view, q, benchWalk); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("TRank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := walk.TRank(context.Background(), net.Graph, q, benchWalk); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("GlobalPageRank/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := walk.GlobalPageRank(context.Background(), v.view, 0.15, benchWalk.Tol, benchWalk.MaxIter); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("GlobalPageRank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := walk.GlobalPageRank(context.Background(), net.Graph, 0.15, benchWalk.Tol, benchWalk.MaxIter); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkRankBatch measures the engine's concurrent batch path with the

@@ -348,8 +348,8 @@ func (r *runner) anytimeServe(g *graph.Graph, hub graph.NodeID) (*anytimeServeRe
 	}
 	s := serve.New(engine, metrics, serve.Config{DegradeMargin: 50 * time.Millisecond})
 	srv := httptest.NewServer(cliutil.WrapHTTP(s.Handler(), metrics.Registry(), cliutil.HTTPOptions{
-		Routes:         serve.Routes(),
-		Exempt:         serve.ExemptRoutes(),
+		Routes: serve.Routes(),
+		Exempt: serve.ExemptRoutes(),
 		// Wide enough that the explicitly budgeted request below stops on its
 		// own rounds budget (not the deadline-derived one) even on a 10^5-node
 		// hub, yet still short enough to truncate the ε=0 exact demand.

@@ -15,11 +15,6 @@
 // -fig all. Scale and query counts default to values sized for a laptop; the
 // paper-scale settings are -scale 1.0 -queries 1000.
 //
-// -fig kernels is not a paper figure: it benchmarks the walk kernels
-// (F-Rank, T-Rank, global PageRank) on the benchmark BibNet in both the CSR
-// fast path and the generic interface path (the pre-CSR implementation) and
-// writes ns/op, B/op and allocs/op to -bench-out (default BENCH_PR2.json).
-//
 // -fig remote compares the online 2SBound path local vs remote: the same
 // queries through Engine.Rank against the in-process CSR and against a
 // 2-worker HTTP fleet via the row-serving path (TwoSBoundRemote), on a cold
@@ -72,7 +67,6 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"testing"
 	"time"
 
 	"roundtriprank"
@@ -103,14 +97,13 @@ type runner struct {
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11a,11b,12,13, kernels, remote, overload, chaos, scale, anytime, or all (scale and anytime run only when named)")
+		fig         = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11a,11b,12,13, remote, overload, chaos, scale, anytime, or all (scale and anytime run only when named)")
 		scale       = flag.Float64("scale", 0.5, "effectiveness dataset scale (1.0 = paper-subgraph scale)")
 		queries     = flag.Int("queries", 120, "test queries per task (paper: 1000)")
 		devQueries  = flag.Int("dev-queries", 60, "development queries per task for beta tuning (paper: 1000)")
 		effScale    = flag.Float64("eff-scale", 1.0, "efficiency dataset scale (Fig. 11-13)")
 		effQueries  = flag.Int("eff-queries", 15, "queries per setting for the efficiency study (paper: 1000)")
 		seed        = flag.Int64("seed", 42, "random seed for query sampling")
-		benchOut    = flag.String("bench-out", "BENCH_PR2.json", "output file of -fig kernels")
 		onlineScale = flag.Float64("online-scale", onlineBenchScale, "BibNet scale of -fig remote, overload and chaos (default matches go test -bench Online)")
 		remoteOut   = flag.String("remote-out", "BENCH_PR6.json", "output file of -fig remote")
 		overloadOut = flag.String("overload-out", "BENCH_PR7.json", "output file of -fig overload")
@@ -154,7 +147,6 @@ func main() {
 		fmt.Printf("(figure %s done in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	run("kernels", func() error { return r.kernels(*benchOut) })
 	run("remote", func() error { return r.remote(*remoteOut, *onlineScale) })
 	run("overload", func() error { return r.overload(*overloadOut, *onlineScale, *overloadCap) })
 	run("chaos", func() error { return r.chaosFig(*chaosOut, *onlineScale) })
@@ -451,144 +443,6 @@ func (r *runner) fig11() error {
 	}
 	fmt.Println("Fig. 11(a)/(b) — query time and approximation quality by scheme and slack")
 	fmt.Print(eval.RenderEfficiencyTable(rows))
-	return nil
-}
-
-// kernelBenchScale matches benchScale in bench_test.go, so the JSON numbers
-// are comparable with `go test -bench BenchmarkWalkKernels`.
-const kernelBenchScale = 0.12
-
-// kernelResult is one solver benchmarked in one execution mode.
-type kernelResult struct {
-	Kernel           string  `json:"kernel"`
-	Mode             string  `json:"mode"` // "csr" (parallel flat arrays) or "generic" (pre-CSR interface path)
-	NsPerOp          int64   `json:"ns_per_op"`
-	BytesPerOp       int64   `json:"bytes_per_op"`
-	AllocsPerOp      int64   `json:"allocs_per_op"`
-	Iterations       int     `json:"iterations"`
-	SpeedupVsGeneric float64 `json:"speedup_vs_generic,omitempty"`
-}
-
-// benchReport is the schema of BENCH_PR2.json.
-type benchReport struct {
-	GeneratedAt string         `json:"generated_at"`
-	GoMaxProcs  int            `json:"gomaxprocs"`
-	Dataset     string         `json:"dataset"`
-	Scale       float64        `json:"scale"`
-	Nodes       int            `json:"nodes"`
-	Edges       int            `json:"edges"`
-	Kernels     []kernelResult `json:"kernels"`
-	// PrePRNote and PrePR are a one-off recorded artifact, not a live
-	// measurement: the seed-commit BenchmarkExactRoundTripRank numbers from
-	// the machine the CSR PR was developed on. For an apples-to-apples
-	// before/after on the current machine, compare the live "generic" rows
-	// (the pre-CSR implementation) against the "csr" rows instead.
-	PrePRNote string           `json:"pre_pr_note"`
-	PrePR     map[string]int64 `json:"pre_pr_exact_roundtriprank_recorded"`
-}
-
-// kernels benchmarks the walk kernels on the benchmark BibNet in the CSR and
-// generic modes and writes the results to outPath.
-func (r *runner) kernels(outPath string) error {
-	net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(kernelBenchScale))
-	if err != nil {
-		return err
-	}
-	g := net.Graph
-	fmt.Printf("Kernel benchmark BibNet: %d nodes, %d edges, GOMAXPROCS=%d\n",
-		g.NumNodes(), g.NumEdges(), runtime.GOMAXPROCS(0))
-	wp := walk.Params{Alpha: 0.25, Tol: 1e-8, MaxIter: 120}
-	q := walk.SingleNode(net.Papers[0])
-	generic := struct{ graph.View }{g} // hides the CSR: forces the pre-CSR path
-
-	type target struct {
-		name string
-		run  func(view graph.View) error
-	}
-	targets := []target{
-		{"FRank", func(view graph.View) error {
-			_, err := walk.FRank(r.ctx, view, q, wp)
-			return err
-		}},
-		{"TRank", func(view graph.View) error {
-			_, err := walk.TRank(r.ctx, view, q, wp)
-			return err
-		}},
-		{"GlobalPageRank", func(view graph.View) error {
-			_, err := walk.GlobalPageRank(r.ctx, view, 0.15, wp.Tol, wp.MaxIter)
-			return err
-		}},
-		{"ExactRoundTripRank", func(view graph.View) error {
-			_, err := core.Compute(r.ctx, view, q, core.Params{Walk: wp, Beta: 0.5})
-			return err
-		}},
-	}
-
-	report := benchReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Dataset:     "bibnet",
-		Scale:       kernelBenchScale,
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		PrePRNote: "recorded once on the seed commit before the CSR kernels (single core); " +
-			"not measured on this machine — use the generic-mode rows for a live baseline",
-		PrePR: map[string]int64{
-			"ns_per_op":     22460625,
-			"bytes_per_op":  7416469,
-			"allocs_per_op": 404063,
-		},
-	}
-	for _, tg := range targets {
-		var genericNs int64
-		for _, mode := range []struct {
-			name string
-			view graph.View
-		}{{"generic", generic}, {"csr", g}} {
-			var benchErr error
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := tg.run(mode.view); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			if benchErr != nil {
-				return fmt.Errorf("kernel %s (%s): %w", tg.name, mode.name, benchErr)
-			}
-			kr := kernelResult{
-				Kernel:      tg.name,
-				Mode:        mode.name,
-				NsPerOp:     res.NsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				Iterations:  res.N,
-			}
-			if mode.name == "generic" {
-				genericNs = kr.NsPerOp
-			} else if kr.NsPerOp > 0 {
-				kr.SpeedupVsGeneric = float64(genericNs) / float64(kr.NsPerOp)
-			}
-			report.Kernels = append(report.Kernels, kr)
-			fmt.Printf("  %-20s %-8s %12d ns/op %10d B/op %8d allocs/op",
-				tg.name, mode.name, kr.NsPerOp, kr.BytesPerOp, kr.AllocsPerOp)
-			if kr.SpeedupVsGeneric > 0 {
-				fmt.Printf("  (%.2fx vs generic)", kr.SpeedupVsGeneric)
-			}
-			fmt.Println()
-		}
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
 

@@ -24,7 +24,10 @@
 // distributed.go and ARCHITECTURE.md).
 // Engine.RankBatch amortizes a batch of queries by sharing single-node score
 // vectors through the Linearity Theorem, and every computation honors context
-// cancellation.
+// cancellation. An engine serves any View: the online search reads every
+// representation — flat, packed, wrapped, remote — through one row-access
+// interface, and the exact solvers run on flat or packed arrays, flattening
+// any other view once per solve.
 //
 // # Live graphs
 //

@@ -811,11 +811,11 @@ func (e *Engine) rankRemote(ctx context.Context, p *plan) (*Response, error) {
 }
 
 // rankOnline executes an online-method plan through topk.TopK: the pooled
-// searcher reads a CSR-capable snapshot view's arrays directly and any other
-// view through a per-query row session. The scratch pool is process-wide:
-// queries racing an Apply simply re-size the recycled arrays to their own
-// snapshot's NumNodes on acquisition, so epoch swaps need no pool
-// coordination.
+// searcher reads the snapshot view as a graph.Rows — a flat graph is one,
+// any other view supplies or is adapted into a per-query row session. The
+// scratch pool is process-wide: queries racing an Apply simply re-size the
+// recycled arrays to their own snapshot's NumNodes on acquisition, so epoch
+// swaps need no pool coordination.
 func (e *Engine) rankOnline(ctx context.Context, p *plan) (*Response, error) {
 	res, err := topk.TopK(ctx, p.snap.view, p.query, p.topkOptions(ctx))
 	if err != nil {

@@ -27,10 +27,10 @@ import (
 
 // Flat is a BCA computation for one query. Estimates and residuals live in
 // generation-stamped dense arrays and the greedy selection in an index-keyed
-// heap with in-place decrease-key. A Flat is reusable: Init (local CSR arrays)
-// or InitRows (any graph.Rows session) rebinds it to a new query in O(1)
-// without freeing its arrays, so a pooled instance serves a stream of queries
-// with no steady-state allocation (see internal/topk's searcher pool).
+// heap with in-place decrease-key. A Flat is reusable: InitRows rebinds it to
+// a new query over any graph.Rows in O(1) without freeing its arrays, so a
+// pooled instance serves a stream of queries with no steady-state allocation
+// (see internal/topk's searcher pool).
 //
 //   - MaxResidual is O(1): a second indexed heap orders nodes by raw
 //     residual, maintained incrementally alongside the benefit heap.
@@ -40,13 +40,9 @@ import (
 //   - The restart distribution is a deduplicated slice pair, so the
 //     dangling-node spread iterates in deterministic first-occurrence order.
 type Flat struct {
-	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row session
-	// (packed, stripe-backed remote or adapted view, see InitRows); pre is its
-	// optional prefetch capability and prefetch the reusable frontier buffer
-	// handed to it. The local path keeps reading the CSR fields directly so
-	// the remote seam costs it one nil check per row access.
-	remote   graph.Rows
+	// rows is the graph; pre is its optional prefetch capability and prefetch
+	// the reusable frontier buffer handed to it.
+	rows     graph.Rows
 	pre      graph.RowPrefetcher
 	prefetch []graph.NodeID
 	alpha    float64
@@ -67,36 +63,33 @@ type Flat struct {
 	processed     int
 }
 
-// Init starts (or restarts) a BCA computation for the given query with
-// teleport probability alpha in (0, 1), reusing the Flat's internal arrays.
+// Init is InitRows over a flat CSR view. It survives only because
+// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 1) repoints
+// the probe at InitRows and deletes this.
 func (s *Flat) Init(view graph.CSRView, q walk.Query, alpha float64) error {
-	s.out = view.OutCSR()
-	s.remote, s.pre = nil, nil
-	return s.init(view.NumNodes(), q, alpha)
+	return s.InitRows(graph.Compact(view), q, alpha)
 }
 
-// InitRows starts a computation against a row provider instead of local CSR
-// arrays: adjacency is streamed row by row (OutRow), while degrees and
-// out-sums come from the provider's dense per-node metadata. If rows also
-// implements graph.RowPrefetcher, multi-node greedy waves announce their
-// frontier ahead of processing so a remote provider can coalesce the fetches.
+// InitRows starts (or restarts) a BCA computation for the given query with
+// teleport probability alpha in (0, 1), reusing the Flat's internal arrays.
+// Adjacency is read row by row (OutRow), degrees and out-sums per node. If
+// rows also implements graph.RowPrefetcher, multi-node greedy waves announce
+// their frontier ahead of processing so a remote provider can coalesce the
+// fetches. Binding reads no rows. A failed row reads as empty: the caller
+// must check rows.Err() before trusting anything computed since.
 func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
-	s.out = graph.CSR{}
-	s.remote = rows
-	s.pre, _ = rows.(graph.RowPrefetcher)
-	return s.init(rows.NumNodes(), q, alpha)
-}
-
-func (s *Flat) init(n int, q walk.Query, alpha float64) error {
 	if alpha <= 0 || alpha >= 1 {
 		return fmt.Errorf("bca: alpha must be in (0,1), got %g", alpha)
 	}
+	n := rows.NumNodes()
 	var err error
 	s.restartNodes, s.restartWeights, err =
 		q.NormalizeInto(n, s.restartNodes[:0], s.restartWeights[:0])
 	if err != nil {
 		return fmt.Errorf("bca: %w", err)
 	}
+	s.rows = rows
+	s.pre, _ = rows.(graph.RowPrefetcher)
 	s.alpha = alpha
 	s.rho.Reset(n)
 	s.mu.Reset(n)
@@ -110,38 +103,11 @@ func (s *Flat) init(n int, q walk.Query, alpha float64) error {
 	return nil
 }
 
-// Detach drops the engine's references to the graph's CSR arrays (or remote
-// row provider) so a pooled instance does not pin a superseded snapshot in
-// memory between queries. The scratch arrays (which are the point of pooling)
-// are kept; Init or InitRows rebinds a source.
-func (s *Flat) Detach() {
-	s.out = graph.CSR{}
-	s.remote, s.pre = nil, nil
-}
-
-// outDegree, outSum and outRow are the row-provider seam: one predictable
-// nil check keeps the local CSR fast path branch-free in effect while the
-// remote path routes through graph.Rows.
-func (s *Flat) outDegree(v graph.NodeID) int {
-	if s.remote != nil {
-		return s.remote.OutDegree(v)
-	}
-	return s.out.Degree(v)
-}
-
-func (s *Flat) outSum(v graph.NodeID) float64 {
-	if s.remote != nil {
-		return s.remote.OutSum(v)
-	}
-	return s.out.Sum[v]
-}
-
-func (s *Flat) outRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if s.remote != nil {
-		return s.remote.OutRow(v)
-	}
-	return s.out.Row(v)
-}
+// Detach drops the engine's reference to the graph so a pooled instance does
+// not pin a superseded snapshot (or a finished row session) in memory between
+// queries. The scratch arrays (which are the point of pooling) are kept;
+// InitRows rebinds a source.
+func (s *Flat) Detach() { s.rows, s.pre = nil, nil }
 
 // Alpha returns the teleport probability of this computation.
 func (s *Flat) Alpha() float64 { return s.alpha }
@@ -216,7 +182,7 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	}
 	nm := s.mu.Add(v, amount)
 	s.totalResidual += amount
-	deg := s.outDegree(v)
+	deg := s.rows.OutDegree(v)
 	if deg < 1 {
 		deg = 1
 	}
@@ -241,14 +207,14 @@ func (s *Flat) Process(v graph.NodeID) {
 	s.processed++
 	s.rho.Add(v, s.alpha*residual)
 	spread := (1 - s.alpha) * residual
-	outSum := s.outSum(v)
+	outSum := s.rows.OutSum(v)
 	if outSum <= 0 {
 		for i, qv := range s.restartNodes {
 			s.addResidual(qv, spread*s.restartWeights[i])
 		}
 		return
 	}
-	cols, wts := s.outRow(v)
+	cols, wts := s.rows.OutRow(v)
 	for i, to := range cols {
 		s.addResidual(to, spread*wts[i]/outSum)
 	}

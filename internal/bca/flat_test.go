@@ -12,8 +12,8 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// binding is one of the two ways a Flat attaches to a graph: directly to its
-// CSR arrays (Init), or through a graph.Rows session (InitRows) — here the
+// binding is one of the two kinds of graph.Rows a Flat attaches to: flat CSR
+// arrays (Init forwards them to InitRows), or a per-query session — here the
 // graph.ViewRows adapter over a wrapper that hides the CSR, the route every
 // view without flat arrays takes. Tests that take a binding run under both.
 type binding func(*Flat, *graph.Graph, walk.Query, float64) error

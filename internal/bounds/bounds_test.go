@@ -16,11 +16,11 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// binding is one of the two ways the trackers attach to a graph: directly to
-// its CSR arrays (Init), or through a graph.Rows session (InitRows) — here the
-// graph.ViewRows adapter over a wrapper that hides the CSR, the route every
-// view without flat arrays takes. The soundness tests run under both, against
-// the independent walk.FRank/TRank reference.
+// binding is one of the two kinds of graph.Rows the trackers attach to: flat
+// CSR arrays (Init forwards them to InitRows), or a per-query session — here
+// the graph.ViewRows adapter over a wrapper that hides the CSR, the route
+// every view without flat arrays takes. The soundness tests run under both,
+// against the independent walk.FRank/TRank reference.
 type binding struct {
 	f func(*FFlat, graph.CSRView, walk.Query, FOptions) error
 	t func(*TFlat, graph.CSRView, walk.Query, TOptions) error
@@ -584,9 +584,9 @@ func (fb *FFlat) refStageII(opt FOptions) {
 	}
 	for iter := 0; iter < opt.RefineMaxIter; iter++ {
 		change := refSweep(&fb.b, &fb.restart, opt.Alpha, fb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
-			cols, wts := fb.inRow(v)
+			cols, wts := fb.rows.InRow(v)
 			for i, from := range cols {
-				if outSum := fb.outSum(from); outSum > 0 {
+				if outSum := fb.rows.OutSum(from); outSum > 0 {
 					fn(from, wts[i]/outSum)
 				}
 			}
@@ -602,11 +602,11 @@ func (fb *FFlat) refStageII(opt FOptions) {
 func (tb *TFlat) refStageII(opt TOptions) {
 	sweep := func() float64 {
 		return refSweep(&tb.b, &tb.restart, opt.Alpha, tb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
-			outSum := tb.outSum(v)
+			outSum := tb.rows.OutSum(v)
 			if outSum <= 0 {
 				return
 			}
-			cols, wts := tb.outRow(v)
+			cols, wts := tb.rows.OutRow(v)
 			for i, to := range cols {
 				fn(to, wts[i]/outSum)
 			}

@@ -15,15 +15,11 @@ import (
 // Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's copy
 // of the subgraph Sf induces, built from one read of every seen in-row per
 // refinement. Per-node bounds live in one generation-stamped dense structure
-// and Init/InitRows rebind the whole tracker to a new query in O(1), so a
-// pooled instance serves a stream of queries with no steady-state allocation.
+// and InitRows rebinds the whole tracker to a new query in O(1), so a pooled
+// instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
-	opt FOptions
-	in  graph.CSR
-	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row session
-	// (InitRows); the Stage-II build then reads its in-rows.
-	remote graph.Rows
+	opt  FOptions
+	rows graph.Rows // the graph; the Stage-II build reads its in-rows
 
 	engine  bca.Flat
 	restart scratch.Floats
@@ -34,65 +30,37 @@ type FFlat struct {
 	k          refiner // Stage-II kernel arrays, rebuilt by every Refine
 }
 
-// Init starts (or restarts) an F-Rank bounds computation for the query,
-// reusing the tracker's internal arrays.
+// Init is InitRows over a flat CSR view. It survives only because
+// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 1) repoints
+// the probe at InitRows and deletes this.
 func (fb *FFlat) Init(view graph.CSRView, q walk.Query, opt FOptions) error {
-	opt = opt.normalized()
-	if err := fb.engine.Init(view, q, opt.Alpha); err != nil {
-		return fmt.Errorf("bounds: %w", err)
-	}
-	fb.in = view.InCSR()
-	fb.out = view.OutCSR()
-	fb.remote = nil
-	fb.reset(view.NumNodes(), opt)
-	return nil
+	return fb.InitRows(graph.Compact(view), q, opt)
 }
 
-// InitRows starts a computation against a row provider instead of local CSR
-// arrays; see bca.Flat.InitRows. The Stage-II build only revisits rows the
-// BCA engine already processed, so on a caching provider Refine never causes
-// a fetch of its own.
+// InitRows starts (or restarts) an F-Rank bounds computation for the query,
+// reusing the tracker's internal arrays; see bca.Flat.InitRows. The Stage-II
+// build only revisits rows the BCA engine already processed, so on a caching
+// provider Refine never causes a fetch of its own.
 func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	opt = opt.normalized()
 	if err := fb.engine.InitRows(rows, q, opt.Alpha); err != nil {
 		return fmt.Errorf("bounds: %w", err)
 	}
-	fb.in, fb.out = graph.CSR{}, graph.CSR{}
-	fb.remote = rows
-	fb.reset(rows.NumNodes(), opt)
+	fb.rows = rows
+	fb.opt = opt
+	fb.restart.Reset(rows.NumNodes())
+	fb.engine.EachRestart(fb.restart.Set)
+	fb.b.Reset(rows.NumNodes())
+	fb.unseen = 1
+	fb.expansions = 0
 	return nil
 }
 
-func (fb *FFlat) reset(n int, opt FOptions) {
-	fb.opt = opt
-	fb.restart.Reset(n)
-	fb.engine.EachRestart(fb.restart.Set)
-	fb.b.Reset(n)
-	fb.unseen = 1
-	fb.expansions = 0
-}
-
-// Detach drops the tracker's references to the graph's CSR arrays so a
-// pooled instance does not pin a superseded snapshot between queries; Init
-// rebinds a view.
+// Detach drops the tracker's reference to the graph so a pooled instance does
+// not pin a superseded snapshot between queries; InitRows rebinds one.
 func (fb *FFlat) Detach() {
-	fb.in, fb.out = graph.CSR{}, graph.CSR{}
-	fb.remote = nil
+	fb.rows = nil
 	fb.engine.Detach()
-}
-
-func (fb *FFlat) inRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if fb.remote != nil {
-		return fb.remote.InRow(v)
-	}
-	return fb.in.Row(v)
-}
-
-func (fb *FFlat) outSum(v graph.NodeID) float64 {
-	if fb.remote != nil {
-		return fb.remote.OutSum(v)
-	}
-	return fb.out.Sum[v]
 }
 
 // ResidualTouchedCount forwards the BCA engine's count of rows its working
@@ -127,7 +95,7 @@ func (fb *FFlat) Upper(v graph.NodeID) float64 {
 func (fb *FFlat) UnseenUpper() float64 { return fb.unseen }
 
 // SeenList returns the f-neighborhood in insertion order; the slice is valid
-// until the next Init and must not be mutated.
+// until the next InitRows and must not be mutated.
 func (fb *FFlat) SeenList() []graph.NodeID { return fb.b.Touched() }
 
 // EachSeen calls fn for every node in the f-neighborhood with its bounds.
@@ -208,9 +176,9 @@ func (fb *FFlat) Refine() {
 	k.begin(b)
 	for _, v := range k.nodes {
 		unseenMass := 0.0
-		cols, wts := fb.inRow(v)
+		cols, wts := fb.rows.InRow(v)
 		for i, from := range cols {
-			outSum := fb.outSum(from)
+			outSum := fb.rows.OutSum(from)
 			if outSum <= 0 {
 				continue
 			}

@@ -22,9 +22,7 @@ import (
 // A slot is a node's position in scratch.Bounds.Touched (insertion order), so
 // the bounds arrays need no translation on the way in or out; rows are laid
 // out in sweep order. The arrays are resliced per build and grow once, so a
-// pooled tracker refines without allocating. A build abandoned half-way (a
-// row session panicking with *graph.RowFetchError) leaves the tracker's
-// bounds untouched; the next begin starts over.
+// pooled tracker refines without allocating.
 type refiner struct {
 	nodes []graph.NodeID // the neighborhood in sweep order (ascending ID)
 

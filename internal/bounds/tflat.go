@@ -17,17 +17,14 @@ import (
 // the bounds over St (Eq. 17–18) on the kernel's copy of the subgraph St
 // induces, built from one read of every seen out-row per refinement. The
 // neighborhood, both bounds and the border counters live in generation-stamped
-// dense arrays and Init/InitRows rebind the tracker to a new query in O(1).
+// dense arrays and InitRows rebinds the tracker to a new query in O(1).
 type TFlat struct {
 	opt TOptions
-	in  graph.CSR
-	out graph.CSR
-	// remote, when non-nil, replaces the CSR arrays with a row session
-	// (InitRows); pre is its optional prefetch capability and wave the
+	// rows is the graph; pre is its optional prefetch capability and wave the
 	// reusable buffer of rows each expansion announces to it.
-	remote graph.Rows
-	pre    graph.RowPrefetcher
-	wave   []graph.NodeID
+	rows graph.Rows
+	pre  graph.RowPrefetcher
+	wave []graph.NodeID
 
 	restart      scratch.Floats
 	restartNodes []graph.NodeID
@@ -48,37 +45,33 @@ type TFlat struct {
 	pickP []float64
 }
 
-// Init starts (or restarts) a T-Rank bounds computation for the query,
-// reusing the tracker's internal arrays.
+// Init is InitRows over a flat CSR view. It survives only because
+// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 1) repoints
+// the probe at InitRows and deletes this.
 func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
-	tb.in = view.InCSR()
-	tb.out = view.OutCSR()
-	tb.remote, tb.pre = nil, nil
-	return tb.init(view.NumNodes(), q, opt)
+	return tb.InitRows(graph.Compact(view), q, opt)
 }
 
-// InitRows starts a computation against a row provider instead of local CSR
-// arrays; see bca.Flat.InitRows. Expansions announce each wave (the picked
-// border rows, then the newcomer rows they pull in) to the provider's
-// prefetcher before streaming them.
+// InitRows starts (or restarts) a T-Rank bounds computation for the query,
+// reusing the tracker's internal arrays; see bca.Flat.InitRows. Binding reads
+// the query nodes' in-rows (announced to the provider's prefetcher first) and
+// returns rows.Err() if that already failed. Expansions announce each wave
+// (the picked border rows, then the newcomer rows they pull in) before
+// streaming them.
 func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
-	tb.in, tb.out = graph.CSR{}, graph.CSR{}
-	tb.remote = rows
-	tb.pre, _ = rows.(graph.RowPrefetcher)
-	return tb.init(rows.NumNodes(), q, opt)
-}
-
-func (tb *TFlat) init(n int, q walk.Query, opt TOptions) error {
 	opt = opt.normalized()
 	if opt.Alpha <= 0 || opt.Alpha >= 1 {
 		return fmt.Errorf("bounds: alpha must be in (0,1), got %g", opt.Alpha)
 	}
+	n := rows.NumNodes()
 	var err error
 	tb.restartNodes, tb.restartW, err =
 		q.NormalizeInto(n, tb.restartNodes[:0], tb.restartW[:0])
 	if err != nil {
 		return fmt.Errorf("bounds: %w", err)
 	}
+	tb.rows = rows
+	tb.pre, _ = rows.(graph.RowPrefetcher)
 	tb.opt = opt
 	if tb.pre != nil {
 		tb.pre.Prefetch(tb.restartNodes)
@@ -100,12 +93,12 @@ func (tb *TFlat) init(n int, q walk.Query, opt TOptions) error {
 	}
 	tb.expansions = 1 // the paper counts the initial St = {q} as the first expansion
 	tb.recomputeUnseen()
-	return nil
+	return rows.Err()
 }
 
 func (tb *TFlat) countOutsideIn(v graph.NodeID) int {
 	count := 0
-	cols, _ := tb.inRow(v)
+	cols, _ := tb.rows.InRow(v)
 	for _, from := range cols {
 		if !tb.b.Seen(from) {
 			count++
@@ -114,34 +107,9 @@ func (tb *TFlat) countOutsideIn(v graph.NodeID) int {
 	return count
 }
 
-// Detach drops the tracker's references to the graph's CSR arrays so a
-// pooled instance does not pin a superseded snapshot between queries; Init
-// rebinds a view.
-func (tb *TFlat) Detach() {
-	tb.in, tb.out = graph.CSR{}, graph.CSR{}
-	tb.remote, tb.pre = nil, nil
-}
-
-func (tb *TFlat) inRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if tb.remote != nil {
-		return tb.remote.InRow(v)
-	}
-	return tb.in.Row(v)
-}
-
-func (tb *TFlat) outRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if tb.remote != nil {
-		return tb.remote.OutRow(v)
-	}
-	return tb.out.Row(v)
-}
-
-func (tb *TFlat) outSum(v graph.NodeID) float64 {
-	if tb.remote != nil {
-		return tb.remote.OutSum(v)
-	}
-	return tb.out.Sum[v]
-}
+// Detach drops the tracker's reference to the graph so a pooled instance does
+// not pin a superseded snapshot between queries; InitRows rebinds one.
+func (tb *TFlat) Detach() { tb.rows, tb.pre = nil, nil }
 
 // Expansions returns the number of Stage-I expansions performed (including
 // the initial singleton neighborhood).
@@ -169,7 +137,7 @@ func (tb *TFlat) Upper(v graph.NodeID) float64 {
 func (tb *TFlat) UnseenUpper() float64 { return tb.unseen }
 
 // SeenList returns the t-neighborhood in insertion order; the slice is valid
-// until the next Init and must not be mutated.
+// until the next InitRows and must not be mutated.
 func (tb *TFlat) SeenList() []graph.NodeID { return tb.b.Touched() }
 
 // EachSeen calls fn for every node in the t-neighborhood with its bounds.
@@ -242,7 +210,7 @@ func (tb *TFlat) Expand() int {
 		tb.wave = tb.wave[:0]
 	collect:
 		for _, u := range tb.pickN {
-			cols, _ := tb.inRow(u)
+			cols, _ := tb.rows.InRow(u)
 			for _, from := range cols {
 				if !tb.b.Seen(from) {
 					if limit > 0 && len(tb.wave) >= limit {
@@ -260,7 +228,7 @@ func (tb *TFlat) Expand() int {
 		if limit > 0 && added >= limit {
 			break
 		}
-		cols, _ := tb.inRow(u)
+		cols, _ := tb.rows.InRow(u)
 		for _, from := range cols {
 			if limit > 0 && added >= limit {
 				break
@@ -274,7 +242,7 @@ func (tb *TFlat) Expand() int {
 			tb.outsideIn.Set(from, tb.countOutsideIn(from))
 			// Every seen out-neighbor of the newcomer loses one outside
 			// in-neighbor (the newcomer already counted its own membership).
-			outCols, _ := tb.outRow(from)
+			outCols, _ := tb.rows.OutRow(from)
 			for _, to := range outCols {
 				if to != from && tb.b.Seen(to) {
 					tb.outsideIn.Add(to, -1)
@@ -344,8 +312,8 @@ func (tb *TFlat) build() {
 	k.begin(b)
 	for _, v := range k.nodes {
 		unseenMass := 0.0
-		if outSum := tb.outSum(v); outSum > 0 {
-			cols, wts := tb.outRow(v)
+		if outSum := tb.rows.OutSum(v); outSum > 0 {
+			cols, wts := tb.rows.OutRow(v)
 			for i, to := range cols {
 				if m := wts[i] / outSum; !k.edge(b, to, m) {
 					unseenMass += m

@@ -1,9 +1,9 @@
 package graph
 
 // CompactedView is an arbitrary View flattened into immutable CSR arrays. It
-// carries no labels or types — only the adjacency structure — and exists so
-// that wrapped views (masked, tracking, remote) can be handed to the parallel
-// walk kernels, which require the flat CSRView layout.
+// carries no labels or types — only the adjacency structure — and is how
+// wrapped views (masked, tracking, overlay) reach the flat walk kernels, which
+// require the CSRView layout. Like *Graph it is also a Rows.
 //
 // A compaction is a snapshot: later changes to the source view (e.g. a
 // different edge mask) are not reflected.
@@ -87,3 +87,15 @@ func (c *CompactedView) OutCSR() CSR { return c.out }
 
 // InCSR implements CSRView.
 func (c *CompactedView) InCSR() CSR { return c.in }
+
+// OutSum implements Rows.
+func (c *CompactedView) OutSum(v NodeID) float64 { return c.out.Sum[v] }
+
+// OutRow implements Rows.
+func (c *CompactedView) OutRow(v NodeID) ([]NodeID, []float64) { return c.out.Row(v) }
+
+// InRow implements Rows.
+func (c *CompactedView) InRow(v NodeID) ([]NodeID, []float64) { return c.in.Row(v) }
+
+// Err implements Rows: reading the arrays cannot fail.
+func (c *CompactedView) Err() error { return nil }

@@ -353,12 +353,12 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 // additions are merged in neighbor order. It is a snapshot of the delta at
 // View() time; later staging is not reflected.
 //
-// The overlay implements the generic View interface (degree and weight-sum
-// queries cost one O(degree) row merge), so exact solves and the online
-// search run on it unchanged through the interface fallback of the walk
-// kernels. The parallel CSR kernels need flat arrays: compact-on-commit is
-// the intended fast path (Commit produces them), and graph.Compact flattens
-// an overlay into a CSRView when a pre-commit view must be solved repeatedly.
+// The overlay implements the View interface (degree and weight-sum queries
+// cost one O(degree) row merge), so the online search runs on it through
+// graph.ViewRows and an exact solve flattens it with graph.Compact first — the
+// walk kernels need flat arrays. Compact-on-commit is the intended route
+// (Commit produces them); Compact the overlay once yourself when a pre-commit
+// view must be solved repeatedly.
 type DeltaView struct {
 	base         *Graph
 	n            int

@@ -2,13 +2,12 @@ package graph
 
 import (
 	"bytes"
-	"hash/crc32"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
-
-func crc32Of(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // deltaBase builds the 6-node typed base graph the delta tests mutate.
 func deltaBase(t *testing.T) *Graph {
@@ -420,7 +419,7 @@ func TestEpochZeroFingerprintIsLegacyCompatible(t *testing.T) {
 	}
 }
 
-func TestStripeCodecCarriesEpochAndAcceptsV1(t *testing.T) {
+func TestStripeCodecCarriesEpochAndRejectsOldVersions(t *testing.T) {
 	g := deltaBase(t)
 	ng, err := Commit(g, NewDelta(g))
 	if err != nil {
@@ -442,39 +441,15 @@ func TestStripeCodecCarriesEpochAndAcceptsV1(t *testing.T) {
 		t.Fatalf("round trip lost identity: epoch=%d graph=%08x", got.Epoch, got.Graph)
 	}
 
-	// A genuine version-2 stream (flat CSR blocks) must still decode now that
-	// EncodeStripe writes version 3.
-	var bufV2 bytes.Buffer
-	if err := encodeStripeVersion(&bufV2, d, 2); err != nil {
-		t.Fatal(err)
-	}
-	gotV2, err := DecodeStripe(bytes.NewReader(bufV2.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if gotV2.Epoch != 1 || gotV2.ContentFingerprint() != d.ContentFingerprint() {
-		t.Fatal("v2 decode changed the payload")
-	}
-
-	// A hand-built version-1 stream (no epoch field, flat blocks) must still
-	// decode, as epoch zero. Reuse the v2 encoding and splice the epoch field
-	// out.
-	v2 := bufV2.Bytes()
-	v1 := make([]byte, 0, len(v2)-8)
-	v1 = append(v1, v2[:4]...)           // magic
-	v1 = append(v1, 1, 0)                // version 1
-	v1 = append(v1, v2[6:20]...)         // reserved, index, count, graph
-	v1 = append(v1, v2[28:len(v2)-4]...) // skip epoch, keep payload, drop crc
-	crc := crc32Of(v1)                   // recompute the trailing checksum
-	v1 = append(v1, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	gotV1, err := DecodeStripe(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if gotV1.Epoch != 0 {
-		t.Fatalf("v1 epoch: got %d, want 0", gotV1.Epoch)
-	}
-	if gotV1.ContentFingerprint() != d.ContentFingerprint() {
-		t.Fatal("v1 decode changed the payload")
+	// Streams of the earlier codec versions are refused on the version field
+	// alone: a hand-built version-2 (or 1) header with nothing behind it must
+	// fail with the version error, not with a truncation further in.
+	for _, old := range []byte{1, 2} {
+		hdr := append(append([]byte(nil), buf.Bytes()[:4]...), old, 0) // magic, version
+		_, err := DecodeStripe(bytes.NewReader(hdr))
+		if want := fmt.Sprintf("unsupported version %d", old); err == nil ||
+			!strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "re-cut the stripe") {
+			t.Fatalf("version %d header: got %v, want %q and the re-cut hint", old, err, want)
+		}
 	}
 }

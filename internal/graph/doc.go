@@ -11,8 +11,9 @@
 // Random-walk code operates on the View interface rather than on *Graph
 // directly, which allows per-query edge masking (ground-truth edge removal in
 // the evaluation tasks) without copying the graph. Views that can expose flat
-// CSR arrays implement CSRView, the fast path of the parallel walk kernels;
-// Compact flattens any other view into one.
+// CSR arrays implement CSRView, the layout the parallel walk kernels run on;
+// Compact flattens any other view into one, and the exact solvers do so
+// themselves, once per solve, when handed such a view.
 //
 // # Mutation and epochs
 //

@@ -67,9 +67,9 @@ func (c CSR) Degree(v NodeID) int {
 }
 
 // CSRView is implemented by views that expose their adjacency as flat CSR
-// arrays. The parallel walk kernels type-assert for it and fall back to the
-// generic View iteration when a view (masked, tracking, remote) cannot provide
-// it. Implementations must return immutable arrays: the kernels read them
+// arrays, the layout the flat walk kernels run on; a view that cannot provide
+// it (masked, tracking, overlay) is flattened with Compact first.
+// Implementations must return immutable arrays: the kernels read them
 // concurrently from multiple goroutines.
 type CSRView interface {
 	View
@@ -218,6 +218,21 @@ func (g *Graph) OutNeighbors(v NodeID) ([]NodeID, []float64) {
 func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64) {
 	return g.in.Row(v)
 }
+
+// OutSum implements Rows. With OutRow, InRow and Err (and NumNodes and
+// OutDegree above) it makes a *Graph a Rows: the online searcher reads the CSR
+// arrays through the same seam as every other representation, with no
+// per-query session object.
+func (g *Graph) OutSum(v NodeID) float64 { return g.out.Sum[v] }
+
+// OutRow implements Rows.
+func (g *Graph) OutRow(v NodeID) ([]NodeID, []float64) { return g.out.Row(v) }
+
+// InRow implements Rows.
+func (g *Graph) InRow(v NodeID) ([]NodeID, []float64) { return g.in.Row(v) }
+
+// Err implements Rows: reading the arrays cannot fail.
+func (g *Graph) Err() error { return nil }
 
 // EdgeWeight returns the weight of the directed edge from->to and whether it
 // exists. If parallel edges were merged at build time there is at most one.

@@ -284,7 +284,7 @@ func scanPackedRow(b []byte, numNodes int, wantSum float64) error {
 }
 
 // PackedCSRView is implemented by views that expose their adjacency as packed
-// CSR blocks. The walk kernels type-assert for it (after CSRView) and run the
+// CSR blocks. The walk solvers dispatch on it (after CSRView) and run the
 // same pull-style parallel matvecs over streaming row decodes, bit-identical
 // to the flat kernels because rows decode in the identical entry order.
 type PackedCSRView interface {
@@ -296,9 +296,9 @@ type PackedCSRView interface {
 }
 
 // RowsProvider is implemented by views that can mint a per-query Rows session
-// (the flat searcher's row-streaming access pattern). topk.TopK uses it to
-// route packed views onto the pooled scratch-state searcher, which is
-// bit-identical to the flat-CSR path for the same graph content.
+// (the online searcher's row-streaming access pattern). topk.TopK asks it for
+// one when the view is not a Rows itself; results are bit-identical to a flat
+// graph's for the same content.
 type RowsProvider interface {
 	View
 	// NewRows returns a fresh row session. Sessions are cheap, not safe for
@@ -308,7 +308,7 @@ type RowsProvider interface {
 
 // Packed is a whole graph in packed CSR form: the memory-lean counterpart of
 // *Graph's flat arrays, built with Pack. It implements View (streaming row
-// decodes), PackedCSRView (the walk kernels' packed fast path) and
+// decodes), PackedCSRView (the packed walk kernels) and
 // RowsProvider (the online searcher's row access), so every solver accepts it
 // directly. It carries no labels or types — only adjacency — mirroring
 // CompactedView.
@@ -453,6 +453,10 @@ func (r *packedRows) InRow(v NodeID) ([]NodeID, []float64) {
 	}
 	return cachedRow(r.in, &r.p.in, v)
 }
+
+// Err implements Rows: the packed blocks were validated when the view was
+// built or opened, so decoding a row cannot fail.
+func (r *packedRows) Err() error { return nil }
 
 func cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
 	if row, ok := cache[v]; ok {

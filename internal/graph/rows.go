@@ -2,18 +2,15 @@ package graph
 
 // Rows is the row-streaming access pattern of the online top-K searcher: the
 // exact set of reads bca.Flat and bounds.FFlat/TFlat perform against a graph,
-// expressed per row instead of as whole CSR arrays. It is the one seam under
-// the searcher: a CSRView is read directly, everything else is read through a
-// per-query Rows session — graph.Packed decodes rows, the remote
-// implementation (internal/rowserve.Session) serves OutRow/InRow from a row
-// cache filled by batched worker RPCs with OutSum/OutDegree in small dense
-// per-node arrays assembled once at connect time, and ViewRows adapts any
-// other View. The remote split mirrors the paper's AP/GP architecture: the
-// searcher's working set is O(rows touched), never the full adjacency.
-//
-// Implementations may panic with *RowFetchError when a row cannot be
-// materialized (the searcher has no error channel on its row reads);
-// topk.TopKRows converts that panic back into an error.
+// expressed per row. It is the one seam under the searcher — everything the
+// searcher knows about a graph. Flat CSR views (*Graph, *CompactedView) are
+// Rows themselves, three accessors over the arrays they hold; graph.Packed
+// hands out per-query sessions that decode rows; the remote implementation
+// (internal/rowserve.Session) serves OutRow/InRow from a row cache filled by
+// batched worker RPCs with OutSum/OutDegree in small dense per-node arrays
+// assembled once at connect time; and ViewRows adapts any other View. The
+// remote split mirrors the paper's AP/GP architecture: the searcher's working
+// set is O(rows touched), never the full adjacency.
 type Rows interface {
 	// NumNodes returns the number of nodes; node IDs are in [0, NumNodes).
 	NumNodes() int
@@ -32,6 +29,12 @@ type Rows interface {
 	OutRow(v NodeID) (cols []NodeID, weights []float64)
 	// InRow returns the in-edge sources and weights of v, same contract.
 	InRow(v NodeID) (cols []NodeID, weights []float64)
+	// Err returns the first failure a row read ran into, nil if none (the
+	// bufio.Scanner idiom: the accessors have no error result). The error is
+	// sticky: from the first failure on every row reads as empty, so whatever
+	// was computed since is unusable and the caller must return Err instead.
+	// In-memory providers always return nil.
+	Err() error
 }
 
 // ViewRows returns a per-query Rows session over an arbitrary View: the route
@@ -104,6 +107,9 @@ func (r *viewRows) InRow(v NodeID) ([]NodeID, []float64) {
 	return materialize(&r.node(v).in, r.view.EachIn, v)
 }
 
+// Err implements Rows: reading a View cannot fail.
+func (r *viewRows) Err() error { return nil }
+
 func materialize(slot **sessionRow, each func(NodeID, func(NodeID, float64) bool), v NodeID) ([]NodeID, []float64) {
 	if *slot == nil {
 		row := new(sessionRow)
@@ -125,14 +131,3 @@ func materialize(slot **sessionRow, each func(NodeID, func(NodeID, float64) bool
 type RowPrefetcher interface {
 	Prefetch(nodes []NodeID)
 }
-
-// RowFetchError carries a row-fetch failure across the searcher's panic
-// boundary: remote Rows implementations panic with *RowFetchError after
-// exhausting retries, and topk.TopKRows recovers it into an ordinary error
-// (anything else keeps propagating). Err retains the transport
-// classification, so errors.As / distributed.IsTransient still work on it.
-type RowFetchError struct{ Err error }
-
-func (e *RowFetchError) Error() string { return e.Err.Error() }
-
-func (e *RowFetchError) Unwrap() error { return e.Err }

@@ -21,19 +21,15 @@ import (
 // Layout (all integers little-endian):
 //
 //	magic    [4]byte  "RTS1"
-//	version  uint16   currently 1
+//	version  uint16   must be 3
 //	reserved uint16   must be zero
 //	index    uint32   stripe index in [0, count)
 //	count    uint32   total number of stripes
 //	graph    uint32   fingerprint of the source graph (GraphFingerprint)
+//	epoch    uint64   snapshot version of the source graph
 //	numNodes uint64   node count of the full graph
 //	rows     uint64   rows owned by this stripe
-//	out CSR block, then in CSR block. Version ≤ 2 writes flat arrays:
-//	    uint64 len(RowPtr) followed by int64 entries
-//	    uint64 len(Col)    followed by int32 entries
-//	    uint64 len(Weight) followed by float64 entries
-//	    uint64 len(Sum)    followed by float64 entries
-//	version 3 writes the packed form instead (see packed.go):
+//	out CSR block, then in CSR block, each in the packed form (see packed.go):
 //	    uint64 len(RowOff) followed by int64 entries
 //	    uint64 len(Sum)    followed by float64 entries
 //	    uint64 len(Data)   followed by raw delta-varint row bytes
@@ -48,11 +44,10 @@ import (
 // incompatible layout changes (compatible ones bump stripeVersion instead).
 var stripeMagic = [4]byte{'R', 'T', 'S', '1'}
 
-// stripeVersion is the current stripe codec version. Version 2 added the
-// source graph's epoch to the header; version 3 switched the CSR blocks to
-// the packed delta-varint form, shrinking stripe files and worker ships by
-// roughly the same factor as graph.Pack shrinks resident adjacency. Version-1
-// (no epoch, flat blocks) and version-2 (flat blocks) streams still decode.
+// stripeVersion is the one stripe codec version written and read: epoch in
+// the header, CSR blocks in the packed delta-varint form. Streams of the two
+// earlier versions (flat blocks, version 1 without the epoch) are rejected; a
+// stripe is cheap to re-cut from its graph.
 const stripeVersion = 3
 
 // StripeData is the codec-level content of one graph stripe. Row r of each CSR
@@ -163,19 +158,8 @@ func validateStripeCSR(name string, c CSR, rows, numNodes int) error {
 }
 
 // EncodeStripe writes d to w in the versioned, checksummed binary stripe
-// format (current version: 3, packed blocks). It validates d first, so only
-// well-formed stripes reach the wire.
+// format. It validates d first, so only well-formed stripes reach the wire.
 func EncodeStripe(w io.Writer, d *StripeData) error {
-	return encodeStripeVersion(w, d, stripeVersion)
-}
-
-// encodeStripeVersion writes d at a specific codec version: 2 (flat CSR
-// blocks) or 3 (packed blocks). It exists so the compatibility tests can
-// produce genuine older streams; production callers go through EncodeStripe.
-func encodeStripeVersion(w io.Writer, d *StripeData, version uint16) error {
-	if version != 2 && version != stripeVersion {
-		return fmt.Errorf("graph: encode stripe: cannot write version %d", version)
-	}
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("graph: encode stripe: %w", err)
 	}
@@ -187,7 +171,7 @@ func encodeStripeVersion(w io.Writer, d *StripeData, version uint16) error {
 		return err
 	}
 	hdr := []any{
-		version, uint16(0),
+		uint16(stripeVersion), uint16(0),
 		uint32(d.Index), uint32(d.Count), d.Graph, d.Epoch,
 		uint64(d.NumNodes), uint64(d.Rows()),
 	}
@@ -197,13 +181,7 @@ func encodeStripeVersion(w io.Writer, d *StripeData, version uint16) error {
 		}
 	}
 	for _, c := range []CSR{d.Out, d.In} {
-		var err error
-		if version >= 3 {
-			err = writePackedStripeCSR(out, c)
-		} else {
-			err = writeStripeCSR(out, c)
-		}
-		if err != nil {
+		if err := writePackedStripeCSR(out, c); err != nil {
 			return err
 		}
 	}
@@ -213,7 +191,7 @@ func encodeStripeVersion(w io.Writer, d *StripeData, version uint16) error {
 	return bw.Flush()
 }
 
-// writePackedStripeCSR writes one CSR block in the version-3 packed form:
+// writePackedStripeCSR writes one CSR block in the packed form:
 // the block is packed row by row on the way out and unpacked on decode, so
 // StripeData stays flat in memory while the wire carries varints.
 func writePackedStripeCSR(w io.Writer, c CSR) error {
@@ -233,6 +211,8 @@ func writePackedStripeCSR(w io.Writer, c CSR) error {
 	return err
 }
 
+// writeStripeCSR writes one CSR block as flat arrays. It is the serialization
+// ContentFingerprint hashes, not a wire format.
 func writeStripeCSR(w io.Writer, c CSR) error {
 	if err := writeSlice(w, len(c.RowPtr), func(i int) uint64 { return uint64(c.RowPtr[i]) }, 8); err != nil {
 		return err
@@ -303,27 +283,21 @@ func DecodeStripe(r io.Reader) (*StripeData, error) {
 	var version, reserved uint16
 	var index, count, fingerprint uint32
 	var epoch, numNodes, rows uint64
-	for _, v := range []any{&version, &reserved, &index, &count, &fingerprint} {
+	// The version is checked before anything behind it is read: the rest of
+	// the header already differs between versions.
+	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
+		return nil, fmt.Errorf("graph: decode stripe: header: %w", err)
+	}
+	if version != stripeVersion {
+		return nil, fmt.Errorf("graph: decode stripe: unsupported version %d (this build reads version %d) — re-cut the stripe", version, stripeVersion)
+	}
+	for _, v := range []any{&reserved, &index, &count, &fingerprint, &epoch, &numNodes, &rows} {
 		if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
 			return nil, fmt.Errorf("graph: decode stripe: header: %w", err)
 		}
-	}
-	if version < 1 || version > stripeVersion {
-		return nil, fmt.Errorf("graph: decode stripe: unsupported version %d", version)
 	}
 	if reserved != 0 {
 		return nil, fmt.Errorf("graph: decode stripe: non-zero reserved field")
-	}
-	// The epoch field was added in version 2; version-1 stripes predate live
-	// graphs and decode as epoch zero.
-	fields := []any{&numNodes, &rows}
-	if version >= 2 {
-		fields = []any{&epoch, &numNodes, &rows}
-	}
-	for _, v := range fields {
-		if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("graph: decode stripe: header: %w", err)
-		}
 	}
 	const maxInt = int(^uint(0) >> 1)
 	if numNodes > uint64(maxInt) || rows > uint64(maxInt) {
@@ -334,20 +308,11 @@ func DecodeStripe(r io.Reader) (*StripeData, error) {
 		return nil, fmt.Errorf("graph: decode stripe: header claims %d rows, striping implies %d", rows, d.Rows())
 	}
 	var err error
-	if version >= 3 {
-		if d.Out, err = readPackedStripeCSR(cr, "out", int(rows), d.NumNodes); err != nil {
-			return nil, fmt.Errorf("graph: decode stripe: out block: %w", err)
-		}
-		if d.In, err = readPackedStripeCSR(cr, "in", int(rows), d.NumNodes); err != nil {
-			return nil, fmt.Errorf("graph: decode stripe: in block: %w", err)
-		}
-	} else {
-		if d.Out, err = readStripeCSR(cr); err != nil {
-			return nil, fmt.Errorf("graph: decode stripe: out block: %w", err)
-		}
-		if d.In, err = readStripeCSR(cr); err != nil {
-			return nil, fmt.Errorf("graph: decode stripe: in block: %w", err)
-		}
+	if d.Out, err = readPackedStripeCSR(cr, "out", int(rows), d.NumNodes); err != nil {
+		return nil, fmt.Errorf("graph: decode stripe: out block: %w", err)
+	}
+	if d.In, err = readPackedStripeCSR(cr, "in", int(rows), d.NumNodes); err != nil {
+		return nil, fmt.Errorf("graph: decode stripe: in block: %w", err)
 	}
 
 	sum := cr.crc.Sum32() // the stored checksum itself is not hashed
@@ -378,7 +343,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readPackedStripeCSR reads one version-3 packed block and unpacks it to the
+// readPackedStripeCSR reads one packed block and unpacks it to the
 // flat CSR the rest of the system consumes. The packed rows are validated
 // defensively (well-formed varints, in-range columns, positive finite
 // weights, consistent cached sums) before the unchecked unpack runs; the
@@ -433,31 +398,6 @@ func readBytes(r io.Reader) ([]byte, error) {
 	return out, nil
 }
 
-func readStripeCSR(r io.Reader) (CSR, error) {
-	var c CSR
-	rowPtr, err := readUint64s(r)
-	if err != nil {
-		return c, fmt.Errorf("offsets: %w", err)
-	}
-	c.RowPtr = make([]int64, len(rowPtr))
-	for i, v := range rowPtr {
-		if v > uint64(math.MaxInt64) {
-			return c, fmt.Errorf("offset %d overflows", i)
-		}
-		c.RowPtr[i] = int64(v)
-	}
-	if c.Col, err = readNodeIDs(r); err != nil {
-		return c, fmt.Errorf("columns: %w", err)
-	}
-	if c.Weight, err = readFloat64s(r); err != nil {
-		return c, fmt.Errorf("weights: %w", err)
-	}
-	if c.Sum, err = readFloat64s(r); err != nil {
-		return c, fmt.Errorf("row sums: %w", err)
-	}
-	return c, nil
-}
-
 // readArray reads a length-prefixed array in bounded chunks: the slice grows
 // only as bytes actually arrive, so a forged length prefix cannot force a
 // large allocation.
@@ -496,10 +436,6 @@ func readUint64s(r io.Reader) ([]uint64, error) {
 
 func readFloat64s(r io.Reader) ([]float64, error) {
 	return readArray(r, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
-}
-
-func readNodeIDs(r io.Reader) ([]NodeID, error) {
-	return readArray(r, 4, func(b []byte) NodeID { return NodeID(int32(binary.LittleEndian.Uint32(b))) })
 }
 
 // BuildStripeData extracts stripe `index` of `count` from a CSR view by
@@ -557,10 +493,8 @@ type Epocher interface {
 // silently keep serving yesterday's snapshot of a graph whose adjacency a
 // commit happened to restore.
 //
-// Epoch zero deliberately hashes exactly as the pre-epoch formula did (node
-// count + CSR only), so stripes cut before epochs existed — version-1 codec
-// files, workers still running an older build — remain valid against the
-// epoch-0 graphs they were cut from.
+// Epoch zero is not hashed (node count + CSR only), so a freshly built
+// graph's fingerprint depends on its content alone.
 //
 // The result is cached on *Graph (snapshots are immutable), so polling
 // endpoints and per-commit redeploys do not re-hash the edge arrays.

@@ -2,7 +2,6 @@ package rowserve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -71,16 +70,11 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 	rf.poisoned.Store(true)
 
 	const v = graph.NodeID(3)
+	owner := r.Session(ctx)
 	ownerErr := make(chan error, 1)
 	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ownerErr <- p.(*graph.RowFetchError)
-				return
-			}
-			ownerErr <- nil
-		}()
-		r.Session(ctx).OutRow(v)
+		owner.OutRow(v)
+		ownerErr <- owner.Err()
 	}()
 	<-rf.entered // the owner claimed the slot and its RPC is in flight
 
@@ -107,10 +101,6 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 	if err == nil {
 		t.Fatalf("owner's wrong-snapshot answer validated")
 	}
-	var rfe *graph.RowFetchError
-	if !errors.As(err, &rfe) {
-		t.Fatalf("owner failed with %T, want *graph.RowFetchError", err)
-	}
 	if distributed.IsTransient(err) {
 		t.Errorf("a wrong-snapshot answer classified transient: %v", err)
 	}
@@ -118,6 +108,10 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 	got := <-waiterRow
 	wantTo, wantW := g.OutCSR().Row(v)
 	requireRowEqual(t, "waiter row after owner's failure", got.to, got.w, wantTo, wantW)
+	if st := waiter.Stats(); waiter.Err() != nil || st.RPCs != 1 {
+		t.Errorf("waiter: Err %v, %d RPCs; want it to refetch once on its own budget", waiter.Err(), st.RPCs)
+	}
+	requireDead(t, r, owner)
 
 	// The failure must not be cached: a fresh read is a plain hit on the
 	// waiter's completed entry, with no new RPC.

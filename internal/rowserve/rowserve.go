@@ -266,13 +266,16 @@ type QueryStats struct {
 // accumulates per-query stats. A Session is owned by the single goroutine
 // running the query and must not be shared; create one per query.
 //
-// Row reads have no error channel, so a fetch that still fails after the
-// retry budget panics with *graph.RowFetchError; topk.TopKRows recovers it
-// into an ordinary error.
+// Row reads have no error result, so the first fetch that still fails after
+// the retry budget (or the query's cancellation while waiting on a row) is
+// recorded and returned by Err from then on. A failed session issues no
+// further RPCs and serves every row as empty; the searcher checks Err before
+// it trusts anything computed from those rows.
 type Session struct {
 	r     *RemoteCSR
 	ctx   context.Context
 	stats QueryStats
+	err   error // first failure, sticky
 
 	// Reusable per-wave buffers: the wave's missing nodes and their claimed
 	// cache entries, grouped by owning stripe.
@@ -292,6 +295,17 @@ func (r *RemoteCSR) Session(ctx context.Context) *Session {
 
 // Stats returns the session's row-serving counters so far.
 func (s *Session) Stats() QueryStats { return s.stats }
+
+// Err implements graph.Rows: the first row-fetch failure of the session, with
+// its transport classification intact (errors.As, distributed.IsTransient),
+// or the context's error when the query was cancelled while reading.
+func (s *Session) Err() error { return s.err }
+
+// fail records err as the session's failure and returns the empty row.
+func (s *Session) fail(err error) distributed.RowData {
+	s.err = err
+	return distributed.RowData{}
+}
 
 // NumNodes implements graph.Rows.
 func (s *Session) NumNodes() int { return s.r.n }
@@ -318,6 +332,9 @@ func (s *Session) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
 // row returns v's cached row, fetching it from the owning stripe on a miss
 // and waiting on a concurrent fetch when one is already in flight.
 func (s *Session) row(v graph.NodeID) distributed.RowData {
+	if s.err != nil {
+		return distributed.RowData{}
+	}
 	stripe := int(v) % s.r.count
 	for {
 		row, e, state := s.r.cache.probe(cacheKey{content: s.r.content[stripe], node: v})
@@ -331,7 +348,7 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 			select {
 			case <-e.done:
 			case <-s.ctx.Done():
-				panic(&graph.RowFetchError{Err: s.ctx.Err()})
+				return s.fail(s.ctx.Err())
 			}
 			if e.err == nil {
 				s.stats.CacheHits++
@@ -341,13 +358,13 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 			// cancellation, which says nothing about this query. The failed
 			// slot was removed from the cache, so loop and retry with this
 			// session's own retry budget (unless we were cancelled too).
-			if s.ctx.Err() != nil {
-				panic(&graph.RowFetchError{Err: s.ctx.Err()})
+			if err := s.ctx.Err(); err != nil {
+				return s.fail(err)
 			}
 		default: // probeOwned
 			s.stats.CacheMisses++
 			if err := s.fetch(stripe, []graph.NodeID{v}, []*cacheEntry{e}); err != nil {
-				panic(&graph.RowFetchError{Err: err})
+				return s.fail(err)
 			}
 			return e.row
 		}
@@ -359,10 +376,10 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 // parallel. Rows already cached or already in flight are skipped — in-flight
 // fetches complete before the searcher reads the row, because the wave's
 // subsequent OutRow/InRow calls wait on them. Duplicate nodes in the wave are
-// fine. A fetch that fails after the retry budget panics with
-// *graph.RowFetchError, like the read path.
+// fine. A fetch that fails after the retry budget fails the session, like the
+// read path; a failed session prefetches nothing.
 func (s *Session) Prefetch(nodes []graph.NodeID) {
-	if len(nodes) == 0 {
+	if len(nodes) == 0 || s.err != nil {
 		return
 	}
 	for i := range s.waveNodes {
@@ -392,9 +409,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	if stripes == 1 {
 		for stripe := range s.waveNodes {
 			if len(s.waveNodes[stripe]) > 0 {
-				if err := s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe]); err != nil {
-					panic(&graph.RowFetchError{Err: err})
-				}
+				s.err = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
 			}
 		}
 		return
@@ -414,7 +429,8 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			panic(&graph.RowFetchError{Err: err})
+			s.err = err
+			return
 		}
 	}
 }

@@ -306,30 +306,56 @@ func TestTransientFetchRetried(t *testing.T) {
 		t.Fatalf("flaky fetch recorded %d retries, want >= 2", retries)
 	}
 
-	// Beyond the budget: the panic must carry a transient, stripe-attributed
-	// error for topk.TopKRows to surface.
+	// Beyond the budget: the session's error must be transient and
+	// stripe-attributed for topk.TopKRows to surface.
 	flaky.fails = 1 << 30
-	func() {
-		defer func() {
-			fe, ok := recover().(*graph.RowFetchError)
-			if !ok {
-				t.Fatalf("persistent failure did not panic with RowFetchError")
-			}
-			if !distributed.IsTransient(fe.Err) {
-				t.Errorf("persistent worker failure not classified transient: %v", fe.Err)
-			}
-			if !strings.Contains(fe.Err.Error(), "stripe 1") {
-				t.Errorf("error does not name the failing stripe: %v", fe.Err)
-			}
-		}()
-		sess2 := r.Session(ctx)
-		sess2.OutRow(3) // stripe 1 owns node 3, not yet cached
-	}()
+	sess2 := r.Session(ctx)
+	if cols, wts := sess2.OutRow(3); len(cols)+len(wts) != 0 { // stripe 1 owns node 3, not yet cached
+		t.Fatalf("failed fetch returned a row: %v %v", cols, wts)
+	}
+	err = sess2.Err()
+	if !distributed.IsTransient(err) {
+		t.Errorf("persistent worker failure not classified transient: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "stripe 1") {
+		t.Errorf("error does not name the failing stripe: %v", err)
+	}
+	requireDead(t, r, sess2)
 }
 
-// TestCancelledSessionPanicsCleanly pins the context path: a session whose
+// requireDead checks what a failed session promises: Err keeps returning the
+// first failure, every read — cached rows included — comes back empty, and
+// neither reads nor prefetches issue another RPC.
+func requireDead(t *testing.T, r *RemoteCSR, sess *Session) {
+	t.Helper()
+	want := sess.Err()
+	if want == nil {
+		t.Fatalf("session did not fail")
+	}
+	rpcs, _, _ := r.Stats()
+	all := make([]graph.NodeID, r.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	sess.Prefetch(all)
+	for _, v := range all {
+		oc, ow := sess.OutRow(v)
+		ic, iw := sess.InRow(v)
+		if len(oc)+len(ow)+len(ic)+len(iw) != 0 {
+			t.Fatalf("failed session served row %d: out %v %v in %v %v", v, oc, ow, ic, iw)
+		}
+	}
+	if now, _, _ := r.Stats(); now != rpcs {
+		t.Errorf("failed session issued %d more RPCs", now-rpcs)
+	}
+	if got := sess.Err(); got != want {
+		t.Errorf("Err changed from %v to %v", want, got)
+	}
+}
+
+// TestCancelledSessionFailsCleanly pins the context path: a session whose
 // context is dead fails its next fetch with the context error.
-func TestCancelledSessionPanicsCleanly(t *testing.T) {
+func TestCancelledSessionFailsCleanly(t *testing.T) {
 	g := testgraphs.Line(9)
 	r, err := Connect(context.Background(), fleet(t, g, 2), nil)
 	if err != nil {
@@ -337,13 +363,12 @@ func TestCancelledSessionPanicsCleanly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	defer func() {
-		fe, ok := recover().(*graph.RowFetchError)
-		if !ok || !errors.Is(fe.Err, context.Canceled) {
-			t.Fatalf("cancelled fetch recovered %v, want RowFetchError(context.Canceled)", fe)
-		}
-	}()
-	r.Session(ctx).OutRow(0)
+	sess := r.Session(ctx)
+	sess.OutRow(0)
+	if err := sess.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fetch left Err %v, want context.Canceled", err)
+	}
+	requireDead(t, r, sess)
 }
 
 // TestStaleFleetFailsLoudly replaces the workers' stripes with another
@@ -385,16 +410,10 @@ func TestStaleFleetFailsLoudly(t *testing.T) {
 		t.Fatalf("cached cycle row has %d out-edges, want 1", len(cols))
 	}
 	// An uncached row must fail loudly, not return the impostor's adjacency.
-	func() {
-		defer func() {
-			fe, ok := recover().(*graph.RowFetchError)
-			if !ok {
-				t.Fatalf("stale fetch did not panic with RowFetchError")
-			}
-			if distributed.IsTransient(fe.Err) {
-				t.Errorf("stripe replacement classified transient (would be retried forever): %v", fe.Err)
-			}
-		}()
-		r.Session(ctx).OutRow(2)
-	}()
+	stale := r.Session(ctx)
+	stale.OutRow(2)
+	if err := stale.Err(); err == nil || distributed.IsTransient(err) {
+		t.Errorf("stripe replacement: Err %v, want a non-transient failure (a transient one would be retried forever)", err)
+	}
+	requireDead(t, r, stale)
 }

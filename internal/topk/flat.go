@@ -16,7 +16,7 @@ import (
 // both bound trackers, the candidate buffer — in one pooled object backed by
 // dense generation-stamped arrays, so a steady-state query allocates (almost)
 // nothing. Instances are recycled through flatPool and rebound to the query
-// (and, after an engine epoch swap, resized to the new NumNodes) by Init.
+// (and, after an engine epoch swap, resized to the new NumNodes) by InitRows.
 type flatSearcher struct {
 	opt        Options
 	fb         bounds.FFlat
@@ -59,9 +59,14 @@ func putSearcher(s *flatSearcher) {
 	poolInUse.Add(-1)
 }
 
-// flatTopK answers one online top-K query with a pooled searcher bound either
-// to view's CSR arrays or, when rows is non-nil, to that row session.
-func flatTopK(ctx context.Context, view graph.CSRView, rows graph.Rows, q walk.Query, opt Options) (*Result, error) {
+// TopKRows runs the online top-K algorithm against any graph.Rows — flat
+// arrays, a packed or adapted view's session, or the remote-backed serving
+// path, where adjacency streams in row by row from stripe workers
+// (internal/rowserve) instead of living in coordinator memory — on a pooled
+// searcher bound to rows for the query's duration. When a row read fails
+// (rows.Err() turns non-nil) the search stops within the round and returns
+// that error, never a result — also under a Budget.
+func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (*Result, error) {
 	ctx = walk.OrBackground(ctx)
 	opt, err := opt.normalized()
 	if err != nil {
@@ -72,43 +77,37 @@ func flatTopK(ctx context.Context, view graph.CSRView, rows graph.Rows, q walk.Q
 		return nil, err
 	}
 	s := getSearcher()
-	// Release drops the searcher's references to the snapshot's CSR arrays
-	// (or row session) and the caller's Keep closure before the object idles
-	// in the pool: after an epoch swap, a pooled searcher must not pin the
-	// superseded graph (or whatever Keep captured) until its next reuse. A
-	// *graph.RowFetchError panic from a session unwinds through here too, so
-	// the searcher goes back to the pool detached before TopKRows recovers.
+	// Release drops the searcher's references to the graph (a snapshot's CSR
+	// arrays or a row session) and the caller's Keep closure before the object
+	// idles in the pool: after an epoch swap, a pooled searcher must not pin
+	// the superseded graph (or whatever Keep captured) until its next reuse.
 	defer func() {
 		s.opt = Options{}
 		s.fb.Detach()
 		s.tb.Detach()
 		putSearcher(s)
 	}()
-	if rows == nil {
-		err = s.fb.Init(view, q, fOpt)
-		if err == nil {
-			err = s.tb.Init(view, q, tOpt)
-		}
-	} else {
-		err = s.fb.InitRows(rows, q, fOpt)
-		if err == nil {
-			err = s.tb.InitRows(rows, q, tOpt)
-		}
+	if err := s.fb.InitRows(rows, q, fOpt); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	// The T side binds last and reports a row read that failed during binding.
+	if err := s.tb.InitRows(rows, q, tOpt); err != nil {
 		return nil, err
 	}
 	s.opt = opt
 	s.expF = 2 * (1 - opt.Beta)
 	s.expT = 2 * opt.Beta
-	return s.run(ctx)
+	return s.run(ctx, rows)
 }
 
 // run is Algorithm 1's round loop: expand both neighborhoods, rebuild the
 // candidate ranking, test the ε-relaxed top-K conditions, and check the budget
 // at fixed points of the round so every graph representation stops at the same
-// round with the same bounds and emits a bit-identical certificate.
-func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
+// round with the same bounds and emits a bit-identical certificate. A failed
+// row reads as empty, so rows.Err() is checked after every batch of reads and
+// before anything derived from them: no bound computed past a failure reaches
+// a Result, with or without a budget.
+func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error) {
 	res := &Result{}
 	b := s.opt.Budget
 	maxRounds := effectiveMaxRounds(s.opt)
@@ -132,6 +131,9 @@ func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
 		}
 		fProgress := s.fb.Expand()
 		tProgress := s.tb.Expand()
+		if err := rows.Err(); err != nil {
+			return nil, err
+		}
 		res.Rounds++
 
 		ok := s.candidate()
@@ -146,6 +148,9 @@ func (s *flatSearcher) run(ctx context.Context) (*Result, error) {
 			// around the query is smaller than K.
 			s.fb.Refine()
 			s.tb.Refine()
+			if err := rows.Err(); err != nil {
+				return nil, err
+			}
 			ok = s.candidate()
 			if ok && s.satisfied() {
 				stop = StopConverged

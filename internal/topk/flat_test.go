@@ -114,10 +114,11 @@ func goldenCases() []goldenCase {
 // TestFlatMatchesMapPath is the representation parity gate of the searcher
 // (the name dates from when wrapped views ran a separate map-based searcher;
 // they now run the same one through the graph.ViewRows adapter). On every
-// golden graph, scheme and budget, the three ways the searcher reads a graph —
-// CSR arrays, a packed view's own session, the adapter — must return deeply
-// equal Results: ranking, score bits, certificate, counters. A masked view
-// must likewise match its compaction.
+// golden graph, scheme and budget, the four things the searcher reads as a
+// graph.Rows — a *Graph, a CompactedView over the same arrays, a packed view's
+// own session, the adapter handed to TopKRows — must return deeply equal
+// Results: ranking, score bits, certificate, counters. A masked view must
+// likewise match its compaction.
 func TestFlatMatchesMapPath(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range goldenCases() {
@@ -129,7 +130,14 @@ func TestFlatMatchesMapPath(t *testing.T) {
 		}
 		masked := graph.NewMaskedView(tc.g, hide)
 		compacted := graph.Compact(masked)
-		others := map[string]graph.View{"adapter": hideCSR(tc.g), "packed": graph.Pack(tc.g)}
+		compact, packed := graph.Compact(tc.g), graph.Pack(tc.g)
+		others := map[string]func(Options) (*Result, error){
+			"compact": func(opt Options) (*Result, error) { return TopK(ctx, compact, q, opt) },
+			"packed":  func(opt Options) (*Result, error) { return TopK(ctx, packed, q, opt) },
+			"adapter": func(opt Options) (*Result, error) {
+				return TopKRows(ctx, graph.ViewRows(hideCSR(tc.g)), q, opt)
+			},
+		}
 		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS, SchemeGupta, SchemeSarkar} {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, scheme), func(t *testing.T) {
 				for _, b := range []*Budget{nil, {MaxRounds: 3}, {MaxTouched: 8}} {
@@ -138,8 +146,8 @@ func TestFlatMatchesMapPath(t *testing.T) {
 					if err != nil {
 						t.Fatalf("csr: %v", err)
 					}
-					for name, view := range others {
-						got, err := TopK(ctx, view, q, opt)
+					for name, run := range others {
+						got, err := run(opt)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -238,64 +246,103 @@ func TestFlatSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// failingRows is a row session whose failAt-th row read (OutRow and InRow
-// counted together, from 1) panics with *graph.RowFetchError, the way a remote
-// session reports a fetch it could not complete; failAt 0 never fails.
+// failingRows is a row session that fails the way a remote session does: its
+// failAt-th row read (OutRow and InRow counted together, from 1) sets the
+// sticky error, and that read and every later one return an empty row; failAt
+// 0 never fails.
 type failingRows struct {
 	graph.Rows
 	reads, failAt int
+	err           error
 }
 
 var errRowFetch = errors.New("row fetch failed")
 
-func (f *failingRows) read() {
+func (f *failingRows) failed() bool {
 	f.reads++
 	if f.reads == f.failAt {
-		panic(&graph.RowFetchError{Err: errRowFetch})
+		f.err = errRowFetch
 	}
+	return f.err != nil
 }
 
 func (f *failingRows) OutRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	f.read()
+	if f.failed() {
+		return nil, nil
+	}
 	return f.Rows.OutRow(v)
 }
 
 func (f *failingRows) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
-	f.read()
+	if f.failed() {
+		return nil, nil
+	}
 	return f.Rows.InRow(v)
 }
 
-// TestRowFetchFailureLeavesPoolReusable fails a query at every one of its row
-// reads in turn — BCA processing, border expansion and the Stage-II kernel's
-// build pass over the seen rows of either side — and checks that TopKRows
-// returns the fetch error each time and that the searcher the failed query
-// hands back to the pool (its kernel arrays half built, when the failure fell
-// in a build) answers the next query exactly like one that never failed.
+func (f *failingRows) Err() error { return f.err }
+
+// TestRowFetchFailureLeavesPoolReusable fails a query at every one
+// of its row reads in turn — the T side's binding reads, BCA processing, border
+// expansion, the Stage-II kernel's build pass over the seen rows of either
+// side and the final refinement of an exhausted search — and checks that
+// TopKRows returns the session's error each time, never a result computed from
+// the empty rows (a budgeted query included: a fleet failure is not a degraded
+// certificate), that the searcher is back in the pool, and that the next query
+// the pool serves answers exactly like one that never failed. The exhausted
+// search runs 157 rounds, so its earlier reads are sampled with a stride and
+// only the reads of its final refinement are failed one by one.
 func TestRowFetchFailureLeavesPoolReusable(t *testing.T) {
 	toy := testgraphs.NewToy()
-	q := walk.SingleNode(toy.T1)
-	opt := Options{K: 3, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
-	session := func(failAt int) *failingRows {
-		return &failingRows{Rows: graph.ViewRows(toy.Graph), failAt: failAt}
-	}
-	healthy := session(0)
-	want, err := TopKRows(context.Background(), healthy, q, opt)
-	if err != nil {
-		t.Fatalf("TopKRows: %v", err)
-	}
-	if healthy.reads < want.FSeen+want.TSeen {
-		t.Fatalf("query made %d row reads, fewer than one refinement of its %d+%d seen rows", healthy.reads, want.FSeen, want.TSeen)
-	}
-	for k := 1; k <= healthy.reads; k++ {
-		if res, err := TopKRows(context.Background(), session(k), q, opt); !errors.Is(err, errRowFetch) || res != nil {
-			t.Fatalf("read %d failing: got (%v, %v), want the fetch error", k, res, err)
-		}
-		got, err := TopKRows(context.Background(), session(0), q, opt)
-		if err != nil {
-			t.Fatalf("query after read %d failed: %v", k, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query after read %d failed diverged:\n%+v\n%+v", k, got, want)
-		}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		q    graph.NodeID
+		opt  Options
+		stop StopReason
+	}{
+		{"converged", toy.Graph, toy.T1, Options{K: 3, Epsilon: 0.01}, StopConverged},
+		{"exhausted", toy.Graph, toy.T1, Options{K: 50, Epsilon: 0.01}, StopExhausted},
+		{"budgeted", toy.Graph, toy.T1, Options{K: 3, Epsilon: 1e-9, Budget: &Budget{MaxRounds: 2}}, StopRounds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := walk.SingleNode(tc.q)
+			tc.opt.Alpha, tc.opt.Beta = 0.25, 0.5
+			session := func(failAt int) *failingRows {
+				return &failingRows{Rows: graph.ViewRows(tc.g), failAt: failAt}
+			}
+			healthy := session(0)
+			want, err := TopKRows(ctx, healthy, q, tc.opt)
+			if err != nil {
+				t.Fatalf("TopKRows: %v", err)
+			}
+			if want.Stop != tc.stop {
+				t.Fatalf("healthy query stopped on %v, the case needs %v", want.Stop, tc.stop)
+			}
+			if healthy.reads < want.FSeen+want.TSeen {
+				t.Fatalf("query made %d row reads, fewer than one refinement of its %d+%d seen rows", healthy.reads, want.FSeen, want.TSeen)
+			}
+			inUse, _ := PoolStats()
+			tail := healthy.reads - (want.FSeen + want.TSeen)
+			for k := 1; k <= healthy.reads; k++ {
+				if tc.stop == StopExhausted && k < tail && k%97 != 0 {
+					continue
+				}
+				if res, err := TopKRows(ctx, session(k), q, tc.opt); !errors.Is(err, errRowFetch) || res != nil {
+					t.Fatalf("read %d failing: got (%+v, %v), want the fetch error", k, res, err)
+				}
+				if now, _ := PoolStats(); now != inUse {
+					t.Fatalf("read %d failing: %d searchers in use, %d before", k, now, inUse)
+				}
+				got, err := TopKRows(ctx, session(0), q, tc.opt)
+				if err != nil {
+					t.Fatalf("query after read %d failed: %v", k, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("query after read %d failed diverged:\n%+v\n%+v", k, got, want)
+				}
+			}
+		})
 	}
 }

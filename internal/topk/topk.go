@@ -169,16 +169,16 @@ type Result struct {
 // the search within one expansion round and returns ctx.Err().
 //
 // There is one searcher (Algorithm 1 over pooled scratch state, near-zero
-// allocation per query) and one rule for how it reads the graph: flat CSR
-// arrays are read directly; anything else is read through a per-query
-// graph.Rows session — the view's own (graph.Packed) or the graph.ViewRows
-// adapter (masked, tracking, overlay and ad-hoc wrapper views). Arithmetic and
-// expansion order are the same on every route, so for the same graph content
-// the results are bit-identical.
+// allocation per query) and it always reads a graph.Rows: a flat view
+// (*graph.Graph, *graph.CompactedView) is one itself, graph.Packed hands out
+// a per-query session, and any other view (masked, tracking, overlay, ad-hoc
+// wrapper) goes through the graph.ViewRows adapter. Arithmetic and expansion
+// order are the same on every route, so for the same graph content the
+// results are bit-identical.
 func TopK(ctx context.Context, view graph.View, q walk.Query, opt Options) (*Result, error) {
 	switch v := view.(type) {
-	case graph.CSRView:
-		return flatTopK(ctx, v, nil, q, opt)
+	case graph.Rows:
+		return TopKRows(ctx, v, q, opt)
 	case graph.RowsProvider:
 		return TopKRows(ctx, v.NewRows(), q, opt)
 	default:
@@ -218,25 +218,6 @@ func boundOptions(opt Options) (bounds.FOptions, bounds.TOptions, error) {
 		tOpt.FrontierCap = opt.Budget.FrontierCap
 	}
 	return fOpt, tOpt, nil
-}
-
-// TopKRows runs the online top-K algorithm against a row session — a packed
-// or adapted view, or the remote-backed serving path, where adjacency streams
-// in row by row from stripe workers (internal/rowserve) instead of living in
-// coordinator memory. A session's row reads signal failure by panicking with
-// *graph.RowFetchError, which this function converts back into an ordinary
-// error (any other panic propagates).
-func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fe, ok := r.(*graph.RowFetchError)
-			if !ok {
-				panic(r)
-			}
-			res, err = nil, fe.Err
-		}
-	}()
-	return flatTopK(ctx, nil, rows, q, opt)
 }
 
 // effectiveMaxRounds composes the MaxRounds valve with the budget's round

@@ -6,21 +6,20 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// This file holds the flat-CSR fast paths of the iterative solvers: pull-style
+// This file holds the flat-CSR kernels of the iterative solvers: pull-style
 // (gather) sparse matvecs partitioned by contiguous row ranges across a worker
 // pool. Pull form is what makes row partitioning race-free — next[v] is
 // written by exactly one worker, which reduces v's CSR row sequentially — so
 // results are bit-identical for every worker count, including the serial
-// reference (see kernels_test.go). The generic View versions in walk.go remain
-// as the fallback for views that cannot expose CSR arrays (masked, tracking,
-// delta overlay) and as the pre-CSR baseline for benchmarking.
+// reference (see kernels_test.go). Views that cannot expose CSR arrays
+// (masked, tracking, delta overlay) are flattened with graph.Compact at the
+// door in walk.go and run here too; kernels_packed.go is the only sibling.
 
 // fRankCSR computes F-Rank by pulling over the transposed adjacency:
 //
 //	next[v] = α·restart[v] + (1−α)·Σ_{u→v} w(u,v)·cur[u]/outSum(u)
 //
-// with dangling mass restarted at the query, matching the push-style generic
-// solver up to floating-point summation order.
+// with dangling mass restarted at the query.
 func fRankCSR(ctx context.Context, cv graph.CSRView, restart []float64, p Params, pool *Pool) ([]float64, error) {
 	n := len(restart)
 	out, in := cv.OutCSR(), cv.InCSR()
@@ -73,9 +72,6 @@ func fRankCSR(ctx context.Context, cv graph.CSRView, restart []float64, p Params
 // tRankCSR computes T-Rank by reducing each node's own out-row:
 //
 //	next[v] = α·restart[v] + (1−α)·(Σ_{v→to} w(v,to)·cur[to]) / outSum(v)
-//
-// This is the same operation order as the generic solver, so on a CSRView the
-// two are bit-identical.
 func tRankCSR(ctx context.Context, cv graph.CSRView, restart []float64, p Params, pool *Pool) ([]float64, error) {
 	n := len(restart)
 	out := cv.OutCSR()

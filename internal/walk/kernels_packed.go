@@ -6,7 +6,7 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// This file holds the packed-CSR fast paths: the same pull-style, row-
+// This file holds the packed-CSR kernels: the same pull-style, row-
 // partitioned matvecs as kernels.go, but streaming each row through
 // graph.PackedIter instead of indexing flat arrays. Every loop mirrors its
 // flat counterpart's operation order exactly — each output row is still a

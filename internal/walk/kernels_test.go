@@ -2,6 +2,7 @@ package walk
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -224,52 +225,44 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 	assertBitIdentical(t, "TRank", serialTRankReference(g, restart, np), tr)
 }
 
-// TestKernelsMatchGenericSolvers cross-validates the CSR pull kernels against
-// the generic push/interface solvers within floating-point tolerance (the
-// summation orders differ, so bit equality is not expected). The generic path
-// is exercised by hiding the CSR behind an opaque wrapper.
-func TestKernelsMatchGenericSolvers(t *testing.T) {
+// TestWrappedViewsSolveThroughCompact pins the door for views with neither
+// flat nor packed arrays: an opaque wrapper and a MaskedView are flattened
+// once per solve, so every solver is bit-identical to the same call on
+// graph.Compact(view), and a cancelled context still returns ctx.Err().
+func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-12, MaxIter: 500}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	q := SingleNode(0)
 	for name, g := range kernelTestGraphs() {
-		q := SingleNode(0)
-		opaque := struct{ graph.View }{g}
-		fCSR, err := FRank(context.Background(), g, q, p)
-		if err != nil {
-			t.Fatalf("%s: FRank csr: %v", name, err)
+		to, _ := g.OutNeighbors(0)
+		views := map[string]graph.View{
+			"opaque": struct{ graph.View }{g},
+			"masked": graph.NewMaskedView(g, []graph.EdgeKey{{From: 0, To: to[0]}}),
 		}
-		fGen, err := FRank(context.Background(), opaque, q, p)
-		if err != nil {
-			t.Fatalf("%s: FRank generic: %v", name, err)
-		}
-		for i := range fCSR {
-			if math.Abs(fCSR[i]-fGen[i]) > 1e-9 {
-				t.Fatalf("%s: FRank node %d: csr %g vs generic %g", name, i, fCSR[i], fGen[i])
+		for kind, view := range views {
+			solvers := map[string]func(context.Context, graph.View) ([]float64, error){
+				"FRank": func(ctx context.Context, v graph.View) ([]float64, error) { return FRank(ctx, v, q, p) },
+				"TRank": func(ctx context.Context, v graph.View) ([]float64, error) { return TRank(ctx, v, q, p) },
+				"PageRank": func(ctx context.Context, v graph.View) ([]float64, error) {
+					return GlobalPageRank(ctx, v, 0.15, 1e-12, 500)
+				},
 			}
-		}
-		tCSR, err := TRank(context.Background(), g, q, p)
-		if err != nil {
-			t.Fatalf("%s: TRank csr: %v", name, err)
-		}
-		tGen, err := TRank(context.Background(), opaque, q, p)
-		if err != nil {
-			t.Fatalf("%s: TRank generic: %v", name, err)
-		}
-		for i := range tCSR {
-			if math.Abs(tCSR[i]-tGen[i]) > 1e-9 {
-				t.Fatalf("%s: TRank node %d: csr %g vs generic %g", name, i, tCSR[i], tGen[i])
-			}
-		}
-		prCSR, err := GlobalPageRank(context.Background(), g, 0.15, 1e-12, 500)
-		if err != nil {
-			t.Fatalf("%s: GlobalPageRank csr: %v", name, err)
-		}
-		prGen, err := GlobalPageRank(context.Background(), opaque, 0.15, 1e-12, 500)
-		if err != nil {
-			t.Fatalf("%s: GlobalPageRank generic: %v", name, err)
-		}
-		for i := range prCSR {
-			if math.Abs(prCSR[i]-prGen[i]) > 1e-9 {
-				t.Fatalf("%s: PageRank node %d: csr %g vs generic %g", name, i, prCSR[i], prGen[i])
+			for solver, solve := range solvers {
+				label := name + "/" + kind + "/" + solver
+				want, err := solve(ctx, graph.Compact(view))
+				if err != nil {
+					t.Fatalf("%s on the compaction: %v", label, err)
+				}
+				got, err := solve(ctx, view)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertBitIdentical(t, label, want, got)
+				if _, err := solve(cancelled, view); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s cancelled: got %v, want context.Canceled", label, err)
+				}
 			}
 		}
 	}

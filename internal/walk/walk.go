@@ -199,74 +199,42 @@ func (q Query) restart(dst []float64) error {
 // returned slice sums to one. Mass at dangling nodes (zero out-degree) is
 // restarted at the query, the standard PPR correction.
 //
-// On a graph.CSRView the solve runs as a parallel pull-style matvec over the
-// transposed adjacency (see kernels.go); other views use the generic
-// push-style sweep below. The context is checked once per power iteration:
+// The solve is a parallel pull-style matvec over the transposed adjacency:
+// the flat kernel on a graph.CSRView, the packed kernel on a
+// graph.PackedCSRView, and for any other view (masked, tracking, overlay) the
+// flat kernel over graph.Compact(view) — one O(nodes+edges) copy per solve,
+// so callers that solve the same wrapped view repeatedly should Compact it
+// once themselves. The context is checked once per power iteration:
 // cancelling it makes FRank return ctx.Err() within one sweep over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
+	return solve(ctx, view, q, p, fRankCSR, fRankPacked)
+}
+
+// solve is the one door to the personalized kernels: it validates the
+// parameters, builds the restart vector and dispatches on the view's layout.
+func solve(ctx context.Context, view graph.View, q Query, p Params,
+	flat func(context.Context, graph.CSRView, []float64, Params, *Pool) ([]float64, error),
+	packed func(context.Context, graph.PackedCSRView, []float64, Params, *Pool) ([]float64, error),
+) ([]float64, error) {
 	ctx = OrBackground(ctx)
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	n := view.NumNodes()
-	restart := make([]float64, n)
+	restart := make([]float64, view.NumNodes())
 	if err := q.restart(restart); err != nil {
 		return nil, err
 	}
-	if cv, ok := view.(graph.CSRView); ok {
-		pool, release := p.pool()
-		defer release()
-		return fRankCSR(ctx, cv, restart, p, pool)
+	pool, release := p.pool()
+	defer release()
+	switch v := view.(type) {
+	case graph.CSRView:
+		return flat(ctx, v, restart, p, pool)
+	case graph.PackedCSRView:
+		return packed(ctx, v, restart, p, pool)
+	default:
+		return flat(ctx, graph.Compact(view), restart, p, pool)
 	}
-	if pv, ok := view.(graph.PackedCSRView); ok {
-		pool, release := p.pool()
-		defer release()
-		return fRankPacked(ctx, pv, restart, p, pool)
-	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	copy(cur, restart)
-
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i := range next {
-			next[i] = p.Alpha * restart[i]
-		}
-		dangling := 0.0
-		for u := 0; u < n; u++ {
-			mass := cur[u]
-			if mass == 0 {
-				continue
-			}
-			sum := view.OutWeightSum(graph.NodeID(u))
-			if sum <= 0 {
-				dangling += mass
-				continue
-			}
-			scale := (1 - p.Alpha) * mass / sum
-			view.EachOut(graph.NodeID(u), func(to graph.NodeID, w float64) bool {
-				next[to] += scale * w
-				return true
-			})
-		}
-		if dangling > 0 {
-			scale := (1 - p.Alpha) * dangling
-			for i := range restart {
-				if restart[i] > 0 {
-					next[i] += scale * restart[i]
-				}
-			}
-		}
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
 }
 
 // TRank computes t(q, v) for every node v: the probability that a walk of
@@ -275,59 +243,10 @@ func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 // For a multi-node query, t(q, v) is the query-weighted mixture of the
 // single-node values, mirroring the linearity used for F-Rank.
 //
-// On a graph.CSRView the solve runs as a parallel row-partitioned matvec over
-// the forward adjacency. The context is checked once per iteration, as in
-// FRank.
+// The solve is a parallel row-partitioned matvec over the forward adjacency,
+// dispatched on the view's layout and cancelled exactly as in FRank.
 func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	ctx = OrBackground(ctx)
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	n := view.NumNodes()
-	restart := make([]float64, n)
-	if err := q.restart(restart); err != nil {
-		return nil, err
-	}
-	if cv, ok := view.(graph.CSRView); ok {
-		pool, release := p.pool()
-		defer release()
-		return tRankCSR(ctx, cv, restart, p, pool)
-	}
-	if pv, ok := view.(graph.PackedCSRView); ok {
-		pool, release := p.pool()
-		defer release()
-		return tRankPacked(ctx, pv, restart, p, pool)
-	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = p.Alpha * restart[i]
-	}
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			acc := p.Alpha * restart[v]
-			sum := view.OutWeightSum(graph.NodeID(v))
-			if sum > 0 {
-				s := 0.0
-				view.EachOut(graph.NodeID(v), func(to graph.NodeID, w float64) bool {
-					s += w * cur[to]
-					return true
-				})
-				acc += (1 - p.Alpha) * s / sum
-			}
-			next[v] = acc
-		}
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
+	return solve(ctx, view, q, p, tRankCSR, tRankPacked)
 }
 
 // GlobalPageRank computes the standard (non-personalized) PageRank with the
@@ -350,56 +269,14 @@ func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64
 	if n == 0 {
 		return nil, fmt.Errorf("walk: empty graph")
 	}
-	if cv, ok := view.(graph.CSRView); ok {
-		pool := DefaultPool()
-		return pageRankCSR(ctx, cv, d, tol, maxIter, pool)
+	switch v := view.(type) {
+	case graph.CSRView:
+		return pageRankCSR(ctx, v, d, tol, maxIter, DefaultPool())
+	case graph.PackedCSRView:
+		return pageRankPacked(ctx, v, d, tol, maxIter, DefaultPool())
+	default:
+		return pageRankCSR(ctx, graph.Compact(view), d, tol, maxIter, DefaultPool())
 	}
-	if pv, ok := view.(graph.PackedCSRView); ok {
-		return pageRankPacked(ctx, pv, d, tol, maxIter, DefaultPool())
-	}
-	uniform := 1.0 / float64(n)
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = uniform
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dangling := 0.0
-		for i := range next {
-			next[i] = d * uniform
-		}
-		for u := 0; u < n; u++ {
-			mass := cur[u]
-			if mass == 0 {
-				continue
-			}
-			sum := view.OutWeightSum(graph.NodeID(u))
-			if sum <= 0 {
-				dangling += mass
-				continue
-			}
-			scale := (1 - d) * mass / sum
-			view.EachOut(graph.NodeID(u), func(to graph.NodeID, w float64) bool {
-				next[to] += scale * w
-				return true
-			})
-		}
-		if dangling > 0 {
-			add := (1 - d) * dangling * uniform
-			for i := range next {
-				next[i] += add
-			}
-		}
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < tol {
-			break
-		}
-	}
-	return cur, nil
 }
 
 func l1Diff(a, b []float64) float64 {
