@@ -328,7 +328,7 @@ const DefaultExactLimit = 50_000
 const DefaultVectorCacheSize = 64
 
 // snapshot is one immutable epoch of the engine's serving state: the graph
-// view, its epoch, and the (lazily connected) coordinator pinned to that
+// view, its epoch, and the (lazily connected) fleet handles pinned to that
 // epoch's stripes. Apply swaps the engine's snapshot pointer atomically;
 // queries capture the snapshot once at plan time and run on it to completion,
 // so in-flight queries finish on their epoch while new queries see the next.
@@ -336,20 +336,64 @@ type snapshot struct {
 	view  View
 	epoch uint64
 
-	// connectMu serializes this snapshot's coordinator connect only; a stale
-	// epoch's slow connect never blocks the next epoch's first distributed
-	// query. Readers go through the atomic pointer and never take it.
-	connectMu sync.Mutex
-	coord     atomic.Pointer[distributed.Coordinator]
+	// coord is the exact-path coordinator (the Distributed method) and rows
+	// the row-serving view (the TwoSBoundRemote method). The RemoteCSR reads
+	// through the engine's shared row cache, whose content-fingerprint keys
+	// carry unchanged stripes' rows across an Apply rollover and strand the
+	// changed stripes' rows (see internal/rowserve).
+	coord lazyFleet[distributed.Coordinator]
+	rows  lazyFleet[rowserve.RemoteCSR]
+}
 
-	// rowMu and rows are the same lazy-connect discipline for the epoch's
-	// row-serving view (the TwoSBoundRemote method). The RemoteCSR is pinned
-	// to this snapshot's fleet epoch at connect time; it reads through the
-	// engine's shared row cache, whose content-fingerprint keys carry
-	// unchanged stripes' rows across an Apply rollover and strand the changed
-	// stripes' rows (see internal/rowserve).
-	rowMu sync.Mutex
-	rows  atomic.Pointer[rowserve.RemoteCSR]
+// lazyFleet is one fleet handle of a snapshot, connected on the first query
+// that needs it, so engine construction (and Apply) never block on the
+// network. A failed connect is not cached, so a query issued after the
+// workers come up succeeds; each snapshot has its own handles, so after an
+// Apply the next query connects afresh and validates the workers against the
+// new epoch. Readers Load the pointer and never take the mutex, which
+// serializes this snapshot's connect only: a stale epoch's slow connect never
+// blocks the next epoch's first query.
+type lazyFleet[T any] struct {
+	atomic.Pointer[T]
+	mu sync.Mutex
+}
+
+// get returns the connected handle, running connect on first use.
+func (l *lazyFleet[T]) get(connect func() (*T, error)) (*T, error) {
+	if h := l.Load(); h != nil {
+		return h, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if h := l.Load(); h != nil {
+		return h, nil
+	}
+	h, err := connect()
+	if err != nil {
+		return nil, err
+	}
+	l.Store(h)
+	return h, nil
+}
+
+// validateFleet checks the fleet a connect reached against the snapshot.
+func (s *snapshot) validateFleet(f *distributed.Fleet) error {
+	if f.NumNodes() != s.view.NumNodes() {
+		return fmt.Errorf("roundtriprank: workers serve a %d-node graph, the engine view has %d nodes",
+			f.NumNodes(), s.view.NumNodes())
+	}
+	// When the snapshot's view exposes CSR arrays, require the workers to
+	// have been striped from the very same graph: equal node counts with
+	// different adjacency would return plausible-looking but wrong rankings.
+	// The fingerprint folds the epoch in, so a cluster still serving the
+	// previous epoch's stripes is rejected here until it is redeployed.
+	if cv, ok := s.view.(graph.CSRView); ok {
+		if local := graph.GraphFingerprint(cv); local != f.GraphFingerprint() {
+			return fmt.Errorf("roundtriprank: workers were striped from a different graph (fingerprint %08x epoch %d, engine view has %08x epoch %d)",
+				f.GraphFingerprint(), f.Epoch(), local, s.epoch)
+		}
+	}
+	return nil
 }
 
 // Engine executes ranking requests over one graph view. It is safe for
@@ -364,10 +408,9 @@ type Engine struct {
 	// statsHook, when set, observes every executed plan (WithQueryStatsHook).
 	statsHook func(QueryStat)
 
-	// workers are the stripe transports of the Distributed method; each
-	// snapshot's coordinator over them is built lazily on the first
-	// distributed query of that epoch, so engine construction (and Apply)
-	// never block on the network.
+	// workers are the stripe transports of the Distributed and
+	// TwoSBoundRemote methods; each snapshot connects to them lazily
+	// (lazyFleet).
 	workers []distributed.Transport
 	// fleetMgr, when set (WithFleet), self-organizes the workers: they are
 	// the manager's per-stripe replica groups, and Apply reconciles
@@ -499,23 +542,25 @@ func (e *Engine) plan(req Request) (*plan, error) {
 		}
 	}
 	p := e.params
+	// The range checks are written to fail on NaN, which every ordered
+	// comparison lets through and every solver turns into NaN scores.
 	if req.Alpha != 0 {
-		if req.Alpha <= 0 || req.Alpha >= 1 {
+		if !(req.Alpha > 0 && req.Alpha < 1) {
 			return nil, invalidf("roundtriprank: alpha must be in (0,1), got %g", req.Alpha)
 		}
 		p.Walk.Alpha = req.Alpha
 	}
 	if req.Beta != nil {
-		if *req.Beta < 0 || *req.Beta > 1 {
+		if !(*req.Beta >= 0 && *req.Beta <= 1) {
 			return nil, invalidf("roundtriprank: beta must be in [0,1], got %g", *req.Beta)
 		}
 		p.Beta = *req.Beta
 	}
-	if req.Epsilon < 0 {
-		return nil, invalidf("roundtriprank: epsilon must be non-negative, got %g", req.Epsilon)
+	if !(req.Epsilon >= 0) || math.IsInf(req.Epsilon, 1) {
+		return nil, invalidf("roundtriprank: epsilon must be finite and non-negative, got %g", req.Epsilon)
 	}
-	if req.Tolerance < 0 {
-		return nil, invalidf("roundtriprank: tolerance must be non-negative, got %g", req.Tolerance)
+	if !(req.Tolerance >= 0) || math.IsInf(req.Tolerance, 1) {
+		return nil, invalidf("roundtriprank: tolerance must be finite and non-negative, got %g", req.Tolerance)
 	}
 	if req.Tolerance > 0 {
 		p.Walk.Tol = req.Tolerance
@@ -600,23 +645,9 @@ func (e *Engine) Rank(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var resp *Response
-	switch p.method.kind {
-	case methodExact:
-		resp, err = e.rankExact(ctx, p)
-	case methodDistributed:
-		resp, err = e.rankDistributed(ctx, p)
-	case methodRemoteOnline:
-		resp, err = e.rankRemote(ctx, p)
-	default:
-		resp, err = e.rankOnline(ctx, p)
-	}
+	resp, err := e.execPlan(ctx, p, nil)
 	e.recordStat(p, start, resp, err)
-	if err != nil {
-		return nil, err
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return resp, err
 }
 
 // recordStat delivers one executed plan to the stats hook, if installed.
@@ -637,8 +668,14 @@ func (e *Engine) rankExact(ctx context.Context, p *plan) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := trimZeroScores(core.TopN(s.R, p.k, p.keep))
-	return &Response{Results: toResults(top), Method: Exact, Converged: true, CertifiedK: len(top)}, nil
+	return exactResponse(p, s.R), nil
+}
+
+// exactResponse is the tail of every exact-family method: rank the combined
+// scores, trim the zero tail, certify everything returned.
+func exactResponse(p *plan, scores []float64) *Response {
+	top := trimZeroScores(core.TopN(scores, p.k, p.keep))
+	return &Response{Results: toResults(top), Method: p.method, Converged: true, CertifiedK: len(top)}
 }
 
 // trimZeroScores cuts the zero-score tail of a descending ranking: a zero
@@ -654,129 +691,32 @@ func trimZeroScores(in []core.Ranked) []core.Ranked {
 	return in
 }
 
-// coordinator returns the worker coordinator of the given snapshot,
-// connecting and validating the cluster topology on first use. A failed
-// connection attempt is not cached, so a query issued after the workers come
-// up succeeds. Each snapshot gets its own coordinator: after an Apply, the
-// next distributed query connects afresh and validates the workers against
-// the new epoch's fingerprint.
-func (e *Engine) coordinator(ctx context.Context, snap *snapshot) (*distributed.Coordinator, error) {
-	if c := snap.coord.Load(); c != nil {
-		return c, nil
-	}
-	snap.connectMu.Lock()
-	defer snap.connectMu.Unlock()
-	if c := snap.coord.Load(); c != nil {
-		return c, nil
-	}
-	c, err := distributed.NewCoordinator(ctx, e.workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.NumNodes() != snap.view.NumNodes() {
-		return nil, fmt.Errorf("roundtriprank: workers serve a %d-node graph, the engine view has %d nodes",
-			c.NumNodes(), snap.view.NumNodes())
-	}
-	// When the snapshot's view exposes CSR arrays, require the workers to
-	// have been striped from the very same graph: equal node counts with
-	// different adjacency would return plausible-looking but wrong rankings.
-	// The fingerprint folds the epoch in, so a cluster still serving the
-	// previous epoch's stripes is rejected here until it is redeployed.
-	if cv, ok := snap.view.(graph.CSRView); ok {
-		if local := graph.GraphFingerprint(cv); local != c.GraphFingerprint() {
-			return nil, fmt.Errorf("roundtriprank: workers were striped from a different graph (fingerprint %08x epoch %d, engine view has %08x epoch %d)",
-				c.GraphFingerprint(), c.Epoch(), local, snap.epoch)
-		}
-	}
-	snap.coord.Store(c)
-	return c, nil
-}
-
-// rankDistributed executes the exact solve across the worker cluster. The
-// coordinator's F-Rank/T-Rank iterations are bit-identical to the local
-// kernels, and the results merge into the same combine/top-K path as the
-// exact method, so a distributed response equals an Exact one node for node
-// and score for score. Cluster failures (connect, worker RPCs) are wrapped
-// in ClusterError so servers can report them as backend trouble rather than
-// caller mistakes.
+// rankDistributed executes the exact solve across the worker cluster: the
+// same core.Solve as the exact method, over the snapshot's coordinator as the
+// Gatherer, merging into the same combine/top-K tail — so a distributed
+// response equals an Exact one node for node and score for score. Cluster
+// failures (connect, worker RPCs) are wrapped in ClusterError so servers can
+// report them as backend trouble rather than caller mistakes.
 func (e *Engine) rankDistributed(ctx context.Context, p *plan) (*Response, error) {
-	c, err := e.coordinator(ctx, p.snap)
+	c, err := p.snap.coord.get(func() (*distributed.Coordinator, error) {
+		c, err := distributed.NewCoordinator(ctx, e.workers, nil)
+		if err != nil {
+			return nil, err
+		}
+		return c, p.snap.validateFleet(c.Fleet)
+	})
 	if err != nil {
 		return nil, &ClusterError{Err: err}
 	}
-	// The two solves run concurrently; the first failure cancels the sibling
-	// so a dead worker surfaces immediately instead of after the healthy
-	// solve finishes its remaining iterations.
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		t    []float64
-		terr error
-		done = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		t, terr = c.TRank(dctx, p.query, p.params.Walk)
-		if terr != nil {
-			cancel()
-		}
-	}()
-	f, ferr := c.FRank(dctx, p.query, p.params.Walk)
-	if ferr != nil {
-		cancel()
-	}
-	<-done
-	// Prefer the root cause over the sibling's cancellation casualty, and
-	// the caller's own cancellation over both.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, solveErr := range []error{ferr, terr} {
-		if solveErr != nil && !errors.Is(solveErr, context.Canceled) {
-			return nil, &ClusterError{Err: solveErr}
-		}
-	}
-	if ferr != nil || terr != nil {
-		return nil, &ClusterError{Err: errors.Join(ferr, terr)}
-	}
-	top := trimZeroScores(core.TopN(core.Combine(f, t, p.params.Beta), p.k, p.keep))
-	return &Response{Results: toResults(top), Method: Distributed, Converged: true, CertifiedK: len(top)}, nil
-}
-
-// rowView returns the row-serving view of the given snapshot, connecting to
-// the worker fleet and validating it against the snapshot on first use — the
-// same lazy, per-epoch discipline as coordinator(). A failed connect is not
-// cached. The view reads through the engine's shared row cache, so rows of
-// stripes an Apply left untouched stay warm across epochs.
-func (e *Engine) rowView(ctx context.Context, snap *snapshot) (*rowserve.RemoteCSR, error) {
-	if r := snap.rows.Load(); r != nil {
-		return r, nil
-	}
-	snap.rowMu.Lock()
-	defer snap.rowMu.Unlock()
-	if r := snap.rows.Load(); r != nil {
-		return r, nil
-	}
-	r, err := rowserve.Connect(ctx, e.workers, &rowserve.Options{Cache: e.rowCache})
+	f, t, err := core.Solve(ctx, c, p.query, p.params.Walk)
 	if err != nil {
-		return nil, err
-	}
-	if r.NumNodes() != snap.view.NumNodes() {
-		return nil, fmt.Errorf("roundtriprank: workers serve a %d-node graph, the engine view has %d nodes",
-			r.NumNodes(), snap.view.NumNodes())
-	}
-	// Same safeguard as the exact-path coordinator: when the snapshot's view
-	// exposes CSR arrays, the fleet must have been striped from that exact
-	// graph (the fingerprint folds the epoch in, so a fleet still serving the
-	// previous epoch is rejected until redeployed).
-	if cv, ok := snap.view.(graph.CSRView); ok {
-		if local := graph.GraphFingerprint(cv); local != r.GraphFingerprint() {
-			return nil, fmt.Errorf("roundtriprank: workers were striped from a different graph (fingerprint %08x epoch %d, engine view has %08x epoch %d)",
-				r.GraphFingerprint(), r.Epoch(), local, snap.epoch)
+		// The caller's own cancellation is not backend trouble.
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
+		return nil, &ClusterError{Err: err}
 	}
-	snap.rows.Store(r)
-	return r, nil
+	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
 }
 
 // rankRemote executes an online-method plan against the worker fleet: the
@@ -786,7 +726,13 @@ func (e *Engine) rowView(ctx context.Context, snap *snapshot) (*rowserve.RemoteC
 // the response additionally carries the query's row-serving footprint in
 // Rows. Fleet failures are wrapped in ClusterError, like rankDistributed.
 func (e *Engine) rankRemote(ctx context.Context, p *plan) (*Response, error) {
-	r, err := e.rowView(ctx, p.snap)
+	r, err := p.snap.rows.get(func() (*rowserve.RemoteCSR, error) {
+		r, err := rowserve.Connect(ctx, e.workers, &rowserve.Options{Cache: e.rowCache})
+		if err != nil {
+			return nil, err
+		}
+		return r, p.snap.validateFleet(r.Fleet)
+	})
 	if err != nil {
 		return nil, &ClusterError{Err: err}
 	}
@@ -964,8 +910,9 @@ func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, er
 	return out, nil
 }
 
-// execPlan runs one validated plan: online plans directly, exact plans as a
-// cached-vector mixture.
+// execPlan runs one validated plan and stamps its execution time. Exact plans
+// run as a cached-vector mixture when a cache is given (RankBatch) and as one
+// direct solve otherwise (Rank).
 func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Response, error) {
 	start := time.Now()
 	var (
@@ -974,7 +921,11 @@ func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Respo
 	)
 	switch p.method.kind {
 	case methodExact:
-		resp, err = e.rankExactShared(ctx, p, cache)
+		if cache == nil {
+			resp, err = e.rankExact(ctx, p)
+		} else {
+			resp, err = e.rankExactShared(ctx, p, cache)
+		}
 	case methodDistributed:
 		resp, err = e.rankDistributed(ctx, p)
 	case methodRemoteOnline:
@@ -1006,8 +957,7 @@ func (e *Engine) rankExactShared(ctx context.Context, p *plan, cache *vecCache) 
 			t[v] += w * tv[v]
 		}
 	}
-	top := trimZeroScores(core.TopN(core.Combine(f, t, p.params.Beta), p.k, p.keep))
-	return &Response{Results: toResults(top), Method: Exact, Converged: true, CertifiedK: len(top)}, nil
+	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
 }
 
 // ApplyResult reports the outcome of one Engine.Apply: the committed graph
@@ -1094,15 +1044,8 @@ func (e *Engine) Apply(ctx context.Context, d *Delta) (*ApplyResult, error) {
 // returned slices.
 func singleNodeVectors(ctx context.Context, snap *snapshot, node NodeID, wp walk.Params, cache *vecCache) ([]float64, []float64, error) {
 	return cache.get(ctx, vecKey{node: node, epoch: snap.epoch, alpha: wp.Alpha, tol: wp.Tol}, func() ([]float64, []float64, error) {
-		single := walk.SingleNode(node)
-		fv, err := walk.FRank(ctx, snap.view, single, wp)
-		if err != nil {
-			return nil, nil, err
-		}
-		tv, err := walk.TRank(ctx, snap.view, single, wp)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fv, tv, nil
+		g, release := walk.Local(snap.view, wp.Workers)
+		defer release()
+		return core.Solve(ctx, g, walk.SingleNode(node), wp)
 	})
 }

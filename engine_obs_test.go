@@ -3,6 +3,7 @@ package roundtriprank
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -69,6 +70,53 @@ func TestValidationErrorClassification(t *testing.T) {
 	}
 	if _, err := engine.Apply(ctx, d); !errors.As(err, &ve) {
 		t.Errorf("stale-delta Apply error = %v (%T), want *ValidationError", err, err)
+	}
+}
+
+// TestNonFiniteRequestFieldsAreRejected pins the plan's range checks against
+// NaN and ±Inf, which every ordered comparison lets through: such a request
+// used to be answered with NaN scores marked Converged (exact) or searched to
+// a non-converged result (NaN epsilon). Each must now fail as a
+// *ValidationError on the exact path, the online path and in a batch.
+func TestNonFiniteRequestFieldsAreRejected(t *testing.T) {
+	toy := testgraphs.NewToy()
+	engine, err := NewEngine(toy.Graph)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	weighted := func(w float64) Query {
+		return Query{Nodes: []NodeID{toy.T1, toy.T2}, Weights: []float64{1, w}}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Request)
+	}{
+		{"NaN query weight", func(r *Request) { r.Query = weighted(nan) }},
+		{"+Inf query weight", func(r *Request) { r.Query = weighted(inf) }},
+		{"-Inf query weight", func(r *Request) { r.Query = weighted(-inf) }},
+		{"NaN alpha", func(r *Request) { r.Alpha = nan }},
+		{"+Inf alpha", func(r *Request) { r.Alpha = inf }},
+		{"NaN beta", func(r *Request) { r.Beta = Float64(nan) }},
+		{"+Inf beta", func(r *Request) { r.Beta = Float64(inf) }},
+		{"NaN epsilon", func(r *Request) { r.Epsilon = nan }},
+		{"+Inf epsilon", func(r *Request) { r.Epsilon = inf }},
+		{"NaN tolerance", func(r *Request) { r.Tolerance = nan }},
+		{"+Inf tolerance", func(r *Request) { r.Tolerance = inf }},
+	}
+	for _, c := range cases {
+		for _, method := range []Method{Exact, TwoSBound} {
+			req := Request{Query: SingleNode(toy.T1), K: 3, Method: method}
+			c.mutate(&req)
+			var ve *ValidationError
+			if resp, err := engine.Rank(ctx, req); !errors.As(err, &ve) {
+				t.Errorf("%s/%s: Rank = (%+v, %v), want *ValidationError", c.name, method, resp, err)
+			}
+			if resps, err := engine.RankBatch(ctx, []Request{req}); !errors.As(err, &ve) {
+				t.Errorf("%s/%s: RankBatch = (%+v, %v), want *ValidationError", c.name, method, resps, err)
+			}
+		}
 	}
 }
 

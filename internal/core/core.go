@@ -24,6 +24,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -51,12 +52,13 @@ func DefaultParams() Params {
 	return Params{Walk: walk.DefaultParams(), Beta: BalancedBeta}
 }
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges; the comparisons are written to fail on
+// NaN.
 func (p Params) Validate() error {
-	if p.Beta < 0 || p.Beta > 1 {
+	if !(p.Beta >= 0 && p.Beta <= 1) {
 		return fmt.Errorf("core: beta must be in [0,1], got %g", p.Beta)
 	}
-	if p.Walk.Alpha <= 0 || p.Walk.Alpha >= 1 {
+	if !(p.Walk.Alpha > 0 && p.Walk.Alpha < 1) {
 		return fmt.Errorf("core: alpha must be in (0,1), got %g", p.Walk.Alpha)
 	}
 	return nil
@@ -73,31 +75,52 @@ type Scores struct {
 }
 
 // Compute runs the exact (iterative) F-Rank and T-Rank solvers for the query
-// and combines them into RoundTripRank+ scores. The two solvers are
-// independent and run concurrently. Cancelling the context aborts them within
-// one power iteration and returns ctx.Err().
+// and combines them into RoundTripRank+ scores: Solve over the view's
+// walk.Local Gatherer, resolved once for both solves. Cancelling the context
+// aborts them within one power iteration and returns ctx.Err().
 func Compute(ctx context.Context, view graph.View, q walk.Query, p Params) (*Scores, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	g, release := walk.Local(view, p.Walk.Workers)
+	defer release()
+	f, t, err := Solve(ctx, g, q, p.Walk)
+	if err != nil {
+		return nil, err
+	}
+	return &Scores{F: f, T: t, R: Combine(f, t, p.Beta), Beta: p.Beta}, nil
+}
+
+// Solve runs the F-Rank and T-Rank solves of one query concurrently over one
+// Gatherer — in-process rows or a worker fleet. The first failure cancels the
+// sibling, so a dead worker surfaces immediately instead of after the healthy
+// solve finishes its remaining iterations, and the error returned is the root
+// cause rather than the sibling's cancellation casualty.
+func Solve(ctx context.Context, g walk.Gatherer, q walk.Query, wp walk.Params) (f, t []float64, err error) {
+	pctx, cancel := context.WithCancel(walk.OrBackground(ctx))
+	defer cancel()
 	var (
-		t    []float64
 		terr error
 		done = make(chan struct{})
 	)
 	go func() {
 		defer close(done)
-		t, terr = walk.TRank(ctx, view, q, p.Walk)
+		if t, terr = walk.TRankOver(pctx, g, q, wp); terr != nil {
+			cancel()
+		}
 	}()
-	f, ferr := walk.FRank(ctx, view, q, p.Walk)
+	f, err = walk.FRankOver(pctx, g, q, wp)
+	if err != nil {
+		cancel()
+	}
 	<-done
-	if ferr != nil {
-		return nil, ferr
+	if terr != nil && (err == nil || errors.Is(err, context.Canceled)) {
+		err = terr
 	}
-	if terr != nil {
-		return nil, terr
+	if err != nil {
+		return nil, nil, err
 	}
-	return &Scores{F: f, T: t, R: Combine(f, t, p.Beta), Beta: p.Beta}, nil
+	return f, t, nil
 }
 
 // RoundTripRank computes the balanced (β = 0.5) RoundTripRank scores for the

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
@@ -337,4 +339,58 @@ func bruteForceDistribution(g *graph.Graph, q graph.NodeID, L int) []float64 {
 func bruteForceReturn(g *graph.Graph, v, q graph.NodeID, L int) float64 {
 	dist := bruteForceDistribution(g, v, L)
 	return dist[q]
+}
+
+// oneSidedGather fails the gathers of one side at once and parks the other
+// side's until their context is cancelled — the shape of a dead worker under
+// one solve while the sibling solve still has iterations to run.
+type oneSidedGather struct {
+	n      int
+	failIn bool // GatherIn (F-Rank) fails; otherwise GatherOut (T-Rank)
+}
+
+var errDeadWorker = errors.New("worker died")
+
+func (g oneSidedGather) OutSums() []float64 {
+	sums := make([]float64, g.n)
+	for i := range sums {
+		sums[i] = 1
+	}
+	return sums
+}
+
+func (g oneSidedGather) GatherIn(ctx context.Context, _, _ []float64) error {
+	return g.gather(ctx, g.failIn)
+}
+
+func (g oneSidedGather) GatherOut(ctx context.Context, _, _ []float64) error {
+	return g.gather(ctx, !g.failIn)
+}
+
+func (g oneSidedGather) gather(ctx context.Context, fail bool) error {
+	if fail {
+		return errDeadWorker
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(30 * time.Second):
+		return errors.New("the sibling solve was never cancelled")
+	}
+}
+
+// TestSolveCancelsSiblingAndReportsRootCause pins the one concurrent F/T
+// pair: whichever solve fails first cancels the other, and the error returned
+// is the failure itself, not the sibling's context.Canceled.
+func TestSolveCancelsSiblingAndReportsRootCause(t *testing.T) {
+	for _, failIn := range []bool{true, false} {
+		start := time.Now()
+		f, tr, err := Solve(context.Background(), oneSidedGather{n: 4, failIn: failIn}, walk.SingleNode(0), walk.DefaultParams())
+		if !errors.Is(err, errDeadWorker) || f != nil || tr != nil {
+			t.Errorf("failIn=%v: Solve returned (%v, %v, %v), want only the dead worker's error", failIn, f, tr, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("failIn=%v: Solve took %v; the healthy sibling was not cancelled", failIn, elapsed)
+		}
+	}
 }

@@ -159,7 +159,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 		return []Transport{f}
 	}
 
-	opts := &CoordinatorOptions{Retries: 2, RetryBackoff: time.Millisecond}
+	opts := &RetryPolicy{Retries: 2, Backoff: time.Millisecond}
 	if _, err := NewCoordinator(ctx, mk(2), opts); err != nil {
 		t.Errorf("2 transient failures under a 2-retry budget: %v", err)
 	}
@@ -188,8 +188,8 @@ func TestBackoffCancellation(t *testing.T) {
 	go func() {
 		// A huge backoff: if cancellation does not interrupt the sleep, the
 		// test times out instead of passing slowly.
-		_, err := NewCoordinator(ctx, []Transport{f}, &CoordinatorOptions{
-			Retries: 10, RetryBackoff: time.Hour,
+		_, err := NewCoordinator(ctx, []Transport{f}, &RetryPolicy{
+			Retries: 10, Backoff: time.Hour,
 		})
 		done <- err
 	}()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,79 +11,74 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Coordinator drives the distributed exact solve: it owns one Transport per
-// stripe, fans the per-iteration gather out to every worker in parallel,
-// retries transient worker failures (multiply calls are idempotent), and
-// merges the returned partial vectors back into the global iteration state.
-//
-// The arithmetic mirrors the in-process CSR kernels operation for operation —
-// the same per-row reduction order, the same serial dangling-mass collection
-// — so FRank and TRank return bit-identical vectors to walk.FRank/walk.TRank
-// on the unstriped graph, for any number of workers. That is what lets the
-// Engine route a query through the cluster and still satisfy the exact
-// top-K contract.
-type Coordinator struct {
-	ts     []Transport
-	n      int       // nodes in the full graph
-	graph  uint32    // graph fingerprint every worker must agree on
-	epoch  uint64    // snapshot version every worker must agree on
-	rows   []int     // owned rows per stripe
-	outSum []float64 // global out-weight sums, assembled from the stripes
-	opts   CoordinatorOptions
+// RetryPolicy is how a Fleet retries an idempotent worker call; the zero
+// value gives defaults.
+type RetryPolicy struct {
+	// Retries is how many times a failed transient call is retried on the
+	// same worker before the query fails (default 2; negative disables).
+	Retries int
+	// Backoff is the base delay before a retry; attempt k waits k*Backoff
+	// (default 50ms).
+	Backoff time.Duration
+}
+
+func (p RetryPolicy) withDefaults() RetryPolicy {
+	if p.Retries == 0 {
+		p.Retries = 2
+	}
+	if p.Retries < 0 {
+		p.Retries = 0
+	}
+	if p.Backoff <= 0 {
+		p.Backoff = 50 * time.Millisecond
+	}
+	return p
+}
+
+// Fleet is one validated, epoch-pinned connection to a striped worker fleet:
+// the outcome of the handshake (Connect) plus the retry policy and RPC
+// counters every later call on the connection goes through. The exact-path
+// Coordinator and the row-serving rowserve.RemoteCSR are each a Fleet with
+// their own RPCs on top, so a fleet is validated in one place.
+type Fleet struct {
+	ts      []Transport
+	n       int       // nodes in the full graph
+	graph   uint32    // graph fingerprint every worker must agree on
+	epoch   uint64    // snapshot version every worker must agree on
+	rows    []int     // owned rows per stripe, recomputed from n
+	content []uint32  // per-stripe payload fingerprint
+	outSum  []float64 // global out-weight sums, assembled from the stripes
+	policy  RetryPolicy
 
 	rpcs    atomic.Int64
 	retries atomic.Int64
 }
 
-// CoordinatorOptions tune fan-out behavior; the zero value gives defaults.
-type CoordinatorOptions struct {
-	// Retries is how many times a failed transient call is retried on the
-	// same worker before the query fails (default 2).
-	Retries int
-	// RetryBackoff is the base delay before a retry; attempt k waits
-	// k*RetryBackoff (default 50ms).
-	RetryBackoff time.Duration
-}
+// Connect performs the fleet handshake — transports[i] must serve stripe i of
+// len(transports) — validating the topology the workers advertise and
+// assembling the global out-weight vector; one inconsistent worker fails the
+// connect, not a later query. policy may be nil for defaults. Connect does not
+// take ownership of the transports.
+func Connect(ctx context.Context, transports []Transport, policy *RetryPolicy) (*Fleet, error) {
+	count := len(transports)
+	if count == 0 {
+		return nil, fmt.Errorf("distributed: need at least one worker")
+	}
+	f := &Fleet{ts: transports, rows: make([]int, count), content: make([]uint32, count)}
+	if policy != nil {
+		f.policy = *policy
+	}
+	f.policy = f.policy.withDefaults()
 
-func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	return o
-}
-
-// NewCoordinator connects to the given workers — transports[i] must serve
-// stripe i of len(transports) — validates the topology they advertise, and
-// assembles the global out-weight vector. It does not take ownership of the
-// transports until it succeeds; on success Close releases them.
-func NewCoordinator(ctx context.Context, transports []Transport, opts *CoordinatorOptions) (*Coordinator, error) {
-	if len(transports) == 0 {
-		return nil, fmt.Errorf("distributed: coordinator needs at least one worker")
-	}
-	c := &Coordinator{ts: transports, rows: make([]int, len(transports))}
-	if opts != nil {
-		c.opts = *opts
-	}
-	c.opts = c.opts.withDefaults()
-
-	infos := make([]WorkerInfo, len(transports))
-	err := c.fanOut(ctx, func(ctx context.Context, i int) error {
-		info, err := call(c, ctx, i, func(ctx context.Context) (WorkerInfo, error) {
-			return c.ts[i].Info(ctx)
-		})
+	infos := make([]WorkerInfo, count)
+	err := f.fanOut(ctx, func(ctx context.Context, i int) error {
+		info, err := Call(ctx, f, i, f.ts[i].Info)
 		infos[i] = info
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	count := len(transports)
 	for i, info := range infos {
 		if info.Protocol != ProtocolVersion {
 			return nil, fmt.Errorf("distributed: worker %d speaks protocol %d, coordinator speaks %d", i, info.Protocol, ProtocolVersion)
@@ -94,114 +88,95 @@ func NewCoordinator(ctx context.Context, transports []Transport, opts *Coordinat
 				i, info.Index, info.Count, i, count)
 		}
 		if i == 0 {
-			c.n = info.NumNodes
-			c.graph = info.Graph
-			c.epoch = info.Epoch
+			f.n = info.NumNodes
+			f.graph = info.Graph
+			f.epoch = info.Epoch
 		} else {
-			if info.NumNodes != c.n {
-				return nil, fmt.Errorf("distributed: worker %d serves a %d-node graph, worker 0 a %d-node one", i, info.NumNodes, c.n)
+			if info.NumNodes != f.n {
+				return nil, fmt.Errorf("distributed: worker %d serves a %d-node graph, worker 0 a %d-node one", i, info.NumNodes, f.n)
 			}
-			if info.Graph != c.graph {
+			if info.Graph != f.graph {
 				return nil, fmt.Errorf("distributed: worker %d was striped from a different graph (fingerprint %08x, worker 0 has %08x)",
-					i, info.Graph, c.graph)
+					i, info.Graph, f.graph)
 			}
-			if info.Epoch != c.epoch {
+			if info.Epoch != f.epoch {
 				return nil, fmt.Errorf("distributed: worker %d serves epoch %d, worker 0 epoch %d (redeploy in progress?)",
-					i, info.Epoch, c.epoch)
+					i, info.Epoch, f.epoch)
 			}
 		}
-		// Never trust the advertised row count: the merge loops index global
-		// vectors with i + r*count, so an oversized value would panic.
+		// Never trust the advertised row count: Scatter indexes global vectors
+		// with i + r*count, so an oversized value would panic.
 		wantRows := 0
-		if c.n > i {
-			wantRows = (c.n - i + count - 1) / count
+		if f.n > i {
+			wantRows = (f.n - i + count - 1) / count
 		}
 		if info.Rows != wantRows {
 			return nil, fmt.Errorf("distributed: worker %d advertises %d rows, stripe %d of %d over %d nodes owns %d",
-				i, info.Rows, i, count, c.n, wantRows)
+				i, info.Rows, i, count, f.n, wantRows)
 		}
-		c.rows[i] = info.Rows
+		f.rows[i] = info.Rows
+		f.content[i] = info.Content
 	}
-	if c.n <= 0 {
+	if f.n <= 0 {
 		return nil, fmt.Errorf("distributed: workers serve an empty graph")
 	}
-
-	c.outSum = make([]float64, c.n)
-	sums := make([][]float64, len(transports))
-	err = c.fanOut(ctx, func(ctx context.Context, i int) error {
-		s, err := call(c, ctx, i, func(ctx context.Context) ([]float64, error) {
-			return c.ts[i].OutSums(ctx)
-		})
-		if err != nil {
-			return err
-		}
-		if len(s) != c.rows[i] {
-			return fmt.Errorf("distributed: worker %d returned %d out-sums for %d rows", i, len(s), c.rows[i])
-		}
-		sums[i] = s
-		return nil
+	f.outSum = make([]float64, f.n)
+	err = Scatter(ctx, f, "out-sums", f.outSum, func(ctx context.Context, i int) ([]float64, error) {
+		return f.ts[i].OutSums(ctx)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range sums {
-		for r, v := range s {
-			c.outSum[i+r*count] = v
-		}
-	}
-	return c, nil
+	return f, nil
 }
 
 // NumNodes returns the node count of the striped graph.
-func (c *Coordinator) NumNodes() int { return c.n }
+func (f *Fleet) NumNodes() int { return f.n }
 
-// GraphFingerprint returns the fingerprint of the graph the cluster serves
+// GraphFingerprint returns the fingerprint of the graph the fleet serves
 // (graph.GraphFingerprint), agreed on by every worker at connect time.
-func (c *Coordinator) GraphFingerprint() uint32 { return c.graph }
+func (f *Fleet) GraphFingerprint() uint32 { return f.graph }
 
-// Epoch returns the snapshot version of the graph the cluster serves, agreed
-// on by every worker at connect time. A coordinator is pinned to its epoch:
-// after a redeploy rolls the workers forward, its multiplies fail their
-// fingerprint check and the caller connects a fresh coordinator.
-func (c *Coordinator) Epoch() uint64 { return c.epoch }
+// Epoch returns the snapshot version of the graph the fleet serves, agreed on
+// by every worker at connect time. A Fleet is pinned to its epoch: after a
+// redeploy rolls the workers forward, its calls fail their fingerprint check
+// and the caller connects afresh.
+func (f *Fleet) Epoch() uint64 { return f.epoch }
 
-// Workers returns the number of workers in the cluster.
-func (c *Coordinator) Workers() int { return len(c.ts) }
+// Workers returns the number of workers (stripes) in the fleet.
+func (f *Fleet) Workers() int { return len(f.ts) }
+
+// Content returns the payload fingerprint stripe i advertised at connect time.
+func (f *Fleet) Content(i int) uint32 { return f.content[i] }
+
+// OutSums returns every node's total out-weight, assembled at connect time;
+// read-only. It is the walk.Gatherer method of the same name.
+func (f *Fleet) OutSums() []float64 { return f.outSum }
 
 // Stats reports the cumulative worker RPC count and how many of those were
 // retries after a transient failure.
-func (c *Coordinator) Stats() (rpcs, retries int64) {
-	return c.rpcs.Load(), c.retries.Load()
+func (f *Fleet) Stats() (rpcs, retries int64) {
+	return f.rpcs.Load(), f.retries.Load()
 }
 
-// Close closes every worker transport.
-func (c *Coordinator) Close() error {
-	var firstErr error
-	for _, t := range c.ts {
-		if err := t.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// call runs one idempotent worker RPC with the coordinator's retry policy:
-// transient failures are retried with linear backoff, everything else (and
-// context cancellation) fails immediately.
-func call[T any](c *Coordinator, ctx context.Context, i int, f func(ctx context.Context) (T, error)) (T, error) {
+// Call runs one idempotent RPC against worker i under the fleet's retry
+// policy: transient failures are retried with linear backoff, everything else
+// (and context cancellation) fails immediately, and the error names the
+// worker while keeping its TransientError classification in the chain.
+func Call[T any](ctx context.Context, f *Fleet, i int, rpc func(ctx context.Context) (T, error)) (T, error) {
+	var zero T
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= f.policy.Retries; attempt++ {
 		if attempt > 0 {
-			c.retries.Add(1)
+			f.retries.Add(1)
 			select {
 			case <-ctx.Done():
-				var zero T
 				return zero, ctx.Err()
-			case <-time.After(time.Duration(attempt) * c.opts.RetryBackoff):
+			case <-time.After(time.Duration(attempt) * f.policy.Backoff):
 			}
 		}
-		c.rpcs.Add(1)
-		out, err := f(ctx)
+		f.rpcs.Add(1)
+		out, err := rpc(ctx)
 		if err == nil {
 			return out, nil
 		}
@@ -210,19 +185,18 @@ func call[T any](c *Coordinator, ctx context.Context, i int, f func(ctx context.
 			break
 		}
 	}
-	var zero T
-	return zero, fmt.Errorf("distributed: worker %d: %w", i, lastErr)
+	return zero, fmt.Errorf("distributed: worker %d (stripe %d of %d): %w", i, i, len(f.ts), lastErr)
 }
 
 // fanOut runs fn(i) for every worker concurrently; the first failure cancels
 // the rest. The reported error is the root cause: a sibling call that died
 // of the fan-out's own cancellation is only blamed when nothing else failed.
-func (c *Coordinator) fanOut(ctx context.Context, fn func(ctx context.Context, i int) error) error {
+func (f *Fleet) fanOut(ctx context.Context, fn func(ctx context.Context, i int) error) error {
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, len(c.ts))
+	errs := make([]error, len(f.ts))
 	var wg sync.WaitGroup
-	for i := range c.ts {
+	for i := range f.ts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -251,159 +225,86 @@ func (c *Coordinator) fanOut(ctx context.Context, fn func(ctx context.Context, i
 	return firstErr
 }
 
-// multiply fans one gather out to every worker and merges the partial
-// vectors into next by the round-robin assignment. partials is reused across
-// iterations to avoid re-allocating.
-func (c *Coordinator) multiply(ctx context.Context, dir Direction, x []float64, partials [][]float64) error {
-	err := c.fanOut(ctx, func(ctx context.Context, i int) error {
-		out, err := call(c, ctx, i, func(ctx context.Context) ([]float64, error) {
-			return c.ts[i].Multiply(ctx, dir, c.graph, x)
-		})
+// Scatter fetches one per-owned-row array from every worker — fanned out,
+// each fetch under Call's retry policy — checks its length against the
+// stripe's row count, and scatters it into the per-node array dst by the
+// round-robin assignment (worker i's row r is node i + r·count). what names
+// the payload in the length error. On failure dst is partly written.
+func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch func(ctx context.Context, i int) ([]T, error)) error {
+	return f.fanOut(ctx, func(ctx context.Context, i int) error {
+		part, err := Call(ctx, f, i, func(ctx context.Context) ([]T, error) { return fetch(ctx, i) })
 		if err != nil {
 			return err
 		}
-		if len(out) != c.rows[i] {
-			return fmt.Errorf("distributed: worker %d returned %d entries for %d rows", i, len(out), c.rows[i])
+		if len(part) != f.rows[i] {
+			return fmt.Errorf("distributed: worker %d returned %d %s for %d rows", i, len(part), what, f.rows[i])
 		}
-		partials[i] = out
+		for r, v := range part {
+			dst[i+r*len(f.ts)] = v
+		}
 		return nil
 	})
-	return err
 }
 
-// restartVector scatters the normalized query onto a dense vector.
-func (c *Coordinator) restartVector(q walk.Query) ([]float64, error) {
-	nq, err := q.Normalize()
+// Coordinator drives the distributed exact solve: it is the worker fleet as a
+// walk.Gatherer. Each gather fans one Multiply out to every worker in
+// parallel, pinned to the connect-time graph fingerprint, retries transient
+// failures (multiply calls are idempotent) and scatters the partial vectors
+// by stripe; the power iteration around it is walk's own loop, and each
+// worker reduces its rows with graph.CSR.Gather. FRank and TRank are therefore
+// bit-identical to walk.FRank/walk.TRank on the unstriped graph, for any
+// number of workers, by construction. That is what lets the Engine route a
+// query through the cluster and still satisfy the exact top-K contract.
+type Coordinator struct {
+	*Fleet
+}
+
+// NewCoordinator connects to the given workers (see Connect). It does not
+// take ownership of the transports until it succeeds; on success Close
+// releases them.
+func NewCoordinator(ctx context.Context, transports []Transport, policy *RetryPolicy) (*Coordinator, error) {
+	f, err := Connect(ctx, transports, policy)
 	if err != nil {
 		return nil, err
 	}
-	restart := make([]float64, c.n)
-	for i, v := range nq.Nodes {
-		if int(v) < 0 || int(v) >= c.n {
-			return nil, fmt.Errorf("distributed: query node %d out of range [0,%d)", v, c.n)
-		}
-		restart[v] += nq.Weights[i]
-	}
-	return restart, nil
+	return &Coordinator{f}, nil
 }
 
-// FRank computes the exact F-Rank vector of the query across the cluster: the
-// distributed form of walk.FRank's pull-style power iteration, bit-identical
-// to the in-process solve. Each iteration performs the transition scaling and
-// dangling-mass collection locally (they need only the global out-sums) and
-// fans the expensive gather out to the workers.
+// Close closes every worker transport.
+func (c *Coordinator) Close() error {
+	var firstErr error
+	for _, t := range c.ts {
+		if err := t.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// GatherIn implements walk.Gatherer over the workers' transposed rows.
+func (c *Coordinator) GatherIn(ctx context.Context, x, dst []float64) error {
+	return c.gather(ctx, DirIn, x, dst)
+}
+
+// GatherOut implements walk.Gatherer over the workers' forward rows.
+func (c *Coordinator) GatherOut(ctx context.Context, x, dst []float64) error {
+	return c.gather(ctx, DirOut, x, dst)
+}
+
+func (c *Coordinator) gather(ctx context.Context, dir Direction, x, dst []float64) error {
+	return Scatter(ctx, c.Fleet, "entries", dst, func(ctx context.Context, i int) ([]float64, error) {
+		return c.ts[i].Multiply(ctx, dir, c.graph, x)
+	})
+}
+
+// FRank computes the exact F-Rank vector of the query across the cluster:
+// walk.FRankOver this coordinator.
 func (c *Coordinator) FRank(ctx context.Context, q walk.Query, p walk.Params) ([]float64, error) {
-	ctx = walk.OrBackground(ctx)
-	p, err := p.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	restart, err := c.restartVector(q)
-	if err != nil {
-		return nil, err
-	}
-	n := c.n
-	count := len(c.ts)
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	scaled := make([]float64, n)
-	partials := make([][]float64, count)
-	copy(cur, restart)
-	oneMinus := 1 - p.Alpha
-
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Scale by inverse out-weight and collect dangling mass, serially, in
-		// the same order as the local kernel.
-		dangling := 0.0
-		for u := 0; u < n; u++ {
-			if c.outSum[u] > 0 {
-				scaled[u] = cur[u] / c.outSum[u]
-			} else {
-				scaled[u] = 0
-				dangling += cur[u]
-			}
-		}
-		dadd := oneMinus * dangling
-		if err := c.multiply(ctx, DirIn, scaled, partials); err != nil {
-			return nil, err
-		}
-		for i, part := range partials {
-			for r, sum := range part {
-				v := i + r*count
-				rv := restart[v]
-				nv := p.Alpha*rv + oneMinus*sum
-				if dadd > 0 && rv > 0 {
-					nv += dadd * rv
-				}
-				next[v] = nv
-			}
-		}
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
+	return walk.FRankOver(ctx, c, q, p)
 }
 
-// TRank computes the exact T-Rank vector of the query across the cluster: the
-// distributed form of walk.TRank, bit-identical to the in-process solve. The
-// workers reduce each owned node's forward row against the current vector;
-// the coordinator applies the restart and the per-row 1/outSum normalization.
+// TRank computes the exact T-Rank vector of the query across the cluster:
+// walk.TRankOver this coordinator.
 func (c *Coordinator) TRank(ctx context.Context, q walk.Query, p walk.Params) ([]float64, error) {
-	ctx = walk.OrBackground(ctx)
-	p, err := p.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	restart, err := c.restartVector(q)
-	if err != nil {
-		return nil, err
-	}
-	n := c.n
-	count := len(c.ts)
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	partials := make([][]float64, count)
-	for i := range cur {
-		cur[i] = p.Alpha * restart[i]
-	}
-	oneMinus := 1 - p.Alpha
-
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := c.multiply(ctx, DirOut, cur, partials); err != nil {
-			return nil, err
-		}
-		for i, part := range partials {
-			for r, s := range part {
-				v := i + r*count
-				acc := p.Alpha * restart[v]
-				if sum := c.outSum[v]; sum > 0 {
-					acc += oneMinus * s / sum
-				}
-				next[v] = acc
-			}
-		}
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
-}
-
-func l1Diff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d
+	return walk.TRankOver(ctx, c, q, p)
 }

@@ -140,7 +140,7 @@ func TestCoordinatorRetriesTransientWorkerFailure(t *testing.T) {
 		return flaky
 	})
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &CoordinatorOptions{Retries: 3, RetryBackoff: time.Millisecond})
+	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 3, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestCoordinatorFailsOnPersistentWorkerError(t *testing.T) {
 		return &flakyHandler{inner: h, failures: 1 << 30} // never recovers
 	})
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &CoordinatorOptions{Retries: 1, RetryBackoff: time.Millisecond})
+	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestCoordinatorBlamesDeadWorker(t *testing.T) {
 		ts[i] = NewHTTPTransport(srv.URL, nil)
 	}
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &CoordinatorOptions{Retries: 1, RetryBackoff: time.Millisecond})
+	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -330,7 +330,7 @@ func TestMultiplyRejectsReplacedStripe(t *testing.T) {
 		ts[i] = NewHTTPTransport(srv.URL, nil)
 	}
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &CoordinatorOptions{Retries: 1, RetryBackoff: time.Millisecond})
+	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}

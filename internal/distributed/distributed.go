@@ -116,9 +116,9 @@ func (s *Stripe) OutSums() []float64 { return s.out.Sum }
 // MultiplyIn computes one owned slice of the pull-style gather that drives
 // F-Rank: dst[r] = Σ_{u→v} w(u,v)·x[u] for each owned node v, reading v's
 // transposed adjacency row. x must have NumNodes entries and dst OwnedNodes
-// entries. Each output row is reduced sequentially in CSR order — the same
-// order as the in-process kernels — so a distributed solve is bit-identical
-// to a local one.
+// entries. The reduction is graph.CSR.Gather, the very function the
+// in-process solve runs, so a distributed solve is bit-identical to a local
+// one.
 func (s *Stripe) MultiplyIn(x, dst []float64) error {
 	return s.multiply(s.in, x, dst)
 }
@@ -138,14 +138,7 @@ func (s *Stripe) multiply(c graph.CSR, x, dst []float64) error {
 	if len(dst) != s.rows {
 		return fmt.Errorf("distributed: multiply output has %d entries, stripe owns %d rows", len(dst), s.rows)
 	}
-	for r := 0; r < s.rows; r++ {
-		sum := 0.0
-		lo, hi := c.RowPtr[r], c.RowPtr[r+1]
-		for i := lo; i < hi; i++ {
-			sum += c.Weight[i] * x[c.Col[i]]
-		}
-		dst[r] = sum
-	}
+	c.Gather(x, dst, 0, s.rows)
 	return nil
 }
 

@@ -8,9 +8,13 @@
 // loadable from the binary codec in internal/graph) and serves stateless
 // per-iteration gather RPCs; the Coordinator fans each power iteration out
 // over a Transport per worker — in-process Loopback or HTTPTransport (the
-// cmd/gpserver wire protocol) — retries transient failures, and merges the
-// partial vectors. The arithmetic mirrors the in-process CSR kernels exactly,
-// so distributed F-Rank/T-Rank vectors are bit-identical to local ones.
+// cmd/gpserver wire protocol) — retries transient failures, and scatters the
+// partial vectors by stripe. No arithmetic lives here: the Coordinator is a
+// walk.Gatherer beneath walk's one power iteration and a worker reduces its
+// rows with graph.CSR.Gather, so distributed F-Rank/T-Rank vectors are
+// bit-identical to local ones by construction. The handshake that validates a
+// fleet (Connect) and the retry discipline (Call) are shared with the
+// row-serving path.
 //
 // Stripes are immutable snapshots identified by the source graph's
 // epoch-stamped fingerprint, which Multiply pins per call: when a commit

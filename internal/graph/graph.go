@@ -66,6 +66,22 @@ func (c CSR) Degree(v NodeID) int {
 	return int(c.RowPtr[v+1] - c.RowPtr[v])
 }
 
+// Gather is the flat row reduction of every exact solve: it fills
+// dst[r] = Σ_i Weight[i]·x[Col[i]] over row r's entries, for lo ≤ r < hi. Each
+// row is reduced sequentially in stored entry order, so however callers split
+// [lo, hi) across goroutines the result is bit-identical — and equal to
+// PackedCSR.Gather on the packed form of the same rows.
+func (c CSR) Gather(x, dst []float64, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		sum := 0.0
+		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
+		for i := rowLo; i < rowHi; i++ {
+			sum += c.Weight[i] * x[c.Col[i]]
+		}
+		dst[r] = sum
+	}
+}
+
 // CSRView is implemented by views that expose their adjacency as flat CSR
 // arrays, the layout the flat walk kernels run on; a view that cannot provide
 // it (masked, tracking, overlay) is flattened with Compact first.

@@ -123,6 +123,23 @@ func (c *PackedCSR) AppendRow(v NodeID, cols []NodeID, weights []float64) ([]Nod
 	}
 }
 
+// Gather is CSR.Gather over packed rows: the same sequential reduction over
+// the same entry sequence, streamed through PackedIter instead of indexed.
+func (c *PackedCSR) Gather(x, dst []float64, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		sum := 0.0
+		it := c.Iter(NodeID(r))
+		for {
+			col, w, ok := it.Next()
+			if !ok {
+				break
+			}
+			sum += w * x[col]
+		}
+		dst[r] = sum
+	}
+}
+
 // packCSR packs one CSR direction. The CSR must be compact: RowPtr[0] == 0 and
 // cumulative (true for every CSR the Builder, Commit, Compact or the stripe
 // cutter produce). Sum is aliased, not copied — both representations cache the
@@ -284,9 +301,10 @@ func scanPackedRow(b []byte, numNodes int, wantSum float64) error {
 }
 
 // PackedCSRView is implemented by views that expose their adjacency as packed
-// CSR blocks. The walk solvers dispatch on it (after CSRView) and run the
-// same pull-style parallel matvecs over streaming row decodes, bit-identical
-// to the flat kernels because rows decode in the identical entry order.
+// CSR blocks. The walk solvers' in-process gather (walk.Local) dispatches on
+// it and reduces rows with PackedCSR.Gather over streaming row decodes,
+// bit-identical to CSR.Gather because rows decode in the identical entry
+// order.
 type PackedCSRView interface {
 	View
 	// OutPacked returns the forward adjacency.

@@ -63,7 +63,7 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 		entered:   make(chan struct{}),
 		hold:      make(chan struct{}),
 	}
-	r, err := Connect(ctx, []distributed.Transport{rf}, &Options{Retries: 0})
+	r, err := Connect(ctx, []distributed.Transport{rf}, &Options{})
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 	// The waiter races the owner on the same row. It must block on the
 	// in-flight slot now and recover on its own after the owner fails.
 	waiter := r.Session(ctx)
-	if _, e, state := r.cache.probe(cacheKey{content: r.content[0], node: v}); state != probeWait {
+	if _, e, state := r.cache.probe(cacheKey{content: r.Content(0), node: v}); state != probeWait {
 		t.Fatalf("second probe got state %d, want probeWait", state)
 	} else {
 		_ = e
@@ -169,7 +169,7 @@ func TestEvictionDuringFailover(t *testing.T) {
 		transports[i] = distributed.NewReplicaSet(i, []distributed.Transport{preferred[i], backup}, 0)
 	}
 	// Capacity 3 on a 12-node graph: the sweep must evict constantly.
-	r, err := Connect(ctx, transports, &Options{Cache: NewCache(3), Retries: 1, RetryBackoff: 1})
+	r, err := Connect(ctx, transports, &Options{Cache: NewCache(3), Retry: distributed.RetryPolicy{Retries: 1, Backoff: 1}})
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}

@@ -6,13 +6,14 @@
 // coordinator's working set is O(rows touched), never O(edges).
 //
 // The pieces: RemoteCSR is one epoch-pinned connection to the fleet,
-// validated the same way the exact-path Coordinator validates its workers and
-// holding only dense per-node metadata (out-sums and out-degrees, the two
-// arrays the searcher reads for arbitrary neighbors). Cache is the shared LRU
-// row store with single-flight dedup. Session is one query's window onto a
-// RemoteCSR: it implements graph.Rows (and graph.RowPrefetcher, which
-// coalesces each expansion wave's missing rows into one batched /v1/rows RPC
-// per stripe) and carries the query context and per-query counters.
+// validated by the same handshake as the exact-path Coordinator
+// (distributed.Connect) and holding only dense per-node metadata (out-sums
+// and out-degrees, the two arrays the searcher reads for arbitrary
+// neighbors). Cache is the shared LRU row store with single-flight dedup.
+// Session is one query's window onto a RemoteCSR: it implements graph.Rows
+// (and graph.RowPrefetcher, which coalesces each expansion wave's missing
+// rows into one batched /v1/rows RPC per stripe) and carries the query
+// context and per-query counters.
 //
 // Because every row arrives bit-exact from the stripe that owns it and the
 // searcher's arithmetic never changes, 2SBound over a RemoteCSR returns
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
@@ -32,12 +32,8 @@ import (
 
 // Options tune a RemoteCSR connection; the zero value gives defaults.
 type Options struct {
-	// Retries is how many times a failed transient row fetch is retried on
-	// the same worker before the query fails (default 2).
-	Retries int
-	// RetryBackoff is the base delay before a retry; attempt k waits
-	// k*RetryBackoff (default 50ms).
-	RetryBackoff time.Duration
+	// Retry is the policy for failed transient worker calls.
+	Retry distributed.RetryPolicy
 	// Cache is the row cache to serve from. Sharing one Cache across the
 	// RemoteCSRs an engine connects over successive epochs is what carries
 	// unchanged stripes' rows across an Engine.Apply rollover; nil creates a
@@ -45,60 +41,35 @@ type Options struct {
 	Cache *Cache
 }
 
-func (o Options) withDefaults() Options {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.Cache == nil {
-		o.Cache = NewCache(0)
-	}
-	return o
-}
-
-// RemoteCSR is an epoch-pinned row-serving view of a striped worker fleet.
-// Connect validates the fleet's topology exactly like the exact-path
-// coordinator, then records each stripe's content fingerprint and assembles
-// the dense out-sum and out-degree arrays; everything else is fetched row by
-// row through Sessions. A RemoteCSR stays correct after the fleet rolls
-// forward — its row fetches pin the connect-time graph fingerprint, so they
-// either keep being served from cache or fail loudly — and it does not own
-// its transports (the engine that dialed the workers closes them).
+// RemoteCSR is an epoch-pinned row-serving view of a striped worker fleet: a
+// distributed.Fleet — the validated topology, per-stripe content
+// fingerprints, dense out-sums, retry policy and RPC counters — plus the
+// dense out-degree array; everything else is fetched row by row through
+// Sessions. A RemoteCSR stays correct after the fleet rolls forward — its row
+// fetches pin the connect-time graph fingerprint, so they either keep being
+// served from cache or fail loudly — and it does not own its transports (the
+// engine that dialed the workers closes them).
 type RemoteCSR struct {
+	*distributed.Fleet
 	fetchers []distributed.RowFetcher
-	count    int
-	n        int
-	graphSum uint32
-	epoch    uint64
-	content  []uint32 // per-stripe payload fingerprint, the cache key space
-	outSum   []float64
 	outDeg   []int32
 	cache    *Cache
-	opts     Options
 
-	rpcs, retries, fetched atomic.Int64
+	fetched atomic.Int64
 }
 
 // Connect dials the fleet: transports[i] must serve stripe i of
 // len(transports) and implement distributed.RowFetcher (both built-in
 // transports do). opts may be nil for defaults.
 func Connect(ctx context.Context, transports []distributed.Transport, opts *Options) (*RemoteCSR, error) {
-	if len(transports) == 0 {
-		return nil, fmt.Errorf("rowserve: need at least one worker")
-	}
-	r := &RemoteCSR{count: len(transports)}
+	var o Options
 	if opts != nil {
-		r.opts = *opts
+		o = *opts
 	}
-	r.opts = r.opts.withDefaults()
-	r.cache = r.opts.Cache
-
-	r.fetchers = make([]distributed.RowFetcher, len(transports))
+	if o.Cache == nil {
+		o.Cache = NewCache(0)
+	}
+	r := &RemoteCSR{cache: o.Cache, fetchers: make([]distributed.RowFetcher, len(transports))}
 	for i, t := range transports {
 		f, ok := t.(distributed.RowFetcher)
 		if !ok {
@@ -106,144 +77,32 @@ func Connect(ctx context.Context, transports []distributed.Transport, opts *Opti
 		}
 		r.fetchers[i] = f
 	}
-
-	// Validate the advertised topology, stripe by stripe, with the same
-	// checks the exact-path coordinator performs: one inconsistent worker
-	// fails the connect, not a later query.
-	infos := make([]distributed.WorkerInfo, len(transports))
-	rows := make([]int, len(transports))
-	for i, t := range transports {
-		info, err := retry(ctx, r, i, func(ctx context.Context) (distributed.WorkerInfo, error) {
-			return t.Info(ctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		infos[i] = info
+	var err error
+	if r.Fleet, err = distributed.Connect(ctx, transports, &o.Retry); err != nil {
+		return nil, err
 	}
-	for i, info := range infos {
-		if info.Protocol != distributed.ProtocolVersion {
-			return nil, fmt.Errorf("rowserve: worker %d speaks protocol %d, coordinator speaks %d", i, info.Protocol, distributed.ProtocolVersion)
-		}
-		if info.Index != i || info.Count != r.count {
-			return nil, fmt.Errorf("rowserve: worker %d serves stripe %d of %d, want %d of %d",
-				i, info.Index, info.Count, i, r.count)
-		}
-		if i == 0 {
-			r.n = info.NumNodes
-			r.graphSum = info.Graph
-			r.epoch = info.Epoch
-		} else {
-			if info.NumNodes != r.n {
-				return nil, fmt.Errorf("rowserve: worker %d serves a %d-node graph, worker 0 a %d-node one", i, info.NumNodes, r.n)
-			}
-			if info.Graph != r.graphSum {
-				return nil, fmt.Errorf("rowserve: worker %d was striped from a different graph (fingerprint %08x, worker 0 has %08x)",
-					i, info.Graph, r.graphSum)
-			}
-			if info.Epoch != r.epoch {
-				return nil, fmt.Errorf("rowserve: worker %d serves epoch %d, worker 0 epoch %d (redeploy in progress?)",
-					i, info.Epoch, r.epoch)
-			}
-		}
-		wantRows := 0
-		if r.n > i {
-			wantRows = (r.n - i + r.count - 1) / r.count
-		}
-		if info.Rows != wantRows {
-			return nil, fmt.Errorf("rowserve: worker %d advertises %d rows, stripe %d of %d over %d nodes owns %d",
-				i, info.Rows, i, r.count, r.n, wantRows)
-		}
-		rows[i] = info.Rows
-	}
-	if r.n <= 0 {
-		return nil, fmt.Errorf("rowserve: workers serve an empty graph")
-	}
-	r.content = make([]uint32, r.count)
-	for i, info := range infos {
-		r.content[i] = info.Content
-	}
-
-	// The two dense per-node arrays: O(n) floats+ints of metadata, the same
-	// order as the searcher's own scratch arrays — NOT the CSR adjacency,
-	// which stays on the workers.
-	r.outSum = make([]float64, r.n)
-	r.outDeg = make([]int32, r.n)
-	for i := range transports {
-		sums, err := retry(ctx, r, i, func(ctx context.Context) ([]float64, error) {
-			return transports[i].OutSums(ctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		degs, err := retry(ctx, r, i, func(ctx context.Context) ([]int32, error) {
-			return r.fetchers[i].OutDegrees(ctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(sums) != rows[i] || len(degs) != rows[i] {
-			return nil, fmt.Errorf("rowserve: worker %d returned %d out-sums and %d out-degrees for %d rows",
-				i, len(sums), len(degs), rows[i])
-		}
-		for rr := range sums {
-			r.outSum[i+rr*r.count] = sums[rr]
-			r.outDeg[i+rr*r.count] = degs[rr]
-		}
+	// With the handshake's out-sums, the second dense per-node array: O(n)
+	// floats+ints of metadata, the same order as the searcher's own scratch
+	// arrays — NOT the CSR adjacency, which stays on the workers.
+	r.outDeg = make([]int32, r.NumNodes())
+	err = distributed.Scatter(ctx, r.Fleet, "out-degrees", r.outDeg, func(ctx context.Context, i int) ([]int32, error) {
+		return r.fetchers[i].OutDegrees(ctx)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// NumNodes returns the node count of the striped graph.
-func (r *RemoteCSR) NumNodes() int { return r.n }
-
-// GraphFingerprint returns the fingerprint of the graph snapshot this view is
-// pinned to.
-func (r *RemoteCSR) GraphFingerprint() uint32 { return r.graphSum }
-
-// Epoch returns the snapshot version this view is pinned to.
-func (r *RemoteCSR) Epoch() uint64 { return r.epoch }
-
-// Workers returns the stripe count.
-func (r *RemoteCSR) Workers() int { return r.count }
-
 // Cache returns the row cache this view serves from.
 func (r *RemoteCSR) Cache() *Cache { return r.cache }
 
-// Stats reports the cumulative row-fetch RPC count, how many of those were
-// retries after a transient failure, and the total rows fetched.
+// Stats reports the cumulative worker RPC count (handshake and row fetches),
+// how many of those were retries after a transient failure, and the total
+// rows fetched.
 func (r *RemoteCSR) Stats() (rpcs, retries, fetched int64) {
-	return r.rpcs.Load(), r.retries.Load(), r.fetched.Load()
-}
-
-// retry runs one idempotent worker call with the connection's retry policy —
-// the same linear-backoff discipline as the exact-path coordinator, with the
-// failing stripe named in the error so operators know which worker to look
-// at. Transient errors keep their classification in the chain.
-func retry[T any](ctx context.Context, r *RemoteCSR, stripe int, f func(ctx context.Context) (T, error)) (T, error) {
-	var lastErr error
-	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
-		if attempt > 0 {
-			r.retries.Add(1)
-			select {
-			case <-ctx.Done():
-				var zero T
-				return zero, ctx.Err()
-			case <-time.After(time.Duration(attempt) * r.opts.RetryBackoff):
-			}
-		}
-		r.rpcs.Add(1)
-		out, err := f(ctx)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if !distributed.IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-	}
-	var zero T
-	return zero, fmt.Errorf("rowserve: stripe %d: %w", stripe, lastErr)
+	rpcs, retries = r.Fleet.Stats()
+	return rpcs, retries, r.fetched.Load()
 }
 
 // QueryStats is one Session's row-serving footprint, surfaced to clients via
@@ -288,8 +147,8 @@ func (r *RemoteCSR) Session(ctx context.Context) *Session {
 	return &Session{
 		r:           r,
 		ctx:         ctx,
-		waveNodes:   make([][]graph.NodeID, r.count),
-		waveEntries: make([][]*cacheEntry, r.count),
+		waveNodes:   make([][]graph.NodeID, r.Workers()),
+		waveEntries: make([][]*cacheEntry, r.Workers()),
 	}
 }
 
@@ -308,13 +167,13 @@ func (s *Session) fail(err error) distributed.RowData {
 }
 
 // NumNodes implements graph.Rows.
-func (s *Session) NumNodes() int { return s.r.n }
+func (s *Session) NumNodes() int { return s.r.NumNodes() }
 
 // OutDegree implements graph.Rows from the dense connect-time array.
 func (s *Session) OutDegree(v graph.NodeID) int { return int(s.r.outDeg[v]) }
 
 // OutSum implements graph.Rows from the dense connect-time array.
-func (s *Session) OutSum(v graph.NodeID) float64 { return s.r.outSum[v] }
+func (s *Session) OutSum(v graph.NodeID) float64 { return s.r.OutSums()[v] }
 
 // OutRow implements graph.Rows. The slices alias the cached row; they are
 // valid while the row stays cached and must not be mutated.
@@ -335,9 +194,9 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 	if s.err != nil {
 		return distributed.RowData{}
 	}
-	stripe := int(v) % s.r.count
+	stripe := int(v) % s.r.Workers()
 	for {
-		row, e, state := s.r.cache.probe(cacheKey{content: s.r.content[stripe], node: v})
+		row, e, state := s.r.cache.probe(cacheKey{content: s.r.Content(stripe), node: v})
 		switch state {
 		case probeHit:
 			s.stats.CacheHits++
@@ -388,8 +247,8 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	}
 	stripes := 0
 	for _, v := range nodes {
-		stripe := int(v) % s.r.count
-		_, e, state := s.r.cache.probe(cacheKey{content: s.r.content[stripe], node: v})
+		stripe := int(v) % s.r.Workers()
+		_, e, state := s.r.cache.probe(cacheKey{content: s.r.Content(stripe), node: v})
 		switch state {
 		case probeHit:
 			s.stats.CacheHits++
@@ -415,7 +274,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 		return
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, s.r.count)
+	errs := make([]error, s.r.Workers())
 	for stripe := range s.waveNodes {
 		if len(s.waveNodes[stripe]) == 0 {
 			continue
@@ -441,9 +300,9 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 // request ever hangs on a leaked in-flight slot. Stats updates are atomic
 // because Prefetch runs one fetch per stripe concurrently.
 func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry) error {
-	batch, err := retry(s.ctx, s.r, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
+	batch, err := distributed.Call(s.ctx, s.r.Fleet, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
 		atomic.AddInt64(&s.stats.RPCs, 1)
-		return s.r.fetchers[stripe].FetchRows(ctx, s.r.graphSum, nodes)
+		return s.r.fetchers[stripe].FetchRows(ctx, s.r.GraphFingerprint(), nodes)
 	})
 	if err == nil {
 		err = s.validate(stripe, nodes, batch)
@@ -466,9 +325,9 @@ func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry)
 // any mismatch is a protocol violation (non-transient) because retrying a
 // worker that answered from the wrong snapshot cannot help.
 func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.RowBatch) error {
-	if batch.Epoch != s.r.epoch || batch.Content != s.r.content[stripe] {
+	if batch.Epoch != s.r.Epoch() || batch.Content != s.r.Content(stripe) {
 		return fmt.Errorf("rowserve: stripe %d answered from epoch %d content %08x, pinned to epoch %d content %08x",
-			stripe, batch.Epoch, batch.Content, s.r.epoch, s.r.content[stripe])
+			stripe, batch.Epoch, batch.Content, s.r.Epoch(), s.r.Content(stripe))
 	}
 	if len(batch.Rows) != len(nodes) {
 		return fmt.Errorf("rowserve: stripe %d returned %d rows for %d requested", stripe, len(batch.Rows), len(nodes))

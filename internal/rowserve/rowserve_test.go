@@ -292,7 +292,7 @@ func TestTransientFetchRetried(t *testing.T) {
 	ts := fleet(t, g, 2)
 	flaky := &flakyFetcher{Transport: ts[1], fails: 2}
 	ts[1] = flaky
-	r, err := Connect(ctx, ts, &Options{Retries: 3, RetryBackoff: time.Millisecond})
+	r, err := Connect(ctx, ts, &Options{Retry: distributed.RetryPolicy{Retries: 3, Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}

@@ -2,156 +2,201 @@ package walk
 
 import (
 	"context"
+	"math"
 
 	"roundtriprank/internal/graph"
 )
 
-// This file holds the flat-CSR kernels of the iterative solvers: pull-style
-// (gather) sparse matvecs partitioned by contiguous row ranges across a worker
-// pool. Pull form is what makes row partitioning race-free — next[v] is
-// written by exactly one worker, which reduces v's CSR row sequentially — so
-// results are bit-identical for every worker count, including the serial
-// reference (see kernels_test.go). Views that cannot expose CSR arrays
-// (masked, tracking, delta overlay) are flattened with graph.Compact at the
-// door in walk.go and run here too; kernels_packed.go is the only sibling.
+// This file holds the exact solvers: one power iteration over a row-gather
+// seam. F-Rank, T-Rank and PageRank are three update rules handed to the same
+// loop; where the rows live — flat arrays, packed arrays, a striped worker
+// fleet (internal/distributed) — is a Gatherer beneath it. Every Gatherer
+// reduces each output row sequentially, in stored entry order, and everything
+// around the gather (transition scaling, dangling mass, update, L1 test) is
+// serial in ascending node order, so a solve is bit-identical across
+// representations, worker counts and stripe counts by construction (the
+// serial references in kernels_test.go pin it, gather by gather).
 
-// fRankCSR computes F-Rank by pulling over the transposed adjacency:
-//
-//	next[v] = α·restart[v] + (1−α)·Σ_{u→v} w(u,v)·cur[u]/outSum(u)
-//
-// with dangling mass restarted at the query.
-func fRankCSR(ctx context.Context, cv graph.CSRView, restart []float64, p Params, pool *Pool) ([]float64, error) {
-	n := len(restart)
-	out, in := cv.OutCSR(), cv.InCSR()
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	scaled := make([]float64, n)
-	copy(cur, restart)
-	oneMinus := 1 - p.Alpha
-
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Scale by inverse out-weight and collect dangling mass. Serial so the
-		// dangling reduction has a fixed summation order.
-		dangling := 0.0
-		for u := 0; u < n; u++ {
-			if out.Sum[u] > 0 {
-				scaled[u] = cur[u] / out.Sum[u]
-			} else {
-				scaled[u] = 0
-				dangling += cur[u]
-			}
-		}
-		dadd := oneMinus * dangling
-		pool.Run(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				rowLo, rowHi := in.RowPtr[v], in.RowPtr[v+1]
-				for i := rowLo; i < rowHi; i++ {
-					sum += in.Weight[i] * scaled[in.Col[i]]
-				}
-				r := restart[v]
-				nv := p.Alpha*r + oneMinus*sum
-				if dadd > 0 && r > 0 {
-					nv += dadd * r
-				}
-				next[v] = nv
-			}
-		})
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
+// Gatherer is the row-gather seam of the exact solvers: one sparse
+// matrix-vector product per power iteration. x and dst have one entry per
+// node; a gather must overwrite every entry of dst, reducing each row
+// sequentially in stored entry order, and must not retain either slice. A
+// failed gather aborts the solve.
+type Gatherer interface {
+	// OutSums returns every node's total out-weight; its length is the node
+	// count. Read-only, and constant for the Gatherer's lifetime.
+	OutSums() []float64
+	// GatherIn fills dst[v] = Σ_{u→v} w(u,v)·x[u], the pull over the
+	// transposed adjacency that drives F-Rank and PageRank.
+	GatherIn(ctx context.Context, x, dst []float64) error
+	// GatherOut fills dst[v] = Σ_{v→to} w(v,to)·x[to], the reduction of each
+	// node's own forward row that drives T-Rank.
+	GatherOut(ctx context.Context, x, dst []float64) error
 }
 
-// tRankCSR computes T-Rank by reducing each node's own out-row:
-//
-//	next[v] = α·restart[v] + (1−α)·(Σ_{v→to} w(v,to)·cur[to]) / outSum(v)
-func tRankCSR(ctx context.Context, cv graph.CSRView, restart []float64, p Params, pool *Pool) ([]float64, error) {
-	n := len(restart)
-	out := cv.OutCSR()
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = p.Alpha * restart[i]
+// local is the in-process Gatherer: the layout's own row reduction
+// (graph.CSR.Gather or graph.PackedCSR.Gather), row-partitioned on a Pool.
+// Pull form is what makes the partitioning race-free — dst[v] is written by
+// exactly one worker.
+type local struct {
+	out, in interface {
+		Gather(x, dst []float64, lo, hi int)
 	}
-	oneMinus := 1 - p.Alpha
-
-	for iter := 0; iter < p.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pool.Run(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				acc := p.Alpha * restart[v]
-				if sum := out.Sum[v]; sum > 0 {
-					s := 0.0
-					rowLo, rowHi := out.RowPtr[v], out.RowPtr[v+1]
-					for i := rowLo; i < rowHi; i++ {
-						s += out.Weight[i] * cur[out.Col[i]]
-					}
-					acc += oneMinus * s / sum
-				}
-				next[v] = acc
-			}
-		})
-		diff := l1Diff(cur, next)
-		cur, next = next, cur
-		if diff < p.Tol {
-			break
-		}
-	}
-	return cur, nil
+	outSum []float64
+	pool   *Pool
 }
 
-// pageRankCSR computes global PageRank with the same pull-style gather as
-// fRankCSR, but with a uniform restart and dangling mass spread uniformly.
-func pageRankCSR(ctx context.Context, cv graph.CSRView, d, tol float64, maxIter int, pool *Pool) ([]float64, error) {
-	n := cv.NumNodes()
-	out, in := cv.OutCSR(), cv.InCSR()
-	uniform := 1.0 / float64(n)
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	scaled := make([]float64, n)
-	for i := range cur {
-		cur[i] = uniform
+// Local returns the in-process Gatherer of a view and the function that
+// releases it: packed rows on a graph.PackedCSRView, flat rows on a
+// graph.CSRView, and for any other view (masked, tracking, overlay) flat rows
+// over graph.Compact(view) — one O(nodes+edges) copy, so resolve a wrapped
+// view once and solve over the Gatherer repeatedly. workers selects the pool
+// as Params.Workers does.
+func Local(view graph.View, workers int) (Gatherer, func()) {
+	pool, release := poolFor(workers)
+	if pv, ok := view.(graph.PackedCSRView); ok {
+		out, in := pv.OutPacked(), pv.InPacked()
+		return local{out: out, in: in, outSum: out.Sum, pool: pool}, release
 	}
-	oneMinus := 1 - d
+	cv := graph.Compact(view)
+	out, in := cv.OutCSR(), cv.InCSR()
+	return local{out: out, in: in, outSum: out.Sum, pool: pool}, release
+}
 
+func (l local) OutSums() []float64 { return l.outSum }
+
+func (l local) GatherIn(_ context.Context, x, dst []float64) error {
+	l.pool.Run(len(dst), func(lo, hi int) { l.in.Gather(x, dst, lo, hi) })
+	return nil
+}
+
+func (l local) GatherOut(_ context.Context, x, dst []float64) error {
+	l.pool.Run(len(dst), func(lo, hi int) { l.out.Gather(x, dst, lo, hi) })
+	return nil
+}
+
+// iterate is the power iteration, written once: check the context, gather
+// every row against this iteration's input vector, let the rule rewrite the
+// row sums in next into the new iterate while it accumulates Σ|cur−next|,
+// swap, stop below tol. cur is consumed. The seam is per vector — a per-row
+// callback costs an indirect call per node per iteration.
+func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
+	gather func(ctx context.Context, x, dst []float64) error,
+	input func(cur []float64) []float64,
+	update func(cur, next []float64) float64,
+) ([]float64, error) {
+	next := make([]float64, len(cur))
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		dangling := 0.0
-		for u := 0; u < n; u++ {
-			if out.Sum[u] > 0 {
-				scaled[u] = cur[u] / out.Sum[u]
-			} else {
-				scaled[u] = 0
-				dangling += cur[u]
-			}
+		if err := gather(ctx, input(cur), next); err != nil {
+			return nil, err
 		}
-		base := d*uniform + oneMinus*dangling*uniform
-		pool.Run(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				rowLo, rowHi := in.RowPtr[v], in.RowPtr[v+1]
-				for i := rowLo; i < rowHi; i++ {
-					sum += in.Weight[i] * scaled[in.Col[i]]
-				}
-				next[v] = base + oneMinus*sum
-			}
-		})
-		diff := l1Diff(cur, next)
+		diff := update(cur, next)
 		cur, next = next, cur
 		if diff < tol {
 			break
 		}
 	}
 	return cur, nil
+}
+
+// scale fills scaled[u] = cur[u]/outSum[u], the transition scaling of a pull
+// over the transposed adjacency, and returns the mass sitting on dangling
+// nodes (zero out-weight).
+func scale(scaled, cur, outSum []float64) (dangling float64) {
+	for u, sum := range outSum {
+		if sum > 0 {
+			scaled[u] = cur[u] / sum
+		} else {
+			scaled[u] = 0
+			dangling += cur[u]
+		}
+	}
+	return dangling
+}
+
+// fRank is the F-Rank rule (Eq. 5):
+//
+//	next[v] = α·restart[v] + (1−α)·Σ_{u→v} w(u,v)·cur[u]/outSum(u)
+//
+// with dangling mass restarted at the query.
+func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+	outSum := g.OutSums()
+	scaled := make([]float64, len(restart))
+	oneMinus := 1 - p.Alpha
+	dadd := 0.0
+	return iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter, g.GatherIn,
+		func(cur []float64) []float64 {
+			dadd = oneMinus * scale(scaled, cur, outSum)
+			return scaled
+		},
+		func(cur, next []float64) (diff float64) {
+			for v, sum := range next {
+				r := restart[v]
+				nv := p.Alpha*r + oneMinus*sum
+				if dadd > 0 && r > 0 {
+					nv += dadd * r
+				}
+				next[v] = nv
+				diff += math.Abs(cur[v] - nv)
+			}
+			return diff
+		})
+}
+
+// tRank is the T-Rank rule (Eq. 8):
+//
+//	next[v] = α·restart[v] + (1−α)·(Σ_{v→to} w(v,to)·cur[to]) / outSum(v)
+func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+	outSum := g.OutSums()
+	cur := make([]float64, len(restart))
+	for i := range cur {
+		cur[i] = p.Alpha * restart[i]
+	}
+	oneMinus := 1 - p.Alpha
+	return iterate(ctx, cur, p.Tol, p.MaxIter, g.GatherOut,
+		func(cur []float64) []float64 { return cur },
+		func(cur, next []float64) (diff float64) {
+			for v, s := range next {
+				acc := p.Alpha * restart[v]
+				if sum := outSum[v]; sum > 0 {
+					acc += oneMinus * s / sum
+				}
+				next[v] = acc
+				diff += math.Abs(cur[v] - acc)
+			}
+			return diff
+		})
+}
+
+// pageRank is the global PageRank rule: the same pull as fRank, but with a
+// uniform restart and dangling mass spread uniformly. It keeps its own update
+// expression — base + (1−d)·sum is not F-Rank with a uniform restart bit for
+// bit, and the ObjSqrtInv baseline's published figures consume it.
+func pageRank(ctx context.Context, g Gatherer, d, tol float64, maxIter int) ([]float64, error) {
+	outSum := g.OutSums()
+	uniform := 1.0 / float64(len(outSum))
+	cur := make([]float64, len(outSum))
+	for i := range cur {
+		cur[i] = uniform
+	}
+	scaled := make([]float64, len(outSum))
+	oneMinus := 1 - d
+	base := 0.0
+	return iterate(ctx, cur, tol, maxIter, g.GatherIn,
+		func(cur []float64) []float64 {
+			dangling := scale(scaled, cur, outSum)
+			base = d*uniform + oneMinus*dangling*uniform
+			return scaled
+		},
+		func(cur, next []float64) (diff float64) {
+			for v, sum := range next {
+				nv := base + oneMinus*sum
+				next[v] = nv
+				diff += math.Abs(cur[v] - nv)
+			}
+			return diff
+		})
 }

@@ -7,14 +7,15 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// TestPackedKernelsBitIdenticalToFlat pins the packed fast paths to the flat
-// kernels exactly: FRank, TRank and GlobalPageRank on graph.Pack(g) must
-// reproduce the flat-CSR results bit for bit, for every worker count. The
-// packed kernels stream each row through PackedIter in the same entry order
-// the flat kernels index it, so any divergence is an encoding bug, not
+// TestPackedKernelsBitIdenticalToFlat pins the packed gather to the flat one
+// exactly: the three rules over Local(graph.Pack(g)) must reproduce the
+// flat-CSR results bit for bit, for every worker count. The packed row
+// reduction streams each row through PackedIter in the same entry order the
+// flat one indexes it, so any divergence is an encoding bug, not
 // floating-point noise.
 func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
+	ctx := context.Background()
 	for name, g := range kernelTestGraphs() {
 		pg := graph.Pack(g)
 		q := SingleNode(0)
@@ -23,37 +24,39 @@ func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 			t.Fatalf("%s: restart: %v", name, err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			pool := NewPool(workers)
-			wantF, err := fRankCSR(context.Background(), g, restart, p, pool)
+			flat, releaseFlat := Local(g, workers)
+			packed, releasePacked := Local(pg, workers)
+			wantF, err := fRank(ctx, flat, restart, p)
 			if err != nil {
-				t.Fatalf("%s: fRankCSR: %v", name, err)
+				t.Fatalf("%s: fRank flat: %v", name, err)
 			}
-			gotF, err := fRankPacked(context.Background(), pg, restart, p, pool)
+			gotF, err := fRank(ctx, packed, restart, p)
 			if err != nil {
-				t.Fatalf("%s: fRankPacked: %v", name, err)
+				t.Fatalf("%s: fRank packed: %v", name, err)
 			}
 			assertBitIdentical(t, name+"/frank", wantF, gotF)
 
-			wantT, err := tRankCSR(context.Background(), g, restart, p, pool)
+			wantT, err := tRank(ctx, flat, restart, p)
 			if err != nil {
-				t.Fatalf("%s: tRankCSR: %v", name, err)
+				t.Fatalf("%s: tRank flat: %v", name, err)
 			}
-			gotT, err := tRankPacked(context.Background(), pg, restart, p, pool)
+			gotT, err := tRank(ctx, packed, restart, p)
 			if err != nil {
-				t.Fatalf("%s: tRankPacked: %v", name, err)
+				t.Fatalf("%s: tRank packed: %v", name, err)
 			}
 			assertBitIdentical(t, name+"/trank", wantT, gotT)
 
-			wantPR, err := pageRankCSR(context.Background(), g, 0.15, 1e-11, 300, pool)
+			wantPR, err := pageRank(ctx, flat, 0.15, 1e-11, 300)
 			if err != nil {
-				t.Fatalf("%s: pageRankCSR: %v", name, err)
+				t.Fatalf("%s: pageRank flat: %v", name, err)
 			}
-			gotPR, err := pageRankPacked(context.Background(), pg, 0.15, 1e-11, 300, pool)
+			gotPR, err := pageRank(ctx, packed, 0.15, 1e-11, 300)
 			if err != nil {
-				t.Fatalf("%s: pageRankPacked: %v", name, err)
+				t.Fatalf("%s: pageRank packed: %v", name, err)
 			}
 			assertBitIdentical(t, name+"/pagerank", wantPR, gotPR)
-			pool.Close()
+			releaseFlat()
+			releasePacked()
 		}
 	}
 }

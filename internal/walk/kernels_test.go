@@ -10,13 +10,15 @@ import (
 	"roundtriprank/internal/testgraphs"
 )
 
-// This file pins the CSR kernels to a serial reference implementation: the
-// pull-style recurrences written as plain loops with no pool, no chunking and
-// no dispatch. The kernels must reproduce the reference bit-for-bit with one
-// worker, and — because each output row is reduced sequentially by exactly one
-// worker — with every other worker count too.
+// This file pins the exact solvers to a serial reference implementation: the
+// pull-style recurrences written as plain loops with no pool, no chunking, no
+// gather seam and no shared loop. The rules over the shared loop must
+// reproduce the reference bit-for-bit with one worker, and — because each
+// output row is reduced sequentially by exactly one worker — with every other
+// worker count, over packed rows, and over a striped worker fleet too
+// (gatherers_test.go, which reaches these references through export_test.go).
 
-// serialFRankReference is the pull-style F-Rank recurrence of fRankCSR as
+// serialFRankReference is the pull-style F-Rank recurrence of fRank as
 // straight-line serial code.
 func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
 	n := len(restart)
@@ -61,7 +63,7 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 	return cur
 }
 
-// serialTRankReference is the T-Rank recurrence of tRankCSR as straight-line
+// serialTRankReference is the T-Rank recurrence of tRank as straight-line
 // serial code.
 func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
 	n := len(restart)
@@ -96,7 +98,7 @@ func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float
 	return cur
 }
 
-// serialPageRankReference is the global PageRank recurrence of pageRankCSR as
+// serialPageRankReference is the global PageRank recurrence of pageRank as
 // straight-line serial code.
 func serialPageRankReference(cv graph.CSRView, d, tol float64, maxIter int) []float64 {
 	n := cv.NumNodes()
@@ -161,9 +163,10 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// TestKernelsMatchSerialReferenceBitForBit is the satellite acceptance test:
-// the parallel kernels at Workers = 1 (and at every other worker count) must
-// reproduce the serial reference exactly, not just within tolerance.
+// TestKernelsMatchSerialReferenceBitForBit is the acceptance test of the
+// shared loop: the three rules over the flat and the packed gather, at
+// Workers = 1 and at every other worker count, must reproduce the serial
+// reference exactly, not just within tolerance.
 func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	for name, g := range kernelTestGraphs() {
@@ -175,24 +178,26 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 		wantF := serialFRankReference(g, restart, p)
 		wantT := serialTRankReference(g, restart, p)
 		wantPR := serialPageRankReference(g, 0.15, 1e-11, 300)
-		for _, workers := range []int{1, 2, 3, 8} {
-			pool := NewPool(workers)
-			gotF, err := fRankCSR(context.Background(), g, restart, p, pool)
-			if err != nil {
-				t.Fatalf("%s workers=%d: fRankCSR: %v", name, workers, err)
+		for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				gth, release := Local(view, workers)
+				gotF, err := fRank(context.Background(), gth, restart, p)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: fRank: %v", name, layout, workers, err)
+				}
+				assertBitIdentical(t, name+"/"+layout+"/frank", wantF, gotF)
+				gotT, err := tRank(context.Background(), gth, restart, p)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: tRank: %v", name, layout, workers, err)
+				}
+				assertBitIdentical(t, name+"/"+layout+"/trank", wantT, gotT)
+				gotPR, err := pageRank(context.Background(), gth, 0.15, 1e-11, 300)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: pageRank: %v", name, layout, workers, err)
+				}
+				assertBitIdentical(t, name+"/"+layout+"/pagerank", wantPR, gotPR)
+				release()
 			}
-			assertBitIdentical(t, name+"/frank", wantF, gotF)
-			gotT, err := tRankCSR(context.Background(), g, restart, p, pool)
-			if err != nil {
-				t.Fatalf("%s workers=%d: tRankCSR: %v", name, workers, err)
-			}
-			assertBitIdentical(t, name+"/trank", wantT, gotT)
-			gotPR, err := pageRankCSR(context.Background(), g, 0.15, 1e-11, 300, pool)
-			if err != nil {
-				t.Fatalf("%s workers=%d: pageRankCSR: %v", name, workers, err)
-			}
-			assertBitIdentical(t, name+"/pagerank", wantPR, gotPR)
-			pool.Close()
 		}
 	}
 }

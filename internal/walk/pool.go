@@ -107,13 +107,13 @@ func DefaultPool() *Pool {
 	return defaultPool
 }
 
-// pool resolves the Params.Workers override: the shared default pool when
+// poolFor resolves a Params.Workers override: the shared default pool when
 // zero or negative, otherwise a transient pool that the returned release
 // function tears down.
-func (p Params) pool() (*Pool, func()) {
-	if p.Workers <= 0 {
+func poolFor(workers int) (*Pool, func()) {
+	if workers <= 0 {
 		return DefaultPool(), func() {}
 	}
-	tp := NewPool(p.Workers)
+	tp := NewPool(workers)
 	return tp, tp.Close
 }

@@ -1,8 +1,9 @@
 // Package walk implements the random-walk machinery underlying RoundTripRank:
 // the query abstraction (single- or multi-node with the PPR Linearity
-// Theorem), the iterative F-Rank solver (Eq. 5 of the paper, equivalent to
-// Personalized PageRank by Proposition 1), the iterative T-Rank solver
-// (Eq. 8), global PageRank (used by the ObjSqrtInv baseline), and Monte-Carlo
+// Theorem), the exact iterative solvers — F-Rank (Eq. 5 of the paper,
+// equivalent to Personalized PageRank by Proposition 1), T-Rank (Eq. 8) and
+// global PageRank (used by the ObjSqrtInv baseline), three update rules over
+// one power iteration and one row-gather seam (kernels.go) — and Monte-Carlo
 // walk sampling utilities used by the sampling-based baselines.
 package walk
 
@@ -40,10 +41,10 @@ type Params struct {
 	Tol float64
 	// MaxIter caps the number of iterations. Zero means DefaultMaxIter.
 	MaxIter int
-	// Workers overrides the parallelism of the CSR kernels: zero or negative
-	// uses the shared GOMAXPROCS-sized pool, one forces a serial solve on
-	// the calling goroutine, higher counts run on a transient pool of that
-	// size. Kernel results are identical for every worker count (each output
+	// Workers overrides the parallelism of the in-process gather: zero or
+	// negative uses the shared GOMAXPROCS-sized pool, one forces a serial
+	// solve on the calling goroutine, higher counts run on a transient pool of
+	// that size. Results are identical for every worker count (each output
 	// row is reduced sequentially by one worker), so this is a scheduling
 	// knob, not a numerical one.
 	Workers int
@@ -61,14 +62,15 @@ func DefaultParams() Params {
 	return Params{Alpha: DefaultAlpha, Tol: DefaultTol, MaxIter: DefaultMaxIter}
 }
 
-// Normalized validates Alpha and substitutes the default tolerance and
-// iteration cap for zero values; it is what every solver entry point (local
-// and distributed) applies before iterating.
-func (p Params) Normalized() (Params, error) { return p.normalized() }
-
+// normalized validates Alpha and Tol and substitutes the default tolerance
+// and iteration cap for zero values; every solve, over any Gatherer, passes
+// through it. The comparisons are written to fail on NaN.
 func (p Params) normalized() (Params, error) {
-	if p.Alpha <= 0 || p.Alpha >= 1 {
+	if !(p.Alpha > 0 && p.Alpha < 1) {
 		return p, fmt.Errorf("walk: alpha must be in (0,1), got %g", p.Alpha)
+	}
+	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) {
+		return p, fmt.Errorf("walk: tolerance must be finite, got %g", p.Tol)
 	}
 	if p.Tol <= 0 {
 		p.Tol = DefaultTol
@@ -103,21 +105,33 @@ func MultiNode(nodes ...graph.NodeID) Query {
 	return Query{Nodes: nodes, Weights: w}
 }
 
-// Normalize returns a copy of q with weights scaled to sum to one. It returns
-// an error if the query is empty or has non-positive total weight.
-func (q Query) Normalize() (Query, error) {
+// totalWeight validates the query's shape and weights — finite, non-negative,
+// not all zero — and returns their sum. The comparisons are written to fail
+// on NaN, which would otherwise normalize into an all-NaN restart vector.
+func (q Query) totalWeight() (float64, error) {
 	if len(q.Nodes) == 0 || len(q.Nodes) != len(q.Weights) {
-		return Query{}, fmt.Errorf("walk: query must have matching non-empty nodes and weights")
+		return 0, fmt.Errorf("walk: query must have matching non-empty nodes and weights")
 	}
 	total := 0.0
 	for _, w := range q.Weights {
-		if w < 0 {
-			return Query{}, fmt.Errorf("walk: query weights must be non-negative")
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return 0, fmt.Errorf("walk: query weights must be finite and non-negative, got %g", w)
 		}
 		total += w
 	}
-	if total <= 0 {
-		return Query{}, fmt.Errorf("walk: query weights sum to zero")
+	if !(total > 0) || math.IsInf(total, 1) {
+		return 0, fmt.Errorf("walk: query weights must sum to a positive finite total, got %g", total)
+	}
+	return total, nil
+}
+
+// Normalize returns a copy of q with weights scaled to sum to one. It returns
+// an error if the query is empty, has a negative or non-finite weight, or has
+// zero total weight.
+func (q Query) Normalize() (Query, error) {
+	total, err := q.totalWeight()
+	if err != nil {
+		return Query{}, err
 	}
 	out := Query{Nodes: append([]graph.NodeID(nil), q.Nodes...), Weights: make([]float64, len(q.Weights))}
 	for i, w := range q.Weights {
@@ -134,18 +148,9 @@ func (q Query) Normalize() (Query, error) {
 // duplicates (first occurrence keeps the position), so the result is a
 // deterministic sparse restart vector ready for flat-array iteration.
 func (q Query) NormalizeInto(numNodes int, nodes []graph.NodeID, weights []float64) ([]graph.NodeID, []float64, error) {
-	if len(q.Nodes) == 0 || len(q.Nodes) != len(q.Weights) {
-		return nodes, weights, fmt.Errorf("walk: query must have matching non-empty nodes and weights")
-	}
-	total := 0.0
-	for _, w := range q.Weights {
-		if w < 0 {
-			return nodes, weights, fmt.Errorf("walk: query weights must be non-negative")
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nodes, weights, fmt.Errorf("walk: query weights sum to zero")
+	total, err := q.totalWeight()
+	if err != nil {
+		return nodes, weights, err
 	}
 outer:
 	for i, v := range q.Nodes {
@@ -175,20 +180,17 @@ func (q Query) Contains(v graph.NodeID) bool {
 	return false
 }
 
-// restart fills dst with the normalized query distribution.
+// restart scatters the normalized query distribution onto the zeroed dst.
 func (q Query) restart(dst []float64) error {
-	nq, err := q.Normalize()
+	total, err := q.totalWeight()
 	if err != nil {
 		return err
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, v := range nq.Nodes {
+	for i, v := range q.Nodes {
 		if int(v) < 0 || int(v) >= len(dst) {
 			return fmt.Errorf("walk: query node %d out of range [0,%d)", v, len(dst))
 		}
-		dst[v] += nq.Weights[i]
+		dst[v] += q.Weights[i] / total
 	}
 	return nil
 }
@@ -199,54 +201,53 @@ func (q Query) restart(dst []float64) error {
 // returned slice sums to one. Mass at dangling nodes (zero out-degree) is
 // restarted at the query, the standard PPR correction.
 //
-// The solve is a parallel pull-style matvec over the transposed adjacency:
-// the flat kernel on a graph.CSRView, the packed kernel on a
-// graph.PackedCSRView, and for any other view (masked, tracking, overlay) the
-// flat kernel over graph.Compact(view) — one O(nodes+edges) copy per solve,
-// so callers that solve the same wrapped view repeatedly should Compact it
-// once themselves. The context is checked once per power iteration:
+// It is FRankOver the view's Local Gatherer, resolved per call: callers that
+// solve the same wrapped (non-CSR, non-packed) view repeatedly should resolve
+// it once themselves. The context is checked once per power iteration:
 // cancelling it makes FRank return ctx.Err() within one sweep over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	return solve(ctx, view, q, p, fRankCSR, fRankPacked)
-}
-
-// solve is the one door to the personalized kernels: it validates the
-// parameters, builds the restart vector and dispatches on the view's layout.
-func solve(ctx context.Context, view graph.View, q Query, p Params,
-	flat func(context.Context, graph.CSRView, []float64, Params, *Pool) ([]float64, error),
-	packed func(context.Context, graph.PackedCSRView, []float64, Params, *Pool) ([]float64, error),
-) ([]float64, error) {
-	ctx = OrBackground(ctx)
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	restart := make([]float64, view.NumNodes())
-	if err := q.restart(restart); err != nil {
-		return nil, err
-	}
-	pool, release := p.pool()
+	g, release := Local(view, p.Workers)
 	defer release()
-	switch v := view.(type) {
-	case graph.CSRView:
-		return flat(ctx, v, restart, p, pool)
-	case graph.PackedCSRView:
-		return packed(ctx, v, restart, p, pool)
-	default:
-		return flat(ctx, graph.Compact(view), restart, p, pool)
-	}
+	return FRankOver(ctx, g, q, p)
 }
 
 // TRank computes t(q, v) for every node v: the probability that a walk of
 // geometric length starting from v ends at the query (Eq. 8). Unlike F-Rank,
 // t(q, ·) is not a distribution over v; each entry is a probability in [0, 1].
 // For a multi-node query, t(q, v) is the query-weighted mixture of the
-// single-node values, mirroring the linearity used for F-Rank.
-//
-// The solve is a parallel row-partitioned matvec over the forward adjacency,
-// dispatched on the view's layout and cancelled exactly as in FRank.
+// single-node values, mirroring the linearity used for F-Rank. It is
+// TRankOver the view's Local Gatherer, cancelled exactly as FRank.
 func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	return solve(ctx, view, q, p, tRankCSR, tRankPacked)
+	g, release := Local(view, p.Workers)
+	defer release()
+	return TRankOver(ctx, g, q, p)
+}
+
+// FRankOver is the F-Rank solve over any Gatherer — in-process rows (Local) or
+// a worker fleet (distributed.Coordinator) — bit-identical across them.
+func FRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, error) {
+	return solve(ctx, g, q, p, fRank)
+}
+
+// TRankOver is the T-Rank solve over any Gatherer.
+func TRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, error) {
+	return solve(ctx, g, q, p, tRank)
+}
+
+// solve is the one door to the personalized rules: it validates the
+// parameters and scatters the normalized query onto the restart vector.
+func solve(ctx context.Context, g Gatherer, q Query, p Params,
+	rule func(context.Context, Gatherer, []float64, Params) ([]float64, error),
+) ([]float64, error) {
+	p, err := p.normalized()
+	if err != nil {
+		return nil, err
+	}
+	restart := make([]float64, len(g.OutSums()))
+	if err := q.restart(restart); err != nil {
+		return nil, err
+	}
+	return rule(OrBackground(ctx), g, restart, p)
 }
 
 // GlobalPageRank computes the standard (non-personalized) PageRank with the
@@ -255,8 +256,7 @@ func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 // ObjSqrtInv baseline (global ObjectRank) and as a popularity prior in the
 // dataset generators.
 func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64, maxIter int) ([]float64, error) {
-	ctx = OrBackground(ctx)
-	if d <= 0 || d >= 1 {
+	if !(d > 0 && d < 1) {
 		return nil, fmt.Errorf("walk: damping must be in (0,1), got %g", d)
 	}
 	if tol <= 0 {
@@ -265,26 +265,12 @@ func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	n := view.NumNodes()
-	if n == 0 {
+	if view.NumNodes() == 0 {
 		return nil, fmt.Errorf("walk: empty graph")
 	}
-	switch v := view.(type) {
-	case graph.CSRView:
-		return pageRankCSR(ctx, v, d, tol, maxIter, DefaultPool())
-	case graph.PackedCSRView:
-		return pageRankPacked(ctx, v, d, tol, maxIter, DefaultPool())
-	default:
-		return pageRankCSR(ctx, graph.Compact(view), d, tol, maxIter, DefaultPool())
-	}
-}
-
-func l1Diff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d
+	g, release := Local(view, 0)
+	defer release()
+	return pageRank(OrBackground(ctx), g, d, tol, maxIter)
 }
 
 // Sampler draws random-walk trajectories on a View. It is used by the

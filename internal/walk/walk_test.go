@@ -325,6 +325,51 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsAreRejected pins the solver doors against NaN and ±Inf,
+// which every ordered comparison lets through and every solve turns into an
+// all-NaN vector: query weights through Normalize, NormalizeInto and the
+// solvers' restart, Alpha and Tol through Params.normalized.
+func TestNonFiniteInputsAreRejected(t *testing.T) {
+	g := testgraphs.Cycle(3)
+	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range []float64{nan, inf, -inf} {
+		q := Query{Nodes: []graph.NodeID{0, 1}, Weights: []float64{1, w}}
+		if nq, err := q.Normalize(); err == nil {
+			t.Errorf("weight %g: Normalize accepted it: %v", w, nq)
+		}
+		if nodes, weights, err := q.NormalizeInto(3, nil, nil); err == nil {
+			t.Errorf("weight %g: NormalizeInto accepted it: %v %v", w, nodes, weights)
+		}
+		if v, err := FRank(ctx, g, q, DefaultParams()); err == nil {
+			t.Errorf("weight %g: FRank accepted it: %v", w, v)
+		}
+		if v, err := TRank(ctx, g, q, DefaultParams()); err == nil {
+			t.Errorf("weight %g: TRank accepted it: %v", w, v)
+		}
+	}
+	// Finite weights whose sum overflows would normalize to all zeros.
+	if nq, err := (Query{Nodes: []graph.NodeID{0, 1}, Weights: []float64{math.MaxFloat64, math.MaxFloat64}}).Normalize(); err == nil {
+		t.Errorf("overflowing total: Normalize accepted it: %v", nq)
+	}
+	for name, p := range map[string]Params{
+		"NaN alpha":  {Alpha: nan},
+		"+Inf alpha": {Alpha: inf},
+		"NaN tol":    {Alpha: 0.25, Tol: nan},
+		"+Inf tol":   {Alpha: 0.25, Tol: inf},
+	} {
+		if v, err := FRank(ctx, g, SingleNode(0), p); err == nil {
+			t.Errorf("%s: FRank accepted it: %v", name, v)
+		}
+		if v, err := TRank(ctx, g, SingleNode(0), p); err == nil {
+			t.Errorf("%s: TRank accepted it: %v", name, v)
+		}
+	}
+	if v, err := GlobalPageRank(ctx, g, nan, 1e-9, 10); err == nil {
+		t.Errorf("NaN damping: GlobalPageRank accepted it: %v", v)
+	}
+}
+
 func TestQueryHelpers(t *testing.T) {
 	q := MultiNode(1, 2, 2)
 	if !q.Contains(2) || q.Contains(5) {
