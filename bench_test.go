@@ -7,8 +7,7 @@ package roundtriprank
 //	go test -bench=. -benchmem
 //
 // regenerates the shape of every figure. cmd/benchrunner runs the same
-// experiments at larger scale with full tables; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// experiments at larger scale and prints the full tables.
 
 import (
 	"context"

@@ -14,66 +14,23 @@
 // Select one experiment with -fig (e.g. -fig 5) or run everything with
 // -fig all. Scale and query counts default to values sized for a laptop; the
 // paper-scale settings are -scale 1.0 -queries 1000.
-//
-// -fig remote compares the online 2SBound path local vs remote: the same
-// queries through Engine.Rank against the in-process CSR and against a
-// 2-worker HTTP fleet via the row-serving path (TwoSBoundRemote), on a cold
-// and a warm row cache. It records rows fetched, row-fetch RPCs, the cache
-// hit rate and qps/p50 per pass, and writes the report to -remote-out
-// (default BENCH_PR6.json). -online-scale and -eff-queries size it.
-//
-// -fig scale is the million-node sweep: synthetic R-MAT graphs at 10^4, 10^5
-// and 10^6 nodes (10^7 when -scale-max allows it), recording generator build
-// time, resident bytes/edge flat vs packed CSR, exact-solve time per
-// representation, and online 2SBound qps/p50/p99 per representation, written
-// to -scale-out (default BENCH_PR9.json). It aborts unless every exact vector
-// and online response is bit-identical across representations and the packed
-// footprint stays ≤70% of flat. It is excluded from -fig all — the sweep is
-// sized in minutes, not laptop-default seconds; run it explicitly.
-//
-// -fig anytime is the budget-vs-quality sweep behind the anytime execution
-// layer: R-MAT hub queries (the online search's adversarial case) under a
-// ladder of query budgets, recording recall@10 against the exact answer, the
-// degraded fraction, certificate sizes and the latency distribution per
-// budget point, written to -anytime-out (default BENCH_PR10.json). Every
-// certified prefix is verified against the exact top-K and every budgeted
-// query is replayed to prove determinism; the figure fails if the combined
-// budget point's p99 exceeds 2× its median, and it finishes by driving the
-// real serving stack: a budgeted request and a deadline-racing ε=0 request,
-// both of which must return 200. Like -fig scale it is excluded from
-// -fig all (the default -anytime-nodes builds a 10^5-node graph); the CI
-// smoke runs it with small -anytime-nodes / -anytime-queries.
-//
-// -fig overload drives the real rtrankd serving stack (internal/serve plus
-// the cliutil middleware) past its admission limit: one pass with the gate
-// off, one with a small -overload-inflight cap under many concurrent HTTP
-// clients. It verifies every shed response is a 429 bearing Retry-After,
-// checks the gate keeps the admitted tail latency bounded, scrapes the
-// stack's own /metrics for the shed counter, and writes the report to
-// -overload-out (default BENCH_PR7.json). -online-scale and -eff-queries
-// size it.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"roundtriprank"
 	"roundtriprank/internal/baselines"
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/datasets"
-	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/eval"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/tasks"
@@ -96,73 +53,59 @@ type runner struct {
 }
 
 func main() {
-	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11a,11b,12,13, remote, overload, chaos, scale, anytime, or all (scale and anytime run only when named)")
-		scale       = flag.Float64("scale", 0.5, "effectiveness dataset scale (1.0 = paper-subgraph scale)")
-		queries     = flag.Int("queries", 120, "test queries per task (paper: 1000)")
-		devQueries  = flag.Int("dev-queries", 60, "development queries per task for beta tuning (paper: 1000)")
-		effScale    = flag.Float64("eff-scale", 1.0, "efficiency dataset scale (Fig. 11-13)")
-		effQueries  = flag.Int("eff-queries", 15, "queries per setting for the efficiency study (paper: 1000)")
-		seed        = flag.Int64("seed", 42, "random seed for query sampling")
-		onlineScale = flag.Float64("online-scale", onlineBenchScale, "BibNet scale of -fig remote, overload and chaos (default matches go test -bench Online)")
-		remoteOut   = flag.String("remote-out", "BENCH_PR6.json", "output file of -fig remote")
-		overloadOut = flag.String("overload-out", "BENCH_PR7.json", "output file of -fig overload")
-		overloadCap = flag.Int("overload-inflight", 2, "admission limit of the gated -fig overload pass")
-		chaosOut    = flag.String("chaos-out", "BENCH_PR8.json", "output file of -fig chaos")
-		scaleOut    = flag.String("scale-out", "BENCH_PR9.json", "output file of -fig scale")
-		scaleMax    = flag.Int("scale-max", 1_000_000, "largest node count of the -fig scale sweep (10^7 points need ≥ 10000000)")
-		scaleQs     = flag.Int("scale-queries", 16, "online queries per size and representation in -fig scale")
-		scaleEF     = flag.Int("scale-edgefactor", 8, "directed edge draws per node of the -fig scale R-MAT graphs")
-		anytimeOut  = flag.String("anytime-out", "BENCH_PR10.json", "output file of -fig anytime")
-		anytimeN    = flag.Int("anytime-nodes", 100_000, "R-MAT node count of the -fig anytime budget sweep")
-		anytimeQs   = flag.Int("anytime-queries", 8, "hub queries per budget point in -fig anytime")
-	)
+	r := &runner{wp: walk.Params{Alpha: 0.25, Tol: 1e-8, MaxIter: 150}}
+	// One entry per experiment. Figs. 11a/11b and 12/13 are two views of one
+	// run each, so either name selects it and -fig all runs it once.
+	figures := []struct {
+		names []string
+		fn    func() error
+	}{
+		{[]string{"4"}, r.fig4},
+		{[]string{"5"}, r.fig5},
+		{[]string{"6"}, func() error { return r.illustrative("spatio temporal data") }},
+		{[]string{"7"}, func() error { return r.illustrative("semantic web") }},
+		{[]string{"8"}, r.fig8},
+		{[]string{"9"}, r.fig9},
+		{[]string{"10"}, r.fig10},
+		{[]string{"11a", "11b"}, r.fig11},
+		{[]string{"12", "13"}, r.fig12and13},
+	}
+	var accepted []string
+	for _, f := range figures {
+		accepted = append(accepted, f.names...)
+	}
+	accepted = append(accepted, "all")
+
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(accepted, ", "))
+	flag.Float64Var(&r.scale, "scale", 0.5, "effectiveness dataset scale (1.0 = paper-subgraph scale)")
+	flag.IntVar(&r.queries, "queries", 120, "test queries per task (paper: 1000)")
+	flag.IntVar(&r.devQueries, "dev-queries", 60, "development queries per task for beta tuning (paper: 1000)")
+	flag.Float64Var(&r.effScale, "eff-scale", 1.0, "efficiency dataset scale (Fig. 11-13)")
+	flag.IntVar(&r.effQueries, "eff-queries", 15, "queries per setting for the efficiency study (paper: 1000)")
+	flag.Int64Var(&r.seed, "seed", 42, "random seed for query sampling")
 	flag.Parse()
+	want := strings.ToLower(*fig)
+	if !slices.Contains(accepted, want) {
+		fmt.Fprintf(os.Stderr, "benchrunner: unknown -fig %q; accepted: %s\n", *fig, strings.Join(accepted, " "))
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	r.ctx = ctx
 
-	r := &runner{
-		ctx:   ctx,
-		scale: *scale, queries: *queries, devQueries: *devQueries,
-		effScale: *effScale, effQueries: *effQueries, seed: *seed,
-		wp: walk.Params{Alpha: 0.25, Tol: 1e-8, MaxIter: 150},
-	}
-	want := strings.ToLower(*fig)
-	run := func(name string, fn func() error) {
-		if want != "all" && want != name {
-			return
+	for _, f := range figures {
+		if want != "all" && !slices.Contains(f.names, want) {
+			continue
 		}
-		// The scale and anytime sweeps run only when named: at their default
-		// sizes they build 10^6- and 10^5-node graphs, which have no place in
-		// -fig all.
-		if (name == "scale" || name == "anytime") && want != name {
-			return
-		}
+		name := strings.Join(f.names, "/")
 		start := time.Now()
 		fmt.Printf("==== Figure %s ====\n", name)
-		if err := fn(); err != nil {
+		if err := f.fn(); err != nil {
 			log.Fatalf("figure %s: %v", name, err)
 		}
 		fmt.Printf("(figure %s done in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("remote", func() error { return r.remote(*remoteOut, *onlineScale) })
-	run("overload", func() error { return r.overload(*overloadOut, *onlineScale, *overloadCap) })
-	run("chaos", func() error { return r.chaosFig(*chaosOut, *onlineScale) })
-	run("scale", func() error { return r.scaleFig(*scaleOut, *scaleMax, *scaleQs, *scaleEF) })
-	run("anytime", func() error { return r.anytime(*anytimeOut, *anytimeN, *anytimeQs, *scaleEF) })
-	run("4", r.fig4)
-	run("5", r.fig5)
-	run("6", func() error { return r.illustrative("spatio temporal data") })
-	run("7", func() error { return r.illustrative("semantic web") })
-	run("8", r.fig8)
-	run("9", r.fig9)
-	run("10", r.fig10)
-	run("11a", r.fig11)
-	run("11b", r.fig11)
-	run("12", r.fig12and13)
-	run("13", r.fig12and13)
 }
 
 func (r *runner) bibNet() (*datasets.BibNet, error) {
@@ -443,180 +386,6 @@ func (r *runner) fig11() error {
 	}
 	fmt.Println("Fig. 11(a)/(b) — query time and approximation quality by scheme and slack")
 	fmt.Print(eval.RenderEfficiencyTable(rows))
-	return nil
-}
-
-// onlineBenchScale matches benchScale in bench_test.go, so the JSON numbers
-// are comparable with `go test -bench Online`.
-const onlineBenchScale = 0.12
-
-// remotePassResult is one pass of the remote-vs-local comparison: the same
-// query set through one engine path, with its latency distribution and (on
-// the remote path) its row-serving footprint.
-type remotePassResult struct {
-	Pass    string  `json:"pass"` // "local", "remote-cold" or "remote-warm"
-	Queries int     `json:"queries"`
-	QPS     float64 `json:"queries_per_sec"`
-	P50Us   int64   `json:"p50_us"`
-	// Row-serving footprint of the pass, zero on the local pass.
-	RowsFetched int64 `json:"rows_fetched,omitempty"`
-	RowRPCs     int64 `json:"row_rpcs,omitempty"`
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
-}
-
-// remoteReport is the schema of BENCH_PR6.json.
-type remoteReport struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	Dataset     string             `json:"dataset"`
-	Scale       float64            `json:"scale"`
-	Nodes       int                `json:"nodes"`
-	Edges       int                `json:"edges"`
-	K           int                `json:"k"`
-	Epsilon     float64            `json:"epsilon"`
-	Workers     int                `json:"workers"`
-	Passes      []remotePassResult `json:"passes"`
-	// WarmHitRate is cache hits / probes of the warm pass: the fraction of
-	// row reads the second identical query sweep answered without any RPC.
-	WarmHitRate float64 `json:"warm_cache_hit_rate"`
-	CachedRows  int     `json:"cached_rows"`
-	// SlowdownCold and SlowdownWarm are the remote p50 over the local p50.
-	SlowdownCold float64 `json:"remote_p50_over_local_cold"`
-	SlowdownWarm float64 `json:"remote_p50_over_local_warm"`
-}
-
-// remote compares the online 2SBound hot path local vs remote: one engine
-// ranking against the in-process CSR, one against a 2-worker HTTP fleet
-// through the row-serving path, over the same queries. The remote sweep runs
-// twice — cold row cache, then warm — and every remote response is checked
-// bit-identical to the local one before any number is reported.
-func (r *runner) remote(outPath string, scale float64) error {
-	net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(scale))
-	if err != nil {
-		return err
-	}
-	g := net.Graph
-	const workers = 2
-	ts := make([]roundtriprank.Transport, workers)
-	for i := 0; i < workers; i++ {
-		s, err := distributed.BuildStripe(g, i, workers)
-		if err != nil {
-			return err
-		}
-		srv := httptest.NewServer(distributed.NewWorker(s).Handler())
-		defer srv.Close()
-		ts[i] = roundtriprank.DialWorker(srv.URL)
-	}
-	local, err := roundtriprank.NewEngine(g)
-	if err != nil {
-		return err
-	}
-	remote, err := roundtriprank.NewEngine(g, roundtriprank.WithWorkers(ts...))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Remote benchmark BibNet: %d nodes, %d edges, %d HTTP workers\n",
-		g.NumNodes(), g.NumEdges(), workers)
-	queries := make([]graph.NodeID, 0, r.effQueries)
-	for i := 0; i < r.effQueries; i++ {
-		queries = append(queries, net.Papers[(i*7919)%len(net.Papers)])
-	}
-	const k, eps = 10, 0.01
-
-	pass := func(name string, e *roundtriprank.Engine, m roundtriprank.Method) (remotePassResult, []*roundtriprank.Response, error) {
-		res := remotePassResult{Pass: name, Queries: len(queries)}
-		lats := make([]time.Duration, 0, len(queries))
-		resps := make([]*roundtriprank.Response, 0, len(queries))
-		start := time.Now()
-		for _, q := range queries {
-			t0 := time.Now()
-			resp, err := e.Rank(r.ctx, roundtriprank.Request{
-				Query: walk.SingleNode(q), K: k, Epsilon: eps, Method: m,
-			})
-			if err != nil {
-				return res, nil, fmt.Errorf("%s pass, query %d: %w", name, q, err)
-			}
-			lats = append(lats, time.Since(t0))
-			resps = append(resps, resp)
-			if resp.Rows != nil {
-				res.RowsFetched += resp.Rows.Fetched
-				res.RowRPCs += resp.Rows.RPCs
-				res.CacheHits += resp.Rows.CacheHits
-				res.CacheMisses += resp.Rows.CacheMisses
-			}
-		}
-		res.QPS = float64(len(queries)) / time.Since(start).Seconds()
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.P50Us = lats[len(lats)/2].Microseconds()
-		return res, resps, nil
-	}
-
-	localPass, localResps, err := pass("local", local, roundtriprank.TwoSBound)
-	if err != nil {
-		return err
-	}
-	coldPass, coldResps, err := pass("remote-cold", remote, roundtriprank.TwoSBoundRemote)
-	if err != nil {
-		return err
-	}
-	warmPass, warmResps, err := pass("remote-warm", remote, roundtriprank.TwoSBoundRemote)
-	if err != nil {
-		return err
-	}
-	// The comparison is only meaningful if the remote path is exact: every
-	// response, both passes, must match the local one bit for bit.
-	for qi := range localResps {
-		for _, remoteResps := range [][]*roundtriprank.Response{coldResps, warmResps} {
-			want, got := localResps[qi], remoteResps[qi]
-			if len(got.Results) != len(want.Results) {
-				return fmt.Errorf("query %d: remote returned %d results, local %d", qi, len(got.Results), len(want.Results))
-			}
-			for i := range want.Results {
-				if got.Results[i] != want.Results[i] {
-					return fmt.Errorf("query %d rank %d: remote %+v, local %+v (not bit-identical)",
-						qi, i, got.Results[i], want.Results[i])
-				}
-			}
-		}
-	}
-
-	st := remote.RowServeStats()
-	report := remoteReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Dataset:     "bibnet",
-		Scale:       scale,
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		K:           k,
-		Epsilon:     eps,
-		Workers:     workers,
-		Passes:      []remotePassResult{localPass, coldPass, warmPass},
-		CachedRows:  st.CachedRows,
-	}
-	if probes := warmPass.CacheHits + warmPass.CacheMisses; probes > 0 {
-		report.WarmHitRate = float64(warmPass.CacheHits) / float64(probes)
-	}
-	if localPass.P50Us > 0 {
-		report.SlowdownCold = float64(coldPass.P50Us) / float64(localPass.P50Us)
-		report.SlowdownWarm = float64(warmPass.P50Us) / float64(localPass.P50Us)
-	}
-	for _, p := range report.Passes {
-		fmt.Printf("  %-12s %4d queries  %8.1f q/s  p50 %7d µs  rows %6d  rpcs %5d  hits %6d  misses %6d\n",
-			p.Pass, p.Queries, p.QPS, p.P50Us, p.RowsFetched, p.RowRPCs, p.CacheHits, p.CacheMisses)
-	}
-	fmt.Printf("  warm cache hit rate %.3f, %d rows cached, remote/local p50: cold %.2fx warm %.2fx\n",
-		report.WarmHitRate, report.CachedRows, report.SlowdownCold, report.SlowdownWarm)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
 

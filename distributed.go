@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"roundtriprank/internal/distributed"
-	"roundtriprank/internal/graph"
 )
 
 // This file is the public surface of the coordinator/worker subsystem: an
@@ -58,29 +57,15 @@ func LoopbackWorkers(g *Graph, n int) ([]Transport, error) {
 	return ts, nil
 }
 
-// DeployStripes builds the n-way striping of g and ships stripe i to
+// DeployStripes builds the n-way striping of g and installs stripe i on
 // workers[i], for workers that support installation (HTTP workers do:
 // gpserver accepts stripes over POST /v1/stripe). Use it to bring up a
 // cluster of empty gpserver processes without giving each one a copy of the
-// graph.
+// graph. It is RedeployStripes without the counts: a worker that already
+// serves its stripe of g costs one Info call and is left alone.
 func DeployStripes(ctx context.Context, g *Graph, workers []Transport) error {
-	if len(workers) == 0 {
-		return fmt.Errorf("roundtriprank: no workers to deploy to")
-	}
-	for i, w := range workers {
-		sender, ok := w.(distributed.StripeSender)
-		if !ok {
-			return fmt.Errorf("roundtriprank: worker %d cannot receive stripes", i)
-		}
-		s, err := distributed.BuildStripe(g, i, len(workers))
-		if err != nil {
-			return err
-		}
-		if err := sender.SendStripe(ctx, s); err != nil {
-			return fmt.Errorf("roundtriprank: deploy stripe %d: %w", i, err)
-		}
-	}
-	return nil
+	_, _, err := RedeployStripes(ctx, g, workers)
+	return err
 }
 
 // RedeployStripes reconciles a worker fleet with a new graph snapshot after
@@ -90,7 +75,9 @@ func DeployStripes(ctx context.Context, g *Graph, workers []Transport) error {
 // stripe the commit did not touch are retagged — one tiny RPC rebinding the
 // stripe to the new graph fingerprint and epoch — so the cost of an epoch
 // rollover scales with the delta, not with the graph. It returns how many
-// stripes were shipped and how many retagged.
+// stripes were shipped and how many retagged; a worker that already serves
+// its stripe under g's own fingerprint and epoch (g was not committed since
+// the last deploy) costs one Info call and counts as neither.
 //
 // Engine.Apply calls this automatically on engines configured with
 // WithWorkers; use it directly when the graph is committed out-of-band (e.g.
@@ -99,37 +86,21 @@ func RedeployStripes(ctx context.Context, g *Graph, workers []Transport) (shippe
 	if len(workers) == 0 {
 		return 0, 0, fmt.Errorf("roundtriprank: no workers to deploy to")
 	}
-	fp := graph.GraphFingerprint(g)
 	for i, w := range workers {
-		d, err := graph.BuildStripeData(g, i, len(workers))
+		s, err := distributed.BuildStripe(g, i, len(workers))
 		if err != nil {
 			return shipped, retagged, err
 		}
-		content := d.ContentFingerprint()
-		info, infoErr := w.Info(ctx)
-		unchanged := infoErr == nil && info.Index == i && info.Count == len(workers) && info.Content == content
-		if unchanged {
-			if rt, ok := w.(distributed.StripeRetagger); ok {
-				if err := rt.RetagStripe(ctx, fp, g.Epoch(), content); err == nil {
-					retagged++
-					continue
-				}
-				// A refused retag (the stripe moved between Info and Retag, or
-				// the worker cannot retag) falls back to a full ship below.
-			}
-		}
-		sender, ok := w.(distributed.StripeSender)
-		if !ok {
-			return shipped, retagged, fmt.Errorf("roundtriprank: worker %d cannot receive stripes", i)
-		}
-		s, err := distributed.StripeFromData(d)
+		action, err := distributed.EnsureStripe(ctx, w, s)
 		if err != nil {
-			return shipped, retagged, err
+			return shipped, retagged, fmt.Errorf("roundtriprank: deploy stripe %d: %w", i, err)
 		}
-		if err := sender.SendStripe(ctx, s); err != nil {
-			return shipped, retagged, fmt.Errorf("roundtriprank: redeploy stripe %d: %w", i, err)
+		switch action {
+		case distributed.DeployShip:
+			shipped++
+		case distributed.DeployRetag:
+			retagged++
 		}
-		shipped++
 	}
 	return shipped, retagged, nil
 }

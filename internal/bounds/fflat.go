@@ -26,8 +26,7 @@ type FFlat struct {
 	b       scratch.Bounds
 	unseen  float64
 
-	expansions int
-	k          refiner // Stage-II kernel arrays, rebuilt by every Refine
+	k refiner // Stage-II kernel arrays, rebuilt by every Refine
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
@@ -52,7 +51,6 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	fb.engine.EachRestart(fb.restart.Set)
 	fb.b.Reset(rows.NumNodes())
 	fb.unseen = 1
-	fb.expansions = 0
 	return nil
 }
 
@@ -69,9 +67,6 @@ func (fb *FFlat) ResidualTouchedCount() int { return fb.engine.ResidualTouchedCo
 
 // ResidualTouched reports whether the BCA engine ever held residual at v.
 func (fb *FFlat) ResidualTouched(v graph.NodeID) bool { return fb.engine.ResidualTouched(v) }
-
-// Expansions returns the number of Stage-I expansions performed so far.
-func (fb *FFlat) Expansions() int { return fb.expansions }
 
 // SeenCount returns |Sf|.
 func (fb *FFlat) SeenCount() int { return fb.b.Len() }
@@ -116,7 +111,6 @@ func (fb *FFlat) Exhausted() bool {
 // computation is exhausted).
 func (fb *FFlat) Expand() int {
 	processed := fb.engine.ProcessBest(fb.opt.M)
-	fb.expansions++
 	fb.initializeBounds()
 	if fb.opt.StageII {
 		fb.Refine()

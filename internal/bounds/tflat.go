@@ -37,8 +37,7 @@ type TFlat struct {
 	outsideIn scratch.Ints
 	unseen    float64
 
-	expansions int
-	k          refiner // Stage-II kernel arrays, rebuilt by every refinement
+	k refiner // Stage-II kernel arrays, rebuilt by every refinement
 	// pickN/pickP are the reusable top-M border selection (descending by
 	// upper bound, ties keep earlier insertion).
 	pickN []graph.NodeID
@@ -91,7 +90,6 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	for _, v := range tb.restartNodes {
 		tb.outsideIn.Set(v, tb.countOutsideIn(v))
 	}
-	tb.expansions = 1 // the paper counts the initial St = {q} as the first expansion
 	tb.recomputeUnseen()
 	return rows.Err()
 }
@@ -110,10 +108,6 @@ func (tb *TFlat) countOutsideIn(v graph.NodeID) int {
 // Detach drops the tracker's reference to the graph so a pooled instance does
 // not pin a superseded snapshot between queries; InitRows rebinds one.
 func (tb *TFlat) Detach() { tb.rows, tb.pre = nil, nil }
-
-// Expansions returns the number of Stage-I expansions performed (including
-// the initial singleton neighborhood).
-func (tb *TFlat) Expansions() int { return tb.expansions }
 
 // SeenCount returns |St|.
 func (tb *TFlat) SeenCount() int { return tb.b.Len() }
@@ -251,7 +245,6 @@ func (tb *TFlat) Expand() int {
 			added++
 		}
 	}
-	tb.expansions++
 	tb.recomputeUnseen()
 	if tb.opt.StageII {
 		tb.Refine()

@@ -10,7 +10,7 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// This file implements the scale harness's synthetic graph generator: R-MAT
+// This file implements the bench spine's synthetic graph generator: R-MAT
 // (recursive matrix) graphs in the Graph500 parameterization. R-MAT drops
 // each edge into the adjacency matrix by recursively descending into one of
 // four quadrants with probabilities A, B, C, D; skewed probabilities yield

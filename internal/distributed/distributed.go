@@ -103,10 +103,6 @@ func DecodeStripe(r io.Reader) (*Stripe, error) {
 // OwnedNodes returns the number of nodes assigned to this stripe.
 func (s *Stripe) OwnedNodes() int { return s.rows }
 
-// GlobalNode returns the global node ID of local row r (the inverse of the
-// round-robin assignment: row r owns node Index + r*Count).
-func (s *Stripe) GlobalNode(r int) graph.NodeID { return graph.NodeID(s.Index + r*s.Count) }
-
 // OutSums returns the total outgoing edge weight of every owned node, indexed
 // by local row. The coordinator assembles these into the global out-weight
 // vector it needs for transition scaling and dangling-mass collection. The

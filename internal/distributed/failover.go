@@ -16,12 +16,12 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// ReplicaSet is a Transport (and RowFetcher, StripeSender, StripeRetagger)
-// that multiplexes one stripe's RPCs over its replicas. Calls start at the
-// preferred replica and advance to the next on transient error — permanent
-// errors (protocol violations, 4xx) return immediately, since every replica
-// would answer the same. A successful failover promotes the answering replica
-// to preferred, so a dead member costs one timeout once, not once per call.
+// ReplicaSet is a Transport (and RowFetcher) that multiplexes one stripe's
+// RPCs over its replicas. Calls start at the preferred replica and advance to
+// the next on transient error — permanent errors (protocol violations, 4xx)
+// return immediately, since every replica would answer the same. A successful
+// failover promotes the answering replica to preferred, so a dead member
+// costs one timeout once, not once per call.
 //
 // The preference is kept per kind of call: one for each multiply direction
 // and one for everything else. An exact distributed solve iterates F-Rank
@@ -59,9 +59,6 @@ func NewReplicaSet(stripe int, replicas []Transport, hedgeDelay time.Duration) *
 	return rs
 }
 
-// StripeIndex returns the stripe this replica set serves.
-func (rs *ReplicaSet) StripeIndex() int { return rs.stripe }
-
 // SetReplicas atomically replaces the replica list. The old transports are
 // not closed — fleet reconciliation owns member connections and members
 // usually persist across placement changes.
@@ -72,9 +69,6 @@ func (rs *ReplicaSet) SetReplicas(replicas []Transport) {
 		rs.preferred[i].Store(0)
 	}
 }
-
-// Replicas returns the current replica list (read-only snapshot).
-func (rs *ReplicaSet) Replicas() []Transport { return *rs.replicas.Load() }
 
 // Failovers returns the number of calls that succeeded only after advancing
 // past a failed replica — the fleet's "a member was down and we routed
@@ -244,25 +238,6 @@ func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 	return RowBatch{}, lastErr
 }
 
-// SendStripe implements StripeSender delta-aware across the replica group:
-// each member that already serves the stripe's exact payload is retagged (or
-// left alone when identity matches too); only members missing the payload
-// get the full ship. This is what keeps rebalance cost proportional to the
-// placement delta even with R-way replication.
-func (rs *ReplicaSet) SendStripe(ctx context.Context, s *Stripe) error {
-	replicas := *rs.replicas.Load()
-	if len(replicas) == 0 {
-		return &TransientError{Err: errNoReplicas}
-	}
-	var firstErr error
-	for _, t := range replicas {
-		if _, err := EnsureStripe(ctx, t, s); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // DeployAction is what EnsureStripe had to do to converge one member.
 type DeployAction int
 
@@ -280,8 +255,9 @@ const (
 // when the payload matches but the graph identity moved (an epoch rollover
 // that left the stripe's rows untouched, or a rejoining member whose
 // retained payload still fingerprint-matches), a full ship otherwise. It is
-// the per-member primitive behind both ReplicaSet.SendStripe and fleet
-// reconciliation, and what keeps redeploy cost proportional to the delta.
+// the one deploy ladder — RedeployStripes and fleet reconciliation both walk
+// their members through it — and what keeps redeploy cost proportional to
+// the delta.
 func EnsureStripe(ctx context.Context, t Transport, s *Stripe) (DeployAction, error) {
 	sender, ok := t.(StripeSender)
 	if !ok {
@@ -301,27 +277,6 @@ func EnsureStripe(ctx context.Context, t Transport, s *Stripe) (DeployAction, er
 		return DeployShip, err
 	}
 	return DeployShip, nil
-}
-
-// RetagStripe implements StripeRetagger: the rebind must land on every
-// replica or the group's epochs diverge, so the first failure aborts and the
-// caller falls back to SendStripe (whose delta logic retags the members that
-// already took the rebind and ships the rest).
-func (rs *ReplicaSet) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
-	replicas := *rs.replicas.Load()
-	if len(replicas) == 0 {
-		return &TransientError{Err: errNoReplicas}
-	}
-	for _, t := range replicas {
-		rt, ok := t.(StripeRetagger)
-		if !ok {
-			return fmt.Errorf("distributed: replica transport %T cannot retag", t)
-		}
-		if err := rt.RetagStripe(ctx, graphSum, epoch, content); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close implements Transport, closing every replica transport.

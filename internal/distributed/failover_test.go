@@ -197,9 +197,9 @@ func TestReplicaSetAllDownStaysTransient(t *testing.T) {
 	}
 }
 
-// TestReplicaSetSendStripeDelta pins the rebalance-cost property: a member
-// already holding the payload is retagged (or skipped), never re-shipped.
-func TestReplicaSetSendStripeDelta(t *testing.T) {
+// TestEnsureStripeDelta pins the rebalance-cost property: a member already
+// holding the payload is retagged (or skipped), never re-shipped.
+func TestEnsureStripeDelta(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, err := BuildStripe(g, 0, 2)
 	if err != nil {
@@ -207,14 +207,22 @@ func TestReplicaSetSendStripeDelta(t *testing.T) {
 	}
 	holder := &chaosTransport{inner: NewLoopbackAt(NewWorker(s), 0)}
 	empty := &chaosTransport{inner: NewLoopbackAt(NewWorker(nil), 0)}
-	rs := NewReplicaSet(0, []Transport{holder, empty}, 0)
 	ctx := context.Background()
-
-	// Same payload everywhere already: the holder is untouched, the empty
-	// member receives the one full ship.
-	if err := rs.SendStripe(ctx, s); err != nil {
-		t.Fatalf("SendStripe: %v", err)
+	ensure := func(tr Transport, s *Stripe, want DeployAction) {
+		t.Helper()
+		got, err := EnsureStripe(ctx, tr, s)
+		if err != nil {
+			t.Fatalf("EnsureStripe: %v", err)
+		}
+		if got != want {
+			t.Errorf("EnsureStripe action %d, want %d", got, want)
+		}
 	}
+
+	// Same payload on the holder already: it is untouched, the empty member
+	// receives the one full ship.
+	ensure(holder, s, DeployNone)
+	ensure(empty, s, DeployShip)
 	if holder.ships.Load() != 0 {
 		t.Errorf("member already holding the payload was re-shipped")
 	}
@@ -232,21 +240,22 @@ func TestReplicaSetSendStripeDelta(t *testing.T) {
 	}
 	holder.ships.Store(0)
 	empty.ships.Store(0)
-	if err := rs.SendStripe(ctx, ns); err != nil {
-		t.Fatalf("SendStripe (retag path): %v", err)
-	}
+	ensure(holder, ns, DeployRetag)
+	ensure(empty, ns, DeployRetag)
 	if holder.ships.Load()+empty.ships.Load() != 0 {
 		t.Errorf("unchanged payload was re-shipped on epoch move (%d ships)", holder.ships.Load()+empty.ships.Load())
 	}
 	if holder.retags.Load() == 0 || empty.retags.Load() == 0 {
 		t.Errorf("epoch move did not retag both members (%d, %d)", holder.retags.Load(), empty.retags.Load())
 	}
-	info, err := rs.Info(ctx)
-	if err != nil {
-		t.Fatalf("Info: %v", err)
-	}
-	if info.Epoch != ns.Epoch() || info.Graph != ns.GraphFingerprint() {
-		t.Errorf("retagged identity not served: %+v", info)
+	for _, tr := range []Transport{holder, empty} {
+		info, err := tr.Info(ctx)
+		if err != nil {
+			t.Fatalf("Info: %v", err)
+		}
+		if info.Epoch != ns.Epoch() || info.Graph != ns.GraphFingerprint() {
+			t.Errorf("retagged identity not served: %+v", info)
+		}
 	}
 }
 

@@ -83,13 +83,6 @@ func (w *Worker) Stripe() *Stripe {
 	return nil
 }
 
-// StripeAt returns the served stripe with the given index, or nil.
-func (w *Worker) StripeAt(index int) *Stripe {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.stripes[index]
-}
-
 // Stripes returns the served stripes sorted by index.
 func (w *Worker) Stripes() []*Stripe {
 	w.mu.RLock()

@@ -2,7 +2,7 @@
 // evaluation (NDCG@K over the four tasks, Fig. 5 / 9 / 10), the specificity
 // bias sweep (Fig. 8), the efficiency study of the online top-K schemes
 // (Fig. 11) and the scalability study over growing snapshots (Fig. 12 / 13),
-// and renders the results as the text tables reproduced in EXPERIMENTS.md.
+// and renders the results as the text tables cmd/benchrunner prints.
 package eval
 
 import (

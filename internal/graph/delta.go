@@ -48,9 +48,6 @@ func NewDelta(base *Graph) *Delta {
 	}
 }
 
-// Base returns the graph snapshot the delta was staged against.
-func (d *Delta) Base() *Graph { return d.base }
-
 // NumNodes returns the node count the committed graph will have.
 func (d *Delta) NumNodes() int { return d.base.numNodes + len(d.newTypes) }
 
@@ -256,14 +253,6 @@ func (d *Delta) baseOutRow(v NodeID) ([]NodeID, []float64) {
 		return nil, nil
 	}
 	return d.base.OutNeighbors(v)
-}
-
-// baseInRow is baseOutRow for the transposed adjacency.
-func (d *Delta) baseInRow(v NodeID) ([]NodeID, []float64) {
-	if int(v) >= d.base.numNodes || d.removedNodes[v] {
-		return nil, nil
-	}
-	return d.base.InNeighbors(v)
 }
 
 // Commit merges the delta into a fresh immutable Graph whose epoch is

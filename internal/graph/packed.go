@@ -335,10 +335,6 @@ type Packed struct {
 	numEdges int
 	epoch    uint64
 	out, in  PackedCSR
-
-	// closer releases an mmap-backed Data region (LoadPackedFile with the
-	// packedmmap build tag); nil for in-memory packs.
-	closer func() error
 }
 
 // Pack converts a flat CSR view into its packed representation. The source
@@ -413,22 +409,15 @@ func (p *Packed) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
 
 // SizeBytes returns the resident footprint of the packed adjacency (both
 // directions: row offsets, packed data, row sums). Compare against the flat
-// arrays' CSR.SizeBytes to compute the compression the scale figure reports.
+// arrays' CSR.SizeBytes for the compression ratio.
 func (p *Packed) SizeBytes() int64 {
 	return p.out.SizeBytes() + p.in.SizeBytes()
 }
 
-// Close releases the mmap backing the packed data when the view was produced
-// by LoadPackedFile under the packedmmap build tag; otherwise it is a no-op.
-// The view must not be used after Close.
-func (p *Packed) Close() error {
-	if p.closer == nil {
-		return nil
-	}
-	c := p.closer
-	p.closer = nil
-	return c()
-}
+// Close is a no-op: a Packed holds nothing but memory. It survives only
+// because bench/rmat.go calls it; the next [benchmark] PR drops that call and
+// deletes this.
+func (p *Packed) Close() error { return nil }
 
 // NewRows implements RowsProvider: a session that decodes rows on first
 // access and caches them for its lifetime.

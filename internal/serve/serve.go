@@ -1,8 +1,8 @@
 // Package serve is rtrankd's HTTP serving layer: the wire types, handlers
 // and error classification behind POST /rank, GET /healthz, GET /v1/epoch,
 // POST /v1/edges and GET /metrics. It lives outside cmd/rtrankd so the
-// benchrunner overload scenario and the httptest suites drive the exact
-// stack production serves, middleware included.
+// bench spine's bibnet-serve workload and the httptest suites drive the
+// exact stack production serves, middleware included.
 //
 // Three serving rules are encoded here rather than in the handlers' callers:
 //

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"roundtriprank"
@@ -287,5 +289,93 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)
+	}
+}
+
+// TestComposedStackShedsPastGate drives the stack as cmd/rtrankd composes it
+// (engine stats hook → serve handlers → cliutil middleware) past its
+// admission gate: a stats hook that parks holds two /rank requests inside
+// the handler, so the third must be shed with 429 + Retry-After, /metrics
+// must stay reachable while the gate is saturated (exempt route), and the
+// stack's own shed counter must equal what the clients saw.
+func TestComposedStackShedsPastGate(t *testing.T) {
+	const limit = 2
+	m := NewMetrics()
+	entered := make(chan struct{}, limit)
+	release := make(chan struct{})
+	var queries atomic.Int32
+	engine, err := roundtriprank.NewEngine(testgraphs.NewToy().Graph,
+		roundtriprank.WithQueryStatsHook(func(st roundtriprank.QueryStat) {
+			m.RecordQuery(st)
+			// Only the first `limit` queries park: if the gate wrongly admits
+			// a further one it is answered, and the test fails instead of
+			// hanging.
+			if queries.Add(1) <= limit {
+				entered <- struct{}{}
+				<-release
+			}
+		}))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	srv := httptest.NewServer(cliutil.WrapHTTP(New(engine, m, Config{}).Handler(), m.Registry(), cliutil.HTTPOptions{
+		Routes:      Routes(),
+		Exempt:      ExemptRoutes(),
+		MaxInFlight: limit,
+	}))
+	defer srv.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before srv.Close, which waits for the parked requests
+
+	const body = `{"query":["term:spatio"],"k":3,"method":"2sbound"}`
+	statuses := make(chan int, limit)
+	for i := 0; i < limit; i++ {
+		go func() {
+			resp, err := http.Post(srv.URL+"/rank", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("admitted /rank: %v", err)
+				statuses <- 0
+				return
+			}
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < limit; i++ {
+		<-entered
+	}
+
+	shed := 0
+	resp, _ := postRank(t, srv, body)
+	if resp.StatusCode == http.StatusTooManyRequests {
+		shed++
+	} else {
+		t.Errorf("over-limit /rank status = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Errorf("shed response carries no Retry-After")
+	}
+
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics under saturation: %v", err)
+	}
+	raw, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
+	}
+	if mresp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status under saturation = %d, want 200 (exempt route)", mresp.StatusCode)
+	}
+	if want := fmt.Sprintf("rtrank_http_requests_shed_total %d\n", shed); !strings.Contains(string(raw), want) {
+		t.Errorf("/metrics shed counter disagrees with the client tally: missing %q", strings.TrimSpace(want))
+	}
+
+	unpark()
+	for i := 0; i < limit; i++ {
+		if code := <-statuses; code != http.StatusOK {
+			t.Errorf("parked /rank finished with status %d, want 200", code)
+		}
 	}
 }
