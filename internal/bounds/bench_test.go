@@ -31,22 +31,30 @@ func benchHub(b *testing.B) (*graph.Graph, walk.Query) {
 
 const benchRounds = 3 // the hub workload's round budget
 
-// BenchmarkTFlatExpandHub times three rounds of the T side (border expansion
+// benchTFlat times the given number of rounds of the T side (border expansion
 // plus Stage-II refinement) from a pooled tracker on the hub query.
-func BenchmarkTFlatExpandHub(b *testing.B) {
+func benchTFlat(b *testing.B, rounds int) {
 	g, q := benchHub(b)
 	var tb TFlat
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tb.Init(g, q, DefaultTOptions(0.25)); err != nil {
+		if err := tb.InitRows(g, q, DefaultTOptions(0.25)); err != nil {
 			b.Fatal(err)
 		}
-		for round := 0; round < benchRounds; round++ {
+		for round := 0; round < rounds; round++ {
 			tb.Expand()
 		}
 	}
 }
+
+// BenchmarkTFlatExpandHub is the T side of the hub workload's three rounds.
+func BenchmarkTFlatExpandHub(b *testing.B) { benchTFlat(b, benchRounds) }
+
+// BenchmarkTFlatExpandHub20 runs the same query for twenty rounds: with every
+// round's refinement fed from the edge log, its cost beyond the sweeps grows
+// with the newcomers' degrees, not with the rounds times |E(St)|.
+func BenchmarkTFlatExpandHub20(b *testing.B) { benchTFlat(b, 20) }
 
 // BenchmarkFFlatExpand is the F-side counterpart: three rounds of BCA
 // expansion plus Stage-II refinement.
@@ -56,7 +64,7 @@ func BenchmarkFFlatExpand(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fb.Init(g, q, DefaultFOptions(0.25)); err != nil {
+		if err := fb.InitRows(g, q, DefaultFOptions(0.25)); err != nil {
 			b.Fatal(err)
 		}
 		for round := 0; round < benchRounds; round++ {

@@ -293,11 +293,11 @@ func TestMultiNodeQueryBounds(t *testing.T) {
 	checkSound(t, &tb, exactT, "multi-node T")
 }
 
-// TestTBoundsAdjacentMultiNodeBorderCount pins the two-pass initialization of
-// the T-side tracker: with a multi-node query whose nodes are adjacent (cycle
+// TestTBoundsAdjacentMultiNodeBorderCount pins the initialization of the
+// T-side tracker: with a multi-node query whose nodes are adjacent (cycle
 // 0→1→2→0, query {0,1}), node 1's only in-neighbor is node 0 — also a query
-// node — so node 1 must never be counted as a border node, whichever query
-// node is initialized first.
+// node — so node 1 must never be counted as a border node, and the edge 0→1
+// must be logged once, whichever query node joins first.
 func TestTBoundsAdjacentMultiNodeBorderCount(t *testing.T) {
 	g := testgraphs.Cycle(3)
 	for _, q := range []walk.Query{walk.MultiNode(0, 1), walk.MultiNode(1, 0)} {
@@ -308,6 +308,9 @@ func TestTBoundsAdjacentMultiNodeBorderCount(t *testing.T) {
 			}
 			if tb.BorderCount() != 1 {
 				t.Fatalf("query %v: BorderCount %d, want 1 (node 1's in-neighbor is a query node)", q.Nodes, tb.BorderCount())
+			}
+			if !logMatchesInduced(t, "T", &tb.k, &tb.b, tRow(tb.rows)) || len(tb.k.log) != 1 {
+				t.Fatalf("query %v: edge log %v, want the one edge 0→1", q.Nodes, tb.k.log)
 			}
 		}
 	}
@@ -368,19 +371,27 @@ func TestFlatBoundsReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
-// countingRows counts the reads made through the graph.Rows seam.
+// countingRows counts the reads made through the graph.Rows seam, in total and
+// per node.
 type countingRows struct {
 	graph.Rows
 	outRows, inRows, outSums int
+	outBy, inBy              map[graph.NodeID]int
+}
+
+func newCountingRows(rows graph.Rows) *countingRows {
+	return &countingRows{Rows: rows, outBy: map[graph.NodeID]int{}, inBy: map[graph.NodeID]int{}}
 }
 
 func (c *countingRows) OutRow(v graph.NodeID) ([]graph.NodeID, []float64) {
 	c.outRows++
+	c.outBy[v]++
 	return c.Rows.OutRow(v)
 }
 
 func (c *countingRows) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
 	c.inRows++
+	c.inBy[v]++
 	return c.Rows.InRow(v)
 }
 
@@ -389,53 +400,80 @@ func (c *countingRows) OutSum(v graph.NodeID) float64 {
 	return c.Rows.OutSum(v)
 }
 
-// TestRefineReadsEachSeenRowOnce pins Stage II's cost model at the row seam: a
-// refinement reads the row of every seen node exactly once, whether it then
-// sweeps once or sixty times. F reads in-rows plus one out-sum per in-edge, T
-// reads out-rows plus one out-sum per row.
-func TestRefineReadsEachSeenRowOnce(t *testing.T) {
+// reads returns the total number of calls counted so far.
+func (c *countingRows) reads() int { return c.outRows + c.inRows + c.outSums }
+
+// TestStageIIReadsNoRows pins Stage II's cost model at the row seam. A
+// refinement makes no graph.Rows call at all, whether it sweeps once or sixty
+// times; and over a whole multi-round run the edge log costs one in-row and
+// (on the T side) one out-row read per seen node — on top of what Stage I
+// reads anyway, which is counted apart: the in-row of each picked border node
+// on the T side, the out-row of each node BCA processes on the F side.
+func TestStageIIReadsNoRows(t *testing.T) {
 	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
 	if err != nil {
 		t.Fatalf("GenerateBibNet: %v", err)
 	}
 	q := walk.SingleNode(net.Papers[0])
+	const rounds = 4
 	for _, maxIter := range []int{1, 60} {
-		rows := &countingRows{Rows: graph.ViewRows(net.Graph)}
-		// Expand under a one-sweep cap, so the bounds are still far from
-		// converged when the refinement under test gets its own cap.
 		fOpt, tOpt := DefaultFOptions(0.25), DefaultTOptions(0.25)
-		fOpt.RefineMaxIter, tOpt.RefineMaxIter = 1, 1
-		var fb FFlat
+		fOpt.RefineMaxIter, tOpt.RefineMaxIter = maxIter, maxIter
+
+		rows := newCountingRows(graph.ViewRows(net.Graph))
 		var tb TFlat
-		if err := fb.InitRows(rows, q, fOpt); err != nil {
-			t.Fatalf("FFlat.InitRows: %v", err)
-		}
 		if err := tb.InitRows(rows, q, tOpt); err != nil {
 			t.Fatalf("TFlat.InitRows: %v", err)
 		}
-		for i := 0; i < 2; i++ {
-			fb.Expand()
+		tb.opt.StageII = false // Expand stops after Stage I; Refine is called apart
+		picks := 0
+		for i := 0; i < rounds; i++ {
 			tb.Expand()
+			picks += len(tb.pickN)
+			before := rows.reads()
+			tb.Refine()
+			if got := rows.reads() - before; got != 0 {
+				t.Errorf("RefineMaxIter %d round %d: T refinement made %d row-seam calls", maxIter, i, got)
+			}
 		}
-		fb.opt.RefineMaxIter, tb.opt.RefineMaxIter = maxIter, maxIter
+		seen := tb.SeenCount()
+		if seen < 10 || rows.outRows != seen || rows.inRows != seen+picks {
+			t.Errorf("RefineMaxIter %d: %d seen nodes and %d picks cost %d out-row and %d in-row reads, want %d and %d",
+				maxIter, seen, picks, rows.outRows, rows.inRows, seen, seen+picks)
+		}
+		for v, n := range rows.outBy {
+			if n != 1 || rows.inBy[v] < 1 || !tb.Seen(v) {
+				t.Fatalf("RefineMaxIter %d: node %d (seen %v): %d out-row and %d in-row reads", maxIter, v, tb.Seen(v), n, rows.inBy[v])
+			}
+		}
 
-		*rows = countingRows{Rows: rows.Rows}
-		tb.Refine()
-		if seen := tb.SeenCount(); seen < 2 || rows.outRows != seen || rows.outSums != seen || rows.inRows != 0 {
-			t.Errorf("RefineMaxIter %d: T refinement over %d seen nodes read %d out-rows, %d out-sums, %d in-rows",
-				maxIter, seen, rows.outRows, rows.outSums, rows.inRows)
+		rows = newCountingRows(graph.ViewRows(net.Graph))
+		var fb FFlat
+		if err := fb.InitRows(rows, q, fOpt); err != nil {
+			t.Fatalf("FFlat.InitRows: %v", err)
 		}
-
-		inEdges := 0
-		for _, v := range fb.SeenList() {
-			cols, _ := rows.Rows.InRow(v)
-			inEdges += len(cols)
+		logOut, logIn := 0, 0
+		for i := 0; i < rounds; i++ {
+			fb.engine.ProcessBest(fb.opt.M)
+			outBefore, inBefore := rows.outRows, rows.inRows
+			fb.initializeBounds()
+			logOut += rows.outRows - outBefore
+			logIn += rows.inRows - inBefore
+			before := rows.reads()
+			fb.Refine()
+			if got := rows.reads() - before; got != 0 {
+				t.Errorf("RefineMaxIter %d round %d: F refinement made %d row-seam calls", maxIter, i, got)
+			}
 		}
-		*rows = countingRows{Rows: rows.Rows}
-		fb.Refine()
-		if seen := fb.SeenCount(); seen < 2 || rows.inRows != seen || rows.outSums != inEdges || rows.outRows != 0 {
-			t.Errorf("RefineMaxIter %d: F refinement over %d seen nodes with %d in-edges read %d in-rows, %d out-sums, %d out-rows",
-				maxIter, seen, inEdges, rows.inRows, rows.outSums, rows.outRows)
+		seen = fb.SeenCount()
+		if seen < 10 || logOut != 0 || logIn != seen || rows.inRows != seen {
+			t.Errorf("RefineMaxIter %d: %d seen nodes cost the log %d out-row and %d in-row reads (%d in-row reads in all)",
+				maxIter, seen, logOut, logIn, rows.inRows)
+		}
+		for v, n := range rows.inBy {
+			if n != 1 || !fb.Seen(v) {
+				t.Fatalf("RefineMaxIter %d: node %d (seen %v): %d in-row reads", maxIter, v, fb.Seen(v), n)
+			}
 		}
 	}
 }
@@ -503,21 +541,18 @@ func eachEntry(c graph.CSR, v graph.NodeID, fn func(graph.NodeID, float64) bool)
 }
 
 // randomGraph draws a graph of 5–29 nodes: a unit-weight cycle plus random
-// weighted chords, some of zero weight. Every other draw is rough: chords may
-// be self-loops, and a few nodes lose all their out-edges. The Stage-II
-// recursion is the same iteration either way, but only a graph that is not
-// rough is one the bounds are proven for — Prop. 4 assumes a walk cannot
-// return in one step, and the exact solvers restart dangling mass at the query
-// where Eq. 17–18 has no such term.
+// weighted chords, some — at least one — of zero weight. Every other draw is
+// rough: it has a self-loop (more by chance, among the chords), one or two
+// nodes without out-edges, and one node whose only out-edge has zero weight, a
+// source its successors must skip. The Stage-II recursion is the same
+// iteration either way, but only a graph that is not rough is one the bounds
+// are proven for — Prop. 4 assumes a walk cannot return in one step, and the
+// exact solvers restart dangling mass at the query where Eq. 17–18 has no such
+// term.
 func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
 	n := 5 + rng.Intn(25)
 	rough = rng.Intn(2) == 0
 	dangling := make([]bool, n)
-	if rough {
-		for i := rng.Intn(3); i > 0; i-- {
-			dangling[rng.Intn(n)] = true
-		}
-	}
 	var edges []rawEdge
 	have := make(map[[2]int]bool) // no parallel edges
 	add := func(u, v int, w float64) {
@@ -526,9 +561,28 @@ func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
 			edges = append(edges, rawEdge{graph.NodeID(u), graph.NodeID(v), w})
 		}
 	}
+	live := func() int { // a node that keeps its out-edges
+		for {
+			if u := rng.Intn(n); !dangling[u] {
+				return u
+			}
+		}
+	}
+	if rough {
+		z := rng.Intn(n)
+		add(z, (z+1)%n, 0)
+		dangling[z] = true
+		for i := 1 + rng.Intn(2); i > 0; i-- {
+			dangling[rng.Intn(n)] = true
+		}
+		u := live()
+		add(u, u, 0.25+rng.Float64())
+	}
 	for i := 0; i < n; i++ {
 		add(i, (i+1)%n, 1)
 	}
+	u := live()
+	add(u, (u+2)%n, 0)
 	for i := rng.Intn(3 * n); i > 0; i-- {
 		w := 0.25 + rng.Float64()
 		if rng.Intn(6) == 0 {
@@ -539,18 +593,93 @@ func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
 	return newRawGraph(n, edges), rough
 }
 
+// rowFn yields the neighbors of v the recursion at v sums over, with their
+// transition probabilities, read straight from the graph.
+type rowFn func(v graph.NodeID, fn func(u graph.NodeID, m float64))
+
+// fRow is the F-Rank form: the in-neighbors of v, each with its own
+// transition probability into v.
+func fRow(rows graph.Rows) rowFn {
+	return func(v graph.NodeID, fn func(graph.NodeID, float64)) {
+		cols, wts := rows.InRow(v)
+		for i, from := range cols {
+			if outSum := rows.OutSum(from); outSum > 0 {
+				fn(from, wts[i]/outSum)
+			}
+		}
+	}
+}
+
+// tRow is the T-Rank form: the out-neighbors of v.
+func tRow(rows graph.Rows) rowFn {
+	return func(v graph.NodeID, fn func(graph.NodeID, float64)) {
+		outSum := rows.OutSum(v)
+		if outSum <= 0 {
+			return
+		}
+		cols, wts := rows.OutRow(v)
+		for i, to := range cols {
+			fn(to, wts[i]/outSum)
+		}
+	}
+}
+
+// logMatchesInduced checks the kernel's edge log against the subgraph the
+// neighborhood of b induces, enumerated by brute force through row: the same
+// number of edges, every logged (src, dst) an induced edge with exactly its
+// transition probability and logged once, every row's seen mass equal within
+// 1e-12, and — after a load — every row's folded unseen mass equal within
+// 1e-12 to the sum over its unseen neighbors.
+func logMatchesInduced(t *testing.T, label string, k *refiner, b *scratch.Bounds, row rowFn) bool {
+	n := b.Len()
+	want := map[[2]int32]float64{}
+	seenMass, unseenMass := make([]float64, n), make([]float64, n)
+	for r, v := range b.Touched() {
+		row(v, func(u graph.NodeID, m float64) {
+			if slot, seen := b.Index(u); seen {
+				want[[2]int32{int32(r), slot}] = m
+				seenMass[r] += m
+			} else {
+				unseenMass[r] += m
+			}
+		})
+	}
+	ok := true
+	if len(k.log) != len(want) || len(k.restart) != n {
+		t.Logf("%s: %d edges logged over %d slots, the %d seen nodes induce %d", label, len(k.log), len(k.restart), n, len(want))
+		ok = false
+	}
+	logged := map[[2]int32]bool{}
+	logMass := make([]float64, n)
+	for _, e := range k.log {
+		key := [2]int32{e.src, e.dst}
+		if m, induced := want[key]; !induced || m != e.m || logged[key] {
+			t.Logf("%s: logged edge %d→%d m %g: induced %v with m %g, logged before %v", label, e.src, e.dst, e.m, induced, m, logged[key])
+			return false
+		}
+		logged[key] = true
+		logMass[e.src] += e.m
+	}
+	k.load(b)
+	for r := range seenMass {
+		if math.Abs(logMass[r]-seenMass[r]) > 1e-12 || math.Abs(k.out[r]-unseenMass[r]) > 1e-12 {
+			t.Logf("%s: slot %d: logged seen mass %g, folded unseen mass %g; the graph says %g and %g",
+				label, r, logMass[r], k.out[r], seenMass[r], unseenMass[r])
+			ok = false
+		}
+	}
+	return ok
+}
+
 // refSweep is one Gauss–Seidel sweep of Eq. 17–18 in the row-streaming form
 // the trackers used before the induced-subgraph kernel: every neighbor of
-// every seen node is looked up in the bounds as it streams past. row yields
-// the neighbors of v the recursion sums over, with their transition
-// probabilities. It is the reference the kernel is checked against, and
-// returns the largest bound change.
-func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64,
-	row func(v graph.NodeID, fn func(u graph.NodeID, m float64))) float64 {
-	order := slices.Clone(b.Touched())
-	slices.Sort(order)
+// every seen node is looked up in the bounds as it streams past, read from
+// the graph sweep after sweep. It shares nothing with the kernel's edge log,
+// is the reference the kernel is checked against, and returns the largest
+// bound change.
+func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64, row rowFn) float64 {
 	maxChange := 0.0
-	for _, v := range order {
+	for _, v := range b.Touched() { // insertion order, the kernel's sweep order
 		sumLo, sumUp := 0.0, 0.0
 		row(v, func(u graph.NodeID, m float64) {
 			if lo, up, seen := b.Get(u); seen {
@@ -583,14 +712,7 @@ func (fb *FFlat) refStageII(opt FOptions) {
 		return
 	}
 	for iter := 0; iter < opt.RefineMaxIter; iter++ {
-		change := refSweep(&fb.b, &fb.restart, opt.Alpha, fb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
-			cols, wts := fb.rows.InRow(v)
-			for i, from := range cols {
-				if outSum := fb.rows.OutSum(from); outSum > 0 {
-					fn(from, wts[i]/outSum)
-				}
-			}
-		})
+		change := refSweep(&fb.b, &fb.restart, opt.Alpha, fb.unseen, fRow(fb.rows))
 		if change < opt.RefineTol {
 			return
 		}
@@ -601,16 +723,7 @@ func (fb *FFlat) refStageII(opt FOptions) {
 // local update when Stage II is off.
 func (tb *TFlat) refStageII(opt TOptions) {
 	sweep := func() float64 {
-		return refSweep(&tb.b, &tb.restart, opt.Alpha, tb.unseen, func(v graph.NodeID, fn func(graph.NodeID, float64)) {
-			outSum := tb.rows.OutSum(v)
-			if outSum <= 0 {
-				return
-			}
-			cols, wts := tb.rows.OutRow(v)
-			for i, to := range cols {
-				fn(to, wts[i]/outSum)
-			}
-		})
+		return refSweep(&tb.b, &tb.restart, opt.Alpha, tb.unseen, tRow(tb.rows))
 	}
 	if !opt.StageII {
 		sweep()
@@ -664,11 +777,13 @@ func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, pre
 }
 
 // Property: on random graphs (see randomGraph), under every scheme
-// combination, single- and multi-node queries and α ∈ {0.15, 0.25, 0.5}, after
-// every expansion (a) the kernel's bounds equal, within 1e-12, what the
-// row-streaming reference sweep makes of the same pre-refinement state,
-// (b) bounds only tighten from round to round, and (c) unless the graph is
-// rough both trackers sandwich the exact F-Rank / T-Rank values.
+// combination, with and without a frontier cap, single- and multi-node queries
+// (adjacent ones among them) and α ∈ {0.15, 0.25, 0.5}, after every expansion
+// (a) the kernel's bounds equal, within 1e-12, what the row-streaming
+// reference sweep makes of the same pre-refinement state, (b) the kernel's
+// edge log is the induced subgraph (logMatchesInduced), (c) bounds only
+// tighten from round to round, and (d) unless the graph is rough both
+// trackers sandwich the exact F-Rank / T-Rank values.
 //
 // The reference runs on a second tracker pair whose own refinement is switched
 // off (an iteration cap of zero leaves Expand with Stage I alone), refined by
@@ -682,7 +797,10 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 		alpha := []float64{0.15, 0.25, 0.5}[rng.Intn(3)]
 		first := rng.Intn(n)
 		q := walk.SingleNode(graph.NodeID(first))
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0: // adjacent on the cycle: each must find the other seen, once
+			q = walk.MultiNode(graph.NodeID(first), graph.NodeID((first+1)%n))
+		case 1:
 			q = walk.MultiNode(graph.NodeID(first), graph.NodeID((first+1+rng.Intn(n-1))%n))
 		}
 		var exactF, exactT []float64
@@ -704,6 +822,9 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 		stageII := rng.Intn(2) == 0
 		fOpt := FOptions{Alpha: alpha, M: m, ImprovedBound: rng.Intn(2) == 0, StageII: stageII}
 		tOpt := TOptions{Alpha: alpha, M: m, StageII: stageII, TightenUnseenInRefine: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			tOpt.FrontierCap = 1 + rng.Intn(3) // picks are admitted in part
+		}
 		var fb, fref FFlat
 		var tb, tref TFlat
 		for _, err := range []error{
@@ -731,6 +852,10 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 			}
 			if !sameBounds(t, "F", &fb.b, &fref.b, fb.unseen, fref.unseen, 1e-12) ||
 				!sameBounds(t, "T", &tb.b, &tref.b, tb.unseen, tref.unseen, 1e-12) {
+				return false
+			}
+			if !logMatchesInduced(t, "F", &fb.k, &fb.b, fRow(fb.rows)) ||
+				!logMatchesInduced(t, "T", &tb.k, &tb.b, tRow(tb.rows)) {
 				return false
 			}
 			fb.b.Each(fref.b.Set)

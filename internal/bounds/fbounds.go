@@ -7,10 +7,11 @@
 // efficiency baselines (Gupta et al. for F-Rank, Sarkar et al. for T-Rank) are
 // provided as options.
 //
-// Stage II costs one graph read per seen row per round, not per sweep: both
-// trackers copy the subgraph their neighborhood induces into one shared
-// kernel (refiner, refine.go) and iterate on that copy, so the sweeps touch
-// |E(S)| local entries however large the degrees of the seen nodes are.
+// Stage II reads no rows: both trackers log the subgraph their neighborhood
+// induces into one shared kernel (refiner, refine.go) as Stage I grows it — a
+// node's rows are scanned once, when it joins — and every refinement iterates
+// on that log, so the sweeps touch |E(S)| local entries however large the
+// degrees of the seen nodes are and however many rounds there are.
 package bounds
 
 // Default expansion granularities from Sect. V-A3.

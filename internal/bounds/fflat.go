@@ -12,21 +12,33 @@ import (
 // FFlat maintains lower/upper bounds on F-Rank over the f-neighborhood Sf
 // (the nodes with a non-zero BCA estimate) plus a common upper bound for all
 // unseen nodes: Stage I folds each BCA expansion into the bounds (Prop. 4,
-// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's copy
-// of the subgraph Sf induces, built from one read of every seen in-row per
-// refinement. Per-node bounds live in one generation-stamped dense structure
-// and InitRows rebinds the whole tracker to a new query in O(1), so a pooled
+// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
+// log of the subgraph Sf induces and reads no rows: join, the one place a node
+// enters Sf, scans the newcomer's in-row once and logs the induced edges it
+// closes. Per-node bounds live in one generation-stamped dense structure and
+// InitRows rebinds the whole tracker to a new query in O(1), so a pooled
 // instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
 	opt  FOptions
-	rows graph.Rows // the graph; the Stage-II build reads its in-rows
+	rows graph.Rows // the graph; join reads a newcomer's in-row
 
 	engine  bca.Flat
 	restart scratch.Floats
 	b       scratch.Bounds
 	unseen  float64
 
-	k refiner // Stage-II kernel arrays, rebuilt by every Refine
+	k refiner // Stage-II kernel: the induced edge log join feeds
+	// parked holds the entries rows of Sf will gain once an in-neighbor still
+	// outside joins, chained per such node: parkedAt maps it to 1 + the index
+	// of its latest entry, next to the one before (0 ends the chain).
+	parked   []parkedEntry
+	parkedAt scratch.Ints
+}
+
+// parkedEntry says slot row sums a node still outside Sf with probability m.
+type parkedEntry struct {
+	next, row int32
+	m         float64
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
@@ -37,9 +49,9 @@ func (fb *FFlat) Init(view graph.CSRView, q walk.Query, opt FOptions) error {
 }
 
 // InitRows starts (or restarts) an F-Rank bounds computation for the query,
-// reusing the tracker's internal arrays; see bca.Flat.InitRows. The Stage-II
-// build only revisits rows the BCA engine already processed, so on a caching
-// provider Refine never causes a fetch of its own.
+// reusing the tracker's internal arrays; see bca.Flat.InitRows. A node joins
+// Sf once the BCA engine has processed it, so on a caching provider join only
+// revisits a row the engine already fetched.
 func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	opt = opt.normalized()
 	if err := fb.engine.InitRows(rows, q, opt.Alpha); err != nil {
@@ -50,6 +62,9 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	fb.restart.Reset(rows.NumNodes())
 	fb.engine.EachRestart(fb.restart.Set)
 	fb.b.Reset(rows.NumNodes())
+	fb.k.reset()
+	fb.parked = fb.parked[:0]
+	fb.parkedAt.Reset(rows.NumNodes())
 	fb.unseen = 1
 	return nil
 }
@@ -143,7 +158,7 @@ func (fb *FFlat) initializeBounds() {
 	fb.engine.EachSeen(func(v graph.NodeID, rho float64) {
 		lo, up, seen := fb.b.Get(v)
 		if !seen {
-			fb.b.Set(v, rho, rho+fb.unseen) // Eq. 20–21
+			fb.join(v, rho, rho+fb.unseen) // Eq. 20–21
 			return
 		}
 		if rho > lo {
@@ -156,34 +171,46 @@ func (fb *FFlat) initializeBounds() {
 	})
 }
 
+// join admits v into Sf with the given bounds. The F-Rank recursion at a node
+// sums over its in-neighbors, each weighted by that neighbor's own transition
+// probability, so v's in-row yields the total mass of its row, computed this
+// once, and its entries for the in-neighbors already seen (itself among them
+// on a self-loop). An entry for an in-neighbor still outside is parked under
+// that node and logged when it joins — which is how v, before reading
+// anything, collects the entries the rows of its seen out-neighbors gain for
+// it: a node's out-row, which only BCA reads, is never needed. Nodes join one
+// at a time, so every induced edge is logged once, by its later endpoint.
+func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
+	self := int32(fb.b.Len())
+	fb.b.Set(v, lo, up)
+	for at := fb.parkedAt.Get(v); at > 0; at = int(fb.parked[at-1].next) {
+		fb.k.add(fb.parked[at-1].row, self, fb.parked[at-1].m)
+	}
+	mass := 0.0
+	cols, wts := fb.rows.InRow(v)
+	for i, from := range cols {
+		outSum := fb.rows.OutSum(from)
+		if outSum <= 0 {
+			continue
+		}
+		m := wts[i] / outSum
+		mass += m
+		if slot, seen := fb.b.Index(from); seen {
+			fb.k.add(self, slot, m)
+		} else {
+			fb.parked = append(fb.parked, parkedEntry{int32(fb.parkedAt.Get(from)), self, m})
+			fb.parkedAt.Set(from, len(fb.parked))
+		}
+	}
+	fb.k.join(fb.restart.Get(v), mass)
+}
+
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
 // f-neighborhood until the bounds converge or the iteration cap is reached.
-// It reads the in-row of every seen node once (and the out-sum of each of its
-// in-neighbors) to build the induced subgraph, then sweeps that copy; see
-// refiner. An unseen in-neighbor contributes lower bound zero and the unseen
-// upper bound.
+// It reads nothing from the graph: the kernel sweeps the induced edges join
+// has logged; see refiner.
 func (fb *FFlat) Refine() {
-	if fb.b.Len() == 0 {
-		return
-	}
-	k, b := &fb.k, &fb.b
-	k.begin(b)
-	for _, v := range k.nodes {
-		unseenMass := 0.0
-		cols, wts := fb.rows.InRow(v)
-		for i, from := range cols {
-			outSum := fb.rows.OutSum(from)
-			if outSum <= 0 {
-				continue
-			}
-			if m := wts[i] / outSum; !k.edge(b, from, m) {
-				unseenMass += m
-			}
-		}
-		k.endRow(b, v, fb.restart.Get(v), unseenMass)
-	}
-	k.run(fb.opt.Alpha, fb.opt.RefineMaxIter, fb.opt.RefineTol, fb.unseen, false)
-	k.commit(b)
+	fb.k.refine(&fb.b, fb.opt.Alpha, fb.opt.RefineMaxIter, fb.opt.RefineTol, fb.unseen, false)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

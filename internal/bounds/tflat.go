@@ -14,8 +14,9 @@ import (
 // bound α·w(q_i), upper bound 1, unseen bound 1−α) and grows by pulling in all
 // in-neighbors of the border nodes with the largest upper bounds, which makes
 // those nodes interior and therefore lowers the unseen bound; Stage II refines
-// the bounds over St (Eq. 17–18) on the kernel's copy of the subgraph St
-// induces, built from one read of every seen out-row per refinement. The
+// the bounds over St (Eq. 17–18) on the kernel's edge log of the subgraph St
+// induces and reads no rows: join, the one place a node enters St, scans the
+// newcomer's rows once, for the border counters and the log alike. The
 // neighborhood, both bounds and the border counters live in generation-stamped
 // dense arrays and InitRows rebinds the tracker to a new query in O(1).
 type TFlat struct {
@@ -37,7 +38,7 @@ type TFlat struct {
 	outsideIn scratch.Ints
 	unseen    float64
 
-	k refiner // Stage-II kernel arrays, rebuilt by every refinement
+	k refiner // Stage-II kernel: the induced edge log join feeds
 	// pickN/pickP are the reusable top-M border selection (descending by
 	// upper bound, ties keep earlier insertion).
 	pickN []graph.NodeID
@@ -53,7 +54,7 @@ func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 
 // InitRows starts (or restarts) a T-Rank bounds computation for the query,
 // reusing the tracker's internal arrays; see bca.Flat.InitRows. Binding reads
-// the query nodes' in-rows (announced to the provider's prefetcher first) and
+// the query nodes' rows (announced to the provider's prefetcher first) and
 // returns rows.Err() if that already failed. Expansions announce each wave
 // (the picked border rows, then the newcomer rows they pull in) before
 // streaming them.
@@ -78,31 +79,57 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	tb.restart.Reset(n)
 	tb.b.Reset(n)
 	tb.outsideIn.Reset(n)
+	tb.k.reset()
 	tb.unseen = 1 - opt.Alpha
 	for i, v := range tb.restartNodes {
 		w := tb.restartW[i]
 		tb.restart.Set(v, w)
-		tb.b.Set(v, opt.Alpha*w, 1)
-	}
-	// Border counts go in a second pass: countOutsideIn must see the full
-	// initial neighborhood, or a query node counted before an adjacent query
-	// node joined would keep it as a phantom outside in-neighbor forever.
-	for _, v := range tb.restartNodes {
-		tb.outsideIn.Set(v, tb.countOutsideIn(v))
+		tb.join(v, opt.Alpha*w, 1)
 	}
 	tb.recomputeUnseen()
 	return rows.Err()
 }
 
-func (tb *TFlat) countOutsideIn(v graph.NodeID) int {
-	count := 0
-	cols, _ := tb.rows.InRow(v)
-	for _, from := range cols {
-		if !tb.b.Seen(from) {
-			count++
+// join admits v into St with the given bounds. Its in-row splits into the
+// in-neighbors still outside (v's border count) and those already seen, whose
+// rows gain v as an entry — v itself among them on a self-loop, being a member
+// by now. Its out-row yields v's own entries and takes one outside in-neighbor
+// off every seen out-neighbor. Nodes join one at a time, so of two adjacent
+// nodes the later finds the earlier seen and their edges are logged once.
+func (tb *TFlat) join(v graph.NodeID, lo, up float64) {
+	self := int32(tb.b.Len())
+	tb.b.Set(v, lo, up)
+	outSum := tb.rows.OutSum(v)
+	mass := 0.0
+	if outSum > 0 {
+		mass = 1 // a row's transition probabilities sum to one
+	}
+	tb.k.join(tb.restart.Get(v), mass)
+
+	outside := 0
+	cols, wts := tb.rows.InRow(v)
+	for i, from := range cols {
+		slot, seen := tb.b.Index(from)
+		if !seen {
+			outside++
+		} else if sum := tb.rows.OutSum(from); sum > 0 {
+			tb.k.add(slot, self, wts[i]/sum)
 		}
 	}
-	return count
+	tb.outsideIn.Set(v, outside)
+
+	cols, wts = tb.rows.OutRow(v)
+	for i, to := range cols {
+		if to == v {
+			continue
+		}
+		if slot, seen := tb.b.Index(to); seen {
+			tb.outsideIn.Add(to, -1)
+			if outSum > 0 {
+				tb.k.add(self, slot, wts[i]/outSum)
+			}
+		}
+	}
 }
 
 // Detach drops the tracker's reference to the graph so a pooled instance does
@@ -232,16 +259,7 @@ func (tb *TFlat) Expand() int {
 			}
 			// Newly included node: lower bound zero, upper bound is the
 			// unseen upper bound from the previous expansion.
-			tb.b.Set(from, 0, prevUnseen)
-			tb.outsideIn.Set(from, tb.countOutsideIn(from))
-			// Every seen out-neighbor of the newcomer loses one outside
-			// in-neighbor (the newcomer already counted its own membership).
-			outCols, _ := tb.rows.OutRow(from)
-			for _, to := range outCols {
-				if to != from && tb.b.Seen(to) {
-					tb.outsideIn.Add(to, -1)
-				}
-			}
+			tb.join(from, 0, prevUnseen)
 			added++
 		}
 	}
@@ -249,7 +267,8 @@ func (tb *TFlat) Expand() int {
 	if tb.opt.StageII {
 		tb.Refine()
 	} else {
-		tb.localUpdate()
+		// Sarkar-style expansion-only realization: one pass of the recursion.
+		tb.refine(1, false)
 		tb.recomputeUnseen()
 	}
 	return added
@@ -272,49 +291,21 @@ func (tb *TFlat) recomputeUnseen() {
 	}
 }
 
-// localUpdate applies a single pass of the recursion to the seen nodes
-// (Sarkar-style expansion-only realization).
-func (tb *TFlat) localUpdate() {
-	tb.build()
-	tb.k.run(tb.opt.Alpha, 1, tb.opt.RefineTol, tb.unseen, false)
-	tb.k.commit(&tb.b)
-}
-
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
 // t-neighborhood, re-tightening the unseen bound after every sweep when the
-// scheme asks for it. It reads the out-row of every seen node once to build
-// the induced subgraph, then sweeps that copy; see refiner.
-func (tb *TFlat) Refine() {
-	tb.build()
-	tighten := tb.opt.TightenUnseenInRefine
-	if tighten {
-		for slot, v := range tb.b.Touched() {
-			if tb.outsideIn.Get(v) > 0 {
-				tb.k.border = append(tb.k.border, int32(slot))
-			}
-		}
-	}
-	tb.unseen = tb.k.run(tb.opt.Alpha, tb.opt.RefineMaxIter, tb.opt.RefineTol, tb.unseen, tighten)
-	tb.k.commit(&tb.b)
-}
+// scheme asks for it. It reads nothing from the graph: the kernel sweeps the
+// induced edges join has logged; see refiner.
+func (tb *TFlat) Refine() { tb.refine(tb.opt.RefineMaxIter, tb.opt.TightenUnseenInRefine) }
 
-// build loads the subgraph St induces on the out-edges (the T-Rank form of the
-// recursion) into the kernel.
-func (tb *TFlat) build() {
-	k, b := &tb.k, &tb.b
-	k.begin(b)
-	for _, v := range k.nodes {
-		unseenMass := 0.0
-		if outSum := tb.rows.OutSum(v); outSum > 0 {
-			cols, wts := tb.rows.OutRow(v)
-			for i, to := range cols {
-				if m := wts[i] / outSum; !k.edge(b, to, m) {
-					unseenMass += m
-				}
-			}
+// refine is Refine under a given sweep cap, re-tightening or not.
+func (tb *TFlat) refine(maxIter int, tighten bool) {
+	tb.k.border = tb.k.border[:0]
+	for slot, v := range tb.b.Touched() {
+		if tighten && tb.outsideIn.Get(v) > 0 {
+			tb.k.border = append(tb.k.border, int32(slot))
 		}
-		k.endRow(b, v, tb.restart.Get(v), unseenMass)
 	}
+	tb.unseen = tb.k.refine(&tb.b, tb.opt.Alpha, maxIter, tb.opt.RefineTol, tb.unseen, tighten)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a

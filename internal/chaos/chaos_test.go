@@ -156,7 +156,7 @@ func TestTransportUnderReplicaSet(t *testing.T) {
 	sched := NewSchedule(Config{Seed: 3})
 	a := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "a")
 	b := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "b")
-	rs := distributed.NewReplicaSet(0, []distributed.Transport{a, b}, 0)
+	rs := distributed.NewReplicaSet([]distributed.Transport{a, b}, 0)
 	ctx := context.Background()
 
 	x := make([]float64, g.NumNodes())

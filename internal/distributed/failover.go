@@ -38,7 +38,6 @@ import (
 // finish on the list they started with. All methods are safe for concurrent
 // use.
 type ReplicaSet struct {
-	stripe     int
 	replicas   atomic.Pointer[[]Transport]
 	preferred  [DirOut + 1]atomic.Int64 // indexed by Direction; slot 0: calls without one
 	failovers  atomic.Int64
@@ -46,15 +45,15 @@ type ReplicaSet struct {
 	hedgeDelay time.Duration
 }
 
-// NewReplicaSet returns a ReplicaSet for the given stripe index over the
-// given replica transports (each already bound to the stripe on its member).
+// NewReplicaSet returns a ReplicaSet over the given replica transports of one
+// stripe (each already bound to the stripe on its member).
 // hedgeDelay, when positive, arms hedged row fetches: a FetchRows that has
 // not answered within the delay is raced against the next replica and the
 // first response wins. Zero disables hedging (multiply RPCs never hedge: the
 // offline solver is throughput-bound and a duplicate full-vector stream is
 // pure waste).
-func NewReplicaSet(stripe int, replicas []Transport, hedgeDelay time.Duration) *ReplicaSet {
-	rs := &ReplicaSet{stripe: stripe, hedgeDelay: hedgeDelay}
+func NewReplicaSet(replicas []Transport, hedgeDelay time.Duration) *ReplicaSet {
+	rs := &ReplicaSet{hedgeDelay: hedgeDelay}
 	rs.SetReplicas(replicas)
 	return rs
 }

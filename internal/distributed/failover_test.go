@@ -120,7 +120,7 @@ func replicaFixture(t *testing.T, g *graph.Graph, index, count, r int) (*Stripe,
 func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(0, ts, 0)
+	rs := NewReplicaSet(ts, 0)
 	ctx := context.Background()
 	x := make([]float64, g.NumNodes())
 	for i := range x {
@@ -163,7 +163,7 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(0, ts, 0)
+	rs := NewReplicaSet(ts, 0)
 	wrapped[0].permanentErr.Store(true)
 
 	x := make([]float64, g.NumNodes())
@@ -182,7 +182,7 @@ func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
 func TestReplicaSetAllDownStaysTransient(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(0, ts, 0)
+	rs := NewReplicaSet(ts, 0)
 	for _, w := range wrapped {
 		w.down.Store(true)
 	}
@@ -263,7 +263,7 @@ func TestReplicaSetHedgedFetchRows(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
 	wrapped[0].rowDelay = 200 * time.Millisecond
-	rs := NewReplicaSet(0, ts, 2*time.Millisecond)
+	rs := NewReplicaSet(ts, 2*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -286,7 +286,7 @@ func TestReplicaSetHedgedFetchRows(t *testing.T) {
 func TestReplicaSetFetchRowsFailsOverWithoutHedge(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(0, ts, 0)
+	rs := NewReplicaSet(ts, 0)
 	wrapped[0].down.Store(true)
 	batch, err := rs.FetchRows(context.Background(), s.GraphFingerprint(), []graph.NodeID{0})
 	if err != nil {
@@ -314,7 +314,7 @@ func TestReplicaSetCoordinatorParity(t *testing.T) {
 	for i := 0; i < stripes; i++ {
 		_, wrapped, ts := replicaFixture(t, g, i, stripes, 2)
 		killable = append(killable, wrapped[0])
-		sets[i] = NewReplicaSet(i, ts, 0)
+		sets[i] = NewReplicaSet(ts, 0)
 	}
 	for _, w := range killable {
 		w.down.Store(true) // every group's first replica is dead

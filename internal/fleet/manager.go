@@ -89,7 +89,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 		assigned: make(map[string]map[int]bool),
 	}
 	for i := range m.groups {
-		m.groups[i] = distributed.NewReplicaSet(i, nil, opts.HedgeDelay)
+		m.groups[i] = distributed.NewReplicaSet(nil, opts.HedgeDelay)
 	}
 	return m, nil
 }

@@ -430,10 +430,40 @@ func (p *Packed) NewRows() Rows { return &packedRows{p: p} }
 // clobbered mid-iteration. The cache makes the session's working set
 // O(distinct rows touched) — the same shape as the remote row cache
 // (internal/rowserve), which pins cached rows for the same reason.
+//
+// Rows decode into slabs the session owns: chunks of slabEntries entries that
+// are filled front to back and never reallocated, so a slice handed out stays
+// valid as long as the session does, and a query pays two allocations per
+// chunk instead of two per row. A row too long to share a chunk sensibly gets
+// storage of its own.
 type packedRows struct {
 	p   *Packed
 	out map[NodeID]sessionRow
 	in  map[NodeID]sessionRow
+
+	// The open chunk: its length is what rows have taken, its capacity what
+	// is left to take. Full chunks live on through the rows cut from them.
+	cols []NodeID
+	wts  []float64
+}
+
+// slabEntries is the chunk size of a packed session's row slabs (48 KiB of
+// columns and weights); rows longer than an eighth of it bypass the slabs,
+// which bounds the tail a chunk abandons when the next row does not fit.
+const slabEntries = 4096
+
+// take returns empty column and weight slices with room for exactly deg
+// entries.
+func (r *packedRows) take(deg int) ([]NodeID, []float64) {
+	if deg > slabEntries/8 {
+		return make([]NodeID, 0, deg), make([]float64, 0, deg)
+	}
+	if cap(r.cols)-len(r.cols) < deg {
+		r.cols, r.wts = make([]NodeID, 0, slabEntries), make([]float64, 0, slabEntries)
+	}
+	at := len(r.cols)
+	r.cols, r.wts = r.cols[:at+deg], r.wts[:at+deg]
+	return r.cols[at : at : at+deg], r.wts[at : at : at+deg]
 }
 
 // NumNodes implements Rows.
@@ -450,7 +480,7 @@ func (r *packedRows) OutRow(v NodeID) ([]NodeID, []float64) {
 	if r.out == nil {
 		r.out = make(map[NodeID]sessionRow)
 	}
-	return cachedRow(r.out, &r.p.out, v)
+	return r.cachedRow(r.out, &r.p.out, v)
 }
 
 // InRow implements Rows.
@@ -458,22 +488,21 @@ func (r *packedRows) InRow(v NodeID) ([]NodeID, []float64) {
 	if r.in == nil {
 		r.in = make(map[NodeID]sessionRow)
 	}
-	return cachedRow(r.in, &r.p.in, v)
+	return r.cachedRow(r.in, &r.p.in, v)
 }
 
 // Err implements Rows: the packed blocks were validated when the view was
 // built or opened, so decoding a row cannot fail.
 func (r *packedRows) Err() error { return nil }
 
-func cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
+func (r *packedRows) cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
 	if row, ok := cache[v]; ok {
 		return row.cols, row.wts
 	}
-	deg := c.Degree(v)
-	row := sessionRow{cols: make([]NodeID, 0, deg), wts: make([]float64, 0, deg)}
-	row.cols, row.wts = c.AppendRow(v, row.cols, row.wts)
-	cache[v] = row
-	return row.cols, row.wts
+	cols, wts := r.take(c.Degree(v))
+	cols, wts = c.AppendRow(v, cols, wts)
+	cache[v] = sessionRow{cols, wts}
+	return cols, wts
 }
 
 // SizeBytes returns the resident footprint of one flat CSR direction

@@ -166,7 +166,7 @@ func TestEvictionDuringFailover(t *testing.T) {
 		}
 		preferred[i] = &downableRows{Transport: distributed.NewLoopback(distributed.NewWorker(s))}
 		backup := distributed.NewLoopback(distributed.NewWorker(s))
-		transports[i] = distributed.NewReplicaSet(i, []distributed.Transport{preferred[i], backup}, 0)
+		transports[i] = distributed.NewReplicaSet([]distributed.Transport{preferred[i], backup}, 0)
 	}
 	// Capacity 3 on a 12-node graph: the sweep must evict constantly.
 	r, err := Connect(ctx, transports, &Options{Cache: NewCache(3), Retry: distributed.RetryPolicy{Retries: 1, Backoff: 1}})

@@ -361,20 +361,3 @@ func (s *Sampler) GeometricWalk(start graph.NodeID, alpha float64) graph.NodeID 
 	}
 	return cur
 }
-
-// FixedWalk walks forward exactly steps steps (or until a dangling node) and
-// returns the visited sequence including the start node.
-func (s *Sampler) FixedWalk(start graph.NodeID, steps int) []graph.NodeID {
-	path := make([]graph.NodeID, 1, steps+1)
-	path[0] = start
-	cur := start
-	for i := 0; i < steps; i++ {
-		next, ok := s.Step(cur)
-		if !ok {
-			break
-		}
-		cur = next
-		path = append(path, cur)
-	}
-	return path
-}

@@ -421,10 +421,6 @@ func TestSamplerStepDistribution(t *testing.T) {
 	if from, ok := s.StepBack(x); !ok || from != a {
 		t.Errorf("StepBack(x) = %d,%v want %d,true", from, ok, a)
 	}
-	path := s.FixedWalk(a, 5)
-	if len(path) < 2 || path[0] != a {
-		t.Errorf("FixedWalk path wrong: %v", path)
-	}
 }
 
 // Property: on random graphs, F-Rank is a probability distribution and T-Rank

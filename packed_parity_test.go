@@ -7,6 +7,7 @@ import (
 
 	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/scratch"
 )
 
 // Cross-representation parity suite: the packed CSR (graph.Pack) must be a
@@ -165,4 +166,43 @@ func TestPackedFootprintRMAT(t *testing.T) {
 	if ratio := float64(packed) / float64(flat); ratio > maxRatio {
 		t.Fatalf("packed footprint %d B is %.3f of flat %d B, limit %.2f", packed, ratio, flat, maxRatio)
 	}
+}
+
+// TestPackedOnlineAllocsRMAT bounds what the packed row session allocates per
+// online query: it decodes rows into slabs it owns, so a budgeted query from
+// the sparse tail of the 10^4-node R-MAT graph — the spine's rmat-packed
+// shape, a working set of over a thousand rows — costs a few dozen
+// allocations (73), not two per decoded row (2 568 before the slabs; the bound
+// stays under a tenth of that).
+func TestPackedOnlineAllocsRMAT(t *testing.T) {
+	if scratch.RaceEnabled {
+		t.Skip("sync.Pool bypasses reuse under the race detector; allocation counts are not meaningful")
+	}
+	graphs := packedParityGraphs(t)
+	pg := graphs[len(graphs)-1] // rmat-10k
+	engine, err := NewEngine(graph.Pack(pg.graph))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	req := Request{
+		Query: SingleNode(pg.queries[2]), K: 10, Epsilon: 0.01, Method: TwoSBound,
+		Budget: &Budget{MaxRounds: 20, MaxTouched: 1000},
+	}
+	resp, err := engine.Rank(context.Background(), req) // warm the pool
+	if err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	if resp.FSeen+resp.TSeen < 500 {
+		t.Fatalf("query touched only %d + %d nodes; too small to say anything about row decoding", resp.FSeen, resp.TSeen)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := engine.Rank(context.Background(), req); err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+	})
+	const budget = 160
+	if avg > budget {
+		t.Errorf("online Rank over packed rows allocates %.0f objects/query, budget %d", avg, budget)
+	}
+	t.Logf("%.0f allocations/query over |Sf| %d, |St| %d", avg, resp.FSeen, resp.TSeen)
 }

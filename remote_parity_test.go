@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/topk"
 	"roundtriprank/internal/walk"
@@ -465,5 +466,41 @@ func TestRemoteRowViewReusesRowserveConnect(t *testing.T) {
 	}
 	if engine.snap.Load().rows.Load() != first {
 		t.Fatalf("second query reconnected the row view")
+	}
+}
+
+// TestRemoteRowLookupsDoNotGrow pins what one remote query asks of the row
+// cache. Stage II refines from the edge log and looks no row up, so a query's
+// lookups are Stage I's alone — the rows BCA processes, the border picks, and
+// one visit (on the T side two) per node joining a neighborhood, most of them
+// the prefetch hints that announce each wave — however many rounds refine. The
+// fixed query below made 9 179 lookups when every refinement re-read the row
+// of every seen node (6 866 when this test was written); the count depends on
+// the search, not on what the cache holds, so it repeats exactly.
+func TestRemoteRowLookupsDoNotGrow(t *testing.T) {
+	net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(0.12))
+	if err != nil {
+		t.Fatalf("GenerateBibNet: %v", err)
+	}
+	engine, err := NewEngine(net.Graph, WithWorkers(httpWorkerCluster(t, net.Graph, 2)...))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	req := Request{
+		Query: SingleNode(net.Papers[0]), K: 10, Epsilon: 0, Method: TwoSBoundRemote,
+		Budget: &Budget{MaxRounds: 8},
+	}
+	var lookups [2]int64
+	for i := range lookups {
+		resp, err := engine.Rank(context.Background(), req)
+		if err != nil {
+			t.Fatalf("remote query: %v", err)
+		}
+		lookups[i] = resp.Rows.CacheHits + resp.Rows.CacheMisses
+		t.Logf("rounds %d, |Sf| %d, |St| %d: %d lookups", resp.Rounds, resp.FSeen, resp.TSeen, lookups[i])
+	}
+	const before = 9179
+	if lookups[0] != lookups[1] || lookups[0] > before {
+		t.Errorf("cold and warm run made %d and %d row lookups, want the same and at most %d", lookups[0], lookups[1], before)
 	}
 }
