@@ -106,10 +106,10 @@ func RedeployStripes(ctx context.Context, g *Graph, workers []Transport) (shippe
 }
 
 // WithWorkers configures the engine's stripe worker cluster, enabling the
-// Distributed method: workers[i] must serve stripe i of len(workers) of the
-// engine's graph. The coordinator connects and validates the topology on the
-// first distributed query. The engine does not take ownership of the
-// transports; close them when done.
+// Distributed and TwoSBoundRemote methods: workers[i] must serve stripe i of
+// len(workers) of the engine's graph. The engine connects and validates the
+// topology on each epoch's first query of either method. The engine does not
+// take ownership of the transports; close them when done.
 func WithWorkers(workers ...Transport) Option {
 	return func(e *Engine) error {
 		if len(workers) == 0 {
@@ -135,40 +135,27 @@ func WithRowCacheRows(n int) Option {
 	}
 }
 
-// ClusterStats reports the worker RPC count of the current snapshot's
-// coordinator and row-serving view combined, and how many of those were
+// ClusterStats reports the worker RPC count of the current snapshot's fleet
+// handle — handshake, multiplies and row fetches — and how many of those were
 // retries after transient failures. All zeros before the first distributed
 // or remote-online query on the current epoch (each epoch connects lazily)
 // or when no workers are configured.
 func (e *Engine) ClusterStats() (rpcs, retries int64) {
-	snap := e.snap.Load()
-	if c := snap.coord.Load(); c != nil {
-		cr, ct := c.Stats()
-		rpcs += cr
-		retries += ct
-	}
-	if r := snap.rows.Load(); r != nil {
-		rr, rt, _ := r.Stats()
-		rpcs += rr
-		retries += rt
+	if r := e.snap.Load().fleet.Load(); r != nil {
+		rpcs, retries, _ = r.Stats()
 	}
 	return rpcs, retries
 }
 
 // FleetEpoch reports the epoch the worker fleet is currently serving, as
-// seen by the snapshot's coordinator or row-serving view, whichever is
-// connected. connected is false when no distributed or remote-online query
-// has run on the current epoch yet (each epoch connects to the fleet
-// lazily) or when the engine has no workers; the local epoch (Epoch) minus
-// a connected fleet epoch is the "epoch lag" surfaced on /metrics —
-// non-zero lag means queries are still pinned to stripes the fleet has
-// since rolled past.
+// seen by the snapshot's fleet handle. connected is false when no
+// distributed or remote-online query has run on the current epoch yet (each
+// epoch connects to the fleet lazily) or when the engine has no workers; the
+// local epoch (Epoch) minus a connected fleet epoch is the "epoch lag"
+// surfaced on /metrics — non-zero lag means queries are still pinned to
+// stripes the fleet has since rolled past.
 func (e *Engine) FleetEpoch() (epoch uint64, connected bool) {
-	snap := e.snap.Load()
-	if c := snap.coord.Load(); c != nil {
-		return c.Epoch(), true
-	}
-	if r := snap.rows.Load(); r != nil {
+	if r := e.snap.Load().fleet.Load(); r != nil {
 		return r.Epoch(), true
 	}
 	return 0, false
@@ -188,11 +175,12 @@ type RowQueryStats struct {
 }
 
 // RowServeStats is the engine-wide view of the TwoSBoundRemote serving state:
-// cumulative fetch counters of the current epoch's row view and the shared
+// cumulative counters of the current epoch's fleet handle and the shared
 // row cache's lifetime counters (the cache spans epochs).
 type RowServeStats struct {
-	// RowsFetched, RowRPCs and RowRetries count the current snapshot's
-	// row-serving view; like ClusterStats they reset to zero when an Apply
+	// RowsFetched counts the rows the current snapshot's fleet handle pulled
+	// over the network; RowRPCs and RowRetries are its RPC counters, the same
+	// numbers ClusterStats reports. All three reset to zero when an Apply
 	// rolls the engine to a new epoch (each epoch connects lazily).
 	RowsFetched, RowRPCs, RowRetries int64
 	// CacheHits, CacheMisses and CacheEvictions are lifetime counters of the
@@ -203,10 +191,10 @@ type RowServeStats struct {
 }
 
 // RowServeStats reports the engine's row-serving counters. All zeros when no
-// workers are configured or before the first TwoSBoundRemote query.
+// workers are configured or before the epoch's first fleet query.
 func (e *Engine) RowServeStats() RowServeStats {
 	var st RowServeStats
-	if r := e.snap.Load().rows.Load(); r != nil {
+	if r := e.snap.Load().fleet.Load(); r != nil {
 		st.RowRPCs, st.RowRetries, st.RowsFetched = r.Stats()
 	}
 	if e.rowCache != nil {

@@ -19,15 +19,18 @@
 // an execution Method — and returns Responses. The default Method, Auto,
 // plans exact full-vector solves on small in-memory graphs and the online
 // 2SBound branch-and-bound search on large ones; Exact, TwoSBound and
-// BoundScheme select a path explicitly, and Distributed fans the exact solve
-// out to a cluster of stripe workers configured with WithWorkers (see
-// distributed.go and ARCHITECTURE.md).
+// BoundScheme select a path explicitly, and Distributed and TwoSBoundRemote
+// run the same two algorithm families against a cluster of stripe workers
+// configured with WithWorkers instead of the local view (see distributed.go
+// and ARCHITECTURE.md).
 // Engine.RankBatch amortizes a batch of queries by sharing single-node score
 // vectors through the Linearity Theorem, and every computation honors context
-// cancellation. An engine serves any View: the online search reads every
-// representation — flat, packed, wrapped, remote — through one row-access
-// interface, and the exact solvers run on flat or packed arrays, flattening
-// any other view once per solve.
+// cancellation. An engine serves any View: each serving snapshot resolves the
+// view once — flat and packed arrays are read in place, any other view is
+// flattened once per snapshot — and connects to the worker fleet at most once
+// per epoch, so where the rows live is invisible to both families: the exact
+// solvers gather rows and the online search reads them through one seam each,
+// local or remote.
 //
 // # Live graphs
 //

@@ -36,20 +36,23 @@ const (
 	SchemeSarkar Scheme = topk.SchemeSarkar
 )
 
+// methodKind is the algorithm family of a Method: the exact full-vector solves
+// of Sect. IV or the online 2SBound search of Sect. V-A. Where the rows live —
+// the local view or the worker fleet, Sect. V-B — is Method.fleet, orthogonal
+// to the family.
 type methodKind int
 
 const (
 	methodAuto methodKind = iota
 	methodExact
 	methodOnline
-	methodDistributed
-	methodRemoteOnline
 )
 
 // Method selects how a Request is executed. The zero value is Auto.
 type Method struct {
 	kind   methodKind
 	scheme Scheme
+	fleet  bool // run against the engine's worker fleet, not the local view
 }
 
 // The built-in execution methods.
@@ -71,7 +74,7 @@ var (
 	// iteration out to the stripe workers and merges the partial vectors into
 	// the same top-K path the local exact solver uses. Scores are
 	// bit-identical to Exact.
-	Distributed = Method{kind: methodDistributed}
+	Distributed = Method{kind: methodExact, fleet: true}
 	// TwoSBoundRemote runs the online 2SBound search against the engine's
 	// worker cluster (configured with WithWorkers) without a local copy of
 	// the graph: the searcher streams only the CSR rows it touches from the
@@ -81,7 +84,7 @@ var (
 	// to TwoSBound on a local view for any worker count. This is the paper's
 	// AP/GP serving architecture: the coordinator's working set is O(rows
 	// touched), never O(edges).
-	TwoSBoundRemote = Method{kind: methodRemoteOnline, scheme: Scheme2SBound}
+	TwoSBoundRemote = Method{kind: methodOnline, scheme: Scheme2SBound, fleet: true}
 )
 
 // BoundScheme returns an online method using the given bound scheme, for
@@ -90,22 +93,23 @@ func BoundScheme(s Scheme) Method { return Method{kind: methodOnline, scheme: s}
 
 // String names the method; online methods are named after their scheme.
 func (m Method) String() string {
-	switch m.kind {
-	case methodAuto:
+	switch {
+	case m.kind == methodAuto:
 		return "auto"
-	case methodExact:
-		return "exact"
-	case methodDistributed:
+	case m.kind == methodExact && m.fleet:
 		return "distributed"
-	case methodRemoteOnline:
+	case m.kind == methodExact:
+		return "exact"
+	case m.fleet:
 		return m.scheme.String() + "-remote"
 	default:
 		return m.scheme.String()
 	}
 }
 
-// IsExact reports whether the method runs the exact full-vector solvers.
-func (m Method) IsExact() bool { return m.kind == methodExact }
+// IsExact reports whether the method is Exact: the exact full-vector solvers
+// over the local view.
+func (m Method) IsExact() bool { return m.kind == methodExact && !m.fleet }
 
 // ParseMethod parses a method name (case-insensitive) as printed by
 // Method.String: "auto" (or empty), "exact", "distributed", "2sbound",
@@ -327,53 +331,82 @@ const DefaultExactLimit = 50_000
 // pairs) of the engine's score-vector cache used by RankBatch.
 const DefaultVectorCacheSize = 64
 
-// snapshot is one immutable epoch of the engine's serving state: the graph
-// view, its epoch, and the (lazily connected) fleet handles pinned to that
-// epoch's stripes. Apply swaps the engine's snapshot pointer atomically;
-// queries capture the snapshot once at plan time and run on it to completion,
-// so in-flight queries finish on their epoch while new queries see the next.
+// snapshot is one immutable epoch of the engine's serving state, and the one
+// place a graph becomes a seam: it resolves the view's layout once and hands
+// out the two things the two algorithm families read — gatherer, the
+// walk.Gatherer of the exact solves, and rows, the graph.Rows of the online
+// search — over the local view or over the worker fleet. Apply swaps the
+// engine's snapshot pointer atomically; queries capture the snapshot once at
+// plan time and run on it to completion, so in-flight queries finish on their
+// epoch while new queries see the next.
 type snapshot struct {
+	// view is the graph as the caller handed it over: what View returns, what
+	// filters read node types from and what Apply commits against.
 	view  View
 	epoch uint64
-
-	// coord is the exact-path coordinator (the Distributed method) and rows
-	// the row-serving view (the TwoSBoundRemote method). The RemoteCSR reads
-	// through the engine's shared row cache, whose content-fingerprint keys
-	// carry unchanged stripes' rows across an Apply rollover and strand the
-	// changed stripes' rows (see internal/rowserve).
-	coord lazyFleet[distributed.Coordinator]
-	rows  lazyFleet[rowserve.RemoteCSR]
+	// local is the view in a layout the solvers read directly. A view with
+	// flat or packed arrays, or row sessions of its own, is kept as is; any
+	// other is flattened with graph.Compact here, once per snapshot.
+	local graph.View
+	fleet lazyFleet
 }
 
-// lazyFleet is one fleet handle of a snapshot, connected on the first query
-// that needs it, so engine construction (and Apply) never block on the
-// network. A failed connect is not cached, so a query issued after the
-// workers come up succeeds; each snapshot has its own handles, so after an
-// Apply the next query connects afresh and validates the workers against the
-// new epoch. Readers Load the pointer and never take the mutex, which
-// serializes this snapshot's connect only: a stale epoch's slow connect never
-// blocks the next epoch's first query.
-type lazyFleet[T any] struct {
-	atomic.Pointer[T]
-	mu sync.Mutex
+// lazyFleet is a snapshot's handle on the engine's worker fleet: one
+// rowserve.RemoteCSR, whose row sessions serve the online search and whose
+// embedded distributed.Fleet is the gather of the exact solves — one handshake
+// per epoch for both. It is connected by the first query that needs it, so
+// engine construction (and Apply) never block on the network. A failed connect
+// is not cached, so a query issued after the workers come up succeeds; each
+// snapshot has its own handle, so after an Apply the next query connects
+// afresh and validates the workers against the new epoch. Readers Load the
+// pointer and never take the mutex, which serializes this snapshot's connect
+// only: a stale epoch's slow connect never blocks the next epoch's first
+// query. The RemoteCSR reads through the engine's shared row cache, whose
+// content-fingerprint keys carry unchanged stripes' rows across an Apply
+// rollover and strand the changed stripes' rows (see internal/rowserve).
+type lazyFleet struct {
+	atomic.Pointer[rowserve.RemoteCSR]
+	mu      sync.Mutex
+	workers []distributed.Transport
+	cache   *rowserve.Cache
 }
 
-// get returns the connected handle, running connect on first use.
-func (l *lazyFleet[T]) get(connect func() (*T, error)) (*T, error) {
-	if h := l.Load(); h != nil {
-		return h, nil
+// newSnapshot wraps a view in a snapshot, adopting the view's own epoch when
+// it carries one (a committed *Graph does).
+func (e *Engine) newSnapshot(view View) *snapshot {
+	s := &snapshot{view: view, local: view, fleet: lazyFleet{workers: e.workers, cache: e.rowCache}}
+	if ep, ok := view.(graph.Epocher); ok {
+		s.epoch = ep.Epoch()
+	}
+	switch view.(type) {
+	case graph.Rows, graph.RowsProvider, graph.CSRView, graph.PackedCSRView:
+	default:
+		s.local = graph.Compact(view)
+	}
+	return s
+}
+
+// connect returns the snapshot's fleet handle, dialing and validating the
+// workers on first use.
+func (s *snapshot) connect(ctx context.Context) (*rowserve.RemoteCSR, error) {
+	l := &s.fleet
+	if r := l.Load(); r != nil {
+		return r, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if h := l.Load(); h != nil {
-		return h, nil
+	if r := l.Load(); r != nil {
+		return r, nil
 	}
-	h, err := connect()
+	r, err := rowserve.Connect(ctx, l.workers, &rowserve.Options{Cache: l.cache})
+	if err == nil {
+		err = s.validateFleet(r.Fleet)
+	}
 	if err != nil {
 		return nil, err
 	}
-	l.Store(h)
-	return h, nil
+	l.Store(r)
+	return r, nil
 }
 
 // validateFleet checks the fleet a connect reached against the snapshot.
@@ -396,7 +429,46 @@ func (s *snapshot) validateFleet(f *distributed.Fleet) error {
 	return nil
 }
 
-// Engine executes ranking requests over one graph view. It is safe for
+// gatherer returns the row gather the exact family solves over and the
+// function that releases it: the fleet itself, or the local view's in-process
+// gather on the pool workers selects (as walk.Params.Workers does).
+func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.Gatherer, func(), error) {
+	if fleet {
+		r, err := s.connect(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r.Fleet, func() {}, nil
+	}
+	g, release := walk.Local(s.local, workers)
+	return g, release, nil
+}
+
+// rows returns the rows the online family searches over: a per-query session
+// streaming from the fleet through the row cache, or the local view — itself
+// when it is a graph.Rows (flat arrays), a session of its own when it hands
+// them out (packed arrays).
+func (s *snapshot) rows(ctx context.Context, fleet bool) (graph.Rows, error) {
+	if fleet {
+		r, err := s.connect(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return r.Session(ctx), nil
+	}
+	switch v := s.local.(type) {
+	case graph.Rows:
+		return v, nil
+	case graph.RowsProvider:
+		return v.NewRows(), nil
+	}
+	return graph.Compact(s.local), nil // arrays without a Rows face: wrapped, not copied
+}
+
+// Engine executes ranking requests over one graph view: plan (validate, resolve
+// Auto, pin the current snapshot), then execute one of two algorithm families —
+// exact solves or the online search — over the seam the snapshot hands out for
+// the method's locality, the local view or the worker fleet. It is safe for
 // concurrent use: per-query state lives in the request execution, the current
 // snapshot is read through an atomic pointer, and the shared vector cache
 // synchronizes internally.
@@ -408,16 +480,15 @@ type Engine struct {
 	// statsHook, when set, observes every executed plan (WithQueryStatsHook).
 	statsHook func(QueryStat)
 
-	// workers are the stripe transports of the Distributed and
-	// TwoSBoundRemote methods; each snapshot connects to them lazily
-	// (lazyFleet).
+	// workers are the stripe transports of the fleet methods (Distributed,
+	// TwoSBoundRemote); each snapshot connects to them lazily (lazyFleet).
 	workers []distributed.Transport
 	// fleetMgr, when set (WithFleet), self-organizes the workers: they are
 	// the manager's per-stripe replica groups, and Apply reconciles
 	// membership/placement instead of the static RedeployStripes walk.
 	fleetMgr *fleet.Manager
 	// rowCache is the engine-wide row cache of the TwoSBoundRemote method,
-	// shared by every epoch's RemoteCSR (created when workers are
+	// shared by every epoch's fleet handle (created when workers are
 	// configured; sized by WithRowCacheRows). rowCacheRows only carries the
 	// option value until NewEngine builds the cache.
 	rowCache     *rowserve.Cache
@@ -428,7 +499,9 @@ type Engine struct {
 }
 
 // NewEngine creates an Engine over the given graph view with the paper's
-// default parameters (α = 0.25, β = 0.5), modified by the options.
+// default parameters (α = 0.25, β = 0.5), modified by the options. A view
+// with flat or packed arrays (*Graph, graph.Packed) is served in place; any
+// other View is flattened here, once — an O(nodes + edges) copy.
 func NewEngine(view View, opts ...Option) (*Engine, error) {
 	if view == nil || view.NumNodes() == 0 {
 		return nil, fmt.Errorf("roundtriprank: empty graph")
@@ -438,29 +511,19 @@ func NewEngine(view View, opts ...Option) (*Engine, error) {
 		exactLimit: DefaultExactLimit,
 		cache:      newVecCache(DefaultVectorCacheSize),
 	}
-	e.snap.Store(newSnapshot(view))
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
 	}
-	// One row cache per engine, across every epoch's row-serving view; built
+	// One row cache per engine, across every epoch's fleet handle; built
 	// after the options so WithWorkers and WithRowCacheRows compose in any
 	// order.
 	if len(e.workers) > 0 {
 		e.rowCache = rowserve.NewCache(e.rowCacheRows)
 	}
+	e.snap.Store(e.newSnapshot(view))
 	return e, nil
-}
-
-// newSnapshot wraps a view in a snapshot, adopting the view's own epoch when
-// it carries one (a committed *Graph does).
-func newSnapshot(view View) *snapshot {
-	s := &snapshot{view: view}
-	if ep, ok := view.(graph.Epocher); ok {
-		s.epoch = ep.Epoch()
-	}
-	return s
 }
 
 // CacheStats reports the cumulative hit and miss counts of the engine's
@@ -575,7 +638,7 @@ func (e *Engine) plan(req Request) (*plan, error) {
 		}
 	}
 	method := req.Method
-	if (method.kind == methodDistributed || method.kind == methodRemoteOnline) && len(e.workers) == 0 {
+	if method.fleet && len(e.workers) == 0 {
 		return nil, invalidf("roundtriprank: the %s method needs workers (configure with WithWorkers)", method)
 	}
 	if method.kind == methodAuto {
@@ -644,31 +707,95 @@ func (e *Engine) Rank(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.execPlan(ctx, p, nil)
+}
+
+// execPlan is the one executor: it runs a validated plan through the arm of
+// its algorithm family — exact or online, each over the seam the plan's
+// snapshot hands out for the method's locality — stamps the execution time
+// and feeds the stats hook. Failures of a fleet method are wrapped in
+// ClusterError, so servers report them as backend trouble rather than caller
+// mistakes — unless the caller's own context ended, which is not backend
+// trouble. Exact plans run as a cached-vector mixture when a cache is given
+// (RankBatch) and as one direct solve otherwise (Rank).
+func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Response, error) {
 	start := time.Now()
-	resp, err := e.execPlan(ctx, p, nil)
-	e.recordStat(p, start, resp, err)
+	var (
+		resp *Response
+		err  error
+	)
+	if p.method.kind == methodExact {
+		resp, err = p.exact(ctx, cache)
+	} else {
+		resp, err = p.online(ctx)
+	}
+	if err != nil && p.method.fleet {
+		// The caller's own cancellation is not backend trouble.
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		} else {
+			err = &ClusterError{Err: err}
+		}
+	}
+	st := QueryStat{Method: p.method, Elapsed: time.Since(start), Err: err}
+	if err == nil {
+		resp.Elapsed = st.Elapsed
+		st.Degraded, st.CertifiedK = resp.Degraded, resp.CertifiedK
+	}
+	if e.statsHook != nil {
+		e.statsHook(st)
+	}
 	return resp, err
 }
 
-// recordStat delivers one executed plan to the stats hook, if installed.
-func (e *Engine) recordStat(p *plan, start time.Time, resp *Response, err error) {
-	if e.statsHook == nil {
-		return
-	}
-	st := QueryStat{Method: p.method, Elapsed: time.Since(start), Err: err}
-	if resp != nil && err == nil {
-		st.Degraded = resp.Degraded
-		st.CertifiedK = resp.CertifiedK
-	}
-	e.statsHook(st)
-}
-
-func (e *Engine) rankExact(ctx context.Context, p *plan) (*Response, error) {
-	s, err := core.Compute(ctx, p.snap.view, p.query, p.params)
+// exact is the exact family's arm: core.Solve over the snapshot's gatherer —
+// flat rows, packed rows or the worker fleet, all bit-identical — then the
+// combine/top-K tail every exact method shares, so a Distributed response
+// equals an Exact one node for node and score for score.
+func (p *plan) exact(ctx context.Context, cache *vecCache) (*Response, error) {
+	f, t, err := p.vectors(ctx, cache)
 	if err != nil {
 		return nil, err
 	}
-	return exactResponse(p, s.R), nil
+	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
+}
+
+// vectors returns the exact F-Rank and T-Rank vectors of the plan's query: one
+// direct solve, or — given a cache — the weighted mixture of its nodes'
+// single-node vectors, each solved at most once (Linearity Theorem; see
+// RankBatch). The snapshot's epoch is part of the cache key, so vectors
+// computed against one epoch are never served for another; an in-flight query
+// keeps hitting (or repopulating) its own epoch's entries even while Apply
+// swaps the engine forward.
+func (p *plan) vectors(ctx context.Context, cache *vecCache) (f, t []float64, err error) {
+	wp := p.params.Walk
+	solve := func(q walk.Query) ([]float64, []float64, error) {
+		g, release, err := p.snap.gatherer(ctx, p.method.fleet, wp.Workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer release()
+		return core.Solve(ctx, g, q, wp)
+	}
+	if cache == nil {
+		return solve(p.query)
+	}
+	n := p.snap.view.NumNodes()
+	f, t = make([]float64, n), make([]float64, n)
+	for j, node := range p.query.Nodes {
+		key := vecKey{node: node, epoch: p.snap.epoch, alpha: wp.Alpha, tol: wp.Tol}
+		// The cached slices are shared: read, never written.
+		fv, tv, err := cache.get(ctx, key, func() ([]float64, []float64, error) { return solve(walk.SingleNode(node)) })
+		if err != nil {
+			return nil, nil, err
+		}
+		w := p.query.Weights[j]
+		for v := range f {
+			f[v] += w * fv[v]
+			t[v] += w * tv[v]
+		}
+	}
+	return f, t, nil
 }
 
 // exactResponse is the tail of every exact-family method: rank the combined
@@ -691,83 +818,29 @@ func trimZeroScores(in []core.Ranked) []core.Ranked {
 	return in
 }
 
-// rankDistributed executes the exact solve across the worker cluster: the
-// same core.Solve as the exact method, over the snapshot's coordinator as the
-// Gatherer, merging into the same combine/top-K tail — so a distributed
-// response equals an Exact one node for node and score for score. Cluster
-// failures (connect, worker RPCs) are wrapped in ClusterError so servers can
-// report them as backend trouble rather than caller mistakes.
-func (e *Engine) rankDistributed(ctx context.Context, p *plan) (*Response, error) {
-	c, err := p.snap.coord.get(func() (*distributed.Coordinator, error) {
-		c, err := distributed.NewCoordinator(ctx, e.workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		return c, p.snap.validateFleet(c.Fleet)
-	})
-	if err != nil {
-		return nil, &ClusterError{Err: err}
-	}
-	f, t, err := core.Solve(ctx, c, p.query, p.params.Walk)
-	if err != nil {
-		// The caller's own cancellation is not backend trouble.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, &ClusterError{Err: err}
-	}
-	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
-}
-
-// rankRemote executes an online-method plan against the worker fleet: the
-// pooled 2SBound searcher runs on the coordinator, streaming only the rows it
-// touches from the stripe workers through the row cache. Scores are
-// bit-identical to the local online path (rankOnline on the same snapshot);
-// the response additionally carries the query's row-serving footprint in
-// Rows. Fleet failures are wrapped in ClusterError, like rankDistributed.
-func (e *Engine) rankRemote(ctx context.Context, p *plan) (*Response, error) {
-	r, err := p.snap.rows.get(func() (*rowserve.RemoteCSR, error) {
-		r, err := rowserve.Connect(ctx, e.workers, &rowserve.Options{Cache: e.rowCache})
-		if err != nil {
-			return nil, err
-		}
-		return r, p.snap.validateFleet(r.Fleet)
-	})
-	if err != nil {
-		return nil, &ClusterError{Err: err}
-	}
-	sess := r.Session(ctx)
-	res, err := topk.TopKRows(ctx, sess, p.query, p.topkOptions(ctx))
-	if err != nil {
-		// The caller's own cancellation is not backend trouble.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, &ClusterError{Err: err}
-	}
-	resp := onlineResponse(p, res)
-	st := sess.Stats()
-	resp.Rows = &RowQueryStats{
-		Fetched:     st.Fetched,
-		RPCs:        st.RPCs,
-		CacheHits:   st.CacheHits,
-		CacheMisses: st.CacheMisses,
-	}
-	return resp, nil
-}
-
-// rankOnline executes an online-method plan through topk.TopK: the pooled
-// searcher reads the snapshot view as a graph.Rows — a flat graph is one,
-// any other view supplies or is adapted into a per-query row session. The
-// scratch pool is process-wide: queries racing an Apply simply re-size the
-// recycled arrays to their own snapshot's NumNodes on acquisition, so epoch
-// swaps need no pool coordination.
-func (e *Engine) rankOnline(ctx context.Context, p *plan) (*Response, error) {
-	res, err := topk.TopK(ctx, p.snap.view, p.query, p.topkOptions(ctx))
+// online is the online family's arm: the pooled 2SBound searcher over the
+// snapshot's rows — the local view, or a session streaming only the rows the
+// search touches from the stripe workers through the row cache. Every row
+// arrives bit-exact whichever it is, so the responses are bit-identical; a
+// fleet response additionally carries the query's row-serving footprint in
+// Rows. The scratch pool is process-wide: queries racing an Apply simply
+// re-size the recycled arrays to their own snapshot's NumNodes on
+// acquisition, so epoch swaps need no pool coordination.
+func (p *plan) online(ctx context.Context) (*Response, error) {
+	rows, err := p.snap.rows(ctx, p.method.fleet)
 	if err != nil {
 		return nil, err
 	}
-	return onlineResponse(p, res), nil
+	res, err := topk.TopKRows(ctx, rows, p.query, p.topkOptions(ctx))
+	if err != nil {
+		return nil, err
+	}
+	resp := onlineResponse(p, res)
+	if sess, ok := rows.(*rowserve.Session); ok {
+		st := RowQueryStats(sess.Stats())
+		resp.Rows = &st
+	}
+	return resp, nil
 }
 
 // topkOptions translates an online-method plan into searcher options.
@@ -812,13 +885,15 @@ func onlineResponse(p *plan, res *topk.Result) *Response {
 }
 
 // RankBatch executes a batch of requests concurrently, sharing work across
-// the exact-path requests: by the Linearity Theorem (Jeh & Widom), the F-Rank
+// the exact-family requests (Exact and Distributed alike — their vectors are
+// bit-identical): by the Linearity Theorem (Jeh & Widom), the F-Rank
 // and T-Rank vectors of any query distribution are the query-weighted
 // mixtures of the single-node vectors, so the batch solves each distinct
 // (query node, α, tolerance) pair once — through the engine's LRU vector
 // cache, which also persists across batches — and combines per request.
-// Online-path requests run independently on the same bounded worker set,
-// sized by GOMAXPROCS.
+// Online-family requests run independently on the same bounded worker set,
+// sized by GOMAXPROCS. Every plan goes through the same executor as Rank, so
+// each reaches the WithQueryStatsHook callback.
 //
 // The whole batch is validated before any work starts. The first execution
 // error cancels the remaining requests and aborts the batch; cancelling ctx
@@ -910,56 +985,6 @@ func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, er
 	return out, nil
 }
 
-// execPlan runs one validated plan and stamps its execution time. Exact plans
-// run as a cached-vector mixture when a cache is given (RankBatch) and as one
-// direct solve otherwise (Rank).
-func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Response, error) {
-	start := time.Now()
-	var (
-		resp *Response
-		err  error
-	)
-	switch p.method.kind {
-	case methodExact:
-		if cache == nil {
-			resp, err = e.rankExact(ctx, p)
-		} else {
-			resp, err = e.rankExactShared(ctx, p, cache)
-		}
-	case methodDistributed:
-		resp, err = e.rankDistributed(ctx, p)
-	case methodRemoteOnline:
-		resp, err = e.rankRemote(ctx, p)
-	default:
-		resp, err = e.rankOnline(ctx, p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
-}
-
-// rankExactShared answers an exact-path plan from single-node vectors,
-// fetching each through the given cache.
-func (e *Engine) rankExactShared(ctx context.Context, p *plan, cache *vecCache) (*Response, error) {
-	n := p.snap.view.NumNodes()
-	f := make([]float64, n)
-	t := make([]float64, n)
-	for j, node := range p.query.Nodes {
-		fv, tv, err := singleNodeVectors(ctx, p.snap, node, p.params.Walk, cache)
-		if err != nil {
-			return nil, err
-		}
-		w := p.query.Weights[j]
-		for v := range f {
-			f[v] += w * fv[v]
-			t[v] += w * tv[v]
-		}
-	}
-	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
-}
-
 // ApplyResult reports the outcome of one Engine.Apply: the committed graph
 // snapshot and, when the engine fronts a worker cluster, how the redeploy
 // reconciled the fleet (full stripe ships vs. cheap retags of stripes the
@@ -1029,23 +1054,9 @@ func (e *Engine) Apply(ctx context.Context, d *Delta) (*ApplyResult, error) {
 			return nil, &ClusterError{Err: fmt.Errorf("redeploy for epoch %d: %w", ng.Epoch(), err)}
 		}
 	}
-	e.snap.Store(newSnapshot(ng))
+	e.snap.Store(e.newSnapshot(ng))
 	if e.cache != nil {
 		e.cache.invalidateExcept(ng.Epoch())
 	}
 	return res, nil
-}
-
-// singleNodeVectors returns the exact F-Rank and T-Rank vectors of one query
-// node through the given cache. The snapshot's epoch is part of the cache
-// key, so vectors computed against one epoch are never served for another;
-// an in-flight query keeps hitting (or repopulating) its own epoch's entries
-// even while Apply swaps the engine forward. Callers must not modify the
-// returned slices.
-func singleNodeVectors(ctx context.Context, snap *snapshot, node NodeID, wp walk.Params, cache *vecCache) ([]float64, []float64, error) {
-	return cache.get(ctx, vecKey{node: node, epoch: snap.epoch, alpha: wp.Alpha, tol: wp.Tol}, func() ([]float64, []float64, error) {
-		g, release := walk.Local(snap.view, wp.Workers)
-		defer release()
-		return core.Solve(ctx, g, walk.SingleNode(node), wp)
-	})
 }

@@ -203,30 +203,13 @@ func TestConcurrentRankBatches(t *testing.T) {
 	}
 }
 
-// slowCancellingView cancels a context after a fixed number of adjacency
-// traversals, hiding the CSR so the solvers take the generic interface path
-// where every traversal is observable.
-type slowCancellingView struct {
-	View
-	cancel context.CancelFunc
-	after  int64
-	calls  atomic.Int64
-}
-
-func (s *slowCancellingView) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	if s.calls.Add(1) == s.after {
-		s.cancel()
-	}
-	s.View.EachOut(v, fn)
-}
-
-// TestRankBatchCancellation cancels the context mid-batch and checks the
-// batch aborts with ctx.Err() instead of running the remaining requests.
+// TestRankBatchCancellation cancels the context mid-batch — from the stats
+// hook, as the first plan of the batch finishes — and checks the batch aborts
+// with ctx.Err() instead of returning the responses it has.
 func TestRankBatchCancellation(t *testing.T) {
 	g := testgraphs.Cycle(2000)
 	ctx, cancel := context.WithCancel(context.Background())
-	view := &slowCancellingView{View: g, cancel: cancel, after: 3 * int64(g.NumNodes())}
-	engine, err := NewEngine(view)
+	engine, err := NewEngine(g, WithQueryStatsHook(func(QueryStat) { cancel() }))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

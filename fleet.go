@@ -48,10 +48,10 @@ func WithFleet(m *Fleet) Option {
 }
 
 // ClusterHealth is the fleet-aware serving health snapshot: RPC/retry
-// counters of the current epoch's coordinator and row view (like
-// ClusterStats), failover/hedge counters of the replica groups, and the
-// membership table's liveness census. Engines configured with WithWorkers
-// report the RPC counters only.
+// counters of the current epoch's fleet handle (like ClusterStats),
+// failover/hedge counters of the replica groups, and the membership table's
+// liveness census. Engines configured with WithWorkers report the RPC
+// counters only.
 type ClusterHealth struct {
 	// RPCs and Retries mirror ClusterStats.
 	RPCs, Retries int64

@@ -303,10 +303,10 @@ func TestExactSimRankProperties(t *testing.T) {
 }
 
 func TestMeasuresOnMaskedView(t *testing.T) {
-	// All measures must work on a MaskedView (the evaluation removes
-	// query-to-ground-truth edges).
+	// All measures must work on a graph with edges masked out (the
+	// evaluation removes query-to-ground-truth edges).
 	toy := testgraphs.NewToy()
-	masked := graph.NewMaskedView(toy.Graph, []graph.EdgeKey{
+	masked := toy.Graph.Without([]graph.EdgeKey{
 		{From: toy.T1, To: toy.P[0]}, {From: toy.P[0], To: toy.T1},
 	})
 	ctx := NewContext(masked, walk.SingleNode(toy.T1))

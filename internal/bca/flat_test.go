@@ -14,14 +14,14 @@ import (
 
 // binding is one of the two kinds of graph.Rows a Flat attaches to: flat CSR
 // arrays (Init forwards them to InitRows), or a per-query session — here the
-// graph.ViewRows adapter over a wrapper that hides the CSR, the route every
-// view without flat arrays takes. Tests that take a binding run under both.
+// row-decoding session of the packed form of the same graph, the production
+// Rows that is not flat. Tests that take a binding run under both.
 type binding func(*Flat, *graph.Graph, walk.Query, float64) error
 
 func bindCSR(s *Flat, g *graph.Graph, q walk.Query, alpha float64) error { return s.Init(g, q, alpha) }
 
 func bindRows(s *Flat, g *graph.Graph, q walk.Query, alpha float64) error {
-	return s.InitRows(graph.ViewRows(struct{ graph.View }{g}), q, alpha)
+	return s.InitRows(graph.Pack(g).NewRows(), q, alpha)
 }
 
 func initValidation(t *testing.T, bind binding) {

@@ -18,15 +18,15 @@ import (
 
 // binding is one of the two kinds of graph.Rows the trackers attach to: flat
 // CSR arrays (Init forwards them to InitRows), or a per-query session — here
-// the graph.ViewRows adapter over a wrapper that hides the CSR, the route
-// every view without flat arrays takes. The soundness tests run under both,
+// the row-decoding session of the packed form of the same arrays, the
+// production Rows that is not flat. The soundness tests run under both,
 // against the independent walk.FRank/TRank reference.
 type binding struct {
 	f func(*FFlat, graph.CSRView, walk.Query, FOptions) error
 	t func(*TFlat, graph.CSRView, walk.Query, TOptions) error
 }
 
-func hidden(g graph.View) graph.Rows { return graph.ViewRows(struct{ graph.View }{g}) }
+func hidden(g graph.CSRView) graph.Rows { return graph.Pack(g).NewRows() }
 
 var (
 	csrBinding = binding{
@@ -420,7 +420,7 @@ func TestStageIIReadsNoRows(t *testing.T) {
 		fOpt, tOpt := DefaultFOptions(0.25), DefaultTOptions(0.25)
 		fOpt.RefineMaxIter, tOpt.RefineMaxIter = maxIter, maxIter
 
-		rows := newCountingRows(graph.ViewRows(net.Graph))
+		rows := newCountingRows(hidden(net.Graph))
 		var tb TFlat
 		if err := tb.InitRows(rows, q, tOpt); err != nil {
 			t.Fatalf("TFlat.InitRows: %v", err)
@@ -447,7 +447,7 @@ func TestStageIIReadsNoRows(t *testing.T) {
 			}
 		}
 
-		rows = newCountingRows(graph.ViewRows(net.Graph))
+		rows = newCountingRows(hidden(net.Graph))
 		var fb FFlat
 		if err := fb.InitRows(rows, q, fOpt); err != nil {
 			t.Fatalf("FFlat.InitRows: %v", err)
@@ -480,8 +480,8 @@ func TestStageIIReadsNoRows(t *testing.T) {
 
 // rawGraph is an adjacency assembled straight into CSR arrays, so it can hold
 // what graph.Builder refuses — self-loops and zero-weight edges — next to
-// dangling nodes. It serves both bindings: the CSR arrays directly, and the
-// View methods through graph.ViewRows.
+// dangling nodes. It serves both bindings: the CSR arrays directly, and packed
+// by graph.Pack.
 type rawGraph struct{ out, in graph.CSR }
 
 type rawEdge struct {

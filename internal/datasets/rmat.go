@@ -2,7 +2,6 @@ package datasets
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -188,20 +187,4 @@ func GenerateRMAT(cfg RMATConfig) (*RMAT, error) {
 		return nil, err
 	}
 	return &RMAT{Graph: g, Config: cfg, Edges: len(edges)}, nil
-}
-
-// WriteEdgeList writes edges in the SNAP text format LoadEdgeList reads: a
-// comment header, then one tab-separated "from to" pair per line. The output
-// is a pure function of the edge slice, which is what makes "same seed ⇒
-// byte-identical edge list" testable end to end.
-func WriteEdgeList(w io.Writer, edges []Edge) error {
-	if _, err := fmt.Fprintf(w, "# Directed edge list: %d edges\n", len(edges)); err != nil {
-		return err
-	}
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(w, "%d\t%d\n", e.From, e.To); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,10 +1,9 @@
 package datasets
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,47 +11,43 @@ import (
 )
 
 // TestRMATDeterministic pins the generator's seed contract: the same config
-// must produce a byte-identical edge list on repeated runs and at every
+// must produce an identical edge list on repeated runs and at every
 // GOMAXPROCS setting (the generator is single-threaded by design; this test
 // keeps it that way).
 func TestRMATDeterministic(t *testing.T) {
 	cfg := DefaultRMATConfig(3000)
 	cfg.Seed = 42
-	want := edgeListBytes(t, cfg)
+	want := rmatEdges(t, cfg)
 	for run := 0; run < 3; run++ {
-		if got := edgeListBytes(t, cfg); !bytes.Equal(want, got) {
+		if got := rmatEdges(t, cfg); !slices.Equal(want, got) {
 			t.Fatalf("run %d: edge list differs from first run", run)
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if got := edgeListBytes(t, cfg); !bytes.Equal(want, got) {
+	if got := rmatEdges(t, cfg); !slices.Equal(want, got) {
 		t.Fatalf("edge list differs at GOMAXPROCS=1")
 	}
 	runtime.GOMAXPROCS(max(2, prev))
-	if got := edgeListBytes(t, cfg); !bytes.Equal(want, got) {
+	if got := rmatEdges(t, cfg); !slices.Equal(want, got) {
 		t.Fatalf("edge list differs at GOMAXPROCS=2")
 	}
 
 	// A different seed must actually change the output.
 	other := cfg
 	other.Seed = 43
-	if got := edgeListBytes(t, other); bytes.Equal(want, got) {
+	if got := rmatEdges(t, other); slices.Equal(want, got) {
 		t.Fatalf("different seeds produced identical edge lists")
 	}
 }
 
-func edgeListBytes(t *testing.T, cfg RMATConfig) []byte {
+func rmatEdges(t *testing.T, cfg RMATConfig) []Edge {
 	t.Helper()
 	edges, err := RMATEdges(cfg)
 	if err != nil {
 		t.Fatalf("RMATEdges: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, edges); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	return buf.Bytes()
+	return edges
 }
 
 // TestRMATSkewMonotone is the degree-distribution sanity property: increasing
@@ -148,42 +143,5 @@ func TestRMATRejectsBadConfigs(t *testing.T) {
 		if _, err := RMATEdges(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
-	}
-}
-
-// TestRMATEdgeListRoundTrip feeds a generated edge list through the SNAP
-// ingester and checks the adjacency arrives unchanged: same edges, same
-// weights (unit, since the text format carries none here), duplicates already
-// collapsed by the generator.
-func TestRMATEdgeListRoundTrip(t *testing.T) {
-	cfg := DefaultRMATConfig(500)
-	cfg.Seed = 5
-	r, err := GenerateRMAT(cfg)
-	if err != nil {
-		t.Fatalf("GenerateRMAT: %v", err)
-	}
-	var buf bytes.Buffer
-	edges, err := RMATEdges(cfg)
-	if err != nil {
-		t.Fatalf("RMATEdges: %v", err)
-	}
-	if err := WriteEdgeList(&buf, edges); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	g, err := LoadEdgeList(&buf)
-	if err != nil {
-		t.Fatalf("LoadEdgeList: %v", err)
-	}
-	// The ingested graph spans [0, maxID]; trailing isolated generator nodes
-	// may be absent, but every row that exists must match bit for bit.
-	if g.NumNodes() > r.Graph.NumNodes() || g.NumEdges() != r.Graph.NumEdges() {
-		t.Fatalf("ingested %d nodes / %d edges, generated %d / %d",
-			g.NumNodes(), g.NumEdges(), r.Graph.NumNodes(), r.Graph.NumEdges())
-	}
-	want, got := r.Graph.OutCSR(), g.OutCSR()
-	if !reflect.DeepEqual(want.RowPtr[:g.NumNodes()+1], got.RowPtr) ||
-		!reflect.DeepEqual(want.Col, got.Col) ||
-		!reflect.DeepEqual(want.Weight, got.Weight) {
-		t.Fatalf("adjacency changed across the edge-list round trip")
 	}
 }

@@ -37,9 +37,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // Fleet is one validated, epoch-pinned connection to a striped worker fleet:
 // the outcome of the handshake (Connect) plus the retry policy and RPC
-// counters every later call on the connection goes through. The exact-path
-// Coordinator and the row-serving rowserve.RemoteCSR are each a Fleet with
-// their own RPCs on top, so a fleet is validated in one place.
+// counters every later call on the connection goes through. It is a
+// walk.Gatherer (the distributed exact solve, below) and the row-serving
+// rowserve.RemoteCSR embeds one with the row RPCs on top, so one handshake
+// serves both algorithm families and a fleet is validated in one place.
 type Fleet struct {
 	ts      []Transport
 	n       int       // nodes in the full graph
@@ -246,15 +247,35 @@ func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch f
 	})
 }
 
-// Coordinator drives the distributed exact solve: it is the worker fleet as a
-// walk.Gatherer. Each gather fans one Multiply out to every worker in
+// GatherIn implements walk.Gatherer over the workers' transposed rows. With
+// GatherOut and OutSums it makes the fleet itself the row gather of the
+// distributed exact solve: each gather fans one Multiply out to every worker in
 // parallel, pinned to the connect-time graph fingerprint, retries transient
-// failures (multiply calls are idempotent) and scatters the partial vectors
-// by stripe; the power iteration around it is walk's own loop, and each
-// worker reduces its rows with graph.CSR.Gather. FRank and TRank are therefore
-// bit-identical to walk.FRank/walk.TRank on the unstriped graph, for any
-// number of workers, by construction. That is what lets the Engine route a
-// query through the cluster and still satisfy the exact top-K contract.
+// failures (multiply calls are idempotent) and scatters the partial vectors by
+// stripe; the power iteration around it is walk's own loop, and each worker
+// reduces its rows with graph.CSR.Gather. A solve over a Fleet is therefore
+// bit-identical to walk.FRank/walk.TRank on the unstriped graph, for any number
+// of workers, by construction. That is what lets the Engine route a query
+// through the cluster and still satisfy the exact top-K contract.
+func (f *Fleet) GatherIn(ctx context.Context, x, dst []float64) error {
+	return f.gather(ctx, DirIn, x, dst)
+}
+
+// GatherOut implements walk.Gatherer over the workers' forward rows.
+func (f *Fleet) GatherOut(ctx context.Context, x, dst []float64) error {
+	return f.gather(ctx, DirOut, x, dst)
+}
+
+func (f *Fleet) gather(ctx context.Context, dir Direction, x, dst []float64) error {
+	return Scatter(ctx, f, "entries", dst, func(ctx context.Context, i int) ([]float64, error) {
+		return f.ts[i].Multiply(ctx, dir, f.graph, x)
+	})
+}
+
+// Coordinator is a Fleet that owns its transports, with the two exact solves
+// spelled out: the standalone form of the distributed exact path. The Engine
+// does not use it — its snapshot solves over the Fleet inside the one
+// rowserve.RemoteCSR it connects per epoch.
 type Coordinator struct {
 	*Fleet
 }
@@ -279,22 +300,6 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// GatherIn implements walk.Gatherer over the workers' transposed rows.
-func (c *Coordinator) GatherIn(ctx context.Context, x, dst []float64) error {
-	return c.gather(ctx, DirIn, x, dst)
-}
-
-// GatherOut implements walk.Gatherer over the workers' forward rows.
-func (c *Coordinator) GatherOut(ctx context.Context, x, dst []float64) error {
-	return c.gather(ctx, DirOut, x, dst)
-}
-
-func (c *Coordinator) gather(ctx context.Context, dir Direction, x, dst []float64) error {
-	return Scatter(ctx, c.Fleet, "entries", dst, func(ctx context.Context, i int) ([]float64, error) {
-		return c.ts[i].Multiply(ctx, dir, c.graph, x)
-	})
 }
 
 // FRank computes the exact F-Rank vector of the query across the cluster:

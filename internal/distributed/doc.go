@@ -6,15 +6,15 @@
 // The coordinator/worker subsystem executes exact solves across the cluster:
 // each Worker holds one Stripe (compact CSR slices of the owned rows,
 // loadable from the binary codec in internal/graph) and serves stateless
-// per-iteration gather RPCs; the Coordinator fans each power iteration out
+// per-iteration gather RPCs; the connected Fleet fans each power iteration out
 // over a Transport per worker — in-process Loopback or HTTPTransport (the
 // cmd/gpserver wire protocol) — retries transient failures, and scatters the
-// partial vectors by stripe. No arithmetic lives here: the Coordinator is a
+// partial vectors by stripe. No arithmetic lives here: the Fleet is a
 // walk.Gatherer beneath walk's one power iteration and a worker reduces its
 // rows with graph.CSR.Gather, so distributed F-Rank/T-Rank vectors are
 // bit-identical to local ones by construction. The handshake that validates a
 // fleet (Connect) and the retry discipline (Call) are shared with the
-// row-serving path.
+// row-serving path, which rides on the same connected Fleet.
 //
 // Stripes are immutable snapshots identified by the source graph's
 // epoch-stamped fingerprint, which Multiply pins per call: when a commit

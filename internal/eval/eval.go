@@ -256,10 +256,10 @@ func EvaluateEfficiency(ctx context.Context, g *graph.Graph, cfg EfficiencyConfi
 			precisions := make([]float64, 0, len(cfg.Queries))
 			taus := make([]float64, 0, len(cfg.Queries))
 			for i, q := range cfg.Queries {
-				tracking := graph.NewTrackingView(g)
+				tracking := graph.NewCountingRows(g)
 				opt := topk.Options{K: cfg.K, Epsilon: eps, Alpha: cfg.Alpha, Beta: core.BalancedBeta, Scheme: scheme}
 				start := time.Now()
-				res, err := topk.TopK(ctx, tracking, walk.SingleNode(q), opt)
+				res, err := topk.TopKRows(ctx, tracking, walk.SingleNode(q), opt)
 				if err != nil {
 					return nil, err
 				}
@@ -328,10 +328,10 @@ func EvaluateScalability(ctx context.Context, snapshots []*graph.Subgraph, label
 		active := make([]float64, 0, queriesPerSnapshot)
 		for qi := 0; qi < queriesPerSnapshot; qi++ {
 			q := graph.NodeID(rng.Intn(g.NumNodes()))
-			tracking := graph.NewTrackingView(g)
+			tracking := graph.NewCountingRows(g)
 			opt := topk.Options{K: k, Epsilon: epsilon, Alpha: walk.DefaultAlpha, Beta: core.BalancedBeta}
 			start := time.Now()
-			if _, err := topk.TopK(ctx, tracking, walk.SingleNode(q), opt); err != nil {
+			if _, err := topk.TopKRows(ctx, tracking, walk.SingleNode(q), opt); err != nil {
 				return nil, err
 			}
 			times = append(times, float64(time.Since(start).Microseconds())/1000.0)

@@ -51,9 +51,9 @@ func (b *Builder) AddNode(t Type, label string) NodeID {
 // the first; the block is contiguous, so node i of the batch is first+i.
 // typeAt assigns each node's type by batch index (nil means Untyped for all).
 // Unlike AddNode, the nodes carry no labels and are not registered for
-// NodeByLabel lookup — the bulk path exists for synthetic generators and
-// edge-list ingestion at million-node scale, where per-node label strings and
-// the dedup map would dominate the graph's own memory.
+// NodeByLabel lookup — the bulk path exists for synthetic generators at
+// million-node scale, where per-node label strings and the dedup map would
+// dominate the graph's own memory.
 func (b *Builder) AddNodes(count int, typeAt func(i int) Type) NodeID {
 	first := NodeID(len(b.types))
 	if cap(b.types)-len(b.types) < count {

@@ -9,8 +9,8 @@ import (
 // Delta is a staged batch of mutations against one base Graph snapshot: node
 // additions, edge upserts (add or reweight), edge removals and node removals.
 // Nothing is applied until Commit merges the delta into a fresh Graph one
-// epoch later; until then the base graph keeps serving unchanged, and the
-// staged state can be previewed through the View overlay.
+// epoch later; until then the base graph keeps serving unchanged. To preview
+// the staged state, Commit it: the base is untouched either way.
 //
 // Node IDs are stable across commits: added nodes extend the ID space and
 // removed nodes keep their ID, type and label but lose every incident edge
@@ -195,16 +195,12 @@ type stagedEdge struct {
 	w     float64
 }
 
-// rowAdds indexes the staged upserts by one endpoint, each row sorted by the
-// other endpoint so merges against the (sorted) base CSR rows stay ordered.
-func (d *Delta) rowAdds(byFrom bool) map[NodeID][]stagedEdge {
+// rowAdds indexes the staged upserts by source node, each row sorted by target
+// so merges against the (sorted) base CSR rows stay ordered.
+func (d *Delta) rowAdds() map[NodeID][]stagedEdge {
 	adds := make(map[NodeID][]stagedEdge)
 	for k, w := range d.set {
-		if byFrom {
-			adds[k.from] = append(adds[k.from], stagedEdge{other: k.to, w: w})
-		} else {
-			adds[k.to] = append(adds[k.to], stagedEdge{other: k.from, w: w})
-		}
+		adds[k.from] = append(adds[k.from], stagedEdge{other: k.to, w: w})
 	}
 	for _, row := range adds {
 		sort.Slice(row, func(i, j int) bool { return row[i].other < row[j].other })
@@ -296,7 +292,7 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 	}
 
 	// Forward CSR: stream every row's merged adjacency in order.
-	outAdds := d.rowAdds(true)
+	outAdds := d.rowAdds()
 	g.out = CSR{RowPtr: make([]int64, n+1), Sum: make([]float64, n)}
 	for v := 0; v < n; v++ {
 		col, w := d.baseOutRow(NodeID(v))
@@ -334,144 +330,4 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// DeltaView is a read-only overlay presenting the delta's staged state merged
-// over the base graph's CSR arrays, without committing: base rows stream
-// straight from the base CSR with removals and reweights applied, staged
-// additions are merged in neighbor order. It is a snapshot of the delta at
-// View() time; later staging is not reflected.
-//
-// The overlay implements the View interface (degree and weight-sum queries
-// cost one O(degree) row merge), so the online search runs on it through
-// graph.ViewRows and an exact solve flattens it with graph.Compact first — the
-// walk kernels need flat arrays. Compact-on-commit is the intended route
-// (Commit produces them); Compact the overlay once yourself when a pre-commit
-// view must be solved repeatedly.
-type DeltaView struct {
-	base         *Graph
-	n            int
-	outAdds      map[NodeID][]stagedEdge
-	inAdds       map[NodeID][]stagedEdge
-	set          map[edgeKey]float64
-	removed      map[edgeKey]bool
-	removedNodes map[NodeID]bool
-	newTypes     []Type
-}
-
-// View snapshots the staged state as a read-only overlay over the base graph.
-func (d *Delta) View() *DeltaView {
-	v := &DeltaView{
-		base:         d.base,
-		n:            d.NumNodes(),
-		outAdds:      d.rowAdds(true),
-		inAdds:       d.rowAdds(false),
-		set:          make(map[edgeKey]float64, len(d.set)),
-		removed:      make(map[edgeKey]bool, len(d.removed)),
-		removedNodes: make(map[NodeID]bool, len(d.removedNodes)),
-		newTypes:     append([]Type(nil), d.newTypes...),
-	}
-	for k, w := range d.set {
-		v.set[k] = w
-	}
-	for k := range d.removed {
-		v.removed[k] = true
-	}
-	for k := range d.removedNodes {
-		v.removedNodes[k] = true
-	}
-	return v
-}
-
-// dropBase mirrors Delta.dropBase over the snapshot's own maps.
-func (v *DeltaView) dropBase(from, to NodeID) bool {
-	if v.removedNodes[from] || v.removedNodes[to] {
-		return true
-	}
-	if v.removed[edgeKey{from, to}] {
-		return true
-	}
-	_, shadowed := v.set[edgeKey{from, to}]
-	return shadowed
-}
-
-func (v *DeltaView) baseOut(u NodeID) ([]NodeID, []float64) {
-	if int(u) >= v.base.numNodes || v.removedNodes[u] {
-		return nil, nil
-	}
-	return v.base.OutNeighbors(u)
-}
-
-func (v *DeltaView) baseIn(u NodeID) ([]NodeID, []float64) {
-	if int(u) >= v.base.numNodes || v.removedNodes[u] {
-		return nil, nil
-	}
-	return v.base.InNeighbors(u)
-}
-
-// NumNodes implements View.
-func (v *DeltaView) NumNodes() int { return v.n }
-
-// Epoch implements Epocher: the overlay previews the next epoch.
-func (v *DeltaView) Epoch() uint64 { return v.base.epoch + 1 }
-
-// Type reports the node type, covering staged additions; it satisfies the
-// engine's TypedView so type filters work on an overlay.
-func (v *DeltaView) Type(u NodeID) Type {
-	if int(u) < v.base.numNodes {
-		return v.base.Type(u)
-	}
-	return v.newTypes[int(u)-v.base.numNodes]
-}
-
-// EachOut implements View.
-func (v *DeltaView) EachOut(u NodeID, fn func(to NodeID, w float64) bool) {
-	col, w := v.baseOut(u)
-	stopped := false
-	mergeRow(col, w, func(to NodeID) bool { return v.dropBase(u, to) }, v.outAdds[u],
-		func(to NodeID, ew float64) {
-			if !stopped && !fn(to, ew) {
-				stopped = true
-			}
-		})
-}
-
-// EachIn implements View.
-func (v *DeltaView) EachIn(u NodeID, fn func(from NodeID, w float64) bool) {
-	col, w := v.baseIn(u)
-	stopped := false
-	mergeRow(col, w, func(from NodeID) bool { return v.dropBase(from, u) }, v.inAdds[u],
-		func(from NodeID, ew float64) {
-			if !stopped && !fn(from, ew) {
-				stopped = true
-			}
-		})
-}
-
-// OutDegree implements View.
-func (v *DeltaView) OutDegree(u NodeID) int {
-	n := 0
-	v.EachOut(u, func(NodeID, float64) bool { n++; return true })
-	return n
-}
-
-// InDegree implements View.
-func (v *DeltaView) InDegree(u NodeID) int {
-	n := 0
-	v.EachIn(u, func(NodeID, float64) bool { n++; return true })
-	return n
-}
-
-// OutWeightSum implements View.
-func (v *DeltaView) OutWeightSum(u NodeID) float64 {
-	s := 0.0
-	v.EachOut(u, func(_ NodeID, w float64) bool { s += w; return true })
-	return s
-}
-
-// InWeightSum implements View.
-func (v *DeltaView) InWeightSum(u NodeID) float64 {
-	s := 0.0
-	v.EachIn(u, func(_ NodeID, w float64) bool { s += w; return true })
-	return s
 }

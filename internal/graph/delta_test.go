@@ -271,89 +271,6 @@ func TestRemoveNodeIsolatesAndCanReattach(t *testing.T) {
 	}
 }
 
-// TestDeltaViewMatchesCommit pins the overlay against the committed graph:
-// every row the overlay serves (both directions, degrees, weight sums) must
-// equal the committed CSR, and the overlay must be a snapshot (later staging
-// invisible).
-func TestDeltaViewMatchesCommit(t *testing.T) {
-	g := deltaBase(t)
-	d := NewDelta(g)
-	pNew := d.AddNode(1, "p3")
-	if err := d.SetUndirectedEdge(pNew, d.NodeByLabel("a0"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetEdge(d.NodeByLabel("p0"), d.NodeByLabel("a0"), 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveNode(d.NodeByLabel("a2")); err != nil {
-		t.Fatal(err)
-	}
-	ov := d.View()
-	committed, err := Commit(g, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if ov.NumNodes() != committed.NumNodes() {
-		t.Fatalf("overlay nodes %d, committed %d", ov.NumNodes(), committed.NumNodes())
-	}
-	if ov.Epoch() != committed.Epoch() {
-		t.Fatalf("overlay epoch %d, committed %d", ov.Epoch(), committed.Epoch())
-	}
-	flat := Compact(ov)
-	requireViewsEqual(t, flat, committed)
-	if ov.Type(pNew) != 1 || ov.Type(0) != committed.Type(0) {
-		t.Fatal("overlay Type mismatch")
-	}
-
-	// The overlay is a snapshot: staging after View() must not leak in.
-	if err := d.RemoveNode(d.NodeByLabel("p0")); err != nil {
-		t.Fatal(err)
-	}
-	if ov.OutDegree(d.NodeByLabel("p0")) == 0 {
-		t.Fatal("overlay reflected staging that happened after View()")
-	}
-}
-
-// requireViewsEqual compares two views' full adjacency (rows, weights,
-// degrees, sums) node for node.
-func requireViewsEqual(t *testing.T, got, want View) {
-	t.Helper()
-	if got.NumNodes() != want.NumNodes() {
-		t.Fatalf("node counts differ: %d vs %d", got.NumNodes(), want.NumNodes())
-	}
-	type edge struct {
-		to NodeID
-		w  float64
-	}
-	collect := func(v View, u NodeID, out bool) []edge {
-		var es []edge
-		visit := func(o NodeID, w float64) bool { es = append(es, edge{o, w}); return true }
-		if out {
-			v.EachOut(u, visit)
-		} else {
-			v.EachIn(u, visit)
-		}
-		return es
-	}
-	for u := 0; u < want.NumNodes(); u++ {
-		for _, dir := range []bool{true, false} {
-			g, w := collect(got, NodeID(u), dir), collect(want, NodeID(u), dir)
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("node %d (out=%v): got %v want %v", u, dir, g, w)
-			}
-		}
-		if got.OutWeightSum(NodeID(u)) != want.OutWeightSum(NodeID(u)) ||
-			got.InWeightSum(NodeID(u)) != want.InWeightSum(NodeID(u)) {
-			t.Fatalf("node %d weight sums differ", u)
-		}
-		if got.OutDegree(NodeID(u)) != want.OutDegree(NodeID(u)) ||
-			got.InDegree(NodeID(u)) != want.InDegree(NodeID(u)) {
-			t.Fatalf("node %d degrees differ", u)
-		}
-	}
-}
-
 func TestStripeContentFingerprintStability(t *testing.T) {
 	g := deltaBase(t)
 

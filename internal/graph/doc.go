@@ -9,11 +9,12 @@
 // (T-Rank) and border-node expansions are all O(degree).
 //
 // Random-walk code operates on the View interface rather than on *Graph
-// directly, which allows per-query edge masking (ground-truth edge removal in
-// the evaluation tasks) without copying the graph. Views that can expose flat
-// CSR arrays implement CSRView, the layout the parallel walk kernels run on;
-// Compact flattens any other view into one, and the exact solvers do so
-// themselves, once per solve, when handed such a view.
+// directly. Views that can expose flat CSR arrays implement CSRView, the
+// layout the parallel walk kernels run on, and Rows, the row seam the online
+// searcher reads; Compact flattens any other view into one, and the solvers do
+// so themselves at the door when handed such a view. Graph.Without is the
+// graph minus some edges as flat arrays — per-query edge masking (ground-truth
+// edge removal in the evaluation tasks).
 //
 // # Mutation and epochs
 //
@@ -21,8 +22,7 @@
 // snapshot — node additions, edge upserts, edge removals, node isolations —
 // and Commit merges it into a fresh Graph whose Epoch is one higher, with
 // adjacency arrays laid out bit-identically to a from-scratch Build of the
-// same edges. The Delta's View overlay serves the staged state read-only
-// before commit. GraphFingerprint stamps the epoch into the snapshot's
+// same edges. GraphFingerprint stamps the epoch into the snapshot's
 // identity, and the stripe codec (stripeio.go) carries both the graph
 // fingerprint and a per-stripe ContentFingerprint, which is what lets a
 // worker fleet roll to a new epoch by re-shipping only the stripes a commit

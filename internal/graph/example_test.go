@@ -63,23 +63,3 @@ func ExampleCommit() {
 	// next:  epoch 1, 3 nodes, 4 edges
 	// a->b weight: 5 (was 1)
 }
-
-// ExampleDelta_View previews staged mutations through the read-only overlay
-// without committing them.
-func ExampleDelta_View() {
-	b := graph.NewBuilder()
-	a := b.AddNode(0, "a")
-	c := b.AddNode(0, "b")
-	b.MustAddEdge(a, c, 1)
-	base := b.MustBuild()
-
-	d := graph.NewDelta(base)
-	if err := d.RemoveEdge(a, c); err != nil {
-		panic(err)
-	}
-	overlay := d.View()
-	fmt.Printf("base out-degree(a)=%d, overlay out-degree(a)=%d\n",
-		base.OutDegree(a), overlay.OutDegree(a))
-	// Output:
-	// base out-degree(a)=1, overlay out-degree(a)=0
-}

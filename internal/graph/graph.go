@@ -22,8 +22,7 @@ type Type uint8
 const Untyped Type = 0
 
 // View is the read interface consumed by walk engines, bounds frameworks and
-// top-K algorithms. *Graph implements View; MaskedView wraps another View and
-// hides a set of edges.
+// top-K algorithms. *Graph, *CompactedView and *Packed implement it.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
@@ -84,7 +83,7 @@ func (c CSR) Gather(x, dst []float64, lo, hi int) {
 
 // CSRView is implemented by views that expose their adjacency as flat CSR
 // arrays, the layout the flat walk kernels run on; a view that cannot provide
-// it (masked, tracking, overlay) is flattened with Compact first.
+// it (an ad-hoc wrapper) is flattened with Compact first.
 // Implementations must return immutable arrays: the kernels read them
 // concurrently from multiple goroutines.
 type CSRView interface {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -142,15 +143,55 @@ func TestEachOutEarlyStop(t *testing.T) {
 	}
 }
 
+// rebuildWithout builds g's nodes and edges, minus the hidden ones, from
+// scratch through a Builder.
+func rebuildWithout(g *Graph, hide []EdgeKey) *Graph {
+	hidden := make(map[EdgeKey]bool, len(hide))
+	for _, k := range hide {
+		hidden[k] = true
+	}
+	b := NewBuilder()
+	for v := 0; v < g.NumNodes(); v++ {
+		b.AddNode(g.Type(NodeID(v)), g.Label(NodeID(v)))
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		g.EachOut(NodeID(v), func(to NodeID, w float64) bool {
+			if !hidden[EdgeKey{NodeID(v), to}] {
+				b.MustAddEdge(NodeID(v), to, w)
+			}
+			return true
+		})
+	}
+	return b.MustBuild()
+}
+
+// sameCSR reports whether two CSR directions hold bit-equal arrays.
+func sameCSR(a, b CSR) bool {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	return slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) &&
+		slices.Equal(bits(a.Weight), bits(b.Weight)) && slices.Equal(bits(a.Sum), bits(b.Sum))
+}
+
+// TestMaskedView pins Graph.Without: the masked edges are gone in both
+// directions, nonexistent ones are ignored, sums renormalize — and the arrays
+// are bit-equal to a from-scratch build of the graph without those edges.
 func TestMaskedView(t *testing.T) {
 	g, ids := buildSmall(t)
 	a, c, d, e := ids[0], ids[1], ids[2], ids[3]
-	mv := NewMaskedView(g, []EdgeKey{{From: d, To: e}, {From: e, To: d}, {From: a, To: e} /* nonexistent */})
-	if mv.HiddenCount() != 2 {
-		t.Fatalf("HiddenCount = %d, want 2", mv.HiddenCount())
-	}
+	hide := []EdgeKey{{From: d, To: e}, {From: e, To: d}, {From: a, To: e} /* nonexistent */}
+	mv := g.Without(hide)
 	if mv.NumNodes() != g.NumNodes() {
 		t.Errorf("NumNodes mismatch")
+	}
+	if want := rebuildWithout(g, hide); !sameCSR(mv.OutCSR(), want.OutCSR()) || !sameCSR(mv.InCSR(), want.InCSR()) {
+		t.Errorf("Without differs from a from-scratch build without the edges:\n%+v\n%+v\nwant\n%+v\n%+v",
+			mv.OutCSR(), mv.InCSR(), want.OutCSR(), want.InCSR())
 	}
 	if mv.OutDegree(d) != 1 || mv.InDegree(d) != 1 {
 		t.Errorf("masked degrees of d: out=%d in=%d, want 1,1", mv.OutDegree(d), mv.InDegree(d))
@@ -174,15 +215,52 @@ func TestMaskedView(t *testing.T) {
 	if seen {
 		t.Errorf("masked edge d->e still visible")
 	}
-	// Unaffected nodes keep their values.
+	// Unaffected nodes keep their values, and the graph itself is untouched.
 	if mv.OutWeightSum(c) != g.OutWeightSum(c) {
 		t.Errorf("unaffected node sum changed")
+	}
+	if g.OutDegree(d) != 2 || !g.HasEdge(e, d) {
+		t.Errorf("Without modified the graph it was taken from")
 	}
 	// Renormalized transition over the mask.
 	if p := TransitionProb(mv, d, a); math.Abs(p-1.0) > 1e-12 {
 		t.Errorf("TransitionProb on mask = %g, want 1", p)
 	}
-	_ = c
+	// Nothing hidden: the same arrays, copied.
+	if all := g.Without(nil); !sameCSR(all.OutCSR(), g.OutCSR()) || !sameCSR(all.InCSR(), g.InCSR()) {
+		t.Errorf("Without(nil) differs from the graph")
+	}
+}
+
+// TestCountingRows pins the decorator: rows pass through untouched, every node
+// whose out- or in-row was read counts once, and the byte estimate charges
+// both rows of each such node.
+func TestCountingRows(t *testing.T) {
+	g, ids := buildSmall(t)
+	a, d := ids[0], ids[2]
+	c := NewCountingRows(g)
+	if c.ActiveNodes() != 0 || c.ActiveSetBytes() != 0 {
+		t.Fatalf("fresh decorator reports %d nodes, %d bytes", c.ActiveNodes(), c.ActiveSetBytes())
+	}
+	cols, wts := c.OutRow(d)
+	wantC, wantW := g.OutRow(d)
+	if !slices.Equal(cols, wantC) || !slices.Equal(wts, wantW) {
+		t.Errorf("OutRow(d) = %v %v, want %v %v", cols, wts, wantC, wantW)
+	}
+	c.InRow(d)
+	c.InRow(a)
+	c.OutDegree(ids[1]) // metadata reads are not row reads
+	c.OutSum(ids[3])
+	if c.ActiveNodes() != 2 {
+		t.Errorf("ActiveNodes = %d, want 2", c.ActiveNodes())
+	}
+	want := int64(2*41 + 12*(g.OutDegree(d)+g.InDegree(d)+g.OutDegree(a)+g.InDegree(a)))
+	if got := c.ActiveSetBytes(); got != want {
+		t.Errorf("ActiveSetBytes = %d, want %d", got, want)
+	}
+	if c.ActiveNodes() != 2 {
+		t.Errorf("ActiveSetBytes counted its own reads: %d nodes", c.ActiveNodes())
+	}
 }
 
 func TestTransitionProbZeroOutDegree(t *testing.T) {
@@ -432,7 +510,11 @@ func TestQuickTransitionRowsStochastic(t *testing.T) {
 					return false
 				})
 			}
-			views = append(views, NewMaskedView(g, []EdgeKey{key}))
+			masked := g.Without([]EdgeKey{key})
+			if want := rebuildWithout(g, []EdgeKey{key}); !sameCSR(masked.OutCSR(), want.OutCSR()) || !sameCSR(masked.InCSR(), want.InCSR()) {
+				return false
+			}
+			views = append(views, masked)
 		}
 		for _, view := range views {
 			for v := 0; v < view.NumNodes(); v++ {

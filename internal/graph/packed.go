@@ -447,6 +447,12 @@ type packedRows struct {
 	wts  []float64
 }
 
+// sessionRow is one row a packed session has decoded.
+type sessionRow struct {
+	cols []NodeID
+	wts  []float64
+}
+
 // slabEntries is the chunk size of a packed session's row slabs (48 KiB of
 // columns and weights); rows longer than an eighth of it bypass the slabs,
 // which bounds the tail a chunk abandons when the next row does not fit.

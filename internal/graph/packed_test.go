@@ -105,14 +105,15 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestPackedRowsSession checks both in-package Rows sessions — a packed view's
-// own and the ViewRows adapter over a view that hides its CSR — against the
-// flat arrays, asking for every row twice (the second answer is the kept one).
+// TestPackedRowsSession checks the in-package Rows that are not the flat
+// arrays themselves — a packed view's own session and the counting decorator —
+// against the flat arrays, asking for every row twice (the second answer of a
+// session is the kept one).
 func TestPackedRowsSession(t *testing.T) {
 	g := packedTestGraph(t, 120, 900, 3)
 	out := g.OutCSR()
 	in := g.InCSR()
-	for name, rows := range map[string]Rows{"packed": Pack(g).NewRows(), "adapter": ViewRows(struct{ View }{g})} {
+	for name, rows := range map[string]Rows{"packed": Pack(g).NewRows(), "counting": NewCountingRows(g)} {
 		if rows.NumNodes() != g.NumNodes() {
 			t.Fatalf("%s: NumNodes %d != %d", name, rows.NumNodes(), g.NumNodes())
 		}

@@ -8,7 +8,8 @@ package graph
 // hands out per-query sessions that decode rows; the remote implementation
 // (internal/rowserve.Session) serves OutRow/InRow from a row cache filled by
 // batched worker RPCs with OutSum/OutDegree in small dense per-node arrays
-// assembled once at connect time; and ViewRows adapts any other View. The
+// assembled once at connect time. A view that is none of these is flattened
+// with Compact at the door (topk.TopK, walk.Local, the engine's snapshot). The
 // remote split mirrors the paper's AP/GP architecture: the searcher's working
 // set is O(rows touched), never the full adjacency.
 type Rows interface {
@@ -24,8 +25,7 @@ type Rows interface {
 	// fetching the rows of its neighbors (see bounds.TFlat), so a provider
 	// cannot serve every row from one reused buffer. CSR-backed providers
 	// return slices of the underlying arrays; rowserve pins cached rows;
-	// graph.Packed and ViewRows sessions keep each materialized row for the
-	// session lifetime.
+	// graph.Packed sessions keep each decoded row for the session lifetime.
 	OutRow(v NodeID) (cols []NodeID, weights []float64)
 	// InRow returns the in-edge sources and weights of v, same contract.
 	InRow(v NodeID) (cols []NodeID, weights []float64)
@@ -37,89 +37,51 @@ type Rows interface {
 	Err() error
 }
 
-// ViewRows returns a per-query Rows session over an arbitrary View: the route
-// by which views with neither flat CSR arrays (CSRView) nor sessions of their
-// own (RowsProvider) — MaskedView, TrackingView, DeltaView, ad-hoc wrappers —
-// reach the online searcher. A row is materialized through EachOut/EachIn on
-// first touch and kept for the session, and OutDegree/OutSum are asked of the
-// view once per touched node (on a DeltaView every such call merges a row, and
-// Stage II asks once per in-edge of a seen node per round). The session holds
-// O(rows touched) memory, is not safe for concurrent use and must not outlive
-// the view.
-func ViewRows(v View) Rows { return &viewRows{view: v, nodes: make(map[NodeID]*viewNode)} }
-
-type viewRows struct {
-	view  View
-	nodes map[NodeID]*viewNode
+// CountingRows decorates a Rows with a record of which rows were read: the
+// "active set" of Sect. V-B — the nodes and edges a top-K query actually needs
+// in memory — which the scalability experiments (Fig. 12, Fig. 13) report.
+// Everything else passes through to the decorated Rows untouched, so the
+// searcher runs on it exactly as it runs in production. It does not forward
+// RowPrefetcher hints; it is meant for in-memory rows. Not safe for concurrent
+// use: one per query.
+type CountingRows struct {
+	Rows
+	read map[NodeID]struct{}
 }
 
-// viewNode is what a session has learned about one node so far.
-type viewNode struct {
-	hasDeg, hasSum bool
-	deg            int
-	sum            float64
-	out, in        *sessionRow // nil until first touch
+// NewCountingRows wraps base with read counting.
+func NewCountingRows(base Rows) *CountingRows {
+	return &CountingRows{Rows: base, read: make(map[NodeID]struct{})}
 }
 
-// sessionRow is one row a session (viewRows, packedRows) has materialized.
-type sessionRow struct {
-	cols []NodeID
-	wts  []float64
+// OutRow implements Rows, recording the read.
+func (c *CountingRows) OutRow(v NodeID) ([]NodeID, []float64) {
+	c.read[v] = struct{}{}
+	return c.Rows.OutRow(v)
 }
 
-func (r *viewRows) node(v NodeID) *viewNode {
-	n := r.nodes[v]
-	if n == nil {
-		n = new(viewNode)
-		r.nodes[v] = n
+// InRow implements Rows, recording the read.
+func (c *CountingRows) InRow(v NodeID) ([]NodeID, []float64) {
+	c.read[v] = struct{}{}
+	return c.Rows.InRow(v)
+}
+
+// ActiveNodes returns the number of distinct nodes whose rows were read.
+func (c *CountingRows) ActiveNodes() int { return len(c.read) }
+
+// ActiveSetBytes estimates the in-memory size of the active set: per-node
+// metadata plus both adjacency rows of every node read, using the same
+// per-entry cost model as Graph.SizeBytes.
+func (c *CountingRows) ActiveSetBytes() int64 {
+	perNode := int64(1 + 8 + 8 + 8 + 8 + 8)
+	perEdge := int64(4 + 8)
+	var edgeEntries int64
+	for v := range c.read {
+		out, _ := c.Rows.OutRow(v)
+		in, _ := c.Rows.InRow(v)
+		edgeEntries += int64(len(out) + len(in))
 	}
-	return n
-}
-
-// NumNodes implements Rows.
-func (r *viewRows) NumNodes() int { return r.view.NumNodes() }
-
-// OutDegree implements Rows.
-func (r *viewRows) OutDegree(v NodeID) int {
-	n := r.node(v)
-	if !n.hasDeg {
-		n.deg, n.hasDeg = r.view.OutDegree(v), true
-	}
-	return n.deg
-}
-
-// OutSum implements Rows.
-func (r *viewRows) OutSum(v NodeID) float64 {
-	n := r.node(v)
-	if !n.hasSum {
-		n.sum, n.hasSum = r.view.OutWeightSum(v), true
-	}
-	return n.sum
-}
-
-// OutRow implements Rows.
-func (r *viewRows) OutRow(v NodeID) ([]NodeID, []float64) {
-	return materialize(&r.node(v).out, r.view.EachOut, v)
-}
-
-// InRow implements Rows.
-func (r *viewRows) InRow(v NodeID) ([]NodeID, []float64) {
-	return materialize(&r.node(v).in, r.view.EachIn, v)
-}
-
-// Err implements Rows: reading a View cannot fail.
-func (r *viewRows) Err() error { return nil }
-
-func materialize(slot **sessionRow, each func(NodeID, func(NodeID, float64) bool), v NodeID) ([]NodeID, []float64) {
-	if *slot == nil {
-		row := new(sessionRow)
-		each(v, func(u NodeID, w float64) bool {
-			row.cols, row.wts = append(row.cols, u), append(row.wts, w)
-			return true
-		})
-		*slot = row
-	}
-	return (*slot).cols, (*slot).wts
+	return int64(len(c.read))*perNode + edgeEntries*perEdge
 }
 
 // RowPrefetcher is optionally implemented by a Rows provider that can

@@ -5,11 +5,11 @@
 // is the active processor, the workers are the graph processors, and the
 // coordinator's working set is O(rows touched), never O(edges).
 //
-// The pieces: RemoteCSR is one epoch-pinned connection to the fleet,
-// validated by the same handshake as the exact-path Coordinator
-// (distributed.Connect) and holding only dense per-node metadata (out-sums
-// and out-degrees, the two arrays the searcher reads for arbitrary
-// neighbors). Cache is the shared LRU row store with single-flight dedup.
+// The pieces: RemoteCSR is one epoch-pinned connection to the fleet — the
+// distributed.Fleet of the handshake (distributed.Connect), which is also the
+// gather of the distributed exact solve, so an engine connects once per epoch
+// for both — holding only dense per-node metadata (out-sums and out-degrees,
+// the two arrays the searcher reads for arbitrary neighbors). Cache is the shared LRU row store with single-flight dedup.
 // Session is one query's window onto a RemoteCSR: it implements graph.Rows
 // (and graph.RowPrefetcher, which coalesces each expansion wave's missing
 // rows into one batched /v1/rows RPC per stripe) and carries the query

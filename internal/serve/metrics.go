@@ -160,16 +160,16 @@ func (m *Metrics) bindEngine(e *roundtriprank.Engine) {
 		func() float64 { return float64(e.RowServeStats().CacheEvictions) })
 	m.reg.Gauge("row_cache_rows", "Rows currently cached.", "",
 		func() float64 { return float64(e.RowServeStats().CachedRows) })
-	m.reg.CounterFunc("rows_fetched_total", "Rows fetched from workers by the current epoch's row view.", "",
+	m.reg.CounterFunc("rows_fetched_total", "Rows fetched from workers through the current epoch's fleet handle.", "",
 		func() float64 { return float64(e.RowServeStats().RowsFetched) })
-	m.reg.CounterFunc("row_rpcs_total", "Row-fetch RPCs issued by the current epoch's row view.", "",
+	m.reg.CounterFunc("row_rpcs_total", "Worker RPCs issued through the current epoch's fleet handle (equals cluster_rpcs_total).", "",
 		func() float64 { return float64(e.RowServeStats().RowRPCs) })
-	m.reg.CounterFunc("row_retries_total", "Row-fetch RPC retries by the current epoch's row view.", "",
+	m.reg.CounterFunc("row_retries_total", "Worker RPC retries through the current epoch's fleet handle (equals cluster_retries_total).", "",
 		func() float64 { return float64(e.RowServeStats().RowRetries) })
 
-	m.reg.CounterFunc("cluster_rpcs_total", "Worker RPCs issued by the current epoch's coordinator and row view.", "",
+	m.reg.CounterFunc("cluster_rpcs_total", "Worker RPCs issued through the current epoch's fleet handle: handshake, multiplies, row fetches.", "",
 		func() float64 { r, _ := e.ClusterStats(); return float64(r) })
-	m.reg.CounterFunc("cluster_retries_total", "Worker RPC retries by the current epoch's coordinator and row view.", "",
+	m.reg.CounterFunc("cluster_retries_total", "Worker RPC retries through the current epoch's fleet handle.", "",
 		func() float64 { _, r := e.ClusterStats(); return float64(r) })
 
 	for _, s := range []struct {

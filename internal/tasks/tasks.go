@@ -184,11 +184,7 @@ func newInstance(g *graph.Graph, task Task, query graph.NodeID, truth []graph.No
 	}
 	var view graph.View = g
 	if len(removed) > 0 {
-		// Compact the masked view into flat CSR arrays: every measure runs
-		// many solver iterations over this view, and the parallel walk
-		// kernels require the CSRView layout, so the one-time O(edges)
-		// flattening pays for itself immediately.
-		view = graph.Compact(graph.NewMaskedView(g, removed))
+		view = g.Without(removed)
 	}
 	return Instance{
 		Task:         task,

@@ -14,9 +14,9 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// hideCSR wraps a view so it satisfies neither graph.CSRView nor
-// graph.RowsProvider, which routes it through the graph.ViewRows adapter —
-// the path of masked, tracking, overlay and ad-hoc wrapper views.
+// hideCSR wraps a view so it is neither a graph.Rows nor a
+// graph.RowsProvider: the ad-hoc wrapper TopK flattens at the door with
+// graph.Compact.
 func hideCSR(v graph.View) graph.View { return struct{ graph.View }{v} }
 
 // csrSpy is a CSR view that counts reads through the generic View iterators.
@@ -35,10 +35,10 @@ func (s *csrSpy) EachIn(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
 	s.Graph.EachIn(v, fn)
 }
 
-// TestFlatDispatch pins how the one searcher reads each kind of view: a
-// CSR-capable view through its arrays alone (never the View iterators), any
-// other view through a row session that touches only the rows the search
-// reaches — with the same answer either way.
+// TestFlatDispatch pins how the one searcher reads a graph: a CSR-capable view
+// through its arrays alone (never the View iterators), and — seen through the
+// counting decorator on the row seam — only the rows the search reaches, with
+// the same answer either way.
 func TestFlatDispatch(t *testing.T) {
 	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
 	if err != nil {
@@ -55,16 +55,16 @@ func TestFlatDispatch(t *testing.T) {
 	if spy.iterated != 0 {
 		t.Errorf("CSR view was read through EachOut/EachIn %d times", spy.iterated)
 	}
-	tracked := graph.NewTrackingView(g)
-	adapted, err := TopK(context.Background(), tracked, q, opt)
+	counted := graph.NewCountingRows(g)
+	adapted, err := TopKRows(context.Background(), counted, q, opt)
 	if err != nil {
-		t.Fatalf("tracked TopK: %v", err)
+		t.Fatalf("counted TopKRows: %v", err)
 	}
 	if !reflect.DeepEqual(direct, adapted) {
-		t.Errorf("adapted view diverged from CSR:\n%+v\n%+v", adapted, direct)
+		t.Errorf("counted rows diverged from CSR:\n%+v\n%+v", adapted, direct)
 	}
-	if a := tracked.ActiveNodes(); a <= 0 || a > adapted.Touched || adapted.Touched >= g.NumNodes() {
-		t.Errorf("want 0 < active %d <= touched %d < nodes %d", a, adapted.Touched, g.NumNodes())
+	if a := counted.ActiveNodes(); a <= 0 || a > adapted.Touched || adapted.Touched >= g.NumNodes() {
+		t.Errorf("want 0 < counted rows %d <= touched %d < nodes %d", a, adapted.Touched, g.NumNodes())
 	}
 }
 
@@ -113,12 +113,12 @@ func goldenCases() []goldenCase {
 
 // TestFlatMatchesMapPath is the representation parity gate of the searcher
 // (the name dates from when wrapped views ran a separate map-based searcher;
-// they now run the same one through the graph.ViewRows adapter). On every
-// golden graph, scheme and budget, the four things the searcher reads as a
-// graph.Rows — a *Graph, a CompactedView over the same arrays, a packed view's
-// own session, the adapter handed to TopKRows — must return deeply equal
-// Results: ranking, score bits, certificate, counters. A masked view must
-// likewise match its compaction.
+// they now run the same one, flattened at the door). On every golden graph,
+// scheme and budget, the four ways a graph reaches the searcher — a *Graph, a
+// CompactedView over the same arrays, a packed view's own session, a wrapper
+// hiding the CSR that TopK flattens with graph.Compact — must return deeply
+// equal Results: ranking, score bits, certificate, counters. A graph with
+// edges masked out must likewise give one answer flat, packed and hidden.
 func TestFlatMatchesMapPath(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range goldenCases() {
@@ -128,15 +128,12 @@ func TestFlatMatchesMapPath(t *testing.T) {
 		if cols, _ := tc.g.OutNeighbors(tc.q); len(cols) > 1 {
 			hide = []graph.EdgeKey{{From: tc.q, To: cols[0]}, {From: cols[0], To: tc.q}}
 		}
-		masked := graph.NewMaskedView(tc.g, hide)
-		compacted := graph.Compact(masked)
+		masked := tc.g.Without(hide)
 		compact, packed := graph.Compact(tc.g), graph.Pack(tc.g)
 		others := map[string]func(Options) (*Result, error){
 			"compact": func(opt Options) (*Result, error) { return TopK(ctx, compact, q, opt) },
 			"packed":  func(opt Options) (*Result, error) { return TopK(ctx, packed, q, opt) },
-			"adapter": func(opt Options) (*Result, error) {
-				return TopKRows(ctx, graph.ViewRows(hideCSR(tc.g)), q, opt)
-			},
+			"hidden":  func(opt Options) (*Result, error) { return TopK(ctx, hideCSR(tc.g), q, opt) },
 		}
 		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS, SchemeGupta, SchemeSarkar} {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, scheme), func(t *testing.T) {
@@ -157,16 +154,18 @@ func TestFlatMatchesMapPath(t *testing.T) {
 					}
 					// The masked graph has its own ties, so ε is loose here.
 					opt.Epsilon = 0.01
-					want, err = TopK(ctx, compacted, q, opt)
-					if err != nil {
-						t.Fatalf("compacted mask: %v", err)
-					}
-					got, err := TopK(ctx, masked, q, opt)
+					want, err = TopK(ctx, masked, q, opt)
 					if err != nil {
 						t.Fatalf("mask: %v", err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("budget %+v: masked view diverged from its compaction:\n%+v\n%+v", b, got, want)
+					for name, view := range map[string]graph.View{"packed": graph.Pack(masked), "hidden": hideCSR(masked)} {
+						got, err := TopK(ctx, view, q, opt)
+						if err != nil {
+							t.Fatalf("%s mask: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("budget %+v: %s masked graph diverged from the flat one:\n%+v\n%+v", b, name, got, want)
+						}
 					}
 				}
 			})
@@ -309,8 +308,9 @@ func TestRowFetchFailureLeavesPoolReusable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q := walk.SingleNode(tc.q)
 			tc.opt.Alpha, tc.opt.Beta = 0.25, 0.5
+			packed := graph.Pack(tc.g)
 			session := func(failAt int) *failingRows {
-				return &failingRows{Rows: graph.ViewRows(tc.g), failAt: failAt}
+				return &failingRows{Rows: packed.NewRows(), failAt: failAt}
 			}
 			healthy := session(0)
 			want, err := TopKRows(ctx, healthy, q, tc.opt)

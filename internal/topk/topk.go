@@ -171,8 +171,10 @@ type Result struct {
 // There is one searcher (Algorithm 1 over pooled scratch state, near-zero
 // allocation per query) and it always reads a graph.Rows: a flat view
 // (*graph.Graph, *graph.CompactedView) is one itself, graph.Packed hands out
-// a per-query session, and any other view (masked, tracking, overlay, ad-hoc
-// wrapper) goes through the graph.ViewRows adapter. Arithmetic and expansion
+// a per-query session, and any other view (an ad-hoc wrapper) is flattened
+// with graph.Compact at the door, the rule walk.Local applies to the exact
+// solvers — an O(nodes + edges) copy per call, so callers with such a view
+// compact it once themselves and query the result. Arithmetic and expansion
 // order are the same on every route, so for the same graph content the
 // results are bit-identical.
 func TopK(ctx context.Context, view graph.View, q walk.Query, opt Options) (*Result, error) {
@@ -182,7 +184,7 @@ func TopK(ctx context.Context, view graph.View, q walk.Query, opt Options) (*Res
 	case graph.RowsProvider:
 		return TopKRows(ctx, v.NewRows(), q, opt)
 	default:
-		return TopKRows(ctx, graph.ViewRows(view), q, opt)
+		return TopKRows(ctx, graph.Compact(view), q, opt)
 	}
 }
 

@@ -48,7 +48,7 @@ type local struct {
 
 // Local returns the in-process Gatherer of a view and the function that
 // releases it: packed rows on a graph.PackedCSRView, flat rows on a
-// graph.CSRView, and for any other view (masked, tracking, overlay) flat rows
+// graph.CSRView, and for any other view (an ad-hoc wrapper) flat rows
 // over graph.Compact(view) — one O(nodes+edges) copy, so resolve a wrapped
 // view once and solve over the Gatherer repeatedly. workers selects the pool
 // as Params.Workers does.

@@ -231,9 +231,10 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 }
 
 // TestWrappedViewsSolveThroughCompact pins the door for views with neither
-// flat nor packed arrays: an opaque wrapper and a MaskedView are flattened
-// once per solve, so every solver is bit-identical to the same call on
-// graph.Compact(view), and a cancelled context still returns ctx.Err().
+// flat nor packed arrays: an opaque wrapper — over the graph, and over the
+// graph with an edge masked out — is flattened once per solve, so every
+// solver is bit-identical to the same call on graph.Compact(view), and a
+// cancelled context still returns ctx.Err().
 func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-12, MaxIter: 500}
 	ctx := context.Background()
@@ -244,7 +245,7 @@ func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 		to, _ := g.OutNeighbors(0)
 		views := map[string]graph.View{
 			"opaque": struct{ graph.View }{g},
-			"masked": graph.NewMaskedView(g, []graph.EdgeKey{{From: 0, To: to[0]}}),
+			"masked": struct{ graph.View }{g.Without([]graph.EdgeKey{{From: 0, To: to[0]}})},
 		}
 		for kind, view := range views {
 			solvers := map[string]func(context.Context, graph.View) ([]float64, error){

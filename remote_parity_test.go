@@ -310,7 +310,7 @@ func TestRemoteEpochRollover(t *testing.T) {
 	}
 
 	// The epoch-0 row view a long-running query would be pinned to.
-	oldView := engine.snap.Load().rows.Load()
+	oldView := engine.snap.Load().fleet.Load()
 	if oldView == nil || oldView.Epoch() != 0 {
 		t.Fatalf("no epoch-0 row view connected")
 	}
@@ -457,14 +457,14 @@ func TestRemoteRowViewReusesRowserveConnect(t *testing.T) {
 	if _, err := engine.Rank(context.Background(), req); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
-	first := engine.snap.Load().rows.Load()
+	first := engine.snap.Load().fleet.Load()
 	if first == nil {
 		t.Fatalf("no row view after the first query")
 	}
 	if _, err := engine.Rank(context.Background(), req); err != nil {
 		t.Fatalf("second query: %v", err)
 	}
-	if engine.snap.Load().rows.Load() != first {
+	if engine.snap.Load().fleet.Load() != first {
 		t.Fatalf("second query reconnected the row view")
 	}
 }
