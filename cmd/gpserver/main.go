@@ -159,7 +159,7 @@ func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
 		return func() float64 {
 			var total float64
 			for _, s := range worker.Stripes() {
-				wi, err := worker.InfoAt(s.Index)
+				wi, err := worker.Info(s.Index)
 				if err != nil {
 					continue
 				}

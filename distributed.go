@@ -36,7 +36,7 @@ func (e *ClusterError) Unwrap() error { return e.Err }
 // the worker at baseURL (e.g. "http://10.0.0.7:7001"). Dialing is lazy: the
 // connection is first used when the engine plans a Distributed query.
 func DialWorker(baseURL string) Transport {
-	return distributed.NewHTTPTransport(baseURL, nil)
+	return distributed.NewHTTPTransport(baseURL)
 }
 
 // LoopbackWorkers stripes g across n in-process workers and returns their

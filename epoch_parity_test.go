@@ -386,7 +386,7 @@ func TestWorkerRetagEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(distributed.NewWorker(s).Handler())
 	t.Cleanup(srv.Close)
 	tr := DialWorker(srv.URL)
-	rt := tr.(distributed.StripeRetagger)
+	rt := tr.(distributed.StripeInstaller)
 
 	if err := rt.RetagStripe(context.Background(), 0xdeadbeef, 7, s.ContentFingerprint()); err != nil {
 		t.Fatalf("matching retag failed: %v", err)

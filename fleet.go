@@ -48,17 +48,16 @@ func WithFleet(m *Fleet) Option {
 }
 
 // ClusterHealth is the fleet-aware serving health snapshot: RPC/retry
-// counters of the current epoch's fleet handle (like ClusterStats),
-// failover/hedge counters of the replica groups, and the membership table's
-// liveness census. Engines configured with WithWorkers report the RPC
+// counters of the current epoch's fleet handle (like ClusterStats), the
+// replica groups' failover counter, and the membership table's liveness
+// census. Engines configured with WithWorkers report the RPC
 // counters only.
 type ClusterHealth struct {
 	// RPCs and Retries mirror ClusterStats.
 	RPCs, Retries int64
 	// Failovers counts calls that succeeded only after routing around a
-	// failed replica; Hedges counts row fetches whose hedge fired. Both zero
-	// without a fleet manager.
-	Failovers, Hedges int64
+	// failed replica; zero without a fleet manager.
+	Failovers int64
 	// MembersAlive/Suspect/Dead/Draining are the membership census; all zero
 	// without a fleet manager.
 	MembersAlive, MembersSuspect, MembersDead, MembersDraining int
@@ -75,7 +74,7 @@ func (e *Engine) ClusterHealth() ClusterHealth {
 	if e.fleetMgr == nil {
 		return h
 	}
-	h.Failovers, h.Hedges = e.fleetMgr.Failovers()
+	h.Failovers = e.fleetMgr.Failovers()
 	st := e.fleetMgr.Table().Stats()
 	h.MembersAlive, h.MembersSuspect, h.MembersDead, h.MembersDraining =
 		st.Alive, st.Suspect, st.Dead, st.Draining

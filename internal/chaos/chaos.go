@@ -113,9 +113,9 @@ func (s *Schedule) decide(target, op string) decision {
 }
 
 // Transport wraps a worker transport with the schedule's faults plus
-// test-driven kill/partition state. It implements every coordinator-side
-// interface the inner transport does (multiply, rows, stripe deploys), so it
-// can stand between a ReplicaSet (or coordinator) and any real transport.
+// test-driven kill/partition state. It is a distributed.Transport and a
+// distributed.StripeInstaller (forwarding deploys when the inner transport is
+// one), so it can stand between a ReplicaSet (or Fleet) and any real transport.
 type Transport struct {
 	inner  distributed.Transport
 	target string
@@ -226,65 +226,50 @@ func (t *Transport) Multiply(ctx context.Context, dir distributed.Direction, gra
 	return t.inner.Multiply(ctx, dir, graphSum, x)
 }
 
-// FetchRows implements distributed.RowFetcher.
+// FetchRows implements distributed.Transport.
 func (t *Transport) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (distributed.RowBatch, error) {
 	if err := t.gate(ctx, "rows"); err != nil {
 		return distributed.RowBatch{}, err
 	}
-	f, ok := t.inner.(distributed.RowFetcher)
-	if !ok {
-		return distributed.RowBatch{}, fmt.Errorf("chaos: inner transport %T serves no rows", t.inner)
-	}
-	return f.FetchRows(ctx, graphSum, nodes)
+	return t.inner.FetchRows(ctx, graphSum, nodes)
 }
 
-// OutDegrees implements distributed.RowFetcher.
+// OutDegrees implements distributed.Transport.
 func (t *Transport) OutDegrees(ctx context.Context) ([]int32, error) {
 	if err := t.gate(ctx, "outdegs"); err != nil {
 		return nil, err
 	}
-	f, ok := t.inner.(distributed.RowFetcher)
-	if !ok {
-		return nil, fmt.Errorf("chaos: inner transport %T serves no rows", t.inner)
-	}
-	return f.OutDegrees(ctx)
+	return t.inner.OutDegrees(ctx)
 }
 
-// SendStripe implements distributed.StripeSender. Deploy RPCs pass the gate
-// too: reconciliation against a dead member must fail like any other call.
-func (t *Transport) SendStripe(ctx context.Context, s *distributed.Stripe) error {
-	if err := t.gate(ctx, "sendstripe"); err != nil {
+// install gates one deploy RPC — reconciliation against a dead member must
+// fail like any other call — and runs it on the inner transport's installer.
+func (t *Transport) install(ctx context.Context, op string, rpc func(distributed.StripeInstaller) error) error {
+	if err := t.gate(ctx, op); err != nil {
 		return err
 	}
-	sender, ok := t.inner.(distributed.StripeSender)
+	inst, ok := t.inner.(distributed.StripeInstaller)
 	if !ok {
 		return fmt.Errorf("chaos: inner transport %T cannot receive stripes", t.inner)
 	}
-	return sender.SendStripe(ctx, s)
+	return rpc(inst)
 }
 
-// RetagStripe implements distributed.StripeRetagger.
+// SendStripe implements distributed.StripeInstaller.
+func (t *Transport) SendStripe(ctx context.Context, s *distributed.Stripe) error {
+	return t.install(ctx, "sendstripe", func(i distributed.StripeInstaller) error { return i.SendStripe(ctx, s) })
+}
+
+// RetagStripe implements distributed.StripeInstaller.
 func (t *Transport) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
-	if err := t.gate(ctx, "retag"); err != nil {
-		return err
-	}
-	rt, ok := t.inner.(distributed.StripeRetagger)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport %T cannot retag", t.inner)
-	}
-	return rt.RetagStripe(ctx, graphSum, epoch, content)
+	return t.install(ctx, "retag", func(i distributed.StripeInstaller) error {
+		return i.RetagStripe(ctx, graphSum, epoch, content)
+	})
 }
 
-// RemoveStripe implements distributed.StripeRemover.
+// RemoveStripe implements distributed.StripeInstaller.
 func (t *Transport) RemoveStripe(ctx context.Context) error {
-	if err := t.gate(ctx, "removestripe"); err != nil {
-		return err
-	}
-	rem, ok := t.inner.(distributed.StripeRemover)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport %T cannot remove stripes", t.inner)
-	}
-	return rem.RemoveStripe(ctx)
+	return t.install(ctx, "removestripe", func(i distributed.StripeInstaller) error { return i.RemoveStripe(ctx) })
 }
 
 // Close implements distributed.Transport.

@@ -156,7 +156,7 @@ func TestTransportUnderReplicaSet(t *testing.T) {
 	sched := NewSchedule(Config{Seed: 3})
 	a := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "a")
 	b := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "b")
-	rs := distributed.NewReplicaSet([]distributed.Transport{a, b}, 0)
+	rs := distributed.NewReplicaSet([]distributed.Transport{a, b})
 	ctx := context.Background()
 
 	x := make([]float64, g.NumNodes())
@@ -190,7 +190,7 @@ func TestHTTPWorkerKillRestart(t *testing.T) {
 		t.Fatalf("StartHTTPWorker: %v", err)
 	}
 	t.Cleanup(hw.Close)
-	tr := distributed.NewHTTPTransport(hw.URL(), nil)
+	tr := distributed.NewHTTPTransport(hw.URL())
 	defer tr.Close()
 	ctx := context.Background()
 

@@ -38,7 +38,7 @@ func TestHTTPStatusClassification(t *testing.T) {
 				http.Error(w, `{"error":"synthetic"}`, tc.status)
 			}))
 			defer srv.Close()
-			tr := NewHTTPTransport(srv.URL, nil)
+			tr := NewHTTPTransport(srv.URL)
 			defer tr.Close()
 			_, err := tr.Info(context.Background())
 			if err == nil {
@@ -67,7 +67,7 @@ func TestNetErrorClassification(t *testing.T) {
 		}
 		addr := lis.Addr().String()
 		lis.Close()
-		tr := NewHTTPTransport("http://"+addr, nil)
+		tr := NewHTTPTransport("http://" + addr)
 		defer tr.Close()
 		_, err = tr.Info(ctx)
 		if err == nil {
@@ -88,7 +88,8 @@ func TestNetErrorClassification(t *testing.T) {
 			}
 		}))
 		defer srv.Close()
-		tr := NewHTTPTransport(srv.URL, &HTTPTransportOptions{Timeout: 30 * time.Millisecond})
+		tr := NewHTTPTransport(srv.URL)
+		tr.timeout = 30 * time.Millisecond
 		defer tr.Close()
 		_, err := tr.Info(ctx)
 		if err == nil {
@@ -111,7 +112,7 @@ func TestNetErrorClassification(t *testing.T) {
 			}
 		}))
 		defer srv.Close()
-		tr := NewHTTPTransport(srv.URL, nil)
+		tr := NewHTTPTransport(srv.URL)
 		defer tr.Close()
 		cctx, cancel := context.WithCancel(ctx)
 		go func() {
@@ -160,10 +161,10 @@ func TestRetryBackoffRecovers(t *testing.T) {
 	}
 
 	opts := &RetryPolicy{Retries: 2, Backoff: time.Millisecond}
-	if _, err := NewCoordinator(ctx, mk(2), opts); err != nil {
+	if _, err := Connect(ctx, mk(2), opts); err != nil {
 		t.Errorf("2 transient failures under a 2-retry budget: %v", err)
 	}
-	if _, err := NewCoordinator(ctx, mk(10), opts); err == nil {
+	if _, err := Connect(ctx, mk(10), opts); err == nil {
 		t.Errorf("10 transient failures under a 2-retry budget connected anyway")
 	} else if !IsTransient(err) {
 		t.Errorf("budget exhaustion should surface the transient cause, got: %v", err)
@@ -188,7 +189,7 @@ func TestBackoffCancellation(t *testing.T) {
 	go func() {
 		// A huge backoff: if cancellation does not interrupt the sleep, the
 		// test times out instead of passing slowly.
-		_, err := NewCoordinator(ctx, []Transport{f}, &RetryPolicy{
+		_, err := Connect(ctx, []Transport{f}, &RetryPolicy{
 			Retries: 10, Backoff: time.Hour,
 		})
 		done <- err

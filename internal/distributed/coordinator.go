@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"roundtriprank/internal/walk"
 )
 
 // RetryPolicy is how a Fleet retries an idempotent worker call; the zero
@@ -270,46 +268,4 @@ func (f *Fleet) gather(ctx context.Context, dir Direction, x, dst []float64) err
 	return Scatter(ctx, f, "entries", dst, func(ctx context.Context, i int) ([]float64, error) {
 		return f.ts[i].Multiply(ctx, dir, f.graph, x)
 	})
-}
-
-// Coordinator is a Fleet that owns its transports, with the two exact solves
-// spelled out: the standalone form of the distributed exact path. The Engine
-// does not use it — its snapshot solves over the Fleet inside the one
-// rowserve.RemoteCSR it connects per epoch.
-type Coordinator struct {
-	*Fleet
-}
-
-// NewCoordinator connects to the given workers (see Connect). It does not
-// take ownership of the transports until it succeeds; on success Close
-// releases them.
-func NewCoordinator(ctx context.Context, transports []Transport, policy *RetryPolicy) (*Coordinator, error) {
-	f, err := Connect(ctx, transports, policy)
-	if err != nil {
-		return nil, err
-	}
-	return &Coordinator{f}, nil
-}
-
-// Close closes every worker transport.
-func (c *Coordinator) Close() error {
-	var firstErr error
-	for _, t := range c.ts {
-		if err := t.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// FRank computes the exact F-Rank vector of the query across the cluster:
-// walk.FRankOver this coordinator.
-func (c *Coordinator) FRank(ctx context.Context, q walk.Query, p walk.Params) ([]float64, error) {
-	return walk.FRankOver(ctx, c, q, p)
-}
-
-// TRank computes the exact T-Rank vector of the query across the cluster:
-// walk.TRankOver this coordinator.
-func (c *Coordinator) TRank(ctx context.Context, q walk.Query, p walk.Params) ([]float64, error) {
-	return walk.TRankOver(ctx, c, q, p)
 }

@@ -44,7 +44,9 @@ func httpWorkers(t testing.TB, g *graph.Graph, n int, wrap func(i int, h http.Ha
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
-		ts[i] = NewHTTPTransport(srv.URL, nil)
+		tr := NewHTTPTransport(srv.URL)
+		t.Cleanup(func() { tr.Close() })
+		ts[i] = tr
 	}
 	return ts
 }
@@ -77,17 +79,16 @@ func TestCoordinatorBitIdenticalToLocal(t *testing.T) {
 						}
 						ts = httpWorkers(t, g, workers, nil)
 					}
-					c, err := NewCoordinator(ctx, ts, nil)
+					c, err := Connect(ctx, ts, nil)
 					if err != nil {
-						t.Fatalf("NewCoordinator: %v", err)
+						t.Fatalf("Connect: %v", err)
 					}
-					defer c.Close()
 					q := walk.SingleNode(graph.NodeID(g.NumNodes() / 2))
 					wantF, err := walk.FRank(ctx, g, q, p)
 					if err != nil {
 						t.Fatalf("local FRank: %v", err)
 					}
-					gotF, err := c.FRank(ctx, q, p)
+					gotF, err := walk.FRankOver(ctx, c, q, p)
 					if err != nil {
 						t.Fatalf("distributed FRank: %v", err)
 					}
@@ -95,7 +96,7 @@ func TestCoordinatorBitIdenticalToLocal(t *testing.T) {
 					if err != nil {
 						t.Fatalf("local TRank: %v", err)
 					}
-					gotT, err := c.TRank(ctx, q, p)
+					gotT, err := walk.TRankOver(ctx, c, q, p)
 					if err != nil {
 						t.Fatalf("distributed TRank: %v", err)
 					}
@@ -140,14 +141,13 @@ func TestCoordinatorRetriesTransientWorkerFailure(t *testing.T) {
 		return flaky
 	})
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 3, Backoff: time.Millisecond})
+	c, err := Connect(ctx, ts, &RetryPolicy{Retries: 3, Backoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
 
 	q := walk.SingleNode(0)
-	got, err := c.FRank(ctx, q, walk.DefaultParams())
+	got, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
 	if err != nil {
 		t.Fatalf("FRank through a flaky worker: %v", err)
 	}
@@ -174,12 +174,11 @@ func TestCoordinatorFailsOnPersistentWorkerError(t *testing.T) {
 		return &flakyHandler{inner: h, failures: 1 << 30} // never recovers
 	})
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
+	c, err := Connect(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
-	_, err = c.FRank(ctx, walk.SingleNode(0), walk.DefaultParams())
+	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank through a dead worker succeeded")
 	}
@@ -192,7 +191,7 @@ func TestCoordinatorFailsOnPersistentWorkerError(t *testing.T) {
 // connection-level failures: a worker that is down (connection refused) must
 // yield a retryable error, while caller cancellation must not.
 func TestConnectionFailureIsTransient(t *testing.T) {
-	tr := NewHTTPTransport("http://127.0.0.1:1", nil) // nothing listens here
+	tr := NewHTTPTransport("http://127.0.0.1:1") // nothing listens here
 	_, err := tr.Multiply(context.Background(), DirIn, 0, []float64{1})
 	if err == nil {
 		t.Fatalf("Multiply against a closed port succeeded")
@@ -225,17 +224,16 @@ func TestCoordinatorBlamesDeadWorker(t *testing.T) {
 		if i == 1 {
 			srv1 = srv
 		}
-		ts[i] = NewHTTPTransport(srv.URL, nil)
+		ts[i] = NewHTTPTransport(srv.URL)
 	}
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
+	c, err := Connect(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
 	srv1.Close() // worker 1 goes down before the query
 
-	_, err = c.FRank(ctx, walk.SingleNode(0), walk.DefaultParams())
+	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank with a dead worker succeeded")
 	}
@@ -256,7 +254,7 @@ func TestCoordinatorRejectsBadTopology(t *testing.T) {
 
 	// Stripes installed in the wrong order.
 	ts := loopbackTransports(t, g, 2)
-	if _, err := NewCoordinator(ctx, []Transport{ts[1], ts[0]}, nil); err == nil {
+	if _, err := Connect(ctx, []Transport{ts[1], ts[0]}, nil); err == nil {
 		t.Errorf("swapped stripes accepted")
 	}
 
@@ -266,7 +264,7 @@ func TestCoordinatorRejectsBadTopology(t *testing.T) {
 		t.Fatalf("BuildStripe: %v", err)
 	}
 	ts = loopbackTransports(t, g, 2)
-	if _, err := NewCoordinator(ctx, []Transport{NewLoopback(NewWorker(s0of3)), ts[1]}, nil); err == nil {
+	if _, err := Connect(ctx, []Transport{NewLoopback(NewWorker(s0of3)), ts[1]}, nil); err == nil {
 		t.Errorf("mixed stripe counts accepted")
 	}
 
@@ -277,7 +275,7 @@ func TestCoordinatorRejectsBadTopology(t *testing.T) {
 		t.Fatalf("BuildStripe: %v", err)
 	}
 	ts = loopbackTransports(t, g, 2)
-	if _, err := NewCoordinator(ctx, []Transport{NewLoopback(NewWorker(s0)), ts[1]}, nil); err == nil {
+	if _, err := Connect(ctx, []Transport{NewLoopback(NewWorker(s0)), ts[1]}, nil); err == nil {
 		t.Errorf("mismatched node counts accepted")
 	}
 
@@ -290,7 +288,7 @@ func TestCoordinatorRejectsBadTopology(t *testing.T) {
 		t.Fatalf("BuildStripe: %v", err)
 	}
 	ts = loopbackTransports(t, g, 2)
-	_, err = NewCoordinator(ctx, []Transport{NewLoopback(NewWorker(s0)), ts[1]}, nil)
+	_, err = Connect(ctx, []Transport{NewLoopback(NewWorker(s0)), ts[1]}, nil)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("same-sized different graph accepted (err=%v)", err)
 	}
@@ -298,15 +296,15 @@ func TestCoordinatorRejectsBadTopology(t *testing.T) {
 	// Worker advertising a forged row count: the merge loops index global
 	// vectors by i + r*count, so this must be rejected, not trusted.
 	ts = loopbackTransports(t, g, 2)
-	if _, err := NewCoordinator(ctx, []Transport{ts[0], &forgedRows{Transport: ts[1], rows: g.NumNodes() * 3}}, nil); err == nil {
+	if _, err := Connect(ctx, []Transport{ts[0], &forgedRows{Transport: ts[1], rows: g.NumNodes() * 3}}, nil); err == nil {
 		t.Errorf("forged row count accepted")
 	}
 
 	// Empty worker.
-	if _, err := NewCoordinator(ctx, []Transport{NewLoopback(NewWorker(nil))}, nil); err == nil {
+	if _, err := Connect(ctx, []Transport{NewLoopback(NewWorker(nil))}, nil); err == nil {
 		t.Errorf("empty worker accepted")
 	}
-	if _, err := NewCoordinator(ctx, nil, nil); err == nil {
+	if _, err := Connect(ctx, nil, nil); err == nil {
 		t.Errorf("zero workers accepted")
 	}
 }
@@ -327,15 +325,14 @@ func TestMultiplyRejectsReplacedStripe(t *testing.T) {
 		workers[i] = NewWorker(s)
 		srv := httptest.NewServer(workers[i].Handler())
 		t.Cleanup(srv.Close)
-		ts[i] = NewHTTPTransport(srv.URL, nil)
+		ts[i] = NewHTTPTransport(srv.URL)
 	}
 	ctx := context.Background()
-	c, err := NewCoordinator(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
+	c, err := Connect(ctx, ts, &RetryPolicy{Retries: 1, Backoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
-	if _, err := c.FRank(ctx, walk.SingleNode(0), walk.DefaultParams()); err != nil {
+	if _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err != nil {
 		t.Fatalf("FRank before replacement: %v", err)
 	}
 
@@ -348,7 +345,7 @@ func TestMultiplyRejectsReplacedStripe(t *testing.T) {
 	}
 	workers[1].SetStripe(s1)
 
-	_, err = c.FRank(ctx, walk.SingleNode(0), walk.DefaultParams())
+	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank through a replaced stripe succeeded")
 	}
@@ -375,14 +372,13 @@ func (f *forgedRows) Info(ctx context.Context) (WorkerInfo, error) {
 func TestCoordinatorHonorsCancellation(t *testing.T) {
 	g := testgraphs.Cycle(50)
 	ts := loopbackTransports(t, g, 2)
-	c, err := NewCoordinator(context.Background(), ts, nil)
+	c, err := Connect(context.Background(), ts, nil)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.FRank(ctx, walk.SingleNode(0), walk.DefaultParams()); err == nil {
+	if _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err == nil {
 		t.Errorf("FRank with a cancelled context succeeded")
 	}
 }
@@ -394,7 +390,8 @@ func TestWorkerReceivesStripeOverHTTP(t *testing.T) {
 	g := testgraphs.NewToy().Graph
 	srv := httptest.NewServer(NewWorker(nil).Handler())
 	defer srv.Close()
-	tr := NewHTTPTransport(srv.URL, nil)
+	tr := NewHTTPTransport(srv.URL)
+	defer tr.Close()
 	ctx := context.Background()
 
 	// Empty worker: info must fail with a non-transient error.
@@ -417,13 +414,12 @@ func TestWorkerReceivesStripeOverHTTP(t *testing.T) {
 		t.Errorf("unexpected info after install: %+v", info)
 	}
 
-	c, err := NewCoordinator(ctx, []Transport{tr}, nil)
+	c, err := Connect(ctx, []Transport{tr}, nil)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Connect: %v", err)
 	}
-	defer c.Close()
 	q := walk.SingleNode(0)
-	got, err := c.FRank(ctx, q, walk.DefaultParams())
+	got, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
 	if err != nil {
 		t.Fatalf("FRank: %v", err)
 	}

@@ -1,14 +1,23 @@
 // Package distributed implements serving a round-robin-striped graph from
 // multiple processes. Two subsystems share the stripe workers.
 //
-// # Coordinator/worker (exact solves)
+// # One client
 //
-// The coordinator/worker subsystem executes exact solves across the cluster:
-// each Worker holds one Stripe (compact CSR slices of the owned rows,
-// loadable from the binary codec in internal/graph) and serves stateless
-// per-iteration gather RPCs; the connected Fleet fans each power iteration out
-// over a Transport per worker — in-process Loopback or HTTPTransport (the
-// cmd/gpserver wire protocol) — retries transient failures, and scatters the
+// Transport is the whole query-time worker protocol — Info, OutSums, Multiply
+// and the row RPCs of RowFetcher — spoken by the in-process Loopback and by
+// HTTPTransport (the cmd/gpserver wire protocol) and decorated by ReplicaSet
+// (failover within one stripe's replica group) and chaos.Transport (fault
+// injection). StripeInstaller (send, retag, remove a stripe) is the one
+// optional capability, because a replica group cannot receive a stripe. A
+// Worker holds any number of Stripes keyed by index and has one method per RPC
+// taking the stripe selector (AnyStripe: its sole stripe).
+//
+// # Exact solves
+//
+// Each Worker holds Stripes (compact CSR slices of the owned rows, loadable
+// from the binary codec in internal/graph) and serves stateless per-iteration
+// gather RPCs; the connected Fleet (Connect) fans each power iteration out
+// over a Transport per stripe, retries transient failures, and scatters the
 // partial vectors by stripe. No arithmetic lives here: the Fleet is a
 // walk.Gatherer beneath walk's one power iteration and a worker reduces its
 // rows with graph.CSR.Gather, so distributed F-Rank/T-Rank vectors are
@@ -19,9 +28,9 @@
 // Stripes are immutable snapshots identified by the source graph's
 // epoch-stamped fingerprint, which Multiply pins per call: when a commit
 // rolls the graph to a new epoch, stale coordinators fail loudly instead of
-// mixing snapshots. A fleet follows a commit via the stripe-install endpoint
-// for changed stripes and the cheap retag RPC (StripeRetagger) for stripes
-// whose content the commit did not touch.
+// mixing snapshots. A fleet follows a commit through EnsureStripe: the
+// stripe-install endpoint for changed stripes and the cheap retag RPC for
+// stripes whose content the commit did not touch.
 //
 // # Row serving (online search)
 //
@@ -31,4 +40,5 @@
 // 2SBound over an internal/rowserve session that assembles only the active
 // set — the rows the query actually touches — in a local cache, exposed as
 // graph.Rows so the same searcher runs unchanged on one machine or a cluster.
+// Rows are range-checked there, once per fetch, before the searcher sees them.
 package distributed

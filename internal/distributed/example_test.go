@@ -10,9 +10,9 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Example stripes a graph across two in-process workers, connects a
-// coordinator, and shows the distributed F-Rank solve agreeing bit for bit
-// with the local kernel.
+// Example stripes a graph across two in-process workers, connects to them, and
+// shows the F-Rank solve over the connected Fleet agreeing bit for bit with the
+// local kernel.
 func Example() {
 	b := graph.NewBuilder()
 	var nodes []graph.NodeID
@@ -34,16 +34,15 @@ func Example() {
 		}
 		transports = append(transports, distributed.NewLoopback(distributed.NewWorker(s)))
 	}
-	coord, err := distributed.NewCoordinator(context.Background(), transports, nil)
+	fleet, err := distributed.Connect(context.Background(), transports, nil)
 	if err != nil {
 		panic(err)
 	}
-	defer coord.Close()
-	fmt.Printf("%d workers serving %d nodes at epoch %d\n", coord.Workers(), coord.NumNodes(), coord.Epoch())
+	fmt.Printf("%d workers serving %d nodes at epoch %d\n", fleet.Workers(), fleet.NumNodes(), fleet.Epoch())
 
 	q := walk.SingleNode(nodes[0])
 	p := walk.Params{Alpha: 0.25, Tol: 1e-10, MaxIter: 200}
-	dist, err := coord.FRank(context.Background(), q, p)
+	dist, err := walk.FRankOver(context.Background(), fleet, q, p)
 	if err != nil {
 		panic(err)
 	}
@@ -79,9 +78,9 @@ func ExampleWorker_Retag() {
 	}
 	w := distributed.NewWorker(s)
 
-	info, _ := w.Info()
+	info, _ := w.Info(distributed.AnyStripe)
 	fmt.Printf("serving epoch %d\n", info.Epoch)
-	info, err = w.Retag(0xabcd1234, info.Epoch+1, s.ContentFingerprint())
+	info, err = w.Retag(distributed.AnyStripe, 0xabcd1234, info.Epoch+1, s.ContentFingerprint())
 	if err != nil {
 		panic(err)
 	}

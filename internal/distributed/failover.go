@@ -1,9 +1,9 @@
 // Replica-aware transport: the failover layer between the coordinator (or the
 // rowserve session) and an R-way replicated stripe. A ReplicaSet presents one
-// stripe's replica group as a single Transport/RowFetcher, so everything
-// above it — coordinator fan-out, retry accounting, the online row cache —
-// keeps its one-transport-per-stripe worldview while calls transparently fail
-// over between members.
+// stripe's replica group as a single Transport, so everything above it —
+// coordinator fan-out, retry accounting, the online row cache — keeps its
+// one-transport-per-stripe worldview while calls transparently fail over
+// between members.
 package distributed
 
 import (
@@ -11,15 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"roundtriprank/internal/graph"
 )
 
-// ReplicaSet is a Transport (and RowFetcher) that multiplexes one stripe's
-// RPCs over its replicas. Calls start at the preferred replica and advance to
-// the next on transient error — permanent errors (protocol violations, 4xx)
-// return immediately, since every replica would answer the same. A successful
+// ReplicaSet is a Transport that multiplexes one stripe's RPCs over its
+// replicas. Calls start at the preferred replica and advance to the next on
+// transient error — permanent errors (protocol violations, 4xx) return
+// immediately, since every replica would answer the same. A successful
 // failover promotes the answering replica to preferred, so a dead member
 // costs one timeout once, not once per call.
 //
@@ -38,22 +37,15 @@ import (
 // finish on the list they started with. All methods are safe for concurrent
 // use.
 type ReplicaSet struct {
-	replicas   atomic.Pointer[[]Transport]
-	preferred  [DirOut + 1]atomic.Int64 // indexed by Direction; slot 0: calls without one
-	failovers  atomic.Int64
-	hedges     atomic.Int64
-	hedgeDelay time.Duration
+	replicas  atomic.Pointer[[]Transport]
+	preferred [DirOut + 1]atomic.Int64 // indexed by Direction; slot 0: calls without one
+	failovers atomic.Int64
 }
 
 // NewReplicaSet returns a ReplicaSet over the given replica transports of one
 // stripe (each already bound to the stripe on its member).
-// hedgeDelay, when positive, arms hedged row fetches: a FetchRows that has
-// not answered within the delay is raced against the next replica and the
-// first response wins. Zero disables hedging (multiply RPCs never hedge: the
-// offline solver is throughput-bound and a duplicate full-vector stream is
-// pure waste).
-func NewReplicaSet(replicas []Transport, hedgeDelay time.Duration) *ReplicaSet {
-	rs := &ReplicaSet{hedgeDelay: hedgeDelay}
+func NewReplicaSet(replicas []Transport) *ReplicaSet {
+	rs := &ReplicaSet{}
 	rs.SetReplicas(replicas)
 	return rs
 }
@@ -73,9 +65,6 @@ func (rs *ReplicaSet) SetReplicas(replicas []Transport) {
 // past a failed replica — the fleet's "a member was down and we routed
 // around it" counter.
 func (rs *ReplicaSet) Failovers() int64 { return rs.failovers.Load() }
-
-// Hedges returns the number of row fetches whose hedge fired.
-func (rs *ReplicaSet) Hedges() int64 { return rs.hedges.Load() }
 
 // errNoReplicas reports a replica set whose placement has no live member.
 var errNoReplicas = errors.New("distributed: replica set has no members")
@@ -137,104 +126,16 @@ func (rs *ReplicaSet) Multiply(ctx context.Context, dir Direction, graphSum uint
 	})
 }
 
-// OutDegrees implements RowFetcher.
+// OutDegrees implements Transport.
 func (rs *ReplicaSet) OutDegrees(ctx context.Context) ([]int32, error) {
-	return replicaCall(ctx, rs, 0, func(t Transport) ([]int32, error) {
-		f, ok := t.(RowFetcher)
-		if !ok {
-			return nil, fmt.Errorf("distributed: replica transport %T serves no rows", t)
-		}
-		return f.OutDegrees(ctx)
-	})
+	return replicaCall(ctx, rs, 0, func(t Transport) ([]int32, error) { return t.OutDegrees(ctx) })
 }
 
-// FetchRows implements RowFetcher, with optional hedging: when the preferred
-// replica has not answered within the hedge delay, the same fetch is issued
-// to the next replica and the first response wins. Row fetches sit on the
-// online query's latency path and are small, so the duplicate work is cheap
-// insurance against a slow (not yet dead) member. Without hedging (or with a
-// single replica) the fetch takes the plain failover path.
+// FetchRows implements Transport.
 func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	fetch := func(t Transport) (RowBatch, error) {
-		f, ok := t.(RowFetcher)
-		if !ok {
-			return RowBatch{}, fmt.Errorf("distributed: replica transport %T serves no rows", t)
-		}
-		return f.FetchRows(ctx, graphSum, nodes)
-	}
-	replicas := *rs.replicas.Load()
-	if rs.hedgeDelay <= 0 || len(replicas) < 2 {
-		return replicaCall(ctx, rs, 0, fetch)
-	}
-
-	preferred := &rs.preferred[0]
-	start := int(preferred.Load()) % len(replicas)
-	if start < 0 {
-		start = 0
-	}
-	type result struct {
-		batch RowBatch
-		err   error
-		idx   int
-	}
-	// Buffered so the loser's send never blocks; both goroutines exit on
-	// their own once their RPC returns.
-	results := make(chan result, 2)
-	launch := func(idx int) {
-		go func() {
-			b, err := fetch(replicas[idx])
-			results <- result{batch: b, err: err, idx: idx}
-		}()
-	}
-	launch(start)
-	timer := time.NewTimer(rs.hedgeDelay)
-	defer timer.Stop()
-	launched, pending := 1, 1
-	var lastErr error
-	for pending > 0 {
-		select {
-		case <-timer.C:
-			if launched < 2 {
-				rs.hedges.Add(1)
-				launch((start + 1) % len(replicas))
-				launched, pending = 2, pending+1
-			}
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				if r.idx != start {
-					rs.failovers.Add(1)
-					preferred.Store(int64(r.idx))
-				}
-				return r.batch, nil
-			}
-			if !IsTransient(r.err) || ctx.Err() != nil {
-				return RowBatch{}, r.err
-			}
-			lastErr = r.err
-			if launched < 2 {
-				// The primary failed before the hedge armed: fail over now.
-				launch((start + 1) % len(replicas))
-				launched, pending = 2, pending+1
-			}
-		case <-ctx.Done():
-			return RowBatch{}, ctx.Err()
-		}
-	}
-	// Both replicas failed transiently; walk any remaining replicas serially.
-	for i := 2; i < len(replicas); i++ {
-		b, err := fetch(replicas[(start+i)%len(replicas)])
-		if err == nil {
-			rs.failovers.Add(1)
-			preferred.Store(int64((start + i) % len(replicas)))
-			return b, nil
-		}
-		if !IsTransient(err) || ctx.Err() != nil {
-			return RowBatch{}, err
-		}
-		lastErr = err
-	}
-	return RowBatch{}, lastErr
+	return replicaCall(ctx, rs, 0, func(t Transport) (RowBatch, error) {
+		return t.FetchRows(ctx, graphSum, nodes)
+	})
 }
 
 // DeployAction is what EnsureStripe had to do to converge one member.
@@ -258,24 +159,19 @@ const (
 // their members through it — and what keeps redeploy cost proportional to
 // the delta.
 func EnsureStripe(ctx context.Context, t Transport, s *Stripe) (DeployAction, error) {
-	sender, ok := t.(StripeSender)
+	inst, ok := t.(StripeInstaller)
 	if !ok {
-		return DeployNone, fmt.Errorf("distributed: replica transport %T cannot receive stripes", t)
+		return DeployNone, fmt.Errorf("distributed: transport %T cannot receive stripes", t)
 	}
 	if info, err := t.Info(ctx); err == nil && info.Index == s.Index && info.Count == s.Count && info.Content == s.ContentFingerprint() {
 		if info.Graph == s.GraphFingerprint() && info.Epoch == s.Epoch() {
 			return DeployNone, nil
 		}
-		if rt, ok := t.(StripeRetagger); ok {
-			if err := rt.RetagStripe(ctx, s.GraphFingerprint(), s.Epoch(), s.ContentFingerprint()); err == nil {
-				return DeployRetag, nil
-			}
+		if err := inst.RetagStripe(ctx, s.GraphFingerprint(), s.Epoch(), s.ContentFingerprint()); err == nil {
+			return DeployRetag, nil
 		}
 	}
-	if err := sender.SendStripe(ctx, s); err != nil {
-		return DeployShip, err
-	}
-	return DeployShip, nil
+	return DeployShip, inst.SendStripe(ctx, s)
 }
 
 // Close implements Transport, closing every replica transport.

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
@@ -14,13 +13,12 @@ import (
 )
 
 // chaosTransport wraps a loopback transport with switchable failure modes for
-// replica-set tests: down (every call fails transiently), permanentErr (every
-// call fails permanently), and rowDelay (FetchRows sleeps before answering).
+// replica-set tests: down (every call fails transiently) and permanentErr
+// (every call fails permanently).
 type chaosTransport struct {
 	inner        *Loopback
 	down         atomic.Bool
 	permanentErr atomic.Bool
-	rowDelay     time.Duration
 	calls        atomic.Int64
 	ships        atomic.Int64
 	retags       atomic.Int64
@@ -62,13 +60,6 @@ func (c *chaosTransport) Multiply(ctx context.Context, dir Direction, graphSum u
 
 func (c *chaosTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	c.calls.Add(1)
-	if c.rowDelay > 0 {
-		select {
-		case <-time.After(c.rowDelay):
-		case <-ctx.Done():
-			return RowBatch{}, ctx.Err()
-		}
-	}
 	if err := c.fail(); err != nil {
 		return RowBatch{}, err
 	}
@@ -99,6 +90,13 @@ func (c *chaosTransport) RetagStripe(ctx context.Context, graphSum uint32, epoch
 	return c.inner.RetagStripe(ctx, graphSum, epoch, content)
 }
 
+func (c *chaosTransport) RemoveStripe(ctx context.Context) error {
+	if err := c.fail(); err != nil {
+		return err
+	}
+	return c.inner.RemoveStripe(ctx)
+}
+
 func (c *chaosTransport) Close() error { return c.inner.Close() }
 
 // replicaFixture builds R chaos-wrapped replicas of stripe `index` of g.
@@ -120,7 +118,7 @@ func replicaFixture(t *testing.T, g *graph.Graph, index, count, r int) (*Stripe,
 func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(ts, 0)
+	rs := NewReplicaSet(ts)
 	ctx := context.Background()
 	x := make([]float64, g.NumNodes())
 	for i := range x {
@@ -163,7 +161,7 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(ts, 0)
+	rs := NewReplicaSet(ts)
 	wrapped[0].permanentErr.Store(true)
 
 	x := make([]float64, g.NumNodes())
@@ -182,7 +180,7 @@ func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
 func TestReplicaSetAllDownStaysTransient(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(ts, 0)
+	rs := NewReplicaSet(ts)
 	for _, w := range wrapped {
 		w.down.Store(true)
 	}
@@ -259,34 +257,10 @@ func TestEnsureStripeDelta(t *testing.T) {
 	}
 }
 
-func TestReplicaSetHedgedFetchRows(t *testing.T) {
-	g := testgraphs.Cycle(12)
-	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	wrapped[0].rowDelay = 200 * time.Millisecond
-	rs := NewReplicaSet(ts, 2*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	start := time.Now()
-	batch, err := rs.FetchRows(ctx, s.GraphFingerprint(), []graph.NodeID{0, 2})
-	if err != nil {
-		t.Fatalf("hedged FetchRows: %v", err)
-	}
-	if len(batch.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(batch.Rows))
-	}
-	if elapsed := time.Since(start); elapsed >= wrapped[0].rowDelay {
-		t.Errorf("hedge did not beat the slow primary (%v elapsed)", elapsed)
-	}
-	if rs.Hedges() == 0 {
-		t.Errorf("hedge counter did not move")
-	}
-}
-
 func TestReplicaSetFetchRowsFailsOverWithoutHedge(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
-	rs := NewReplicaSet(ts, 0)
+	rs := NewReplicaSet(ts)
 	wrapped[0].down.Store(true)
 	batch, err := rs.FetchRows(context.Background(), s.GraphFingerprint(), []graph.NodeID{0})
 	if err != nil {
@@ -314,30 +288,28 @@ func TestReplicaSetCoordinatorParity(t *testing.T) {
 	for i := 0; i < stripes; i++ {
 		_, wrapped, ts := replicaFixture(t, g, i, stripes, 2)
 		killable = append(killable, wrapped[0])
-		sets[i] = NewReplicaSet(ts, 0)
+		sets[i] = NewReplicaSet(ts)
 	}
 	for _, w := range killable {
 		w.down.Store(true) // every group's first replica is dead
 	}
 
-	cPlain, err := NewCoordinator(ctx, plain, nil)
+	cPlain, err := Connect(ctx, plain, nil)
 	if err != nil {
-		t.Fatalf("NewCoordinator(plain): %v", err)
+		t.Fatalf("Connect(plain): %v", err)
 	}
-	defer cPlain.Close()
-	cRep, err := NewCoordinator(ctx, sets, nil)
+	cRep, err := Connect(ctx, sets, nil)
 	if err != nil {
-		t.Fatalf("NewCoordinator(replicated): %v", err)
+		t.Fatalf("Connect(replicated): %v", err)
 	}
-	defer cRep.Close()
 
 	q := walk.SingleNode(3)
 	p := walk.DefaultParams()
-	want, err := cPlain.FRank(ctx, q, p)
+	want, err := walk.FRankOver(ctx, cPlain, q, p)
 	if err != nil {
 		t.Fatalf("plain FRank: %v", err)
 	}
-	got, err := cRep.FRank(ctx, q, p)
+	got, err := walk.FRankOver(ctx, cRep, q, p)
 	if err != nil {
 		t.Fatalf("replicated FRank: %v", err)
 	}
@@ -364,44 +336,41 @@ func TestMultiStripeWorker(t *testing.T) {
 		w.SetStripe(s)
 	}
 
-	if w.Stripe() != nil {
-		t.Errorf("Stripe() on a multi-stripe worker must return nil")
-	}
 	if got := len(w.Stripes()); got != 2 {
 		t.Fatalf("Stripes() returned %d, want 2", got)
 	}
-	if _, err := w.Info(); err == nil {
+	if _, err := w.Info(AnyStripe); err == nil {
 		t.Errorf("unselected Info on a multi-stripe worker succeeded")
 	}
 	for i, idx := range []int{0, 2} {
-		info, err := w.InfoAt(idx)
+		info, err := w.Info(idx)
 		if err != nil {
-			t.Fatalf("InfoAt(%d): %v", idx, err)
+			t.Fatalf("Info(%d): %v", idx, err)
 		}
 		if info.Index != idx || info.Count != 3 {
-			t.Errorf("InfoAt(%d) = %+v", idx, info)
+			t.Errorf("Info(%d) = %+v", idx, info)
 		}
 		x := make([]float64, g.NumNodes())
-		out, err := w.MultiplyAt(idx, DirIn, stripes[i].GraphFingerprint(), x)
+		out, err := w.Multiply(idx, DirIn, stripes[i].GraphFingerprint(), x)
 		if err != nil {
-			t.Fatalf("MultiplyAt(%d): %v", idx, err)
+			t.Fatalf("Multiply(%d): %v", idx, err)
 		}
 		if len(out) != stripes[i].OwnedNodes() {
-			t.Errorf("MultiplyAt(%d) returned %d rows, want %d", idx, len(out), stripes[i].OwnedNodes())
+			t.Errorf("Multiply(%d) returned %d rows, want %d", idx, len(out), stripes[i].OwnedNodes())
 		}
 	}
-	if _, err := w.InfoAt(1); err == nil {
-		t.Errorf("InfoAt for an unserved stripe succeeded")
+	if _, err := w.Info(1); err == nil {
+		t.Errorf("Info for an unserved stripe succeeded")
 	}
 
-	if !w.RemoveStripe(2) {
-		t.Fatalf("RemoveStripe(2) found nothing")
+	if err := w.RemoveStripe(2); err != nil {
+		t.Fatalf("RemoveStripe(2): %v", err)
 	}
-	if w.RemoveStripe(2) {
+	if err := w.RemoveStripe(2); err == nil {
 		t.Errorf("RemoveStripe(2) removed twice")
 	}
 	// Down to one stripe: unselected calls resolve again.
-	info, err := w.Info()
+	info, err := w.Info(AnyStripe)
 	if err != nil {
 		t.Fatalf("Info after removal: %v", err)
 	}
@@ -422,7 +391,7 @@ func TestMultiStripeWorkerOverHTTP(t *testing.T) {
 	}
 	srv := httptest.NewServer(w.Handler())
 	t.Cleanup(srv.Close)
-	base := NewHTTPTransport(srv.URL, nil)
+	base := NewHTTPTransport(srv.URL)
 	ctx := context.Background()
 
 	// Unbound transport: ambiguous, must fail permanently.

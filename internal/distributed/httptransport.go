@@ -31,33 +31,16 @@ type HTTPTransport struct {
 	stripe int
 }
 
-// HTTPTransportOptions tune an HTTPTransport.
-type HTTPTransportOptions struct {
-	// Client overrides the HTTP client (default: a dedicated client using
-	// http.DefaultTransport's connection pool).
-	Client *http.Client
-	// Timeout bounds each RPC (default DefaultHTTPTimeout).
-	Timeout time.Duration
-}
-
 // NewHTTPTransport returns a Transport for the worker at baseURL (e.g.
-// "http://10.0.0.7:7001"). opts may be nil for defaults.
-func NewHTTPTransport(baseURL string, opts *HTTPTransportOptions) *HTTPTransport {
-	t := &HTTPTransport{
+// "http://10.0.0.7:7001"): a dedicated client over http.DefaultTransport's
+// connection pool, each RPC bounded by DefaultHTTPTimeout.
+func NewHTTPTransport(baseURL string) *HTTPTransport {
+	return &HTTPTransport{
 		base:    strings.TrimRight(baseURL, "/"),
 		client:  &http.Client{},
 		timeout: DefaultHTTPTimeout,
 		stripe:  AnyStripe,
 	}
-	if opts != nil {
-		if opts.Client != nil {
-			t.client = opts.Client
-		}
-		if opts.Timeout > 0 {
-			t.timeout = opts.Timeout
-		}
-	}
-	return t
 }
 
 // URL returns the worker base URL this transport dials.
@@ -139,7 +122,7 @@ func (t *HTTPTransport) readVectorBody(body io.Reader, what string) ([]float64, 
 	return out, nil
 }
 
-// SendStripe implements StripeSender by POSTing the binary stripe codec to
+// SendStripe implements StripeInstaller by POSTing the binary stripe codec to
 // the worker's install endpoint.
 func (t *HTTPTransport) SendStripe(ctx context.Context, s *Stripe) error {
 	var buf bytes.Buffer
@@ -153,7 +136,7 @@ func (t *HTTPTransport) SendStripe(ctx context.Context, s *Stripe) error {
 	return body.Close()
 }
 
-// RetagStripe implements StripeRetagger by POSTing to the worker's retag
+// RetagStripe implements StripeInstaller by POSTing to the worker's retag
 // endpoint. The worker answers 409 on a content mismatch, which surfaces as a
 // non-transient error so the caller falls back to shipping the full stripe.
 func (t *HTTPTransport) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
@@ -165,7 +148,7 @@ func (t *HTTPTransport) RetagStripe(ctx context.Context, graphSum uint32, epoch 
 	return body.Close()
 }
 
-// RemoveStripe implements StripeRemover by DELETEing the worker's stripe
+// RemoveStripe implements StripeInstaller by DELETEing the worker's stripe
 // endpoint; the bound stripe selector names which stripe to drop.
 func (t *HTTPTransport) RemoveStripe(ctx context.Context) error {
 	body, err := t.do(ctx, http.MethodDelete, t.withStripe("/v1/stripe"), nil, "")

@@ -8,12 +8,10 @@ package distributed
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 
 	"roundtriprank/internal/graph"
 )
@@ -42,12 +40,12 @@ type RowBatch struct {
 	Rows    []RowData
 }
 
-// RowFetcher is implemented by transports whose worker serves the row-fetch
-// RPC. Like Multiply, FetchRows is a pure function of its inputs and safe to
-// retry; OutDegrees is the row-granular analogue of OutSums (the out-degrees
-// of the worker's owned rows, in local row order) and is fetched once at
-// connect time to build the dense per-node metadata the searcher reads
-// without row fetches.
+// RowFetcher is the row-granular half of Transport, named so decorators can
+// hold it on its own. Like Multiply, FetchRows is a pure function of its
+// inputs and safe to retry; OutDegrees is the row-granular analogue of OutSums
+// (the out-degrees of the worker's owned rows, in local row order) and is
+// fetched once at connect time to build the dense per-node metadata the
+// searcher reads without row fetches.
 type RowFetcher interface {
 	FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error)
 	OutDegrees(ctx context.Context) ([]int32, error)
@@ -57,23 +55,21 @@ type RowFetcher interface {
 // expansion wave's misses for one stripe stay far below it.
 const MaxRowFetchNodes = 1 << 20
 
-// FetchRows implements the worker side of RowFetcher.FetchRows for the sole
-// stripe; see FetchRowsAt.
-func (w *Worker) FetchRows(graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	return w.FetchRowsAt(AnyStripe, graphSum, nodes)
-}
-
-// FetchRowsAt serves every requested row from one consistent snapshot of the
-// stripe at index. graphSum pins the source graph like Multiply's; a node not
-// owned by the stripe is a caller bug and fails the batch. The returned
-// slices alias the stripe's arrays.
-func (w *Worker) FetchRowsAt(index int, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
+// FetchRows is the worker side of RowFetcher.FetchRows: every requested row
+// from one consistent snapshot of the stripe at index. graphSum pins the
+// source graph like Multiply's; a node not owned by the stripe is a caller bug
+// and fails the batch. The returned slices alias the stripe's arrays.
+func (w *Worker) FetchRows(index int, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	s, err := w.stripeFor(index)
 	if err != nil {
 		return RowBatch{}, err
 	}
-	if s.graphSum != graphSum {
-		return RowBatch{}, fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.graphSum, graphSum)
+	return s.fetchRows(graphSum, nodes)
+}
+
+func (s *Stripe) fetchRows(graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
+	if err := s.pinned(graphSum); err != nil {
+		return RowBatch{}, err
 	}
 	if len(nodes) > MaxRowFetchNodes {
 		return RowBatch{}, fmt.Errorf("distributed: row fetch asks for %d rows, cap is %d", len(nodes), MaxRowFetchNodes)
@@ -92,22 +88,22 @@ func (w *Worker) FetchRowsAt(index int, graphSum uint32, nodes []graph.NodeID) (
 	return batch, nil
 }
 
-// OutDegrees implements the worker side of RowFetcher.OutDegrees for the sole
-// stripe; see OutDegreesAt.
-func (w *Worker) OutDegrees() ([]int32, error) { return w.OutDegreesAt(AnyStripe) }
-
-// OutDegreesAt returns the out-degree of every node owned by the stripe at
-// index, indexed by local row.
-func (w *Worker) OutDegreesAt(index int) ([]int32, error) {
+// OutDegrees is the worker side of RowFetcher.OutDegrees: the out-degree of
+// every node owned by the stripe at index, indexed by local row.
+func (w *Worker) OutDegrees(index int) ([]int32, error) {
 	s, err := w.stripeFor(index)
 	if err != nil {
 		return nil, err
 	}
+	return s.outDegrees(), nil
+}
+
+func (s *Stripe) outDegrees() []int32 {
 	out := make([]int32, s.rows)
-	for r := 0; r < s.rows; r++ {
+	for r := range out {
 		out[r] = int32(s.out.RowPtr[r+1] - s.out.RowPtr[r])
 	}
-	return out, nil
+	return out
 }
 
 // Row-fetch wire format (all little-endian). Request body: the node IDs as a
@@ -255,96 +251,57 @@ func decodeRowBatch(raw []byte) (RowBatch, error) {
 	return batch, nil
 }
 
-// handleRows serves POST /v1/rows: a batched row fetch against the installed
-// stripe. The optional graph parameter pins the stripe's source graph like
-// /v1/multiply's; ad-hoc callers that omit it accept whatever is installed.
-func (w *Worker) handleRows(rw http.ResponseWriter, r *http.Request) {
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s, err := w.stripeFor(index)
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
-	}
-	graphSum := s.graphSum
-	if gp := r.URL.Query().Get("graph"); gp != "" {
-		v, err := strconv.ParseUint(gp, 10, 32)
-		if err != nil {
-			workerError(rw, http.StatusBadRequest, "distributed: invalid graph fingerprint %q", gp)
-			return
-		}
-		graphSum = uint32(v)
-	}
+// handleRows serves POST /v1/rows: a batched row fetch against the addressed
+// stripe, pinned like /v1/multiply.
+func handleRows(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error {
 	raw, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, MaxRowFetchNodes*4+1))
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "distributed: read rows request: %v", err)
-		return
+		return fmt.Errorf("distributed: read rows request: %v", err)
 	}
 	if len(raw)%4 != 0 {
-		workerError(rw, http.StatusBadRequest, "distributed: rows request is %d bytes, not an int32 array", len(raw))
-		return
+		return fmt.Errorf("distributed: rows request is %d bytes, not an int32 array", len(raw))
 	}
 	nodes := make([]graph.NodeID, len(raw)/4)
 	for i := range nodes {
 		nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*4:]))
 	}
-	batch, err := w.FetchRowsAt(s.Index, graphSum, nodes)
+	batch, err := s.fetchRows(graphSum, nodes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrStripeReplaced) {
-			status = http.StatusConflict
-		}
-		workerError(rw, status, "%v", err)
-		return
+		return err
 	}
-	body := appendRowBatch(make([]byte, 0, rowBatchSize(batch)), batch)
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = rw.Write(body)
+	workerBinary(rw, appendRowBatch(make([]byte, 0, rowBatchSize(batch)), batch))
+	return nil
 }
 
 // handleOutDegs serves GET /v1/outdegs: the out-degrees of the owned rows as
 // a raw little-endian int32 array.
-func (w *Worker) handleOutDegs(rw http.ResponseWriter, r *http.Request) {
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	degs, err := w.OutDegreesAt(index)
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
-	}
+func handleOutDegs(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32) error {
+	degs := s.outDegrees()
 	buf := make([]byte, 0, len(degs)*4)
 	for _, d := range degs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	_, _ = rw.Write(buf)
+	workerBinary(rw, buf)
+	return nil
 }
 
-// FetchRows implements RowFetcher for the in-process transport.
+// FetchRows implements Transport.
 func (l *Loopback) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	if err := ctx.Err(); err != nil {
 		return RowBatch{}, err
 	}
-	return l.w.FetchRowsAt(l.index, graphSum, nodes)
+	return l.w.FetchRows(l.index, graphSum, nodes)
 }
 
-// OutDegrees implements RowFetcher for the in-process transport.
+// OutDegrees implements Transport.
 func (l *Loopback) OutDegrees(ctx context.Context) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.w.OutDegreesAt(l.index)
+	return l.w.OutDegrees(l.index)
 }
 
-// FetchRows implements RowFetcher over the gpserver wire protocol.
+// FetchRows implements Transport.
 func (t *HTTPTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	req := appendNodeIDs(make([]byte, 0, len(nodes)*4), nodes)
 	path := t.withStripe(fmt.Sprintf("/v1/rows?graph=%d", graphSum))
@@ -364,7 +321,7 @@ func (t *HTTPTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []
 	return batch, nil
 }
 
-// OutDegrees implements RowFetcher over the gpserver wire protocol.
+// OutDegrees implements Transport.
 func (t *HTTPTransport) OutDegrees(ctx context.Context) ([]int32, error) {
 	body, err := t.do(ctx, http.MethodGet, t.withStripe("/v1/outdegs"), nil, "")
 	if err != nil {

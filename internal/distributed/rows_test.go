@@ -3,6 +3,7 @@ package distributed
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -32,12 +33,11 @@ func TestFetchRowsMatchesStripe(t *testing.T) {
 				fp := graph.GraphFingerprint(g)
 				out, in := g.OutCSR(), g.InCSR()
 				for i, tr := range ts {
-					f := tr.(RowFetcher)
 					var owned []graph.NodeID
 					for v := i; v < g.NumNodes(); v += workers {
 						owned = append(owned, graph.NodeID(v))
 					}
-					batch, err := f.FetchRows(ctx, fp, owned)
+					batch, err := tr.FetchRows(ctx, fp, owned)
 					if err != nil {
 						t.Fatalf("%s/%s w%d stripe %d: FetchRows: %v", name, mode, workers, i, err)
 					}
@@ -99,7 +99,7 @@ func TestOutDegreesRoundTrip(t *testing.T) {
 			ts = httpWorkers(t, g, 2, nil)
 		}
 		for i, tr := range ts {
-			degs, err := tr.(RowFetcher).OutDegrees(ctx)
+			degs, err := tr.OutDegrees(ctx)
 			if err != nil {
 				t.Fatalf("%s stripe %d: OutDegrees: %v", mode, i, err)
 			}
@@ -125,19 +125,19 @@ func TestFetchRowsErrors(t *testing.T) {
 	fp := graph.GraphFingerprint(g)
 
 	// Unowned node: stripe 0 of 2 owns even nodes only.
-	if _, err := w.FetchRows(fp, []graph.NodeID{1}); err == nil {
+	if _, err := w.FetchRows(AnyStripe, fp, []graph.NodeID{1}); err == nil {
 		t.Errorf("unowned node accepted")
 	}
 	// Stale graph pin: replaced-stripe classification, not transient.
-	_, err = w.FetchRows(fp+1, []graph.NodeID{0})
+	_, err = w.FetchRows(AnyStripe, fp+1, []graph.NodeID{0})
 	if err == nil || !strings.Contains(err.Error(), "stripe has") {
 		t.Errorf("stale pin accepted (err=%v)", err)
 	}
 	// Empty worker.
-	if _, err := NewWorker(nil).FetchRows(fp, []graph.NodeID{0}); err == nil {
+	if _, err := NewWorker(nil).FetchRows(AnyStripe, fp, []graph.NodeID{0}); err == nil {
 		t.Errorf("empty worker served rows")
 	}
-	if _, err := NewWorker(nil).OutDegrees(); err == nil {
+	if _, err := NewWorker(nil).OutDegrees(AnyStripe); err == nil {
 		t.Errorf("empty worker served out-degrees")
 	}
 }
@@ -177,7 +177,7 @@ func TestRowsHTTPErrors(t *testing.T) {
 	}
 	// The transport surfaces the stale pin as a replaced-stripe error, which
 	// must not be classified transient (retry cannot help).
-	if _, err := ts[0].(RowFetcher).FetchRows(context.Background(), s.GraphFingerprint()+1, []graph.NodeID{0}); err == nil || IsTransient(err) {
+	if _, err := ts[0].FetchRows(context.Background(), s.GraphFingerprint()+1, []graph.NodeID{0}); err == nil || IsTransient(err) {
 		t.Errorf("stale pin over HTTP: err=%v, want permanent replaced-stripe error", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestRowFetchTransientClassification(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	})
-	f := ts[0].(RowFetcher)
+	f := ts[0]
 	ctx := context.Background()
 	fp := graph.GraphFingerprint(g)
 
@@ -273,11 +273,66 @@ func TestRowFetchTransientClassification(t *testing.T) {
 		t.Fatalf("recovered fetch returned %+v", batch.Rows)
 	}
 	// A dead port is transient too (connection refused is retryable).
-	dead := NewHTTPTransport("http://127.0.0.1:1", nil)
+	dead := NewHTTPTransport("http://127.0.0.1:1")
 	if _, err := dead.FetchRows(ctx, fp, []graph.NodeID{0}); err == nil || !IsTransient(err) {
 		t.Fatalf("connection refused on rows: err=%v, want transient", err)
 	}
 	if _, err := dead.OutDegrees(ctx); err == nil || !IsTransient(err) {
 		t.Fatalf("connection refused on outdegs: err=%v, want transient", err)
 	}
+}
+
+// FuzzDecodeRowBatch throws arbitrary bytes at the row-batch decoder, the one
+// coordinator-side decoder a worker's reply reaches: it must never panic, a
+// forged row count must fail before anything is sized by it, and whatever it
+// accepts is accounted for byte by byte — it re-encodes to the very input,
+// which is also what rowBatchSize predicts, so no slice outgrew the bytes that
+// declared it.
+func FuzzDecodeRowBatch(f *testing.F) {
+	seed := func(b RowBatch) {
+		enc := appendRowBatch(nil, b)
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		f.Add(enc[:len(enc)-1])
+	}
+	seed(RowBatch{Epoch: 3, Content: 0xfeed}) // empty batch
+	for _, g := range []*graph.Graph{testgraphs.Line(9), testgraphs.Star(7)} {
+		// Line's last node is dangling; Star's node 0 is the hub.
+		s, err := BuildStripe(g, 0, 1)
+		if err != nil {
+			f.Fatalf("BuildStripe: %v", err)
+		}
+		batch, err := NewWorker(s).FetchRows(AnyStripe, s.GraphFingerprint(), []graph.NodeID{0, graph.NodeID(g.NumNodes() - 1)})
+		if err != nil {
+			f.Fatalf("FetchRows: %v", err)
+		}
+		seed(batch)
+	}
+	forged := appendRowBatch(nil, RowBatch{Rows: []RowData{{Node: 1, OutSum: 1}}})
+	binary.LittleEndian.PutUint32(forged[12:], 0xffffffff) // row count
+	f.Add(append([]byte(nil), forged...))
+	binary.LittleEndian.PutUint32(forged[12:], 1)
+	binary.LittleEndian.PutUint32(forged[28:], 0xffffffff) // out-degree
+	f.Add(append([]byte(nil), forged...))
+	binary.LittleEndian.PutUint32(forged[28:], 0)
+	binary.LittleEndian.PutUint32(forged[32:], 0xffffffff) // in-degree
+	f.Add(forged)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, err := decodeRowBatch(data)
+		if len(data) >= 16 {
+			if count := int(binary.LittleEndian.Uint32(data[12:])); count*20 > len(data)-16 && err == nil {
+				t.Fatalf("%d-byte body accepted with a declared row count of %d", len(data), count)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if size := rowBatchSize(batch); size != len(data) {
+			t.Fatalf("rowBatchSize %d for an accepted %d-byte body", size, len(data))
+		}
+		if enc := appendRowBatch(nil, batch); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted body does not re-encode byte for byte")
+		}
+	})
 }

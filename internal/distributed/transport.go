@@ -73,13 +73,15 @@ type WorkerInfo struct {
 	InEdges  int `json:"in_edges"`
 }
 
-// Transport is one coordinator-side connection to a worker serving a stripe.
-// Multiply is a pure function of its inputs (the worker keeps no per-query
-// state), so every call is idempotent and safe to retry; the coordinator
-// relies on this when it retries transient failures mid-query.
+// Transport is one coordinator-side connection to a worker serving a stripe:
+// the whole query-time worker protocol. Every call is a pure function of its
+// inputs (the worker keeps no per-query state), so every call is idempotent
+// and safe to retry; the Fleet relies on this when it retries transient
+// failures mid-query.
 //
-// Two implementations exist: Loopback (in-process, for tests and single-host
-// deployments) and HTTPTransport (the gpserver wire protocol).
+// Loopback (in-process, for tests and single-host deployments) and
+// HTTPTransport (the gpserver wire protocol) reach a worker; ReplicaSet and
+// chaos.Transport decorate other transports.
 type Transport interface {
 	// Info returns the stripe topology the worker serves.
 	Info(ctx context.Context) (WorkerInfo, error)
@@ -92,38 +94,31 @@ type Transport interface {
 	// from a different graph, so a mid-lifetime redeploy fails loudly
 	// instead of silently mixing graphs.
 	Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error)
+	// RowFetcher is the row-granular half of the protocol (rows.go).
+	RowFetcher
 	// Close releases the connection; the Transport is unusable afterwards.
 	Close() error
 }
 
-// StripeSender is implemented by transports that can install a stripe on
-// their worker (the gpserver "receive a stripe" deployment mode).
-type StripeSender interface {
-	// SendStripe ships the stripe to the worker, replacing whatever it served.
+// StripeInstaller is the deploy-time half of the worker protocol, implemented
+// by transports that reach one worker (Loopback, HTTPTransport) and not by a
+// ReplicaSet, which cannot receive a stripe: it is the one optional
+// capability, asserted by EnsureStripe and fleet reconciliation.
+type StripeInstaller interface {
+	// SendStripe ships the stripe to the worker, replacing whatever it served
+	// under that stripe index.
 	SendStripe(ctx context.Context, s *Stripe) error
-}
-
-// StripeRetagger is implemented by transports whose worker can rebind its
-// served stripe to a new source-graph identity without re-receiving the
-// payload. After a Commit, stripes whose rows the delta did not touch have
-// identical payloads under the new graph — only the graph fingerprint and
-// epoch moved — so the redeploy retags them in one tiny RPC instead of
-// shipping megabytes of unchanged CSR arrays.
-type StripeRetagger interface {
 	// RetagStripe rebinds the worker's stripe to the given graph fingerprint
-	// and epoch, provided the served payload's content fingerprint equals
-	// content; a mismatch (or an empty worker) fails without side effects and
-	// the caller falls back to SendStripe.
+	// and epoch without re-receiving the payload, provided the served
+	// payload's content fingerprint equals content; a mismatch (or an empty
+	// worker) fails without side effects and the caller falls back to
+	// SendStripe. After a Commit, stripes whose rows the delta did not touch
+	// have identical payloads under the new graph, so the redeploy retags them
+	// in one tiny RPC instead of shipping megabytes of unchanged CSR arrays.
 	RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error
-}
-
-// StripeRemover is implemented by transports whose worker can uninstall its
-// served stripe. Fleet rebalancing uses it when placement moves a stripe off
-// a member: the payload is dropped so the member stops answering (and paying
-// memory) for rows it no longer owns.
-type StripeRemover interface {
 	// RemoveStripe uninstalls the transport's bound stripe (or the worker's
-	// sole stripe for an unbound transport). Removing a stripe the worker does
+	// sole stripe for an unbound transport); fleet rebalancing calls it when
+	// placement moves a stripe off a member. Removing a stripe the worker does
 	// not serve is an error.
 	RemoveStripe(ctx context.Context) error
 }
@@ -211,7 +206,7 @@ func (l *Loopback) Info(ctx context.Context) (WorkerInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return WorkerInfo{}, err
 	}
-	return l.w.InfoAt(l.index)
+	return l.w.Info(l.index)
 }
 
 // OutSums implements Transport.
@@ -219,7 +214,7 @@ func (l *Loopback) OutSums(ctx context.Context) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.w.OutSumsAt(l.index)
+	return l.w.OutSums(l.index)
 }
 
 // Multiply implements Transport.
@@ -227,10 +222,10 @@ func (l *Loopback) Multiply(ctx context.Context, dir Direction, graphSum uint32,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.w.MultiplyAt(l.index, dir, graphSum, x)
+	return l.w.Multiply(l.index, dir, graphSum, x)
 }
 
-// SendStripe implements StripeSender.
+// SendStripe implements StripeInstaller.
 func (l *Loopback) SendStripe(ctx context.Context, s *Stripe) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -239,24 +234,21 @@ func (l *Loopback) SendStripe(ctx context.Context, s *Stripe) error {
 	return nil
 }
 
-// RetagStripe implements StripeRetagger.
+// RetagStripe implements StripeInstaller.
 func (l *Loopback) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, err := l.w.RetagAt(l.index, graphSum, epoch, content)
+	_, err := l.w.Retag(l.index, graphSum, epoch, content)
 	return err
 }
 
-// RemoveStripe implements StripeRemover.
+// RemoveStripe implements StripeInstaller.
 func (l *Loopback) RemoveStripe(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !l.w.RemoveStripe(l.index) {
-		return fmt.Errorf("distributed: no stripe %d to remove", l.index)
-	}
-	return nil
+	return l.w.RemoveStripe(l.index)
 }
 
 // Close implements Transport; loopback transports hold no resources.

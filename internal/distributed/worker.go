@@ -48,38 +48,17 @@ func (w *Worker) SetStripe(s *Stripe) {
 	w.mu.Unlock()
 }
 
-// RemoveStripe uninstalls the stripe at index (AnyStripe removes the sole
-// served stripe) and reports whether a stripe was removed. A fleet manager
-// calls it when rebalancing moves a stripe off this member.
-func (w *Worker) RemoveStripe(index int) bool {
+// RemoveStripe uninstalls the stripe the selector resolves to; removing a
+// stripe the worker does not serve is an error. A fleet manager calls it when
+// rebalancing moves a stripe off this member.
+func (w *Worker) RemoveStripe(index int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if index == AnyStripe {
-		if len(w.stripes) != 1 {
-			return false
-		}
-		for i := range w.stripes {
-			index = i
-		}
+	s, err := w.stripeForLocked(index)
+	if err != nil {
+		return err
 	}
-	if _, ok := w.stripes[index]; !ok {
-		return false
-	}
-	delete(w.stripes, index)
-	return true
-}
-
-// Stripe returns the sole served stripe, or nil when the worker is empty or
-// serves several stripes (address those with StripeAt).
-func (w *Worker) Stripe() *Stripe {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if len(w.stripes) != 1 {
-		return nil
-	}
-	for _, s := range w.stripes {
-		return s
-	}
+	delete(w.stripes, s.Index)
 	return nil
 }
 
@@ -141,20 +120,14 @@ func (w *Worker) stripeForLocked(index int) (*Stripe, error) {
 	return nil, fmt.Errorf("distributed: worker serves %d stripes, select one with the stripe parameter", len(w.stripes))
 }
 
-// Retag rebinds the sole served stripe to a new source-graph identity; see
-// RetagAt.
-func (w *Worker) Retag(graphSum uint32, epoch uint64, content uint32) (WorkerInfo, error) {
-	return w.RetagAt(AnyStripe, graphSum, epoch, content)
-}
-
-// RetagAt rebinds the served stripe at index to a new source-graph identity
+// Retag rebinds the served stripe at index to a new source-graph identity
 // (fingerprint and epoch) without replacing its payload. The served payload's
 // content fingerprint must equal content; otherwise the call fails with
 // ErrContentMismatch and the stripe is left untouched. The rebind installs a
 // fresh Stripe value, so in-flight multiplies keep their consistent snapshot
 // (and fail their pinned-fingerprint check on the next call, as with a full
 // replacement).
-func (w *Worker) RetagAt(index int, graphSum uint32, epoch uint64, content uint32) (WorkerInfo, error) {
+func (w *Worker) Retag(index int, graphSum uint32, epoch uint64, content uint32) (WorkerInfo, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s, err := w.stripeForLocked(index)
@@ -185,52 +158,23 @@ func (s *Stripe) info() WorkerInfo {
 	}
 }
 
-// Info implements the worker side of Transport.Info for the sole stripe.
-func (w *Worker) Info() (WorkerInfo, error) { return w.InfoAt(AnyStripe) }
-
-// InfoAt returns the wire metadata of the stripe at index.
-func (w *Worker) InfoAt(index int) (WorkerInfo, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return WorkerInfo{}, err
-	}
-	return s.info(), nil
-}
-
-// OutSums implements the worker side of Transport.OutSums for the sole
-// stripe; see OutSumsAt.
-func (w *Worker) OutSums() ([]float64, error) { return w.OutSumsAt(AnyStripe) }
-
-// OutSumsAt returns the out-weight sums of the owned rows of the stripe at
-// index. The result is a copy; callers may keep it.
-func (w *Worker) OutSumsAt(index int) ([]float64, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), s.OutSums()...), nil
-}
-
-// Multiply implements the worker side of Transport.Multiply for the sole
-// stripe; see MultiplyAt.
-func (w *Worker) Multiply(dir Direction, graphSum uint32, x []float64) ([]float64, error) {
-	return w.MultiplyAt(AnyStripe, dir, graphSum, x)
-}
-
-// MultiplyAt gathers over one consistent snapshot of the stripe at index.
-// graphSum must match the snapshot's graph fingerprint: it pins the graph the
-// caller validated at connect time, so a stripe replaced mid-lifetime with
-// one from a different graph fails the call instead of producing silently
-// mixed results.
-func (w *Worker) MultiplyAt(index int, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return nil, err
-	}
+// pinned checks the graph fingerprint a caller validated at connect time
+// against the stripe's: a stripe replaced mid-lifetime with one from a
+// different graph fails the call instead of producing silently mixed results.
+func (s *Stripe) pinned(graphSum uint32) error {
 	if s.graphSum != graphSum {
-		return nil, fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.graphSum, graphSum)
+		return fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.graphSum, graphSum)
 	}
-	dst := make([]float64, s.OwnedNodes())
+	return nil
+}
+
+// gather is one multiply RPC over this stripe snapshot.
+func (s *Stripe) gather(dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+	if err := s.pinned(graphSum); err != nil {
+		return nil, err
+	}
+	dst := make([]float64, s.rows)
+	var err error
 	switch dir {
 	case DirIn:
 		err = s.MultiplyIn(x, dst)
@@ -243,6 +187,37 @@ func (w *Worker) MultiplyAt(index int, dir Direction, graphSum uint32, x []float
 		return nil, err
 	}
 	return dst, nil
+}
+
+// Info is the worker side of Transport.Info: the wire metadata of the stripe
+// at index.
+func (w *Worker) Info(index int) (WorkerInfo, error) {
+	s, err := w.stripeFor(index)
+	if err != nil {
+		return WorkerInfo{}, err
+	}
+	return s.info(), nil
+}
+
+// OutSums is the worker side of Transport.OutSums: the out-weight sums of the
+// owned rows of the stripe at index. The result is a copy; callers may keep it.
+func (w *Worker) OutSums(index int) ([]float64, error) {
+	s, err := w.stripeFor(index)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), s.OutSums()...), nil
+}
+
+// Multiply is the worker side of Transport.Multiply: it gathers over one
+// consistent snapshot of the stripe at index, whose graph fingerprint must
+// equal graphSum.
+func (w *Worker) Multiply(index int, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+	s, err := w.stripeFor(index)
+	if err != nil {
+		return nil, err
+	}
+	return s.gather(dir, graphSum, x)
 }
 
 // MaxStripeUploadBytes caps the body of the stripe-install endpoint.
@@ -271,28 +246,57 @@ const MaxStripeUploadBytes = 4 << 30
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", w.handleHealthz)
-	mux.HandleFunc("GET /v1/info", w.handleInfo)
-	mux.HandleFunc("GET /v1/outsums", w.handleOutSums)
-	mux.HandleFunc("GET /v1/outdegs", w.handleOutDegs)
-	mux.HandleFunc("POST /v1/multiply", w.handleMultiply)
-	mux.HandleFunc("POST /v1/rows", w.handleRows)
+	mux.HandleFunc("GET /v1/info", w.perStripe(handleInfo))
+	mux.HandleFunc("GET /v1/outsums", w.perStripe(handleOutSums))
+	mux.HandleFunc("GET /v1/outdegs", w.perStripe(handleOutDegs))
+	mux.HandleFunc("POST /v1/multiply", w.perStripe(handleMultiply))
+	mux.HandleFunc("POST /v1/rows", w.perStripe(handleRows))
 	mux.HandleFunc("POST /v1/stripe", w.handleInstallStripe)
-	mux.HandleFunc("POST /v1/stripe/retag", w.handleRetagStripe)
-	mux.HandleFunc("DELETE /v1/stripe", w.handleRemoveStripe)
+	mux.HandleFunc("POST /v1/stripe/retag", w.perStripe(w.handleRetagStripe))
+	mux.HandleFunc("DELETE /v1/stripe", w.perStripe(w.handleRemoveStripe))
 	return mux
 }
 
-// stripeParam parses the optional ?stripe=N selector (AnyStripe when absent).
-func stripeParam(r *http.Request) (int, error) {
-	sp := r.URL.Query().Get("stripe")
-	if sp == "" {
-		return AnyStripe, nil
+// perStripe adapts one per-stripe RPC to HTTP, the one place a request is
+// addressed and a failure becomes a status: it resolves the optional ?stripe=N
+// selector (AnyStripe when absent) to a stripe snapshot and the optional
+// ?graph=F pin to a fingerprint (the snapshot's own when absent: ad-hoc callers
+// accept whatever is installed), and answers 409 when the worker's state is
+// what refuses the call — no such stripe, a replaced stripe, a content
+// mismatch — and 400 for everything else.
+func (w *Worker) perStripe(rpc func(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		index := AnyStripe
+		if sp := r.URL.Query().Get("stripe"); sp != "" {
+			v, err := strconv.Atoi(sp)
+			if err != nil || v < 0 {
+				workerError(rw, http.StatusBadRequest, "distributed: invalid stripe selector %q", sp)
+				return
+			}
+			index = v
+		}
+		s, err := w.stripeFor(index)
+		if err != nil {
+			workerError(rw, http.StatusConflict, "%v", err)
+			return
+		}
+		graphSum := s.graphSum
+		if gp := r.URL.Query().Get("graph"); gp != "" {
+			v, err := strconv.ParseUint(gp, 10, 32)
+			if err != nil {
+				workerError(rw, http.StatusBadRequest, "distributed: invalid graph fingerprint %q", gp)
+				return
+			}
+			graphSum = uint32(v)
+		}
+		if err := rpc(rw, r, s, graphSum); err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, errNoStripe) || errors.Is(err, ErrStripeReplaced) || errors.Is(err, ErrContentMismatch) {
+				status = http.StatusConflict
+			}
+			workerError(rw, status, "%v", err)
+		}
 	}
-	v, err := strconv.Atoi(sp)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("distributed: invalid stripe selector %q", sp)
-	}
-	return v, nil
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
@@ -327,113 +331,52 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	workerJSON(rw, http.StatusOK, resp)
 }
 
-func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	info, err := w.InfoAt(index)
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
-	}
-	workerJSON(rw, http.StatusOK, info)
+func handleInfo(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32) error {
+	workerJSON(rw, http.StatusOK, s.info())
+	return nil
 }
 
-func (w *Worker) handleOutSums(rw http.ResponseWriter, r *http.Request) {
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sums, err := w.OutSumsAt(index)
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(sums)*8))
-	_, _ = rw.Write(AppendVector(make([]byte, 0, len(sums)*8), sums))
+func handleOutSums(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32) error {
+	sums := s.OutSums()
+	workerBinary(rw, AppendVector(make([]byte, 0, len(sums)*8), sums))
+	return nil
 }
 
-func (w *Worker) handleMultiply(rw http.ResponseWriter, r *http.Request) {
+func handleMultiply(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error {
 	dir, err := ParseDirection(r.URL.Query().Get("dir"))
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s, err := w.stripeFor(index)
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
-	}
-	// The optional graph parameter pins the stripe's source graph; callers
-	// that omit it (ad-hoc curl) accept whatever stripe is installed.
-	graphSum := s.graphSum
-	if gp := r.URL.Query().Get("graph"); gp != "" {
-		v, err := strconv.ParseUint(gp, 10, 32)
-		if err != nil {
-			workerError(rw, http.StatusBadRequest, "distributed: invalid graph fingerprint %q", gp)
-			return
-		}
-		graphSum = uint32(v)
+		return err
 	}
 	// The input is the full iteration vector: exactly NumNodes entries.
 	body := http.MaxBytesReader(rw, r.Body, int64(s.NumNodes)*8+1)
 	x, err := ReadVector(body, s.NumNodes, nil)
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
+		return err
 	}
-	if extra := make([]byte, 1); readsOneByte(body, extra) {
-		workerError(rw, http.StatusBadRequest, "distributed: multiply body longer than %d entries", s.NumNodes)
-		return
+	if n, _ := body.Read(make([]byte, 1)); n > 0 {
+		return fmt.Errorf("distributed: multiply body longer than %d entries", s.NumNodes)
 	}
-	out, err := w.MultiplyAt(s.Index, dir, graphSum, x)
+	out, err := s.gather(dir, graphSum, x)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrStripeReplaced) {
-			status = http.StatusConflict
-		}
-		workerError(rw, status, "%v", err)
-		return
+		return err
 	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(out)*8))
-	_, _ = rw.Write(AppendVector(make([]byte, 0, len(out)*8), out))
+	workerBinary(rw, AppendVector(make([]byte, 0, len(out)*8), out))
+	return nil
 }
 
-func readsOneByte(r interface{ Read([]byte) (int, error) }, buf []byte) bool {
-	n, _ := r.Read(buf)
-	return n > 0
-}
-
-func (w *Worker) handleRetagStripe(rw http.ResponseWriter, r *http.Request) {
+func (w *Worker) handleRetagStripe(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error {
 	q := r.URL.Query()
-	graphSum, err1 := strconv.ParseUint(q.Get("graph"), 10, 32)
-	epoch, err2 := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	content, err3 := strconv.ParseUint(q.Get("content"), 10, 32)
-	if err1 != nil || err2 != nil || err3 != nil {
-		workerError(rw, http.StatusBadRequest, "distributed: retag needs numeric graph, epoch and content parameters")
-		return
+	epoch, err1 := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	content, err2 := strconv.ParseUint(q.Get("content"), 10, 32)
+	if !q.Has("graph") || err1 != nil || err2 != nil {
+		return fmt.Errorf("distributed: retag needs numeric graph, epoch and content parameters")
 	}
-	index, err := stripeParam(r)
+	info, err := w.Retag(s.Index, graphSum, epoch, uint32(content))
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	info, err := w.RetagAt(index, uint32(graphSum), epoch, uint32(content))
-	if err != nil {
-		workerError(rw, http.StatusConflict, "%v", err)
-		return
+		return err
 	}
 	workerJSON(rw, http.StatusOK, info)
+	return nil
 }
 
 func (w *Worker) handleInstallStripe(rw http.ResponseWriter, r *http.Request) {
@@ -446,23 +389,24 @@ func (w *Worker) handleInstallStripe(rw http.ResponseWriter, r *http.Request) {
 	workerJSON(rw, http.StatusOK, s.info())
 }
 
-func (w *Worker) handleRemoveStripe(rw http.ResponseWriter, r *http.Request) {
-	index, err := stripeParam(r)
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !w.RemoveStripe(index) {
-		workerError(rw, http.StatusConflict, "distributed: no such stripe to remove")
-		return
+func (w *Worker) handleRemoveStripe(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32) error {
+	if err := w.RemoveStripe(s.Index); err != nil {
+		return err
 	}
 	workerJSON(rw, http.StatusOK, map[string]any{"removed": true})
+	return nil
 }
 
 func workerJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
 	_ = json.NewEncoder(rw).Encode(v)
+}
+
+func workerBinary(rw http.ResponseWriter, body []byte) {
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = rw.Write(body)
 }
 
 func workerError(rw http.ResponseWriter, status int, format string, args ...any) {

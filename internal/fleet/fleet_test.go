@@ -350,11 +350,9 @@ func TestManagerCoordinatorParityThroughFleet(t *testing.T) {
 	if _, err := m.Reconcile(ctx, g); err != nil {
 		t.Fatalf("Reconcile: %v", err)
 	}
-	c, err := distributed.NewCoordinator(ctx, m.Transports(), nil)
-	if err != nil {
-		t.Fatalf("NewCoordinator over fleet groups: %v", err)
+	if _, err := distributed.Connect(ctx, m.Transports(), nil); err != nil {
+		t.Fatalf("Connect over fleet groups: %v", err)
 	}
-	defer c.Close()
 }
 
 func TestManagerNoMembers(t *testing.T) {

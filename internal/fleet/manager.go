@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
@@ -23,9 +22,6 @@ type ManagerOptions struct {
 	// Replication is the replica count per stripe (default 2). Fewer live
 	// members than Replication degrades gracefully.
 	Replication int
-	// HedgeDelay arms hedged row fetches on the replica groups (see
-	// distributed.NewReplicaSet); zero disables hedging.
-	HedgeDelay time.Duration
 	// Dial opens member transports (default: the gpserver HTTP protocol).
 	Dial Dialer
 	// Table tunes the membership table's liveness thresholds.
@@ -77,7 +73,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 	}
 	if opts.Dial == nil {
 		opts.Dial = func(addr string, stripe int) distributed.Transport {
-			return distributed.NewHTTPTransport(addr, nil).ForStripe(stripe)
+			return distributed.NewHTTPTransport(addr).ForStripe(stripe)
 		}
 	}
 	m := &Manager{
@@ -89,7 +85,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 		assigned: make(map[string]map[int]bool),
 	}
 	for i := range m.groups {
-		m.groups[i] = distributed.NewReplicaSet(nil, opts.HedgeDelay)
+		m.groups[i] = distributed.NewReplicaSet(nil)
 	}
 	return m, nil
 }
@@ -114,14 +110,12 @@ func (m *Manager) Transports() []distributed.Transport {
 	return out
 }
 
-// Failovers sums the replica groups' failover counters; Hedges their fired
-// hedges.
-func (m *Manager) Failovers() (failovers, hedges int64) {
+// Failovers sums the replica groups' failover counters.
+func (m *Manager) Failovers() (failovers int64) {
 	for _, g := range m.groups {
 		failovers += g.Failovers()
-		hedges += g.Hedges()
 	}
-	return failovers, hedges
+	return failovers
 }
 
 // ErrNoMembers reports a reconcile with nothing to place on.
@@ -228,10 +222,8 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 			if newAssigned[id][i] {
 				continue
 			}
-			if rem, ok := m.conn(id, mem.Addr, i).(distributed.StripeRemover); ok {
-				if err := rem.RemoveStripe(ctx); err == nil {
-					st.Removed++
-				}
+			if inst, ok := m.conn(id, mem.Addr, i).(distributed.StripeInstaller); ok && inst.RemoveStripe(ctx) == nil {
+				st.Removed++
 			}
 		}
 	}

@@ -247,7 +247,10 @@ func regularizedIncompleteBeta(a, b, x float64) float64 {
 	if x >= 1 {
 		return 1
 	}
-	lnBeta := lgamma(a) + lgamma(b) - lgamma(a+b)
+	la, _ := math.Lgamma(a)
+	lb, _ := math.Lgamma(b)
+	lab, _ := math.Lgamma(a + b)
+	lnBeta := la + lb - lab
 	front := math.Exp(a*math.Log(x)+b*math.Log(1-x)-lnBeta) / a
 	if x > (a+1)/(a+b+2) {
 		// Use the symmetry relation for faster convergence.
@@ -294,9 +297,4 @@ func regularizedIncompleteBeta(a, b, x float64) float64 {
 		}
 	}
 	return front * result
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }

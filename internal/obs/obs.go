@@ -47,9 +47,10 @@ const (
 type child struct {
 	labels string // preformatted, e.g. `path="/rank",code="200"`; may be empty
 	c      *Counter
-	h      *Histogram
-	ch     *CountHistogram
-	fn     func() float64 // callback gauges / counters
+	h      interface { // either histogram kind
+		write(b *strings.Builder, name, labels string)
+	}
+	fn func() float64 // callback gauges / counters
 }
 
 // family is one metric name: its help, type and labeled children.
@@ -128,7 +129,7 @@ func (r *Registry) Histogram(name, help, labels string) *Histogram {
 // set.
 func (r *Registry) CountHistogram(name, help, labels string) *CountHistogram {
 	h := &CountHistogram{}
-	r.register(name, help, kindHistogram, &child{labels: labels, ch: h})
+	r.register(name, help, kindHistogram, &child{labels: labels, h: h})
 	return h
 }
 
@@ -155,8 +156,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			switch {
 			case ch.h != nil:
 				ch.h.write(&b, name, ch.labels)
-			case ch.ch != nil:
-				ch.ch.write(&b, name, ch.labels)
 			case ch.c != nil:
 				writeSample(&b, name, ch.labels, float64(ch.c.Value()))
 			default:

@@ -29,14 +29,14 @@ func TestBucketFor(t *testing.T) {
 		{time.Hour, NumBuckets},
 	}
 	for _, c := range cases {
-		if got := bucketFor(c.d); got != c.want {
+		if got := bucketFor(c.d.Microseconds(), NumBuckets); got != c.want {
 			t.Errorf("bucketFor(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
 	// Every finite bucket bound must map into its own bucket (inclusive
 	// upper bound), and one nanosecond above it into the next.
 	for i := 0; i < NumBuckets; i++ {
-		if got := bucketFor(bucketBound(i)); got != i {
+		if got := bucketFor(bucketBound(i).Microseconds(), NumBuckets); got != i {
 			t.Errorf("bucketFor(bound %d) = %d, want %d", i, got, i)
 		}
 	}
@@ -191,3 +191,84 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
 	}
 }
+
+// TestHistogramExpositionGolden pins every /metrics byte of the two histogram
+// kinds — one log2-bucket core rendered in seconds × NumBuckets and in raw
+// counts × NumCountBuckets — over clamped, zero, boundary and overflow
+// observations.
+func TestHistogramExpositionGolden(t *testing.T) {
+	r := NewRegistry("t")
+	h := r.Histogram("latency_seconds", "Latency.", `path="/rank"`)
+	for _, d := range []time.Duration{-time.Second, 0, time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond,
+		1 << 20 * time.Microsecond, 1 << 25 * time.Microsecond, 1<<25*time.Microsecond + time.Microsecond, time.Hour} {
+		h.Observe(d)
+	}
+	c := r.CountHistogram("rows", "Rows.", "")
+	for _, v := range []int64{-4, 0, 1, 2, 3, 1 << 15, 1<<15 + 1, 1 << 40} {
+		c.Observe(v)
+	}
+	if h.Count() != 9 || h.Sum() != time.Hour+(1<<26+1<<20+7)*time.Microsecond || c.Count() != 8 || c.Sum() != 1<<40+1<<16+7 {
+		t.Errorf("counts and sums: latency %d / %v, rows %d / %d", h.Count(), h.Sum(), c.Count(), c.Sum())
+	}
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != histogramGolden {
+		t.Errorf("exposition changed:\n%s\nwant:\n%s", got, histogramGolden)
+	}
+}
+
+const histogramGolden = `# HELP t_latency_seconds Latency.
+# TYPE t_latency_seconds histogram
+t_latency_seconds_bucket{path="/rank",le="1e-06"} 3
+t_latency_seconds_bucket{path="/rank",le="2e-06"} 4
+t_latency_seconds_bucket{path="/rank",le="4e-06"} 5
+t_latency_seconds_bucket{path="/rank",le="8e-06"} 5
+t_latency_seconds_bucket{path="/rank",le="1.6e-05"} 5
+t_latency_seconds_bucket{path="/rank",le="3.2e-05"} 5
+t_latency_seconds_bucket{path="/rank",le="6.4e-05"} 5
+t_latency_seconds_bucket{path="/rank",le="0.000128"} 5
+t_latency_seconds_bucket{path="/rank",le="0.000256"} 5
+t_latency_seconds_bucket{path="/rank",le="0.000512"} 5
+t_latency_seconds_bucket{path="/rank",le="0.001024"} 5
+t_latency_seconds_bucket{path="/rank",le="0.002048"} 5
+t_latency_seconds_bucket{path="/rank",le="0.004096"} 5
+t_latency_seconds_bucket{path="/rank",le="0.008192"} 5
+t_latency_seconds_bucket{path="/rank",le="0.016384"} 5
+t_latency_seconds_bucket{path="/rank",le="0.032768"} 5
+t_latency_seconds_bucket{path="/rank",le="0.065536"} 5
+t_latency_seconds_bucket{path="/rank",le="0.131072"} 5
+t_latency_seconds_bucket{path="/rank",le="0.262144"} 5
+t_latency_seconds_bucket{path="/rank",le="0.524288"} 5
+t_latency_seconds_bucket{path="/rank",le="1.048576"} 6
+t_latency_seconds_bucket{path="/rank",le="2.097152"} 6
+t_latency_seconds_bucket{path="/rank",le="4.194304"} 6
+t_latency_seconds_bucket{path="/rank",le="8.388608"} 6
+t_latency_seconds_bucket{path="/rank",le="16.777216"} 6
+t_latency_seconds_bucket{path="/rank",le="33.554432"} 7
+t_latency_seconds_bucket{path="/rank",le="+Inf"} 9
+t_latency_seconds_sum{path="/rank"} 3668.157447
+t_latency_seconds_count{path="/rank"} 9
+# HELP t_rows Rows.
+# TYPE t_rows histogram
+t_rows_bucket{le="1"} 3
+t_rows_bucket{le="2"} 4
+t_rows_bucket{le="4"} 5
+t_rows_bucket{le="8"} 5
+t_rows_bucket{le="16"} 5
+t_rows_bucket{le="32"} 5
+t_rows_bucket{le="64"} 5
+t_rows_bucket{le="128"} 5
+t_rows_bucket{le="256"} 5
+t_rows_bucket{le="512"} 5
+t_rows_bucket{le="1024"} 5
+t_rows_bucket{le="2048"} 5
+t_rows_bucket{le="4096"} 5
+t_rows_bucket{le="8192"} 5
+t_rows_bucket{le="16384"} 5
+t_rows_bucket{le="32768"} 6
+t_rows_bucket{le="+Inf"} 8
+t_rows_sum 1.099511693319e+12
+t_rows_count 8
+`

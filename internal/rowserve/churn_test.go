@@ -25,8 +25,7 @@ type replacingFetcher struct {
 }
 
 func (f *replacingFetcher) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (distributed.RowBatch, error) {
-	inner := f.Transport.(distributed.RowFetcher)
-	batch, err := inner.FetchRows(ctx, graphSum, nodes)
+	batch, err := f.Transport.FetchRows(ctx, graphSum, nodes)
 	if err != nil || !f.poisoned.CompareAndSwap(true, false) {
 		return batch, err
 	}
@@ -38,10 +37,6 @@ func (f *replacingFetcher) FetchRows(ctx context.Context, graphSum uint32, nodes
 	}
 	batch.Content ^= 0xdeadbeef
 	return batch, nil
-}
-
-func (f *replacingFetcher) OutDegrees(ctx context.Context) ([]int32, error) {
-	return f.Transport.(distributed.RowFetcher).OutDegrees(ctx)
 }
 
 // TestSingleFlightRacingStripeReplacement drives the single-flight cache
@@ -138,11 +133,7 @@ func (d *downableRows) FetchRows(ctx context.Context, graphSum uint32, nodes []g
 	if d.down.Load() {
 		return distributed.RowBatch{}, &distributed.TransientError{Err: fmt.Errorf("rows down")}
 	}
-	return d.Transport.(distributed.RowFetcher).FetchRows(ctx, graphSum, nodes)
-}
-
-func (d *downableRows) OutDegrees(ctx context.Context) ([]int32, error) {
-	return d.Transport.(distributed.RowFetcher).OutDegrees(ctx)
+	return d.Transport.FetchRows(ctx, graphSum, nodes)
 }
 
 // TestEvictionDuringFailover runs a row sweep through per-stripe replica
@@ -166,7 +157,7 @@ func TestEvictionDuringFailover(t *testing.T) {
 		}
 		preferred[i] = &downableRows{Transport: distributed.NewLoopback(distributed.NewWorker(s))}
 		backup := distributed.NewLoopback(distributed.NewWorker(s))
-		transports[i] = distributed.NewReplicaSet([]distributed.Transport{preferred[i], backup}, 0)
+		transports[i] = distributed.NewReplicaSet([]distributed.Transport{preferred[i], backup})
 	}
 	// Capacity 3 on a 12-node graph: the sweep must evict constantly.
 	r, err := Connect(ctx, transports, &Options{Cache: NewCache(3), Retry: distributed.RetryPolicy{Retries: 1, Backoff: 1}})

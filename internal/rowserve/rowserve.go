@@ -23,6 +23,7 @@ package rowserve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -51,16 +52,15 @@ type Options struct {
 // engine that dialed the workers closes them).
 type RemoteCSR struct {
 	*distributed.Fleet
-	fetchers []distributed.RowFetcher
-	outDeg   []int32
-	cache    *Cache
+	ts     []distributed.Transport
+	outDeg []int32
+	cache  *Cache
 
 	fetched atomic.Int64
 }
 
 // Connect dials the fleet: transports[i] must serve stripe i of
-// len(transports) and implement distributed.RowFetcher (both built-in
-// transports do). opts may be nil for defaults.
+// len(transports). opts may be nil for defaults.
 func Connect(ctx context.Context, transports []distributed.Transport, opts *Options) (*RemoteCSR, error) {
 	var o Options
 	if opts != nil {
@@ -69,14 +69,7 @@ func Connect(ctx context.Context, transports []distributed.Transport, opts *Opti
 	if o.Cache == nil {
 		o.Cache = NewCache(0)
 	}
-	r := &RemoteCSR{cache: o.Cache, fetchers: make([]distributed.RowFetcher, len(transports))}
-	for i, t := range transports {
-		f, ok := t.(distributed.RowFetcher)
-		if !ok {
-			return nil, fmt.Errorf("rowserve: worker %d transport %T does not serve the row-fetch RPC", i, t)
-		}
-		r.fetchers[i] = f
-	}
+	r := &RemoteCSR{cache: o.Cache, ts: transports}
 	var err error
 	if r.Fleet, err = distributed.Connect(ctx, transports, &o.Retry); err != nil {
 		return nil, err
@@ -86,7 +79,7 @@ func Connect(ctx context.Context, transports []distributed.Transport, opts *Opti
 	// arrays — NOT the CSR adjacency, which stays on the workers.
 	r.outDeg = make([]int32, r.NumNodes())
 	err = distributed.Scatter(ctx, r.Fleet, "out-degrees", r.outDeg, func(ctx context.Context, i int) ([]int32, error) {
-		return r.fetchers[i].OutDegrees(ctx)
+		return r.ts[i].OutDegrees(ctx)
 	})
 	if err != nil {
 		return nil, err
@@ -302,7 +295,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry) error {
 	batch, err := distributed.Call(s.ctx, s.r.Fleet, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
 		atomic.AddInt64(&s.stats.RPCs, 1)
-		return s.r.fetchers[stripe].FetchRows(ctx, s.r.GraphFingerprint(), nodes)
+		return s.r.ts[stripe].FetchRows(ctx, s.r.GraphFingerprint(), nodes)
 	})
 	if err == nil {
 		err = s.validate(stripe, nodes, batch)
@@ -321,9 +314,12 @@ func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry)
 	return nil
 }
 
-// validate cross-checks a batch against the pinned snapshot and the request;
-// any mismatch is a protocol violation (non-transient) because retrying a
-// worker that answered from the wrong snapshot cannot help.
+// validate cross-checks a batch against the pinned snapshot, the request and
+// the node count — once per fetched row, never on a cache hit; any mismatch is
+// a protocol violation (non-transient) because retrying a worker that answered
+// from the wrong snapshot, or with edges no graph of this size has, cannot
+// help. The searcher indexes its per-node arrays by the columns it reads, so
+// nothing the wire says reaches it unchecked.
 func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.RowBatch) error {
 	if batch.Epoch != s.r.Epoch() || batch.Content != s.r.Content(stripe) {
 		return fmt.Errorf("rowserve: stripe %d answered from epoch %d content %08x, pinned to epoch %d content %08x",
@@ -332,9 +328,35 @@ func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.R
 	if len(batch.Rows) != len(nodes) {
 		return fmt.Errorf("rowserve: stripe %d returned %d rows for %d requested", stripe, len(batch.Rows), len(nodes))
 	}
+	n := s.r.NumNodes()
 	for i, row := range batch.Rows {
 		if row.Node != nodes[i] {
 			return fmt.Errorf("rowserve: stripe %d returned row %d at position %d, requested %d", stripe, row.Node, i, nodes[i])
+		}
+		err := validEdges(row.OutTo, row.OutW, n)
+		if err == nil {
+			err = validEdges(row.InFrom, row.InW, n)
+		}
+		if err != nil {
+			return fmt.Errorf("rowserve: stripe %d row %d: %w", stripe, row.Node, err)
+		}
+	}
+	return nil
+}
+
+// validEdges applies to one fetched adjacency the rule graph.StripeData's
+// Validate applies to a shipped stripe: columns inside [0, n), weights
+// positive and finite.
+func validEdges(cols []graph.NodeID, weights []float64, n int) error {
+	if len(weights) != len(cols) {
+		return fmt.Errorf("%d weights for %d columns", len(weights), len(cols))
+	}
+	for i, c := range cols {
+		if c < 0 || int(c) >= n {
+			return fmt.Errorf("column %d out of range [0,%d)", c, n)
+		}
+		if w := weights[i]; !(w > 0) || math.IsInf(w, 0) {
+			return fmt.Errorf("non-positive or non-finite weight %g", w)
 		}
 	}
 	return nil

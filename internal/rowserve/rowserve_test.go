@@ -14,9 +14,8 @@ import (
 	"roundtriprank/internal/testgraphs"
 )
 
-// fleet stripes g across n in-process workers; both built-in transports
-// implement RowFetcher, so loopback exercises the full rowserve stack minus
-// the wire codec (covered in internal/distributed).
+// fleet stripes g across n in-process workers: loopback exercises the full
+// rowserve stack minus the wire codec (covered in internal/distributed).
 func fleet(t testing.TB, g *graph.Graph, n int) []distributed.Transport {
 	t.Helper()
 	ts := make([]distributed.Transport, n)
@@ -275,11 +274,7 @@ func (f *flakyFetcher) FetchRows(ctx context.Context, graphSum uint32, nodes []g
 		f.fails--
 		return distributed.RowBatch{}, &distributed.TransientError{Err: errors.New("worker restarting")}
 	}
-	return f.Transport.(distributed.RowFetcher).FetchRows(ctx, graphSum, nodes)
-}
-
-func (f *flakyFetcher) OutDegrees(ctx context.Context) ([]int32, error) {
-	return f.Transport.(distributed.RowFetcher).OutDegrees(ctx)
+	return f.Transport.FetchRows(ctx, graphSum, nodes)
 }
 
 // TestTransientFetchRetried pins the chaos contract on the row path: a worker

@@ -188,8 +188,6 @@ func (m *Metrics) bindEngine(e *roundtriprank.Engine) {
 	}
 	m.reg.CounterFunc("fleet_failovers_total", "Calls that succeeded only after routing around a failed replica.", "",
 		func() float64 { return float64(e.ClusterHealth().Failovers) })
-	m.reg.CounterFunc("fleet_hedges_total", "Row fetches whose hedge to a second replica fired.", "",
-		func() float64 { return float64(e.ClusterHealth().Hedges) })
 	m.reg.Gauge("fleet_replication", "Configured replica count per stripe (zero without a fleet manager).", "",
 		func() float64 { return float64(e.ClusterHealth().Replication) })
 

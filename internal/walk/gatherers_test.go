@@ -47,11 +47,10 @@ func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 				}
 				ts[i] = distributed.NewLoopback(distributed.NewWorker(s))
 			}
-			c, err := distributed.NewCoordinator(ctx, ts, nil)
+			c, err := distributed.Connect(ctx, ts, nil)
 			if err != nil {
-				t.Fatalf("%s: NewCoordinator over %d stripes: %v", name, stripes, err)
+				t.Fatalf("%s: Connect over %d stripes: %v", name, stripes, err)
 			}
-			defer c.Close()
 			gatherers[fmt.Sprintf("fleet/stripes%d", stripes)] = c
 		}
 

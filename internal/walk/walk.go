@@ -224,7 +224,7 @@ func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 }
 
 // FRankOver is the F-Rank solve over any Gatherer — in-process rows (Local) or
-// a worker fleet (distributed.Coordinator) — bit-identical across them.
+// a connected worker fleet (distributed.Fleet) — bit-identical across them.
 func FRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, error) {
 	return solve(ctx, g, q, p, fRank)
 }
