@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
 )
 
@@ -128,22 +129,30 @@ func TestDistributedRequiresWorkers(t *testing.T) {
 }
 
 // TestDistributedRejectsForeignCluster pins the graph-identity check: an
-// engine over one graph must refuse workers striped from a different graph,
-// even one with the identical node count.
+// engine over one graph — flat or packed — must refuse workers striped from a
+// different graph, even one with the identical node count, and accept its own.
 func TestDistributedRejectsForeignCluster(t *testing.T) {
 	pg := parityGraphs()[0]
 	impostor := testgraphsCycle(t, pg.graph.NumNodes())
-	workers, err := LoopbackWorkers(impostor, 2)
-	if err != nil {
-		t.Fatalf("LoopbackWorkers: %v", err)
-	}
-	engine, err := NewEngine(pg.graph, WithWorkers(workers...))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	_, err = engine.Rank(context.Background(), Request{Query: SingleNode(pg.queries[0]), K: 3, Method: Distributed})
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("foreign cluster accepted (err=%v)", err)
+	req := Request{Query: SingleNode(pg.queries[0]), K: 3, Method: Distributed}
+	for layout, view := range map[string]View{"flat": pg.graph, "packed": graph.Pack(pg.graph)} {
+		for striped, wantErr := range map[*Graph]bool{impostor: true, pg.graph: false} {
+			workers, err := LoopbackWorkers(striped, 2)
+			if err != nil {
+				t.Fatalf("LoopbackWorkers: %v", err)
+			}
+			engine, err := NewEngine(view, WithWorkers(workers...))
+			if err != nil {
+				t.Fatalf("%s: NewEngine: %v", layout, err)
+			}
+			_, err = engine.Rank(context.Background(), req)
+			if wantErr && (err == nil || !strings.Contains(err.Error(), "fingerprint")) {
+				t.Fatalf("%s: foreign cluster accepted (err=%v)", layout, err)
+			}
+			if !wantErr && err != nil {
+				t.Fatalf("%s: the view's own cluster refused: %v", layout, err)
+			}
+		}
 	}
 }
 

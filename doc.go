@@ -25,12 +25,13 @@
 // and ARCHITECTURE.md).
 // Engine.RankBatch amortizes a batch of queries by sharing single-node score
 // vectors through the Linearity Theorem, and every computation honors context
-// cancellation. An engine serves any View: each serving snapshot resolves the
-// view once — flat and packed arrays are read in place, any other view is
-// flattened once per snapshot — and connects to the worker fleet at most once
-// per epoch, so where the rows live is invisible to both families: the exact
-// solvers gather rows and the online search reads them through one seam each,
-// local or remote.
+// cancellation. An engine serves a View, one of three layouts — a *Graph, its
+// bare flat arrays, or a memory-lean packed form — in place; caller-owned
+// adjacency arrays come in through graph.Compact. Each serving snapshot
+// connects to the worker fleet at most once per epoch and refuses workers
+// striped from a different graph, so where the rows live is invisible to both
+// families: the exact solvers gather rows and the online search reads them
+// through one seam each, local or remote.
 //
 // # Live graphs
 //

@@ -63,11 +63,11 @@ var (
 	// Exact runs the iterative F-Rank/T-Rank solvers over the whole graph.
 	Exact = Method{kind: methodExact}
 	// TwoSBound runs the online branch-and-bound top-K search (Algorithm 1).
-	// On CSR-capable views (any *Graph) the search executes on pooled flat
-	// scratch state — dense generation-stamped arrays recycled across
-	// queries — so steady-state serving performs a small constant number of
-	// allocations per query; each concurrently executing query holds one
-	// O(NumNodes) scratch instance (see docs/TUNING.md for sizing).
+	// On every layout the search executes on pooled flat scratch state —
+	// dense generation-stamped arrays recycled across queries — so
+	// steady-state serving performs a small constant number of allocations
+	// per query; each concurrently executing query holds one O(NumNodes)
+	// scratch instance (see docs/TUNING.md for sizing).
 	TwoSBound = Method{kind: methodOnline, scheme: Scheme2SBound}
 	// Distributed runs the exact solvers across the engine's worker cluster
 	// (configured with WithWorkers): the coordinator fans each power
@@ -192,13 +192,6 @@ func WithQueryStatsHook(fn func(QueryStat)) Option {
 		e.statsHook = fn
 		return nil
 	}
-}
-
-// TypedView is a graph view that also knows node types; *Graph implements it.
-// Type filters require the engine's view to be typed.
-type TypedView interface {
-	View
-	Type(v NodeID) NodeType
 }
 
 // Filter declaratively restricts the result set of a Request. It compiles to
@@ -332,22 +325,20 @@ const DefaultExactLimit = 50_000
 const DefaultVectorCacheSize = 64
 
 // snapshot is one immutable epoch of the engine's serving state, and the one
-// place a graph becomes a seam: it resolves the view's layout once and hands
-// out the two things the two algorithm families read — gatherer, the
-// walk.Gatherer of the exact solves, and rows, the graph.Rows of the online
-// search — over the local view or over the worker fleet. Apply swaps the
-// engine's snapshot pointer atomically; queries capture the snapshot once at
-// plan time and run on it to completion, so in-flight queries finish on their
-// epoch while new queries see the next.
+// place a graph becomes a seam: it hands out the two things the two algorithm
+// families read — gatherer, the walk.Gatherer of the exact solves, and rows,
+// the graph.Rows of the online search — over the local view's layout or over
+// the worker fleet. Apply swaps the engine's snapshot pointer atomically;
+// queries capture the snapshot once at plan time and run on it to completion,
+// so in-flight queries finish on their epoch while new queries see the next.
 type snapshot struct {
-	// view is the graph as the caller handed it over: what View returns, what
-	// filters read node types from and what Apply commits against.
-	view  View
-	epoch uint64
-	// local is the view in a layout the solvers read directly. A view with
-	// flat or packed arrays, or row sessions of its own, is kept as is; any
-	// other is flattened with graph.Compact here, once per snapshot.
-	local graph.View
+	// view is the graph as the caller handed it over, in whichever of the
+	// three layouts: what View returns and what every local solve reads.
+	view View
+	// g is the view when it is a *Graph, nil for the bare layouts: resolved
+	// once, here, for what only a built graph has — Auto's exact plan, node
+	// types for filters, a base for Apply.
+	g     *Graph
 	fleet lazyFleet
 }
 
@@ -371,18 +362,10 @@ type lazyFleet struct {
 	cache   *rowserve.Cache
 }
 
-// newSnapshot wraps a view in a snapshot, adopting the view's own epoch when
-// it carries one (a committed *Graph does).
+// newSnapshot wraps a view in a snapshot.
 func (e *Engine) newSnapshot(view View) *snapshot {
-	s := &snapshot{view: view, local: view, fleet: lazyFleet{workers: e.workers, cache: e.rowCache}}
-	if ep, ok := view.(graph.Epocher); ok {
-		s.epoch = ep.Epoch()
-	}
-	switch view.(type) {
-	case graph.Rows, graph.RowsProvider, graph.CSRView, graph.PackedCSRView:
-	default:
-		s.local = graph.Compact(view)
-	}
+	s := &snapshot{view: view, fleet: lazyFleet{workers: e.workers, cache: e.rowCache}}
+	s.g, _ = view.(*Graph)
 	return s
 }
 
@@ -415,16 +398,13 @@ func (s *snapshot) validateFleet(f *distributed.Fleet) error {
 		return fmt.Errorf("roundtriprank: workers serve a %d-node graph, the engine view has %d nodes",
 			f.NumNodes(), s.view.NumNodes())
 	}
-	// When the snapshot's view exposes CSR arrays, require the workers to
-	// have been striped from the very same graph: equal node counts with
-	// different adjacency would return plausible-looking but wrong rankings.
-	// The fingerprint folds the epoch in, so a cluster still serving the
-	// previous epoch's stripes is rejected here until it is redeployed.
-	if cv, ok := s.view.(graph.CSRView); ok {
-		if local := graph.GraphFingerprint(cv); local != f.GraphFingerprint() {
-			return fmt.Errorf("roundtriprank: workers were striped from a different graph (fingerprint %08x epoch %d, engine view has %08x epoch %d)",
-				f.GraphFingerprint(), f.Epoch(), local, s.epoch)
-		}
+	// The workers must have been striped from the very same graph: equal node
+	// counts with different adjacency would return plausible-looking but wrong
+	// rankings. The fingerprint folds the epoch in, so a cluster still serving
+	// the previous epoch's stripes is rejected here until it is redeployed.
+	if local := s.view.Fingerprint(); local != f.GraphFingerprint() {
+		return fmt.Errorf("roundtriprank: workers were striped from a different graph (fingerprint %08x epoch %d, engine view has %08x epoch %d)",
+			f.GraphFingerprint(), f.Epoch(), local, s.view.Epoch())
 	}
 	return nil
 }
@@ -440,14 +420,13 @@ func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.
 		}
 		return r.Fleet, func() {}, nil
 	}
-	g, release := walk.Local(s.local, workers)
+	g, release := walk.Local(s.view, workers)
 	return g, release, nil
 }
 
 // rows returns the rows the online family searches over: a per-query session
-// streaming from the fleet through the row cache, or the local view — itself
-// when it is a graph.Rows (flat arrays), a session of its own when it hands
-// them out (packed arrays).
+// streaming from the fleet through the row cache, or the local view's own —
+// the view itself over flat arrays, a decoding session over packed ones.
 func (s *snapshot) rows(ctx context.Context, fleet bool) (graph.Rows, error) {
 	if fleet {
 		r, err := s.connect(ctx)
@@ -456,13 +435,7 @@ func (s *snapshot) rows(ctx context.Context, fleet bool) (graph.Rows, error) {
 		}
 		return r.Session(ctx), nil
 	}
-	switch v := s.local.(type) {
-	case graph.Rows:
-		return v, nil
-	case graph.RowsProvider:
-		return v.NewRows(), nil
-	}
-	return graph.Compact(s.local), nil // arrays without a Rows face: wrapped, not copied
+	return s.view.NewRows(), nil
 }
 
 // Engine executes ranking requests over one graph view: plan (validate, resolve
@@ -499,9 +472,9 @@ type Engine struct {
 }
 
 // NewEngine creates an Engine over the given graph view with the paper's
-// default parameters (α = 0.25, β = 0.5), modified by the options. A view
-// with flat or packed arrays (*Graph, graph.Packed) is served in place; any
-// other View is flattened here, once — an O(nodes + edges) copy.
+// default parameters (α = 0.25, β = 0.5), modified by the options. The view
+// is one of the three layouts — a *Graph, the flat arrays of graph.Compact or
+// Graph.Without, a graph.Packed — and is served in place.
 func NewEngine(view View, opts ...Option) (*Engine, error) {
 	if view == nil || view.NumNodes() == 0 {
 		return nil, fmt.Errorf("roundtriprank: empty graph")
@@ -549,7 +522,7 @@ func (e *Engine) View() View { return e.snap.Load().view }
 
 // Epoch returns the epoch of the engine's current snapshot: the Epoch of the
 // served *Graph, bumped by every Apply (zero for unversioned views).
-func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
+func (e *Engine) Epoch() uint64 { return e.snap.Load().view.Epoch() }
 
 // plan is a validated, default-resolved request ready to execute. It pins the
 // snapshot it was planned against, so the execution is immune to concurrent
@@ -628,7 +601,7 @@ func (e *Engine) plan(req Request) (*plan, error) {
 	if req.Tolerance > 0 {
 		p.Walk.Tol = req.Tolerance
 	}
-	keep, err := req.Filter.compile(snap.view, nq)
+	keep, err := req.Filter.compile(snap.g, nq)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +615,7 @@ func (e *Engine) plan(req Request) (*plan, error) {
 		return nil, invalidf("roundtriprank: the %s method needs workers (configure with WithWorkers)", method)
 	}
 	if method.kind == methodAuto {
-		if _, local := snap.view.(*Graph); local && n <= e.exactLimit {
+		if snap.g != nil && n <= e.exactLimit {
 			method = Exact
 		} else if len(e.workers) > 0 {
 			// Too big for a local exact solve and a striped fleet is
@@ -656,18 +629,14 @@ func (e *Engine) plan(req Request) (*plan, error) {
 	return &plan{snap: snap, query: nq, k: req.K, method: method, params: p, epsilon: req.Epsilon, keep: keep, budget: req.Budget}, nil
 }
 
-// compile turns the declarative filter into a keep-predicate over node IDs.
-func (f *Filter) compile(view View, nq walk.Query) (func(NodeID) bool, error) {
+// compile turns the declarative filter into a keep-predicate over node IDs;
+// typed is the snapshot's *Graph, nil when it serves a bare layout.
+func (f *Filter) compile(typed *Graph, nq walk.Query) (func(NodeID) bool, error) {
 	if f == nil {
 		return nil, nil
 	}
-	var typed TypedView
-	if len(f.Types) > 0 {
-		var ok bool
-		typed, ok = view.(TypedView)
-		if !ok {
-			return nil, invalidf("roundtriprank: filtering by node type requires a typed graph view")
-		}
+	if len(f.Types) > 0 && typed == nil {
+		return nil, invalidf("roundtriprank: filtering by node type requires a typed graph view")
 	}
 	excluded := make(map[NodeID]bool, len(f.Exclude)+len(nq.Nodes))
 	for _, v := range f.Exclude {
@@ -683,7 +652,7 @@ func (f *Filter) compile(view View, nq walk.Query) (func(NodeID) bool, error) {
 		if excluded[v] {
 			return false
 		}
-		if typed == nil {
+		if len(types) == 0 {
 			return true
 		}
 		t := typed.Type(v)
@@ -783,7 +752,7 @@ func (p *plan) vectors(ctx context.Context, cache *vecCache) (f, t []float64, er
 	n := p.snap.view.NumNodes()
 	f, t = make([]float64, n), make([]float64, n)
 	for j, node := range p.query.Nodes {
-		key := vecKey{node: node, epoch: p.snap.epoch, alpha: wp.Alpha, tol: wp.Tol}
+		key := vecKey{node: node, epoch: p.snap.view.Epoch(), alpha: wp.Alpha, tol: wp.Tol}
 		// The cached slices are shared: read, never written.
 		fv, tv, err := cache.get(ctx, key, func() ([]float64, []float64, error) { return solve(walk.SingleNode(node)) })
 		if err != nil {
@@ -1030,8 +999,8 @@ func (e *Engine) Apply(ctx context.Context, d *Delta) (*ApplyResult, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	cur := e.snap.Load()
-	base, ok := cur.view.(*Graph)
-	if !ok {
+	base := cur.g
+	if base == nil {
 		return nil, fmt.Errorf("roundtriprank: Apply needs the engine to serve a *Graph, not %T", cur.view)
 	}
 	ng, err := graph.Commit(base, d)

@@ -12,10 +12,9 @@ import (
 	"roundtriprank/internal/testgraphs"
 )
 
-// These tests pin the snapshot as the one door from a graph to a seam: a view
-// without arrays is flattened once per snapshot, the fleet is dialed once per
-// epoch whichever families query it, and the one executor feeds the stats hook
-// for Rank and RankBatch alike.
+// These tests pin the snapshot as the one door from a graph to a seam: the
+// fleet is dialed once per epoch whichever families query it, and the one
+// executor feeds the stats hook for Rank and RankBatch alike.
 
 // TestRankBatchFeedsStatsHook pins that a batch's plans reach the stats hook
 // like single requests do — one call per executed plan, with the resolved
@@ -150,70 +149,5 @@ func TestOneHandshakePerEpoch(t *testing.T) {
 				t.Errorf("FleetEpoch = %d, %v; want 1, true", ep, ok)
 			}
 		})
-	}
-}
-
-// passCounter hides everything but the View methods of a graph and counts the
-// adjacency reads made through them.
-type passCounter struct {
-	View
-	eachOut, eachIn atomic.Int64
-}
-
-func (p *passCounter) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	p.eachOut.Add(1)
-	p.View.EachOut(v, fn)
-}
-
-func (p *passCounter) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
-	p.eachIn.Add(1)
-	p.View.EachIn(v, fn)
-}
-
-// TestWrappedViewIsFlattenedOncePerSnapshot hands the engine a view with no
-// arrays of its own: the snapshot reads it in one full pass, every query of
-// either family then runs on the flattened copy, and every response is
-// bit-identical to an engine over the *Graph itself.
-func TestWrappedViewIsFlattenedOncePerSnapshot(t *testing.T) {
-	ctx := context.Background()
-	for _, pg := range parityGraphs() {
-		wrapped := &passCounter{View: pg.graph}
-		engine, err := NewEngine(wrapped)
-		if err != nil {
-			t.Fatalf("%s: NewEngine: %v", pg.name, err)
-		}
-		direct, err := NewEngine(pg.graph)
-		if err != nil {
-			t.Fatalf("%s: NewEngine: %v", pg.name, err)
-		}
-		if engine.View() != View(wrapped) {
-			t.Errorf("%s: View() is not the view the engine was given", pg.name)
-		}
-		for _, q := range pg.queries {
-			for _, m := range []Method{Exact, TwoSBound, BoundScheme(SchemeGS)} {
-				// The symmetric graphs tie at rank 5; the round cap keeps the
-				// online search from spinning on the tie.
-				req := Request{Query: SingleNode(q), K: 5, Method: m, Epsilon: 0.01, Budget: &Budget{MaxRounds: 4}}
-				want, err := direct.Rank(ctx, req)
-				if err != nil {
-					t.Fatalf("%s/q%d/%s direct: %v", pg.name, q, m, err)
-				}
-				for rep := 0; rep < 3; rep++ {
-					got, err := engine.Rank(ctx, req)
-					if err != nil {
-						t.Fatalf("%s/q%d/%s: %v", pg.name, q, m, err)
-					}
-					got.Elapsed, want.Elapsed = 0, 0
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/q%d/%s: wrapped view diverged:\n%+v\n%+v", pg.name, q, m, got, want)
-					}
-				}
-			}
-		}
-		n := int64(pg.graph.NumNodes())
-		if out, in := wrapped.eachOut.Load(), wrapped.eachIn.Load(); out != n || in != n {
-			t.Errorf("%s: %d EachOut and %d EachIn calls for %d queries, want one pass of %d each",
-				pg.name, out, in, 9*len(pg.queries), n)
-		}
 	}
 }

@@ -6,8 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"roundtriprank/internal/core"
 	"roundtriprank/internal/datasets"
+	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
+	"roundtriprank/internal/walk"
 )
 
 func TestRequestValidation(t *testing.T) {
@@ -16,8 +20,8 @@ func TestRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	// untyped wraps the toy graph so it no longer satisfies TypedView.
-	untyped, err := NewEngine(struct{ View }{toy.Graph})
+	// untyped serves the toy graph's bare arrays: adjacency without node types.
+	untyped, err := NewEngine(graph.Compact(toy.Graph))
 	if err != nil {
 		t.Fatalf("NewEngine(untyped): %v", err)
 	}
@@ -78,7 +82,7 @@ func TestAutoPlanning(t *testing.T) {
 		{"small in-memory graph plans exact", toy.Graph, nil, true},
 		{"zero exact limit plans online", toy.Graph, []Option{WithExactLimit(0)}, false},
 		{"limit below graph size plans online", toy.Graph, []Option{WithExactLimit(toy.Graph.NumNodes() - 1)}, false},
-		{"non-Graph view plans online", struct{ View }{toy.Graph}, nil, false},
+		{"non-Graph view plans online", graph.Compact(toy.Graph), nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,47 +185,95 @@ func TestFilterParityBibNet(t *testing.T) {
 	}
 }
 
-// cancellingView wraps a View and cancels a context on the first edge
-// traversal, counting traversals so the test can assert the solver stopped
-// within one power iteration.
-type cancellingView struct {
-	View
-	cancel context.CancelFunc
-	calls  atomic.Int64
+// cancellingGatherer is the exact solvers' row-gather seam with a tripwire: it
+// counts gathers per direction, and the k-th GatherIn (the F-Rank side)
+// cancels the context, recording both counts as they stood.
+type cancellingGatherer struct {
+	walk.Gatherer
+	cancel          context.CancelFunc
+	k               int64
+	in, out         atomic.Int64
+	inTrip, outTrip int64
 }
 
-func (c *cancellingView) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	if c.calls.Add(1) == 1 {
+func (c *cancellingGatherer) GatherIn(ctx context.Context, x, dst []float64) error {
+	if n := c.in.Add(1); n == c.k {
+		c.inTrip, c.outTrip = n, c.out.Load()
 		c.cancel()
 	}
-	c.View.EachOut(v, fn)
+	return c.Gatherer.GatherIn(ctx, x, dst)
 }
 
+func (c *cancellingGatherer) GatherOut(ctx context.Context, x, dst []float64) error {
+	c.out.Add(1)
+	return c.Gatherer.GatherOut(ctx, x, dst)
+}
+
+// cancellingTransport is one fleet worker with the same tripwire on the wire:
+// the k-th Multiply across the fleet cancels the context.
+type cancellingTransport struct {
+	Transport
+	cancel context.CancelFunc
+	k      int64
+	calls  *atomic.Int64
+}
+
+func (c *cancellingTransport) Multiply(ctx context.Context, dir distributed.Direction, fp uint32, x []float64) ([]float64, error) {
+	if c.calls.Add(1) == c.k {
+		c.cancel()
+	}
+	return c.Transport.Multiply(ctx, dir, fp, x)
+}
+
+// TestCancellationAbortsExactSolve cancels an exact solve from inside its own
+// row gather, on both localities. Over the in-process gather — which ignores
+// the context, so the power iteration's own per-iteration check is all that
+// stops it — the solve the engine's exact arm runs (core.Solve over walk.Local)
+// must return context.Canceled with no further F-side gather and at most one
+// T-side gather already past its check. Over the worker fleet the engine must
+// report the caller's context.Canceled, not backend trouble, within one more
+// gather per solver. A pre-cancelled context aborts the online path before
+// any expansion.
 func TestCancellationAbortsExactSolve(t *testing.T) {
 	// A long cycle keeps the power iteration busy for many iterations.
 	g := testgraphs.Cycle(5000)
+	wp := walk.Params{Alpha: 0.25, Tol: 1e-15} // many iterations if cancellation were ignored
+
+	lctx, lcancel := context.WithCancel(context.Background())
+	defer lcancel()
+	local, release := walk.Local(g, 0)
+	defer release()
+	trip := &cancellingGatherer{Gatherer: local, cancel: lcancel, k: 3}
+	if _, _, err := core.Solve(lctx, trip, walk.SingleNode(0), wp); err != context.Canceled {
+		t.Fatalf("core.Solve error = %v, want context.Canceled", err)
+	}
+	if in, out := trip.in.Load()-trip.inTrip, trip.out.Load()-trip.outTrip; in != 0 || out > 1 {
+		t.Errorf("after cancellation F-Rank gathered %d more times and T-Rank %d, want 0 and at most 1", in, out)
+	}
+
+	const workers, k = 3, 7
 	ctx, cancel := context.WithCancel(context.Background())
-	view := &cancellingView{View: g, cancel: cancel}
-	engine, err := NewEngine(view)
+	defer cancel()
+	loop, err := LoopbackWorkers(g, workers)
+	if err != nil {
+		t.Fatalf("LoopbackWorkers: %v", err)
+	}
+	var calls atomic.Int64
+	for i, tr := range loop {
+		loop[i] = &cancellingTransport{Transport: tr, cancel: cancel, k: k, calls: &calls}
+	}
+	engine, err := NewEngine(g, WithWorkers(loop...))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	_, err = engine.Rank(ctx, Request{
-		Query:     SingleNode(0),
-		K:         10,
-		Method:    Exact,
-		Tolerance: 1e-15, // force many iterations if cancellation were ignored
-	})
+	_, err = engine.Rank(ctx, Request{Query: SingleNode(0), K: 10, Method: Distributed, Tolerance: wp.Tol})
 	if err != context.Canceled {
-		t.Fatalf("Rank error = %v, want context.Canceled", err)
+		t.Fatalf("Distributed Rank error = %v, want context.Canceled (not a ClusterError)", err)
 	}
-	// The cancel fired during the first sweep; each solver may finish that
-	// iteration but must stop at the next per-iteration check, i.e. after at
-	// most one more full sweep over the graph. F-Rank and T-Rank run
-	// concurrently, so the budget is two sweeps for each of the two solvers.
-	if calls := view.calls.Load(); calls > int64(4*g.NumNodes()) {
-		t.Errorf("solvers traversed %d adjacency lists after cancellation, want <= %d (one iteration each)",
-			calls, 4*g.NumNodes())
+	// The cancelling gather and the sibling solver's current one may finish;
+	// neither solver starts another.
+	if n := calls.Load(); n > k+2*workers {
+		t.Errorf("%d Multiply calls, want at most %d: the tripwire's %d plus one gather per solver", n, k+2*workers, k)
 	}
 
 	// A pre-cancelled context aborts the online path before any expansion.

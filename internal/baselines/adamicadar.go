@@ -26,12 +26,12 @@ func (AdamicAdarMeasure) Score(ctx *Context) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ctx.View.NumNodes()
-	out := make([]float64, n)
+	rows := ctx.View.NewRows()
+	out := make([]float64, rows.NumNodes())
 	for qi, qNode := range nq.Nodes {
 		weight := nq.Weights[qi]
-		for _, z := range undirectedNeighbors(ctx.View, qNode) {
-			zNeighbors := undirectedNeighbors(ctx.View, z)
+		for _, z := range undirectedNeighbors(rows, qNode) {
+			zNeighbors := undirectedNeighbors(rows, z)
 			deg := float64(len(zNeighbors))
 			if deg < 2 {
 				deg = 2 // avoid log(1) = 0 for leaves
@@ -49,17 +49,18 @@ func (AdamicAdarMeasure) Score(ctx *Context) ([]float64, error) {
 }
 
 // undirectedNeighbors returns the distinct union of in- and out-neighbors.
-func undirectedNeighbors(view graph.View, v graph.NodeID) []graph.NodeID {
+func undirectedNeighbors(rows graph.Rows, v graph.NodeID) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool)
 	var out []graph.NodeID
-	add := func(u graph.NodeID, _ float64) bool {
-		if u != v && !seen[u] {
-			seen[u] = true
-			out = append(out, u)
+	outs, _ := rows.OutRow(v)
+	ins, _ := rows.InRow(v)
+	for _, row := range [][]graph.NodeID{outs, ins} {
+		for _, u := range row {
+			if u != v && !seen[u] {
+				seen[u] = true
+				out = append(out, u)
+			}
 		}
-		return true
 	}
-	view.EachOut(v, add)
-	view.EachIn(v, add)
 	return out
 }

@@ -149,12 +149,10 @@ func ExactSimRank(view graph.View, c float64, iterations int) ([][]float64, erro
 		next[i] = make([]float64, n)
 		cur[i][i] = 1
 	}
+	rows := view.NewRows()
 	ins := make([][]graph.NodeID, n)
 	for v := 0; v < n; v++ {
-		view.EachIn(graph.NodeID(v), func(from graph.NodeID, _ float64) bool {
-			ins[v] = append(ins[v], from)
-			return true
-		})
+		ins[v], _ = rows.InRow(graph.NodeID(v))
 	}
 	for iter := 0; iter < iterations; iter++ {
 		for a := 0; a < n; a++ {

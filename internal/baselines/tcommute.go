@@ -7,13 +7,9 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Default truncated-commute-time parameters: T = 10 as recommended by Sarkar &
-// Moore and used in the paper, with Monte-Carlo settings for the outbound
-// hitting times.
-const (
-	DefaultCommuteT       = 10
-	DefaultCommuteSamples = 400
-)
+// DefaultCommuteSamples is the Monte-Carlo sample count of the outbound
+// hitting-time estimate of the truncated commute time baselines.
+const DefaultCommuteSamples = 400
 
 // TCommuteMeasure is the truncated commute time baseline [11], [14]:
 // C_T(q, v) = h_T(q, v) + h_T(v, q), where h_T is the truncated hitting time
@@ -66,7 +62,8 @@ func (m TCommuteMeasure) Score(ctx *Context) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ctx.View.NumNodes()
+	rows := ctx.View.NewRows()
+	n := rows.NumNodes()
 
 	// Exact truncated hitting time to the query set, h_T(v, Q), by dynamic
 	// programming: h^0 = 0 everywhere; h^τ(v) = 0 for v in Q, otherwise
@@ -83,17 +80,17 @@ func (m TCommuteMeasure) Score(ctx *Context) ([]float64, error) {
 				next[v] = 0
 				continue
 			}
-			outSum := ctx.View.OutWeightSum(graph.NodeID(v))
+			outSum := rows.OutSum(graph.NodeID(v))
 			if outSum <= 0 {
 				// Dangling node: it can never hit the query.
 				next[v] = float64(m.T)
 				continue
 			}
 			exp := 0.0
-			ctx.View.EachOut(graph.NodeID(v), func(to graph.NodeID, w float64) bool {
-				exp += (w / outSum) * hToQ[to]
-				return true
-			})
+			cols, ws := rows.OutRow(graph.NodeID(v))
+			for i, to := range cols {
+				exp += (ws[i] / outSum) * hToQ[to]
+			}
 			val := 1 + exp
 			if val > float64(m.T) {
 				val = float64(m.T)

@@ -480,8 +480,9 @@ func TestStageIIReadsNoRows(t *testing.T) {
 
 // rawGraph is an adjacency assembled straight into CSR arrays, so it can hold
 // what graph.Builder refuses — self-loops and zero-weight edges — next to
-// dangling nodes. It serves both bindings: the CSR arrays directly, and packed
-// by graph.Pack.
+// dangling nodes. It is a graph.CSRView and nothing more: both bindings take
+// the arrays (directly, and packed by graph.Pack), and the exact solvers reach
+// them through graph.Compact.
 type rawGraph struct{ out, in graph.CSR }
 
 type rawEdge struct {
@@ -517,28 +518,9 @@ func newRawGraph(n int, edges []rawEdge) *rawGraph {
 	return &rawGraph{out: csr(from, to), in: csr(to, from)}
 }
 
-func (g *rawGraph) OutCSR() graph.CSR                   { return g.out }
-func (g *rawGraph) InCSR() graph.CSR                    { return g.in }
-func (g *rawGraph) NumNodes() int                       { return len(g.out.Sum) }
-func (g *rawGraph) OutDegree(v graph.NodeID) int        { return g.out.Degree(v) }
-func (g *rawGraph) InDegree(v graph.NodeID) int         { return g.in.Degree(v) }
-func (g *rawGraph) OutWeightSum(v graph.NodeID) float64 { return g.out.Sum[v] }
-func (g *rawGraph) InWeightSum(v graph.NodeID) float64  { return g.in.Sum[v] }
-func (g *rawGraph) EachOut(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
-	eachEntry(g.out, v, fn)
-}
-func (g *rawGraph) EachIn(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
-	eachEntry(g.in, v, fn)
-}
-
-func eachEntry(c graph.CSR, v graph.NodeID, fn func(graph.NodeID, float64) bool) {
-	cols, wts := c.Row(v)
-	for i, u := range cols {
-		if !fn(u, wts[i]) {
-			return
-		}
-	}
-}
+func (g *rawGraph) OutCSR() graph.CSR { return g.out }
+func (g *rawGraph) InCSR() graph.CSR  { return g.in }
+func (g *rawGraph) NumNodes() int     { return len(g.out.Sum) }
 
 // randomGraph draws a graph of 5–29 nodes: a unit-weight cycle plus random
 // weighted chords, some — at least one — of zero weight. Every other draw is
@@ -807,11 +789,11 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 		if !rough {
 			p := walk.Params{Alpha: alpha, Tol: 1e-13, MaxIter: 2000}
 			var err error
-			if exactF, err = walk.FRank(context.Background(), g, q, p); err != nil {
+			if exactF, err = walk.FRank(context.Background(), graph.Compact(g), q, p); err != nil {
 				t.Logf("FRank: %v", err)
 				return false
 			}
-			if exactT, err = walk.TRank(context.Background(), g, q, p); err != nil {
+			if exactT, err = walk.TRank(context.Background(), graph.Compact(g), q, p); err != nil {
 				t.Logf("TRank: %v", err)
 				return false
 			}

@@ -108,17 +108,6 @@ func (fb *FFlat) UnseenUpper() float64 { return fb.unseen }
 // until the next InitRows and must not be mutated.
 func (fb *FFlat) SeenList() []graph.NodeID { return fb.b.Touched() }
 
-// EachSeen calls fn for every node in the f-neighborhood with its bounds.
-func (fb *FFlat) EachSeen(fn func(v graph.NodeID, lower, upper float64)) {
-	fb.b.Each(fn)
-}
-
-// Exhausted reports whether further expansion cannot meaningfully tighten
-// the bounds.
-func (fb *FFlat) Exhausted() bool {
-	return fb.engine.TotalResidual() < 1e-15
-}
-
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
 // bound. When StageII is enabled it then refines the bounds iteratively. It

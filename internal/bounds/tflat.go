@@ -161,11 +161,6 @@ func (tb *TFlat) UnseenUpper() float64 { return tb.unseen }
 // until the next InitRows and must not be mutated.
 func (tb *TFlat) SeenList() []graph.NodeID { return tb.b.Touched() }
 
-// EachSeen calls fn for every node in the t-neighborhood with its bounds.
-func (tb *TFlat) EachSeen(fn func(v graph.NodeID, lower, upper float64)) {
-	tb.b.Each(fn)
-}
-
 // BorderCount returns the number of border nodes of St.
 func (tb *TFlat) BorderCount() int {
 	n := 0

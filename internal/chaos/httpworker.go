@@ -19,8 +19,8 @@ import (
 //
 // The wrapped *distributed.Worker outlives kills: a Restart serves the same
 // in-memory stripes, modelling a process whose state survives (e.g. a worker
-// restarted from a local stripe cache). To model a wiped restart, call
-// Worker().RemoveStripe before Restart.
+// restarted from a local stripe cache). To model a wiped restart, remove the
+// stripes from the worker handed to the constructor before Restart.
 type HTTPWorker struct {
 	worker *distributed.Worker
 
@@ -64,10 +64,6 @@ func (hw *HTTPWorker) URL() string {
 	defer hw.mu.Unlock()
 	return "http://" + hw.addr
 }
-
-// Worker returns the wrapped worker, whose stripe state persists across
-// Kill/Restart.
-func (hw *HTTPWorker) Worker() *distributed.Worker { return hw.worker }
 
 // Kill stops the server abruptly: the listener and all open connections are
 // closed without draining, so in-flight RPCs fail at the coordinator with

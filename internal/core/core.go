@@ -123,26 +123,6 @@ func Solve(ctx context.Context, g walk.Gatherer, q walk.Query, wp walk.Params) (
 	return f, t, nil
 }
 
-// RoundTripRank computes the balanced (β = 0.5) RoundTripRank scores for the
-// query: rank-equivalent to f·t by Proposition 2.
-func RoundTripRank(ctx context.Context, view graph.View, q walk.Query, wp walk.Params) ([]float64, error) {
-	s, err := Compute(ctx, view, q, Params{Walk: wp, Beta: BalancedBeta})
-	if err != nil {
-		return nil, err
-	}
-	return s.R, nil
-}
-
-// RoundTripRankPlus computes RoundTripRank+ scores with the given specificity
-// bias β (Eq. 12).
-func RoundTripRankPlus(ctx context.Context, view graph.View, q walk.Query, wp walk.Params, beta float64) ([]float64, error) {
-	s, err := Compute(ctx, view, q, Params{Walk: wp, Beta: beta})
-	if err != nil {
-		return nil, err
-	}
-	return s.R, nil
-}
-
 // Combine merges F-Rank and T-Rank vectors into RoundTripRank+ scores
 // f^(1−β)·t^β. β = 0 returns a copy of f, β = 1 a copy of t; intermediate
 // values use the geometric weighting of Eq. 12. Zero scores stay zero.
@@ -260,18 +240,19 @@ func EnumerateRoundTrips(ctx context.Context, view graph.View, q graph.NodeID, L
 }
 
 func denseTransition(view graph.View) [][]float64 {
-	n := view.NumNodes()
+	rows := view.NewRows()
+	n := rows.NumNodes()
 	m := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		m[i] = make([]float64, n)
-		sum := view.OutWeightSum(graph.NodeID(i))
+		sum := rows.OutSum(graph.NodeID(i))
 		if sum <= 0 {
 			continue
 		}
-		view.EachOut(graph.NodeID(i), func(to graph.NodeID, w float64) bool {
-			m[i][to] += w / sum
-			return true
-		})
+		cols, ws := rows.OutRow(graph.NodeID(i))
+		for j, to := range cols {
+			m[i][to] += ws[j] / sum
+		}
 	}
 	return m
 }

@@ -100,14 +100,15 @@ func TestComputeAndDegenerateCases(t *testing.T) {
 	}
 
 	// β = 0 reduces to F-Rank, β = 1 to T-Rank (Sect. IV-B special cases).
-	r0, err := RoundTripRankPlus(context.Background(), toy.Graph, q, wp, 0)
-	if err != nil {
-		t.Fatalf("RoundTripRankPlus(context.Background(), 0): %v", err)
+	plus := func(beta float64) []float64 {
+		t.Helper()
+		sb, err := Compute(context.Background(), toy.Graph, q, Params{Walk: wp, Beta: beta})
+		if err != nil {
+			t.Fatalf("Compute(beta=%g): %v", beta, err)
+		}
+		return sb.R
 	}
-	r1, err := RoundTripRankPlus(context.Background(), toy.Graph, q, wp, 1)
-	if err != nil {
-		t.Fatalf("RoundTripRankPlus(context.Background(), 1): %v", err)
-	}
+	r0, r1 := plus(0), plus(1)
 	for v := range r0 {
 		if math.Abs(r0[v]-s.F[v]) > 1e-12 {
 			t.Errorf("beta=0 should equal F-Rank at node %d", v)
@@ -118,10 +119,7 @@ func TestComputeAndDegenerateCases(t *testing.T) {
 	}
 	// β = 0.5 equals RoundTripRank (rank equivalent to f·t): compare via
 	// explicit formula sqrt(f·t).
-	rHalf, err := RoundTripRank(context.Background(), toy.Graph, q, wp)
-	if err != nil {
-		t.Fatalf("RoundTripRank: %v", err)
-	}
+	rHalf := plus(BalancedBeta)
 	for v := range rHalf {
 		want := math.Sqrt(s.F[v] * s.T[v])
 		if math.Abs(rHalf[v]-want) > 1e-12 {
@@ -320,14 +318,14 @@ func bruteForceDistribution(g *graph.Graph, q graph.NodeID, L int) []float64 {
 			if cur[v] == 0 {
 				continue
 			}
-			sum := g.OutWeightSum(graph.NodeID(v))
+			sum := g.OutSum(graph.NodeID(v))
 			if sum <= 0 {
 				continue
 			}
-			g.EachOut(graph.NodeID(v), func(to graph.NodeID, w float64) bool {
-				next[to] += cur[v] * w / sum
-				return true
-			})
+			cols, ws := g.OutRow(graph.NodeID(v))
+			for i, to := range cols {
+				next[to] += cur[v] * ws[i] / sum
+			}
 		}
 		cur = next
 	}

@@ -296,12 +296,12 @@ func (n *BibNet) Snapshots(count int) ([]*graph.Subgraph, error) {
 			// Undirected edges are stored in both directions, and citations
 			// only point to earlier papers (already in the cut), so the
 			// out-adjacency alone covers all incident non-paper nodes.
-			n.Graph.EachOut(p, func(to graph.NodeID, _ float64) bool {
+			cols, _ := n.Graph.OutRow(p)
+			for _, to := range cols {
 				if n.Graph.Type(to) != TypePaper {
 					keep[to] = true
 				}
-				return true
-			})
+			}
 		}
 		nodes := make([]graph.NodeID, 0, len(keep))
 		for v := range keep {

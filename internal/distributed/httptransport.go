@@ -43,9 +43,6 @@ func NewHTTPTransport(baseURL string) *HTTPTransport {
 	}
 }
 
-// URL returns the worker base URL this transport dials.
-func (t *HTTPTransport) URL() string { return t.base }
-
 // ForStripe returns a copy of the transport bound to the stripe with the
 // given index: per-stripe RPCs carry an explicit ?stripe=N selector, which a
 // multi-stripe fleet member requires. The copy shares the HTTP client (and

@@ -198,9 +198,6 @@ func NewLoopback(w *Worker) *Loopback { return &Loopback{w: w, index: AnyStripe}
 // stripe with the given index.
 func NewLoopbackAt(w *Worker, index int) *Loopback { return &Loopback{w: w, index: index} }
 
-// Worker returns the wrapped worker.
-func (l *Loopback) Worker() *Worker { return l.w }
-
 // Info implements Transport.
 func (l *Loopback) Info(ctx context.Context) (WorkerInfo, error) {
 	if err := ctx.Err(); err != nil {

@@ -172,25 +172,16 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	m := len(merged)
 
+	newCSR := func() CSR {
+		return CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, m), Weight: make([]float64, m), Sum: make([]float64, n)}
+	}
 	g := &Graph{
-		numNodes: n,
-		numEdges: m,
-		types:    append([]Type(nil), b.types...),
-		labels:   append([]string(nil), b.labels...),
-		out: CSR{
-			RowPtr: make([]int64, n+1),
-			Col:    make([]NodeID, m),
-			Weight: make([]float64, m),
-			Sum:    make([]float64, n),
-		},
-		in: CSR{
-			RowPtr: make([]int64, n+1),
-			Col:    make([]NodeID, m),
-			Weight: make([]float64, m),
-			Sum:    make([]float64, n),
-		},
-		typeNames: make(map[Type]string, len(b.typeNames)),
-		byLabel:   make(map[string]NodeID, len(b.byLabel)),
+		CompactedView: CompactedView{numNodes: n, out: newCSR(), in: newCSR()},
+		numEdges:      m,
+		types:         append([]Type(nil), b.types...),
+		labels:        append([]string(nil), b.labels...),
+		typeNames:     make(map[Type]string, len(b.typeNames)),
+		byLabel:       make(map[string]NodeID, len(b.byLabel)),
 	}
 	for t, name := range b.typeNames {
 		g.typeNames[t] = name

@@ -1,50 +1,23 @@
 package graph
 
-// CompactedView is adjacency in immutable flat CSR arrays and nothing else — no
-// labels, no types. It is what any view without flat or packed arrays of its
-// own becomes at the door of a solver (Compact), and what a graph with some
-// edges taken out is (Graph.Without). Like *Graph it is both a CSRView, the
-// layout the walk kernels require, and a Rows.
-//
-// A compaction is a snapshot: later changes to the source view are not
-// reflected.
+// CompactedView is the flat layout: adjacency in immutable CSR arrays and
+// nothing else — no labels, no types, no epoch. It is what caller-owned arrays
+// become under a solver (Compact), what a graph with some edges taken out is
+// (Graph.Without), and the adjacency a *Graph embeds. It is a View, its own
+// Rows — three accessors over the arrays it holds — and a CSRView.
 type CompactedView struct {
-	n   int
-	out CSR
-	in  CSR
+	numNodes int
+	out      CSR
+	in       CSR
 }
 
-// Compact flattens view into a CompactedView with one pass over its out- and
-// in-adjacency. If view is already a CSRView it is returned wrapped without
-// copying. Otherwise the cost is O(nodes + edges), so flatten once and solve
-// against the result repeatedly.
-func Compact(view View) *CompactedView {
-	if cv, ok := view.(CSRView); ok {
-		return &CompactedView{n: cv.NumNodes(), out: cv.OutCSR(), in: cv.InCSR()}
-	}
-	n := view.NumNodes()
-	return &CompactedView{
-		n:   n,
-		out: compactSide(n, view.EachOut),
-		in:  compactSide(n, view.EachIn),
-	}
-}
-
-func compactSide(n int, each func(NodeID, func(NodeID, float64) bool)) CSR {
-	c := CSR{
-		RowPtr: make([]int64, n+1),
-		Sum:    make([]float64, n),
-	}
-	for v := 0; v < n; v++ {
-		each(NodeID(v), func(to NodeID, w float64) bool {
-			c.Col = append(c.Col, to)
-			c.Weight = append(c.Weight, w)
-			c.Sum[v] += w
-			return true
-		})
-		c.RowPtr[v+1] = int64(len(c.Col))
-	}
-	return c
+// Compact puts flat arrays under a solver: it wraps view's arrays in a
+// CompactedView without copying them. It is how a caller with storage of its
+// own — or a test with hand-made rows: self-loops, zero weights, dangling
+// nodes — reaches the solvers, all of which take a View. The wrapper is
+// unversioned: it reports epoch zero and the fingerprint of the arrays alone.
+func Compact(view CSRView) *CompactedView {
+	return &CompactedView{numNodes: view.NumNodes(), out: view.OutCSR(), in: view.InCSR()}
 }
 
 // EdgeKey identifies a directed edge by its endpoints.
@@ -66,9 +39,9 @@ func (g *Graph) Without(hide []EdgeKey) *CompactedView {
 		hidden[k] = true
 	}
 	return &CompactedView{
-		n:   g.numNodes,
-		out: g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] }),
-		in:  g.in.filter(func(to, from NodeID) bool { return !hidden[EdgeKey{from, to}] }),
+		numNodes: g.numNodes,
+		out:      g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] }),
+		in:       g.in.filter(func(to, from NodeID) bool { return !hidden[EdgeKey{from, to}] }),
 	}
 }
 
@@ -90,45 +63,34 @@ func (c CSR) filter(keep func(row, col NodeID) bool) CSR {
 }
 
 // NumNodes implements View.
-func (c *CompactedView) NumNodes() int { return c.n }
+func (c *CompactedView) NumNodes() int { return c.numNodes }
 
-// OutDegree implements View.
-func (c *CompactedView) OutDegree(v NodeID) int { return c.out.Degree(v) }
+// Epoch implements View: bare arrays are unversioned.
+func (c *CompactedView) Epoch() uint64 { return 0 }
 
-// InDegree implements View.
-func (c *CompactedView) InDegree(v NodeID) int { return c.in.Degree(v) }
+// Fingerprint implements View, hashing the arrays on every call.
+func (c *CompactedView) Fingerprint() uint32 { return computeFingerprint(c.numNodes, 0, c.out) }
 
-// OutWeightSum implements View.
-func (c *CompactedView) OutWeightSum(v NodeID) float64 { return c.out.Sum[v] }
+// NewRows implements View: a flat layout is its own Rows.
+func (c *CompactedView) NewRows() Rows { return c }
 
-// InWeightSum implements View.
-func (c *CompactedView) InWeightSum(v NodeID) float64 { return c.in.Sum[v] }
+// OutSums implements View.
+func (c *CompactedView) OutSums() []float64 { return c.out.Sum }
 
-// EachOut implements View.
-func (c *CompactedView) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	lo, hi := c.out.RowPtr[v], c.out.RowPtr[v+1]
-	for i := lo; i < hi; i++ {
-		if !fn(c.out.Col[i], c.out.Weight[i]) {
-			return
-		}
-	}
-}
+// GatherOut implements View.
+func (c *CompactedView) GatherOut(x, dst []float64, lo, hi int) { c.out.Gather(x, dst, lo, hi) }
 
-// EachIn implements View.
-func (c *CompactedView) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
-	lo, hi := c.in.RowPtr[v], c.in.RowPtr[v+1]
-	for i := lo; i < hi; i++ {
-		if !fn(c.in.Col[i], c.in.Weight[i]) {
-			return
-		}
-	}
-}
+// GatherIn implements View.
+func (c *CompactedView) GatherIn(x, dst []float64, lo, hi int) { c.in.Gather(x, dst, lo, hi) }
 
 // OutCSR implements CSRView.
 func (c *CompactedView) OutCSR() CSR { return c.out }
 
 // InCSR implements CSRView.
 func (c *CompactedView) InCSR() CSR { return c.in }
+
+// OutDegree implements Rows.
+func (c *CompactedView) OutDegree(v NodeID) int { return c.out.Degree(v) }
 
 // OutSum implements Rows.
 func (c *CompactedView) OutSum(v NodeID) float64 { return c.out.Sum[v] }

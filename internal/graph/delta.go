@@ -272,13 +272,13 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 	}
 	n := d.NumNodes()
 	g := &Graph{
-		numNodes:  n,
 		epoch:     base.epoch + 1,
 		types:     make([]Type, 0, n),
 		labels:    make([]string, 0, n),
 		typeNames: make(map[Type]string, len(base.typeNames)),
 		byLabel:   make(map[string]NodeID, n),
 	}
+	g.numNodes = n
 	g.types = append(append(g.types, base.types...), d.newTypes...)
 	g.labels = append(append(g.labels, base.labels...), d.newLabels...)
 	for t, name := range base.typeNames {

@@ -244,8 +244,8 @@ func TestRemoveNodeIsolatesAndCanReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ng.OutDegree(a1) != 0 || ng.InDegree(a1) != 0 {
-		t.Fatalf("removed node still has edges: out=%d in=%d", ng.OutDegree(a1), ng.InDegree(a1))
+	if ng.OutDegree(a1) != 0 || ng.InCSR().Degree(a1) != 0 {
+		t.Fatalf("removed node still has edges: out=%d in=%d", ng.OutDegree(a1), ng.InCSR().Degree(a1))
 	}
 	if ng.Label(a1) != "a1" || ng.NodeByLabel("a1") != a1 {
 		t.Fatal("removed node lost its identity")
@@ -266,8 +266,8 @@ func TestRemoveNodeIsolatesAndCanReattach(t *testing.T) {
 	if w, ok := ng2.EdgeWeight(p0, a1); !ok || w != 7 {
 		t.Fatalf("re-attached edge: %v %v, want 7 true", w, ok)
 	}
-	if ng2.InDegree(a1) != 1 || ng2.OutDegree(a1) != 0 {
-		t.Fatalf("re-attached node degrees: in=%d out=%d, want 1/0", ng2.InDegree(a1), ng2.OutDegree(a1))
+	if ng2.InCSR().Degree(a1) != 1 || ng2.OutDegree(a1) != 0 {
+		t.Fatalf("re-attached node degrees: in=%d out=%d, want 1/0", ng2.InCSR().Degree(a1), ng2.OutDegree(a1))
 	}
 }
 
@@ -331,7 +331,7 @@ func TestEpochZeroFingerprintIsLegacyCompatible(t *testing.T) {
 	}
 	// The cache must not leak across snapshots: recomputing yields the same
 	// value (and the committed graph's cache is its own).
-	if GraphFingerprint(g) != computeFingerprint(g) || GraphFingerprint(ng) != computeFingerprint(ng) {
+	if GraphFingerprint(g) != computeFingerprint(g.NumNodes(), 0, g.OutCSR()) || GraphFingerprint(ng) != computeFingerprint(ng.NumNodes(), 1, ng.OutCSR()) {
 		t.Fatal("cached fingerprint differs from a fresh computation")
 	}
 }

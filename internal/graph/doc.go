@@ -9,12 +9,15 @@
 // (T-Rank) and border-node expansions are all O(degree).
 //
 // Random-walk code operates on the View interface rather than on *Graph
-// directly. Views that can expose flat CSR arrays implement CSRView, the
-// layout the parallel walk kernels run on, and Rows, the row seam the online
-// searcher reads; Compact flattens any other view into one, and the solvers do
-// so themselves at the door when handed such a view. Graph.Without is the
-// graph minus some edges as flat arrays — per-query edge masking (ground-truth
-// edge removal in the evaluation tasks).
+// directly. View is a closed contract: what a layout owes a solver — its node
+// count, epoch and content fingerprint, its rows (NewRows, the seam the online
+// searcher reads) and its whole-row reductions (OutSums, GatherOut, GatherIn,
+// the seam the exact solvers iterate over) — implemented by the three layouts
+// of this package and by nothing else: *Graph, *CompactedView (bare flat CSR
+// arrays, which a *Graph embeds) and *Packed (varint-packed rows). Compact puts
+// caller-owned flat arrays (a CSRView) under a solver without copying them.
+// Graph.Without is the graph minus some edges as flat arrays — per-query edge
+// masking (ground-truth edge removal in the evaluation tasks).
 //
 // # Mutation and epochs
 //

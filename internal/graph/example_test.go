@@ -19,11 +19,11 @@ func ExampleBuilder() {
 	g := b.MustBuild()
 
 	fmt.Printf("%d nodes, %d directed edges, epoch %d\n", g.NumNodes(), g.NumEdges(), g.Epoch())
-	fmt.Printf("out-degree(%s) = %d, out-weight = %g\n", g.Label(p), g.OutDegree(p), g.OutWeightSum(p))
-	g.EachOut(p, func(to graph.NodeID, w float64) bool {
-		fmt.Printf("  %s -> %s (%g)\n", g.Label(p), g.Label(to), w)
-		return true
-	})
+	fmt.Printf("out-degree(%s) = %d, out-weight = %g\n", g.Label(p), g.OutDegree(p), g.OutSum(p))
+	cols, weights := g.OutRow(p)
+	for i, to := range cols {
+		fmt.Printf("  %s -> %s (%g)\n", g.Label(p), g.Label(to), weights[i])
+	}
 	// Output:
 	// 3 nodes, 4 directed edges, epoch 0
 	// out-degree(paper:csr) = 2, out-weight = 3

@@ -1,4 +1,4 @@
-// This file defines the core Graph structure and View interfaces; the
+// This file defines the core Graph structure and the View contract; the
 // package documentation lives in doc.go.
 package graph
 
@@ -21,26 +21,43 @@ type Type uint8
 // Untyped is the default node type.
 const Untyped Type = 0
 
-// View is the read interface consumed by walk engines, bounds frameworks and
-// top-K algorithms. *Graph, *CompactedView and *Packed implement it.
+// View is the closed contract of a graph layout: what a layout owes a solver
+// and nothing else. The three layouts — *Graph, *CompactedView and *Packed —
+// implement it here; nothing outside this package does. A solver reaches the
+// adjacency through exactly two seams: NewRows, the row-streaming seam of the
+// online searcher (Algorithm 1 reads the out- and in-rows of the nodes it
+// touches), and OutSums with GatherOut/GatherIn, the whole-row reductions of
+// the exact F-Rank/T-Rank iterations (Eq. 5 and 8; walk.Local partitions the
+// row range across its pool). Caller-owned arrays come in through Compact.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
-	// OutDegree returns the number of outgoing edges of v.
-	OutDegree(v NodeID) int
-	// InDegree returns the number of incoming edges of v.
-	InDegree(v NodeID) int
-	// OutWeightSum returns the total weight of v's outgoing edges.
-	OutWeightSum(v NodeID) float64
-	// InWeightSum returns the total weight of v's incoming edges.
-	InWeightSum(v NodeID) float64
-	// EachOut calls fn for every outgoing edge v->to with weight w, until fn
-	// returns false.
-	EachOut(v NodeID, fn func(to NodeID, w float64) bool)
-	// EachIn calls fn for every incoming edge from->v with weight w, until fn
-	// returns false.
-	EachIn(v NodeID, fn func(from NodeID, w float64) bool)
+	// Epoch returns the snapshot version, zero when the layout is unversioned.
+	Epoch() uint64
+	// Fingerprint identifies the content: GraphFingerprint of the flat arrays
+	// the layout holds (or was packed from). Layouts of the same content at
+	// the same epoch agree on it.
+	Fingerprint() uint32
+	// NewRows returns the layout's rows for one query. The flat layouts are
+	// Rows themselves and return themselves, allocating nothing; *Packed
+	// returns a session that is cheap, not safe for concurrent use, and must
+	// not outlive the view.
+	NewRows() Rows
+	// OutSums returns every node's total out-weight, read-only.
+	OutSums() []float64
+	// GatherOut fills dst[r] = Σ w(r,to)·x[to] over the out-row of every r in
+	// [lo, hi), each row reduced sequentially in stored entry order — so the
+	// result is bit-identical however callers split the range, and across
+	// layouts of the same content.
+	GatherOut(x, dst []float64, lo, hi int)
+	// GatherIn is GatherOut over the in-rows: dst[r] = Σ w(from,r)·x[from].
+	GatherIn(x, dst []float64, lo, hi int)
 }
+
+// RowsProvider is the old name of the part of View that mints row sessions.
+// It survives only because bench/probes.go asserts it: the next [benchmark]
+// PR (ROADMAP item 2(e)) drops that assertion and deletes this.
+type RowsProvider = View
 
 // CSR is one adjacency direction in compressed-sparse-row form: the neighbors
 // of row v are Col[RowPtr[v]:RowPtr[v+1]] with matching Weight entries, and
@@ -81,13 +98,15 @@ func (c CSR) Gather(x, dst []float64, lo, hi int) {
 	}
 }
 
-// CSRView is implemented by views that expose their adjacency as flat CSR
-// arrays, the layout the flat walk kernels run on; a view that cannot provide
-// it (an ad-hoc wrapper) is flattened with Compact first.
+// CSRView is "has flat arrays": what Compact wraps and what Pack,
+// BuildStripeData and GraphFingerprint read. *Graph and *CompactedView
+// implement it; a caller (or a test) that owns adjacency arrays implements
+// these three methods and puts them under a solver with Compact.
 // Implementations must return immutable arrays: the kernels read them
 // concurrently from multiple goroutines.
 type CSRView interface {
-	View
+	// NumNodes returns the number of nodes.
+	NumNodes() int
 	// OutCSR returns the forward adjacency: row v lists the edges v->to.
 	OutCSR() CSR
 	// InCSR returns the transposed adjacency used by reverse walks: row v
@@ -95,16 +114,35 @@ type CSRView interface {
 	InCSR() CSR
 }
 
+// The three layouts implement the closed contract; the flat ones are also
+// their own Rows and CSRView.
+var (
+	_ View    = (*Graph)(nil)
+	_ View    = (*CompactedView)(nil)
+	_ View    = (*Packed)(nil)
+	_ Rows    = (*Graph)(nil)
+	_ Rows    = (*CompactedView)(nil)
+	_ CSRView = (*Graph)(nil)
+)
+
 // Graph is an immutable CSR graph. Construct with a Builder, or derive a new
 // snapshot from an existing Graph with Commit. Mutation never happens in
 // place: Commit merges a Delta into a fresh Graph one epoch later, so every
 // *Graph ever handed out keeps serving its own consistent adjacency.
+//
+// Its adjacency is the embedded flat layout — the forward arrays and their
+// transposed copy, so forward walks (F-Rank), backward walks (T-Rank) and
+// border-node expansions all stream flat arrays — which is where the View,
+// Rows and CSRView accessors are written, once for both flat layouts. On top
+// of it a Graph carries what only a built graph has: labels, types, an epoch
+// and a cached fingerprint — so hand a solver, Pack or BuildStripeData the
+// *Graph, never the embedded layout, which on its own is unversioned.
 type Graph struct {
-	numNodes int
+	CompactedView
 	numEdges int
 	epoch    uint64
 
-	// fp lazily caches GraphFingerprint: the CSR arrays are immutable, and
+	// fp lazily caches Fingerprint: the CSR arrays are immutable, and
 	// serving endpoints poll the fingerprint far more often than it changes.
 	fpOnce sync.Once
 	fp     uint32
@@ -112,30 +150,24 @@ type Graph struct {
 	types  []Type
 	labels []string
 
-	// Forward adjacency and its transposed copy, so forward walks (F-Rank),
-	// backward walks (T-Rank) and border-node expansions all stream flat
-	// arrays.
-	out CSR
-	in  CSR
-
 	typeNames map[Type]string
 	byLabel   map[string]NodeID
 }
 
-// OutCSR implements CSRView.
-func (g *Graph) OutCSR() CSR { return g.out }
-
-// InCSR implements CSRView.
-func (g *Graph) InCSR() CSR { return g.in }
-
 // Epoch returns the graph's snapshot version: zero for a freshly built graph,
-// incremented by every Commit. The epoch is stamped into GraphFingerprint, so
+// incremented by every Commit. The epoch is stamped into the fingerprint, so
 // two snapshots of an evolving graph never alias even when a sequence of
 // commits happens to restore an earlier adjacency.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// NumNodes returns the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return g.numNodes }
+// Fingerprint implements View: the epoch-stamped content hash, computed once.
+func (g *Graph) Fingerprint() uint32 {
+	g.fpOnce.Do(func() { g.fp = computeFingerprint(g.numNodes, g.epoch, g.out) })
+	return g.fp
+}
+
+// NewRows implements View: a *Graph is its own Rows.
+func (g *Graph) NewRows() Rows { return g }
 
 // NumEdges returns the number of directed edges in the graph.
 func (g *Graph) NumEdges() int { return g.numEdges }
@@ -185,42 +217,8 @@ func (g *Graph) CountOfType(t Type) int {
 	return n
 }
 
-// OutDegree returns the number of outgoing edges of v.
-func (g *Graph) OutDegree(v NodeID) int { return g.out.Degree(v) }
-
-// InDegree returns the number of incoming edges of v.
-func (g *Graph) InDegree(v NodeID) int { return g.in.Degree(v) }
-
 // Degree returns the total (in + out) degree of v.
-func (g *Graph) Degree(v NodeID) int {
-	return g.OutDegree(v) + g.InDegree(v)
-}
-
-// OutWeightSum returns the total outgoing edge weight of v.
-func (g *Graph) OutWeightSum(v NodeID) float64 { return g.out.Sum[v] }
-
-// InWeightSum returns the total incoming edge weight of v.
-func (g *Graph) InWeightSum(v NodeID) float64 { return g.in.Sum[v] }
-
-// EachOut iterates v's outgoing edges.
-func (g *Graph) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	lo, hi := g.out.RowPtr[v], g.out.RowPtr[v+1]
-	for i := lo; i < hi; i++ {
-		if !fn(g.out.Col[i], g.out.Weight[i]) {
-			return
-		}
-	}
-}
-
-// EachIn iterates v's incoming edges.
-func (g *Graph) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
-	lo, hi := g.in.RowPtr[v], g.in.RowPtr[v+1]
-	for i := lo; i < hi; i++ {
-		if !fn(g.in.Col[i], g.in.Weight[i]) {
-			return
-		}
-	}
-}
+func (g *Graph) Degree(v NodeID) int { return g.out.Degree(v) + g.in.Degree(v) }
 
 // OutNeighbors returns the out-neighbor IDs and weights of v as slices backed
 // by the graph's internal arrays; callers must not modify them.
@@ -234,35 +232,16 @@ func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64) {
 	return g.in.Row(v)
 }
 
-// OutSum implements Rows. With OutRow, InRow and Err (and NumNodes and
-// OutDegree above) it makes a *Graph a Rows: the online searcher reads the CSR
-// arrays through the same seam as every other representation, with no
-// per-query session object.
-func (g *Graph) OutSum(v NodeID) float64 { return g.out.Sum[v] }
-
-// OutRow implements Rows.
-func (g *Graph) OutRow(v NodeID) ([]NodeID, []float64) { return g.out.Row(v) }
-
-// InRow implements Rows.
-func (g *Graph) InRow(v NodeID) ([]NodeID, []float64) { return g.in.Row(v) }
-
-// Err implements Rows: reading the arrays cannot fail.
-func (g *Graph) Err() error { return nil }
-
 // EdgeWeight returns the weight of the directed edge from->to and whether it
 // exists. If parallel edges were merged at build time there is at most one.
 func (g *Graph) EdgeWeight(from, to NodeID) (float64, bool) {
-	w := 0.0
-	found := false
-	g.EachOut(from, func(t NodeID, ew float64) bool {
+	cols, ws := g.out.Row(from)
+	for i, t := range cols {
 		if t == to {
-			w = ew
-			found = true
-			return false
+			return ws[i], true
 		}
-		return true
-	})
-	return w, found
+	}
+	return 0, false
 }
 
 // HasEdge reports whether a directed edge from->to exists.
@@ -272,7 +251,7 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 }
 
 // TransitionProb returns the one-step random-walk transition probability
-// M[from][to] = w(from,to) / OutWeightSum(from). It is zero when the edge does
+// M[from][to] = w(from,to) / OutSum(from). It is zero when the edge does
 // not exist or when from has no outgoing weight.
 func (g *Graph) TransitionProb(from, to NodeID) float64 {
 	return TransitionProb(g, from, to)
@@ -311,29 +290,21 @@ func (g *Graph) Validate() error {
 	}
 	for v := 0; v < g.numNodes; v++ {
 		sum := 0.0
-		g.EachOut(NodeID(v), func(to NodeID, w float64) bool {
-			if to < 0 || int(to) >= g.numNodes {
-				sum = math.NaN()
-				return false
+		cols, ws := g.out.Row(NodeID(v))
+		for i, to := range cols {
+			if to < 0 || int(to) >= g.numNodes || !(ws[i] > 0) {
+				return fmt.Errorf("graph: node %d has an invalid outgoing edge", v)
 			}
-			if w <= 0 {
-				sum = math.NaN()
-				return false
-			}
-			sum += w
-			return true
-		})
-		if math.IsNaN(sum) {
-			return fmt.Errorf("graph: node %d has an invalid outgoing edge", v)
+			sum += ws[i]
 		}
 		if math.Abs(sum-g.out.Sum[v]) > 1e-9*(1+sum) {
 			return fmt.Errorf("graph: node %d out weight sum mismatch: %g vs %g", v, sum, g.out.Sum[v])
 		}
 		sum = 0.0
-		g.EachIn(NodeID(v), func(from NodeID, w float64) bool {
+		_, ws = g.in.Row(NodeID(v))
+		for _, w := range ws {
 			sum += w
-			return true
-		})
+		}
 		if math.Abs(sum-g.in.Sum[v]) > 1e-9*(1+sum) {
 			return fmt.Errorf("graph: node %d in weight sum mismatch: %g vs %g", v, sum, g.in.Sum[v])
 		}
@@ -341,32 +312,31 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// TransitionProb returns the one-step transition probability M[from][to] on an
-// arbitrary View.
+// TransitionProb returns the one-step transition probability M[from][to] on
+// any layout.
 func TransitionProb(v View, from, to NodeID) float64 {
-	sum := v.OutWeightSum(from)
+	rows := v.NewRows()
+	sum := rows.OutSum(from)
 	if sum <= 0 {
 		return 0
 	}
-	p := 0.0
-	v.EachOut(from, func(t NodeID, w float64) bool {
+	cols, ws := rows.OutRow(from)
+	for i, t := range cols {
 		if t == to {
-			p = w / sum
-			return false
+			return ws[i] / sum
 		}
-		return true
-	})
-	return p
+	}
+	return 0
 }
 
 // IsStronglyReachable reports whether every node in the view can reach node q
 // and be reached from node q (a cheap proxy for irreducibility with respect to
 // a query). It runs two BFS traversals.
 func IsStronglyReachable(v View, q NodeID) bool {
-	n := v.NumNodes()
-	reachFwd := bfs(v, q, true)
-	reachBwd := bfs(v, q, false)
-	for i := 0; i < n; i++ {
+	rows := v.NewRows()
+	reachFwd := bfs(rows.NumNodes(), q, rows.OutRow)
+	reachBwd := bfs(rows.NumNodes(), q, rows.InRow)
+	for i := range reachFwd {
 		if !reachFwd[i] || !reachBwd[i] {
 			return false
 		}
@@ -374,25 +344,19 @@ func IsStronglyReachable(v View, q NodeID) bool {
 	return true
 }
 
-func bfs(v View, start NodeID, forward bool) []bool {
-	n := v.NumNodes()
+func bfs(n int, start NodeID, row func(NodeID) ([]NodeID, []float64)) []bool {
 	seen := make([]bool, n)
 	seen[start] = true
 	queue := []NodeID{start}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		visit := func(next NodeID, _ float64) bool {
+		cols, _ := row(cur)
+		for _, next := range cols {
 			if !seen[next] {
 				seen[next] = true
 				queue = append(queue, next)
 			}
-			return true
-		}
-		if forward {
-			v.EachOut(cur, visit)
-		} else {
-			v.EachIn(cur, visit)
 		}
 	}
 	return seen

@@ -46,8 +46,8 @@ func TestBuilderAndAccessors(t *testing.T) {
 	if w, ok := g.EdgeWeight(a, c); !ok || w != 2 {
 		t.Errorf("EdgeWeight(a,c) = %v,%v want 2,true", w, ok)
 	}
-	if g.OutDegree(d) != 2 || g.InDegree(d) != 2 {
-		t.Errorf("degrees of d: out=%d in=%d, want 2,2", g.OutDegree(d), g.InDegree(d))
+	if g.OutDegree(d) != 2 || g.InCSR().Degree(d) != 2 {
+		t.Errorf("degrees of d: out=%d in=%d, want 2,2", g.OutDegree(d), g.InCSR().Degree(d))
 	}
 	if got := g.TransitionProb(d, a); math.Abs(got-0.5/3.5) > 1e-12 {
 		t.Errorf("TransitionProb(d,a) = %g, want %g", got, 0.5/3.5)
@@ -122,27 +122,6 @@ func TestBuilderDuplicateLabelAndErrors(t *testing.T) {
 	}
 }
 
-func TestEachOutEarlyStop(t *testing.T) {
-	g, ids := buildSmall(t)
-	d := ids[2]
-	count := 0
-	g.EachOut(d, func(NodeID, float64) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("EachOut early stop visited %d edges, want 1", count)
-	}
-	count = 0
-	g.EachIn(d, func(NodeID, float64) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("EachIn early stop visited %d edges, want 1", count)
-	}
-}
-
 // rebuildWithout builds g's nodes and edges, minus the hidden ones, from
 // scratch through a Builder.
 func rebuildWithout(g *Graph, hide []EdgeKey) *Graph {
@@ -155,12 +134,12 @@ func rebuildWithout(g *Graph, hide []EdgeKey) *Graph {
 		b.AddNode(g.Type(NodeID(v)), g.Label(NodeID(v)))
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		g.EachOut(NodeID(v), func(to NodeID, w float64) bool {
+		cols, ws := g.OutRow(NodeID(v))
+		for i, to := range cols {
 			if !hidden[EdgeKey{NodeID(v), to}] {
-				b.MustAddEdge(NodeID(v), to, w)
+				b.MustAddEdge(NodeID(v), to, ws[i])
 			}
-			return true
-		})
+		}
 	}
 	return b.MustBuild()
 }
@@ -193,30 +172,23 @@ func TestMaskedView(t *testing.T) {
 		t.Errorf("Without differs from a from-scratch build without the edges:\n%+v\n%+v\nwant\n%+v\n%+v",
 			mv.OutCSR(), mv.InCSR(), want.OutCSR(), want.InCSR())
 	}
-	if mv.OutDegree(d) != 1 || mv.InDegree(d) != 1 {
-		t.Errorf("masked degrees of d: out=%d in=%d, want 1,1", mv.OutDegree(d), mv.InDegree(d))
+	if mv.OutDegree(d) != 1 || mv.InCSR().Degree(d) != 1 {
+		t.Errorf("masked degrees of d: out=%d in=%d, want 1,1", mv.OutDegree(d), mv.InCSR().Degree(d))
 	}
 	if mv.OutDegree(e) != 0 {
 		t.Errorf("masked out degree of e = %d, want 0", mv.OutDegree(e))
 	}
-	if got := mv.OutWeightSum(d); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("masked OutWeightSum(d) = %g, want 0.5", got)
+	if got := mv.OutSum(d); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("masked OutSum(d) = %g, want 0.5", got)
 	}
-	if got := mv.InWeightSum(e); got != 0 {
-		t.Errorf("masked InWeightSum(e) = %g, want 0", got)
+	if got := mv.InCSR().Sum[e]; got != 0 {
+		t.Errorf("masked in-sum of e = %g, want 0", got)
 	}
-	seen := false
-	mv.EachOut(d, func(to NodeID, w float64) bool {
-		if to == e {
-			seen = true
-		}
-		return true
-	})
-	if seen {
+	if cols, _ := mv.OutRow(d); slices.Contains(cols, e) {
 		t.Errorf("masked edge d->e still visible")
 	}
 	// Unaffected nodes keep their values, and the graph itself is untouched.
-	if mv.OutWeightSum(c) != g.OutWeightSum(c) {
+	if mv.OutSum(c) != g.OutSum(c) {
 		t.Errorf("unaffected node sum changed")
 	}
 	if g.OutDegree(d) != 2 || !g.HasEdge(e, d) {
@@ -254,7 +226,7 @@ func TestCountingRows(t *testing.T) {
 	if c.ActiveNodes() != 2 {
 		t.Errorf("ActiveNodes = %d, want 2", c.ActiveNodes())
 	}
-	want := int64(2*41 + 12*(g.OutDegree(d)+g.InDegree(d)+g.OutDegree(a)+g.InDegree(a)))
+	want := int64(2*41 + 12*(g.Degree(d)+g.Degree(a)))
 	if got := c.ActiveSetBytes(); got != want {
 		t.Errorf("ActiveSetBytes = %d, want %d", got, want)
 	}
@@ -298,56 +270,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if err := sub.Graph.Validate(); err != nil {
 		t.Fatalf("subgraph Validate: %v", err)
-	}
-}
-
-func TestExpandHops(t *testing.T) {
-	// Line 0->1->2->3->4 built directly to control direction.
-	b := NewBuilder()
-	var ids []NodeID
-	for i := 0; i < 5; i++ {
-		ids = append(ids, b.AddNode(Untyped, string(rune('a'+i))))
-	}
-	for i := 0; i+1 < 5; i++ {
-		b.MustAddEdge(ids[i], ids[i+1], 1)
-	}
-	g := b.MustBuild()
-	got := ExpandHops(g, []NodeID{ids[2]}, 1)
-	if len(got) != 3 {
-		t.Fatalf("1-hop expansion size = %d, want 3 (uses both directions)", len(got))
-	}
-	got = ExpandHops(g, []NodeID{ids[0]}, 10)
-	if len(got) != 5 {
-		t.Fatalf("full expansion size = %d, want 5", len(got))
-	}
-	if len(ExpandHops(g, nil, 3)) != 0 {
-		t.Fatalf("empty seeds should expand to nothing")
-	}
-}
-
-func TestLargestSCC(t *testing.T) {
-	// Two cycles of size 3 and 4 plus a bridge.
-	b := NewBuilder()
-	var ids []NodeID
-	for i := 0; i < 7; i++ {
-		ids = append(ids, b.AddNode(Untyped, string(rune('a'+i))))
-	}
-	for i := 0; i < 3; i++ {
-		b.MustAddEdge(ids[i], ids[(i+1)%3], 1)
-	}
-	for i := 3; i < 7; i++ {
-		b.MustAddEdge(ids[i], ids[3+(i-3+1)%4], 1)
-	}
-	b.MustAddEdge(ids[0], ids[3], 1)
-	g := b.MustBuild()
-	scc := LargestStronglyConnectedComponent(g)
-	if len(scc) != 4 {
-		t.Fatalf("largest SCC size = %d, want 4", len(scc))
-	}
-	for _, v := range scc {
-		if v < 3 {
-			t.Errorf("node %d should not be in the largest SCC", v)
-		}
 	}
 }
 
@@ -404,7 +326,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if g2.Label(NodeID(v)) != g.Label(NodeID(v)) || g2.Type(NodeID(v)) != g.Type(NodeID(v)) {
 			t.Errorf("node %d metadata mismatch", v)
 		}
-		if math.Abs(g2.OutWeightSum(NodeID(v))-g.OutWeightSum(NodeID(v))) > 1e-12 {
+		if math.Abs(g2.OutSum(NodeID(v))-g.OutSum(NodeID(v))) > 1e-12 {
 			t.Errorf("node %d out weight sum mismatch", v)
 		}
 	}
@@ -482,8 +404,8 @@ func TestQuickGraphInvariants(t *testing.T) {
 		}
 		outTotal, inTotal := 0.0, 0.0
 		for v := 0; v < g.NumNodes(); v++ {
-			outTotal += g.OutWeightSum(NodeID(v))
-			inTotal += g.InWeightSum(NodeID(v))
+			outTotal += g.OutSum(NodeID(v))
+			inTotal += g.InCSR().Sum[v]
 		}
 		return math.Abs(outTotal-inTotal) < 1e-6*(1+outTotal)
 	}
@@ -504,11 +426,9 @@ func TestQuickTransitionRowsStochastic(t *testing.T) {
 			var key EdgeKey
 			found := false
 			for v := 0; v < g.NumNodes() && !found; v++ {
-				g.EachOut(NodeID(v), func(to NodeID, w float64) bool {
-					key = EdgeKey{NodeID(v), to}
-					found = true
-					return false
-				})
+				if cols, _ := g.OutRow(NodeID(v)); len(cols) > 0 {
+					key, found = EdgeKey{NodeID(v), cols[0]}, true
+				}
 			}
 			masked := g.Without([]EdgeKey{key})
 			if want := rebuildWithout(g, []EdgeKey{key}); !sameCSR(masked.OutCSR(), want.OutCSR()) || !sameCSR(masked.InCSR(), want.InCSR()) {
@@ -517,18 +437,17 @@ func TestQuickTransitionRowsStochastic(t *testing.T) {
 			views = append(views, masked)
 		}
 		for _, view := range views {
+			rows := view.NewRows()
 			for v := 0; v < view.NumNodes(); v++ {
 				sum := 0.0
-				deg := 0
-				wsum := view.OutWeightSum(NodeID(v))
-				view.EachOut(NodeID(v), func(to NodeID, w float64) bool {
-					deg++
+				wsum := rows.OutSum(NodeID(v))
+				_, ws := rows.OutRow(NodeID(v))
+				for _, w := range ws {
 					if wsum > 0 {
 						sum += w / wsum
 					}
-					return true
-				})
-				if deg > 0 && math.Abs(sum-1) > 1e-9 {
+				}
+				if len(ws) > 0 && math.Abs(sum-1) > 1e-9 {
 					return false
 				}
 			}

@@ -300,62 +300,36 @@ func scanPackedRow(b []byte, numNodes int, wantSum float64) error {
 	return nil
 }
 
-// PackedCSRView is implemented by views that expose their adjacency as packed
-// CSR blocks. The walk solvers' in-process gather (walk.Local) dispatches on
-// it and reduces rows with PackedCSR.Gather over streaming row decodes,
-// bit-identical to CSR.Gather because rows decode in the identical entry
-// order.
-type PackedCSRView interface {
-	View
-	// OutPacked returns the forward adjacency.
-	OutPacked() *PackedCSR
-	// InPacked returns the transposed adjacency.
-	InPacked() *PackedCSR
-}
-
-// RowsProvider is implemented by views that can mint a per-query Rows session
-// (the online searcher's row-streaming access pattern). topk.TopK asks it for
-// one when the view is not a Rows itself; results are bit-identical to a flat
-// graph's for the same content.
-type RowsProvider interface {
-	View
-	// NewRows returns a fresh row session. Sessions are cheap, not safe for
-	// concurrent use, and must not outlive the view.
-	NewRows() Rows
-}
-
 // Packed is a whole graph in packed CSR form: the memory-lean counterpart of
-// *Graph's flat arrays, built with Pack. It implements View (streaming row
-// decodes), PackedCSRView (the packed walk kernels) and
-// RowsProvider (the online searcher's row access), so every solver accepts it
-// directly. It carries no labels or types — only adjacency — mirroring
-// CompactedView.
+// *Graph's flat arrays, built with Pack. It implements View — its gathers
+// stream row decodes (PackedCSR.Gather), its rows are per-query sessions — so
+// every solver accepts it directly, with results bit-identical to the flat
+// layout's. It carries no labels or types, only adjacency, and the identity
+// (epoch, fingerprint) of the flat source it was packed from.
 type Packed struct {
 	numNodes int
 	numEdges int
 	epoch    uint64
+	fp       uint32
 	out, in  PackedCSR
 }
 
-// Pack converts a flat CSR view into its packed representation. The source
+// Pack converts flat CSR arrays into their packed representation. The source
 // arrays are only read; Sum arrays are shared between the two representations.
+// The source's epoch and fingerprint are recorded (hashing the arrays unless
+// the source has its fingerprint cached, as a *Graph does), so an engine over
+// the packed view validates a worker fleet exactly as one over the source.
 func Pack(v CSRView) *Packed {
-	p := &Packed{
-		numNodes: v.NumNodes(),
-		out:      packCSR(v.OutCSR()),
-		in:       packCSR(v.InCSR()),
-	}
-	p.numEdges = len(v.OutCSR().Col)
-	if e, ok := v.(Epocher); ok {
-		p.epoch = e.Epoch()
-	}
+	out := v.OutCSR()
+	p := &Packed{numNodes: v.NumNodes(), numEdges: len(out.Col), out: packCSR(out), in: packCSR(v.InCSR())}
+	p.epoch, p.fp = identity(v)
 	return p
 }
 
 // Unpack reconstructs the flat CSR arrays, bit-identical to the view Pack
 // consumed: same RowPtr, Col, Weight and Sum contents in both directions.
 func (p *Packed) Unpack() *CompactedView {
-	return &CompactedView{n: p.numNodes, out: p.out.unpackCSR(), in: p.in.unpackCSR()}
+	return &CompactedView{numNodes: p.numNodes, out: p.out.unpackCSR(), in: p.in.unpackCSR()}
 }
 
 // NumNodes implements View.
@@ -364,48 +338,20 @@ func (p *Packed) NumNodes() int { return p.numNodes }
 // NumEdges returns the number of directed edges.
 func (p *Packed) NumEdges() int { return p.numEdges }
 
-// Epoch returns the snapshot version carried over from the packed view.
+// Epoch implements View: the snapshot version of the packed source.
 func (p *Packed) Epoch() uint64 { return p.epoch }
 
-// OutPacked implements PackedCSRView.
-func (p *Packed) OutPacked() *PackedCSR { return &p.out }
+// Fingerprint implements View: the fingerprint of the packed source.
+func (p *Packed) Fingerprint() uint32 { return p.fp }
 
-// InPacked implements PackedCSRView.
-func (p *Packed) InPacked() *PackedCSR { return &p.in }
+// OutSums implements View.
+func (p *Packed) OutSums() []float64 { return p.out.Sum }
 
-// OutDegree implements View.
-func (p *Packed) OutDegree(v NodeID) int { return p.out.Degree(v) }
+// GatherOut implements View.
+func (p *Packed) GatherOut(x, dst []float64, lo, hi int) { p.out.Gather(x, dst, lo, hi) }
 
-// InDegree implements View.
-func (p *Packed) InDegree(v NodeID) int { return p.in.Degree(v) }
-
-// OutWeightSum implements View.
-func (p *Packed) OutWeightSum(v NodeID) float64 { return p.out.Sum[v] }
-
-// InWeightSum implements View.
-func (p *Packed) InWeightSum(v NodeID) float64 { return p.in.Sum[v] }
-
-// EachOut implements View by streaming row v.
-func (p *Packed) EachOut(v NodeID, fn func(to NodeID, w float64) bool) {
-	it := p.out.Iter(v)
-	for {
-		col, w, ok := it.Next()
-		if !ok || !fn(col, w) {
-			return
-		}
-	}
-}
-
-// EachIn implements View by streaming row v of the transposed adjacency.
-func (p *Packed) EachIn(v NodeID, fn func(from NodeID, w float64) bool) {
-	it := p.in.Iter(v)
-	for {
-		col, w, ok := it.Next()
-		if !ok || !fn(col, w) {
-			return
-		}
-	}
-}
+// GatherIn implements View.
+func (p *Packed) GatherIn(x, dst []float64, lo, hi int) { p.in.Gather(x, dst, lo, hi) }
 
 // SizeBytes returns the resident footprint of the packed adjacency (both
 // directions: row offsets, packed data, row sums). Compare against the flat
@@ -419,8 +365,8 @@ func (p *Packed) SizeBytes() int64 {
 // deletes this.
 func (p *Packed) Close() error { return nil }
 
-// NewRows implements RowsProvider: a session that decodes rows on first
-// access and caches them for its lifetime.
+// NewRows implements View: a session that decodes rows on first access and
+// caches them for its lifetime.
 func (p *Packed) NewRows() Rows { return &packedRows{p: p} }
 
 // packedRows is the Rows session of a Packed view. Each row is decoded once

@@ -72,34 +72,59 @@ func TestPackUnpackBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPackedViewMatchesFlat is the table test of the closed View contract:
+// every layout of the same content — the graph, its arrays under Compact, the
+// graph with nothing taken out, its packed form and that unpacked again —
+// reports the same node count, epoch and fingerprint, and serves bit-equal
+// out-sums, rows (through NewRows) and gathers.
 func TestPackedViewMatchesFlat(t *testing.T) {
-	for name, g := range packedTestViews(t) {
-		p := Pack(g)
-		if p.NumNodes() != g.NumNodes() {
-			t.Fatalf("%s: NumNodes %d != %d", name, p.NumNodes(), g.NumNodes())
+	for name, src := range packedTestViews(t) {
+		g := src.(*Graph)
+		out, in := g.OutCSR(), g.InCSR()
+		x := make([]float64, g.NumNodes())
+		for i := range x {
+			x[i] = 1 / float64(i+1)
 		}
-		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-			if p.OutDegree(v) != g.OutDegree(v) || p.InDegree(v) != g.InDegree(v) {
-				t.Fatalf("%s: node %d degree mismatch", name, v)
+		wantOut, wantIn := make([]float64, len(x)), make([]float64, len(x))
+		out.Gather(x, wantOut, 0, len(x))
+		in.Gather(x, wantIn, 0, len(x))
+		for layout, view := range map[string]View{
+			"graph": g, "compact": Compact(g), "without": g.Without(nil), "packed": Pack(g), "unpacked": Pack(g).Unpack(),
+		} {
+			what := name + "/" + layout
+			if view.NumNodes() != g.NumNodes() || view.Epoch() != g.Epoch() || view.Fingerprint() != g.Fingerprint() {
+				t.Fatalf("%s: %d nodes, epoch %d, fingerprint %08x; the graph has %d, %d, %08x", what,
+					view.NumNodes(), view.Epoch(), view.Fingerprint(), g.NumNodes(), g.Epoch(), g.Fingerprint())
 			}
-			if p.OutWeightSum(v) != g.OutWeightSum(v) || p.InWeightSum(v) != g.InWeightSum(v) {
-				t.Fatalf("%s: node %d weight sum mismatch", name, v)
+			if !sameRow(nil, view.OutSums(), nil, out.Sum) {
+				t.Fatalf("%s: OutSums differ", what)
 			}
-			type edge struct {
-				to NodeID
-				w  float64
+			rows := view.NewRows()
+			for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+				if rows.OutDegree(v) != out.Degree(v) || rows.OutSum(v) != out.Sum[v] {
+					t.Fatalf("%s: node %d out-degree or out-sum mismatch", what, v)
+				}
+				cols, wts := rows.OutRow(v)
+				wantC, wantW := out.Row(v)
+				if !sameRow(cols, wts, wantC, wantW) {
+					t.Fatalf("%s: node %d OutRow differs", what, v)
+				}
+				cols, wts = rows.InRow(v)
+				wantC, wantW = in.Row(v)
+				if !sameRow(cols, wts, wantC, wantW) {
+					t.Fatalf("%s: node %d InRow differs", what, v)
+				}
 			}
-			var want, got []edge
-			g.EachOut(v, func(to NodeID, w float64) bool { want = append(want, edge{to, w}); return true })
-			p.EachOut(v, func(to NodeID, w float64) bool { got = append(got, edge{to, w}); return true })
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: node %d out rows differ:\nwant %v\ngot  %v", name, v, want, got)
-			}
-			want, got = nil, nil
-			g.EachIn(v, func(from NodeID, w float64) bool { want = append(want, edge{from, w}); return true })
-			p.EachIn(v, func(from NodeID, w float64) bool { got = append(got, edge{from, w}); return true })
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: node %d in rows differ", name, v)
+			// Split the range unevenly: the reduction is per row, so any
+			// partition gives the same bits.
+			gotOut, gotIn := make([]float64, len(x)), make([]float64, len(x))
+			mid := len(x) / 3
+			view.GatherOut(x, gotOut, 0, mid)
+			view.GatherOut(x, gotOut, mid, len(x))
+			view.GatherIn(x, gotIn, 0, mid)
+			view.GatherIn(x, gotIn, mid, len(x))
+			if !sameRow(nil, gotOut, nil, wantOut) || !sameRow(nil, gotIn, nil, wantIn) {
+				t.Fatalf("%s: gathers differ from the flat reduction", what)
 			}
 		}
 	}
@@ -169,6 +194,14 @@ func TestPackedEpochCarried(t *testing.T) {
 	p := Pack(g)
 	if p.Epoch() != g.Epoch() {
 		t.Fatalf("packed epoch %d != graph epoch %d", p.Epoch(), g.Epoch())
+	}
+	ng, err := Commit(g, NewDelta(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np := Pack(ng); np.Epoch() != 1 || np.Fingerprint() != ng.Fingerprint() || np.Fingerprint() == p.Fingerprint() {
+		t.Fatalf("packed commit: epoch %d fingerprint %08x, the graph has %d / %08x (epoch-0 pack: %08x)",
+			np.Epoch(), np.Fingerprint(), ng.Epoch(), ng.Fingerprint(), p.Fingerprint())
 	}
 	if p.NumEdges() != len(g.OutCSR().Col) {
 		t.Fatalf("packed edges %d != %d", p.NumEdges(), len(g.OutCSR().Col))

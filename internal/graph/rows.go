@@ -3,15 +3,14 @@ package graph
 // Rows is the row-streaming access pattern of the online top-K searcher: the
 // exact set of reads bca.Flat and bounds.FFlat/TFlat perform against a graph,
 // expressed per row. It is the one seam under the searcher — everything the
-// searcher knows about a graph. Flat CSR views (*Graph, *CompactedView) are
-// Rows themselves, three accessors over the arrays they hold; graph.Packed
-// hands out per-query sessions that decode rows; the remote implementation
-// (internal/rowserve.Session) serves OutRow/InRow from a row cache filled by
-// batched worker RPCs with OutSum/OutDegree in small dense per-node arrays
-// assembled once at connect time. A view that is none of these is flattened
-// with Compact at the door (topk.TopK, walk.Local, the engine's snapshot). The
-// remote split mirrors the paper's AP/GP architecture: the searcher's working
-// set is O(rows touched), never the full adjacency.
+// searcher knows about a graph — and every View hands it out (View.NewRows).
+// The flat layouts (*Graph, *CompactedView) are Rows themselves, three
+// accessors over the arrays they hold; *Packed hands out per-query sessions
+// that decode rows; the remote implementation (internal/rowserve.Session)
+// serves OutRow/InRow from a row cache filled by batched worker RPCs with
+// OutSum/OutDegree in small dense per-node arrays assembled once at connect
+// time. The remote split mirrors the paper's AP/GP architecture: the
+// searcher's working set is O(rows touched), never the full adjacency.
 type Rows interface {
 	// NumNodes returns the number of nodes; node IDs are in [0, NumNodes).
 	NumNodes() int

@@ -446,10 +446,8 @@ func BuildStripeData(v CSRView, index, count int) (*StripeData, error) {
 	if count <= 0 || index < 0 || index >= count {
 		return nil, fmt.Errorf("graph: invalid stripe %d of %d", index, count)
 	}
-	d := &StripeData{Index: index, Count: count, NumNodes: v.NumNodes(), Graph: GraphFingerprint(v)}
-	if e, ok := v.(Epocher); ok {
-		d.Epoch = e.Epoch()
-	}
+	d := &StripeData{Index: index, Count: count, NumNodes: v.NumNodes()}
+	d.Epoch, d.Graph = identity(v)
 	rows := d.Rows()
 	d.Out = sliceStripeRows(v.OutCSR(), index, count, rows)
 	d.In = sliceStripeRows(v.InCSR(), index, count, rows)
@@ -477,13 +475,6 @@ func sliceStripeRows(src CSR, first, count, rows int) CSR {
 	return dst
 }
 
-// Epocher is implemented by views that carry a snapshot version; *Graph does.
-// GraphFingerprint folds the epoch into the fingerprint when present.
-type Epocher interface {
-	// Epoch returns the snapshot version (zero for an unversioned view).
-	Epoch() uint64
-}
-
 // GraphFingerprint returns a checksum identifying a graph snapshot: CRC-32C
 // over the node count, the snapshot epoch and the forward CSR arrays
 // (offsets, columns, weights). Every stripe cut from a graph records its
@@ -499,23 +490,29 @@ type Epocher interface {
 // The result is cached on *Graph (snapshots are immutable), so polling
 // endpoints and per-commit redeploys do not re-hash the edge arrays.
 func GraphFingerprint(v CSRView) uint32 {
-	if g, ok := v.(*Graph); ok {
-		g.fpOnce.Do(func() { g.fp = computeFingerprint(g) })
-		return g.fp
-	}
-	return computeFingerprint(v)
+	_, fp := identity(v)
+	return fp
 }
 
-func computeFingerprint(v CSRView) uint32 {
+// identity returns the epoch and fingerprint of flat arrays: the layout's own
+// when v is one (*Graph: epoch-stamped and cached), and for caller-owned
+// arrays epoch zero and the hash of the content alone.
+func identity(v CSRView) (epoch uint64, fp uint32) {
+	if l, ok := v.(View); ok {
+		return l.Epoch(), l.Fingerprint()
+	}
+	return 0, computeFingerprint(v.NumNodes(), 0, v.OutCSR())
+}
+
+func computeFingerprint(numNodes int, epoch uint64, out CSR) uint32 {
 	crc := crc32.New(castagnoli)
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v.NumNodes()))
+	binary.LittleEndian.PutUint64(b[:], uint64(numNodes))
 	crc.Write(b[:])
-	if e, ok := v.(Epocher); ok && e.Epoch() != 0 {
-		binary.LittleEndian.PutUint64(b[:], e.Epoch())
+	if epoch != 0 {
+		binary.LittleEndian.PutUint64(b[:], epoch)
 		crc.Write(b[:])
 	}
-	out := v.OutCSR()
 	_ = writeSlice(crc, len(out.RowPtr), func(i int) uint64 { return uint64(out.RowPtr[i]) }, 8)
 	_ = writeSlice(crc, len(out.Col), func(i int) uint64 { return uint64(uint32(out.Col[i])) }, 4)
 	_ = writeSlice(crc, len(out.Weight), func(i int) uint64 { return math.Float64bits(out.Weight[i]) }, 8)

@@ -42,167 +42,12 @@ func Induced(g *Graph, nodes []NodeID) *Subgraph {
 	}
 	for _, pv := range order {
 		sv := fromParent[pv]
-		g.EachOut(pv, func(to NodeID, w float64) bool {
+		cols, ws := g.out.Row(pv)
+		for i, to := range cols {
 			if st, ok := fromParent[to]; ok {
-				b.MustAddEdge(sv, st, w)
+				b.MustAddEdge(sv, st, ws[i])
 			}
-			return true
-		})
+		}
 	}
 	return &Subgraph{Graph: b.MustBuild(), ToParent: toParent, FromParent: fromParent}
-}
-
-// ExpandHops returns the set of nodes reachable from the seeds within the
-// given number of hops, treating edges as undirected (both out- and in-edges
-// are followed). The seeds themselves are included.
-func ExpandHops(g *Graph, seeds []NodeID, hops int) []NodeID {
-	seen := make(map[NodeID]bool, len(seeds))
-	frontier := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if s < 0 || int(s) >= g.NumNodes() || seen[s] {
-			continue
-		}
-		seen[s] = true
-		frontier = append(frontier, s)
-	}
-	for h := 0; h < hops; h++ {
-		var next []NodeID
-		for _, v := range frontier {
-			add := func(u NodeID, _ float64) bool {
-				if !seen[u] {
-					seen[u] = true
-					next = append(next, u)
-				}
-				return true
-			}
-			g.EachOut(v, add)
-			g.EachIn(v, add)
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// LargestStronglyConnectedComponent returns the node IDs of the largest
-// strongly connected component of g, using Tarjan's algorithm (iterative).
-// Graph proximity with T-Rank is only meaningful within an SCC (Sect. III-B of
-// the paper), so dataset generators restrict evaluation graphs to their giant
-// SCC or add dummy back-edges.
-func LargestStronglyConnectedComponent(g *Graph) []NodeID {
-	n := g.NumNodes()
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	comp := make([]int32, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []NodeID
-	var counter int32
-	var compCount int32
-
-	type frame struct {
-		v    NodeID
-		iter int
-		outs []NodeID
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		callStack := []frame{newFrame(g, NodeID(start))}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, NodeID(start))
-		onStack[start] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			advanced := false
-			for f.iter < len(f.outs) {
-				w := f.outs[f.iter]
-				f.iter++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, newFrame(g, w))
-					advanced = true
-					break
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Finish v.
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := &callStack[len(callStack)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = compCount
-					if w == v {
-						break
-					}
-				}
-				compCount++
-			}
-		}
-	}
-
-	sizes := make([]int, compCount)
-	for v := 0; v < n; v++ {
-		sizes[comp[v]]++
-	}
-	best := int32(0)
-	for c := int32(1); c < compCount; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	var out []NodeID
-	for v := 0; v < n; v++ {
-		if comp[v] == best {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-func newFrame(g *Graph, v NodeID) frame2 {
-	outs, _ := g.OutNeighbors(v)
-	cp := make([]NodeID, len(outs))
-	copy(cp, outs)
-	return frame2{v: v, outs: cp}
-}
-
-// frame2 mirrors the anonymous frame struct used by the iterative Tarjan
-// implementation; declared at package scope so newFrame can return it.
-type frame2 = struct {
-	v    NodeID
-	iter int
-	outs []NodeID
 }

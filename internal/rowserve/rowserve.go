@@ -87,9 +87,6 @@ func Connect(ctx context.Context, transports []distributed.Transport, opts *Opti
 	return r, nil
 }
 
-// Cache returns the row cache this view serves from.
-func (r *RemoteCSR) Cache() *Cache { return r.cache }
-
 // Stats reports the cumulative worker RPC count (handshake and row fetches),
 // how many of those were retries after a transient failure, and the total
 // rows fetched.

@@ -43,9 +43,9 @@ func TestToyMatchesFig2(t *testing.T) {
 		}
 	}
 	// Venue memberships: v1 = {p1, p2, p6, p7}, v2 = {p3, p4}, v3 = {p5}.
-	if g.InDegree(toy.V1) != 4 || g.InDegree(toy.V2) != 2 || g.InDegree(toy.V3) != 1 {
+	if g.InCSR().Degree(toy.V1) != 4 || g.InCSR().Degree(toy.V2) != 2 || g.InCSR().Degree(toy.V3) != 1 {
 		t.Errorf("venue in-degrees = %d/%d/%d, want 4/2/1",
-			g.InDegree(toy.V1), g.InDegree(toy.V2), g.InDegree(toy.V3))
+			g.InCSR().Degree(toy.V1), g.InCSR().Degree(toy.V2), g.InCSR().Degree(toy.V3))
 	}
 	// Labels resolve back to the same nodes.
 	if g.NodeByLabel("term:spatio") != toy.T1 || g.NodeByLabel("venue:v2") != toy.V2 {
@@ -86,9 +86,9 @@ func TestCycle(t *testing.T) {
 		t.Fatalf("Cycle(6): %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 	for v := 0; v < 6; v++ {
-		if g.OutDegree(graph.NodeID(v)) != 1 || g.InDegree(graph.NodeID(v)) != 1 {
+		if g.OutDegree(graph.NodeID(v)) != 1 || g.InCSR().Degree(graph.NodeID(v)) != 1 {
 			t.Errorf("cycle node %d degrees %d/%d, want 1/1",
-				v, g.OutDegree(graph.NodeID(v)), g.InDegree(graph.NodeID(v)))
+				v, g.OutDegree(graph.NodeID(v)), g.InCSR().Degree(graph.NodeID(v)))
 		}
 	}
 	if !graph.IsStronglyReachable(g, 0) {
@@ -105,8 +105,8 @@ func TestStar(t *testing.T) {
 		t.Fatalf("Star(4): %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 	hub := g.NodeByLabel("hub")
-	if hub == graph.NoNode || g.OutDegree(hub) != 4 || g.InDegree(hub) != 4 {
-		t.Errorf("hub degrees wrong: out %d in %d", g.OutDegree(hub), g.InDegree(hub))
+	if hub == graph.NoNode || g.OutDegree(hub) != 4 || g.InCSR().Degree(hub) != 4 {
+		t.Errorf("hub degrees wrong: out %d in %d", g.OutDegree(hub), g.InCSR().Degree(hub))
 	}
 }
 

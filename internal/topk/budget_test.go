@@ -48,7 +48,7 @@ func budgetCases(t testing.TB) []budgetCase {
 		t.Fatalf("GenerateRMAT: %v", err)
 	}
 	for v := graph.NodeID(0); v < graph.NodeID(r.Graph.NumNodes()); v++ {
-		if r.Graph.OutDegree(v) > 0 && r.Graph.InDegree(v) > 0 {
+		if r.Graph.OutDegree(v) > 0 && r.Graph.InCSR().Degree(v) > 0 {
 			cases = append(cases, budgetCase{"rmat-10k", r.Graph, v, 10, 10, trials})
 			break
 		}

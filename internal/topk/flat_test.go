@@ -14,31 +14,10 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// hideCSR wraps a view so it is neither a graph.Rows nor a
-// graph.RowsProvider: the ad-hoc wrapper TopK flattens at the door with
-// graph.Compact.
-func hideCSR(v graph.View) graph.View { return struct{ graph.View }{v} }
-
-// csrSpy is a CSR view that counts reads through the generic View iterators.
-type csrSpy struct {
-	*graph.Graph
-	iterated int
-}
-
-func (s *csrSpy) EachOut(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
-	s.iterated++
-	s.Graph.EachOut(v, fn)
-}
-
-func (s *csrSpy) EachIn(v graph.NodeID, fn func(graph.NodeID, float64) bool) {
-	s.iterated++
-	s.Graph.EachIn(v, fn)
-}
-
-// TestFlatDispatch pins how the one searcher reads a graph: a CSR-capable view
-// through its arrays alone (never the View iterators), and — seen through the
-// counting decorator on the row seam — only the rows the search reaches, with
-// the same answer either way.
+// TestFlatDispatch pins how the one searcher reads a graph: TopK on a view is
+// TopKRows on the view's own rows, and — seen through the counting decorator
+// on the row seam — the search reads only the rows it reaches, with the same
+// answer either way.
 func TestFlatDispatch(t *testing.T) {
 	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
 	if err != nil {
@@ -47,13 +26,9 @@ func TestFlatDispatch(t *testing.T) {
 	g := net.Graph
 	q := walk.SingleNode(net.Papers[0])
 	opt := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5}
-	spy := &csrSpy{Graph: g}
-	direct, err := TopK(context.Background(), spy, q, opt)
+	direct, err := TopK(context.Background(), g, q, opt)
 	if err != nil {
 		t.Fatalf("CSR TopK: %v", err)
-	}
-	if spy.iterated != 0 {
-		t.Errorf("CSR view was read through EachOut/EachIn %d times", spy.iterated)
 	}
 	counted := graph.NewCountingRows(g)
 	adapted, err := TopKRows(context.Background(), counted, q, opt)
@@ -112,13 +87,12 @@ func goldenCases() []goldenCase {
 }
 
 // TestFlatMatchesMapPath is the representation parity gate of the searcher
-// (the name dates from when wrapped views ran a separate map-based searcher;
-// they now run the same one, flattened at the door). On every golden graph,
-// scheme and budget, the four ways a graph reaches the searcher — a *Graph, a
-// CompactedView over the same arrays, a packed view's own session, a wrapper
-// hiding the CSR that TopK flattens with graph.Compact — must return deeply
-// equal Results: ranking, score bits, certificate, counters. A graph with
-// edges masked out must likewise give one answer flat, packed and hidden.
+// (the name dates from when wrapped views ran a separate map-based searcher).
+// On every golden graph, scheme and budget, the three layouts a graph reaches
+// the searcher in — a *Graph, a CompactedView over the same arrays, a packed
+// view's own session — must return deeply equal Results: ranking, score bits,
+// certificate, counters. A graph with edges masked out must likewise give one
+// answer flat and packed.
 func TestFlatMatchesMapPath(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range goldenCases() {
@@ -133,7 +107,6 @@ func TestFlatMatchesMapPath(t *testing.T) {
 		others := map[string]func(Options) (*Result, error){
 			"compact": func(opt Options) (*Result, error) { return TopK(ctx, compact, q, opt) },
 			"packed":  func(opt Options) (*Result, error) { return TopK(ctx, packed, q, opt) },
-			"hidden":  func(opt Options) (*Result, error) { return TopK(ctx, hideCSR(tc.g), q, opt) },
 		}
 		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS, SchemeGupta, SchemeSarkar} {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, scheme), func(t *testing.T) {
@@ -158,14 +131,12 @@ func TestFlatMatchesMapPath(t *testing.T) {
 					if err != nil {
 						t.Fatalf("mask: %v", err)
 					}
-					for name, view := range map[string]graph.View{"packed": graph.Pack(masked), "hidden": hideCSR(masked)} {
-						got, err := TopK(ctx, view, q, opt)
-						if err != nil {
-							t.Fatalf("%s mask: %v", name, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("budget %+v: %s masked graph diverged from the flat one:\n%+v\n%+v", b, name, got, want)
-						}
+					got, err := TopK(ctx, graph.Pack(masked), q, opt)
+					if err != nil {
+						t.Fatalf("packed mask: %v", err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("budget %+v: packed masked graph diverged from the flat one:\n%+v\n%+v", b, got, want)
 					}
 				}
 			})

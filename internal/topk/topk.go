@@ -169,23 +169,12 @@ type Result struct {
 // the search within one expansion round and returns ctx.Err().
 //
 // There is one searcher (Algorithm 1 over pooled scratch state, near-zero
-// allocation per query) and it always reads a graph.Rows: a flat view
-// (*graph.Graph, *graph.CompactedView) is one itself, graph.Packed hands out
-// a per-query session, and any other view (an ad-hoc wrapper) is flattened
-// with graph.Compact at the door, the rule walk.Local applies to the exact
-// solvers — an O(nodes + edges) copy per call, so callers with such a view
-// compact it once themselves and query the result. Arithmetic and expansion
-// order are the same on every route, so for the same graph content the
-// results are bit-identical.
+// allocation per query) and it always reads a graph.Rows: TopK is TopKRows
+// over the view's own rows — a flat layout itself, a per-query session of a
+// packed one. Arithmetic and expansion order are the same on every layout, so
+// for the same graph content the results are bit-identical.
 func TopK(ctx context.Context, view graph.View, q walk.Query, opt Options) (*Result, error) {
-	switch v := view.(type) {
-	case graph.Rows:
-		return TopKRows(ctx, v, q, opt)
-	case graph.RowsProvider:
-		return TopKRows(ctx, v.NewRows(), q, opt)
-	default:
-		return TopKRows(ctx, graph.Compact(view), q, opt)
-	}
+	return TopKRows(ctx, view.NewRows(), q, opt)
 }
 
 // boundOptions derives both sides' bound options from the query options:

@@ -34,44 +34,32 @@ type Gatherer interface {
 	GatherOut(ctx context.Context, x, dst []float64) error
 }
 
-// local is the in-process Gatherer: the layout's own row reduction
-// (graph.CSR.Gather or graph.PackedCSR.Gather), row-partitioned on a Pool.
-// Pull form is what makes the partitioning race-free — dst[v] is written by
-// exactly one worker.
+// local is the in-process Gatherer: the layout's own row reductions
+// (graph.View.GatherIn/GatherOut), row-partitioned on a Pool. Pull form is
+// what makes the partitioning race-free — dst[v] is written by exactly one
+// worker.
 type local struct {
-	out, in interface {
-		Gather(x, dst []float64, lo, hi int)
-	}
-	outSum []float64
-	pool   *Pool
+	view graph.View
+	pool *Pool
 }
 
-// Local returns the in-process Gatherer of a view and the function that
-// releases it: packed rows on a graph.PackedCSRView, flat rows on a
-// graph.CSRView, and for any other view (an ad-hoc wrapper) flat rows
-// over graph.Compact(view) — one O(nodes+edges) copy, so resolve a wrapped
-// view once and solve over the Gatherer repeatedly. workers selects the pool
-// as Params.Workers does.
+// Local returns the in-process Gatherer of a view — flat rows or packed rows,
+// whichever the layout holds — and the function that releases it. workers
+// selects the pool as Params.Workers does.
 func Local(view graph.View, workers int) (Gatherer, func()) {
 	pool, release := poolFor(workers)
-	if pv, ok := view.(graph.PackedCSRView); ok {
-		out, in := pv.OutPacked(), pv.InPacked()
-		return local{out: out, in: in, outSum: out.Sum, pool: pool}, release
-	}
-	cv := graph.Compact(view)
-	out, in := cv.OutCSR(), cv.InCSR()
-	return local{out: out, in: in, outSum: out.Sum, pool: pool}, release
+	return local{view: view, pool: pool}, release
 }
 
-func (l local) OutSums() []float64 { return l.outSum }
+func (l local) OutSums() []float64 { return l.view.OutSums() }
 
 func (l local) GatherIn(_ context.Context, x, dst []float64) error {
-	l.pool.Run(len(dst), func(lo, hi int) { l.in.Gather(x, dst, lo, hi) })
+	l.pool.Run(len(dst), func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
 	return nil
 }
 
 func (l local) GatherOut(_ context.Context, x, dst []float64) error {
-	l.pool.Run(len(dst), func(lo, hi int) { l.out.Gather(x, dst, lo, hi) })
+	l.pool.Run(len(dst), func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
 	return nil
 }
 

@@ -230,11 +230,22 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 	assertBitIdentical(t, "TRank", serialTRankReference(g, restart, np), tr)
 }
 
-// TestWrappedViewsSolveThroughCompact pins the door for views with neither
-// flat nor packed arrays: an opaque wrapper — over the graph, and over the
-// graph with an edge masked out — is flattened once per solve, so every
-// solver is bit-identical to the same call on graph.Compact(view), and a
-// cancelled context still returns ctx.Err().
+// ownedArrays is adjacency storage of the caller's own: the three methods
+// graph.Compact asks for and nothing else.
+type ownedArrays struct {
+	n       int
+	out, in graph.CSR
+}
+
+func (a ownedArrays) NumNodes() int     { return a.n }
+func (a ownedArrays) OutCSR() graph.CSR { return a.out }
+func (a ownedArrays) InCSR() graph.CSR  { return a.in }
+
+// TestWrappedViewsSolveThroughCompact pins the door for caller-owned arrays:
+// wrapped with graph.Compact — the arrays of the graph, and of the graph with
+// an edge masked out — every solver is bit-identical to the same call on the
+// layout the arrays came from, and a cancelled context still returns
+// ctx.Err().
 func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-12, MaxIter: 500}
 	ctx := context.Background()
@@ -243,11 +254,12 @@ func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 	q := SingleNode(0)
 	for name, g := range kernelTestGraphs() {
 		to, _ := g.OutNeighbors(0)
-		views := map[string]graph.View{
-			"opaque": struct{ graph.View }{g},
-			"masked": struct{ graph.View }{g.Without([]graph.EdgeKey{{From: 0, To: to[0]}})},
-		}
-		for kind, view := range views {
+		masked := g.Without([]graph.EdgeKey{{From: 0, To: to[0]}})
+		for kind, src := range map[string]interface {
+			graph.View
+			graph.CSRView
+		}{"graph": g, "masked": masked} {
+			view := graph.Compact(ownedArrays{n: src.NumNodes(), out: src.OutCSR(), in: src.InCSR()})
 			solvers := map[string]func(context.Context, graph.View) ([]float64, error){
 				"FRank": func(ctx context.Context, v graph.View) ([]float64, error) { return FRank(ctx, v, q, p) },
 				"TRank": func(ctx context.Context, v graph.View) ([]float64, error) { return TRank(ctx, v, q, p) },
@@ -257,9 +269,9 @@ func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 			}
 			for solver, solve := range solvers {
 				label := name + "/" + kind + "/" + solver
-				want, err := solve(ctx, graph.Compact(view))
+				want, err := solve(ctx, src)
 				if err != nil {
-					t.Fatalf("%s on the compaction: %v", label, err)
+					t.Fatalf("%s on the source layout: %v", label, err)
 				}
 				got, err := solve(ctx, view)
 				if err != nil {

@@ -49,9 +49,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// Workers returns the pool's parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run partitions [0, n) into up to Workers contiguous ranges and executes
 // fn(lo, hi) on each, blocking until all complete. The first range runs on the
 // calling goroutine. fn must not call Run on the same pool (the workers would

@@ -201,10 +201,9 @@ func (q Query) restart(dst []float64) error {
 // returned slice sums to one. Mass at dangling nodes (zero out-degree) is
 // restarted at the query, the standard PPR correction.
 //
-// It is FRankOver the view's Local Gatherer, resolved per call: callers that
-// solve the same wrapped (non-CSR, non-packed) view repeatedly should resolve
-// it once themselves. The context is checked once per power iteration:
-// cancelling it makes FRank return ctx.Err() within one sweep over the edges.
+// It is FRankOver the view's Local Gatherer. The context is checked once per
+// power iteration: cancelling it makes FRank return ctx.Err() within one sweep
+// over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
 	g, release := Local(view, p.Workers)
 	defer release()
@@ -273,78 +272,52 @@ func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64
 	return pageRank(OrBackground(ctx), g, d, tol, maxIter)
 }
 
-// Sampler draws random-walk trajectories on a View. It is used by the
-// Monte-Carlo baselines (SimRank, truncated commute time) and by tests that
-// cross-validate the iterative solvers against simulation.
+// Sampler draws random-walk trajectories on a View, reading its rows. It is
+// used by the Monte-Carlo baselines (SimRank, truncated commute time) and by
+// tests that cross-validate the iterative solvers against simulation.
 type Sampler struct {
-	view graph.View
+	rows graph.Rows
 	rng  *rand.Rand
 }
 
 // NewSampler returns a Sampler using the given random source.
 func NewSampler(view graph.View, rng *rand.Rand) *Sampler {
-	return &Sampler{view: view, rng: rng}
+	return &Sampler{rows: view.NewRows(), rng: rng}
 }
 
 // Step samples one forward random-walk step from v proportionally to edge
 // weights. It returns the next node and false when v has no outgoing edges.
 func (s *Sampler) Step(v graph.NodeID) (graph.NodeID, bool) {
-	sum := s.view.OutWeightSum(v)
-	if sum <= 0 {
-		return v, false
-	}
-	target := s.rng.Float64() * sum
-	var chosen graph.NodeID
-	found := false
-	acc := 0.0
-	s.view.EachOut(v, func(to graph.NodeID, w float64) bool {
-		acc += w
-		if acc >= target {
-			chosen = to
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
-		// Floating-point slack: fall back to the last edge.
-		s.view.EachOut(v, func(to graph.NodeID, w float64) bool {
-			chosen = to
-			found = true
-			return true
-		})
-	}
-	return chosen, found
+	cols, ws := s.rows.OutRow(v)
+	return s.pick(v, cols, ws, s.rows.OutSum(v))
 }
 
 // StepBack samples one backward step (an in-edge) from v proportionally to
 // edge weights, i.e. a forward step on the reversed graph.
 func (s *Sampler) StepBack(v graph.NodeID) (graph.NodeID, bool) {
-	sum := s.view.InWeightSum(v)
-	if sum <= 0 {
+	cols, ws := s.rows.InRow(v)
+	sum := 0.0
+	for _, w := range ws {
+		sum += w
+	}
+	return s.pick(v, cols, ws, sum)
+}
+
+// pick draws one entry of a row whose weights total sum.
+func (s *Sampler) pick(v graph.NodeID, cols []graph.NodeID, ws []float64, sum float64) (graph.NodeID, bool) {
+	if sum <= 0 || len(cols) == 0 {
 		return v, false
 	}
 	target := s.rng.Float64() * sum
-	var chosen graph.NodeID
-	found := false
 	acc := 0.0
-	s.view.EachIn(v, func(from graph.NodeID, w float64) bool {
+	for i, w := range ws {
 		acc += w
 		if acc >= target {
-			chosen = from
-			found = true
-			return false
+			return cols[i], true
 		}
-		return true
-	})
-	if !found {
-		s.view.EachIn(v, func(from graph.NodeID, w float64) bool {
-			chosen = from
-			found = true
-			return true
-		})
 	}
-	return chosen, found
+	// Floating-point slack: fall back to the last edge.
+	return cols[len(cols)-1], true
 }
 
 // GeometricWalk walks forward from start with a geometric number of steps

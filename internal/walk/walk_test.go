@@ -21,18 +21,19 @@ func sum(xs []float64) float64 {
 
 // denseTransition builds the dense one-step transition matrix of a small view.
 func denseTransition(v graph.View) [][]float64 {
-	n := v.NumNodes()
+	rows := v.NewRows()
+	n := rows.NumNodes()
 	m := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		m[i] = make([]float64, n)
-		s := v.OutWeightSum(graph.NodeID(i))
+		s := rows.OutSum(graph.NodeID(i))
 		if s <= 0 {
 			continue
 		}
-		v.EachOut(graph.NodeID(i), func(to graph.NodeID, w float64) bool {
-			m[i][to] += w / s
-			return true
-		})
+		cols, ws := rows.OutRow(graph.NodeID(i))
+		for j, to := range cols {
+			m[i][to] += ws[j] / s
+		}
 	}
 	return m
 }

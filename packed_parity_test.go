@@ -35,7 +35,7 @@ func packedParityGraphs(t testing.TB) []parityGraph {
 	var queries []NodeID
 	for _, start := range []NodeID{0, 4999, 9300} {
 		for v := start; v < NodeID(r.Graph.NumNodes()); v++ {
-			if r.Graph.OutDegree(v) > 0 && r.Graph.InDegree(v) > 0 {
+			if r.Graph.OutDegree(v) > 0 && r.Graph.InCSR().Degree(v) > 0 {
 				queries = append(queries, v)
 				break
 			}

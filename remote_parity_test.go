@@ -14,6 +14,7 @@ import (
 
 	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/graph"
 	"roundtriprank/internal/topk"
 	"roundtriprank/internal/walk"
 )
@@ -187,25 +188,28 @@ func TestRemoteAutoPlansFleet(t *testing.T) {
 }
 
 // TestRemoteRejectsForeignFleet pins the graph-identity check on the row
-// path, mirroring the exact-path test.
+// path, mirroring the exact-path test: over the flat graph and over its packed
+// form alike.
 func TestRemoteRejectsForeignFleet(t *testing.T) {
 	pg := parityGraphs()[0]
 	impostor := testgraphsCycle(t, pg.graph.NumNodes())
-	workers, err := LoopbackWorkers(impostor, 2)
-	if err != nil {
-		t.Fatalf("LoopbackWorkers: %v", err)
-	}
-	engine, err := NewEngine(pg.graph, WithWorkers(workers...))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	_, err = engine.Rank(context.Background(), Request{Query: SingleNode(pg.queries[0]), K: 3, Method: TwoSBoundRemote})
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("foreign fleet accepted (err=%v)", err)
-	}
-	var ce *ClusterError
-	if !errors.As(err, &ce) {
-		t.Fatalf("fleet mismatch not wrapped in ClusterError: %v", err)
+	for layout, view := range map[string]View{"flat": pg.graph, "packed": graph.Pack(pg.graph)} {
+		workers, err := LoopbackWorkers(impostor, 2)
+		if err != nil {
+			t.Fatalf("LoopbackWorkers: %v", err)
+		}
+		engine, err := NewEngine(view, WithWorkers(workers...))
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", layout, err)
+		}
+		_, err = engine.Rank(context.Background(), Request{Query: SingleNode(pg.queries[0]), K: 3, Method: TwoSBoundRemote})
+		if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("%s: foreign fleet accepted (err=%v)", layout, err)
+		}
+		var ce *ClusterError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: fleet mismatch not wrapped in ClusterError: %v", layout, err)
+		}
 	}
 }
 

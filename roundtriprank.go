@@ -23,8 +23,9 @@ type (
 	NodeType = graph.Type
 	// Query is a distribution over one or more query nodes.
 	Query = walk.Query
-	// View is the read-only graph interface accepted by all ranking entry
-	// points; *Graph implements it.
+	// View is the read-only graph contract accepted by all ranking entry
+	// points. It is closed: *Graph implements it, as do the bare layouts of
+	// internal/graph (flat arrays, packed rows); callers do not.
 	View = graph.View
 	// Delta is a staged batch of mutations against one Graph snapshot: node
 	// additions, edge upserts, edge and node removals. Stage with NewDelta
