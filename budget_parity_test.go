@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/fleet"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/topk"
@@ -235,5 +236,63 @@ func TestDeadlineDerivedBudgetDegrades(t *testing.T) {
 	}
 	if resp.CertifiedK > len(resp.Results) {
 		t.Errorf("CertifiedK %d > %d results", resp.CertifiedK, len(resp.Results))
+	}
+}
+
+// TestBudgetKeepCertificate pins how a budget, a result filter and the
+// certificate meet. Nodes the filter rejects still carry mass through the
+// expansions but never enter the candidate ranking, so what a budgeted,
+// filtered search certifies must be a prefix of the exact filtered ranking —
+// node for node, at every round cap — and a larger cap can only help: the
+// certified prefix never shrinks and the achieved ε never grows. Sixty paper
+// queries ranked over authors and venues, ε = 0, one to eight rounds.
+func TestBudgetKeepCertificate(t *testing.T) {
+	net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(0.12))
+	if err != nil {
+		t.Fatalf("GenerateBibNet: %v", err)
+	}
+	engine, err := NewEngine(net.Graph)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	ctx := context.Background()
+	filter := &Filter{Types: []NodeType{datasets.TypeAuthor, datasets.TypeVenue}, ExcludeQuery: true}
+	const queries, maxRounds = 60, 8
+	certified := 0
+	for i := 0; i < queries; i++ {
+		q := net.Papers[i*len(net.Papers)/queries]
+		req := Request{Query: SingleNode(q), K: 10, Filter: filter, Method: Exact}
+		exact, err := engine.Rank(ctx, req)
+		if err != nil {
+			t.Fatalf("q%d: exact: %v", q, err)
+		}
+		req.Method = TwoSBound
+		prevK, prevEps := 0, math.Inf(1)
+		for rounds := 1; rounds <= maxRounds; rounds++ {
+			req.Budget = &Budget{MaxRounds: rounds}
+			resp, err := engine.Rank(ctx, req)
+			if err != nil {
+				t.Fatalf("q%d, %d rounds: %v", q, rounds, err)
+			}
+			if resp.CertifiedK > len(resp.Results) || resp.CertifiedK > len(exact.Results) {
+				t.Fatalf("q%d, %d rounds: CertifiedK %d of %d results, the exact ranking has %d",
+					q, rounds, resp.CertifiedK, len(resp.Results), len(exact.Results))
+			}
+			for pos := 0; pos < resp.CertifiedK; pos++ {
+				if resp.Results[pos].Node != exact.Results[pos].Node {
+					t.Errorf("q%d, %d rounds: certified position %d holds node %d, the exact filtered ranking node %d",
+						q, rounds, pos, resp.Results[pos].Node, exact.Results[pos].Node)
+				}
+			}
+			if resp.CertifiedK < prevK || resp.AchievedEpsilon > prevEps {
+				t.Errorf("q%d: %d rounds certify %d at ε %g, one fewer certified %d at ε %g",
+					q, rounds, resp.CertifiedK, resp.AchievedEpsilon, prevK, prevEps)
+			}
+			prevK, prevEps = resp.CertifiedK, resp.AchievedEpsilon
+		}
+		certified += prevK
+	}
+	if certified == 0 {
+		t.Errorf("no query certified anything within %d rounds; the prefix claim is vacuous", maxRounds)
 	}
 }

@@ -177,6 +177,9 @@ type QueryStat struct {
 	Degraded bool
 	// CertifiedK mirrors Response.CertifiedK.
 	CertifiedK int
+	// Rounds and Sweeps mirror Response.Rounds and Response.Sweeps: what the
+	// online search did (zero on the exact path and when Err is non-nil).
+	Rounds, Sweeps int
 }
 
 // WithQueryStatsHook installs a callback invoked after every executed Rank
@@ -302,6 +305,9 @@ type Response struct {
 	// Rounds is the number of expansion rounds of the online search (zero on
 	// the exact path).
 	Rounds int
+	// Sweeps is the number of Stage-II refinement sweeps the online search
+	// ran, over both neighborhoods and all rounds (zero on the exact path).
+	Sweeps int
 	// FSeen, TSeen and RSeen are the final neighborhood sizes |Sf|, |St| and
 	// |Sf ∩ St| of the online search (zero on the exact path).
 	FSeen, TSeen, RSeen int
@@ -710,6 +716,7 @@ func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Respo
 	if err == nil {
 		resp.Elapsed = st.Elapsed
 		st.Degraded, st.CertifiedK = resp.Degraded, resp.CertifiedK
+		st.Rounds, st.Sweeps = resp.Rounds, resp.Sweeps
 	}
 	if e.statsHook != nil {
 		e.statsHook(st)
@@ -847,6 +854,7 @@ func onlineResponse(p *plan, res *topk.Result) *Response {
 		CertifiedK:      min(res.CertifiedK, len(results)),
 		AchievedEpsilon: res.AchievedEpsilon,
 		Rounds:          res.Rounds,
+		Sweeps:          res.Sweeps,
 		FSeen:           res.FSeen,
 		TSeen:           res.TSeen,
 		RSeen:           res.RSeen,

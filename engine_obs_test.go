@@ -149,6 +149,22 @@ func TestQueryStatsHook(t *testing.T) {
 	if stats[0].Err != nil {
 		t.Errorf("hook err = %v, want nil", stats[0].Err)
 	}
+	if stats[0].Rounds != 0 || stats[0].Sweeps != 0 {
+		t.Errorf("exact query reported %d rounds and %d Stage-II sweeps, want none", stats[0].Rounds, stats[0].Sweeps)
+	}
+
+	// An online query reports what its search did, as the response does.
+	online, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: 3, Method: TwoSBound})
+	if err != nil {
+		t.Fatalf("Rank: %v", err)
+	}
+	if online.Rounds <= 0 || online.Sweeps < online.Rounds {
+		t.Errorf("online response reports %d rounds and %d Stage-II sweeps, want at least one sweep a round", online.Rounds, online.Sweeps)
+	}
+	if st := stats[1]; st.Rounds != online.Rounds || st.Sweeps != online.Sweeps {
+		t.Errorf("hook reports %d rounds and %d sweeps, the response %d and %d", st.Rounds, st.Sweeps, online.Rounds, online.Sweeps)
+	}
+	stats = stats[:1]
 
 	// Validation failures never reach execution, so the hook must not fire.
 	if _, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: 0}); err == nil {

@@ -11,7 +11,7 @@ import (
 // benchHub generates the R-MAT 10^4 graph the bench spine's hub workload uses
 // (at a tenth of its size) and returns it with its highest-degree node: the
 // query whose neighborhoods are the largest the trackers refine.
-func benchHub(b *testing.B) (*graph.Graph, walk.Query) {
+func benchHub(b testing.TB) (*graph.Graph, walk.Query) {
 	b.Helper()
 	cfg := datasets.DefaultRMATConfig(10_000)
 	cfg.Seed = 42
@@ -31,6 +31,34 @@ func benchHub(b *testing.B) (*graph.Graph, walk.Query) {
 
 const benchRounds = 3 // the hub workload's round budget
 
+// TestStageIISweepCount pins what a hub round's refinement costs in sweeps,
+// the unit the kernel's time is proportional to. The T side re-tightens the
+// unseen bound and solves that scalar loop by a Newton step (refiner.refine):
+// 20, 16 and 17 sweeps where iterating it took 42, 31 and 32. The F side has
+// no such loop and its counts are the plain iteration's.
+func TestStageIISweepCount(t *testing.T) {
+	g, q := benchHub(t)
+	var tb TFlat
+	var fb FFlat
+	if err := tb.InitRows(g, q, DefaultTOptions(0.25)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.InitRows(g, q, DefaultFOptions(0.25)); err != nil {
+		t.Fatal(err)
+	}
+	for round, wantF := range [benchRounds]int{4, 6, 5} {
+		tBefore, fBefore := tb.k.sweeps, fb.k.sweeps
+		tb.Expand()
+		fb.Expand()
+		if got := tb.k.sweeps - tBefore; got > 24 {
+			t.Errorf("round %d: the T refinement ran %d sweeps, want at most 24", round, got)
+		}
+		if got := fb.k.sweeps - fBefore; got != wantF {
+			t.Errorf("round %d: the F refinement ran %d sweeps, want %d", round, got, wantF)
+		}
+	}
+}
+
 // benchTFlat times the given number of rounds of the T side (border expansion
 // plus Stage-II refinement) from a pooled tracker on the hub query.
 func benchTFlat(b *testing.B, rounds int) {
@@ -46,6 +74,7 @@ func benchTFlat(b *testing.B, rounds int) {
 			tb.Expand()
 		}
 	}
+	b.ReportMetric(float64(tb.k.sweeps)/float64(rounds), "sweeps/refine")
 }
 
 // BenchmarkTFlatExpandHub is the T side of the hub workload's three rounds.
@@ -71,4 +100,5 @@ func BenchmarkFFlatExpand(b *testing.B) {
 			fb.Expand()
 		}
 	}
+	b.ReportMetric(float64(fb.k.sweeps)/benchRounds, "sweeps/refine")
 }

@@ -108,6 +108,9 @@ func (fb *FFlat) UnseenUpper() float64 { return fb.unseen }
 // until the next InitRows and must not be mutated.
 func (fb *FFlat) SeenList() []graph.NodeID { return fb.b.Touched() }
 
+// Sweeps returns the number of Stage-II sweeps run since InitRows.
+func (fb *FFlat) Sweeps() int { return fb.k.sweeps }
+
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
 // bound. When StageII is enabled it then refines the bounds iteratively. It

@@ -43,9 +43,16 @@ type refiner struct {
 	out []float64
 
 	lo, up []float64 // bounds by slot
+	// lowered marks, per slot and for the whole query, the rows the recursion
+	// has lowered at least once; sens is a tightening refinement's lower
+	// estimate of ∂up[r]/∂unseen, zero outside them. See refine.
+	lowered []bool
+	sens    []float64
 	// border lists the slots of the border nodes, for a refinement that
 	// re-tightens the unseen bound (TFlat only, which fills it).
 	border []int32
+
+	sweeps int // sweeps run since reset
 }
 
 // logged is one entry of the edge log.
@@ -56,14 +63,15 @@ type logged struct {
 
 // reset empties the log for a new query.
 func (k *refiner) reset() {
-	k.log, k.restart, k.mass = k.log[:0], k.restart[:0], k.mass[:0]
+	k.log, k.restart, k.mass, k.lowered = k.log[:0], k.restart[:0], k.mass[:0], k.lowered[:0]
+	k.sweeps = 0
 }
 
 // join opens the next slot: the row of a node with the given restart weight
 // whose transition probabilities, to seen and unseen neighbors alike, sum to
 // mass.
 func (k *refiner) join(restart, mass float64) {
-	k.restart, k.mass = append(k.restart, restart), append(k.mass, mass)
+	k.restart, k.mass, k.lowered = append(k.restart, restart), append(k.mass, mass), append(k.lowered, false)
 }
 
 // add logs one induced edge.
@@ -106,8 +114,38 @@ func (k *refiner) load(b *scratch.Bounds) {
 // slot order, keeping every bound monotone (lower bounds only rise, upper
 // bounds only fall), and stops early once no bound moved by tol. An unseen
 // neighbor contributes lower bound zero and the unseen upper bound as it
-// stands at sweep time: with tighten set, Eq. 22 over the border slots
-// re-tightens it after every sweep. It returns the unseen bound.
+// stands at sweep time. It returns the unseen bound.
+//
+// With tighten set, Eq. 22 over the border slots re-tightens the unseen bound
+// after every sweep, and the rows follow it at once. Merely iterated, unseen →
+// out[r]·unseen in every row → the border's upper bounds → unseen is a
+// rank-one loop contracting at about one half per sweep, twenty sweeps after
+// all else has converged. So the sweep also relaxes, on the lowered rows,
+// sens[r] = (1−α)(out[r] + Σ m·sens[j]), a lower estimate of ∂up[r]/∂unseen.
+// A row is lowered once the recursion has lowered it at least once this query:
+// from then on it sits at or above its own recursion value, because all that
+// value reads only falls; a row still held by its Stage-I value does not follow
+// unseen and keeps sens 0. The step solves the loop along that estimate: the
+// least x with x ≥ (1−α)(up[b] − sens[b]·(unseen − x)) for every border slot b
+// (one Newton step, never above the plain Eq. 22 value) becomes the unseen
+// bound, and every up[r] drops by sens[r] times the decrease.
+//
+// It is sound for the reason the plain sweep is. Let H be Eq. 18 per row and
+// Eq. 22 for the scalar, each clamped by the value the refinement started
+// from. H is monotone and a (1−α)-contraction; the true T-Rank values are a
+// sub-solution (both equations hold for them with ≤, under sound starting
+// bounds), so H's fixed point dominates them, and every super-solution
+// (x ≥ H(x)) dominates the fixed point. A sweep maps super-solutions to
+// super-solutions, and so does the step: (i) sens is relaxed Gauss–Seidel from
+// zero over a set of rows that only grows, so it only rises and ends with
+// sens[r] ≤ (1−α)(out[r] + Σ m·sens[j]); lowering unseen by d and every up[j]
+// by sens[j]·d thus lowers a lowered row's recursion value by at least
+// sens[r]·d, leaving the row at or above it; (ii) the new unseen bound is by
+// construction at least (1−α)(up[b] − sens[b]·d) for every border slot b,
+// Eq. 22 over the shifted rows. Never warm-start sens: a newcomer moves mass
+// from out[r] into a logged entry whose own sens starts at zero, so last
+// round's values over-estimate and (i) fails, where an under-estimate only
+// costs sweeps. The fixed point approached is the plain iteration's.
 func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, unseen float64, tighten bool) float64 {
 	k.load(b)
 	// The reslices here and in the row loop tell the compiler the paired
@@ -116,17 +154,25 @@ func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, uns
 	lo := k.lo
 	up := k.up[:len(lo)]
 	ends := k.end[1 : len(lo)+1]
+	lowered := k.lowered[:len(lo)]
+	// Without tighten sens stays zero and the gather below reads zeros: one
+	// row loop serves both kinds of caller.
+	k.sens = slices.Grow(k.sens[:0], len(lo))[:len(lo)]
+	clear(k.sens)
+	sens := k.sens
 	for iter := 0; iter < maxIter; iter++ {
+		k.sweeps++
 		maxChange := 0.0
 		begin := int32(0)
 		for r, end := range ends {
-			sumLo, sumUp := 0.0, k.out[r]*unseen
+			sumLo, sumUp, sumSens := 0.0, k.out[r]*unseen, k.out[r]
 			ms := k.m[begin:end]
 			col := k.col[begin:end][:len(ms)]
 			for e, m := range ms {
 				j := col[e]
 				sumLo += m * lo[j]
 				sumUp += m * up[j]
+				sumSens += m * sens[j]
 			}
 			begin = end
 			newLo := alpha*k.restart[r] + (1-alpha)*sumLo
@@ -138,14 +184,30 @@ func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, uns
 			if newUp < up[r] {
 				maxChange = max(maxChange, up[r]-newUp)
 				up[r] = newUp
+				lowered[r] = true
+			}
+			if tighten && lowered[r] {
+				sens[r] = (1 - alpha) * sumSens
 			}
 		}
 		if tighten {
-			maxBorder := 0.0
+			maxBorder, newton := 0.0, 0.0
 			for _, j := range k.border {
 				maxBorder = max(maxBorder, up[j])
+				newton = max(newton, (1-alpha)*(up[j]-sens[j]*unseen)/(1-(1-alpha)*sens[j]))
 			}
-			unseen = min(unseen, (1-alpha)*maxBorder)
+			next := min(unseen, (1-alpha)*maxBorder, newton)
+			if step := unseen - next; step > 0 {
+				maxSens := 0.0
+				for r, s := range sens {
+					up[r] -= s * step
+					if s > maxSens { // the builtin max is ten cycles a row here
+						maxSens = s
+					}
+				}
+				maxChange = max(maxChange, maxSens*step)
+			}
+			unseen = next
 		}
 		if maxChange < tol {
 			break

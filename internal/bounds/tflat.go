@@ -161,6 +161,9 @@ func (tb *TFlat) UnseenUpper() float64 { return tb.unseen }
 // until the next InitRows and must not be mutated.
 func (tb *TFlat) SeenList() []graph.NodeID { return tb.b.Touched() }
 
+// Sweeps returns the number of Stage-II sweeps run since InitRows.
+func (tb *TFlat) Sweeps() int { return tb.k.sweeps }
+
 // BorderCount returns the number of border nodes of St.
 func (tb *TFlat) BorderCount() int {
 	n := 0
@@ -287,9 +290,10 @@ func (tb *TFlat) recomputeUnseen() {
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// t-neighborhood, re-tightening the unseen bound after every sweep when the
-// scheme asks for it. It reads nothing from the graph: the kernel sweeps the
-// induced edges join has logged; see refiner.
+// t-neighborhood, re-tightening the unseen bound after every sweep — and
+// moving the rows with it — when the scheme asks for it. It reads nothing from
+// the graph: the kernel sweeps the induced edges join has logged; see
+// refiner.refine.
 func (tb *TFlat) Refine() { tb.refine(tb.opt.RefineMaxIter, tb.opt.TightenUnseenInRefine) }
 
 // refine is Refine under a given sweep cap, re-tightening or not.

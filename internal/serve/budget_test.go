@@ -85,6 +85,9 @@ func TestRankBudgetDegradedServes200(t *testing.T) {
 	if out.AchievedEpsilon <= 0 {
 		t.Errorf("achieved_epsilon = %g, want the positive residual gap", out.AchievedEpsilon)
 	}
+	if out.Rounds != 1 || out.Sweeps < 2 {
+		t.Errorf("rounds = %d, sweeps = %d, want the one round and its two refinements' sweeps", out.Rounds, out.Sweeps)
+	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -98,6 +101,7 @@ func TestRankBudgetDegradedServes200(t *testing.T) {
 	for _, want := range []string{
 		`rtrank_engine_query_degraded_total{method="2sbound"} 1`,
 		`rtrank_engine_query_certified_k_count{method="2sbound"} 1`,
+		`rtrank_engine_query_stage2_sweeps_count{method="2sbound"} 1`,
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -33,6 +33,7 @@ type methodMetrics struct {
 	outcomes  map[string]*obs.Counter
 	degraded  *obs.Counter
 	certified *obs.CountHistogram
+	sweeps    *obs.CountHistogram
 }
 
 // NewMetrics returns a Metrics over a fresh "rtrank"-namespaced registry.
@@ -70,6 +71,7 @@ func (m *Metrics) RecordQuery(s roundtriprank.QueryStat) {
 			mm.degraded.Inc()
 		}
 		mm.certified.Observe(int64(s.CertifiedK))
+		mm.sweeps.Observe(int64(s.Sweeps))
 	}
 }
 
@@ -98,6 +100,8 @@ func (m *Metrics) forMethod(method string) *methodMetrics {
 		labels)
 	mm.certified = m.reg.CountHistogram("engine_query_certified_k",
 		"Certified result-prefix length per successful query.", labels)
+	mm.sweeps = m.reg.CountHistogram("engine_query_stage2_sweeps",
+		"Stage-II refinement sweeps per successful query, both neighborhoods, all rounds (zero on exact methods).", labels)
 	for _, q := range []struct {
 		label string
 		q     float64

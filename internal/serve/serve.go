@@ -192,6 +192,7 @@ type rankResponse struct {
 	// the same squared-score scale as the request's epsilon field.
 	AchievedEpsilon float64   `json:"achieved_epsilon,omitempty"`
 	Rounds          int       `json:"rounds,omitempty"`
+	Sweeps          int       `json:"sweeps,omitempty"`
 	Rows            *rankRows `json:"rows,omitempty"`
 	ElapsedMS       float64   `json:"elapsed_ms"`
 }
@@ -231,6 +232,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		CertifiedK:      resp.CertifiedK,
 		AchievedEpsilon: resp.AchievedEpsilon,
 		Rounds:          resp.Rounds,
+		Sweeps:          resp.Sweeps,
 		ElapsedMS:       float64(resp.Elapsed.Microseconds()) / 1000.0,
 	}
 	if resp.Rows != nil {

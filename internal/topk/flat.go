@@ -169,6 +169,7 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 	res.Degraded = stop.degraded()
 	res.TopK = s.ranked()
 	res.CertifiedK, res.AchievedEpsilon = certify(s.members, len(res.TopK), s.unseenUpper())
+	res.Sweeps = s.fb.Sweeps() + s.tb.Sweeps()
 	res.FSeen = s.fb.SeenCount()
 	res.TSeen = s.tb.SeenCount()
 	res.RSeen = s.intersectionSize()

@@ -153,6 +153,9 @@ type Result struct {
 	Stop StopReason
 	// Rounds is the number of expansion rounds executed.
 	Rounds int
+	// Sweeps is the number of Stage-II refinement sweeps the query ran, over
+	// both neighborhoods: the unit its refinement time is proportional to.
+	Sweeps int
 	// FSeen, TSeen and RSeen are the final sizes of the f-, t- and
 	// r-neighborhoods (|Sf|, |St|, |S| = |Sf ∩ St|).
 	FSeen, TSeen, RSeen int

@@ -126,6 +126,8 @@ expect "API.md budgeted rank degraded" '"degraded":true' "$out"
 expect "API.md budgeted rank not converged" '"converged":false' "$out"
 expect "API.md budgeted rank certificate" '"certified_k":' "$out"
 expect "API.md budgeted rank residual" '"achieved_epsilon":' "$out"
+expect "API.md budgeted rank rounds" '"rounds":2' "$out"
+expect "API.md budgeted rank sweeps" '"sweeps":' "$out"
 expect "API.md budgeted rank best venue" '"label":"venue:Spatio-Temporal Databases"' "$out"
 
 out=$(curl -s -o /dev/null -w '%{http_code}' "localhost:$RT_PORT/rank" -d '{
@@ -138,6 +140,7 @@ echo "  ok: budget with nothing certifiable rejected with 504"
 out=$(curl -s "localhost:$RT_PORT/metrics")
 expect "rtrankd /metrics degraded counter" 'rtrank_engine_query_degraded_total{method="2sbound"} 2' "$out"
 expect "rtrankd /metrics certified-k histogram" 'rtrank_engine_query_certified_k_count{method="2sbound"} 2' "$out"
+expect "rtrankd /metrics Stage-II sweeps histogram" 'rtrank_engine_query_stage2_sweeps_count{method="2sbound"} 2' "$out"
 
 echo "docs_examples: gpserver examples (docs/API.md)"
 out=$(curl -s "localhost:$GP_PORT/healthz")
