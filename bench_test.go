@@ -414,6 +414,36 @@ func BenchmarkExactRoundTripRank(b *testing.B) {
 	}
 }
 
+// BenchmarkExactSolveConcurrent runs four exact solves at once on the R-MAT
+// 10^4 graph, the way a serving process does (core.Solve itself runs F ∥ T):
+// gathers that share workers queue behind each other's chunks, and this is
+// where the developer inner loop shows it (the spine's exact workloads run
+// GOMAXPROCS clients).
+func BenchmarkExactSolveConcurrent(b *testing.B) {
+	cfg := datasets.DefaultRMATConfig(10_000)
+	cfg.Seed = 42
+	r, err := datasets.GenerateRMAT(cfg)
+	if err != nil {
+		b.Fatalf("GenerateRMAT: %v", err)
+	}
+	const solvers = 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for s := 0; s < solvers; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q := walk.SingleNode(graph.NodeID(s))
+				if _, err := core.Compute(context.Background(), r.Graph, q, core.Params{Walk: benchWalk, Beta: 0.5}); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // BenchmarkWalkKernels measures each iterative solver on the benchmark BibNet
 // through the flat-array kernels (the bench spine reports the same solves on
 // R-MAT as walk.frank_ms / walk.trank_ms of the rmat-exact workload).

@@ -415,19 +415,18 @@ func (s *snapshot) validateFleet(f *distributed.Fleet) error {
 	return nil
 }
 
-// gatherer returns the row gather the exact family solves over and the
-// function that releases it: the fleet itself, or the local view's in-process
-// gather on the pool workers selects (as walk.Params.Workers does).
-func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.Gatherer, func(), error) {
+// gatherer returns the row gather the exact family solves over: the fleet
+// itself, or the local view's in-process gather on workers goroutines (as
+// walk.Params.Workers).
+func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.Gatherer, error) {
 	if fleet {
 		r, err := s.connect(ctx)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return r.Fleet, func() {}, nil
+		return r.Fleet, nil
 	}
-	g, release := walk.Local(s.view, workers)
-	return g, release, nil
+	return walk.Local(s.view, workers), nil
 }
 
 // rows returns the rows the online family searches over: a per-query session
@@ -746,11 +745,10 @@ func (p *plan) exact(ctx context.Context, cache *vecCache) (*Response, error) {
 func (p *plan) vectors(ctx context.Context, cache *vecCache) (f, t []float64, err error) {
 	wp := p.params.Walk
 	solve := func(q walk.Query) ([]float64, []float64, error) {
-		g, release, err := p.snap.gatherer(ctx, p.method.fleet, wp.Workers)
+		g, err := p.snap.gatherer(ctx, p.method.fleet, wp.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
-		defer release()
 		return core.Solve(ctx, g, q, wp)
 	}
 	if cache == nil {

@@ -241,8 +241,7 @@ func TestCancellationAbortsExactSolve(t *testing.T) {
 
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
-	local, release := walk.Local(g, 0)
-	defer release()
+	local := walk.Local(g, 0)
 	trip := &cancellingGatherer{Gatherer: local, cancel: lcancel, k: 3}
 	if _, _, err := core.Solve(lctx, trip, walk.SingleNode(0), wp); err != context.Canceled {
 		t.Fatalf("core.Solve error = %v, want context.Canceled", err)

@@ -27,16 +27,17 @@ import (
 
 // Flat is a BCA computation for one query. Estimates and residuals live in
 // generation-stamped dense arrays and the greedy selection in an index-keyed
-// heap with in-place decrease-key. A Flat is reusable: InitRows rebinds it to
-// a new query over any graph.Rows in O(1) without freeing its arrays, so a
-// pooled instance serves a stream of queries with no steady-state allocation
-// (see internal/topk's searcher pool).
+// heap with in-place decrease-key — 32 B/node in all, the only state here
+// keyed by node. A Flat is reusable: InitRows rebinds it to a new query over
+// any graph.Rows in O(1) without freeing its arrays, so a pooled instance
+// serves a stream of queries with no steady-state allocation (see
+// internal/topk's searcher pool).
 //
-//   - MaxResidual is O(1): a second indexed heap orders nodes by raw
-//     residual, maintained incrementally alongside the benefit heap.
 //   - ProcessBest never sees a stale priority: addResidual moves the node
 //     within the benefit heap at update time, so the heap holds exactly the
 //     nodes with positive residual (|heap| <= touched nodes).
+//   - MaxResidual is one scan of the residual-touched list, asked for once
+//     per expansion round; nothing is maintained per residual push for it.
 //   - The restart distribution is a deduplicated slice pair, so the
 //     dangling-node spread iterates in deterministic first-occurrence order.
 type Flat struct {
@@ -54,10 +55,8 @@ type Flat struct {
 	mu  scratch.Floats
 
 	// benefit orders live-residual nodes by mu(v)/max(1, outdeg(v)) for
-	// greedy selection; resid orders the same nodes by mu(v) so MaxResidual
-	// is a Peek.
+	// greedy selection.
 	benefit scratch.Heap
-	resid   scratch.Heap
 
 	totalResidual float64
 	processed     int
@@ -78,7 +77,7 @@ func (s *Flat) Init(view graph.CSRView, q walk.Query, alpha float64) error {
 // fetches. Binding reads no rows. A failed row reads as empty: the caller
 // must check rows.Err() before trusting anything computed since.
 func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) { // written to fail on NaN
 		return fmt.Errorf("bca: alpha must be in (0,1), got %g", alpha)
 	}
 	n := rows.NumNodes()
@@ -94,7 +93,6 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 	s.rho.Reset(n)
 	s.mu.Reset(n)
 	s.benefit.Reset(n)
-	s.resid.Reset(n)
 	s.totalResidual = 0
 	s.processed = 0
 	for i, v := range s.restartNodes {
@@ -127,14 +125,16 @@ func (s *Flat) TotalResidual() float64 {
 	return s.totalResidual
 }
 
-// MaxResidual returns the largest residual currently held by any node, in
-// O(1) from the residual heap.
+// MaxResidual returns the largest residual currently held by any node: one
+// scan of the nodes that ever held residual this query.
 func (s *Flat) MaxResidual() float64 {
-	_, pri, ok := s.resid.Peek()
-	if !ok {
-		return 0
-	}
-	return pri
+	maxRes := 0.0
+	s.mu.Each(func(_ graph.NodeID, m float64) {
+		if m > maxRes {
+			maxRes = m
+		}
+	})
+	return maxRes
 }
 
 // Processed returns the number of BCA processing operations performed.
@@ -144,7 +144,7 @@ func (s *Flat) Processed() int { return s.processed }
 func (s *Flat) SeenCount() int { return s.rho.Len() }
 
 // LiveResidualCount returns the number of nodes currently holding positive
-// residual, which is also the size of both internal heaps.
+// residual, which is also the size of the benefit heap.
 func (s *Flat) LiveResidualCount() int { return s.benefit.Len() }
 
 // ResidualTouchedCount returns the number of distinct nodes that ever held
@@ -160,11 +160,16 @@ func (s *Flat) ResidualTouched(v graph.NodeID) bool { return s.mu.Has(v) }
 // EachSeen calls fn for every node with a non-zero PPR estimate.
 func (s *Flat) EachSeen(fn func(v graph.NodeID, rho float64)) { s.rho.Each(fn) }
 
-// EachRestart calls fn for every query node with its normalized weight.
-func (s *Flat) EachRestart(fn func(v graph.NodeID, w float64)) {
-	for i, v := range s.restartNodes {
-		fn(v, s.restartWeights[i])
+// RestartWeight returns the normalized query weight of v, zero when v is not
+// a query node: a scan of the deduplicated restart distribution, which has one
+// entry per distinct query node.
+func (s *Flat) RestartWeight(v graph.NodeID) float64 {
+	for i, qv := range s.restartNodes {
+		if qv == v {
+			return s.restartWeights[i]
+		}
 	}
+	return 0
 }
 
 // EachResidual calls fn for every node with a positive residual.
@@ -187,7 +192,6 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 		deg = 1
 	}
 	s.benefit.Update(v, nm/float64(deg))
-	s.resid.Update(v, nm)
 }
 
 // Process applies one BCA processing step to node v: alpha of its residual is
@@ -202,7 +206,6 @@ func (s *Flat) Process(v graph.NodeID) {
 	}
 	s.mu.Set(v, 0)
 	s.benefit.Remove(v)
-	s.resid.Remove(v)
 	s.totalResidual -= residual
 	s.processed++
 	s.rho.Add(v, s.alpha*residual)
@@ -283,8 +286,8 @@ func (s *Flat) Estimates(n int) []float64 {
 
 // CheckInvariant verifies what must hold at every step: estimates sum to at
 // most 1 (rho lower-bounds PPR), residuals are non-negative and add up to the
-// running total, both heaps hold exactly the positive-residual nodes, and the
-// residual heap's top matches a full scan. Used by tests.
+// running total, and the benefit heap holds exactly the positive-residual
+// nodes. Used by tests.
 func (s *Flat) CheckInvariant() error {
 	mass := 0.0
 	s.rho.Each(func(_ graph.NodeID, r float64) { mass += r })
@@ -294,7 +297,7 @@ func (s *Flat) CheckInvariant() error {
 	if s.totalResidual < -1e-9 {
 		return fmt.Errorf("bca: negative total residual %g", s.totalResidual)
 	}
-	recount, live, maxRes := 0.0, 0, 0.0
+	recount, live := 0.0, 0
 	var err error
 	s.mu.Each(func(v graph.NodeID, m float64) {
 		if m < -1e-12 {
@@ -302,14 +305,11 @@ func (s *Flat) CheckInvariant() error {
 		}
 		if m > 0 {
 			live++
-			if !s.benefit.Contains(v) || !s.resid.Contains(v) {
+			if !s.benefit.Contains(v) {
 				err = fmt.Errorf("bca: node %d has residual %g but no heap entry", v, m)
 			}
-		} else if s.benefit.Contains(v) || s.resid.Contains(v) {
+		} else if s.benefit.Contains(v) {
 			err = fmt.Errorf("bca: node %d has no residual but a heap entry", v)
-		}
-		if m > maxRes {
-			maxRes = m
 		}
 		recount += m
 	})
@@ -319,12 +319,8 @@ func (s *Flat) CheckInvariant() error {
 	if math.Abs(recount-s.TotalResidual()) > 1e-9*(1+recount) {
 		return fmt.Errorf("bca: residual accounting drift: %g vs %g", recount, s.totalResidual)
 	}
-	if s.benefit.Len() != live || s.resid.Len() != live {
-		return fmt.Errorf("bca: heap sizes %d/%d, want %d live residuals",
-			s.benefit.Len(), s.resid.Len(), live)
-	}
-	if got := s.MaxResidual(); math.Abs(got-maxRes) > 1e-15*(1+maxRes) {
-		return fmt.Errorf("bca: incremental max residual %g, scan says %g", got, maxRes)
+	if s.benefit.Len() != live {
+		return fmt.Errorf("bca: heap size %d, want %d live residuals", s.benefit.Len(), live)
 	}
 	return nil
 }

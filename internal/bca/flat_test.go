@@ -30,8 +30,15 @@ func initValidation(t *testing.T, bind binding) {
 	if err := bind(&s, g, walk.SingleNode(0), 0); err == nil {
 		t.Errorf("alpha 0 should error")
 	}
-	if err := bind(&s, g, walk.SingleNode(0), 1); err == nil {
-		t.Errorf("alpha 1 should error")
+	for _, alpha := range []float64{1, -0.25, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := bind(&s, g, walk.SingleNode(0), alpha); err == nil {
+			t.Errorf("alpha %g should error", alpha)
+		}
+	}
+	for _, alpha := range []float64{math.SmallestNonzeroFloat64, math.Nextafter(1, 0)} {
+		if err := bind(&s, g, walk.SingleNode(0), alpha); err != nil {
+			t.Errorf("alpha %g is inside (0,1): %v", alpha, err)
+		}
 	}
 	if err := bind(&s, g, walk.Query{}, 0.25); err == nil {
 		t.Errorf("empty query should error")
@@ -272,8 +279,8 @@ func TestFlatHeapNeverExceedsTouched(t *testing.T) {
 	}
 }
 
-// TestFlatMaxResidualIncremental checks the O(1) MaxResidual against a full
-// scan throughout a run.
+// TestFlatMaxResidualIncremental checks MaxResidual against the positive
+// residuals EachResidual reports, throughout a run.
 func TestFlatMaxResidualIncremental(t *testing.T) {
 	toy := testgraphs.NewToy()
 	var s Flat

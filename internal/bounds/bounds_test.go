@@ -97,28 +97,25 @@ func fSoundnessOnToy(t *testing.T, bind binding) {
 	exactF, _ := exactFT(t, toy.Graph, q, alpha)
 
 	for _, improved := range []bool{true, false} {
-		for _, stageII := range []bool{true, false} {
-			opt := DefaultFOptions(alpha)
-			opt.M = 2
-			opt.ImprovedBound = improved
-			opt.StageII = stageII
-			var fb FFlat
-			if err := bind.f(&fb, toy.Graph, q, opt); err != nil {
-				t.Fatalf("Init: %v", err)
+		opt := DefaultFOptions(alpha)
+		opt.M = 2
+		opt.ImprovedBound = improved
+		var fb FFlat
+		if err := bind.f(&fb, toy.Graph, q, opt); err != nil {
+			t.Fatalf("Init: %v", err)
+		}
+		label := "improved=" + strconv.FormatBool(improved)
+		prevUnseen := fb.UnseenUpper()
+		for round := 0; round < 12; round++ {
+			fb.Expand()
+			checkSound(t, &fb, exactF, label)
+			if fb.UnseenUpper() > prevUnseen+1e-12 {
+				t.Errorf("%s: unseen upper bound increased", label)
 			}
-			label := "improved=" + strconv.FormatBool(improved) + " stageII=" + strconv.FormatBool(stageII)
-			prevUnseen := fb.UnseenUpper()
-			for round := 0; round < 12; round++ {
-				fb.Expand()
-				checkSound(t, &fb, exactF, label)
-				if fb.UnseenUpper() > prevUnseen+1e-12 {
-					t.Errorf("%s: unseen upper bound increased", label)
-				}
-				prevUnseen = fb.UnseenUpper()
-			}
-			if fb.SeenCount() == 0 {
-				t.Errorf("f-neighborhood should not be empty after expansions")
-			}
+			prevUnseen = fb.UnseenUpper()
+		}
+		if fb.SeenCount() == 0 {
+			t.Errorf("f-neighborhood should not be empty after expansions")
 		}
 	}
 }
@@ -127,15 +124,17 @@ func TestFFlatSoundnessOnToy(t *testing.T)   { fSoundnessOnToy(t, csrBinding) }
 func TestFBoundsSoundnessOnToy(t *testing.T) { fSoundnessOnToy(t, rowsBinding) }
 
 // expandedF returns an F tracker on the toy graph after the given number of
-// expansions with M = 3.
-func expandedF(t *testing.T, improved, stageII bool, rounds int) (*FFlat, *testgraphs.Toy) {
+// expansions with M = 3, each refined by at most maxIter sweeps (none leaves
+// the Stage-I bounds as they are).
+func expandedF(t *testing.T, improved bool, maxIter, rounds int) (*FFlat, *testgraphs.Toy) {
 	t.Helper()
 	toy := testgraphs.NewToy()
 	fb := new(FFlat)
-	opt := FOptions{Alpha: 0.25, M: 3, ImprovedBound: improved, StageII: stageII}
+	opt := FOptions{Alpha: 0.25, M: 3, ImprovedBound: improved}
 	if err := fb.Init(toy.Graph, walk.SingleNode(toy.T1), opt); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
+	fb.k.maxIter = maxIter
 	for i := 0; i < rounds; i++ {
 		fb.Expand()
 	}
@@ -143,8 +142,8 @@ func expandedF(t *testing.T, improved, stageII bool, rounds int) (*FFlat, *testg
 }
 
 func TestImprovedFBoundTighterThanWeak(t *testing.T) {
-	strong, _ := expandedF(t, true, false, 5)
-	weak, _ := expandedF(t, false, false, 5)
+	strong, _ := expandedF(t, true, refineMaxIter, 5)
+	weak, _ := expandedF(t, false, refineMaxIter, 5)
 	if strong.UnseenUpper() > weak.UnseenUpper()+1e-12 {
 		t.Errorf("Proposition 4 bound (%g) should not be looser than the first-arrival bound (%g)",
 			strong.UnseenUpper(), weak.UnseenUpper())
@@ -152,10 +151,10 @@ func TestImprovedFBoundTighterThanWeak(t *testing.T) {
 }
 
 func TestStageIITightensFBounds(t *testing.T) {
-	with, toy := expandedF(t, true, true, 4)
-	without, _ := expandedF(t, true, false, 4)
+	with, toy := expandedF(t, true, refineMaxIter, 4)
+	without, _ := expandedF(t, true, 0, 4)
 	// Width of the interval at the query node should be no larger with
-	// Stage II enabled.
+	// Stage II than with Stage I alone.
 	widthWith := with.Upper(toy.T1) - with.Lower(toy.T1)
 	widthWithout := without.Upper(toy.T1) - without.Lower(toy.T1)
 	if widthWith > widthWithout+1e-12 {
@@ -169,52 +168,48 @@ func tSoundnessOnToy(t *testing.T, bind binding) {
 	alpha := 0.25
 	_, exactT := exactFT(t, toy.Graph, q, alpha)
 
-	for _, stageII := range []bool{true, false} {
-		opt := DefaultTOptions(alpha)
-		opt.M = 2
-		opt.StageII = stageII
-		var tb TFlat
-		if err := bind.t(&tb, toy.Graph, q, opt); err != nil {
-			t.Fatalf("Init: %v", err)
+	opt := DefaultTOptions(alpha)
+	opt.M = 2
+	var tb TFlat
+	if err := bind.t(&tb, toy.Graph, q, opt); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	checkSound(t, &tb, exactT, "initial")
+	if math.Abs(tb.Lower(toy.T1)-alpha) > 1e-12 {
+		t.Errorf("initial lower bound at query should be alpha, got %g", tb.Lower(toy.T1))
+	}
+	if tb.Upper(toy.T1) != 1 {
+		t.Errorf("initial upper bound at query should be 1, got %g", tb.Upper(toy.T1))
+	}
+	if tb.UnseenUpper() > 1-alpha+1e-12 {
+		t.Errorf("initial unseen bound should be at most 1-alpha, got %g", tb.UnseenUpper())
+	}
+	prevUnseen := tb.UnseenUpper()
+	for round := 0; round < 10; round++ {
+		added := tb.Expand()
+		checkSound(t, &tb, exactT, "expanded")
+		if tb.UnseenUpper() > prevUnseen+1e-12 {
+			t.Errorf("unseen upper bound increased")
 		}
-		label := "stageII=" + strconv.FormatBool(stageII)
-		checkSound(t, &tb, exactT, "initial "+label)
-		if math.Abs(tb.Lower(toy.T1)-alpha) > 1e-12 {
-			t.Errorf("initial lower bound at query should be alpha, got %g", tb.Lower(toy.T1))
+		prevUnseen = tb.UnseenUpper()
+		if added == 0 && !tb.Exhausted() {
+			t.Errorf("Expand added nothing but border nodes remain")
 		}
-		if tb.Upper(toy.T1) != 1 {
-			t.Errorf("initial upper bound at query should be 1, got %g", tb.Upper(toy.T1))
+		if tb.Exhausted() {
+			break
 		}
-		if tb.UnseenUpper() > 1-alpha+1e-12 {
-			t.Errorf("initial unseen bound should be at most 1-alpha, got %g", tb.UnseenUpper())
-		}
-		prevUnseen := tb.UnseenUpper()
-		for round := 0; round < 10; round++ {
-			added := tb.Expand()
-			checkSound(t, &tb, exactT, label)
-			if tb.UnseenUpper() > prevUnseen+1e-12 {
-				t.Errorf("unseen upper bound increased")
-			}
-			prevUnseen = tb.UnseenUpper()
-			if added == 0 && !tb.Exhausted() {
-				t.Errorf("Expand added nothing but border nodes remain")
-			}
-			if tb.Exhausted() {
-				break
-			}
-		}
-		// The toy graph is strongly connected (undirected edges), so the
-		// expansion eventually covers all nodes and the unseen bound drops.
-		if !tb.Exhausted() {
-			t.Errorf("t-neighborhood should eventually exhaust on the toy graph")
-		}
-		if tb.UnseenUpper() != 0 {
-			t.Errorf("exhausted neighborhood should have zero unseen bound, got %g", tb.UnseenUpper())
-		}
-		if tb.SeenCount() != toy.Graph.NumNodes() {
-			t.Errorf("exhausted neighborhood should contain all nodes: %d vs %d",
-				tb.SeenCount(), toy.Graph.NumNodes())
-		}
+	}
+	// The toy graph is strongly connected (undirected edges), so the
+	// expansion eventually covers all nodes and the unseen bound drops.
+	if !tb.Exhausted() {
+		t.Errorf("t-neighborhood should eventually exhaust on the toy graph")
+	}
+	if tb.UnseenUpper() != 0 {
+		t.Errorf("exhausted neighborhood should have zero unseen bound, got %g", tb.UnseenUpper())
+	}
+	if tb.SeenCount() != toy.Graph.NumNodes() {
+		t.Errorf("exhausted neighborhood should contain all nodes: %d vs %d",
+			tb.SeenCount(), toy.Graph.NumNodes())
 	}
 }
 
@@ -256,12 +251,22 @@ func boundsValidation(t *testing.T, bind binding) {
 	if err := bind.f(&fb, toy.Graph, walk.SingleNode(toy.T1), DefaultFOptions(0)); err == nil {
 		t.Errorf("alpha 0 should error for FFlat")
 	}
+	if err := bind.f(&fb, toy.Graph, walk.SingleNode(toy.T1), DefaultFOptions(math.NaN())); err == nil {
+		t.Errorf("alpha NaN should error for FFlat")
+	}
 	var tb TFlat
 	if err := bind.t(&tb, toy.Graph, walk.Query{}, DefaultTOptions(0.25)); err == nil {
 		t.Errorf("empty query should error for TFlat")
 	}
-	if err := bind.t(&tb, toy.Graph, walk.SingleNode(toy.T1), DefaultTOptions(1.5)); err == nil {
-		t.Errorf("alpha out of range should error for TFlat")
+	for _, alpha := range []float64{0, 1, -0.25, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := bind.t(&tb, toy.Graph, walk.SingleNode(toy.T1), DefaultTOptions(alpha)); err == nil {
+			t.Errorf("alpha %g should error for TFlat", alpha)
+		}
+	}
+	for _, alpha := range []float64{math.SmallestNonzeroFloat64, math.Nextafter(1, 0)} {
+		if err := bind.t(&tb, toy.Graph, walk.SingleNode(toy.T1), DefaultTOptions(alpha)); err != nil {
+			t.Errorf("alpha %g is inside (0,1) for TFlat: %v", alpha, err)
+		}
 	}
 	if err := bind.t(&tb, toy.Graph, walk.SingleNode(999), DefaultTOptions(0.25)); err == nil {
 		t.Errorf("out-of-range query should error for TFlat")
@@ -417,20 +422,18 @@ func TestStageIIReadsNoRows(t *testing.T) {
 	q := walk.SingleNode(net.Papers[0])
 	const rounds = 4
 	for _, maxIter := range []int{1, 60} {
-		fOpt, tOpt := DefaultFOptions(0.25), DefaultTOptions(0.25)
-		fOpt.RefineMaxIter, tOpt.RefineMaxIter = maxIter, maxIter
-
 		rows := newCountingRows(hidden(net.Graph))
 		var tb TFlat
-		if err := tb.InitRows(rows, q, tOpt); err != nil {
+		if err := tb.InitRows(rows, q, DefaultTOptions(0.25)); err != nil {
 			t.Fatalf("TFlat.InitRows: %v", err)
 		}
-		tb.opt.StageII = false // Expand stops after Stage I; Refine is called apart
 		picks := 0
 		for i := 0; i < rounds; i++ {
+			tb.k.maxIter = 0 // Expand sweeps nothing; Refine is called apart
 			tb.Expand()
 			picks += len(tb.pickN)
 			before := rows.reads()
+			tb.k.maxIter = maxIter
 			tb.Refine()
 			if got := rows.reads() - before; got != 0 {
 				t.Errorf("RefineMaxIter %d round %d: T refinement made %d row-seam calls", maxIter, i, got)
@@ -449,9 +452,10 @@ func TestStageIIReadsNoRows(t *testing.T) {
 
 		rows = newCountingRows(hidden(net.Graph))
 		var fb FFlat
-		if err := fb.InitRows(rows, q, fOpt); err != nil {
+		if err := fb.InitRows(rows, q, DefaultFOptions(0.25)); err != nil {
 			t.Fatalf("FFlat.InitRows: %v", err)
 		}
+		fb.k.maxIter = maxIter
 		logOut, logIn := 0, 0
 		for i := 0; i < rounds; i++ {
 			fb.engine.ProcessBest(fb.opt.M)
@@ -642,7 +646,7 @@ func logMatchesInduced(t *testing.T, label string, k *refiner, b *scratch.Bounds
 		logged[key] = true
 		logMass[e.src] += e.m
 	}
-	k.load(b)
+	k.load()
 	for r := range seenMass {
 		if math.Abs(logMass[r]-seenMass[r]) > 1e-12 || math.Abs(k.out[r]-unseenMass[r]) > 1e-12 {
 			t.Logf("%s: slot %d: logged seen mass %g, folded unseen mass %g; the graph says %g and %g",
@@ -658,10 +662,10 @@ func logMatchesInduced(t *testing.T, label string, k *refiner, b *scratch.Bounds
 // every seen node is looked up in the bounds as it streams past, read from
 // the graph sweep after sweep. It shares nothing with the kernel's edge log,
 // is the reference the kernel is checked against, and returns the largest
-// bound change.
-func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64, row rowFn) float64 {
+// bound change. restart holds the restart weights by slot.
+func refSweep(b *scratch.Bounds, restart []float64, alpha, unseen float64, row rowFn) float64 {
 	maxChange := 0.0
-	for _, v := range b.Touched() { // insertion order, the kernel's sweep order
+	for slot, v := range b.Touched() { // insertion order, the kernel's sweep order
 		sumLo, sumUp := 0.0, 0.0
 		row(v, func(u graph.NodeID, m float64) {
 			if lo, up, seen := b.Get(u); seen {
@@ -672,8 +676,8 @@ func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64,
 			}
 		})
 		lo, up, _ := b.Get(v)
-		newLo := alpha*restart.Get(v) + (1-alpha)*sumLo
-		newUp := alpha*restart.Get(v) + (1-alpha)*sumUp
+		newLo := alpha*restart[slot] + (1-alpha)*sumLo
+		newUp := alpha*restart[slot] + (1-alpha)*sumUp
 		if newLo > lo {
 			maxChange = max(maxChange, newLo-lo)
 			lo = newLo
@@ -689,35 +693,23 @@ func refSweep(b *scratch.Bounds, restart *scratch.Floats, alpha, unseen float64,
 
 // refStageII applies to fb what Expand does after Stage I, with refSweep in
 // place of the kernel.
-func (fb *FFlat) refStageII(opt FOptions) {
-	if !opt.StageII {
-		return
-	}
-	for iter := 0; iter < opt.RefineMaxIter; iter++ {
-		change := refSweep(&fb.b, &fb.restart, opt.Alpha, fb.unseen, fRow(fb.rows))
-		if change < opt.RefineTol {
+func (fb *FFlat) refStageII() {
+	for iter := 0; iter < refineMaxIter; iter++ {
+		change := refSweep(&fb.b, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows))
+		if change < refineTol {
 			return
 		}
 	}
 }
 
-// refStageII is the T-side counterpart, including the Sarkar-style single
-// local update when Stage II is off.
-func (tb *TFlat) refStageII(opt TOptions) {
-	sweep := func() float64 {
-		return refSweep(&tb.b, &tb.restart, opt.Alpha, tb.unseen, tRow(tb.rows))
-	}
-	if !opt.StageII {
-		sweep()
-		tb.recomputeUnseen()
-		return
-	}
-	for iter := 0; iter < opt.RefineMaxIter; iter++ {
-		change := sweep()
-		if opt.TightenUnseenInRefine {
+// refStageII is the T-side counterpart, under a given sweep cap and tolerance.
+func (tb *TFlat) refStageII(maxIter int, tol float64) {
+	for iter := 0; iter < maxIter; iter++ {
+		change := refSweep(&tb.b, tb.k.restart, tb.opt.Alpha, tb.unseen, tRow(tb.rows))
+		if tb.opt.TightenUnseenInRefine {
 			tb.recomputeUnseen()
 		}
-		if change < opt.RefineTol {
+		if change < tol {
 			return
 		}
 	}
@@ -787,7 +779,7 @@ func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, pre
 	return ok
 }
 
-// Property: on random graphs (see randomGraph), under every scheme
+// Property: on random graphs (see randomGraph), under every bound-rule
 // combination, with and without a frontier cap, single- and multi-node queries
 // (adjacent ones among them) and α ∈ {0.15, 0.25, 0.5}, after every expansion
 // (a) the kernel's bounds equal, within 1e-12, what the row-streaming
@@ -799,7 +791,7 @@ func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, pre
 // trackers sandwich the exact F-Rank / T-Rank values.
 //
 // The reference runs on a second tracker pair whose own refinement is switched
-// off (an iteration cap of zero leaves Expand with Stage I alone), refined by
+// off (a sweep cap of zero leaves Expand with Stage I alone), refined by
 // refStageII and then synchronized to the kernel's result, so every round
 // starts both from the same state; a third T tracker, kept the same way, runs
 // the reference until no bound moves at all.
@@ -833,9 +825,8 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 		rounds := 1 + int(roundsRaw%8)
 		m := 1 + int(mRaw%6)
 
-		stageII := rng.Intn(2) == 0
-		fOpt := FOptions{Alpha: alpha, M: m, ImprovedBound: rng.Intn(2) == 0, StageII: stageII}
-		tOpt := TOptions{Alpha: alpha, M: m, StageII: stageII, TightenUnseenInRefine: rng.Intn(2) == 0}
+		fOpt := FOptions{Alpha: alpha, M: m, ImprovedBound: rng.Intn(2) == 0}
+		tOpt := TOptions{Alpha: alpha, M: m, TightenUnseenInRefine: rng.Intn(2) == 0}
 		if rng.Intn(2) == 0 {
 			tOpt.FrontierCap = 1 + rng.Intn(3) // picks are admitted in part
 		}
@@ -850,26 +841,22 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 				return false
 			}
 		}
-		fref.opt.StageII, fref.opt.RefineMaxIter = true, 0
-		tref.opt.StageII, tref.opt.RefineMaxIter = true, 0
-		tdeep.opt.StageII, tdeep.opt.RefineMaxIter = true, 0
-		tightening := tb.opt.StageII && tb.opt.TightenUnseenInRefine
-		deepOpt := tb.opt // stops on a sweep that moves nothing
-		deepOpt.RefineMaxIter, deepOpt.RefineTol = 20000, math.SmallestNonzeroFloat64
+		fref.k.maxIter, tref.k.maxIter, tdeep.k.maxIter = 0, 0, 0
+		tightening := tb.opt.TightenUnseenInRefine
 
 		fPrev, tPrev := map[graph.NodeID][2]float64{}, map[graph.NodeID][2]float64{}
 		fUnseen, tUnseen := fb.unseen, tb.unseen
 		for i := 0; i < rounds; i++ {
 			fb.Expand()
 			fref.Expand()
-			fref.refStageII(fb.opt)
+			fref.refStageII()
 			tb.Expand()
 			if !tref.Exhausted() { // Expand on an exhausted St does nothing at all
 				tref.Expand()
-				tref.refStageII(tb.opt)
+				tref.refStageII(refineMaxIter, refineTol)
 				if tightening {
 					tdeep.Expand()
-					tdeep.refStageII(deepOpt)
+					tdeep.refStageII(20000, math.SmallestNonzeroFloat64) // stops on a sweep that moves nothing
 				}
 			}
 			if !sameBounds(t, "F", &fb.b, &fref.b, fb.unseen, fref.unseen, 1e-12) {
@@ -959,16 +946,16 @@ func TestStageIISuperSolution(t *testing.T) {
 			tb.Expand()
 
 			maxBorder := 0.0
-			for _, v := range tb.SeenList() {
+			for slot, v := range tb.SeenList() {
 				sum := 0.0
 				row(v, func(u graph.NodeID, m float64) { sum += m * tb.Upper(u) })
-				want := min(before[v], opt.Alpha*tb.restart.Get(v)+(1-opt.Alpha)*sum)
+				want := min(before[v], opt.Alpha*tb.k.restart[slot]+(1-opt.Alpha)*sum)
 				if up := tb.Upper(v); up < want-1e-13 {
 					t.Logf("round %d: node %d upper bound %g is below min(before %g, recursion) = %g by %g",
 						round, v, up, before[v], want, want-up)
 					return false
 				}
-				if tb.outsideIn.Get(v) > 0 {
+				if tb.outsideIn[slot] > 0 {
 					maxBorder = max(maxBorder, tb.Upper(v))
 				}
 			}

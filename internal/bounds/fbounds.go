@@ -3,9 +3,9 @@
 // unseen upper bound for F-Rank (driven by Bookmark-Coloring expansion,
 // Proposition 4) and for T-Rank (driven by border-node expansion, Eq. 22),
 // each refined iteratively over the current neighborhood (Stage II,
-// Eq. 17–18). The weaker Stage-I-only bound schemes used by the paper's
-// efficiency baselines (Gupta et al. for F-Rank, Sarkar et al. for T-Rank) are
-// provided as options.
+// Eq. 17–18). The weaker Stage-I bound rules used by the paper's efficiency
+// baselines (Gupta et al. for F-Rank, Sarkar et al. for T-Rank) are provided
+// as options; every scheme runs Stage II.
 //
 // Stage II reads no rows: both trackers log the subgraph their neighborhood
 // induces into one shared kernel (refiner, refine.go) as Stage I grows it — a
@@ -20,10 +20,12 @@ const (
 	DefaultTExpansion = 5   // m for the t-neighborhood (border-node selection)
 )
 
-// Defaults for the Stage-II refinement loop.
+// The Stage-II refinement loop stops on a sweep that moves no bound by
+// refineTol, after refineMaxIter sweeps at the latest. Every scheme runs it
+// with these values.
 const (
-	DefaultRefineTol     = 1e-12
-	DefaultRefineMaxIter = 60
+	refineTol     = 1e-12
+	refineMaxIter = 60
 )
 
 // FOptions configures an FFlat computation.
@@ -38,35 +40,16 @@ type FOptions struct {
 	// bound attributed to Gupta et al. [16] (false, used by the G+S and Gupta
 	// baselines).
 	ImprovedBound bool
-	// StageII enables the iterative refinement of Eq. 17–18 over the
-	// f-neighborhood after each expansion.
-	StageII bool
-	// RefineTol and RefineMaxIter control Stage II convergence.
-	RefineTol     float64
-	RefineMaxIter int
 }
 
 // DefaultFOptions returns the 2SBound configuration for the F-Rank side.
 func DefaultFOptions(alpha float64) FOptions {
-	return FOptions{
-		Alpha:         alpha,
-		M:             DefaultFExpansion,
-		ImprovedBound: true,
-		StageII:       true,
-		RefineTol:     DefaultRefineTol,
-		RefineMaxIter: DefaultRefineMaxIter,
-	}
+	return FOptions{Alpha: alpha, M: DefaultFExpansion, ImprovedBound: true}
 }
 
 func (o FOptions) normalized() FOptions {
 	if o.M <= 0 {
 		o.M = DefaultFExpansion
-	}
-	if o.RefineTol <= 0 {
-		o.RefineTol = DefaultRefineTol
-	}
-	if o.RefineMaxIter <= 0 {
-		o.RefineMaxIter = DefaultRefineMaxIter
 	}
 	return o
 }

@@ -15,22 +15,24 @@ import (
 // Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
 // log of the subgraph Sf induces and reads no rows: join, the one place a node
 // enters Sf, scans the newcomer's in-row once and logs the induced edges it
-// closes. Per-node bounds live in one generation-stamped dense structure and
-// InitRows rebinds the whole tracker to a new query in O(1), so a pooled
-// instance serves a stream of queries with no steady-state allocation.
+// closes. What is keyed by node is a stamped index — membership and slot in b,
+// the parked chains of nodes still outside — and everything about a seen node
+// lives once, by slot: its bounds in b, its restart weight and row in the
+// kernel. InitRows rebinds the whole tracker to a new query in O(1), so a
+// pooled instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
 	opt  FOptions
 	rows graph.Rows // the graph; join reads a newcomer's in-row
 
-	engine  bca.Flat
-	restart scratch.Floats
-	b       scratch.Bounds
-	unseen  float64
+	engine bca.Flat
+	b      scratch.Bounds
+	unseen float64
 
 	k refiner // Stage-II kernel: the induced edge log join feeds
 	// parked holds the entries rows of Sf will gain once an in-neighbor still
 	// outside joins, chained per such node: parkedAt maps it to 1 + the index
-	// of its latest entry, next to the one before (0 ends the chain).
+	// of its latest entry, next to the one before (0 ends the chain). The
+	// chains are keyed by nodes that have no slot yet, so parkedAt is dense.
 	parked   []parkedEntry
 	parkedAt scratch.Ints
 }
@@ -59,8 +61,6 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	}
 	fb.rows = rows
 	fb.opt = opt
-	fb.restart.Reset(rows.NumNodes())
-	fb.engine.EachRestart(fb.restart.Set)
 	fb.b.Reset(rows.NumNodes())
 	fb.k.reset()
 	fb.parked = fb.parked[:0]
@@ -113,15 +113,12 @@ func (fb *FFlat) Sweeps() int { return fb.k.sweeps }
 
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
-// bound. When StageII is enabled it then refines the bounds iteratively. It
-// returns the number of BCA processing operations performed (zero when the
-// computation is exhausted).
+// bound; then refine them iteratively (Stage II). It returns the number of BCA
+// processing operations performed (zero when the computation is exhausted).
 func (fb *FFlat) Expand() int {
 	processed := fb.engine.ProcessBest(fb.opt.M)
 	fb.initializeBounds()
-	if fb.opt.StageII {
-		fb.Refine()
-	}
+	fb.Refine()
 	return processed
 }
 
@@ -171,7 +168,10 @@ func (fb *FFlat) initializeBounds() {
 // that node and logged when it joins — which is how v, before reading
 // anything, collects the entries the rows of its seen out-neighbors gain for
 // it: a node's out-row, which only BCA reads, is never needed. Nodes join one
-// at a time, so every induced edge is logged once, by its later endpoint.
+// at a time, so every induced edge is logged once, by its later endpoint. The
+// scan makes one stamped probe per in-neighbor, for its slot, and a second, for
+// its parked chain, only when it is still outside. The restart weight comes
+// from the BCA engine's restart distribution, the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 	self := int32(fb.b.Len())
 	fb.b.Set(v, lo, up)
@@ -194,7 +194,7 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 			fb.parkedAt.Set(from, len(fb.parked))
 		}
 	}
-	fb.k.join(fb.restart.Get(v), mass)
+	fb.k.join(fb.engine.RestartWeight(v), mass)
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
@@ -202,7 +202,7 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 // It reads nothing from the graph: the kernel sweeps the induced edges join
 // has logged; see refiner.
 func (fb *FFlat) Refine() {
-	fb.k.refine(&fb.b, fb.opt.Alpha, fb.opt.RefineMaxIter, fb.opt.RefineTol, fb.unseen, false)
+	fb.k.refine(&fb.b, fb.opt.Alpha, fb.unseen, false)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

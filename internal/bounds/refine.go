@@ -10,7 +10,10 @@ import (
 // Eq. 17–18 over the subgraph the neighborhood induces, held as a per-query
 // append-only edge log; a refinement reads nothing from the graph.
 //
-// A slot is a node's position in scratch.Bounds.Touched (insertion order). The
+// A slot is a node's position in scratch.Bounds.Touched (insertion order), and
+// everything known about a seen node is keyed by it, in one place each: its
+// bounds in the tracker's scratch.Bounds, which the sweeps update in place, its
+// restart weight and row mass here. The kernel holds no copy of the bounds. The
 // tracker calls join for every node entering the neighborhood, in that order,
 // and add for every induced edge: (src, dst, m) says the recursion at slot
 // src sums the bounds of slot dst with transition probability m. The trackers
@@ -31,6 +34,10 @@ import (
 type refiner struct {
 	log []logged
 
+	// maxIter caps the sweeps of one refinement: refineMaxIter, set by reset;
+	// a field only so that the in-package tests can vary it.
+	maxIter int
+
 	// Per slot, appended by join.
 	restart []float64 // restart weight
 	mass    []float64 // total transition mass of the row
@@ -42,7 +49,6 @@ type refiner struct {
 	m   []float64
 	out []float64
 
-	lo, up []float64 // bounds by slot
 	// lowered marks, per slot and for the whole query, the rows the recursion
 	// has lowered at least once; sens is a tightening refinement's lower
 	// estimate of ∂up[r]/∂unseen, zero outside them. See refine.
@@ -64,6 +70,7 @@ type logged struct {
 // reset empties the log for a new query.
 func (k *refiner) reset() {
 	k.log, k.restart, k.mass, k.lowered = k.log[:0], k.restart[:0], k.mass[:0], k.lowered[:0]
+	k.maxIter = refineMaxIter
 	k.sweeps = 0
 }
 
@@ -79,9 +86,8 @@ func (k *refiner) add(src, dst int32, m float64) {
 	k.log = append(k.log, logged{src, dst, m})
 }
 
-// load sorts the log into the sweep copy, folds every row's unseen mass and
-// copies the bounds of b into the slot arrays.
-func (k *refiner) load(b *scratch.Bounds) {
+// load sorts the log into the sweep copy and folds every row's unseen mass.
+func (k *refiner) load() {
 	n, edges := len(k.restart), len(k.log)
 	// Count into end[src+2], so that after the prefix sum end[r+1] is where
 	// row r starts; scattering advances it to where row r ends, which leaves
@@ -102,19 +108,16 @@ func (k *refiner) load(b *scratch.Bounds) {
 		k.col[at], k.m[at] = e.dst, e.m
 		k.out[e.src] -= e.m
 	}
-	k.lo, k.up = k.lo[:0], k.up[:0]
-	for r, v := range b.Touched() {
-		lo, up, _ := b.Get(v)
-		k.lo, k.up = append(k.lo, lo), append(k.up, up)
-		k.out[r] = max(0, k.out[r]) // rounding may leave a sliver below zero
+	for r, out := range k.out {
+		k.out[r] = max(0, out) // rounding may leave a sliver below zero
 	}
 }
 
-// refine performs up to maxIter Gauss–Seidel sweeps of Eq. 17–18 over b in
-// slot order, keeping every bound monotone (lower bounds only rise, upper
-// bounds only fall), and stops early once no bound moved by tol. An unseen
-// neighbor contributes lower bound zero and the unseen upper bound as it
-// stands at sweep time. It returns the unseen bound.
+// refine performs up to maxIter Gauss–Seidel sweeps of Eq. 17–18 in slot
+// order over the bounds of b, in place, keeping every bound monotone (lower
+// bounds only rise, upper bounds only fall), and stops early once no bound
+// moved by refineTol. An unseen neighbor contributes lower bound zero and the
+// unseen upper bound as it stands at sweep time. It returns the unseen bound.
 //
 // With tighten set, Eq. 22 over the border slots re-tightens the unseen bound
 // after every sweep, and the rows follow it at once. Merely iterated, unseen →
@@ -146,13 +149,13 @@ func (k *refiner) load(b *scratch.Bounds) {
 // from out[r] into a logged entry whose own sens starts at zero, so last
 // round's values over-estimate and (i) fails, where an under-estimate only
 // costs sweeps. The fixed point approached is the plain iteration's.
-func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, unseen float64, tighten bool) float64 {
-	k.load(b)
+func (k *refiner) refine(b *scratch.Bounds, alpha, unseen float64, tighten bool) float64 {
+	k.load()
 	// The reslices here and in the row loop tell the compiler the paired
 	// arrays are equally long, which drops all but one bounds check from the
 	// per-entry loop.
-	lo := k.lo
-	up := k.up[:len(lo)]
+	lo, up := b.Slots()
+	up = up[:len(lo)]
 	ends := k.end[1 : len(lo)+1]
 	lowered := k.lowered[:len(lo)]
 	// Without tighten sens stays zero and the gather below reads zeros: one
@@ -160,7 +163,7 @@ func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, uns
 	k.sens = slices.Grow(k.sens[:0], len(lo))[:len(lo)]
 	clear(k.sens)
 	sens := k.sens
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < k.maxIter; iter++ {
 		k.sweeps++
 		maxChange := 0.0
 		begin := int32(0)
@@ -209,12 +212,9 @@ func (k *refiner) refine(b *scratch.Bounds, alpha float64, maxIter int, tol, uns
 			}
 			unseen = next
 		}
-		if maxChange < tol {
+		if maxChange < refineTol {
 			break
 		}
-	}
-	for r, v := range b.Touched() {
-		b.Set(v, lo[r], up[r])
 	}
 	return unseen
 }

@@ -16,9 +16,11 @@ import (
 // those nodes interior and therefore lowers the unseen bound; Stage II refines
 // the bounds over St (Eq. 17–18) on the kernel's edge log of the subgraph St
 // induces and reads no rows: join, the one place a node enters St, scans the
-// newcomer's rows once, for the border counters and the log alike. The
-// neighborhood, both bounds and the border counters live in generation-stamped
-// dense arrays and InitRows rebinds the tracker to a new query in O(1).
+// newcomer's rows once, for the border counters and the log alike. What is
+// keyed by node is the stamped index of b — membership and slot — and nothing
+// else; bounds, border counters, restart weights and rows live once, by slot,
+// and the per-round passes walk them sequentially. InitRows rebinds the tracker
+// to a new query in O(1).
 type TFlat struct {
 	opt TOptions
 	// rows is the graph; pre is its optional prefetch capability and wave the
@@ -27,15 +29,13 @@ type TFlat struct {
 	pre  graph.RowPrefetcher
 	wave []graph.NodeID
 
-	restart      scratch.Floats
 	restartNodes []graph.NodeID
 	restartW     []float64
 
 	b scratch.Bounds
-	// outsideIn counts, for every node in St, how many of its in-neighbors
-	// are still outside St; a node is a border node iff its count is
-	// positive.
-	outsideIn scratch.Ints
+	// outsideIn counts, by slot, how many in-neighbors of each node in St are
+	// still outside St; a node is a border node iff its count is positive.
+	outsideIn []int32
 	unseen    float64
 
 	k refiner // Stage-II kernel: the induced edge log join feeds
@@ -60,7 +60,7 @@ func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 // streaming them.
 func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	opt = opt.normalized()
-	if opt.Alpha <= 0 || opt.Alpha >= 1 {
+	if !(opt.Alpha > 0 && opt.Alpha < 1) { // written to fail on NaN
 		return fmt.Errorf("bounds: alpha must be in (0,1), got %g", opt.Alpha)
 	}
 	n := rows.NumNodes()
@@ -76,27 +76,27 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	if tb.pre != nil {
 		tb.pre.Prefetch(tb.restartNodes)
 	}
-	tb.restart.Reset(n)
 	tb.b.Reset(n)
-	tb.outsideIn.Reset(n)
+	tb.outsideIn = tb.outsideIn[:0]
 	tb.k.reset()
 	tb.unseen = 1 - opt.Alpha
 	for i, v := range tb.restartNodes {
 		w := tb.restartW[i]
-		tb.restart.Set(v, w)
-		tb.join(v, opt.Alpha*w, 1)
+		tb.join(v, w, opt.Alpha*w, 1)
 	}
 	tb.recomputeUnseen()
 	return rows.Err()
 }
 
-// join admits v into St with the given bounds. Its in-row splits into the
+// join admits v into St with the given restart weight (zero for all but the
+// query nodes InitRows joins) and bounds. Its in-row splits into the
 // in-neighbors still outside (v's border count) and those already seen, whose
 // rows gain v as an entry — v itself among them on a self-loop, being a member
 // by now. Its out-row yields v's own entries and takes one outside in-neighbor
 // off every seen out-neighbor. Nodes join one at a time, so of two adjacent
-// nodes the later finds the earlier seen and their edges are logged once.
-func (tb *TFlat) join(v graph.NodeID, lo, up float64) {
+// nodes the later finds the earlier seen and their edges are logged once. Each
+// scanned neighbor costs one stamped probe, for its slot; all else is by slot.
+func (tb *TFlat) join(v graph.NodeID, restart, lo, up float64) {
 	self := int32(tb.b.Len())
 	tb.b.Set(v, lo, up)
 	outSum := tb.rows.OutSum(v)
@@ -104,7 +104,7 @@ func (tb *TFlat) join(v graph.NodeID, lo, up float64) {
 	if outSum > 0 {
 		mass = 1 // a row's transition probabilities sum to one
 	}
-	tb.k.join(tb.restart.Get(v), mass)
+	tb.k.join(restart, mass)
 
 	outside := 0
 	cols, wts := tb.rows.InRow(v)
@@ -116,7 +116,7 @@ func (tb *TFlat) join(v graph.NodeID, lo, up float64) {
 			tb.k.add(slot, self, wts[i]/sum)
 		}
 	}
-	tb.outsideIn.Set(v, outside)
+	tb.outsideIn = append(tb.outsideIn, int32(outside))
 
 	cols, wts = tb.rows.OutRow(v)
 	for i, to := range cols {
@@ -124,7 +124,7 @@ func (tb *TFlat) join(v graph.NodeID, lo, up float64) {
 			continue
 		}
 		if slot, seen := tb.b.Index(to); seen {
-			tb.outsideIn.Add(to, -1)
+			tb.outsideIn[slot]--
 			if outSum > 0 {
 				tb.k.add(self, slot, wts[i]/outSum)
 			}
@@ -167,8 +167,8 @@ func (tb *TFlat) Sweeps() int { return tb.k.sweeps }
 // BorderCount returns the number of border nodes of St.
 func (tb *TFlat) BorderCount() int {
 	n := 0
-	for _, v := range tb.b.Touched() {
-		if tb.outsideIn.Get(v) > 0 {
+	for _, outside := range tb.outsideIn {
+		if outside > 0 {
 			n++
 		}
 	}
@@ -181,23 +181,25 @@ func (tb *TFlat) Exhausted() bool { return tb.BorderCount() == 0 }
 // Expand performs one Stage-I step: pick up to M border nodes with the largest
 // upper bounds, pull all of their in-neighbors into St (up to the frontier
 // cap), initialize the bounds of the newcomers, recompute the unseen upper
-// bound, and (when enabled) run the Stage-II refinement. It returns the number
-// of new nodes added.
+// bound, and run the Stage-II refinement. It returns the number of new nodes
+// added.
 func (tb *TFlat) Expand() int {
 	// Select the M border nodes with the largest upper bounds into the
 	// reusable pick buffers (kept sorted descending; ties keep the touched
 	// list's insertion order, so budget-capped results are deterministic).
 	m := tb.opt.M
 	tb.pickN, tb.pickP = tb.pickN[:0], tb.pickP[:0]
-	for _, v := range tb.b.Touched() {
-		if tb.outsideIn.Get(v) <= 0 {
+	seen := tb.b.Touched()
+	_, ups := tb.b.Slots()
+	for slot, outside := range tb.outsideIn {
+		if outside <= 0 {
 			continue
 		}
-		up, _ := tb.b.Upper(v)
+		up := ups[slot]
 		if len(tb.pickN) == m && up <= tb.pickP[m-1] {
 			continue
 		}
-		tb.pickN = append(tb.pickN, v)
+		tb.pickN = append(tb.pickN, seen[slot])
 		tb.pickP = append(tb.pickP, up)
 		for i := len(tb.pickN) - 1; i > 0 && tb.pickP[i] > tb.pickP[i-1]; i-- {
 			tb.pickN[i], tb.pickN[i-1] = tb.pickN[i-1], tb.pickN[i]
@@ -257,30 +259,22 @@ func (tb *TFlat) Expand() int {
 			}
 			// Newly included node: lower bound zero, upper bound is the
 			// unseen upper bound from the previous expansion.
-			tb.join(from, 0, prevUnseen)
+			tb.join(from, 0, 0, prevUnseen)
 			added++
 		}
 	}
 	tb.recomputeUnseen()
-	if tb.opt.StageII {
-		tb.Refine()
-	} else {
-		// Sarkar-style expansion-only realization: one pass of the recursion.
-		tb.refine(1, false)
-		tb.recomputeUnseen()
-	}
+	tb.Refine()
 	return added
 }
 
 // recomputeUnseen applies Eq. 22, keeping the bound monotone non-increasing.
 func (tb *TFlat) recomputeUnseen() {
 	maxBorder := 0.0
-	for _, v := range tb.b.Touched() {
-		if tb.outsideIn.Get(v) <= 0 {
-			continue
-		}
-		if up, _ := tb.b.Upper(v); up > maxBorder {
-			maxBorder = up
+	_, ups := tb.b.Slots()
+	for slot, outside := range tb.outsideIn {
+		if outside > 0 && ups[slot] > maxBorder {
+			maxBorder = ups[slot]
 		}
 	}
 	candidate := (1 - tb.opt.Alpha) * maxBorder
@@ -294,17 +288,17 @@ func (tb *TFlat) recomputeUnseen() {
 // moving the rows with it — when the scheme asks for it. It reads nothing from
 // the graph: the kernel sweeps the induced edges join has logged; see
 // refiner.refine.
-func (tb *TFlat) Refine() { tb.refine(tb.opt.RefineMaxIter, tb.opt.TightenUnseenInRefine) }
-
-// refine is Refine under a given sweep cap, re-tightening or not.
-func (tb *TFlat) refine(maxIter int, tighten bool) {
+func (tb *TFlat) Refine() {
+	tighten := tb.opt.TightenUnseenInRefine
 	tb.k.border = tb.k.border[:0]
-	for slot, v := range tb.b.Touched() {
-		if tighten && tb.outsideIn.Get(v) > 0 {
-			tb.k.border = append(tb.k.border, int32(slot))
+	if tighten {
+		for slot, outside := range tb.outsideIn {
+			if outside > 0 {
+				tb.k.border = append(tb.k.border, int32(slot))
+			}
 		}
 	}
-	tb.unseen = tb.k.refine(&tb.b, tb.opt.Alpha, maxIter, tb.opt.RefineTol, tb.unseen, tighten)
+	tb.unseen = tb.k.refine(&tb.b, tb.opt.Alpha, tb.unseen, tighten)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a

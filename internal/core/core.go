@@ -76,15 +76,13 @@ type Scores struct {
 
 // Compute runs the exact (iterative) F-Rank and T-Rank solvers for the query
 // and combines them into RoundTripRank+ scores: Solve over the view's
-// walk.Local Gatherer, resolved once for both solves. Cancelling the context
+// walk.Local Gatherer. Cancelling the context
 // aborts them within one power iteration and returns ctx.Err().
 func Compute(ctx context.Context, view graph.View, q walk.Query, p Params) (*Scores, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g, release := walk.Local(view, p.Walk.Workers)
-	defer release()
-	f, t, err := Solve(ctx, g, q, p.Walk)
+	f, t, err := Solve(ctx, walk.Local(view, p.Walk.Workers), q, p.Walk)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,8 @@ const Untyped Type = 0
 // online searcher (Algorithm 1 reads the out- and in-rows of the nodes it
 // touches), and OutSums with GatherOut/GatherIn, the whole-row reductions of
 // the exact F-Rank/T-Rank iterations (Eq. 5 and 8; walk.Local partitions the
-// row range across its pool). Caller-owned arrays come in through Compact.
+// row range across the goroutines of a gather). Caller-owned arrays come in
+// through Compact.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int

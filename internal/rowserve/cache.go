@@ -90,12 +90,22 @@ func (c *Cache) Len() int {
 
 // Stats returns the cumulative hit, miss and eviction counts. A miss is
 // counted when a probe claims the slot (one per fetched row), a hit when a
-// probe returns a cached row; waits on an in-flight fetch count as hits (they
-// cost no RPC).
+// probe returns a cached row or a wait on another query's in-flight fetch
+// delivers one (it cost no RPC; see waitHit). Hits and misses are therefore
+// the sums of the sessions' QueryStats.CacheHits and CacheMisses.
 func (c *Cache) Stats() (hits, misses, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
+}
+
+// waitHit counts a hit for a session that waited on an in-flight entry and got
+// its row. probe cannot count it: the wait may yet fail, and then the session
+// retries and is counted by that probe.
+func (c *Cache) waitHit() {
+	c.mu.Lock()
+	c.hits++
+	c.mu.Unlock()
 }
 
 // probe looks the key up and returns the row on a hit, or the entry to wait

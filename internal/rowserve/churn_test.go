@@ -3,6 +3,7 @@ package rowserve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -200,5 +201,73 @@ func TestEvictionDuringFailover(t *testing.T) {
 	}
 	if r.cache.Len() > r.cache.Capacity() {
 		t.Errorf("cache holds %d rows over capacity %d", r.cache.Len(), r.cache.Capacity())
+	}
+}
+
+// gatedRows holds every FetchRows until the gate opens.
+type gatedRows struct {
+	distributed.Transport
+	gate chan struct{}
+}
+
+func (g *gatedRows) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (distributed.RowBatch, error) {
+	<-g.gate
+	return g.Transport.FetchRows(ctx, graphSum, nodes)
+}
+
+// TestCacheStatsSumSessionStats races sessions over the same rows and checks
+// the cache's counters are the sums of the sessions': every lookup is a hit or
+// a miss on both sides, including the ones that waited on another session's
+// in-flight fetch. The first fetch is held until every session is under way,
+// so the sessions that did not claim the first row wait on it.
+func TestCacheStatsSumSessionStats(t *testing.T) {
+	g := testgraphs.Cycle(12)
+	ctx := context.Background()
+	s, err := distributed.BuildStripe(g, 0, 1)
+	if err != nil {
+		t.Fatalf("BuildStripe: %v", err)
+	}
+	gated := &gatedRows{Transport: distributed.NewLoopback(distributed.NewWorker(s)), gate: make(chan struct{})}
+	r, err := Connect(ctx, []distributed.Transport{gated}, &Options{})
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	hits0, misses0, _ := r.cache.Stats()
+
+	const sessions = 8
+	stats := make([]QueryStats, sessions)
+	var started, done sync.WaitGroup
+	started.Add(sessions)
+	done.Add(sessions)
+	for i := range stats {
+		go func() {
+			defer done.Done()
+			sess := r.Session(ctx)
+			started.Done()
+			for v := 0; v < g.NumNodes(); v++ {
+				sess.OutRow(graph.NodeID(v))
+			}
+			if err := sess.Err(); err != nil {
+				t.Errorf("session %d: %v", i, err)
+			}
+			stats[i] = sess.Stats()
+		}()
+	}
+	started.Wait()
+	close(gated.gate)
+	done.Wait()
+
+	var hits, misses int64
+	for _, st := range stats {
+		hits += st.CacheHits
+		misses += st.CacheMisses
+	}
+	cacheHits, cacheMisses, _ := r.cache.Stats()
+	if cacheHits-hits0 != hits || cacheMisses-misses0 != misses {
+		t.Errorf("cache counted %d hits and %d misses, its sessions %d and %d",
+			cacheHits-hits0, cacheMisses-misses0, hits, misses)
+	}
+	if lookups := int64(sessions * g.NumNodes()); hits+misses != lookups || misses != int64(g.NumNodes()) {
+		t.Errorf("%d hits + %d misses over %d lookups of %d rows", hits, misses, lookups, g.NumNodes())
 	}
 }

@@ -201,6 +201,7 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 			}
 			if e.err == nil {
 				s.stats.CacheHits++
+				s.r.cache.waitHit()
 				return e.row
 			}
 			// The owning query's fetch failed — possibly its own

@@ -15,7 +15,9 @@
 //
 // The memory cost is O(NumNodes) per structure regardless of how small the
 // query's neighborhood is, which is exactly the trade the walk kernels
-// already make; docs/TUNING.md discusses the resulting pool footprint.
+// already make, so only what must be looked up by node ID is dense: Bounds
+// keeps a node → slot index and stores its values by slot, sized by the
+// neighborhood. docs/TUNING.md discusses the resulting pool footprint.
 package scratch
 
 import "roundtriprank/internal/graph"
@@ -90,9 +92,9 @@ func (m *Floats) Each(fn func(v graph.NodeID, x float64)) {
 }
 
 // Ints is a dense int-valued map over node IDs with O(1) reset. Unlike
-// Floats it keeps no touched list: callers iterate it through the key set of
-// a sibling structure (TBounds iterates its seen list). The zero value is
-// empty; Reset must be called before use.
+// Floats it keeps no touched list; it is for state keyed by nodes that belong
+// to no neighborhood yet, and so have no slot (FFlat's parked chains). The
+// zero value is empty; Reset must be called before use.
 type Ints struct {
 	val   []int32
 	stamp []uint32
@@ -124,28 +126,16 @@ func (m *Ints) Set(v graph.NodeID, x int) {
 	m.val[v] = int32(x)
 }
 
-// Add adds delta to the value at v (absent counts as zero) and returns the
-// new value.
-func (m *Ints) Add(v graph.NodeID, delta int) int {
-	if m.stamp[v] != m.gen {
-		m.stamp[v] = m.gen
-		m.val[v] = 0
-	}
-	m.val[v] += int32(delta)
-	return int(m.val[v])
-}
-
 // Bounds is the per-node lower/upper bound pair of the two-stage framework:
-// one stamped seen-set with two dense value arrays, so a node's membership in
-// the neighborhood and both of its bounds live on the same cache-friendly
-// index. Each node also records its insertion position under the same stamp,
-// which is the node's slot in any array laid out parallel to Touched (the
-// Stage-II kernel's dense copies). The zero value is empty; Reset must be
-// called before use.
+// a stamped membership index over node IDs — node → slot, the node's position
+// in Touched — with both bounds stored by slot, in insertion order. The dense
+// part is the index alone (8 B/node); the bounds grow with the neighborhood,
+// and a kernel that works in slot order (the Stage-II refinement) sweeps them
+// in place through Slots instead of keeping a copy. The zero value is empty;
+// Reset must be called before use.
 type Bounds struct {
-	lo      []float64
-	up      []float64
-	pos     []int32
+	lo, up  []float64 // by slot, parallel to touched
+	pos     []int32   // node -> slot
 	stamp   []uint32
 	gen     uint32
 	touched []graph.NodeID
@@ -153,9 +143,7 @@ type Bounds struct {
 
 // Reset empties the set and (re)sizes it for node IDs in [0, n).
 func (b *Bounds) Reset(n int) {
-	b.touched = b.touched[:0]
-	b.lo = growFloats(b.lo, n)
-	b.up = growFloats(b.up, n)
+	b.touched, b.lo, b.up = b.touched[:0], b.lo[:0], b.up[:0]
 	b.pos = growInts(b.pos, n)
 	b.stamp = growStamps(b.stamp, n)
 	b.gen++
@@ -176,7 +164,7 @@ func (b *Bounds) Lower(v graph.NodeID) float64 {
 	if b.stamp[v] != b.gen {
 		return 0
 	}
-	return b.lo[v]
+	return b.lo[b.pos[v]]
 }
 
 // Upper returns the upper bound of v and whether v is seen.
@@ -184,7 +172,7 @@ func (b *Bounds) Upper(v graph.NodeID) (float64, bool) {
 	if b.stamp[v] != b.gen {
 		return 0, false
 	}
-	return b.up[v], true
+	return b.up[b.pos[v]], true
 }
 
 // Get returns both bounds of v and whether v is seen.
@@ -192,10 +180,12 @@ func (b *Bounds) Get(v graph.NodeID) (lo, up float64, seen bool) {
 	if b.stamp[v] != b.gen {
 		return 0, 0, false
 	}
-	return b.lo[v], b.up[v], true
+	slot := b.pos[v]
+	return b.lo[slot], b.up[slot], true
 }
 
-// Index returns the position of v in Touched and whether v is seen.
+// Index returns the slot of v — its position in Touched — and whether v is
+// seen.
 func (b *Bounds) Index(v graph.NodeID) (int32, bool) {
 	if b.stamp[v] != b.gen {
 		return 0, false
@@ -203,25 +193,33 @@ func (b *Bounds) Index(v graph.NodeID) (int32, bool) {
 	return b.pos[v], true
 }
 
-// Set stores both bounds of v, adding it to the neighborhood if new.
+// Set stores both bounds of v, adding it to the neighborhood (in the next
+// slot) if new.
 func (b *Bounds) Set(v graph.NodeID, lo, up float64) {
 	if b.stamp[v] != b.gen {
 		b.stamp[v] = b.gen
 		b.pos[v] = int32(len(b.touched))
 		b.touched = append(b.touched, v)
+		b.lo, b.up = append(b.lo, lo), append(b.up, up)
+		return
 	}
-	b.lo[v] = lo
-	b.up[v] = up
+	slot := b.pos[v]
+	b.lo[slot], b.up[slot] = lo, up
 }
 
 // Touched returns the seen node IDs in insertion order. The slice aliases
 // internal storage: it is valid until the next Reset and must not be mutated.
 func (b *Bounds) Touched() []graph.NodeID { return b.touched }
 
+// Slots returns the lower and upper bounds by slot, parallel to Touched. The
+// slices are the storage itself: writing an entry sets that node's bound, and
+// they are valid until the next Set of an unseen node or Reset.
+func (b *Bounds) Slots() (lo, up []float64) { return b.lo, b.up }
+
 // Each calls fn for every seen node in insertion order.
 func (b *Bounds) Each(fn func(v graph.NodeID, lo, up float64)) {
-	for _, v := range b.touched {
-		fn(v, b.lo[v], b.up[v])
+	for slot, v := range b.touched {
+		fn(v, b.lo[slot], b.up[slot])
 	}
 }
 

@@ -94,11 +94,10 @@ func TestIntsBasics(t *testing.T) {
 		t.Fatalf("fresh Ints should read zero")
 	}
 	m.Set(2, 5)
-	if got := m.Add(2, -2); got != 3 {
-		t.Errorf("Add returned %d, want 3", got)
-	}
-	if got := m.Add(4, 1); got != 1 {
-		t.Errorf("Add on absent slot returned %d, want 1", got)
+	m.Set(4, 1)
+	m.Set(2, 3)
+	if m.Get(2) != 3 || m.Get(4) != 1 || m.Get(3) != 0 {
+		t.Errorf("Get after Set: %d %d %d, want 3 1 0", m.Get(2), m.Get(4), m.Get(3))
 	}
 	m.Reset(6)
 	if m.Get(2) != 0 || m.Get(4) != 0 {
@@ -146,6 +145,16 @@ func TestBoundsBasics(t *testing.T) {
 	b.Each(func(v graph.NodeID, lo, up float64) { n++ })
 	if n != 2 {
 		t.Errorf("Each visited %d, want 2", n)
+	}
+	// Slots is the storage itself, parallel to Touched: a write through it is
+	// a Set.
+	los, ups := b.Slots()
+	if len(los) != 2 || len(ups) != 2 || los[0] != 0.3 || ups[0] != 0.8 || los[1] != 0 || ups[1] != 1 {
+		t.Errorf("Slots = %v %v, want [0.3 0] [0.8 1]", los, ups)
+	}
+	los[1], ups[1] = 0.1, 0.7
+	if lo, up, _ := b.Get(4); lo != 0.1 || up != 0.7 {
+		t.Errorf("Get(4) after a write through Slots = %g %g, want 0.1 0.7", lo, up)
 	}
 	b.Reset(8)
 	if b.Seen(1) || b.Len() != 0 {

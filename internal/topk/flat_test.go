@@ -317,3 +317,101 @@ func TestRowFetchFailureLeavesPoolReusable(t *testing.T) {
 		})
 	}
 }
+
+// footprint walks a searcher by reflection and adds up the bytes its slices
+// hold (length × element size), apart for the slices that have one entry per
+// node of an n-node graph — the dense, generation-stamped part — and for all
+// others, whose longest length it also returns. It follows no pointer and no
+// interface, so the graph the searcher is bound to is not counted.
+func footprint(v reflect.Value, n int) (dense, sparse, longest int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			d, s, l := footprint(v.Field(i), n)
+			dense, sparse, longest = dense+d, sparse+s, max(longest, l)
+		}
+	case reflect.Slice:
+		bytes := v.Len() * int(v.Type().Elem().Size())
+		if v.Len() == n {
+			return bytes, 0, 0
+		}
+		return 0, bytes, v.Len()
+	}
+	return dense, sparse, longest
+}
+
+// TestSearcherFootprint pins where a query's state lives. What is keyed by
+// node is 56 B a node and no more — BCA's estimates, residuals and benefit
+// heap index (12 + 12 + 8), the F side's slot index and parked-chain heads
+// (8 + 8), the T side's slot index (8) — and everything else is keyed by slot
+// or by logged edge: its size follows the neighborhoods and stays the same,
+// byte for byte, when the same graph is padded with isolated nodes to four
+// times the size.
+func TestSearcherFootprint(t *testing.T) {
+	const nodes = 2048
+	cfg := datasets.DefaultRMATConfig(nodes)
+	cfg.Seed = 7
+	edges, err := datasets.RMATEdges(cfg)
+	if err != nil {
+		t.Fatalf("RMATEdges: %v", err)
+	}
+	opt, err := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, MaxRounds: 4}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fOpt, tOpt, err := boundOptions(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sparseAt []int
+	for _, n := range []int{nodes, 4 * nodes} {
+		b := graph.NewBuilder()
+		b.AddNodes(n, nil)
+		for _, e := range edges {
+			b.MustAddEdge(e.From, e.To, 1)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		s := new(flatSearcher) // fresh, so no array is left over from a larger graph
+		q := walk.SingleNode(0)
+		if err := s.fb.InitRows(g, q, fOpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.tb.InitRows(g, q, tOpt); err != nil {
+			t.Fatal(err)
+		}
+		s.opt, s.expF, s.expT = opt, 1, 1
+		res, err := s.run(context.Background(), g)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if res.FSeen < 50 || res.TSeen < 50 {
+			t.Fatalf("n=%d: the query saw %d and %d nodes, too few to measure", n, res.FSeen, res.TSeen)
+		}
+
+		sv := reflect.ValueOf(s).Elem()
+		dense, sparse, longest := footprint(sv, n)
+		if dense != 56*n {
+			t.Errorf("n=%d: %d B in per-node arrays, want 56 B × n = %d", n, dense, 56*n)
+		}
+		logged := func(side string, field ...string) int {
+			v := sv.FieldByName(side)
+			for _, f := range field {
+				v = v.FieldByName(f)
+			}
+			return v.Len()
+		}
+		reach := res.Touched + res.FSeen + res.TSeen +
+			logged("fb", "k", "log") + logged("tb", "k", "log") + logged("fb", "parked") + 2
+		if longest > reach {
+			t.Errorf("n=%d: a slice of %d entries beside the per-node arrays; rows reached, seen nodes and logged edges add up to %d", n, longest, reach)
+		}
+		sparseAt = append(sparseAt, sparse)
+	}
+	if sparseAt[0] != sparseAt[1] {
+		t.Errorf("state beside the per-node arrays: %d B at %d nodes, %d B at %d nodes; it should not depend on the node count",
+			sparseAt[0], nodes, sparseAt[1], 4*nodes)
+	}
+}

@@ -102,20 +102,23 @@ func DefaultOptions() Options {
 	}
 }
 
+// normalized validates the options and fills the defaults. TopK is called
+// directly by more than the Engine (internal/eval, cmd/benchrunner, the bench
+// probes), so the range checks are written, like Engine.plan's, to fail on NaN.
 func (o Options) normalized() (Options, error) {
 	if o.K <= 0 {
 		return o, fmt.Errorf("topk: K must be positive, got %d", o.K)
 	}
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("topk: epsilon must be non-negative, got %g", o.Epsilon)
+	if !(o.Epsilon >= 0) || math.IsInf(o.Epsilon, 1) {
+		return o, fmt.Errorf("topk: epsilon must be finite and non-negative, got %g", o.Epsilon)
 	}
 	if o.Alpha == 0 {
 		o.Alpha = walk.DefaultAlpha
 	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
+	if !(o.Alpha > 0 && o.Alpha < 1) {
 		return o, fmt.Errorf("topk: alpha must be in (0,1), got %g", o.Alpha)
 	}
-	if o.Beta < 0 || o.Beta > 1 {
+	if !(o.Beta >= 0 && o.Beta <= 1) {
 		return o, fmt.Errorf("topk: beta must be in [0,1], got %g", o.Beta)
 	}
 	if o.MaxRounds <= 0 {

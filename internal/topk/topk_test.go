@@ -2,6 +2,7 @@ package topk
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,10 +22,31 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 3, Alpha: 2, Beta: 0.5},
 		{K: 3, Alpha: 0.25, Beta: -0.5},
 		{K: 3, Alpha: 0.25, Beta: 0.5, Scheme: Scheme(99)},
+		// Values every ordered comparison lets through.
+		{K: 3, Epsilon: math.NaN(), Alpha: 0.25, Beta: 0.5},
+		{K: 3, Epsilon: math.Inf(1), Alpha: 0.25, Beta: 0.5},
+		{K: 3, Alpha: math.NaN(), Beta: 0.5},
+		{K: 3, Alpha: math.Inf(1), Beta: 0.5},
+		{K: 3, Alpha: math.Inf(-1), Beta: 0.5},
+		{K: 3, Alpha: 1, Beta: 0.5},
+		{K: 3, Alpha: 0.25, Beta: math.NaN()},
+		{K: 3, Alpha: 0.25, Beta: math.Inf(1)},
+		{K: 3, Alpha: 0.25, Beta: math.Nextafter(1, 2)},
 	}
 	for i, o := range bad {
 		if _, err := TopK(context.Background(), toy.Graph, q, o); err == nil {
-			t.Errorf("case %d should error", i)
+			t.Errorf("case %d (%+v) should error", i, o)
+		}
+	}
+	good := []Options{
+		{K: 3, Alpha: 0.25, Beta: 0},
+		{K: 3, Alpha: 0.25, Beta: 1},
+		{K: 3, Epsilon: 0, Alpha: math.Nextafter(1, 0), Beta: 0.5},
+	}
+	for i, o := range good {
+		o.MaxRounds = 2
+		if _, err := TopK(context.Background(), toy.Graph, q, o); err != nil {
+			t.Errorf("boundary case %d (%+v): %v", i, o, err)
 		}
 	}
 	if _, _, err := Naive(context.Background(), toy.Graph, q, Options{K: 0}); err == nil {

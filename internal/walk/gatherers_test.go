@@ -15,7 +15,7 @@ import (
 // TestEveryGathererMatchesSerialReferenceBitForBit keeps the oracle
 // independent of the code it checks. Local and distributed solves share one
 // loop, so comparing them with each other pins only gather and scatter; here
-// every Gatherer — flat and packed rows at 1/2/3/8 pool workers, and the
+// every Gatherer — flat and packed rows at 1/2/3/8 workers, and the
 // coordinator over 1/2/3 loopback stripe workers — is solved through the
 // public doors and compared with the serial references, which share nothing
 // with that loop. Each gather is handed a NaN-poisoned dst, which it must
@@ -33,9 +33,7 @@ func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 		gatherers := map[string]walk.Gatherer{}
 		for _, workers := range []int{1, 2, 3, 8} {
 			for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
-				gth, release := walk.Local(view, workers)
-				defer release()
-				gatherers[fmt.Sprintf("%s/pool%d", layout, workers)] = gth
+				gatherers[fmt.Sprintf("%s/workers%d", layout, workers)] = walk.Local(view, workers)
 			}
 		}
 		for _, stripes := range []int{1, 2, 3} {
@@ -116,8 +114,7 @@ func (f *fakeGather) gather(ctx context.Context, inner func(context.Context, []f
 // times.
 func TestSharedLoopOverFakeGather(t *testing.T) {
 	g := walk.KernelTestGraphs()["toy"]
-	local, release := walk.Local(g, 1)
-	defer release()
+	local := walk.Local(g, 1)
 	q := walk.SingleNode(0)
 	// A tolerance no iterate reaches: only an error, the context or MaxIter
 	// ends these solves.

@@ -3,6 +3,8 @@ package walk
 import (
 	"context"
 	"math"
+	"runtime"
+	"sync"
 
 	"roundtriprank/internal/graph"
 )
@@ -35,32 +37,63 @@ type Gatherer interface {
 }
 
 // local is the in-process Gatherer: the layout's own row reductions
-// (graph.View.GatherIn/GatherOut), row-partitioned on a Pool. Pull form is
-// what makes the partitioning race-free — dst[v] is written by exactly one
-// worker.
+// (graph.View.GatherIn/GatherOut), row-partitioned over the goroutines of one
+// gather. Pull form is what makes the partitioning race-free — dst[v] is
+// written by exactly one of them — and each row is reduced sequentially by
+// whoever owns it, so the worker count changes who computes a row, never the
+// floating-point operation order within it.
 type local struct {
-	view graph.View
-	pool *Pool
+	view    graph.View
+	workers int
 }
 
 // Local returns the in-process Gatherer of a view — flat rows or packed rows,
-// whichever the layout holds — and the function that releases it. workers
-// selects the pool as Params.Workers does.
-func Local(view graph.View, workers int) (Gatherer, func()) {
-	pool, release := poolFor(workers)
-	return local{view: view, pool: pool}, release
+// whichever the layout holds. workers is the number of goroutines each gather
+// runs on, as Params.Workers. A Local holds nothing but the view: gathers on
+// it, concurrent ones included, share no worker and cannot wait on each other.
+func Local(view graph.View, workers int) Gatherer {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return local{view: view, workers: workers}
 }
 
 func (l local) OutSums() []float64 { return l.view.OutSums() }
 
 func (l local) GatherIn(_ context.Context, x, dst []float64) error {
-	l.pool.Run(len(dst), func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
+	split(len(dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
 	return nil
 }
 
 func (l local) GatherOut(_ context.Context, x, dst []float64) error {
-	l.pool.Run(len(dst), func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
+	split(len(dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
 	return nil
+}
+
+// split partitions [0, n) into up to k contiguous chunks of ⌈n/k⌉ and runs
+// fn(lo, hi) on each, the first on the calling goroutine and every other on a
+// goroutine of its own, returning when all are done. A goroutine start costs
+// about a microsecond against a chunk's share of a pass over the edges.
+func split(n, k int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	k = min(k, n)
+	if k <= 1 {
+		fn(0, n)
+		return
+	}
+	chunk := (n + k - 1) / k
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, min(lo+chunk, n))
+		}()
+	}
+	fn(0, chunk)
+	wg.Wait()
 }
 
 // iterate is the power iteration, written once: check the context, gather

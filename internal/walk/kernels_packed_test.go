@@ -24,8 +24,7 @@ func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 			t.Fatalf("%s: restart: %v", name, err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			flat, releaseFlat := Local(g, workers)
-			packed, releasePacked := Local(pg, workers)
+			flat, packed := Local(g, workers), Local(pg, workers)
 			wantF, err := fRank(ctx, flat, restart, p)
 			if err != nil {
 				t.Fatalf("%s: fRank flat: %v", name, err)
@@ -55,8 +54,6 @@ func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 				t.Fatalf("%s: pageRank packed: %v", name, err)
 			}
 			assertBitIdentical(t, name+"/pagerank", wantPR, gotPR)
-			releaseFlat()
-			releasePacked()
 		}
 	}
 }

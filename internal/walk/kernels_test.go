@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
 )
 
 // This file pins the exact solvers to a serial reference implementation: the
-// pull-style recurrences written as plain loops with no pool, no chunking, no
+// pull-style recurrences written as plain loops with no goroutines, no chunking, no
 // gather seam and no shared loop. The rules over the shared loop must
 // reproduce the reference bit-for-bit with one worker, and — because each
 // output row is reduced sequentially by exactly one worker — with every other
@@ -180,7 +183,7 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 		wantPR := serialPageRankReference(g, 0.15, 1e-11, 300)
 		for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
 			for _, workers := range []int{1, 2, 3, 8} {
-				gth, release := Local(view, workers)
+				gth := Local(view, workers)
 				gotF, err := fRank(context.Background(), gth, restart, p)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: fRank: %v", name, layout, workers, err)
@@ -196,7 +199,6 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 					t.Fatalf("%s/%s workers=%d: pageRank: %v", name, layout, workers, err)
 				}
 				assertBitIdentical(t, name+"/"+layout+"/pagerank", wantPR, gotPR)
-				release()
 			}
 		}
 	}
@@ -286,14 +288,13 @@ func TestWrappedViewsSolveThroughCompact(t *testing.T) {
 	}
 }
 
-// TestPoolRunCoversRange checks the pool partitioning: every index in [0, n)
-// is visited exactly once for a spread of sizes and worker counts.
-func TestPoolRunCoversRange(t *testing.T) {
+// TestSplitCoversRange checks the partitioning of a gather: every index in
+// [0, n) is visited exactly once for a spread of sizes and worker counts.
+func TestSplitCoversRange(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7} {
-		pool := NewPool(workers)
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			visited := make([]int32, n) // no lock needed: ranges are disjoint
-			pool.Run(n, func(lo, hi int) {
+			split(n, workers, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					visited[i]++
 				}
@@ -304,6 +305,64 @@ func TestPoolRunCoversRange(t *testing.T) {
 				}
 			}
 		}
-		pool.Close()
 	}
+}
+
+// parkingView is a flat graph whose GatherIn parks, once, inside the chunk
+// that starts at parkAt: it announces itself on parked and waits for resume.
+type parkingView struct {
+	*graph.Graph
+	parkAt         int
+	taken          atomic.Bool
+	parked, resume chan struct{}
+}
+
+func (v *parkingView) GatherIn(x, dst []float64, lo, hi int) {
+	if lo == v.parkAt && v.taken.CompareAndSwap(false, true) {
+		close(v.parked)
+		<-v.resume
+	}
+	v.Graph.GatherIn(x, dst, lo, hi)
+}
+
+// TestConcurrentGathersDoNotQueue pins what the per-gather goroutines buy:
+// two gathers on one Local share nothing, so while the first is stuck inside
+// its second chunk the second still runs to completion. On a shared set of
+// parked workers it queued behind the stuck chunk.
+func TestConcurrentGathersDoNotQueue(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := kernelTestGraphs()["toy"]
+	n := g.NumNodes()
+	view := &parkingView{Graph: g, parkAt: (n + 1) / 2, parked: make(chan struct{}), resume: make(chan struct{})}
+	gth := Local(view, 0) // GOMAXPROCS: two chunks
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i + 1)
+	}
+	want := make([]float64, n)
+	g.GatherIn(x, want, 0, n)
+
+	first, second := make([]float64, n), make([]float64, n)
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- gth.GatherIn(context.Background(), x, first) }()
+	<-view.parked
+
+	secondDone := make(chan error, 1)
+	go func() { secondDone <- gth.GatherIn(context.Background(), x, second) }()
+	select {
+	case err := <-secondDone:
+		if err != nil {
+			t.Fatalf("second gather: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(view.resume)
+		t.Fatal("the second gather waited for the first one's parked chunk")
+	}
+	assertBitIdentical(t, "second gather", want, second)
+
+	close(view.resume)
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first gather: %v", err)
+	}
+	assertBitIdentical(t, "first gather", want, first)
 }

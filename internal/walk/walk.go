@@ -41,10 +41,10 @@ type Params struct {
 	Tol float64
 	// MaxIter caps the number of iterations. Zero means DefaultMaxIter.
 	MaxIter int
-	// Workers overrides the parallelism of the in-process gather: zero or
-	// negative uses the shared GOMAXPROCS-sized pool, one forces a serial
-	// solve on the calling goroutine, higher counts run on a transient pool of
-	// that size. Results are identical for every worker count (each output
+	// Workers is the number of goroutines each in-process gather runs on:
+	// zero or negative means GOMAXPROCS, one a serial solve on the calling
+	// goroutine. The goroutines live for one gather; there is no pool to size
+	// or share. Results are identical for every worker count (each output
 	// row is reduced sequentially by one worker), so this is a scheduling
 	// knob, not a numerical one.
 	Workers int
@@ -205,9 +205,7 @@ func (q Query) restart(dst []float64) error {
 // power iteration: cancelling it makes FRank return ctx.Err() within one sweep
 // over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	g, release := Local(view, p.Workers)
-	defer release()
-	return FRankOver(ctx, g, q, p)
+	return FRankOver(ctx, Local(view, p.Workers), q, p)
 }
 
 // TRank computes t(q, v) for every node v: the probability that a walk of
@@ -217,9 +215,7 @@ func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 // single-node values, mirroring the linearity used for F-Rank. It is
 // TRankOver the view's Local Gatherer, cancelled exactly as FRank.
 func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	g, release := Local(view, p.Workers)
-	defer release()
-	return TRankOver(ctx, g, q, p)
+	return TRankOver(ctx, Local(view, p.Workers), q, p)
 }
 
 // FRankOver is the F-Rank solve over any Gatherer — in-process rows (Local) or
@@ -267,9 +263,7 @@ func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64
 	if view.NumNodes() == 0 {
 		return nil, fmt.Errorf("walk: empty graph")
 	}
-	g, release := Local(view, 0)
-	defer release()
-	return pageRank(OrBackground(ctx), g, d, tol, maxIter)
+	return pageRank(OrBackground(ctx), Local(view, 0), d, tol, maxIter)
 }
 
 // Sampler draws random-walk trajectories on a View, reading its rows. It is
