@@ -2,6 +2,7 @@ package roundtriprank
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,53 @@ func TestRequestValidation(t *testing.T) {
 			req := valid
 			tc.mutate(&req)
 			_, err := tc.engine.Rank(context.Background(), req)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestOptionValidation pins the range checks of the engine options, which —
+// like Engine.plan's — must fail on NaN and ±Inf: every ordered comparison lets
+// NaN through, and a NaN β accepted here turned every Exact score of that
+// engine into NaN with Converged set.
+func TestOptionValidation(t *testing.T) {
+	toy := testgraphs.NewToy()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		opt     Option
+		wantErr string
+	}{
+		{"alpha", WithAlpha(0.3), ""},
+		{"alpha zero", WithAlpha(0), "alpha"},
+		{"alpha one", WithAlpha(1), "alpha"},
+		{"alpha NaN", WithAlpha(nan), "alpha"},
+		{"alpha +Inf", WithAlpha(inf), "alpha"},
+		{"alpha -Inf", WithAlpha(-inf), "alpha"},
+		{"beta zero", WithBeta(0), ""},
+		{"beta one", WithBeta(1), ""},
+		{"beta negative", WithBeta(-0.1), "beta"},
+		{"beta above one", WithBeta(1.1), "beta"},
+		{"beta NaN", WithBeta(nan), "beta"},
+		{"beta +Inf", WithBeta(inf), "beta"},
+		{"beta -Inf", WithBeta(-inf), "beta"},
+		{"tolerance", WithTolerance(1e-10), ""},
+		{"tolerance zero", WithTolerance(0), "tolerance"},
+		{"tolerance negative", WithTolerance(-1e-9), "tolerance"},
+		{"tolerance NaN", WithTolerance(nan), "tolerance"},
+		{"tolerance +Inf", WithTolerance(inf), "tolerance"},
+		{"tolerance -Inf", WithTolerance(-inf), "tolerance"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewEngine(toy.Graph, tc.opt)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -25,19 +25,23 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Flat is a BCA computation for one query. Estimates and residuals live in
-// generation-stamped dense arrays and the greedy selection in an index-keyed
-// heap with in-place decrease-key — 32 B/node in all, the only state here
-// keyed by node. A Flat is reusable: InitRows rebinds it to a new query over
-// any graph.Rows in O(1) without freeing its arrays, so a pooled instance
-// serves a stream of queries with no steady-state allocation (see
-// internal/topk's searcher pool).
+// Flat is a BCA computation for one query. What it keys by node is two
+// scratch.Index values — seen, the nodes given an estimate, in the order of
+// their first (which is the f-neighborhood Sf of Sect. V-A3, and bounds.FFlat
+// keeps its bounds by these slots), and touched, the nodes ever given residual,
+// in the order of their first — 16 B/node in all. Estimates, residuals and the
+// greedy selection's heap positions are plain slices by slot. A Flat is
+// reusable: InitRows rebinds it to a new query over any graph.Rows in O(1)
+// without freeing its arrays, so a pooled instance serves a stream of queries
+// with no steady-state allocation (see internal/topk's searcher pool).
 //
 //   - ProcessBest never sees a stale priority: addResidual moves the node
 //     within the benefit heap at update time, so the heap holds exactly the
 //     nodes with positive residual (|heap| <= touched nodes).
-//   - MaxResidual is one scan of the residual-touched list, asked for once
-//     per expansion round; nothing is maintained per residual push for it.
+//   - A residual push makes one stamped probe, for the node's touched slot;
+//     processing the heap's best, which comes as a slot, one, for its seen slot.
+//   - MaxResidual is one scan of the residuals, asked for once per expansion
+//     round; nothing is maintained per residual push for it.
 //   - The restart distribution is a deduplicated slice pair, so the
 //     dangling-node spread iterates in deterministic first-occurrence order.
 type Flat struct {
@@ -51,11 +55,13 @@ type Flat struct {
 	restartNodes   []graph.NodeID
 	restartWeights []float64
 
-	rho scratch.Floats
-	mu  scratch.Floats
+	seen scratch.Index
+	rho  []float64 // by seen slot
 
-	// benefit orders live-residual nodes by mu(v)/max(1, outdeg(v)) for
-	// greedy selection.
+	touched scratch.Index
+	mu      []float64 // by touched slot
+	// benefit orders the touched slots holding residual by
+	// mu(v)/max(1, outdeg(v)) for greedy selection.
 	benefit scratch.Heap
 
 	totalResidual float64
@@ -90,9 +96,10 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 	s.rows = rows
 	s.pre, _ = rows.(graph.RowPrefetcher)
 	s.alpha = alpha
-	s.rho.Reset(n)
-	s.mu.Reset(n)
-	s.benefit.Reset(n)
+	s.seen.Reset(n)
+	s.touched.Reset(n)
+	s.benefit.Reset()
+	s.rho, s.mu = s.rho[:0], s.mu[:0]
 	s.totalResidual = 0
 	s.processed = 0
 	for i, v := range s.restartNodes {
@@ -107,14 +114,26 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 // InitRows rebinds a source.
 func (s *Flat) Detach() { s.rows, s.pre = nil, nil }
 
-// Alpha returns the teleport probability of this computation.
-func (s *Flat) Alpha() float64 { return s.alpha }
+// Seen returns the index of the nodes with a non-zero estimate — Sf, in the
+// order they were first processed — and their estimates by its slots. Both are
+// the engine's own storage, valid until the next processing step.
+func (s *Flat) Seen() (*scratch.Index, []float64) { return &s.seen, s.rho }
 
 // Rho returns the current PPR estimate at v (a lower bound of the exact PPR).
-func (s *Flat) Rho(v graph.NodeID) float64 { return s.rho.Get(v) }
+func (s *Flat) Rho(v graph.NodeID) float64 {
+	if slot, ok := s.seen.Slot(v); ok {
+		return s.rho[slot]
+	}
+	return 0
+}
 
 // Residual returns the current residual at v.
-func (s *Flat) Residual(v graph.NodeID) float64 { return s.mu.Get(v) }
+func (s *Flat) Residual(v graph.NodeID) float64 {
+	if slot, ok := s.touched.Slot(v); ok {
+		return s.mu[slot]
+	}
+	return 0
+}
 
 // TotalResidual returns the total remaining residual mass; it decreases
 // monotonically as nodes are processed and bounds the total estimation error.
@@ -126,14 +145,14 @@ func (s *Flat) TotalResidual() float64 {
 }
 
 // MaxResidual returns the largest residual currently held by any node: one
-// scan of the nodes that ever held residual this query.
+// scan of the residuals of the nodes that ever held any this query.
 func (s *Flat) MaxResidual() float64 {
 	maxRes := 0.0
-	s.mu.Each(func(_ graph.NodeID, m float64) {
+	for _, m := range s.mu {
 		if m > maxRes {
 			maxRes = m
 		}
-	})
+	}
 	return maxRes
 }
 
@@ -141,7 +160,7 @@ func (s *Flat) MaxResidual() float64 {
 func (s *Flat) Processed() int { return s.processed }
 
 // SeenCount returns the number of nodes with a non-zero estimate (|Sf|).
-func (s *Flat) SeenCount() int { return s.rho.Len() }
+func (s *Flat) SeenCount() int { return s.seen.Len() }
 
 // LiveResidualCount returns the number of nodes currently holding positive
 // residual, which is also the size of the benefit heap.
@@ -152,13 +171,17 @@ func (s *Flat) LiveResidualCount() int { return s.benefit.Len() }
 // working set can reach (processing, prefetching and the Stage-II kernel's
 // build pass all stay inside this set). The remote parity tests assert rows
 // fetched never exceeds it plus the T-side neighborhood.
-func (s *Flat) ResidualTouchedCount() int { return s.mu.Len() }
+func (s *Flat) ResidualTouchedCount() int { return s.touched.Len() }
 
 // ResidualTouched reports whether v ever held residual during this query.
-func (s *Flat) ResidualTouched(v graph.NodeID) bool { return s.mu.Has(v) }
+func (s *Flat) ResidualTouched(v graph.NodeID) bool { return s.touched.Has(v) }
 
 // EachSeen calls fn for every node with a non-zero PPR estimate.
-func (s *Flat) EachSeen(fn func(v graph.NodeID, rho float64)) { s.rho.Each(fn) }
+func (s *Flat) EachSeen(fn func(v graph.NodeID, rho float64)) {
+	for slot, v := range s.seen.Touched() {
+		fn(v, s.rho[slot])
+	}
+}
 
 // RestartWeight returns the normalized query weight of v, zero when v is not
 // a query node: a scan of the deduplicated restart distribution, which has one
@@ -174,24 +197,28 @@ func (s *Flat) RestartWeight(v graph.NodeID) float64 {
 
 // EachResidual calls fn for every node with a positive residual.
 func (s *Flat) EachResidual(fn func(v graph.NodeID, mu float64)) {
-	s.mu.Each(func(v graph.NodeID, m float64) {
-		if m > 0 {
+	for slot, v := range s.touched.Touched() {
+		if m := s.mu[slot]; m > 0 {
 			fn(v, m)
 		}
-	})
+	}
 }
 
 func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	if amount <= 0 {
 		return
 	}
-	nm := s.mu.Add(v, amount)
+	slot, added := s.touched.Add(v)
+	if added {
+		s.mu = append(s.mu, 0)
+	}
+	s.mu[slot] += amount
 	s.totalResidual += amount
 	deg := s.rows.OutDegree(v)
 	if deg < 1 {
 		deg = 1
 	}
-	s.benefit.Update(v, nm/float64(deg))
+	s.benefit.Update(slot, s.mu[slot]/float64(deg))
 }
 
 // Process applies one BCA processing step to node v: alpha of its residual is
@@ -200,15 +227,27 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 // the query, matching the dangling-node handling of the iterative F-Rank
 // solver so that both converge to the same PPR vector.
 func (s *Flat) Process(v graph.NodeID) {
-	residual := s.mu.Get(v)
+	if slot, ok := s.touched.Slot(v); ok {
+		s.process(slot)
+	}
+}
+
+// process is Process by touched slot, the form the benefit heap hands out.
+func (s *Flat) process(slot int32) {
+	residual := s.mu[slot]
 	if residual <= 0 {
 		return
 	}
-	s.mu.Set(v, 0)
-	s.benefit.Remove(v)
+	v := s.touched.Touched()[slot]
+	s.mu[slot] = 0
+	s.benefit.Remove(slot)
 	s.totalResidual -= residual
 	s.processed++
-	s.rho.Add(v, s.alpha*residual)
+	at, added := s.seen.Add(v)
+	if added {
+		s.rho = append(s.rho, 0)
+	}
+	s.rho[at] += s.alpha * residual
 	spread := (1 - s.alpha) * residual
 	outSum := s.rows.OutSum(v)
 	if outSum <= 0 {
@@ -236,20 +275,16 @@ func (s *Flat) ProcessBest(m int) int {
 		// hint — re-announcing the frontier per processed node would scan it
 		// quadratically for no batching gain.
 		s.prefetch = s.prefetch[:0]
-		s.mu.Each(func(v graph.NodeID, res float64) {
-			if res > 0 {
-				s.prefetch = append(s.prefetch, v)
-			}
-		})
+		s.EachResidual(func(v graph.NodeID, _ float64) { s.prefetch = append(s.prefetch, v) })
 		s.pre.Prefetch(s.prefetch)
 	}
 	done := 0
 	for done < m {
-		v, _, ok := s.benefit.Peek()
+		slot, _, ok := s.benefit.Peek()
 		if !ok {
 			return done
 		}
-		s.Process(v)
+		s.process(slot)
 		done++
 	}
 	return done
@@ -280,7 +315,7 @@ func (s *Flat) Run(ctx context.Context, tol float64, maxOps int) error {
 // Estimates returns a dense copy of the current PPR estimates.
 func (s *Flat) Estimates(n int) []float64 {
 	out := make([]float64, n)
-	s.rho.Each(func(v graph.NodeID, r float64) { out[v] = r })
+	s.EachSeen(func(v graph.NodeID, r float64) { out[v] = r })
 	return out
 }
 
@@ -290,7 +325,9 @@ func (s *Flat) Estimates(n int) []float64 {
 // nodes. Used by tests.
 func (s *Flat) CheckInvariant() error {
 	mass := 0.0
-	s.rho.Each(func(_ graph.NodeID, r float64) { mass += r })
+	for _, r := range s.rho {
+		mass += r
+	}
 	if mass > 1+1e-9 {
 		return fmt.Errorf("bca: estimates sum to %g > 1", mass)
 	}
@@ -298,23 +335,18 @@ func (s *Flat) CheckInvariant() error {
 		return fmt.Errorf("bca: negative total residual %g", s.totalResidual)
 	}
 	recount, live := 0.0, 0
-	var err error
-	s.mu.Each(func(v graph.NodeID, m float64) {
+	for slot, m := range s.mu {
+		v := s.touched.Touched()[slot]
 		if m < -1e-12 {
-			err = fmt.Errorf("bca: negative residual %g", m)
+			return fmt.Errorf("bca: negative residual %g", m)
 		}
 		if m > 0 {
 			live++
-			if !s.benefit.Contains(v) {
-				err = fmt.Errorf("bca: node %d has residual %g but no heap entry", v, m)
-			}
-		} else if s.benefit.Contains(v) {
-			err = fmt.Errorf("bca: node %d has no residual but a heap entry", v)
+		}
+		if has := s.benefit.Contains(int32(slot)); has != (m > 0) {
+			return fmt.Errorf("bca: node %d has residual %g, heap entry: %v", v, m, has)
 		}
 		recount += m
-	})
-	if err != nil {
-		return err
 	}
 	if math.Abs(recount-s.TotalResidual()) > 1e-9*(1+recount) {
 		return fmt.Errorf("bca: residual accounting drift: %g vs %g", recount, s.totalResidual)

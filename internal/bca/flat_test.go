@@ -64,8 +64,8 @@ func TestInitialState(t *testing.T) {
 	if err := s.Init(g, walk.SingleNode(2), 0.25); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
-	if s.Alpha() != 0.25 {
-		t.Errorf("Alpha = %g", s.Alpha())
+	if s.alpha != 0.25 {
+		t.Errorf("Alpha = %g", s.alpha)
 	}
 	if got := s.TotalResidual(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("initial total residual = %g, want 1", got)
@@ -260,8 +260,10 @@ func TestFlatHeapNeverExceedsTouched(t *testing.T) {
 		t.Fatalf("Init: %v", err)
 	}
 	for step := 0; step < 500; step++ {
-		touched := 0
-		s.mu.Each(func(graph.NodeID, float64) { touched++ })
+		touched := s.ResidualTouchedCount()
+		if len(s.mu) != touched {
+			t.Fatalf("step %d: %d residuals for %d touched nodes", step, len(s.mu), touched)
+		}
 		if s.LiveResidualCount() > touched {
 			t.Fatalf("step %d: heap size %d exceeds %d touched nodes", step, s.LiveResidualCount(), touched)
 		}

@@ -321,6 +321,48 @@ func TestTBoundsAdjacentMultiNodeBorderCount(t *testing.T) {
 	}
 }
 
+// TestFBoundsSameRoundNewcomersLoggedOnce pins the rule FFlat.join rests on
+// now that Sf's membership is the BCA engine's: one expansion (M = 3) processes
+// the query 0 and both its out-neighbors 1 and 2, which point at each other
+// and back at 0, so all three are in the engine's index before the first of
+// them joins. An in-neighbor counts as seen only when its slot is below the
+// number joined so far: each of the six induced edges — 1↔2, between the two
+// adjacent same-round newcomers, included — is then logged exactly once and by
+// its later endpoint, off the parked chain when the row is the earlier one's.
+// Counting every member of the index as seen would still log each once, but at
+// the row's join and with nothing parked: another log order, so other sums.
+func TestFBoundsSameRoundNewcomersLoggedOnce(t *testing.T) {
+	g := newRawGraph(4, []rawEdge{
+		{0, 1, 1}, {0, 2, 1}, {1, 2, 1}, {2, 1, 1}, {1, 0, 1}, {2, 0, 1}, {2, 3, 1},
+	})
+	for _, bind := range []binding{csrBinding, rowsBinding} {
+		var fb FFlat
+		if err := bind.f(&fb, g, walk.SingleNode(0), FOptions{Alpha: 0.25, M: 3, ImprovedBound: true}); err != nil {
+			t.Fatalf("Init: %v", err)
+		}
+		if fb.Expand() != 3 || fb.SeenCount() != 3 {
+			t.Fatalf("the first expansion processed nodes %v, want 0, 1 and 2 in one round", fb.SeenList())
+		}
+		if !logMatchesInduced(t, "F", &fb.k, &fb.b, fRow(fb.rows)) || len(fb.k.log) != 6 {
+			t.Fatalf("edge log %v, want the six edges among 0, 1 and 2 once each", fb.k.log)
+		}
+		joiner := int32(0)
+		for _, e := range fb.k.log {
+			if later := max(e.src, e.dst); later < joiner {
+				t.Fatalf("edge log %v: %d→%d was not logged by its later endpoint", fb.k.log, e.src, e.dst)
+			} else {
+				joiner = later
+			}
+		}
+		// 0, joining first, parked its entries for 1 and 2, and 1 its for 2.
+		// Node 3 holds residual but has no estimate, and stays outside Sf.
+		if len(fb.parked) != 3 || fb.Seen(3) || !fb.ResidualTouched(3) {
+			t.Fatalf("%d parked entries, node 3 seen %v, residual-touched %v; want 3, false, true",
+				len(fb.parked), fb.Seen(3), fb.ResidualTouched(3))
+		}
+	}
+}
+
 // TestFlatBoundsReuseAcrossGraphs re-Inits one tracker pair across graphs of
 // different sizes (the pool-resize situation after an engine epoch swap) and
 // checks every reused run produces exactly the bounds of a fresh tracker.
@@ -610,6 +652,29 @@ func tRow(rows graph.Rows) rowFn {
 	}
 }
 
+// eachBound calls fn for every seen node of b, in slot order.
+func eachBound(b *scratch.Bounds, fn func(v graph.NodeID, lo, up float64)) {
+	los, ups := b.Slots()
+	for slot, v := range b.Touched() {
+		fn(v, los[slot], ups[slot])
+	}
+}
+
+// setBound stores both bounds of v, which b must have seen.
+func setBound(b *scratch.Bounds, v graph.NodeID, lo, up float64) {
+	slot, seen := b.Index(v)
+	if !seen {
+		panic("setBound: node " + strconv.Itoa(int(v)) + " is unseen")
+	}
+	los, ups := b.Slots()
+	los[slot], ups[slot] = lo, up
+}
+
+// copyBounds gives every node src has seen, all seen by dst, src's bounds.
+func copyBounds(dst, src *scratch.Bounds) {
+	eachBound(src, func(v graph.NodeID, lo, up float64) { setBound(dst, v, lo, up) })
+}
+
 // logMatchesInduced checks the kernel's edge log against the subgraph the
 // neighborhood of b induces, enumerated by brute force through row: the same
 // number of edges, every logged (src, dst) an induced edge with exactly its
@@ -686,7 +751,7 @@ func refSweep(b *scratch.Bounds, restart []float64, alpha, unseen float64, row r
 			maxChange = max(maxChange, up-newUp)
 			up = newUp
 		}
-		b.Set(v, lo, up)
+		setBound(b, v, lo, up)
 	}
 	return maxChange
 }
@@ -719,7 +784,7 @@ func (tb *TFlat) refStageII(maxIter int, tol float64) {
 // bounds and unseen bound equal within tol.
 func sameBounds(t *testing.T, label string, a, b *scratch.Bounds, unseenA, unseenB, tol float64) bool {
 	ok := a.Len() == b.Len() && math.Abs(unseenA-unseenB) <= tol
-	a.Each(func(v graph.NodeID, lo, up float64) {
+	eachBound(a, func(v graph.NodeID, lo, up float64) {
 		rlo, rup, seen := b.Get(v)
 		if !(seen && math.Abs(lo-rlo) <= tol && math.Abs(up-rup) <= tol) {
 			t.Logf("%s: node %d kernel [%g, %g] reference [%g, %g] (seen %v)", label, v, lo, up, rlo, rup, seen)
@@ -746,7 +811,7 @@ func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 	between := func(lo, x, hi float64) bool { return lo-1e-12 <= x && x <= hi+1e-12 }
 	ok := kernel.b.Len() == ref.b.Len() && kernel.b.Len() == deep.b.Len() &&
 		between(deep.unseen, kernel.unseen, ref.unseen)
-	kernel.b.Each(func(v graph.NodeID, lo, up float64) {
+	eachBound(&kernel.b, func(v graph.NodeID, lo, up float64) {
 		rlo, rup, _ := ref.b.Get(v)
 		_, dup, _ := deep.b.Get(v)
 		if !(ref.b.Seen(v) && deep.b.Seen(v) && math.Abs(lo-rlo) <= 2e-11 && between(dup, up, rup)) {
@@ -766,7 +831,7 @@ func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 // replaces the snapshot with the current bounds.
 func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, prev map[graph.NodeID][2]float64, prevUnseen *float64) bool {
 	ok := unseen <= *prevUnseen
-	b.Each(func(v graph.NodeID, lo, up float64) {
+	eachBound(b, func(v graph.NodeID, lo, up float64) {
 		if p, seen := prev[v]; seen && (lo < p[0] || up > p[1]) {
 			ok = false
 		}
@@ -873,9 +938,11 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 				!logMatchesInduced(t, "T", &tb.k, &tb.b, tRow(tb.rows)) {
 				return false
 			}
-			fb.b.Each(fref.b.Set)
-			tb.b.Each(tref.b.Set)
-			tb.b.Each(tdeep.b.Set)
+			copyBounds(&fref.b, &fb.b)
+			copyBounds(&tref.b, &tb.b)
+			if tightening {
+				copyBounds(&tdeep.b, &tb.b)
+			}
 			fref.unseen, tref.unseen, tdeep.unseen = fb.unseen, tb.unseen, tb.unseen
 
 			if !monotone(t, "F", &fb.b, fb.unseen, fPrev, &fUnseen) ||

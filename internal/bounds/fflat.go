@@ -15,24 +15,23 @@ import (
 // Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
 // log of the subgraph Sf induces and reads no rows: join, the one place a node
 // enters Sf, scans the newcomer's in-row once and logs the induced edges it
-// closes. What is keyed by node is a stamped index — membership and slot in b,
-// the parked chains of nodes still outside — and everything about a seen node
-// lives once, by slot: its bounds in b, its restart weight and row in the
-// kernel. InitRows rebinds the whole tracker to a new query in O(1), so a
-// pooled instance serves a stream of queries with no steady-state allocation.
+// closes. Sf has one membership, the BCA engine's index of the nodes it has
+// given an estimate: the bounds here, like the restart weights and rows in the
+// kernel, are kept by its slots, and a node is seen once the slot has them.
+// The one thing this side keys by node itself is the parked chains of nodes
+// still outside. InitRows rebinds the whole tracker to a new query in O(1), so
+// a pooled instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
+	neighborhood
 	opt  FOptions
 	rows graph.Rows // the graph; join reads a newcomer's in-row
 
 	engine bca.Flat
-	b      scratch.Bounds
-	unseen float64
-
-	k refiner // Stage-II kernel: the induced edge log join feeds
 	// parked holds the entries rows of Sf will gain once an in-neighbor still
 	// outside joins, chained per such node: parkedAt maps it to 1 + the index
 	// of its latest entry, next to the one before (0 ends the chain). The
-	// chains are keyed by nodes that have no slot yet, so parkedAt is dense.
+	// chains are keyed by nodes that may have no slot yet, so parkedAt is
+	// dense.
 	parked   []parkedEntry
 	parkedAt scratch.Ints
 }
@@ -61,7 +60,8 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	}
 	fb.rows = rows
 	fb.opt = opt
-	fb.b.Reset(rows.NumNodes())
+	sf, _ := fb.engine.Seen()
+	fb.b.ResetOver(sf)
 	fb.k.reset()
 	fb.parked = fb.parked[:0]
 	fb.parkedAt.Reset(rows.NumNodes())
@@ -82,34 +82,6 @@ func (fb *FFlat) ResidualTouchedCount() int { return fb.engine.ResidualTouchedCo
 
 // ResidualTouched reports whether the BCA engine ever held residual at v.
 func (fb *FFlat) ResidualTouched(v graph.NodeID) bool { return fb.engine.ResidualTouched(v) }
-
-// SeenCount returns |Sf|.
-func (fb *FFlat) SeenCount() int { return fb.b.Len() }
-
-// Seen reports whether v is in the f-neighborhood.
-func (fb *FFlat) Seen(v graph.NodeID) bool { return fb.b.Seen(v) }
-
-// Lower returns the lower bound for a seen node (zero for unseen nodes).
-func (fb *FFlat) Lower(v graph.NodeID) float64 { return fb.b.Lower(v) }
-
-// Upper returns the upper bound for v: its individual bound when seen, the
-// unseen upper bound otherwise.
-func (fb *FFlat) Upper(v graph.NodeID) float64 {
-	if u, ok := fb.b.Upper(v); ok {
-		return u
-	}
-	return fb.unseen
-}
-
-// UnseenUpper returns the common upper bound for all unseen nodes.
-func (fb *FFlat) UnseenUpper() float64 { return fb.unseen }
-
-// SeenList returns the f-neighborhood in insertion order; the slice is valid
-// until the next InitRows and must not be mutated.
-func (fb *FFlat) SeenList() []graph.NodeID { return fb.b.Touched() }
-
-// Sweeps returns the number of Stage-II sweeps run since InitRows.
-func (fb *FFlat) Sweeps() int { return fb.k.sweeps }
 
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
@@ -144,20 +116,22 @@ func (fb *FFlat) initializeBounds() {
 		fb.unseen = unseen
 	}
 
-	fb.engine.EachSeen(func(v graph.NodeID, rho float64) {
-		lo, up, seen := fb.b.Get(v)
-		if !seen {
-			fb.join(v, rho, rho+fb.unseen) // Eq. 20–21
-			return
+	// Sf is the engine's seen index: its leading slots have bounds already,
+	// the rest are this round's newcomers, in the order they join.
+	sf, rhos := fb.engine.Seen()
+	los, ups := fb.b.Slots()
+	for slot := range los {
+		rho := rhos[slot]
+		if rho > los[slot] {
+			los[slot] = rho
 		}
-		if rho > lo {
-			lo = rho
+		if u := rho + fb.unseen; u < ups[slot] {
+			ups[slot] = u
 		}
-		if u := rho + fb.unseen; u < up {
-			up = u
-		}
-		fb.b.Set(v, lo, up)
-	})
+	}
+	for slot := len(los); slot < len(rhos); slot++ {
+		fb.join(sf.Touched()[slot], rhos[slot], rhos[slot]+fb.unseen) // Eq. 20–21
+	}
 }
 
 // join admits v into Sf with the given bounds. The F-Rank recursion at a node
@@ -168,13 +142,15 @@ func (fb *FFlat) initializeBounds() {
 // that node and logged when it joins — which is how v, before reading
 // anything, collects the entries the rows of its seen out-neighbors gain for
 // it: a node's out-row, which only BCA reads, is never needed. Nodes join one
-// at a time, so every induced edge is logged once, by its later endpoint. The
-// scan makes one stamped probe per in-neighbor, for its slot, and a second, for
-// its parked chain, only when it is still outside. The restart weight comes
-// from the BCA engine's restart distribution, the one copy of it on this side.
+// at a time, so every induced edge is logged once, by its later endpoint — and
+// since a round's newcomers are all in the engine's index before the first of
+// them joins, an in-neighbor counts as seen only when its slot is below the
+// number joined so far (scratch.Bounds.Index), v's own included. The scan makes
+// one stamped probe per in-neighbor, for its slot, and a second, for its parked
+// chain, only when it is still outside. The restart weight comes from the BCA
+// engine's restart distribution, the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
-	self := int32(fb.b.Len())
-	fb.b.Set(v, lo, up)
+	self := fb.b.Push(lo, up)
 	for at := fb.parkedAt.Get(v); at > 0; at = int(fb.parked[at-1].next) {
 		fb.k.add(fb.parked[at-1].row, self, fb.parked[at-1].m)
 	}
@@ -207,6 +183,4 @@ func (fb *FFlat) Refine() {
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that
 // the unseen upper bound is finite and non-negative. Used by tests.
-func (fb *FFlat) CheckConsistent() error {
-	return checkBounds(&fb.b, fb.unseen, false)
-}
+func (fb *FFlat) CheckConsistent() error { return fb.checkConsistent(false) }

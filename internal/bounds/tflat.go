@@ -2,10 +2,8 @@ package bounds
 
 import (
 	"fmt"
-	"math"
 
 	"roundtriprank/internal/graph"
-	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/walk"
 )
 
@@ -17,11 +15,12 @@ import (
 // the bounds over St (Eq. 17–18) on the kernel's edge log of the subgraph St
 // induces and reads no rows: join, the one place a node enters St, scans the
 // newcomer's rows once, for the border counters and the log alike. What is
-// keyed by node is the stamped index of b — membership and slot — and nothing
-// else; bounds, border counters, restart weights and rows live once, by slot,
-// and the per-round passes walk them sequentially. InitRows rebinds the tracker
-// to a new query in O(1).
+// keyed by node is the stamped index of b — membership and slot, St's own — and
+// nothing else; bounds, border counters, restart weights and rows live once, by
+// slot, and the per-round passes walk them sequentially. InitRows rebinds the
+// tracker to a new query in O(1).
 type TFlat struct {
+	neighborhood
 	opt TOptions
 	// rows is the graph; pre is its optional prefetch capability and wave the
 	// reusable buffer of rows each expansion announces to it.
@@ -32,13 +31,10 @@ type TFlat struct {
 	restartNodes []graph.NodeID
 	restartW     []float64
 
-	b scratch.Bounds
 	// outsideIn counts, by slot, how many in-neighbors of each node in St are
 	// still outside St; a node is a border node iff its count is positive.
 	outsideIn []int32
-	unseen    float64
 
-	k refiner // Stage-II kernel: the induced edge log join feeds
 	// pickN/pickP are the reusable top-M border selection (descending by
 	// upper bound, ties keep earlier insertion).
 	pickN []graph.NodeID
@@ -97,8 +93,7 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 // nodes the later finds the earlier seen and their edges are logged once. Each
 // scanned neighbor costs one stamped probe, for its slot; all else is by slot.
 func (tb *TFlat) join(v graph.NodeID, restart, lo, up float64) {
-	self := int32(tb.b.Len())
-	tb.b.Set(v, lo, up)
+	self := tb.b.Add(v, lo, up)
 	outSum := tb.rows.OutSum(v)
 	mass := 0.0
 	if outSum > 0 {
@@ -135,34 +130,6 @@ func (tb *TFlat) join(v graph.NodeID, restart, lo, up float64) {
 // Detach drops the tracker's reference to the graph so a pooled instance does
 // not pin a superseded snapshot between queries; InitRows rebinds one.
 func (tb *TFlat) Detach() { tb.rows, tb.pre = nil, nil }
-
-// SeenCount returns |St|.
-func (tb *TFlat) SeenCount() int { return tb.b.Len() }
-
-// Seen reports whether v is in the t-neighborhood.
-func (tb *TFlat) Seen(v graph.NodeID) bool { return tb.b.Seen(v) }
-
-// Lower returns the lower bound for a seen node (zero for unseen nodes).
-func (tb *TFlat) Lower(v graph.NodeID) float64 { return tb.b.Lower(v) }
-
-// Upper returns the upper bound for v: its individual bound when seen, the
-// unseen upper bound otherwise.
-func (tb *TFlat) Upper(v graph.NodeID) float64 {
-	if u, ok := tb.b.Upper(v); ok {
-		return u
-	}
-	return tb.unseen
-}
-
-// UnseenUpper returns the common upper bound for unseen nodes (Eq. 22).
-func (tb *TFlat) UnseenUpper() float64 { return tb.unseen }
-
-// SeenList returns the t-neighborhood in insertion order; the slice is valid
-// until the next InitRows and must not be mutated.
-func (tb *TFlat) SeenList() []graph.NodeID { return tb.b.Touched() }
-
-// Sweeps returns the number of Stage-II sweeps run since InitRows.
-func (tb *TFlat) Sweeps() int { return tb.k.sweeps }
 
 // BorderCount returns the number of border nodes of St.
 func (tb *TFlat) BorderCount() int {
@@ -303,32 +270,4 @@ func (tb *TFlat) Refine() {
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a
 // finite, non-negative unseen bound. Used by tests.
-func (tb *TFlat) CheckConsistent() error {
-	return checkBounds(&tb.b, tb.unseen, true)
-}
-
-// checkBounds verifies lower <= upper for every seen node and a sane unseen
-// bound; capped additionally requires upper <= 1 (the T-Rank invariant).
-func checkBounds(b *scratch.Bounds, unseen float64, capped bool) error {
-	if unseen < 0 || math.IsNaN(unseen) || math.IsInf(unseen, 0) {
-		return fmt.Errorf("bounds: invalid unseen upper bound %g", unseen)
-	}
-	var err error
-	b.Each(func(v graph.NodeID, lo, up float64) {
-		if err != nil {
-			return
-		}
-		if lo > up+1e-12 {
-			err = fmt.Errorf("bounds: node %d lower %g exceeds upper %g", v, lo, up)
-			return
-		}
-		if lo < -1e-12 {
-			err = fmt.Errorf("bounds: node %d negative lower bound %g", v, lo)
-			return
-		}
-		if capped && up > 1+1e-9 {
-			err = fmt.Errorf("bounds: node %d bounds out of range [%g, %g]", v, lo, up)
-		}
-	})
-	return err
-}
+func (tb *TFlat) CheckConsistent() error { return tb.checkConsistent(true) }

@@ -1,64 +1,39 @@
 package scratch
 
-import "roundtriprank/internal/graph"
-
 // heapArity is the branching factor of the heap. A 4-ary layout halves the
 // tree depth of a binary heap and keeps each node's children in one cache
 // line, which wins on the sift-down-heavy pop/update mix of the BCA benefit
 // selection.
 const heapArity = 4
 
-// Heap is an index-keyed d-ary max-heap over node IDs with float64
-// priorities. It tracks each node's position, so a priority change moves the
+// Heap is a d-ary max-heap over the slots of an Index with float64
+// priorities. It tracks each slot's position, so a priority change moves the
 // existing entry in place — there are no stale entries and no lazy
 // reinsertion, and the heap size never exceeds the number of distinct live
-// nodes. Position slots are generation-stamped like
-// the other scratch structures, so Reset is O(1) with no clearing.
+// slots. The position array is keyed by slot and grows with the slots it is
+// shown: nothing here is sized by the graph or stamped.
 //
-// The zero value is empty; Reset must be called before use.
+// The zero value is empty and ready for use.
 type Heap struct {
-	items []graph.NodeID // heap order
-	pri   []float64      // parallel to items
-	pos   []int32        // node -> index into items, -1 when removed
-	stamp []uint32
-	gen   uint32
+	items []int32   // heap order
+	pri   []float64 // parallel to items
+	pos   []int32   // slot -> index into items, -1 when it has no entry
 }
 
-// Reset empties the heap and (re)sizes its position index for node IDs in
-// [0, n).
-func (h *Heap) Reset(n int) {
-	h.items = h.items[:0]
-	h.pri = h.pri[:0]
-	h.pos = growInts(h.pos, n)
-	h.stamp = growStamps(h.stamp, n)
-	h.gen++
-	if h.gen == 0 {
-		clear(h.stamp)
-		h.gen = 1
-	}
-}
+// Reset empties the heap.
+func (h *Heap) Reset() { h.items, h.pri, h.pos = h.items[:0], h.pri[:0], h.pos[:0] }
 
 // Len returns the number of entries.
 func (h *Heap) Len() int { return len(h.items) }
 
-// Contains reports whether v currently has an entry.
-func (h *Heap) Contains(v graph.NodeID) bool {
-	return h.stamp[v] == h.gen && h.pos[v] >= 0
-}
+// Contains reports whether slot currently has an entry.
+func (h *Heap) Contains(slot int32) bool { return int(slot) < len(h.pos) && h.pos[slot] >= 0 }
 
-// Priority returns v's current priority and whether v has an entry.
-func (h *Heap) Priority(v graph.NodeID) (float64, bool) {
-	if !h.Contains(v) {
-		return 0, false
-	}
-	return h.pri[h.pos[v]], true
-}
-
-// Update inserts v with the given priority, or changes v's priority in place
-// (sifting up or down as needed) when it already has an entry.
-func (h *Heap) Update(v graph.NodeID, pri float64) {
-	if h.stamp[v] == h.gen && h.pos[v] >= 0 {
-		i := int(h.pos[v])
+// Update inserts slot with the given priority, or changes its priority in
+// place (sifting up or down as needed) when it already has an entry.
+func (h *Heap) Update(slot int32, pri float64) {
+	if h.Contains(slot) {
+		i := int(h.pos[slot])
 		old := h.pri[i]
 		h.pri[i] = pri
 		if pri > old {
@@ -68,45 +43,31 @@ func (h *Heap) Update(v graph.NodeID, pri float64) {
 		}
 		return
 	}
-	h.stamp[v] = h.gen
-	h.pos[v] = int32(len(h.items))
-	h.items = append(h.items, v)
+	for int(slot) >= len(h.pos) {
+		h.pos = append(h.pos, -1)
+	}
+	h.pos[slot] = int32(len(h.items))
+	h.items = append(h.items, slot)
 	h.pri = append(h.pri, pri)
 	h.up(len(h.items) - 1)
 }
 
 // Peek returns the highest-priority entry without removing it. ok is false
 // when the heap is empty.
-func (h *Heap) Peek() (v graph.NodeID, pri float64, ok bool) {
+func (h *Heap) Peek() (slot int32, pri float64, ok bool) {
 	if len(h.items) == 0 {
 		return 0, 0, false
 	}
 	return h.items[0], h.pri[0], true
 }
 
-// Pop removes and returns the highest-priority entry. ok is false when the
-// heap is empty.
-func (h *Heap) Pop() (v graph.NodeID, pri float64, ok bool) {
-	if len(h.items) == 0 {
-		return 0, 0, false
-	}
-	v, pri = h.items[0], h.pri[0]
-	h.removeAt(0)
-	return v, pri, true
-}
-
-// Remove deletes v's entry if present and reports whether it did.
-func (h *Heap) Remove(v graph.NodeID) bool {
-	if h.stamp[v] != h.gen || h.pos[v] < 0 {
+// Remove deletes slot's entry if present and reports whether it did.
+func (h *Heap) Remove(slot int32) bool {
+	if !h.Contains(slot) {
 		return false
 	}
-	h.removeAt(int(h.pos[v]))
-	return true
-}
-
-func (h *Heap) removeAt(i int) {
-	last := len(h.items) - 1
-	h.pos[h.items[i]] = -1
+	i, last := int(h.pos[slot]), len(h.items)-1
+	h.pos[slot] = -1
 	if i != last {
 		moved := h.items[last]
 		h.items[i], h.pri[i] = moved, h.pri[last]
@@ -118,6 +79,7 @@ func (h *Heap) removeAt(i int) {
 		h.down(i)
 		h.up(i)
 	}
+	return true
 }
 
 func (h *Heap) up(i int) {

@@ -1,100 +1,86 @@
 // Package scratch provides the flat per-query state backing the online top-K
-// hot path: generation-stamped dense arrays that behave like sparse maps over
-// node IDs without hashing or per-query clearing, and an index-keyed d-ary
-// max-heap with in-place decrease-key (heap.go).
+// hot path. One thing is keyed by node: Index, a generation-stamped dense array
+// that maps a node to its slot — its position in the insertion-ordered touched
+// list — without hashing or per-query clearing. Everything else is keyed by
+// slot, in plain slices that grow with the neighborhood: Bounds (a lower/upper
+// pair per slot, over an Index) and Heap (a d-ary max-heap of slots with
+// in-place decrease-key, heap.go). Ints is the one dense value array left, for
+// state keyed by nodes that have no slot yet.
 //
-// The trick is the standard epoch-stamping discipline of bookmark-coloring
-// implementations: every structure keeps a dense value array sized to
-// NumNodes plus a parallel stamp array, and a slot is "present" only when its
-// stamp equals the structure's current generation. Reset bumps the generation
-// in O(1) — no clearing — and a compact touched list records the present
-// slots in insertion order for sparse iteration. A whole query's worth of
-// scratch therefore resets in constant time and allocates nothing in steady
-// state; the owning searcher recycles it across queries through a sync.Pool
-// (see internal/topk).
+// The stamping is the standard discipline of bookmark-coloring
+// implementations: a node is present only when its stamp equals the
+// structure's current generation. Reset bumps the generation in O(1) — no
+// clearing — so a whole query's worth of scratch resets in constant time and
+// allocates nothing in steady state; the owning searcher recycles it across
+// queries through a sync.Pool (see internal/topk).
 //
-// The memory cost is O(NumNodes) per structure regardless of how small the
-// query's neighborhood is, which is exactly the trade the walk kernels
-// already make, so only what must be looked up by node ID is dense: Bounds
-// keeps a node → slot index and stores its values by slot, sized by the
-// neighborhood. docs/TUNING.md discusses the resulting pool footprint.
+// The memory cost of a dense structure is 8 B × NumNodes however small the
+// query's neighborhood is, which is exactly the trade the walk kernels already
+// make. docs/TUNING.md discusses the resulting pool footprint.
 package scratch
 
 import "roundtriprank/internal/graph"
 
-// Floats is a dense float64-valued map over node IDs with O(1) reset.
-// The zero value is empty; Reset must be called before use.
-type Floats struct {
-	val     []float64
-	stamp   []uint32
+// Index is a set of nodes with O(1) reset that numbers its members in
+// insertion order: the slot of a node is its position in Touched. The zero
+// value is empty; Reset must be called before use.
+type Index struct {
+	at      []indexEntry // by node
 	gen     uint32
 	touched []graph.NodeID
 }
 
-// Reset empties the map and (re)sizes it for node IDs in [0, n). Previously
+// indexEntry keeps a node's stamp beside its slot: a probe reads one cache
+// line.
+type indexEntry struct {
+	stamp uint32
+	slot  int32
+}
+
+// Reset empties the index and (re)sizes it for node IDs in [0, n). Previously
 // allocated capacity is reused; growing past it allocates once.
-func (m *Floats) Reset(n int) {
-	m.touched = m.touched[:0]
-	m.val = growFloats(m.val, n)
-	m.stamp = growStamps(m.stamp, n)
-	m.gen++
-	if m.gen == 0 { // generation wraparound: stale stamps could alias
-		clear(m.stamp)
-		m.gen = 1
+func (x *Index) Reset(n int) {
+	x.touched = x.touched[:0]
+	x.at = grow(x.at, n)
+	x.gen++
+	if x.gen == 0 { // generation wraparound: stale stamps could alias
+		clear(x.at)
+		x.gen = 1
 	}
 }
 
-// Len returns the number of present slots.
-func (m *Floats) Len() int { return len(m.touched) }
+// Len returns the number of members.
+func (x *Index) Len() int { return len(x.touched) }
 
-// Has reports whether v is present.
-func (m *Floats) Has(v graph.NodeID) bool { return m.stamp[v] == m.gen }
+// Has reports whether v is a member.
+func (x *Index) Has(v graph.NodeID) bool { return x.at[v].stamp == x.gen }
 
-// Get returns the value at v, zero when absent.
-func (m *Floats) Get(v graph.NodeID) float64 {
-	if m.stamp[v] != m.gen {
-		return 0
+// Slot returns the slot of v and whether v is a member.
+func (x *Index) Slot(v graph.NodeID) (int32, bool) {
+	e := x.at[v]
+	return e.slot, e.stamp == x.gen
+}
+
+// Add returns the slot of v, making it a member (in the next slot) if it is
+// not one, and reports whether it did.
+func (x *Index) Add(v graph.NodeID) (slot int32, added bool) {
+	if e := x.at[v]; e.stamp == x.gen {
+		return e.slot, false
 	}
-	return m.val[v]
+	slot = int32(len(x.touched))
+	x.at[v] = indexEntry{x.gen, slot}
+	x.touched = append(x.touched, v)
+	return slot, true
 }
 
-// Set stores x at v, marking it present.
-func (m *Floats) Set(v graph.NodeID, x float64) {
-	m.touch(v)
-	m.val[v] = x
-}
+// Touched returns the members in slot order. The slice aliases internal
+// storage: it is valid until the next Add or Reset and must not be mutated.
+func (x *Index) Touched() []graph.NodeID { return x.touched }
 
-// Add adds x to the value at v (absent counts as zero) and returns the new
-// value.
-func (m *Floats) Add(v graph.NodeID, x float64) float64 {
-	m.touch(v)
-	m.val[v] += x
-	return m.val[v]
-}
-
-func (m *Floats) touch(v graph.NodeID) {
-	if m.stamp[v] != m.gen {
-		m.stamp[v] = m.gen
-		m.val[v] = 0
-		m.touched = append(m.touched, v)
-	}
-}
-
-// Touched returns the present node IDs in insertion order. The slice aliases
-// internal storage: it is valid until the next Reset and must not be mutated.
-func (m *Floats) Touched() []graph.NodeID { return m.touched }
-
-// Each calls fn for every present slot in insertion order.
-func (m *Floats) Each(fn func(v graph.NodeID, x float64)) {
-	for _, v := range m.touched {
-		fn(v, m.val[v])
-	}
-}
-
-// Ints is a dense int-valued map over node IDs with O(1) reset. Unlike
-// Floats it keeps no touched list; it is for state keyed by nodes that belong
-// to no neighborhood yet, and so have no slot (FFlat's parked chains). The
-// zero value is empty; Reset must be called before use.
+// Ints is a dense int-valued map over node IDs with O(1) reset and no touched
+// list; it is for state keyed by nodes that belong to no neighborhood yet, and
+// so have no slot (FFlat's parked chains). The zero value is empty; Reset must
+// be called before use.
 type Ints struct {
 	val   []int32
 	stamp []uint32
@@ -103,8 +89,8 @@ type Ints struct {
 
 // Reset empties the map and (re)sizes it for node IDs in [0, n).
 func (m *Ints) Reset(n int) {
-	m.val = growInts(m.val, n)
-	m.stamp = growStamps(m.stamp, n)
+	m.val = grow(m.val, n)
+	m.stamp = grow(m.stamp, n)
 	m.gen++
 	if m.gen == 0 {
 		clear(m.stamp)
@@ -126,128 +112,87 @@ func (m *Ints) Set(v graph.NodeID, x int) {
 	m.val[v] = int32(x)
 }
 
-// Bounds is the per-node lower/upper bound pair of the two-stage framework:
-// a stamped membership index over node IDs — node → slot, the node's position
-// in Touched — with both bounds stored by slot, in insertion order. The dense
-// part is the index alone (8 B/node); the bounds grow with the neighborhood,
-// and a kernel that works in slot order (the Stage-II refinement) sweeps them
-// in place through Slots instead of keeping a copy. The zero value is empty;
-// Reset must be called before use.
+// Bounds is the per-node lower/upper bound pair of the two-stage framework,
+// stored by slot over an Index: the neighborhood is the leading Len slots of
+// the index, in slot order. The index is either the Bounds' own (Reset; one
+// dense array, 8 B/node) or one somebody else fills (ResetOver: BCA's, whose
+// members are Sf) — there a member of the index whose slot has no bounds yet
+// does not count as seen. A kernel that works in slot order (the Stage-II
+// refinement) sweeps the bounds in place through Slots. The zero value is
+// empty; Reset or ResetOver must be called before use.
 type Bounds struct {
-	lo, up  []float64 // by slot, parallel to touched
-	pos     []int32   // node -> slot
-	stamp   []uint32
-	gen     uint32
-	touched []graph.NodeID
+	idx    *Index
+	own    Index
+	lo, up []float64 // by slot
 }
 
-// Reset empties the set and (re)sizes it for node IDs in [0, n).
+// Reset empties the set over its own index, (re)sized for node IDs in [0, n).
 func (b *Bounds) Reset(n int) {
-	b.touched, b.lo, b.up = b.touched[:0], b.lo[:0], b.up[:0]
-	b.pos = growInts(b.pos, n)
-	b.stamp = growStamps(b.stamp, n)
-	b.gen++
-	if b.gen == 0 {
-		clear(b.stamp)
-		b.gen = 1
-	}
+	b.own.Reset(n)
+	b.ResetOver(&b.own)
+}
+
+// ResetOver empties the set and keys it by idx, which the caller resets and
+// fills: Push gives the next member of idx its bounds.
+func (b *Bounds) ResetOver(idx *Index) {
+	b.idx, b.lo, b.up = idx, b.lo[:0], b.up[:0]
 }
 
 // Len returns the neighborhood size.
-func (b *Bounds) Len() int { return len(b.touched) }
+func (b *Bounds) Len() int { return len(b.lo) }
 
-// Seen reports whether v is in the neighborhood.
-func (b *Bounds) Seen(v graph.NodeID) bool { return b.stamp[v] == b.gen }
-
-// Lower returns the lower bound of v, zero when unseen.
-func (b *Bounds) Lower(v graph.NodeID) float64 {
-	if b.stamp[v] != b.gen {
-		return 0
-	}
-	return b.lo[b.pos[v]]
+// Index returns the slot of v and whether v is seen.
+func (b *Bounds) Index(v graph.NodeID) (int32, bool) {
+	slot, ok := b.idx.Slot(v)
+	return slot, ok && int(slot) < len(b.lo)
 }
 
-// Upper returns the upper bound of v and whether v is seen.
-func (b *Bounds) Upper(v graph.NodeID) (float64, bool) {
-	if b.stamp[v] != b.gen {
-		return 0, false
-	}
-	return b.up[b.pos[v]], true
+// Seen reports whether v is in the neighborhood.
+func (b *Bounds) Seen(v graph.NodeID) bool {
+	_, seen := b.Index(v)
+	return seen
 }
 
 // Get returns both bounds of v and whether v is seen.
 func (b *Bounds) Get(v graph.NodeID) (lo, up float64, seen bool) {
-	if b.stamp[v] != b.gen {
+	slot, seen := b.Index(v)
+	if !seen {
 		return 0, 0, false
 	}
-	slot := b.pos[v]
 	return b.lo[slot], b.up[slot], true
 }
 
-// Index returns the slot of v — its position in Touched — and whether v is
-// seen.
-func (b *Bounds) Index(v graph.NodeID) (int32, bool) {
-	if b.stamp[v] != b.gen {
-		return 0, false
-	}
-	return b.pos[v], true
+// Push opens the next slot with the given bounds and returns it. Over a
+// borrowed index the slot's node is already a member of it.
+func (b *Bounds) Push(lo, up float64) int32 {
+	b.lo, b.up = append(b.lo, lo), append(b.up, up)
+	return int32(len(b.lo) - 1)
 }
 
-// Set stores both bounds of v, adding it to the neighborhood (in the next
-// slot) if new.
-func (b *Bounds) Set(v graph.NodeID, lo, up float64) {
-	if b.stamp[v] != b.gen {
-		b.stamp[v] = b.gen
-		b.pos[v] = int32(len(b.touched))
-		b.touched = append(b.touched, v)
-		b.lo, b.up = append(b.lo, lo), append(b.up, up)
-		return
-	}
-	slot := b.pos[v]
-	b.lo[slot], b.up[slot] = lo, up
+// Add admits v, which must be unseen, into the next slot of the Bounds' own
+// index with the given bounds, and returns the slot.
+func (b *Bounds) Add(v graph.NodeID, lo, up float64) int32 {
+	b.own.Add(v)
+	return b.Push(lo, up)
 }
 
-// Touched returns the seen node IDs in insertion order. The slice aliases
-// internal storage: it is valid until the next Reset and must not be mutated.
-func (b *Bounds) Touched() []graph.NodeID { return b.touched }
+// Touched returns the seen node IDs in slot order. The slice aliases internal
+// storage: it is valid until the next Reset and must not be mutated.
+func (b *Bounds) Touched() []graph.NodeID { return b.idx.Touched()[:len(b.lo)] }
 
 // Slots returns the lower and upper bounds by slot, parallel to Touched. The
 // slices are the storage itself: writing an entry sets that node's bound, and
-// they are valid until the next Set of an unseen node or Reset.
+// they are valid until the next Push or Reset.
 func (b *Bounds) Slots() (lo, up []float64) { return b.lo, b.up }
 
-// Each calls fn for every seen node in insertion order.
-func (b *Bounds) Each(fn func(v graph.NodeID, lo, up float64)) {
-	for slot, v := range b.touched {
-		fn(v, b.lo[slot], b.up[slot])
-	}
-}
-
-// growFloats reslices s to length n, allocating only when n exceeds its
-// capacity. Newly exposed slots carry stale values; the stamp discipline
-// makes them unreadable until written.
-func growFloats(s []float64, n int) []float64 {
+// grow reslices a dense array to length n, allocating only when n exceeds its
+// capacity. Entries beyond the previous length must read as absent, so a grow
+// within capacity clears the newly exposed tail: it may hold stamps from a
+// larger, older graph. (Entries below it are stale by the generation bump that
+// follows, a fresh array by being zero: no generation is.)
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growStamps reslices s to length n. Slots beyond the previous length must
-// read as "absent", so a grow within capacity clears the newly exposed tail
-// (those slots may hold stamps from a larger, older graph).
-func growStamps(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		out := make([]uint32, n)
-		copy(out, s)
-		return out
+		return make([]T, n)
 	}
 	old := len(s)
 	s = s[:n]

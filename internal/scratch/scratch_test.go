@@ -7,83 +7,89 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-func TestFloatsBasics(t *testing.T) {
-	var m Floats
-	m.Reset(8)
-	if m.Len() != 0 || m.Has(3) || m.Get(3) != 0 {
-		t.Fatalf("fresh map should be empty")
+func TestIndexBasics(t *testing.T) {
+	var x Index
+	x.Reset(8)
+	if _, ok := x.Slot(3); x.Len() != 0 || x.Has(3) || ok {
+		t.Fatalf("fresh index should be empty")
 	}
-	m.Set(3, 1.5)
-	if got := m.Add(3, 0.5); got != 2 {
-		t.Errorf("Add returned %g, want 2", got)
+	if slot, added := x.Add(3); slot != 0 || !added {
+		t.Errorf("Add(3) = %d %v, want 0 true", slot, added)
 	}
-	m.Add(5, 7)
-	if m.Len() != 2 || !m.Has(3) || !m.Has(5) || m.Has(4) {
-		t.Errorf("membership wrong: len=%d", m.Len())
+	if slot, added := x.Add(5); slot != 1 || !added {
+		t.Errorf("Add(5) = %d %v, want 1 true", slot, added)
 	}
-	if m.Get(3) != 2 || m.Get(5) != 7 || m.Get(0) != 0 {
-		t.Errorf("values wrong: %g %g %g", m.Get(3), m.Get(5), m.Get(0))
+	// Adding a member again changes nothing and returns its slot.
+	if slot, added := x.Add(3); slot != 0 || added {
+		t.Errorf("second Add(3) = %d %v, want 0 false", slot, added)
+	}
+	if x.Len() != 2 || !x.Has(3) || !x.Has(5) || x.Has(4) {
+		t.Errorf("membership wrong: len=%d", x.Len())
+	}
+	if slot, ok := x.Slot(5); !ok || slot != 1 {
+		t.Errorf("Slot(5) = %d %v, want 1 true", slot, ok)
 	}
 	want := []graph.NodeID{3, 5}
-	got := m.Touched()
+	got := x.Touched()
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("Touched = %v, want %v (insertion order)", got, want)
 	}
-	sum := 0.0
-	m.Each(func(_ graph.NodeID, x float64) { sum += x })
-	if sum != 9 {
-		t.Errorf("Each sum = %g, want 9", sum)
-	}
 
-	// Reset empties in O(1): old values must be unreadable.
-	m.Reset(8)
-	if m.Len() != 0 || m.Has(3) || m.Get(5) != 0 {
-		t.Errorf("Reset should empty the map")
+	// Reset empties in O(1): old members must be unreadable, slots start over.
+	x.Reset(8)
+	if _, ok := x.Slot(5); x.Len() != 0 || x.Has(3) || ok {
+		t.Errorf("Reset should empty the index")
 	}
-	// Setting zero still marks presence (mirrors map semantics where a key
-	// can hold value 0).
-	m.Set(2, 0)
-	if !m.Has(2) || m.Len() != 1 {
-		t.Errorf("zero-valued slot should be present")
+	if slot, added := x.Add(5); slot != 0 || !added {
+		t.Errorf("Add(5) after Reset = %d %v, want 0 true", slot, added)
 	}
 }
 
-func TestFloatsResize(t *testing.T) {
-	var m Floats
-	m.Reset(4)
-	m.Set(3, 1)
-	// Grow: new slots absent, old slots invalidated by the generation bump.
-	m.Reset(10)
+func TestIndexResize(t *testing.T) {
+	var x Index
+	x.Reset(4)
+	x.Add(3)
+	// Grow: new nodes absent, old members invalidated by the generation bump.
+	x.Reset(10)
 	for v := graph.NodeID(0); v < 10; v++ {
-		if m.Has(v) {
-			t.Fatalf("slot %d should be absent after growing Reset", v)
+		if x.Has(v) {
+			t.Fatalf("node %d should be absent after growing Reset", v)
 		}
 	}
-	m.Set(9, 2)
+	x.Add(9)
 	// Shrink below, then grow again within capacity: the re-exposed tail
 	// must still be absent.
-	m.Reset(2)
-	m.Reset(10)
-	if m.Has(9) {
-		t.Errorf("slot 9 leaked through shrink/grow")
+	x.Reset(2)
+	x.Reset(10)
+	if x.Has(9) {
+		t.Errorf("node 9 leaked through shrink/grow")
+	}
+	// The same with the generation the stale stamp carries coming round again:
+	// only clearing the re-exposed tail keeps node 9 out.
+	x.Add(9)
+	stale := x.gen
+	x.Reset(2)
+	x.gen = stale - 1
+	x.Reset(10)
+	if x.gen != stale || x.Has(9) {
+		t.Errorf("node 9 leaked through shrink/grow at its own generation (gen %d, stale %d)", x.gen, stale)
 	}
 }
 
-func TestFloatsGenerationWraparound(t *testing.T) {
-	var m Floats
-	m.Reset(4)
-	m.Set(1, 42)
-	m.gen = ^uint32(0) // force the next Reset to wrap
-	m.Reset(4)
-	if m.gen != 1 {
-		t.Fatalf("gen after wraparound = %d, want 1", m.gen)
+func TestIndexGenerationWraparound(t *testing.T) {
+	var x Index
+	x.Reset(4)
+	x.Add(1)
+	x.gen = ^uint32(0) // force the next Reset to wrap
+	x.Reset(4)
+	if x.gen != 1 {
+		t.Fatalf("gen after wraparound = %d, want 1", x.gen)
 	}
-	if m.Has(1) || m.Get(1) != 0 {
-		t.Errorf("wraparound must not resurrect old entries")
+	if _, ok := x.Slot(1); x.Has(1) || ok {
+		t.Errorf("wraparound must not resurrect old members")
 	}
-	m.Set(2, 7)
-	if !m.Has(2) || m.Get(2) != 7 {
-		t.Errorf("map unusable after wraparound")
+	if slot, added := x.Add(2); !added || slot != 0 || !x.Has(2) {
+		t.Errorf("index unusable after wraparound")
 	}
 }
 
@@ -111,12 +117,15 @@ func TestBoundsBasics(t *testing.T) {
 	if b.Len() != 0 || b.Seen(1) {
 		t.Fatalf("fresh Bounds should be empty")
 	}
-	if _, ok := b.Upper(1); ok {
-		t.Fatalf("Upper on unseen should report absent")
+	if _, _, ok := b.Get(1); ok {
+		t.Fatalf("Get on unseen should report absent")
 	}
-	b.Set(1, 0.2, 0.9)
-	b.Set(4, 0, 1)
-	b.Set(1, 0.3, 0.8) // update in place, no duplicate in touched
+	if slot := b.Add(1, 0.3, 0.8); slot != 0 {
+		t.Fatalf("Add(1) took slot %d, want 0", slot)
+	}
+	if slot := b.Add(4, 0, 1); slot != 1 {
+		t.Fatalf("Add(4) took slot %d, want 1", slot)
+	}
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
@@ -124,14 +133,11 @@ func TestBoundsBasics(t *testing.T) {
 	if !seen || lo != 0.3 || up != 0.8 {
 		t.Errorf("Get(1) = %g %g %v", lo, up, seen)
 	}
-	if b.Lower(7) != 0 {
-		t.Errorf("Lower on unseen should be 0")
-	}
 	order := b.Touched()
 	if len(order) != 2 || order[0] != 1 || order[1] != 4 {
 		t.Errorf("Touched = %v, want [1 4]", order)
 	}
-	// Index is the node's position in Touched, unmoved by in-place updates.
+	// Index is the node's position in Touched.
 	if i, ok := b.Index(1); !ok || i != 0 {
 		t.Errorf("Index(1) = %d %v, want 0 true", i, ok)
 	}
@@ -141,13 +147,8 @@ func TestBoundsBasics(t *testing.T) {
 	if _, ok := b.Index(7); ok {
 		t.Errorf("Index on unseen should report absent")
 	}
-	n := 0
-	b.Each(func(v graph.NodeID, lo, up float64) { n++ })
-	if n != 2 {
-		t.Errorf("Each visited %d, want 2", n)
-	}
-	// Slots is the storage itself, parallel to Touched: a write through it is
-	// a Set.
+	// Slots is the storage itself, parallel to Touched: a write through it
+	// sets the node's bounds.
 	los, ups := b.Slots()
 	if len(los) != 2 || len(ups) != 2 || los[0] != 0.3 || ups[0] != 0.8 || los[1] != 0 || ups[1] != 1 {
 		t.Errorf("Slots = %v %v, want [0.3 0] [0.8 1]", los, ups)
@@ -160,7 +161,7 @@ func TestBoundsBasics(t *testing.T) {
 	if b.Seen(1) || b.Len() != 0 {
 		t.Errorf("Reset should empty Bounds")
 	}
-	b.Set(4, 0, 1)
+	b.Add(4, 0, 1)
 	if i, ok := b.Index(4); !ok || i != 0 {
 		t.Errorf("Index(4) after Reset = %d %v, want 0 true", i, ok)
 	}
@@ -169,14 +170,52 @@ func TestBoundsBasics(t *testing.T) {
 	}
 }
 
+// TestBoundsOverBorrowedIndex pins the rule FFlat's join rests on: over an index
+// somebody else fills, a member is seen only once Push has reached its slot.
+func TestBoundsOverBorrowedIndex(t *testing.T) {
+	var x Index
+	var b Bounds
+	x.Reset(8)
+	b.ResetOver(&x)
+	x.Add(6)
+	x.Add(2)
+	if b.Len() != 0 || b.Seen(6) || b.Seen(2) || len(b.Touched()) != 0 {
+		t.Fatalf("members of the index without bounds must not be seen")
+	}
+	if slot := b.Push(0.1, 0.5); slot != 0 {
+		t.Fatalf("Push took slot %d, want 0", slot)
+	}
+	if i, ok := b.Index(6); !ok || i != 0 || b.Seen(2) {
+		t.Errorf("after one Push: Index(6) = %d %v, Seen(2) = %v; want 0 true false", i, ok, b.Seen(2))
+	}
+	b.Push(0.2, 0.6)
+	if lo, up, ok := b.Get(2); !ok || lo != 0.2 || up != 0.6 {
+		t.Errorf("Get(2) = %g %g %v, want 0.2 0.6 true", lo, up, ok)
+	}
+	if got := b.Touched(); len(got) != 2 || got[0] != 6 || got[1] != 2 {
+		t.Errorf("Touched = %v, want [6 2]", got)
+	}
+	// A new query: the owner resets the index, ResetOver drops the bounds.
+	x.Reset(8)
+	b.ResetOver(&x)
+	x.Add(2)
+	if b.Len() != 0 || b.Seen(2) {
+		t.Errorf("ResetOver should empty Bounds")
+	}
+}
+
+// pop removes and returns the heap's best entry.
+func pop(h *Heap) (slot int32, pri float64, ok bool) {
+	if slot, pri, ok = h.Peek(); ok {
+		h.Remove(slot)
+	}
+	return slot, pri, ok
+}
+
 func TestHeapBasics(t *testing.T) {
 	var h Heap
-	h.Reset(10)
 	if _, _, ok := h.Peek(); ok {
 		t.Fatalf("empty heap should not peek")
-	}
-	if _, _, ok := h.Pop(); ok {
-		t.Fatalf("empty heap should not pop")
 	}
 	h.Update(3, 1.0)
 	h.Update(7, 5.0)
@@ -197,15 +236,16 @@ func TestHeapBasics(t *testing.T) {
 	if v, _, _ := h.Peek(); v != 3 {
 		t.Fatalf("Peek after increase = %d, want 3", v)
 	}
-	if p, ok := h.Priority(7); !ok || p != 0.5 {
-		t.Errorf("Priority(7) = %g/%v", p, ok)
-	}
 	if !h.Remove(7) || h.Remove(7) || h.Contains(7) {
 		t.Errorf("Remove should delete exactly once")
 	}
-	var got []graph.NodeID
+	// Slots the heap was never shown have no entry.
+	if h.Contains(2) || h.Contains(64) || h.Remove(64) {
+		t.Errorf("slots never updated should have no entry")
+	}
+	var got []int32
 	for {
-		v, _, ok := h.Pop()
+		v, _, ok := pop(&h)
 		if !ok {
 			break
 		}
@@ -215,39 +255,40 @@ func TestHeapBasics(t *testing.T) {
 		t.Errorf("drain order = %v, want [3 1]", got)
 	}
 	// Reset then reuse.
-	h.Reset(10)
+	h.Update(3, 1)
+	h.Reset()
 	if h.Len() != 0 || h.Contains(3) {
 		t.Errorf("Reset should empty the heap")
 	}
 }
 
-// TestHeapAgainstReference drives the indexed heap with random updates,
+// TestHeapAgainstReference drives the slot-keyed heap with random updates,
 // removals and pops and checks every pop against a naive reference model.
 func TestHeapAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 64
 	var h Heap
 	for trial := 0; trial < 20; trial++ {
-		h.Reset(n)
-		ref := map[graph.NodeID]float64{}
+		h.Reset()
+		ref := map[int32]float64{}
 		for op := 0; op < 500; op++ {
 			switch rng.Intn(4) {
 			case 0, 1: // update
-				v := graph.NodeID(rng.Intn(n))
+				v := int32(rng.Intn(n))
 				p := rng.Float64()
 				h.Update(v, p)
 				ref[v] = p
 			case 2: // remove
-				v := graph.NodeID(rng.Intn(n))
+				v := int32(rng.Intn(n))
 				_, inRef := ref[v]
-				if h.Remove(v) != inRef {
-					t.Fatalf("Remove(%d) disagreed with reference", v)
+				if h.Contains(v) != inRef || h.Remove(v) != inRef {
+					t.Fatalf("Contains/Remove(%d) disagreed with reference", v)
 				}
 				delete(ref, v)
 			case 3: // pop
-				v, p, ok := h.Pop()
+				v, p, ok := pop(&h)
 				if ok != (len(ref) > 0) {
-					t.Fatalf("Pop ok=%v with %d reference entries", ok, len(ref))
+					t.Fatalf("pop ok=%v with %d reference entries", ok, len(ref))
 				}
 				if !ok {
 					continue
@@ -259,7 +300,7 @@ func TestHeapAgainstReference(t *testing.T) {
 					}
 				}
 				if p != maxP || ref[v] != p {
-					t.Fatalf("Pop = %d/%g, reference max %g", v, p, maxP)
+					t.Fatalf("pop = %d/%g, reference max %g", v, p, maxP)
 				}
 				delete(ref, v)
 			}
@@ -270,11 +311,13 @@ func TestHeapAgainstReference(t *testing.T) {
 	}
 }
 
+// TestHeapResize reuses one heap across queries whose slot ranges differ: the
+// position array follows the slots each query shows it, and no entry or
+// position survives a Reset.
 func TestHeapResize(t *testing.T) {
 	var h Heap
-	h.Reset(4)
 	h.Update(3, 1)
-	h.Reset(100)
+	h.Reset()
 	if h.Contains(3) {
 		t.Fatalf("entries must not survive Reset")
 	}
@@ -283,9 +326,9 @@ func TestHeapResize(t *testing.T) {
 	if v, _, _ := h.Peek(); v != 99 {
 		t.Errorf("heap broken after growth")
 	}
-	h.Reset(2)
+	h.Reset()
 	h.Update(1, 5)
-	if v, _, _ := h.Peek(); v != 1 {
+	if v, _, _ := h.Peek(); v != 1 || h.Contains(99) || h.Contains(0) {
 		t.Errorf("heap broken after shrink")
 	}
 }

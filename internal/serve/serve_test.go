@@ -180,6 +180,43 @@ func TestMutationSurvivesClientDisconnect(t *testing.T) {
 	}
 }
 
+// TestEdgeWeightValidation pins what POST /v1/edges makes of an edge weight:
+// a negative one, one beyond float64 (1e999), a literal NaN and a string are
+// each a 400 that commits nothing — the epoch stays where it was — and 0 (like
+// an omitted weight) is the documented default of 1.
+func TestEdgeWeightValidation(t *testing.T) {
+	engine, s, _ := newTestStack(t, cliutil.HTTPOptions{})
+	post := func(weight string) *httptest.ResponseRecorder {
+		body := `{"set":[{"from":"term:spatio","to":"venue:v1","weight":` + weight + `}]}`
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/edges", strings.NewReader(body)))
+		return rec
+	}
+	g := engine.View().(*roundtriprank.Graph)
+	from, to := g.NodeByLabel("term:spatio"), g.NodeByLabel("venue:v1")
+	if from == roundtriprank.NoNode || to == roundtriprank.NoNode || g.HasEdge(from, to) {
+		t.Fatalf("the case needs term:spatio and venue:v1 unconnected (nodes %d, %d)", from, to)
+	}
+	for _, weight := range []string{"-1", "1e999", "NaN", `"2"`} {
+		if rec := post(weight); rec.Code != http.StatusBadRequest {
+			t.Errorf("weight %s: status = %d, want 400: %s", weight, rec.Code, rec.Body.String())
+		}
+		if got := engine.Epoch(); got != 0 {
+			t.Fatalf("weight %s: epoch = %d after a refused batch, want 0", weight, got)
+		}
+	}
+	if rec := post("0"); rec.Code != http.StatusOK {
+		t.Fatalf("weight 0: status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if got := engine.Epoch(); got != 1 {
+		t.Errorf("epoch = %d after the accepted batch, want 1", got)
+	}
+	g = engine.View().(*roundtriprank.Graph)
+	if w, ok := g.EdgeWeight(from, to); !ok || w != 1 {
+		t.Errorf("weight 0 stored as (%g, %v), want the default 1", w, ok)
+	}
+}
+
 // TestStatusForError pins the error→status mapping the handlers rely on.
 func TestStatusForError(t *testing.T) {
 	cases := []struct {

@@ -22,7 +22,12 @@ type flatSearcher struct {
 	fb         bounds.FFlat
 	tb         bounds.TFlat
 	expF, expT float64 // exponents applied to F/T bounds: 2(1−β), 2β
-	members    []member
+
+	// What join made of the two neighborhoods last: the candidate ranking,
+	// the Eq. 16 upper bound of every node outside S, and |S|.
+	members []member
+	unseen  float64
+	rSeen   int
 }
 
 // flatPool recycles flatSearcher scratch across queries and goroutines. Each
@@ -100,18 +105,21 @@ func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (
 	return s.run(ctx, rows)
 }
 
-// run is Algorithm 1's round loop: expand both neighborhoods, rebuild the
-// candidate ranking, test the ε-relaxed top-K conditions, and check the budget
-// at fixed points of the round so every graph representation stops at the same
-// round with the same bounds and emits a bit-identical certificate. A failed
-// row reads as empty, so rows.Err() is checked after every batch of reads and
-// before anything derived from them: no bound computed past a failure reaches
-// a Result, with or without a budget.
+// run is Algorithm 1's round loop: expand both neighborhoods, join them into
+// the candidate ranking — once a round; where join returns, |Sf|, |St|, |S|,
+// the K-th lower bound and the unseen upper bound are all known — test the
+// ε-relaxed top-K conditions, and check the budget at fixed points of the round
+// so every graph representation stops at the same round with the same bounds
+// and emits a bit-identical certificate. The result is read off the last join.
+// A failed row reads as empty, so rows.Err() is checked after every batch of
+// reads and before anything derived from them: no bound computed past a
+// failure reaches a Result, with or without a budget.
 func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error) {
 	res := &Result{}
 	b := s.opt.Budget
 	maxRounds := effectiveMaxRounds(s.opt)
 	stop := StopRounds
+	s.join() // what a search stopped before its first round reports
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			// Without a budget, cancellation aborts and surfaces ctx.Err().
@@ -120,12 +128,10 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 			if b == nil {
 				return nil, err
 			}
-			s.candidate()
 			stop = StopCanceled
 			break
 		}
 		if pastDeadline(b, round) {
-			s.candidate()
 			stop = StopDeadline
 			break
 		}
@@ -136,8 +142,8 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 		}
 		res.Rounds++
 
-		ok := s.candidate()
-		if ok && s.satisfied() {
+		s.join()
+		if s.satisfied() {
 			stop = StopConverged
 			break
 		}
@@ -151,8 +157,8 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 			if err := rows.Err(); err != nil {
 				return nil, err
 			}
-			ok = s.candidate()
-			if ok && s.satisfied() {
+			s.join()
+			if s.satisfied() {
 				stop = StopConverged
 			} else {
 				stop = StopExhausted
@@ -168,11 +174,11 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 	res.Converged = stop == StopConverged
 	res.Degraded = stop.degraded()
 	res.TopK = s.ranked()
-	res.CertifiedK, res.AchievedEpsilon = certify(s.members, len(res.TopK), s.unseenUpper())
+	res.CertifiedK, res.AchievedEpsilon = certify(s.members, len(res.TopK), s.unseen)
 	res.Sweeps = s.fb.Sweeps() + s.tb.Sweeps()
 	res.FSeen = s.fb.SeenCount()
 	res.TSeen = s.tb.SeenCount()
-	res.RSeen = s.intersectionSize()
+	res.RSeen = s.rSeen
 	res.Touched = s.touchedRows()
 	return res, nil
 }
@@ -191,58 +197,41 @@ func (s *flatSearcher) touchedRows() int {
 	return n
 }
 
-func (s *flatSearcher) rLower(v graph.NodeID) float64 {
-	return combineBounds(s.fb.Lower(v), s.tb.Lower(v), s.expF, s.expT)
-}
-
-func (s *flatSearcher) rUpper(v graph.NodeID) float64 {
-	return combineBounds(s.fb.Upper(v), s.tb.Upper(v), s.expF, s.expT)
-}
-
-// unseenUpper computes the unseen upper bound rˆ(q) for nodes outside
-// S = Sf ∩ St (Eq. 16): the maximum of (a) both-unseen, (b) seen only by Sf,
-// (c) seen only by St.
-func (s *flatSearcher) unseenUpper() float64 {
+// join rebuilds, from the two neighborhoods as they stand, everything the
+// round reads of them together, in one pass over Sf by slot — one probe of St's
+// index per node — and one over St. The r-neighborhood S = Sf ∩ St, restricted
+// to the nodes the Keep filter admits, goes into the reusable members buffer
+// with its combined bounds (Eq. 15), sorted by lower bound. Nodes rejected by
+// Keep never enter the candidate ranking, but count towards |S|, and the unseen
+// upper bound remains over all unseen nodes, which is conservative: it can only
+// delay termination, never admit a wrong result. That bound is Eq. 16's rˆ(q)
+// for the nodes outside S: the maximum of (a) unseen by both, (b) seen only by
+// Sf, (c) seen only by St.
+func (s *flatSearcher) join() {
+	combine := func(f, t float64) float64 { return combineBounds(f, t, s.expF, s.expT) }
 	fu, tu := s.fb.UnseenUpper(), s.tb.UnseenUpper()
-	best := combineBounds(fu, tu, s.expF, s.expT)
-	for _, v := range s.fb.SeenList() {
-		if !s.tb.Seen(v) {
-			if c := combineBounds(s.fb.Upper(v), tu, s.expF, s.expT); c > best {
-				best = c
+	fLo, fUp := s.fb.Slots()
+	tLo, tUp := s.tb.Slots()
+	s.members, s.unseen, s.rSeen = s.members[:0], combine(fu, tu), 0
+	for slot, v := range s.fb.SeenList() {
+		at, seen := s.tb.Index(v)
+		if !seen {
+			if c := combine(fUp[slot], tu); c > s.unseen {
+				s.unseen = c
 			}
+			continue
+		}
+		s.rSeen++
+		if s.opt.Keep == nil || s.opt.Keep(v) {
+			s.members = append(s.members, member{v, combine(fLo[slot], tLo[at]), combine(fUp[slot], tUp[at])})
 		}
 	}
-	for _, v := range s.tb.SeenList() {
-		if !s.fb.Seen(v) {
-			if c := combineBounds(fu, s.tb.Upper(v), s.expF, s.expT); c > best {
-				best = c
-			}
+	for slot, v := range s.tb.SeenList() {
+		if s.fb.Seen(v) {
+			continue
 		}
-	}
-	return best
-}
-
-func (s *flatSearcher) intersectionSize() int {
-	n := 0
-	for _, v := range s.fb.SeenList() {
-		if s.tb.Seen(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// candidate assembles the r-neighborhood S = Sf ∩ St (restricted to nodes
-// the Keep filter admits) into the reusable members buffer, sorted by lower
-// bound, and reports whether it already holds at least K nodes. Nodes
-// rejected by Keep never enter the candidate ranking, but the unseen upper
-// bound remains over all unseen nodes, which is conservative: it can only
-// delay termination, never admit a wrong result.
-func (s *flatSearcher) candidate() bool {
-	s.members = s.members[:0]
-	for _, v := range s.fb.SeenList() {
-		if s.tb.Seen(v) && (s.opt.Keep == nil || s.opt.Keep(v)) {
-			s.members = append(s.members, member{node: v, lower: s.rLower(v), upper: s.rUpper(v)})
+		if c := combine(fu, tUp[slot]); c > s.unseen {
+			s.unseen = c
 		}
 	}
 	slices.SortFunc(s.members, func(a, b member) int {
@@ -259,11 +248,10 @@ func (s *flatSearcher) candidate() bool {
 			return 0
 		}
 	})
-	return len(s.members) >= s.opt.K
 }
 
 // satisfied checks the ε-relaxed top-K conditions (Eq. 13–14) against the
-// sorted candidate neighborhood.
+// sorted candidate neighborhood; fewer than K candidates never satisfy them.
 func (s *flatSearcher) satisfied() bool {
 	k := s.opt.K
 	if len(s.members) < k {
@@ -272,7 +260,7 @@ func (s *flatSearcher) satisfied() bool {
 	eps := s.opt.Epsilon
 	// Eq. 13: the K-th lower bound must dominate every other node's upper
 	// bound (seen beyond K, or unseen) up to ε.
-	maxOther := s.unseenUpper()
+	maxOther := s.unseen
 	for _, m := range s.members[k:] {
 		if m.upper > maxOther {
 			maxOther = m.upper

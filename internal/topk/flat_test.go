@@ -341,12 +341,13 @@ func footprint(v reflect.Value, n int) (dense, sparse, longest int) {
 }
 
 // TestSearcherFootprint pins where a query's state lives. What is keyed by
-// node is 56 B a node and no more — BCA's estimates, residuals and benefit
-// heap index (12 + 12 + 8), the F side's slot index and parked-chain heads
-// (8 + 8), the T side's slot index (8) — and everything else is keyed by slot
-// or by logged edge: its size follows the neighborhoods and stays the same,
-// byte for byte, when the same graph is padded with isolated nodes to four
-// times the size.
+// node is 32 B a node and no more, four dense arrays of 8 B — BCA's index of
+// the nodes it has given an estimate (which is Sf: the F side's bounds go by
+// its slots) and its index of the nodes it has given residual, the F side's
+// parked-chain heads, the T side's index of St — and everything else is keyed
+// by slot or by logged edge: its size follows the neighborhoods and stays the
+// same, byte for byte, when the same graph is padded with isolated nodes to
+// four times the size.
 func TestSearcherFootprint(t *testing.T) {
 	const nodes = 2048
 	cfg := datasets.DefaultRMATConfig(nodes)
@@ -393,8 +394,8 @@ func TestSearcherFootprint(t *testing.T) {
 
 		sv := reflect.ValueOf(s).Elem()
 		dense, sparse, longest := footprint(sv, n)
-		if dense != 56*n {
-			t.Errorf("n=%d: %d B in per-node arrays, want 56 B × n = %d", n, dense, 56*n)
+		if dense != 32*n {
+			t.Errorf("n=%d: %d B in per-node arrays, want 32 B × n = %d", n, dense, 32*n)
 		}
 		logged := func(side string, field ...string) int {
 			v := sv.FieldByName(side)

@@ -4,6 +4,7 @@ package roundtriprank
 
 import (
 	"fmt"
+	"math"
 
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/graph"
@@ -75,7 +76,7 @@ type Option func(*Engine) error
 // geometric random walks (default 0.25, the paper's setting).
 func WithAlpha(alpha float64) Option {
 	return func(e *Engine) error {
-		if alpha <= 0 || alpha >= 1 {
+		if !(alpha > 0 && alpha < 1) { // written, like Engine.plan's, to fail on NaN
 			return fmt.Errorf("roundtriprank: alpha must be in (0,1), got %g", alpha)
 		}
 		e.params.Walk.Alpha = alpha
@@ -87,7 +88,7 @@ func WithAlpha(alpha float64) Option {
 // 0.5, the balanced RoundTripRank).
 func WithBeta(beta float64) Option {
 	return func(e *Engine) error {
-		if beta < 0 || beta > 1 {
+		if !(beta >= 0 && beta <= 1) {
 			return fmt.Errorf("roundtriprank: beta must be in [0,1], got %g", beta)
 		}
 		e.params.Beta = beta
@@ -114,8 +115,8 @@ func WithSurferComposition(balanced, importanceOnly, specificityOnly int) Option
 // solvers.
 func WithTolerance(tol float64) Option {
 	return func(e *Engine) error {
-		if tol <= 0 {
-			return fmt.Errorf("roundtriprank: tolerance must be positive")
+		if !(tol > 0) || math.IsInf(tol, 1) {
+			return fmt.Errorf("roundtriprank: tolerance must be finite and positive, got %g", tol)
 		}
 		e.params.Walk.Tol = tol
 		return nil

@@ -3,9 +3,12 @@
 # measuring instrument, not the system), the number of internal packages, the
 # number of interface declarations in internal/graph + the root package, the
 # number of layout type assertions outside tests and bench/ — how often code
-# asks a graph what it is instead of calling it — and the number of
-# internal/scratch structures the online searcher declares as fields: all but
-# the slot-keyed scratch.Bounds values cost a dense array per node each.
+# asks a graph what it is instead of calling it — and the number of dense
+# per-node structures the online searcher declares: fields of internal/bca and
+# internal/bounds whose type is a stamped internal/scratch structure, 8 B a node
+# each. Those are Index, Ints and Bounds (its own index; FFlat's borrows BCA's,
+# and the embedded neighborhood declares the field once for both trackers); in
+# a tree from before PR 27 also Floats and the then node-keyed Heap.
 # Usage: loc.sh [ref] — the tracked files of the working tree, or of the given
 # commit (e.g. HEAD~1, to put the parent's count beside the change's).
 set -euo pipefail
@@ -24,10 +27,14 @@ tests=$(gofiles | grep '_test.go$' | grep -v '^bench/' | xargs cat | wc -l)
 pkgs=$(gofiles | grep '^internal/' | xargs -n1 dirname | sort -u | wc -l)
 ifaces=$(gofiles | grep -E '^(internal/graph/)?[^/]*\.go$' | grep -v '_test.go$' | xargs grep -hE '^type .* interface' | wc -l)
 asserts=$(gofiles | grep -v '_test.go$' | grep -v '^bench/' | xargs grep -nE '\.\((\*?(graph|roundtriprank)\.)?\*?(Graph|Packed|CompactedView|View|CSRView|PackedCSRView|RowsProvider|Rows|RowPrefetcher|Epocher|TypedView|type)\)' | grep -cvE ':[0-9]+:\s*//' || true)
-scratch=$(gofiles | grep -E '^internal/(bca|bounds)/' | grep -v '_test.go$' | xargs grep -hE '^\s+\w+\s+scratch\.(Floats|Ints|Bounds|Heap)\b' | wc -l)
+dense='Index|Ints|Bounds|Floats'
+if grep -qE 'stamp +\[\]uint32' internal/scratch/heap.go; then
+    dense="$dense|Heap" # the heap still keeps stamps of its own by node
+fi
+scratch=$(gofiles | grep -E '^internal/(bca|bounds)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
 echo "non-test Go lines (outside bench/): $nontest"
 echo "test Go lines (outside bench/):     $tests"
 echo "internal packages:                  $pkgs"
 echo "interfaces (internal/graph + root): $ifaces"
 echo "layout type assertions:             $asserts"
-echo "scratch fields (bca + bounds):      $scratch"
+echo "dense per-node structures:          $scratch"
