@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/rowserve"
 )
 
 // This file is the public surface of the coordinator/worker subsystem: an
@@ -130,7 +131,7 @@ func WithRowCacheRows(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("roundtriprank: WithRowCacheRows needs a positive capacity, got %d", n)
 		}
-		e.rowCacheRows = n
+		e.rowCache = rowserve.NewCache(n)
 		return nil
 	}
 }
@@ -162,17 +163,10 @@ func (e *Engine) FleetEpoch() (epoch uint64, connected bool) {
 }
 
 // RowQueryStats is the row-serving footprint of one TwoSBoundRemote query,
-// reported in Response.Rows: together with the searcher's neighborhood sizes
-// it proves the O(touched) serving property — Fetched never exceeds the rows
-// the searcher touched, and a repeat of a fully cached query shows RPCs == 0.
-type RowQueryStats struct {
-	// Fetched is the number of rows pulled over the network.
-	Fetched int64
-	// RPCs is the number of row-fetch calls issued (including retries).
-	RPCs int64
-	// CacheHits and CacheMisses count the query's row-cache probes.
-	CacheHits, CacheMisses int64
-}
+// reported in Response.Rows and the /rank reply: with the searcher's
+// neighborhood sizes it proves the O(touched) serving property — Fetched never
+// exceeds the rows touched, and a fully cached repeat shows RPCs == 0.
+type RowQueryStats = rowserve.QueryStats
 
 // RowServeStats is the engine-wide view of the TwoSBoundRemote serving state:
 // cumulative counters of the current epoch's fleet handle and the shared
@@ -197,9 +191,7 @@ func (e *Engine) RowServeStats() RowServeStats {
 	if r := e.snap.Load().fleet.Load(); r != nil {
 		st.RowRPCs, st.RowRetries, st.RowsFetched = r.Stats()
 	}
-	if e.rowCache != nil {
-		st.CacheHits, st.CacheMisses, st.CacheEvictions = e.rowCache.Stats()
-		st.CachedRows = e.rowCache.Len()
-	}
+	st.CacheHits, st.CacheMisses, st.CacheEvictions = e.rowCache.Stats()
+	st.CachedRows = e.rowCache.Len()
 	return st
 }

@@ -15,6 +15,7 @@ import (
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/fleet"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/lru"
 	"roundtriprank/internal/rowserve"
 	"roundtriprank/internal/topk"
 	"roundtriprank/internal/walk"
@@ -454,7 +455,7 @@ type Engine struct {
 	snap       atomic.Pointer[snapshot]
 	params     core.Params
 	exactLimit int
-	cache      *vecCache // nil when the cache is disabled
+	cache      *lru.Cache[vecKey, vecPair] // the single-node vector cache; nil when disabled
 	// statsHook, when set, observes every executed plan (WithQueryStatsHook).
 	statsHook func(QueryStat)
 
@@ -466,11 +467,8 @@ type Engine struct {
 	// membership/placement instead of the static RedeployStripes walk.
 	fleetMgr *fleet.Manager
 	// rowCache is the engine-wide row cache of the TwoSBoundRemote method,
-	// shared by every epoch's fleet handle (created when workers are
-	// configured; sized by WithRowCacheRows). rowCacheRows only carries the
-	// option value until NewEngine builds the cache.
-	rowCache     *rowserve.Cache
-	rowCacheRows int
+	// shared by every epoch's fleet handle (sized by WithRowCacheRows).
+	rowCache *rowserve.Cache
 
 	// applyMu serializes Apply: commits are rare and strictly ordered.
 	applyMu sync.Mutex
@@ -487,31 +485,44 @@ func NewEngine(view View, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		params:     core.DefaultParams(),
 		exactLimit: DefaultExactLimit,
-		cache:      newVecCache(DefaultVectorCacheSize),
+		cache:      lru.New[vecKey, vecPair](DefaultVectorCacheSize),
+		rowCache:   rowserve.NewCache(0),
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
 	}
-	// One row cache per engine, across every epoch's fleet handle; built
-	// after the options so WithWorkers and WithRowCacheRows compose in any
-	// order.
-	if len(e.workers) > 0 {
-		e.rowCache = rowserve.NewCache(e.rowCacheRows)
-	}
 	e.snap.Store(e.newSnapshot(view))
 	return e, nil
 }
 
+// vecKey identifies one cached pair of single-node score vectors. Alpha and
+// tolerance are part of the key because per-request overrides change the
+// vectors; beta is not, because it only affects the combination step. The
+// snapshot epoch is, because a Commit changes the graph the vectors were solved
+// on: entries of different epochs never alias, so a query that started before
+// an Apply keeps reading vectors consistent with its own snapshot.
+type vecKey struct {
+	node       NodeID
+	epoch      uint64
+	alpha, tol float64
+}
+
+// vecPair is one node's exact F-Rank and T-Rank vectors: by the Linearity
+// Theorem exact building blocks for any query distribution, which is what
+// makes them safe to share across requests and batches — read, never written.
+type vecPair struct{ f, t []float64 }
+
 // CacheStats reports the cumulative hit and miss counts of the engine's
-// single-node vector cache and its current number of entries. All zeros when
-// the cache is disabled.
+// single-node vector cache and its current number of completed entries (the
+// counting rules are internal/lru's). All zeros when the cache is disabled.
 func (e *Engine) CacheStats() (hits, misses uint64, size int) {
 	if e.cache == nil {
 		return 0, 0, 0
 	}
-	return e.cache.stats()
+	h, m, _ := e.cache.Stats()
+	return uint64(h), uint64(m), e.cache.Len()
 }
 
 // Alpha returns the engine's default teleport probability.
@@ -586,8 +597,8 @@ func (e *Engine) plan(req Request) (*plan, error) {
 	// The range checks are written to fail on NaN, which every ordered
 	// comparison lets through and every solver turns into NaN scores.
 	if req.Alpha != 0 {
-		if !(req.Alpha > 0 && req.Alpha < 1) {
-			return nil, invalidf("roundtriprank: alpha must be in (0,1), got %g", req.Alpha)
+		if err := walk.CheckAlpha(req.Alpha); err != nil {
+			return nil, invalidf("roundtriprank: %w", err)
 		}
 		p.Walk.Alpha = req.Alpha
 	}
@@ -692,7 +703,7 @@ func (e *Engine) Rank(ctx context.Context, req Request) (*Response, error) {
 // mistakes — unless the caller's own context ended, which is not backend
 // trouble. Exact plans run as a cached-vector mixture when a cache is given
 // (RankBatch) and as one direct solve otherwise (Rank).
-func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Response, error) {
+func (e *Engine) execPlan(ctx context.Context, p *plan, cache *lru.Cache[vecKey, vecPair]) (*Response, error) {
 	start := time.Now()
 	var (
 		resp *Response
@@ -727,12 +738,12 @@ func (e *Engine) execPlan(ctx context.Context, p *plan, cache *vecCache) (*Respo
 // flat rows, packed rows or the worker fleet, all bit-identical — then the
 // combine/top-K tail every exact method shares, so a Distributed response
 // equals an Exact one node for node and score for score.
-func (p *plan) exact(ctx context.Context, cache *vecCache) (*Response, error) {
-	f, t, err := p.vectors(ctx, cache)
+func (p *plan) exact(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (*Response, error) {
+	v, err := p.vectors(ctx, cache)
 	if err != nil {
 		return nil, err
 	}
-	return exactResponse(p, core.Combine(f, t, p.params.Beta)), nil
+	return exactResponse(p, core.Combine(v.f, v.t, p.params.Beta)), nil
 }
 
 // vectors returns the exact F-Rank and T-Rank vectors of the plan's query: one
@@ -742,34 +753,35 @@ func (p *plan) exact(ctx context.Context, cache *vecCache) (*Response, error) {
 // computed against one epoch are never served for another; an in-flight query
 // keeps hitting (or repopulating) its own epoch's entries even while Apply
 // swaps the engine forward.
-func (p *plan) vectors(ctx context.Context, cache *vecCache) (f, t []float64, err error) {
+func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (vecPair, error) {
 	wp := p.params.Walk
-	solve := func(q walk.Query) ([]float64, []float64, error) {
+	solve := func(q walk.Query) (vecPair, error) {
 		g, err := p.snap.gatherer(ctx, p.method.fleet, wp.Workers)
 		if err != nil {
-			return nil, nil, err
+			return vecPair{}, err
 		}
-		return core.Solve(ctx, g, q, wp)
+		f, t, err := core.Solve(ctx, g, q, wp)
+		return vecPair{f, t}, err
 	}
 	if cache == nil {
 		return solve(p.query)
 	}
 	n := p.snap.view.NumNodes()
-	f, t = make([]float64, n), make([]float64, n)
+	f, t := make([]float64, n), make([]float64, n)
 	for j, node := range p.query.Nodes {
 		key := vecKey{node: node, epoch: p.snap.view.Epoch(), alpha: wp.Alpha, tol: wp.Tol}
 		// The cached slices are shared: read, never written.
-		fv, tv, err := cache.get(ctx, key, func() ([]float64, []float64, error) { return solve(walk.SingleNode(node)) })
+		vec, err := cache.Do(ctx, key, func() (vecPair, error) { return solve(walk.SingleNode(node)) })
 		if err != nil {
-			return nil, nil, err
+			return vecPair{}, err
 		}
 		w := p.query.Weights[j]
 		for v := range f {
-			f[v] += w * fv[v]
-			t[v] += w * tv[v]
+			f[v] += w * vec.f[v]
+			t[v] += w * vec.t[v]
 		}
 	}
-	return f, t, nil
+	return vecPair{f, t}, nil
 }
 
 // exactResponse is the tail of every exact-family method: rank the combined
@@ -811,7 +823,7 @@ func (p *plan) online(ctx context.Context) (*Response, error) {
 	}
 	resp := onlineResponse(p, res)
 	if sess, ok := rows.(*rowserve.Session); ok {
-		st := RowQueryStats(sess.Stats())
+		st := sess.Stats()
 		resp.Rows = &st
 	}
 	return resp, nil
@@ -894,15 +906,12 @@ func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, er
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// With the engine cache disabled, a batch-local cache still guarantees
-	// each distinct (node, α, tol) pair is solved once within this batch.
+	// With the engine cache disabled, a batch-local cache (it evicts nothing)
+	// still guarantees each distinct (node, α, tol) pair is solved once within
+	// this batch.
 	cache := e.cache
 	if cache == nil {
-		nodes := 0
-		for _, p := range plans {
-			nodes += len(p.query.Nodes)
-		}
-		cache = newVecCache(nodes + 1)
+		cache = lru.New[vecKey, vecPair](math.MaxInt)
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -1031,7 +1040,7 @@ func (e *Engine) Apply(ctx context.Context, d *Delta) (*ApplyResult, error) {
 	}
 	e.snap.Store(e.newSnapshot(ng))
 	if e.cache != nil {
-		e.cache.invalidateExcept(ng.Epoch())
+		e.cache.DeleteFunc(func(k vecKey) bool { return k.epoch != ng.Epoch() })
 	}
 	return res, nil
 }

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/testgraphs"
 )
 
@@ -200,6 +202,69 @@ func TestConcurrentRankBatches(t *testing.T) {
 	_, misses, _ := engine.CacheStats()
 	if misses != 3 {
 		t.Errorf("concurrent batches performed %d solves, want 3 (in-flight dedup)", misses)
+	}
+}
+
+// failingMultiply is a worker whose first Multiply parks until released and
+// then fails; every other call is forwarded.
+type failingMultiply struct {
+	distributed.Transport
+	first         atomic.Bool
+	entered, hold chan struct{}
+}
+
+func (f *failingMultiply) Multiply(ctx context.Context, dir distributed.Direction, graphSum uint32, x []float64) ([]float64, error) {
+	if f.first.CompareAndSwap(false, true) {
+		close(f.entered)
+		<-f.hold
+		return nil, errors.New("worker lost its stripe")
+	}
+	return f.Transport.Multiply(ctx, dir, graphSum, x)
+}
+
+// TestCacheStatsCountAWaiterOnce pins the vector cache's accounting around a
+// failed solve: an in-flight solve is not an entry, and a request that waited
+// on another's solve which then failed recomputes and is counted once, as the
+// miss of its own solve — not also as a hit at the moment it began to wait.
+func TestCacheStatsCountAWaiterOnce(t *testing.T) {
+	toy := testgraphs.NewToy()
+	ts, err := LoopbackWorkers(toy.Graph, 1)
+	if err != nil {
+		t.Fatalf("LoopbackWorkers: %v", err)
+	}
+	worker := &failingMultiply{Transport: ts[0], entered: make(chan struct{}), hold: make(chan struct{})}
+	engine, err := NewEngine(toy.Graph, WithWorkers(worker))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	reqs := []Request{{Query: SingleNode(toy.T1), K: 3, Method: Distributed}}
+	rank := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := engine.RankBatch(context.Background(), reqs)
+			done <- err
+		}()
+		return done
+	}
+	owner := rank()
+	<-worker.entered
+	if hits, misses, size := engine.CacheStats(); hits != 0 || misses != 1 || size != 0 {
+		t.Fatalf("during the solve: %d hits / %d misses / %d entries, want 0 / 1 / 0", hits, misses, size)
+	}
+	waiter := rank()
+	// Give the waiter time to park on the in-flight solve. The assertions hold
+	// whichever side of the failure it arrives on; the pause only makes it the
+	// waiting side, the one that used to be counted twice.
+	time.Sleep(20 * time.Millisecond)
+	close(worker.hold)
+	if err := <-owner; err == nil {
+		t.Fatalf("the failed solve returned no error")
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("the waiter inherited its owner's failure: %v", err)
+	}
+	if hits, misses, size := engine.CacheStats(); hits != 0 || misses != 2 || size != 1 {
+		t.Fatalf("after the retry: %d hits / %d misses / %d entries, want 0 / 2 / 1", hits, misses, size)
 	}
 }
 

@@ -83,8 +83,8 @@ func (s *Flat) Init(view graph.CSRView, q walk.Query, alpha float64) error {
 // fetches. Binding reads no rows. A failed row reads as empty: the caller
 // must check rows.Err() before trusting anything computed since.
 func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
-	if !(alpha > 0 && alpha < 1) { // written to fail on NaN
-		return fmt.Errorf("bca: alpha must be in (0,1), got %g", alpha)
+	if err := walk.CheckAlpha(alpha); err != nil {
+		return fmt.Errorf("bca: %w", err)
 	}
 	n := rows.NumNodes()
 	var err error

@@ -56,8 +56,8 @@ func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 // streaming them.
 func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	opt = opt.normalized()
-	if !(opt.Alpha > 0 && opt.Alpha < 1) { // written to fail on NaN
-		return fmt.Errorf("bounds: alpha must be in (0,1), got %g", opt.Alpha)
+	if err := walk.CheckAlpha(opt.Alpha); err != nil {
+		return fmt.Errorf("bounds: %w", err)
 	}
 	n := rows.NumNodes()
 	var err error

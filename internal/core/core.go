@@ -23,11 +23,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/walk"
@@ -58,8 +59,8 @@ func (p Params) Validate() error {
 	if !(p.Beta >= 0 && p.Beta <= 1) {
 		return fmt.Errorf("core: beta must be in [0,1], got %g", p.Beta)
 	}
-	if !(p.Walk.Alpha > 0 && p.Walk.Alpha < 1) {
-		return fmt.Errorf("core: alpha must be in (0,1), got %g", p.Walk.Alpha)
+	if err := walk.CheckAlpha(p.Walk.Alpha); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -162,11 +163,11 @@ func Rank(scores []float64, keep func(graph.NodeID) bool) []Ranked {
 		}
 		out = append(out, Ranked{Node: v, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Ranked) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/lru"
 	"roundtriprank/internal/testgraphs"
 )
 
@@ -77,10 +78,8 @@ func TestSingleFlightRacingStripeReplacement(t *testing.T) {
 	// The waiter races the owner on the same row. It must block on the
 	// in-flight slot now and recover on its own after the owner fails.
 	waiter := r.Session(ctx)
-	if _, e, state := r.cache.probe(cacheKey{content: r.Content(0), node: v}); state != probeWait {
-		t.Fatalf("second probe got state %d, want probeWait", state)
-	} else {
-		_ = e
+	if _, _, state := r.cache.Probe(cacheKey{content: r.Content(0), node: v}); state != lru.Wait {
+		t.Fatalf("second probe got state %d, want lru.Wait", state)
 	}
 	type rowPair struct {
 		to []graph.NodeID

@@ -9,7 +9,8 @@
 // distributed.Fleet of the handshake (distributed.Connect), which is also the
 // gather of the distributed exact solve, so an engine connects once per epoch
 // for both — holding only dense per-node metadata (out-sums and out-degrees,
-// the two arrays the searcher reads for arbitrary neighbors). Cache is the shared LRU row store with single-flight dedup.
+// the two arrays the searcher reads for arbitrary neighbors). Cache is the
+// shared row store, an internal/lru single-flight LRU.
 // Session is one query's window onto a RemoteCSR: it implements graph.Rows
 // (and graph.RowPrefetcher, which coalesces each expansion wave's missing
 // rows into one batched /v1/rows RPC per stripe) and carries the query
@@ -29,6 +30,7 @@ import (
 
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/lru"
 )
 
 // Options tune a RemoteCSR connection; the zero value gives defaults.
@@ -101,12 +103,12 @@ func (r *RemoteCSR) Stats() (rpcs, retries, fetched int64) {
 // touched, and a fully cached re-run shows RPCs == 0).
 type QueryStats struct {
 	// Fetched is the number of rows this query pulled over the network.
-	Fetched int64
+	Fetched int64 `json:"fetched"`
 	// RPCs is the number of row-fetch calls issued (including retries).
-	RPCs int64
+	RPCs int64 `json:"rpcs"`
 	// CacheHits and CacheMisses count this query's row-cache probes.
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
 }
 
 // Session is one query's window onto a RemoteCSR: it implements graph.Rows
@@ -150,12 +152,6 @@ func (s *Session) Stats() QueryStats { return s.stats }
 // or the context's error when the query was cancelled while reading.
 func (s *Session) Err() error { return s.err }
 
-// fail records err as the session's failure and returns the empty row.
-func (s *Session) fail(err error) distributed.RowData {
-	s.err = err
-	return distributed.RowData{}
-}
-
 // NumNodes implements graph.Rows.
 func (s *Session) NumNodes() int { return s.r.NumNodes() }
 
@@ -179,46 +175,30 @@ func (s *Session) InRow(v graph.NodeID) ([]graph.NodeID, []float64) {
 }
 
 // row returns v's cached row, fetching it from the owning stripe on a miss
-// and waiting on a concurrent fetch when one is already in flight.
+// and waiting on a concurrent fetch when one is in flight — whose completion is
+// this session's hit (no RPC of our own), and whose failure, possibly the other
+// query's own cancellation, this session retries on its own budget (Cache.Do).
 func (s *Session) row(v graph.NodeID) distributed.RowData {
 	if s.err != nil {
 		return distributed.RowData{}
 	}
 	stripe := int(v) % s.r.Workers()
-	for {
-		row, e, state := s.r.cache.probe(cacheKey{content: s.r.Content(stripe), node: v})
-		switch state {
-		case probeHit:
-			s.stats.CacheHits++
-			return row
-		case probeWait:
-			// Another query is fetching this row; its completion is this
-			// session's hit (no RPC of our own).
-			select {
-			case <-e.done:
-			case <-s.ctx.Done():
-				return s.fail(s.ctx.Err())
-			}
-			if e.err == nil {
-				s.stats.CacheHits++
-				s.r.cache.waitHit()
-				return e.row
-			}
-			// The owning query's fetch failed — possibly its own
-			// cancellation, which says nothing about this query. The failed
-			// slot was removed from the cache, so loop and retry with this
-			// session's own retry budget (unless we were cancelled too).
-			if err := s.ctx.Err(); err != nil {
-				return s.fail(err)
-			}
-		default: // probeOwned
-			s.stats.CacheMisses++
-			if err := s.fetch(stripe, []graph.NodeID{v}, []*cacheEntry{e}); err != nil {
-				return s.fail(err)
-			}
-			return e.row
+	owned := false
+	row, err := s.r.cache.Do(s.ctx, cacheKey{content: s.r.Content(stripe), node: v}, func() (distributed.RowData, error) {
+		owned = true
+		s.stats.CacheMisses++
+		rows, err := s.fetch(stripe, []graph.NodeID{v}, nil)
+		if err != nil {
+			return distributed.RowData{}, err
 		}
+		return rows[0], nil
+	})
+	if err != nil {
+		s.err = err
+	} else if !owned {
+		s.stats.CacheHits++
 	}
+	return row // empty when the read failed
 }
 
 // Prefetch implements graph.RowPrefetcher: it claims every missing row of the
@@ -239,11 +219,11 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	stripes := 0
 	for _, v := range nodes {
 		stripe := int(v) % s.r.Workers()
-		_, e, state := s.r.cache.probe(cacheKey{content: s.r.Content(stripe), node: v})
+		_, e, state := s.r.cache.Probe(cacheKey{content: s.r.Content(stripe), node: v})
 		switch state {
-		case probeHit:
+		case lru.Hit:
 			s.stats.CacheHits++
-		case probeOwned:
+		case lru.Owned:
 			s.stats.CacheMisses++
 			if len(s.waveNodes[stripe]) == 0 {
 				stripes++
@@ -251,7 +231,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 			s.waveNodes[stripe] = append(s.waveNodes[stripe], v)
 			s.waveEntries[stripe] = append(s.waveEntries[stripe], e)
 		}
-		// probeWait: another query's in-flight fetch covers it; skip.
+		// lru.Wait: another query's in-flight fetch covers it; skip.
 	}
 	if stripes == 0 {
 		return
@@ -259,7 +239,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	if stripes == 1 {
 		for stripe := range s.waveNodes {
 			if len(s.waveNodes[stripe]) > 0 {
-				s.err = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
+				_, s.err = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
 			}
 		}
 		return
@@ -273,7 +253,7 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 		wg.Add(1)
 		go func(stripe int) {
 			defer wg.Done()
-			errs[stripe] = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
+			_, errs[stripe] = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
 		}(stripe)
 	}
 	wg.Wait()
@@ -286,11 +266,12 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 }
 
 // fetch pulls the given rows from one stripe in a single RPC (with retries),
-// validates that the fleet still serves the pinned snapshot, and resolves
-// every claimed entry — completed on success, failed on error, so no future
-// request ever hangs on a leaked in-flight slot. Stats updates are atomic
-// because Prefetch runs one fetch per stripe concurrently.
-func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry) error {
+// validates that the fleet still serves the pinned snapshot, and resolves the
+// wave's claimed entries (row has none: Cache.Do resolves its own) — completed
+// on success, failed on error, so no future request ever hangs on a leaked
+// in-flight slot. Stats updates are atomic because Prefetch runs one fetch per
+// stripe concurrently.
+func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry) ([]distributed.RowData, error) {
 	batch, err := distributed.Call(s.ctx, s.r.Fleet, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
 		atomic.AddInt64(&s.stats.RPCs, 1)
 		return s.r.ts[stripe].FetchRows(ctx, s.r.GraphFingerprint(), nodes)
@@ -298,18 +279,19 @@ func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry)
 	if err == nil {
 		err = s.validate(stripe, nodes, batch)
 	}
-	if err != nil {
-		for _, e := range entries {
-			s.r.cache.fail(e, err)
-		}
-		return err
-	}
 	for i, e := range entries {
-		s.r.cache.complete(e, batch.Rows[i])
+		if err != nil {
+			s.r.cache.Fail(e, err)
+		} else {
+			s.r.cache.Complete(e, batch.Rows[i])
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	atomic.AddInt64(&s.stats.Fetched, int64(len(nodes)))
 	s.r.fetched.Add(int64(len(nodes)))
-	return nil
+	return batch.Rows, nil
 }
 
 // validate cross-checks a batch against the pinned snapshot, the request and

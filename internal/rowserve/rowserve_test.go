@@ -242,26 +242,6 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheFailureIsNotCached fails a claimed entry and checks the next probe
-// claims the slot again instead of inheriting the failure.
-func TestCacheFailureIsNotCached(t *testing.T) {
-	c := NewCache(4)
-	k := cacheKey{content: 1, node: 2}
-	_, e, state := c.probe(k)
-	if state != probeOwned {
-		t.Fatalf("first probe: state %v, want owned", state)
-	}
-	c.fail(e, errors.New("boom"))
-	_, e2, state := c.probe(k)
-	if state != probeOwned {
-		t.Fatalf("probe after failure: state %v, want owned (failure must not be cached)", state)
-	}
-	c.complete(e2, distributed.RowData{Node: 2})
-	if row, _, state := c.probe(k); state != probeHit || row.Node != 2 {
-		t.Fatalf("probe after completion: state %v row %v", state, row)
-	}
-}
-
 // flakyFetcher wraps a transport and fails the first n FetchRows calls with a
 // transient error, simulating a worker restarting mid-query.
 type flakyFetcher struct {

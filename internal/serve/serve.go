@@ -168,15 +168,6 @@ type rankResult struct {
 	Score float64              `json:"score"`
 }
 
-// rankRows mirrors roundtriprank.RowQueryStats on the wire: the row-serving
-// footprint of a 2sbound-remote query.
-type rankRows struct {
-	Fetched     int64 `json:"fetched"`
-	RPCs        int64 `json:"rpcs"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-}
-
 type rankResponse struct {
 	Results   []rankResult `json:"results"`
 	Method    string       `json:"method"`
@@ -190,11 +181,11 @@ type rankResponse struct {
 	CertifiedK int `json:"certified_k"`
 	// AchievedEpsilon is the ε the returned ranking actually satisfies, on
 	// the same squared-score scale as the request's epsilon field.
-	AchievedEpsilon float64   `json:"achieved_epsilon,omitempty"`
-	Rounds          int       `json:"rounds,omitempty"`
-	Sweeps          int       `json:"sweeps,omitempty"`
-	Rows            *rankRows `json:"rows,omitempty"`
-	ElapsedMS       float64   `json:"elapsed_ms"`
+	AchievedEpsilon float64                      `json:"achieved_epsilon,omitempty"`
+	Rounds          int                          `json:"rounds,omitempty"`
+	Sweeps          int                          `json:"sweeps,omitempty"`
+	Rows            *roundtriprank.RowQueryStats `json:"rows,omitempty"`
+	ElapsedMS       float64                      `json:"elapsed_ms"`
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -233,15 +224,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		AchievedEpsilon: resp.AchievedEpsilon,
 		Rounds:          resp.Rounds,
 		Sweeps:          resp.Sweeps,
+		Rows:            resp.Rows,
 		ElapsedMS:       float64(resp.Elapsed.Microseconds()) / 1000.0,
-	}
-	if resp.Rows != nil {
-		out.Rows = &rankRows{
-			Fetched:     resp.Rows.Fetched,
-			RPCs:        resp.Rows.RPCs,
-			CacheHits:   resp.Rows.CacheHits,
-			CacheMisses: resp.Rows.CacheMisses,
-		}
 	}
 	// Labels come from the snapshot current *after* the ranking: it is at
 	// least as new as the one the query ran on, and labels are append-only

@@ -115,8 +115,8 @@ func (o Options) normalized() (Options, error) {
 	if o.Alpha == 0 {
 		o.Alpha = walk.DefaultAlpha
 	}
-	if !(o.Alpha > 0 && o.Alpha < 1) {
-		return o, fmt.Errorf("topk: alpha must be in (0,1), got %g", o.Alpha)
+	if err := walk.CheckAlpha(o.Alpha); err != nil {
+		return o, fmt.Errorf("topk: %w", err)
 	}
 	if !(o.Beta >= 0 && o.Beta <= 1) {
 		return o, fmt.Errorf("topk: beta must be in [0,1], got %g", o.Beta)

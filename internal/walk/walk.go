@@ -62,12 +62,21 @@ func DefaultParams() Params {
 	return Params{Alpha: DefaultAlpha, Tol: DefaultTol, MaxIter: DefaultMaxIter}
 }
 
+// CheckAlpha is the one predicate for "valid α" behind every door that takes
+// one (each prefixes the error with its package), written to fail on NaN.
+func CheckAlpha(alpha float64) error {
+	if !(alpha > 0 && alpha < 1) {
+		return fmt.Errorf("alpha must be in (0,1), got %g", alpha)
+	}
+	return nil
+}
+
 // normalized validates Alpha and Tol and substitutes the default tolerance
 // and iteration cap for zero values; every solve, over any Gatherer, passes
-// through it. The comparisons are written to fail on NaN.
+// through it.
 func (p Params) normalized() (Params, error) {
-	if !(p.Alpha > 0 && p.Alpha < 1) {
-		return p, fmt.Errorf("walk: alpha must be in (0,1), got %g", p.Alpha)
+	if err := CheckAlpha(p.Alpha); err != nil {
+		return p, fmt.Errorf("walk: %w", err)
 	}
 	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) {
 		return p, fmt.Errorf("walk: tolerance must be finite, got %g", p.Tol)

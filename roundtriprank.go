@@ -8,6 +8,7 @@ import (
 
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/lru"
 	"roundtriprank/internal/walk"
 )
 
@@ -76,8 +77,8 @@ type Option func(*Engine) error
 // geometric random walks (default 0.25, the paper's setting).
 func WithAlpha(alpha float64) Option {
 	return func(e *Engine) error {
-		if !(alpha > 0 && alpha < 1) { // written, like Engine.plan's, to fail on NaN
-			return fmt.Errorf("roundtriprank: alpha must be in (0,1), got %g", alpha)
+		if err := walk.CheckAlpha(alpha); err != nil {
+			return fmt.Errorf("roundtriprank: %w", err)
 		}
 		e.params.Walk.Alpha = alpha
 		return nil
@@ -146,11 +147,10 @@ func WithVectorCache(entries int) Option {
 		if entries < 0 {
 			return fmt.Errorf("roundtriprank: vector cache size must be non-negative, got %d", entries)
 		}
-		if entries == 0 {
-			e.cache = nil
-			return nil
+		e.cache = nil
+		if entries > 0 {
+			e.cache = lru.New[vecKey, vecPair](entries)
 		}
-		e.cache = newVecCache(entries)
 		return nil
 	}
 }
