@@ -99,7 +99,7 @@ func main() {
 	worker := distributed.NewWorker(s)
 	if s != nil {
 		log.Printf("worker serving stripe %d/%d (%d of %d nodes, %.1f MB)",
-			s.Index, s.Count, s.OwnedNodes(), s.NumNodes, float64(s.SizeBytes())/(1<<20))
+			s.Index, s.Count, s.Rows(), s.NumNodes, float64(s.SizeBytes())/(1<<20))
 	} else {
 		log.Printf("worker starting empty; POST a stripe to /v1/stripe to begin serving")
 	}
@@ -174,9 +174,9 @@ func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
 			if len(stripes) == 0 {
 				return 0
 			}
-			min := stripes[0].Epoch()
+			min := stripes[0].Epoch
 			for _, s := range stripes[1:] {
-				if e := s.Epoch(); e < min {
+				if e := s.Epoch; e < min {
 					min = e
 				}
 			}
@@ -223,7 +223,7 @@ func loadStripe(graphPath, dataset string, scale float64, stripeFile string, str
 		if err != nil {
 			return nil, err
 		}
-		return distributed.StripeFromData(d)
+		return distributed.StripeFromData(d), nil
 	case fromGraph:
 		g, err := cliutil.LoadGraph(graphPath, dataset, scale)
 		if err != nil {

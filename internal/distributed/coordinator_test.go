@@ -506,15 +506,15 @@ func TestStripeCodecThroughDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeStripe: %v", err)
 	}
-	if got.Index != s.Index || got.Count != s.Count || got.NumNodes != s.NumNodes || got.OwnedNodes() != s.OwnedNodes() {
+	if got.Index != s.Index || got.Count != s.Count || got.NumNodes != s.NumNodes || got.Rows() != s.Rows() {
 		t.Errorf("stripe header changed across the codec")
 	}
 	x := make([]float64, g.NumNodes())
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
-	a := make([]float64, s.OwnedNodes())
-	b := make([]float64, s.OwnedNodes())
+	a := make([]float64, s.Rows())
+	b := make([]float64, s.Rows())
 	if err := s.MultiplyIn(x, a); err != nil {
 		t.Fatalf("MultiplyIn: %v", err)
 	}

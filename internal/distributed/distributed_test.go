@@ -15,7 +15,7 @@ func TestBuildStripeCoversGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildStripe: %v", err)
 		}
-		total += s.OwnedNodes()
+		total += s.Rows()
 		if s.SizeBytes() <= 0 {
 			t.Errorf("stripe size should be positive")
 		}

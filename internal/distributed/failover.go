@@ -164,10 +164,10 @@ func EnsureStripe(ctx context.Context, t Transport, s *Stripe) (DeployAction, er
 		return DeployNone, fmt.Errorf("distributed: transport %T cannot receive stripes", t)
 	}
 	if info, err := t.Info(ctx); err == nil && info.Index == s.Index && info.Count == s.Count && info.Content == s.ContentFingerprint() {
-		if info.Graph == s.GraphFingerprint() && info.Epoch == s.Epoch() {
+		if info.Graph == s.Graph && info.Epoch == s.Epoch {
 			return DeployNone, nil
 		}
-		if err := inst.RetagStripe(ctx, s.GraphFingerprint(), s.Epoch(), s.ContentFingerprint()); err == nil {
+		if err := inst.RetagStripe(ctx, s.Graph, s.Epoch, s.ContentFingerprint()); err == nil {
 			return DeployRetag, nil
 		}
 	}

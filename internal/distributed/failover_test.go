@@ -230,12 +230,9 @@ func TestEnsureStripeDelta(t *testing.T) {
 
 	// A retagged variant of the same payload: both members hold the bytes, so
 	// the redeploy is two retags and zero ships.
-	moved := s.Data()
+	moved := s.StripeData
 	moved.Graph, moved.Epoch = moved.Graph+1, moved.Epoch+7
-	ns, err := StripeFromData(moved)
-	if err != nil {
-		t.Fatalf("StripeFromData: %v", err)
-	}
+	ns := StripeFromData(&moved)
 	holder.ships.Store(0)
 	empty.ships.Store(0)
 	ensure(holder, ns, DeployRetag)
@@ -251,7 +248,7 @@ func TestEnsureStripeDelta(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Info: %v", err)
 		}
-		if info.Epoch != ns.Epoch() || info.Graph != ns.GraphFingerprint() {
+		if info.Epoch != ns.Epoch || info.Graph != ns.GraphFingerprint() {
 			t.Errorf("retagged identity not served: %+v", info)
 		}
 	}
@@ -355,8 +352,8 @@ func TestMultiStripeWorker(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Multiply(%d): %v", idx, err)
 		}
-		if len(out) != stripes[i].OwnedNodes() {
-			t.Errorf("Multiply(%d) returned %d rows, want %d", idx, len(out), stripes[i].OwnedNodes())
+		if len(out) != stripes[i].Rows() {
+			t.Errorf("Multiply(%d) returned %d rows, want %d", idx, len(out), stripes[i].Rows())
 		}
 	}
 	if _, err := w.Info(1); err == nil {

@@ -16,13 +16,13 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// RowData is one node's served adjacency plus its out-weight sum, the unit of
-// the row-fetch RPC. Slices returned by in-process calls alias the stripe's
-// CSR arrays (stripes are immutable, so sharing is safe); treat them as
-// read-only.
+// RowData is one node's served adjacency, the unit of the row-fetch RPC. Its
+// out-weight sum is not part of it: a coordinator holds every node's in the
+// dense out-sums array it fetched at connect time. Slices returned by
+// in-process calls alias the stripe's CSR arrays (stripes are immutable, so
+// sharing is safe); treat them as read-only.
 type RowData struct {
 	Node   graph.NodeID
-	OutSum float64
 	OutTo  []graph.NodeID
 	OutW   []float64
 	InFrom []graph.NodeID
@@ -74,15 +74,15 @@ func (s *Stripe) fetchRows(graphSum uint32, nodes []graph.NodeID) (RowBatch, err
 	if len(nodes) > MaxRowFetchNodes {
 		return RowBatch{}, fmt.Errorf("distributed: row fetch asks for %d rows, cap is %d", len(nodes), MaxRowFetchNodes)
 	}
-	batch := RowBatch{Epoch: s.epoch, Content: s.content, Rows: make([]RowData, 0, len(nodes))}
+	batch := RowBatch{Epoch: s.Epoch, Content: s.content, Rows: make([]RowData, 0, len(nodes))}
 	for _, v := range nodes {
 		if v < 0 || int(v) >= s.NumNodes || int(v)%s.Count != s.Index {
 			return RowBatch{}, fmt.Errorf("distributed: node %d is not owned by stripe %d of %d", v, s.Index, s.Count)
 		}
 		r := graph.NodeID(int(v) / s.Count) // local row of v = Index + r*Count
-		row := RowData{Node: v, OutSum: s.out.Sum[r]}
-		row.OutTo, row.OutW = s.out.Row(r)
-		row.InFrom, row.InW = s.in.Row(r)
+		row := RowData{Node: v}
+		row.OutTo, row.OutW = s.Out.Row(r)
+		row.InFrom, row.InW = s.In.Row(r)
 		batch.Rows = append(batch.Rows, row)
 	}
 	return batch, nil
@@ -99,9 +99,9 @@ func (w *Worker) OutDegrees(index int) ([]int32, error) {
 }
 
 func (s *Stripe) outDegrees() []int32 {
-	out := make([]int32, s.rows)
+	out := make([]int32, s.Rows())
 	for r := range out {
-		out[r] = int32(s.out.RowPtr[r+1] - s.out.RowPtr[r])
+		out[r] = int32(s.Out.Degree(graph.NodeID(r)))
 	}
 	return out
 }
@@ -114,7 +114,6 @@ func (s *Stripe) outDegrees() []int32 {
 //	count   uint32
 //	count × {
 //	    node   int32
-//	    outSum float64
 //	    outDeg uint32
 //	    inDeg  uint32
 //	    outDeg × int32    out-edge targets
@@ -139,7 +138,6 @@ func appendRowBatch(buf []byte, b RowBatch) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Rows)))
 	for _, row := range b.Rows {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(row.Node))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(row.OutSum))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(row.OutTo)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(row.InFrom)))
 		buf = appendNodeIDs(buf, row.OutTo)
@@ -150,12 +148,16 @@ func appendRowBatch(buf []byte, b RowBatch) []byte {
 	return buf
 }
 
+// rowHeaderSize is the fixed part of one row on the wire: node, out-degree,
+// in-degree.
+const rowHeaderSize = 12
+
 // rowBatchSize returns the exact wire size of a batch, for Content-Length and
 // one-shot buffer sizing.
 func rowBatchSize(b RowBatch) int {
 	n := 16
 	for _, row := range b.Rows {
-		n += 20 + 12*(len(row.OutTo)+len(row.InFrom))
+		n += rowHeaderSize + 12*(len(row.OutTo)+len(row.InFrom))
 	}
 	return n
 }
@@ -197,8 +199,6 @@ func (d *rowDecoder) u64() uint64 {
 	return v
 }
 
-func (d *rowDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
 func (d *rowDecoder) nodeIDs(n int) []graph.NodeID {
 	if !d.need(4 * n) {
 		return nil
@@ -227,14 +227,14 @@ func decodeRowBatch(raw []byte) (RowBatch, error) {
 	d := rowDecoder{raw: raw}
 	batch := RowBatch{Epoch: d.u64(), Content: d.u32()}
 	count := int(d.u32())
-	if d.err == nil && count*20 > len(raw)-d.off {
+	if d.err == nil && count*rowHeaderSize > len(raw)-d.off {
 		d.err = fmt.Errorf("distributed: row batch declares %d rows, body too short", count)
 	}
 	if d.err == nil {
 		batch.Rows = make([]RowData, 0, count)
 	}
 	for i := 0; i < count && d.err == nil; i++ {
-		row := RowData{Node: graph.NodeID(d.u32()), OutSum: d.f64()}
+		row := RowData{Node: graph.NodeID(d.u32())}
 		outDeg, inDeg := int(d.u32()), int(d.u32())
 		row.OutTo = d.nodeIDs(outDeg)
 		row.OutW = d.f64s(outDeg)

@@ -60,9 +60,6 @@ func TestFetchRowsMatchesStripe(t *testing.T) {
 							t.Fatalf("%s/%s stripe %d: row %d is node %d, want %d", name, mode, i, j, row.Node, v)
 						}
 						wantC, wantW := out.Row(v)
-						if row.OutSum != out.Sum[v] {
-							t.Fatalf("%s/%s node %d: OutSum %g, want %g", name, mode, v, row.OutSum, out.Sum[v])
-						}
 						checkRowHalf(t, name+"/"+mode+" out", v, row.OutTo, row.OutW, wantC, wantW)
 						wantC, wantW = in.Row(v)
 						checkRowHalf(t, name+"/"+mode+" in", v, row.InFrom, row.InW, wantC, wantW)
@@ -189,8 +186,8 @@ func TestRowBatchCodec(t *testing.T) {
 		Epoch:   7,
 		Content: 0xdeadbeef,
 		Rows: []RowData{
-			{Node: 3, OutSum: 2.5, OutTo: []graph.NodeID{1, 4}, OutW: []float64{0.5, 2}, InFrom: []graph.NodeID{9}, InW: []float64{1.25}},
-			{Node: 5, OutSum: 0}, // an isolated row: all slices empty
+			{Node: 3, OutTo: []graph.NodeID{1, 4}, OutW: []float64{0.5, 2}, InFrom: []graph.NodeID{9}, InW: []float64{1.25}},
+			{Node: 5}, // an isolated row: all slices empty
 		},
 	}
 	raw := appendRowBatch(nil, batch)
@@ -206,7 +203,7 @@ func TestRowBatchCodec(t *testing.T) {
 	}
 	for i, row := range got.Rows {
 		want := batch.Rows[i]
-		if row.Node != want.Node || row.OutSum != want.OutSum {
+		if row.Node != want.Node {
 			t.Fatalf("row %d decoded as %+v, want %+v", i, row, want)
 		}
 		checkRowHalf(t, "codec out", row.Node, row.OutTo, row.OutW, want.OutTo, want.OutW)
@@ -308,20 +305,20 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		}
 		seed(batch)
 	}
-	forged := appendRowBatch(nil, RowBatch{Rows: []RowData{{Node: 1, OutSum: 1}}})
+	forged := appendRowBatch(nil, RowBatch{Rows: []RowData{{Node: 1}}})
 	binary.LittleEndian.PutUint32(forged[12:], 0xffffffff) // row count
 	f.Add(append([]byte(nil), forged...))
 	binary.LittleEndian.PutUint32(forged[12:], 1)
-	binary.LittleEndian.PutUint32(forged[28:], 0xffffffff) // out-degree
+	binary.LittleEndian.PutUint32(forged[20:], 0xffffffff) // out-degree
 	f.Add(append([]byte(nil), forged...))
-	binary.LittleEndian.PutUint32(forged[28:], 0)
-	binary.LittleEndian.PutUint32(forged[32:], 0xffffffff) // in-degree
+	binary.LittleEndian.PutUint32(forged[20:], 0)
+	binary.LittleEndian.PutUint32(forged[24:], 0xffffffff) // in-degree
 	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, err := decodeRowBatch(data)
 		if len(data) >= 16 {
-			if count := int(binary.LittleEndian.Uint32(data[12:])); count*20 > len(data)-16 && err == nil {
+			if count := int(binary.LittleEndian.Uint32(data[12:])); count*rowHeaderSize > len(data)-16 && err == nil {
 				t.Fatalf("%d-byte body accepted with a declared row count of %d", len(data), count)
 			}
 		}

@@ -45,7 +45,8 @@ func ParseDirection(s string) (Direction, error) {
 
 // ProtocolVersion is the version of the coordinator/worker wire protocol; a
 // worker advertises it in WorkerInfo and the coordinator refuses mismatches.
-const ProtocolVersion = 1
+// Version 2 dropped the out-weight sum from every /v1/rows row.
+const ProtocolVersion = 2
 
 // WorkerInfo describes the stripe a worker serves. It is the JSON body of the
 // worker's /v1/info endpoint.

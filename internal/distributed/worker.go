@@ -148,13 +148,13 @@ func (s *Stripe) info() WorkerInfo {
 		Protocol: ProtocolVersion,
 		Index:    s.Index,
 		Count:    s.Count,
-		Graph:    s.graphSum,
-		Epoch:    s.epoch,
+		Graph:    s.Graph,
+		Epoch:    s.Epoch,
 		Content:  s.content,
 		NumNodes: s.NumNodes,
-		Rows:     s.OwnedNodes(),
-		OutEdges: len(s.out.Col),
-		InEdges:  len(s.in.Col),
+		Rows:     s.Rows(),
+		OutEdges: len(s.Out.Col),
+		InEdges:  len(s.In.Col),
 	}
 }
 
@@ -162,8 +162,8 @@ func (s *Stripe) info() WorkerInfo {
 // against the stripe's: a stripe replaced mid-lifetime with one from a
 // different graph fails the call instead of producing silently mixed results.
 func (s *Stripe) pinned(graphSum uint32) error {
-	if s.graphSum != graphSum {
-		return fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.graphSum, graphSum)
+	if s.Graph != graphSum {
+		return fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.Graph, graphSum)
 	}
 	return nil
 }
@@ -173,7 +173,7 @@ func (s *Stripe) gather(dir Direction, graphSum uint32, x []float64) ([]float64,
 	if err := s.pinned(graphSum); err != nil {
 		return nil, err
 	}
-	dst := make([]float64, s.rows)
+	dst := make([]float64, s.Rows())
 	var err error
 	switch dir {
 	case DirIn:
@@ -280,7 +280,7 @@ func (w *Worker) perStripe(rpc func(rw http.ResponseWriter, r *http.Request, s *
 			workerError(rw, http.StatusConflict, "%v", err)
 			return
 		}
-		graphSum := s.graphSum
+		graphSum := s.Graph
 		if gp := r.URL.Query().Get("graph"); gp != "" {
 			v, err := strconv.ParseUint(gp, 10, 32)
 			if err != nil {
@@ -310,9 +310,9 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 		list = append(list, map[string]any{
 			"stripe":  s.Index,
 			"of":      s.Count,
-			"rows":    s.OwnedNodes(),
-			"epoch":   s.epoch,
-			"graph":   s.graphSum,
+			"rows":    s.Rows(),
+			"epoch":   s.Epoch,
+			"graph":   s.Graph,
 			"content": s.content,
 		})
 	}
@@ -323,9 +323,9 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 		resp["stripe"] = s.Index
 		resp["of"] = s.Count
 		resp["nodes"] = s.NumNodes
-		resp["rows"] = s.OwnedNodes()
-		resp["epoch"] = s.epoch
-		resp["graph"] = s.graphSum
+		resp["rows"] = s.Rows()
+		resp["epoch"] = s.Epoch
+		resp["graph"] = s.Graph
 		resp["content"] = s.content
 	}
 	workerJSON(rw, http.StatusOK, resp)

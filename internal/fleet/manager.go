@@ -176,10 +176,7 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 		if err != nil {
 			return st, err
 		}
-		s, err := distributed.StripeFromData(d)
-		if err != nil {
-			return st, err
-		}
+		s := distributed.StripeFromData(d)
 		var replicas []distributed.Transport
 		for _, id := range group {
 			t := m.conn(id, addr[id], i)

@@ -144,7 +144,9 @@ func (b *Builder) checkNode(v NodeID) error {
 }
 
 // Build produces the immutable CSR Graph. Parallel directed edges between the
-// same ordered pair are merged by summing their weights. Self-loops are kept.
+// same ordered pair are merged by summing their weights; AddEdge has already
+// rejected self-loops and weights that are not positive and finite. Out-rows
+// list their targets ascending, and the in-rows are their transpose.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.types)
 	// Merge parallel edges via a sort by (from, to).
@@ -172,11 +174,20 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	m := len(merged)
 
-	newCSR := func() CSR {
-		return CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, m), Weight: make([]float64, m), Sum: make([]float64, n)}
+	// merged is sorted by from: entry i is out-edge i, and row v ends after
+	// its last entry — or, without one, where row v-1 ends.
+	out := CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, m), Weight: make([]float64, m), Sum: make([]float64, n)}
+	for i, e := range merged {
+		out.RowPtr[e.from+1] = int64(i + 1)
+		out.Col[i] = e.to
+		out.Weight[i] = e.w
+		out.Sum[e.from] += e.w
+	}
+	for v := 0; v < n; v++ {
+		out.RowPtr[v+1] = max(out.RowPtr[v+1], out.RowPtr[v])
 	}
 	g := &Graph{
-		CompactedView: CompactedView{numNodes: n, out: newCSR(), in: newCSR()},
+		CompactedView: CompactedView{numNodes: n, out: out, in: out.transpose()},
 		numEdges:      m,
 		types:         append([]Type(nil), b.types...),
 		labels:        append([]string(nil), b.labels...),
@@ -189,40 +200,6 @@ func (b *Builder) Build() (*Graph, error) {
 	for l, id := range b.byLabel {
 		g.byLabel[l] = id
 	}
-
-	// Out CSR (merged is already sorted by from).
-	for _, e := range merged {
-		g.out.RowPtr[e.from+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.out.RowPtr[v+1] += g.out.RowPtr[v]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, g.out.RowPtr[:n])
-	for _, e := range merged {
-		i := cursor[e.from]
-		g.out.Col[i] = e.to
-		g.out.Weight[i] = e.w
-		cursor[e.from]++
-		g.out.Sum[e.from] += e.w
-	}
-
-	// Transposed (in) CSR.
-	for _, e := range merged {
-		g.in.RowPtr[e.to+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.in.RowPtr[v+1] += g.in.RowPtr[v]
-	}
-	copy(cursor, g.in.RowPtr[:n])
-	for _, e := range merged {
-		i := cursor[e.to]
-		g.in.Col[i] = e.from
-		g.in.Weight[i] = e.w
-		cursor[e.to]++
-		g.in.Sum[e.to] += e.w
-	}
-
 	return g, nil
 }
 

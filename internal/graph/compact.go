@@ -29,20 +29,18 @@ type EdgeKey struct {
 // Without returns g's adjacency with the given directed edges taken out, as
 // the evaluation tasks need it: the direct edges between a query node and its
 // ground-truth nodes removed. Edges g does not have are ignored; to take out
-// an undirected edge pass both directions. Both CSR directions are filtered in
-// stored order and the row sums re-accumulated over the survivors, so the
-// arrays are bit-identical to a Builder's for the same graph built without
-// those edges, and transition probabilities renormalize over what remains.
+// an undirected edge pass both directions. The out-rows are filtered in stored
+// order with their sums re-accumulated over the survivors, and the in-rows are
+// their transpose, so the arrays are bit-identical to a Builder's for the same
+// graph built without those edges, and transition probabilities renormalize
+// over what remains.
 func (g *Graph) Without(hide []EdgeKey) *CompactedView {
 	hidden := make(map[EdgeKey]bool, len(hide))
 	for _, k := range hide {
 		hidden[k] = true
 	}
-	return &CompactedView{
-		numNodes: g.numNodes,
-		out:      g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] }),
-		in:       g.in.filter(func(to, from NodeID) bool { return !hidden[EdgeKey{from, to}] }),
-	}
+	out := g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] })
+	return &CompactedView{numNodes: g.numNodes, out: out, in: out.transpose()}
 }
 
 // filter copies the entries keep admits, row by row in stored order.

@@ -305,29 +305,6 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 		g.out.RowPtr[v+1] = int64(len(g.out.Col))
 	}
 	g.numEdges = len(g.out.Col)
-
-	// Transposed CSR by counting sort, exactly as Builder.Build does: rows are
-	// visited in (from, to) order, so each in-row lists sources ascending.
-	m := g.numEdges
-	g.in = CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, m), Weight: make([]float64, m), Sum: make([]float64, n)}
-	for _, to := range g.out.Col {
-		g.in.RowPtr[to+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.in.RowPtr[v+1] += g.in.RowPtr[v]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, g.in.RowPtr[:n])
-	for v := 0; v < n; v++ {
-		lo, hi := g.out.RowPtr[v], g.out.RowPtr[v+1]
-		for i := lo; i < hi; i++ {
-			to := g.out.Col[i]
-			j := cursor[to]
-			g.in.Col[j] = NodeID(v)
-			g.in.Weight[j] = g.out.Weight[i]
-			cursor[to]++
-			g.in.Sum[to] += g.out.Weight[i]
-		}
-	}
+	g.in = g.out.transpose()
 	return g, nil
 }

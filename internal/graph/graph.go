@@ -99,6 +99,88 @@ func (c CSR) Gather(x, dst []float64, lo, hi int) {
 	}
 }
 
+// transpose is the one place the in-row layout is written: it returns the
+// transposed CSR of c by counting sort. Rows of c are visited in ascending
+// order, so each in-row lists its sources ascending and its sum accumulates in
+// that order. Build, Commit and Without all call it, which is why their
+// arrays are bit-identical for the same edges.
+func (c CSR) transpose() CSR {
+	n := len(c.RowPtr) - 1
+	t := CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, len(c.Col)), Weight: make([]float64, len(c.Col)), Sum: make([]float64, n)}
+	for _, to := range c.Col {
+		t.RowPtr[to+1]++
+	}
+	for v := 0; v < n; v++ {
+		t.RowPtr[v+1] += t.RowPtr[v]
+	}
+	cursor := make([]int64, n)
+	copy(cursor, t.RowPtr[:n])
+	for v := 0; v < n; v++ {
+		for i := c.RowPtr[v]; i < c.RowPtr[v+1]; i++ {
+			to := c.Col[i]
+			t.Col[cursor[to]] = NodeID(v)
+			t.Weight[cursor[to]] = c.Weight[i]
+			t.Sum[to] += c.Weight[i]
+			cursor[to]++
+		}
+	}
+	return t
+}
+
+// check is the one flat-CSR check, which graphs and stripes are held to:
+// rows+1 offsets from zero that never decrease and cover the columns exactly,
+// one weight per column and one cached sum per row, every row valid under
+// CheckRow and its cached sum equal to the sum of its weights.
+func (c CSR) check(rows, numNodes int) error {
+	switch {
+	case len(c.RowPtr) != rows+1:
+		return fmt.Errorf("%d offsets for %d rows", len(c.RowPtr), rows)
+	case c.RowPtr[0] != 0:
+		return fmt.Errorf("offsets must start at zero")
+	case len(c.Weight) != len(c.Col):
+		return fmt.Errorf("%d weights for %d columns", len(c.Weight), len(c.Col))
+	case len(c.Sum) != rows:
+		return fmt.Errorf("%d row sums for %d rows", len(c.Sum), rows)
+	case c.RowPtr[rows] != int64(len(c.Col)):
+		return fmt.Errorf("offsets cover %d of %d columns", c.RowPtr[rows], len(c.Col))
+	}
+	for r := 0; r < rows; r++ {
+		lo, hi := c.RowPtr[r], c.RowPtr[r+1]
+		if hi < lo || hi > int64(len(c.Col)) {
+			return fmt.Errorf("row %d offsets [%d,%d) invalid", r, lo, hi)
+		}
+		sum, err := CheckRow(c.Col[lo:hi], c.Weight[lo:hi], numNodes)
+		if err != nil {
+			return fmt.Errorf("row %d: %w", r, err)
+		}
+		if math.IsNaN(c.Sum[r]) || math.Abs(sum-c.Sum[r]) > 1e-9*(1+sum) {
+			return fmt.Errorf("row %d cached sum %g != %g", r, c.Sum[r], sum)
+		}
+	}
+	return nil
+}
+
+// CheckRow is the row half of the flat-CSR check, and what a row fetched from
+// a worker is held to: one weight per column, columns inside [0, numNodes),
+// weights positive and finite. It returns the row's weight sum, accumulated in
+// stored order.
+func CheckRow(cols []NodeID, weights []float64, numNodes int) (float64, error) {
+	if len(weights) != len(cols) {
+		return 0, fmt.Errorf("%d weights for %d columns", len(weights), len(cols))
+	}
+	sum := 0.0
+	for i, col := range cols {
+		if col < 0 || int(col) >= numNodes {
+			return 0, fmt.Errorf("column %d out of range [0,%d)", col, numNodes)
+		}
+		if w := weights[i]; !(w > 0) || math.IsInf(w, 0) {
+			return 0, fmt.Errorf("non-positive or non-finite weight %g", w)
+		}
+		sum += weights[i]
+	}
+	return sum, nil
+}
+
 // CSRView is "has flat arrays": what Compact wraps and what Pack,
 // BuildStripeData and GraphFingerprint read. *Graph and *CompactedView
 // implement it; a caller (or a test) that owns adjacency arrays implements
@@ -275,40 +357,25 @@ func (g *Graph) SizeBytes() int64 {
 	return int64(g.numNodes)*perNode + int64(g.numEdges)*perEdge
 }
 
-// Validate checks internal CSR invariants. It is primarily used in tests.
+// Validate holds both directions to the one flat-CSR check and checks they
+// carry the same edge count. It is primarily used in tests.
 func (g *Graph) Validate() error {
-	if len(g.out.RowPtr) != g.numNodes+1 || len(g.in.RowPtr) != g.numNodes+1 {
-		return fmt.Errorf("graph: offset arrays have wrong length")
+	if err := checkPair(g.out, g.in, g.numNodes, g.numNodes); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
-	if g.out.RowPtr[g.numNodes] != int64(len(g.out.Col)) {
-		return fmt.Errorf("graph: out offsets do not cover edge array")
+	if len(g.out.Col) != g.numEdges || len(g.in.Col) != g.numEdges {
+		return fmt.Errorf("graph: %d out and %d in edges, want %d", len(g.out.Col), len(g.in.Col), g.numEdges)
 	}
-	if g.in.RowPtr[g.numNodes] != int64(len(g.in.Col)) {
-		return fmt.Errorf("graph: in offsets do not cover edge array")
+	return nil
+}
+
+// checkPair runs the flat-CSR check on the two directions of one adjacency.
+func checkPair(out, in CSR, rows, numNodes int) error {
+	if err := out.check(rows, numNodes); err != nil {
+		return fmt.Errorf("out: %w", err)
 	}
-	if len(g.out.Col) != len(g.in.Col) {
-		return fmt.Errorf("graph: out edge count %d != in edge count %d", len(g.out.Col), len(g.in.Col))
-	}
-	for v := 0; v < g.numNodes; v++ {
-		sum := 0.0
-		cols, ws := g.out.Row(NodeID(v))
-		for i, to := range cols {
-			if to < 0 || int(to) >= g.numNodes || !(ws[i] > 0) {
-				return fmt.Errorf("graph: node %d has an invalid outgoing edge", v)
-			}
-			sum += ws[i]
-		}
-		if math.Abs(sum-g.out.Sum[v]) > 1e-9*(1+sum) {
-			return fmt.Errorf("graph: node %d out weight sum mismatch: %g vs %g", v, sum, g.out.Sum[v])
-		}
-		sum = 0.0
-		_, ws = g.in.Row(NodeID(v))
-		for _, w := range ws {
-			sum += w
-		}
-		if math.Abs(sum-g.in.Sum[v]) > 1e-9*(1+sum) {
-			return fmt.Errorf("graph: node %d in weight sum mismatch: %g vs %g", v, sum, g.in.Sum[v])
-		}
+	if err := in.check(rows, numNodes); err != nil {
+		return fmt.Errorf("in: %w", err)
 	}
 	return nil
 }

@@ -390,8 +390,74 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
+// randomCommit stages a random delta against g — a node added and wired in,
+// upserts, removals of existing edges, node isolations — and returns its
+// Commit together with the graph the delta describes, built from scratch.
+func randomCommit(t *testing.T, rng *rand.Rand, g *Graph) (committed, want *Graph) {
+	t.Helper()
+	edges := make(map[EdgeKey]float64)
+	for v := 0; v < g.NumNodes(); v++ {
+		cols, ws := g.OutRow(NodeID(v))
+		for i, to := range cols {
+			edges[EdgeKey{NodeID(v), to}] = ws[i]
+		}
+	}
+	d := NewDelta(g)
+	set := func(u, v NodeID, w float64) {
+		if err := d.SetEdge(u, v, w); err != nil {
+			t.Fatalf("SetEdge: %v", err)
+		}
+		edges[EdgeKey{u, v}] = w
+	}
+	added := d.AddNode(Untyped, "added")
+	set(added, 0, 1.5)
+	set(0, added, 0.5)
+	for op := 0; op < 8; op++ {
+		u, v := NodeID(rng.Intn(d.NumNodes())), NodeID(rng.Intn(d.NumNodes()))
+		from := u % NodeID(g.NumNodes()) // a base node, to remove one of its edges
+		cols, _ := g.OutRow(from)
+		switch {
+		case u == v:
+			if err := d.RemoveNode(u); err != nil {
+				t.Fatalf("RemoveNode: %v", err)
+			}
+			for k := range edges {
+				if k.From == u || k.To == u {
+					delete(edges, k)
+				}
+			}
+		case rng.Intn(2) == 0 && len(cols) > 0:
+			k := EdgeKey{from, cols[rng.Intn(len(cols))]}
+			if _, ok := edges[k]; ok {
+				if err := d.RemoveEdge(k.From, k.To); err != nil {
+					t.Fatalf("RemoveEdge: %v", err)
+				}
+				delete(edges, k)
+			}
+		default:
+			set(u, v, 0.1+rng.Float64())
+		}
+	}
+	committed, err := Commit(g, d)
+	if err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	b := NewBuilder()
+	for v := 0; v < g.NumNodes(); v++ {
+		b.AddNode(g.Type(NodeID(v)), g.Label(NodeID(v)))
+	}
+	b.AddNode(Untyped, "added")
+	for k, w := range edges {
+		b.MustAddEdge(k.From, k.To, w)
+	}
+	return committed, b.MustBuild()
+}
+
 // Property: every built random graph passes Validate, and total out weight
-// equals total in weight (each edge contributes to both).
+// equals total in weight (each edge contributes to both). Every other door
+// that lays out adjacency — the gob codec, a pack round trip, Without, the
+// subgraph induced by all nodes, a Commit of a random delta — yields arrays
+// that pass the flat check and are bit-equal to a Builder's for the same edges.
 func TestQuickGraphInvariants(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -407,10 +473,99 @@ func TestQuickGraphInvariants(t *testing.T) {
 			outTotal += g.OutSum(NodeID(v))
 			inTotal += g.InCSR().Sum[v]
 		}
-		return math.Abs(outTotal-inTotal) < 1e-6*(1+outTotal)
+		if math.Abs(outTotal-inTotal) >= 1e-6*(1+outTotal) {
+			return false
+		}
+		// Every door shares the transposer, so the in-rows are also checked
+		// against a reference written here: in-row v lists each u with an edge
+		// u->v, sources ascending.
+		for v := 0; v < n; v++ {
+			var wantC []NodeID
+			var wantW []float64
+			for u := 0; u < n; u++ {
+				cols, ws := g.OutRow(NodeID(u))
+				if i := slices.Index(cols, NodeID(v)); i >= 0 {
+					wantC, wantW = append(wantC, NodeID(u)), append(wantW, ws[i])
+				}
+			}
+			if cols, ws := g.InRow(NodeID(v)); !slices.Equal(cols, wantC) || !slices.Equal(ws, wantW) {
+				t.Logf("in-row %d is %v %v, want %v %v", v, cols, ws, wantC, wantW)
+				return false
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := Encode(&buf, g); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		decoded, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		all := make([]NodeID, n)
+		for v := range all {
+			all[v] = NodeID(v)
+		}
+		committed, rebuilt := randomCommit(t, rng, g)
+		for _, door := range []struct {
+			name      string
+			got, want CSRView
+		}{
+			{"decode", decoded, g},
+			{"pack", Pack(g).Unpack(), g},
+			{"without", g.Without(nil), g},
+			{"induced", Induced(g, all).Graph, g},
+			{"commit", committed, rebuilt},
+		} {
+			if !sameCSR(door.got.OutCSR(), door.want.OutCSR()) || !sameCSR(door.got.InCSR(), door.want.InCSR()) {
+				t.Logf("%s: arrays differ from the Builder's", door.name)
+				return false
+			}
+			err := checkPair(door.got.OutCSR(), door.got.InCSR(), door.got.NumNodes(), door.got.NumNodes())
+			if built, ok := door.got.(*Graph); ok {
+				err = built.Validate()
+			}
+			if err != nil {
+				t.Logf("%s: %v", door.name, err)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateCoversInRows pins Graph.Validate as the one flat check over both
+// directions: an in-row column out of range, or an infinite weight in either
+// direction, fails it. StripeData.Validate reaches the same verdict on the same
+// arrays, read as a single stripe.
+func TestValidateCoversInRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		valid   bool
+	}{
+		{"untouched", func(*Graph) {}, true},
+		{"in-row column past the end", func(g *Graph) { g.in.Col[0] = NodeID(g.numNodes) }, false},
+		{"in-row column negative", func(g *Graph) { g.in.Col[1] = -1 }, false},
+		{"out-row +Inf weight", func(g *Graph) { g.out.Weight[0] = math.Inf(1) }, false},
+		{"in-row +Inf weight", func(g *Graph) { g.in.Weight[2] = math.Inf(1) }, false},
+		{"in-row -Inf weight", func(g *Graph) { g.in.Weight[2] = math.Inf(-1) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := buildSmall(t)
+			tc.corrupt(g)
+			graphErr := g.Validate()
+			if (graphErr == nil) != tc.valid {
+				t.Errorf("Graph.Validate = %v, want valid %v", graphErr, tc.valid)
+			}
+			stripe := &StripeData{Index: 0, Count: 1, NumNodes: g.NumNodes(), Out: g.OutCSR(), In: g.InCSR()}
+			if stripeErr := stripe.Validate(); (stripeErr == nil) != (graphErr == nil) {
+				t.Errorf("StripeData.Validate = %v, Graph.Validate = %v: verdicts differ", stripeErr, graphErr)
+			}
+		})
 	}
 }
 

@@ -36,9 +36,11 @@ import (
 //	crc      uint32   CRC-32C (Castagnoli) of every preceding byte
 //
 // The trailing checksum makes truncation and bit corruption detectable before
-// any structural validation runs; DecodeStripe additionally validates every
-// CSR invariant (monotone offsets, in-range columns, finite positive weights,
-// cached row sums), so a decoded stripe is safe to serve without re-checking.
+// any structural validation runs. DecodeStripe then checks the packed
+// structure (what the unchecked row iterator relies on) and, after unpacking,
+// makes one flat pass (StripeData.Validate: monotone offsets, in-range
+// columns, finite positive weights, cached row sums), so a decoded stripe is
+// safe to serve without re-checking.
 
 // stripeMagic identifies a stripe stream; the trailing digit is bumped only on
 // incompatible layout changes (compatible ones bump stripeVersion instead).
@@ -103,8 +105,9 @@ func (d *StripeData) Rows() int {
 	return (d.NumNodes - d.Index + d.Count - 1) / d.Count
 }
 
-// Validate checks the stripe's header and every CSR invariant. DecodeStripe
-// calls it on every decoded stripe; EncodeStripe calls it before writing.
+// Validate checks the stripe's header and holds both CSR blocks to the one
+// flat-CSR check. DecodeStripe calls it on every decoded stripe; EncodeStripe
+// calls it before writing.
 func (d *StripeData) Validate() error {
 	if d.Count <= 0 || d.Index < 0 || d.Index >= d.Count {
 		return fmt.Errorf("graph: stripe header: invalid stripe %d of %d", d.Index, d.Count)
@@ -112,47 +115,8 @@ func (d *StripeData) Validate() error {
 	if d.NumNodes < 0 {
 		return fmt.Errorf("graph: stripe header: negative node count %d", d.NumNodes)
 	}
-	rows := d.Rows()
-	if err := validateStripeCSR("out", d.Out, rows, d.NumNodes); err != nil {
-		return err
-	}
-	return validateStripeCSR("in", d.In, rows, d.NumNodes)
-}
-
-func validateStripeCSR(name string, c CSR, rows, numNodes int) error {
-	if len(c.RowPtr) != rows+1 {
-		return fmt.Errorf("graph: stripe %s: %d offsets for %d rows", name, len(c.RowPtr), rows)
-	}
-	if c.RowPtr[0] != 0 {
-		return fmt.Errorf("graph: stripe %s: offsets must start at zero", name)
-	}
-	if len(c.Weight) != len(c.Col) {
-		return fmt.Errorf("graph: stripe %s: %d weights for %d columns", name, len(c.Weight), len(c.Col))
-	}
-	if len(c.Sum) != rows {
-		return fmt.Errorf("graph: stripe %s: %d row sums for %d rows", name, len(c.Sum), rows)
-	}
-	if c.RowPtr[rows] != int64(len(c.Col)) {
-		return fmt.Errorf("graph: stripe %s: offsets cover %d of %d columns", name, c.RowPtr[rows], len(c.Col))
-	}
-	for r := 0; r < rows; r++ {
-		if c.RowPtr[r+1] < c.RowPtr[r] {
-			return fmt.Errorf("graph: stripe %s: offsets decrease at row %d", name, r)
-		}
-		sum := 0.0
-		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
-			if col := c.Col[i]; col < 0 || int(col) >= numNodes {
-				return fmt.Errorf("graph: stripe %s: row %d column %d out of range [0,%d)", name, r, col, numNodes)
-			}
-			w := c.Weight[i]
-			if !(w > 0) || math.IsInf(w, 0) {
-				return fmt.Errorf("graph: stripe %s: row %d has non-positive or non-finite weight %g", name, r, w)
-			}
-			sum += w
-		}
-		if math.IsNaN(c.Sum[r]) || math.Abs(sum-c.Sum[r]) > 1e-9*(1+sum) {
-			return fmt.Errorf("graph: stripe %s: row %d cached sum %g != %g", name, r, c.Sum[r], sum)
-		}
+	if err := checkPair(d.Out, d.In, d.Rows(), d.NumNodes); err != nil {
+		return fmt.Errorf("graph: stripe %w", err)
 	}
 	return nil
 }
@@ -163,6 +127,13 @@ func EncodeStripe(w io.Writer, d *StripeData) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("graph: encode stripe: %w", err)
 	}
+	return writeStripe(w, d)
+}
+
+// writeStripe is EncodeStripe without the check: it frames whatever d holds,
+// which is also how a test forges a well-formed stream around an invalid
+// payload.
+func writeStripe(w io.Writer, d *StripeData) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.New(castagnoli)
 	out := io.MultiWriter(bw, crc)
@@ -268,8 +239,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const stripeChunkBytes = 1 << 16
 
 // DecodeStripe reads a stripe previously written with EncodeStripe, verifying
-// the magic, version, trailing checksum and every CSR invariant. Any
-// truncation or corruption yields an error, never a malformed stripe.
+// the magic, version, trailing checksum, the packed structure and, in one flat
+// pass, every CSR invariant. Any truncation or corruption yields an error,
+// never a malformed stripe.
 func DecodeStripe(r io.Reader) (*StripeData, error) {
 	cr := &crcReader{r: bufio.NewReader(r), crc: crc32.New(castagnoli)}
 
@@ -343,11 +315,10 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readPackedStripeCSR reads one packed block and unpacks it to the
-// flat CSR the rest of the system consumes. The packed rows are validated
-// defensively (well-formed varints, in-range columns, positive finite
-// weights, consistent cached sums) before the unchecked unpack runs; the
-// caller's StripeData.Validate re-checks the flat invariants afterwards.
+// readPackedStripeCSR reads one packed block and unpacks it to the flat CSR
+// the rest of the system consumes. The packed structure is checked first
+// (validatePackedCSR), since the unpack trusts it; weights and cached sums are
+// left to the caller's one flat pass, StripeData.Validate.
 func readPackedStripeCSR(r io.Reader, name string, rows, numNodes int) (CSR, error) {
 	var c CSR
 	rowOff, err := readUint64s(r)

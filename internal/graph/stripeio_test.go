@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -178,6 +179,21 @@ func FuzzDecodeStripe(f *testing.F) {
 		}
 	}
 	f.Add([]byte("RTS1"))
+	// A well-formed packed row carrying a NaN weight: the packed structure is
+	// sound, so only the flat check after unpacking rejects it.
+	nan, err := BuildStripeData(g, 0, 1)
+	if err != nil {
+		f.Fatalf("BuildStripeData: %v", err)
+	}
+	nan.Out.Weight[0] = math.NaN()
+	var forged bytes.Buffer
+	if err := writeStripe(&forged, nan); err != nil {
+		f.Fatalf("writeStripe: %v", err)
+	}
+	if _, err := DecodeStripe(bytes.NewReader(forged.Bytes())); err == nil {
+		f.Fatalf("a stripe with a NaN weight decoded")
+	}
+	f.Add(forged.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeStripe(bytes.NewReader(data))
 		if err != nil {

@@ -24,7 +24,6 @@ package rowserve
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -294,12 +293,13 @@ func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry)
 	return batch.Rows, nil
 }
 
-// validate cross-checks a batch against the pinned snapshot, the request and
-// the node count — once per fetched row, never on a cache hit; any mismatch is
-// a protocol violation (non-transient) because retrying a worker that answered
-// from the wrong snapshot, or with edges no graph of this size has, cannot
-// help. The searcher indexes its per-node arrays by the columns it reads, so
-// nothing the wire says reaches it unchecked.
+// validate cross-checks a batch against the pinned snapshot and the request,
+// and holds both halves of every fetched row to graph.CheckRow — once per
+// fetched row, never on a cache hit; any mismatch is a protocol violation
+// (non-transient) because retrying a worker that answered from the wrong
+// snapshot, or with edges no graph of this size has, cannot help. The searcher
+// indexes its per-node arrays by the columns it reads, so nothing the wire
+// says reaches it unchecked.
 func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.RowBatch) error {
 	if batch.Epoch != s.r.Epoch() || batch.Content != s.r.Content(stripe) {
 		return fmt.Errorf("rowserve: stripe %d answered from epoch %d content %08x, pinned to epoch %d content %08x",
@@ -313,30 +313,12 @@ func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.R
 		if row.Node != nodes[i] {
 			return fmt.Errorf("rowserve: stripe %d returned row %d at position %d, requested %d", stripe, row.Node, i, nodes[i])
 		}
-		err := validEdges(row.OutTo, row.OutW, n)
+		_, err := graph.CheckRow(row.OutTo, row.OutW, n)
 		if err == nil {
-			err = validEdges(row.InFrom, row.InW, n)
+			_, err = graph.CheckRow(row.InFrom, row.InW, n)
 		}
 		if err != nil {
 			return fmt.Errorf("rowserve: stripe %d row %d: %w", stripe, row.Node, err)
-		}
-	}
-	return nil
-}
-
-// validEdges applies to one fetched adjacency the rule graph.StripeData's
-// Validate applies to a shipped stripe: columns inside [0, n), weights
-// positive and finite.
-func validEdges(cols []graph.NodeID, weights []float64, n int) error {
-	if len(weights) != len(cols) {
-		return fmt.Errorf("%d weights for %d columns", len(weights), len(cols))
-	}
-	for i, c := range cols {
-		if c < 0 || int(c) >= n {
-			return fmt.Errorf("column %d out of range [0,%d)", c, n)
-		}
-		if w := weights[i]; !(w > 0) || math.IsInf(w, 0) {
-			return fmt.Errorf("non-positive or non-finite weight %g", w)
 		}
 	}
 	return nil

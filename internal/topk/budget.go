@@ -8,7 +8,7 @@ import (
 // Budget bounds the work an online top-K query may spend before returning a
 // best-effort, certified partial result — the anytime execution contract. A
 // nil Budget keeps the historical behavior (run until convergence, the
-// MaxRounds valve, or cancellation). Zero-valued fields are unset.
+// 100 000-round valve, or cancellation). Zero-valued fields are unset.
 //
 // Rounds- and touched-capped budgets are deterministic: the same budget on
 // the same graph stops at the same round with the same bounds, so the result
@@ -16,8 +16,8 @@ import (
 // graph (CSR arrays, packed, adapted-view or remote row session). Deadline
 // budgets depend on the wall clock and carry no such guarantee.
 type Budget struct {
-	// MaxRounds caps expansion rounds. It composes with Options.MaxRounds:
-	// the tighter of the two wins.
+	// MaxRounds caps expansion rounds, below the package's 100 000-round
+	// safety valve.
 	MaxRounds int
 	// MaxTouched stops the search once |Sf| + |St| reaches this many nodes —
 	// a direct cap on working-set size (and, on the remote path, on rows
@@ -46,7 +46,7 @@ const (
 	// StopExhausted: no expansion remained anywhere; the graph around the
 	// query is fully explored and the result is as good as it can get.
 	StopExhausted
-	// StopRounds: the round cap (Options.MaxRounds or Budget.MaxRounds) hit.
+	// StopRounds: the round cap (Budget.MaxRounds or the safety valve) hit.
 	StopRounds
 	// StopTouched: Budget.MaxTouched hit.
 	StopTouched

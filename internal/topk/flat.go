@@ -117,10 +117,13 @@ func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (
 func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error) {
 	res := &Result{}
 	b := s.opt.Budget
-	maxRounds := effectiveMaxRounds(s.opt)
+	rounds := maxRounds
+	if b != nil && b.MaxRounds > 0 {
+		rounds = min(b.MaxRounds, maxRounds)
+	}
 	stop := StopRounds
 	s.join() // what a search stopped before its first round reports
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			// Without a budget, cancellation aborts and surfaces ctx.Err().
 			// With one, the anytime contract wins: finalize the completed

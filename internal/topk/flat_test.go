@@ -45,7 +45,7 @@ func TestFlatDispatch(t *testing.T) {
 
 // strictGapK returns the largest K ≤ 5 at a strict score gap of the exact
 // ranking: across an exact tie the ε≈0 conditions are unsatisfiable and the
-// search spins to MaxRounds.
+// search spins to its round cap.
 func strictGapK(t *testing.T, g *graph.Graph, q walk.Query) int {
 	t.Helper()
 	naive, _, err := Naive(context.Background(), g, q, Options{K: g.NumNodes(), Alpha: 0.25, Beta: 0.5})
@@ -356,7 +356,7 @@ func TestSearcherFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RMATEdges: %v", err)
 	}
-	opt, err := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, MaxRounds: 4}.normalized()
+	opt, err := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, Budget: &Budget{MaxRounds: 4}}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,10 @@ func TestSearcherGolden(t *testing.T) {
 		opt  Options
 		want searchGolden
 	}{
-		{"hub0", walk.SingleNode(hub[0]), Options{K: 10, Epsilon: 0.01, Beta: 0.5, MaxRounds: 6}, searchGolden{6, 140, 597, 1141, 96, 2416, 0,
+		{"hub0", walk.SingleNode(hub[0]), Options{K: 10, Epsilon: 0.01, Beta: 0.5, Budget: &Budget{MaxRounds: 6}}, searchGolden{6, 140, 597, 1141, 96, 2416, 0,
 			[]graph.NodeID{0, 6704, 3609, 9436, 1249, 2232, 714, 4171, 1859, 9617},
 			[]uint64{0x3fb05e320981405c, 0x3f01ce2c4741e7bc, 0x3ef1ce2c4741e7bc, 0x3ef1ce2c4741e7bc, 0x3ee8fcc22fedec07, 0x3ee8b5293bd724c6, 0x3ee82ed4a4138cc9, 0x3ee81e5d076323eb, 0x3ee7bd905f028a51, 0x3ee7bd905f028a51}}},
-		{"hub1/beta0.3", walk.SingleNode(hub[1]), Options{K: 10, Epsilon: 0.01, Beta: 0.3, MaxRounds: 6}, searchGolden{6, 112, 553, 528, 40, 2327, 1,
+		{"hub1/beta0.3", walk.SingleNode(hub[1]), Options{K: 10, Epsilon: 0.01, Beta: 0.3, Budget: &Budget{MaxRounds: 6}}, searchGolden{6, 112, 553, 528, 40, 2327, 1,
 			[]graph.NodeID{8192, 7185, 5381, 8476, 1177, 4504, 2753, 6752, 2944, 5410},
 			[]uint64{0x3fb09815efd9d83f, 0x3ec612948e01cc32, 0x3ec473856b23ffe2, 0x3ec35d415d0afa05, 0x3ec31fd677da269c, 0x3ec23e5869c58aa1, 0x3ec1df8680e1cabf, 0x3ec0e0539d7b62e6, 0x3ec0c012fc689593, 0x3ebfbc2477de6a56}}},
 		{"hub0/budget", walk.SingleNode(hub[0]), Options{K: 10, Epsilon: 0.01, Beta: 0.5, Budget: &Budget{MaxRounds: 3, FrontierCap: 2}}, searchGolden{3, 30, 300, 7, 1, 1326, 0,
@@ -83,19 +83,19 @@ func TestSearcherGolden(t *testing.T) {
 		{"tail/beta0.3", walk.SingleNode(3333), Options{K: 10, Epsilon: 0.01, Beta: 0.3}, searchGolden{7, 138, 670, 954, 121, 2973, 1,
 			[]graph.NodeID{3333, 4097, 257, 132, 1040, 1184, 106, 5, 6209, 76},
 			[]uint64{0x3fb04535e23843f1, 0x3ef30b0585701f9d, 0x3ee929db339f8f62, 0x3ee57a1b91d891dd, 0x3ee50b36f701c7d1, 0x3ee2764a945cbcb4, 0x3ea0f9bf4ed00309, 0x3ea0385cdf97d5db, 0x3e9ef2c70706725f, 0x3e9eec4253b1fd13}}},
-		{"tail/noInEdges", walk.SingleNode(7777), Options{K: 5, Epsilon: 0.001, Beta: 0.3, MaxRounds: 40}, searchGolden{40, 384, 2843, 1, 1, 5341, 1,
+		{"tail/noInEdges", walk.SingleNode(7777), Options{K: 5, Epsilon: 0.001, Beta: 0.3, Budget: &Budget{MaxRounds: 40}}, searchGolden{40, 384, 2843, 1, 1, 5341, 1,
 			[]graph.NodeID{7777},
 			[]uint64{0x3fb06e1d097c818a}}},
-		{"tail/noOutEdges", walk.SingleNode(2718), Options{K: 5, Epsilon: 0.01, Beta: 0.5, MaxRounds: 10}, searchGolden{10, 119, 1, 704, 1, 704, 1,
+		{"tail/noOutEdges", walk.SingleNode(2718), Options{K: 5, Epsilon: 0.01, Beta: 0.5, Budget: &Budget{MaxRounds: 10}}, searchGolden{10, 119, 1, 704, 1, 704, 1,
 			[]graph.NodeID{2718},
 			[]uint64{0x3fcffffffffffffd}}},
-		{"tail/venues", walk.SingleNode(9001), Options{K: 5, Epsilon: 0.01, Beta: 0.5, Keep: venue, MaxRounds: 40}, searchGolden{9, 129, 759, 771, 92, 3258, 0,
+		{"tail/venues", walk.SingleNode(9001), Options{K: 5, Epsilon: 0.01, Beta: 0.5, Keep: venue, Budget: &Budget{MaxRounds: 40}}, searchGolden{9, 129, 759, 771, 92, 3258, 0,
 			[]graph.NodeID{7, 1031, 4355, 1795, 91},
 			[]uint64{0x3e20caac38eefc85, 0x3e0498a2838fe652, 0x3dff008dea88618c, 0x3df9bff9dc648d36, 0x3deef8468550630d}}},
-		{"multi", multi, Options{K: 10, Epsilon: 0.01, Beta: 0.5, MaxRounds: 8}, searchGolden{8, 183, 753, 1157, 98, 2785, 0,
+		{"multi", multi, Options{K: 10, Epsilon: 0.01, Beta: 0.5, Budget: &Budget{MaxRounds: 8}}, searchGolden{8, 183, 753, 1157, 98, 2785, 0,
 			[]graph.NodeID{5000, 0, 123, 40, 2048, 36, 8203, 2052, 17, 2304},
 			[]uint64{0x3f94d62fe71c6de0, 0x3f6e74b081c2d3b7, 0x3f6a4a3b8fff8ca8, 0x3ef926cdb27f6262, 0x3ef700f7f5284a9c, 0x3eef87325f3c233c, 0x3eea013dcc123509, 0x3ee9cda9a7a71fdb, 0x3ee52a8a67cf17a4, 0x3ee46f41d8aeaced}}},
-		{"multi/beta0.3/gs", multi, Options{K: 10, Epsilon: 0.01, Beta: 0.3, Scheme: SchemeGS, MaxRounds: 8}, searchGolden{8, 203, 753, 1182, 99, 2802, 0,
+		{"multi/beta0.3/gs", multi, Options{K: 10, Epsilon: 0.01, Beta: 0.3, Scheme: SchemeGS, Budget: &Budget{MaxRounds: 8}}, searchGolden{8, 203, 753, 1182, 99, 2802, 0,
 			[]graph.NodeID{5000, 0, 123, 40, 2048, 36, 2052, 17, 1024, 2304},
 			[]uint64{0x3f94cdd10589cc3f, 0x3f70314a1c7ba581, 0x3f6a683f908f3636, 0x3f1499b27ae8f79d, 0x3f1445f8bef132f2, 0x3eff3dc3de2d1aa9, 0x3efbb05463e4899c, 0x3ef8926d5123cc99, 0x3ef882ffe77f1402, 0x3ef83aba2523a1c9}}},
 	} {

@@ -78,10 +78,6 @@ type Options struct {
 	FExpansion int
 	// TExpansion is the border-node expansion width.
 	TExpansion int
-	// MaxRounds caps the number of expansion rounds as a safety valve; the
-	// result is marked not converged (and degraded) when the cap is hit. Zero
-	// means a large default.
-	MaxRounds int
 	// Budget, when non-nil, bounds the query's work (rounds, touched nodes,
 	// soft deadline, per-round frontier cap) and switches the searcher into
 	// anytime mode: on exhaustion it stops cleanly and returns the best
@@ -121,11 +117,12 @@ func (o Options) normalized() (Options, error) {
 	if !(o.Beta >= 0 && o.Beta <= 1) {
 		return o, fmt.Errorf("topk: beta must be in [0,1], got %g", o.Beta)
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 100000
-	}
 	return o, nil
 }
+
+// maxRounds is the safety valve on expansion rounds when no Budget sets a
+// tighter cap; a search it stops is marked not converged (and degraded).
+const maxRounds = 100000
 
 // Result is the outcome of an online top-K query.
 type Result struct {
@@ -137,7 +134,7 @@ type Result struct {
 	// means the round cap or a budget was hit, or no further expansion was
 	// possible, and the current candidate ranking was returned best-effort.
 	Converged bool
-	// Degraded reports the search stopped on a budget or the MaxRounds valve
+	// Degraded reports the search stopped on a budget or the round valve
 	// with certifiable work still remaining — as opposed to converging or
 	// exhausting the graph (Stop distinguishes the cases). A degraded result
 	// is never Converged.
@@ -215,16 +212,6 @@ func boundOptions(opt Options) (bounds.FOptions, bounds.TOptions, error) {
 		tOpt.FrontierCap = opt.Budget.FrontierCap
 	}
 	return fOpt, tOpt, nil
-}
-
-// effectiveMaxRounds composes the MaxRounds valve with the budget's round
-// cap; the tighter of the two wins.
-func effectiveMaxRounds(opt Options) int {
-	limit := opt.MaxRounds
-	if b := opt.Budget; b != nil && b.MaxRounds > 0 && b.MaxRounds < limit {
-		limit = b.MaxRounds
-	}
-	return limit
 }
 
 // overTouched reports whether the budget's working-set cap is exhausted.

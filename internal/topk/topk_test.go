@@ -44,7 +44,7 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 3, Epsilon: 0, Alpha: math.Nextafter(1, 0), Beta: 0.5},
 	}
 	for i, o := range good {
-		o.MaxRounds = 2
+		o.Budget = &Budget{MaxRounds: 2}
 		if _, err := TopK(context.Background(), toy.Graph, q, o); err != nil {
 			t.Errorf("boundary case %d (%+v): %v", i, o, err)
 		}
@@ -149,7 +149,7 @@ func TestTopKDisconnectedTarget(t *testing.T) {
 	// everything but the query and the combined score collapses to the query
 	// alone; the algorithm must terminate (exhaustion) and not spin.
 	g := testgraphs.Line(5)
-	opt := Options{K: 3, Epsilon: 0.001, Alpha: 0.25, Beta: 0.5, MaxRounds: 1000}
+	opt := Options{K: 3, Epsilon: 0.001, Alpha: 0.25, Beta: 0.5, Budget: &Budget{MaxRounds: 1000}}
 	res, err := TopK(context.Background(), g, walk.SingleNode(0), opt)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
@@ -164,7 +164,7 @@ func TestTopKDisconnectedTarget(t *testing.T) {
 
 func TestTopKMaxRoundsCap(t *testing.T) {
 	toy := testgraphs.NewToy()
-	opt := Options{K: 5, Epsilon: 0, Alpha: 0.25, Beta: 0.5, MaxRounds: 1, FExpansion: 1, TExpansion: 1}
+	opt := Options{K: 5, Epsilon: 0, Alpha: 0.25, Beta: 0.5, Budget: &Budget{MaxRounds: 1}, FExpansion: 1, TExpansion: 1}
 	res, err := TopK(context.Background(), toy.Graph, walk.SingleNode(toy.T1), opt)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)

@@ -149,7 +149,7 @@ expect "gpserver /healthz stripe" '"stripe":0' "$out"
 expect "gpserver /healthz rows" '"rows":1072' "$out"
 
 info=$(curl -s "localhost:$GP_PORT/v1/info")
-expect "gpserver /v1/info protocol" '"protocol":1' "$info"
+expect "gpserver /v1/info protocol" '"protocol":2' "$info"
 expect "gpserver /v1/info nodes" '"nodes":2143' "$info"
 expect "gpserver /v1/info epoch" '"epoch":0' "$info"
 content=$(printf '%s' "$info" | grep -oE '"content":[0-9]+' | head -1 | cut -d: -f2)
@@ -175,11 +175,11 @@ print(len(v), "rows; degree of node 0:", v[0])')
             "localhost:$GP_PORT/v1/rows" |
         python3 -c 'import struct,sys; b=sys.stdin.buffer.read();
 epoch,content,count=struct.unpack_from("<QII", b)
-node,outsum,outdeg,indeg=struct.unpack_from("<idII", b, 16)
+node,outdeg,indeg=struct.unpack_from("<iII", b, 16)
 print("epoch",epoch,"content",content,"rows",count,
-      "| first row: node",node,"outSum",round(outsum,4),"out",outdeg,"in",indeg)')
+      "| first row: node",node,"out",outdeg,"in",indeg)')
     expect "API.md rows fixture" \
-        'epoch 0 content 3730835707 rows 2 | first row: node 0 outSum 45.0 out 45 in 45' "$out"
+        'epoch 0 content 3730835707 rows 2 | first row: node 0 out 45 in 45' "$out"
 else
     echo "  skip: python3 not available, binary rows/outdegs examples not replayed"
 fi
