@@ -126,8 +126,7 @@ func TestRemoteBudgetParity(t *testing.T) {
 					// the working set, and the remote path must not prefetch
 					// rows the truncated searcher never reads.
 					res, err := topk.TopK(ctx, pg.graph, walk.SingleNode(q), topk.Options{
-						K: 10, Epsilon: 0, Alpha: 0.25, Beta: 0.5, Scheme: topk.Scheme2SBound,
-						Budget: &topk.Budget{MaxRounds: b.MaxRounds, MaxTouched: b.MaxTouched, FrontierCap: b.FrontierCap},
+						K: 10, Epsilon: 0, Alpha: 0.25, Beta: 0.5, Scheme: topk.Scheme2SBound, Budget: &b,
 					})
 					if err != nil {
 						t.Fatalf("budgeted local flat search: %v", err)

@@ -15,8 +15,10 @@
 // # Queries
 //
 // The entry point is the Engine, which executes Requests — each carrying the
-// query distribution, K, per-query α/β/ε overrides, a declarative Filter and
-// an execution Method — and returns Responses. The default Method, Auto,
+// query distribution, K, α, β, ε and the solver tolerance, a declarative
+// Filter, an execution Method and an optional Budget: everything that decides
+// how the query ranks — and returns Responses. The Engine's own options only
+// deploy it: workers, caches, a stats hook. The default Method, Auto,
 // plans exact full-vector solves on small in-memory graphs and the online
 // 2SBound branch-and-bound search on large ones; Exact, TwoSBound and
 // BoundScheme select a path explicitly, and Distributed and TwoSBoundRemote

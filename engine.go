@@ -108,10 +108,6 @@ func (m Method) String() string {
 	}
 }
 
-// IsExact reports whether the method is Exact: the exact full-vector solvers
-// over the local view.
-func (m Method) IsExact() bool { return m.kind == methodExact && !m.fleet }
-
 // ParseMethod parses a method name (case-insensitive) as printed by
 // Method.String: "auto" (or empty), "exact", "distributed", "2sbound",
 // "2sbound-remote" (or "remote"), or a baseline bound scheme — "gs"/"g+s",
@@ -215,36 +211,15 @@ type Filter struct {
 
 // Budget bounds the work an online-method Request may spend before returning
 // a best-effort, certified partial result (Response.Degraded, CertifiedK,
-// AchievedEpsilon) instead of running to convergence — the anytime execution
-// contract for hub queries whose active set grows every round. Zero-valued
-// fields are unset; a nil Request.Budget keeps the run-to-convergence
-// behavior. Ignored by the exact and distributed methods, which always
-// compute the full answer.
-//
-// Rounds- and touched-capped budgets are deterministic: the same budget on
-// the same graph returns the same results and certificate bit for bit on the
-// local, packed and remote execution paths. FlushMargin-derived deadlines
-// depend on the wall clock and carry no such guarantee.
-type Budget struct {
-	// MaxRounds caps the online search's expansion rounds.
-	MaxRounds int
-	// MaxTouched stops the search once its working set (|Sf| + |St|) reaches
-	// this many nodes; on the remote path this also caps rows fetched.
-	MaxTouched int
-	// FrontierCap bounds T-side node admissions per round, keeping per-round
-	// cost flat on hub queries; deferred nodes remain covered by the unseen
-	// upper bound so certificates stay sound.
-	FrontierCap int
-	// FlushMargin, when positive and the request context carries a deadline,
-	// derives a soft wall-clock stop at (deadline − margin): the search
-	// finishes its current round, certifies what it has, and leaves the
-	// margin for normalization and response flushing — a 200 with a degraded
-	// result instead of burning into the deadline for a 504.
-	FlushMargin time.Duration
-}
+// AchievedEpsilon) instead of running to convergence; a nil Request.Budget
+// keeps the run-to-convergence behavior. The exact and distributed methods
+// ignore it: they always compute the full answer. See internal/topk for the
+// fields.
+type Budget = topk.Budget
 
-// Request is a single ranking query against an Engine. Zero-valued fields fall
-// back to the engine's defaults.
+// Request is a single ranking query against an Engine, and the one place a
+// query's ranking is configured. Zero-valued fields take the defaults of the
+// paper's experiments (α = 0.25, β = 0.5) and a tolerance of 1e-9.
 type Request struct {
 	// Query is the distribution over query nodes (SingleNode / MultiNode).
 	Query Query
@@ -254,24 +229,25 @@ type Request struct {
 	Method Method
 	// Filter optionally restricts the result set; nil keeps every node.
 	Filter *Filter
-	// Alpha overrides the engine's teleport probability; zero keeps the
-	// engine default.
+	// Alpha is the teleport probability of the geometric walks, in (0, 1);
+	// zero means 0.25.
 	Alpha float64
-	// Beta overrides the engine's specificity bias; nil keeps the engine
-	// default (a pointer because 0, pure importance, is a meaningful value).
+	// Beta is the specificity bias of RoundTripRank+ in [0, 1]; nil means 0.5,
+	// the balanced RoundTripRank (a pointer because 0, pure importance, is a
+	// meaningful value; BetaFromSurfers derives one from Definition 3).
 	Beta *float64
 	// Epsilon is the approximation slack of the online search; zero demands
 	// the exact top K. Ignored by the exact path.
 	Epsilon float64
-	// Tolerance overrides the convergence tolerance of the exact solvers;
-	// zero keeps the engine default. Ignored by the online path.
+	// Tolerance is the L1 convergence tolerance of the exact solvers; zero
+	// means 1e-9. Ignored by the online path.
 	Tolerance float64
 	// Budget, when non-nil, bounds the online search's work and switches it
 	// into anytime mode; see Budget. Ignored by exact-family methods.
 	Budget *Budget
 }
 
-// Float64 returns a pointer to v, for the Request.Beta override.
+// Float64 returns a pointer to v, for Request.Beta.
 func Float64(v float64) *float64 { return &v }
 
 // Response is the outcome of one Engine.Rank call.
@@ -324,7 +300,8 @@ type Response struct {
 // DefaultExactLimit is the graph size up to which Auto plans the exact path:
 // a full-vector solve over tens of thousands of nodes is cheaper than the
 // online search's bookkeeping, while beyond it 2SBound touches only the
-// query's neighborhood.
+// query's neighborhood. It is not configurable; a Request that wants a
+// particular path names it in Method.
 const DefaultExactLimit = 50_000
 
 // DefaultVectorCacheSize is the default capacity (in single-node vector
@@ -452,10 +429,8 @@ func (s *snapshot) rows(ctx context.Context, fleet bool) (graph.Rows, error) {
 // snapshot is read through an atomic pointer, and the shared vector cache
 // synchronizes internally.
 type Engine struct {
-	snap       atomic.Pointer[snapshot]
-	params     core.Params
-	exactLimit int
-	cache      *lru.Cache[vecKey, vecPair] // the single-node vector cache; nil when disabled
+	snap  atomic.Pointer[snapshot]
+	cache *lru.Cache[vecKey, vecPair] // the single-node vector cache; nil when disabled
 	// statsHook, when set, observes every executed plan (WithQueryStatsHook).
 	statsHook func(QueryStat)
 
@@ -474,19 +449,17 @@ type Engine struct {
 	applyMu sync.Mutex
 }
 
-// NewEngine creates an Engine over the given graph view with the paper's
-// default parameters (α = 0.25, β = 0.5), modified by the options. The view
-// is one of the three layouts — a *Graph, the flat arrays of graph.Compact or
-// Graph.Without, a graph.Packed — and is served in place.
+// NewEngine creates an Engine over the given graph view, deployed as the
+// options say. The view is one of the three layouts — a *Graph, the flat
+// arrays of graph.Compact or Graph.Without, a graph.Packed — and is served in
+// place.
 func NewEngine(view View, opts ...Option) (*Engine, error) {
 	if view == nil || view.NumNodes() == 0 {
 		return nil, fmt.Errorf("roundtriprank: empty graph")
 	}
 	e := &Engine{
-		params:     core.DefaultParams(),
-		exactLimit: DefaultExactLimit,
-		cache:      lru.New[vecKey, vecPair](DefaultVectorCacheSize),
-		rowCache:   rowserve.NewCache(0),
+		cache:    lru.New[vecKey, vecPair](DefaultVectorCacheSize),
+		rowCache: rowserve.NewCache(0),
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -498,11 +471,12 @@ func NewEngine(view View, opts ...Option) (*Engine, error) {
 }
 
 // vecKey identifies one cached pair of single-node score vectors. Alpha and
-// tolerance are part of the key because per-request overrides change the
-// vectors; beta is not, because it only affects the combination step. The
-// snapshot epoch is, because a Commit changes the graph the vectors were solved
-// on: entries of different epochs never alias, so a query that started before
-// an Apply keeps reading vectors consistent with its own snapshot.
+// tolerance are part of the key because each request sets its own and they
+// change the vectors; beta is not, because it only affects the combination
+// step. The snapshot epoch is, because a Commit changes the graph the vectors
+// were solved on: entries of different epochs never alias, so a query that
+// started before an Apply keeps reading vectors consistent with its own
+// snapshot.
 type vecKey struct {
 	node       NodeID
 	epoch      uint64
@@ -524,12 +498,6 @@ func (e *Engine) CacheStats() (hits, misses uint64, size int) {
 	h, m, _ := e.cache.Stats()
 	return uint64(h), uint64(m), e.cache.Len()
 }
-
-// Alpha returns the engine's default teleport probability.
-func (e *Engine) Alpha() float64 { return e.params.Walk.Alpha }
-
-// Beta returns the engine's default specificity bias.
-func (e *Engine) Beta() float64 { return e.params.Beta }
 
 // View returns the graph view of the engine's current snapshot. After an
 // Apply it returns the new snapshot's view; queries planned earlier keep
@@ -554,27 +522,6 @@ type plan struct {
 	budget  *Budget
 }
 
-// topkBudget converts the plan's budget into the searcher's form, deriving
-// the soft deadline from the request context's deadline minus the flush
-// margin. Called at execution time (the context is not known at plan time).
-func (p *plan) topkBudget(ctx context.Context) *topk.Budget {
-	b := p.budget
-	if b == nil {
-		return nil
-	}
-	tb := &topk.Budget{
-		MaxRounds:   b.MaxRounds,
-		MaxTouched:  b.MaxTouched,
-		FrontierCap: b.FrontierCap,
-	}
-	if b.FlushMargin > 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			tb.Deadline = dl.Add(-b.FlushMargin)
-		}
-	}
-	return tb
-}
-
 // plan validates the request and resolves defaults and the Auto method.
 // Every validation failure is wrapped in ValidationError, so callers can
 // distinguish caller mistakes from execution faults.
@@ -593,7 +540,7 @@ func (e *Engine) plan(req Request) (*plan, error) {
 			return nil, invalidf("roundtriprank: query node %d out of range [0,%d)", v, n)
 		}
 	}
-	p := e.params
+	p := core.DefaultParams()
 	// The range checks are written to fail on NaN, which every ordered
 	// comparison lets through and every solver turns into NaN scores.
 	if req.Alpha != 0 {
@@ -631,7 +578,7 @@ func (e *Engine) plan(req Request) (*plan, error) {
 		return nil, invalidf("roundtriprank: the %s method needs workers (configure with WithWorkers)", method)
 	}
 	if method.kind == methodAuto {
-		if snap.g != nil && n <= e.exactLimit {
+		if snap.g != nil && n <= DefaultExactLimit {
 			method = Exact
 		} else if len(e.workers) > 0 {
 			// Too big for a local exact solve and a striped fleet is
@@ -817,7 +764,15 @@ func (p *plan) online(ctx context.Context) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := topk.TopKRows(ctx, rows, p.query, p.topkOptions(ctx))
+	res, err := topk.TopKRows(ctx, rows, p.query, topk.Options{
+		K:       p.k,
+		Epsilon: p.epsilon,
+		Alpha:   p.params.Walk.Alpha,
+		Beta:    p.params.Beta,
+		Scheme:  p.method.scheme,
+		Keep:    p.keep,
+		Budget:  p.budget,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -827,19 +782,6 @@ func (p *plan) online(ctx context.Context) (*Response, error) {
 		resp.Rows = &st
 	}
 	return resp, nil
-}
-
-// topkOptions translates an online-method plan into searcher options.
-func (p *plan) topkOptions(ctx context.Context) topk.Options {
-	return topk.Options{
-		K:       p.k,
-		Epsilon: p.epsilon,
-		Alpha:   p.params.Walk.Alpha,
-		Beta:    p.params.Beta,
-		Scheme:  p.method.scheme,
-		Keep:    p.keep,
-		Budget:  p.topkBudget(ctx),
-	}
 }
 
 // onlineResponse assembles the response of an online search. The search ranks
@@ -885,11 +827,6 @@ func onlineResponse(p *plan, res *topk.Result) *Response {
 // The whole batch is validated before any work starts. The first execution
 // error cancels the remaining requests and aborts the batch; cancelling ctx
 // does the same and returns ctx.Err().
-//
-// On graphs without dangling nodes the mixture is identical to a direct
-// solve; with dangling nodes the F-Rank side can differ slightly because the
-// dangling-mass restart is query-dependent (each single-node solve restarts
-// its dangling mass at its own node rather than at the mixture).
 func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()

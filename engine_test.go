@@ -2,6 +2,7 @@ package roundtriprank
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -63,78 +64,93 @@ func TestRequestValidation(t *testing.T) {
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+			var verr *ValidationError
+			if !errors.As(err, &verr) || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want a ValidationError mentioning %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
-// TestOptionValidation pins the range checks of the engine options, which —
-// like Engine.plan's — must fail on NaN and ±Inf: every ordered comparison lets
-// NaN through, and a NaN β accepted here turned every Exact score of that
-// engine into NaN with Converged set.
+// TestOptionValidation pins the range checks of a query's three numeric
+// options — Request.Alpha, Beta and Tolerance — which, like every check of
+// Engine.plan, must fail on NaN and ±Inf with a ValidationError: every ordered
+// comparison lets NaN through, and a NaN β once turned every Exact score into
+// NaN with Converged set. A zero α or tolerance asks for the default.
 func TestOptionValidation(t *testing.T) {
 	toy := testgraphs.NewToy()
+	engine, err := NewEngine(toy.Graph)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name    string
-		opt     Option
+		mutate  func(*Request)
 		wantErr string
 	}{
-		{"alpha", WithAlpha(0.3), ""},
-		{"alpha zero", WithAlpha(0), "alpha"},
-		{"alpha one", WithAlpha(1), "alpha"},
-		{"alpha NaN", WithAlpha(nan), "alpha"},
-		{"alpha +Inf", WithAlpha(inf), "alpha"},
-		{"alpha -Inf", WithAlpha(-inf), "alpha"},
-		{"beta zero", WithBeta(0), ""},
-		{"beta one", WithBeta(1), ""},
-		{"beta negative", WithBeta(-0.1), "beta"},
-		{"beta above one", WithBeta(1.1), "beta"},
-		{"beta NaN", WithBeta(nan), "beta"},
-		{"beta +Inf", WithBeta(inf), "beta"},
-		{"beta -Inf", WithBeta(-inf), "beta"},
-		{"tolerance", WithTolerance(1e-10), ""},
-		{"tolerance zero", WithTolerance(0), "tolerance"},
-		{"tolerance negative", WithTolerance(-1e-9), "tolerance"},
-		{"tolerance NaN", WithTolerance(nan), "tolerance"},
-		{"tolerance +Inf", WithTolerance(inf), "tolerance"},
-		{"tolerance -Inf", WithTolerance(-inf), "tolerance"},
+		{"alpha", func(r *Request) { r.Alpha = 0.3 }, ""},
+		{"alpha zero", func(r *Request) { r.Alpha = 0 }, ""},
+		{"alpha one", func(r *Request) { r.Alpha = 1 }, "alpha"},
+		{"alpha NaN", func(r *Request) { r.Alpha = nan }, "alpha"},
+		{"alpha +Inf", func(r *Request) { r.Alpha = inf }, "alpha"},
+		{"alpha -Inf", func(r *Request) { r.Alpha = -inf }, "alpha"},
+		{"beta zero", func(r *Request) { r.Beta = Float64(0) }, ""},
+		{"beta one", func(r *Request) { r.Beta = Float64(1) }, ""},
+		{"beta negative", func(r *Request) { r.Beta = Float64(-0.1) }, "beta"},
+		{"beta above one", func(r *Request) { r.Beta = Float64(1.1) }, "beta"},
+		{"beta NaN", func(r *Request) { r.Beta = Float64(nan) }, "beta"},
+		{"beta +Inf", func(r *Request) { r.Beta = Float64(inf) }, "beta"},
+		{"beta -Inf", func(r *Request) { r.Beta = Float64(-inf) }, "beta"},
+		{"tolerance", func(r *Request) { r.Tolerance = 1e-10 }, ""},
+		{"tolerance zero", func(r *Request) { r.Tolerance = 0 }, ""},
+		{"tolerance negative", func(r *Request) { r.Tolerance = -1e-9 }, "tolerance"},
+		{"tolerance NaN", func(r *Request) { r.Tolerance = nan }, "tolerance"},
+		{"tolerance +Inf", func(r *Request) { r.Tolerance = inf }, "tolerance"},
+		{"tolerance -Inf", func(r *Request) { r.Tolerance = -inf }, "tolerance"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewEngine(toy.Graph, tc.opt)
+			req := Request{Query: SingleNode(toy.T1), K: 3, Method: Exact}
+			tc.mutate(&req)
+			resp, err := engine.Rank(context.Background(), req)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
+				for _, r := range resp.Results {
+					if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+						t.Fatalf("non-finite score %g", r.Score)
+					}
+				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+			var verr *ValidationError
+			if !errors.As(err, &verr) || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want a ValidationError mentioning %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
+// TestAutoPlanning pins Auto's choice on a local view: a *Graph of at most
+// DefaultExactLimit nodes plans Exact, a bare layout — flat arrays or packed
+// rows, which carry no node types — the online search.
 func TestAutoPlanning(t *testing.T) {
 	toy := testgraphs.NewToy()
 	req := Request{Query: SingleNode(toy.T1), K: 3}
 
 	cases := []struct {
-		name      string
-		view      View
-		opts      []Option
-		wantExact bool
+		name string
+		view View
+		want Method
 	}{
-		{"small in-memory graph plans exact", toy.Graph, nil, true},
-		{"zero exact limit plans online", toy.Graph, []Option{WithExactLimit(0)}, false},
-		{"limit below graph size plans online", toy.Graph, []Option{WithExactLimit(toy.Graph.NumNodes() - 1)}, false},
-		{"non-Graph view plans online", graph.Compact(toy.Graph), nil, false},
+		{"small in-memory graph plans exact", toy.Graph, Exact},
+		{"non-Graph view plans online", graph.Compact(toy.Graph), TwoSBound},
+		{"packed view plans online", graph.Pack(toy.Graph), TwoSBound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			engine, err := NewEngine(tc.view, tc.opts...)
+			engine, err := NewEngine(tc.view)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -142,8 +158,8 @@ func TestAutoPlanning(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
-			if resp.Method.IsExact() != tc.wantExact {
-				t.Errorf("resolved method %s, want exact=%v", resp.Method, tc.wantExact)
+			if resp.Method != tc.want {
+				t.Errorf("resolved method %s, want %s", resp.Method, tc.want)
 			}
 			if len(resp.Results) == 0 {
 				t.Errorf("no results")
@@ -382,35 +398,79 @@ func TestRankBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestPerRequestOverrides(t *testing.T) {
-	toy := testgraphs.NewToy()
-	engine, err := NewEngine(toy.Graph) // defaults: alpha 0.25, beta 0.5
+// TestRankBatchMixtureAtDeadEnds pins the Linearity Theorem where walks end:
+// on a directed line every walk reaches the dangling last node, and RankBatch's
+// mixture of single-node vectors must still score a multi-node query as one
+// direct solve does, at every β.
+func TestRankBatchMixtureAtDeadEnds(t *testing.T) {
+	g := testgraphs.Line(7)
+	engine, err := NewEngine(g)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	// beta = 1 must reproduce an engine whose default bias is pure
-	// specificity.
-	specEngine, err := NewEngine(toy.Graph, WithBeta(1))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	req := Request{Query: SingleNode(toy.T1), K: 5, Method: Exact}
-	want, err := specEngine.Rank(context.Background(), req)
-	if err != nil {
-		t.Fatalf("Rank: %v", err)
-	}
-	req.Beta = Float64(1)
-	got, err := engine.Rank(context.Background(), req)
-	if err != nil {
-		t.Fatalf("Rank: %v", err)
-	}
-	for i := range want.Results {
-		if want.Results[i] != got.Results[i] {
-			t.Errorf("rank %d: override %+v != default-engine %+v", i, got.Results[i], want.Results[i])
+	var reqs []Request
+	for _, q := range []Query{MultiNode(0, 3), MultiNode(1, 4, 4), {Nodes: []NodeID{2, 6}, Weights: []float64{3, 1}}} {
+		for _, beta := range []float64{0, 0.5, 1} {
+			reqs = append(reqs, Request{Query: q, K: g.NumNodes(), Method: Exact, Beta: Float64(beta), Tolerance: 1e-13})
 		}
 	}
-	if engine.Beta() != 0.5 {
-		t.Errorf("request override must not mutate engine defaults: beta = %g", engine.Beta())
+	batch, err := engine.RankBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("RankBatch: %v", err)
+	}
+	for i, req := range reqs {
+		single, err := engine.Rank(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if len(single.Results) != len(batch[i].Results) {
+			t.Fatalf("request %d: batch %d results, single %d", i, len(batch[i].Results), len(single.Results))
+		}
+		// Nodes are compared by score, not position: 3 and 5 tie under the
+		// third query.
+		direct := map[NodeID]float64{}
+		for _, r := range single.Results {
+			direct[r.Node] = r.Score
+		}
+		for _, b := range batch[i].Results {
+			if s, ok := direct[b.Node]; !ok || math.Abs(b.Score-s) > 1e-12 {
+				t.Errorf("request %d (β %g) node %d: batch score %g, direct solve %g (ranked %v)", i, *req.Beta, b.Node, b.Score, s, ok)
+			}
+		}
+	}
+}
+
+// TestPerRequestOverrides pins that a Request's α and β reach the solvers and
+// stay with that request: β = 1 ranks by T-Rank alone, and a request that sets
+// neither afterwards ranks at α = 0.25, β = 0.5, as core.Compute does.
+func TestPerRequestOverrides(t *testing.T) {
+	toy := testgraphs.NewToy()
+	engine, err := NewEngine(toy.Graph)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	ctx := context.Background()
+	q := SingleNode(toy.T1)
+	for _, tc := range []struct {
+		req    Request
+		params core.Params
+	}{
+		{Request{Query: q, K: 5, Method: Exact, Alpha: 0.4, Beta: Float64(1)}, core.Params{Walk: walk.Params{Alpha: 0.4}, Beta: 1}},
+		{Request{Query: q, K: 5, Method: Exact}, core.DefaultParams()},
+	} {
+		got, err := engine.Rank(ctx, tc.req)
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		want, err := core.Compute(ctx, toy.Graph, q, tc.params)
+		if err != nil {
+			t.Fatalf("core.Compute: %v", err)
+		}
+		for i, r := range core.TopN(want.R, 5, nil) {
+			if got.Results[i] != (Result{Node: r.Node, Score: r.Score}) {
+				t.Errorf("α %g β %g rank %d: engine %+v, core.Compute %+v", tc.params.Walk.Alpha, tc.params.Beta, i, got.Results[i], r)
+			}
+		}
 	}
 }
 

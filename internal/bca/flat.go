@@ -42,8 +42,8 @@ import (
 //     processing the heap's best, which comes as a slot, one, for its seen slot.
 //   - MaxResidual is one scan of the residuals, asked for once per expansion
 //     round; nothing is maintained per residual push for it.
-//   - The restart distribution is a deduplicated slice pair, so the
-//     dangling-node spread iterates in deterministic first-occurrence order.
+//   - The restart distribution is a deduplicated slice pair, in
+//     first-occurrence order: the initial residuals and RestartWeight.
 type Flat struct {
 	// rows is the graph; pre is its optional prefetch capability and prefetch
 	// the reusable frontier buffer handed to it.
@@ -223,9 +223,9 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 
 // Process applies one BCA processing step to node v: alpha of its residual is
 // added to its estimate, the rest is spread to out-neighbors. Processing a
-// node with no residual is a no-op. Residual at dangling nodes is restarted at
-// the query, matching the dangling-node handling of the iterative F-Rank
-// solver so that both converge to the same PPR vector.
+// node with no residual is a no-op. At a dangling node the rest is dropped: a
+// walk there ends, as in the iterative F-Rank solver and the Stage-II
+// recursion, so all three bound and converge to the same vector.
 func (s *Flat) Process(v graph.NodeID) {
 	if slot, ok := s.touched.Slot(v); ok {
 		s.process(slot)
@@ -251,9 +251,6 @@ func (s *Flat) process(slot int32) {
 	spread := (1 - s.alpha) * residual
 	outSum := s.rows.OutSum(v)
 	if outSum <= 0 {
-		for i, qv := range s.restartNodes {
-			s.addResidual(qv, spread*s.restartWeights[i])
-		}
 		return
 	}
 	cols, wts := s.rows.OutRow(v)

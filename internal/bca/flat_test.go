@@ -171,8 +171,9 @@ func TestRhoIsAlwaysLowerBound(t *testing.T) {
 }
 
 func TestProcessBestStopsWhenExhausted(t *testing.T) {
-	// On a line graph the residual eventually drains into the restart cycle;
-	// with a dangling end, residual restarts at the query.
+	// On the line 0→1→2 every walk ends at the dangling node 2 at the latest:
+	// three processing steps drain the residual, the last one dropping the
+	// (1−α) share of node 2's, and nothing is left to process.
 	g := testgraphs.Line(3)
 	for _, bind := range []binding{bindCSR, bindRows} {
 		var s Flat
@@ -180,33 +181,23 @@ func TestProcessBestStopsWhenExhausted(t *testing.T) {
 			t.Fatalf("Init: %v", err)
 		}
 		s.Run(context.Background(), 1e-12, 100000)
-		if s.TotalResidual() > 1e-12 {
-			t.Fatalf("residual should drain, got %g", s.TotalResidual())
+		if s.TotalResidual() != 0 || s.Processed() != 3 {
+			t.Fatalf("residual %g after %d steps, want 0 after 3", s.TotalResidual(), s.Processed())
 		}
-		// Processing further must never increase the residual, and the residual
-		// only ever becomes exactly zero asymptotically (Berkhin), so
-		// ProcessBest may still perform a few vanishing steps.
-		before := s.TotalResidual()
-		s.ProcessBest(5)
-		if s.TotalResidual() > before+1e-15 {
-			t.Errorf("ProcessBest increased residual: %g -> %g", before, s.TotalResidual())
+		if n := s.ProcessBest(5); n != 0 || s.LiveResidualCount() != 0 {
+			t.Errorf("ProcessBest on a drained engine processed %d, %d residuals live", n, s.LiveResidualCount())
 		}
-		// The dangling correction keeps total estimates at 1.
+		// The estimates are the walks that end: 1/2, 1/4, 1/8 — and the
+		// iterative solver, under the same walk model, agrees.
 		est := s.Estimates(g.NumNodes())
-		total := 0.0
-		for _, e := range est {
-			total += e
-		}
-		if math.Abs(total-1) > 1e-9 {
-			t.Errorf("estimates should sum to 1 with dangling restart, got %g", total)
-		}
-		// And must agree with the iterative solver, which uses the same
-		// dangling-node convention.
 		exact, _ := walk.FRank(context.Background(), g, walk.SingleNode(0), walk.Params{Alpha: 0.5, Tol: 1e-13, MaxIter: 2000})
-		for v := range est {
-			if math.Abs(est[v]-exact[v]) > 1e-8 {
-				t.Errorf("node %d: BCA %g vs iterative %g", v, est[v], exact[v])
+		for v, want := range []float64{0.5, 0.25, 0.125} {
+			if est[v] != want || math.Abs(exact[v]-want) > 1e-12 {
+				t.Errorf("node %d: BCA %g, iterative %g, want %g", v, est[v], exact[v], want)
 			}
+		}
+		if err := s.CheckInvariant(); err != nil {
+			t.Errorf("invariant: %v", err)
 		}
 	}
 }

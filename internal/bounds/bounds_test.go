@@ -569,22 +569,22 @@ func (g *rawGraph) InCSR() graph.CSR  { return g.in }
 func (g *rawGraph) NumNodes() int     { return len(g.out.Sum) }
 
 // randomGraph draws a graph of 5–29 nodes: a unit-weight cycle plus random
-// weighted chords, some — at least one — of zero weight. Every other draw is
-// rough: it has a self-loop (more by chance, among the chords), one or two
-// nodes without out-edges, and one node whose only out-edge has zero weight, a
-// source its successors must skip. The Stage-II recursion is the same
-// iteration either way, but only a graph that is not rough is one the bounds
-// are proven for — Prop. 4 assumes a walk cannot return in one step, and the
-// exact solvers restart dangling mass at the query where Eq. 17–18 has no such
-// term.
-func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
+// weighted chords, some — at least one — of zero weight. Every other draw has
+// dead ends: one or two nodes without out-edges, and one node whose only
+// out-edge has zero weight, a source its successors must skip. Independently,
+// every other draw has a self-loop (more by chance, among the chords). The
+// Stage-II recursion is the same iteration either way, and a walk at a dead
+// end ends in every layer, but Prop. 4 assumes a walk cannot return in one
+// step: the bounds are proven only for a graph without a self-loop — which
+// only graph.Compact over caller-owned arrays can bring.
+func randomGraph(rng *rand.Rand) (g *rawGraph, selfLoop bool) {
 	n := 5 + rng.Intn(25)
-	rough = rng.Intn(2) == 0
+	deadEnds, selfLoop := rng.Intn(2) == 0, rng.Intn(2) == 0
 	dangling := make([]bool, n)
 	var edges []rawEdge
 	have := make(map[[2]int]bool) // no parallel edges
 	add := func(u, v int, w float64) {
-		if !dangling[u] && (rough || u != v) && !have[[2]int{u, v}] {
+		if !dangling[u] && (selfLoop || u != v) && !have[[2]int{u, v}] {
 			have[[2]int{u, v}] = true
 			edges = append(edges, rawEdge{graph.NodeID(u), graph.NodeID(v), w})
 		}
@@ -596,13 +596,15 @@ func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
 			}
 		}
 	}
-	if rough {
+	if deadEnds {
 		z := rng.Intn(n)
 		add(z, (z+1)%n, 0)
 		dangling[z] = true
 		for i := 1 + rng.Intn(2); i > 0; i-- {
 			dangling[rng.Intn(n)] = true
 		}
+	}
+	if selfLoop {
 		u := live()
 		add(u, u, 0.25+rng.Float64())
 	}
@@ -618,7 +620,7 @@ func randomGraph(rng *rand.Rand) (g *rawGraph, rough bool) {
 		}
 		add(rng.Intn(n), rng.Intn(n), w)
 	}
-	return newRawGraph(n, edges), rough
+	return newRawGraph(n, edges), selfLoop
 }
 
 // rowFn yields the neighbors of v the recursion at v sums over, with their
@@ -852,8 +854,8 @@ func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, pre
 // re-tightens the unseen bound in refinement they lie between that and the
 // reference's fixed point instead (aheadOfReference) — (b) the kernel's
 // edge log is the induced subgraph (logMatchesInduced), (c) bounds only
-// tighten from round to round, and (d) unless the graph is rough both
-// trackers sandwich the exact F-Rank / T-Rank values.
+// tighten from round to round, and (d) unless the graph has a self-loop both
+// trackers sandwich the exact F-Rank / T-Rank values, dead ends included.
 //
 // The reference runs on a second tracker pair whose own refinement is switched
 // off (a sweep cap of zero leaves Expand with Stage I alone), refined by
@@ -863,7 +865,7 @@ func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, pre
 func quickBoundsSoundness(t *testing.T, bind binding) {
 	f := func(seed int64, roundsRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, rough := randomGraph(rng)
+		g, selfLoop := randomGraph(rng)
 		n := g.NumNodes()
 		alpha := []float64{0.15, 0.25, 0.5}[rng.Intn(3)]
 		first := rng.Intn(n)
@@ -875,7 +877,7 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 			q = walk.MultiNode(graph.NodeID(first), graph.NodeID((first+1+rng.Intn(n-1))%n))
 		}
 		var exactF, exactT []float64
-		if !rough {
+		if !selfLoop {
 			p := walk.Params{Alpha: alpha, Tol: 1e-13, MaxIter: 2000}
 			var err error
 			if exactF, err = walk.FRank(context.Background(), graph.Compact(g), q, p); err != nil {
@@ -949,7 +951,7 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 				!monotone(t, "T", &tb.b, tb.unseen, tPrev, &tUnseen) {
 				return false
 			}
-			if !rough {
+			if !selfLoop {
 				if ferr, terr := fb.CheckConsistent(), tb.CheckConsistent(); ferr != nil || terr != nil {
 					t.Logf("inconsistent bounds: F %v, T %v", ferr, terr)
 					return false
@@ -980,7 +982,7 @@ func TestQuickBoundsSoundness(t *testing.T)     { quickBoundsSoundness(t, rowsBi
 // Eq. 22 — a super-solution of the clamped recursion, which therefore
 // dominates its fixed point and the true values under it. Rows are summed by
 // brute force over the out-neighbors; the 1e-13 slack covers the order of
-// summation and nothing else. The draws are randomGraph's, rough ones
+// summation and nothing else. The draws are randomGraph's, self-loops
 // included, and 64-node directed R-MAT graphs, the family the bench spine
 // measures.
 func TestStageIISuperSolution(t *testing.T) {

@@ -6,15 +6,17 @@ import (
 )
 
 // Budget bounds the work an online top-K query may spend before returning a
-// best-effort, certified partial result — the anytime execution contract. A
-// nil Budget keeps the historical behavior (run until convergence, the
-// 100 000-round valve, or cancellation). Zero-valued fields are unset.
+// best-effort, certified partial result — the anytime execution contract for
+// hub queries whose active set grows every round. A nil Budget runs until
+// convergence, the 100 000-round valve, or cancellation; with one, a
+// cancelled query still finalizes the rounds it completed into a
+// certificate. Zero-valued fields are unset.
 //
 // Rounds- and touched-capped budgets are deterministic: the same budget on
 // the same graph stops at the same round with the same bounds, so the result
 // and its certificate are bit-identical whichever way the searcher reads the
-// graph (CSR arrays, packed, adapted-view or remote row session). Deadline
-// budgets depend on the wall clock and carry no such guarantee.
+// graph (CSR arrays, packed, or remote row session). A FlushMargin stop
+// depends on the wall clock and carries no such guarantee.
 type Budget struct {
 	// MaxRounds caps expansion rounds, below the package's 100 000-round
 	// safety valve.
@@ -23,9 +25,13 @@ type Budget struct {
 	// a direct cap on working-set size (and, on the remote path, on rows
 	// fetched over the wire).
 	MaxTouched int
-	// Deadline is a soft wall-clock stop: checked between rounds, so the
-	// search overshoots by at most one round. At least one round always runs.
-	Deadline time.Time
+	// FlushMargin, when positive and the query's context carries a deadline,
+	// is a soft wall-clock stop at (deadline − margin), checked between
+	// rounds: the search finishes its current round, certifies what it has,
+	// and leaves the margin for normalization and response flushing — a
+	// degraded answer instead of one that runs into the deadline and errors.
+	// At least one round always runs.
+	FlushMargin time.Duration
 	// FrontierCap bounds the T-side node admissions per expansion round.
 	// Deferred nodes stay outside St under the (monotone) unseen upper bound,
 	// so every certificate computed under a cap remains sound; hub queries
@@ -50,7 +56,8 @@ const (
 	StopRounds
 	// StopTouched: Budget.MaxTouched hit.
 	StopTouched
-	// StopDeadline: Budget.Deadline passed between rounds.
+	// StopDeadline: the soft stop Budget.FlushMargin derives passed between
+	// rounds.
 	StopDeadline
 	// StopCanceled: the context was cancelled with a budget present, so the
 	// previous round's bounds were finalized into a certificate instead of
@@ -130,21 +137,23 @@ func certify(members []member, resultLen int, unseen float64) (certK int, achiev
 	if resultLen == 0 {
 		return 0, unseen
 	}
-	// Eq. 13 gap at the last returned position.
+	return certK, max(0, gap(members, resultLen, unseen))
+}
+
+// gap returns the largest violation of the ε-relaxed top-K conditions by the
+// first k of the sorted members (1 ≤ k ≤ len(members)): Eq. 13, the k-th
+// lower bound against every other node's upper bound — seen below it, or
+// unseen — and Eq. 14, each of the first k lower bounds against the next
+// one's upper bound. The first k satisfy the conditions at ε exactly when
+// gap < ε; it is negative when they hold strictly at ε = 0.
+func gap(members []member, k int, unseen float64) float64 {
 	maxOther := unseen
-	for _, m := range members[resultLen:] {
-		if m.upper > maxOther {
-			maxOther = m.upper
-		}
+	for _, m := range members[k:] {
+		maxOther = max(maxOther, m.upper)
 	}
-	if g := maxOther - members[resultLen-1].lower; g > achieved {
-		achieved = g
+	g := maxOther - members[k-1].lower
+	for i := 0; i+1 < k; i++ {
+		g = max(g, members[i+1].upper-members[i].lower)
 	}
-	// Eq. 14 gaps between adjacent returned positions.
-	for i := 0; i+1 < resultLen; i++ {
-		if g := members[i+1].upper - members[i].lower; g > achieved {
-			achieved = g
-		}
-	}
-	return certK, achieved
+	return g
 }

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,6 +158,33 @@ func TestBudgetCertifiedPrefixSound(t *testing.T) {
 	}
 }
 
+// TestCertificateAtDeadEnds pins a certificate whose soundness rests on the
+// walk model: every layer must end a walk at a node without out-edges (here
+// 1, 3 and 8). When BCA restarted such a walk at the query while Stage II and
+// T-Rank ended it, this search certified [4, 5, 7]; the exact order is
+// [4, 7, 5].
+func TestCertificateAtDeadEnds(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := 0; i < 9; i++ {
+		b.AddNode(graph.Untyped, fmt.Sprintf("n%d", i))
+	}
+	for _, e := range [][2]graph.NodeID{{7, 8}, {0, 7}, {0, 8}, {0, 1}, {5, 7}, {2, 6}, {7, 0}, {4, 8}, {6, 8}, {0, 2}, {7, 2}, {7, 4}, {4, 5}} {
+		b.MustAddEdge(e[0], e[1], 1)
+	}
+	g := b.MustBuild()
+	q := walk.SingleNode(4)
+	naive, _, err := Naive(context.Background(), g, q, Options{K: g.NumNodes(), Alpha: 0.25, Beta: 0.5})
+	if err != nil {
+		t.Fatalf("Naive: %v", err)
+	}
+	opt := Options{K: 5, Alpha: 0.25, Beta: 0.5, FExpansion: 2, TExpansion: 2, Budget: &Budget{MaxRounds: 5}}
+	res, err := TopK(context.Background(), g, q, opt)
+	if err != nil {
+		t.Fatalf("TopK: %v", err)
+	}
+	checkCertificate(t, "dead ends", res, opt, naive)
+}
+
 // TestBudgetStopReasons pins each stop reason's observable contract on the
 // toy graph with the narrow expansions TestTopKMaxRoundsCap uses (so one
 // round never converges).
@@ -194,9 +222,12 @@ func TestBudgetStopReasons(t *testing.T) {
 	})
 
 	t.Run("deadline", func(t *testing.T) {
+		// A margin wider than the time left puts the soft stop in the past.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
 		opt := base
-		opt.Budget = &Budget{Deadline: time.Now().Add(-time.Hour)}
-		res, err := TopK(context.Background(), toy.Graph, q, opt)
+		opt.Budget = &Budget{FlushMargin: 2 * time.Hour}
+		res, err := TopK(ctx, toy.Graph, q, opt)
 		if err != nil {
 			t.Fatalf("TopK: %v", err)
 		}
@@ -205,6 +236,15 @@ func TestBudgetStopReasons(t *testing.T) {
 		}
 		if res.Rounds != 1 {
 			t.Errorf("rounds = %d, want exactly 1 (at least one round always runs; the deadline is checked between rounds)", res.Rounds)
+		}
+		// Without a deadline on the context the margin stops nothing.
+		opt.Budget.MaxRounds = 3
+		res, err = TopK(context.Background(), toy.Graph, q, opt)
+		if err != nil {
+			t.Fatalf("TopK: %v", err)
+		}
+		if res.Stop != StopRounds || res.Rounds != 3 {
+			t.Errorf("no deadline: stop=%s after %d rounds, want rounds after 3", res.Stop, res.Rounds)
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"roundtriprank/internal/bounds"
 	"roundtriprank/internal/core"
@@ -121,6 +122,7 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 	if b != nil && b.MaxRounds > 0 {
 		rounds = min(b.MaxRounds, maxRounds)
 	}
+	stopAt, soft := softStop(ctx, b)
 	stop := StopRounds
 	s.join() // what a search stopped before its first round reports
 	for round := 0; round < rounds; round++ {
@@ -134,7 +136,8 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 			stop = StopCanceled
 			break
 		}
-		if pastDeadline(b, round) {
+		// At least one round always runs, so the answer is never empty-handed.
+		if soft && round > 0 && time.Now().After(stopAt) {
 			stop = StopDeadline
 			break
 		}
@@ -256,29 +259,7 @@ func (s *flatSearcher) join() {
 // satisfied checks the ε-relaxed top-K conditions (Eq. 13–14) against the
 // sorted candidate neighborhood; fewer than K candidates never satisfy them.
 func (s *flatSearcher) satisfied() bool {
-	k := s.opt.K
-	if len(s.members) < k {
-		return false
-	}
-	eps := s.opt.Epsilon
-	// Eq. 13: the K-th lower bound must dominate every other node's upper
-	// bound (seen beyond K, or unseen) up to ε.
-	maxOther := s.unseen
-	for _, m := range s.members[k:] {
-		if m.upper > maxOther {
-			maxOther = m.upper
-		}
-	}
-	if !(s.members[k-1].lower > maxOther-eps) {
-		return false
-	}
-	// Eq. 14: the top K must be correctly ordered up to ε.
-	for i := 0; i+1 < k; i++ {
-		if !(s.members[i].lower > s.members[i+1].upper-eps) {
-			return false
-		}
-	}
-	return true
+	return len(s.members) >= s.opt.K && gap(s.members, s.opt.K, s.unseen) < s.opt.Epsilon
 }
 
 func (s *flatSearcher) ranked() []core.Ranked {

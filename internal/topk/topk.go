@@ -79,7 +79,7 @@ type Options struct {
 	// TExpansion is the border-node expansion width.
 	TExpansion int
 	// Budget, when non-nil, bounds the query's work (rounds, touched nodes,
-	// soft deadline, per-round frontier cap) and switches the searcher into
+	// flush margin, per-round frontier cap) and switches the searcher into
 	// anytime mode: on exhaustion it stops cleanly and returns the best
 	// candidate ranking with a quality certificate (Result.CertifiedK,
 	// Result.AchievedEpsilon) instead of burning until convergence.
@@ -219,10 +219,14 @@ func overTouched(b *Budget, fSeen, tSeen int) bool {
 	return b != nil && b.MaxTouched > 0 && fSeen+tSeen >= b.MaxTouched
 }
 
-// pastDeadline reports whether the budget's soft deadline has passed; at
-// least one round always runs so the response is never empty-handed.
-func pastDeadline(b *Budget, round int) bool {
-	return b != nil && round > 0 && !b.Deadline.IsZero() && time.Now().After(b.Deadline)
+// softStop returns when the budget's flush margin stops the search — the
+// context's deadline minus the margin — and whether it does at all.
+func softStop(ctx context.Context, b *Budget) (time.Time, bool) {
+	if b == nil || b.FlushMargin <= 0 {
+		return time.Time{}, false
+	}
+	dl, ok := ctx.Deadline()
+	return dl.Add(-b.FlushMargin), ok
 }
 
 // combineBounds combines one F-side and one T-side bound with the β

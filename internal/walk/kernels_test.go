@@ -22,7 +22,8 @@ import (
 // (gatherers_test.go, which reaches these references through export_test.go).
 
 // serialFRankReference is the pull-style F-Rank recurrence of fRank as
-// straight-line serial code.
+// straight-line serial code, scaled at the end from the dangling-restart
+// solution to the walks that end at a dangling node.
 func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
 	n := len(restart)
 	out, in := cv.OutCSR(), cv.InCSR()
@@ -61,6 +62,18 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 		cur, next = next, cur
 		if diff < p.Tol {
 			break
+		}
+	}
+	dangling := 0.0
+	for u := 0; u < n; u++ {
+		if out.Sum[u] <= 0 {
+			dangling += cur[u]
+		}
+	}
+	if dangling > 0 {
+		c := p.Alpha / (p.Alpha + oneMinus*dangling)
+		for v := range cur {
+			cur[v] *= c
 		}
 	}
 	return cur

@@ -206,9 +206,10 @@ func (q Query) restart(dst []float64) error {
 
 // FRank computes f(q, v) for every node v: the probability that a walk of
 // geometric length starting from the query ends at v (Eq. 1), equal to
-// Personalized PageRank with teleport probability Alpha (Proposition 1). The
-// returned slice sums to one. Mass at dangling nodes (zero out-degree) is
-// restarted at the query, the standard PPR correction.
+// Personalized PageRank with teleport probability Alpha (Proposition 1). A walk
+// at a dangling node (zero out-weight) ends without a destination, as it does
+// on the T-Rank side, so the returned slice sums to one less the mass of the
+// walks that end so: to one when no walk from the query reaches a dead end.
 //
 // It is FRankOver the view's Local Gatherer. The context is checked once per
 // power iteration: cancelling it makes FRank return ctx.Err() within one sweep
@@ -324,16 +325,17 @@ func (s *Sampler) pick(v graph.NodeID, cols []graph.NodeID, ws []float64, sum fl
 }
 
 // GeometricWalk walks forward from start with a geometric number of steps
-// (restart probability alpha) and returns the end node. The walk stops early
-// at dangling nodes.
-func (s *Sampler) GeometricWalk(start graph.NodeID, alpha float64) graph.NodeID {
+// (restart probability alpha) and returns the end node, the F-Rank event
+// (Eq. 1). A walk due to step on from a dangling node ends without a
+// destination, as in FRank: it returns false.
+func (s *Sampler) GeometricWalk(start graph.NodeID, alpha float64) (graph.NodeID, bool) {
 	cur := start
 	for s.rng.Float64() >= alpha {
 		next, ok := s.Step(cur)
 		if !ok {
-			return cur
+			return cur, false
 		}
 		cur = next
 	}
-	return cur
+	return cur, true
 }

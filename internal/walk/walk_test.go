@@ -165,20 +165,24 @@ func TestToyGraphImportanceSpecificityOrdering(t *testing.T) {
 	}
 }
 
-func TestFRankDanglingMassRestartsAtQuery(t *testing.T) {
-	// Line graph: node 3 is dangling; total mass must still sum to 1.
+// TestFRankDanglingWalksEnd pins the walk model at a dead end: on the line
+// 0→1→2→3 a walk from 0 ends at v after exactly v steps, f(0, v) = α(1−α)^v,
+// and the walks still going at node 3, mass (1−α)^4, end without a
+// destination — the restart iteration fRank runs must be scaled to that.
+func TestFRankDanglingWalksEnd(t *testing.T) {
+	const alpha = 0.2
 	g := testgraphs.Line(4)
-	f, err := FRank(context.Background(), g, SingleNode(0), Params{Alpha: 0.2, Tol: 1e-12, MaxIter: 500})
+	f, err := FRank(context.Background(), g, SingleNode(0), Params{Alpha: alpha, Tol: 1e-12, MaxIter: 500})
 	if err != nil {
 		t.Fatalf("FRank: %v", err)
 	}
-	if math.Abs(sum(f)-1) > 1e-9 {
-		t.Errorf("FRank with dangling nodes should sum to 1, got %g", sum(f))
-	}
 	for v, x := range f {
-		if x < 0 {
-			t.Errorf("negative probability at %d: %g", v, x)
+		if want := alpha * math.Pow(1-alpha, float64(v)); math.Abs(x-want) > 1e-12 {
+			t.Errorf("f(0,%d) = %.15f, want %.15f", v, x, want)
 		}
+	}
+	if want := 1 - math.Pow(1-alpha, 4); math.Abs(sum(f)-want) > 1e-12 {
+		t.Errorf("FRank sums to %g, want 1 − (1−α)^4 = %g", sum(f), want)
 	}
 }
 
@@ -240,25 +244,34 @@ func TestMultiNodeQueryLinearity(t *testing.T) {
 	}
 }
 
+// TestFRankMonteCarloAgreement samples geometric walks on the toy graph and on
+// a line whose last node is dangling, where a walk that reaches it and is due
+// to step on ends without a destination.
 func TestFRankMonteCarloAgreement(t *testing.T) {
 	toy := testgraphs.NewToy()
 	alpha := 0.25
-	f, err := FRank(context.Background(), toy.Graph, SingleNode(toy.T1), Params{Alpha: alpha})
-	if err != nil {
-		t.Fatalf("FRank: %v", err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	s := NewSampler(toy.Graph, rng)
-	const samples = 200000
-	counts := make([]float64, toy.Graph.NumNodes())
-	for i := 0; i < samples; i++ {
-		end := s.GeometricWalk(toy.T1, alpha)
-		counts[end]++
-	}
-	for v := range counts {
-		emp := counts[v] / samples
-		if math.Abs(emp-f[v]) > 0.01 {
-			t.Errorf("Monte-Carlo disagreement at node %d: empirical %.4f vs exact %.4f", v, emp, f[v])
+	for name, tc := range map[string]struct {
+		g *graph.Graph
+		q graph.NodeID
+	}{"toy": {toy.Graph, toy.T1}, "line": {testgraphs.Line(4), 0}} {
+		f, err := FRank(context.Background(), tc.g, SingleNode(tc.q), Params{Alpha: alpha})
+		if err != nil {
+			t.Fatalf("%s: FRank: %v", name, err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		s := NewSampler(tc.g, rng)
+		const samples = 200000
+		counts := make([]float64, tc.g.NumNodes())
+		for i := 0; i < samples; i++ {
+			if end, ok := s.GeometricWalk(tc.q, alpha); ok {
+				counts[end]++
+			}
+		}
+		for v := range counts {
+			emp := counts[v] / samples
+			if math.Abs(emp-f[v]) > 0.01 {
+				t.Errorf("%s: Monte-Carlo disagreement at node %d: empirical %.4f vs exact %.4f", name, v, emp, f[v])
+			}
 		}
 	}
 }
@@ -424,9 +437,11 @@ func TestSamplerStepDistribution(t *testing.T) {
 	}
 }
 
-// Property: on random graphs, F-Rank is a probability distribution and T-Rank
-// entries are probabilities in [0,1]; the query node always has positive
-// scores in both.
+// Property: on random graphs, F-Rank accounts for every walk — the walks that
+// end somewhere, Σ f, and those that end at a dangling node without a
+// destination, (1−α)/α of the F-Rank of each such node, sum to one — and
+// T-Rank entries are probabilities in [0,1]; the query node always has
+// positive scores in both.
 func TestQuickRankInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -455,7 +470,13 @@ func TestQuickRankInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if math.Abs(sum(fr)-1) > 1e-6 {
+		ended := sum(fr)
+		for v, s := range g.OutSums() {
+			if s <= 0 {
+				ended += (1 - p.Alpha) / p.Alpha * fr[v]
+			}
+		}
+		if math.Abs(ended-1) > 1e-6 {
 			return false
 		}
 		if fr[q] <= 0 || tr[q] <= 0 {

@@ -166,15 +166,16 @@ func TestRemoteRequiresWorkers(t *testing.T) {
 	}
 }
 
-// TestRemoteAutoPlansFleet pins Auto's preference order: a graph beyond the
-// exact limit with a fleet configured is served remotely.
+// TestRemoteAutoPlansFleet pins Auto's preference order: a graph Auto does
+// not solve exactly — here a bare packed layout — with a fleet configured is
+// served remotely.
 func TestRemoteAutoPlansFleet(t *testing.T) {
 	pg := parityGraphs()[0]
 	workers, err := LoopbackWorkers(pg.graph, 2)
 	if err != nil {
 		t.Fatalf("LoopbackWorkers: %v", err)
 	}
-	engine, err := NewEngine(pg.graph, WithWorkers(workers...), WithExactLimit(1))
+	engine, err := NewEngine(graph.Pack(pg.graph), WithWorkers(workers...))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -318,7 +319,7 @@ func TestRemoteEpochRollover(t *testing.T) {
 	if oldView == nil || oldView.Epoch() != 0 {
 		t.Fatalf("no epoch-0 row view connected")
 	}
-	tkOpts := topk.Options{K: 5, Epsilon: 0, Alpha: engine.Alpha(), Beta: engine.Beta(), Scheme: topk.Scheme2SBound}
+	tkOpts := topk.Options{K: 5, Epsilon: 0, Alpha: 0.25, Beta: 0.5, Scheme: topk.Scheme2SBound}
 	preSess := oldView.Session(ctx)
 	pre, err := topk.TopKRows(ctx, preSess, walk.SingleNode(qnode), tkOpts)
 	if err != nil {

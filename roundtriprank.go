@@ -4,7 +4,6 @@ package roundtriprank
 
 import (
 	"fmt"
-	"math"
 
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/graph"
@@ -69,73 +68,19 @@ type Result struct {
 	Score float64
 }
 
-// Option configures the default parameters of an Engine. Per-query overrides
-// on the Request take precedence over these defaults.
+// BetaFromSurfers returns the specificity bias β of a hybrid-random-surfer
+// composition (Definition 3, Eq. 11–12), for Request.Beta: balanced surfers
+// walk full round trips, importance-only surfers shortcut the return leg,
+// specificity-only surfers shortcut the outbound leg. It errors when a count
+// is negative or all are zero.
+func BetaFromSurfers(balanced, importanceOnly, specificityOnly int) (float64, error) {
+	return core.SpecificityBiasFromSurfers(balanced, importanceOnly, specificityOnly)
+}
+
+// Option configures an Engine's deployment: the worker fleet it fronts, the
+// sizes of its caches, the hook that observes its queries. How a query ranks —
+// α, β, ε, the solver tolerance — is set on its Request alone.
 type Option func(*Engine) error
-
-// WithAlpha sets the default teleport probability α of the underlying
-// geometric random walks (default 0.25, the paper's setting).
-func WithAlpha(alpha float64) Option {
-	return func(e *Engine) error {
-		if err := walk.CheckAlpha(alpha); err != nil {
-			return fmt.Errorf("roundtriprank: %w", err)
-		}
-		e.params.Walk.Alpha = alpha
-		return nil
-	}
-}
-
-// WithBeta sets the default specificity bias β of RoundTripRank+ (default
-// 0.5, the balanced RoundTripRank).
-func WithBeta(beta float64) Option {
-	return func(e *Engine) error {
-		if !(beta >= 0 && beta <= 1) {
-			return fmt.Errorf("roundtriprank: beta must be in [0,1], got %g", beta)
-		}
-		e.params.Beta = beta
-		return nil
-	}
-}
-
-// WithSurferComposition sets β from a hybrid-random-surfer composition
-// (Definition 3): balanced surfers walk full round trips, importance-only
-// surfers shortcut the return leg, specificity-only surfers shortcut the
-// outbound leg.
-func WithSurferComposition(balanced, importanceOnly, specificityOnly int) Option {
-	return func(e *Engine) error {
-		beta, err := core.SpecificityBiasFromSurfers(balanced, importanceOnly, specificityOnly)
-		if err != nil {
-			return err
-		}
-		e.params.Beta = beta
-		return nil
-	}
-}
-
-// WithTolerance sets the default convergence tolerance of the exact iterative
-// solvers.
-func WithTolerance(tol float64) Option {
-	return func(e *Engine) error {
-		if !(tol > 0) || math.IsInf(tol, 1) {
-			return fmt.Errorf("roundtriprank: tolerance must be finite and positive, got %g", tol)
-		}
-		e.params.Walk.Tol = tol
-		return nil
-	}
-}
-
-// WithExactLimit sets the graph size up to which the Auto method plans the
-// exact path (default DefaultExactLimit). Zero forces Auto to always choose
-// the online search.
-func WithExactLimit(n int) Option {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("roundtriprank: exact limit must be non-negative, got %d", n)
-		}
-		e.exactLimit = n
-		return nil
-	}
-}
 
 // WithVectorCache sets the capacity, in single-node vector pairs, of the
 // engine's LRU score-vector cache (default DefaultVectorCacheSize). RankBatch

@@ -14,9 +14,6 @@ func TestPublicAPIOnToyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if engine.Alpha() != 0.25 || engine.Beta() != 0.5 {
-		t.Errorf("defaults wrong: alpha=%g beta=%g", engine.Alpha(), engine.Beta())
-	}
 	ctx := context.Background()
 	all, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: toy.Graph.NumNodes(), Method: Exact})
 	if err != nil {
@@ -49,44 +46,59 @@ func TestPublicAPIOnToyGraph(t *testing.T) {
 	}
 }
 
+// TestOptions pins the configuration surface: Definition 3's surfer
+// composition reaches a query through BetaFromSurfers and Request.Beta, and
+// the deployment options refuse values they cannot deploy.
 func TestOptions(t *testing.T) {
 	toy := testgraphs.NewToy()
-	e, err := NewEngine(toy.Graph, WithAlpha(0.3), WithBeta(0.7), WithTolerance(1e-10))
-	if err != nil {
-		t.Fatalf("NewEngine with options: %v", err)
+	for _, tc := range []struct {
+		balanced, importanceOnly, specificityOnly int
+		want                                      float64
+	}{
+		{0, 5, 0, 0},      // importance surfers only: F-Rank
+		{0, 0, 3, 1},      // specificity surfers only: T-Rank
+		{4, 0, 0, 0.5},    // balanced surfers only: RoundTripRank
+		{1, 1, 0, 1. / 3}, // (|Ω11| + |Ω01|) / (|Ω| + |Ω11|)
+	} {
+		beta, err := BetaFromSurfers(tc.balanced, tc.importanceOnly, tc.specificityOnly)
+		if err != nil || beta != tc.want {
+			t.Errorf("BetaFromSurfers(%d, %d, %d) = %g, %v; want %g", tc.balanced, tc.importanceOnly, tc.specificityOnly, beta, err, tc.want)
+		}
 	}
-	if e.Alpha() != 0.3 || e.Beta() != 0.7 {
-		t.Errorf("options not applied")
+	for _, bad := range [][3]int{{0, 0, 0}, {-1, 2, 0}} {
+		if _, err := BetaFromSurfers(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("BetaFromSurfers%v should error", bad)
+		}
 	}
-	// Surfer composition: only importance surfers -> beta 0, which ranks
-	// exactly like an engine configured for pure importance.
-	surfers, err := NewEngine(toy.Graph, WithSurferComposition(0, 5, 0))
+	// Importance surfers alone rank exactly like β = 0.
+	beta, _ := BetaFromSurfers(0, 5, 0)
+	e, err := NewEngine(toy.Graph)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if surfers.Beta() != 0 {
-		t.Errorf("surfer composition beta = %g, want 0", surfers.Beta())
-	}
-	importance, err := NewEngine(toy.Graph, WithBeta(0))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	req := Request{Query: SingleNode(toy.T1), K: toy.Graph.NumNodes(), Method: Exact}
-	got, err := surfers.Rank(context.Background(), req)
+	req := Request{Query: SingleNode(toy.T1), K: toy.Graph.NumNodes(), Method: Exact, Beta: &beta}
+	got, err := e.Rank(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
-	want, err := importance.Rank(context.Background(), req)
+	req.Beta = Float64(0)
+	want, err := e.Rank(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
 	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Errorf("beta=0 by surfers %+v != beta=0 by option %+v", got.Results, want.Results)
+		t.Errorf("beta=0 by surfers %+v != beta=0 by request %+v", got.Results, want.Results)
 	}
 
-	for _, bad := range []Option{WithAlpha(0), WithAlpha(1), WithBeta(-1), WithBeta(2), WithTolerance(0), WithSurferComposition(0, 0, 0)} {
+	for name, bad := range map[string]Option{
+		"vector cache": WithVectorCache(-1),
+		"row cache":    WithRowCacheRows(0),
+		"stats hook":   WithQueryStatsHook(nil),
+		"workers":      WithWorkers(),
+		"fleet":        WithFleet(nil),
+	} {
 		if _, err := NewEngine(toy.Graph, bad); err == nil {
-			t.Errorf("invalid option should error")
+			t.Errorf("invalid %s option should error", name)
 		}
 	}
 	if _, err := NewEngine(nil); err == nil {

@@ -9,6 +9,8 @@
 # each. Those are Index, Ints and Bounds (its own index; FFlat's borrows BCA's,
 # and the embedded neighborhood declares the field once for both trackers); in
 # a tree from before PR 27 also Floats and the then node-keyed Heap.
+# Last, the number of engine options: With… functions of the root package's
+# non-test files, what configures an Engine.
 # Usage: loc.sh [ref] — the tracked files of the working tree, or of the given
 # commit (e.g. HEAD~1, to put the parent's count beside the change's).
 set -euo pipefail
@@ -31,6 +33,7 @@ dense='Index|Ints|Bounds|Floats'
 if grep -qE 'stamp +\[\]uint32' internal/scratch/heap.go; then
     dense="$dense|Heap" # the heap still keeps stamps of its own by node
 fi
+opts=$(gofiles | grep -E '^[^/]*\.go$' | grep -v '_test.go$' | xargs grep -hE '^func With' | wc -l)
 scratch=$(gofiles | grep -E '^internal/(bca|bounds)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
 echo "non-test Go lines (outside bench/): $nontest"
 echo "test Go lines (outside bench/):     $tests"
@@ -38,3 +41,4 @@ echo "internal packages:                  $pkgs"
 echo "interfaces (internal/graph + root): $ifaces"
 echo "layout type assertions:             $asserts"
 echo "dense per-node structures:          $scratch"
+echo "engine options:                     $opts"
