@@ -126,7 +126,7 @@ func TestChaosKillAnyWorkerParity(t *testing.T) {
 		// Every member was dead at some point while every stripe was queried,
 		// so each group must have routed around its preferred replica at least
 		// once. (Guarded on kills so -run filtering of subtests stays green.)
-		if h := base.ClusterHealth(); kills == n && h.Failovers == 0 {
+		if h := base.FleetStats(); kills == n && h.Failovers == 0 {
 			t.Errorf("%s: no failovers recorded while killing every member in turn", pg.name)
 		} else if h.Replication != 2 || h.MembersAlive != n {
 			t.Errorf("%s: health census off: %+v", pg.name, h)
@@ -283,7 +283,7 @@ func TestChaosRecoveryAndRejoin(t *testing.T) {
 		t.Fatalf("query during outage: %v", err)
 	}
 	requireBitIdentical(t, "during-outage", during, exact)
-	if h := engine.ClusterHealth(); h.Failovers == 0 {
+	if h := engine.FleetStats(); h.Failovers == 0 {
 		t.Errorf("outage absorbed without a recorded failover: %+v", h)
 	}
 

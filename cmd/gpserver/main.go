@@ -3,14 +3,14 @@
 // docs/API.md): stateless per-iteration multiply RPCs plus topology metadata,
 // which an Engine configured with WithWorkers fans exact solves out to.
 //
-// The worker gets its stripe in one of three ways:
+// The worker gets its stripe in one of two ways:
 //
 //   - extracted from a graph it loads itself (-graph or -dataset with
 //     -stripe/-of),
-//   - loaded from a stripe file in the binary codec format (-stripe-file),
 //   - received over the network: started with no stripe flags, it waits for
-//     a coordinator (or operator) to POST one to /v1/stripe — see
-//     roundtriprank.DeployStripes.
+//     a coordinator to POST one to /v1/stripe — rtrankd -workers does at
+//     startup, rtrankd -fleet-stripes on registration, and a Go program with
+//     roundtriprank.RedeployStripes.
 //
 // With -register, the worker additionally joins a self-organizing fleet: it
 // registers with the coordinator daemon (rtrankd -fleet-stripes) under a
@@ -46,7 +46,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -59,7 +58,6 @@ import (
 	"roundtriprank/internal/cliutil"
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/fleet"
-	"roundtriprank/internal/graph"
 	"roundtriprank/internal/obs"
 )
 
@@ -72,27 +70,26 @@ var workerRoutes = []string{
 
 func main() {
 	var (
-		graphPath  = flag.String("graph", "", "path to a gob-encoded graph to extract the stripe from (exclusive with -dataset and -stripe-file)")
-		dataset    = flag.String("dataset", "", "synthetic dataset to generate and stripe: bibnet or qlog")
-		scale      = flag.Float64("scale", 1.0, "scale factor for synthetic datasets")
-		stripeFile = flag.String("stripe-file", "", "path to a binary stripe file (graph.EncodeStripe format)")
-		stripe     = flag.Int("stripe", 0, "stripe index served by this worker (with -graph/-dataset)")
-		of         = flag.Int("of", 1, "total number of workers in the deployment (with -graph/-dataset)")
-		listen     = flag.String("listen", "127.0.0.1:7001", "HTTP listen address")
-		writeTmo   = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (must cover the slowest multiply)")
-		readTmo    = flag.Duration("read-timeout", time.Minute, "HTTP request read timeout (must cover a stripe upload)")
-		maxInflt   = flag.Int("max-inflight", 0, "admitted concurrent requests before shedding with 429 (0, the default, disables the gate: a worker's load is its coordinator's concurrency)")
-		register   = flag.String("register", "", "coordinator base URL to register with and heartbeat (enables fleet membership; see docs/OPERATIONS.md)")
-		advertise  = flag.String("advertise", "", "wire-protocol base URL advertised to the coordinator (default: derived from the bound listen address — set it when the worker is behind NAT or a proxy)")
-		workerID   = flag.String("worker-id", "", "stable member identity used with -register (default: the advertised host:port)")
-		beatEvery  = flag.Duration("heartbeat-interval", time.Second, "heartbeat period of the -register loop; the coordinator's miss thresholds are counted in its own tick units, so keep this shorter than the coordinator's -fleet-tick")
+		graphPath = flag.String("graph", "", "path to a gob-encoded graph to extract the stripe from (exclusive with -dataset)")
+		dataset   = flag.String("dataset", "", "synthetic dataset to generate and stripe: bibnet or qlog")
+		scale     = flag.Float64("scale", 1.0, "scale factor for synthetic datasets")
+		stripe    = flag.Int("stripe", 0, "stripe index served by this worker (with -graph/-dataset)")
+		of        = flag.Int("of", 1, "total number of workers in the deployment (with -graph/-dataset)")
+		listen    = flag.String("listen", "127.0.0.1:7001", "HTTP listen address")
+		writeTmo  = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (must cover the slowest multiply)")
+		readTmo   = flag.Duration("read-timeout", time.Minute, "HTTP request read timeout (must cover a stripe upload)")
+		maxInflt  = flag.Int("max-inflight", 0, "admitted concurrent requests before shedding with 429 (0, the default, disables the gate: a worker's load is its coordinator's concurrency)")
+		register  = flag.String("register", "", "coordinator base URL to register with and heartbeat (enables fleet membership; see docs/OPERATIONS.md)")
+		advertise = flag.String("advertise", "", "wire-protocol base URL advertised to the coordinator (default: derived from the bound listen address — set it when the worker is behind NAT or a proxy)")
+		workerID  = flag.String("worker-id", "", "stable member identity used with -register (default: the advertised host:port)")
+		beatEvery = flag.Duration("heartbeat-interval", time.Second, "heartbeat period of the -register loop; the coordinator's miss thresholds are counted in its own tick units, so keep this shorter than the coordinator's -fleet-tick")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	s, err := loadStripe(*graphPath, *dataset, *scale, *stripeFile, *stripe, *of)
+	s, err := loadStripe(*graphPath, *dataset, *scale, *stripe, *of)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -210,27 +207,16 @@ func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
 		sum(func(wi distributed.WorkerInfo) float64 { return float64(wi.OutEdges) }))
 }
 
-// loadStripe resolves the stripe-source flags; it returns nil when the worker
-// should start empty and wait to receive a stripe.
-func loadStripe(graphPath, dataset string, scale float64, stripeFile string, stripe, of int) (*distributed.Stripe, error) {
-	fromGraph := graphPath != "" || dataset != ""
-	if fromGraph && stripeFile != "" {
-		return nil, fmt.Errorf("use either -stripe-file or -graph/-dataset, not both")
-	}
-	switch {
-	case stripeFile != "":
-		d, err := graph.ReadStripeFile(stripeFile)
-		if err != nil {
-			return nil, err
-		}
-		return distributed.StripeFromData(d), nil
-	case fromGraph:
-		g, err := cliutil.LoadGraph(graphPath, dataset, scale)
-		if err != nil {
-			return nil, err
-		}
-		return distributed.BuildStripe(g, stripe, of)
-	default:
+// loadStripe extracts the stripe from the graph the flags name; it returns
+// nil when no graph is named and the worker should start empty and wait to
+// receive a stripe.
+func loadStripe(graphPath, dataset string, scale float64, stripe, of int) (*distributed.Stripe, error) {
+	if graphPath == "" && dataset == "" {
 		return nil, nil
 	}
+	g, err := cliutil.LoadGraph(graphPath, dataset, scale)
+	if err != nil {
+		return nil, err
+	}
+	return distributed.BuildStripe(g, stripe, of)
 }

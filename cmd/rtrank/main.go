@@ -11,8 +11,9 @@
 //
 // The -method flag selects the execution path: auto (the default planner),
 // exact, distributed (fan the exact solve out to the gpserver workers listed
-// in -workers), 2sbound, or one of the baseline bound schemes gs, gupta,
-// sarkar. Interrupting the process (Ctrl-C) cancels the in-flight query.
+// in -workers), 2sbound, or 2sbound-remote (the online search over the rows of
+// those workers). Interrupting the process (Ctrl-C) cancels the in-flight
+// query.
 package main
 
 import (
@@ -39,10 +40,10 @@ func main() {
 		k          = flag.Int("k", 10, "number of results")
 		alpha      = flag.Float64("alpha", 0.25, "teleport probability")
 		beta       = flag.Float64("beta", 0.5, "specificity bias (0 = importance only, 1 = specificity only)")
-		methodName = flag.String("method", "auto", "execution method: auto, exact, distributed, 2sbound, gs, gupta, sarkar")
+		methodName = flag.String("method", "auto", "execution method: auto, exact, distributed, 2sbound, 2sbound-remote")
 		epsilon    = flag.Float64("epsilon", 0.01, "approximation slack for the online methods")
 		keepQuery  = flag.Bool("keep-query", false, "keep the query nodes themselves in the results")
-		workers    = flag.String("workers", "", "comma-separated gpserver base URLs serving this graph's stripes (for -method distributed)")
+		workers    = flag.String("workers", "", "comma-separated gpserver base URLs serving this graph's stripes (for -method distributed and 2sbound-remote)")
 	)
 	flag.Parse()
 

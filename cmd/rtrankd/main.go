@@ -26,7 +26,8 @@
 // graph, and requests may then select "method": "distributed" to fan the
 // exact solve out across them, or "method": "2sbound-remote" to run the
 // online search against the fleet's rows through the row cache (see
-// docs/API.md). A mutation then also
+// docs/API.md). At startup rtrankd ships each listed worker its stripe unless
+// it already serves it, so gpservers may start empty. A mutation then also
 // reconciles the fleet before the new epoch serves, shipping only stripes
 // the commit changed (docs/OPERATIONS.md walks through the lifecycle).
 //
@@ -125,6 +126,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(transports) > 0 {
+		provision(ctx, g, transports, *mutationTmo)
+	}
 	workerCount := len(transports)
 	if fleetMgr != nil {
 		workerCount = *fleetN
@@ -168,6 +172,21 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("shut down")
+}
+
+// provision brings the -workers list to the served graph once at startup, so
+// workers started empty (or on an older epoch) serve the distributed methods
+// before the first mutation; a worker that already holds its stripe costs one
+// Info call. A failure is logged, not fatal: every Apply redeploys anyway.
+func provision(ctx context.Context, g *roundtriprank.Graph, workers []roundtriprank.Transport, timeout time.Duration) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	shipped, retagged, err := roundtriprank.RedeployStripes(ctx, g, workers)
+	if err != nil {
+		log.Printf("provisioning workers: %v (serving anyway; the next mutation redeploys)", err)
+		return
+	}
+	log.Printf("workers provisioned: %d stripes shipped, %d retagged", shipped, retagged)
 }
 
 // fleetRoutes are the membership endpoints mounted in -fleet-stripes mode.
@@ -219,7 +238,7 @@ func fleetLoop(ctx context.Context, engine *roundtriprank.Engine, m *roundtripra
 				continue
 			}
 			reconciled = gen
-			h := engine.ClusterHealth()
+			h := engine.FleetStats()
 			log.Printf("fleet reconciled (gen %d): %d shipped, %d retagged, %d removed; members %d alive / %d suspect / %d dead",
 				gen, st.Shipped, st.Retagged, st.Removed, h.MembersAlive, h.MembersSuspect, h.MembersDead)
 		}

@@ -58,30 +58,20 @@ func LoopbackWorkers(g *Graph, n int) ([]Transport, error) {
 	return ts, nil
 }
 
-// DeployStripes builds the n-way striping of g and installs stripe i on
-// workers[i], for workers that support installation (HTTP workers do:
-// gpserver accepts stripes over POST /v1/stripe). Use it to bring up a
-// cluster of empty gpserver processes without giving each one a copy of the
-// graph. It is RedeployStripes without the counts: a worker that already
-// serves its stripe of g costs one Info call and is left alone.
-func DeployStripes(ctx context.Context, g *Graph, workers []Transport) error {
-	_, _, err := RedeployStripes(ctx, g, workers)
-	return err
-}
-
-// RedeployStripes reconciles a worker fleet with a new graph snapshot after
-// a Commit: it cuts the len(workers)-way striping of g, asks each worker what
-// it currently serves, and ships the full stripe only where the content
-// fingerprint changed (or the worker is empty or mis-striped). Workers whose
-// stripe the commit did not touch are retagged — one tiny RPC rebinding the
-// stripe to the new graph fingerprint and epoch — so the cost of an epoch
-// rollover scales with the delta, not with the graph. It returns how many
-// stripes were shipped and how many retagged; a worker that already serves
-// its stripe under g's own fingerprint and epoch (g was not committed since
-// the last deploy) costs one Info call and counts as neither.
+// RedeployStripes brings a worker fleet to graph g: it cuts the
+// len(workers)-way striping of g, asks each worker what it currently serves,
+// and ships the full stripe only where the content fingerprint changed or the
+// worker is empty or mis-striped (HTTP workers accept stripes: gpserver takes
+// them over POST /v1/stripe). Workers whose stripe a commit did not touch are
+// retagged — one tiny RPC rebinding the stripe to the new graph fingerprint
+// and epoch — so the cost of an epoch rollover scales with the delta, not with
+// the graph. It returns how many stripes were shipped and how many retagged; a
+// worker that already serves its stripe under g's own fingerprint and epoch
+// costs one Info call and counts as neither.
 //
-// Engine.Apply calls this automatically on engines configured with
-// WithWorkers; use it directly when the graph is committed out-of-band (e.g.
+// It provisions a cluster of empty gpserver processes without giving each one
+// a copy of the graph, and Engine.Apply calls it on engines configured with
+// WithWorkers; call it directly when the graph is committed out-of-band (e.g.
 // a loader process feeding a worker fleet that rtrankd coordinators dial).
 func RedeployStripes(ctx context.Context, g *Graph, workers []Transport) (shipped, retagged int, err error) {
 	if len(workers) == 0 {
@@ -136,62 +126,8 @@ func WithRowCacheRows(n int) Option {
 	}
 }
 
-// ClusterStats reports the worker RPC count of the current snapshot's fleet
-// handle — handshake, multiplies and row fetches — and how many of those were
-// retries after transient failures. All zeros before the first distributed
-// or remote-online query on the current epoch (each epoch connects lazily)
-// or when no workers are configured.
-func (e *Engine) ClusterStats() (rpcs, retries int64) {
-	if r := e.snap.Load().fleet.Load(); r != nil {
-		rpcs, retries, _ = r.Stats()
-	}
-	return rpcs, retries
-}
-
-// FleetEpoch reports the epoch the worker fleet is currently serving, as
-// seen by the snapshot's fleet handle. connected is false when no
-// distributed or remote-online query has run on the current epoch yet (each
-// epoch connects to the fleet lazily) or when the engine has no workers; the
-// local epoch (Epoch) minus a connected fleet epoch is the "epoch lag"
-// surfaced on /metrics — non-zero lag means queries are still pinned to
-// stripes the fleet has since rolled past.
-func (e *Engine) FleetEpoch() (epoch uint64, connected bool) {
-	if r := e.snap.Load().fleet.Load(); r != nil {
-		return r.Epoch(), true
-	}
-	return 0, false
-}
-
 // RowQueryStats is the row-serving footprint of one TwoSBoundRemote query,
 // reported in Response.Rows and the /rank reply: with the searcher's
 // neighborhood sizes it proves the O(touched) serving property — Fetched never
 // exceeds the rows touched, and a fully cached repeat shows RPCs == 0.
 type RowQueryStats = rowserve.QueryStats
-
-// RowServeStats is the engine-wide view of the TwoSBoundRemote serving state:
-// cumulative counters of the current epoch's fleet handle and the shared
-// row cache's lifetime counters (the cache spans epochs).
-type RowServeStats struct {
-	// RowsFetched counts the rows the current snapshot's fleet handle pulled
-	// over the network; RowRPCs and RowRetries are its RPC counters, the same
-	// numbers ClusterStats reports. All three reset to zero when an Apply
-	// rolls the engine to a new epoch (each epoch connects lazily).
-	RowsFetched, RowRPCs, RowRetries int64
-	// CacheHits, CacheMisses and CacheEvictions are lifetime counters of the
-	// engine's shared row cache.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// CachedRows is the number of rows currently held.
-	CachedRows int
-}
-
-// RowServeStats reports the engine's row-serving counters. All zeros when no
-// workers are configured or before the epoch's first fleet query.
-func (e *Engine) RowServeStats() RowServeStats {
-	var st RowServeStats
-	if r := e.snap.Load().fleet.Load(); r != nil {
-		st.RowRPCs, st.RowRetries, st.RowsFetched = r.Stats()
-	}
-	st.CacheHits, st.CacheMisses, st.CacheEvictions = e.rowCache.Stats()
-	st.CachedRows = e.rowCache.Len()
-	return st
-}

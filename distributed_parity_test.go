@@ -80,7 +80,7 @@ func TestDistributedParityAgainstExact(t *testing.T) {
 					}
 				}
 			}
-			if rpcs, _ := engine.ClusterStats(); rpcs == 0 {
+			if engine.FleetStats().RPCs == 0 {
 				t.Errorf("%s: no worker RPCs recorded", pg.name)
 			}
 		}
@@ -192,9 +192,10 @@ func TestDistributedLoopbackAndBatch(t *testing.T) {
 	}
 }
 
-// TestDeployStripesBringsUpEmptyWorkers boots empty HTTP workers, ships them
-// their stripes through DeployStripes, and runs a distributed query.
-func TestDeployStripesBringsUpEmptyWorkers(t *testing.T) {
+// TestRedeployStripesBringsUpEmptyWorkers boots empty HTTP workers, ships them
+// their stripes through RedeployStripes, and runs a distributed query; a
+// second deploy of the same graph finds every stripe in place and moves none.
+func TestRedeployStripesBringsUpEmptyWorkers(t *testing.T) {
 	pg := parityGraphs()[1]
 	var ts []Transport
 	for i := 0; i < 2; i++ {
@@ -202,8 +203,11 @@ func TestDeployStripesBringsUpEmptyWorkers(t *testing.T) {
 		t.Cleanup(srv.Close)
 		ts = append(ts, DialWorker(srv.URL))
 	}
-	if err := DeployStripes(context.Background(), pg.graph, ts); err != nil {
-		t.Fatalf("DeployStripes: %v", err)
+	for _, want := range []int{len(ts), 0} {
+		shipped, retagged, err := RedeployStripes(context.Background(), pg.graph, ts)
+		if err != nil || shipped != want || retagged != 0 {
+			t.Fatalf("RedeployStripes = %d shipped, %d retagged, %v; want %d, 0, nil", shipped, retagged, err, want)
+		}
 	}
 	engine, err := NewEngine(pg.graph, WithWorkers(ts...))
 	if err != nil {

@@ -20,11 +20,11 @@
 // how the query ranks — and returns Responses. The Engine's own options only
 // deploy it: workers, caches, a stats hook. The default Method, Auto,
 // plans exact full-vector solves on small in-memory graphs and the online
-// 2SBound branch-and-bound search on large ones; Exact, TwoSBound and
-// BoundScheme select a path explicitly, and Distributed and TwoSBoundRemote
-// run the same two algorithm families against a cluster of stripe workers
-// configured with WithWorkers instead of the local view (see distributed.go
-// and ARCHITECTURE.md).
+// 2SBound branch-and-bound search on large ones; Exact and TwoSBound select
+// a path explicitly, and Distributed and TwoSBoundRemote run the same two
+// algorithm families against a cluster of stripe workers configured with
+// WithWorkers instead of the local view (see distributed.go and
+// ARCHITECTURE.md). Engine.FleetStats reports that cluster.
 // Engine.RankBatch amortizes a batch of queries by sharing single-node score
 // vectors through the Linearity Theorem, and every computation honors context
 // cancellation. An engine serves a View, one of three layouts — a *Graph, its

@@ -21,22 +21,6 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// Scheme selects the bound-updating machinery of the online top-K search; the
-// values mirror the efficiency baselines of Fig. 11(a).
-type Scheme = topk.Scheme
-
-// Re-exported bound schemes, usable with BoundScheme.
-const (
-	// Scheme2SBound is the paper's two-stage framework on both sides.
-	Scheme2SBound Scheme = topk.Scheme2SBound
-	// SchemeGS uses Gupta bounds for F-Rank and Sarkar bounds for T-Rank.
-	SchemeGS Scheme = topk.SchemeGS
-	// SchemeGupta uses Gupta bounds for F-Rank only.
-	SchemeGupta Scheme = topk.SchemeGupta
-	// SchemeSarkar uses Sarkar bounds for T-Rank only.
-	SchemeSarkar Scheme = topk.SchemeSarkar
-)
-
 // methodKind is the algorithm family of a Method: the exact full-vector solves
 // of Sect. IV or the online 2SBound search of Sect. V-A. Where the rows live —
 // the local view or the worker fleet, Sect. V-B — is Method.fleet, orthogonal
@@ -49,11 +33,11 @@ const (
 	methodOnline
 )
 
-// Method selects how a Request is executed. The zero value is Auto.
+// Method selects how a Request is executed: an algorithm family and where
+// its rows live. The zero value is Auto.
 type Method struct {
-	kind   methodKind
-	scheme Scheme
-	fleet  bool // run against the engine's worker fleet, not the local view
+	kind  methodKind
+	fleet bool // run against the engine's worker fleet, not the local view
 }
 
 // The built-in execution methods.
@@ -69,7 +53,7 @@ var (
 	// steady-state serving performs a small constant number of allocations
 	// per query; each concurrently executing query holds one O(NumNodes)
 	// scratch instance (see docs/TUNING.md for sizing).
-	TwoSBound = Method{kind: methodOnline, scheme: Scheme2SBound}
+	TwoSBound = Method{kind: methodOnline}
 	// Distributed runs the exact solvers across the engine's worker cluster
 	// (configured with WithWorkers): the coordinator fans each power
 	// iteration out to the stripe workers and merges the partial vectors into
@@ -85,14 +69,10 @@ var (
 	// to TwoSBound on a local view for any worker count. This is the paper's
 	// AP/GP serving architecture: the coordinator's working set is O(rows
 	// touched), never O(edges).
-	TwoSBoundRemote = Method{kind: methodOnline, scheme: Scheme2SBound, fleet: true}
+	TwoSBoundRemote = Method{kind: methodOnline, fleet: true}
 )
 
-// BoundScheme returns an online method using the given bound scheme, for
-// reproducing the efficiency baselines (G+S, Gupta, Sarkar) of Sect. VI-B.
-func BoundScheme(s Scheme) Method { return Method{kind: methodOnline, scheme: s} }
-
-// String names the method; online methods are named after their scheme.
+// String names the method.
 func (m Method) String() string {
 	switch {
 	case m.kind == methodAuto:
@@ -102,16 +82,17 @@ func (m Method) String() string {
 	case m.kind == methodExact:
 		return "exact"
 	case m.fleet:
-		return m.scheme.String() + "-remote"
+		return "2SBound-remote"
 	default:
-		return m.scheme.String()
+		return "2SBound"
 	}
 }
 
 // ParseMethod parses a method name (case-insensitive) as printed by
-// Method.String: "auto" (or empty), "exact", "distributed", "2sbound",
-// "2sbound-remote" (or "remote"), or a baseline bound scheme — "gs"/"g+s",
-// "gupta", "sarkar".
+// Method.String: "auto" (or empty), "exact", "distributed", "2sbound" or
+// "2sbound-remote" (or "remote"). The baseline bound schemes of Sect. VI-B
+// (G+S, Gupta, Sarkar) are not serving methods; internal/topk runs them for
+// the efficiency figures.
 func ParseMethod(name string) (Method, error) {
 	switch strings.ToLower(name) {
 	case "", "auto":
@@ -124,12 +105,6 @@ func ParseMethod(name string) (Method, error) {
 		return TwoSBound, nil
 	case "2sbound-remote", "remote":
 		return TwoSBoundRemote, nil
-	case "gs", "g+s":
-		return BoundScheme(SchemeGS), nil
-	case "gupta":
-		return BoundScheme(SchemeGupta), nil
-	case "sarkar":
-		return BoundScheme(SchemeSarkar), nil
 	default:
 		return Method{}, invalidf("roundtriprank: unknown method %q", name)
 	}
@@ -169,14 +144,10 @@ type QueryStat struct {
 	// Err is nil on success; context.Canceled / DeadlineExceeded indicate a
 	// cancelled query, a ClusterError backend trouble.
 	Err error
-	// Degraded reports a budget-degraded (anytime) response; CertifiedK is
-	// its certified prefix length. Both zero when Err is non-nil.
-	Degraded bool
-	// CertifiedK mirrors Response.CertifiedK.
-	CertifiedK int
-	// Rounds and Sweeps mirror Response.Rounds and Response.Sweeps: what the
-	// online search did (zero on the exact path and when Err is non-nil).
-	Rounds, Sweeps int
+	// Response is the response the caller receives, nil when Err is non-nil:
+	// its Degraded, CertifiedK, Rounds and Sweeps say what the execution did.
+	// The caller owns it; a hook reads it and never writes.
+	Response *Response
 }
 
 // WithQueryStatsHook installs a callback invoked after every executed Rank
@@ -672,8 +643,7 @@ func (e *Engine) execPlan(ctx context.Context, p *plan, cache *lru.Cache[vecKey,
 	st := QueryStat{Method: p.method, Elapsed: time.Since(start), Err: err}
 	if err == nil {
 		resp.Elapsed = st.Elapsed
-		st.Degraded, st.CertifiedK = resp.Degraded, resp.CertifiedK
-		st.Rounds, st.Sweeps = resp.Rounds, resp.Sweeps
+		st.Response = resp
 	}
 	if e.statsHook != nil {
 		e.statsHook(st)
@@ -769,7 +739,7 @@ func (p *plan) online(ctx context.Context) (*Response, error) {
 		Epsilon: p.epsilon,
 		Alpha:   p.params.Walk.Alpha,
 		Beta:    p.params.Beta,
-		Scheme:  p.method.scheme,
+		Scheme:  topk.Scheme2SBound,
 		Keep:    p.keep,
 		Budget:  p.budget,
 	})

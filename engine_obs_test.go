@@ -149,11 +149,11 @@ func TestQueryStatsHook(t *testing.T) {
 	if stats[0].Err != nil {
 		t.Errorf("hook err = %v, want nil", stats[0].Err)
 	}
-	if stats[0].Rounds != 0 || stats[0].Sweeps != 0 {
-		t.Errorf("exact query reported %d rounds and %d Stage-II sweeps, want none", stats[0].Rounds, stats[0].Sweeps)
+	if r := stats[0].Response; r == nil || r.Rounds != 0 || r.Sweeps != 0 {
+		t.Errorf("exact query reported response %+v, want one with no rounds and no Stage-II sweeps", r)
 	}
 
-	// An online query reports what its search did, as the response does.
+	// An online query hands the hook the response the caller receives.
 	online, err := engine.Rank(ctx, Request{Query: SingleNode(toy.T1), K: 3, Method: TwoSBound})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
@@ -161,8 +161,8 @@ func TestQueryStatsHook(t *testing.T) {
 	if online.Rounds <= 0 || online.Sweeps < online.Rounds {
 		t.Errorf("online response reports %d rounds and %d Stage-II sweeps, want at least one sweep a round", online.Rounds, online.Sweeps)
 	}
-	if st := stats[1]; st.Rounds != online.Rounds || st.Sweeps != online.Sweeps {
-		t.Errorf("hook reports %d rounds and %d sweeps, the response %d and %d", st.Rounds, st.Sweeps, online.Rounds, online.Sweeps)
+	if stats[1].Response != online {
+		t.Errorf("hook saw response %p, the caller %p", stats[1].Response, online)
 	}
 	stats = stats[:1]
 
@@ -184,8 +184,8 @@ func TestQueryStatsHook(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("hook fired %d times after cancelled query, want 2", len(stats))
 	}
-	if !errors.Is(stats[1].Err, context.Canceled) {
-		t.Errorf("hook err = %v, want context.Canceled", stats[1].Err)
+	if !errors.Is(stats[1].Err, context.Canceled) || stats[1].Response != nil {
+		t.Errorf("hook saw err %v and response %v, want context.Canceled and none", stats[1].Err, stats[1].Response)
 	}
 
 	if _, err := NewEngine(toy.Graph, WithQueryStatsHook(nil)); err == nil {

@@ -57,10 +57,8 @@ func TestConcurrentOnlinePooledRank(t *testing.T) {
 	}
 	var reqs []Request
 	for _, q := range []NodeID{toy.T1, toy.T2, toy.P[0], toy.P[3], toy.V1} {
-		for _, scheme := range []Scheme{Scheme2SBound, SchemeGS} {
-			reqs = append(reqs, Request{
-				Query: SingleNode(q), K: 4, Method: BoundScheme(scheme), Epsilon: 0.005,
-			})
+		for _, eps := range []float64{0.005, 0.05} {
+			reqs = append(reqs, Request{Query: SingleNode(q), K: 4, Method: TwoSBound, Epsilon: eps})
 		}
 	}
 	want := make([]*Response, len(reqs))

@@ -37,7 +37,7 @@ func TestRankBatchFeedsStatsHook(t *testing.T) {
 		{Query: SingleNode(toy.T1), K: 3, Method: Exact},
 		{Query: SingleNode(toy.T2), K: 3}, // Auto: a small local graph plans Exact
 		{Query: SingleNode(toy.T1), K: 3, Method: TwoSBound, Epsilon: 0.01},
-		{Query: MultiNode(toy.T1, toy.T2), K: 3, Method: BoundScheme(SchemeGS), Epsilon: 0.01},
+		{Query: MultiNode(toy.T1, toy.T2), K: 3, Method: TwoSBound, Epsilon: 0.01},
 	}
 	if _, err := engine.RankBatch(context.Background(), reqs); err != nil {
 		t.Fatalf("RankBatch: %v", err)
@@ -52,7 +52,7 @@ func TestRankBatchFeedsStatsHook(t *testing.T) {
 		}
 		got[s.Method.String()]++
 	}
-	if want := map[string]int{"exact": 2, "2SBound": 1, "G+S": 1}; !reflect.DeepEqual(got, want) {
+	if want := map[string]int{"exact": 2, "2SBound": 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("hook saw methods %v, want %v", got, want)
 	}
 }
@@ -145,8 +145,8 @@ func TestOneHandshakePerEpoch(t *testing.T) {
 					t.Errorf("epoch 1, worker %d: %v more Info/OutSums/OutDegrees calls, want one of each", i, got)
 				}
 			}
-			if ep, ok := engine.FleetEpoch(); !ok || ep != 1 {
-				t.Errorf("FleetEpoch = %d, %v; want 1, true", ep, ok)
+			if st := engine.FleetStats(); !st.Connected || st.Epoch != 1 {
+				t.Errorf("FleetStats reports epoch %d, connected %v; want 1, true", st.Epoch, st.Connected)
 			}
 		})
 	}

@@ -476,10 +476,11 @@ func TestPerRequestOverrides(t *testing.T) {
 
 func TestMethodString(t *testing.T) {
 	cases := map[string]Method{
-		"auto":    Auto,
-		"exact":   Exact,
-		"2SBound": TwoSBound,
-		"Gupta":   BoundScheme(SchemeGupta),
+		"auto":           Auto,
+		"exact":          Exact,
+		"distributed":    Distributed,
+		"2SBound":        TwoSBound,
+		"2SBound-remote": TwoSBoundRemote,
 	}
 	for want, m := range cases {
 		if m.String() != want {
@@ -489,5 +490,22 @@ func TestMethodString(t *testing.T) {
 	var zero Method
 	if zero.String() != "auto" {
 		t.Errorf("zero Method should be Auto, got %q", zero.String())
+	}
+}
+
+// TestParseMethodRejectsBaselineSchemes pins that the efficiency baselines of
+// Sect. VI-B (G+S, Gupta, Sarkar) are not serving methods: their names are
+// caller mistakes, and every serving method round-trips through its name.
+func TestParseMethodRejectsBaselineSchemes(t *testing.T) {
+	for _, name := range []string{"gs", "g+s", "G+S", "gupta", "sarkar"} {
+		var ve *ValidationError
+		if m, err := ParseMethod(name); !errors.As(err, &ve) {
+			t.Errorf("ParseMethod(%q) = %v, %v; want a *ValidationError", name, m, err)
+		}
+	}
+	for _, m := range []Method{Auto, Exact, Distributed, TwoSBound, TwoSBoundRemote} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
 	}
 }

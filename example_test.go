@@ -95,7 +95,7 @@ func ExampleEngine_Apply() {
 // ExampleParseMethod shows the wire names of the execution methods, as
 // accepted by rtrankd's "method" field and the -method CLI flags.
 func ExampleParseMethod() {
-	for _, name := range []string{"auto", "exact", "distributed", "2sbound", "g+s"} {
+	for _, name := range []string{"auto", "exact", "distributed", "2sbound", "2sbound-remote"} {
 		m, err := roundtriprank.ParseMethod(name)
 		if err != nil {
 			panic(err)
@@ -107,5 +107,5 @@ func ExampleParseMethod() {
 	// exact
 	// distributed
 	// 2SBound
-	// G+S
+	// 2SBound-remote
 }

@@ -85,8 +85,8 @@ func main() {
 			}
 		}
 	}
-	rpcs, retries := engine.ClusterStats()
-	fmt.Printf("  Cluster: %d worker RPCs, %d retries\n", rpcs, retries)
+	fs := engine.FleetStats()
+	fmt.Printf("  Cluster: %d worker RPCs, %d retries\n", fs.RPCs, fs.Retries)
 
 	// --- Part 2: the online 2SBound search over the same workers. ---
 	// The searcher runs here; adjacency arrives row by row from the stripes
@@ -106,9 +106,9 @@ func main() {
 		fmt.Printf("  %-28s top-%d: %d rows fetched in %d RPCs, %d cache hits\n",
 			g.Label(q)+":", len(resp.Results), resp.Rows.Fetched, resp.Rows.RPCs, resp.Rows.CacheHits)
 	}
-	st := engine.RowServeStats()
+	cached := engine.FleetStats().CachedRows
 	fmt.Printf("\nActive set after %d queries: %d rows cached — %.2f%% of the graph\n",
-		*queries, st.CachedRows, 100*float64(st.CachedRows)/float64(g.NumNodes()))
+		*queries, cached, 100*float64(cached)/float64(g.NumNodes()))
 }
 
 // startHTTPWorkers stripes g across n workers, each serving the gpserver

@@ -47,14 +47,27 @@ func WithFleet(m *Fleet) Option {
 	}
 }
 
-// ClusterHealth is the fleet-aware serving health snapshot: RPC/retry
-// counters of the current epoch's fleet handle (like ClusterStats), the
-// replica groups' failover counter, and the membership table's liveness
-// census. Engines configured with WithWorkers report the RPC
-// counters only.
-type ClusterHealth struct {
-	// RPCs and Retries mirror ClusterStats.
-	RPCs, Retries int64
+// FleetStats is one snapshot of the engine's worker fleet, the one place its
+// serving state is observed: the current epoch's fleet handle, the shared row
+// cache, and — under WithFleet — the manager's failovers and membership. All
+// zeros without workers.
+type FleetStats struct {
+	// Connected reports whether a distributed or remote-online query has
+	// connected the current epoch to its fleet (each epoch connects lazily);
+	// Epoch is then the epoch the fleet serves. The engine's Epoch minus it is
+	// the "epoch lag" on /metrics: non-zero while queries are pinned to
+	// stripes the fleet has since rolled past.
+	Connected bool
+	Epoch     uint64
+	// RPCs counts the worker RPCs of the current epoch's fleet handle —
+	// handshake, multiplies and row fetches — Retries those that followed a
+	// transient failure, and RowsFetched the rows it pulled over the network.
+	// All three reset to zero when an Apply rolls the engine to a new epoch.
+	RPCs, Retries, RowsFetched int64
+	// CacheHits, CacheMisses and CacheEvictions are lifetime counters of the
+	// engine's row cache, which spans epochs; CachedRows is the rows it holds.
+	CacheHits, CacheMisses, CacheEvictions int64
+	CachedRows                             int
 	// Failovers counts calls that succeeded only after routing around a
 	// failed replica; zero without a fleet manager.
 	Failovers int64
@@ -65,19 +78,23 @@ type ClusterHealth struct {
 	Replication int
 }
 
-// ClusterHealth reports the engine's distributed serving health. It is cheap
-// (atomic counter reads plus one mutex'd table scan) and safe to call from a
-// metrics scrape.
-func (e *Engine) ClusterHealth() ClusterHealth {
-	var h ClusterHealth
-	h.RPCs, h.Retries = e.ClusterStats()
-	if e.fleetMgr == nil {
-		return h
+// FleetStats reports the engine's worker fleet. It is cheap (atomic counter
+// reads plus one mutex'd table scan) and safe to call from a metrics scrape.
+func (e *Engine) FleetStats() FleetStats {
+	var st FleetStats
+	if r := e.snap.Load().fleet.Load(); r != nil {
+		st.Connected, st.Epoch = true, r.Epoch()
+		st.RPCs, st.Retries, st.RowsFetched = r.Stats()
 	}
-	h.Failovers = e.fleetMgr.Failovers()
-	st := e.fleetMgr.Table().Stats()
-	h.MembersAlive, h.MembersSuspect, h.MembersDead, h.MembersDraining =
-		st.Alive, st.Suspect, st.Dead, st.Draining
-	h.Replication = e.fleetMgr.Replication()
-	return h
+	st.CacheHits, st.CacheMisses, st.CacheEvictions = e.rowCache.Stats()
+	st.CachedRows = e.rowCache.Len()
+	if e.fleetMgr == nil {
+		return st
+	}
+	st.Failovers = e.fleetMgr.Failovers()
+	census := e.fleetMgr.Table().Stats()
+	st.MembersAlive, st.MembersSuspect, st.MembersDead, st.MembersDraining =
+		census.Alive, census.Suspect, census.Dead, census.Draining
+	st.Replication = e.fleetMgr.Replication()
+	return st
 }

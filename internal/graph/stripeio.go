@@ -8,15 +8,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 )
 
-// This file implements the binary stripe codec: the on-disk and on-the-wire
-// format for one stripe of a round-robin-partitioned graph. A stripe is two
-// compact CSR blocks (the owned rows' out- and in-adjacency) plus the striping
-// header (index, count, total node count), so a worker process can load or
-// receive exactly its share of the graph without ever materializing the whole
-// thing.
+// This file implements the binary stripe codec: the wire format for one
+// stripe of a round-robin-partitioned graph. A stripe is two compact CSR
+// blocks (the owned rows' out- and in-adjacency) plus the striping header
+// (index, count, total node count), so a worker process can receive exactly
+// its share of the graph without ever materializing the whole thing.
 //
 // Layout (all integers little-endian):
 //
@@ -488,27 +486,4 @@ func computeFingerprint(numNodes int, epoch uint64, out CSR) uint32 {
 	_ = writeSlice(crc, len(out.Col), func(i int) uint64 { return uint64(uint32(out.Col[i])) }, 4)
 	_ = writeSlice(crc, len(out.Weight), func(i int) uint64 { return math.Float64bits(out.Weight[i]) }, 8)
 	return crc.Sum32()
-}
-
-// WriteStripeFile encodes d into the named file.
-func WriteStripeFile(path string, d *StripeData) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := EncodeStripe(f, d); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// ReadStripeFile decodes a stripe from the named file.
-func ReadStripeFile(path string) (*StripeData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeStripe(f)
 }

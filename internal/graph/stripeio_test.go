@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -60,25 +59,6 @@ func TestStripeCodecRoundTrip(t *testing.T) {
 				t.Fatalf("stripe %d/%d changed across the codec:\nwant %+v\ngot  %+v", index, count, d, got)
 			}
 		}
-	}
-}
-
-func TestStripeCodecFileRoundTrip(t *testing.T) {
-	g := stripeTestGraph(t)
-	d, err := BuildStripeData(g, 1, 3)
-	if err != nil {
-		t.Fatalf("BuildStripeData: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "stripe.bin")
-	if err := WriteStripeFile(path, d); err != nil {
-		t.Fatalf("WriteStripeFile: %v", err)
-	}
-	got, err := ReadStripeFile(path)
-	if err != nil {
-		t.Fatalf("ReadStripeFile: %v", err)
-	}
-	if !reflect.DeepEqual(d, got) {
-		t.Fatalf("stripe changed across the file round trip")
 	}
 }
 

@@ -66,12 +66,12 @@ func (m *Metrics) RecordQuery(s roundtriprank.QueryStat) {
 	}
 	mm.outcomes[outcome].Inc()
 	mm.hist.Observe(s.Elapsed)
-	if s.Err == nil {
-		if s.Degraded {
+	if r := s.Response; r != nil {
+		if r.Degraded {
 			mm.degraded.Inc()
 		}
-		mm.certified.Observe(int64(s.CertifiedK))
-		mm.sweeps.Observe(int64(s.Sweeps))
+		mm.certified.Observe(int64(r.CertifiedK))
+		mm.sweeps.Observe(int64(r.Sweeps))
 	}
 }
 
@@ -119,9 +119,10 @@ func (m *Metrics) forMethod(method string) *methodMetrics {
 }
 
 // bindEngine registers the gauges and counter mirrors that read the engine's
-// own cumulative stats at scrape time: epoch and fleet lag, vector- and
-// row-cache traffic, cluster RPCs, and scratch-pool occupancy. Idempotent
-// per Metrics (the second bind is ignored so tests can reuse a server).
+// own cumulative stats at scrape time: epoch and fleet lag, vector-cache
+// traffic, the FleetStats snapshot (row cache, cluster RPCs, membership), and
+// scratch-pool occupancy. Idempotent per Metrics (the second bind is ignored
+// so tests can reuse a server).
 func (m *Metrics) bindEngine(e *roundtriprank.Engine) {
 	m.mu.Lock()
 	if m.bound {
@@ -135,18 +136,18 @@ func (m *Metrics) bindEngine(e *roundtriprank.Engine) {
 		func() float64 { return float64(e.Epoch()) })
 	m.reg.Gauge("fleet_connected", "1 when the current epoch has connected to its worker fleet.", "",
 		func() float64 {
-			if _, ok := e.FleetEpoch(); ok {
+			if e.FleetStats().Connected {
 				return 1
 			}
 			return 0
 		})
 	m.reg.Gauge("fleet_epoch_lag", "Serving epoch minus the worker fleet's epoch; non-zero while a rollover is reconciling.", "",
 		func() float64 {
-			fleet, ok := e.FleetEpoch()
-			if !ok {
+			st := e.FleetStats()
+			if !st.Connected {
 				return 0
 			}
-			return float64(e.Epoch()) - float64(fleet)
+			return float64(e.Epoch()) - float64(st.Epoch)
 		})
 
 	m.reg.CounterFunc("vector_cache_hits_total", "Vector cache hits.", "",
@@ -157,43 +158,38 @@ func (m *Metrics) bindEngine(e *roundtriprank.Engine) {
 		func() float64 { _, _, n := e.CacheStats(); return float64(n) })
 
 	m.reg.CounterFunc("row_cache_hits_total", "Row cache hits (2sbound-remote).", "",
-		func() float64 { return float64(e.RowServeStats().CacheHits) })
+		func() float64 { return float64(e.FleetStats().CacheHits) })
 	m.reg.CounterFunc("row_cache_misses_total", "Row cache misses (2sbound-remote).", "",
-		func() float64 { return float64(e.RowServeStats().CacheMisses) })
+		func() float64 { return float64(e.FleetStats().CacheMisses) })
 	m.reg.CounterFunc("row_cache_evictions_total", "Row cache evictions.", "",
-		func() float64 { return float64(e.RowServeStats().CacheEvictions) })
+		func() float64 { return float64(e.FleetStats().CacheEvictions) })
 	m.reg.Gauge("row_cache_rows", "Rows currently cached.", "",
-		func() float64 { return float64(e.RowServeStats().CachedRows) })
+		func() float64 { return float64(e.FleetStats().CachedRows) })
 	m.reg.CounterFunc("rows_fetched_total", "Rows fetched from workers through the current epoch's fleet handle.", "",
-		func() float64 { return float64(e.RowServeStats().RowsFetched) })
-	m.reg.CounterFunc("row_rpcs_total", "Worker RPCs issued through the current epoch's fleet handle (equals cluster_rpcs_total).", "",
-		func() float64 { return float64(e.RowServeStats().RowRPCs) })
-	m.reg.CounterFunc("row_retries_total", "Worker RPC retries through the current epoch's fleet handle (equals cluster_retries_total).", "",
-		func() float64 { return float64(e.RowServeStats().RowRetries) })
-
+		func() float64 { return float64(e.FleetStats().RowsFetched) })
 	m.reg.CounterFunc("cluster_rpcs_total", "Worker RPCs issued through the current epoch's fleet handle: handshake, multiplies, row fetches.", "",
-		func() float64 { r, _ := e.ClusterStats(); return float64(r) })
+		func() float64 { return float64(e.FleetStats().RPCs) })
 	m.reg.CounterFunc("cluster_retries_total", "Worker RPC retries through the current epoch's fleet handle.", "",
-		func() float64 { _, r := e.ClusterStats(); return float64(r) })
+		func() float64 { return float64(e.FleetStats().Retries) })
 
 	for _, s := range []struct {
 		state string
-		count func(roundtriprank.ClusterHealth) int
+		count func(roundtriprank.FleetStats) int
 	}{
-		{"alive", func(h roundtriprank.ClusterHealth) int { return h.MembersAlive }},
-		{"suspect", func(h roundtriprank.ClusterHealth) int { return h.MembersSuspect }},
-		{"dead", func(h roundtriprank.ClusterHealth) int { return h.MembersDead }},
-		{"draining", func(h roundtriprank.ClusterHealth) int { return h.MembersDraining }},
+		{"alive", func(st roundtriprank.FleetStats) int { return st.MembersAlive }},
+		{"suspect", func(st roundtriprank.FleetStats) int { return st.MembersSuspect }},
+		{"dead", func(st roundtriprank.FleetStats) int { return st.MembersDead }},
+		{"draining", func(st roundtriprank.FleetStats) int { return st.MembersDraining }},
 	} {
 		count := s.count
 		m.reg.Gauge("fleet_members", "Registered fleet members by liveness state (zero without a fleet manager).",
 			`state="`+s.state+`"`,
-			func() float64 { return float64(count(e.ClusterHealth())) })
+			func() float64 { return float64(count(e.FleetStats())) })
 	}
 	m.reg.CounterFunc("fleet_failovers_total", "Calls that succeeded only after routing around a failed replica.", "",
-		func() float64 { return float64(e.ClusterHealth().Failovers) })
+		func() float64 { return float64(e.FleetStats().Failovers) })
 	m.reg.Gauge("fleet_replication", "Configured replica count per stripe (zero without a fleet manager).", "",
-		func() float64 { return float64(e.ClusterHealth().Replication) })
+		func() float64 { return float64(e.FleetStats().Replication) })
 
 	m.reg.Gauge("scratch_pool_in_use", "Pooled online-query scratch objects currently checked out.", "",
 		func() float64 { n, _ := topk.PoolStats(); return float64(n) })

@@ -134,8 +134,8 @@ type rankRequest struct {
 	Query []string               `json:"query,omitempty"`
 	Nodes []roundtriprank.NodeID `json:"nodes,omitempty"`
 	K     int                    `json:"k"`
-	// Method is auto (default), exact, distributed or 2sbound-remote (both
-	// require workers), 2sbound, gs, gupta or sarkar.
+	// Method is auto (default), exact, 2sbound, or distributed or
+	// 2sbound-remote (both require workers).
 	Method string `json:"method,omitempty"`
 	// Type restricts results to the named node type (as registered on the
 	// graph, e.g. "venue"); empty keeps all types.
@@ -333,8 +333,7 @@ func statusForError(err error) int {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rpcs, retries := s.engine.ClusterStats()
-	rs := s.engine.RowServeStats()
+	fs := s.engine.FleetStats()
 	g := s.graph()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
@@ -342,15 +341,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"edges":   g.NumEdges(),
 		"epoch":   g.Epoch(),
 		"workers": s.cfg.Workers,
-		"cluster": map[string]any{"rpcs": rpcs, "retries": retries},
+		"cluster": map[string]any{"rpcs": fs.RPCs, "retries": fs.Retries},
 		"rows": map[string]any{
-			"fetched":      rs.RowsFetched,
-			"rpcs":         rs.RowRPCs,
-			"retries":      rs.RowRetries,
-			"cache_hits":   rs.CacheHits,
-			"cache_misses": rs.CacheMisses,
-			"evictions":    rs.CacheEvictions,
-			"cached":       rs.CachedRows,
+			"fetched":      fs.RowsFetched,
+			"cache_hits":   fs.CacheHits,
+			"cache_misses": fs.CacheMisses,
+			"evictions":    fs.CacheEvictions,
+			"cached":       fs.CachedRows,
 		},
 	})
 }

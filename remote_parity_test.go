@@ -115,8 +115,8 @@ func TestRemoteParityAgainstLocalOnline(t *testing.T) {
 					})
 				}
 			}
-			if rpcs, _ := engine.ClusterStats(); rpcs == 0 {
-				t.Errorf("%s: no row RPCs folded into ClusterStats", pg.name)
+			if engine.FleetStats().RPCs == 0 {
+				t.Errorf("%s: no row RPCs folded into FleetStats", pg.name)
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func TestRemoteTinyCacheStaysCorrect(t *testing.T) {
 		t.Fatalf("remote: %v", err)
 	}
 	requireBitIdentical(t, "tiny-cache", remote, local)
-	st := engine.RowServeStats()
+	st := engine.FleetStats()
 	if st.CacheEvictions == 0 {
 		t.Errorf("2-row cache recorded no evictions (stats %+v)", st)
 	}
@@ -263,7 +263,7 @@ func TestRemoteSurvivesWorkerRestart(t *testing.T) {
 		t.Fatalf("remote query through a restarting worker: %v", err)
 	}
 	requireBitIdentical(t, "restarted-worker", remote, local)
-	if _, retries := engine.ClusterStats(); retries < 2 {
+	if retries := engine.FleetStats().Retries; retries < 2 {
 		t.Errorf("restart absorbed with %d retries, want >= 2", retries)
 	}
 	if rowCalls.Load() < 3 {

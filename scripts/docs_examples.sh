@@ -14,6 +14,8 @@ RT_PORT="${RT_PORT:-18080}"
 GP_PORT="${GP_PORT:-17001}"
 FLEET_PORT="${FLEET_PORT:-18081}"
 FW_PORT="${FW_PORT:-17002}"
+EW_PORT="${EW_PORT:-17003}"
+RW_PORT="${RW_PORT:-18082}"
 BIN=$(mktemp -d)
 pids=()
 cleanup() {
@@ -51,6 +53,11 @@ pids+=($!)
 "$BIN/gpserver" -listen "127.0.0.1:$FW_PORT" \
     -register "http://127.0.0.1:$FLEET_PORT" -heartbeat-interval 100ms &
 pids+=($!)
+# The push deployment of docs/OPERATIONS.md: an empty gpserver that an
+# rtrankd started with -workers provisions at startup (that rtrankd starts
+# below, once the worker is listening).
+"$BIN/gpserver" -listen "127.0.0.1:$EW_PORT" &
+pids+=($!)
 
 wait_up() {
     for _ in $(seq 1 120); do
@@ -63,6 +70,11 @@ wait_up "$RT_PORT"
 wait_up "$GP_PORT"
 wait_up "$FLEET_PORT"
 wait_up "$FW_PORT"
+wait_up "$EW_PORT"
+"$BIN/rtrankd" -dataset bibnet -scale 0.1 -listen "127.0.0.1:$RW_PORT" \
+    -workers "http://127.0.0.1:$EW_PORT" &
+pids+=($!)
+wait_up "$RW_PORT"
 
 echo "docs_examples: rtrankd examples (docs/API.md, docs/OPERATIONS.md)"
 out=$(curl -s "localhost:$RT_PORT/healthz")
@@ -95,6 +107,12 @@ expect "rtrankd /v1/epoch after mutation" '"epoch":1' "$out"
 
 out=$(curl -s "localhost:$RT_PORT/rank" -d '{"query": ["term:streaming"], "k": 2}')
 expect "rank against ingested node" '"label":"venue:VLDB"' "$out"
+
+# The baseline bound schemes are not methods (docs/API.md's method table).
+out=$(curl -s -o /dev/null -w '%{http_code}' "localhost:$RT_PORT/rank" \
+    -d '{"query": ["term:spatio"], "k": 3, "method": "gupta"}')
+[ "$out" = "400" ] || fail "method gupta answered $out, want 400"
+echo "  ok: method gupta rejected with 400"
 
 out=$(curl -s -o /dev/null -w '%{http_code}' "localhost:$RT_PORT/v1/edges" -d '{}')
 [ "$out" = "400" ] || fail "empty mutation answered $out, want 400"
@@ -215,6 +233,16 @@ print(len(v), "entries; first nonzero:", next((i,x) for i,x in enumerate(v) if x
 else
     echo "  skip: python3 not available, binary multiply example not replayed"
 fi
+
+echo "docs_examples: push deployment (docs/OPERATIONS.md)"
+# rtrankd -workers shipped the empty worker its stripe before serving, so a
+# distributed query answers 200 without any mutation first.
+out=$(curl -s -w '\n%{http_code}' "localhost:$RW_PORT/rank" -d '{
+    "query": ["term:spatio"], "k": 3, "method": "distributed"
+}')
+expect "empty worker behind rtrankd -workers serves distributed" '"method":"distributed"' "$out"
+[ "${out##*$'\n'}" = "200" ] || fail "distributed query behind rtrankd -workers answered ${out##*$'\n'}, want 200"
+echo "  ok: distributed query behind rtrankd -workers answered 200"
 
 echo "docs_examples: fleet membership examples (docs/API.md, docs/OPERATIONS.md)"
 # The registered worker should be admitted and — with 2 stripes, R=2, one

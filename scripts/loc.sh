@@ -9,8 +9,10 @@
 # each. Those are Index, Ints and Bounds (its own index; FFlat's borrows BCA's,
 # and the embedded neighborhood declares the field once for both trackers); in
 # a tree from before PR 27 also Floats and the then node-keyed Heap.
-# Last, the number of engine options: With… functions of the root package's
-# non-test files, what configures an Engine.
+# Then the number of engine options: With… functions of the root package's
+# non-test files, what configures an Engine. Last, the root package's exported
+# identifiers in its non-test files: package-level names (in or out of a
+# type/var/const block) plus methods of exported types — its public surface.
 # Usage: loc.sh [ref] — the tracked files of the working tree, or of the given
 # commit (e.g. HEAD~1, to put the parent's count beside the change's).
 set -euo pipefail
@@ -34,6 +36,13 @@ if grep -qE 'stamp +\[\]uint32' internal/scratch/heap.go; then
     dense="$dense|Heap" # the heap still keeps stamps of its own by node
 fi
 opts=$(gofiles | grep -E '^[^/]*\.go$' | grep -v '_test.go$' | xargs grep -hE '^func With' | wc -l)
+exports=$(gofiles | grep -E '^[^/]*\.go$' | grep -v '_test.go$' | xargs awk '
+    /^(type|var|const) \($/ { block = 1; next }
+    block && /^\)/ { block = 0; next }
+    block && /^\t[A-Z]/ { n++; next }
+    /^(type|var|const|func) [A-Z]/ { n++; next }
+    /^func \([a-z_]* *\*?[A-Z][A-Za-z0-9_]*\) [A-Z]/ { n++ }
+    END { print n + 0 }')
 scratch=$(gofiles | grep -E '^internal/(bca|bounds)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
 echo "non-test Go lines (outside bench/): $nontest"
 echo "test Go lines (outside bench/):     $tests"
@@ -42,3 +51,4 @@ echo "interfaces (internal/graph + root): $ifaces"
 echo "layout type assertions:             $asserts"
 echo "dense per-node structures:          $scratch"
 echo "engine options:                     $opts"
+echo "root exported identifiers:          $exports"
