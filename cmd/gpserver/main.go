@@ -5,7 +5,7 @@
 //
 // The worker gets its stripe in one of two ways:
 //
-//   - extracted from a graph it loads itself (-graph or -dataset with
+//   - extracted from a graph it generates itself (-dataset with
 //     -stripe/-of),
 //   - received over the network: started with no stripe flags, it waits for
 //     a coordinator to POST one to /v1/stripe — rtrankd -workers does at
@@ -70,11 +70,10 @@ var workerRoutes = []string{
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "path to a gob-encoded graph to extract the stripe from (exclusive with -dataset)")
 		dataset   = flag.String("dataset", "", "synthetic dataset to generate and stripe: bibnet or qlog")
 		scale     = flag.Float64("scale", 1.0, "scale factor for synthetic datasets")
-		stripe    = flag.Int("stripe", 0, "stripe index served by this worker (with -graph/-dataset)")
-		of        = flag.Int("of", 1, "total number of workers in the deployment (with -graph/-dataset)")
+		stripe    = flag.Int("stripe", 0, "stripe index served by this worker (with -dataset)")
+		of        = flag.Int("of", 1, "total number of workers in the deployment (with -dataset)")
 		listen    = flag.String("listen", "127.0.0.1:7001", "HTTP listen address")
 		writeTmo  = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (must cover the slowest multiply)")
 		readTmo   = flag.Duration("read-timeout", time.Minute, "HTTP request read timeout (must cover a stripe upload)")
@@ -89,7 +88,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	s, err := loadStripe(*graphPath, *dataset, *scale, *stripe, *of)
+	s, err := loadStripe(*dataset, *scale, *stripe, *of)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -207,14 +206,14 @@ func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
 		sum(func(wi distributed.WorkerInfo) float64 { return float64(wi.OutEdges) }))
 }
 
-// loadStripe extracts the stripe from the graph the flags name; it returns
-// nil when no graph is named and the worker should start empty and wait to
+// loadStripe extracts the stripe from the dataset the flags name; it returns
+// nil when no dataset is named and the worker should start empty and wait to
 // receive a stripe.
-func loadStripe(graphPath, dataset string, scale float64, stripe, of int) (*distributed.Stripe, error) {
-	if graphPath == "" && dataset == "" {
+func loadStripe(dataset string, scale float64, stripe, of int) (*distributed.Stripe, error) {
+	if dataset == "" {
 		return nil, nil
 	}
-	g, err := cliutil.LoadGraph(graphPath, dataset, scale)
+	g, err := cliutil.LoadGraph(dataset, scale)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,11 @@
-// Command rtrank is a command-line query tool for RoundTripRank. It loads a
-// graph (a gob file written with graph.WriteFile, or a generated synthetic
-// dataset), resolves query node labels, and runs one request through the
-// Engine, printing the top-K ranking.
+// Command rtrank is a command-line query tool for RoundTripRank. It generates
+// a synthetic dataset's graph, resolves query node labels, and runs one
+// request through the Engine, printing the top-K ranking.
 //
 // Examples:
 //
 //	rtrank -dataset bibnet -scale 0.3 -query term:spatio,term:temporal,term:data -type venue -k 5
-//	rtrank -graph mygraph.gob -query node:42 -k 10 -method 2sbound -epsilon 0.01
+//	rtrank -dataset bibnet -query paper:p000042 -k 10 -method 2sbound -epsilon 0.01
 //	rtrank -dataset qlog -query "phrase:cheap flight ticket" -type url -beta 0.3
 //
 // The -method flag selects the execution path: auto (the default planner),
@@ -32,7 +31,6 @@ import (
 
 func main() {
 	var (
-		graphPath  = flag.String("graph", "", "path to a gob-encoded graph (exclusive with -dataset)")
 		dataset    = flag.String("dataset", "", "synthetic dataset to generate: bibnet or qlog")
 		scale      = flag.Float64("scale", 0.3, "scale factor for synthetic datasets")
 		querySpec  = flag.String("query", "", "comma-separated query node labels")
@@ -50,7 +48,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	g, err := cliutil.LoadGraph(*graphPath, *dataset, *scale)
+	g, err := cliutil.LoadGraph(*dataset, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Command rtrankd serves RoundTripRank queries over HTTP. It loads a graph (a
-// gob file or a generated synthetic dataset), builds an Engine, and exposes
+// Command rtrankd serves RoundTripRank queries over HTTP. It generates a
+// synthetic dataset's graph, builds an Engine, and exposes
 //
 //	POST /rank      — execute one ranking request (JSON in, JSON out)
 //	GET  /healthz   — liveness plus graph stats
@@ -73,7 +73,6 @@ import (
 
 func main() {
 	var (
-		graphPath   = flag.String("graph", "", "path to a gob-encoded graph (exclusive with -dataset)")
 		dataset     = flag.String("dataset", "", "synthetic dataset to generate: bibnet or qlog")
 		scale       = flag.Float64("scale", 0.3, "scale factor for synthetic datasets")
 		listen      = flag.String("listen", "127.0.0.1:8080", "listen address")
@@ -93,7 +92,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	g, err := cliutil.LoadGraph(*graphPath, *dataset, *scale)
+	g, err := cliutil.LoadGraph(*dataset, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}

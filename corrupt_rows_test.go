@@ -16,12 +16,13 @@ import (
 )
 
 // corruptRows is a worker that answers /v1/rows from the right snapshot with
-// one edge no graph of that size has: the first column of every served out-row
-// (or in-row) is replaced by col. Everything else it forwards.
+// one edge no graph may have: the first column of every served out-row (or
+// in-row) is replaced by col — or, with self set, by the row's own node, a
+// self-loop. Everything else it forwards.
 type corruptRows struct {
 	distributed.Transport
-	inRow bool
-	col   graph.NodeID
+	inRow, self bool
+	col         graph.NodeID
 }
 
 func (c *corruptRows) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (distributed.RowBatch, error) {
@@ -39,6 +40,9 @@ func (c *corruptRows) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 		if len(*cols) > 0 {
 			*cols = append([]graph.NodeID(nil), *cols...)
 			(*cols)[0] = c.col
+			if c.self {
+				(*cols)[0] = batch.Rows[i].Node
+			}
 		}
 	}
 	return batch, nil
@@ -47,7 +51,9 @@ func (c *corruptRows) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 // TestCorruptRowsFailTheQuery pins the last unchecked wire input: a row reply
 // whose column ID lies outside [0, NumNodes) is a protocol violation that fails
 // the query as a value — the searcher indexes per-node arrays by the columns it
-// reads, so unchecked it is an index-out-of-range panic in the coordinator.
+// reads, so unchecked it is an index-out-of-range panic in the coordinator. So
+// is a row that names its own node, a self-loop no Builder admits and the
+// bounds of Sect. V-A do not hold on.
 func TestCorruptRowsFailTheQuery(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	n := graph.NodeID(g.NumNodes())
@@ -58,21 +64,24 @@ func TestCorruptRowsFailTheQuery(t *testing.T) {
 	opt.K = 3
 
 	for _, tc := range []struct {
-		name  string
-		inRow bool
-		col   graph.NodeID
+		name        string
+		inRow, self bool
+		col         graph.NodeID
+		want        string
 	}{
-		{"out-row/-1", false, -1},
-		{"out-row/beyond", false, 1 << 20},
-		{"in-row/-1", true, -1},
-		{"in-row/beyond", true, n + 3},
+		{"out-row/-1", false, false, -1, "out of range"},
+		{"out-row/beyond", false, false, 1 << 20, "out of range"},
+		{"out-row/self", false, true, 0, "self-loop"},
+		{"in-row/-1", true, false, -1, "out of range"},
+		{"in-row/beyond", true, false, n + 3, "out of range"},
+		{"in-row/self", true, true, 0, "self-loop"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			honest, err := LoopbackWorkers(g, 2)
 			if err != nil {
 				t.Fatalf("LoopbackWorkers: %v", err)
 			}
-			lying := []Transport{honest[0], &corruptRows{Transport: honest[1], inRow: tc.inRow, col: tc.col}}
+			lying := []Transport{honest[0], &corruptRows{Transport: honest[1], inRow: tc.inRow, self: tc.self, col: tc.col}}
 			cache := rowserve.NewCache(0)
 
 			view, err := rowserve.Connect(ctx, lying, &rowserve.Options{Cache: cache})
@@ -84,8 +93,8 @@ func TestCorruptRowsFailTheQuery(t *testing.T) {
 			if err == nil || res != nil {
 				t.Fatalf("search over corrupt rows returned (%v, %v), want the violation", res, err)
 			}
-			if distributed.IsTransient(err) || !strings.Contains(err.Error(), "out of range") {
-				t.Errorf("violation should be permanent and name the range, got: %v", err)
+			if distributed.IsTransient(err) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("violation should be permanent and name the %s, got: %v", tc.want, err)
 			}
 			if sess.Err() == nil {
 				t.Errorf("session did not keep the violation")

@@ -5,7 +5,6 @@ import (
 
 	"roundtriprank/internal/bca"
 	"roundtriprank/internal/graph"
-	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/walk"
 )
 
@@ -14,32 +13,19 @@ import (
 // unseen nodes: Stage I folds each BCA expansion into the bounds (Prop. 4,
 // Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
 // log of the subgraph Sf induces and reads no rows: join, the one place a node
-// enters Sf, scans the newcomer's in-row once and logs the induced edges it
-// closes. Sf has one membership, the BCA engine's index of the nodes it has
-// given an estimate: the bounds here, like the restart weights and rows in the
-// kernel, are kept by its slots, and a node is seen once the slot has them.
-// The one thing this side keys by node itself is the parked chains of nodes
-// still outside. InitRows rebinds the whole tracker to a new query in O(1), so
-// a pooled instance serves a stream of queries with no steady-state allocation.
+// enters Sf, scans the newcomer's rows once and logs the induced edges it
+// closes, as TFlat's does. Sf has one membership, the BCA engine's index of the
+// nodes it has given an estimate: the bounds here, like the restart weights and
+// rows in the kernel, are kept by its slots, and a node is seen once the slot
+// has them. This side keys nothing by node itself. InitRows rebinds the whole
+// tracker to a new query in O(1), so a pooled instance serves a stream of
+// queries with no steady-state allocation.
 type FFlat struct {
 	neighborhood
 	opt  FOptions
-	rows graph.Rows // the graph; join reads a newcomer's in-row
+	rows graph.Rows // the graph; join reads a newcomer's rows
 
 	engine bca.Flat
-	// parked holds the entries rows of Sf will gain once an in-neighbor still
-	// outside joins, chained per such node: parkedAt maps it to 1 + the index
-	// of its latest entry, next to the one before (0 ends the chain). The
-	// chains are keyed by nodes that may have no slot yet, so parkedAt is
-	// dense.
-	parked   []parkedEntry
-	parkedAt scratch.Ints
-}
-
-// parkedEntry says slot row sums a node still outside Sf with probability m.
-type parkedEntry struct {
-	next, row int32
-	m         float64
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
@@ -63,8 +49,6 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	sf, _ := fb.engine.Seen()
 	fb.b.ResetOver(sf)
 	fb.k.reset()
-	fb.parked = fb.parked[:0]
-	fb.parkedAt.Reset(rows.NumNodes())
 	fb.unseen = 1
 	return nil
 }
@@ -138,22 +122,18 @@ func (fb *FFlat) initializeBounds() {
 // sums over its in-neighbors, each weighted by that neighbor's own transition
 // probability, so v's in-row yields the total mass of its row, computed this
 // once, and its entries for the in-neighbors already seen (itself among them
-// on a self-loop). An entry for an in-neighbor still outside is parked under
-// that node and logged when it joins — which is how v, before reading
-// anything, collects the entries the rows of its seen out-neighbors gain for
-// it: a node's out-row, which only BCA reads, is never needed. Nodes join one
-// at a time, so every induced edge is logged once, by its later endpoint — and
-// since a round's newcomers are all in the engine's index before the first of
-// them joins, an in-neighbor counts as seen only when its slot is below the
-// number joined so far (scratch.Bounds.Index), v's own included. The scan makes
-// one stamped probe per in-neighbor, for its slot, and a second, for its parked
-// chain, only when it is still outside. The restart weight comes from the BCA
-// engine's restart distribution, the one copy of it on this side.
+// on a self-loop, being a member by now). Its out-row yields the entries v
+// gains in the rows of its seen out-neighbors; it is read only when v has
+// out-weight, so exactly the rows BCA read when it processed v. Nodes join one
+// at a time, so of two adjacent nodes the later finds the earlier seen and
+// their edges are logged once — and since a round's newcomers are all in the
+// engine's index before the first of them joins, a neighbor counts as seen
+// only when its slot is below the number joined so far (scratch.Bounds.Index),
+// v's own included. Each scanned neighbor costs one stamped probe, for its
+// slot. The restart weight comes from the BCA engine's restart distribution,
+// the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 	self := fb.b.Push(lo, up)
-	for at := fb.parkedAt.Get(v); at > 0; at = int(fb.parked[at-1].next) {
-		fb.k.add(fb.parked[at-1].row, self, fb.parked[at-1].m)
-	}
 	mass := 0.0
 	cols, wts := fb.rows.InRow(v)
 	for i, from := range cols {
@@ -165,12 +145,21 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 		mass += m
 		if slot, seen := fb.b.Index(from); seen {
 			fb.k.add(self, slot, m)
-		} else {
-			fb.parked = append(fb.parked, parkedEntry{int32(fb.parkedAt.Get(from)), self, m})
-			fb.parkedAt.Set(from, len(fb.parked))
 		}
 	}
 	fb.k.join(fb.engine.RestartWeight(v), mass)
+
+	if outSum := fb.rows.OutSum(v); outSum > 0 {
+		cols, wts = fb.rows.OutRow(v)
+		for i, to := range cols {
+			if to == v {
+				continue
+			}
+			if slot, seen := fb.b.Index(to); seen {
+				fb.k.add(slot, self, wts[i]/outSum)
+			}
+		}
+	}
 }
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the

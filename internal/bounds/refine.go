@@ -19,9 +19,8 @@ import (
 // src sums the bounds of slot dst with transition probability m. The trackers
 // keep one invariant: an induced edge is appended exactly once, when the later
 // of its two endpoints joins — the newcomer's rows, scanned then against the
-// membership, yield every induced edge it closes (TFlat scans both rows and
-// takes a self-loop from one; FFlat scans the in-row and parks what it cannot
-// log yet under the missing endpoint). All neighbors of a row that are still
+// membership, yield every induced edge it closes (both trackers scan both rows
+// and take a self-loop from the in-row). All neighbors of a row that are still
 // unseen contribute the same m·unseen and fold into one scalar: the row's
 // total transition mass, fixed at join, minus the mass logged for the row so
 // far — being logged is all it takes to move a newcomer out of that scalar.

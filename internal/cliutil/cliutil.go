@@ -1,5 +1,5 @@
 // Package cliutil holds the small helpers shared by the commands under cmd/:
-// loading a graph from a gob file or a generated synthetic dataset, resolving
+// generating the graph of a synthetic dataset, resolving
 // node-type names against a graph's type registry, and running an HTTP server
 // with uniform timeouts and graceful shutdown (rtrankd and gpserver both
 // serve through ListenAndServe).
@@ -13,27 +13,24 @@ import (
 	"roundtriprank/internal/graph"
 )
 
-// LoadGraph loads a gob-encoded graph from path, or generates the named
-// synthetic dataset ("bibnet" or "qlog") at the given scale when path is
-// empty.
-func LoadGraph(path, dataset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		return graph.ReadFile(path)
-	case dataset == "bibnet":
+// LoadGraph generates the named synthetic dataset ("bibnet" or "qlog") at the
+// given scale.
+func LoadGraph(dataset string, scale float64) (*graph.Graph, error) {
+	switch dataset {
+	case "bibnet":
 		net, err := datasets.GenerateBibNet(datasets.ScaledBibNetConfig(scale))
 		if err != nil {
 			return nil, err
 		}
 		return net.Graph, nil
-	case dataset == "qlog":
+	case "qlog":
 		qlog, err := datasets.GenerateQLog(datasets.ScaledQLogConfig(scale))
 		if err != nil {
 			return nil, err
 		}
 		return qlog.Graph, nil
 	default:
-		return nil, fmt.Errorf("provide either -graph or -dataset bibnet|qlog")
+		return nil, fmt.Errorf("provide -dataset bibnet|qlog")
 	}
 }
 

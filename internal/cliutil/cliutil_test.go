@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,35 +8,9 @@ import (
 	"roundtriprank/internal/testgraphs"
 )
 
-func TestLoadGraphFromFile(t *testing.T) {
-	toy := testgraphs.NewToy()
-	path := filepath.Join(t.TempDir(), "toy.gob")
-	if err := graph.WriteFile(path, toy.Graph); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	g, err := LoadGraph(path, "", 0)
-	if err != nil {
-		t.Fatalf("LoadGraph(file): %v", err)
-	}
-	if g.NumNodes() != toy.Graph.NumNodes() || g.NumEdges() != toy.Graph.NumEdges() {
-		t.Errorf("loaded graph has %d nodes / %d edges, want %d / %d",
-			g.NumNodes(), g.NumEdges(), toy.Graph.NumNodes(), toy.Graph.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("loaded graph invalid: %v", err)
-	}
-	// An explicit path wins over a dataset name.
-	if _, err := LoadGraph(path, "bibnet", 1); err != nil {
-		t.Errorf("LoadGraph(file, dataset): %v", err)
-	}
-	if _, err := LoadGraph(filepath.Join(t.TempDir(), "missing.gob"), "", 0); err == nil {
-		t.Errorf("missing file should error")
-	}
-}
-
 func TestLoadGraphGenerated(t *testing.T) {
 	for _, dataset := range []string{"bibnet", "qlog"} {
-		g, err := LoadGraph("", dataset, 0.05)
+		g, err := LoadGraph(dataset, 0.05)
 		if err != nil {
 			t.Fatalf("LoadGraph(%s): %v", dataset, err)
 		}
@@ -48,11 +21,11 @@ func TestLoadGraphGenerated(t *testing.T) {
 			t.Errorf("%s: generated graph invalid: %v", dataset, err)
 		}
 	}
-	if _, err := LoadGraph("", "nope", 1); err == nil || !strings.Contains(err.Error(), "-dataset") {
+	if _, err := LoadGraph("nope", 1); err == nil || !strings.Contains(err.Error(), "-dataset") {
 		t.Errorf("unknown dataset: error = %v, want usage hint", err)
 	}
-	if _, err := LoadGraph("", "", 1); err == nil {
-		t.Errorf("no path and no dataset should error")
+	if _, err := LoadGraph("", 1); err == nil {
+		t.Errorf("no dataset should error")
 	}
 }
 

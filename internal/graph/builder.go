@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -87,24 +86,12 @@ func (b *Builder) NodeByLabel(label string) NodeID {
 	return NoNode
 }
 
-// AddEdge adds a directed edge from->to with the given positive weight.
-// Self-loops are rejected: the neighborhood bounds of Sect. V-A (Prop. 4 and
-// the border-node bound of Eq. 22) assume a random surfer cannot stay in
-// place, which holds for the paper's bibliographic and query-log graphs.
+// AddEdge adds a directed edge from->to with the given positive weight. The
+// edge must pass the edge rule (checkEdge): both nodes added already, no
+// self-loop, a weight positive and finite.
 func (b *Builder) AddEdge(from, to NodeID, w float64) error {
-	// The comparison is written so NaN fails it too; infinities would pass
-	// through every solver as NaN products, so they are rejected as well.
-	if !(w > 0) || math.IsInf(w, 1) {
-		return fmt.Errorf("graph: edge weight must be positive and finite, got %g", w)
-	}
-	if from == to {
-		return fmt.Errorf("graph: self-loop on node %d is not supported", from)
-	}
-	if err := b.checkNode(from); err != nil {
-		return err
-	}
-	if err := b.checkNode(to); err != nil {
-		return err
+	if err := checkEdge(from, to, w, len(b.types)); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
 	b.from = append(b.from, from)
 	b.to = append(b.to, to)
@@ -134,13 +121,6 @@ func (b *Builder) MustAddUndirectedEdge(a, bNode NodeID, w float64) {
 	if err := b.AddUndirectedEdge(a, bNode, w); err != nil {
 		panic(err)
 	}
-}
-
-func (b *Builder) checkNode(v NodeID) error {
-	if v < 0 || int(v) >= len(b.types) {
-		return fmt.Errorf("graph: node %d does not exist (have %d nodes)", v, len(b.types))
-	}
-	return nil
 }
 
 // Build produces the immutable CSR Graph. Parallel directed edges between the

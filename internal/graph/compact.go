@@ -14,8 +14,11 @@ type CompactedView struct {
 // Compact puts flat arrays under a solver: it wraps view's arrays in a
 // CompactedView without copying them. It is how a caller with storage of its
 // own — or a test with hand-made rows: self-loops, zero weights, dangling
-// nodes — reaches the solvers, all of which take a View. The wrapper is
-// unversioned: it reports epoch zero and the fingerprint of the arrays alone.
+// nodes — reaches the solvers, all of which take a View. It checks nothing:
+// with Pack it is the unchecked door, the one way past the edge rule every
+// other door applies (checkEdge), so the arrays are the caller's to keep
+// valid. The wrapper is unversioned: it reports epoch zero and the
+// fingerprint of the arrays alone.
 func Compact(view CSRView) *CompactedView {
 	return &CompactedView{numNodes: view.NumNodes(), out: view.OutCSR(), in: view.InCSR()}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -105,17 +104,8 @@ func (d *Delta) checkNode(v NodeID) error {
 // staged removal of the same edge, and re-attaches edges to a node staged for
 // removal (the staging order decides, matching operator intent).
 func (d *Delta) SetEdge(from, to NodeID, w float64) error {
-	if !(w > 0) || math.IsInf(w, 1) {
-		return fmt.Errorf("graph: delta: edge weight must be positive and finite, got %g", w)
-	}
-	if from == to {
-		return fmt.Errorf("graph: delta: self-loop on node %d is not supported", from)
-	}
-	if err := d.checkNode(from); err != nil {
-		return err
-	}
-	if err := d.checkNode(to); err != nil {
-		return err
+	if err := checkEdge(from, to, w, d.NumNodes()); err != nil {
+		return fmt.Errorf("graph: delta: %w", err)
 	}
 	k := edgeKey{from, to}
 	delete(d.removed, k)

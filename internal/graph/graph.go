@@ -130,8 +130,10 @@ func (c CSR) transpose() CSR {
 // check is the one flat-CSR check, which graphs and stripes are held to:
 // rows+1 offsets from zero that never decrease and cover the columns exactly,
 // one weight per column and one cached sum per row, every row valid under
-// CheckRow and its cached sum equal to the sum of its weights.
-func (c CSR) check(rows, numNodes int) error {
+// CheckRow and its cached sum equal to the sum of its weights. Row r holds the
+// adjacency of node first + r·step: of every node for a graph (0, 1), of
+// Index + r·Count for a stripe.
+func (c CSR) check(rows, numNodes, first, step int) error {
 	switch {
 	case len(c.RowPtr) != rows+1:
 		return fmt.Errorf("%d offsets for %d rows", len(c.RowPtr), rows)
@@ -149,7 +151,7 @@ func (c CSR) check(rows, numNodes int) error {
 		if hi < lo || hi > int64(len(c.Col)) {
 			return fmt.Errorf("row %d offsets [%d,%d) invalid", r, lo, hi)
 		}
-		sum, err := CheckRow(c.Col[lo:hi], c.Weight[lo:hi], numNodes)
+		sum, err := CheckRow(NodeID(first+r*step), c.Col[lo:hi], c.Weight[lo:hi], numNodes)
 		if err != nil {
 			return fmt.Errorf("row %d: %w", r, err)
 		}
@@ -161,24 +163,46 @@ func (c CSR) check(rows, numNodes int) error {
 }
 
 // CheckRow is the row half of the flat-CSR check, and what a row fetched from
-// a worker is held to: one weight per column, columns inside [0, numNodes),
-// weights positive and finite. It returns the row's weight sum, accumulated in
-// stored order.
-func CheckRow(cols []NodeID, weights []float64, numNodes int) (float64, error) {
+// a worker is held to: one weight per column, and every entry, read as an edge
+// between the row's own node and the column, valid under the edge rule. Either
+// half of a node's adjacency is checked the same way, the rule being
+// symmetric. It returns the row's weight sum, accumulated in stored order.
+func CheckRow(node NodeID, cols []NodeID, weights []float64, numNodes int) (float64, error) {
 	if len(weights) != len(cols) {
 		return 0, fmt.Errorf("%d weights for %d columns", len(weights), len(cols))
 	}
 	sum := 0.0
 	for i, col := range cols {
-		if col < 0 || int(col) >= numNodes {
-			return 0, fmt.Errorf("column %d out of range [0,%d)", col, numNodes)
-		}
-		if w := weights[i]; !(w > 0) || math.IsInf(w, 0) {
-			return 0, fmt.Errorf("non-positive or non-finite weight %g", w)
+		if err := checkEdge(node, col, weights[i], numNodes); err != nil {
+			return 0, err
 		}
 		sum += weights[i]
 	}
 	return sum, nil
+}
+
+// checkEdge is the edge rule, the one check every door an edge comes through
+// applies — Builder.AddEdge, Delta.SetEdge and, through CheckRow, stripes and
+// fetched rows: both endpoints inside [0, numNodes), no self-loop, a weight
+// positive and finite. Self-loops are refused because the neighborhood bounds
+// of Sect. V-A (Prop. 4 and the border-node bound of Eq. 22) assume a random
+// surfer cannot stay in place, which holds for the paper's bibliographic and
+// query-log graphs; an infinite weight would pass through every solver as NaN
+// products.
+func checkEdge(from, to NodeID, w float64, numNodes int) error {
+	for _, v := range [2]NodeID{from, to} {
+		if v < 0 || int(v) >= numNodes {
+			return fmt.Errorf("node %d out of range [0,%d)", v, numNodes)
+		}
+	}
+	if from == to {
+		return fmt.Errorf("self-loop on node %d is not supported", from)
+	}
+	// The comparison is written so NaN fails it too.
+	if !(w > 0) || math.IsInf(w, 0) {
+		return fmt.Errorf("edge weight must be positive and finite, got %g", w)
+	}
+	return nil
 }
 
 // CSRView is "has flat arrays": what Compact wraps and what Pack,
@@ -360,7 +384,7 @@ func (g *Graph) SizeBytes() int64 {
 // Validate holds both directions to the one flat-CSR check and checks they
 // carry the same edge count. It is primarily used in tests.
 func (g *Graph) Validate() error {
-	if err := checkPair(g.out, g.in, g.numNodes, g.numNodes); err != nil {
+	if err := checkPair(g.out, g.in, g.numNodes, g.numNodes, 0, 1); err != nil {
 		return fmt.Errorf("graph: %w", err)
 	}
 	if len(g.out.Col) != g.numEdges || len(g.in.Col) != g.numEdges {
@@ -370,11 +394,11 @@ func (g *Graph) Validate() error {
 }
 
 // checkPair runs the flat-CSR check on the two directions of one adjacency.
-func checkPair(out, in CSR, rows, numNodes int) error {
-	if err := out.check(rows, numNodes); err != nil {
+func checkPair(out, in CSR, rows, numNodes, first, step int) error {
+	if err := out.check(rows, numNodes, first, step); err != nil {
 		return fmt.Errorf("out: %w", err)
 	}
-	if err := in.check(rows, numNodes); err != nil {
+	if err := in.check(rows, numNodes, first, step); err != nil {
 		return fmt.Errorf("in: %w", err)
 	}
 	return nil

@@ -307,6 +307,9 @@ type Packed struct {
 // The source's epoch and fingerprint are recorded (hashing the arrays unless
 // the source has its fingerprint cached, as a *Graph does), so an engine over
 // the packed view validates a worker fleet exactly as one over the source.
+// Like Compact it checks nothing: it is the other unchecked door, through
+// which tests put hand-made rows — self-loops among them — into the packed
+// layout; the arrays are the caller's to keep valid.
 func Pack(v CSRView) *Packed {
 	out := v.OutCSR()
 	p := &Packed{numNodes: v.NumNodes(), numEdges: len(out.Col), out: packCSR(out), in: packCSR(v.InCSR())}

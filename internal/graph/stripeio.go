@@ -113,7 +113,7 @@ func (d *StripeData) Validate() error {
 	if d.NumNodes < 0 {
 		return fmt.Errorf("graph: stripe header: negative node count %d", d.NumNodes)
 	}
-	if err := checkPair(d.Out, d.In, d.Rows(), d.NumNodes); err != nil {
+	if err := checkPair(d.Out, d.In, d.Rows(), d.NumNodes, d.Index, d.Count); err != nil {
 		return fmt.Errorf("graph: stripe %w", err)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -130,6 +131,53 @@ func TestStripeDecodeWrongMagicAndVersion(t *testing.T) {
 	binary.LittleEndian.PutUint16(bad[4:], 99) // version field
 	if _, err := DecodeStripe(bytes.NewReader(bad)); err == nil {
 		t.Fatalf("decoding version 99 succeeded")
+	}
+}
+
+// TestStripeCodecRefusesSelfLoop holds stripes to the edge rule a Builder
+// applies: an entry of row r naming the row's own node, Index + r·Count, is a
+// self-loop, which EncodeStripe refuses to write and DecodeStripe to read —
+// in either direction. The same entry naming node r instead is a valid edge,
+// which pins the row-to-node mapping.
+func TestStripeCodecRefusesSelfLoop(t *testing.T) {
+	g := stripeTestGraph(t)
+	const index, count, r = 1, 3, 1
+	self := NodeID(index + r*count)
+	for _, in := range []bool{false, true} {
+		for _, col := range []NodeID{self, r} {
+			d, err := BuildStripeData(g, index, count)
+			if err != nil {
+				t.Fatalf("BuildStripeData: %v", err)
+			}
+			c := &d.Out
+			if in {
+				c = &d.In
+			}
+			if c.RowPtr[r] == c.RowPtr[r+1] {
+				t.Fatalf("in %v: row %d is empty", in, r)
+			}
+			c.Col = append([]NodeID(nil), c.Col...)
+			c.Col[c.RowPtr[r]] = col
+			var forged bytes.Buffer
+			if err := writeStripe(&forged, d); err != nil {
+				t.Fatalf("writeStripe: %v", err)
+			}
+			_, decodeErr := DecodeStripe(bytes.NewReader(forged.Bytes()))
+			encodeErr := EncodeStripe(&bytes.Buffer{}, d)
+			if col != self {
+				if encodeErr != nil || decodeErr != nil {
+					t.Errorf("in %v, column %d in the row of node %d: EncodeStripe %v, DecodeStripe %v; want both to accept",
+						in, col, self, encodeErr, decodeErr)
+				}
+				continue
+			}
+			for _, err := range []error{encodeErr, decodeErr} {
+				if err == nil || !strings.Contains(err.Error(), "self-loop") {
+					t.Errorf("in %v: EncodeStripe %v, DecodeStripe %v; want both to refuse the self-loop on node %d",
+						in, encodeErr, decodeErr, self)
+				}
+			}
+		}
 	}
 }
 

@@ -313,9 +313,9 @@ func (s *Session) validate(stripe int, nodes []graph.NodeID, batch distributed.R
 		if row.Node != nodes[i] {
 			return fmt.Errorf("rowserve: stripe %d returned row %d at position %d, requested %d", stripe, row.Node, i, nodes[i])
 		}
-		_, err := graph.CheckRow(row.OutTo, row.OutW, n)
+		_, err := graph.CheckRow(row.Node, row.OutTo, row.OutW, n)
 		if err == nil {
-			_, err = graph.CheckRow(row.InFrom, row.InW, n)
+			_, err = graph.CheckRow(row.Node, row.InFrom, row.InW, n)
 		}
 		if err != nil {
 			return fmt.Errorf("rowserve: stripe %d row %d: %w", stripe, row.Node, err)

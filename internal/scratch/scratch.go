@@ -4,8 +4,7 @@
 // list — without hashing or per-query clearing. Everything else is keyed by
 // slot, in plain slices that grow with the neighborhood: Bounds (a lower/upper
 // pair per slot, over an Index) and Heap (a d-ary max-heap of slots with
-// in-place decrease-key, heap.go). Ints is the one dense value array left, for
-// state keyed by nodes that have no slot yet.
+// in-place decrease-key, heap.go).
 //
 // The stamping is the standard discipline of bookmark-coloring
 // implementations: a node is present only when its stamp equals the
@@ -76,41 +75,6 @@ func (x *Index) Add(v graph.NodeID) (slot int32, added bool) {
 // Touched returns the members in slot order. The slice aliases internal
 // storage: it is valid until the next Add or Reset and must not be mutated.
 func (x *Index) Touched() []graph.NodeID { return x.touched }
-
-// Ints is a dense int-valued map over node IDs with O(1) reset and no touched
-// list; it is for state keyed by nodes that belong to no neighborhood yet, and
-// so have no slot (FFlat's parked chains). The zero value is empty; Reset must
-// be called before use.
-type Ints struct {
-	val   []int32
-	stamp []uint32
-	gen   uint32
-}
-
-// Reset empties the map and (re)sizes it for node IDs in [0, n).
-func (m *Ints) Reset(n int) {
-	m.val = grow(m.val, n)
-	m.stamp = grow(m.stamp, n)
-	m.gen++
-	if m.gen == 0 {
-		clear(m.stamp)
-		m.gen = 1
-	}
-}
-
-// Get returns the value at v, zero when absent.
-func (m *Ints) Get(v graph.NodeID) int {
-	if m.stamp[v] != m.gen {
-		return 0
-	}
-	return int(m.val[v])
-}
-
-// Set stores x at v.
-func (m *Ints) Set(v graph.NodeID, x int) {
-	m.stamp[v] = m.gen
-	m.val[v] = int32(x)
-}
 
 // Bounds is the per-node lower/upper bound pair of the two-stage framework,
 // stored by slot over an Index: the neighborhood is the leading Len slots of

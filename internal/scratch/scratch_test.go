@@ -93,24 +93,6 @@ func TestIndexGenerationWraparound(t *testing.T) {
 	}
 }
 
-func TestIntsBasics(t *testing.T) {
-	var m Ints
-	m.Reset(6)
-	if m.Get(2) != 0 {
-		t.Fatalf("fresh Ints should read zero")
-	}
-	m.Set(2, 5)
-	m.Set(4, 1)
-	m.Set(2, 3)
-	if m.Get(2) != 3 || m.Get(4) != 1 || m.Get(3) != 0 {
-		t.Errorf("Get after Set: %d %d %d, want 3 1 0", m.Get(2), m.Get(4), m.Get(3))
-	}
-	m.Reset(6)
-	if m.Get(2) != 0 || m.Get(4) != 0 {
-		t.Errorf("Reset should empty Ints")
-	}
-}
-
 func TestBoundsBasics(t *testing.T) {
 	var b Bounds
 	b.Reset(8)

@@ -43,7 +43,7 @@ const DefaultMutationTimeout = 5 * time.Minute
 const maxRequestBytes = 1 << 20
 
 // maxMutationBytes caps the /v1/edges request body. An ingestion batch is
-// bounded JSON, not a graph upload; bulk loads go through -graph files.
+// bounded JSON, not a graph upload.
 const maxMutationBytes = 64 << 20
 
 // Config carries the serving policy that is not the engine's concern.

@@ -341,11 +341,10 @@ func footprint(v reflect.Value, n int) (dense, sparse, longest int) {
 }
 
 // TestSearcherFootprint pins where a query's state lives. What is keyed by
-// node is 32 B a node and no more, four dense arrays of 8 B — BCA's index of
+// node is 24 B a node and no more, three dense arrays of 8 B — BCA's index of
 // the nodes it has given an estimate (which is Sf: the F side's bounds go by
-// its slots) and its index of the nodes it has given residual, the F side's
-// parked-chain heads, the T side's index of St — and everything else is keyed
-// by slot or by logged edge: its size follows the neighborhoods and stays the
+// its slots) and its index of the nodes it has given residual, the T side's
+// index of St — and everything else is keyed by slot or by logged edge: its size follows the neighborhoods and stays the
 // same, byte for byte, when the same graph is padded with isolated nodes to
 // four times the size.
 func TestSearcherFootprint(t *testing.T) {
@@ -394,8 +393,8 @@ func TestSearcherFootprint(t *testing.T) {
 
 		sv := reflect.ValueOf(s).Elem()
 		dense, sparse, longest := footprint(sv, n)
-		if dense != 32*n {
-			t.Errorf("n=%d: %d B in per-node arrays, want 32 B × n = %d", n, dense, 32*n)
+		if dense != 24*n {
+			t.Errorf("n=%d: %d B in per-node arrays, want 24 B × n = %d", n, dense, 24*n)
 		}
 		logged := func(side string, field ...string) int {
 			v := sv.FieldByName(side)
@@ -405,7 +404,7 @@ func TestSearcherFootprint(t *testing.T) {
 			return v.Len()
 		}
 		reach := res.Touched + res.FSeen + res.TSeen +
-			logged("fb", "k", "log") + logged("tb", "k", "log") + logged("fb", "parked") + 2
+			logged("fb", "k", "log") + logged("tb", "k", "log") + 2
 		if longest > reach {
 			t.Errorf("n=%d: a slice of %d entries beside the per-node arrays; rows reached, seen nodes and logged edges add up to %d", n, longest, reach)
 		}
