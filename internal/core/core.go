@@ -163,22 +163,72 @@ func Rank(scores []float64, keep func(graph.NodeID) bool) []Ranked {
 		}
 		out = append(out, Ranked{Node: v, Score: s})
 	}
-	slices.SortFunc(out, func(a, b Ranked) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return cmp.Compare(a.Node, b.Node)
-	})
+	slices.SortFunc(out, rankOrder)
 	return out
 }
 
-// TopN returns the first n entries of Rank(scores, keep).
-func TopN(scores []float64, n int, keep func(graph.NodeID) bool) []Ranked {
-	r := Rank(scores, keep)
-	if len(r) > n {
-		r = r[:n]
+// rankOrder is the total order of a ranking: score descending (cmp.Compare,
+// so NaN ranks last), then node ascending.
+func rankOrder(a, b Ranked) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
 	}
-	return r
+	return cmp.Compare(a.Node, b.Node)
+}
+
+// TopN returns the first n entries of Rank(scores, keep), none when n ≤ 0. It
+// keeps the n best seen so far in a heap whose root is the worst of them, so
+// it costs O(N log n) rather than Rank's sort of all N.
+func TopN(scores []float64, n int, keep func(graph.NodeID) bool) []Ranked {
+	if n <= 0 {
+		return []Ranked{}
+	}
+	h := make([]Ranked, 0, min(n, len(scores)))
+	for i, s := range scores {
+		r := Ranked{Node: graph.NodeID(i), Score: s}
+		switch {
+		case keep != nil && !keep(r.Node):
+		case len(h) < n:
+			h = append(h, r)
+			siftUp(h)
+		case rankOrder(r, h[0]) < 0:
+			h[0] = r
+			siftDown(h)
+		}
+	}
+	slices.SortFunc(h, rankOrder)
+	return h
+}
+
+// siftUp restores TopN's heap order (every parent ranks after its children)
+// above an appended leaf.
+func siftUp(h []Ranked) {
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if rankOrder(h[p], h[c]) >= 0 {
+			return
+		}
+		h[p], h[c] = h[c], h[p]
+		c = p
+	}
+}
+
+// siftDown restores TopN's heap order below a replaced root.
+func siftDown(h []Ranked) {
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankOrder(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankOrder(h[p], h[c]) >= 0 {
+			return
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
 }
 
 // TypeFilter returns a keep-function that retains only nodes of the given type

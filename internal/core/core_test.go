@@ -183,6 +183,43 @@ func TestRankTopNAndTypeFilter(t *testing.T) {
 	}
 }
 
+// TestTopNEqualsRankPrefix pins the heap selection of TopN to the sort it
+// replaced: on random score vectors full of ties and zeros (and a NaN), with
+// and without a keep filter, TopN(n) is Rank(...)[:n] entry for entry, and
+// n ≤ 0 selects nothing.
+func TestTopNEqualsRankPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	levels := []float64{0, 0, 0.1, 0.25, 0.25, 0.5, 1, math.Copysign(0, -1)}
+	for draw := 0; draw < 200; draw++ {
+		scores := make([]float64, rng.Intn(60))
+		for i := range scores {
+			scores[i] = levels[rng.Intn(len(levels))]
+			if rng.Intn(4) == 0 {
+				scores[i] = rng.Float64()
+			}
+		}
+		if len(scores) > 0 && draw%10 == 0 {
+			scores[rng.Intn(len(scores))] = math.NaN()
+		}
+		mod := 2 + rng.Intn(3)
+		for _, keep := range []func(graph.NodeID) bool{nil, func(v graph.NodeID) bool { return int(v)%mod != 0 }} {
+			all := Rank(scores, keep)
+			for _, n := range []int{-1, 0, 1, 10, len(scores), len(scores) + 5} {
+				got := TopN(scores, n, keep)
+				want := all[:max(0, min(n, len(all)))]
+				if len(got) != len(want) {
+					t.Fatalf("draw %d n=%d: %d entries, want %d", draw, n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Node != want[i].Node || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("draw %d n=%d rank %d: %+v, want %+v", draw, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSpecificityBiasFromSurfers(t *testing.T) {
 	cases := []struct {
 		b, i, s int

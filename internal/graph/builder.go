@@ -126,7 +126,8 @@ func (b *Builder) MustAddUndirectedEdge(a, bNode NodeID, w float64) {
 // Build produces the immutable CSR Graph. Parallel directed edges between the
 // same ordered pair are merged by summing their weights; AddEdge has already
 // rejected self-loops and weights that are not positive and finite. Out-rows
-// list their targets ascending, and the in-rows are their transpose.
+// list their targets ascending, and the in-rows are their transpose; when
+// every merged weight is 1 both directions are in the unit form (see CSR).
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.types)
 	// Merge parallel edges via a sort by (from, to).
@@ -166,6 +167,7 @@ func (b *Builder) Build() (*Graph, error) {
 	for v := 0; v < n; v++ {
 		out.RowPtr[v+1] = max(out.RowPtr[v+1], out.RowPtr[v])
 	}
+	out = unitForm(out)
 	g := &Graph{
 		CompactedView: CompactedView{numNodes: n, out: out, in: out.transpose()},
 		numEdges:      m,

@@ -33,29 +33,31 @@ type EdgeKey struct {
 // the evaluation tasks need it: the direct edges between a query node and its
 // ground-truth nodes removed. Edges g does not have are ignored; to take out
 // an undirected edge pass both directions. The out-rows are filtered in stored
-// order with their sums re-accumulated over the survivors, and the in-rows are
-// their transpose, so the arrays are bit-identical to a Builder's for the same
-// graph built without those edges, and transition probabilities renormalize
-// over what remains.
+// order with their sums re-accumulated over the survivors, the unit form is
+// decided afresh (unitForm) and the in-rows are their transpose, so the arrays
+// are bit-identical to a Builder's for the same graph built without those
+// edges, and transition probabilities renormalize over what remains.
 func (g *Graph) Without(hide []EdgeKey) *CompactedView {
 	hidden := make(map[EdgeKey]bool, len(hide))
 	for _, k := range hide {
 		hidden[k] = true
 	}
-	out := g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] })
+	out := unitForm(g.out.filter(func(from, to NodeID) bool { return !hidden[EdgeKey{from, to}] }))
 	return &CompactedView{numNodes: g.numNodes, out: out, in: out.transpose()}
 }
 
-// filter copies the entries keep admits, row by row in stored order.
+// filter copies the entries keep admits, row by row in stored order, with one
+// weight per column.
 func (c CSR) filter(keep func(row, col NodeID) bool) CSR {
 	n := len(c.Sum)
 	f := CSR{RowPtr: make([]int64, n+1), Sum: make([]float64, n)}
 	for v := 0; v < n; v++ {
-		for i := c.RowPtr[v]; i < c.RowPtr[v+1]; i++ {
-			if keep(NodeID(v), c.Col[i]) {
-				f.Col = append(f.Col, c.Col[i])
-				f.Weight = append(f.Weight, c.Weight[i])
-				f.Sum[v] += c.Weight[i]
+		cols, ws := c.Row(NodeID(v))
+		for i, col := range cols {
+			if keep(NodeID(v), col) {
+				f.Col = append(f.Col, col)
+				f.Weight = append(f.Weight, ws[i])
+				f.Sum[v] += ws[i]
 			}
 		}
 		f.RowPtr[v+1] = int64(len(f.Col))

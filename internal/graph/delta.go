@@ -295,6 +295,7 @@ func Commit(base *Graph, d *Delta) (*Graph, error) {
 		g.out.RowPtr[v+1] = int64(len(g.out.Col))
 	}
 	g.numEdges = len(g.out.Col)
+	g.out = unitForm(g.out)
 	g.in = g.out.transpose()
 	return g, nil
 }

@@ -52,9 +52,14 @@ func requireSameCSR(t *testing.T, got, want *Graph) {
 		if !reflect.DeepEqual(p.got.Col, p.want.Col) {
 			t.Fatalf("%s Col mismatch:\n got  %v\n want %v", p.name, p.got.Col, p.want.Col)
 		}
-		for i := range p.want.Weight {
-			if math.Float64bits(p.got.Weight[i]) != math.Float64bits(p.want.Weight[i]) {
-				t.Fatalf("%s Weight[%d]: got %v want %v", p.name, i, p.got.Weight[i], p.want.Weight[i])
+		if (p.got.Weight == nil) != (p.want.Weight == nil) {
+			t.Fatalf("%s: unit form %v, want %v", p.name, p.got.Weight == nil, p.want.Weight == nil)
+		}
+		for v := range p.want.Sum {
+			_, gw := p.got.Row(NodeID(v))
+			_, ww := p.want.Row(NodeID(v))
+			if !sameRow(nil, gw, nil, ww) {
+				t.Fatalf("%s row %d weights: got %v want %v", p.name, v, gw, ww)
 			}
 		}
 		for v := range p.want.Sum {

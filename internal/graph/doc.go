@@ -6,7 +6,8 @@
 // phrase, URL, ...) and a string label; edges are directed and weighted, and
 // an undirected edge is represented by two directed edges. Both out- and
 // in-adjacency are materialized so that forward walks (F-Rank), backward walks
-// (T-Rank) and border-node expansions are all O(degree).
+// (T-Rank) and border-node expansions are all O(degree). A graph whose every
+// weight is 1 stores no weight arrays (the unit form of CSR).
 //
 // Random-walk code operates on the View interface rather than on *Graph
 // directly. View is a closed contract: what a layout owes a solver — its node

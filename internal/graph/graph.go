@@ -64,18 +64,60 @@ type RowsProvider = View
 // of row v are Col[RowPtr[v]:RowPtr[v+1]] with matching Weight entries, and
 // Sum[v] caches the total edge weight of the row. The slices alias the owning
 // view's storage and must be treated as read-only.
+//
+// Weight is nil in the unit form, where every entry weighs 1: Row hands out
+// its weights from a shared slice of ones, and Gather sums x[col] directly.
+// Only this package creates the form (unitForm, which Build, Commit and
+// Without call); arrays from outside — Compact's, a decoded stripe's, a
+// fetched row — carry one weight per column, and the flat check refuses a nil
+// Weight on them.
 type CSR struct {
 	RowPtr []int64
 	Col    []NodeID
 	Weight []float64
 	Sum    []float64
+
+	// ones is non-nil exactly in the unit form: as long as the longest row,
+	// never written once made, so concurrent readers share it.
+	ones []float64
 }
 
 // Row returns the neighbor and weight slices of row v, backed by the CSR
-// arrays.
+// arrays (by its ones in the unit form).
 func (c CSR) Row(v NodeID) ([]NodeID, []float64) {
 	lo, hi := c.RowPtr[v], c.RowPtr[v+1]
+	if c.ones != nil {
+		n := hi - lo
+		return c.Col[lo:hi], c.ones[:n:n]
+	}
 	return c.Col[lo:hi], c.Weight[lo:hi]
+}
+
+// unitForm is the one place the unit form is decided: it returns c without
+// its Weight array when every weight is exactly 1, and c unchanged otherwise.
+// Build, Commit and Without pass their out-rows through it, and transpose
+// carries the verdict to the in-rows, so a commit that sets a weight of 2
+// keeps both arrays and one that restores all 1s drops them again.
+func unitForm(c CSR) CSR {
+	for _, w := range c.Weight {
+		if w != 1 {
+			return c
+		}
+	}
+	return c.withOnes()
+}
+
+// withOnes drops c's weights for a ones slice as long as its longest row.
+func (c CSR) withOnes() CSR {
+	longest := int64(0)
+	for v := 1; v < len(c.RowPtr); v++ {
+		longest = max(longest, c.RowPtr[v]-c.RowPtr[v-1])
+	}
+	c.Weight, c.ones = nil, make([]float64, longest)
+	for i := range c.ones {
+		c.ones[i] = 1
+	}
+	return c
 }
 
 // Degree returns the number of entries in row v.
@@ -87,8 +129,22 @@ func (c CSR) Degree(v NodeID) int {
 // dst[r] = Σ_i Weight[i]·x[Col[i]] over row r's entries, for lo ≤ r < hi. Each
 // row is reduced sequentially in stored entry order, so however callers split
 // [lo, hi) across goroutines the result is bit-identical — and equal to
-// PackedCSR.Gather on the packed form of the same rows.
+// PackedCSR.Gather on the packed form of the same rows. The unit form has a
+// loop of its own that streams no weights; its result is the same bit for
+// bit, since 1·x == x exactly, fused multiply-add or not.
 func (c CSR) Gather(x, dst []float64, lo, hi int) {
+	if c.ones != nil {
+		start := c.RowPtr[lo]
+		for r, end := range c.RowPtr[lo+1 : hi+1] {
+			sum := 0.0
+			for _, col := range c.Col[start:end] {
+				sum += x[col]
+			}
+			dst[lo+r] = sum
+			start = end
+		}
+		return
+	}
 	for r := lo; r < hi; r++ {
 		sum := 0.0
 		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
@@ -103,10 +159,14 @@ func (c CSR) Gather(x, dst []float64, lo, hi int) {
 // transposed CSR of c by counting sort. Rows of c are visited in ascending
 // order, so each in-row lists its sources ascending and its sum accumulates in
 // that order. Build, Commit and Without all call it, which is why their
-// arrays are bit-identical for the same edges.
+// arrays are bit-identical for the same edges. The transpose of a unit-form
+// CSR is in the unit form too.
 func (c CSR) transpose() CSR {
 	n := len(c.RowPtr) - 1
-	t := CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, len(c.Col)), Weight: make([]float64, len(c.Col)), Sum: make([]float64, n)}
+	t := CSR{RowPtr: make([]int64, n+1), Col: make([]NodeID, len(c.Col)), Sum: make([]float64, n)}
+	if c.ones == nil {
+		t.Weight = make([]float64, len(c.Col))
+	}
 	for _, to := range c.Col {
 		t.RowPtr[to+1]++
 	}
@@ -116,30 +176,36 @@ func (c CSR) transpose() CSR {
 	cursor := make([]int64, n)
 	copy(cursor, t.RowPtr[:n])
 	for v := 0; v < n; v++ {
-		for i := c.RowPtr[v]; i < c.RowPtr[v+1]; i++ {
-			to := c.Col[i]
+		cols, ws := c.Row(NodeID(v))
+		for i, to := range cols {
 			t.Col[cursor[to]] = NodeID(v)
-			t.Weight[cursor[to]] = c.Weight[i]
-			t.Sum[to] += c.Weight[i]
+			if t.Weight != nil {
+				t.Weight[cursor[to]] = ws[i]
+			}
+			t.Sum[to] += ws[i]
 			cursor[to]++
 		}
+	}
+	if c.ones != nil {
+		return t.withOnes()
 	}
 	return t
 }
 
 // check is the one flat-CSR check, which graphs and stripes are held to:
 // rows+1 offsets from zero that never decrease and cover the columns exactly,
-// one weight per column and one cached sum per row, every row valid under
-// CheckRow and its cached sum equal to the sum of its weights. Row r holds the
-// adjacency of node first + r·step: of every node for a graph (0, 1), of
-// Index + r·Count for a stripe.
+// one weight per column (or the unit form, which only this package makes) and
+// one cached sum per row, every row valid under CheckRow and its cached sum
+// equal to the sum of its weights. Row r holds the adjacency of node
+// first + r·step: of every node for a graph (0, 1), of Index + r·Count for a
+// stripe.
 func (c CSR) check(rows, numNodes, first, step int) error {
 	switch {
 	case len(c.RowPtr) != rows+1:
 		return fmt.Errorf("%d offsets for %d rows", len(c.RowPtr), rows)
 	case c.RowPtr[0] != 0:
 		return fmt.Errorf("offsets must start at zero")
-	case len(c.Weight) != len(c.Col):
+	case c.ones == nil && len(c.Weight) != len(c.Col):
 		return fmt.Errorf("%d weights for %d columns", len(c.Weight), len(c.Col))
 	case len(c.Sum) != rows:
 		return fmt.Errorf("%d row sums for %d rows", len(c.Sum), rows)
@@ -151,7 +217,8 @@ func (c CSR) check(rows, numNodes, first, step int) error {
 		if hi < lo || hi > int64(len(c.Col)) {
 			return fmt.Errorf("row %d offsets [%d,%d) invalid", r, lo, hi)
 		}
-		sum, err := CheckRow(NodeID(first+r*step), c.Col[lo:hi], c.Weight[lo:hi], numNodes)
+		cols, ws := c.Row(NodeID(r))
+		sum, err := CheckRow(NodeID(first+r*step), cols, ws, numNodes)
 		if err != nil {
 			return fmt.Errorf("row %d: %w", r, err)
 		}
@@ -372,13 +439,12 @@ func (g *Graph) AverageDegree() float64 {
 	return float64(g.numEdges) / float64(g.numNodes)
 }
 
-// SizeBytes returns an estimate of the in-memory size of the CSR structure
-// (adjacency arrays and per-node metadata; label strings excluded). It is used
-// by the scalability experiments to report snapshot sizes.
+// SizeBytes returns the in-memory size of the adjacency — both directions'
+// arrays, as CSR.SizeBytes counts them — plus one type byte per node; label
+// strings are excluded. It is used by the scalability experiments to report
+// snapshot sizes.
 func (g *Graph) SizeBytes() int64 {
-	perNode := int64(1 + 8 + 8 + 8 + 8 + 8) // type + 2 offsets + 2 weight sums (approx)
-	perEdge := int64(4+8) * 2               // target + weight, both directions
-	return int64(g.numNodes)*perNode + int64(g.numEdges)*perEdge
+	return g.out.SizeBytes() + g.in.SizeBytes() + int64(len(g.types))
 }
 
 // Validate holds both directions to the one flat-CSR check and checks they

@@ -143,17 +143,20 @@ func rebuildWithout(g *Graph, hide []EdgeKey) *Graph {
 	return b.MustBuild()
 }
 
-// sameCSR reports whether two CSR directions hold bit-equal arrays.
+// sameCSR reports whether two CSR directions hold bit-equal offsets, columns
+// and sums, and bit-equal weights as Row reads them, whichever form each is in.
 func sameCSR(a, b CSR) bool {
-	bits := func(xs []float64) []uint64 {
-		out := make([]uint64, len(xs))
-		for i, x := range xs {
-			out[i] = math.Float64bits(x)
-		}
-		return out
+	if !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.Col, b.Col) || !sameRow(nil, a.Sum, nil, b.Sum) {
+		return false
 	}
-	return slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) &&
-		slices.Equal(bits(a.Weight), bits(b.Weight)) && slices.Equal(bits(a.Sum), bits(b.Sum))
+	for v := range a.Sum {
+		ac, aw := a.Row(NodeID(v))
+		bc, bw := b.Row(NodeID(v))
+		if !sameRow(ac, aw, bc, bw) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMaskedView pins Graph.Without: the masked edges are gone in both

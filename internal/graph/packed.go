@@ -151,8 +151,8 @@ func packCSR(c CSR) PackedCSR {
 	// roughly 2 bytes per edge plus row headers and grow as needed.
 	p.Data = make([]byte, 0, 2*len(c.Col)+2*rows)
 	for v := 0; v < rows; v++ {
-		lo, hi := c.RowPtr[v], c.RowPtr[v+1]
-		p.Data = packRow(p.Data, c.Col[lo:hi], c.Weight[lo:hi])
+		cols, ws := c.Row(NodeID(v))
+		p.Data = packRow(p.Data, cols, ws)
 		p.RowOff[v+1] = int64(len(p.Data))
 	}
 	// Shrink a grossly over-sized buffer so SizeBytes reports honest numbers.
@@ -318,7 +318,9 @@ func Pack(v CSRView) *Packed {
 }
 
 // Unpack reconstructs the flat CSR arrays, bit-identical to the view Pack
-// consumed: same RowPtr, Col, Weight and Sum contents in both directions.
+// consumed: same RowPtr, Col and Sum contents in both directions, and the same
+// weights as Row reads them — one per column, also where the source was in the
+// unit form.
 func (p *Packed) Unpack() *CompactedView {
 	return &CompactedView{numNodes: p.numNodes, out: p.out.unpackCSR(), in: p.in.unpackCSR()}
 }
@@ -449,8 +451,9 @@ func (r *packedRows) cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v Node
 }
 
 // SizeBytes returns the resident footprint of one flat CSR direction
-// (offsets, columns, weights, row sums). It exists so callers can compare
-// flat and packed representations without re-deriving array layouts.
+// (offsets, columns, weights or the unit form's ones, row sums). It exists so
+// callers can compare flat and packed representations without re-deriving
+// array layouts.
 func (c CSR) SizeBytes() int64 {
-	return int64(8*len(c.RowPtr)) + int64(4*len(c.Col)) + int64(8*len(c.Weight)) + int64(8*len(c.Sum))
+	return int64(8*len(c.RowPtr)) + int64(4*len(c.Col)) + int64(8*(len(c.Weight)+len(c.ones))) + int64(8*len(c.Sum))
 }

@@ -69,8 +69,8 @@ func (c *CountingRows) InRow(v NodeID) ([]NodeID, []float64) {
 func (c *CountingRows) ActiveNodes() int { return len(c.read) }
 
 // ActiveSetBytes estimates the in-memory size of the active set: per-node
-// metadata plus both adjacency rows of every node read, using the same
-// per-entry cost model as Graph.SizeBytes.
+// metadata plus both adjacency rows of every node read, at a fixed cost of a
+// column and a weight per row entry whichever form the layout stores.
 func (c *CountingRows) ActiveSetBytes() int64 {
 	perNode := int64(1 + 8 + 8 + 8 + 8 + 8)
 	perEdge := int64(4 + 8)

@@ -189,10 +189,20 @@ func writeStripeCSR(w io.Writer, c CSR) error {
 	if err := writeSlice(w, len(c.Col), func(i int) uint64 { return uint64(uint32(c.Col[i])) }, 4); err != nil {
 		return err
 	}
-	if err := writeSlice(w, len(c.Weight), func(i int) uint64 { return math.Float64bits(c.Weight[i]) }, 8); err != nil {
+	if err := writeWeights(w, c); err != nil {
 		return err
 	}
 	return writeSlice(w, len(c.Sum), func(i int) uint64 { return math.Float64bits(c.Sum[i]) }, 8)
+}
+
+// writeWeights writes c's weight array as writeSlice does. The unit form
+// writes a 1.0 per column, so a hash over it equals the hash over the same
+// rows with their 1s stored.
+func writeWeights(w io.Writer, c CSR) error {
+	if c.ones != nil {
+		return writeSlice(w, len(c.Col), func(int) uint64 { return math.Float64bits(1) }, 8)
+	}
+	return writeSlice(w, len(c.Weight), func(i int) uint64 { return math.Float64bits(c.Weight[i]) }, 8)
 }
 
 // writeSlice writes a length-prefixed array of fixed-width little-endian
@@ -424,7 +434,8 @@ func BuildStripeData(v CSRView, index, count int) (*StripeData, error) {
 }
 
 // sliceStripeRows copies every count-th row of src starting at first into a
-// compact CSR over the local row index.
+// compact CSR over the local row index. The copy carries one weight per
+// column even when src is in the unit form: stripes never are.
 func sliceStripeRows(src CSR, first, count, rows int) CSR {
 	dst := CSR{RowPtr: make([]int64, rows+1), Sum: make([]float64, rows)}
 	var total int64
@@ -446,7 +457,8 @@ func sliceStripeRows(src CSR, first, count, rows int) CSR {
 
 // GraphFingerprint returns a checksum identifying a graph snapshot: CRC-32C
 // over the node count, the snapshot epoch and the forward CSR arrays
-// (offsets, columns, weights). Every stripe cut from a graph records its
+// (offsets, columns, weights — a 1.0 per edge in the unit form, so the form
+// does not change the fingerprint). Every stripe cut from a graph records its
 // fingerprint, so a coordinator can refuse to assemble workers that were
 // striped from different graphs — even ones with identical node counts.
 // Stamping the epoch makes every Commit a new identity: a cluster can never
@@ -484,6 +496,6 @@ func computeFingerprint(numNodes int, epoch uint64, out CSR) uint32 {
 	}
 	_ = writeSlice(crc, len(out.RowPtr), func(i int) uint64 { return uint64(out.RowPtr[i]) }, 8)
 	_ = writeSlice(crc, len(out.Col), func(i int) uint64 { return uint64(uint32(out.Col[i])) }, 4)
-	_ = writeSlice(crc, len(out.Weight), func(i int) uint64 { return math.Float64bits(out.Weight[i]) }, 8)
+	_ = writeWeights(crc, out)
 	return crc.Sum32()
 }

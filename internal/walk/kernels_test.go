@@ -45,8 +45,9 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 		dadd := oneMinus * dangling
 		for v := 0; v < n; v++ {
 			sum := 0.0
-			for i := in.RowPtr[v]; i < in.RowPtr[v+1]; i++ {
-				sum += in.Weight[i] * scaled[in.Col[i]]
+			cols, ws := in.Row(graph.NodeID(v))
+			for i, col := range cols {
+				sum += ws[i] * scaled[col]
 			}
 			r := restart[v]
 			nv := p.Alpha*r + oneMinus*sum
@@ -95,8 +96,9 @@ func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float
 			acc := p.Alpha * restart[v]
 			if sum := out.Sum[v]; sum > 0 {
 				s := 0.0
-				for i := out.RowPtr[v]; i < out.RowPtr[v+1]; i++ {
-					s += out.Weight[i] * cur[out.Col[i]]
+				cols, ws := out.Row(graph.NodeID(v))
+				for i, col := range cols {
+					s += ws[i] * cur[col]
 				}
 				acc += oneMinus * s / sum
 			}
@@ -140,8 +142,9 @@ func serialPageRankReference(cv graph.CSRView, d, tol float64, maxIter int) []fl
 		base := d*uniform + oneMinus*dangling*uniform
 		for v := 0; v < n; v++ {
 			sum := 0.0
-			for i := in.RowPtr[v]; i < in.RowPtr[v+1]; i++ {
-				sum += in.Weight[i] * scaled[in.Col[i]]
+			cols, ws := in.Row(graph.NodeID(v))
+			for i, col := range cols {
+				sum += ws[i] * scaled[col]
 			}
 			next[v] = base + oneMinus*sum
 		}
@@ -158,12 +161,36 @@ func serialPageRankReference(cv graph.CSRView, d, tol float64, maxIter int) []fl
 }
 
 func kernelTestGraphs() map[string]*graph.Graph {
+	toy := testgraphs.NewToy().Graph
 	return map[string]*graph.Graph{
-		"toy":   testgraphs.NewToy().Graph,
-		"line":  testgraphs.Line(17), // has a dangling tail node
-		"cycle": testgraphs.Cycle(23),
-		"star":  testgraphs.Star(9),
+		"toy":          toy,
+		"toy-weighted": reweighted(toy),
+		"line":         testgraphs.Line(17), // has a dangling tail node
+		"cycle":        testgraphs.Cycle(23),
+		"star":         testgraphs.Star(9),
 	}
+}
+
+// reweighted commits weights other than 1 onto the first out-edge of g's
+// first three nodes. The other kernel test graphs weigh every edge 1 and so
+// store no weights; this one keeps its weight arrays, which holds the
+// weighted gather loop to the serial references too.
+func reweighted(g *graph.Graph) *graph.Graph {
+	d := graph.NewDelta(g)
+	for v, w := range []float64{2.5, 0.5, 3} {
+		to, _ := g.OutNeighbors(graph.NodeID(v))
+		if err := d.SetEdge(graph.NodeID(v), to[0], w); err != nil {
+			panic(err)
+		}
+	}
+	ng, err := graph.Commit(g, d)
+	if err != nil {
+		panic(err)
+	}
+	if ng.OutCSR().Weight == nil {
+		panic("reweighted graph is in the unit form")
+	}
+	return ng
 }
 
 func assertBitIdentical(t *testing.T, label string, want, got []float64) {

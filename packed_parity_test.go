@@ -155,8 +155,12 @@ func TestPackedDistributedParity(t *testing.T) {
 
 // TestPackedFootprintRMAT pins the point of the packed representation at a
 // size with real power-law hubs: on the 10^4-node R-MAT graph both adjacency
-// directions together pack to at most 70% of the flat arrays' footprint
-// (measured 0.29 at PR 9; graph.TestPackedSizeBytes pins it at 500 nodes).
+// directions together pack to at most 70% of the flat arrays' footprint. The
+// graph weighs every edge 1, so its flat arrays are in the unit form — 4 B of
+// column per edge and direction plus per-node offsets and sums, no weights —
+// and packing buys ~35 % on it (measured 0.65; 0.29 against flat arrays that
+// stored a 1.0 per edge). graph.TestPackedSizeBytes pins a graph with weights
+// at 500 nodes.
 func TestPackedFootprintRMAT(t *testing.T) {
 	const maxRatio = 0.70
 	graphs := packedParityGraphs(t)
