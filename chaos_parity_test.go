@@ -161,11 +161,16 @@ func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*
 	for id := range members {
 		m.Table().Register(id, "loop://"+id)
 	}
-	// The schedule's faults hit deploy RPCs too; retrying the reconcile is
-	// itself deterministic (each attempt advances the schedule the same way).
+	// The schedule's faults hit deploy RPCs too; retrying the reconcile until
+	// every placement ships is itself deterministic (each attempt advances the
+	// schedule the same way).
 	var rerr error
 	for attempt := 0; attempt < 20; attempt++ {
-		if _, rerr = m.Reconcile(context.Background(), g); rerr == nil {
+		var st fleet.ReconcileStats
+		if st, rerr = m.Reconcile(context.Background(), g); rerr == nil && st.Failed > 0 {
+			rerr = fmt.Errorf("%d placements failed to ship", st.Failed)
+		}
+		if rerr == nil {
 			break
 		}
 	}
@@ -173,6 +178,73 @@ func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*
 		t.Fatalf("Reconcile: %v", rerr)
 	}
 	return m, byMember
+}
+
+// TestChaosApplyOverlapsKill commits an epoch while one member of an R=2 fleet
+// is dead. Every stripe keeps a live replica, so Engine.Apply rolls over with
+// the dead member's placements left out and counted, rather than failing the
+// commit after the replica groups have already moved to the new epoch; both
+// networked methods then answer bit-identically to a local engine over the
+// committed graph.
+func TestChaosApplyOverlapsKill(t *testing.T) {
+	ctx := context.Background()
+	pg := parityGraphs()[2] // cycle: every query's walk crosses all stripes
+	m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 13}))
+	engine, err := NewEngine(pg.graph, WithFleet(m))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, tr := range byMember["w1"] {
+		tr.Kill()
+	}
+	d := NewDelta(pg.graph)
+	if err := d.SetEdge(0, 6, 1); err != nil {
+		t.Fatalf("SetEdge: %v", err)
+	}
+	epoch := engine.Epoch()
+	res, err := engine.Apply(ctx, d)
+	if err != nil {
+		t.Fatalf("Apply with w1 dead: %v", err)
+	}
+	if res.Epoch != epoch+1 || engine.Epoch() != epoch+1 {
+		t.Fatalf("Apply committed epoch %d and the engine serves %d, want both %d", res.Epoch, engine.Epoch(), epoch+1)
+	}
+	if st, err := m.Reconcile(ctx, res.Graph); err != nil || st.Failed < 1 {
+		t.Fatalf("reconcile with w1 dead: %+v, %v; want its placements failed and no error", st, err)
+	}
+
+	local, err := NewEngine(res.Graph)
+	if err != nil {
+		t.Fatalf("local NewEngine: %v", err)
+	}
+	for _, q := range pg.queries {
+		exact, err := local.Rank(ctx, Request{Query: SingleNode(q), K: 10, Epsilon: 0, Method: Exact})
+		if err != nil {
+			t.Fatalf("q%d: local exact: %v", q, err)
+		}
+		dist, err := engine.Rank(ctx, Request{Query: SingleNode(q), K: 10, Epsilon: 0, Method: Distributed})
+		if err != nil {
+			t.Fatalf("q%d: distributed query after the commit: %v", q, err)
+		}
+		requireBitIdentical(t, "distributed-vs-exact", dist, exact)
+		full, err := local.Rank(ctx, Request{Query: SingleNode(q), K: res.Graph.NumNodes(), Epsilon: 0, Method: Exact})
+		if err != nil {
+			t.Fatalf("q%d: full exact ranking: %v", q, err)
+		}
+		k := gapK(full.Results, 10)
+		if k < 1 {
+			continue
+		}
+		want, err := local.Rank(ctx, Request{Query: SingleNode(q), K: k, Epsilon: 0, Method: TwoSBound})
+		if err != nil {
+			t.Fatalf("q%d: local 2sbound: %v", q, err)
+		}
+		remote, err := engine.Rank(ctx, Request{Query: SingleNode(q), K: k, Epsilon: 0, Method: TwoSBoundRemote})
+		if err != nil {
+			t.Fatalf("q%d: remote query after the commit: %v", q, err)
+		}
+		requireBitIdentical(t, "remote-vs-local", remote, want)
+	}
 }
 
 // TestChaosMidQueryKillParity arms deterministic mid-query kills: each member

@@ -231,15 +231,17 @@ func fleetLoop(ctx context.Context, engine *roundtriprank.Engine, m *roundtripra
 			}
 			st, err := m.Reconcile(ctx, g)
 			if err != nil {
-				// Transient by nature (a member died mid-ship); the next tick
-				// retries against the then-current membership.
+				// Transient by nature (a stripe's members all died mid-ship);
+				// the next tick retries against the then-current membership.
 				log.Printf("fleet reconcile: %v", err)
 				continue
 			}
-			reconciled = gen
+			if st.Failed == 0 { // else the next tick retries the failed ships
+				reconciled = gen
+			}
 			h := engine.FleetStats()
-			log.Printf("fleet reconciled (gen %d): %d shipped, %d retagged, %d removed; members %d alive / %d suspect / %d dead",
-				gen, st.Shipped, st.Retagged, st.Removed, h.MembersAlive, h.MembersSuspect, h.MembersDead)
+			log.Printf("fleet reconciled (gen %d): %d shipped, %d retagged, %d removed, %d failed; members %d alive / %d suspect / %d dead",
+				gen, st.Shipped, st.Retagged, st.Removed, st.Failed, h.MembersAlive, h.MembersSuspect, h.MembersDead)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
-	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/testgraphs"
 	"roundtriprank/internal/walk"
 )
@@ -315,7 +314,7 @@ func TestTBoundsAdjacentMultiNodeBorderCount(t *testing.T) {
 			if tb.BorderCount() != 1 {
 				t.Fatalf("query %v: BorderCount %d, want 1 (node 1's in-neighbor is a query node)", q.Nodes, tb.BorderCount())
 			}
-			if !logMatchesInduced(t, "T", &tb.k, &tb.b, tRow(tb.rows)) || len(tb.k.log) != 1 {
+			if !logMatchesInduced(t, "T", &tb.k, &tb.neighborhood, tRow(tb.rows)) || len(tb.k.log) != 1 {
 				t.Fatalf("query %v: edge log %v, want the one edge 0→1", q.Nodes, tb.k.log)
 			}
 		}
@@ -343,7 +342,7 @@ func TestFBoundsSameRoundNewcomersLoggedOnce(t *testing.T) {
 		if fb.Expand() != 3 || fb.SeenCount() != 3 {
 			t.Fatalf("the first expansion processed nodes %v, want 0, 1 and 2 in one round", fb.SeenList())
 		}
-		if !logMatchesInduced(t, "F", &fb.k, &fb.b, fRow(fb.rows)) || len(fb.k.log) != 6 {
+		if !logMatchesInduced(t, "F", &fb.k, &fb.neighborhood, fRow(fb.rows)) || len(fb.k.log) != 6 {
 			t.Fatalf("edge log %v, want the six edges among 0, 1 and 2 once each", fb.k.log)
 		}
 		joiner := int32(0)
@@ -357,6 +356,181 @@ func TestFBoundsSameRoundNewcomersLoggedOnce(t *testing.T) {
 		// Node 3 holds residual but has no estimate, and stays outside Sf.
 		if fb.Seen(3) || !fb.ResidualTouched(3) {
 			t.Fatalf("node 3 seen %v, residual-touched %v; want false, true", fb.Seen(3), fb.ResidualTouched(3))
+		}
+	}
+}
+
+// neighborhoodGraph is the six-node graph the neighborhood tests walk.
+func neighborhoodGraph() *rawGraph {
+	return newRawGraph(6, []rawEdge{
+		{1, 0, 1}, {2, 0, 1}, {0, 1, 1}, {3, 1, 1}, {0, 2, 1}, {4, 2, 1}, {5, 3, 1}, {1, 5, 1},
+	})
+}
+
+// checkNeighborhood pins the neighborhood both trackers are: an index they are
+// handed whose leading members are want, the seen nodes, in slot order, with
+// their bounds held by the kernel. A member whose slot the kernel does not
+// hold yet is unseen (zero lower bound, the unseen upper bound, no slot), and
+// Slots is the bounds' storage.
+func checkNeighborhood(t *testing.T, label string, s *neighborhood, want []graph.NodeID) {
+	t.Helper()
+	if got := s.SeenList(); s.SeenCount() != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("%s: seen %v (count %d), want %v", label, got, s.SeenCount(), want)
+	}
+	if !slices.Equal(s.idx.Touched()[:len(want)], want) {
+		t.Fatalf("%s: the seen nodes %v are not the index's leading members %v", label, want, s.idx.Touched())
+	}
+	lo, up := s.Slots()
+	if len(lo) != len(want) || len(up) != len(want) {
+		t.Fatalf("%s: %d/%d bounds for %d seen nodes", label, len(lo), len(up), len(want))
+	}
+	for slot, v := range want {
+		if i, ok := s.Index(v); !ok || int(i) != slot || !s.Seen(v) {
+			t.Fatalf("%s: Index(%d) = %d %v, want %d true", label, v, i, ok, slot)
+		}
+		if s.Lower(v) != lo[slot] || s.Upper(v) != up[slot] {
+			t.Fatalf("%s: node %d bounds [%g, %g], slot %d holds [%g, %g]", label, v, s.Lower(v), s.Upper(v), slot, lo[slot], up[slot])
+		}
+	}
+	for _, v := range s.idx.Touched()[len(want):] {
+		if _, ok := s.Index(v); ok || s.Seen(v) || s.Lower(v) != 0 || s.Upper(v) != s.UnseenUpper() {
+			t.Fatalf("%s: index member %d without kernel state must be unseen", label, v)
+		}
+	}
+	// A write through Slots is the bound.
+	if len(want) > 0 {
+		v, slot := want[len(want)-1], len(want)-1
+		oldLo, oldUp := lo[slot], up[slot]
+		lo[slot], up[slot] = 0.125, 0.75
+		if s.Lower(v) != 0.125 || s.Upper(v) != 0.75 {
+			t.Fatalf("%s: node %d bounds [%g, %g] after a write through Slots, want [0.125, 0.75]", label, v, s.Lower(v), s.Upper(v))
+		}
+		lo[slot], up[slot] = oldLo, oldUp
+	}
+}
+
+// TestNeighborhoodSlots pins the neighborhood over TFlat's own index: the seen
+// nodes are its leading members in slot order, an admitted node is unseen
+// until it joins, Slots is the bounds' storage, and a re-init empties it.
+func TestNeighborhoodSlots(t *testing.T) {
+	g := neighborhoodGraph()
+	check := func(label string, s *neighborhood, want []graph.NodeID) {
+		t.Helper()
+		checkNeighborhood(t, label, s, want)
+	}
+
+	var tb TFlat
+	if err := tb.Init(g, walk.MultiNode(0, 3), DefaultTOptions(0.25)); err != nil {
+		t.Fatalf("TFlat.Init: %v", err)
+	}
+	check("T init", &tb.neighborhood, []graph.NodeID{0, 3})
+	tb.index.Add(4) // admitted, not joined
+	check("T admitted", &tb.neighborhood, []graph.NodeID{0, 3})
+	if tb.Seen(4) || tb.Seen(2) {
+		t.Fatalf("T: an admitted node and an outside node must both be unseen")
+	}
+	tb.joinAdmitted(tb.unseen)
+	check("T joined", &tb.neighborhood, []graph.NodeID{0, 3, 4})
+	if lo, up := tb.Slots(); lo[2] != 0 || up[2] != tb.unseen {
+		t.Fatalf("T: a newcomer joins at [0, unseen], got [%g, %g]", lo[2], up[2])
+	}
+	tb.Expand()
+	check("T expanded", &tb.neighborhood, tb.index.Touched())
+	if err := tb.Init(g, walk.SingleNode(5), DefaultTOptions(0.25)); err != nil {
+		t.Fatalf("TFlat re-Init: %v", err)
+	}
+	check("T re-init", &tb.neighborhood, []graph.NodeID{5})
+	if tb.Seen(0) || tb.Seen(3) || tb.Seen(4) {
+		t.Fatalf("T: membership survived a re-init")
+	}
+}
+
+// TestNeighborhoodOverBorrowedIndex pins the rule FFlat's join rests on: over
+// the BCA engine's index, which the engine fills, a member is seen only once
+// the kernel holds its slot, and a re-init empties the neighborhood.
+func TestNeighborhoodOverBorrowedIndex(t *testing.T) {
+	g := neighborhoodGraph()
+	check := func(label string, s *neighborhood, want []graph.NodeID) {
+		t.Helper()
+		checkNeighborhood(t, label, s, want)
+	}
+
+	var fb FFlat
+	if err := fb.Init(g, walk.SingleNode(0), FOptions{Alpha: 0.25, M: 2, ImprovedBound: true}); err != nil {
+		t.Fatalf("FFlat.Init: %v", err)
+	}
+	check("F init", &fb.neighborhood, nil)
+	for round := 0; round < 3; round++ {
+		seen := slices.Clone(fb.SeenList())
+		fb.engine.ProcessBest(fb.opt.M) // the engine's index grows; Sf does not yet
+		check("F processed", &fb.neighborhood, seen)
+		fb.initializeBounds()
+		check("F joined", &fb.neighborhood, fb.idx.Touched())
+	}
+	if fb.SeenCount() <= 1 {
+		t.Fatalf("F: Sf did not grow: %v", fb.SeenList())
+	}
+	if err := fb.Init(g, walk.SingleNode(5), FOptions{Alpha: 0.25, M: 2, ImprovedBound: true}); err != nil {
+		t.Fatalf("FFlat re-Init: %v", err)
+	}
+	check("F re-init", &fb.neighborhood, nil)
+	if fb.Seen(0) {
+		t.Fatalf("F: membership survived a re-init")
+	}
+}
+
+// prefetchRecorder is graph.Rows with a recording graph.RowPrefetcher.
+type prefetchRecorder struct {
+	graph.Rows
+	calls [][]graph.NodeID
+}
+
+func (p *prefetchRecorder) Prefetch(nodes []graph.NodeID) {
+	p.calls = append(p.calls, slices.Clone(nodes))
+}
+
+// TestTFlatPrefetchesWhatJoins pins what TFlat announces to a prefetching
+// provider: binding, the query nodes; every expansion at most two batches —
+// the picked border nodes, whose in-rows it scans, then exactly the nodes that
+// join St in that expansion, in join order, each once. The picks 1 and 2 of
+// the second round share the outside in-neighbor 3, and under a frontier cap
+// only the admitted nodes are announced.
+func TestTFlatPrefetchesWhatJoins(t *testing.T) {
+	g := newRawGraph(8, []rawEdge{
+		{1, 0, 1}, {2, 0, 1}, {3, 1, 1}, {4, 1, 1}, {3, 2, 1}, {5, 2, 1}, {6, 3, 1}, {7, 4, 1}, {6, 5, 1},
+	})
+	for _, rows := range []graph.Rows{graph.Compact(g), hidden(g)} {
+		for _, limit := range []int{0, 1, 7} {
+			rec := &prefetchRecorder{Rows: rows}
+			var tb TFlat
+			opt := DefaultTOptions(0.25)
+			opt.M, opt.FrontierCap = 2, limit
+			if err := tb.InitRows(rec, walk.SingleNode(0), opt); err != nil {
+				t.Fatalf("InitRows: %v", err)
+			}
+			if len(rec.calls) != 1 || !slices.Equal(rec.calls[0], []graph.NodeID{0}) {
+				t.Fatalf("cap %d: binding announced %v, want [[0]]", limit, rec.calls)
+			}
+			for round := 0; !tb.Exhausted(); round++ {
+				rec.calls = nil
+				before := tb.SeenCount()
+				added := tb.Expand()
+				joined := tb.SeenList()[before:]
+				want := [][]graph.NodeID{slices.Clone(tb.pickN)}
+				if len(joined) > 0 {
+					want = append(want, slices.Clone(joined))
+				}
+				if added != len(joined) || len(rec.calls) != len(want) ||
+					!slices.Equal(rec.calls[0], want[0]) || len(want) == 2 && !slices.Equal(rec.calls[1], want[1]) {
+					t.Fatalf("cap %d round %d: announced %v, want the picks then the %d joined nodes: %v", limit, round, rec.calls, added, want)
+				}
+				if limit > 0 && len(joined) > limit {
+					t.Fatalf("cap %d round %d: %d nodes joined", limit, round, len(joined))
+				}
+			}
+			if tb.SeenCount() != g.NumNodes() {
+				t.Fatalf("cap %d: St exhausted at %v", limit, tb.SeenList())
+			}
 		}
 	}
 }
@@ -672,16 +846,25 @@ func tRow(rows graph.Rows) rowFn {
 	}
 }
 
+// get returns both bounds of v and whether b has seen it.
+func get(b *neighborhood, v graph.NodeID) (lo, up float64, seen bool) {
+	slot, seen := b.Index(v)
+	if !seen {
+		return 0, 0, false
+	}
+	return b.k.lo[slot], b.k.up[slot], true
+}
+
 // eachBound calls fn for every seen node of b, in slot order.
-func eachBound(b *scratch.Bounds, fn func(v graph.NodeID, lo, up float64)) {
+func eachBound(b *neighborhood, fn func(v graph.NodeID, lo, up float64)) {
 	los, ups := b.Slots()
-	for slot, v := range b.Touched() {
+	for slot, v := range b.SeenList() {
 		fn(v, los[slot], ups[slot])
 	}
 }
 
 // setBound stores both bounds of v, which b must have seen.
-func setBound(b *scratch.Bounds, v graph.NodeID, lo, up float64) {
+func setBound(b *neighborhood, v graph.NodeID, lo, up float64) {
 	slot, seen := b.Index(v)
 	if !seen {
 		panic("setBound: node " + strconv.Itoa(int(v)) + " is unseen")
@@ -691,7 +874,7 @@ func setBound(b *scratch.Bounds, v graph.NodeID, lo, up float64) {
 }
 
 // copyBounds gives every node src has seen, all seen by dst, src's bounds.
-func copyBounds(dst, src *scratch.Bounds) {
+func copyBounds(dst, src *neighborhood) {
 	eachBound(src, func(v graph.NodeID, lo, up float64) { setBound(dst, v, lo, up) })
 }
 
@@ -701,11 +884,11 @@ func copyBounds(dst, src *scratch.Bounds) {
 // transition probability and logged once, every row's seen mass equal within
 // 1e-12, and — after a load — every row's folded unseen mass equal within
 // 1e-12 to the sum over its unseen neighbors.
-func logMatchesInduced(t *testing.T, label string, k *refiner, b *scratch.Bounds, row rowFn) bool {
-	n := b.Len()
+func logMatchesInduced(t *testing.T, label string, k *refiner, b *neighborhood, row rowFn) bool {
+	n := b.SeenCount()
 	want := map[[2]int32]float64{}
 	seenMass, unseenMass := make([]float64, n), make([]float64, n)
-	for r, v := range b.Touched() {
+	for r, v := range b.SeenList() {
 		row(v, func(u graph.NodeID, m float64) {
 			if slot, seen := b.Index(u); seen {
 				want[[2]int32{int32(r), slot}] = m
@@ -748,19 +931,19 @@ func logMatchesInduced(t *testing.T, label string, k *refiner, b *scratch.Bounds
 // the graph sweep after sweep. It shares nothing with the kernel's edge log,
 // is the reference the kernel is checked against, and returns the largest
 // bound change. restart holds the restart weights by slot.
-func refSweep(b *scratch.Bounds, restart []float64, alpha, unseen float64, row rowFn) float64 {
+func refSweep(b *neighborhood, restart []float64, alpha, unseen float64, row rowFn) float64 {
 	maxChange := 0.0
-	for slot, v := range b.Touched() { // insertion order, the kernel's sweep order
+	for slot, v := range b.SeenList() { // insertion order, the kernel's sweep order
 		sumLo, sumUp := 0.0, 0.0
 		row(v, func(u graph.NodeID, m float64) {
-			if lo, up, seen := b.Get(u); seen {
+			if lo, up, seen := get(b, u); seen {
 				sumLo += m * lo
 				sumUp += m * up
 			} else {
 				sumUp += m * unseen
 			}
 		})
-		lo, up, _ := b.Get(v)
+		lo, up, _ := get(b, v)
 		newLo := alpha*restart[slot] + (1-alpha)*sumLo
 		newUp := alpha*restart[slot] + (1-alpha)*sumUp
 		if newLo > lo {
@@ -780,7 +963,7 @@ func refSweep(b *scratch.Bounds, restart []float64, alpha, unseen float64, row r
 // place of the kernel.
 func (fb *FFlat) refStageII() {
 	for iter := 0; iter < refineMaxIter; iter++ {
-		change := refSweep(&fb.b, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows))
+		change := refSweep(&fb.neighborhood, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows))
 		if change < refineTol {
 			return
 		}
@@ -790,7 +973,7 @@ func (fb *FFlat) refStageII() {
 // refStageII is the T-side counterpart, under a given sweep cap and tolerance.
 func (tb *TFlat) refStageII(maxIter int, tol float64) {
 	for iter := 0; iter < maxIter; iter++ {
-		change := refSweep(&tb.b, tb.k.restart, tb.opt.Alpha, tb.unseen, tRow(tb.rows))
+		change := refSweep(&tb.neighborhood, tb.k.restart, tb.opt.Alpha, tb.unseen, tRow(tb.rows))
 		if tb.opt.TightenUnseenInRefine {
 			tb.recomputeUnseen()
 		}
@@ -802,17 +985,17 @@ func (tb *TFlat) refStageII(maxIter int, tol float64) {
 
 // sameBounds reports whether two trackers hold the same neighborhood with
 // bounds and unseen bound equal within tol.
-func sameBounds(t *testing.T, label string, a, b *scratch.Bounds, unseenA, unseenB, tol float64) bool {
-	ok := a.Len() == b.Len() && math.Abs(unseenA-unseenB) <= tol
+func sameBounds(t *testing.T, label string, a, b *neighborhood, unseenA, unseenB, tol float64) bool {
+	ok := a.SeenCount() == b.SeenCount() && math.Abs(unseenA-unseenB) <= tol
 	eachBound(a, func(v graph.NodeID, lo, up float64) {
-		rlo, rup, seen := b.Get(v)
+		rlo, rup, seen := get(b, v)
 		if !(seen && math.Abs(lo-rlo) <= tol && math.Abs(up-rup) <= tol) {
 			t.Logf("%s: node %d kernel [%g, %g] reference [%g, %g] (seen %v)", label, v, lo, up, rlo, rup, seen)
 			ok = false
 		}
 	})
 	if !ok {
-		t.Logf("%s: kernel and reference sweep disagree (|S| %d vs %d, unseen %g vs %g)", label, a.Len(), b.Len(), unseenA, unseenB)
+		t.Logf("%s: kernel and reference sweep disagree (|S| %d vs %d, unseen %g vs %g)", label, a.SeenCount(), b.SeenCount(), unseenA, unseenB)
 	}
 	return ok
 }
@@ -829,19 +1012,19 @@ func sameBounds(t *testing.T, label string, a, b *scratch.Bounds, unseenA, unsee
 // ones, agree within 2e-11.
 func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 	between := func(lo, x, hi float64) bool { return lo-1e-12 <= x && x <= hi+1e-12 }
-	ok := kernel.b.Len() == ref.b.Len() && kernel.b.Len() == deep.b.Len() &&
+	ok := kernel.SeenCount() == ref.SeenCount() && kernel.SeenCount() == deep.SeenCount() &&
 		between(deep.unseen, kernel.unseen, ref.unseen)
-	eachBound(&kernel.b, func(v graph.NodeID, lo, up float64) {
-		rlo, rup, _ := ref.b.Get(v)
-		_, dup, _ := deep.b.Get(v)
-		if !(ref.b.Seen(v) && deep.b.Seen(v) && math.Abs(lo-rlo) <= 2e-11 && between(dup, up, rup)) {
+	eachBound(&kernel.neighborhood, func(v graph.NodeID, lo, up float64) {
+		rlo, rup, _ := get(&ref.neighborhood, v)
+		_, dup, _ := get(&deep.neighborhood, v)
+		if !(ref.Seen(v) && deep.Seen(v) && math.Abs(lo-rlo) <= 2e-11 && between(dup, up, rup)) {
 			t.Logf("T: node %d kernel [%g, %g] reference [%g, %g] fixed-point upper %g", v, lo, up, rlo, rup, dup)
 			ok = false
 		}
 	})
 	if !ok {
 		t.Logf("T: kernel outside [fixed point, reference] (|S| %d, %d, %d; unseen %g in [%g, %g])",
-			kernel.b.Len(), ref.b.Len(), deep.b.Len(), kernel.unseen, deep.unseen, ref.unseen)
+			kernel.SeenCount(), ref.SeenCount(), deep.SeenCount(), kernel.unseen, deep.unseen, ref.unseen)
 	}
 	return ok
 }
@@ -849,7 +1032,7 @@ func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 // monotone reports whether, against the previous round's snapshot, no lower
 // bound fell, no upper bound rose and the unseen bound did not rise; it then
 // replaces the snapshot with the current bounds.
-func monotone(t *testing.T, label string, b *scratch.Bounds, unseen float64, prev map[graph.NodeID][2]float64, prevUnseen *float64) bool {
+func monotone(t *testing.T, label string, b *neighborhood, unseen float64, prev map[graph.NodeID][2]float64, prevUnseen *float64) bool {
 	ok := unseen <= *prevUnseen
 	eachBound(b, func(v graph.NodeID, lo, up float64) {
 		if p, seen := prev[v]; seen && (lo < p[0] || up > p[1]) {
@@ -944,29 +1127,29 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 					tdeep.refStageII(20000, math.SmallestNonzeroFloat64) // stops on a sweep that moves nothing
 				}
 			}
-			if !sameBounds(t, "F", &fb.b, &fref.b, fb.unseen, fref.unseen, 1e-12) {
+			if !sameBounds(t, "F", &fb.neighborhood, &fref.neighborhood, fb.unseen, fref.unseen, 1e-12) {
 				return false
 			}
 			if tightening {
 				if !aheadOfReference(t, &tb, &tref, &tdeep) {
 					return false
 				}
-			} else if !sameBounds(t, "T", &tb.b, &tref.b, tb.unseen, tref.unseen, 1e-12) {
+			} else if !sameBounds(t, "T", &tb.neighborhood, &tref.neighborhood, tb.unseen, tref.unseen, 1e-12) {
 				return false
 			}
-			if !logMatchesInduced(t, "F", &fb.k, &fb.b, fRow(fb.rows)) ||
-				!logMatchesInduced(t, "T", &tb.k, &tb.b, tRow(tb.rows)) {
+			if !logMatchesInduced(t, "F", &fb.k, &fb.neighborhood, fRow(fb.rows)) ||
+				!logMatchesInduced(t, "T", &tb.k, &tb.neighborhood, tRow(tb.rows)) {
 				return false
 			}
-			copyBounds(&fref.b, &fb.b)
-			copyBounds(&tref.b, &tb.b)
+			copyBounds(&fref.neighborhood, &fb.neighborhood)
+			copyBounds(&tref.neighborhood, &tb.neighborhood)
 			if tightening {
-				copyBounds(&tdeep.b, &tb.b)
+				copyBounds(&tdeep.neighborhood, &tb.neighborhood)
 			}
 			fref.unseen, tref.unseen, tdeep.unseen = fb.unseen, tb.unseen, tb.unseen
 
-			if !monotone(t, "F", &fb.b, fb.unseen, fPrev, &fUnseen) ||
-				!monotone(t, "T", &tb.b, tb.unseen, tPrev, &tUnseen) {
+			if !monotone(t, "F", &fb.neighborhood, fb.unseen, fPrev, &fUnseen) ||
+				!monotone(t, "T", &tb.neighborhood, tb.unseen, tPrev, &tUnseen) {
 				return false
 			}
 			if !selfLoop {

@@ -7,11 +7,15 @@
 // baselines (Gupta et al. for F-Rank, Sarkar et al. for T-Rank) are provided
 // as options; every scheme runs Stage II.
 //
-// Stage II reads no rows: both trackers log the subgraph their neighborhood
-// induces into one shared kernel (refiner, refine.go) as Stage I grows it — a
-// node's rows are scanned once, when it joins — and every refinement iterates
-// on that log, so the sweeps touch |E(S)| local entries however large the
-// degrees of the seen nodes are and however many rounds there are.
+// Both neighborhoods have one shape (neighborhood.go): a stamped index —
+// FFlat's is the BCA engine's, TFlat's its own — that a node enters before it
+// joins, and the Stage-II kernel (refiner, refine.go), which holds the bounds
+// and everything else known of a seen node by its slot. Stage II reads no
+// rows: both trackers log the subgraph their neighborhood induces into the
+// kernel as Stage I grows it — a node's rows are scanned once, when it joins —
+// and every refinement iterates on that log, so the sweeps touch |E(S)| local
+// entries however large the degrees of the seen nodes are and however many
+// rounds there are.
 package bounds
 
 // Default expansion granularities from Sect. V-A3.

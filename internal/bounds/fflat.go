@@ -15,9 +15,9 @@ import (
 // log of the subgraph Sf induces and reads no rows: join, the one place a node
 // enters Sf, scans the newcomer's rows once and logs the induced edges it
 // closes, as TFlat's does. Sf has one membership, the BCA engine's index of the
-// nodes it has given an estimate: the bounds here, like the restart weights and
-// rows in the kernel, are kept by its slots, and a node is seen once the slot
-// has them. This side keys nothing by node itself. InitRows rebinds the whole
+// nodes it has given an estimate: the kernel keeps the bounds, restart weights
+// and rows by its slots, and a node is seen once the kernel holds its slot.
+// This side keys nothing by node itself. InitRows rebinds the whole
 // tracker to a new query in O(1), so a pooled instance serves a stream of
 // queries with no steady-state allocation.
 type FFlat struct {
@@ -46,8 +46,7 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	}
 	fb.rows = rows
 	fb.opt = opt
-	sf, _ := fb.engine.Seen()
-	fb.b.ResetOver(sf)
+	fb.idx, _ = fb.engine.Seen()
 	fb.k.reset()
 	fb.unseen = 1
 	return nil
@@ -102,8 +101,8 @@ func (fb *FFlat) initializeBounds() {
 
 	// Sf is the engine's seen index: its leading slots have bounds already,
 	// the rest are this round's newcomers, in the order they join.
-	sf, rhos := fb.engine.Seen()
-	los, ups := fb.b.Slots()
+	_, rhos := fb.engine.Seen()
+	los, ups := fb.Slots()
 	for slot := range los {
 		rho := rhos[slot]
 		if rho > los[slot] {
@@ -114,7 +113,7 @@ func (fb *FFlat) initializeBounds() {
 		}
 	}
 	for slot := len(los); slot < len(rhos); slot++ {
-		fb.join(sf.Touched()[slot], rhos[slot], rhos[slot]+fb.unseen) // Eq. 20–21
+		fb.join(fb.idx.Touched()[slot], rhos[slot], rhos[slot]+fb.unseen) // Eq. 20–21
 	}
 }
 
@@ -128,12 +127,12 @@ func (fb *FFlat) initializeBounds() {
 // at a time, so of two adjacent nodes the later finds the earlier seen and
 // their edges are logged once — and since a round's newcomers are all in the
 // engine's index before the first of them joins, a neighbor counts as seen
-// only when its slot is below the number joined so far (scratch.Bounds.Index),
+// only when its slot is below the number joined so far (neighborhood.Index),
 // v's own included. Each scanned neighbor costs one stamped probe, for its
 // slot. The restart weight comes from the BCA engine's restart distribution,
 // the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
-	self := fb.b.Push(lo, up)
+	self := fb.k.join(fb.engine.RestartWeight(v), 0, lo, up) // mass: the in-row's, below
 	mass := 0.0
 	cols, wts := fb.rows.InRow(v)
 	for i, from := range cols {
@@ -143,11 +142,11 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 		}
 		m := wts[i] / outSum
 		mass += m
-		if slot, seen := fb.b.Index(from); seen {
+		if slot, seen := fb.Index(from); seen {
 			fb.k.add(self, slot, m)
 		}
 	}
-	fb.k.join(fb.engine.RestartWeight(v), mass)
+	fb.k.mass[self] = mass
 
 	if outSum := fb.rows.OutSum(v); outSum > 0 {
 		cols, wts = fb.rows.OutRow(v)
@@ -155,7 +154,7 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 			if to == v {
 				continue
 			}
-			if slot, seen := fb.b.Index(to); seen {
+			if slot, seen := fb.Index(to); seen {
 				fb.k.add(slot, self, wts[i]/outSum)
 			}
 		}
@@ -167,7 +166,7 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 // It reads nothing from the graph: the kernel sweeps the induced edges join
 // has logged; see refiner.
 func (fb *FFlat) Refine() {
-	fb.k.refine(&fb.b, fb.opt.Alpha, fb.unseen, false)
+	fb.k.refine(fb.opt.Alpha, fb.unseen, false)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

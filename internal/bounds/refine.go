@@ -1,29 +1,26 @@
 package bounds
 
-import (
-	"slices"
-
-	"roundtriprank/internal/scratch"
-)
+import "slices"
 
 // refiner is the Stage-II kernel both trackers share: the iteration of
 // Eq. 17–18 over the subgraph the neighborhood induces, held as a per-query
 // append-only edge log; a refinement reads nothing from the graph.
 //
-// A slot is a node's position in scratch.Bounds.Touched (insertion order), and
-// everything known about a seen node is keyed by it, in one place each: its
-// bounds in the tracker's scratch.Bounds, which the sweeps update in place, its
-// restart weight and row mass here. The kernel holds no copy of the bounds. The
-// tracker calls join for every node entering the neighborhood, in that order,
-// and add for every induced edge: (src, dst, m) says the recursion at slot
-// src sums the bounds of slot dst with transition probability m. The trackers
-// keep one invariant: an induced edge is appended exactly once, when the later
-// of its two endpoints joins — the newcomer's rows, scanned then against the
-// membership, yield every induced edge it closes (both trackers scan both rows
-// and take a self-loop from the in-row). All neighbors of a row that are still
-// unseen contribute the same m·unseen and fold into one scalar: the row's
-// total transition mass, fixed at join, minus the mass logged for the row so
-// far — being logged is all it takes to move a newcomer out of that scalar.
+// A slot is a node's position in the tracker's index (insertion order), and
+// everything known about a seen node is keyed by it, in one place each, here:
+// its bounds, which the sweeps update in place, its restart weight and its row
+// mass. The tracker calls join for every node entering the neighborhood, in
+// that order — an index member whose slot the kernel does not hold yet is
+// unseen — and add for every induced edge: (src, dst, m) says the recursion at
+// slot src sums the bounds of slot dst with transition probability m. The
+// trackers keep one invariant: an induced edge is appended exactly once, when
+// the later of its two endpoints joins — the newcomer's rows, scanned then
+// against the membership, yield every induced edge it closes (both trackers
+// scan both rows and take a self-loop from the in-row). All neighbors of a row
+// that are still unseen contribute the same m·unseen and fold into one scalar:
+// the row's total transition mass, fixed at join, minus the mass logged for the
+// row so far — being logged is all it takes to move a newcomer out of that
+// scalar.
 //
 // load counting-sorts the log by source slot into the sweep copy — O(|E(S)|),
 // stable, so a row sums its entries in the order they were logged — and refine
@@ -38,6 +35,7 @@ type refiner struct {
 	maxIter int
 
 	// Per slot, appended by join.
+	lo, up  []float64 // the bounds
 	restart []float64 // restart weight
 	mass    []float64 // total transition mass of the row
 
@@ -66,18 +64,21 @@ type logged struct {
 	m        float64
 }
 
-// reset empties the log for a new query.
+// reset empties the kernel for a new query.
 func (k *refiner) reset() {
-	k.log, k.restart, k.mass, k.lowered = k.log[:0], k.restart[:0], k.mass[:0], k.lowered[:0]
+	k.log, k.lo, k.up = k.log[:0], k.lo[:0], k.up[:0]
+	k.restart, k.mass, k.lowered = k.restart[:0], k.mass[:0], k.lowered[:0]
 	k.maxIter = refineMaxIter
 	k.sweeps = 0
 }
 
-// join opens the next slot: the row of a node with the given restart weight
-// whose transition probabilities, to seen and unseen neighbors alike, sum to
-// mass.
-func (k *refiner) join(restart, mass float64) {
+// join opens the next slot, with the given bounds, and returns it: the row of a
+// node with the given restart weight whose transition probabilities, to seen
+// and unseen neighbors alike, sum to mass.
+func (k *refiner) join(restart, mass, lo, up float64) int32 {
+	k.lo, k.up = append(k.lo, lo), append(k.up, up)
 	k.restart, k.mass, k.lowered = append(k.restart, restart), append(k.mass, mass), append(k.lowered, false)
+	return int32(len(k.lo) - 1)
 }
 
 // add logs one induced edge.
@@ -113,7 +114,7 @@ func (k *refiner) load() {
 }
 
 // refine performs up to maxIter Gauss–Seidel sweeps of Eq. 17–18 in slot
-// order over the bounds of b, in place, keeping every bound monotone (lower
+// order over the bounds, in place, keeping every bound monotone (lower
 // bounds only rise, upper bounds only fall), and stops early once no bound
 // moved by refineTol. An unseen neighbor contributes lower bound zero and the
 // unseen upper bound as it stands at sweep time. It returns the unseen bound.
@@ -148,13 +149,12 @@ func (k *refiner) load() {
 // from out[r] into a logged entry whose own sens starts at zero, so last
 // round's values over-estimate and (i) fails, where an under-estimate only
 // costs sweeps. The fixed point approached is the plain iteration's.
-func (k *refiner) refine(b *scratch.Bounds, alpha, unseen float64, tighten bool) float64 {
+func (k *refiner) refine(alpha, unseen float64, tighten bool) float64 {
 	k.load()
 	// The reslices here and in the row loop tell the compiler the paired
 	// arrays are equally long, which drops all but one bounds check from the
 	// per-entry loop.
-	lo, up := b.Slots()
-	up = up[:len(lo)]
+	lo, up := k.lo, k.up[:len(k.lo)]
 	ends := k.end[1 : len(lo)+1]
 	lowered := k.lowered[:len(lo)]
 	// Without tighten sens stays zero and the gather below reads zeros: one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/walk"
 )
 
@@ -15,18 +16,18 @@ import (
 // the bounds over St (Eq. 17–18) on the kernel's edge log of the subgraph St
 // induces and reads no rows: join, the one place a node enters St, scans the
 // newcomer's rows once, for the border counters and the log alike. What is
-// keyed by node is the stamped index of b — membership and slot, St's own — and
-// nothing else; bounds, border counters, restart weights and rows live once, by
-// slot, and the per-round passes walk them sequentially. InitRows rebinds the
-// tracker to a new query in O(1).
+// keyed by node is the tracker's own stamped index — membership and slot — and
+// nothing else; a node enters it when admitted and joins after, as FFlat's
+// newcomers do (see neighborhood). Bounds, border counters, restart weights
+// and rows live once, by slot, and the per-round passes walk them
+// sequentially. InitRows rebinds the tracker to a new query in O(1).
 type TFlat struct {
 	neighborhood
 	opt TOptions
-	// rows is the graph; pre is its optional prefetch capability and wave the
-	// reusable buffer of rows each expansion announces to it.
-	rows graph.Rows
-	pre  graph.RowPrefetcher
-	wave []graph.NodeID
+	// rows is the graph, pre its optional prefetch capability.
+	rows  graph.Rows
+	pre   graph.RowPrefetcher
+	index scratch.Index // St and this round's admitted nodes
 
 	restartNodes []graph.NodeID
 	restartW     []float64
@@ -49,11 +50,9 @@ func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 }
 
 // InitRows starts (or restarts) a T-Rank bounds computation for the query,
-// reusing the tracker's internal arrays; see bca.Flat.InitRows. Binding reads
-// the query nodes' rows (announced to the provider's prefetcher first) and
-// returns rows.Err() if that already failed. Expansions announce each wave
-// (the picked border rows, then the newcomer rows they pull in) before
-// streaming them.
+// reusing the tracker's internal arrays; see bca.Flat.InitRows. Binding admits
+// the query nodes and joins them (joinAdmitted), which reads their rows, and
+// returns rows.Err() if that already failed.
 func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	opt = opt.normalized()
 	if err := walk.CheckAlpha(opt.Alpha); err != nil {
@@ -69,42 +68,58 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	tb.rows = rows
 	tb.pre, _ = rows.(graph.RowPrefetcher)
 	tb.opt = opt
-	if tb.pre != nil {
-		tb.pre.Prefetch(tb.restartNodes)
-	}
-	tb.b.Reset(n)
+	tb.index.Reset(n)
+	tb.idx = &tb.index
 	tb.outsideIn = tb.outsideIn[:0]
 	tb.k.reset()
 	tb.unseen = 1 - opt.Alpha
-	for i, v := range tb.restartNodes {
-		w := tb.restartW[i]
-		tb.join(v, w, opt.Alpha*w, 1)
+	for _, v := range tb.restartNodes {
+		tb.index.Add(v)
 	}
+	tb.joinAdmitted(1)
 	tb.recomputeUnseen()
 	return rows.Err()
 }
 
-// join admits v into St with the given restart weight (zero for all but the
-// query nodes InitRows joins) and bounds. Its in-row splits into the
-// in-neighbors still outside (v's border count) and those already seen, whose
-// rows gain v as an entry — v itself among them on a self-loop, being a member
-// by now. Its out-row yields v's own entries and takes one outside in-neighbor
-// off every seen out-neighbor. Nodes join one at a time, so of two adjacent
-// nodes the later finds the earlier seen and their edges are logged once. Each
-// scanned neighbor costs one stamped probe, for its slot; all else is by slot.
-func (tb *TFlat) join(v graph.NodeID, restart, lo, up float64) {
-	self := tb.b.Add(v, lo, up)
+// joinAdmitted joins every member of the index that has not joined yet, in
+// slot order, with upper bound up, after announcing them to the prefetcher as
+// one batch: the rows join reads are then fetched in one round trip.
+func (tb *TFlat) joinAdmitted(up float64) {
+	admitted := tb.index.Touched()[tb.SeenCount():]
+	if tb.pre != nil && len(admitted) > 0 {
+		tb.pre.Prefetch(admitted)
+	}
+	for _, v := range admitted {
+		tb.join(v, up)
+	}
+}
+
+// join gives v, the index's first member without a slot in the kernel, that
+// slot, with upper bound up and lower bound α times its restart weight: the
+// query nodes hold the leading slots, in restartW's order, and every later
+// node has none. Its in-row splits into the in-neighbors still outside (v's
+// border count) and those already seen, whose rows gain v as an entry — v
+// itself among them on a self-loop, being a member by now. Its out-row yields
+// v's own entries and takes one outside in-neighbor off every seen
+// out-neighbor. Nodes join one at a time, so of two adjacent nodes the later
+// finds the earlier seen and their edges are logged once. Each scanned
+// neighbor costs one stamped probe, for its slot; all else is by slot.
+func (tb *TFlat) join(v graph.NodeID, up float64) {
+	restart := 0.0
+	if n := tb.SeenCount(); n < len(tb.restartW) {
+		restart = tb.restartW[n]
+	}
 	outSum := tb.rows.OutSum(v)
 	mass := 0.0
 	if outSum > 0 {
 		mass = 1 // a row's transition probabilities sum to one
 	}
-	tb.k.join(restart, mass)
+	self := tb.k.join(restart, mass, tb.opt.Alpha*restart, up)
 
 	outside := 0
 	cols, wts := tb.rows.InRow(v)
 	for i, from := range cols {
-		slot, seen := tb.b.Index(from)
+		slot, seen := tb.Index(from)
 		if !seen {
 			outside++
 		} else if sum := tb.rows.OutSum(from); sum > 0 {
@@ -118,7 +133,7 @@ func (tb *TFlat) join(v graph.NodeID, restart, lo, up float64) {
 		if to == v {
 			continue
 		}
-		if slot, seen := tb.b.Index(to); seen {
+		if slot, seen := tb.Index(to); seen {
 			tb.outsideIn[slot]--
 			if outSum > 0 {
 				tb.k.add(self, slot, wts[i]/outSum)
@@ -156,8 +171,8 @@ func (tb *TFlat) Expand() int {
 	// list's insertion order, so budget-capped results are deterministic).
 	m := tb.opt.M
 	tb.pickN, tb.pickP = tb.pickN[:0], tb.pickP[:0]
-	seen := tb.b.Touched()
-	_, ups := tb.b.Slots()
+	seen := tb.SeenList()
+	_, ups := tb.Slots()
 	for slot, outside := range tb.outsideIn {
 		if outside <= 0 {
 			continue
@@ -180,65 +195,38 @@ func (tb *TFlat) Expand() int {
 	if len(tb.pickN) == 0 {
 		return 0
 	}
-	limit := tb.opt.FrontierCap
+	// Admit the picks' outside in-neighbors into the index, in in-row order
+	// and up to the frontier cap, then join them: newcomers start at lower
+	// bound zero and the unseen upper bound of the previous expansion.
 	if tb.pre != nil {
-		// Announce the wave in two coalesced batches: the picked border rows,
-		// then the newcomer rows those picks will pull in. The pre-pass below
-		// only reads membership, so the mutation loop that follows runs
-		// unchanged — same order, same bounds, bit-identical to local.
-		//
-		// Under a frontier cap the wave is truncated at the cap's raw entry
-		// count: an unseen entry at raw index p has at most p admissions
-		// before it in processing order, so every truncated-wave entry is
-		// provably admitted — never an over-prefetch of an untouched row. A
-		// node first admitted past the truncation point (possible when
-		// duplicates precede it) is simply fetched on demand; it still joins
-		// St, so "rows fetched ≤ rows touched" holds with or without the cap.
 		tb.pre.Prefetch(tb.pickN)
-		tb.wave = tb.wave[:0]
-	collect:
-		for _, u := range tb.pickN {
-			cols, _ := tb.rows.InRow(u)
-			for _, from := range cols {
-				if !tb.b.Seen(from) {
-					if limit > 0 && len(tb.wave) >= limit {
-						break collect
-					}
-					tb.wave = append(tb.wave, from)
-				}
-			}
-		}
-		tb.pre.Prefetch(tb.wave)
 	}
-	added := 0
-	prevUnseen := tb.unseen
+	limit := tb.opt.FrontierCap
+	admitted := 0
 	for _, u := range tb.pickN {
-		if limit > 0 && added >= limit {
+		if limit > 0 && admitted >= limit {
 			break
 		}
 		cols, _ := tb.rows.InRow(u)
 		for _, from := range cols {
-			if limit > 0 && added >= limit {
+			if limit > 0 && admitted >= limit {
 				break
 			}
-			if tb.b.Seen(from) {
-				continue
+			if _, added := tb.index.Add(from); added {
+				admitted++
 			}
-			// Newly included node: lower bound zero, upper bound is the
-			// unseen upper bound from the previous expansion.
-			tb.join(from, 0, 0, prevUnseen)
-			added++
 		}
 	}
+	tb.joinAdmitted(tb.unseen)
 	tb.recomputeUnseen()
 	tb.Refine()
-	return added
+	return admitted
 }
 
 // recomputeUnseen applies Eq. 22, keeping the bound monotone non-increasing.
 func (tb *TFlat) recomputeUnseen() {
 	maxBorder := 0.0
-	_, ups := tb.b.Slots()
+	_, ups := tb.Slots()
 	for slot, outside := range tb.outsideIn {
 		if outside > 0 && ups[slot] > maxBorder {
 			maxBorder = ups[slot]
@@ -265,7 +253,7 @@ func (tb *TFlat) Refine() {
 			}
 		}
 	}
-	tb.unseen = tb.k.refine(&tb.b, tb.opt.Alpha, tb.unseen, tighten)
+	tb.unseen = tb.k.refine(tb.opt.Alpha, tb.unseen, tighten)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a

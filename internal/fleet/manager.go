@@ -38,6 +38,8 @@ type ReconcileStats struct {
 	Unchanged int
 	// Removed counts stripes uninstalled from members that lost them.
 	Removed int
+	// Failed counts placements left out because the member failed its ship.
+	Failed int
 }
 
 // Manager is the coordinator-side fleet brain: it owns the membership table,
@@ -149,9 +151,9 @@ func (m *Manager) conn(id, addr string, stripe int) distributed.Transport {
 // analogue of RedeployStripes and what Engine.Apply calls on epoch commits.
 //
 // A member that fails its ship is left out of its group's replica list for
-// this round (queries route around it); the reconcile only errors when some
-// stripe converged on zero members, since queries against that stripe cannot
-// succeed at all.
+// this round (queries route around it) and counted in Failed; the reconcile
+// only errors when some stripe converged on zero members, since queries
+// against that stripe cannot succeed at all.
 func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -170,7 +172,6 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 	placement := Place(m.opts.Stripes, m.opts.Replication, ids)
 
 	newAssigned := make(map[string]map[int]bool, len(members))
-	var firstErr error
 	for i, group := range placement {
 		d, err := graph.BuildStripeData(g, i, m.opts.Stripes)
 		if err != nil {
@@ -178,13 +179,13 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 		}
 		s := distributed.StripeFromData(d)
 		var replicas []distributed.Transport
+		var shipErr error
 		for _, id := range group {
 			t := m.conn(id, addr[id], i)
 			act, err := distributed.EnsureStripe(ctx, t, s)
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("fleet: stripe %d on member %s: %w", i, id, err)
-				}
+				st.Failed++
+				shipErr = fmt.Errorf("fleet: stripe %d on member %s: %w", i, id, err)
 				continue
 			}
 			switch act {
@@ -202,7 +203,7 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 			replicas = append(replicas, t)
 		}
 		if len(replicas) == 0 {
-			return st, fmt.Errorf("fleet: stripe %d has no serving member: %w", i, firstErr)
+			return st, fmt.Errorf("fleet: stripe %d has no serving member: %w", i, shipErr)
 		}
 		m.groups[i].SetReplicas(replicas)
 	}
@@ -225,7 +226,7 @@ func (m *Manager) Reconcile(ctx context.Context, g *graph.Graph) (ReconcileStats
 		}
 	}
 	m.assigned = newAssigned
-	return st, firstErr
+	return st, nil
 }
 
 // Placement returns the member IDs most recently assigned to each stripe (in

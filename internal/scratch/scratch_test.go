@@ -93,99 +93,6 @@ func TestIndexGenerationWraparound(t *testing.T) {
 	}
 }
 
-func TestBoundsBasics(t *testing.T) {
-	var b Bounds
-	b.Reset(8)
-	if b.Len() != 0 || b.Seen(1) {
-		t.Fatalf("fresh Bounds should be empty")
-	}
-	if _, _, ok := b.Get(1); ok {
-		t.Fatalf("Get on unseen should report absent")
-	}
-	if slot := b.Add(1, 0.3, 0.8); slot != 0 {
-		t.Fatalf("Add(1) took slot %d, want 0", slot)
-	}
-	if slot := b.Add(4, 0, 1); slot != 1 {
-		t.Fatalf("Add(4) took slot %d, want 1", slot)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
-	}
-	lo, up, seen := b.Get(1)
-	if !seen || lo != 0.3 || up != 0.8 {
-		t.Errorf("Get(1) = %g %g %v", lo, up, seen)
-	}
-	order := b.Touched()
-	if len(order) != 2 || order[0] != 1 || order[1] != 4 {
-		t.Errorf("Touched = %v, want [1 4]", order)
-	}
-	// Index is the node's position in Touched.
-	if i, ok := b.Index(1); !ok || i != 0 {
-		t.Errorf("Index(1) = %d %v, want 0 true", i, ok)
-	}
-	if i, ok := b.Index(4); !ok || i != 1 {
-		t.Errorf("Index(4) = %d %v, want 1 true", i, ok)
-	}
-	if _, ok := b.Index(7); ok {
-		t.Errorf("Index on unseen should report absent")
-	}
-	// Slots is the storage itself, parallel to Touched: a write through it
-	// sets the node's bounds.
-	los, ups := b.Slots()
-	if len(los) != 2 || len(ups) != 2 || los[0] != 0.3 || ups[0] != 0.8 || los[1] != 0 || ups[1] != 1 {
-		t.Errorf("Slots = %v %v, want [0.3 0] [0.8 1]", los, ups)
-	}
-	los[1], ups[1] = 0.1, 0.7
-	if lo, up, _ := b.Get(4); lo != 0.1 || up != 0.7 {
-		t.Errorf("Get(4) after a write through Slots = %g %g, want 0.1 0.7", lo, up)
-	}
-	b.Reset(8)
-	if b.Seen(1) || b.Len() != 0 {
-		t.Errorf("Reset should empty Bounds")
-	}
-	b.Add(4, 0, 1)
-	if i, ok := b.Index(4); !ok || i != 0 {
-		t.Errorf("Index(4) after Reset = %d %v, want 0 true", i, ok)
-	}
-	if _, ok := b.Index(1); ok {
-		t.Errorf("Index should not survive Reset")
-	}
-}
-
-// TestBoundsOverBorrowedIndex pins the rule FFlat's join rests on: over an index
-// somebody else fills, a member is seen only once Push has reached its slot.
-func TestBoundsOverBorrowedIndex(t *testing.T) {
-	var x Index
-	var b Bounds
-	x.Reset(8)
-	b.ResetOver(&x)
-	x.Add(6)
-	x.Add(2)
-	if b.Len() != 0 || b.Seen(6) || b.Seen(2) || len(b.Touched()) != 0 {
-		t.Fatalf("members of the index without bounds must not be seen")
-	}
-	if slot := b.Push(0.1, 0.5); slot != 0 {
-		t.Fatalf("Push took slot %d, want 0", slot)
-	}
-	if i, ok := b.Index(6); !ok || i != 0 || b.Seen(2) {
-		t.Errorf("after one Push: Index(6) = %d %v, Seen(2) = %v; want 0 true false", i, ok, b.Seen(2))
-	}
-	b.Push(0.2, 0.6)
-	if lo, up, ok := b.Get(2); !ok || lo != 0.2 || up != 0.6 {
-		t.Errorf("Get(2) = %g %g %v, want 0.2 0.6 true", lo, up, ok)
-	}
-	if got := b.Touched(); len(got) != 2 || got[0] != 6 || got[1] != 2 {
-		t.Errorf("Touched = %v, want [6 2]", got)
-	}
-	// A new query: the owner resets the index, ResetOver drops the bounds.
-	x.Reset(8)
-	b.ResetOver(&x)
-	x.Add(2)
-	if b.Len() != 0 || b.Seen(2) {
-		t.Errorf("ResetOver should empty Bounds")
-	}
-}
-
 // pop removes and returns the heap's best entry.
 func pop(h *Heap) (slot int32, pri float64, ok bool) {
 	if slot, pri, ok = h.Peek(); ok {

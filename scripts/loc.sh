@@ -6,10 +6,9 @@
 # asks a graph what it is instead of calling it — and the number of dense
 # per-node structures the online searcher declares: fields of internal/bca and
 # internal/bounds whose type is a stamped internal/scratch structure, 8 B a node
-# each. Those are Index and Bounds (its own index; FFlat's borrows BCA's, and
-# the embedded neighborhood declares the field once for both trackers); in an
-# older tree also Floats, the then node-keyed Heap and Ints (FFlat's former
-# parked chains).
+# each: Index fields (BCA's two, TFlat's own; FFlat's neighborhood points at
+# BCA's); in an older tree also Floats, the then node-keyed Heap and Ints
+# (FFlat's former parked chains).
 # Then the number of engine options: With… functions of the root package's
 # non-test files, what configures an Engine. Last, the root package's exported
 # identifiers in its non-test files: package-level names (in or out of a
@@ -32,7 +31,7 @@ tests=$(gofiles | grep '_test.go$' | grep -v '^bench/' | xargs cat | wc -l)
 pkgs=$(gofiles | grep '^internal/' | xargs -n1 dirname | sort -u | wc -l)
 ifaces=$(gofiles | grep -E '^(internal/graph/)?[^/]*\.go$' | grep -v '_test.go$' | xargs grep -hE '^type .* interface' | wc -l)
 asserts=$(gofiles | grep -v '_test.go$' | grep -v '^bench/' | xargs grep -nE '\.\((\*?(graph|roundtriprank)\.)?\*?(Graph|Packed|CompactedView|View|CSRView|PackedCSRView|RowsProvider|Rows|RowPrefetcher|Epocher|TypedView|type)\)' | grep -cvE ':[0-9]+:\s*//' || true)
-dense='Index|Bounds|Floats'
+dense='Index|Floats'
 if grep -qE 'stamp +\[\]uint32' internal/scratch/heap.go; then
     dense="$dense|Heap" # the heap still keeps stamps of its own by node
 fi
