@@ -187,7 +187,6 @@ func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*
 // networked methods then answer bit-identically to a local engine over the
 // committed graph.
 func TestChaosApplyOverlapsKill(t *testing.T) {
-	ctx := context.Background()
 	pg := parityGraphs()[2] // cycle: every query's walk crosses all stripes
 	m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 13}))
 	engine, err := NewEngine(pg.graph, WithFleet(m))
@@ -197,6 +196,46 @@ func TestChaosApplyOverlapsKill(t *testing.T) {
 	for _, tr := range byMember["w1"] {
 		tr.Kill()
 	}
+	applyWithMemberDown(t, engine, m, pg)
+}
+
+// TestChaosApplyOverlapsPartition is the partition schedule of the same
+// commit: one member of an R=2 fleet is cut off from the coordinator for the
+// whole of Engine.Apply and the queries after it, keeping the stripes of the
+// old epoch. The commit rolls over with its placements counted as failed, and
+// both networked methods answer bit-identically to a local engine over the
+// committed graph: while the member is cut off, once it is back holding the
+// stale stripes, and after a reconcile has shipped it the new ones.
+func TestChaosApplyOverlapsPartition(t *testing.T) {
+	ctx := context.Background()
+	pg := parityGraphs()[2]
+	m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 17}))
+	engine, err := NewEngine(pg.graph, WithFleet(m))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, tr := range byMember["w2"] {
+		tr.Partition()
+	}
+	g := applyWithMemberDown(t, engine, m, pg)
+	for _, tr := range byMember["w2"] {
+		tr.Heal()
+	}
+	requireFleetMatchesLocal(t, engine, g, pg.queries)
+	if st, err := m.Reconcile(ctx, g); err != nil || st.Failed != 0 {
+		t.Fatalf("reconcile after the partition healed: %+v, %v; want every placement shipped", st, err)
+	}
+	requireFleetMatchesLocal(t, engine, g, pg.queries)
+}
+
+// applyWithMemberDown commits one edge through engine while a member of its
+// R=2 fleet m is down, checks that the new epoch is served and that a
+// reconcile counts the member's placements as failed without erroring, and
+// holds both networked methods to a local engine over the committed graph. It
+// returns that graph.
+func applyWithMemberDown(t *testing.T, engine *Engine, m *Fleet, pg parityGraph) *Graph {
+	t.Helper()
+	ctx := context.Background()
 	d := NewDelta(pg.graph)
 	if err := d.SetEdge(0, 6, 1); err != nil {
 		t.Fatalf("SetEdge: %v", err)
@@ -204,20 +243,29 @@ func TestChaosApplyOverlapsKill(t *testing.T) {
 	epoch := engine.Epoch()
 	res, err := engine.Apply(ctx, d)
 	if err != nil {
-		t.Fatalf("Apply with w1 dead: %v", err)
+		t.Fatalf("Apply with a member down: %v", err)
 	}
 	if res.Epoch != epoch+1 || engine.Epoch() != epoch+1 {
 		t.Fatalf("Apply committed epoch %d and the engine serves %d, want both %d", res.Epoch, engine.Epoch(), epoch+1)
 	}
 	if st, err := m.Reconcile(ctx, res.Graph); err != nil || st.Failed < 1 {
-		t.Fatalf("reconcile with w1 dead: %+v, %v; want its placements failed and no error", st, err)
+		t.Fatalf("reconcile with a member down: %+v, %v; want its placements failed and no error", st, err)
 	}
+	requireFleetMatchesLocal(t, engine, res.Graph, pg.queries)
+	return res.Graph
+}
 
-	local, err := NewEngine(res.Graph)
+// requireFleetMatchesLocal holds engine's Distributed answers to a local
+// engine's Exact ones over g, and its ε = 0 TwoSBoundRemote answers to the
+// local TwoSBound ones wherever the top-K is well defined, for every query.
+func requireFleetMatchesLocal(t *testing.T, engine *Engine, g *Graph, queries []NodeID) {
+	t.Helper()
+	ctx := context.Background()
+	local, err := NewEngine(g)
 	if err != nil {
 		t.Fatalf("local NewEngine: %v", err)
 	}
-	for _, q := range pg.queries {
+	for _, q := range queries {
 		exact, err := local.Rank(ctx, Request{Query: SingleNode(q), K: 10, Epsilon: 0, Method: Exact})
 		if err != nil {
 			t.Fatalf("q%d: local exact: %v", q, err)
@@ -227,7 +275,7 @@ func TestChaosApplyOverlapsKill(t *testing.T) {
 			t.Fatalf("q%d: distributed query after the commit: %v", q, err)
 		}
 		requireBitIdentical(t, "distributed-vs-exact", dist, exact)
-		full, err := local.Rank(ctx, Request{Query: SingleNode(q), K: res.Graph.NumNodes(), Epsilon: 0, Method: Exact})
+		full, err := local.Rank(ctx, Request{Query: SingleNode(q), K: g.NumNodes(), Epsilon: 0, Method: Exact})
 		if err != nil {
 			t.Fatalf("q%d: full exact ranking: %v", q, err)
 		}

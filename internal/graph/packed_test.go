@@ -123,32 +123,77 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 // TestPackedRowsSession checks the in-package Rows that are not the flat
 // arrays themselves — a packed view's own session and the counting decorator —
 // against the flat arrays, asking for every row twice (the second answer of a
-// session is the kept one).
+// session is the kept one), on a graph with weights and on a unit-weight one
+// whose hub row is too long for the session's slabs. A packed session hands a
+// unit row the view's shared ones as its weights, capacity-capped like
+// CSR.Row's, and every row it handed out still reads right after all the
+// later decodes.
 func TestPackedRowsSession(t *testing.T) {
-	g := packedTestGraph(t, 120, 900, 3)
-	out := g.OutCSR()
-	in := g.InCSR()
-	for name, rows := range map[string]Rows{"packed": Pack(g).NewRows(), "counting": NewCountingRows(g)} {
-		if rows.NumNodes() != g.NumNodes() {
-			t.Fatalf("%s: NumNodes %d != %d", name, rows.NumNodes(), g.NumNodes())
+	hub := NewBuilder()
+	hub.AddNodes(1000, nil)
+	for v := 1; v < 1000; v++ {
+		for _, to := range []int{0, (v * 7) % 1000, (v * 13) % 1000} {
+			if to != v {
+				if err := hub.AddEdge(NodeID(v), NodeID(to), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		for pass := 0; pass < 2; pass++ {
-			for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-				if rows.OutDegree(v) != out.Degree(v) {
-					t.Fatalf("%s: node %d OutDegree mismatch", name, v)
+	}
+	unit, err := hub.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gname, g := range map[string]*Graph{"weighted": packedTestGraph(t, 120, 900, 3), "unit": unit} {
+		out, in := g.OutCSR(), g.InCSR()
+		p := Pack(g)
+		if gname == "unit" && (out.Weight != nil || in.Degree(0) <= slabEntries/8) {
+			t.Fatalf("unit graph: want the unit form and a hub in-row over %d entries, have %d", slabEntries/8, in.Degree(0))
+		}
+		for name, rows := range map[string]Rows{"packed": p.NewRows(), "counting": NewCountingRows(g)} {
+			name = gname + "/" + name
+			if rows.NumNodes() != g.NumNodes() {
+				t.Fatalf("%s: NumNodes %d != %d", name, rows.NumNodes(), g.NumNodes())
+			}
+			type kept struct {
+				v    NodeID
+				in   bool
+				cols []NodeID
+				wts  []float64
+			}
+			var handed []kept
+			for pass := 0; pass < 2; pass++ {
+				for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+					if rows.OutDegree(v) != out.Degree(v) {
+						t.Fatalf("%s: node %d OutDegree mismatch", name, v)
+					}
+					if rows.OutSum(v) != out.Sum[v] {
+						t.Fatalf("%s: node %d OutSum mismatch", name, v)
+					}
+					for _, isIn := range []bool{false, true} {
+						get, want := rows.OutRow, out.Row
+						if isIn {
+							get, want = rows.InRow, in.Row
+						}
+						cols, wts := get(v)
+						wantC, wantW := want(v)
+						if !sameRow(cols, wts, wantC, wantW) {
+							t.Fatalf("%s: node %d row (in %v) differs", name, v, isIn)
+						}
+						if name == "unit/packed" && len(wts) > 0 && (cap(wts) != len(wts) || &wts[0] != &p.ones[0]) {
+							t.Fatalf("%s: node %d (in %v): weights are not a capped window of the shared ones", name, v, isIn)
+						}
+						handed = append(handed, kept{v, isIn, cols, wts})
+					}
 				}
-				if rows.OutSum(v) != out.Sum[v] {
-					t.Fatalf("%s: node %d OutSum mismatch", name, v)
+			}
+			for _, k := range handed {
+				want := out.Row
+				if k.in {
+					want = in.Row
 				}
-				cols, wts := rows.OutRow(v)
-				wantC, wantW := out.Row(v)
-				if !sameRow(cols, wts, wantC, wantW) {
-					t.Fatalf("%s: node %d OutRow differs", name, v)
-				}
-				cols, wts = rows.InRow(v)
-				wantC, wantW = in.Row(v)
-				if !sameRow(cols, wts, wantC, wantW) {
-					t.Fatalf("%s: node %d InRow differs", name, v)
+				if wantC, wantW := want(k.v); !sameRow(k.cols, k.wts, wantC, wantW) {
+					t.Fatalf("%s: node %d row (in %v) changed after later decodes", name, k.v, k.in)
 				}
 			}
 		}
