@@ -228,6 +228,28 @@ func TestChaosApplyOverlapsPartition(t *testing.T) {
 	requireFleetMatchesLocal(t, engine, g, pg.queries)
 }
 
+// TestChaosApplyOverlapsMidShipKill lands the kill inside the commit: every
+// transport of one member of an R=2 fleet dies after k more calls, for k in
+// {0, 1, 2}, so the member dies at the handshake's Info, at the ship or retag
+// of its stripe inside Engine.Apply, or right after it. Each k runs on a fresh
+// fleet and must end like a member dead before the commit.
+func TestChaosApplyOverlapsMidShipKill(t *testing.T) {
+	pg := parityGraphs()[2]
+	for k := 0; k <= 2; k++ {
+		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
+			m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 19}))
+			engine, err := NewEngine(pg.graph, WithFleet(m))
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			for _, tr := range byMember["w0"] {
+				tr.KillAfter(k)
+			}
+			applyWithMemberDown(t, engine, m, pg)
+		})
+	}
+}
+
 // applyWithMemberDown commits one edge through engine while a member of its
 // R=2 fleet m is down, checks that the new epoch is served and that a
 // reconcile counts the member's placements as failed without erroring, and

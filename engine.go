@@ -2,7 +2,6 @@ package roundtriprank
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -13,6 +12,7 @@ import (
 
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/fan"
 	"roundtriprank/internal/fleet"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/lru"
@@ -795,8 +795,9 @@ func onlineResponse(p *plan, res *topk.Result) *Response {
 // each reaches the WithQueryStatsHook callback.
 //
 // The whole batch is validated before any work starts. The first execution
-// error cancels the remaining requests and aborts the batch; cancelling ctx
-// does the same and returns ctx.Err().
+// error cancels the remaining requests and aborts the batch, reporting the
+// lowest-indexed request that failed of its own accord; cancelling ctx does
+// the same and returns ctx.Err().
 func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -810,9 +811,6 @@ func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, er
 		plans[i] = p
 	}
 
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	// With the engine cache disabled, a batch-local cache (it evicts nothing)
 	// still guarantees each distinct (node, α, tol) pair is solved once within
 	// this batch.
@@ -821,56 +819,16 @@ func (e *Engine) RankBatch(ctx context.Context, reqs []Request) ([]*Response, er
 		cache = lru.New[vecKey, vecPair](math.MaxInt)
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(plans) {
-		workers = len(plans)
-	}
 	out := make([]*Response, len(reqs))
-	errs := make([]error, len(reqs))
-	var (
-		wg      sync.WaitGroup
-		nextIdx atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				if i >= len(plans) || bctx.Err() != nil {
-					return
-				}
-				resp, err := e.execPlan(bctx, plans[i], cache)
-				if err != nil {
-					errs[i] = err
-					cancel() // first failure aborts the rest of the batch
-					return
-				}
-				out[i] = resp
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Report the lowest-indexed root-cause error; requests that died of the
-	// batch-wide cancellation are only blamed when nothing else failed.
-	var firstErr error
-	firstIdx := -1
-	for i, err := range errs {
-		if err == nil {
-			continue
+	err := fan.Do(ctx, len(plans), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		resp, err := e.execPlan(ctx, plans[i], cache)
+		if err != nil {
+			return fmt.Errorf("roundtriprank: request %d: %w", i, err)
 		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr, firstIdx = err, i
-		}
-	}
-	if firstErr != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("roundtriprank: request %d: %w", firstIdx, firstErr)
-	}
-	if err := ctx.Err(); err != nil {
+		out[i] = resp
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

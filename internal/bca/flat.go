@@ -69,8 +69,8 @@ type Flat struct {
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
-// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 2(e)) repoints
-// the probe at InitRows and deletes this.
+// bench/probes.go calls it: ROADMAP item 1(h) repoints the probe at InitRows
+// and deletes this.
 func (s *Flat) Init(view graph.CSRView, q walk.Query, alpha float64) error {
 	return s.InitRows(graph.Compact(view), q, alpha)
 }

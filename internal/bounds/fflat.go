@@ -29,8 +29,8 @@ type FFlat struct {
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
-// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 2(e)) repoints
-// the probe at InitRows and deletes this.
+// bench/probes.go calls it: ROADMAP item 1(h) repoints the probe at InitRows
+// and deletes this.
 func (fb *FFlat) Init(view graph.CSRView, q walk.Query, opt FOptions) error {
 	return fb.InitRows(graph.Compact(view), q, opt)
 }

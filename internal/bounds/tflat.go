@@ -43,8 +43,8 @@ type TFlat struct {
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
-// bench/probes.go calls it: the next [benchmark] PR (ROADMAP item 2(e)) repoints
-// the probe at InitRows and deletes this.
+// bench/probes.go calls it: ROADMAP item 1(h) repoints the probe at InitRows
+// and deletes this.
 func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 	return tb.InitRows(graph.Compact(view), q, opt)
 }

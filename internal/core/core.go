@@ -25,11 +25,11 @@ package core
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 
+	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/walk"
 )
@@ -91,31 +91,19 @@ func Compute(ctx context.Context, view graph.View, q walk.Query, p Params) (*Sco
 }
 
 // Solve runs the F-Rank and T-Rank solves of one query concurrently over one
-// Gatherer — in-process rows or a worker fleet. The first failure cancels the
-// sibling, so a dead worker surfaces immediately instead of after the healthy
-// solve finishes its remaining iterations, and the error returned is the root
-// cause rather than the sibling's cancellation casualty.
+// Gatherer — in-process rows or a worker fleet — as a pair of fan.Do tasks:
+// the first failure cancels the sibling, so a dead worker surfaces at once
+// instead of after the healthy solve finishes its remaining iterations, and
+// the error follows fan.Do's rule.
 func Solve(ctx context.Context, g walk.Gatherer, q walk.Query, wp walk.Params) (f, t []float64, err error) {
-	pctx, cancel := context.WithCancel(walk.OrBackground(ctx))
-	defer cancel()
-	var (
-		terr error
-		done = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		if t, terr = walk.TRankOver(pctx, g, q, wp); terr != nil {
-			cancel()
+	err = fan.Do(walk.OrBackground(ctx), 2, 2, func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			f, err = walk.FRankOver(ctx, g, q, wp)
+		} else {
+			t, err = walk.TRankOver(ctx, g, q, wp)
 		}
-	}()
-	f, err = walk.FRankOver(pctx, g, q, wp)
-	if err != nil {
-		cancel()
-	}
-	<-done
-	if terr != nil && (err == nil || errors.Is(err, context.Canceled)) {
-		err = terr
-	}
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,11 +2,11 @@ package distributed
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"roundtriprank/internal/fan"
 )
 
 // RetryPolicy is how a Fleet retries an idempotent worker call; the zero
@@ -70,7 +70,7 @@ func Connect(ctx context.Context, transports []Transport, policy *RetryPolicy) (
 	f.policy = f.policy.withDefaults()
 
 	infos := make([]WorkerInfo, count)
-	err := f.fanOut(ctx, func(ctx context.Context, i int) error {
+	err := fan.Do(ctx, count, count, func(ctx context.Context, i int) error {
 		info, err := Call(ctx, f, i, f.ts[i].Info)
 		infos[i] = info
 		return err
@@ -187,50 +187,14 @@ func Call[T any](ctx context.Context, f *Fleet, i int, rpc func(ctx context.Cont
 	return zero, fmt.Errorf("distributed: worker %d (stripe %d of %d): %w", i, i, len(f.ts), lastErr)
 }
 
-// fanOut runs fn(i) for every worker concurrently; the first failure cancels
-// the rest. The reported error is the root cause: a sibling call that died
-// of the fan-out's own cancellation is only blamed when nothing else failed.
-func (f *Fleet) fanOut(ctx context.Context, fn func(ctx context.Context, i int) error) error {
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(f.ts))
-	var wg sync.WaitGroup
-	for i := range f.ts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(fctx, i); err != nil {
-				errs[i] = err
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return firstErr
-}
-
-// Scatter fetches one per-owned-row array from every worker — fanned out,
-// each fetch under Call's retry policy — checks its length against the
-// stripe's row count, and scatters it into the per-node array dst by the
-// round-robin assignment (worker i's row r is node i + r·count). what names
-// the payload in the length error. On failure dst is partly written.
+// Scatter fetches one per-owned-row array from every worker — fanned out on
+// a goroutine per worker by fan.Do, each fetch under Call's retry policy —
+// checks its length against the stripe's row count, and scatters it into the
+// per-node array dst by the round-robin assignment (worker i's row r is node
+// i + r·count). what names the payload in the length error. On failure dst is
+// partly written.
 func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch func(ctx context.Context, i int) ([]T, error)) error {
-	return f.fanOut(ctx, func(ctx context.Context, i int) error {
+	return fan.Do(ctx, len(f.ts), len(f.ts), func(ctx context.Context, i int) error {
 		part, err := Call(ctx, f, i, func(ctx context.Context) ([]T, error) { return fetch(ctx, i) })
 		if err != nil {
 			return err

@@ -12,11 +12,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"roundtriprank/internal/baselines"
 	"roundtriprank/internal/core"
+	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/metrics"
 	"roundtriprank/internal/tasks"
@@ -60,59 +60,37 @@ func EvaluateTask(ctx context.Context, g *graph.Graph, instances []tasks.Instanc
 		}
 	}
 
-	type job struct{ idx int }
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan job, len(instances))
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	var mu sync.Mutex
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				inst := instances[jb.idx]
-				mctx := &baselines.Context{
-					Ctx:      ctx,
-					View:     inst.View,
-					Query:    inst.Query,
-					Walk:     wp,
-					GlobalPR: globalPR,
-					Rand:     rand.New(rand.NewSource(int64(jb.idx) + 1)),
-				}
-				keep := core.TypeFilter(g, inst.TargetType, inst.QueryNode)
-				for mi, m := range measures {
-					scores, err := m.Score(mctx)
-					if err != nil {
-						errOnce.Do(func() { firstErr = fmt.Errorf("eval: %s: %w", m.Name(), err) })
-						continue
-					}
-					ranked := core.Rank(scores, keep)
-					ids := make([]graph.NodeID, len(ranked))
-					for i, r := range ranked {
-						ids[i] = r.Node
-					}
-					mu.Lock()
-					for _, k := range ks {
-						results[mi].PerQuery[k][jb.idx] = metrics.NDCGAtK(ids, inst.GroundTruth, k)
-					}
-					mu.Unlock()
-				}
+	// Each instance writes its own index of the per-query slices, so the
+	// tasks share nothing they write.
+	err := fan.Do(ctx, len(instances), runtime.GOMAXPROCS(0), func(ctx context.Context, idx int) error {
+		inst := instances[idx]
+		mctx := &baselines.Context{
+			Ctx:      ctx,
+			View:     inst.View,
+			Query:    inst.Query,
+			Walk:     wp,
+			GlobalPR: globalPR,
+			Rand:     rand.New(rand.NewSource(int64(idx) + 1)),
+		}
+		keep := core.TypeFilter(g, inst.TargetType, inst.QueryNode)
+		for mi, m := range measures {
+			scores, err := m.Score(mctx)
+			if err != nil {
+				return fmt.Errorf("eval: %s: %w", m.Name(), err)
 			}
-		}()
-	}
-	for i := range instances {
-		jobs <- job{idx: i}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			ranked := core.Rank(scores, keep)
+			ids := make([]graph.NodeID, len(ranked))
+			for i, r := range ranked {
+				ids[i] = r.Node
+			}
+			for _, k := range ks {
+				results[mi].PerQuery[k][idx] = metrics.NDCGAtK(ids, inst.GroundTruth, k)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for mi := range results {
 		for _, k := range ks {

@@ -56,8 +56,8 @@ type View interface {
 }
 
 // RowsProvider is the old name of the part of View that mints row sessions.
-// It survives only because bench/probes.go asserts it: the next [benchmark]
-// PR (ROADMAP item 2(e)) drops that assertion and deletes this.
+// It survives only because bench/probes.go asserts it: ROADMAP item 1(h)
+// drops that assertion and deletes this.
 type RowsProvider = View
 
 // CSR is one adjacency direction in compressed-sparse-row form: the neighbors

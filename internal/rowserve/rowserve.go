@@ -24,10 +24,10 @@ package rowserve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/lru"
 )
@@ -186,7 +186,7 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 	row, err := s.r.cache.Do(s.ctx, cacheKey{content: s.r.Content(stripe), node: v}, func() (distributed.RowData, error) {
 		owned = true
 		s.stats.CacheMisses++
-		rows, err := s.fetch(stripe, []graph.NodeID{v}, nil)
+		rows, err := s.fetch(s.ctx, stripe, []graph.NodeID{v}, nil)
 		if err != nil {
 			return distributed.RowData{}, err
 		}
@@ -206,7 +206,8 @@ func (s *Session) row(v graph.NodeID) distributed.RowData {
 // fetches complete before the searcher reads the row, because the wave's
 // subsequent OutRow/InRow calls wait on them. Duplicate nodes in the wave are
 // fine. A fetch that fails after the retry budget fails the session, like the
-// read path; a failed session prefetches nothing.
+// read path, and cancels the wave's other fetches; a failed session prefetches
+// nothing.
 func (s *Session) Prefetch(nodes []graph.NodeID) {
 	if len(nodes) == 0 || s.err != nil {
 		return
@@ -235,31 +236,24 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 	if stripes == 0 {
 		return
 	}
-	if stripes == 1 {
-		for stripe := range s.waveNodes {
-			if len(s.waveNodes[stripe]) > 0 {
-				_, s.err = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, s.r.Workers())
-	for stripe := range s.waveNodes {
+	// One task per stripe on as many goroutines as the wave has stripes, so
+	// every stripe's RPC is in flight at once. fetch resolves the claims of
+	// the stripes it ran; those of stripes a failure kept from starting are
+	// failed here.
+	err := fan.Do(s.ctx, len(s.waveNodes), stripes, func(ctx context.Context, stripe int) error {
 		if len(s.waveNodes[stripe]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(stripe int) {
-			defer wg.Done()
-			_, errs[stripe] = s.fetch(stripe, s.waveNodes[stripe], s.waveEntries[stripe])
-		}(stripe)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.err = err
-			return
+		_, err := s.fetch(ctx, stripe, s.waveNodes[stripe], s.waveEntries[stripe])
+		s.waveEntries[stripe] = s.waveEntries[stripe][:0]
+		return err
+	})
+	if err != nil {
+		s.err = err
+		for _, entries := range s.waveEntries {
+			for _, e := range entries {
+				s.r.cache.Fail(e, err)
+			}
 		}
 	}
 }
@@ -269,9 +263,9 @@ func (s *Session) Prefetch(nodes []graph.NodeID) {
 // wave's claimed entries (row has none: Cache.Do resolves its own) — completed
 // on success, failed on error, so no future request ever hangs on a leaked
 // in-flight slot. Stats updates are atomic because Prefetch runs one fetch per
-// stripe concurrently.
-func (s *Session) fetch(stripe int, nodes []graph.NodeID, entries []*cacheEntry) ([]distributed.RowData, error) {
-	batch, err := distributed.Call(s.ctx, s.r.Fleet, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
+// stripe concurrently, each under its own fan.Do task's ctx.
+func (s *Session) fetch(ctx context.Context, stripe int, nodes []graph.NodeID, entries []*cacheEntry) ([]distributed.RowData, error) {
+	batch, err := distributed.Call(ctx, s.r.Fleet, stripe, func(ctx context.Context) (distributed.RowBatch, error) {
 		atomic.AddInt64(&s.stats.RPCs, 1)
 		return s.r.ts[stripe].FetchRows(ctx, s.r.GraphFingerprint(), nodes)
 	})

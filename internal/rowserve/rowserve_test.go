@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/lru"
 	"roundtriprank/internal/testgraphs"
 )
 
@@ -344,6 +346,104 @@ func TestCancelledSessionFailsCleanly(t *testing.T) {
 		t.Fatalf("cancelled fetch left Err %v, want context.Canceled", err)
 	}
 	requireDead(t, r, sess)
+}
+
+// waveRows is a transport whose FetchRows can be made to fail non-transiently
+// with err, or to stall until its context ends. The stall is bounded: a fetch
+// nobody cancels fails with its own error after a few seconds, rather than
+// hanging the test.
+type waveRows struct {
+	distributed.Transport
+	fail, stall atomic.Bool
+	err         error
+}
+
+func (w *waveRows) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (distributed.RowBatch, error) {
+	switch {
+	case w.fail.Load():
+		return distributed.RowBatch{}, w.err
+	case w.stall.Load():
+		select {
+		case <-ctx.Done():
+			return distributed.RowBatch{}, ctx.Err()
+		case <-time.After(5 * time.Second):
+			return distributed.RowBatch{}, errors.New("stalled fetch was never cancelled")
+		}
+	}
+	return w.Transport.FetchRows(ctx, graphSum, nodes)
+}
+
+// TestFailedWaveCancelsSiblingStripes pins a row wave's failure rule: when
+// one stripe's fetch fails, the other stripes' fetches are cancelled instead
+// of being waited out, the session reports the failing stripe's error rather
+// than a sibling's context.Canceled, and every claim of the wave is failed —
+// none is left in flight to hang a later query — so a fresh session over the
+// same cache fetches the rows again and reads them exactly. A wave under an
+// already-ended context starts no fetch and fails its claims the same way.
+func TestFailedWaveCancelsSiblingStripes(t *testing.T) {
+	ctx := context.Background()
+	g := testgraphs.Cycle(12)
+	ts := fleet(t, g, 2)
+	stalled := &waveRows{Transport: ts[0]}
+	broken := &waveRows{Transport: ts[1], err: errors.New("stripe 1 is corrupt")}
+	r, err := Connect(ctx, []distributed.Transport{stalled, broken}, nil)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	requireUnclaimed := func(label string) {
+		t.Helper()
+		for _, v := range all {
+			key := cacheKey{content: r.Content(int(v) % r.Workers()), node: v}
+			_, e, state := r.cache.Probe(key)
+			if state != lru.Owned { // a later read of the row would hang on it
+				t.Fatalf("%s: row %d is %v after the failed wave, want unclaimed", label, v, state)
+			}
+			r.cache.Fail(e, errors.New("probe"))
+		}
+	}
+
+	stalled.stall.Store(true)
+	broken.fail.Store(true)
+	start := time.Now()
+	sess := r.Session(ctx)
+	sess.Prefetch(all)
+	if err := sess.Err(); !errors.Is(err, broken.err) || errors.Is(err, context.Canceled) {
+		t.Fatalf("failed wave left Err %v, want stripe 1's error", err)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Errorf("the wave took %v: stripe 0's fetch was waited out, not cancelled", elapsed)
+	}
+	requireUnclaimed("stripe 1 failed")
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	sess = r.Session(cancelled)
+	sess.Prefetch(all)
+	if err := sess.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wave under a cancelled context left Err %v, want context.Canceled", err)
+	}
+	requireUnclaimed("cancelled")
+
+	stalled.stall.Store(false)
+	broken.fail.Store(false)
+	sess = r.Session(ctx)
+	sess.Prefetch(all)
+	out, in := g.OutCSR(), g.InCSR()
+	for _, v := range all {
+		gotC, gotW := sess.OutRow(v)
+		wantC, wantW := out.Row(v)
+		requireRowEqual(t, fmt.Sprintf("out row %d", v), gotC, gotW, wantC, wantW)
+		gotC, gotW = sess.InRow(v)
+		wantC, wantW = in.Row(v)
+		requireRowEqual(t, fmt.Sprintf("in row %d", v), gotC, gotW, wantC, wantW)
+	}
+	if err := sess.Err(); err != nil {
+		t.Fatalf("fresh session: %v", err)
+	}
 }
 
 // TestStaleFleetFailsLoudly replaces the workers' stripes with another

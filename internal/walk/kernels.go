@@ -4,8 +4,8 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
 
+	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
 )
 
@@ -60,40 +60,25 @@ func Local(view graph.View, workers int) Gatherer {
 
 func (l local) OutSums() []float64 { return l.view.OutSums() }
 
-func (l local) GatherIn(_ context.Context, x, dst []float64) error {
-	split(len(dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
-	return nil
+func (l local) GatherIn(ctx context.Context, x, dst []float64) error {
+	return split(ctx, len(dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
 }
 
-func (l local) GatherOut(_ context.Context, x, dst []float64) error {
-	split(len(dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
-	return nil
+func (l local) GatherOut(ctx context.Context, x, dst []float64) error {
+	return split(ctx, len(dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
 }
 
-// split partitions [0, n) into up to k contiguous chunks of ⌈n/k⌉ and runs
-// fn(lo, hi) on each, the first on the calling goroutine and every other on a
-// goroutine of its own, returning when all are done. A goroutine start costs
-// about a microsecond against a chunk's share of a pass over the edges.
-func split(n, k int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	k = min(k, n)
-	if k <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + k - 1) / k
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, min(lo+chunk, n))
-		}()
-	}
-	fn(0, chunk)
-	wg.Wait()
+// split partitions [0, n) into contiguous chunks of ⌈n/k⌉ and runs fn(lo, hi)
+// on each through fan.Do, on up to k goroutines that live for the one call. A
+// goroutine start costs about a microsecond against a chunk's share of a pass
+// over the edges.
+func split(ctx context.Context, n, k int, fn func(lo, hi int)) error {
+	chunk := max((n+k-1)/k, 1)
+	return fan.Do(ctx, (n+chunk-1)/chunk, k, func(_ context.Context, i int) error {
+		lo := i * chunk
+		fn(lo, min(lo+chunk, n))
+		return nil
+	})
 }
 
 // iterate is the power iteration, written once: check the context, gather

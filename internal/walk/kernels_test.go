@@ -334,11 +334,14 @@ func TestSplitCoversRange(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7} {
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			visited := make([]int32, n) // no lock needed: ranges are disjoint
-			split(n, workers, func(lo, hi int) {
+			err := split(context.Background(), n, workers, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					visited[i]++
 				}
 			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
 			for i, c := range visited {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)

@@ -12,6 +12,7 @@ import (
 
 	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/scratch"
 )
 
 // This file checks every execution path against an oracle that shares no code
@@ -347,7 +348,7 @@ func TestOracleRMAT(t *testing.T) {
 // oracleScale is the share of -quickchecks each oracle suite draws: 60 at
 // the default 100, a tenth of that under the race detector.
 func oracleScale() float64 {
-	if raceEnabled {
+	if scratch.RaceEnabled {
 		return 0.06
 	}
 	return 0.6

@@ -98,7 +98,7 @@ func TestPackedRepresentationParity(t *testing.T) {
 			// 10^4-node graph takes tens of seconds per query (minutes under
 			// the race detector); one query there pins the property, the
 			// golden graphs keep full coverage in every mode.
-			if pg.graph.NumNodes() > 1000 && (qi > 0 || raceEnabled) {
+			if pg.graph.NumNodes() > 1000 && (qi > 0 || scratch.RaceEnabled) {
 				continue
 			}
 			k := gapK(exactFlat.Results, 5)
