@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
 )
@@ -80,17 +82,35 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 	return cur
 }
 
-// serialTRankReference is the T-Rank recurrence of tRank as straight-line
-// serial code.
+// serialTRankReference is the T-Rank recurrence as straight-line serial
+// code, without tRank's geometric-tail jump: the oracle a jumped solve is held
+// to within its certificate.
 func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
+	x, _ := serialTRank(cv, restart, p, false)
+	return x
+}
+
+// serialTRankTailReference is tRank as straight-line serial code, the jump
+// included.
+func serialTRankTailReference(cv graph.CSRView, restart []float64, p Params) []float64 {
+	x, _ := serialTRank(cv, restart, p, true)
+	return x
+}
+
+// serialTRank runs the T-Rank recurrence and returns the iterate and the
+// number of sweeps it took. With tail, the geometric-tail jump of tRank is
+// written out between the steps.
+func serialTRank(cv graph.CSRView, restart []float64, p Params, tail bool) ([]float64, int) {
 	n := len(restart)
 	out := cv.OutCSR()
 	cur := make([]float64, n)
 	next := make([]float64, n)
+	prev := make([]float64, n)
 	for i := range cur {
 		cur[i] = p.Alpha * restart[i]
 	}
 	oneMinus := 1 - p.Alpha
+	prevNorm, fresh := 0.0, 0
 	for iter := 0; iter < p.MaxIter; iter++ {
 		for v := 0; v < n; v++ {
 			acc := p.Alpha * restart[v]
@@ -108,12 +128,32 @@ func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float
 		for i := range cur {
 			diff += math.Abs(cur[i] - next[i])
 		}
-		cur, next = next, cur
 		if diff < p.Tol {
-			break
+			return next, iter + 1
 		}
+		if tail && iter+1 < p.MaxIter {
+			fresh++
+			rho := diff / prevNorm
+			armed := fresh >= 2 && rho < 1
+			resid := 0.0
+			for i := range cur {
+				if armed {
+					resid += math.Abs((next[i] - cur[i]) - rho*prev[i])
+				}
+				prev[i] = next[i] - cur[i]
+			}
+			prevNorm = diff
+			if armed && resid <= tailGate*diff {
+				c := rho / (1 - rho)
+				for i := range next {
+					next[i] = math.Min(math.Max(next[i]+c*prev[i], 0), 1)
+				}
+				fresh = 0
+			}
+		}
+		cur, next = next, cur
 	}
-	return cur
+	return cur, p.MaxIter
 }
 
 // serialPageRankReference is the global PageRank recurrence of pageRank as
@@ -168,7 +208,21 @@ func kernelTestGraphs() map[string]*graph.Graph {
 		"line":         testgraphs.Line(17), // has a dangling tail node
 		"cycle":        testgraphs.Cycle(23),
 		"star":         testgraphs.Star(9),
+		"rmat":         rmatGraph(100, 42),
 	}
+}
+
+// rmatGraph is a directed R-MAT graph with the bench spine's parameters. Its
+// dead ends and skewed core give T-Rank the slow geometric mode the tail jump
+// removes; on the other kernel test graphs the jump never fires.
+func rmatGraph(nodes int, seed int64) *graph.Graph {
+	cfg := datasets.DefaultRMATConfig(nodes)
+	cfg.Seed = seed
+	r, err := datasets.GenerateRMAT(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r.Graph
 }
 
 // reweighted commits weights other than 1 onto the first out-edge of g's
@@ -209,7 +263,8 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 // TestKernelsMatchSerialReferenceBitForBit is the acceptance test of the
 // shared loop: the three rules over the flat and the packed gather, at
 // Workers = 1 and at every other worker count, must reproduce the serial
-// reference exactly, not just within tolerance.
+// reference exactly, not just within tolerance — T-Rank's with its tail jump,
+// which fires on the R-MAT graph.
 func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	for name, g := range kernelTestGraphs() {
@@ -219,7 +274,10 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 			t.Fatalf("%s: restart: %v", name, err)
 		}
 		wantF := serialFRankReference(g, restart, p)
-		wantT := serialTRankReference(g, restart, p)
+		wantT := serialTRankTailReference(g, restart, p)
+		if name == "rmat" && slices.Equal(wantT, serialTRankReference(g, restart, p)) {
+			t.Fatalf("%s: the tail jump never fired, so the T pin holds only the plain recurrence", name)
+		}
 		wantPR := serialPageRankReference(g, 0.15, 1e-11, 300)
 		for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -269,7 +327,7 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TRank: %v", err)
 	}
-	assertBitIdentical(t, "TRank", serialTRankReference(g, restart, np), tr)
+	assertBitIdentical(t, "TRank", serialTRankTailReference(g, restart, np), tr)
 }
 
 // ownedArrays is adjacency storage of the caller's own: the three methods

@@ -36,8 +36,10 @@ type Params struct {
 	// Alpha is the teleport (restart) probability; the geometric walk-length
 	// parameter of Proposition 1. Must be in (0, 1).
 	Alpha float64
-	// Tol is the L1 convergence tolerance of the power iteration. Zero means
-	// DefaultTol.
+	// Tol is the L1 convergence tolerance of the power iteration: a solve
+	// stops at the first step x → J(x) with ‖J(x) − x‖₁ < Tol. For T-Rank it
+	// is a certificate: every entry of the returned J(x) lies within
+	// (1−α)/α·Tol of the exact t (see tRank). Zero means DefaultTol.
 	Tol float64
 	// MaxIter caps the number of iterations. Zero means DefaultMaxIter.
 	MaxIter int
