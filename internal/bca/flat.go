@@ -16,30 +16,32 @@
 package bca
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/walk"
 )
 
-// Flat is a BCA computation for one query. What it keys by node is two
-// scratch.Index values — seen, the nodes given an estimate, in the order of
-// their first (which is the f-neighborhood Sf of Sect. V-A3, and bounds.FFlat
-// keeps its bounds by these slots), and touched, the nodes ever given residual,
-// in the order of their first — 16 B/node in all. Estimates, residuals and the
-// greedy selection's heap positions are plain slices by slot. A Flat is
+// Flat is a BCA computation for one query. What it keys by node is one
+// scratch.Index, 8 B/node: every node the query touched, numbered in the order
+// of its first touch — the nodes the engine gives residual, and the nodes a
+// tracker bound to the index adds (the searcher binds bounds.TFlat to it, so
+// the index holds the union of the residual-touched nodes and St). Residuals
+// and the greedy selection's heap positions are plain slices by that shared
+// slot; Sf, the nodes given an estimate (the f-neighborhood of Sect. V-A3), is
+// a side map from a shared slot to an F slot, the order of first processing,
+// by which the estimates go and bounds.FFlat keeps its bounds. A Flat is
 // reusable: InitRows rebinds it to a new query over any graph.Rows in O(1)
 // without freeing its arrays, so a pooled instance serves a stream of queries
 // with no steady-state allocation (see internal/topk's searcher pool).
 //
 //   - ProcessBest never sees a stale priority: addResidual moves the node
 //     within the benefit heap at update time, so the heap holds exactly the
-//     nodes with positive residual (|heap| <= touched nodes).
-//   - A residual push makes one stamped probe, for the node's touched slot;
-//     processing the heap's best, which comes as a slot, one, for its seen slot.
+//     nodes with positive residual. A member the index holds for a tracker
+//     enters the heap like any other once it receives residual.
+//   - A residual push makes one stamped probe, for the node's shared slot;
+//     processing the heap's best, which comes as a shared slot, none.
 //   - MaxResidual is one scan of the residuals, asked for once per expansion
 //     round; nothing is maintained per residual push for it.
 //   - The restart distribution is a deduplicated slice pair, in
@@ -55,12 +57,14 @@ type Flat struct {
 	restartNodes   []graph.NodeID
 	restartWeights []float64
 
-	seen scratch.Index
-	rho  []float64 // by seen slot
-
-	touched scratch.Index
-	mu      []float64 // by touched slot
-	// benefit orders the touched slots holding residual by
+	idx scratch.Index
+	// mu and fAt are by shared slot and end at the last member given
+	// residual: the members past them have none and no F slot.
+	mu  []float64
+	fAt []int32        // the member's F slot, -1 until it is processed
+	sf  []graph.NodeID // by F slot
+	rho []float64      // by F slot
+	// benefit orders the shared slots holding residual by
 	// mu(v)/max(1, outdeg(v)) for greedy selection.
 	benefit scratch.Heap
 
@@ -96,10 +100,9 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 	s.rows = rows
 	s.pre, _ = rows.(graph.RowPrefetcher)
 	s.alpha = alpha
-	s.seen.Reset(n)
-	s.touched.Reset(n)
+	s.idx.Reset(n)
 	s.benefit.Reset()
-	s.rho, s.mu = s.rho[:0], s.mu[:0]
+	s.mu, s.fAt, s.sf, s.rho = s.mu[:0], s.fAt[:0], s.sf[:0], s.rho[:0]
 	s.totalResidual = 0
 	s.processed = 0
 	for i, v := range s.restartNodes {
@@ -114,26 +117,17 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 // InitRows rebinds a source.
 func (s *Flat) Detach() { s.rows, s.pre = nil, nil }
 
-// Seen returns the index of the nodes with a non-zero estimate — Sf, in the
-// order they were first processed — and their estimates by its slots. Both are
-// the engine's own storage, valid until the next processing step.
-func (s *Flat) Seen() (*scratch.Index, []float64) { return &s.seen, s.rho }
+// Index returns the index of every node the query touched, the one the engine
+// resets on InitRows. A tracker bound to it may add members; they hold no
+// residual until the engine gives them some.
+func (s *Flat) Index() *scratch.Index { return &s.idx }
 
-// Rho returns the current PPR estimate at v (a lower bound of the exact PPR).
-func (s *Flat) Rho(v graph.NodeID) float64 {
-	if slot, ok := s.seen.Slot(v); ok {
-		return s.rho[slot]
-	}
-	return 0
-}
-
-// Residual returns the current residual at v.
-func (s *Flat) Residual(v graph.NodeID) float64 {
-	if slot, ok := s.touched.Slot(v); ok {
-		return s.mu[slot]
-	}
-	return 0
-}
+// Seen returns Sf as a side map of the index: the F slot of each shared slot
+// (-1 for none; the slice may end before the index does, and the members past
+// it have none), the nodes with a non-zero estimate in the order they were
+// first processed, and their estimates, both by F slot. All three are the
+// engine's own storage, valid until the next processing step.
+func (s *Flat) Seen() (fAt []int32, sf []graph.NodeID, rho []float64) { return s.fAt, s.sf, s.rho }
 
 // TotalResidual returns the total remaining residual mass; it decreases
 // monotonically as nodes are processed and bounds the total estimation error.
@@ -160,28 +154,7 @@ func (s *Flat) MaxResidual() float64 {
 func (s *Flat) Processed() int { return s.processed }
 
 // SeenCount returns the number of nodes with a non-zero estimate (|Sf|).
-func (s *Flat) SeenCount() int { return s.seen.Len() }
-
-// LiveResidualCount returns the number of nodes currently holding positive
-// residual, which is also the size of the benefit heap.
-func (s *Flat) LiveResidualCount() int { return s.benefit.Len() }
-
-// ResidualTouchedCount returns the number of distinct nodes that ever held
-// residual during this query — the F-side share of the rows the searcher's
-// working set can reach (processing, prefetching and the Stage-II kernel's
-// build pass all stay inside this set). The remote parity tests assert rows
-// fetched never exceeds it plus the T-side neighborhood.
-func (s *Flat) ResidualTouchedCount() int { return s.touched.Len() }
-
-// ResidualTouched reports whether v ever held residual during this query.
-func (s *Flat) ResidualTouched(v graph.NodeID) bool { return s.touched.Has(v) }
-
-// EachSeen calls fn for every node with a non-zero PPR estimate.
-func (s *Flat) EachSeen(fn func(v graph.NodeID, rho float64)) {
-	for slot, v := range s.seen.Touched() {
-		fn(v, s.rho[slot])
-	}
-}
+func (s *Flat) SeenCount() int { return len(s.sf) }
 
 // RestartWeight returns the normalized query weight of v, zero when v is not
 // a query node: a scan of the deduplicated restart distribution, which has one
@@ -197,9 +170,9 @@ func (s *Flat) RestartWeight(v graph.NodeID) float64 {
 
 // EachResidual calls fn for every node with a positive residual.
 func (s *Flat) EachResidual(fn func(v graph.NodeID, mu float64)) {
-	for slot, v := range s.touched.Touched() {
-		if m := s.mu[slot]; m > 0 {
-			fn(v, m)
+	for slot, m := range s.mu {
+		if m > 0 {
+			fn(s.idx.Touched()[slot], m)
 		}
 	}
 }
@@ -208,9 +181,9 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	if amount <= 0 {
 		return
 	}
-	slot, added := s.touched.Add(v)
-	if added {
-		s.mu = append(s.mu, 0)
+	slot, _ := s.idx.Add(v)
+	for int(slot) >= len(s.mu) { // a new member, or one a tracker added
+		s.mu, s.fAt = append(s.mu, 0), append(s.fAt, -1)
 	}
 	s.mu[slot] += amount
 	s.totalResidual += amount
@@ -221,31 +194,27 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	s.benefit.Update(slot, s.mu[slot]/float64(deg))
 }
 
-// Process applies one BCA processing step to node v: alpha of its residual is
-// added to its estimate, the rest is spread to out-neighbors. Processing a
-// node with no residual is a no-op. At a dangling node the rest is dropped: a
-// walk there ends, as in the iterative F-Rank solver and the Stage-II
-// recursion, so all three bound and converge to the same vector.
-func (s *Flat) Process(v graph.NodeID) {
-	if slot, ok := s.touched.Slot(v); ok {
-		s.process(slot)
-	}
-}
-
-// process is Process by touched slot, the form the benefit heap hands out.
+// process applies one BCA processing step to the member at the given shared
+// slot, the form the benefit heap hands out: alpha of its residual is added to
+// its estimate, the rest is spread to out-neighbors. Processing a node with no
+// residual is a no-op. At a dangling node the rest is dropped: a walk there
+// ends, as in the iterative F-Rank solver and the Stage-II recursion, so all
+// three bound and converge to the same vector.
 func (s *Flat) process(slot int32) {
 	residual := s.mu[slot]
 	if residual <= 0 {
 		return
 	}
-	v := s.touched.Touched()[slot]
+	v := s.idx.Touched()[slot]
 	s.mu[slot] = 0
 	s.benefit.Remove(slot)
 	s.totalResidual -= residual
 	s.processed++
-	at, added := s.seen.Add(v)
-	if added {
-		s.rho = append(s.rho, 0)
+	at := s.fAt[slot]
+	if at < 0 {
+		at = int32(len(s.sf))
+		s.fAt[slot] = at
+		s.sf, s.rho = append(s.sf, v), append(s.rho, 0)
 	}
 	s.rho[at] += s.alpha * residual
 	spread := (1 - s.alpha) * residual
@@ -285,71 +254,4 @@ func (s *Flat) ProcessBest(m int) int {
 		done++
 	}
 	return done
-}
-
-// Run processes best-benefit nodes until the total residual drops below tol,
-// maxOps steps have been performed, or the context is cancelled (checked once
-// per step). It is the standalone approximate-PPR mode of BCA.
-func (s *Flat) Run(ctx context.Context, tol float64, maxOps int) error {
-	ctx = walk.OrBackground(ctx)
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if maxOps <= 0 {
-		maxOps = math.MaxInt32
-	}
-	for s.TotalResidual() > tol && s.processed < maxOps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if s.ProcessBest(1) == 0 {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Estimates returns a dense copy of the current PPR estimates.
-func (s *Flat) Estimates(n int) []float64 {
-	out := make([]float64, n)
-	s.EachSeen(func(v graph.NodeID, r float64) { out[v] = r })
-	return out
-}
-
-// CheckInvariant verifies what must hold at every step: estimates sum to at
-// most 1 (rho lower-bounds PPR), residuals are non-negative and add up to the
-// running total, and the benefit heap holds exactly the positive-residual
-// nodes. Used by tests.
-func (s *Flat) CheckInvariant() error {
-	mass := 0.0
-	for _, r := range s.rho {
-		mass += r
-	}
-	if mass > 1+1e-9 {
-		return fmt.Errorf("bca: estimates sum to %g > 1", mass)
-	}
-	if s.totalResidual < -1e-9 {
-		return fmt.Errorf("bca: negative total residual %g", s.totalResidual)
-	}
-	recount, live := 0.0, 0
-	for slot, m := range s.mu {
-		v := s.touched.Touched()[slot]
-		if m < -1e-12 {
-			return fmt.Errorf("bca: negative residual %g", m)
-		}
-		if m > 0 {
-			live++
-		}
-		if has := s.benefit.Contains(int32(slot)); has != (m > 0) {
-			return fmt.Errorf("bca: node %d has residual %g, heap entry: %v", v, m, has)
-		}
-		recount += m
-	}
-	if math.Abs(recount-s.TotalResidual()) > 1e-9*(1+recount) {
-		return fmt.Errorf("bca: residual accounting drift: %g vs %g", recount, s.totalResidual)
-	}
-	if s.benefit.Len() != live {
-		return fmt.Errorf("bca: heap size %d, want %d live residuals", s.benefit.Len(), live)
-	}
-	return nil
 }

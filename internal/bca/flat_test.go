@@ -251,7 +251,7 @@ func TestFlatHeapNeverExceedsTouched(t *testing.T) {
 		t.Fatalf("Init: %v", err)
 	}
 	for step := 0; step < 500; step++ {
-		touched := s.ResidualTouchedCount()
+		touched := s.idx.Len() // every member was given residual: no tracker adds to it
 		if len(s.mu) != touched {
 			t.Fatalf("step %d: %d residuals for %d touched nodes", step, len(s.mu), touched)
 		}

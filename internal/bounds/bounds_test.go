@@ -12,6 +12,7 @@ import (
 
 	"roundtriprank/internal/datasets"
 	"roundtriprank/internal/graph"
+	"roundtriprank/internal/scratch"
 	"roundtriprank/internal/testgraphs"
 	"roundtriprank/internal/walk"
 )
@@ -354,8 +355,8 @@ func TestFBoundsSameRoundNewcomersLoggedOnce(t *testing.T) {
 			}
 		}
 		// Node 3 holds residual but has no estimate, and stays outside Sf.
-		if fb.Seen(3) || !fb.ResidualTouched(3) {
-			t.Fatalf("node 3 seen %v, residual-touched %v; want false, true", fb.Seen(3), fb.ResidualTouched(3))
+		if fb.Seen(3) || !fb.Shared().Has(3) {
+			t.Fatalf("node 3 seen %v, residual-touched %v; want false, true", fb.Seen(3), fb.Shared().Has(3))
 		}
 	}
 }
@@ -367,36 +368,51 @@ func neighborhoodGraph() *rawGraph {
 	})
 }
 
-// checkNeighborhood pins the neighborhood both trackers are: an index they are
-// handed whose leading members are want, the seen nodes, in slot order, with
-// their bounds held by the kernel. A member whose slot the kernel does not
-// hold yet is unseen (zero lower bound, the unseen upper bound, no slot), and
+// checkNeighborhood pins the neighborhood both trackers are: a side of the
+// index they are handed whose leading members are want, the seen nodes, in
+// slot order, with their bounds held by the kernel. Every other member of the
+// index — one with no side slot, or one whose slot the kernel does not hold
+// yet — is unseen (zero lower bound, the unseen upper bound, no slot), and
 // Slots is the bounds' storage.
 func checkNeighborhood(t *testing.T, label string, s *neighborhood, want []graph.NodeID) {
 	t.Helper()
 	if got := s.SeenList(); s.SeenCount() != len(want) || !slices.Equal(got, want) {
 		t.Fatalf("%s: seen %v (count %d), want %v", label, got, s.SeenCount(), want)
 	}
-	if !slices.Equal(s.idx.Touched()[:len(want)], want) {
-		t.Fatalf("%s: the seen nodes %v are not the index's leading members %v", label, want, s.idx.Touched())
+	if !slices.Equal(s.nodes[:len(want)], want) {
+		t.Fatalf("%s: the seen nodes %v are not the side's leading members %v", label, want, s.nodes)
 	}
 	lo, up := s.Slots()
 	if len(lo) != len(want) || len(up) != len(want) {
 		t.Fatalf("%s: %d/%d bounds for %d seen nodes", label, len(lo), len(up), len(want))
 	}
-	for slot, v := range want {
-		if i, ok := s.Index(v); !ok || int(i) != slot || !s.Seen(v) {
-			t.Fatalf("%s: Index(%d) = %d %v, want %d true", label, v, i, ok, slot)
+	members := func(label string) {
+		t.Helper()
+		for slot, v := range want {
+			if i, ok := s.Index(v); !ok || int(i) != slot || !s.Seen(v) {
+				t.Fatalf("%s: Index(%d) = %d %v, want %d true", label, v, i, ok, slot)
+			}
+			if s.Lower(v) != lo[slot] || s.Upper(v) != up[slot] {
+				t.Fatalf("%s: node %d bounds [%g, %g], slot %d holds [%g, %g]", label, v, s.Lower(v), s.Upper(v), slot, lo[slot], up[slot])
+			}
 		}
-		if s.Lower(v) != lo[slot] || s.Upper(v) != up[slot] {
-			t.Fatalf("%s: node %d bounds [%g, %g], slot %d holds [%g, %g]", label, v, s.Lower(v), s.Upper(v), slot, lo[slot], up[slot])
+		for shared, v := range s.idx.Touched() {
+			if slices.Contains(want, v) {
+				if i, ok := s.SideSlot(shared); !ok || s.nodes[i] != v {
+					t.Fatalf("%s: shared slot %d of seen node %d maps to %d %v", label, shared, v, i, ok)
+				}
+				continue
+			}
+			if _, ok := s.Index(v); ok || s.Seen(v) || s.Lower(v) != 0 || s.Upper(v) != s.UnseenUpper() {
+				t.Fatalf("%s: index member %d without kernel state must be unseen", label, v)
+			}
+			if _, ok := s.SideSlot(shared); ok {
+				t.Fatalf("%s: shared slot %d of unseen node %d maps to a seen slot", label, shared, v)
+			}
 		}
 	}
-	for _, v := range s.idx.Touched()[len(want):] {
-		if _, ok := s.Index(v); ok || s.Seen(v) || s.Lower(v) != 0 || s.Upper(v) != s.UnseenUpper() {
-			t.Fatalf("%s: index member %d without kernel state must be unseen", label, v)
-		}
-	}
+	members(label)
+	saturated(s, func() { members(label + ", filter saturated") })
 	// A write through Slots is the bound.
 	if len(want) > 0 {
 		v, slot := want[len(want)-1], len(want)-1
@@ -407,6 +423,18 @@ func checkNeighborhood(t *testing.T, label string, s *neighborhood, want []graph
 		}
 		lo[slot], up[slot] = oldLo, oldUp
 	}
+}
+
+// saturated runs fn with every bit of the side's filter of seen nodes set, as
+// if every node collided with a seen one: the filter only ever spares probes,
+// so every answer must stay the same.
+func saturated(s *neighborhood, fn func()) {
+	saved := slices.Clone(s.bloom)
+	for i := range s.bloom {
+		s.bloom[i] = ^uint64(0)
+	}
+	defer copy(s.bloom, saved)
+	fn()
 }
 
 // TestNeighborhoodSlots pins the neighborhood over TFlat's own index: the seen
@@ -424,7 +452,7 @@ func TestNeighborhoodSlots(t *testing.T) {
 		t.Fatalf("TFlat.Init: %v", err)
 	}
 	check("T init", &tb.neighborhood, []graph.NodeID{0, 3})
-	tb.index.Add(4) // admitted, not joined
+	tb.admit(4) // admitted, not joined
 	check("T admitted", &tb.neighborhood, []graph.NodeID{0, 3})
 	if tb.Seen(4) || tb.Seen(2) {
 		t.Fatalf("T: an admitted node and an outside node must both be unseen")
@@ -435,47 +463,145 @@ func TestNeighborhoodSlots(t *testing.T) {
 		t.Fatalf("T: a newcomer joins at [0, unseen], got [%g, %g]", lo[2], up[2])
 	}
 	tb.Expand()
-	check("T expanded", &tb.neighborhood, tb.index.Touched())
+	if !slices.Equal(tb.nodes, tb.idx.Touched()) {
+		t.Fatalf("T: bound alone, the side %v is not its own index %v", tb.nodes, tb.idx.Touched())
+	}
+	check("T expanded", &tb.neighborhood, tb.nodes)
 	if err := tb.Init(g, walk.SingleNode(5), DefaultTOptions(0.25)); err != nil {
 		t.Fatalf("TFlat re-Init: %v", err)
 	}
 	check("T re-init", &tb.neighborhood, []graph.NodeID{5})
-	if tb.Seen(0) || tb.Seen(3) || tb.Seen(4) {
-		t.Fatalf("T: membership survived a re-init")
+	survived := func() {
+		if tb.Seen(0) || tb.Seen(3) || tb.Seen(4) {
+			t.Fatalf("T: membership survived a re-init")
+		}
 	}
+	survived()
+	saturated(&tb.neighborhood, survived)
 }
 
-// TestNeighborhoodOverBorrowedIndex pins the rule FFlat's join rests on: over
-// the BCA engine's index, which the engine fills, a member is seen only once
-// the kernel holds its slot, and a re-init empties the neighborhood.
+// sameT reports whether two T trackers hold bit-identical state: the same
+// seen nodes in the same slots, bounds, border counters, edge log and unseen
+// bound.
+func sameT(a, b *TFlat) bool {
+	aLo, aUp := a.Slots()
+	bLo, bUp := b.Slots()
+	return slices.Equal(a.SeenList(), b.SeenList()) && slices.Equal(aLo, bLo) && slices.Equal(aUp, bUp) &&
+		slices.Equal(a.outsideIn, b.outsideIn) && slices.Equal(a.k.log, b.k.log) &&
+		a.UnseenUpper() == b.UnseenUpper() && a.Sweeps() == b.Sweeps()
+}
+
+// TestNeighborhoodOverBorrowedIndex pins the rules of the one index the
+// searcher keeps a query in. Over the BCA engine's index, which the engine
+// fills, an F member is seen only once the kernel holds its slot. A TFlat bound
+// to that index, as the searcher binds it, admits into it: a node BCA touched
+// first still gets a T slot and joins, a node T admitted first enters BCA's
+// benefit heap once it receives residual (and so reaches Sf), the T bounds are
+// bit-identical to a TFlat bound alone whichever side reached a node first, and
+// re-binding empties both sides.
 func TestNeighborhoodOverBorrowedIndex(t *testing.T) {
 	g := neighborhoodGraph()
 	check := func(label string, s *neighborhood, want []graph.NodeID) {
 		t.Helper()
 		checkNeighborhood(t, label, s, want)
 	}
+	fOpt := FOptions{Alpha: 0.25, M: 2, ImprovedBound: true}
 
 	var fb FFlat
-	if err := fb.Init(g, walk.SingleNode(0), FOptions{Alpha: 0.25, M: 2, ImprovedBound: true}); err != nil {
+	if err := fb.Init(g, walk.SingleNode(0), fOpt); err != nil {
 		t.Fatalf("FFlat.Init: %v", err)
 	}
 	check("F init", &fb.neighborhood, nil)
 	for round := 0; round < 3; round++ {
 		seen := slices.Clone(fb.SeenList())
-		fb.engine.ProcessBest(fb.opt.M) // the engine's index grows; Sf does not yet
+		fb.engine.ProcessBest(fb.opt.M) // the engine's index and side map grow; Sf does not yet
 		check("F processed", &fb.neighborhood, seen)
 		fb.initializeBounds()
-		check("F joined", &fb.neighborhood, fb.idx.Touched())
+		_, sf, _ := fb.engine.Seen()
+		check("F joined", &fb.neighborhood, sf)
 	}
 	if fb.SeenCount() <= 1 {
 		t.Fatalf("F: Sf did not grow: %v", fb.SeenList())
 	}
-	if err := fb.Init(g, walk.SingleNode(5), FOptions{Alpha: 0.25, M: 2, ImprovedBound: true}); err != nil {
+	if err := fb.Init(g, walk.SingleNode(5), fOpt); err != nil {
 		t.Fatalf("FFlat re-Init: %v", err)
 	}
 	check("F re-init", &fb.neighborhood, nil)
 	if fb.Seen(0) {
 		t.Fatalf("F: membership survived a re-init")
+	}
+
+	// The searcher's binding. With tFirst, T grows St over the whole graph
+	// before BCA processes anything, so nodes 1–5 enter the index through T;
+	// otherwise BCA runs two rounds ahead and T admits members it touched.
+	q := walk.SingleNode(0)
+	for _, tFirst := range []bool{true, false} {
+		var tb, alone TFlat
+		if err := fb.Init(g, q, fOpt); err != nil {
+			t.Fatalf("FFlat.Init: %v", err)
+		}
+		if err := tb.InitShared(graph.Compact(g), q, DefaultTOptions(0.25), fb.Shared()); err != nil {
+			t.Fatalf("TFlat.InitShared: %v", err)
+		}
+		if err := alone.Init(g, q, DefaultTOptions(0.25)); err != nil {
+			t.Fatalf("TFlat.Init: %v", err)
+		}
+		for round := 0; round < 30; round++ {
+			if !tFirst || round >= 3 {
+				fb.Expand()
+			}
+			if tFirst || round >= 2 {
+				if got, want := tb.Expand(), alone.Expand(); got != want {
+					t.Fatalf("tFirst %v round %d: T admitted %d over the shared index, %d alone", tFirst, round, got, want)
+				}
+			}
+			if !sameT(&tb, &alone) {
+				t.Fatalf("tFirst %v round %d: T over the shared index %v, alone %v", tFirst, round, tb.SeenList(), alone.SeenList())
+			}
+			if ferr, terr := fb.CheckConsistent(), tb.CheckConsistent(); ferr != nil || terr != nil {
+				t.Fatalf("tFirst %v round %d: %v, %v", tFirst, round, ferr, terr)
+			}
+			if tFirst && round == 2 {
+				if fb.Shared().Len() != g.NumNodes() || fb.engine.Processed() != 0 {
+					t.Fatalf("T went first: index %v, %d processed, want the whole graph and only the query holding residual", fb.Shared().Touched(), fb.engine.Processed())
+				}
+			}
+			_, sf, _ := fb.engine.Seen()
+			check("F shared", &fb.neighborhood, sf)
+			check("T shared", &tb.neighborhood, tb.nodes)
+		}
+		// Every node BCA can reach from 0 was processed — through its benefit
+		// heap, also the ones T admitted first; node 4 has no in-edge and stays
+		// outside Sf.
+		for _, v := range []graph.NodeID{0, 1, 2, 3, 5} {
+			if !fb.Seen(v) || !tb.Seen(v) {
+				t.Fatalf("tFirst %v: node %d in Sf %v, in St %v; want both", tFirst, v, fb.Seen(v), tb.Seen(v))
+			}
+		}
+		if fb.Seen(4) || !tb.Seen(4) || fb.Shared().Len() != g.NumNodes() {
+			t.Fatalf("tFirst %v: node 4 in Sf %v, in St %v, index %v", tFirst, fb.Seen(4), tb.Seen(4), fb.Shared().Touched())
+		}
+		// Re-binding empties both sides.
+		if err := fb.Init(g, walk.SingleNode(5), fOpt); err != nil {
+			t.Fatalf("FFlat re-Init: %v", err)
+		}
+		if err := tb.InitShared(graph.Compact(g), walk.SingleNode(5), DefaultTOptions(0.25), fb.Shared()); err != nil {
+			t.Fatalf("TFlat re-InitShared: %v", err)
+		}
+		check("F rebound", &fb.neighborhood, nil)
+		check("T rebound", &tb.neighborhood, []graph.NodeID{5})
+		if !slices.Equal(fb.Shared().Touched(), []graph.NodeID{5}) {
+			t.Fatalf("tFirst %v: the rebound index holds %v, want [5]", tFirst, fb.Shared().Touched())
+		}
+		survived := func() {
+			for v := graph.NodeID(0); v < 5; v++ {
+				if fb.Seen(v) || tb.Seen(v) {
+					t.Fatalf("tFirst %v: node %d survived a re-bind (Sf %v, St %v)", tFirst, v, fb.Seen(v), tb.Seen(v))
+				}
+			}
+		}
+		survived()
+		saturated(&fb.neighborhood, func() { saturated(&tb.neighborhood, survived) })
 	}
 }
 
@@ -494,42 +620,55 @@ func (p *prefetchRecorder) Prefetch(nodes []graph.NodeID) {
 // the picked border nodes, whose in-rows it scans, then exactly the nodes that
 // join St in that expansion, in join order, each once. The picks 1 and 2 of
 // the second round share the outside in-neighbor 3, and under a frontier cap
-// only the admitted nodes are announced.
+// only the admitted nodes are announced. The same holds over an index another
+// owner has already filled, as BCA fills the searcher's before T admits: a
+// member with no T slot is admitted, counts towards the cap and is announced
+// like a node new to the index.
 func TestTFlatPrefetchesWhatJoins(t *testing.T) {
 	g := newRawGraph(8, []rawEdge{
 		{1, 0, 1}, {2, 0, 1}, {3, 1, 1}, {4, 1, 1}, {3, 2, 1}, {5, 2, 1}, {6, 3, 1}, {7, 4, 1}, {6, 5, 1},
 	})
 	for _, rows := range []graph.Rows{graph.Compact(g), hidden(g)} {
 		for _, limit := range []int{0, 1, 7} {
-			rec := &prefetchRecorder{Rows: rows}
-			var tb TFlat
-			opt := DefaultTOptions(0.25)
-			opt.M, opt.FrontierCap = 2, limit
-			if err := tb.InitRows(rec, walk.SingleNode(0), opt); err != nil {
-				t.Fatalf("InitRows: %v", err)
-			}
-			if len(rec.calls) != 1 || !slices.Equal(rec.calls[0], []graph.NodeID{0}) {
-				t.Fatalf("cap %d: binding announced %v, want [[0]]", limit, rec.calls)
-			}
-			for round := 0; !tb.Exhausted(); round++ {
-				rec.calls = nil
-				before := tb.SeenCount()
-				added := tb.Expand()
-				joined := tb.SeenList()[before:]
-				want := [][]graph.NodeID{slices.Clone(tb.pickN)}
-				if len(joined) > 0 {
-					want = append(want, slices.Clone(joined))
+			for _, prefill := range [][]graph.NodeID{nil, {0, 1, 3, 6}} {
+				rec := &prefetchRecorder{Rows: rows}
+				var tb TFlat
+				opt := DefaultTOptions(0.25)
+				opt.M, opt.FrontierCap = 2, limit
+				var idx *scratch.Index
+				if prefill != nil {
+					idx = new(scratch.Index)
+					idx.Reset(g.NumNodes())
+					for _, v := range prefill {
+						idx.Add(v)
+					}
 				}
-				if added != len(joined) || len(rec.calls) != len(want) ||
-					!slices.Equal(rec.calls[0], want[0]) || len(want) == 2 && !slices.Equal(rec.calls[1], want[1]) {
-					t.Fatalf("cap %d round %d: announced %v, want the picks then the %d joined nodes: %v", limit, round, rec.calls, added, want)
+				if err := tb.InitShared(rec, walk.SingleNode(0), opt, idx); err != nil {
+					t.Fatalf("InitShared: %v", err)
 				}
-				if limit > 0 && len(joined) > limit {
-					t.Fatalf("cap %d round %d: %d nodes joined", limit, round, len(joined))
+				if len(rec.calls) != 1 || !slices.Equal(rec.calls[0], []graph.NodeID{0}) {
+					t.Fatalf("cap %d: binding announced %v, want [[0]]", limit, rec.calls)
 				}
-			}
-			if tb.SeenCount() != g.NumNodes() {
-				t.Fatalf("cap %d: St exhausted at %v", limit, tb.SeenList())
+				for round := 0; !tb.Exhausted(); round++ {
+					rec.calls = nil
+					before := tb.SeenCount()
+					added := tb.Expand()
+					joined := tb.SeenList()[before:]
+					want := [][]graph.NodeID{slices.Clone(tb.pickN)}
+					if len(joined) > 0 {
+						want = append(want, slices.Clone(joined))
+					}
+					if added != len(joined) || len(rec.calls) != len(want) ||
+						!slices.Equal(rec.calls[0], want[0]) || len(want) == 2 && !slices.Equal(rec.calls[1], want[1]) {
+						t.Fatalf("cap %d round %d: announced %v, want the picks then the %d joined nodes: %v", limit, round, rec.calls, added, want)
+					}
+					if limit > 0 && len(joined) > limit {
+						t.Fatalf("cap %d round %d: %d nodes joined", limit, round, len(joined))
+					}
+				}
+				if tb.SeenCount() != g.NumNodes() {
+					t.Fatalf("cap %d: St exhausted at %v", limit, tb.SeenList())
+				}
 			}
 		}
 	}

@@ -14,10 +14,11 @@ import (
 // Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
 // log of the subgraph Sf induces and reads no rows: join, the one place a node
 // enters Sf, scans the newcomer's rows once and logs the induced edges it
-// closes, as TFlat's does. Sf has one membership, the BCA engine's index of the
-// nodes it has given an estimate: the kernel keeps the bounds, restart weights
-// and rows by its slots, and a node is seen once the kernel holds its slot.
-// This side keys nothing by node itself. InitRows rebinds the whole
+// closes, as TFlat's does. Sf's membership is the BCA engine's: its index of
+// the touched nodes and its side map from a shared slot to an F slot, given a
+// node when the engine first processes it. The kernel keeps the bounds,
+// restart weights and rows by F slot, and a node is seen once the kernel holds
+// its slot. This side keys nothing by node itself. InitRows rebinds the whole
 // tracker to a new query in O(1), so a pooled instance serves a stream of
 // queries with no steady-state allocation.
 type FFlat struct {
@@ -46,8 +47,9 @@ func (fb *FFlat) InitRows(rows graph.Rows, q walk.Query, opt FOptions) error {
 	}
 	fb.rows = rows
 	fb.opt = opt
-	fb.idx, _ = fb.engine.Seen()
-	fb.k.reset()
+	fb.idx = fb.engine.Index()
+	fb.at, fb.nodes, _ = fb.engine.Seen()
+	fb.reset()
 	fb.unseen = 1
 	return nil
 }
@@ -58,13 +60,6 @@ func (fb *FFlat) Detach() {
 	fb.rows = nil
 	fb.engine.Detach()
 }
-
-// ResidualTouchedCount forwards the BCA engine's count of rows its working
-// set can reach; ResidualTouched the membership test. See bca.Flat.
-func (fb *FFlat) ResidualTouchedCount() int { return fb.engine.ResidualTouchedCount() }
-
-// ResidualTouched reports whether the BCA engine ever held residual at v.
-func (fb *FFlat) ResidualTouched(v graph.NodeID) bool { return fb.engine.ResidualTouched(v) }
 
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
@@ -99,9 +94,10 @@ func (fb *FFlat) initializeBounds() {
 		fb.unseen = unseen
 	}
 
-	// Sf is the engine's seen index: its leading slots have bounds already,
+	// Sf is the engine's side map: its leading F slots have bounds already,
 	// the rest are this round's newcomers, in the order they join.
-	_, rhos := fb.engine.Seen()
+	var rhos []float64
+	fb.at, fb.nodes, rhos = fb.engine.Seen()
 	los, ups := fb.Slots()
 	for slot := range los {
 		rho := rhos[slot]
@@ -113,7 +109,7 @@ func (fb *FFlat) initializeBounds() {
 		}
 	}
 	for slot := len(los); slot < len(rhos); slot++ {
-		fb.join(fb.idx.Touched()[slot], rhos[slot], rhos[slot]+fb.unseen) // Eq. 20–21
+		fb.join(fb.nodes[slot], rhos[slot], rhos[slot]+fb.unseen) // Eq. 20–21
 	}
 }
 
@@ -125,14 +121,15 @@ func (fb *FFlat) initializeBounds() {
 // gains in the rows of its seen out-neighbors; it is read only when v has
 // out-weight, so exactly the rows BCA read when it processed v. Nodes join one
 // at a time, so of two adjacent nodes the later finds the earlier seen and
-// their edges are logged once — and since a round's newcomers are all in the
-// engine's index before the first of them joins, a neighbor counts as seen
-// only when its slot is below the number joined so far (neighborhood.Index),
-// v's own included. Each scanned neighbor costs one stamped probe, for its
-// slot. The restart weight comes from the BCA engine's restart distribution,
+// their edges are logged once — and since a round's newcomers all hold F slots
+// before the first of them joins, a neighbor counts as seen only when its F
+// slot is below the number joined so far (neighborhood.Index), v's own
+// included. Each scanned neighbor costs a test of the filter of seen nodes
+// and, when that passes, one stamped probe, for its shared slot (see
+// neighborhood.maybe). The restart weight comes from the BCA engine's restart distribution,
 // the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
-	self := fb.k.join(fb.engine.RestartWeight(v), 0, lo, up) // mass: the in-row's, below
+	self := fb.enter(v, fb.engine.RestartWeight(v), 0, lo, up) // mass: the in-row's, below
 	mass := 0.0
 	cols, wts := fb.rows.InRow(v)
 	for i, from := range cols {
@@ -142,7 +139,10 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 		}
 		m := wts[i] / outSum
 		mass += m
-		if slot, seen := fb.Index(from); seen {
+		if !fb.maybe(from) {
+			continue
+		}
+		if slot, seen := fb.probe(from); seen {
 			fb.k.add(self, slot, m)
 		}
 	}
@@ -151,10 +151,10 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 	if outSum := fb.rows.OutSum(v); outSum > 0 {
 		cols, wts = fb.rows.OutRow(v)
 		for i, to := range cols {
-			if to == v {
+			if to == v || !fb.maybe(to) {
 				continue
 			}
-			if slot, seen := fb.Index(to); seen {
+			if slot, seen := fb.probe(to); seen {
 				fb.k.add(slot, self, wts[i]/outSum)
 			}
 		}

@@ -9,16 +9,44 @@ import (
 )
 
 // neighborhood is what the two trackers have in common and the searcher reads
-// of either: an index the tracker is handed, the common upper bound of every
-// node outside, and the Stage-II kernel over the subgraph the seen nodes
-// induce, which holds their bounds by slot. A node enters the index before it
-// joins — FFlat's index is the BCA engine's, TFlat's its own — and is seen
-// once the kernel holds its slot: the seen nodes are the leading SeenCount
-// members of the index, and a member past them is unseen.
+// of either: the query's one index of touched nodes, this side's map from a
+// member's shared slot to its side slot, the members given a side slot in
+// side-slot order, the common upper bound of every node outside, and the
+// Stage-II kernel over the subgraph the seen nodes induce, which holds their
+// bounds by side slot, plus a filter of the seen nodes that spares a join most
+// of its probes (see maybe). The index is the BCA engine's; FFlat reads its
+// side map off the engine, TFlat keeps its own. A node gets a side slot before
+// it joins and is seen once the kernel holds that slot: the seen nodes are the
+// leading SeenCount members of the side, and a member past them is unseen — as
+// is a member of the index with no side slot.
 type neighborhood struct {
-	idx    *scratch.Index
+	idx   *scratch.Index
+	at    []int32        // by shared slot: the side slot, -1 for none; may end before the index
+	nodes []graph.NodeID // by side slot
+	// bloom has a bit set for every seen node, at its ID modulo the filter's
+	// length; see maybe.
+	bloom  []uint64
 	unseen float64
 	k      refiner // the bounds and induced edge log the tracker's join feeds
+}
+
+// bloomWords is the length of the filter: 2^16 bits, 8 KB whatever the graph's
+// size, which keeps it in the L1 cache beside the rows a join scans.
+const bloomWords = 1 << 10
+
+// reset empties the neighborhood's own state for a new query; the side map is
+// the tracker's to reset.
+func (s *neighborhood) reset() {
+	s.bloom = append(s.bloom[:0], make([]uint64, bloomWords)...) // zeroed, allocated once
+	s.k.reset()
+}
+
+// enter gives v, the side's first member the kernel holds no slot for, that
+// slot, with the given restart weight, row mass and bounds: from here on v is
+// seen.
+func (s *neighborhood) enter(v graph.NodeID, restart, mass, lo, up float64) int32 {
+	s.bloom[v>>6&(bloomWords-1)] |= 1 << (v & 63)
+	return s.k.join(restart, mass, lo, up)
 }
 
 // SeenCount returns the size of the neighborhood.
@@ -33,8 +61,42 @@ func (s *neighborhood) Seen(v graph.NodeID) bool {
 // Index returns the slot of v — its position in SeenList — and whether v is
 // in the neighborhood.
 func (s *neighborhood) Index(v graph.NodeID) (int32, bool) {
-	slot, ok := s.idx.Slot(v)
-	return slot, ok && int(slot) < len(s.k.lo)
+	if !s.maybe(v) {
+		return 0, false
+	}
+	return s.probe(v)
+}
+
+// maybe reports whether v may be in the neighborhood, by its bit in the
+// filter; false is certain. A join tests it before it probes a scanned
+// neighbor: most of a row's entries are outside the neighborhood, a fair share
+// of them members of the index (the other side's), and for each of those the
+// probe would read the side map after the index and branch on a coin toss.
+func (s *neighborhood) maybe(v graph.NodeID) bool {
+	return s.bloom[v>>6&(bloomWords-1)]&(1<<(v&63)) != 0
+}
+
+// probe is Index for a node maybe passed: one stamped probe, for its shared
+// slot, and a lookup in the side map.
+func (s *neighborhood) probe(v graph.NodeID) (int32, bool) {
+	shared, ok := s.idx.Slot(v)
+	if !ok {
+		return 0, false
+	}
+	return s.SideSlot(int(shared))
+}
+
+// Shared returns the index the neighborhood's members are numbered in.
+func (s *neighborhood) Shared() *scratch.Index { return s.idx }
+
+// SideSlot returns the slot of the index's member at the given shared slot —
+// its position in SeenList — and whether it is in the neighborhood.
+func (s *neighborhood) SideSlot(shared int) (int32, bool) {
+	if shared >= len(s.at) {
+		return 0, false
+	}
+	slot := s.at[shared]
+	return slot, uint(slot) < uint(len(s.k.lo)) // -1, no side slot, wraps past any length
 }
 
 // Lower returns the lower bound for a seen node (zero for unseen nodes).
@@ -57,9 +119,9 @@ func (s *neighborhood) Upper(v graph.NodeID) float64 {
 // UnseenUpper returns the common upper bound for all unseen nodes.
 func (s *neighborhood) UnseenUpper() float64 { return s.unseen }
 
-// SeenList returns the neighborhood in slot (insertion) order; the slice is
-// valid until the next expansion and must not be mutated.
-func (s *neighborhood) SeenList() []graph.NodeID { return s.idx.Touched()[:len(s.k.lo)] }
+// SeenList returns the neighborhood in slot (join) order; the slice is valid
+// until the next expansion and must not be mutated.
+func (s *neighborhood) SeenList() []graph.NodeID { return s.nodes[:len(s.k.lo)] }
 
 // Slots returns the lower and upper bounds by slot, parallel to SeenList and
 // valid as long. The slices are the kernel's storage: writing an entry sets

@@ -16,18 +16,22 @@ import (
 // the bounds over St (Eq. 17–18) on the kernel's edge log of the subgraph St
 // induces and reads no rows: join, the one place a node enters St, scans the
 // newcomer's rows once, for the border counters and the log alike. What is
-// keyed by node is the tracker's own stamped index — membership and slot — and
-// nothing else; a node enters it when admitted and joins after, as FFlat's
-// newcomers do (see neighborhood). Bounds, border counters, restart weights
-// and rows live once, by slot, and the per-round passes walk them
-// sequentially. InitRows rebinds the tracker to a new query in O(1).
+// keyed by node is the index the tracker is bound to — the BCA engine's in the
+// searcher (InitShared), its own only when bound alone (InitRows) — and
+// nothing else: admission adds a node to that index if it is not a member yet
+// and gives it the next T slot if it has none, and the node joins after, as
+// FFlat's newcomers do (see neighborhood). Admission to St is having no T
+// slot yet, never being new to the index, which BCA's residual also fills.
+// Bounds, border counters, restart weights and rows live once, by T slot, and
+// the per-round passes walk them sequentially. Binding rebinds the tracker to
+// a new query in O(1).
 type TFlat struct {
 	neighborhood
 	opt TOptions
 	// rows is the graph, pre its optional prefetch capability.
-	rows  graph.Rows
-	pre   graph.RowPrefetcher
-	index scratch.Index // St and this round's admitted nodes
+	rows graph.Rows
+	pre  graph.RowPrefetcher
+	own  *scratch.Index // the index when bound alone, allocated on first use
 
 	restartNodes []graph.NodeID
 	restartW     []float64
@@ -50,10 +54,18 @@ func (tb *TFlat) Init(view graph.CSRView, q walk.Query, opt TOptions) error {
 }
 
 // InitRows starts (or restarts) a T-Rank bounds computation for the query,
-// reusing the tracker's internal arrays; see bca.Flat.InitRows. Binding admits
-// the query nodes and joins them (joinAdmitted), which reads their rows, and
-// returns rows.Err() if that already failed.
+// reusing the tracker's internal arrays, over an index of the tracker's own;
+// see InitShared.
 func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
+	return tb.InitShared(rows, q, opt, nil)
+}
+
+// InitShared is InitRows over idx, an index the caller has reset for rows and
+// shares: the searcher hands it the BCA engine's, so that one index holds every
+// node the query touches. A nil idx binds the tracker's own index, reset here.
+// Binding admits the query nodes and joins them (joinAdmitted), which reads
+// their rows, and returns rows.Err() if that already failed.
+func (tb *TFlat) InitShared(rows graph.Rows, q walk.Query, opt TOptions, idx *scratch.Index) error {
 	opt = opt.normalized()
 	if err := walk.CheckAlpha(opt.Alpha); err != nil {
 		return fmt.Errorf("bounds: %w", err)
@@ -68,24 +80,46 @@ func (tb *TFlat) InitRows(rows graph.Rows, q walk.Query, opt TOptions) error {
 	tb.rows = rows
 	tb.pre, _ = rows.(graph.RowPrefetcher)
 	tb.opt = opt
-	tb.index.Reset(n)
-	tb.idx = &tb.index
+	if idx == nil {
+		if tb.own == nil {
+			tb.own = new(scratch.Index)
+		}
+		idx = tb.own
+		idx.Reset(n)
+	}
+	tb.idx = idx
+	tb.at, tb.nodes = tb.at[:0], tb.nodes[:0]
 	tb.outsideIn = tb.outsideIn[:0]
-	tb.k.reset()
+	tb.reset()
 	tb.unseen = 1 - opt.Alpha
 	for _, v := range tb.restartNodes {
-		tb.index.Add(v)
+		tb.admit(v)
 	}
 	tb.joinAdmitted(1)
 	tb.recomputeUnseen()
 	return rows.Err()
 }
 
-// joinAdmitted joins every member of the index that has not joined yet, in
-// slot order, with upper bound up, after announcing them to the prefetcher as
-// one batch: the rows join reads are then fetched in one round trip.
+// admit gives v the next T slot unless it has one — adding it to the index
+// first when it is not a member — and reports whether it did.
+func (tb *TFlat) admit(v graph.NodeID) bool {
+	shared, _ := tb.idx.Add(v)
+	for int(shared) >= len(tb.at) {
+		tb.at = append(tb.at, -1)
+	}
+	if tb.at[shared] >= 0 {
+		return false
+	}
+	tb.at[shared] = int32(len(tb.nodes))
+	tb.nodes = append(tb.nodes, v)
+	return true
+}
+
+// joinAdmitted joins every admitted node that has not joined yet, in T-slot
+// order, with upper bound up, after announcing them to the prefetcher as one
+// batch: the rows join reads are then fetched in one round trip.
 func (tb *TFlat) joinAdmitted(up float64) {
-	admitted := tb.index.Touched()[tb.SeenCount():]
+	admitted := tb.nodes[tb.SeenCount():]
 	if tb.pre != nil && len(admitted) > 0 {
 		tb.pre.Prefetch(admitted)
 	}
@@ -94,7 +128,7 @@ func (tb *TFlat) joinAdmitted(up float64) {
 	}
 }
 
-// join gives v, the index's first member without a slot in the kernel, that
+// join gives v, the first admitted node without a slot in the kernel, that
 // slot, with upper bound up and lower bound α times its restart weight: the
 // query nodes hold the leading slots, in restartW's order, and every later
 // node has none. Its in-row splits into the in-neighbors still outside (v's
@@ -103,7 +137,9 @@ func (tb *TFlat) joinAdmitted(up float64) {
 // v's own entries and takes one outside in-neighbor off every seen
 // out-neighbor. Nodes join one at a time, so of two adjacent nodes the later
 // finds the earlier seen and their edges are logged once. Each scanned
-// neighbor costs one stamped probe, for its slot; all else is by slot.
+// neighbor costs a test of the filter of seen nodes and, when that passes, one
+// stamped probe, for its shared slot (see neighborhood.maybe); all else is by
+// slot.
 func (tb *TFlat) join(v graph.NodeID, up float64) {
 	restart := 0.0
 	if n := tb.SeenCount(); n < len(tb.restartW) {
@@ -114,13 +150,14 @@ func (tb *TFlat) join(v graph.NodeID, up float64) {
 	if outSum > 0 {
 		mass = 1 // a row's transition probabilities sum to one
 	}
-	self := tb.k.join(restart, mass, tb.opt.Alpha*restart, up)
+	self := tb.enter(v, restart, mass, tb.opt.Alpha*restart, up)
 
 	outside := 0
 	cols, wts := tb.rows.InRow(v)
 	for i, from := range cols {
-		slot, seen := tb.Index(from)
-		if !seen {
+		if !tb.maybe(from) {
+			outside++
+		} else if slot, seen := tb.probe(from); !seen {
 			outside++
 		} else if sum := tb.rows.OutSum(from); sum > 0 {
 			tb.k.add(slot, self, wts[i]/sum)
@@ -130,10 +167,10 @@ func (tb *TFlat) join(v graph.NodeID, up float64) {
 
 	cols, wts = tb.rows.OutRow(v)
 	for i, to := range cols {
-		if to == v {
+		if to == v || !tb.maybe(to) {
 			continue
 		}
-		if slot, seen := tb.Index(to); seen {
+		if slot, seen := tb.probe(to); seen {
 			tb.outsideIn[slot]--
 			if outSum > 0 {
 				tb.k.add(self, slot, wts[i]/outSum)
@@ -167,8 +204,8 @@ func (tb *TFlat) Exhausted() bool { return tb.BorderCount() == 0 }
 // added.
 func (tb *TFlat) Expand() int {
 	// Select the M border nodes with the largest upper bounds into the
-	// reusable pick buffers (kept sorted descending; ties keep the touched
-	// list's insertion order, so budget-capped results are deterministic).
+	// reusable pick buffers (kept sorted descending; ties keep T-slot order,
+	// so budget-capped results are deterministic).
 	m := tb.opt.M
 	tb.pickN, tb.pickP = tb.pickN[:0], tb.pickP[:0]
 	seen := tb.SeenList()
@@ -195,9 +232,9 @@ func (tb *TFlat) Expand() int {
 	if len(tb.pickN) == 0 {
 		return 0
 	}
-	// Admit the picks' outside in-neighbors into the index, in in-row order
-	// and up to the frontier cap, then join them: newcomers start at lower
-	// bound zero and the unseen upper bound of the previous expansion.
+	// Admit the picks' outside in-neighbors, in in-row order and up to the
+	// frontier cap, then join them: newcomers start at lower bound zero and
+	// the unseen upper bound of the previous expansion.
 	if tb.pre != nil {
 		tb.pre.Prefetch(tb.pickN)
 	}
@@ -212,7 +249,7 @@ func (tb *TFlat) Expand() int {
 			if limit > 0 && admitted >= limit {
 				break
 			}
-			if _, added := tb.index.Add(from); added {
+			if tb.admit(from) {
 				admitted++
 			}
 		}

@@ -1,10 +1,14 @@
 // Package scratch provides the flat per-query state backing the online top-K
 // hot path. One thing is keyed by node: Index, a generation-stamped dense array
 // that maps a node to its slot — its position in the insertion-ordered touched
-// list — without hashing or per-query clearing. Everything else is keyed by
-// slot, in plain slices that grow with the neighborhood: the owners keep their
-// per-slot state themselves (the bounds trackers' in internal/bounds), and
-// Heap is a d-ary max-heap of slots with in-place decrease-key (heap.go).
+// list — without hashing or per-query clearing. A query keeps one: the BCA
+// engine owns and resets it, and it holds every node the query touched, the
+// nodes given residual and the t-neighborhood the T side admits into it;
+// internal/bca, internal/bounds and the searcher read it. Everything else is
+// keyed by slot, in plain slices that grow with the neighborhood: the owners
+// keep their per-slot state themselves — residuals, each side's map from a
+// shared slot to its own slot, the bounds trackers' state in internal/bounds —
+// and Heap is a d-ary max-heap of slots with in-place decrease-key (heap.go).
 //
 // The stamping is the standard discipline of bookmark-coloring
 // implementations: a node is present only when its stamp equals the
@@ -13,9 +17,9 @@
 // allocates nothing in steady state; the owning searcher recycles it across
 // queries through a sync.Pool (see internal/topk).
 //
-// The memory cost of a dense structure is 8 B × NumNodes however small the
-// query's neighborhood is, which is exactly the trade the walk kernels already
-// make. docs/TUNING.md discusses the resulting pool footprint.
+// The memory cost of the index is 8 B × NumNodes however small the query's
+// neighborhood is, which is exactly the trade the walk kernels already make.
+// docs/TUNING.md discusses the resulting pool footprint.
 package scratch
 
 import "roundtriprank/internal/graph"

@@ -282,7 +282,10 @@ func TestBudgetStopReasons(t *testing.T) {
 
 // TestBudgetFrontierCapStaysSound pins the deferred-admission rule: with a
 // frontier cap of one T-admission per round, the search needs more rounds but
-// every certificate it emits along the way stays sound.
+// every certificate it emits along the way stays sound. St grows by at most one
+// node a round beyond the query, also when the node T admits is one BCA
+// touched first and so already a member of the index the two sides share: an
+// admission is a node's first T slot, not its first touch.
 func TestBudgetFrontierCapStaysSound(t *testing.T) {
 	toy := testgraphs.NewToy()
 	q := walk.SingleNode(toy.T1)
@@ -298,6 +301,9 @@ func TestBudgetFrontierCapStaysSound(t *testing.T) {
 			t.Fatalf("rounds=%d: %v", rounds, err)
 		}
 		checkCertificate(t, "capped", res, opt, naive)
+		if res.TSeen > 1+res.Rounds {
+			t.Errorf("rounds=%d: |St| = %d after %d rounds of one admission each", rounds, res.TSeen, res.Rounds)
+		}
 		if res.Converged {
 			return // cap slowed it down but the search still got there
 		}

@@ -78,10 +78,6 @@ func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	fOpt, tOpt, err := boundOptions(opt)
-	if err != nil {
-		return nil, err
-	}
 	s := getSearcher()
 	// Release drops the searcher's references to the graph (a snapshot's CSR
 	// arrays or a row session) and the caller's Keep closure before the object
@@ -93,17 +89,30 @@ func TopKRows(ctx context.Context, rows graph.Rows, q walk.Query, opt Options) (
 		s.tb.Detach()
 		putSearcher(s)
 	}()
-	if err := s.fb.InitRows(rows, q, fOpt); err != nil {
+	if err := s.bind(rows, q, opt); err != nil {
 		return nil, err
 	}
-	// The T side binds last and reports a row read that failed during binding.
-	if err := s.tb.InitRows(rows, q, tOpt); err != nil {
-		return nil, err
+	return s.run(ctx, rows)
+}
+
+// bind binds the searcher to the query over rows: the F side first, whose BCA
+// engine resets the one index of the nodes the query touches, then the T side
+// over that index, which reports a row read that failed during binding.
+func (s *flatSearcher) bind(rows graph.Rows, q walk.Query, opt Options) error {
+	fOpt, tOpt, err := boundOptions(opt)
+	if err != nil {
+		return err
+	}
+	if err := s.fb.InitRows(rows, q, fOpt); err != nil {
+		return err
+	}
+	if err := s.tb.InitShared(rows, q, tOpt, s.fb.Shared()); err != nil {
+		return err
 	}
 	s.opt = opt
 	s.expF = 2 * (1 - opt.Beta)
 	s.expT = 2 * opt.Beta
-	return s.run(ctx, rows)
+	return nil
 }
 
 // run is Algorithm 1's round loop: expand both neighborhoods, join them into
@@ -185,59 +194,44 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 	res.FSeen = s.fb.SeenCount()
 	res.TSeen = s.tb.SeenCount()
 	res.RSeen = s.rSeen
-	res.Touched = s.touchedRows()
+	res.Touched = s.fb.Shared().Len()
 	return res, nil
 }
 
-// touchedRows counts the distinct rows the query's working set could reach:
-// the F side's residual-touched set (processing, frontier prefetches and the
-// Stage-II kernel's build pass all stay inside it) unioned with the
-// t-neighborhood.
-func (s *flatSearcher) touchedRows() int {
-	n := s.fb.ResidualTouchedCount()
-	for _, v := range s.tb.SeenList() {
-		if !s.fb.ResidualTouched(v) {
-			n++
-		}
-	}
-	return n
-}
-
 // join rebuilds, from the two neighborhoods as they stand, everything the
-// round reads of them together, in one pass over Sf by slot — one probe of St's
-// index per node — and one over St. The r-neighborhood S = Sf ∩ St, restricted
-// to the nodes the Keep filter admits, goes into the reusable members buffer
-// with its combined bounds (Eq. 15), sorted by lower bound. Nodes rejected by
-// Keep never enter the candidate ranking, but count towards |S|, and the unseen
-// upper bound remains over all unseen nodes, which is conservative: it can only
-// delay termination, never admit a wrong result. That bound is Eq. 16's rˆ(q)
-// for the nodes outside S: the maximum of (a) unseen by both, (b) seen only by
-// Sf, (c) seen only by St.
+// round reads of them together, in one pass over the shared index by slot,
+// reading each member's F slot and T slot off the two side maps, with no
+// stamped probe. The r-neighborhood S = Sf ∩ St, restricted to the nodes the
+// Keep filter admits, goes into the reusable members buffer with its combined
+// bounds (Eq. 15), sorted by lower bound. Nodes rejected by Keep never enter
+// the candidate ranking, but count towards |S|, and the unseen upper bound
+// remains over all unseen nodes, which is conservative: it can only delay
+// termination, never admit a wrong result. That bound is Eq. 16's rˆ(q) for the
+// nodes outside S: the maximum of (a) unseen by both, (b) seen only by Sf, (c)
+// seen only by St.
 func (s *flatSearcher) join() {
 	combine := func(f, t float64) float64 { return combineBounds(f, t, s.expF, s.expT) }
 	fu, tu := s.fb.UnseenUpper(), s.tb.UnseenUpper()
 	fLo, fUp := s.fb.Slots()
 	tLo, tUp := s.tb.Slots()
 	s.members, s.unseen, s.rSeen = s.members[:0], combine(fu, tu), 0
-	for slot, v := range s.fb.SeenList() {
-		at, seen := s.tb.Index(v)
-		if !seen {
-			if c := combine(fUp[slot], tu); c > s.unseen {
+	for shared, v := range s.fb.Shared().Touched() {
+		f, inF := s.fb.SideSlot(shared)
+		t, inT := s.tb.SideSlot(shared)
+		switch {
+		case inF && inT:
+			s.rSeen++
+			if s.opt.Keep == nil || s.opt.Keep(v) {
+				s.members = append(s.members, member{v, combine(fLo[f], tLo[t]), combine(fUp[f], tUp[t])})
+			}
+		case inF:
+			if c := combine(fUp[f], tu); c > s.unseen {
 				s.unseen = c
 			}
-			continue
-		}
-		s.rSeen++
-		if s.opt.Keep == nil || s.opt.Keep(v) {
-			s.members = append(s.members, member{v, combine(fLo[slot], tLo[at]), combine(fUp[slot], tUp[at])})
-		}
-	}
-	for slot, v := range s.tb.SeenList() {
-		if s.fb.Seen(v) {
-			continue
-		}
-		if c := combine(fu, tUp[slot]); c > s.unseen {
-			s.unseen = c
+		case inT:
+			if c := combine(fu, tUp[t]); c > s.unseen {
+				s.unseen = c
+			}
 		}
 	}
 	slices.SortFunc(s.members, func(a, b member) int {

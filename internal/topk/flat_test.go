@@ -341,12 +341,13 @@ func footprint(v reflect.Value, n int) (dense, sparse, longest int) {
 }
 
 // TestSearcherFootprint pins where a query's state lives. What is keyed by
-// node is 24 B a node and no more, three dense arrays of 8 B — BCA's index of
-// the nodes it has given an estimate (which is Sf: the F side's bounds go by
-// its slots) and its index of the nodes it has given residual, the T side's
-// index of St — and everything else is keyed by slot or by logged edge: its size follows the neighborhoods and stays the
-// same, byte for byte, when the same graph is padded with isolated nodes to
-// four times the size.
+// node is 8 B a node and no more: the one index of every node the query
+// touched — the BCA engine's, which the T side admits into — and everything
+// else, residuals and both sides' maps from a shared slot to an F or T slot
+// included, is keyed by slot or by logged edge: its size follows the
+// neighborhoods and stays the same, byte for byte, when the same graph is
+// padded with isolated nodes to four times the size. The searcher is bound as
+// TopKRows binds it.
 func TestSearcherFootprint(t *testing.T) {
 	const nodes = 2048
 	cfg := datasets.DefaultRMATConfig(nodes)
@@ -356,10 +357,6 @@ func TestSearcherFootprint(t *testing.T) {
 		t.Fatalf("RMATEdges: %v", err)
 	}
 	opt, err := Options{K: 5, Epsilon: 0.01, Alpha: 0.25, Beta: 0.5, Budget: &Budget{MaxRounds: 4}}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fOpt, tOpt, err := boundOptions(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,13 +373,9 @@ func TestSearcherFootprint(t *testing.T) {
 		}
 		s := new(flatSearcher) // fresh, so no array is left over from a larger graph
 		q := walk.SingleNode(0)
-		if err := s.fb.InitRows(g, q, fOpt); err != nil {
+		if err := s.bind(g, q, opt); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.tb.InitRows(g, q, tOpt); err != nil {
-			t.Fatal(err)
-		}
-		s.opt, s.expF, s.expT = opt, 1, 1
 		res, err := s.run(context.Background(), g)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -393,8 +386,8 @@ func TestSearcherFootprint(t *testing.T) {
 
 		sv := reflect.ValueOf(s).Elem()
 		dense, sparse, longest := footprint(sv, n)
-		if dense != 24*n {
-			t.Errorf("n=%d: %d B in per-node arrays, want 24 B × n = %d", n, dense, 24*n)
+		if dense != 8*n {
+			t.Errorf("n=%d: %d B in per-node arrays, want 8 B × n = %d", n, dense, 8*n)
 		}
 		logged := func(side string, field ...string) int {
 			v := sv.FieldByName(side)

@@ -160,10 +160,10 @@ type Result struct {
 	// r-neighborhoods (|Sf|, |St|, |S| = |Sf ∩ St|).
 	FSeen, TSeen, RSeen int
 	// Touched is the number of distinct rows the searcher's working set could
-	// reach: every node that ever held BCA residual plus every t-neighborhood
-	// member outside that set. It upper-bounds the rows a row session
-	// materializes for the query — the O(touched) property the row-serving
-	// layer asserts.
+	// reach: the length of the query's one index, which holds every node that
+	// ever held BCA residual and every t-neighborhood member. It upper-bounds
+	// the rows a row session materializes for the query — the O(touched)
+	// property the row-serving layer asserts.
 	Touched int
 }
 

@@ -4,11 +4,13 @@
 # number of interface declarations in internal/graph + the root package, the
 # number of layout type assertions outside tests and bench/ — how often code
 # asks a graph what it is instead of calling it — and the number of dense
-# per-node structures the online searcher declares: fields of internal/bca and
-# internal/bounds whose type is a stamped internal/scratch structure, 8 B a node
-# each: Index fields (BCA's two, TFlat's own; FFlat's neighborhood points at
-# BCA's); in an older tree also Floats, the then node-keyed Heap and Ints
-# (FFlat's former parked chains).
+# per-node structures one pooled online searcher holds: fields of internal/bca,
+# internal/bounds and internal/topk whose type is a stamped internal/scratch
+# structure held by value, 8 B a node each. Today that is the BCA engine's one
+# Index; a pointer field is not counted — both trackers' neighborhoods point at
+# that Index, and TFlat's own, allocated only when it is bound alone, is never
+# allocated in a searcher. In an older tree the count also takes in Floats, the
+# then node-keyed Heap and Ints (FFlat's former parked chains).
 # Then the number of engine options: With… functions of the root package's
 # non-test files, what configures an Engine. Last, the root package's exported
 # identifiers in its non-test files: package-level names (in or out of a
@@ -46,7 +48,7 @@ exports=$(gofiles | grep -E '^[^/]*\.go$' | grep -v '_test.go$' | xargs awk '
     /^(type|var|const|func) [A-Z]/ { n++; next }
     /^func \([a-z_]* *\*?[A-Z][A-Za-z0-9_]*\) [A-Z]/ { n++ }
     END { print n + 0 }')
-scratch=$(gofiles | grep -E '^internal/(bca|bounds)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
+scratch=$(gofiles | grep -E '^internal/(bca|bounds|topk)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
 echo "non-test Go lines (outside bench/): $nontest"
 echo "test Go lines (outside bench/):     $tests"
 echo "internal packages:                  $pkgs"
