@@ -305,12 +305,12 @@ func (l *Loopback) OutDegrees(ctx context.Context) ([]int32, error) {
 func (t *HTTPTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	req := appendNodeIDs(make([]byte, 0, len(nodes)*4), nodes)
 	path := t.withStripe(fmt.Sprintf("/v1/rows?graph=%d", graphSum))
-	body, err := t.do(ctx, http.MethodPost, path, req, "application/octet-stream")
+	resp, err := t.do(ctx, http.MethodPost, path, req, "application/octet-stream", nil)
 	if err != nil {
 		return RowBatch{}, err
 	}
-	defer body.Close()
-	raw, err := io.ReadAll(body)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return RowBatch{}, &TransientError{Err: fmt.Errorf("distributed: %s: read rows response: %w", t.base, err)}
 	}
@@ -323,12 +323,12 @@ func (t *HTTPTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []
 
 // OutDegrees implements Transport.
 func (t *HTTPTransport) OutDegrees(ctx context.Context) ([]int32, error) {
-	body, err := t.do(ctx, http.MethodGet, t.withStripe("/v1/outdegs"), nil, "")
+	resp, err := t.do(ctx, http.MethodGet, t.withStripe("/v1/outdegs"), nil, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	defer body.Close()
-	raw, err := io.ReadAll(body)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, &TransientError{Err: fmt.Errorf("distributed: %s: read outdegs response: %w", t.base, err)}
 	}

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"sync"
 )
 
 // Direction selects which adjacency a worker multiplies over.
@@ -156,30 +156,37 @@ func AppendVector(buf []byte, x []float64) []byte {
 	return buf
 }
 
-// ReadVector reads exactly n float64 values from r into dst (allocating when
-// dst is too small) and errors on truncation.
-func ReadVector(r io.Reader, n int, dst []float64) ([]float64, error) {
-	if cap(dst) < n {
-		dst = make([]float64, n)
+// decodeVector fills dst from the wire encoding in raw, which holds at least
+// len(dst)×8 bytes.
+func decodeVector(dst []float64, raw []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
-	dst = dst[:n]
-	buf := make([]byte, 1<<16)
-	for off := 0; off < n; {
-		chunk := n - off
-		if chunk > len(buf)/8 {
-			chunk = len(buf) / 8
-		}
-		b := buf[:chunk*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("distributed: vector truncated at %d of %d entries: %w", off, n, err)
-		}
-		for i := 0; i < chunk; i++ {
-			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		off += chunk
-	}
-	return dst, nil
 }
+
+// The multiply RPC's wire buffers are pooled on both ends, so a warm call
+// allocates only the partial vector Transport.Multiply returns: bytePool holds
+// the encoded request and response vectors, of the worker and the
+// coordinator alike, and floatPool the worker's decoded x and gathered dst.
+// Every buffer is taken at full-vector size, whatever part of it a call uses,
+// so the buffers one graph's calls return fit every later call on that graph;
+// a buffer too small for a call (a smaller graph's) is dropped for a new one.
+var bytePool, floatPool sync.Pool
+
+// pooled takes a buffer of length n from p, which holds *[]T.
+func pooled[T any](p *sync.Pool, n int) *[]T {
+	b, _ := p.Get().(*[]T)
+	if b == nil || cap(*b) < n {
+		nb := make([]T, n)
+		return &nb
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// vectorBytes takes a pooled byte buffer for an n-entry vector: n×8 bytes and
+// one more, into which the worker reads to tell an over-long body.
+func vectorBytes(n int) *[]byte { return pooled[byte](&bytePool, n*8+1) }
 
 // Loopback is an in-process Transport wrapping a Worker directly: no
 // serialization, no network. It keeps tests and single-process deployments

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -168,25 +169,20 @@ func (s *Stripe) pinned(graphSum uint32) error {
 	return nil
 }
 
-// gather is one multiply RPC over this stripe snapshot.
-func (s *Stripe) gather(dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+// gather is one multiply RPC over this stripe snapshot, into dst (Rows()
+// entries).
+func (s *Stripe) gather(dir Direction, graphSum uint32, x, dst []float64) error {
 	if err := s.pinned(graphSum); err != nil {
-		return nil, err
+		return err
 	}
-	dst := make([]float64, s.Rows())
-	var err error
 	switch dir {
 	case DirIn:
-		err = s.MultiplyIn(x, dst)
+		return s.MultiplyIn(x, dst)
 	case DirOut:
-		err = s.MultiplyOut(x, dst)
+		return s.MultiplyOut(x, dst)
 	default:
-		err = fmt.Errorf("distributed: unknown multiply direction %d", dir)
+		return fmt.Errorf("distributed: unknown multiply direction %d", dir)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // Info is the worker side of Transport.Info: the wire metadata of the stripe
@@ -217,7 +213,12 @@ func (w *Worker) Multiply(index int, dir Direction, graphSum uint32, x []float64
 	if err != nil {
 		return nil, err
 	}
-	return s.gather(dir, graphSum, x)
+	// The caller keeps the result (Loopback hands it on), so it is not pooled.
+	dst := make([]float64, s.Rows())
+	if err := s.gather(dir, graphSum, x, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // MaxStripeUploadBytes caps the body of the stripe-install endpoint.
@@ -342,25 +343,36 @@ func handleOutSums(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32)
 	return nil
 }
 
+// handleMultiply decodes, gathers and encodes in pooled buffers (bytePool,
+// floatPool), so a warm call allocates nothing proportional to the graph. The
+// ResponseWriter has copied or sent the reply by the time Write returns, so
+// the buffers go back to their pools when the handler does.
 func handleMultiply(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error {
 	dir, err := ParseDirection(r.URL.Query().Get("dir"))
 	if err != nil {
 		return err
 	}
-	// The input is the full iteration vector: exactly NumNodes entries.
-	body := http.MaxBytesReader(rw, r.Body, int64(s.NumNodes)*8+1)
-	x, err := ReadVector(body, s.NumNodes, nil)
-	if err != nil {
-		return err
-	}
-	if n, _ := body.Read(make([]byte, 1)); n > 0 {
+	// The input is the full iteration vector: exactly NumNodes entries, so
+	// reading one byte more tells an over-long body.
+	raw := vectorBytes(s.NumNodes)
+	defer bytePool.Put(raw)
+	n, err := io.ReadFull(r.Body, *raw)
+	switch {
+	case n < s.NumNodes*8:
+		return fmt.Errorf("distributed: multiply body truncated at %d of %d entries: %w", n/8, s.NumNodes, err)
+	case n > s.NumNodes*8:
 		return fmt.Errorf("distributed: multiply body longer than %d entries", s.NumNodes)
 	}
-	out, err := s.gather(dir, graphSum, x)
-	if err != nil {
+	x := pooled[float64](&floatPool, s.NumNodes)
+	defer floatPool.Put(x)
+	decodeVector(*x, *raw)
+	dst := pooled[float64](&floatPool, s.NumNodes)
+	defer floatPool.Put(dst)
+	out := (*dst)[:s.Rows()]
+	if err := s.gather(dir, graphSum, *x, out); err != nil {
 		return err
 	}
-	workerBinary(rw, AppendVector(make([]byte, 0, len(out)*8), out))
+	workerBinary(rw, AppendVector((*raw)[:0], out))
 	return nil
 }
 
