@@ -445,10 +445,41 @@ func BenchmarkExactSolveConcurrent(b *testing.B) {
 }
 
 // BenchmarkWalkKernels measures each iterative solver on the benchmark BibNet
-// through the flat-array kernels (the bench spine reports the same solves on
-// R-MAT as walk.frank_ms / walk.trank_ms of the rmat-exact workload).
+// through the flat-array kernels, and F-Rank and T-Rank on the bench spine's
+// R-MAT 10^5 for a tail and a hub query node (the spine reports those solves
+// as walk.frank_ms / walk.trank_ms of the rmat-exact workload). The R-MAT
+// solves report the rows a gather reduces — the solve's support, about half
+// the graph there — and the gathers a solve takes.
 func BenchmarkWalkKernels(b *testing.B) {
 	net, _ := benchData(b)
+	cfg := datasets.DefaultRMATConfig(100_000)
+	cfg.Seed = -42
+	rmat, err := datasets.GenerateRMAT(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tail, hub := rmatTailAndHub(rmat.Graph)
+	for _, solver := range []struct {
+		name  string
+		solve func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, error)
+	}{{"FRank", walk.FRankOver}, {"TRank", walk.TRankOver}} {
+		for _, q := range []struct {
+			name string
+			node graph.NodeID
+		}{{"tail", tail}, {"hub", hub}} {
+			b.Run("RMAT/"+solver.name+"/"+q.name, func(b *testing.B) {
+				p := walk.DefaultParams()
+				counter := &rowCounter{Gatherer: walk.Local(rmat.Graph, p.Workers)}
+				for i := 0; i < b.N; i++ {
+					if _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(counter.rows)/float64(counter.gathers), "rows/gather")
+				b.ReportMetric(float64(counter.gathers)/float64(b.N), "gathers/op")
+			})
+		}
+	}
 	q := walk.SingleNode(net.Papers[0])
 	b.Run("FRank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -471,6 +502,49 @@ func BenchmarkWalkKernels(b *testing.B) {
 			}
 		}
 	})
+}
+
+// rmatTailAndHub returns the bench spine's two query kinds on g: the first
+// tail node (in- and out-edges, total degree at most 16) and the hub, the
+// node of highest total degree.
+func rmatTailAndHub(g *graph.Graph) (tail, hub graph.NodeID) {
+	tail, hub = graph.NoNode, 0
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		out, in := g.OutDegree(v), g.InCSR().Degree(v)
+		if tail == graph.NoNode && out > 0 && in > 0 && out+in <= 16 {
+			tail = v
+		}
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	return tail, hub
+}
+
+// rowCounter is a walk.Gatherer that counts the gathers of its solves and the
+// rows they reduce.
+type rowCounter struct {
+	walk.Gatherer
+	gathers, rows int
+}
+
+func (c *rowCounter) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	c.count(rows, dst)
+	return c.Gatherer.GatherIn(ctx, x, dst, rows)
+}
+
+func (c *rowCounter) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	c.count(rows, dst)
+	return c.Gatherer.GatherOut(ctx, x, dst, rows)
+}
+
+func (c *rowCounter) count(rows []graph.NodeID, dst []float64) {
+	c.gathers++
+	if rows == nil {
+		c.rows += len(dst)
+	} else {
+		c.rows += len(rows)
+	}
 }
 
 // BenchmarkRankBatch measures the engine's concurrent batch path with the

@@ -260,17 +260,17 @@ type cancellingGatherer struct {
 	inTrip, outTrip int64
 }
 
-func (c *cancellingGatherer) GatherIn(ctx context.Context, x, dst []float64) error {
+func (c *cancellingGatherer) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
 	if n := c.in.Add(1); n == c.k {
 		c.inTrip, c.outTrip = n, c.out.Load()
 		c.cancel()
 	}
-	return c.Gatherer.GatherIn(ctx, x, dst)
+	return c.Gatherer.GatherIn(ctx, x, dst, rows)
 }
 
-func (c *cancellingGatherer) GatherOut(ctx context.Context, x, dst []float64) error {
+func (c *cancellingGatherer) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
 	c.out.Add(1)
-	return c.Gatherer.GatherOut(ctx, x, dst)
+	return c.Gatherer.GatherOut(ctx, x, dst, rows)
 }
 
 // cancellingTransport is one fleet worker with the same tripwire on the wire:

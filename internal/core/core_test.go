@@ -394,11 +394,13 @@ func (g oneSidedGather) OutSums() []float64 {
 	return sums
 }
 
-func (g oneSidedGather) GatherIn(ctx context.Context, _, _ []float64) error {
+func (g oneSidedGather) InSums() []float64 { return nil }
+
+func (g oneSidedGather) GatherIn(ctx context.Context, _, _ []float64, _ []graph.NodeID) error {
 	return g.gather(ctx, g.failIn)
 }
 
-func (g oneSidedGather) GatherOut(ctx context.Context, _, _ []float64) error {
+func (g oneSidedGather) GatherOut(ctx context.Context, _, _ []float64, _ []graph.NodeID) error {
 	return g.gather(ctx, !g.failIn)
 }
 

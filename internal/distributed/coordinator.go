@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"roundtriprank/internal/fan"
+	"roundtriprank/internal/graph"
 )
 
 // RetryPolicy is how a Fleet retries an idempotent worker call; the zero
@@ -152,6 +153,10 @@ func (f *Fleet) Content(i int) uint32 { return f.content[i] }
 // read-only. It is the walk.Gatherer method of the same name.
 func (f *Fleet) OutSums() []float64 { return f.outSum }
 
+// InSums implements walk.Gatherer: the workers do not report in-weights, so
+// an F-Rank solve over the fleet updates every node.
+func (f *Fleet) InSums() []float64 { return nil }
+
 // Stats reports the cumulative worker RPC count and how many of those were
 // retries after a transient failure.
 func (f *Fleet) Stats() (rpcs, retries int64) {
@@ -218,13 +223,15 @@ func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch f
 // reduces its rows with graph.CSR.Gather. A solve over a Fleet is therefore
 // bit-identical to walk.FRank/walk.TRank on the unstriped graph, for any number
 // of workers, by construction. That is what lets the Engine route a query
-// through the cluster and still satisfy the exact top-K contract.
-func (f *Fleet) GatherIn(ctx context.Context, x, dst []float64) error {
+// through the cluster and still satisfy the exact top-K contract. A worker
+// multiplies its whole stripe whatever rows the solve lists: a row outside
+// the solve's support comes back as an exact zero the solve never reads.
+func (f *Fleet) GatherIn(ctx context.Context, x, dst []float64, _ []graph.NodeID) error {
 	return f.gather(ctx, DirIn, x, dst)
 }
 
 // GatherOut implements walk.Gatherer over the workers' forward rows.
-func (f *Fleet) GatherOut(ctx context.Context, x, dst []float64) error {
+func (f *Fleet) GatherOut(ctx context.Context, x, dst []float64, _ []graph.NodeID) error {
 	return f.gather(ctx, DirOut, x, dst)
 }
 

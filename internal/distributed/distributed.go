@@ -104,7 +104,7 @@ func (s *Stripe) multiply(c graph.CSR, x, dst []float64) error {
 	if len(dst) != s.Rows() {
 		return fmt.Errorf("distributed: multiply output has %d entries, stripe owns %d rows", len(dst), s.Rows())
 	}
-	c.Gather(x, dst, 0, len(dst))
+	c.Gather(x, dst, nil, 0, len(dst))
 	return nil
 }
 

@@ -220,7 +220,7 @@ func TestMultiplyWireBuffersDoNotAlias(t *testing.T) {
 					return
 				}
 				want := make([]float64, s.Rows())
-				rows.Gather(x, want, 0, len(want))
+				rows.Gather(x, want, nil, 0, len(want))
 				if len(got) != len(want) {
 					t.Errorf("caller %d call %d: %d entries, want %d", c, k, len(got), len(want))
 					return
@@ -384,7 +384,7 @@ func TestMultiplyRejectsMalformedReply(t *testing.T) {
 				t.Fatalf("Connect: %v", err)
 			}
 			x := wireVector(g.NumNodes(), 4)
-			err = f.GatherIn(ctx, x, make([]float64, g.NumNodes()))
+			err = f.GatherIn(ctx, x, make([]float64, g.NumNodes()), nil)
 			if err == nil || IsTransient(err) || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("GatherIn = %v, want a non-transient error naming worker 1 and saying %q", err, tc.want)
 			}

@@ -80,11 +80,18 @@ func (c *CompactedView) NewRows() Rows { return c }
 // OutSums implements View.
 func (c *CompactedView) OutSums() []float64 { return c.out.Sum }
 
+// InSums implements View.
+func (c *CompactedView) InSums() []float64 { return c.in.Sum }
+
 // GatherOut implements View.
-func (c *CompactedView) GatherOut(x, dst []float64, lo, hi int) { c.out.Gather(x, dst, lo, hi) }
+func (c *CompactedView) GatherOut(x, dst []float64, rows []NodeID, lo, hi int) {
+	c.out.Gather(x, dst, rows, lo, hi)
+}
 
 // GatherIn implements View.
-func (c *CompactedView) GatherIn(x, dst []float64, lo, hi int) { c.in.Gather(x, dst, lo, hi) }
+func (c *CompactedView) GatherIn(x, dst []float64, rows []NodeID, lo, hi int) {
+	c.in.Gather(x, dst, rows, lo, hi)
+}
 
 // OutCSR implements CSRView.
 func (c *CompactedView) OutCSR() CSR { return c.out }

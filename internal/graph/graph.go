@@ -26,10 +26,11 @@ const Untyped Type = 0
 // implement it here; nothing outside this package does. A solver reaches the
 // adjacency through exactly two seams: NewRows, the row-streaming seam of the
 // online searcher (Algorithm 1 reads the out- and in-rows of the nodes it
-// touches), and OutSums with GatherOut/GatherIn, the whole-row reductions of
-// the exact F-Rank/T-Rank iterations (Eq. 5 and 8; walk.Local partitions the
-// row range across the goroutines of a gather). Caller-owned arrays come in
-// through Compact.
+// touches), and OutSums/InSums with GatherOut/GatherIn, the row reductions of
+// the exact F-Rank/T-Rank iterations (Eq. 5 and 8): a gather reduces the rows
+// of a solve's support — the nodes a walk can reach, listed ascending — or
+// every row, and walk.Local partitions the list or the range across the
+// goroutines of a gather. Caller-owned arrays come in through Compact.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
@@ -46,13 +47,18 @@ type View interface {
 	NewRows() Rows
 	// OutSums returns every node's total out-weight, read-only.
 	OutSums() []float64
-	// GatherOut fills dst[r] = Σ w(r,to)·x[to] over the out-row of every r in
-	// [lo, hi), each row reduced sequentially in stored entry order — so the
-	// result is bit-identical however callers split the range, and across
-	// layouts of the same content.
-	GatherOut(x, dst []float64, lo, hi int)
+	// InSums returns every node's total in-weight, read-only: a node whose
+	// in-weight is zero has no in-row a GatherIn could make non-zero.
+	InSums() []float64
+	// GatherOut fills dst[r] = Σ w(r,to)·x[to] over the out-row of every row r
+	// in rows[lo:hi], an ascending list — or, when rows is nil, of every r in
+	// [lo, hi). Each row is reduced sequentially in stored entry order, so the
+	// result is bit-identical however callers split the list or the range,
+	// and across layouts of the same content. A layout may fill the rows
+	// between two listed ones too, with their own reductions.
+	GatherOut(x, dst []float64, rows []NodeID, lo, hi int)
 	// GatherIn is GatherOut over the in-rows: dst[r] = Σ w(from,r)·x[from].
-	GatherIn(x, dst []float64, lo, hi int)
+	GatherIn(x, dst []float64, rows []NodeID, lo, hi int)
 }
 
 // RowsProvider is the old name of the part of View that mints row sessions.
@@ -126,13 +132,24 @@ func (c CSR) Degree(v NodeID) int {
 }
 
 // Gather is the flat row reduction of every exact solve: it fills
-// dst[r] = Σ_i Weight[i]·x[Col[i]] over row r's entries, for lo ≤ r < hi. Each
-// row is reduced sequentially in stored entry order, so however callers split
-// [lo, hi) across goroutines the result is bit-identical — and equal to
-// PackedCSR.Gather on the packed form of the same rows. The unit form has a
-// loop of its own that streams no weights; its result is the same bit for
-// bit, since 1·x == x exactly, fused multiply-add or not.
-func (c CSR) Gather(x, dst []float64, lo, hi int) {
+// dst[r] = Σ_i Weight[i]·x[Col[i]] over row r's entries, for every r in
+// rows[lo:hi] — the support of a solve, ascending — or, when rows is nil, for
+// lo ≤ r < hi. Each row is reduced sequentially in stored entry order, so
+// however callers split the list or the range across goroutines the result is
+// bit-identical — and equal to PackedCSR.Gather on the packed form of the same
+// rows. The unit form has loops of its own that stream no weights; their
+// result is the same bit for bit, since 1·x == x exactly, fused multiply-add
+// or not.
+func (c CSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
+	if rows != nil {
+		c.gatherListed(x, dst, rows[lo:hi])
+		return
+	}
+	c.gatherRange(x, dst, lo, hi)
+}
+
+// gatherRange is Gather over the rows lo ≤ r < hi.
+func (c CSR) gatherRange(x, dst []float64, lo, hi int) {
 	if c.ones != nil {
 		start := c.RowPtr[lo]
 		for r, end := range c.RowPtr[lo+1 : hi+1] {
@@ -146,6 +163,30 @@ func (c CSR) Gather(x, dst []float64, lo, hi int) {
 		return
 	}
 	for r := lo; r < hi; r++ {
+		sum := 0.0
+		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
+		for i := rowLo; i < rowHi; i++ {
+			sum += c.Weight[i] * x[c.Col[i]]
+		}
+		dst[r] = sum
+	}
+}
+
+// gatherListed is Gather over the listed rows alone: a row it skips costs
+// nothing, not even the row exit and the store a range loop spends on an
+// empty row.
+func (c CSR) gatherListed(x, dst []float64, rows []NodeID) {
+	if c.ones != nil {
+		for _, r := range rows {
+			sum := 0.0
+			for _, col := range c.Col[c.RowPtr[r]:c.RowPtr[r+1]] {
+				sum += x[col]
+			}
+			dst[r] = sum
+		}
+		return
+	}
+	for _, r := range rows {
 		sum := 0.0
 		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
 		for i := rowLo; i < rowHi; i++ {

@@ -176,8 +176,17 @@ const (
 // flat block in this call's own buffers (concurrent gathers over one
 // PackedCSR share nothing), and the flat kernel reduces it — the unit form's
 // loop when every row of the run weighs 1 — so the reduction is CSR.Gather's
-// over the same entries in the same order.
-func (c *PackedCSR) Gather(x, dst []float64, lo, hi int) {
+// over the same entries in the same order. A list of rows is gathered as the
+// whole run from its first row to its last: an empty row between them
+// decodes from its one header byte, and decoding the listed rows alone
+// measured no faster on R-MAT 10^5.
+func (c *PackedCSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
+	if rows != nil {
+		if lo == hi {
+			return
+		}
+		lo, hi = int(rows[lo]), int(rows[hi-1])+1
+	}
 	blk := CSR{
 		RowPtr: make([]int64, 0, gatherRows+1),
 		Col:    make([]NodeID, 0, gatherEntries),
@@ -189,7 +198,7 @@ func (c *PackedCSR) Gather(x, dst []float64, lo, hi int) {
 		if unit {
 			run.ones = run.Weight
 		}
-		run.Gather(x, dst[lo:next], 0, next-lo)
+		run.Gather(x, dst[lo:next], nil, 0, next-lo)
 		blk, lo = run, next
 	}
 }
@@ -410,11 +419,18 @@ func (p *Packed) Fingerprint() uint32 { return p.fp }
 // OutSums implements View.
 func (p *Packed) OutSums() []float64 { return p.out.Sum }
 
+// InSums implements View.
+func (p *Packed) InSums() []float64 { return p.in.Sum }
+
 // GatherOut implements View.
-func (p *Packed) GatherOut(x, dst []float64, lo, hi int) { p.out.Gather(x, dst, lo, hi) }
+func (p *Packed) GatherOut(x, dst []float64, rows []NodeID, lo, hi int) {
+	p.out.Gather(x, dst, rows, lo, hi)
+}
 
 // GatherIn implements View.
-func (p *Packed) GatherIn(x, dst []float64, lo, hi int) { p.in.Gather(x, dst, lo, hi) }
+func (p *Packed) GatherIn(x, dst []float64, rows []NodeID, lo, hi int) {
+	p.in.Gather(x, dst, rows, lo, hi)
+}
 
 // SizeBytes returns the resident footprint of the packed adjacency (both
 // directions: row offsets, packed data, row sums; and the ones unit rows

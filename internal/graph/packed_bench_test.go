@@ -68,11 +68,11 @@ func BenchmarkPackedGather(b *testing.B) {
 	}{{"flat", g}, {"packed", Pack(g)}} {
 		for _, dir := range []struct {
 			name   string
-			gather func(x, dst []float64, lo, hi int)
+			gather func(x, dst []float64, rows []NodeID, lo, hi int)
 		}{{"out", layout.view.GatherOut}, {"in", layout.view.GatherIn}} {
 			b.Run(layout.name+"/"+dir.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					dir.gather(x, dst, 0, n)
+					dir.gather(x, dst, nil, 0, n)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 			})

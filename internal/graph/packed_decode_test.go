@@ -172,10 +172,10 @@ func TestDecodeRowsPackedGraphs(t *testing.T) {
 			packed *PackedCSR
 		}{"out": {g.OutCSR(), &p.out}, "in": {g.InCSR(), &p.in}} {
 			want, split, whole := make([]float64, n), make([]float64, n), make([]float64, n)
-			pair.flat.Gather(x, want, 0, n)
-			pair.packed.Gather(x, split, 0, n/3)
-			pair.packed.Gather(x, split, n/3, n)
-			pair.packed.Gather(x, whole, 0, n)
+			pair.flat.Gather(x, want, nil, 0, n)
+			pair.packed.Gather(x, split, nil, 0, n/3)
+			pair.packed.Gather(x, split, nil, n/3, n)
+			pair.packed.Gather(x, whole, nil, 0, n)
 			if !sameRow(nil, split, nil, want) || !sameRow(nil, whole, nil, want) {
 				t.Fatalf("%s/%s: packed gather differs from the flat one", name, dir)
 			}

@@ -76,8 +76,8 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 			x[i] = 1 / float64(i+1)
 		}
 		wantOut, wantIn := make([]float64, len(x)), make([]float64, len(x))
-		out.Gather(x, wantOut, 0, len(x))
-		in.Gather(x, wantIn, 0, len(x))
+		out.Gather(x, wantOut, nil, 0, len(x))
+		in.Gather(x, wantIn, nil, 0, len(x))
 		for layout, view := range map[string]View{
 			"graph": g, "compact": Compact(g), "without": g.Without(nil), "packed": Pack(g), "unpacked": Pack(g).Unpack(),
 		} {
@@ -109,10 +109,10 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 			// partition gives the same bits.
 			gotOut, gotIn := make([]float64, len(x)), make([]float64, len(x))
 			mid := len(x) / 3
-			view.GatherOut(x, gotOut, 0, mid)
-			view.GatherOut(x, gotOut, mid, len(x))
-			view.GatherIn(x, gotIn, 0, mid)
-			view.GatherIn(x, gotIn, mid, len(x))
+			view.GatherOut(x, gotOut, nil, 0, mid)
+			view.GatherOut(x, gotOut, nil, mid, len(x))
+			view.GatherIn(x, gotIn, nil, 0, mid)
+			view.GatherIn(x, gotIn, nil, mid, len(x))
 			if !sameRow(nil, gotOut, nil, wantOut) || !sameRow(nil, gotIn, nil, wantIn) {
 				t.Fatalf("%s: gathers differ from the flat reduction", what)
 			}

@@ -92,14 +92,14 @@ func TestUnitFormParity(t *testing.T) {
 		x[i] = rng.Float64() / float64(i+1)
 	}
 	for _, split := range []int{0, 1, n / 3, n - 1, n} {
-		for dir, gather := range map[string][2]func(x, dst []float64, lo, hi int){
+		for dir, gather := range map[string][2]func(x, dst []float64, rows []NodeID, lo, hi int){
 			"out": {g.GatherOut, ex.GatherOut},
 			"in":  {g.GatherIn, ex.GatherIn},
 		} {
 			got, want := make([]float64, n), make([]float64, n)
-			gather[0](x, got, 0, split)
-			gather[0](x, got, split, n)
-			gather[1](x, want, 0, n)
+			gather[0](x, got, nil, 0, split)
+			gather[0](x, got, nil, split, n)
+			gather[1](x, want, nil, 0, n)
 			if !sameRow(nil, got, nil, want) {
 				t.Fatalf("Gather%s split at %d differs from the weighted loop", dir, split)
 			}

@@ -3,7 +3,11 @@
 // Fig. 2 in the RoundTripRank paper.
 package testgraphs
 
-import "roundtriprank/internal/graph"
+import (
+	"math/rand"
+
+	"roundtriprank/internal/graph"
+)
 
 // Node types used by the toy graphs.
 const (
@@ -99,6 +103,56 @@ func Star(n int) *graph.Graph {
 	for i := 0; i < n; i++ {
 		leaf := b.AddNode(graph.Untyped, "leaf:"+itoa(i))
 		b.MustAddUndirectedEdge(hub, leaf, 1)
+	}
+	return b.MustBuild()
+}
+
+// SparseSupport returns a random directed graph on which an exact solve
+// sweeps a support well short of the whole graph: each of its 10–69 nodes is,
+// at random and interleaved, isolated (about a quarter), a source with
+// out-edges only, a sink with in-edges only, or a core node with edges both
+// ways, so the nodes with out-weight, and those with an in-row, are gappy
+// subsets in node order. On about half the draws every weight is 1 (the unit
+// form); otherwise weights are drawn from [0.5, 1.5).
+func SparseSupport(rng *rand.Rand) *graph.Graph {
+	const (
+		core = iota
+		isolated
+		source
+		sink
+	)
+	n := 10 + rng.Intn(60)
+	roles := make([]int, n)
+	var targets []graph.NodeID // the nodes an edge may enter: core and sinks
+	for v := range roles {
+		switch r := rng.Float64(); {
+		case r < 0.25:
+			roles[v] = isolated
+		case r < 0.4:
+			roles[v] = source
+		case r < 0.65:
+			roles[v] = sink
+		}
+		if roles[v] == core || roles[v] == sink {
+			targets = append(targets, graph.NodeID(v))
+		}
+	}
+	unit := rng.Intn(2) == 0
+	b := graph.NewBuilder()
+	b.AddNodes(n, nil)
+	for u, role := range roles {
+		if role != core && role != source || len(targets) == 0 {
+			continue
+		}
+		for e := 1 + rng.Intn(4); e > 0; e-- {
+			v, w := targets[rng.Intn(len(targets))], 1.0
+			if !unit {
+				w = 0.5 + rng.Float64()
+			}
+			if int(v) != u {
+				b.MustAddEdge(graph.NodeID(u), v, w)
+			}
+		}
 	}
 	return b.MustBuild()
 }

@@ -83,15 +83,15 @@ type fakeGather struct {
 
 var errGather = errors.New("gather failed")
 
-func (f *fakeGather) GatherIn(ctx context.Context, x, dst []float64) error {
-	return f.gather(ctx, f.Gatherer.GatherIn, x, dst)
+func (f *fakeGather) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return f.gather(ctx, f.Gatherer.GatherIn, x, dst, rows)
 }
 
-func (f *fakeGather) GatherOut(ctx context.Context, x, dst []float64) error {
-	return f.gather(ctx, f.Gatherer.GatherOut, x, dst)
+func (f *fakeGather) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return f.gather(ctx, f.Gatherer.GatherOut, x, dst, rows)
 }
 
-func (f *fakeGather) gather(ctx context.Context, inner func(context.Context, []float64, []float64) error, x, dst []float64) error {
+func (f *fakeGather) gather(ctx context.Context, inner func(context.Context, []float64, []float64, []graph.NodeID) error, x, dst []float64, rows []graph.NodeID) error {
 	f.calls++
 	if f.calls == f.failAt {
 		return errGather
@@ -99,7 +99,7 @@ func (f *fakeGather) gather(ctx context.Context, inner func(context.Context, []f
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
-	if err := inner(ctx, x, dst); err != nil {
+	if err := inner(ctx, x, dst, rows); err != nil {
 		return err
 	}
 	if f.onGather != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 
 	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
@@ -12,37 +13,48 @@ import (
 // This file holds the exact solvers: one power iteration over a row-gather
 // seam. F-Rank, T-Rank and PageRank are three update rules handed to the same
 // loop; where the rows live — flat arrays, packed arrays, a striped worker
-// fleet (internal/distributed) — is a Gatherer beneath it. Every Gatherer
-// reduces each output row sequentially, in stored entry order, and everything
-// around the gather (transition scaling, dangling mass, update, L1 test,
-// T-Rank's tail jump) is serial in ascending node order, so a solve is
-// bit-identical across representations, worker counts and stripe counts by
-// construction (the serial references in kernels_test.go pin it, gather by
-// gather).
+// fleet (internal/distributed) — is a Gatherer beneath it. A personalized
+// solve sweeps only its support, the rows a walk can reach, listed once per
+// solve: T-Rank the nodes with out-weight and the query nodes, F-Rank the
+// nodes with an in-row or restart weight. A gather reduces the support's rows
+// alone, and the passes around it visit its nodes alone — unless the support
+// is nearly the whole graph (listedShare); every node a sweep skips holds an
+// exact zero it would only have added to a non-negative sum. Every Gatherer reduces each row sequentially, in stored entry order,
+// and everything around the gather (transition scaling, dangling mass,
+// update, L1 test, T-Rank's tail jump) is serial in ascending node order, so
+// a solve is bit-identical across representations, worker counts, stripe
+// counts and to a sweep over every row by construction (the serial
+// references in kernels_test.go pin it, gather by gather).
 
 // Gatherer is the row-gather seam of the exact solvers: one sparse
 // matrix-vector product per power iteration. x and dst have one entry per
-// node; a gather must overwrite every entry of dst, reducing each row
-// sequentially in stored entry order, and must not retain either slice. A
-// failed gather aborts the solve.
+// node; a gather must fill dst[v] for every row v in rows, an ascending list —
+// for every row when rows is nil — reducing each row sequentially in stored
+// entry order. It may fill other rows of dst with their own reductions, and
+// must not retain any of the slices. A failed gather aborts the solve.
 type Gatherer interface {
 	// OutSums returns every node's total out-weight; its length is the node
 	// count. Read-only, and constant for the Gatherer's lifetime.
 	OutSums() []float64
+	// InSums returns every node's total in-weight, or nil where the rows do
+	// not say (a worker fleet): F-Rank lists its support from it. Read-only,
+	// and constant for the Gatherer's lifetime.
+	InSums() []float64
 	// GatherIn fills dst[v] = Σ_{u→v} w(u,v)·x[u], the pull over the
 	// transposed adjacency that drives F-Rank and PageRank.
-	GatherIn(ctx context.Context, x, dst []float64) error
+	GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error
 	// GatherOut fills dst[v] = Σ_{v→to} w(v,to)·x[to], the reduction of each
 	// node's own forward row that drives T-Rank.
-	GatherOut(ctx context.Context, x, dst []float64) error
+	GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error
 }
 
 // local is the in-process Gatherer: the layout's own row reductions
-// (graph.View.GatherIn/GatherOut), row-partitioned over the goroutines of one
-// gather. Pull form is what makes the partitioning race-free — dst[v] is
-// written by exactly one of them — and each row is reduced sequentially by
-// whoever owns it, so the worker count changes who computes a row, never the
-// floating-point operation order within it.
+// (graph.View.GatherIn/GatherOut), the listed rows — or the row range —
+// partitioned over the goroutines of one gather. Pull form is what makes the
+// partitioning race-free — dst[v] is written by exactly one of them — and
+// each row is reduced sequentially by whoever owns it, so the worker count
+// changes who computes a row, never the floating-point operation order
+// within it.
 type local struct {
 	view    graph.View
 	workers int
@@ -61,12 +73,23 @@ func Local(view graph.View, workers int) Gatherer {
 
 func (l local) OutSums() []float64 { return l.view.OutSums() }
 
-func (l local) GatherIn(ctx context.Context, x, dst []float64) error {
-	return split(ctx, len(dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, lo, hi) })
+func (l local) InSums() []float64 { return l.view.InSums() }
+
+func (l local) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, rows, lo, hi) })
 }
 
-func (l local) GatherOut(ctx context.Context, x, dst []float64) error {
-	return split(ctx, len(dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, lo, hi) })
+func (l local) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, rows, lo, hi) })
+}
+
+// extent is what a gather into dst partitions: the listed rows, or every row
+// when rows is nil.
+func extent(rows []graph.NodeID, dst []float64) int {
+	if rows != nil {
+		return len(rows)
+	}
+	return len(dst)
 }
 
 // split partitions [0, n) into contiguous chunks of ⌈n/k⌉ and runs fn(lo, hi)
@@ -82,17 +105,111 @@ func split(ctx context.Context, n, k int, fn func(lo, hi int)) error {
 	})
 }
 
-// iterate is the power iteration, written once: check the context, gather
-// every row against this iteration's input vector, let the rule rewrite the
-// row sums in next into the new iterate while it accumulates Σ|cur−next|,
-// swap, stop below tol. cur is consumed. The seam is per vector — a per-row
-// callback costs an indirect call per node per iteration. jump, when not nil,
-// may move next after a step that neither stops the run nor is its last, so
-// the vector returned is always a plain step.
+// listedShare is the crossover of the size dispatch: a solve sweeps a
+// support listed when the list holds at most this share of the nodes, and
+// every node in range order otherwise. A listed node costs an index read and
+// a jump that range order does not; what listing buys is the nodes it skips,
+// and on R-MAT also the branch on out-weight that flips from node to node.
+// Measured per solve on one core of a 2-core x86-64 host: on the bench
+// spine's R-MAT 10^5, whose supports hold 52 % of the nodes, listing takes
+// 25–30 % off F and T; on the bench BibNet (2 407 of 2 427 nodes have
+// out-weight), padded with isolated nodes to shares from 0.99 down, it adds
+// 5 % at 0.99, 1–6 % at 0.9 and breaks even at 0.8.
+const listedShare = 0.8
+
+// crowded reports whether count of n nodes is more than share of them: too
+// many to sweep listed.
+func crowded(count, n int, share float64) bool {
+	return float64(count) > share*float64(n)
+}
+
+// support lists, ascending, the nodes with weight in sums — out- or
+// in-weight — or restart weight; it returns nil, every node, when they are
+// more than share of the nodes. It counts them first, so a solve allocates
+// no list it does not sweep, and exactly the one it does.
+func support(sums, restart []float64, share float64) []graph.NodeID {
+	count := 0
+	for v, sum := range sums {
+		if sum > 0 || restart[v] > 0 {
+			count++
+		}
+	}
+	if crowded(count, len(sums), share) {
+		return nil
+	}
+	rows := make([]graph.NodeID, 0, count)
+	for v, sum := range sums {
+		if sum > 0 || restart[v] > 0 {
+			rows = append(rows, graph.NodeID(v))
+		}
+	}
+	return rows
+}
+
+// fSupport lists F-Rank's sweeps. rows is its support, the nodes with an
+// in-row or restart weight — the only ones a walk from the query can be at —
+// or nil, every node, where inSum is nil or the support is crowded. live and
+// dead split rows (every node where rows is nil) by out-weight: the
+// transition scaling divides over live, the dangling mass sums over dead.
+// Both are nil, every node, when live is crowded.
+func fSupport(outSum, inSum, restart []float64, share float64) (rows, live, dead []graph.NodeID) {
+	if inSum != nil {
+		rows = support(inSum, restart, share)
+	}
+	// One buffer holds both: live from the front, dead from the back.
+	split := make([]graph.NodeID, extent(rows, outSum))
+	front, back := 0, len(split)
+	for i := range split {
+		u := graph.NodeID(i)
+		if rows != nil {
+			u = rows[i]
+		}
+		if outSum[u] > 0 {
+			split[front] = u
+			front++
+		} else {
+			back--
+			split[back] = u
+		}
+	}
+	if crowded(front, len(outSum), share) {
+		return rows, nil, nil
+	}
+	dead = split[front:]
+	slices.Reverse(dead)
+	return rows, split[:front], dead
+}
+
+// gatherBuffer returns the buffer a gather over rows fills apart from the
+// iterate: n entries when rows is a list, none for every row. A listed gather
+// may leave any row it skips as it was or fill it with its own reduction, so
+// it must not fill next: outside the support next keeps the zeros it starts
+// with. A gather of every row fills next, which the update rewrites in place.
+func gatherBuffer(rows []graph.NodeID, n int) []float64 {
+	if rows == nil {
+		return nil
+	}
+	return make([]float64, n)
+}
+
+// gatherInto is where a step gathers: into sums, the buffer gatherBuffer
+// made, or into next when it made none.
+func gatherInto(sums, next []float64) []float64 {
+	if sums == nil {
+		return next
+	}
+	return sums
+}
+
+// iterate is the power iteration, written once: check the context, take one
+// step from cur into next — a gather against cur and the rule's update,
+// which returns the L1 change Σ|cur−next| — swap, stop below tol. cur is
+// consumed. The seam is per vector — a per-row callback costs an indirect
+// call per node per iteration. jump, when not nil, may move next after a step
+// that neither stops the run nor is its last, so the vector returned is
+// always a plain step.
 func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
-	gather func(ctx context.Context, x, dst []float64) error,
-	input func(cur []float64) []float64,
-	update func(cur, next []float64) float64,
+	step func(ctx context.Context, cur, next []float64) (float64, error),
 	jump func(cur, next []float64, diff float64),
 ) ([]float64, error) {
 	next := make([]float64, len(cur))
@@ -100,10 +217,10 @@ func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := gather(ctx, input(cur), next); err != nil {
+		diff, err := step(ctx, cur, next)
+		if err != nil {
 			return nil, err
 		}
-		diff := update(cur, next)
 		if diff < tol {
 			return next, nil
 		}
@@ -143,43 +260,85 @@ func scale(scaled, cur, outSum []float64) (dangling float64) {
 // restart for x's own D, so one scaling by α/(α + (1−α)·D) turns it into f;
 // without dangling mass x is f as it stands, bit for bit.
 func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+	return fRankShare(ctx, g, restart, p, listedShare)
+}
+
+// fRankShare is fRank with the size dispatch's crossover as a parameter.
+func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, error) {
 	outSum := g.OutSums()
-	scaled := make([]float64, len(restart))
+	rows, live, dead := fSupport(outSum, g.InSums(), restart, share)
+	scaled, sums := make([]float64, len(restart)), gatherBuffer(rows, len(restart))
 	oneMinus := 1 - p.Alpha
-	dadd := 0.0
-	x, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter, g.GatherIn,
-		func(cur []float64) []float64 {
-			dadd = oneMinus * scale(scaled, cur, outSum)
-			return scaled
-		},
-		func(cur, next []float64) (diff float64) {
-			for v, sum := range next {
-				r := restart[v]
-				nv := p.Alpha*r + oneMinus*sum
-				if dadd > 0 && r > 0 {
-					nv += dadd * r
+	x, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter,
+		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
+			dangling := 0.0
+			if live == nil {
+				dangling = scale(scaled, cur, outSum)
+			} else {
+				for _, u := range live {
+					scaled[u] = cur[u] / outSum[u]
 				}
+				for _, u := range dead {
+					dangling += cur[u]
+				}
+			}
+			if err := g.GatherIn(ctx, scaled, gatherInto(sums, next), rows); err != nil {
+				return 0, err
+			}
+			dadd := oneMinus * dangling
+			if rows == nil {
+				for v, sum := range next {
+					nv := fNext(p.Alpha, dadd, restart[v], sum)
+					next[v] = nv
+					diff += math.Abs(cur[v] - nv)
+				}
+				return diff, nil
+			}
+			for _, v := range rows {
+				nv := fNext(p.Alpha, dadd, restart[v], sums[v])
 				next[v] = nv
 				diff += math.Abs(cur[v] - nv)
 			}
-			return diff
+			return diff, nil
 		}, nil)
 	if err != nil {
 		return nil, err
 	}
 	dangling := 0.0
-	for u, sum := range outSum {
-		if sum <= 0 {
+	if dead == nil {
+		for u, sum := range outSum {
+			if sum <= 0 {
+				dangling += x[u]
+			}
+		}
+	} else {
+		for _, u := range dead {
 			dangling += x[u]
 		}
 	}
 	if dangling > 0 {
 		c := p.Alpha / (p.Alpha + oneMinus*dangling)
-		for v := range x {
-			x[v] *= c
+		if rows == nil {
+			for v := range x {
+				x[v] *= c
+			}
+		} else {
+			for _, v := range rows {
+				x[v] *= c
+			}
 		}
 	}
 	return x, nil
+}
+
+// fNext is F-Rank's update of a node with restart weight r from its gathered
+// row sum, dadd being (1−α)·D.
+func fNext(alpha, dadd, r, sum float64) float64 {
+	nv := alpha*r + (1-alpha)*sum
+	if dadd > 0 && r > 0 {
+		nv += dadd * r
+	}
+	return nv
 }
 
 // tRank is the T-Rank rule (Eq. 8), the Jacobi step
@@ -192,27 +351,52 @@ func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]floa
 // jumped or not, ‖t − J(x)‖∞ ≤ (1−α)/α·‖J(x) − x‖∞: the returned vector is
 // within (1−α)/α·Tol of t in every entry.
 func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+	return tRankShare(ctx, g, restart, p, listedShare)
+}
+
+// tRankShare is tRank with the size dispatch's crossover as a parameter.
+func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, error) {
 	outSum := g.OutSums()
-	cur := make([]float64, len(restart))
+	// T's support: the nodes with out-weight, the only ones a gather reduces
+	// to anything, and the query nodes, whose restart weight every sweep
+	// adds. Every other node's t is zero, and stays zero.
+	rows := support(outSum, restart, share)
+	cur, sums := make([]float64, len(restart)), gatherBuffer(rows, len(restart))
 	for i := range cur {
 		cur[i] = p.Alpha * restart[i]
 	}
-	oneMinus := 1 - p.Alpha
-	tail := geometricTail{prev: make([]float64, len(restart))}
-	return iterate(ctx, cur, p.Tol, p.MaxIter, g.GatherOut,
-		func(cur []float64) []float64 { return cur },
-		func(cur, next []float64) (diff float64) {
-			for v, s := range next {
-				acc := p.Alpha * restart[v]
-				if sum := outSum[v]; sum > 0 {
-					acc += oneMinus * s / sum
+	tail := geometricTail{prev: make([]float64, len(restart)), rows: rows}
+	return iterate(ctx, cur, p.Tol, p.MaxIter,
+		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
+			if err := g.GatherOut(ctx, cur, gatherInto(sums, next), rows); err != nil {
+				return 0, err
+			}
+			if rows == nil {
+				for v, s := range next {
+					acc := tNext(p.Alpha, restart[v], s, outSum[v])
+					next[v] = acc
+					diff += math.Abs(cur[v] - acc)
 				}
+				return diff, nil
+			}
+			for _, v := range rows {
+				acc := tNext(p.Alpha, restart[v], sums[v], outSum[v])
 				next[v] = acc
 				diff += math.Abs(cur[v] - acc)
 			}
-			return diff
+			return diff, nil
 		},
 		tail.jump)
+}
+
+// tNext is T-Rank's update of a node with restart weight r and out-weight
+// sum from its gathered row sum s.
+func tNext(alpha, r, s, sum float64) float64 {
+	acc := alpha * r
+	if sum > 0 {
+		acc += (1 - alpha) * s / sum
+	}
+	return acc
 }
 
 // tailGate is δ, how closely the last two changes must be one geometric mode
@@ -237,9 +421,10 @@ const tailGate = 1e-2
 // over the iterate, above the Gatherer seam, so a solve stays bit-identical
 // across layouts, worker counts and fleets.
 type geometricTail struct {
-	prev  []float64 // d_{k−1}, the last plain step's change
-	norm  float64   // ‖d_{k−1}‖₁
-	fresh int       // plain steps recorded since the start or the last jump
+	prev  []float64      // d_{k−1}, the last plain step's change
+	rows  []graph.NodeID // the solve's support; nil for every node
+	norm  float64        // ‖d_{k−1}‖₁
+	fresh int            // plain steps recorded since the start or the last jump
 }
 
 // jump records the change d_k = next − cur of a plain step that moved by
@@ -252,20 +437,36 @@ func (t *geometricTail) jump(cur, next []float64, diff float64) {
 	rho := diff / t.norm
 	armed := t.fresh >= 2 && rho < 1
 	resid := 0.0
-	for v, nv := range next {
-		d := nv - cur[v]
-		if armed {
-			resid += math.Abs(d - rho*t.prev[v])
+	if t.rows == nil {
+		for v, nv := range next {
+			d := nv - cur[v]
+			if armed {
+				resid += math.Abs(d - rho*t.prev[v])
+			}
+			t.prev[v] = d
 		}
-		t.prev[v] = d
+	} else {
+		for _, v := range t.rows {
+			d := next[v] - cur[v]
+			if armed {
+				resid += math.Abs(d - rho*t.prev[v])
+			}
+			t.prev[v] = d
+		}
 	}
 	t.norm = diff
 	if !armed || resid > tailGate*diff {
 		return
 	}
 	c := rho / (1 - rho)
-	for v, d := range t.prev {
-		next[v] = min(max(next[v]+c*d, 0), 1)
+	if t.rows == nil {
+		for v, d := range t.prev {
+			next[v] = min(max(next[v]+c*d, 0), 1)
+		}
+	} else {
+		for _, v := range t.rows {
+			next[v] = min(max(next[v]+c*t.prev[v], 0), 1)
+		}
 	}
 	t.fresh = 0
 }
@@ -283,19 +484,18 @@ func pageRank(ctx context.Context, g Gatherer, d, tol float64, maxIter int) ([]f
 	}
 	scaled := make([]float64, len(outSum))
 	oneMinus := 1 - d
-	base := 0.0
-	return iterate(ctx, cur, tol, maxIter, g.GatherIn,
-		func(cur []float64) []float64 {
+	return iterate(ctx, cur, tol, maxIter,
+		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			dangling := scale(scaled, cur, outSum)
-			base = d*uniform + oneMinus*dangling*uniform
-			return scaled
-		},
-		func(cur, next []float64) (diff float64) {
+			base := d*uniform + oneMinus*dangling*uniform
+			if err := g.GatherIn(ctx, scaled, next, nil); err != nil {
+				return 0, err
+			}
 			for v, sum := range next {
 				nv := base + oneMinus*sum
 				next[v] = nv
 				diff += math.Abs(cur[v] - nv)
 			}
-			return diff
+			return diff, nil
 		}, nil)
 }

@@ -418,12 +418,12 @@ type parkingView struct {
 	parked, resume chan struct{}
 }
 
-func (v *parkingView) GatherIn(x, dst []float64, lo, hi int) {
+func (v *parkingView) GatherIn(x, dst []float64, rows []graph.NodeID, lo, hi int) {
 	if lo == v.parkAt && v.taken.CompareAndSwap(false, true) {
 		close(v.parked)
 		<-v.resume
 	}
-	v.Graph.GatherIn(x, dst, lo, hi)
+	v.Graph.GatherIn(x, dst, rows, lo, hi)
 }
 
 // TestConcurrentGathersDoNotQueue pins what the per-gather goroutines buy:
@@ -441,15 +441,15 @@ func TestConcurrentGathersDoNotQueue(t *testing.T) {
 		x[i] = float64(i + 1)
 	}
 	want := make([]float64, n)
-	g.GatherIn(x, want, 0, n)
+	g.GatherIn(x, want, nil, 0, n)
 
 	first, second := make([]float64, n), make([]float64, n)
 	firstDone := make(chan error, 1)
-	go func() { firstDone <- gth.GatherIn(context.Background(), x, first) }()
+	go func() { firstDone <- gth.GatherIn(context.Background(), x, first, nil) }()
 	<-view.parked
 
 	secondDone := make(chan error, 1)
-	go func() { secondDone <- gth.GatherIn(context.Background(), x, second) }()
+	go func() { secondDone <- gth.GatherIn(context.Background(), x, second, nil) }()
 	select {
 	case err := <-secondDone:
 		if err != nil {

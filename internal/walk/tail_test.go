@@ -22,14 +22,14 @@ type countingGatherer struct {
 	gathers int
 }
 
-func (c *countingGatherer) GatherIn(ctx context.Context, x, dst []float64) error {
+func (c *countingGatherer) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
 	c.gathers++
-	return c.Gatherer.GatherIn(ctx, x, dst)
+	return c.Gatherer.GatherIn(ctx, x, dst, rows)
 }
 
-func (c *countingGatherer) GatherOut(ctx context.Context, x, dst []float64) error {
+func (c *countingGatherer) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
 	c.gathers++
-	return c.Gatherer.GatherOut(ctx, x, dst)
+	return c.Gatherer.GatherOut(ctx, x, dst, rows)
 }
 
 // TestTRankTailNeverFiresOnSmallGraphs pins that the gate holds the jump back

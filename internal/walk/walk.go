@@ -3,8 +3,9 @@
 // Theorem), the exact iterative solvers — F-Rank (Eq. 5 of the paper,
 // equivalent to Personalized PageRank by Proposition 1), T-Rank (Eq. 8) and
 // global PageRank (used by the ObjSqrtInv baseline), three update rules over
-// one power iteration and one row-gather seam (kernels.go) — and Monte-Carlo
-// walk sampling utilities used by the sampling-based baselines.
+// one power iteration and one row-gather seam (kernels.go), where a gather
+// reduces the rows of the solve's support, the nodes a walk can reach — and
+// Monte-Carlo walk sampling utilities used by the sampling-based baselines.
 package walk
 
 import (
@@ -80,16 +81,28 @@ func (p Params) normalized() (Params, error) {
 	if err := CheckAlpha(p.Alpha); err != nil {
 		return p, fmt.Errorf("walk: %w", err)
 	}
-	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) {
-		return p, fmt.Errorf("walk: tolerance must be finite, got %g", p.Tol)
+	tol, err := normalizedTol(p.Tol)
+	if err != nil {
+		return p, err
 	}
-	if p.Tol <= 0 {
-		p.Tol = DefaultTol
-	}
+	p.Tol = tol
 	if p.MaxIter <= 0 {
 		p.MaxIter = DefaultMaxIter
 	}
 	return p, nil
+}
+
+// normalizedTol refuses a NaN or +Inf tolerance — NaN never converges,
+// +Inf stops after one sweep — and substitutes the default for a tolerance
+// that is not positive.
+func normalizedTol(tol float64) (float64, error) {
+	if math.IsNaN(tol) || math.IsInf(tol, 1) {
+		return tol, fmt.Errorf("walk: tolerance must be finite, got %g", tol)
+	}
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	return tol, nil
 }
 
 // Query is a probability distribution over query nodes. Per the Linearity
@@ -266,8 +279,9 @@ func GlobalPageRank(ctx context.Context, view graph.View, d float64, tol float64
 	if !(d > 0 && d < 1) {
 		return nil, fmt.Errorf("walk: damping must be in (0,1), got %g", d)
 	}
-	if tol <= 0 {
-		tol = DefaultTol
+	tol, err := normalizedTol(tol)
+	if err != nil {
+		return nil, err
 	}
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter

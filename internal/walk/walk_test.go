@@ -312,6 +312,11 @@ func TestGlobalPageRankErrors(t *testing.T) {
 	if _, err := GlobalPageRank(context.Background(), empty, 0.15, 1e-9, 10); err == nil {
 		t.Errorf("empty graph should error")
 	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := GlobalPageRank(context.Background(), g, 0.15, tol, 10); err == nil {
+			t.Errorf("tolerance %g should error", tol)
+		}
+	}
 }
 
 func TestParamsValidation(t *testing.T) {
