@@ -446,10 +446,12 @@ func BenchmarkExactSolveConcurrent(b *testing.B) {
 
 // BenchmarkWalkKernels measures each iterative solver on the benchmark BibNet
 // through the flat-array kernels, and F-Rank and T-Rank on the bench spine's
-// R-MAT 10^5 for a tail and a hub query node (the spine reports those solves
-// as walk.frank_ms / walk.trank_ms of the rmat-exact workload). The R-MAT
-// solves report the rows a gather reduces — the solve's support, about half
-// the graph there — and the gathers a solve takes.
+// R-MAT 10^5 for a tail and a hub query node, over its flat rows (the spine
+// reports those solves as walk.frank_ms / walk.trank_ms of the rmat-exact
+// workload) and over graph.Pack of them (walk.frank_packed_ms /
+// walk.trank_packed_ms of rmat-packed). The R-MAT solves report the rows a
+// gather reduces — the solve's support, about half the graph there — and the
+// gathers a solve takes.
 func BenchmarkWalkKernels(b *testing.B) {
 	net, _ := benchData(b)
 	cfg := datasets.DefaultRMATConfig(100_000)
@@ -459,25 +461,30 @@ func BenchmarkWalkKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	tail, hub := rmatTailAndHub(rmat.Graph)
-	for _, solver := range []struct {
-		name  string
-		solve func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, error)
-	}{{"FRank", walk.FRankOver}, {"TRank", walk.TRankOver}} {
-		for _, q := range []struct {
-			name string
-			node graph.NodeID
-		}{{"tail", tail}, {"hub", hub}} {
-			b.Run("RMAT/"+solver.name+"/"+q.name, func(b *testing.B) {
-				p := walk.DefaultParams()
-				counter := &rowCounter{Gatherer: walk.Local(rmat.Graph, p.Workers)}
-				for i := 0; i < b.N; i++ {
-					if _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
-						b.Fatal(err)
+	for _, layout := range []struct {
+		name string
+		view graph.View
+	}{{"RMAT", rmat.Graph}, {"RMATPacked", graph.Pack(rmat.Graph)}} {
+		for _, solver := range []struct {
+			name  string
+			solve func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, error)
+		}{{"FRank", walk.FRankOver}, {"TRank", walk.TRankOver}} {
+			for _, q := range []struct {
+				name string
+				node graph.NodeID
+			}{{"tail", tail}, {"hub", hub}} {
+				b.Run(layout.name+"/"+solver.name+"/"+q.name, func(b *testing.B) {
+					p := walk.DefaultParams()
+					counter := &rowCounter{Gatherer: walk.Local(layout.view, p.Workers)}
+					for i := 0; i < b.N; i++ {
+						if _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(counter.rows)/float64(counter.gathers), "rows/gather")
-				b.ReportMetric(float64(counter.gathers)/float64(b.N), "gathers/op")
-			})
+					b.ReportMetric(float64(counter.rows)/float64(counter.gathers), "rows/gather")
+					b.ReportMetric(float64(counter.gathers)/float64(b.N), "gathers/op")
+				})
+			}
 		}
 	}
 	q := walk.SingleNode(net.Papers[0])

@@ -137,7 +137,8 @@ func (c CSR) Degree(v NodeID) int {
 // lo ≤ r < hi. Each row is reduced sequentially in stored entry order, so
 // however callers split the list or the range across goroutines the result is
 // bit-identical — and equal to PackedCSR.Gather on the packed form of the same
-// rows. The unit form has loops of its own that stream no weights; their
+// rows, whose fused decode-and-sum loops use these expressions in this entry
+// order. The unit form has loops of its own that stream no weights; their
 // result is the same bit for bit, since 1·x == x exactly, fused multiply-add
 // or not.
 func (c CSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {

@@ -19,7 +19,10 @@ import (
 // Packing is exactly lossless: Pack followed by Unpack reproduces the source
 // CSR arrays bit for bit (same columns in the same order, same float64 weight
 // bits, same row offsets), which is what lets every solver result on a Packed
-// view be pinned bit-identical to the flat representation.
+// view be pinned bit-identical to the flat representation. The format has two
+// readers besides the validator: Gather, which sums each row as it decodes it
+// in one pass over the data, and decodeRow, which decodes one row into flat
+// columns and weights for sessions and unpacking.
 
 // PackedCSR is one adjacency direction in packed form. Row v occupies
 // Data[RowOff[v]:RowOff[v+1]]:
@@ -63,72 +66,53 @@ func (c *PackedCSR) SizeBytes() int64 {
 	return int64(8*len(c.RowOff)) + int64(len(c.Data)) + int64(8*len(c.Sum))
 }
 
-// decodeRows is the one packed row decoder. It decodes rows from lo on in one
-// loop into the flat block blk: each entry's column goes to blk.Col, its weight
-// to blk.Weight, each row's end to blk.RowPtr. It stops at hi, or before a row
-// that would outgrow blk.Col's capacity once it has decoded one, so the
-// caller's buffers bound the block; it returns the block, the row it stopped
-// before and whether every row it decoded weighs all its entries exactly 1.
-// Weights are written only once a row that is not unit turns up, the 1s
-// before it filled in then (blk.Col and blk.Weight must start equally long),
-// so a block of unit rows decodes its columns alone.
-//
-// The loop indexes the packed bytes directly. A column delta of one or two
-// bytes — 89 % of R-MAT 10^5's — decodes without a branch on its length; any
-// longer varint continues inline (uvarintAt). The data must have been
-// produced by packRow (or validated by validatePackedCSR): the decoder
-// performs no varint-error checking.
-func (c *PackedCSR) decodeRows(blk CSR, lo, hi int) (CSR, int, bool) {
-	b, unit := c.Data, true
-	for v := lo; v < hi; v++ {
-		hdr, i := uvarintAt(b, int(c.RowOff[v]))
-		deg, at := int(hdr>>1), len(blk.Col)
-		if v > lo && at+deg > cap(blk.Col) {
-			return blk, v, unit
-		}
-		blk.Col = slices.Grow(blk.Col, deg)[:at+deg]
-		w, constW := 0.0, hdr&1 == 1 && deg > 0
-		if constW {
-			var u uint64
-			u, i = uvarintAt(b, i)
-			w = unpackWeightBits(u)
-		}
-		if unit && deg > 0 && (!constW || w != 1) {
-			unit = false
-			for len(blk.Weight) < at {
-				blk.Weight = append(blk.Weight, 1)
-			}
-		}
-		var wts []float64 // the row's weights, to decode or fill in
-		if !unit {
-			blk.Weight = slices.Grow(blk.Weight, deg)[:at+deg]
-			wts = blk.Weight[at:]
-		}
-		cols, prev := blk.Col[at:], int64(0)
-		for k := range cols {
-			var u uint64
-			if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
-				more := uint64(b[i] >> 7) // 1 for a two-byte delta
-				u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
-				i += 1 + int(more)
-			} else {
-				u, i = uvarintAt(b, i)
-			}
-			prev += int64(u>>1) ^ -int64(u&1)
-			cols[k] = NodeID(prev)
-			if !constW {
-				u, i = uvarintAt(b, i)
-				wts[k] = unpackWeightBits(u)
-			}
-		}
-		if constW {
-			for k := range wts {
-				wts[k] = w
-			}
-		}
-		blk.RowPtr = append(blk.RowPtr, int64(at+deg))
+// decodeRow is the packed row decoder of sessions and unpacking: it appends
+// row v's columns to cols and, unless every entry of the row weighs exactly 1,
+// its weights to wts, and returns both with that unit verdict (an empty row is
+// unit; a unit row leaves wts as it was passed). Either grows only when its
+// capacity is short. Its column path is Gather's, and like Gather it performs
+// no varint-error checking.
+func (c *PackedCSR) decodeRow(v NodeID, cols []NodeID, wts []float64) ([]NodeID, []float64, bool) {
+	b := c.Data
+	hdr, i := uvarintAt(b, int(c.RowOff[v]))
+	deg, w, constW := int(hdr>>1), 1.0, hdr&1 == 1
+	if constW {
+		var u uint64
+		u, i = uvarintAt(b, i)
+		w = unpackWeightBits(u)
 	}
-	return blk, hi, unit
+	unit := constW && w == 1 || deg == 0
+	var ws []float64 // the row's weights, to decode or fill in
+	if !unit {
+		n := len(wts)
+		wts = slices.Grow(wts, deg)[:n+deg]
+		ws = wts[n:]
+	}
+	at, prev := len(cols), int64(0)
+	cols = slices.Grow(cols, deg)[:at+deg]
+	row := cols[at:]
+	for k := range row {
+		var u uint64
+		if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
+			more := uint64(b[i] >> 7) // 1 for a two-byte delta
+			u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
+			i += 1 + int(more)
+		} else {
+			u, i = uvarintAt(b, i)
+		}
+		prev += int64(u>>1) ^ -int64(u&1)
+		row[k] = NodeID(prev)
+		if !constW {
+			u, i = uvarintAt(b, i)
+			ws[k] = unpackWeightBits(u)
+		}
+	}
+	if constW {
+		for k := range ws {
+			ws[k] = w
+		}
+	}
+	return cols, wts, unit
 }
 
 // unitRow returns row v's degree and whether every entry of it weighs exactly
@@ -163,23 +147,22 @@ func uvarintAt(b []byte, i int) (uint64, int) {
 	}
 }
 
-// gatherRows and gatherEntries bound the block Gather decodes before it
-// reduces it: long enough runs for the decode loop, buffers small enough to
-// live on the stack. Only a row longer than gatherEntries grows them onto the
-// heap.
-const (
-	gatherRows    = 32
-	gatherEntries = 512
-)
-
-// Gather is CSR.Gather over packed rows: each run of rows is decoded into a
-// flat block in this call's own buffers (concurrent gathers over one
-// PackedCSR share nothing), and the flat kernel reduces it — the unit form's
-// loop when every row of the run weighs 1 — so the reduction is CSR.Gather's
-// over the same entries in the same order. A list of rows is gathered as the
-// whole run from its first row to its last: an empty row between them
-// decodes from its one header byte, and decoding the listed rows alone
-// measured no faster on R-MAT 10^5.
+// Gather is CSR.Gather over packed rows, decoding and summing in one pass:
+// rows lie back to back, so it walks Data once from row lo's offset, summing
+// each entry as its column decodes, with one loop for rows of one constant
+// weight (sum += w*x[col]) and one for per-entry weights (sum += w_i*x[col]).
+// Those are CSR.Gather's expressions in its entry order, and a unit row's
+// w*x == x exactly, so the result is the flat gather's bit for bit. A list of
+// rows is gathered as the whole run from its first row to its last: an empty
+// row between them costs its one header byte, and decoding the listed rows
+// alone measured no faster on R-MAT 10^5.
+//
+// A column delta of one or two bytes — 89 % of R-MAT 10^5's — decodes
+// without a branch on its length, any longer varint continues in uvarintAt;
+// decodeRow's loop does the same, each written out by hand because the
+// compiler will not inline a helper that calls uvarintAt. The data must have
+// been produced by packRow (or validated by validatePackedCSR): the loops
+// perform no varint-error checking.
 func (c *PackedCSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
 	if rows != nil {
 		if lo == hi {
@@ -187,19 +170,44 @@ func (c *PackedCSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
 		}
 		lo, hi = int(rows[lo]), int(rows[hi-1])+1
 	}
-	blk := CSR{
-		RowPtr: make([]int64, 0, gatherRows+1),
-		Col:    make([]NodeID, 0, gatherEntries),
-		Weight: make([]float64, 0, gatherEntries),
-	}
-	for lo < hi {
-		run := CSR{RowPtr: append(blk.RowPtr[:0], 0), Col: blk.Col[:0], Weight: blk.Weight[:0]}
-		run, next, unit := c.decodeRows(run, lo, min(lo+gatherRows, hi))
-		if unit {
-			run.ones = run.Weight
+	b := c.Data
+	i := int(c.RowOff[lo])
+	for r := lo; r < hi; r++ {
+		var hdr uint64
+		hdr, i = uvarintAt(b, i)
+		deg, sum, prev := int(hdr>>1), 0.0, int64(0)
+		switch {
+		case hdr&1 == 0: // per-entry weights (or an empty row)
+			for range deg {
+				var u uint64
+				if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
+					more := uint64(b[i] >> 7) // 1 for a two-byte delta
+					u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
+					i += 1 + int(more)
+				} else {
+					u, i = uvarintAt(b, i)
+				}
+				prev += int64(u>>1) ^ -int64(u&1)
+				u, i = uvarintAt(b, i)
+				sum += unpackWeightBits(u) * x[prev]
+			}
+		default: // one weight for the row, stored once
+			var u uint64
+			u, i = uvarintAt(b, i)
+			w := unpackWeightBits(u)
+			for range deg {
+				if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
+					more := uint64(b[i] >> 7) // 1 for a two-byte delta
+					u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
+					i += 1 + int(more)
+				} else {
+					u, i = uvarintAt(b, i)
+				}
+				prev += int64(u>>1) ^ -int64(u&1)
+				sum += w * x[prev]
+			}
 		}
-		run.Gather(x, dst[lo:next], nil, 0, next-lo)
-		blk, lo = run, next
+		dst[r] = sum
 	}
 }
 
@@ -266,9 +274,13 @@ func (c *PackedCSR) unpackCSR() CSR {
 		total += c.Degree(NodeID(v))
 	}
 	out := CSR{RowPtr: make([]int64, 1, rows+1), Col: make([]NodeID, 0, total), Weight: make([]float64, 0, total)}
-	out, _, unit := c.decodeRows(out, 0, rows)
-	for unit && len(out.Weight) < total {
-		out.Weight = append(out.Weight, 1)
+	for v := range rows {
+		var unit bool
+		out.Col, out.Weight, unit = c.decodeRow(NodeID(v), out.Col, out.Weight)
+		for unit && len(out.Weight) < len(out.Col) {
+			out.Weight = append(out.Weight, 1)
+		}
+		out.RowPtr = append(out.RowPtr, int64(len(out.Col)))
 	}
 	out.Sum = c.Sum
 	return out
@@ -352,10 +364,10 @@ func scanPackedRow(b []byte, numNodes int) error {
 
 // Packed is a whole graph in packed CSR form: the memory-lean counterpart of
 // *Graph's flat arrays, built with Pack. It implements View — its gathers
-// decode rows in runs (PackedCSR.Gather), its rows are per-query sessions — so
-// every solver accepts it directly, with results bit-identical to the flat
-// layout's. It carries no labels or types, only adjacency, and the identity
-// (epoch, fingerprint) of the flat source it was packed from.
+// sum rows as they decode them (PackedCSR.Gather), its rows are per-query
+// sessions — so every solver accepts it directly, with results bit-identical
+// to the flat layout's. It carries no labels or types, only adjacency, and
+// the identity (epoch, fingerprint) of the flat source it was packed from.
 type Packed struct {
 	numNodes int
 	numEdges int
@@ -457,12 +469,14 @@ func (p *Packed) NewRows() Rows { return &packedRows{p: p} }
 // O(distinct rows touched) — the same shape as the remote row cache
 // (internal/rowserve), which pins cached rows for the same reason.
 //
-// Rows decode into slabs the session owns: chunks of slabEntries entries that
-// are filled front to back and never reallocated, so a slice handed out stays
-// valid as long as the session does, and a query pays an allocation per chunk
-// instead of one per row. A row too long to share a chunk sensibly gets
-// storage of its own. A unit-weight row decodes only its columns: its weights
-// are a window of the view's shared ones, capacity-capped like CSR.Row's.
+// Rows decode straight into slabs the session owns: chunks of slabEntries
+// entries that are filled front to back and never reallocated, so a slice
+// handed out stays valid as long as the session does, and a query pays an
+// allocation per chunk instead of one per row. A row too long to share a
+// chunk sensibly gets storage of its own. A unit-weight row decodes only its
+// columns: its weights are a window of the view's shared ones,
+// capacity-capped like CSR.Row's, and a session that meets only unit rows
+// holds no weight chunk.
 type packedRows struct {
 	p   *Packed
 	out map[NodeID]sessionRow
@@ -473,9 +487,6 @@ type packedRows struct {
 	// them.
 	cols []NodeID
 	wts  []float64
-	// ends is the decoder's row-end scratch; a session decodes one row at a
-	// time.
-	ends []int64
 }
 
 // sessionRow is one row a packed session has decoded.
@@ -485,22 +496,32 @@ type sessionRow struct {
 }
 
 // slabEntries is the chunk size of a packed session's row slabs (16 KiB of
-// columns, 32 KiB of weights); rows longer than an eighth of it bypass the
-// slabs, which bounds the tail a chunk abandons when the next row does not fit.
+// columns, 32 KiB of weights); rows of more bytes than an eighth of it bypass
+// the slabs, which bounds the tail a chunk abandons when the next row does not
+// fit.
 const slabEntries = 4096
 
-// take returns an empty slice with room for exactly deg entries, cut from the
-// open chunk *slab.
-func take[T any](slab *[]T, deg int) []T {
-	if deg > slabEntries/8 {
-		return make([]T, 0, deg)
+// room returns the free tail of the open chunk *slab for a row of at most n
+// entries to be appended to, opening a new chunk first when fewer than n
+// entries are free. A row too long to share a chunk (n > slabEntries/8) gets
+// no tail: appended to nil, it takes storage of its own.
+func room[T any](slab *[]T, n int) []T {
+	if n > slabEntries/8 {
+		return nil
 	}
-	if cap(*slab)-len(*slab) < deg {
+	if cap(*slab)-len(*slab) < n {
 		*slab = make([]T, 0, slabEntries)
 	}
-	at := len(*slab)
-	*slab = (*slab)[:at+deg]
-	return (*slab)[at : at : at+deg]
+	return (*slab)[len(*slab):]
+}
+
+// keep takes row out of the chunk *slab when room's tail holds it, and
+// returns it capacity-capped.
+func keep[T any](slab *[]T, row []T) []T {
+	if s := *slab; len(row) > 0 && len(s) < cap(s) && &row[0] == &s[:len(s)+1][len(s)] {
+		*slab = s[:len(s)+len(row)]
+	}
+	return row[:len(row):len(row)]
 }
 
 // NumNodes implements Rows.
@@ -536,16 +557,22 @@ func (r *packedRows) cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v Node
 	if row, ok := cache[v]; ok {
 		return row.cols, row.wts
 	}
-	deg, unit := c.unitRow(v)
-	blk := CSR{RowPtr: r.ends[:0], Col: take(&r.cols, deg)}
-	if !unit {
-		blk.Weight = take(&r.wts, deg)
+	// A row has fewer entries than bytes, so room for n entries holds it.
+	// Weights get chunks only once a row has needed some.
+	n := int(c.RowOff[v+1] - c.RowOff[v])
+	var wts []float64
+	if r.wts != nil {
+		wts = room(&r.wts, n)
 	}
-	blk, _, _ = c.decodeRows(blk, int(v), int(v)+1)
-	r.ends = blk.RowPtr
-	row := sessionRow{blk.Col, blk.Weight}
+	cols, wts, unit := c.decodeRow(v, room(&r.cols, n), wts)
+	row := sessionRow{cols: keep(&r.cols, cols)}
 	if unit {
-		row.wts = r.p.ones[:deg:deg]
+		row.wts = r.p.ones[:len(cols):len(cols)]
+	} else {
+		row.wts = keep(&r.wts, wts)
+		if r.wts == nil { // the session's first row with weights
+			r.wts = make([]float64, 0, slabEntries)
+		}
 	}
 	cache[v] = row
 	return row.cols, row.wts

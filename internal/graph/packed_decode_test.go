@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -38,10 +39,11 @@ func refRow(t *testing.T, c *PackedCSR, v int) ([]NodeID, []float64) {
 	return cols, wts
 }
 
-// checkDecoder holds decodeRows to refRow on every row of c, one row at a
-// time and all rows in one call (a run of unit rows decodes no weights), and
-// the unpacked arrays too.
-func checkDecoder(t *testing.T, name string, c *PackedCSR) {
+// checkDecoder holds decodeRow to refRow on every row of c, into empty
+// buffers and appended after an entry already there (a unit row decodes no
+// weights), and unpackCSR too. It returns the reference rows as flat arrays,
+// one weight per entry.
+func checkDecoder(t *testing.T, name string, c *PackedCSR) CSR {
 	t.Helper()
 	var want CSR
 	want.RowPtr = []int64{0}
@@ -54,34 +56,108 @@ func checkDecoder(t *testing.T, name string, c *PackedCSR) {
 		if deg != len(cols) || deg != c.Degree(NodeID(v)) || unit != !slices.ContainsFunc(wts, func(w float64) bool { return w != 1 }) {
 			t.Fatalf("%s: row %d: unitRow says %d entries, unit %v; the row is %v %v", name, v, deg, unit, cols, wts)
 		}
-		blk, next, gotUnit := c.decodeRows(CSR{}, v, v+1)
 		wantW := wts
 		if unit {
 			wantW = nil
 		}
-		if next != v+1 || gotUnit != unit || !slices.Equal(blk.RowPtr, []int64{int64(deg)}) || !sameRow(blk.Col, blk.Weight, cols, wantW) {
-			t.Fatalf("%s: row %d: decoded %v %v (unit %v, next %d), want %v %v (unit %v)",
-				name, v, blk.Col, blk.Weight, gotUnit, next, cols, wantW, unit)
+		gotC, gotW, gotUnit := c.decodeRow(NodeID(v), nil, nil)
+		if gotUnit != unit || !sameRow(gotC, gotW, cols, wantW) {
+			t.Fatalf("%s: row %d: decoded %v %v (unit %v), want %v %v (unit %v)", name, v, gotC, gotW, gotUnit, cols, wantW, unit)
 		}
-	}
-	allUnit := !slices.ContainsFunc(want.Weight, func(w float64) bool { return w != 1 })
-	blk, next, unit := c.decodeRows(CSR{RowPtr: []int64{0}, Col: make([]NodeID, 0, len(want.Col))}, 0, c.Rows())
-	wantW := want.Weight
-	if allUnit {
-		wantW = nil
-	}
-	if next != c.Rows() || unit != allUnit || !slices.Equal(blk.RowPtr, want.RowPtr) || !sameRow(blk.Col, blk.Weight, want.Col, wantW) {
-		t.Fatalf("%s: decoding every row in one call differs from the reference", name)
+		gotC, gotW, _ = c.decodeRow(NodeID(v), []NodeID{-1}, []float64{-1})
+		if !sameRow(gotC, gotW, append([]NodeID{-1}, cols...), append([]float64{-1}, wantW...)) {
+			t.Fatalf("%s: row %d: decoded after an entry %v %v, want %v %v after it", name, v, gotC, gotW, cols, wantW)
+		}
 	}
 	if u := c.unpackCSR(); !slices.Equal(u.RowPtr, want.RowPtr) || !sameRow(u.Col, u.Weight, want.Col, want.Weight) {
 		t.Fatalf("%s: unpackCSR differs from the reference", name)
+	}
+	return want
+}
+
+// checkGather holds the packed gather to the flat gather over the same rows,
+// bit for bit: as a whole range, split in two at every row boundary (at a
+// few when there are over a thousand rows), and listed — every row, the rows
+// with entries, every other row and, where there are two empty rows, the run
+// from the first to the last that lists only them and the rows with entries
+// between — each list whole and split at every list boundary (at a few when
+// long). A listed gather is compared on the listed rows; the flat one writes
+// no others.
+func checkGather(t *testing.T, name string, flat CSR, packed *PackedCSR, x []float64) {
+	t.Helper()
+	n := packed.Rows()
+	want := make([]float64, n)
+	flat.Gather(x, want, nil, 0, n)
+	cuts := func(m int) []int {
+		if m <= 1000 {
+			all := make([]int, m+1)
+			for k := range all {
+				all[k] = k
+			}
+			return all
+		}
+		return []int{0, 1, m / 3, m/2 + 7, m - 1, m}
+	}
+	got := make([]float64, n)
+	for _, k := range cuts(n) {
+		for r := range got {
+			got[r] = math.NaN()
+		}
+		packed.Gather(x, got, nil, 0, k)
+		packed.Gather(x, got, nil, k, n)
+		if !sameRow(nil, got, nil, want) {
+			t.Fatalf("%s: packed gather split at row %d differs from the flat one", name, k)
+		}
+	}
+	var all, full, empty, odd, emptyEnds []NodeID
+	for r := range NodeID(n) {
+		all = append(all, r)
+		if flat.Degree(r) > 0 {
+			full = append(full, r)
+		} else {
+			empty = append(empty, r)
+		}
+		if r%2 == 1 {
+			odd = append(odd, r)
+		}
+	}
+	if len(empty) >= 2 {
+		first, last := empty[0], empty[len(empty)-1]
+		emptyEnds = append(emptyEnds, first)
+		for _, r := range full {
+			if first < r && r < last {
+				emptyEnds = append(emptyEnds, r)
+			}
+		}
+		emptyEnds = append(emptyEnds, last)
+	}
+	for lname, list := range map[string][]NodeID{"every": all, "full": full, "odd": odd, "empty-ended": emptyEnds} {
+		if len(list) == 0 {
+			continue
+		}
+		flatGot := make([]float64, n)
+		for _, k := range cuts(len(list)) {
+			for r := range got {
+				got[r], flatGot[r] = math.NaN(), math.NaN()
+			}
+			packed.Gather(x, got, list, 0, k)
+			packed.Gather(x, got, list, k, len(list))
+			flat.Gather(x, flatGot, list, 0, k)
+			flat.Gather(x, flatGot, list, k, len(list))
+			for _, r := range list {
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) || math.Float64bits(flatGot[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%s: %s rows split at %d: row %d gathers %v packed, %v flat listed, %v flat", name, lname, k, r, got[r], flatGot[r], want[r])
+				}
+			}
+		}
 	}
 }
 
 // TestDecodeRowsVarintLengths encodes rows directly with encoding/binary —
 // column deltas of every varint length from one to five bytes, both signs,
 // a unit row, a constant 2.5 row, a mixed row with weights of up to ten-byte
-// varints and an empty row — and holds the decoder to the reference on them.
+// varints and two empty rows — and holds the decoder to the reference on
+// them, and the packed gather to the flat gather over the reference rows.
 // The last row is long-varint-heavy and ends exactly at len(Data), where a
 // decoder that reads ahead would run off the array.
 func TestDecodeRowsVarintLengths(t *testing.T) {
@@ -92,6 +168,7 @@ func TestDecodeRowsVarintLengths(t *testing.T) {
 		cols []NodeID
 		wts  []float64 // one weight: constant
 	}{
+		{nil, nil},
 		{big, []float64{1}},
 		{nil, nil},
 		{[]NodeID{7, 3, 9, 1 << 20}, []float64{2.5}},
@@ -132,60 +209,211 @@ func TestDecodeRowsVarintLengths(t *testing.T) {
 	if err := validatePackedCSR("direct", &c, len(rows), 1<<31); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	checkDecoder(t, "direct", &c)
+	flat := checkDecoder(t, "direct", &c)
+	x := sparseFloats(t, 1<<31)
+	if x == nil {
+		t.Log("no sparse mapping on this platform: the gather check over columns near 2^31 is skipped")
+		return
+	}
+	for _, r := range rows {
+		for _, col := range r.cols {
+			x[col] = 1 / float64(3*int(col)+1)
+		}
+	}
+	checkGather(t, "direct", flat, &c, x)
 }
 
 // TestDecodeRowsPackedGraphs holds the decoder to the reference on packed
-// graphs: unsorted rows through Compact (negative deltas) with unit, constant
-// 2.5, mixed and empty rows, and R-MAT 10^4, whose deltas take one to three
-// bytes like the bench graph's. On each the packed gather is bit-identical to
-// the flat one, and the session's rows to the flat rows.
+// graphs, and the packed gather to the flat gather over the flat rows
+// (checkGather): unsorted rows through Compact (negative deltas) with unit,
+// constant 2.5, mixed and empty rows; rows of over 512 entries, unit and
+// mixed, between empty rows; and R-MAT 10^4, whose deltas take one to three
+// bytes like the bench graph's and whose flat rows are in the unit form. On
+// each the session's rows equal the flat rows.
 func TestDecodeRowsPackedGraphs(t *testing.T) {
-	out := CSR{
-		RowPtr: []int64{0, 3, 3, 7, 10, 11},
-		Col:    []NodeID{4, 1, 3, 3, 0, 4, 1, 2, 0, 1, 3},
-		Weight: []float64{1, 1, 1, 2.5, 2.5, 2.5, 2.5, 1, 0.5, 3, 2},
-	}
-	for v := range 5 {
-		_, wts := out.Row(NodeID(v))
-		out.Sum = append(out.Sum, 0)
-		for _, w := range wts {
-			out.Sum[v] += w
-		}
-	}
 	views := map[string]CSRView{
 		// The same rows serve as in-rows: Pack reads the arrays as given.
-		"unsorted": Compact(explicitArrays{5, out, out}),
+		"unsorted": Compact(explicitArrays{5, unsortedRows(), unsortedRows()}),
+		"long":     Compact(explicitArrays{700, longRows(), longRows().transpose()}),
 		"rmat-1e4": rmatTestGraph(t, 10_000, 7),
 	}
 	for name, g := range views {
 		p := Pack(g)
-		checkDecoder(t, name+"/out", &p.out)
-		checkDecoder(t, name+"/in", &p.in)
 		n := g.NumNodes()
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = 1 / float64(3*i+1)
 		}
+		checkDecoder(t, name+"/out", &p.out)
+		checkDecoder(t, name+"/in", &p.in)
+		checkGather(t, name+"/out", g.OutCSR(), &p.out, x)
+		checkGather(t, name+"/in", g.InCSR(), &p.in, x)
+		checkSession(t, name, g, p)
+	}
+}
+
+// checkSession holds a session's rows of p to the flat rows of g, as each is
+// decoded and again once all are: a slice handed out stays valid while the
+// session decodes further rows into its slabs.
+func checkSession(t *testing.T, name string, g CSRView, p *Packed) {
+	t.Helper()
+	type row struct {
+		cols []NodeID
+		wts  []float64
+	}
+	rows := p.NewRows()
+	var got [2][]row
+	for v := range NodeID(g.NumNodes()) {
+		for d, read := range []func(NodeID) ([]NodeID, []float64){rows.OutRow, rows.InRow} {
+			cols, wts := read(v)
+			got[d] = append(got[d], row{cols, wts})
+		}
+	}
+	for d, flat := range []CSR{g.OutCSR(), g.InCSR()} {
+		for v, r := range got[d] {
+			if wc, ww := flat.Row(NodeID(v)); !sameRow(r.cols, r.wts, wc, ww) {
+				t.Fatalf("%s: session row %d (direction %d) is %v %v, the flat row %v %v", name, v, d, r.cols, r.wts, wc, ww)
+			}
+		}
+	}
+}
+
+// unsortedRows are five rows of five nodes with unsorted columns: unit,
+// empty, constant 2.5, mixed and a single entry.
+func unsortedRows() CSR {
+	return withSums(CSR{
+		RowPtr: []int64{0, 3, 3, 7, 10, 11},
+		Col:    []NodeID{4, 1, 3, 3, 0, 4, 1, 2, 0, 1, 3},
+		Weight: []float64{1, 1, 1, 2.5, 2.5, 2.5, 2.5, 1, 0.5, 3, 2},
+	})
+}
+
+// longRows are 700 rows of 700 nodes: a mixed row of 600 entries and a unit
+// row of 650, each longer than 512 entries, in shuffled column order, between
+// short unit, constant 2.5 and mixed rows, with empty rows first, between
+// and last.
+func longRows() CSR {
+	rng := rand.New(rand.NewSource(3))
+	rows := [][]float64{nil, {1, 1}, nil, make([]float64, 600), {2.5, 2.5, 2.5}, nil, slices.Repeat([]float64{1}, 650), {0.5, 1, 3}}
+	for i := range rows[3] {
+		rows[3][i] = []float64{1, 2.5, rng.ExpFloat64()}[i%3]
+	}
+	c := CSR{RowPtr: []int64{0}}
+	for v := range 700 {
+		if v < len(rows) {
+			for _, col := range rng.Perm(700)[:len(rows[v])] {
+				c.Col = append(c.Col, NodeID(col))
+			}
+			c.Weight = append(c.Weight, rows[v]...)
+		}
+		c.RowPtr = append(c.RowPtr, int64(len(c.Col)))
+	}
+	return withSums(c)
+}
+
+// withSums returns c with each row's weight total cached in Sum.
+func withSums(c CSR) CSR {
+	c.Sum = make([]float64, len(c.RowPtr)-1)
+	for v := range c.Sum {
+		for _, w := range c.Weight[c.RowPtr[v]:c.RowPtr[v+1]] {
+			c.Sum[v] += w
+		}
+	}
+	return c
+}
+
+// FuzzPackedGather turns fuzz bytes into rows — unsorted columns whose
+// deltas take one to three bytes, rows weighing 1, 2.5 or one arbitrary
+// finite value throughout, rows of per-entry weights from those three, empty
+// rows — puts them through Compact and Pack, and holds the packed gather to
+// the flat one bit for bit: the whole range, the range split at a fuzzed row
+// and a fuzzed list of rows split at a fuzzed entry. The session's rows equal
+// the flat rows.
+func FuzzPackedGather(f *testing.F) {
+	f.Add([]byte{0, 9, 4, 0x11, 0, 3, 0, 7, 0, 1, 0x00, 0x32, 0, 2, 1, 0, 5, 0, 8, 2})
+	f.Add([]byte{0x27, 0x10, 200, 0x3f, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x12, 0x34, 0x00, 0x01, 0x26, 0xff, 0xfe, 0x80, 0x00})
+	f.Add([]byte{0xff, 0xff, 7, 0x2f, 0, 0, 0xff, 0xee, 0x7f, 0x00, 0x10, 0x00, 0x00, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		arbitrary := func() float64 {
+			var u uint64
+			for range 8 {
+				u = u<<8 | uint64(next())
+			}
+			if w := math.Float64frombits(u); !math.IsNaN(w) && !math.IsInf(w, 0) {
+				return w
+			}
+			return float64(u >> 11)
+		}
+		n := 1 + (next()<<8|next())%20_000
+		cut, listSeed := next(), next()
+		out := CSR{RowPtr: []int64{0}}
+		for v := 0; v < n; v++ {
+			if len(data) > 0 {
+				h := next()
+				kind, w := h>>4%4, 1.0
+				switch kind {
+				case 1:
+					w = 2.5
+				case 3:
+					w = arbitrary()
+				}
+				for range h % 16 {
+					out.Col = append(out.Col, NodeID((next()<<8|next())%n))
+					if kind == 2 {
+						w = []float64{1, 2.5, 0}[next()%3]
+						if w == 0 {
+							w = arbitrary()
+						}
+					}
+					out.Weight = append(out.Weight, w)
+				}
+			}
+			out.RowPtr = append(out.RowPtr, int64(len(out.Col)))
+		}
+		out = withSums(out)
+		g := Compact(explicitArrays{n, out, out.transpose()})
+		p := Pack(g)
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1 / float64(3*i+1)
+		}
+		var list []NodeID
+		for v := range NodeID(n) {
+			if (int(v)*(listSeed|1))>>2%3 != 0 {
+				list = append(list, v)
+			}
+		}
 		for dir, pair := range map[string]struct {
 			flat   CSR
 			packed *PackedCSR
 		}{"out": {g.OutCSR(), &p.out}, "in": {g.InCSR(), &p.in}} {
-			want, split, whole := make([]float64, n), make([]float64, n), make([]float64, n)
+			want, whole, split := make([]float64, n), make([]float64, n), make([]float64, n)
 			pair.flat.Gather(x, want, nil, 0, n)
-			pair.packed.Gather(x, split, nil, 0, n/3)
-			pair.packed.Gather(x, split, nil, n/3, n)
 			pair.packed.Gather(x, whole, nil, 0, n)
-			if !sameRow(nil, split, nil, want) || !sameRow(nil, whole, nil, want) {
-				t.Fatalf("%s/%s: packed gather differs from the flat one", name, dir)
+			k := cut % (n + 1)
+			pair.packed.Gather(x, split, nil, 0, k)
+			pair.packed.Gather(x, split, nil, k, n)
+			if !sameRow(nil, whole, nil, want) || !sameRow(nil, split, nil, want) {
+				t.Fatalf("%s: packed range gather (whole, or split at %d) differs from the flat one", dir, k)
+			}
+			listed := make([]float64, n)
+			k = cut % (len(list) + 1)
+			pair.packed.Gather(x, listed, list, 0, k)
+			pair.packed.Gather(x, listed, list, k, len(list))
+			for _, r := range list {
+				if math.Float64bits(listed[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%s: listed row %d (list split at %d) gathers %v packed, %v flat", dir, r, k, listed[r], want[r])
+				}
 			}
 		}
-		rows := p.NewRows()
-		for v := NodeID(0); int(v) < n; v++ {
-			cols, wts := rows.InRow(v)
-			if wc, ww := g.InCSR().Row(v); !sameRow(cols, wts, wc, ww) {
-				t.Fatalf("%s: session in-row %d differs", name, v)
-			}
-		}
-	}
+		checkSession(t, "fuzz", g, p)
+	})
 }

@@ -10,9 +10,9 @@ import (
 // TestPackedKernelsBitIdenticalToFlat pins the packed gather to the flat one
 // exactly: the three rules over Local(graph.Pack(g)) must reproduce the
 // flat-CSR results bit for bit, for every worker count. The packed gather
-// decodes its rows into flat blocks and reduces them with the flat kernel, in
-// the entry order the flat one indexes them, so any divergence is an encoding
-// bug, not floating-point noise.
+// sums each row as it decodes it, with the flat kernel's expressions in the
+// entry order the flat one indexes them, so any divergence is an encoding or
+// decoding bug, not floating-point noise.
 func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	ctx := context.Background()
