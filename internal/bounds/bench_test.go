@@ -85,6 +85,67 @@ func BenchmarkTFlatExpandHub(b *testing.B) { benchTFlat(b, benchRounds) }
 // with the newcomers' degrees, not with the rounds times |E(St)|.
 func BenchmarkTFlatExpandHub20(b *testing.B) { benchTFlat(b, 20) }
 
+// benchTail generates the R-MAT 10^5 graph the walk kernels' benchmark uses
+// (the bench spine's size) and returns it with its first node under the
+// spine's tail rule — in- and out-edges, at most 16 in all: a typical online
+// query, whose rounds are dominated by joins rather than by refinement.
+func benchTail(b testing.TB) (*graph.Graph, walk.Query) {
+	b.Helper()
+	cfg := datasets.DefaultRMATConfig(100_000)
+	cfg.Seed = -42
+	r, err := datasets.GenerateRMAT(cfg)
+	if err != nil {
+		b.Fatalf("GenerateRMAT: %v", err)
+	}
+	g := r.Graph
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		out, in := g.OutDegree(v), g.InCSR().Degree(v)
+		if out > 0 && in > 0 && out+in <= 16 {
+			return g, walk.SingleNode(v)
+		}
+	}
+	b.Fatal("R-MAT 10^5 has no tail node")
+	return nil, walk.Query{}
+}
+
+// tailSeen is how large St grows in BenchmarkTFlatExpandTail.
+const tailSeen = 1000
+
+// BenchmarkTFlatExpandTail is the T side of a tail query from binding until
+// |St| reaches tailSeen: 1 063 joins, each a scan of the newcomer's two rows
+// against the filter of seen nodes. It reports the row entries a join
+// scans and the share of them the filter passes to a probe, replayed after
+// the timed loop by filtering each joined node's rows against the nodes joined
+// up to it.
+func BenchmarkTFlatExpandTail(b *testing.B) {
+	g, q := benchTail(b)
+	var tb TFlat
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tb.InitRows(g, q, DefaultTOptions(0.25)); err != nil {
+			b.Fatal(err)
+		}
+		for tb.SeenCount() < tailSeen && tb.Expand() > 0 {
+		}
+	}
+	b.StopTimer()
+	var replay neighborhood
+	replay.reset()
+	entries, hits := 0, 0
+	for _, v := range tb.SeenList() {
+		replay.enter(v, 0, 0, 0, 0)
+		in, _ := g.InRow(v)
+		out, _ := g.OutRow(v)
+		for _, cols := range [][]graph.NodeID{in, out} {
+			entries += len(cols)
+			hits += len(replay.filter(cols))
+		}
+	}
+	b.ReportMetric(float64(entries)/float64(tb.SeenCount()), "entries/join")
+	b.ReportMetric(float64(hits)/float64(entries), "hits/entry")
+}
+
 // BenchmarkFFlatExpand is the F-side counterpart: three rounds of BCA
 // expansion plus Stage-II refinement.
 func BenchmarkFFlatExpand(b *testing.B) {

@@ -25,6 +25,9 @@ type FFlat struct {
 	neighborhood
 	opt  FOptions
 	rows graph.Rows // the graph; join reads a newcomer's rows
+	// probs is join's buffer of the newcomer's in-row transition
+	// probabilities, as long as the longest in-row joined.
+	probs []float64
 
 	engine bca.Flat
 }
@@ -115,47 +118,52 @@ func (fb *FFlat) initializeBounds() {
 
 // join admits v into Sf with the given bounds. The F-Rank recursion at a node
 // sums over its in-neighbors, each weighted by that neighbor's own transition
-// probability, so v's in-row yields the total mass of its row, computed this
-// once, and its entries for the in-neighbors already seen (itself among them
-// on a self-loop, being a member by now). Its out-row yields the entries v
-// gains in the rows of its seen out-neighbors; it is read only when v has
-// out-weight, so exactly the rows BCA read when it processed v. Nodes join one
-// at a time, so of two adjacent nodes the later finds the earlier seen and
-// their edges are logged once — and since a round's newcomers all hold F slots
-// before the first of them joins, a neighbor counts as seen only when its F
-// slot is below the number joined so far (neighborhood.Index), v's own
-// included. Each scanned neighbor costs a test of the filter of seen nodes
-// and, when that passes, one stamped probe, for its shared slot (see
-// neighborhood.maybe). The restart weight comes from the BCA engine's restart distribution,
-// the one copy of it on this side.
+// probability, so v's in-row yields the total mass of its row — every
+// probability computed this once, and summed in row order — and its entries
+// for the in-neighbors already seen (itself among them on a self-loop, being a
+// member by now), which reuse those probabilities. Its out-row yields the
+// entries v gains in the rows of its seen out-neighbors; it is read only when v
+// has out-weight, so exactly the rows BCA read when it processed v. Nodes join
+// one at a time, so of two adjacent nodes the later finds the earlier seen and
+// their edges are logged once — and since a round's newcomers all hold F
+// slots before the first of them joins, a neighbor counts as seen only when
+// its F slot is below the number joined so far (neighborhood.SideSlot), v's
+// own included. Each row is scanned once by the filter of seen nodes
+// (neighborhood.filter), and only the entries it passes cost a stamped probe,
+// for their shared slot. The restart weight comes from the BCA engine's
+// restart distribution, the one copy of it on this side.
 func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 	self := fb.enter(v, fb.engine.RestartWeight(v), 0, lo, up) // mass: the in-row's, below
-	mass := 0.0
 	cols, wts := fb.rows.InRow(v)
+	if cap(fb.probs) < len(cols) {
+		fb.probs = make([]float64, len(cols))
+	}
+	probs := fb.probs[:len(cols)]
+	mass := 0.0
 	for i, from := range cols {
-		outSum := fb.rows.OutSum(from)
-		if outSum <= 0 {
-			continue
+		p := -1.0 // from has no out-weight, so no transition, not even to v
+		if outSum := fb.rows.OutSum(from); outSum > 0 {
+			p = wts[i] / outSum
+			mass += p
 		}
-		m := wts[i] / outSum
-		mass += m
-		if !fb.maybe(from) {
-			continue
-		}
-		if slot, seen := fb.probe(from); seen {
-			fb.k.add(self, slot, m)
-		}
+		probs[i] = p
 	}
 	fb.k.mass[self] = mass
+	for _, i := range fb.filter(cols) {
+		if p := probs[i]; p >= 0 {
+			if slot, seen := fb.probe(cols[i]); seen {
+				fb.k.add(self, slot, p)
+			}
+		}
+	}
 
 	if outSum := fb.rows.OutSum(v); outSum > 0 {
 		cols, wts = fb.rows.OutRow(v)
-		for i, to := range cols {
-			if to == v || !fb.maybe(to) {
-				continue
-			}
-			if slot, seen := fb.probe(to); seen {
-				fb.k.add(slot, self, wts[i]/outSum)
+		for _, i := range fb.filter(cols) {
+			if to := cols[i]; to != v {
+				if slot, seen := fb.probe(to); seen {
+					fb.k.add(slot, self, wts[i]/outSum)
+				}
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // side-slot order, the common upper bound of every node outside, and the
 // Stage-II kernel over the subgraph the seen nodes induce, which holds their
 // bounds by side slot, plus a filter of the seen nodes that spares a join most
-// of its probes (see maybe). The index is the BCA engine's; FFlat reads its
+// of its probes (see filter). The index is the BCA engine's; FFlat reads its
 // side map off the engine, TFlat keeps its own. A node gets a side slot before
 // it joins and is seen once the kernel holds that slot: the seen nodes are the
 // leading SeenCount members of the side, and a member past them is unseen — as
@@ -24,8 +24,10 @@ type neighborhood struct {
 	at    []int32        // by shared slot: the side slot, -1 for none; may end before the index
 	nodes []graph.NodeID // by side slot
 	// bloom has a bit set for every seen node, at its ID modulo the filter's
-	// length; see maybe.
-	bloom  []uint64
+	// length; see filter.
+	bloom []uint64
+	// hits is filter's buffer, as long as the longest row joined.
+	hits   []int32
 	unseen float64
 	k      refiner // the bounds and induced edge log the tracker's join feeds
 }
@@ -59,25 +61,40 @@ func (s *neighborhood) Seen(v graph.NodeID) bool {
 }
 
 // Index returns the slot of v — its position in SeenList — and whether v is
-// in the neighborhood.
+// in the neighborhood. A node whose bit in the filter is clear is certainly
+// outside, and costs no probe.
 func (s *neighborhood) Index(v graph.NodeID) (int32, bool) {
-	if !s.maybe(v) {
+	if s.bloom[v>>6&(bloomWords-1)]&(1<<(uint(v)&63)) == 0 {
 		return 0, false
 	}
 	return s.probe(v)
 }
 
-// maybe reports whether v may be in the neighborhood, by its bit in the
-// filter; false is certain. A join tests it before it probes a scanned
-// neighbor: most of a row's entries are outside the neighborhood, a fair share
-// of them members of the index (the other side's), and for each of those the
-// probe would read the side map after the index and branch on a coin toss.
-func (s *neighborhood) maybe(v graph.NodeID) bool {
-	return s.bloom[v>>6&(bloomWords-1)]&(1<<(v&63)) != 0
+// filter returns the positions in cols of the nodes whose bit in the filter of
+// seen nodes is set, in row order: every seen node of the row and the few
+// others that collide with one. The pass has no branch per entry — each
+// position is written and kept by advancing the count by its bit — so a join
+// scans a row at the speed of the loop, and probes only what it returns. Most
+// of a row's entries are outside the neighborhood, a fair share of them members
+// of the index (the other side's), and for each of those a probe would read
+// the side map after the index. The slice is the neighborhood's buffer, valid
+// until the next call.
+func (s *neighborhood) filter(cols []graph.NodeID) []int32 {
+	if cap(s.hits) < len(cols) {
+		s.hits = make([]int32, len(cols))
+	}
+	hits := s.hits[:len(cols)]
+	bloom := (*[bloomWords]uint64)(s.bloom)
+	n := 0
+	for i, v := range cols {
+		hits[n] = int32(i)
+		n += int(bloom[v>>6&(bloomWords-1)] >> (uint(v) & 63) & 1)
+	}
+	return hits[:n]
 }
 
-// probe is Index for a node maybe passed: one stamped probe, for its shared
-// slot, and a lookup in the side map.
+// probe is Index for a node the filter passed: one stamped probe, for its
+// shared slot, and a lookup in the side map.
 func (s *neighborhood) probe(v graph.NodeID) (int32, bool) {
 	shared, ok := s.idx.Slot(v)
 	if !ok {

@@ -39,6 +39,9 @@ type TFlat struct {
 	// outsideIn counts, by slot, how many in-neighbors of each node in St are
 	// still outside St; a node is a border node iff its count is positive.
 	outsideIn []int32
+	// outSum holds, by slot, the total out-weight of each node in St: the
+	// divisor of its entries in a newcomer's in-row.
+	outSum []float64
 
 	// pickN/pickP are the reusable top-M border selection (descending by
 	// upper bound, ties keep earlier insertion).
@@ -89,7 +92,7 @@ func (tb *TFlat) InitShared(rows graph.Rows, q walk.Query, opt TOptions, idx *sc
 	}
 	tb.idx = idx
 	tb.at, tb.nodes = tb.at[:0], tb.nodes[:0]
-	tb.outsideIn = tb.outsideIn[:0]
+	tb.outsideIn, tb.outSum = tb.outsideIn[:0], tb.outSum[:0]
 	tb.reset()
 	tb.unseen = 1 - opt.Alpha
 	for _, v := range tb.restartNodes {
@@ -136,10 +139,11 @@ func (tb *TFlat) joinAdmitted(up float64) {
 // itself among them on a self-loop, being a member by now. Its out-row yields
 // v's own entries and takes one outside in-neighbor off every seen
 // out-neighbor. Nodes join one at a time, so of two adjacent nodes the later
-// finds the earlier seen and their edges are logged once. Each scanned
-// neighbor costs a test of the filter of seen nodes and, when that passes, one
-// stamped probe, for its shared slot (see neighborhood.maybe); all else is by
-// slot.
+// finds the earlier seen and their edges are logged once. Each row is scanned
+// once by the filter of seen nodes (neighborhood.filter), and only the
+// entries it passes cost a stamped probe, for their shared slot: v's border
+// count is its in-row's length less the seen entries, and all else is by slot,
+// a seen in-neighbor's out-weight included.
 func (tb *TFlat) join(v graph.NodeID, up float64) {
 	restart := 0.0
 	if n := tb.SeenCount(); n < len(tb.restartW) {
@@ -151,29 +155,28 @@ func (tb *TFlat) join(v graph.NodeID, up float64) {
 		mass = 1 // a row's transition probabilities sum to one
 	}
 	self := tb.enter(v, restart, mass, tb.opt.Alpha*restart, up)
+	tb.outSum = append(tb.outSum, outSum)
 
-	outside := 0
 	cols, wts := tb.rows.InRow(v)
-	for i, from := range cols {
-		if !tb.maybe(from) {
-			outside++
-		} else if slot, seen := tb.probe(from); !seen {
-			outside++
-		} else if sum := tb.rows.OutSum(from); sum > 0 {
-			tb.k.add(slot, self, wts[i]/sum)
+	seenIn := 0
+	for _, i := range tb.filter(cols) {
+		if slot, seen := tb.probe(cols[i]); seen {
+			seenIn++
+			if sum := tb.outSum[slot]; sum > 0 {
+				tb.k.add(slot, self, wts[i]/sum)
+			}
 		}
 	}
-	tb.outsideIn = append(tb.outsideIn, int32(outside))
+	tb.outsideIn = append(tb.outsideIn, int32(len(cols)-seenIn))
 
 	cols, wts = tb.rows.OutRow(v)
-	for i, to := range cols {
-		if to == v || !tb.maybe(to) {
-			continue
-		}
-		if slot, seen := tb.probe(to); seen {
-			tb.outsideIn[slot]--
-			if outSum > 0 {
-				tb.k.add(self, slot, wts[i]/outSum)
+	for _, i := range tb.filter(cols) {
+		if to := cols[i]; to != v {
+			if slot, seen := tb.probe(to); seen {
+				tb.outsideIn[slot]--
+				if outSum > 0 {
+					tb.k.add(self, slot, wts[i]/outSum)
+				}
 			}
 		}
 	}
