@@ -32,10 +32,10 @@ func benchHub(b testing.TB) (*graph.Graph, walk.Query) {
 const benchRounds = 3 // the hub workload's round budget
 
 // TestStageIISweepCount pins what a hub round's refinement costs in sweeps,
-// the unit the kernel's time is proportional to. The T side re-tightens the
-// unseen bound and solves that scalar loop by a Newton step (refiner.refine):
-// 20, 16 and 17 sweeps where iterating it took 42, 31 and 32. The F side has
-// no such loop and its counts are the plain iteration's.
+// the unit the kernel's time is proportional to, under the stop rule stated at
+// refineRel. The T side re-tightens the unseen bound and solves that scalar
+// loop by a Newton step (refiner.refine): it takes 9, 6 and 6 sweeps. The F
+// side has no such loop and its counts are the plain iteration's.
 func TestStageIISweepCount(t *testing.T) {
 	g, q := benchHub(t)
 	var tb TFlat
@@ -46,12 +46,12 @@ func TestStageIISweepCount(t *testing.T) {
 	if err := fb.InitRows(g, q, DefaultFOptions(0.25)); err != nil {
 		t.Fatal(err)
 	}
-	for round, wantF := range [benchRounds]int{4, 6, 5} {
+	for round, wantF := range [benchRounds]int{2, 3, 3} {
 		tBefore, fBefore := tb.k.sweeps, fb.k.sweeps
 		tb.Expand()
 		fb.Expand()
-		if got := tb.k.sweeps - tBefore; got > 24 {
-			t.Errorf("round %d: the T refinement ran %d sweeps, want at most 24", round, got)
+		if got := tb.k.sweeps - tBefore; got > 11 {
+			t.Errorf("round %d: the T refinement ran %d sweeps, want at most 11", round, got)
 		}
 		if got := fb.k.sweeps - fBefore; got != wantF {
 			t.Errorf("round %d: the F refinement ran %d sweeps, want %d", round, got, wantF)
@@ -59,11 +59,19 @@ func TestStageIISweepCount(t *testing.T) {
 	}
 }
 
+// swept is the work of the refinement an Expand just ran, given the kernel's
+// sweep count before it: every sweep reads each log entry and each row once.
+func swept(k *refiner, sweepsBefore int) int {
+	return (k.sweeps - sweepsBefore) * (len(k.log) + len(k.lo))
+}
+
 // benchTFlat times the given number of rounds of the T side (border expansion
-// plus Stage-II refinement) from a pooled tracker on the hub query.
+// plus Stage-II refinement) from a pooled tracker on the hub query, and
+// reports the sweeps and the log entries plus rows swept per refinement.
 func benchTFlat(b *testing.B, rounds int) {
 	g, q := benchHub(b)
 	var tb TFlat
+	entries := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,10 +79,13 @@ func benchTFlat(b *testing.B, rounds int) {
 			b.Fatal(err)
 		}
 		for round := 0; round < rounds; round++ {
+			before := tb.k.sweeps
 			tb.Expand()
+			entries += swept(&tb.k, before)
 		}
 	}
 	b.ReportMetric(float64(tb.k.sweeps)/float64(rounds), "sweeps/refine")
+	b.ReportMetric(float64(entries)/float64(b.N*rounds), "entries/refine")
 }
 
 // BenchmarkTFlatExpandHub is the T side of the hub workload's three rounds.
@@ -151,6 +162,7 @@ func BenchmarkTFlatExpandTail(b *testing.B) {
 func BenchmarkFFlatExpand(b *testing.B) {
 	g, q := benchHub(b)
 	var fb FFlat
+	entries := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -158,8 +170,11 @@ func BenchmarkFFlatExpand(b *testing.B) {
 			b.Fatal(err)
 		}
 		for round := 0; round < benchRounds; round++ {
+			before := fb.k.sweeps
 			fb.Expand()
+			entries += swept(&fb.k, before)
 		}
 	}
 	b.ReportMetric(float64(fb.k.sweeps)/benchRounds, "sweeps/refine")
+	b.ReportMetric(float64(entries)/float64(b.N*benchRounds), "entries/refine")
 }

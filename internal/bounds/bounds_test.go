@@ -1064,14 +1064,33 @@ func logMatchesInduced(t *testing.T, label string, k *refiner, b *neighborhood, 
 	return ok
 }
 
+// stopRule is the Stage-II stop rule as the references apply it: a bound
+// moved when it changed by more than max(tol, rel·its new value). kernelRule
+// is the kernel's; stopRule{} counts every change, so a refinement under it
+// stops only on a sweep that moves nothing at all.
+type stopRule struct{ tol, rel float64 }
+
+var kernelRule = stopRule{refineTol, refineRel}
+
+func (s stopRule) moved(d, v float64) bool { return d > s.tol && d > s.rel*v }
+
+// tExpandRule is the rule TFlat.Expand has just refined tb under: the
+// absolute one, rel 0, once St has no border left.
+func tExpandRule(tb *TFlat) stopRule {
+	if tb.Exhausted() {
+		return stopRule{tol: refineTol}
+	}
+	return kernelRule
+}
+
 // refSweep is one Gauss–Seidel sweep of Eq. 17–18 in the row-streaming form
 // the trackers used before the induced-subgraph kernel: every neighbor of
 // every seen node is looked up in the bounds as it streams past, read from
 // the graph sweep after sweep. It shares nothing with the kernel's edge log,
-// is the reference the kernel is checked against, and returns the largest
-// bound change. restart holds the restart weights by slot.
-func refSweep(b *neighborhood, restart []float64, alpha, unseen float64, row rowFn) float64 {
-	maxChange := 0.0
+// is the reference the kernel is checked against, and reports whether a
+// bound moved under the given rule. restart holds the restart weights by slot.
+func refSweep(b *neighborhood, restart []float64, alpha, unseen float64, row rowFn, rule stopRule) bool {
+	moved := false
 	for slot, v := range b.SeenList() { // insertion order, the kernel's sweep order
 		sumLo, sumUp := 0.0, 0.0
 		row(v, func(u graph.NodeID, m float64) {
@@ -1086,37 +1105,36 @@ func refSweep(b *neighborhood, restart []float64, alpha, unseen float64, row row
 		newLo := alpha*restart[slot] + (1-alpha)*sumLo
 		newUp := alpha*restart[slot] + (1-alpha)*sumUp
 		if newLo > lo {
-			maxChange = max(maxChange, newLo-lo)
+			moved = moved || rule.moved(newLo-lo, newLo)
 			lo = newLo
 		}
 		if newUp < up {
-			maxChange = max(maxChange, up-newUp)
+			moved = moved || rule.moved(up-newUp, newUp)
 			up = newUp
 		}
 		setBound(b, v, lo, up)
 	}
-	return maxChange
+	return moved
 }
 
 // refStageII applies to fb what Expand does after Stage I, with refSweep in
 // place of the kernel.
 func (fb *FFlat) refStageII() {
 	for iter := 0; iter < refineMaxIter; iter++ {
-		change := refSweep(&fb.neighborhood, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows))
-		if change < refineTol {
+		if !refSweep(&fb.neighborhood, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows), kernelRule) {
 			return
 		}
 	}
 }
 
-// refStageII is the T-side counterpart, under a given sweep cap and tolerance.
-func (tb *TFlat) refStageII(maxIter int, tol float64) {
+// refStageII is the T-side counterpart, under a given sweep cap and stop rule.
+func (tb *TFlat) refStageII(maxIter int, rule stopRule) {
 	for iter := 0; iter < maxIter; iter++ {
-		change := refSweep(&tb.neighborhood, tb.k.restart, tb.opt.Alpha, tb.unseen, tRow(tb.rows))
+		moved := refSweep(&tb.neighborhood, tb.k.restart, tb.opt.Alpha, tb.unseen, tRow(tb.rows), rule)
 		if tb.opt.TightenUnseenInRefine {
 			tb.recomputeUnseen()
 		}
-		if change < tol {
+		if !moved {
 			return
 		}
 	}
@@ -1140,15 +1158,14 @@ func sameBounds(t *testing.T, label string, a, b *neighborhood, unseenA, unseenB
 }
 
 // aheadOfReference is sameBounds for a T side that re-tightens the unseen bound
-// in refinement. There the kernel's Newton step reaches, in a third of the
-// sweeps, a point closer to the fixed point than where the reference stops —
-// the reference gives up on a per-sweep change under 1e-12 while the slow mode
-// it iterates is still further out than that — so the two are compared by
+// in refinement. There the kernel's Newton step, which the reference does not
+// take, lowers the upper bounds faster and judges its own moves, so the
+// reference runs the kernel's number of sweeps and the two are compared by
 // order, not distance: every upper bound and the unseen bound lie between
 // deep, the reference iteration run to its floating-point fixed point, and the
-// reference itself, within 1e-12 at both ends; lower bounds, which the step
-// does not touch and the reference keeps relaxing while it waits for the upper
-// ones, agree within 2e-11.
+// reference itself, within 1e-12 at both ends — a sweep is monotone and the
+// step only lowers — and lower bounds, which the step does not touch, agree
+// within 1e-12.
 func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 	between := func(lo, x, hi float64) bool { return lo-1e-12 <= x && x <= hi+1e-12 }
 	ok := kernel.SeenCount() == ref.SeenCount() && kernel.SeenCount() == deep.SeenCount() &&
@@ -1156,7 +1173,7 @@ func aheadOfReference(t *testing.T, kernel, ref, deep *TFlat) bool {
 	eachBound(&kernel.neighborhood, func(v graph.NodeID, lo, up float64) {
 		rlo, rup, _ := get(&ref.neighborhood, v)
 		_, dup, _ := get(&deep.neighborhood, v)
-		if !(ref.Seen(v) && deep.Seen(v) && math.Abs(lo-rlo) <= 2e-11 && between(dup, up, rup)) {
+		if !(ref.Seen(v) && deep.Seen(v) && math.Abs(lo-rlo) <= 1e-12 && between(dup, up, rup)) {
 			t.Logf("T: node %d kernel [%g, %g] reference [%g, %g] fixed-point upper %g", v, lo, up, rlo, rup, dup)
 			ok = false
 		}
@@ -1190,8 +1207,9 @@ func monotone(t *testing.T, label string, b *neighborhood, unseen float64, prev 
 // combination, with and without a frontier cap, single- and multi-node queries
 // (adjacent ones among them) and α ∈ {0.15, 0.25, 0.5}, after every expansion
 // (a) the kernel's bounds equal, within 1e-12, what the row-streaming
-// reference sweep makes of the same pre-refinement state — on a T side that
-// re-tightens the unseen bound in refinement they lie between that and the
+// reference sweep makes of the same pre-refinement state under the same stop
+// rule — on a T side that re-tightens the unseen bound in refinement they lie
+// between the reference run for the kernel's number of sweeps and the
 // reference's fixed point instead (aheadOfReference) — (b) the kernel's
 // edge log is the induced subgraph (logMatchesInduced), (c) bounds only
 // tighten from round to round, and (d) unless the graph has a self-loop both
@@ -1257,13 +1275,17 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 			fb.Expand()
 			fref.Expand()
 			fref.refStageII()
+			sweeps := tb.k.sweeps
 			tb.Expand()
+			sweeps = tb.k.sweeps - sweeps
 			if !tref.Exhausted() { // Expand on an exhausted St does nothing at all
 				tref.Expand()
-				tref.refStageII(refineMaxIter, refineTol)
 				if tightening {
+					tref.refStageII(sweeps, stopRule{})
 					tdeep.Expand()
-					tdeep.refStageII(20000, math.SmallestNonzeroFloat64) // stops on a sweep that moves nothing
+					tdeep.refStageII(20000, stopRule{})
+				} else {
+					tref.refStageII(refineMaxIter, tExpandRule(&tref))
 				}
 			}
 			if !sameBounds(t, "F", &fb.neighborhood, &fref.neighborhood, fb.unseen, fref.unseen, 1e-12) {

@@ -24,11 +24,15 @@ const (
 	DefaultTExpansion = 5   // m for the t-neighborhood (border-node selection)
 )
 
-// The Stage-II refinement loop stops on a sweep that moves no bound by
-// refineTol, after refineMaxIter sweeps at the latest. Every scheme runs it
-// with these values.
+// Stage II (refiner.refine) stops after a sweep that moved no bound by more
+// than max(refineTol, refineRel·its new value), or after refineMaxIter sweeps:
+// bounds span 10⁻⁹ to 10⁻¹, and refineTol is the floor for those near zero.
+// The rule reads the last sweep's moves; a sweep closes the distance to the
+// fixed point by 1−α, so up to (1−α)/α times the last move may remain. Refine,
+// and TFlat.Expand once St has no border left, stop on refineTol alone.
 const (
 	refineTol     = 1e-12
+	refineRel     = 1e-4
 	refineMaxIter = 60
 )
 

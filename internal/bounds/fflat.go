@@ -71,7 +71,7 @@ func (fb *FFlat) Detach() {
 func (fb *FFlat) Expand() int {
 	processed := fb.engine.ProcessBest(fb.opt.M)
 	fb.initializeBounds()
-	fb.Refine()
+	fb.k.refine(fb.opt.Alpha, fb.unseen, false, refineRel)
 	return processed
 }
 
@@ -169,12 +169,11 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 	}
 }
 
-// Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// f-neighborhood until the bounds converge or the iteration cap is reached.
-// It reads nothing from the graph: the kernel sweeps the induced edges join
-// has logged; see refiner.
+// Refine runs the Stage-II refinement of Eq. 17–18 over the f-neighborhood
+// under the absolute stop rule, refineTol alone (see refineRel). It reads
+// nothing from the graph: the kernel sweeps the induced edges join has logged.
 func (fb *FFlat) Refine() {
-	fb.k.refine(fb.opt.Alpha, fb.unseen, false)
+	fb.k.refine(fb.opt.Alpha, fb.unseen, false, 0)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

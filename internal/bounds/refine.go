@@ -115,9 +115,10 @@ func (k *refiner) load() {
 
 // refine performs up to maxIter Gauss–Seidel sweeps of Eq. 17–18 in slot
 // order over the bounds, in place, keeping every bound monotone (lower
-// bounds only rise, upper bounds only fall), and stops early once no bound
-// moved by refineTol. An unseen neighbor contributes lower bound zero and the
-// unseen upper bound as it stands at sweep time. It returns the unseen bound.
+// bounds only rise, upper bounds only fall), and stops early after a sweep
+// that moved no bound by more than max(refineTol, rel·its new value); see
+// refineRel. An unseen neighbor contributes lower bound zero and the unseen
+// upper bound as it stands at sweep time. It returns the unseen bound.
 //
 // With tighten set, Eq. 22 over the border slots re-tightens the unseen bound
 // after every sweep, and the rows follow it at once. Merely iterated, unseen →
@@ -145,11 +146,14 @@ func (k *refiner) load() {
 // by sens[j]·d thus lowers a lowered row's recursion value by at least
 // sens[r]·d, leaving the row at or above it; (ii) the new unseen bound is by
 // construction at least (1−α)(up[b] − sens[b]·d) for every border slot b,
-// Eq. 22 over the shifted rows. Never warm-start sens: a newcomer moves mass
-// from out[r] into a logged entry whose own sens starts at zero, so last
-// round's values over-estimate and (i) fails, where an under-estimate only
-// costs sweeps. The fixed point approached is the plain iteration's.
-func (k *refiner) refine(alpha, unseen float64, tighten bool) float64 {
+// Eq. 22 over the shifted rows. The step moves row r by sens[r]·d ≤ d and is
+// judged against the unseen bound it lowers. Every prefix of sweeps keeps the
+// super-solution, so stopping early only leaves looser sound bounds. Never
+// warm-start sens: a newcomer moves mass from out[r] into a logged entry whose
+// own sens starts at zero, so last round's values over-estimate and (i) fails,
+// where an under-estimate only costs sweeps. The fixed point approached is the
+// plain iteration's.
+func (k *refiner) refine(alpha, unseen float64, tighten bool, rel float64) float64 {
 	k.load()
 	// The reslices here and in the row loop tell the compiler the paired
 	// arrays are equally long, which drops all but one bounds check from the
@@ -164,7 +168,7 @@ func (k *refiner) refine(alpha, unseen float64, tighten bool) float64 {
 	sens := k.sens
 	for iter := 0; iter < k.maxIter; iter++ {
 		k.sweeps++
-		maxChange := 0.0
+		moved := false
 		begin := int32(0)
 		for r, end := range ends {
 			sumLo, sumUp, sumSens := 0.0, k.out[r]*unseen, k.out[r]
@@ -180,11 +184,15 @@ func (k *refiner) refine(alpha, unseen float64, tighten bool) float64 {
 			newLo := alpha*k.restart[r] + (1-alpha)*sumLo
 			newUp := alpha*k.restart[r] + (1-alpha)*sumUp
 			if newLo > lo[r] {
-				maxChange = max(maxChange, newLo-lo[r])
+				if d := newLo - lo[r]; d > refineTol && d > rel*newLo {
+					moved = true
+				}
 				lo[r] = newLo
 			}
 			if newUp < up[r] {
-				maxChange = max(maxChange, up[r]-newUp)
+				if d := up[r] - newUp; d > refineTol && d > rel*newUp {
+					moved = true
+				}
 				up[r] = newUp
 				lowered[r] = true
 			}
@@ -207,11 +215,13 @@ func (k *refiner) refine(alpha, unseen float64, tighten bool) float64 {
 						maxSens = s
 					}
 				}
-				maxChange = max(maxChange, maxSens*step)
+				if d := maxSens * step; d > refineTol && d > rel*next {
+					moved = true
+				}
 			}
 			unseen = next
 		}
-		if maxChange < refineTol {
+		if !moved {
 			break
 		}
 	}

@@ -203,8 +203,8 @@ func (tb *TFlat) Exhausted() bool { return tb.BorderCount() == 0 }
 // Expand performs one Stage-I step: pick up to M border nodes with the largest
 // upper bounds, pull all of their in-neighbors into St (up to the frontier
 // cap), initialize the bounds of the newcomers, recompute the unseen upper
-// bound, and run the Stage-II refinement. It returns the number of new nodes
-// added.
+// bound, and run the Stage-II refinement, under the absolute rule once St has
+// no border left. It returns the number of new nodes added.
 func (tb *TFlat) Expand() int {
 	// Select the M border nodes with the largest upper bounds into the
 	// reusable pick buffers (kept sorted descending; ties keep T-slot order,
@@ -259,7 +259,11 @@ func (tb *TFlat) Expand() int {
 	}
 	tb.joinAdmitted(tb.unseen)
 	tb.recomputeUnseen()
-	tb.Refine()
+	rel := refineRel
+	if tb.Exhausted() {
+		rel = 0 // no later Expand refines St
+	}
+	tb.refine(rel)
 	return admitted
 }
 
@@ -280,10 +284,13 @@ func (tb *TFlat) recomputeUnseen() {
 
 // Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
 // t-neighborhood, re-tightening the unseen bound after every sweep — and
-// moving the rows with it — when the scheme asks for it. It reads nothing from
-// the graph: the kernel sweeps the induced edges join has logged; see
-// refiner.refine.
-func (tb *TFlat) Refine() {
+// moving the rows with it — when the scheme asks for it, under the absolute
+// stop rule (see refineRel). It reads nothing from the graph: the kernel
+// sweeps the induced edges join has logged; see refiner.refine.
+func (tb *TFlat) Refine() { tb.refine(0) }
+
+// refine is Refine with relative part rel in the stop rule.
+func (tb *TFlat) refine(rel float64) {
 	tighten := tb.opt.TightenUnseenInRefine
 	tb.k.border = tb.k.border[:0]
 	if tighten {
@@ -293,7 +300,7 @@ func (tb *TFlat) Refine() {
 			}
 		}
 	}
-	tb.unseen = tb.k.refine(tb.opt.Alpha, tb.unseen, tighten)
+	tb.unseen = tb.k.refine(tb.opt.Alpha, tb.unseen, tighten, rel)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper <= 1 for every seen node and a

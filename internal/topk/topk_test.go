@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -329,6 +330,52 @@ func TestQuickTopKMatchesExactWithoutTies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNearTiesConvergeAtEpsilonZero runs searches at ε = 0 on bidirected
+// rings whose query's first out-edge is heavier by delta, so that the two
+// sides of the ring score within about delta of each other. St covers a ring
+// after a few rounds and Stage I moves its bounds no more; separating the
+// near-tied nodes then takes bounds refined to refineTol, not to 10⁻⁴ of
+// themselves, which TFlat.Expand runs once St has no border left. Every search
+// must converge with the naive top-K.
+func TestNearTiesConvergeAtEpsilonZero(t *testing.T) {
+	for _, n := range []int{5, 8, 20} {
+		for _, delta := range []float64{1e-5, 1e-8} {
+			b := graph.NewBuilder()
+			ids := make([]graph.NodeID, n)
+			for i := range ids {
+				ids[i] = b.AddNode(graph.Untyped, "r"+strconv.Itoa(i))
+			}
+			for i := range ids {
+				b.MustAddEdge(ids[i], ids[(i+1)%n], 1)
+				b.MustAddEdge(ids[(i+1)%n], ids[i], 1)
+			}
+			b.MustAddEdge(ids[0], ids[1], delta) // merged into the edge 0 → 1
+			g := b.MustBuild()
+			q := walk.SingleNode(ids[0])
+			for _, k := range []int{2, n - 1} {
+				opt := Options{K: k, Epsilon: 0, Alpha: 0.25, Beta: 0.5, Budget: &Budget{MaxRounds: 100}}
+				res, err := TopK(context.Background(), g, q, opt)
+				if err != nil {
+					t.Fatalf("n=%d delta=%g K=%d: TopK: %v", n, delta, k, err)
+				}
+				if !res.Converged || res.CertifiedK != k {
+					t.Errorf("n=%d delta=%g K=%d: stopped %v after %d rounds, certified %d", n, delta, k, res.Stop, res.Rounds, res.CertifiedK)
+					continue
+				}
+				naive, _, err := Naive(context.Background(), g, q, opt)
+				if err != nil {
+					t.Fatalf("Naive: %v", err)
+				}
+				for i := range naive {
+					if res.TopK[i].Node != naive[i].Node {
+						t.Errorf("n=%d delta=%g K=%d: rank %d node %d, naive has %d", n, delta, k, i, res.TopK[i].Node, naive[i].Node)
+					}
+				}
+			}
+		}
 	}
 }
 
