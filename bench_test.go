@@ -11,9 +11,14 @@ package roundtriprank
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"roundtriprank/internal/baselines"
 	"roundtriprank/internal/core"
@@ -441,6 +446,78 @@ func BenchmarkExactSolveConcurrent(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkExactSolveMemory measures what exact solves hold while they run:
+// core.Compute (both legs, on the hub node) over the bench spine's R-MAT 10^5,
+// flat and graph.Pack of it, with one solve and with GOMAXPROCS solves at
+// once. It reports the bytes allocated per solve (alloc-MB/solve) and the peak
+// of the heap's object bytes above their level before the solves (peak-MB),
+// read every 100 µs from runtime/metrics under a GC target of 10 %, so that
+// the peak is what the solves hold rather than garbage awaiting collection. A
+// packed solve decodes its support into arrays it holds until it returns, so
+// its peak grows by that much with each solve running at once; a flat one
+// holds its vectors alone.
+func BenchmarkExactSolveMemory(b *testing.B) {
+	cfg := datasets.DefaultRMATConfig(100_000)
+	cfg.Seed = -42
+	rmat, err := datasets.GenerateRMAT(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, hub := rmatTailAndHub(rmat.Graph)
+	p := core.Params{Walk: walk.DefaultParams(), Beta: 0.5}
+	for _, layout := range []struct {
+		name string
+		view graph.View
+	}{{"flat", rmat.Graph}, {"packed", graph.Pack(rmat.Graph)}} {
+		for _, solves := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/solves=%d", layout.name, solves), func(b *testing.B) {
+				defer debug.SetGCPercent(debug.SetGCPercent(10))
+				runtime.GC()
+				sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+				metrics.Read(sample)
+				base, peak := sample[0].Value.Uint64(), uint64(0)
+				stop, sampled := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(sampled)
+					tick := time.NewTicker(100 * time.Microsecond)
+					defer tick.Stop()
+					for {
+						metrics.Read(sample)
+						peak = max(peak, sample[0].Value.Uint64())
+						select {
+						case <-stop:
+							return
+						case <-tick.C:
+						}
+					}
+				}()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for range solves {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if _, err := core.Compute(context.Background(), layout.view, walk.SingleNode(hub), p); err != nil {
+								b.Error(err)
+							}
+						}()
+					}
+					wg.Wait()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				close(stop)
+				<-sampled
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N*solves), "alloc-MB/solve")
+				b.ReportMetric(float64(peak-min(peak, base))/1e6, "peak-MB")
+			})
+		}
 	}
 }
 

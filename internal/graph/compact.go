@@ -83,14 +83,12 @@ func (c *CompactedView) OutSums() []float64 { return c.out.Sum }
 // InSums implements View.
 func (c *CompactedView) InSums() []float64 { return c.in.Sum }
 
-// GatherOut implements View.
-func (c *CompactedView) GatherOut(x, dst []float64, rows []NodeID, lo, hi int) {
-	c.out.Gather(x, dst, rows, lo, hi)
-}
-
-// GatherIn implements View.
-func (c *CompactedView) GatherIn(x, dst []float64, rows []NodeID, lo, hi int) {
-	c.in.Gather(x, dst, rows, lo, hi)
+// FlatRows implements View: its own arrays, every row whatever rows lists.
+func (c *CompactedView) FlatRows(dir Dir, _ []NodeID) CSR {
+	if dir == In {
+		return c.in
+	}
+	return c.out
 }
 
 // OutCSR implements CSRView.

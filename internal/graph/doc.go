@@ -12,9 +12,9 @@
 // Random-walk code operates on the View interface rather than on *Graph
 // directly. View is a closed contract: what a layout owes a solver — its node
 // count, epoch and content fingerprint, its rows (NewRows, the seam the online
-// searcher reads) and its row reductions (OutSums, InSums, GatherOut,
-// GatherIn over a solve's listed support or a row range, the seam the exact
-// solvers iterate over) — implemented by the three layouts
+// searcher reads) and the rows the exact solvers sweep (OutSums, InSums and
+// FlatRows, one direction's rows of a solve's listed support as a flat CSR,
+// which every solve reduces with CSR.Gather) — implemented by the three layouts
 // of this package and by nothing else: *Graph, *CompactedView (bare flat CSR
 // arrays, which a *Graph embeds) and *Packed (varint-packed rows). Compact puts
 // caller-owned flat arrays (a CSRView) under a solver without copying them.

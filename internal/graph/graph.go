@@ -26,11 +26,11 @@ const Untyped Type = 0
 // implement it here; nothing outside this package does. A solver reaches the
 // adjacency through exactly two seams: NewRows, the row-streaming seam of the
 // online searcher (Algorithm 1 reads the out- and in-rows of the nodes it
-// touches), and OutSums/InSums with GatherOut/GatherIn, the row reductions of
-// the exact F-Rank/T-Rank iterations (Eq. 5 and 8): a gather reduces the rows
-// of a solve's support — the nodes a walk can reach, listed ascending — or
-// every row, and walk.Local partitions the list or the range across the
-// goroutines of a gather. Caller-owned arrays come in through Compact.
+// touches), and OutSums/InSums with FlatRows, the rows the exact F-Rank/T-Rank
+// iterations (Eq. 5 and 8) sweep: a solve fetches its support — the nodes a
+// walk can reach, listed ascending — once per direction as flat arrays and
+// reduces it every sweep with CSR.Gather, the one gather kernel, so a layout
+// is a row decoder beneath it. Caller-owned arrays come in through Compact.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
@@ -48,18 +48,25 @@ type View interface {
 	// OutSums returns every node's total out-weight, read-only.
 	OutSums() []float64
 	// InSums returns every node's total in-weight, read-only: a node whose
-	// in-weight is zero has no in-row a GatherIn could make non-zero.
+	// in-weight is zero has no in-row a gather could make non-zero.
 	InSums() []float64
-	// GatherOut fills dst[r] = Σ w(r,to)·x[to] over the out-row of every row r
-	// in rows[lo:hi], an ascending list — or, when rows is nil, of every r in
-	// [lo, hi). Each row is reduced sequentially in stored entry order, so the
-	// result is bit-identical however callers split the list or the range,
-	// and across layouts of the same content. A layout may fill the rows
-	// between two listed ones too, with their own reductions.
-	GatherOut(x, dst []float64, rows []NodeID, lo, hi int)
-	// GatherIn is GatherOut over the in-rows: dst[r] = Σ w(from,r)·x[from].
-	GatherIn(x, dst []float64, rows []NodeID, lo, hi int)
+	// FlatRows returns one direction's rows as a read-only CSR over every
+	// node that holds at least the rows listed, ascending, in rows (every
+	// row when nil); an unlisted row may read as empty. The flat layouts
+	// return their own arrays; *Packed decodes the listed rows into fresh
+	// ones, in the unit form when each weighs 1. CSR.Gather over the result
+	// with the same list is bit-identical across layouts of one content.
+	FlatRows(dir Dir, rows []NodeID) CSR
 }
+
+// Dir selects one direction of a layout's adjacency: Out, each node's
+// out-edges (the rows T-Rank sweeps), or In, its in-edges (F-Rank's).
+type Dir uint8
+
+const (
+	Out Dir = iota
+	In
+)
 
 // RowsProvider is the old name of the part of View that mints row sessions.
 // It survives only because bench/probes.go asserts it: ROADMAP item 1(h)
@@ -131,16 +138,14 @@ func (c CSR) Degree(v NodeID) int {
 	return int(c.RowPtr[v+1] - c.RowPtr[v])
 }
 
-// Gather is the flat row reduction of every exact solve: it fills
+// Gather is the one row reduction of every exact solve: it fills
 // dst[r] = Σ_i Weight[i]·x[Col[i]] over row r's entries, for every r in
 // rows[lo:hi] — the support of a solve, ascending — or, when rows is nil, for
 // lo ≤ r < hi. Each row is reduced sequentially in stored entry order, so
 // however callers split the list or the range across goroutines the result is
-// bit-identical — and equal to PackedCSR.Gather on the packed form of the same
-// rows, whose fused decode-and-sum loops use these expressions in this entry
-// order. The unit form has loops of its own that stream no weights; their
-// result is the same bit for bit, since 1·x == x exactly, fused multiply-add
-// or not.
+// bit-identical, and equal on every layout's FlatRows of the same content.
+// The unit form has loops of its own that stream no weights; their result is
+// the same bit for bit, since 1·x == x exactly, fused multiply-add or not.
 func (c CSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
 	if rows != nil {
 		c.gatherListed(x, dst, rows[lo:hi])

@@ -19,10 +19,11 @@ import (
 // Packing is exactly lossless: Pack followed by Unpack reproduces the source
 // CSR arrays bit for bit (same columns in the same order, same float64 weight
 // bits, same row offsets), which is what lets every solver result on a Packed
-// view be pinned bit-identical to the flat representation. The format has two
-// readers besides the validator: Gather, which sums each row as it decodes it
-// in one pass over the data, and decodeRow, which decodes one row into flat
-// columns and weights for sessions and unpacking.
+// view be pinned bit-identical to the flat representation. The format has one
+// reader besides the validator: decodeInto, which decodes one row into flat
+// columns and weights. Sessions decode the rows a query touches with it, and
+// flatRows the rows an exact solve sweeps — once per direction per solve,
+// after which the solve runs the flat kernel, CSR.Gather, over them.
 
 // PackedCSR is one adjacency direction in packed form. Row v occupies
 // Data[RowOff[v]:RowOff[v+1]]:
@@ -66,32 +67,38 @@ func (c *PackedCSR) SizeBytes() int64 {
 	return int64(8*len(c.RowOff)) + int64(len(c.Data)) + int64(8*len(c.Sum))
 }
 
-// decodeRow is the packed row decoder of sessions and unpacking: it appends
-// row v's columns to cols and, unless every entry of the row weighs exactly 1,
-// its weights to wts, and returns both with that unit verdict (an empty row is
-// unit; a unit row leaves wts as it was passed). Either grows only when its
-// capacity is short. Its column path is Gather's, and like Gather it performs
-// no varint-error checking.
+// decodeRow is how a session decodes a row: it appends row v's columns to
+// cols and, unless every entry weighs exactly 1, its weights to wts (each
+// grown only when short), and returns both with that unit verdict.
 func (c *PackedCSR) decodeRow(v NodeID, cols []NodeID, wts []float64) ([]NodeID, []float64, bool) {
+	deg, unit := c.unitRow(v)
+	at, n := len(cols), len(wts)
+	cols = slices.Grow(cols, deg)[:at+deg]
+	if !unit {
+		wts = slices.Grow(wts, deg)[:n+deg]
+	}
+	c.decodeInto(v, cols[at:], wts[n:])
+	return cols, wts, unit
+}
+
+// decodeInto is the packed row decoder: it writes row v's columns to cols,
+// exactly as long as the row, and its weights to ws, as long or, for a unit
+// row, empty. A column delta of one or two bytes — 89 % of R-MAT 10^5's —
+// decodes without a branch on its length (written out by hand: the compiler
+// will not inline a helper that calls uvarintAt), a longer one in uvarintAt.
+// The data must come from packRow or pass validatePackedCSR: the decoder
+// checks no varint.
+func (c *PackedCSR) decodeInto(v NodeID, cols []NodeID, ws []float64) {
 	b := c.Data
 	hdr, i := uvarintAt(b, int(c.RowOff[v]))
-	deg, w, constW := int(hdr>>1), 1.0, hdr&1 == 1
+	w, constW := 1.0, hdr&1 == 1
 	if constW {
 		var u uint64
 		u, i = uvarintAt(b, i)
 		w = unpackWeightBits(u)
 	}
-	unit := constW && w == 1 || deg == 0
-	var ws []float64 // the row's weights, to decode or fill in
-	if !unit {
-		n := len(wts)
-		wts = slices.Grow(wts, deg)[:n+deg]
-		ws = wts[n:]
-	}
-	at, prev := len(cols), int64(0)
-	cols = slices.Grow(cols, deg)[:at+deg]
-	row := cols[at:]
-	for k := range row {
+	prev := int64(0)
+	for k := range cols {
 		var u uint64
 		if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
 			more := uint64(b[i] >> 7) // 1 for a two-byte delta
@@ -101,7 +108,7 @@ func (c *PackedCSR) decodeRow(v NodeID, cols []NodeID, wts []float64) ([]NodeID,
 			u, i = uvarintAt(b, i)
 		}
 		prev += int64(u>>1) ^ -int64(u&1)
-		row[k] = NodeID(prev)
+		cols[k] = NodeID(prev)
 		if !constW {
 			u, i = uvarintAt(b, i)
 			ws[k] = unpackWeightBits(u)
@@ -112,7 +119,6 @@ func (c *PackedCSR) decodeRow(v NodeID, cols []NodeID, wts []float64) ([]NodeID,
 			ws[k] = w
 		}
 	}
-	return cols, wts, unit
 }
 
 // unitRow returns row v's degree and whether every entry of it weighs exactly
@@ -144,70 +150,6 @@ func uvarintAt(b []byte, i int) (uint64, int) {
 		if c < 0x80 {
 			return u, i
 		}
-	}
-}
-
-// Gather is CSR.Gather over packed rows, decoding and summing in one pass:
-// rows lie back to back, so it walks Data once from row lo's offset, summing
-// each entry as its column decodes, with one loop for rows of one constant
-// weight (sum += w*x[col]) and one for per-entry weights (sum += w_i*x[col]).
-// Those are CSR.Gather's expressions in its entry order, and a unit row's
-// w*x == x exactly, so the result is the flat gather's bit for bit. A list of
-// rows is gathered as the whole run from its first row to its last: an empty
-// row between them costs its one header byte, and decoding the listed rows
-// alone measured no faster on R-MAT 10^5.
-//
-// A column delta of one or two bytes — 89 % of R-MAT 10^5's — decodes
-// without a branch on its length, any longer varint continues in uvarintAt;
-// decodeRow's loop does the same, each written out by hand because the
-// compiler will not inline a helper that calls uvarintAt. The data must have
-// been produced by packRow (or validated by validatePackedCSR): the loops
-// perform no varint-error checking.
-func (c *PackedCSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
-	if rows != nil {
-		if lo == hi {
-			return
-		}
-		lo, hi = int(rows[lo]), int(rows[hi-1])+1
-	}
-	b := c.Data
-	i := int(c.RowOff[lo])
-	for r := lo; r < hi; r++ {
-		var hdr uint64
-		hdr, i = uvarintAt(b, i)
-		deg, sum, prev := int(hdr>>1), 0.0, int64(0)
-		switch {
-		case hdr&1 == 0: // per-entry weights (or an empty row)
-			for range deg {
-				var u uint64
-				if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
-					more := uint64(b[i] >> 7) // 1 for a two-byte delta
-					u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
-					i += 1 + int(more)
-				} else {
-					u, i = uvarintAt(b, i)
-				}
-				prev += int64(u>>1) ^ -int64(u&1)
-				u, i = uvarintAt(b, i)
-				sum += unpackWeightBits(u) * x[prev]
-			}
-		default: // one weight for the row, stored once
-			var u uint64
-			u, i = uvarintAt(b, i)
-			w := unpackWeightBits(u)
-			for range deg {
-				if i+1 < len(b) && b[i]&b[i+1] < 0x80 {
-					more := uint64(b[i] >> 7) // 1 for a two-byte delta
-					u = uint64(b[i]&0x7f) | uint64(b[i+1]&0x7f)<<7&-more
-					i += 1 + int(more)
-				} else {
-					u, i = uvarintAt(b, i)
-				}
-				prev += int64(u>>1) ^ -int64(u&1)
-				sum += w * x[prev]
-			}
-		}
-		dst[r] = sum
 	}
 }
 
@@ -265,32 +207,56 @@ func packRow(buf []byte, cols []NodeID, weights []float64) []byte {
 	return buf
 }
 
-// unpackCSR reconstructs the flat CSR arrays bit-identically to what packCSR
-// consumed, with one weight per column. It assumes the packed data was
-// validated (or produced in-process).
-func (c *PackedCSR) unpackCSR() CSR {
-	rows, total := c.Rows(), 0
-	for v := 0; v < rows; v++ {
-		total += c.Degree(NodeID(v))
+// flatRows decodes the listed rows (every row when rows is nil) into flat
+// arrays over all rows, the unlisted ones empty: degrees from the headers
+// first, summed into offsets so each array is allocated once, then each row
+// in place. When ones is given and every listed row weighs 1 the result is in
+// the unit form, sharing ones (as long as the longest such row); otherwise it
+// carries one weight per column.
+func (c *PackedCSR) flatRows(rows []NodeID, ones []float64) CSR {
+	n, listed := c.Rows(), len(rows)
+	if rows == nil {
+		listed = n
 	}
-	out := CSR{RowPtr: make([]int64, 1, rows+1), Col: make([]NodeID, 0, total), Weight: make([]float64, 0, total)}
-	for v := range rows {
-		var unit bool
-		out.Col, out.Weight, unit = c.decodeRow(NodeID(v), out.Col, out.Weight)
-		for unit && len(out.Weight) < len(out.Col) {
-			out.Weight = append(out.Weight, 1)
+	at := func(i int) NodeID { // the i-th listed row
+		if rows == nil {
+			return NodeID(i)
 		}
-		out.RowPtr = append(out.RowPtr, int64(len(out.Col)))
+		return rows[i]
 	}
-	out.Sum = c.Sum
+	out := CSR{RowPtr: make([]int64, n+1), Sum: c.Sum}
+	unit := ones != nil
+	for i := range listed {
+		deg, u := c.unitRow(at(i))
+		out.RowPtr[at(i)+1], unit = int64(deg), unit && u
+	}
+	for r := range n {
+		out.RowPtr[r+1] += out.RowPtr[r]
+	}
+	total := out.RowPtr[n]
+	out.Col = make([]NodeID, total)
+	if unit {
+		out.ones = ones
+	} else {
+		out.Weight = make([]float64, total)
+	}
+	for i := range listed {
+		r := at(i)
+		lo, hi := out.RowPtr[r], out.RowPtr[r+1]
+		var ws []float64
+		if !unit {
+			ws = out.Weight[lo:hi]
+		}
+		c.decodeInto(r, out.Col[lo:hi], ws)
+	}
 	return out
 }
 
 // validatePackedCSR walks every row of a decoded PackedCSR with a paranoid
 // decoder and checks its structure: malformed varints, truncated rows,
 // trailing bytes and out-of-range columns are errors. Packed data that passes
-// is safe for the unchecked decoder (decodeRows); weights and cached sums are the
-// flat check's to judge once the block is unpacked.
+// is safe for the unchecked decoder (decodeInto); weights and cached sums are
+// the flat check's to judge once the block is unpacked.
 func validatePackedCSR(name string, c *PackedCSR, rows, numNodes int) error {
 	if len(c.RowOff) != rows+1 {
 		return fmt.Errorf("graph: packed %s: %d offsets for %d rows", name, len(c.RowOff), rows)
@@ -363,10 +329,10 @@ func scanPackedRow(b []byte, numNodes int) error {
 }
 
 // Packed is a whole graph in packed CSR form: the memory-lean counterpart of
-// *Graph's flat arrays, built with Pack. It implements View — its gathers
-// sum rows as they decode them (PackedCSR.Gather), its rows are per-query
-// sessions — so every solver accepts it directly, with results bit-identical
-// to the flat layout's. It carries no labels or types, only adjacency, and
+// *Graph's flat arrays, built with Pack. It implements View — an exact solve
+// decodes the rows it sweeps once per direction (FlatRows), its rows are
+// per-query sessions — so every solver accepts it directly, with results
+// bit-identical to the flat layout's. It carries no labels or types, only adjacency, and
 // the identity (epoch, fingerprint) of the flat source it was packed from.
 type Packed struct {
 	numNodes int
@@ -377,7 +343,8 @@ type Packed struct {
 
 	// ones is as long as the longest unit-weight row of either direction:
 	// sessions hand out windows of it as those rows' weights, as CSR.Row
-	// does in the unit form. Never written once made.
+	// does in the unit form, and FlatRows' unit-form arrays share it. Never
+	// written once made.
 	ones []float64
 }
 
@@ -413,7 +380,7 @@ func Pack(v CSRView) *Packed {
 // weights as Row reads them — one per column, also where the source was in the
 // unit form.
 func (p *Packed) Unpack() *CompactedView {
-	return &CompactedView{numNodes: p.numNodes, out: p.out.unpackCSR(), in: p.in.unpackCSR()}
+	return &CompactedView{numNodes: p.numNodes, out: p.out.flatRows(nil, nil), in: p.in.flatRows(nil, nil)}
 }
 
 // NumNodes implements View.
@@ -434,14 +401,14 @@ func (p *Packed) OutSums() []float64 { return p.out.Sum }
 // InSums implements View.
 func (p *Packed) InSums() []float64 { return p.in.Sum }
 
-// GatherOut implements View.
-func (p *Packed) GatherOut(x, dst []float64, rows []NodeID, lo, hi int) {
-	p.out.Gather(x, dst, rows, lo, hi)
-}
-
-// GatherIn implements View.
-func (p *Packed) GatherIn(x, dst []float64, rows []NodeID, lo, hi int) {
-	p.in.Gather(x, dst, rows, lo, hi)
+// FlatRows implements View: the listed rows decoded (flatRows) into arrays
+// the caller holds and nothing here keeps, or the view would be the flat
+// layout by another name.
+func (p *Packed) FlatRows(dir Dir, rows []NodeID) CSR {
+	if dir == In {
+		return p.in.flatRows(rows, p.ones)
+	}
+	return p.out.flatRows(rows, p.ones)
 }
 
 // SizeBytes returns the resident footprint of the packed adjacency (both

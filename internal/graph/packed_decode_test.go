@@ -41,7 +41,7 @@ func refRow(t *testing.T, c *PackedCSR, v int) ([]NodeID, []float64) {
 
 // checkDecoder holds decodeRow to refRow on every row of c, into empty
 // buffers and appended after an entry already there (a unit row decodes no
-// weights), and unpackCSR too. It returns the reference rows as flat arrays,
+// weights), and flatRows of every row with weights (Unpack's) too. It returns the reference rows as flat arrays,
 // one weight per entry.
 func checkDecoder(t *testing.T, name string, c *PackedCSR) CSR {
 	t.Helper()
@@ -69,21 +69,21 @@ func checkDecoder(t *testing.T, name string, c *PackedCSR) CSR {
 			t.Fatalf("%s: row %d: decoded after an entry %v %v, want %v %v after it", name, v, gotC, gotW, cols, wantW)
 		}
 	}
-	if u := c.unpackCSR(); !slices.Equal(u.RowPtr, want.RowPtr) || !sameRow(u.Col, u.Weight, want.Col, want.Weight) {
-		t.Fatalf("%s: unpackCSR differs from the reference", name)
+	if u := c.flatRows(nil, nil); !slices.Equal(u.RowPtr, want.RowPtr) || !sameRow(u.Col, u.Weight, want.Col, want.Weight) {
+		t.Fatalf("%s: flatRows(nil, nil) differs from the reference", name)
 	}
 	return want
 }
 
-// checkGather holds the packed gather to the flat gather over the same rows,
-// bit for bit: as a whole range, split in two at every row boundary (at a
-// few when there are over a thousand rows), and listed — every row, the rows
-// with entries, every other row and, where there are two empty rows, the run
-// from the first to the last that lists only them and the rows with entries
-// between — each list whole and split at every list boundary (at a few when
-// long). A listed gather is compared on the listed rows; the flat one writes
-// no others.
-func checkGather(t *testing.T, name string, flat CSR, packed *PackedCSR, x []float64) {
+// checkFlatRows holds the packed rows an exact solve sweeps — the listed
+// rows decoded by flatRows, reduced by CSR.Gather — to the flat gather over
+// the same rows, bit for bit: every row (a nil list) as a whole range and
+// split in two at every row boundary (at a few when there are over a
+// thousand rows), and listed — every row, the rows with entries, every other
+// row and, where there are two empty rows, the run from the first to the
+// last that lists only them and the rows with entries between — each list
+// whole and split at every list boundary (at a few when long).
+func checkFlatRows(t *testing.T, name string, flat CSR, packed *PackedCSR, ones []float64, x []float64) {
 	t.Helper()
 	n := packed.Rows()
 	want := make([]float64, n)
@@ -98,17 +98,7 @@ func checkGather(t *testing.T, name string, flat CSR, packed *PackedCSR, x []flo
 		}
 		return []int{0, 1, m / 3, m/2 + 7, m - 1, m}
 	}
-	got := make([]float64, n)
-	for _, k := range cuts(n) {
-		for r := range got {
-			got[r] = math.NaN()
-		}
-		packed.Gather(x, got, nil, 0, k)
-		packed.Gather(x, got, nil, k, n)
-		if !sameRow(nil, got, nil, want) {
-			t.Fatalf("%s: packed gather split at row %d differs from the flat one", name, k)
-		}
-	}
+	checkDecoded(t, name+"/range", flat, packed, ones, x, want, nil, cuts(n))
 	var all, full, empty, odd, emptyEnds []NodeID
 	for r := range NodeID(n) {
 		all = append(all, r)
@@ -132,22 +122,58 @@ func checkGather(t *testing.T, name string, flat CSR, packed *PackedCSR, x []flo
 		emptyEnds = append(emptyEnds, last)
 	}
 	for lname, list := range map[string][]NodeID{"every": all, "full": full, "odd": odd, "empty-ended": emptyEnds} {
-		if len(list) == 0 {
-			continue
+		if len(list) > 0 {
+			checkDecoded(t, name+"/"+lname, flat, packed, ones, x, want, list, cuts(len(list)))
 		}
-		flatGot := make([]float64, n)
-		for _, k := range cuts(len(list)) {
-			for r := range got {
-				got[r], flatGot[r] = math.NaN(), math.NaN()
-			}
-			packed.Gather(x, got, list, 0, k)
-			packed.Gather(x, got, list, k, len(list))
-			flat.Gather(x, flatGot, list, 0, k)
-			flat.Gather(x, flatGot, list, k, len(list))
-			for _, r := range list {
-				if math.Float64bits(got[r]) != math.Float64bits(want[r]) || math.Float64bits(flatGot[r]) != math.Float64bits(want[r]) {
-					t.Fatalf("%s: %s rows split at %d: row %d gathers %v packed, %v flat listed, %v flat", name, lname, k, r, got[r], flatGot[r], want[r])
-				}
+	}
+}
+
+// checkDecoded decodes list's rows of packed (every row when list is nil) and
+// holds the result to the flat rows: each listed row equal to flat's, each
+// other row empty, the unit form exactly when ones is given and every listed
+// row weighs 1 — otherwise one weight per column, 1 on every unit row among
+// weighted ones — and CSR.Gather over it with the list, split at each cut,
+// equal to want on every listed row bit for bit. A listed gather writes no
+// other row.
+func checkDecoded(t *testing.T, name string, flat CSR, packed *PackedCSR, ones []float64, x, want []float64, list []NodeID, cuts []int) {
+	t.Helper()
+	n := packed.Rows()
+	listed, rows := make([]bool, n), list
+	if list == nil {
+		rows = make([]NodeID, n)
+		for r := range rows {
+			rows[r] = NodeID(r)
+		}
+	}
+	unit := ones != nil
+	for _, r := range rows {
+		listed[r] = true
+		_, ws := flat.Row(r)
+		unit = unit && !slices.ContainsFunc(ws, func(w float64) bool { return w != 1 })
+	}
+	got := packed.flatRows(list, ones)
+	if len(got.RowPtr) != n+1 || got.RowPtr[0] != 0 || int(got.RowPtr[n]) != len(got.Col) {
+		t.Fatalf("%s: %d offsets from %d to %d over %d columns", name, len(got.RowPtr), got.RowPtr[0], got.RowPtr[len(got.RowPtr)-1], len(got.Col))
+	}
+	if (got.ones != nil) != unit || (got.Weight == nil) != unit || !unit && len(got.Weight) != len(got.Col) {
+		t.Fatalf("%s: decoded %d weights and ones %v for %d columns; want the unit form: %v", name, len(got.Weight), got.ones != nil, len(got.Col), unit)
+	}
+	for r := range NodeID(n) {
+		gc, gw := got.Row(r)
+		if wc, ww := flat.Row(r); listed[r] && !sameRow(gc, gw, wc, ww) || !listed[r] && len(gc) != 0 {
+			t.Fatalf("%s: row %d (listed %v) decodes to %v %v, the flat row is %v %v", name, r, listed[r], gc, gw, wc, ww)
+		}
+	}
+	dst := make([]float64, n)
+	for _, k := range cuts {
+		for r := range dst {
+			dst[r] = math.NaN()
+		}
+		got.Gather(x, dst, list, 0, k)
+		got.Gather(x, dst, list, k, len(rows))
+		for _, r := range rows {
+			if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
+				t.Fatalf("%s: split at %d: row %d gathers %v decoded, %v flat", name, k, r, dst[r], want[r])
 			}
 		}
 	}
@@ -157,9 +183,10 @@ func checkGather(t *testing.T, name string, flat CSR, packed *PackedCSR, x []flo
 // column deltas of every varint length from one to five bytes, both signs,
 // a unit row, a constant 2.5 row, a mixed row with weights of up to ten-byte
 // varints and two empty rows — and holds the decoder to the reference on
-// them, and the packed gather to the flat gather over the reference rows.
-// The last row is long-varint-heavy and ends exactly at len(Data), where a
-// decoder that reads ahead would run off the array.
+// them, and the rows flatRows decodes, under CSR.Gather, to the flat gather
+// over the reference rows (checkFlatRows). The last row is
+// long-varint-heavy and ends exactly at len(Data), where a decoder that
+// reads ahead would run off the array.
 func TestDecodeRowsVarintLengths(t *testing.T) {
 	big := []NodeID{0, 1, 100, 10_000, 2_000_000, 300_000_000, 5, 2_147_483_647, 0}
 	rev := slices.Clone(big)
@@ -220,12 +247,12 @@ func TestDecodeRowsVarintLengths(t *testing.T) {
 			x[col] = 1 / float64(3*int(col)+1)
 		}
 	}
-	checkGather(t, "direct", flat, &c, x)
+	checkFlatRows(t, "direct", flat, &c, slices.Repeat([]float64{1}, len(big)), x)
 }
 
 // TestDecodeRowsPackedGraphs holds the decoder to the reference on packed
-// graphs, and the packed gather to the flat gather over the flat rows
-// (checkGather): unsorted rows through Compact (negative deltas) with unit,
+// graphs, and the rows flatRows decodes to the flat gather over the flat rows
+// (checkFlatRows): unsorted rows through Compact (negative deltas) with unit,
 // constant 2.5, mixed and empty rows; rows of over 512 entries, unit and
 // mixed, between empty rows; and R-MAT 10^4, whose deltas take one to three
 // bytes like the bench graph's and whose flat rows are in the unit form. On
@@ -246,8 +273,8 @@ func TestDecodeRowsPackedGraphs(t *testing.T) {
 		}
 		checkDecoder(t, name+"/out", &p.out)
 		checkDecoder(t, name+"/in", &p.in)
-		checkGather(t, name+"/out", g.OutCSR(), &p.out, x)
-		checkGather(t, name+"/in", g.InCSR(), &p.in, x)
+		checkFlatRows(t, name+"/out", g.OutCSR(), &p.out, p.ones, x)
+		checkFlatRows(t, name+"/in", g.InCSR(), &p.in, p.ones, x)
 		checkSession(t, name, g, p)
 	}
 }
@@ -325,10 +352,13 @@ func withSums(c CSR) CSR {
 // FuzzPackedGather turns fuzz bytes into rows — unsorted columns whose
 // deltas take one to three bytes, rows weighing 1, 2.5 or one arbitrary
 // finite value throughout, rows of per-entry weights from those three, empty
-// rows — puts them through Compact and Pack, and holds the packed gather to
-// the flat one bit for bit: the whole range, the range split at a fuzzed row
-// and a fuzzed list of rows split at a fuzzed entry. The session's rows equal
-// the flat rows.
+// rows — puts them through Compact and Pack, and holds the rows an exact
+// solve sweeps on the packed view — flatRows, reduced by CSR.Gather — to the
+// flat gather bit for bit (checkDecoded): every row split at a fuzzed row, a
+// fuzzed list of rows split at a fuzzed entry, the unit rows alone, which
+// must decode to the unit form, and the unit rows with the first weighted
+// one, which must keep one weight per column for every row. The session's
+// rows equal the flat rows.
 func FuzzPackedGather(f *testing.F) {
 	f.Add([]byte{0, 9, 4, 0x11, 0, 3, 0, 7, 0, 1, 0x00, 0x32, 0, 2, 1, 0, 5, 0, 8, 2})
 	f.Add([]byte{0x27, 0x10, 200, 0x3f, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x12, 0x34, 0x00, 0x01, 0x26, 0xff, 0xfe, 0x80, 0x00})
@@ -385,7 +415,7 @@ func FuzzPackedGather(f *testing.F) {
 		for i := range x {
 			x[i] = 1 / float64(3*i+1)
 		}
-		var list []NodeID
+		var list, units, mixed []NodeID
 		for v := range NodeID(n) {
 			if (int(v)*(listSeed|1))>>2%3 != 0 {
 				list = append(list, v)
@@ -395,23 +425,27 @@ func FuzzPackedGather(f *testing.F) {
 			flat   CSR
 			packed *PackedCSR
 		}{"out": {g.OutCSR(), &p.out}, "in": {g.InCSR(), &p.in}} {
-			want, whole, split := make([]float64, n), make([]float64, n), make([]float64, n)
+			want := make([]float64, n)
 			pair.flat.Gather(x, want, nil, 0, n)
-			pair.packed.Gather(x, whole, nil, 0, n)
-			k := cut % (n + 1)
-			pair.packed.Gather(x, split, nil, 0, k)
-			pair.packed.Gather(x, split, nil, k, n)
-			if !sameRow(nil, whole, nil, want) || !sameRow(nil, split, nil, want) {
-				t.Fatalf("%s: packed range gather (whole, or split at %d) differs from the flat one", dir, k)
-			}
-			listed := make([]float64, n)
-			k = cut % (len(list) + 1)
-			pair.packed.Gather(x, listed, list, 0, k)
-			pair.packed.Gather(x, listed, list, k, len(list))
-			for _, r := range list {
-				if math.Float64bits(listed[r]) != math.Float64bits(want[r]) {
-					t.Fatalf("%s: listed row %d (list split at %d) gathers %v packed, %v flat", dir, r, k, listed[r], want[r])
+			units, mixed = units[:0], mixed[:0]
+			for v := range NodeID(n) {
+				_, ws := pair.flat.Row(v)
+				if !slices.ContainsFunc(ws, func(w float64) bool { return w != 1 }) {
+					units = append(units, v)
+					mixed = append(mixed, v)
+				} else if len(mixed) == len(units) {
+					mixed = append(mixed, v)
 				}
+			}
+			for lname, rows := range map[string][]NodeID{"every": nil, "fuzzed": list, "unit": units, "unit+1": mixed} {
+				if rows != nil && len(rows) == 0 {
+					continue
+				}
+				m := n
+				if rows != nil {
+					m = len(rows)
+				}
+				checkDecoded(t, dir+"/"+lname, pair.flat, pair.packed, p.ones, x, want, rows, []int{cut % (m + 1)})
 			}
 		}
 		checkSession(t, "fuzz", g, p)

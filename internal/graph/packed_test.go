@@ -66,7 +66,7 @@ func TestPackUnpackBitIdentical(t *testing.T) {
 // every layout of the same content — the graph, its arrays under Compact, the
 // graph with nothing taken out, its packed form and that unpacked again —
 // reports the same node count, epoch and fingerprint, and serves bit-equal
-// out-sums, rows (through NewRows) and gathers.
+// out-sums, rows (through NewRows) and gathers (CSR.Gather over FlatRows).
 func TestPackedViewMatchesFlat(t *testing.T) {
 	for name, src := range packedTestViews(t) {
 		g := src.(*Graph)
@@ -109,10 +109,10 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 			// partition gives the same bits.
 			gotOut, gotIn := make([]float64, len(x)), make([]float64, len(x))
 			mid := len(x) / 3
-			view.GatherOut(x, gotOut, nil, 0, mid)
-			view.GatherOut(x, gotOut, nil, mid, len(x))
-			view.GatherIn(x, gotIn, nil, 0, mid)
-			view.GatherIn(x, gotIn, nil, mid, len(x))
+			view.FlatRows(Out, nil).Gather(x, gotOut, nil, 0, mid)
+			view.FlatRows(Out, nil).Gather(x, gotOut, nil, mid, len(x))
+			view.FlatRows(In, nil).Gather(x, gotIn, nil, 0, mid)
+			view.FlatRows(In, nil).Gather(x, gotIn, nil, mid, len(x))
 			if !sameRow(nil, gotOut, nil, wantOut) || !sameRow(nil, gotIn, nil, wantIn) {
 				t.Fatalf("%s: gathers differ from the flat reduction", what)
 			}

@@ -349,7 +349,7 @@ func readPackedStripeCSR(r io.Reader, name string, rows, numNodes int) (CSR, err
 	if err := validatePackedCSR(name, &p, rows, numNodes); err != nil {
 		return c, err
 	}
-	return p.unpackCSR(), nil
+	return p.flatRows(nil, nil), nil
 }
 
 // readBytes reads a length-prefixed byte array in bounded chunks, like

@@ -93,8 +93,8 @@ func TestUnitFormParity(t *testing.T) {
 	}
 	for _, split := range []int{0, 1, n / 3, n - 1, n} {
 		for dir, gather := range map[string][2]func(x, dst []float64, rows []NodeID, lo, hi int){
-			"out": {g.GatherOut, ex.GatherOut},
-			"in":  {g.GatherIn, ex.GatherIn},
+			"out": {g.FlatRows(Out, nil).Gather, ex.FlatRows(Out, nil).Gather},
+			"in":  {g.FlatRows(In, nil).Gather, ex.FlatRows(In, nil).Gather},
 		} {
 			got, want := make([]float64, n), make([]float64, n)
 			gather[0](x, got, nil, 0, split)

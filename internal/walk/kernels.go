@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"roundtriprank/internal/fan"
 	"roundtriprank/internal/graph"
@@ -12,14 +13,15 @@ import (
 
 // This file holds the exact solvers: one power iteration over a row-gather
 // seam. F-Rank, T-Rank and PageRank are three update rules handed to the same
-// loop; where the rows live — flat arrays, packed arrays, a striped worker
-// fleet (internal/distributed) — is a Gatherer beneath it. A personalized
-// solve sweeps only its support, the rows a walk can reach, listed once per
-// solve: T-Rank the nodes with out-weight and the query nodes, F-Rank the
-// nodes with an in-row or restart weight. A gather reduces the support's rows
-// alone, and the passes around it visit its nodes alone — unless the support
-// is nearly the whole graph (listedShare); every node a sweep skips holds an
-// exact zero it would only have added to a non-negative sum. Every Gatherer reduces each row sequentially, in stored entry order,
+// loop; where the rows live — flat arrays, packed ones decoded once a solve,
+// a striped worker fleet (internal/distributed) — is a Gatherer beneath it.
+// A personalized solve sweeps only its support, the rows a walk can reach,
+// listed once per solve: T-Rank the nodes with out-weight and the query
+// nodes, F-Rank the nodes with an in-row or restart weight. A gather reduces
+// the support's rows alone, and the passes around it visit its nodes alone —
+// unless the support is nearly the whole graph (listedShare); every node a
+// sweep skips holds an exact zero it would only have added to a non-negative
+// sum. Every Gatherer reduces each row sequentially, in stored entry order,
 // and everything around the gather (transition scaling, dangling mass,
 // update, L1 test, T-Rank's tail jump) is serial in ascending node order, so
 // a solve is bit-identical across representations, worker counts, stripe
@@ -31,7 +33,9 @@ import (
 // node; a gather must fill dst[v] for every row v in rows, an ascending list —
 // for every row when rows is nil — reducing each row sequentially in stored
 // entry order. It may fill other rows of dst with their own reductions, and
-// must not retain any of the slices. A failed gather aborts the solve.
+// must not retain x or dst; it may keep what it fetched for a row list while
+// gathers pass that same list, which the caller must not change. A failed
+// gather aborts the solve.
 type Gatherer interface {
 	// OutSums returns every node's total out-weight; its length is the node
 	// count. Read-only, and constant for the Gatherer's lifetime.
@@ -48,39 +52,65 @@ type Gatherer interface {
 	GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error
 }
 
-// local is the in-process Gatherer: the layout's own row reductions
-// (graph.View.GatherIn/GatherOut), the listed rows — or the row range —
-// partitioned over the goroutines of one gather. Pull form is what makes the
-// partitioning race-free — dst[v] is written by exactly one of them — and
-// each row is reduced sequentially by whoever owns it, so the worker count
-// changes who computes a row, never the floating-point operation order
-// within it.
+// local is the in-process Gatherer: graph.CSR.Gather over the rows the view
+// hands out for a row list (graph.View.FlatRows), the listed rows — or the
+// row range — partitioned over the goroutines of one gather. Pull form is
+// what makes the partitioning race-free — dst[v] is written by exactly one of
+// them — and each row is reduced sequentially by whoever owns it, so the
+// worker count changes who computes a row, never the floating-point
+// operation order within it.
 type local struct {
 	view    graph.View
 	workers int
+	fetched [2]atomic.Pointer[fetched] // indexed by graph.Dir
+}
+
+// fetched is one direction's rows as the view served them for one row list.
+type fetched struct {
+	list []graph.NodeID
+	rows graph.CSR
 }
 
 // Local returns the in-process Gatherer of a view — flat rows or packed rows,
 // whichever the layout holds. workers is the number of goroutines each gather
-// runs on, as Params.Workers. A Local holds nothing but the view: gathers on
-// it, concurrent ones included, share no worker and cannot wait on each other.
+// runs on, as Params.Workers. Per direction a Local keeps the rows it fetched
+// for the last list gathered — a packed view's decoded once, held as long as
+// the Local: make one per solve, or per pair of legs as core.Compute does.
+// Gathers on it, concurrent ones included, share no worker and never wait on
+// each other (two first gathers of one direction may both fetch).
 func Local(view graph.View, workers int) Gatherer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return local{view: view, workers: workers}
+	return &local{view: view, workers: workers}
 }
 
-func (l local) OutSums() []float64 { return l.view.OutSums() }
+func (l *local) OutSums() []float64 { return l.view.OutSums() }
 
-func (l local) InSums() []float64 { return l.view.InSums() }
+func (l *local) InSums() []float64 { return l.view.InSums() }
 
-func (l local) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { l.view.GatherIn(x, dst, rows, lo, hi) })
+func (l *local) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return l.gather(ctx, graph.In, x, dst, rows)
 }
 
-func (l local) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { l.view.GatherOut(x, dst, rows, lo, hi) })
+func (l *local) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+	return l.gather(ctx, graph.Out, x, dst, rows)
+}
+
+// gather sweeps one direction's rows, fetched first unless they were fetched
+// for this very list.
+func (l *local) gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
+	f := l.fetched[dir].Load()
+	if f == nil || !sameList(f.list, rows) {
+		f = &fetched{list: rows, rows: l.view.FlatRows(dir, rows)}
+		l.fetched[dir].Store(f)
+	}
+	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { f.rows.Gather(x, dst, rows, lo, hi) })
+}
+
+// sameList reports whether a and b are one list, or both nil.
+func sameList(a, b []graph.NodeID) bool {
+	return (a == nil) == (b == nil) && len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // extent is what a gather into dst partitions: the listed rows, or every row

@@ -409,39 +409,86 @@ func TestSplitCoversRange(t *testing.T) {
 	}
 }
 
-// parkingView is a flat graph whose GatherIn parks, once, inside the chunk
-// that starts at parkAt: it announces itself on parked and waits for resume.
+// parkingView is a flat graph whose in-rows park, once, when fetched: the
+// fetch announces itself on parked and waits for resume.
 type parkingView struct {
 	*graph.Graph
-	parkAt         int
 	taken          atomic.Bool
 	parked, resume chan struct{}
 }
 
-func (v *parkingView) GatherIn(x, dst []float64, rows []graph.NodeID, lo, hi int) {
-	if lo == v.parkAt && v.taken.CompareAndSwap(false, true) {
+func (v *parkingView) FlatRows(dir graph.Dir, rows []graph.NodeID) graph.CSR {
+	if dir == graph.In && v.taken.CompareAndSwap(false, true) {
 		close(v.parked)
 		<-v.resume
 	}
-	v.Graph.GatherIn(x, dst, rows, lo, hi)
+	return v.Graph.FlatRows(dir, rows)
 }
 
-// TestConcurrentGathersDoNotQueue pins what the per-gather goroutines buy:
-// two gathers on one Local share nothing, so while the first is stuck inside
-// its second chunk the second still runs to completion. On a shared set of
-// parked workers it queued behind the stuck chunk.
+// TestConcurrentSplitsDoNotQueue pins what the per-call goroutines buy: two
+// splits share no worker, so while both chunks of the first are stuck the
+// second still runs every chunk of its own. On a shared set of GOMAXPROCS
+// parked workers it queued behind the stuck chunks.
+func TestConcurrentSplitsDoNotQueue(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 8
+	parked, resume := make(chan struct{}, 2), make(chan struct{})
+	firstDone := make(chan error, 1)
+	go func() {
+		firstDone <- split(context.Background(), n, 2, func(lo, hi int) {
+			parked <- struct{}{}
+			<-resume
+		})
+	}()
+	<-parked
+	<-parked
+
+	var visited [n]int
+	secondDone := make(chan error, 1)
+	go func() {
+		secondDone <- split(context.Background(), n, 2, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				visited[i]++
+			}
+		})
+	}()
+	select {
+	case err := <-secondDone:
+		if err != nil {
+			t.Fatalf("second split: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(resume)
+		t.Fatal("the second split waited for the first one's parked chunks")
+	}
+	for i, c := range visited {
+		if c != 1 {
+			t.Fatalf("second split: index %d visited %d times", i, c)
+		}
+	}
+
+	close(resume)
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first split: %v", err)
+	}
+}
+
+// TestConcurrentGathersDoNotQueue pins what the lock-free fetch buys: while
+// one gather on a Local is stuck fetching its rows, a second gather on it
+// fetches its own and runs to completion. Behind a lock or a sync.Once
+// around the fetch it queued behind the stuck one.
 func TestConcurrentGathersDoNotQueue(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := kernelTestGraphs()["toy"]
 	n := g.NumNodes()
-	view := &parkingView{Graph: g, parkAt: (n + 1) / 2, parked: make(chan struct{}), resume: make(chan struct{})}
+	view := &parkingView{Graph: g, parked: make(chan struct{}), resume: make(chan struct{})}
 	gth := Local(view, 0) // GOMAXPROCS: two chunks
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
 	want := make([]float64, n)
-	g.GatherIn(x, want, nil, 0, n)
+	g.InCSR().Gather(x, want, nil, 0, n)
 
 	first, second := make([]float64, n), make([]float64, n)
 	firstDone := make(chan error, 1)
