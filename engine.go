@@ -235,9 +235,9 @@ type Response struct {
 	// always true on the exact path.
 	Converged bool
 	// Degraded reports the online search stopped on a budget (or the round
-	// valve) with work remaining: the results are best-effort, qualified by
-	// CertifiedK and AchievedEpsilon. Always false on the exact path and on
-	// converged or graph-exhausted online queries.
+	// backstop a tie at ε = 0 can reach) with work remaining: results are
+	// best-effort, qualified by CertifiedK and AchievedEpsilon. Always false on
+	// the exact path and on converged or closed (exhausted) online queries.
 	Degraded bool
 	// CertifiedK is the length of the leading prefix of Results proven exact
 	// by the online search's bounds at termination (every certified position

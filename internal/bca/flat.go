@@ -70,6 +70,7 @@ type Flat struct {
 
 	totalResidual float64
 	processed     int
+	border        int // the members holding residual that were never processed
 }
 
 // Init is InitRows over a flat CSR view. It survives only because
@@ -103,8 +104,7 @@ func (s *Flat) InitRows(rows graph.Rows, q walk.Query, alpha float64) error {
 	s.idx.Reset(n)
 	s.benefit.Reset()
 	s.mu, s.fAt, s.sf, s.rho = s.mu[:0], s.fAt[:0], s.sf[:0], s.rho[:0]
-	s.totalResidual = 0
-	s.processed = 0
+	s.totalResidual, s.processed, s.border = 0, 0, 0
 	for i, v := range s.restartNodes {
 		s.addResidual(v, s.restartWeights[i])
 	}
@@ -153,6 +153,11 @@ func (s *Flat) MaxResidual() float64 {
 // Processed returns the number of BCA processing operations performed.
 func (s *Flat) Processed() int { return s.processed }
 
+// Border returns the number of nodes holding residual that were never
+// processed. At zero, Sf is closed under out-edges and no node outside it can
+// ever score (a drained residual is one case); InitRows leaves the query's.
+func (s *Flat) Border() int { return s.border }
+
 // SeenCount returns the number of nodes with a non-zero estimate (|Sf|).
 func (s *Flat) SeenCount() int { return len(s.sf) }
 
@@ -185,6 +190,9 @@ func (s *Flat) addResidual(v graph.NodeID, amount float64) {
 	for int(slot) >= len(s.mu) { // a new member, or one a tracker added
 		s.mu, s.fAt = append(s.mu, 0), append(s.fAt, -1)
 	}
+	if s.mu[slot] == 0 && s.fAt[slot] < 0 {
+		s.border++ // its first residual; process takes it off when it gives the F slot
+	}
 	s.mu[slot] += amount
 	s.totalResidual += amount
 	deg := s.rows.OutDegree(v)
@@ -214,6 +222,7 @@ func (s *Flat) process(slot int32) {
 	if at < 0 {
 		at = int32(len(s.sf))
 		s.fAt[slot] = at
+		s.border--
 		s.sf, s.rho = append(s.sf, v), append(s.rho, 0)
 	}
 	s.rho[at] += s.alpha * residual

@@ -338,8 +338,10 @@ func TestFlatReuseAcrossGraphs(t *testing.T) {
 
 // Property: at any point during BCA, every rho is a lower bound of exact PPR,
 // residuals are non-negative, total residual decreases monotonically, and the
-// invariant check passes.
+// invariant check passes; and once Border is zero, every node that scores is
+// in Sf (some draw must get there).
 func quickInvariants(t *testing.T, bind binding) {
+	closed := 0
 	f := func(seed int64, stepsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(20)
@@ -382,15 +384,29 @@ func quickInvariants(t *testing.T, bind binding) {
 			}
 		}
 		ok := true
+		seen := make([]bool, n)
 		s.EachSeen(func(v graph.NodeID, rho float64) {
+			seen[v] = true
 			if rho > exact[v]+1e-8 {
 				ok = false
 			}
 		})
+		if s.Border() == 0 {
+			closed++
+			for v, e := range exact {
+				if e > 0 && !seen[v] {
+					t.Logf("border 0, but node %d outside Sf scores %g", v, e)
+					ok = false
+				}
+			}
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+	if closed == 0 {
+		t.Error("no draw closed Sf: the border property went unchecked")
 	}
 }
 

@@ -81,8 +81,8 @@ func (s *Flat) Estimates(n int) []float64 {
 
 // CheckInvariant verifies what must hold at every step: estimates sum to at
 // most 1 (rho lower-bounds PPR), residuals are non-negative and add up to the
-// running total, and the benefit heap holds exactly the positive-residual
-// nodes. Used by tests.
+// running total, the benefit heap holds exactly the positive-residual
+// nodes, and Border counts those of them never processed. Used by tests.
 func (s *Flat) CheckInvariant() error {
 	mass := 0.0
 	for _, r := range s.rho {
@@ -94,7 +94,7 @@ func (s *Flat) CheckInvariant() error {
 	if s.totalResidual < -1e-9 {
 		return fmt.Errorf("bca: negative total residual %g", s.totalResidual)
 	}
-	recount, live := 0.0, 0
+	recount, live, border := 0.0, 0, 0
 	for slot, m := range s.mu {
 		v := s.idx.Touched()[slot]
 		if m < -1e-12 {
@@ -102,6 +102,9 @@ func (s *Flat) CheckInvariant() error {
 		}
 		if m > 0 {
 			live++
+			if s.fAt[slot] < 0 {
+				border++
+			}
 		}
 		if has := s.benefit.Contains(int32(slot)); has != (m > 0) {
 			return fmt.Errorf("bca: node %d has residual %g, heap entry: %v", v, m, has)
@@ -113,6 +116,9 @@ func (s *Flat) CheckInvariant() error {
 	}
 	if s.benefit.Len() != live {
 		return fmt.Errorf("bca: heap size %d, want %d live residuals", s.benefit.Len(), live)
+	}
+	if s.Border() != border {
+		return fmt.Errorf("bca: Border %d, want %d unprocessed nodes holding residual", s.Border(), border)
 	}
 	return nil
 }

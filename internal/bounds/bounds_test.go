@@ -312,8 +312,14 @@ func TestTBoundsAdjacentMultiNodeBorderCount(t *testing.T) {
 			if err := bind.t(&tb, g, q, DefaultTOptions(0.25)); err != nil {
 				t.Fatalf("Init: %v", err)
 			}
-			if tb.BorderCount() != 1 {
-				t.Fatalf("query %v: BorderCount %d, want 1 (node 1's in-neighbor is a query node)", q.Nodes, tb.BorderCount())
+			border := 0
+			for _, outside := range tb.outsideIn {
+				if outside > 0 {
+					border++
+				}
+			}
+			if border != 1 {
+				t.Fatalf("query %v: %d border nodes, want 1 (node 1's in-neighbor is a query node)", q.Nodes, border)
 			}
 			if !logMatchesInduced(t, "T", &tb.k, &tb.neighborhood, tRow(tb.rows)) || len(tb.k.log) != 1 {
 				t.Fatalf("query %v: edge log %v, want the one edge 0→1", q.Nodes, tb.k.log)
@@ -785,12 +791,12 @@ func TestStageIIReadsNoRows(t *testing.T) {
 		}
 		picks := 0
 		for i := 0; i < rounds; i++ {
-			tb.k.maxIter = 0 // Expand sweeps nothing; Refine is called apart
+			tb.k.maxIter = 0 // Expand sweeps nothing; refine is called apart
 			tb.Expand()
 			picks += len(tb.pickN)
 			before := rows.reads()
 			tb.k.maxIter = maxIter
-			tb.Refine()
+			tb.refine(0)
 			if got := rows.reads() - before; got != 0 {
 				t.Errorf("RefineMaxIter %d round %d: T refinement made %d row-seam calls", maxIter, i, got)
 			}
@@ -825,7 +831,7 @@ func TestStageIIReadsNoRows(t *testing.T) {
 			}
 			logIn += rows.inRows - inBefore
 			before := rows.reads()
-			fb.Refine()
+			fb.k.refine(fb.opt.Alpha, fb.unseen, false, 0)
 			if got := rows.reads() - before; got != 0 {
 				t.Errorf("RefineMaxIter %d round %d: F refinement made %d row-seam calls", maxIter, i, got)
 			}
@@ -1074,10 +1080,12 @@ var kernelRule = stopRule{refineTol, refineRel}
 
 func (s stopRule) moved(d, v float64) bool { return d > s.tol && d > s.rel*v }
 
-// tExpandRule is the rule TFlat.Expand has just refined tb under: the
-// absolute one, rel 0, once St has no border left.
-func tExpandRule(tb *TFlat) stopRule {
-	if tb.Exhausted() {
+// expandRule is the rule either side's Expand has just refined under: the
+// absolute one, rel 0, once the side has no border left (closed) — St has no
+// in-neighbor outside it, or BCA no residual outside Sf. That is the last
+// round Expand refines in.
+func expandRule(closed bool) stopRule {
+	if closed {
 		return stopRule{tol: refineTol}
 	}
 	return kernelRule
@@ -1117,11 +1125,11 @@ func refSweep(b *neighborhood, restart []float64, alpha, unseen float64, row row
 	return moved
 }
 
-// refStageII applies to fb what Expand does after Stage I, with refSweep in
-// place of the kernel.
-func (fb *FFlat) refStageII() {
+// refStageII applies to fb what Expand does after Stage I, under the given
+// stop rule, with refSweep in place of the kernel.
+func (fb *FFlat) refStageII(rule stopRule) {
 	for iter := 0; iter < refineMaxIter; iter++ {
-		if !refSweep(&fb.neighborhood, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows), kernelRule) {
+		if !refSweep(&fb.neighborhood, fb.k.restart, fb.opt.Alpha, fb.unseen, fRow(fb.rows), rule) {
 			return
 		}
 	}
@@ -1220,8 +1228,13 @@ func monotone(t *testing.T, label string, b *neighborhood, unseen float64, prev 
 // refStageII and then synchronized to the kernel's result, so every round
 // starts both from the same state; a third T tracker, kept the same way, runs
 // the reference until no bound moves at all.
+//
+// At least a tenth of the draws must end with Sf closed (see FFlat.Expand),
+// so that the property covers the rounds that close it and those after.
 func quickBoundsSoundness(t *testing.T, bind binding) {
+	draws, closed := 0, 0
 	f := func(seed int64, roundsRaw, mRaw uint8) bool {
+		draws++
 		rng := rand.New(rand.NewSource(seed))
 		g, selfLoop := randomGraph(rng)
 		n := g.NumNodes()
@@ -1273,8 +1286,10 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 		fUnseen, tUnseen := fb.unseen, tb.unseen
 		for i := 0; i < rounds; i++ {
 			fb.Expand()
-			fref.Expand()
-			fref.refStageII()
+			if fref.engine.Border() > 0 { // Expand on a closed Sf does nothing at all
+				fref.Expand()
+				fref.refStageII(expandRule(fref.engine.Border() == 0))
+			}
 			sweeps := tb.k.sweeps
 			tb.Expand()
 			sweeps = tb.k.sweeps - sweeps
@@ -1285,7 +1300,7 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 					tdeep.Expand()
 					tdeep.refStageII(20000, stopRule{})
 				} else {
-					tref.refStageII(refineMaxIter, tExpandRule(&tref))
+					tref.refStageII(refineMaxIter, expandRule(tref.Exhausted()))
 				}
 			}
 			if !sameBounds(t, "F", &fb.neighborhood, &fref.neighborhood, fb.unseen, fref.unseen, 1e-12) {
@@ -1326,10 +1341,15 @@ func quickBoundsSoundness(t *testing.T, bind binding) {
 				}
 			}
 		}
+		if fb.engine.Border() == 0 {
+			closed++
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
 		t.Error(err)
+	} else if closed*10 < draws {
+		t.Errorf("Sf closed in %d of %d draws, fewer than a tenth", closed, draws)
 	}
 }
 

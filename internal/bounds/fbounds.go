@@ -28,13 +28,21 @@ const (
 // than max(refineTol, refineRel·its new value), or after refineMaxIter sweeps:
 // bounds span 10⁻⁹ to 10⁻¹, and refineTol is the floor for those near zero.
 // The rule reads the last sweep's moves; a sweep closes the distance to the
-// fixed point by 1−α, so up to (1−α)/α times the last move may remain. Refine,
-// and TFlat.Expand once St has no border left, stop on refineTol alone.
+// fixed point by 1−α, so up to (1−α)/α times the last move may remain. Either
+// side's Expand stops on refineTol alone in the round its border is gone.
 const (
 	refineTol     = 1e-12
 	refineRel     = 1e-4
 	refineMaxIter = 60
 )
+
+// expandRel is the relative part of the stop rule Expand refines under.
+func expandRel(closed bool) float64 {
+	if closed {
+		return 0
+	}
+	return refineRel
+}
 
 // FOptions configures an FFlat computation.
 type FOptions struct {

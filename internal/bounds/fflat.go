@@ -8,19 +8,19 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// FFlat maintains lower/upper bounds on F-Rank over the f-neighborhood Sf
-// (the nodes with a non-zero BCA estimate) plus a common upper bound for all
-// unseen nodes: Stage I folds each BCA expansion into the bounds (Prop. 4,
-// Eq. 19–21), Stage II refines them over Sf (Eq. 17–18) on the kernel's edge
-// log of the subgraph Sf induces and reads no rows: join, the one place a node
-// enters Sf, scans the newcomer's rows once and logs the induced edges it
-// closes, as TFlat's does. Sf's membership is the BCA engine's: its index of
-// the touched nodes and its side map from a shared slot to an F slot, given a
-// node when the engine first processes it. The kernel keeps the bounds,
-// restart weights and rows by F slot, and a node is seen once the kernel holds
-// its slot. This side keys nothing by node itself. InitRows rebinds the whole
-// tracker to a new query in O(1), so a pooled instance serves a stream of
-// queries with no steady-state allocation.
+// FFlat maintains lower/upper bounds on F-Rank over the f-neighborhood Sf (the
+// nodes with a non-zero BCA estimate) plus a common upper bound for all unseen
+// nodes, zero once BCA has no border left (see Expand): Stage I folds each BCA
+// expansion into the bounds (Prop. 4, Eq. 19–21), Stage II refines them over Sf
+// (Eq. 17–18) on the kernel's edge log of the subgraph Sf induces and reads no
+// rows: join, the one place a node enters Sf, scans the newcomer's rows once
+// and logs the induced edges it closes, as TFlat's does. Sf's membership is the
+// BCA engine's: its index of the touched nodes and its side map from a shared
+// slot to an F slot, given a node when the engine first processes it. The
+// kernel keeps the bounds, restart weights and rows by F slot, and a node is
+// seen once the kernel holds its slot. This side keys nothing by node itself.
+// InitRows rebinds the whole tracker to a new query in O(1), so a pooled
+// instance serves a stream of queries with no steady-state allocation.
 type FFlat struct {
 	neighborhood
 	opt  FOptions
@@ -66,12 +66,23 @@ func (fb *FFlat) Detach() {
 
 // Expand performs one Stage-I step: process up to M best-benefit nodes with
 // BCA, fold the new estimates into the bounds, and recompute the unseen upper
-// bound; then refine them iteratively (Stage II). It returns the number of BCA
-// processing operations performed (zero when the computation is exhausted).
+// bound; then refine them iteratively (Stage II). In the round BCA's border
+// closes (bca.Flat.Border) no node outside Sf can ever score: the unseen bound
+// drops to zero — Sf's upper bounds keep their Prop. 4 slack, which residual
+// inside Sf still owes — and the refinement, of the exact system on Sf, stops
+// on refineTol alone. Later calls do nothing. It returns the number of BCA
+// processing operations performed.
 func (fb *FFlat) Expand() int {
+	if fb.engine.Border() == 0 {
+		return 0
+	}
 	processed := fb.engine.ProcessBest(fb.opt.M)
 	fb.initializeBounds()
-	fb.k.refine(fb.opt.Alpha, fb.unseen, false, refineRel)
+	closed := fb.engine.Border() == 0
+	if closed {
+		fb.unseen = 0
+	}
+	fb.k.refine(fb.opt.Alpha, fb.unseen, false, expandRel(closed))
 	return processed
 }
 
@@ -167,13 +178,6 @@ func (fb *FFlat) join(v graph.NodeID, lo, up float64) {
 			}
 		}
 	}
-}
-
-// Refine runs the Stage-II refinement of Eq. 17–18 over the f-neighborhood
-// under the absolute stop rule, refineTol alone (see refineRel). It reads
-// nothing from the graph: the kernel sweeps the induced edges join has logged.
-func (fb *FFlat) Refine() {
-	fb.k.refine(fb.opt.Alpha, fb.unseen, false, 0)
 }
 
 // CheckConsistent verifies 0 <= lower <= upper for every seen node and that

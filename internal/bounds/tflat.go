@@ -186,25 +186,21 @@ func (tb *TFlat) join(v graph.NodeID, up float64) {
 // not pin a superseded snapshot between queries; InitRows rebinds one.
 func (tb *TFlat) Detach() { tb.rows, tb.pre = nil, nil }
 
-// BorderCount returns the number of border nodes of St.
-func (tb *TFlat) BorderCount() int {
-	n := 0
+// Exhausted reports whether the t-neighborhood has no border nodes left.
+func (tb *TFlat) Exhausted() bool {
 	for _, outside := range tb.outsideIn {
 		if outside > 0 {
-			n++
+			return false
 		}
 	}
-	return n
+	return true
 }
-
-// Exhausted reports whether the t-neighborhood has no border nodes left.
-func (tb *TFlat) Exhausted() bool { return tb.BorderCount() == 0 }
 
 // Expand performs one Stage-I step: pick up to M border nodes with the largest
 // upper bounds, pull all of their in-neighbors into St (up to the frontier
 // cap), initialize the bounds of the newcomers, recompute the unseen upper
-// bound, and run the Stage-II refinement, under the absolute rule once St has
-// no border left. It returns the number of new nodes added.
+// bound, and run the Stage-II refinement, on refineTol alone in the round St
+// closes; later calls do nothing. It returns the number of new nodes added.
 func (tb *TFlat) Expand() int {
 	// Select the M border nodes with the largest upper bounds into the
 	// reusable pick buffers (kept sorted descending; ties keep T-slot order,
@@ -259,11 +255,7 @@ func (tb *TFlat) Expand() int {
 	}
 	tb.joinAdmitted(tb.unseen)
 	tb.recomputeUnseen()
-	rel := refineRel
-	if tb.Exhausted() {
-		rel = 0 // no later Expand refines St
-	}
-	tb.refine(rel)
+	tb.refine(expandRel(tb.Exhausted()))
 	return admitted
 }
 
@@ -282,14 +274,11 @@ func (tb *TFlat) recomputeUnseen() {
 	}
 }
 
-// Refine runs the Stage-II iterative refinement of Eq. 17–18 over the
-// t-neighborhood, re-tightening the unseen bound after every sweep — and
-// moving the rows with it — when the scheme asks for it, under the absolute
-// stop rule (see refineRel). It reads nothing from the graph: the kernel
-// sweeps the induced edges join has logged; see refiner.refine.
-func (tb *TFlat) Refine() { tb.refine(0) }
-
-// refine is Refine with relative part rel in the stop rule.
+// refine runs the Stage-II iterative refinement of Eq. 17–18 over the
+// t-neighborhood, with relative part rel in the stop rule (see expandRel),
+// re-tightening the unseen bound after every sweep — and moving the rows with
+// it — when the scheme asks for it. It reads nothing from the graph: the
+// kernel sweeps the induced edges join has logged; see refiner.refine.
 func (tb *TFlat) refine(rel float64) {
 	tighten := tb.opt.TightenUnseenInRefine
 	tb.k.border = tb.k.border[:0]

@@ -8,8 +8,8 @@ import (
 // Budget bounds the work an online top-K query may spend before returning a
 // best-effort, certified partial result — the anytime execution contract for
 // hub queries whose active set grows every round. A nil Budget runs until
-// convergence, the 100 000-round valve, or cancellation; with one, a
-// cancelled query still finalizes the rounds it completed into a
+// the search converges, exhausts both neighborhoods, or is cancelled; with
+// one, a cancelled query still finalizes the rounds it completed into a
 // certificate. Zero-valued fields are unset.
 //
 // Rounds- and touched-capped budgets are deterministic: the same budget on
@@ -19,7 +19,7 @@ import (
 // depends on the wall clock and carries no such guarantee.
 type Budget struct {
 	// MaxRounds caps expansion rounds, below the package's 100 000-round
-	// safety valve.
+	// backstop (maxRounds).
 	MaxRounds int
 	// MaxTouched stops the search once |Sf| + |St| reaches this many nodes —
 	// a direct cap on working-set size (and, on the remote path, on rows
@@ -49,10 +49,12 @@ const (
 	StopNone StopReason = iota
 	// StopConverged: the ε-relaxed top-K conditions (Eq. 13–14) were met.
 	StopConverged
-	// StopExhausted: no expansion remained anywhere; the graph around the
-	// query is fully explored and the result is as good as it can get.
+	// StopExhausted: neither neighborhood has a border left, so the bounds
+	// are as tight as they get; a query whose component scores fewer than K
+	// nodes ends so.
 	StopExhausted
-	// StopRounds: the round cap (Budget.MaxRounds or the safety valve) hit.
+	// StopRounds: Budget.MaxRounds hit, or without one the round backstop,
+	// which only a tie at ε = 0 in a component too large to close hits.
 	StopRounds
 	// StopTouched: Budget.MaxTouched hit.
 	StopTouched

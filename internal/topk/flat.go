@@ -163,21 +163,7 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 			break
 		}
 		if fProgress == 0 && tProgress == 0 {
-			// Nothing left to expand. Refine both sides to convergence (the
-			// only remaining way to tighten bounds), then return whatever the
-			// neighborhood holds — possibly fewer than K nodes when the graph
-			// around the query is smaller than K.
-			s.fb.Refine()
-			s.tb.Refine()
-			if err := rows.Err(); err != nil {
-				return nil, err
-			}
-			s.join()
-			if s.satisfied() {
-				stop = StopConverged
-			} else {
-				stop = StopExhausted
-			}
+			stop = StopExhausted // both closed: the bounds are as tight as they get
 			break
 		}
 		if overTouched(b, s.fb.SeenCount(), s.tb.SeenCount()) {

@@ -120,8 +120,10 @@ func (o Options) normalized() (Options, error) {
 	return o, nil
 }
 
-// maxRounds is the safety valve on expansion rounds when no Budget sets a
-// tighter cap; a search it stops is marked not converged (and degraded).
+// maxRounds is the backstop on rounds when no Budget sets a tighter cap; a
+// search it stops is marked not converged (and degraded). A search ends on its
+// own once it converges or both neighborhoods close (StopExhausted): only a
+// tie at ε = 0 in a component too large to close runs into this.
 const maxRounds = 100000
 
 // Result is the outcome of an online top-K query.
@@ -131,13 +133,13 @@ type Result struct {
 	// from in Algorithm 1).
 	TopK []core.Ranked
 	// Converged reports whether the ε-relaxed top-K conditions were met; false
-	// means the round cap or a budget was hit, or no further expansion was
-	// possible, and the current candidate ranking was returned best-effort.
+	// means a budget or the round backstop stopped the search, or both
+	// neighborhoods closed first, and the ranking was returned best-effort.
 	Converged bool
-	// Degraded reports the search stopped on a budget or the round valve
+	// Degraded reports the search stopped on a budget or the round backstop
 	// with certifiable work still remaining — as opposed to converging or
-	// exhausting the graph (Stop distinguishes the cases). A degraded result
-	// is never Converged.
+	// closing both neighborhoods (Stop distinguishes the cases). A degraded
+	// result is never Converged.
 	Degraded bool
 	// CertifiedK is the length of the leading prefix of TopK proven exact by
 	// the live bounds at termination: each certified position's lower bound

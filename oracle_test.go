@@ -141,26 +141,6 @@ func ranksLikeOracle(scores []float64, order []NodeID, got []Result, k int) erro
 	return nil
 }
 
-// oracleSeparates reports whether an ε = 0 search can meet Eq. 13–14 for the
-// oracle's top k, and so stop before its round valve when no budget stops it:
-// each of the oracle's first k+1 nodes that it scores has a round trip, f and
-// t both above oracleTie — the search ranks only such nodes, where at β = 0 or
-// 1 Exact ranks the others too — and no two of their scores lie within a
-// relative 1e-9.
-func oracleSeparates(f, t, scores []float64, order []NodeID, k int) bool {
-	for j, v := range order[:min(k+1, len(order))] {
-		switch {
-		case scores[v] <= oracleTie:
-			return true // the rest scores zero
-		case f[v] <= oracleTie || t[v] <= oracleTie:
-			return false
-		case j > 0 && scores[order[j-1]]-scores[v] <= 1e-9*scores[v]:
-			return false
-		}
-	}
-	return true
-}
-
 // oracleQuery draws a query of one to four nodes, drawn with replacement, so
 // a node may repeat, and weighted at random.
 func oracleQuery(rng *rand.Rand, n int) Query {
@@ -172,14 +152,18 @@ func oracleQuery(rng *rand.Rand, n int) Query {
 	return q
 }
 
-// checkOracle draws α ∈ {0.15, 0.25, 0.5}, β ∈ {0, 0.3, 0.5, 1}, K and a query
-// for the graph and checks every path against the oracle:
+// checkOracle draws α ∈ {0.15, 0.25, 0.5}, β ∈ {0, 0.3, 0.5, 1}, a query and
+// K, from 1 to three past the number of nodes the oracle scores (counting at
+// most 10 of them), so that some draws ask for more nodes than the query's
+// component scores, and checks every path against the oracle:
 //   - F and T of the exact arm — core.Solve over the local rows, the solve
 //     core.Compute runs — within 1e-9;
 //   - the top K of Exact over the flat and the packed layout and of
 //     Distributed over two loopback workers;
 //   - the certified prefix of TwoSBound at ε = 0 over flat, packed and remote
-//     rows, unbudgeted and capped at 1, 2, 4 and 8 rounds.
+//     rows, capped at 1, 2, 4 and 8 rounds and unbudgeted: on these small
+//     graphs both neighborhoods close within a few rounds, which ends the
+//     search even where the top K holds a tie or K exceeds what scores.
 //
 // Whether a larger budget certifies more is not asserted: a certificate
 // describes its own stop. Across these rungs CertifiedK has not been seen to
@@ -199,7 +183,7 @@ func checkOracle(t *testing.T, g *Graph, edges []oracleEdge, rng *rand.Rand) boo
 			positive++
 		}
 	}
-	k := 1 + rng.Intn(min(10, positive))
+	k := 1 + rng.Intn(min(10, positive)+3)
 	label := fmt.Sprintf("%d nodes, %d edges, query %v, α %g, β %g, K %d", n, len(edges), q, alpha, beta, k)
 	fail := func(format string, args ...any) bool {
 		t.Logf("%s: %s", label, fmt.Sprintf(format, args...))
@@ -250,16 +234,12 @@ func checkOracle(t *testing.T, g *Graph, edges []oracleEdge, rng *rand.Rand) boo
 		}
 	}
 
-	budgets := []int{1, 2, 4, 8}
-	if oracleSeparates(f, tr, scores, order, k) {
-		budgets = append(budgets, 0)
-	}
 	for _, run := range []struct {
 		name   string
 		engine *Engine
 		method Method
 	}{{"flat", flat, TwoSBound}, {"packed", packed, TwoSBound}, {"remote", flat, TwoSBoundRemote}} {
-		for _, rounds := range budgets {
+		for _, rounds := range []int{1, 2, 4, 8, 0} {
 			req.Method, req.Budget = run.method, nil
 			if rounds > 0 {
 				req.Budget = &Budget{MaxRounds: rounds}
@@ -267,6 +247,9 @@ func checkOracle(t *testing.T, g *Graph, edges []oracleEdge, rng *rand.Rand) boo
 			resp, err := run.engine.Rank(ctx, req)
 			if err != nil {
 				return fail("2SBound %s, %d rounds: %v", run.name, rounds, err)
+			}
+			if rounds == 0 && resp.Degraded { // without a budget only the round backstop degrades
+				return fail("2SBound %s, unbudgeted: stopped on the round backstop", run.name)
 			}
 			if err := ranksLikeOracle(scores, order, resp.Results[:resp.CertifiedK], 0); err != nil {
 				return fail("2SBound %s, %d rounds, %d certified: %v", run.name, rounds, resp.CertifiedK, err)
