@@ -544,7 +544,7 @@ func BenchmarkWalkKernels(b *testing.B) {
 	}{{"RMAT", rmat.Graph}, {"RMATPacked", graph.Pack(rmat.Graph)}} {
 		for _, solver := range []struct {
 			name  string
-			solve func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, error)
+			solve func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, walk.Bound, error)
 		}{{"FRank", walk.FRankOver}, {"TRank", walk.TRankOver}} {
 			for _, q := range []struct {
 				name string
@@ -554,7 +554,7 @@ func BenchmarkWalkKernels(b *testing.B) {
 					p := walk.DefaultParams()
 					counter := &rowCounter{Gatherer: walk.Local(layout.view, p.Workers)}
 					for i := 0; i < b.N; i++ {
-						if _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
+						if _, _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -231,8 +231,8 @@ type Response struct {
 	Results []Result
 	// Method is the execution method actually used (Auto resolved).
 	Method Method
-	// Converged reports whether the ε-relaxed top-K conditions were met;
-	// always true on the exact path.
+	// Converged reports whether the ε-relaxed top-K conditions were met; on
+	// the exact path, whether both solves stopped below the tolerance.
 	Converged bool
 	// Degraded reports the online search stopped on a budget (or the round
 	// backstop a tie at ε = 0 can reach) with work remaining: results are
@@ -240,12 +240,12 @@ type Response struct {
 	// the exact path and on converged or closed (exhausted) online queries.
 	Degraded bool
 	// CertifiedK is the length of the leading prefix of Results proven exact
-	// by the online search's bounds at termination (every certified position
-	// strictly dominates all other nodes). The exact and distributed paths
-	// certify everything they return.
+	// by score intervals — the online search's bounds at termination, or the
+	// exact solves' scores within their error bounds: each certified position
+	// strictly dominates every node ranked below it. A tie stops the count.
 	CertifiedK int
-	// AchievedEpsilon is the online search's residual bound gap: the smallest
-	// ε its ranking satisfies at termination (0 on the exact path). Converged
+	// AchievedEpsilon is the same intervals' residual gap: the smallest ε the
+	// ranking satisfies at termination (0 when they separate it). Converged
 	// responses report at most the requested epsilon; degraded ones report
 	// how far the budget let them get. Note it is on the searcher's squared
 	// score scale, like Request.Epsilon.
@@ -454,10 +454,14 @@ type vecKey struct {
 	alpha, tol float64
 }
 
-// vecPair is one node's exact F-Rank and T-Rank vectors: by the Linearity
-// Theorem exact building blocks for any query distribution, which is what
-// makes them safe to share across requests and batches — read, never written.
-type vecPair struct{ f, t []float64 }
+// vecPair is one node's exact F-Rank and T-Rank vectors, their walk.Bound
+// errors and whether both converged: by the Linearity Theorem building blocks
+// for any query distribution, shared across requests and batches — read only.
+type vecPair struct {
+	f, t       []float64
+	fErr, tErr float64
+	converged  bool
+}
 
 // CacheStats reports the cumulative hit and miss counts of the engine's
 // single-node vector cache and its current number of completed entries (the
@@ -660,16 +664,16 @@ func (p *plan) exact(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (*R
 	if err != nil {
 		return nil, err
 	}
-	return exactResponse(p, core.Combine(v.f, v.t, p.params.Beta)), nil
+	return exactResponse(p, v), nil
 }
 
 // vectors returns the exact F-Rank and T-Rank vectors of the plan's query: one
 // direct solve, or — given a cache — the weighted mixture of its nodes'
 // single-node vectors, each solved at most once (Linearity Theorem; see
-// RankBatch). The snapshot's epoch is part of the cache key, so vectors
-// computed against one epoch are never served for another; an in-flight query
-// keeps hitting (or repopulating) its own epoch's entries even while Apply
-// swaps the engine forward.
+// RankBatch), whose error bounds mix alike. The snapshot's epoch is part of
+// the cache key, so vectors computed against one epoch are never served for
+// another; an in-flight query keeps hitting (or repopulating) its own
+// epoch's entries even while Apply swaps the engine forward.
 func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (vecPair, error) {
 	wp := p.params.Walk
 	solve := func(q walk.Query) (vecPair, error) {
@@ -677,14 +681,14 @@ func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (
 		if err != nil {
 			return vecPair{}, err
 		}
-		f, t, err := core.Solve(ctx, g, q, wp)
-		return vecPair{f, t}, err
+		f, t, fb, tb, err := core.Solve(ctx, g, q, wp)
+		return vecPair{f, t, fb.Err, tb.Err, fb.Converged && tb.Converged}, err
 	}
 	if cache == nil {
 		return solve(p.query)
 	}
 	n := p.snap.view.NumNodes()
-	f, t := make([]float64, n), make([]float64, n)
+	mix := vecPair{f: make([]float64, n), t: make([]float64, n), converged: true}
 	for j, node := range p.query.Nodes {
 		key := vecKey{node: node, epoch: p.snap.view.Epoch(), alpha: wp.Alpha, tol: wp.Tol}
 		// The cached slices are shared: read, never written.
@@ -693,19 +697,21 @@ func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (
 			return vecPair{}, err
 		}
 		w := p.query.Weights[j]
-		for v := range f {
-			f[v] += w * vec.f[v]
-			t[v] += w * vec.t[v]
+		for v := range mix.f {
+			mix.f[v] += w * vec.f[v]
+			mix.t[v] += w * vec.t[v]
 		}
+		mix.fErr, mix.tErr, mix.converged = mix.fErr+w*vec.fErr, mix.tErr+w*vec.tErr, mix.converged && vec.converged
 	}
-	return vecPair{f, t}, nil
+	return mix, nil
 }
 
 // exactResponse is the tail of every exact-family method: rank the combined
-// scores, trim the zero tail, certify everything returned.
-func exactResponse(p *plan, scores []float64) *Response {
-	top := trimZeroScores(core.TopN(scores, p.k, p.keep))
-	return &Response{Results: toResults(top), Method: p.method, Converged: true, CertifiedK: len(top)}
+// scores, trim the zero tail, certify the rest from the solves' error bounds.
+func exactResponse(p *plan, v vecPair) *Response {
+	top := trimZeroScores(core.TopN(core.Combine(v.f, v.t, p.params.Beta), p.k, p.keep))
+	certK, achieved := topk.CertifyExact(top, v.f, v.t, v.fErr, v.tErr, p.params.Beta, p.keep)
+	return &Response{Results: toResults(top), Method: p.method, Converged: v.converged, CertifiedK: certK, AchievedEpsilon: achieved}
 }
 
 // trimZeroScores cuts the zero-score tail of a descending ranking: a zero

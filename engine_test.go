@@ -307,7 +307,7 @@ func TestCancellationAbortsExactSolve(t *testing.T) {
 	defer lcancel()
 	local := walk.Local(g, 0)
 	trip := &cancellingGatherer{Gatherer: local, cancel: lcancel, k: 3}
-	if _, _, err := core.Solve(lctx, trip, walk.SingleNode(0), wp); err != context.Canceled {
+	if _, _, _, _, err := core.Solve(lctx, trip, walk.SingleNode(0), wp); err != context.Canceled {
 		t.Fatalf("core.Solve error = %v, want context.Canceled", err)
 	}
 	if in, out := trip.in.Load()-trip.inTrip, trip.out.Load()-trip.outTrip; in != 0 || out > 1 {

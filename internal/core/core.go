@@ -83,31 +83,31 @@ func Compute(ctx context.Context, view graph.View, q walk.Query, p Params) (*Sco
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	f, t, err := Solve(ctx, walk.Local(view, p.Walk.Workers), q, p.Walk)
+	f, t, _, _, err := Solve(ctx, walk.Local(view, p.Walk.Workers), q, p.Walk)
 	if err != nil {
 		return nil, err
 	}
 	return &Scores{F: f, T: t, R: Combine(f, t, p.Beta), Beta: p.Beta}, nil
 }
 
-// Solve runs the F-Rank and T-Rank solves of one query concurrently over one
-// Gatherer — in-process rows or a worker fleet — as a pair of fan.Do tasks:
-// the first failure cancels the sibling, so a dead worker surfaces at once
-// instead of after the healthy solve finishes its remaining iterations, and
-// the error follows fan.Do's rule.
-func Solve(ctx context.Context, g walk.Gatherer, q walk.Query, wp walk.Params) (f, t []float64, err error) {
+// Solve runs the F-Rank and T-Rank solves of one query, each with its
+// walk.Bound, concurrently over one Gatherer — in-process rows or a worker
+// fleet — as a pair of fan.Do tasks: the first failure cancels the sibling, so
+// a dead worker surfaces at once instead of after the healthy solve finishes
+// its remaining iterations, and the error follows fan.Do's rule.
+func Solve(ctx context.Context, g walk.Gatherer, q walk.Query, wp walk.Params) (f, t []float64, fb, tb walk.Bound, err error) {
 	err = fan.Do(walk.OrBackground(ctx), 2, 2, func(ctx context.Context, i int) (err error) {
 		if i == 0 {
-			f, err = walk.FRankOver(ctx, g, q, wp)
+			f, fb, err = walk.FRankOver(ctx, g, q, wp)
 		} else {
-			t, err = walk.TRankOver(ctx, g, q, wp)
+			t, tb, err = walk.TRankOver(ctx, g, q, wp)
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fb, tb, err
 	}
-	return f, t, nil
+	return f, t, fb, tb, nil
 }
 
 // Combine merges F-Rank and T-Rank vectors into RoundTripRank+ scores

@@ -422,7 +422,7 @@ func (g oneSidedGather) gather(ctx context.Context, fail bool) error {
 func TestSolveCancelsSiblingAndReportsRootCause(t *testing.T) {
 	for _, failIn := range []bool{true, false} {
 		start := time.Now()
-		f, tr, err := Solve(context.Background(), oneSidedGather{n: 4, failIn: failIn}, walk.SingleNode(0), walk.DefaultParams())
+		f, tr, _, _, err := Solve(context.Background(), oneSidedGather{n: 4, failIn: failIn}, walk.SingleNode(0), walk.DefaultParams())
 		if !errors.Is(err, errDeadWorker) || f != nil || tr != nil {
 			t.Errorf("failIn=%v: Solve returned (%v, %v, %v), want only the dead worker's error", failIn, f, tr, err)
 		}

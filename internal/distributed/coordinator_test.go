@@ -88,7 +88,7 @@ func TestCoordinatorBitIdenticalToLocal(t *testing.T) {
 					if err != nil {
 						t.Fatalf("local FRank: %v", err)
 					}
-					gotF, err := walk.FRankOver(ctx, c, q, p)
+					gotF, _, err := walk.FRankOver(ctx, c, q, p)
 					if err != nil {
 						t.Fatalf("distributed FRank: %v", err)
 					}
@@ -96,7 +96,7 @@ func TestCoordinatorBitIdenticalToLocal(t *testing.T) {
 					if err != nil {
 						t.Fatalf("local TRank: %v", err)
 					}
-					gotT, err := walk.TRankOver(ctx, c, q, p)
+					gotT, _, err := walk.TRankOver(ctx, c, q, p)
 					if err != nil {
 						t.Fatalf("distributed TRank: %v", err)
 					}
@@ -147,7 +147,7 @@ func TestCoordinatorRetriesTransientWorkerFailure(t *testing.T) {
 	}
 
 	q := walk.SingleNode(0)
-	got, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
+	got, _, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
 	if err != nil {
 		t.Fatalf("FRank through a flaky worker: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestCoordinatorFailsOnPersistentWorkerError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
+	_, _, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank through a dead worker succeeded")
 	}
@@ -233,7 +233,7 @@ func TestCoordinatorBlamesDeadWorker(t *testing.T) {
 	}
 	srv1.Close() // worker 1 goes down before the query
 
-	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
+	_, _, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank with a dead worker succeeded")
 	}
@@ -332,7 +332,7 @@ func TestMultiplyRejectsReplacedStripe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	if _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err != nil {
+	if _, _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err != nil {
 		t.Fatalf("FRank before replacement: %v", err)
 	}
 
@@ -345,7 +345,7 @@ func TestMultiplyRejectsReplacedStripe(t *testing.T) {
 	}
 	workers[1].SetStripe(s1)
 
-	_, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
+	_, _, err = walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams())
 	if err == nil {
 		t.Fatalf("FRank through a replaced stripe succeeded")
 	}
@@ -378,7 +378,7 @@ func TestCoordinatorHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err == nil {
+	if _, _, err := walk.FRankOver(ctx, c, walk.SingleNode(0), walk.DefaultParams()); err == nil {
 		t.Errorf("FRank with a cancelled context succeeded")
 	}
 }
@@ -419,7 +419,7 @@ func TestWorkerReceivesStripeOverHTTP(t *testing.T) {
 		t.Fatalf("Connect: %v", err)
 	}
 	q := walk.SingleNode(0)
-	got, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
+	got, _, err := walk.FRankOver(ctx, c, q, walk.DefaultParams())
 	if err != nil {
 		t.Fatalf("FRank: %v", err)
 	}

@@ -42,7 +42,7 @@ func Example() {
 
 	q := walk.SingleNode(nodes[0])
 	p := walk.Params{Alpha: 0.25, Tol: 1e-10, MaxIter: 200}
-	dist, err := walk.FRankOver(context.Background(), fleet, q, p)
+	dist, _, err := walk.FRankOver(context.Background(), fleet, q, p)
 	if err != nil {
 		panic(err)
 	}

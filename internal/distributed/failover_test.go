@@ -302,11 +302,11 @@ func TestReplicaSetCoordinatorParity(t *testing.T) {
 
 	q := walk.SingleNode(3)
 	p := walk.DefaultParams()
-	want, err := walk.FRankOver(ctx, cPlain, q, p)
+	want, _, err := walk.FRankOver(ctx, cPlain, q, p)
 	if err != nil {
 		t.Fatalf("plain FRank: %v", err)
 	}
-	got, err := walk.FRankOver(ctx, cRep, q, p)
+	got, _, err := walk.FRankOver(ctx, cRep, q, p)
 	if err != nil {
 		t.Fatalf("replicated FRank: %v", err)
 	}

@@ -177,7 +177,7 @@ type rankResponse struct {
 	// CertifiedK entries guaranteed to match the exact top-K prefix.
 	Degraded bool `json:"degraded,omitempty"`
 	// CertifiedK is the length of the result prefix proven correct by the
-	// search's live bounds (equals len(results) on a converged exact answer).
+	// search's live bounds or the exact solves' error bounds; a tie stops it.
 	CertifiedK int `json:"certified_k"`
 	// AchievedEpsilon is the ε the returned ranking actually satisfies, on
 	// the same squared-score scale as the request's epsilon field.

@@ -101,61 +101,47 @@ func (r StopReason) degraded() bool {
 	}
 }
 
-// certify computes the quality certificate for a (possibly partial) ranking
-// from the live bounds at termination: members is the full sorted candidate
-// neighborhood (lower descending, node ascending — the order TopK is cut
-// from), resultLen = len(TopK), and unseen is the Eq. 16 upper bound on every
-// node outside S.
+// certify computes the quality certificate of a ranking, the one rule for
+// every method: top holds the returned nodes' [lower, upper] score intervals
+// in rank order, and outside bounds every other node's score from above —
+// the search's candidates below the cut and Eq. 16's bound, or an exact
+// solve's other kept nodes (CertifyExact).
 //
 // The certified prefix length is the largest c such that every position
-// j < c has a lower bound STRICTLY above the upper bound of every other
-// candidate ranked below it and of every unseen node. By induction position
-// 0 is then the exact top-1, position 1 the exact top-2, …: the certified
-// prefix is bit-identical to the exact top-K prefix. Ties never certify —
-// strictness is what makes the guarantee sound.
+// j < c has a lower bound STRICTLY above the upper bound of every position
+// below it and of outside. By induction position 0 is then the exact top-1,
+// position 1 the exact top-2, …: the certified prefix is the exact top-K
+// prefix. A tie stops the count: strictness makes the guarantee sound.
 //
 // The achieved epsilon is the residual bound gap: the smallest ε under which
-// the returned ranking of resultLen nodes would satisfy Eq. 13–14 right now.
-// A converged search therefore reports achieved ≤ its requested ε; a degraded
-// one reports how far it got.
-func certify(members []member, resultLen int, unseen float64) (certK int, achieved float64) {
+// the returned ranking would satisfy Eq. 13–14 right now. A converged search
+// therefore reports achieved ≤ its requested ε; a degraded one reports how
+// far it got.
+func certify(top []member, outside float64) (certK int, achieved float64) {
 	// Reverse suffix-max sweep: suff holds the max upper bound over every
-	// candidate ranked strictly below j, seeded with the unseen bound.
-	firstFail := -1
-	suff := unseen
-	for j := len(members) - 1; j >= 0; j-- {
-		if j < resultLen && !(members[j].lower > suff) {
-			firstFail = j
+	// node ranked strictly below j, seeded with outside.
+	certK, suff := len(top), outside
+	for j := len(top) - 1; j >= 0; j-- {
+		if !(top[j].lower > suff) {
+			certK = j
 		}
-		if members[j].upper > suff {
-			suff = members[j].upper
-		}
+		suff = max(suff, top[j].upper)
 	}
-	certK = resultLen
-	if firstFail >= 0 {
-		certK = firstFail
+	if len(top) == 0 {
+		return 0, outside
 	}
-
-	if resultLen == 0 {
-		return 0, unseen
-	}
-	return certK, max(0, gap(members, resultLen, unseen))
+	return certK, max(0, gap(top, outside))
 }
 
-// gap returns the largest violation of the ε-relaxed top-K conditions by the
-// first k of the sorted members (1 ≤ k ≤ len(members)): Eq. 13, the k-th
-// lower bound against every other node's upper bound — seen below it, or
-// unseen — and Eq. 14, each of the first k lower bounds against the next
-// one's upper bound. The first k satisfy the conditions at ε exactly when
+// gap returns the largest violation of the ε-relaxed top-K conditions by a
+// non-empty ranking top, read as certify reads it: Eq. 13, the last lower
+// bound against outside, and Eq. 14, each lower bound against the next one's
+// upper bound. The ranking satisfies the conditions at ε exactly when
 // gap < ε; it is negative when they hold strictly at ε = 0.
-func gap(members []member, k int, unseen float64) float64 {
-	maxOther := unseen
-	for _, m := range members[k:] {
-		maxOther = max(maxOther, m.upper)
-	}
-	g := maxOther - members[k-1].lower
-	for i := 0; i+1 < k; i++ {
-		g = max(g, members[i+1].upper-members[i].lower)
+func gap(top []member, outside float64) float64 {
+	g := outside - top[len(top)-1].lower
+	for i := 0; i+1 < len(top); i++ {
+		g = max(g, top[i+1].upper-top[i].lower)
 	}
 	return g
 }

@@ -24,10 +24,10 @@ type flatSearcher struct {
 	tb         bounds.TFlat
 	expF, expT float64 // exponents applied to F/T bounds: 2(1−β), 2β
 
-	// What join made of the two neighborhoods last: the candidate ranking,
-	// the Eq. 16 upper bound of every node outside S, and |S|.
+	// What join made of the two neighborhoods last: the candidate ranking, an
+	// upper bound on every node outside its first K (Eq. 16's with them), |S|.
 	members []member
-	unseen  float64
+	outside float64
 	rSeen   int
 }
 
@@ -158,8 +158,8 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 		res.Rounds++
 
 		s.join()
-		if s.satisfied() {
-			stop = StopConverged
+		if len(s.members) >= s.opt.K && gap(s.members[:s.opt.K], s.outside) < s.opt.Epsilon {
+			stop = StopConverged // Eq. 13–14 hold
 			break
 		}
 		if fProgress == 0 && tProgress == 0 {
@@ -175,7 +175,7 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 	res.Converged = stop == StopConverged
 	res.Degraded = stop.degraded()
 	res.TopK = s.ranked()
-	res.CertifiedK, res.AchievedEpsilon = certify(s.members, len(res.TopK), s.unseen)
+	res.CertifiedK, res.AchievedEpsilon = certify(s.members[:len(res.TopK)], s.outside)
 	res.Sweeps = s.fb.Sweeps() + s.tb.Sweeps()
 	res.FSeen = s.fb.SeenCount()
 	res.TSeen = s.tb.SeenCount()
@@ -194,13 +194,14 @@ func (s *flatSearcher) run(ctx context.Context, rows graph.Rows) (*Result, error
 // remains over all unseen nodes, which is conservative: it can only delay
 // termination, never admit a wrong result. That bound is Eq. 16's rˆ(q) for the
 // nodes outside S: the maximum of (a) unseen by both, (b) seen only by Sf, (c)
-// seen only by St.
+// seen only by St; outside raises it to the upper bounds of the candidates
+// ranked below the first K.
 func (s *flatSearcher) join() {
 	combine := func(f, t float64) float64 { return combineBounds(f, t, s.expF, s.expT) }
 	fu, tu := s.fb.UnseenUpper(), s.tb.UnseenUpper()
 	fLo, fUp := s.fb.Slots()
 	tLo, tUp := s.tb.Slots()
-	s.members, s.unseen, s.rSeen = s.members[:0], combine(fu, tu), 0
+	s.members, s.outside, s.rSeen = s.members[:0], combine(fu, tu), 0
 	for shared, v := range s.fb.Shared().Touched() {
 		f, inF := s.fb.SideSlot(shared)
 		t, inT := s.tb.SideSlot(shared)
@@ -211,12 +212,12 @@ func (s *flatSearcher) join() {
 				s.members = append(s.members, member{v, combine(fLo[f], tLo[t]), combine(fUp[f], tUp[t])})
 			}
 		case inF:
-			if c := combine(fUp[f], tu); c > s.unseen {
-				s.unseen = c
+			if c := combine(fUp[f], tu); c > s.outside {
+				s.outside = c
 			}
 		case inT:
-			if c := combine(fu, tUp[t]); c > s.unseen {
-				s.unseen = c
+			if c := combine(fu, tUp[t]); c > s.outside {
+				s.outside = c
 			}
 		}
 	}
@@ -234,22 +235,15 @@ func (s *flatSearcher) join() {
 			return 0
 		}
 	})
-}
-
-// satisfied checks the ε-relaxed top-K conditions (Eq. 13–14) against the
-// sorted candidate neighborhood; fewer than K candidates never satisfy them.
-func (s *flatSearcher) satisfied() bool {
-	return len(s.members) >= s.opt.K && gap(s.members, s.opt.K, s.unseen) < s.opt.Epsilon
+	for _, m := range s.members[min(s.opt.K, len(s.members)):] {
+		s.outside = max(s.outside, m.upper)
+	}
 }
 
 func (s *flatSearcher) ranked() []core.Ranked {
-	k := s.opt.K
-	if len(s.members) < k {
-		k = len(s.members)
-	}
-	out := make([]core.Ranked, k)
-	for i := 0; i < k; i++ {
-		out[i] = core.Ranked{Node: s.members[i].node, Score: s.members[i].lower}
+	out := make([]core.Ranked, min(s.opt.K, len(s.members)))
+	for i, m := range s.members[:len(out)] {
+		out[i] = core.Ranked{Node: m.node, Score: m.lower}
 	}
 	return out
 }

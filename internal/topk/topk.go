@@ -258,6 +258,32 @@ type member struct {
 	lower, upper float64
 }
 
+// CertifyExact is certify on an exact solve's ranking top of the nodes keep
+// admits (nil: all), on the search's squared scale: every entry of f and t is
+// within fErr and tErr of the exact value (walk.Bound), so a node's interval
+// combines its entries less and plus those, and outside is the largest upper
+// bound of the other kept nodes, found in one pass.
+func CertifyExact(top []core.Ranked, f, t []float64, fErr, tErr, beta float64, keep func(graph.NodeID) bool) (certK int, achieved float64) {
+	expF, expT := 2*(1-beta), 2*beta
+	list, in := make([]member, len(top)), make(map[graph.NodeID]bool, len(top))
+	for i, r := range top {
+		list[i] = member{r.Node, combineBounds(f[r.Node]-fErr, t[r.Node]-tErr, expF, expT), combineBounds(f[r.Node]+fErr, t[r.Node]+tErr, expF, expT)}
+		in[r.Node] = true
+	}
+	outside := 0.0
+	for v := range f {
+		// x^(1−β)·y^β ≤ (1−β)·x + β·y: a node whose mean, squared and doubled
+		// against rounding, cannot beat outside skips combineBounds' powers.
+		fUp, tUp := f[v]+fErr, t[v]+tErr
+		if am := (1-beta)*fUp + beta*tUp; 2*am*am > outside {
+			if up := combineBounds(fUp, tUp, expF, expT); up > outside && !in[graph.NodeID(v)] && (keep == nil || keep(graph.NodeID(v))) {
+				outside = up
+			}
+		}
+	}
+	return certify(list, outside)
+}
+
 // Naive computes the exact top-K ranking with the iterative solvers (Eq. 5 and
 // 8), the baseline labelled "Naive" in Fig. 11(a). It also returns the full
 // exact score vector so that callers can evaluate approximation quality. The

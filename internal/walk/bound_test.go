@@ -1,0 +1,76 @@
+package walk
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+// TestQuickFRankBound is the property every exact solve's Bound must keep,
+// for both legs: on random graphs with dead ends (drawDeadEndGraph),
+// multi-node queries and α ∈ {0.1, 0.25, 0.5}, every entry of F-Rank and of
+// T-Rank lies within the Bound the solve reports of a plain serial solve at
+// Tol 1e-15, also on the half of the draws capped at MaxIter 1–5. The
+// reference's own error is at most (1−α)/α²·1e-15, which the check adds. A
+// solve run to MaxIter 5 000 must report that it converged, and a converged
+// solve's Bound is pinned from above: at most (1−α)/α·Tol for T, and for F,
+// whose widening through the dangling-mass scaling costs at most a factor
+// 1/α, at most (1−α)/α²·Tol. Most capped legs stop short of Tol (a leg
+// whose support is the query alone converges in one step); fewer than a
+// quarter of all legs doing so means the property no longer reaches the
+// bound of an unconverged solve.
+func TestQuickFRankBound(t *testing.T) {
+	legs, short := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, restart := drawDeadEndGraph(rng)
+		alpha := []float64{0.1, 0.25, 0.5}[rng.Intn(3)]
+		p := Params{Alpha: alpha, Tol: []float64{1e-4, 1e-6, 1e-9}[rng.Intn(3)], MaxIter: 5000}
+		capped := rng.Intn(2) == 0
+		if capped {
+			p.MaxIter = 1 + rng.Intn(5)
+		}
+		const refTol = 1e-15
+		ref := Params{Alpha: alpha, Tol: refTol, MaxIter: 100000}
+		refErr := (1 - alpha) / (alpha * alpha) * refTol
+		for _, leg := range []struct {
+			name    string
+			rule    func(context.Context, Gatherer, []float64, Params) ([]float64, Bound, error)
+			want    []float64
+			ceiling float64 // a converged solve's Bound at most, over Tol
+		}{
+			{"F", fRank, serialFRankReference(g, restart, ref), (1 - alpha) / (alpha * alpha)},
+			{"T", tRank, serialTRankReference(g, restart, ref), (1 - alpha) / alpha},
+		} {
+			got, b, err := leg.rule(context.Background(), Local(g, 1), restart, p)
+			if err != nil {
+				t.Logf("seed %d: %s: %v", seed, leg.name, err)
+				return false
+			}
+			legs++
+			if !b.Converged {
+				short++
+			}
+			if (!capped && !b.Converged) || (b.Converged && b.Err > leg.ceiling*p.Tol) {
+				t.Logf("seed %d (α %g, tol %g, MaxIter %d): %s reports %+v", seed, alpha, p.Tol, p.MaxIter, leg.name, b)
+				return false
+			}
+			for v, x := range got {
+				if math.Abs(x-leg.want[v]) > b.Err+refErr {
+					t.Logf("seed %d (α %g, tol %g, MaxIter %d): %s[%d] = %g, plain solve %g, bound %g",
+						seed, alpha, p.Tol, p.MaxIter, leg.name, v, x, leg.want[v], b.Err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
+		t.Fatal(err)
+	}
+	if 4*short < legs {
+		t.Errorf("%d of %d legs stopped short of Tol: too few to check an unconverged bound", short, legs)
+	}
+}

@@ -57,12 +57,12 @@ func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 			// Poisoned: a gather that leaves any entry of dst unwritten
 			// surfaces as a NaN score.
 			gth := &fakeGather{Gatherer: inner}
-			gotF, err := walk.FRankOver(ctx, gth, q, p)
+			gotF, _, err := walk.FRankOver(ctx, gth, q, p)
 			if err != nil {
 				t.Fatalf("%s/%s: FRankOver: %v", name, kind, err)
 			}
 			walk.AssertBitIdentical(t, name+"/"+kind+"/frank", wantF, gotF)
-			gotT, err := walk.TRankOver(ctx, gth, q, p)
+			gotT, _, err := walk.TRankOver(ctx, gth, q, p)
 			if err != nil {
 				t.Fatalf("%s/%s: TRankOver: %v", name, kind, err)
 			}
@@ -112,7 +112,7 @@ func (f *fakeGather) gather(ctx context.Context, inner func(context.Context, []f
 // both personalized doors: a gather error at iteration k aborts the solve
 // there and returns no vector; a context cancelled during iteration k is
 // reported before iteration k+1 gathers; and the gather runs at most MaxIter
-// times.
+// times, after which the solve reports that it did not converge.
 func TestSharedLoopOverFakeGather(t *testing.T) {
 	g := walk.KernelTestGraphs()["toy"]
 	local := walk.Local(g, 1)
@@ -120,13 +120,13 @@ func TestSharedLoopOverFakeGather(t *testing.T) {
 	// A tolerance no iterate reaches: only an error, the context or MaxIter
 	// ends these solves.
 	p := walk.Params{Alpha: 0.25, Tol: 1e-300, MaxIter: 7}
-	doors := map[string]func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, error){
+	doors := map[string]func(context.Context, walk.Gatherer, walk.Query, walk.Params) ([]float64, walk.Bound, error){
 		"FRankOver": walk.FRankOver,
 		"TRankOver": walk.TRankOver,
 	}
 	for name, solve := range doors {
 		failing := &fakeGather{Gatherer: local, failAt: 3}
-		if v, err := solve(context.Background(), failing, q, p); !errors.Is(err, errGather) || v != nil {
+		if v, _, err := solve(context.Background(), failing, q, p); !errors.Is(err, errGather) || v != nil {
 			t.Errorf("%s: gather error at iteration 3 returned (%v, %v), want (nil, errGather)", name, v, err)
 		}
 		if failing.calls != 3 {
@@ -139,7 +139,7 @@ func TestSharedLoopOverFakeGather(t *testing.T) {
 				cancel()
 			}
 		}}
-		if v, err := solve(ctx, cancelling, q, p); !errors.Is(err, context.Canceled) || v != nil {
+		if v, _, err := solve(ctx, cancelling, q, p); !errors.Is(err, context.Canceled) || v != nil {
 			t.Errorf("%s: cancelled solve returned (%v, %v), want (nil, context.Canceled)", name, v, err)
 		}
 		if cancelling.calls != 2 {
@@ -148,9 +148,9 @@ func TestSharedLoopOverFakeGather(t *testing.T) {
 		cancel()
 
 		capped := &fakeGather{Gatherer: local}
-		v, err := solve(context.Background(), capped, q, p)
-		if err != nil || len(v) != g.NumNodes() {
-			t.Errorf("%s: capped solve returned (%d entries, %v)", name, len(v), err)
+		v, b, err := solve(context.Background(), capped, q, p)
+		if err != nil || len(v) != g.NumNodes() || b.Converged || !(b.Err > 0) {
+			t.Errorf("%s: capped solve returned (%d entries, %+v, %v)", name, len(v), b, err)
 		}
 		if capped.calls != p.MaxIter {
 			t.Errorf("%s: %d gathers, want exactly MaxIter = %d", name, capped.calls, p.MaxIter)

@@ -237,29 +237,28 @@ func gatherInto(sums, next []float64) []float64 {
 // consumed. The seam is per vector — a per-row callback costs an indirect
 // call per node per iteration. jump, when not nil, may move next after a step
 // that neither stops the run nor is its last, so the vector returned is
-// always a plain step.
+// always a plain step, and diff that step's L1 change.
 func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
 	step func(ctx context.Context, cur, next []float64) (float64, error),
 	jump func(cur, next []float64, diff float64),
-) ([]float64, error) {
+) (x []float64, diff float64, err error) {
 	next := make([]float64, len(cur))
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		diff, err := step(ctx, cur, next)
-		if err != nil {
-			return nil, err
+		if diff, err = step(ctx, cur, next); err != nil {
+			return nil, 0, err
 		}
 		if diff < tol {
-			return next, nil
+			return next, diff, nil
 		}
 		if jump != nil && iter+1 < maxIter {
 			jump(cur, next, diff)
 		}
 		cur, next = next, cur
 	}
-	return cur, nil
+	return cur, diff, nil
 }
 
 // scale fills scaled[u] = cur[u]/outSum[u], the transition scaling of a pull
@@ -288,18 +287,22 @@ func scale(scaled, cur, outSum []float64) (dangling float64) {
 // form of Eq. 5: 15–22 iterations against 55 on the bench spine's directed
 // R-MAT queries. Its fixed point x solves x = (α + (1−α)·D)·(I − (1−α)Pᵀ)⁻¹·
 // restart for x's own D, so one scaling by α/(α + (1−α)·D) turns it into f;
-// without dangling mass x is f as it stands, bit for bit.
-func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+// without dangling mass x is f as it stands, bit for bit. The step G is a
+// (1−α)-contraction in L1, so its fixed point is within e = (1−α)/α·‖G(x) − x‖₁
+// of the last step x̂ = G(x) in L1, its dangling mass within e of x̂'s D, and
+// f(v) in [(x̂(v) − e)·α/(α + (1−α)·(D + e)), (x̂(v) + e)·α/(α + (1−α)·max(0, D − e))]:
+// the Bound is that interval's wider side about the scaled x̂(v), at the largest x̂(v).
+func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, Bound, error) {
 	return fRankShare(ctx, g, restart, p, listedShare)
 }
 
 // fRankShare is fRank with the size dispatch's crossover as a parameter.
-func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, error) {
+func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, Bound, error) {
 	outSum := g.OutSums()
 	rows, live, dead := fSupport(outSum, g.InSums(), restart, share)
 	scaled, sums := make([]float64, len(restart)), gatherBuffer(rows, len(restart))
 	oneMinus := 1 - p.Alpha
-	x, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter,
+	x, diff, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			dangling := 0.0
 			if live == nil {
@@ -332,7 +335,7 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			return diff, nil
 		}, nil)
 	if err != nil {
-		return nil, err
+		return nil, Bound{}, err
 	}
 	dangling := 0.0
 	if dead == nil {
@@ -346,8 +349,10 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			dangling += x[u]
 		}
 	}
+	e, scaling := oneMinus/p.Alpha*diff, func(d float64) float64 { return p.Alpha / (p.Alpha + oneMinus*d) }
+	c, cUp, cLo, xMax := scaling(dangling), scaling(max(0, dangling-e)), scaling(dangling+e), slices.Max(x)
+	b := Bound{Err: max(xMax*(cUp-c)+e*cUp, xMax*(c-cLo)+e*cLo), Converged: diff < p.Tol}
 	if dangling > 0 {
-		c := p.Alpha / (p.Alpha + oneMinus*dangling)
 		if rows == nil {
 			for v := range x {
 				x[v] *= c
@@ -358,7 +363,7 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			}
 		}
 	}
-	return x, nil
+	return x, b, nil
 }
 
 // fNext is F-Rank's update of a node with restart weight r from its gathered
@@ -379,13 +384,13 @@ func fNext(alpha, dadd, r, sum float64) float64 {
 // the first plain step whose L1 change ‖J(x) − x‖₁ is below Tol and returns
 // that step, J(x). J is a (1−α)-contraction in the ∞-norm, so for any x,
 // jumped or not, ‖t − J(x)‖∞ ≤ (1−α)/α·‖J(x) − x‖∞: the returned vector is
-// within (1−α)/α·Tol of t in every entry.
-func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, error) {
+// within (1−α)/α·‖J(x) − x‖₁ of t in every entry, its Bound.
+func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, Bound, error) {
 	return tRankShare(ctx, g, restart, p, listedShare)
 }
 
 // tRankShare is tRank with the size dispatch's crossover as a parameter.
-func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, error) {
+func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, share float64) ([]float64, Bound, error) {
 	outSum := g.OutSums()
 	// T's support: the nodes with out-weight, the only ones a gather reduces
 	// to anything, and the query nodes, whose restart weight every sweep
@@ -396,7 +401,7 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 		cur[i] = p.Alpha * restart[i]
 	}
 	tail := geometricTail{prev: make([]float64, len(restart)), rows: rows}
-	return iterate(ctx, cur, p.Tol, p.MaxIter,
+	t, diff, err := iterate(ctx, cur, p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			if err := g.GatherOut(ctx, cur, gatherInto(sums, next), rows); err != nil {
 				return 0, err
@@ -417,6 +422,7 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			return diff, nil
 		},
 		tail.jump)
+	return t, Bound{Err: (1 - p.Alpha) / p.Alpha * diff, Converged: diff < p.Tol}, err
 }
 
 // tNext is T-Rank's update of a node with restart weight r and out-weight
@@ -514,7 +520,7 @@ func pageRank(ctx context.Context, g Gatherer, d, tol float64, maxIter int) ([]f
 	}
 	scaled := make([]float64, len(outSum))
 	oneMinus := 1 - d
-	return iterate(ctx, cur, tol, maxIter,
+	x, _, err := iterate(ctx, cur, tol, maxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			dangling := scale(scaled, cur, outSum)
 			base := d*uniform + oneMinus*dangling*uniform
@@ -528,4 +534,5 @@ func pageRank(ctx context.Context, g Gatherer, d, tol float64, maxIter int) ([]f
 			}
 			return diff, nil
 		}, nil)
+	return x, err
 }

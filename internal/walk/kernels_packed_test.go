@@ -25,21 +25,21 @@ func TestPackedKernelsBitIdenticalToFlat(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 8} {
 			flat, packed := Local(g, workers), Local(pg, workers)
-			wantF, err := fRank(ctx, flat, restart, p)
+			wantF, _, err := fRank(ctx, flat, restart, p)
 			if err != nil {
 				t.Fatalf("%s: fRank flat: %v", name, err)
 			}
-			gotF, err := fRank(ctx, packed, restart, p)
+			gotF, _, err := fRank(ctx, packed, restart, p)
 			if err != nil {
 				t.Fatalf("%s: fRank packed: %v", name, err)
 			}
 			assertBitIdentical(t, name+"/frank", wantF, gotF)
 
-			wantT, err := tRank(ctx, flat, restart, p)
+			wantT, _, err := tRank(ctx, flat, restart, p)
 			if err != nil {
 				t.Fatalf("%s: tRank flat: %v", name, err)
 			}
-			gotT, err := tRank(ctx, packed, restart, p)
+			gotT, _, err := tRank(ctx, packed, restart, p)
 			if err != nil {
 				t.Fatalf("%s: tRank packed: %v", name, err)
 			}

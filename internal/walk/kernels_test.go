@@ -282,12 +282,12 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 		for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				gth := Local(view, workers)
-				gotF, err := fRank(context.Background(), gth, restart, p)
+				gotF, _, err := fRank(context.Background(), gth, restart, p)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: fRank: %v", name, layout, workers, err)
 				}
 				assertBitIdentical(t, name+"/"+layout+"/frank", wantF, gotF)
-				gotT, err := tRank(context.Background(), gth, restart, p)
+				gotT, _, err := tRank(context.Background(), gth, restart, p)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: tRank: %v", name, layout, workers, err)
 				}

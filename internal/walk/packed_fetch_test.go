@@ -43,13 +43,13 @@ func TestPackedSolveDecodesEachDirectionOnce(t *testing.T) {
 	p := walk.Params{Alpha: 0.25, Tol: 1e-10, MaxIter: 300}
 	ctx := context.Background()
 	for _, q := range []walk.Query{walk.SingleNode(0), walk.MultiNode(3, 17, 1_999)} {
-		wantF, wantT, err := core.Solve(ctx, walk.Local(g, 0), q, p)
+		wantF, wantT, _, _, err := core.Solve(ctx, walk.Local(g, 0), q, p)
 		if err != nil {
 			t.Fatalf("flat solve: %v", err)
 		}
 		before := runtime.NumGoroutine()
 		view := &fetchCountingView{Packed: graph.Pack(g)}
-		gotF, gotT, err := core.Solve(ctx, walk.Local(view, 0), q, p)
+		gotF, gotT, _, _, err := core.Solve(ctx, walk.Local(view, 0), q, p)
 		if err != nil {
 			t.Fatalf("packed solve: %v", err)
 		}

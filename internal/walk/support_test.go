@@ -51,12 +51,12 @@ func TestQuickSparseSupportParity(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				gth := Local(view, workers)
 				for _, share := range []float64{0, listedShare, 1} {
-					gotF, err := fRankShare(ctx, gth, restart, p, share)
+					gotF, _, err := fRankShare(ctx, gth, restart, p, share)
 					if err != nil || !sameBits(wantF, gotF) {
 						t.Logf("seed %d %s workers=%d share=%g: F-Rank differs from the reference (%v)", seed, layout, workers, share, err)
 						return false
 					}
-					gotT, err := tRankShare(ctx, gth, restart, p, share)
+					gotT, _, err := tRankShare(ctx, gth, restart, p, share)
 					if err != nil || !sameBits(wantT, gotT) {
 						t.Logf("seed %d %s workers=%d share=%g: T-Rank differs from the reference (%v)", seed, layout, workers, share, err)
 						return false

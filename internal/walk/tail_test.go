@@ -51,7 +51,7 @@ func TestTRankTailNeverFiresOnSmallGraphs(t *testing.T) {
 				for v := 0; v < g.NumNodes(); v++ {
 					restart := make([]float64, g.NumNodes())
 					restart[v] = 1
-					got, err := tRank(context.Background(), gth, restart, p)
+					got, _, err := tRank(context.Background(), gth, restart, p)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -73,33 +73,11 @@ func TestQuickTRankTailWithinCertificate(t *testing.T) {
 	draws, jumped := 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(50)
-		b := graph.NewBuilder()
-		b.AddNodes(n, nil)
-		dead := 1 + rng.Intn(n/4+1) // nodes [0, dead) have no out-edges
-		for u := dead; u < n; u++ {
-			for e := 1 + rng.Intn(4); e > 0; e-- {
-				if v := rng.Intn(n); v != u {
-					b.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 0.5+rng.Float64())
-				}
-			}
-		}
-		g := b.MustBuild()
-		restart := make([]float64, n)
-		for k := 1 + rng.Intn(3); k > 0; k-- {
-			restart[rng.Intn(n)] += 1 + rng.Float64()
-		}
-		total := 0.0
-		for _, r := range restart {
-			total += r
-		}
-		for v := range restart {
-			restart[v] /= total
-		}
+		g, restart := drawDeadEndGraph(rng)
 		alpha := []float64{0.1, 0.25, 0.5}[rng.Intn(3)]
 		p := Params{Alpha: alpha, Tol: []float64{1e-4, 1e-6, 1e-9}[rng.Intn(3)], MaxIter: 5000}
 		gth := &countingGatherer{Gatherer: Local(g, 1)}
-		got, err := tRank(context.Background(), gth, restart, p)
+		got, _, err := tRank(context.Background(), gth, restart, p)
 		if err != nil || gth.gathers == p.MaxIter {
 			t.Logf("seed %d: solve did not converge (%d gathers, %v)", seed, gth.gathers, err)
 			return false
@@ -131,6 +109,35 @@ func TestQuickTRankTailWithinCertificate(t *testing.T) {
 	}
 }
 
+// drawDeadEndGraph draws a graph of 10–59 nodes whose first quarter or so
+// have no out-edges, the rest one to four weighted out-edges each, and a
+// normalized restart vector on one to three of its nodes.
+func drawDeadEndGraph(rng *rand.Rand) (*graph.Graph, []float64) {
+	n := 10 + rng.Intn(50)
+	b := graph.NewBuilder()
+	b.AddNodes(n, nil)
+	dead := 1 + rng.Intn(n/4+1) // nodes [0, dead) have no out-edges
+	for u := dead; u < n; u++ {
+		for e := 1 + rng.Intn(4); e > 0; e-- {
+			if v := rng.Intn(n); v != u {
+				b.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 0.5+rng.Float64())
+			}
+		}
+	}
+	restart := make([]float64, n)
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		restart[rng.Intn(n)] += 1 + rng.Float64()
+	}
+	total := 0.0
+	for _, r := range restart {
+		total += r
+	}
+	for v := range restart {
+		restart[v] /= total
+	}
+	return b.MustBuild(), restart
+}
+
 // TestTRankTailGathers pins what the jump buys on the bench spine's graph
 // family (directed R-MAT, 10^4 nodes, seed 42) at the default parameters: a
 // tail query and the top hub each converge in the pinned number of gathers,
@@ -160,7 +167,7 @@ func TestTRankTailGathers(t *testing.T) {
 		restart := make([]float64, g.NumNodes())
 		restart[tc.q] = 1
 		gth := &countingGatherer{Gatherer: Local(g, 0)}
-		if _, err := tRank(context.Background(), gth, restart, p); err != nil {
+		if _, _, err := tRank(context.Background(), gth, restart, p); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		_, plain := serialTRank(g, restart, p, false)

@@ -38,9 +38,10 @@ type Params struct {
 	// parameter of Proposition 1. Must be in (0, 1).
 	Alpha float64
 	// Tol is the L1 convergence tolerance of the power iteration: a solve
-	// stops at the first step x → J(x) with ‖J(x) − x‖₁ < Tol. For T-Rank it
-	// is a certificate: every entry of the returned J(x) lies within
-	// (1−α)/α·Tol of the exact t (see tRank). Zero means DefaultTol.
+	// stops at the first step x → J(x) with ‖J(x) − x‖₁ < Tol. It is a
+	// certificate for both legs: every entry of T-Rank's J(x) lies within
+	// (1−α)/α·Tol of the exact t, and F-Rank's within that carried through its
+	// dangling-mass scaling (tRank, fRank, Bound). Zero means DefaultTol.
 	Tol float64
 	// MaxIter caps the number of iterations. Zero means DefaultMaxIter.
 	MaxIter int
@@ -58,6 +59,13 @@ const (
 	DefaultTol     = 1e-9
 	DefaultMaxIter = 200
 )
+
+// Bound is an exact solve's own error bound, from its last step's L1 change:
+// every entry is within Err of the exact value; Converged: that change < Tol.
+type Bound struct {
+	Err       float64
+	Converged bool
+}
 
 // DefaultParams returns the parameters used in the paper's effectiveness
 // experiments.
@@ -230,7 +238,8 @@ func (q Query) restart(dst []float64) error {
 // power iteration: cancelling it makes FRank return ctx.Err() within one sweep
 // over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	return FRankOver(ctx, Local(view, p.Workers), q, p)
+	f, _, err := FRankOver(ctx, Local(view, p.Workers), q, p)
+	return f, err
 }
 
 // TRank computes t(q, v) for every node v: the probability that a walk of
@@ -240,32 +249,33 @@ func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 // single-node values, mirroring the linearity used for F-Rank. It is
 // TRankOver the view's Local Gatherer, cancelled exactly as FRank.
 func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	return TRankOver(ctx, Local(view, p.Workers), q, p)
+	t, _, err := TRankOver(ctx, Local(view, p.Workers), q, p)
+	return t, err
 }
 
 // FRankOver is the F-Rank solve over any Gatherer — in-process rows (Local) or
-// a connected worker fleet (distributed.Fleet) — bit-identical across them.
-func FRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, error) {
+// a worker fleet (distributed.Fleet), bit-identical across them — and its Bound.
+func FRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, Bound, error) {
 	return solve(ctx, g, q, p, fRank)
 }
 
-// TRankOver is the T-Rank solve over any Gatherer.
-func TRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, error) {
+// TRankOver is the T-Rank solve over any Gatherer, with its Bound.
+func TRankOver(ctx context.Context, g Gatherer, q Query, p Params) ([]float64, Bound, error) {
 	return solve(ctx, g, q, p, tRank)
 }
 
 // solve is the one door to the personalized rules: it validates the
 // parameters and scatters the normalized query onto the restart vector.
 func solve(ctx context.Context, g Gatherer, q Query, p Params,
-	rule func(context.Context, Gatherer, []float64, Params) ([]float64, error),
-) ([]float64, error) {
+	rule func(context.Context, Gatherer, []float64, Params) ([]float64, Bound, error),
+) ([]float64, Bound, error) {
 	p, err := p.normalized()
 	if err != nil {
-		return nil, err
+		return nil, Bound{}, err
 	}
 	restart := make([]float64, len(g.OutSums()))
 	if err := q.restart(restart); err != nil {
-		return nil, err
+		return nil, Bound{}, err
 	}
 	return rule(OrBackground(ctx), g, restart, p)
 }

@@ -159,7 +159,8 @@ func oracleQuery(rng *rand.Rand, n int) Query {
 //   - F and T of the exact arm — core.Solve over the local rows, the solve
 //     core.Compute runs — within 1e-9;
 //   - the top K of Exact over the flat and the packed layout and of
-//     Distributed over two loopback workers;
+//     Distributed over two loopback workers, and the prefix each certifies
+//     from its solves' error bounds;
 //   - the certified prefix of TwoSBound at ε = 0 over flat, packed and remote
 //     rows, capped at 1, 2, 4 and 8 rounds and unbudgeted: on these small
 //     graphs both neighborhoods close within a few rounds, which ends the
@@ -231,6 +232,9 @@ func checkOracle(t *testing.T, g *Graph, edges []oracleEdge, rng *rand.Rand) boo
 		}
 		if err := ranksLikeOracle(scores, order, resp.Results, k); err != nil {
 			return fail("%s: %v", run.name, err)
+		}
+		if err := ranksLikeOracle(scores, order, resp.Results[:resp.CertifiedK], 0); err != nil {
+			return fail("%s, %d certified: %v", run.name, resp.CertifiedK, err)
 		}
 	}
 
