@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"roundtriprank/internal/testgraphs"
 )
 
 // TestQuickFRankBound is the property every exact solve's Bound must keep,
@@ -72,5 +75,27 @@ func TestQuickFRankBound(t *testing.T) {
 	}
 	if 4*short < legs {
 		t.Errorf("%d of %d legs stopped short of Tol: too few to check an unconverged bound", short, legs)
+	}
+}
+
+// TestExactLastStepBoundIsFloored pins the floor on a Bound: on a line
+// queried at its dead end, T reaches its fixed point to the bit one node a
+// sweep and F at once, so each leg's last step moves by exactly 0 and its
+// error, (1−α)/α times that step, is 0 — yet each reports errUlps ulps of
+// its largest entry, the rounding its sums carry.
+func TestExactLastStepBoundIsFloored(t *testing.T) {
+	g := testgraphs.Line(5)
+	restart := []float64{0, 0, 0, 0, 1}
+	for name, rule := range map[string]func(context.Context, Gatherer, []float64, Params) ([]float64, Bound, error){
+		"F": fRank, "T": tRank,
+	} {
+		x, b, err := rule(context.Background(), Local(g, 1), restart, DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		top := slices.Max(x)
+		if floor := errUlps * (math.Nextafter(top, 2) - top); !b.Converged || !(b.Err > 0) || b.Err != floor {
+			t.Errorf("%s: %+v, want converged with Err %g", name, b, floor)
+		}
 	}
 }

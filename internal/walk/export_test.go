@@ -5,8 +5,8 @@ package walk
 // and so check the fleet gather against the same oracle, which this package's
 // own tests cannot (distributed imports walk).
 var (
-	SerialFRankReference     = serialFRankReference
-	SerialTRankTailReference = serialTRankTailReference
-	KernelTestGraphs         = kernelTestGraphs
-	AssertBitIdentical       = assertBitIdentical
+	SerialFRankAccelReference = serialFRankAccelReference
+	SerialTRankAccelReference = serialTRankAccelReference
+	KernelTestGraphs          = kernelTestGraphs
+	AssertBitIdentical        = assertBitIdentical
 )

@@ -20,7 +20,8 @@ import (
 // public doors and compared with the serial references, which share nothing
 // with that loop. Each gather is handed a NaN-poisoned dst, which it must
 // fully overwrite. The line graph has a dangling tail node; the R-MAT graph
-// is the one where T-Rank's tail jump fires.
+// is the one where T-Rank's tail jump fires, and the small BibNet the one
+// where both legs switch to mixing.
 func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 	ctx := context.Background()
 	p := walk.Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
@@ -28,8 +29,8 @@ func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 	for name, g := range walk.KernelTestGraphs() {
 		restart := make([]float64, g.NumNodes())
 		restart[0] = 1
-		wantF := walk.SerialFRankReference(g, restart, p)
-		wantT := walk.SerialTRankTailReference(g, restart, p)
+		wantF := walk.SerialFRankAccelReference(g, restart, p)
+		wantT := walk.SerialTRankAccelReference(g, restart, p)
 
 		gatherers := map[string]walk.Gatherer{}
 		for _, workers := range []int{1, 2, 3, 8} {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"roundtriprank/internal/fan"
@@ -23,10 +24,10 @@ import (
 // sweep skips holds an exact zero it would only have added to a non-negative
 // sum. Every Gatherer reduces each row sequentially, in stored entry order,
 // and everything around the gather (transition scaling, dangling mass,
-// update, L1 test, T-Rank's tail jump) is serial in ascending node order, so
-// a solve is bit-identical across representations, worker counts, stripe
-// counts and to a sweep over every row by construction (the serial
-// references in kernels_test.go pin it, gather by gather).
+// update, L1 test, the accelerator's jump and mixing) is serial in ascending
+// node order, so a solve is bit-identical across representations, worker
+// counts, stripe counts and to a sweep over every row by construction (the
+// serial references in kernels_test.go pin it, gather by gather).
 
 // Gatherer is the row-gather seam of the exact solvers: one sparse
 // matrix-vector product per power iteration. x and dst have one entry per
@@ -292,6 +293,11 @@ func scale(scaled, cur, outSum []float64) (dangling float64) {
 // of the last step x̂ = G(x) in L1, its dangling mass within e of x̂'s D, and
 // f(v) in [(x̂(v) − e)·α/(α + (1−α)·(D + e)), (x̂(v) + e)·α/(α + (1−α)·max(0, D − e))]:
 // the Bound is that interval's wider side about the scaled x̂(v), at the largest x̂(v).
+// None of it asks where x came from, so a leg that stalls — eight steps in a
+// row contracting by ρ ≥ ½ on a change the one before explains — switches to
+// Anderson mixing for the rest of its solve (accelerator), which moves only
+// the x a plain step starts from: the run still stops on, and returns, a
+// plain step G(x), and the Bound holds.
 func fRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, Bound, error) {
 	return fRankShare(ctx, g, restart, p, listedShare)
 }
@@ -302,6 +308,8 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 	rows, live, dead := fSupport(outSum, g.InSums(), restart, share)
 	scaled, sums := make([]float64, len(restart)), gatherBuffer(rows, len(restart))
 	oneMinus := 1 - p.Alpha
+	accel := accelerator{rows: rows}
+	defer accel.release()
 	x, diff, err := iterate(ctx, append([]float64(nil), restart...), p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			dangling := 0.0
@@ -333,7 +341,7 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 				diff += math.Abs(cur[v] - nv)
 			}
 			return diff, nil
-		}, nil)
+		}, accel.step)
 	if err != nil {
 		return nil, Bound{}, err
 	}
@@ -351,7 +359,7 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 	}
 	e, scaling := oneMinus/p.Alpha*diff, func(d float64) float64 { return p.Alpha / (p.Alpha + oneMinus*d) }
 	c, cUp, cLo, xMax := scaling(dangling), scaling(max(0, dangling-e)), scaling(dangling+e), slices.Max(x)
-	b := Bound{Err: max(xMax*(cUp-c)+e*cUp, xMax*(c-cLo)+e*cLo), Converged: diff < p.Tol}
+	width := max(xMax*(cUp-c)+e*cUp, xMax*(c-cLo)+e*cLo)
 	if dangling > 0 {
 		if rows == nil {
 			for v := range x {
@@ -363,7 +371,18 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			}
 		}
 	}
-	return x, b, nil
+	return x, bound(width, x, diff < p.Tol), nil
+}
+
+// errUlps is the floor of every exact leg's Bound, in ulps of the largest
+// entry it returns: a last step that moves by exactly 0 pins the answer only
+// up to the rounding of the sums that made it.
+const errUlps = 4
+
+// bound is the Bound of a leg that returns x with error err.
+func bound(err float64, x []float64, converged bool) Bound {
+	top := slices.Max(x)
+	return Bound{Err: max(err, errUlps*(math.Nextafter(top, math.Inf(1))-top)), Converged: converged}
 }
 
 // fNext is F-Rank's update of a node with restart weight r from its gathered
@@ -380,11 +399,13 @@ func fNext(alpha, dadd, r, sum float64) float64 {
 //
 //	J(x)[v] = α·restart[v] + (1−α)·(Σ_{v→to} w(v,to)·x[to]) / outSum(v)
 //
-// with a geometric-tail jump between steps (geometricTail). The run stops at
-// the first plain step whose L1 change ‖J(x) − x‖₁ is below Tol and returns
-// that step, J(x). J is a (1−α)-contraction in the ∞-norm, so for any x,
-// jumped or not, ‖t − J(x)‖∞ ≤ (1−α)/α·‖J(x) − x‖∞: the returned vector is
-// within (1−α)/α·‖J(x) − x‖₁ of t in every entry, its Bound.
+// with the accelerator between steps: a jump along a single geometric mode,
+// and, once the leg stalls as fRank's does, Anderson mixing for the rest of
+// the solve. The run stops at the first plain step whose L1 change
+// ‖J(x) − x‖₁ is below Tol and returns that step, J(x). J is a
+// (1−α)-contraction in the ∞-norm, so for any x, jumped, mixed or neither,
+// ‖t − J(x)‖∞ ≤ (1−α)/α·‖J(x) − x‖∞: the returned vector is within
+// (1−α)/α·‖J(x) − x‖₁ of t in every entry, its Bound.
 func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, Bound, error) {
 	return tRankShare(ctx, g, restart, p, listedShare)
 }
@@ -400,7 +421,8 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 	for i := range cur {
 		cur[i] = p.Alpha * restart[i]
 	}
-	tail := geometricTail{prev: make([]float64, len(restart)), rows: rows}
+	accel := accelerator{rows: rows, tail: true}
+	defer accel.release()
 	t, diff, err := iterate(ctx, cur, p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			if err := g.GatherOut(ctx, cur, gatherInto(sums, next), rows); err != nil {
@@ -421,8 +443,11 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 			}
 			return diff, nil
 		},
-		tail.jump)
-	return t, Bound{Err: (1 - p.Alpha) / p.Alpha * diff, Converged: diff < p.Tol}, err
+		accel.step)
+	if err != nil {
+		return nil, Bound{}, err
+	}
+	return t, bound((1-p.Alpha)/p.Alpha*diff, t, diff < p.Tol), nil
 }
 
 // tNext is T-Rank's update of a node with restart weight r and out-weight
@@ -436,9 +461,9 @@ func tNext(alpha, r, s, sum float64) float64 {
 }
 
 // tailGate is δ, how closely the last two changes must be one geometric mode
-// before geometricTail trusts it: ‖d_k − ρ·d_{k−1}‖₁ ≤ δ·‖d_k‖₁. The part of
-// d_k the mode does not explain is carried into the jump with the same
-// factor ρ/(1−ρ) as the mode itself, so a jump leaves about δ of the
+// before the single-mode jump trusts it: ‖d_k − ρ·d_{k−1}‖₁ ≤ δ·‖d_k‖₁. The
+// part of d_k the mode does not explain is carried into the jump with the
+// same factor ρ/(1−ρ) as the mode itself, so a jump leaves about δ of the
 // distance to t it removes: 1 % is a 100-fold cut, some 15 plain sweeps at
 // the R-MAT spine's ρ ≈ 0.73. The gate is not a tuning knob: on the spine's
 // 32 exact queries T takes 604 gathers in all at δ = 10⁻², and 615–627 at
@@ -447,64 +472,268 @@ func tNext(alpha, r, s, sum float64) float64 {
 // and so never negative.
 const tailGate = 1e-2
 
-// geometricTail is T-Rank's extrapolation of a geometric tail (Kamvar,
-// Haveliwala, Manning, Golub, "Extrapolation Methods for Accelerating
-// PageRank Computations", WWW 2003, reduced to its scalar case). T's slow
-// mode is the walks that leak slowly out of a graph's core: its change
-// shrinks by ρ ≈ (1−α)·ρ(P) a sweep and, unlike F's, it cannot be restarted
-// away. When d_k = ρ·d_{k−1} holds, the steps still to come sum to
-// ρ/(1−ρ)·d_k, and jump takes them at once. The jump is serial vector math
-// over the iterate, above the Gatherer seam, so a solve stays bit-identical
-// across layouts, worker counts and fleets.
-type geometricTail struct {
-	prev  []float64      // d_{k−1}, the last plain step's change
-	rows  []graph.NodeID // the solve's support; nil for every node
-	norm  float64        // ‖d_{k−1}‖₁
-	fresh int            // plain steps recorded since the start or the last jump
+// The switch to mixing. A plain step stalls when it contracts by
+// ρ = δ_k/δ_{k−1} ≥ stallRatio, the change before it explains part of it —
+// ‖d_k ∓ ρ·d_{k−1}‖₁ ≤ stallFit·δ_k for one sign — and no single-mode jump
+// follows it. After stallRun stalled steps in a row a leg takes Anderson
+// steps of depth mixDepth for the rest of its solve. The middle clause keeps
+// a travelling change on the plain path: a walk front that moves one node a
+// step, along a cycle or a line, leaves ‖d_k ∓ ρ·d_{k−1}‖₁ at 2·δ_k for T
+// and, up to rounding, at δ_k for F, whose front trails a negative change;
+// stallFit stays clear of that rounding. Measured at seed 42 on 100 BibNet
+// paper queries (the bench's scale 0.12) and 228 R-MAT 10^5 nodes (the
+// spine's tail and hub rule): BibNet's 200 legs all engage and take 6 244
+// gathers against 10 548; on R-MAT 2 F legs engage and T keeps all 4 358 of
+// its gathers. The run length is not a sharp knob: 4, 6, 8 and 10 take 40 of
+// those BibNet queries' F legs 1 235 / 1 251 / 1 242 / 1 295 gathers against
+// 2 102, but at 4 R-MAT T engages on 147 legs for 5 % fewer gathers, and a
+// mixed step streams about as much memory as a gather.
+const (
+	stallRatio = 0.5
+	stallFit   = 0.95
+	stallRun   = 8
+	mixDepth   = 3
+)
+
+// mixDrop is how much of a column's norm must lie outside the span of the
+// newer ones, squared, for the mixing to keep it: below it the column and
+// every older one leave the history, since the normal equations square the
+// history's condition number.
+const mixDrop = 1e-10
+
+// accelerator moves the iterate between plain steps, serial vector math over
+// the solve's support above the Gatherer seam, so a solve stays
+// bit-identical across layouts, worker counts and fleets. It takes two forms.
+//
+// The single-mode jump, T only (Kamvar, Haveliwala, Manning, Golub,
+// "Extrapolation Methods for Accelerating PageRank Computations", WWW 2003,
+// reduced to its scalar case). T's slow mode is the walks that leak slowly
+// out of a graph's core: its change shrinks by ρ ≈ (1−α)·ρ(P) a sweep and,
+// unlike F's, it cannot be restarted away. When d_k = ρ·d_{k−1} holds, the
+// steps still to come sum to ρ/(1−ρ)·d_k, and the jump takes them at once.
+// F has none: its restart already removes the one mode, and a gated jump on
+// F was measured never to fire.
+//
+// Anderson mixing, both legs, once a leg stalls (Walker, Ni, "Anderson
+// Acceleration for Fixed-Point Iterations", SIAM J. Numer. Anal. 2011, type
+// II). On a near-bipartite graph such as BibNet two modes decay together — a
+// sign-alternating one and a slow positive one — and no single mode fits.
+// With f_k = G(x_k) − x_k and g_k = G(x_k), the history holds the last
+// mixDepth differences ΔF of the f and ΔG of the g; each step solves
+// min_γ ‖f_k − ΔF·γ‖₂ by its normal equations and moves to g_k − ΔG·γ,
+// clamped to [0, 1] where every f and t lies. A mixed step whose residual
+// grew clears the history.
+//
+// Either form only moves the iterate a plain step starts from: the solve
+// stops on, and returns, a plain step G(x), and its Bound, (1−α)/α·‖G(x) − x‖₁
+// carried through F's scaling, holds for any x.
+type accelerator struct {
+	rows    []graph.NodeID // the solve's support; nil for every node
+	tail    bool           // take single-mode jumps (T)
+	prev    []float64      // d_{k−1}, the last recorded plain change; f_{k−1} once mixing
+	norm    float64        // δ_{k−1}, the last step's L1 change
+	fresh   int            // plain changes recorded in a row, since the start, a jump or a step left unrecorded
+	stalled int            // stalled steps in a row
+
+	// Anderson mixing, from the switch on: slab, taken from mixSlabs, holds
+	// g and the columns.
+	slab   *[]float64
+	g      []float64                   // g_{k−1}
+	df, dg [mixDepth][]float64         // ΔF and ΔG columns, a ring whose newest is slot
+	gram   [mixDepth][mixDepth]float64 // ΔFᵀ·ΔF, by slot
+	slot   int
+	cols   int  // columns held
+	mixed  bool // the last step moved by mixing
 }
 
-// jump records the change d_k = next − cur of a plain step that moved by
-// diff = ‖d_k‖₁, and, when ρ = diff/‖d_{k−1}‖₁ is below one and passes the
-// gate, moves next to next + ρ/(1−ρ)·d_k, clamped to [0, 1] where every t
-// lies. Both changes must be plain steps taken since the last jump, so two
-// plain steps follow every jump.
-func (t *geometricTail) jump(cur, next []float64, diff float64) {
-	t.fresh++
-	rho := diff / t.norm
-	armed := t.fresh >= 2 && rho < 1
-	resid := 0.0
-	if t.rows == nil {
-		for v, nv := range next {
-			d := nv - cur[v]
-			if armed {
-				resid += math.Abs(d - rho*t.prev[v])
-			}
-			t.prev[v] = d
-		}
-	} else {
-		for _, v := range t.rows {
-			d := next[v] - cur[v]
-			if armed {
-				resid += math.Abs(d - rho*t.prev[v])
-			}
-			t.prev[v] = d
-		}
-	}
-	t.norm = diff
-	if !armed || resid > tailGate*diff {
+// step runs between two plain steps: the one that took cur to next and moved
+// by diff = ‖next − cur‖₁, and the one to come from next, which it may move.
+func (a *accelerator) step(cur, next []float64, diff float64) {
+	rho := diff / a.norm
+	a.norm = diff
+	if a.g != nil {
+		a.mix(cur, next, rho)
 		return
 	}
-	c := rho / (1 - rho)
-	if t.rows == nil {
-		for v, d := range t.prev {
-			next[v] = min(max(next[v]+c*d, 0), 1)
-		}
-	} else {
-		for _, v := range t.rows {
-			next[v] = min(max(next[v]+c*t.prev[v], 0), 1)
-		}
+	// F records its changes only while it might stall: a fast step stalls
+	// nothing, and on the spine's R-MAT most of F's steps are fast; recording
+	// every one costs an R-MAT 10^5 F solve 5–10 % (WalkKernels/RMAT/FRank,
+	// one core).
+	if !a.tail && !(rho >= stallRatio) {
+		a.fresh, a.stalled = 0, 0
+		return
 	}
-	t.fresh = 0
+	if a.prev == nil {
+		a.prev = make([]float64, len(next))
+	}
+	a.fresh++
+	fit := a.fresh >= 2 // prev holds the change just before this one
+	same, flip := 0.0, 0.0
+	rows := a.rows
+	for i := range extent(rows, next) {
+		v := i
+		if rows != nil {
+			v = int(rows[i])
+		}
+		d := next[v] - cur[v]
+		if fit {
+			same += math.Abs(d - rho*a.prev[v])
+			flip += math.Abs(d + rho*a.prev[v])
+		}
+		a.prev[v] = d
+	}
+	if a.tail && fit && rho < 1 && same <= tailGate*diff {
+		c := rho / (1 - rho)
+		for i := range extent(rows, next) {
+			v := i
+			if rows != nil {
+				v = int(rows[i])
+			}
+			next[v] = min(max(next[v]+c*a.prev[v], 0), 1)
+		}
+		a.fresh, a.stalled = 0, 0
+		return
+	}
+	if fit && rho >= stallRatio && min(same, flip) <= stallFit*diff {
+		a.stalled++
+	} else {
+		a.stalled = 0
+	}
+	if a.stalled == stallRun {
+		a.startMixing(next)
+	}
+}
+
+// mixSlabs recycles the mixing history, 7 vectors a mixed leg: on the
+// bench's BibNet serving loop, where every leg mixes, allocating it afresh
+// more than doubled what an exact solve allocates, and the garbage
+// collections with it.
+var mixSlabs sync.Pool // of *[]float64
+
+// startMixing switches to mixing after the plain step to next = g_k, whose
+// change f_k prev holds; the first columns join the history at the next step.
+func (a *accelerator) startMixing(next []float64) {
+	n := len(next)
+	size := (1 + 2*mixDepth) * n
+	a.slab, _ = mixSlabs.Get().(*[]float64)
+	if a.slab == nil || cap(*a.slab) < size {
+		buf := make([]float64, size)
+		a.slab = &buf
+	}
+	buf := (*a.slab)[:size]
+	clear(buf)
+	a.g, buf = buf[:n:n], buf[n:]
+	copy(a.g, next)
+	for j := range mixDepth {
+		a.df[j], a.dg[j], buf = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	}
+}
+
+// release hands the mixing history back to mixSlabs at the end of a solve.
+func (a *accelerator) release() {
+	if a.slab != nil {
+		mixSlabs.Put(a.slab)
+		a.slab = nil
+	}
+}
+
+// mix takes one Anderson step from next = g_k, which moved by ρ times the
+// step before it: it adds the newest ΔF and ΔG columns, solves the normal
+// equations for γ and moves next to g_k − ΔG·γ. The columns and the Gram
+// matrix are written for depth 3.
+func (a *accelerator) mix(cur, next []float64, rho float64) {
+	if a.mixed && rho > 1 {
+		a.cols = 0
+	}
+	s := (a.slot + 1) % mixDepth
+	older, oldest := (s+2)%mixDepth, (s+1)%mixDepth
+	a.slot, a.cols = s, min(a.cols+1, mixDepth)
+	dfS, dgS, dfO, dfOO := a.df[s], a.dg[s], a.df[older], a.df[oldest]
+	var ss, so, soo, rs, ro, roo float64
+	rows := a.rows
+	for i := range extent(rows, next) {
+		v := i
+		if rows != nil {
+			v = int(rows[i])
+		}
+		f := next[v] - cur[v]
+		df := f - a.prev[v]
+		a.prev[v] = f
+		dfS[v], dgS[v] = df, next[v]-a.g[v]
+		a.g[v] = next[v]
+		ss += df * df
+		so += df * dfO[v]
+		soo += df * dfOO[v]
+		rs += df * f
+		ro += dfO[v] * f
+		roo += dfOO[v] * f
+	}
+	a.gram[s][s] = ss
+	a.gram[s][older], a.gram[older][s] = so, so
+	a.gram[s][oldest], a.gram[oldest][s] = soo, soo
+	// Newest first: the Cholesky factor keeps the longest prefix of columns
+	// each far enough from the span of the newer ones.
+	idx := [mixDepth]int{s, older, oldest}
+	rhs := [mixDepth]float64{rs, ro, roo}
+	cols, gamma := choleskySolve(&a.gram, idx, rhs, a.cols)
+	a.cols = cols
+	a.mixed = a.cols > 0
+	if !a.mixed {
+		return
+	}
+	g0, g1, g2 := gamma[0], gamma[1], gamma[2]
+	c0, c1, c2 := a.dg[s], a.dg[older], a.dg[oldest]
+	for i := range extent(rows, next) {
+		v := i
+		if rows != nil {
+			v = int(rows[i])
+		}
+		next[v] = min(max(next[v]-(g0*c0[v]+g1*c1[v]+g2*c2[v]), 0), 1)
+	}
+}
+
+// choleskySolve solves the normal equations of the first cols columns of idx,
+// newest first: gram restricted to them times γ equals rhs. It factors them
+// one column at a time and stops before the first whose share outside the
+// span of the newer ones, squared, is at most mixDrop; it returns the columns
+// kept and γ for them, zero for the rest.
+func choleskySolve(gram *[mixDepth][mixDepth]float64, idx [mixDepth]int, rhs [mixDepth]float64, cols int) (kept int, gamma [mixDepth]float64) {
+	var l [mixDepth][mixDepth]float64
+	for j := range cols {
+		for k := range j {
+			sum := gram[idx[j]][idx[k]]
+			for m := range k {
+				sum -= l[j][m] * l[k][m]
+			}
+			l[j][k] = sum / l[k][k]
+		}
+		diag := gram[idx[j]][idx[j]]
+		d := diag
+		for m := range j {
+			d -= l[j][m] * l[j][m]
+		}
+		if !(d > mixDrop*diag) {
+			break
+		}
+		l[j][j] = math.Sqrt(d)
+		kept = j + 1
+	}
+	var y [mixDepth]float64
+	for j := range kept {
+		sum := rhs[j]
+		for m := range j {
+			sum -= l[j][m] * y[m]
+		}
+		y[j] = sum / l[j][j]
+	}
+	for j := kept - 1; j >= 0; j-- {
+		sum := y[j]
+		for m := j + 1; m < kept; m++ {
+			sum -= l[m][j] * gamma[m]
+		}
+		gamma[j] = sum / l[j][j]
+	}
+	return kept, gamma
 }
 
 // pageRank is the global PageRank rule: the same pull as fRank, but with a

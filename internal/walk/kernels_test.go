@@ -24,9 +24,25 @@ import (
 // (gatherers_test.go, which reaches these references through export_test.go).
 
 // serialFRankReference is the pull-style F-Rank recurrence of fRank as
-// straight-line serial code, scaled at the end from the dangling-restart
-// solution to the walks that end at a dangling node.
+// straight-line serial code, without fRank's mixing: the plain solve an
+// accelerated one is held to within its Bound.
 func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
+	x, _, _ := serialFRank(cv, restart, p, false)
+	return x
+}
+
+// serialFRankAccelReference is fRank as straight-line serial code, the
+// mixing included.
+func serialFRankAccelReference(cv graph.CSRView, restart []float64, p Params) []float64 {
+	x, _, _ := serialFRank(cv, restart, p, true)
+	return x
+}
+
+// serialFRank runs the F-Rank recurrence, scales the dangling-restart solution
+// at the end to the walks that end at a dangling node, and returns it with
+// the number of sweeps it took and whether the leg switched to mixing. With
+// mix, fRank's accelerator is written out between the steps (serialAccel).
+func serialFRank(cv graph.CSRView, restart []float64, p Params, mix bool) ([]float64, int, bool) {
 	n := len(restart)
 	out, in := cv.OutCSR(), cv.InCSR()
 	cur := make([]float64, n)
@@ -34,6 +50,8 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 	scaled := make([]float64, n)
 	copy(cur, restart)
 	oneMinus := 1 - p.Alpha
+	accel := serialAccel{mix: mix}
+	sweeps := p.MaxIter
 	for iter := 0; iter < p.MaxIter; iter++ {
 		dangling := 0.0
 		for u := 0; u < n; u++ {
@@ -62,10 +80,14 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 		for i := range cur {
 			diff += math.Abs(cur[i] - next[i])
 		}
-		cur, next = next, cur
 		if diff < p.Tol {
+			cur, sweeps = next, iter+1
 			break
 		}
+		if iter+1 < p.MaxIter {
+			accel.step(cur, next, diff)
+		}
+		cur, next = next, cur
 	}
 	dangling := 0.0
 	for u := 0; u < n; u++ {
@@ -79,38 +101,38 @@ func serialFRankReference(cv graph.CSRView, restart []float64, p Params) []float
 			cur[v] *= c
 		}
 	}
-	return cur
+	return cur, sweeps, accel.engaged
 }
 
 // serialTRankReference is the T-Rank recurrence as straight-line serial
-// code, without tRank's geometric-tail jump: the oracle a jumped solve is held
-// to within its certificate.
+// code, without tRank's jump or mixing: the plain solve an accelerated one is
+// held to within its Bound.
 func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
-	x, _ := serialTRank(cv, restart, p, false)
+	x, _, _ := serialTRank(cv, restart, p, false, false)
 	return x
 }
 
-// serialTRankTailReference is tRank as straight-line serial code, the jump
-// included.
-func serialTRankTailReference(cv graph.CSRView, restart []float64, p Params) []float64 {
-	x, _ := serialTRank(cv, restart, p, true)
+// serialTRankAccelReference is tRank as straight-line serial code, the jump
+// and the mixing included.
+func serialTRankAccelReference(cv graph.CSRView, restart []float64, p Params) []float64 {
+	x, _, _ := serialTRank(cv, restart, p, true, true)
 	return x
 }
 
-// serialTRank runs the T-Rank recurrence and returns the iterate and the
-// number of sweeps it took. With tail, the geometric-tail jump of tRank is
-// written out between the steps.
-func serialTRank(cv graph.CSRView, restart []float64, p Params, tail bool) ([]float64, int) {
+// serialTRank runs the T-Rank recurrence and returns the iterate, the number
+// of sweeps it took and whether the leg switched to mixing. With tail,
+// tRank's single-mode jump is written out between the steps; with mix too,
+// the switch to mixing (serialAccel).
+func serialTRank(cv graph.CSRView, restart []float64, p Params, tail, mix bool) ([]float64, int, bool) {
 	n := len(restart)
 	out := cv.OutCSR()
 	cur := make([]float64, n)
 	next := make([]float64, n)
-	prev := make([]float64, n)
 	for i := range cur {
 		cur[i] = p.Alpha * restart[i]
 	}
 	oneMinus := 1 - p.Alpha
-	prevNorm, fresh := 0.0, 0
+	accel := serialAccel{tail: true, mix: mix}
 	for iter := 0; iter < p.MaxIter; iter++ {
 		for v := 0; v < n; v++ {
 			acc := p.Alpha * restart[v]
@@ -129,31 +151,149 @@ func serialTRank(cv graph.CSRView, restart []float64, p Params, tail bool) ([]fl
 			diff += math.Abs(cur[i] - next[i])
 		}
 		if diff < p.Tol {
-			return next, iter + 1
+			return next, iter + 1, accel.engaged
 		}
 		if tail && iter+1 < p.MaxIter {
-			fresh++
-			rho := diff / prevNorm
-			armed := fresh >= 2 && rho < 1
-			resid := 0.0
-			for i := range cur {
-				if armed {
-					resid += math.Abs((next[i] - cur[i]) - rho*prev[i])
-				}
-				prev[i] = next[i] - cur[i]
-			}
-			prevNorm = diff
-			if armed && resid <= tailGate*diff {
-				c := rho / (1 - rho)
-				for i := range next {
-					next[i] = math.Min(math.Max(next[i]+c*prev[i], 0), 1)
-				}
-				fresh = 0
-			}
+			accel.step(cur, next, diff)
 		}
 		cur, next = next, cur
 	}
-	return cur, p.MaxIter
+	return cur, p.MaxIter, accel.engaged
+}
+
+// serialAccel is the solvers' accelerator as straight-line serial code over
+// every node: the single-mode jump (tail), the stall count, and after the
+// switch (mix) Anderson mixing with its history as a list of columns, newest
+// first, and its normal equations rebuilt from that list at every step.
+type serialAccel struct {
+	tail, mix      bool
+	prev, g        []float64 // the last change (f once mixing), the last plain step
+	norm           float64
+	fresh, stalled int
+	dF, dG         [][]float64 // newest first
+	mixed, engaged bool
+}
+
+func (a *serialAccel) step(cur, next []float64, diff float64) {
+	n := len(next)
+	rho := diff / a.norm
+	a.norm = diff
+	if a.engaged {
+		a.mixStep(cur, next, rho)
+		return
+	}
+	if !a.tail && !(rho >= stallRatio) {
+		a.fresh, a.stalled = 0, 0
+		return
+	}
+	a.fresh++
+	fit := a.fresh >= 2
+	same, flip := 0.0, 0.0
+	d := make([]float64, n)
+	for v := range d {
+		d[v] = next[v] - cur[v]
+		if fit {
+			same += math.Abs(d[v] - rho*a.prev[v])
+			flip += math.Abs(d[v] + rho*a.prev[v])
+		}
+	}
+	a.prev = d
+	if a.tail && fit && rho < 1 && same <= tailGate*diff {
+		c := rho / (1 - rho)
+		for v := range next {
+			next[v] = math.Min(math.Max(next[v]+c*d[v], 0), 1)
+		}
+		a.fresh, a.stalled = 0, 0
+		return
+	}
+	if fit && rho >= stallRatio && math.Min(same, flip) <= stallFit*diff {
+		a.stalled++
+	} else {
+		a.stalled = 0
+	}
+	if a.mix && a.stalled == stallRun {
+		a.engaged, a.g = true, append([]float64(nil), next...)
+	}
+}
+
+// mixStep is one Anderson step: push the newest differences, solve the
+// normal equations by a Cholesky factorization that stops before the first
+// nearly dependent column, and move next to g − ΔG·γ, clamped to [0, 1].
+func (a *serialAccel) mixStep(cur, next []float64, rho float64) {
+	n := len(next)
+	if a.mixed && rho > 1 {
+		a.dF, a.dG = nil, nil
+	}
+	f, df, dg := make([]float64, n), make([]float64, n), make([]float64, n)
+	for v := range next {
+		f[v] = next[v] - cur[v]
+		df[v] = f[v] - a.prev[v]
+		dg[v] = next[v] - a.g[v]
+	}
+	a.prev, a.g = f, append([]float64(nil), next...)
+	a.dF = append([][]float64{df}, a.dF[:min(len(a.dF), mixDepth-1)]...)
+	a.dG = append([][]float64{dg}, a.dG[:min(len(a.dG), mixDepth-1)]...)
+	m := len(a.dF)
+	gram, rhs := make([][]float64, m), make([]float64, m)
+	for i := range gram {
+		gram[i] = make([]float64, m)
+		for j := range gram[i] {
+			for v := range next {
+				gram[i][j] += a.dF[max(i, j)][v] * a.dF[min(i, j)][v]
+			}
+		}
+		for v := range next {
+			rhs[i] += a.dF[i][v] * f[v]
+		}
+	}
+	l := make([][]float64, m)
+	kept := 0
+	for j := range m {
+		l[j] = make([]float64, m)
+		for k := range j {
+			s := gram[j][k]
+			for i := range k {
+				s -= l[j][i] * l[k][i]
+			}
+			l[j][k] = s / l[k][k]
+		}
+		d := gram[j][j]
+		for i := range j {
+			d -= l[j][i] * l[j][i]
+		}
+		if !(d > mixDrop*gram[j][j]) {
+			break
+		}
+		l[j][j] = math.Sqrt(d)
+		kept = j + 1
+	}
+	a.dF, a.dG = a.dF[:kept], a.dG[:kept]
+	a.mixed = kept > 0
+	y, gamma := make([]float64, kept), make([]float64, kept)
+	for j := range kept {
+		y[j] = rhs[j]
+		for i := range j {
+			y[j] -= l[j][i] * y[i]
+		}
+		y[j] /= l[j][j]
+	}
+	for j := kept - 1; j >= 0; j-- {
+		gamma[j] = y[j]
+		for i := j + 1; i < kept; i++ {
+			gamma[j] -= l[i][j] * gamma[i]
+		}
+		gamma[j] /= l[j][j]
+	}
+	if kept == 0 {
+		return
+	}
+	for v := range next {
+		step := 0.0
+		for j := range kept {
+			step += gamma[j] * a.dG[j][v]
+		}
+		next[v] = math.Min(math.Max(next[v]-step, 0), 1)
+	}
 }
 
 // serialPageRankReference is the global PageRank recurrence of pageRank as
@@ -209,12 +349,23 @@ func kernelTestGraphs() map[string]*graph.Graph {
 		"cycle":        testgraphs.Cycle(23),
 		"star":         testgraphs.Star(9),
 		"rmat":         rmatGraph(100, 42),
+		"bibnet":       smallBibNet(),
 	}
+}
+
+// smallBibNet is the small generated BibNet: near bipartite, so both legs
+// stall on a sign-alternating mode and switch to mixing.
+func smallBibNet() *graph.Graph {
+	net, err := datasets.GenerateBibNet(datasets.SmallBibNetConfig())
+	if err != nil {
+		panic(err)
+	}
+	return net.Graph
 }
 
 // rmatGraph is a directed R-MAT graph with the bench spine's parameters. Its
 // dead ends and skewed core give T-Rank the slow geometric mode the tail jump
-// removes; on the other kernel test graphs the jump never fires.
+// removes.
 func rmatGraph(nodes int, seed int64) *graph.Graph {
 	cfg := datasets.DefaultRMATConfig(nodes)
 	cfg.Seed = seed
@@ -264,7 +415,8 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 // shared loop: the three rules over the flat and the packed gather, at
 // Workers = 1 and at every other worker count, must reproduce the serial
 // reference exactly, not just within tolerance — T-Rank's with its tail jump,
-// which fires on the R-MAT graph.
+// which fires on the R-MAT graph, and both personalized legs with the switch
+// to mixing, which both take on the small BibNet.
 func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	for name, g := range kernelTestGraphs() {
@@ -273,10 +425,15 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 		if err := q.restart(restart); err != nil {
 			t.Fatalf("%s: restart: %v", name, err)
 		}
-		wantF := serialFRankReference(g, restart, p)
-		wantT := serialTRankTailReference(g, restart, p)
+		wantF := serialFRankAccelReference(g, restart, p)
+		wantT := serialTRankAccelReference(g, restart, p)
 		if name == "rmat" && slices.Equal(wantT, serialTRankReference(g, restart, p)) {
 			t.Fatalf("%s: the tail jump never fired, so the T pin holds only the plain recurrence", name)
+		}
+		_, _, mixF := serialFRank(g, restart, p, true)
+		_, _, mixT := serialTRank(g, restart, p, true, true)
+		if name == "bibnet" && !(mixF && mixT) {
+			t.Fatalf("%s: F engaged %v, T engaged %v, so the pin does not hold the mixing of both legs", name, mixF, mixT)
 		}
 		wantPR := serialPageRankReference(g, 0.15, 1e-11, 300)
 		for layout, view := range map[string]graph.View{"flat": g, "packed": graph.Pack(g)} {
@@ -322,12 +479,12 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FRank: %v", err)
 	}
-	assertBitIdentical(t, "FRank", serialFRankReference(g, restart, np), f)
+	assertBitIdentical(t, "FRank", serialFRankAccelReference(g, restart, np), f)
 	tr, err := TRank(context.Background(), g, q, p)
 	if err != nil {
 		t.Fatalf("TRank: %v", err)
 	}
-	assertBitIdentical(t, "TRank", serialTRankTailReference(g, restart, np), tr)
+	assertBitIdentical(t, "TRank", serialTRankAccelReference(g, restart, np), tr)
 }
 
 // ownedArrays is adjacency storage of the caller's own: the three methods

@@ -38,8 +38,8 @@ func TestQuickSparseSupportParity(t *testing.T) {
 			Tol:     []float64{1e-6, 1e-9, 1e-12}[rng.Intn(3)],
 			MaxIter: 1000,
 		}
-		wantF := serialFRankReference(g, restart, p)
-		wantT := serialTRankTailReference(g, restart, p)
+		wantF := serialFRankAccelReference(g, restart, p)
+		wantT := serialTRankAccelReference(g, restart, p)
 		draws++
 		if rows, _, _ := fSupport(g.OutSums(), g.InSums(), restart, listedShare); rows != nil {
 			listedF++

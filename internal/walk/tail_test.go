@@ -11,7 +11,7 @@ import (
 	"roundtriprank/internal/testgraphs"
 )
 
-// This file checks T-Rank's geometric-tail jump (geometricTail): where it
+// This file checks T-Rank's single-mode jump (accelerator): where it
 // fires, the answer keeps the certificate of a plain solve; where it does
 // not, the answer is the plain recurrence's bit for bit; and on the bench
 // spine's graph family it cuts the gathers a solve takes by more than half.
@@ -35,7 +35,8 @@ func (c *countingGatherer) GatherOut(ctx context.Context, x, dst []float64, rows
 // TestTRankTailNeverFiresOnSmallGraphs pins that the gate holds the jump back
 // where no single geometric mode dominates: on the toy graph, a cycle, a line
 // and a star, for every query node, α and tolerance, T-Rank is the plain
-// recurrence bit for bit.
+// recurrence bit for bit. (Nor does T switch to mixing there: its change
+// moves to nodes the last one did not touch.)
 func TestTRankTailNeverFiresOnSmallGraphs(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"toy":   testgraphs.NewToy().Graph,
@@ -170,7 +171,7 @@ func TestTRankTailGathers(t *testing.T) {
 		if _, _, err := tRank(context.Background(), gth, restart, p); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		_, plain := serialTRank(g, restart, p, false)
+		_, plain, _ := serialTRank(g, restart, p, false, false)
 		if gth.gathers != tc.gathers {
 			t.Errorf("%s (node %d): %d gathers, pinned %d", tc.name, tc.q, gth.gathers, tc.gathers)
 		}
@@ -189,7 +190,7 @@ func TestTailJumpArithmetic(t *testing.T) {
 	// taken from where the one before left the iterate, and returns where the
 	// last one leaves it.
 	steps := func(xs ...[]float64) []float64 {
-		tail := geometricTail{prev: make([]float64, len(xs[0]))}
+		tail := accelerator{tail: true}
 		cur := xs[0]
 		for _, x := range xs[1:] {
 			next := append([]float64(nil), x...)
@@ -197,7 +198,7 @@ func TestTailJumpArithmetic(t *testing.T) {
 			for v := range next {
 				diff += math.Abs(next[v] - cur[v])
 			}
-			tail.jump(cur, next, diff)
+			tail.step(cur, next, diff)
 			cur = next
 		}
 		return cur
