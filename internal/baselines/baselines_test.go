@@ -326,3 +326,36 @@ func TestMeasuresOnMaskedView(t *testing.T) {
 		}
 	}
 }
+
+// TestExactSimRankPackedMatchesFlat holds ExactSimRank over a packed view to
+// the same graph's flat arrays bit for bit: it keeps every in-row for the
+// whole iteration, longer than a packed session's row lives.
+func TestExactSimRankPackedMatchesFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	b := graph.NewBuilder()
+	b.AddNodes(n, nil)
+	for u := 0; u < n; u++ {
+		for e := 1 + rng.Intn(4); e > 0; e-- {
+			if v := rng.Intn(n); v != u {
+				b.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 0.5+rng.Float64())
+			}
+		}
+	}
+	g := b.MustBuild()
+	want, err := ExactSimRank(g, 0.8, 6)
+	if err != nil {
+		t.Fatalf("ExactSimRank flat: %v", err)
+	}
+	got, err := ExactSimRank(graph.Pack(g), 0.8, 6)
+	if err != nil {
+		t.Fatalf("ExactSimRank packed: %v", err)
+	}
+	for a := range want {
+		for b := range want[a] {
+			if math.Float64bits(got[a][b]) != math.Float64bits(want[a][b]) {
+				t.Fatalf("s(%d,%d): packed %g, flat %g", a, b, got[a][b], want[a][b])
+			}
+		}
+	}
+}

@@ -149,10 +149,12 @@ func ExactSimRank(view graph.View, c float64, iterations int) ([][]float64, erro
 		next[i] = make([]float64, n)
 		cur[i][i] = 1
 	}
-	rows := view.NewRows()
+	// Every in-row is held for the whole iteration, longer than a row of
+	// View.NewRows lives, so they are read once as flat arrays.
+	in := view.FlatRows(graph.In, nil)
 	ins := make([][]graph.NodeID, n)
 	for v := 0; v < n; v++ {
-		ins[v], _ = rows.InRow(graph.NodeID(v))
+		ins[v], _ = in.Row(graph.NodeID(v))
 	}
 	for iter := 0; iter < iterations; iter++ {
 		for a := 0; a < n; a++ {

@@ -43,7 +43,8 @@ type View interface {
 	// NewRows returns the layout's rows for one query. The flat layouts are
 	// Rows themselves and return themselves, allocating nothing; *Packed
 	// returns a session that is cheap, not safe for concurrent use, and must
-	// not outlive the view.
+	// not outlive the view. A row is valid until the next call for its
+	// direction (Rows.OutRow).
 	NewRows() Rows
 	// OutSums returns every node's total out-weight, read-only.
 	OutSums() []float64

@@ -424,71 +424,27 @@ func (p *Packed) SizeBytes() int64 {
 // deletes this.
 func (p *Packed) Close() error { return nil }
 
-// NewRows implements View: a session that decodes rows on first access and
-// caches them for its lifetime.
+// NewRows implements View: a session that decodes each row it is asked for
+// into one reused buffer per direction.
 func (p *Packed) NewRows() Rows { return &packedRows{p: p} }
 
-// packedRows is the Rows session of a Packed view. Each row is decoded once
-// and cached for the session's lifetime: the searcher holds returned rows
-// across further row calls (an expansion wave iterates one in-row while
-// fetching the neighbors' rows), so single reusable buffers would be
-// clobbered mid-iteration. The cache makes the session's working set
-// O(distinct rows touched) — the same shape as the remote row cache
-// (internal/rowserve), which pins cached rows for the same reason.
-//
-// Rows decode straight into slabs the session owns: chunks of slabEntries
-// entries that are filled front to back and never reallocated, so a slice
-// handed out stays valid as long as the session does, and a query pays an
-// allocation per chunk instead of one per row. A row too long to share a
-// chunk sensibly gets storage of its own. A unit-weight row decodes only its
-// columns: its weights are a window of the view's shared ones,
-// capacity-capped like CSR.Row's, and a session that meets only unit rows
-// holds no weight chunk.
+// packedRows is the Rows session of a Packed view. It keeps one column buffer
+// and one weight buffer per direction and nothing else: a row decodes into its
+// direction's buffers, grown to the longest row met, and stays valid until the
+// next call for the same direction, which is all the Rows contract promises.
+// The online searcher reads each row of its active set about once, so a cache
+// of decoded rows would hold them for nothing. A unit-weight row decodes only
+// its columns: its weights are a capacity-capped window of the view's shared
+// ones, as CSR.Row's are, and the weight buffer is left alone.
 type packedRows struct {
-	p   *Packed
-	out map[NodeID]sessionRow
-	in  map[NodeID]sessionRow
+	p       *Packed
+	out, in rowBuf
+}
 
-	// The open chunks: their length is what rows have taken, their capacity
-	// what is left to take. Full chunks live on through the rows cut from
-	// them.
+// rowBuf is one direction's decode buffers.
+type rowBuf struct {
 	cols []NodeID
 	wts  []float64
-}
-
-// sessionRow is one row a packed session has decoded.
-type sessionRow struct {
-	cols []NodeID
-	wts  []float64
-}
-
-// slabEntries is the chunk size of a packed session's row slabs (16 KiB of
-// columns, 32 KiB of weights); rows of more bytes than an eighth of it bypass
-// the slabs, which bounds the tail a chunk abandons when the next row does not
-// fit.
-const slabEntries = 4096
-
-// room returns the free tail of the open chunk *slab for a row of at most n
-// entries to be appended to, opening a new chunk first when fewer than n
-// entries are free. A row too long to share a chunk (n > slabEntries/8) gets
-// no tail: appended to nil, it takes storage of its own.
-func room[T any](slab *[]T, n int) []T {
-	if n > slabEntries/8 {
-		return nil
-	}
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, slabEntries)
-	}
-	return (*slab)[len(*slab):]
-}
-
-// keep takes row out of the chunk *slab when room's tail holds it, and
-// returns it capacity-capped.
-func keep[T any](slab *[]T, row []T) []T {
-	if s := *slab; len(row) > 0 && len(s) < cap(s) && &row[0] == &s[:len(s)+1][len(s)] {
-		*slab = s[:len(s)+len(row)]
-	}
-	return row[:len(row):len(row)]
 }
 
 // NumNodes implements Rows.
@@ -502,47 +458,29 @@ func (r *packedRows) OutSum(v NodeID) float64 { return r.p.out.Sum[v] }
 
 // OutRow implements Rows.
 func (r *packedRows) OutRow(v NodeID) ([]NodeID, []float64) {
-	if r.out == nil {
-		r.out = make(map[NodeID]sessionRow)
-	}
-	return r.cachedRow(r.out, &r.p.out, v)
+	return r.out.decode(&r.p.out, r.p.ones, v)
 }
 
 // InRow implements Rows.
 func (r *packedRows) InRow(v NodeID) ([]NodeID, []float64) {
-	if r.in == nil {
-		r.in = make(map[NodeID]sessionRow)
-	}
-	return r.cachedRow(r.in, &r.p.in, v)
+	return r.in.decode(&r.p.in, r.p.ones, v)
 }
 
 // Err implements Rows: the packed blocks were validated when the view was
 // built or opened, so decoding a row cannot fail.
 func (r *packedRows) Err() error { return nil }
 
-func (r *packedRows) cachedRow(cache map[NodeID]sessionRow, c *PackedCSR, v NodeID) ([]NodeID, []float64) {
-	if row, ok := cache[v]; ok {
-		return row.cols, row.wts
-	}
-	// A row has fewer entries than bytes, so room for n entries holds it.
-	// Weights get chunks only once a row has needed some.
-	n := int(c.RowOff[v+1] - c.RowOff[v])
-	var wts []float64
-	if r.wts != nil {
-		wts = room(&r.wts, n)
-	}
-	cols, wts, unit := c.decodeRow(v, room(&r.cols, n), wts)
-	row := sessionRow{cols: keep(&r.cols, cols)}
+// decode decodes row v of c over the buffers and returns it capacity-capped,
+// its weights a window of ones when the row is unit.
+func (b *rowBuf) decode(c *PackedCSR, ones []float64, v NodeID) ([]NodeID, []float64) {
+	cols, wts, unit := c.decodeRow(v, b.cols[:0], b.wts[:0])
+	n := len(cols)
+	b.cols = cols
 	if unit {
-		row.wts = r.p.ones[:len(cols):len(cols)]
-	} else {
-		row.wts = keep(&r.wts, wts)
-		if r.wts == nil { // the session's first row with weights
-			r.wts = make([]float64, 0, slabEntries)
-		}
+		return cols[:n:n], ones[:n:n]
 	}
-	cache[v] = row
-	return row.cols, row.wts
+	b.wts = wts
+	return cols[:n:n], wts[:n:n]
 }
 
 // SizeBytes returns the resident footprint of one flat CSR direction

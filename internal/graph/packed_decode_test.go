@@ -256,7 +256,8 @@ func TestDecodeRowsVarintLengths(t *testing.T) {
 // constant 2.5, mixed and empty rows; rows of over 512 entries, unit and
 // mixed, between empty rows; and R-MAT 10^4, whose deltas take one to three
 // bytes like the bench graph's and whose flat rows are in the unit form. On
-// each the session's rows equal the flat rows.
+// each the session's rows equal the flat rows under the Rows contract
+// (checkSessionRows).
 func TestDecodeRowsPackedGraphs(t *testing.T) {
 	views := map[string]CSRView{
 		// The same rows serve as in-rows: Pack reads the arrays as given.
@@ -275,33 +276,7 @@ func TestDecodeRowsPackedGraphs(t *testing.T) {
 		checkDecoder(t, name+"/in", &p.in)
 		checkFlatRows(t, name+"/out", g.OutCSR(), &p.out, p.ones, x)
 		checkFlatRows(t, name+"/in", g.InCSR(), &p.in, p.ones, x)
-		checkSession(t, name, g, p)
-	}
-}
-
-// checkSession holds a session's rows of p to the flat rows of g, as each is
-// decoded and again once all are: a slice handed out stays valid while the
-// session decodes further rows into its slabs.
-func checkSession(t *testing.T, name string, g CSRView, p *Packed) {
-	t.Helper()
-	type row struct {
-		cols []NodeID
-		wts  []float64
-	}
-	rows := p.NewRows()
-	var got [2][]row
-	for v := range NodeID(g.NumNodes()) {
-		for d, read := range []func(NodeID) ([]NodeID, []float64){rows.OutRow, rows.InRow} {
-			cols, wts := read(v)
-			got[d] = append(got[d], row{cols, wts})
-		}
-	}
-	for d, flat := range []CSR{g.OutCSR(), g.InCSR()} {
-		for v, r := range got[d] {
-			if wc, ww := flat.Row(NodeID(v)); !sameRow(r.cols, r.wts, wc, ww) {
-				t.Fatalf("%s: session row %d (direction %d) is %v %v, the flat row %v %v", name, v, d, r.cols, r.wts, wc, ww)
-			}
-		}
+		checkSessionRows(t, name, p.NewRows(), g.OutCSR(), g.InCSR(), p.ones)
 	}
 }
 
@@ -358,7 +333,7 @@ func withSums(c CSR) CSR {
 // fuzzed list of rows split at a fuzzed entry, the unit rows alone, which
 // must decode to the unit form, and the unit rows with the first weighted
 // one, which must keep one weight per column for every row. The session's
-// rows equal the flat rows.
+// rows equal the flat rows under the Rows contract (checkSessionRows).
 func FuzzPackedGather(f *testing.F) {
 	f.Add([]byte{0, 9, 4, 0x11, 0, 3, 0, 7, 0, 1, 0x00, 0x32, 0, 2, 1, 0, 5, 0, 8, 2})
 	f.Add([]byte{0x27, 0x10, 200, 0x3f, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x12, 0x34, 0x00, 0x01, 0x26, 0xff, 0xfe, 0x80, 0x00})
@@ -448,6 +423,6 @@ func FuzzPackedGather(f *testing.F) {
 				checkDecoded(t, dir+"/"+lname, pair.flat, pair.packed, p.ones, x, want, rows, []int{cut % (m + 1)})
 			}
 		}
-		checkSession(t, "fuzz", g, p)
+		checkSessionRows(t, "fuzz", p.NewRows(), g.OutCSR(), g.InCSR(), p.ones)
 	})
 }

@@ -122,12 +122,12 @@ func TestPackedViewMatchesFlat(t *testing.T) {
 
 // TestPackedRowsSession checks the in-package Rows that are not the flat
 // arrays themselves — a packed view's own session and the counting decorator —
-// against the flat arrays, asking for every row twice (the second answer of a
-// session is the kept one), on a graph with weights and on a unit-weight one
-// whose hub row is too long for the session's slabs. A packed session hands a
-// unit row the view's shared ones as its weights, capacity-capped like
-// CSR.Row's, and every row it handed out still reads right after all the
-// later decodes.
+// against the flat arrays under the Rows contract, on a graph with weights and
+// on a unit-weight one whose hub in-row is far the longest: each row reads
+// right when it is handed out, the other direction's last row still reads
+// right after it, and a second read of a row, at once and in a second pass,
+// returns equal content. A packed session hands a unit row the view's shared
+// ones as its weights, capacity-capped like CSR.Row's.
 func TestPackedRowsSession(t *testing.T) {
 	hub := NewBuilder()
 	hub.AddNodes(1000, nil)
@@ -147,57 +147,77 @@ func TestPackedRowsSession(t *testing.T) {
 	for gname, g := range map[string]*Graph{"weighted": packedTestGraph(t, 120, 900, 3), "unit": unit} {
 		out, in := g.OutCSR(), g.InCSR()
 		p := Pack(g)
-		if gname == "unit" && (out.Weight != nil || in.Degree(0) <= slabEntries/8) {
-			t.Fatalf("unit graph: want the unit form and a hub in-row over %d entries, have %d", slabEntries/8, in.Degree(0))
+		if gname == "unit" && (out.Weight != nil || in.Degree(0) < 900) {
+			t.Fatalf("unit graph: want the unit form and a hub in-row of 900 entries or more, have %d", in.Degree(0))
 		}
 		for name, rows := range map[string]Rows{"packed": p.NewRows(), "counting": NewCountingRows(g)} {
 			name = gname + "/" + name
 			if rows.NumNodes() != g.NumNodes() {
 				t.Fatalf("%s: NumNodes %d != %d", name, rows.NumNodes(), g.NumNodes())
 			}
-			type kept struct {
-				v    NodeID
-				in   bool
-				cols []NodeID
-				wts  []float64
+			var ones []float64
+			if name == gname+"/packed" {
+				ones = p.ones
 			}
-			var handed []kept
-			for pass := 0; pass < 2; pass++ {
-				for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-					if rows.OutDegree(v) != out.Degree(v) {
-						t.Fatalf("%s: node %d OutDegree mismatch", name, v)
-					}
-					if rows.OutSum(v) != out.Sum[v] {
-						t.Fatalf("%s: node %d OutSum mismatch", name, v)
-					}
-					for _, isIn := range []bool{false, true} {
-						get, want := rows.OutRow, out.Row
-						if isIn {
-							get, want = rows.InRow, in.Row
-						}
-						cols, wts := get(v)
-						wantC, wantW := want(v)
-						if !sameRow(cols, wts, wantC, wantW) {
-							t.Fatalf("%s: node %d row (in %v) differs", name, v, isIn)
-						}
-						if name == "unit/packed" && len(wts) > 0 && (cap(wts) != len(wts) || &wts[0] != &p.ones[0]) {
-							t.Fatalf("%s: node %d (in %v): weights are not a capped window of the shared ones", name, v, isIn)
-						}
-						handed = append(handed, kept{v, isIn, cols, wts})
-					}
+			checkSessionRows(t, name, rows, out, in, ones)
+			for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+				if rows.OutDegree(v) != out.Degree(v) {
+					t.Fatalf("%s: node %d OutDegree mismatch", name, v)
 				}
-			}
-			for _, k := range handed {
-				want := out.Row
-				if k.in {
-					want = in.Row
-				}
-				if wantC, wantW := want(k.v); !sameRow(k.cols, k.wts, wantC, wantW) {
-					t.Fatalf("%s: node %d row (in %v) changed after later decodes", name, k.v, k.in)
+				if rows.OutSum(v) != out.Sum[v] {
+					t.Fatalf("%s: node %d OutSum mismatch", name, v)
 				}
 			}
 		}
 	}
+}
+
+// checkSessionRows reads every row of rows twice over, in two passes, each
+// direction after the other, and holds each to the flat rows of out and in
+// under the Rows contract: a row reads right when it is handed out, the other
+// direction's last row still reads right after the call, and reading the same
+// row again at once returns equal content. With ones, the shared ones of a
+// packed view, rows must also come capacity-capped, and a row whose every
+// weight is 1 must take its weights from ones.
+func checkSessionRows(t *testing.T, name string, rows Rows, out, in CSR, ones []float64) {
+	t.Helper()
+	type last struct {
+		v    NodeID
+		cols []NodeID
+		wts  []float64
+	}
+	var held [2]*last // the last row handed out, by direction (0 out, 1 in)
+	want := []CSR{out, in}
+	for pass := 0; pass < 2; pass++ {
+		for v := NodeID(0); int(v) < rows.NumNodes(); v++ {
+			for dir, get := range []func(NodeID) ([]NodeID, []float64){rows.OutRow, rows.InRow} {
+				for again := 0; again < 2; again++ {
+					cols, wts := get(v)
+					if wantC, wantW := want[dir].Row(v); !sameRow(cols, wts, wantC, wantW) {
+						t.Fatalf("%s: node %d row (in %v, read %d) is %v %v, the flat row %v %v", name, v, dir == 1, again+1, cols, wts, wantC, wantW)
+					}
+					if ones != nil && !packedRowForm(cols, wts, ones) {
+						t.Fatalf("%s: node %d (in %v): the row is not capacity-capped, or its unit weights not a window of the shared ones", name, v, dir == 1)
+					}
+					held[dir] = &last{v, cols, wts}
+					if o := held[1-dir]; o != nil {
+						if wantC, wantW := want[1-dir].Row(o.v); !sameRow(o.cols, o.wts, wantC, wantW) {
+							t.Fatalf("%s: node %d row (in %v) changed under a call for node %d's other direction", name, o.v, dir == 0, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// packedRowForm reports whether a packed session's row is capacity-capped
+// and, when every weight is 1, a window of the view's shared ones.
+func packedRowForm(cols []NodeID, wts, ones []float64) bool {
+	if cap(cols) != len(cols) || cap(wts) != len(wts) {
+		return false
+	}
+	return len(wts) == 0 || slices.ContainsFunc(wts, func(w float64) bool { return w != 1 }) || &wts[0] == &ones[0]
 }
 
 // sameRow reports whether two rows hold equal columns and bit-equal weights;

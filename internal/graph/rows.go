@@ -18,15 +18,14 @@ type Rows interface {
 	OutDegree(v NodeID) int
 	// OutSum returns the total out-weight of v.
 	OutSum(v NodeID) float64
-	// OutRow returns the out-edge targets and weights of v. The slices are
-	// read-only and must stay valid while the caller keeps issuing calls on
-	// the provider: the searcher's expansion waves iterate one row while
-	// fetching the rows of its neighbors (see bounds.TFlat), so a provider
-	// cannot serve every row from one reused buffer. CSR-backed providers
-	// return slices of the underlying arrays; rowserve pins cached rows;
-	// graph.Packed sessions keep each decoded row for the session lifetime.
+	// OutRow returns the out-edge targets and weights of v: read-only, and
+	// valid until the next OutRow call on the same Rows, so a caller that
+	// keeps a row longer copies it. graph.Packed sessions decode each row
+	// into one reused buffer per direction; the flat layouts and rowserve
+	// hand out slices that live longer, as the contract allows.
 	OutRow(v NodeID) (cols []NodeID, weights []float64)
-	// InRow returns the in-edge sources and weights of v, same contract.
+	// InRow returns the in-edge sources and weights of v, same contract: valid
+	// until the next InRow call on the same Rows.
 	InRow(v NodeID) (cols []NodeID, weights []float64)
 	// Err returns the first failure a row read ran into, nil if none (the
 	// bufio.Scanner idiom: the accessors have no error result). The error is

@@ -1,6 +1,8 @@
 package testgraphs
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"roundtriprank/internal/graph"
@@ -116,5 +118,32 @@ func TestItoa(t *testing.T) {
 		if got := itoa(in); got != want {
 			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestStrictRows checks that StrictRows serves each row's content and
+// overwrites it when the next row of the same direction is fetched, and only
+// then.
+func TestStrictRows(t *testing.T) {
+	g := NewToy().Graph
+	s := NewStrictRows(g)
+	out, outW := s.OutRow(0)
+	wantOut, _ := g.OutRow(0)
+	if len(out) == 0 || !slices.Equal(out, wantOut) || len(outW) != len(out) || outW[0] != 1 {
+		t.Fatalf("OutRow(0) = %v %v, want %v", out, outW, wantOut)
+	}
+	in, _ := s.InRow(1)
+	if wantIn, _ := g.InRow(1); len(in) == 0 || !slices.Equal(in, wantIn) {
+		t.Fatalf("InRow(1) = %v, want %v", in, wantIn)
+	}
+	if !slices.Equal(out, wantOut) {
+		t.Fatalf("an in-row fetch overwrote the last out-row: %v", out)
+	}
+	s.OutRow(1)
+	if out[0] != -1 || !math.IsNaN(outW[0]) {
+		t.Fatalf("the last out-row reads %v %v after the next out-row fetch, want it overwritten", out, outW)
+	}
+	if wantIn, _ := g.InRow(1); !slices.Equal(in, wantIn) {
+		t.Fatalf("an out-row fetch overwrote the last in-row: %v", in)
 	}
 }

@@ -41,6 +41,37 @@ func (g searchGolden) literal() string {
 // walk model moved; a layout change must not. The two single-node queries without in- or out-edges score
 // exactly α², the product of their exact F and T.
 func TestSearcherGolden(t *testing.T) {
+	g, cases := searcherGoldenCases(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := TopK(context.Background(), g, tc.q, tc.opt)
+			if err != nil {
+				t.Fatalf("TopK: %v", err)
+			}
+			got := searchGolden{res.Rounds, res.Sweeps, res.FSeen, res.TSeen, res.RSeen, res.Touched, res.CertifiedK, nil, nil}
+			for _, r := range res.TopK {
+				got.Nodes = append(got.Nodes, r.Node)
+				got.ScoreBits = append(got.ScoreBits, math.Float64bits(r.Score))
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("stop %v; got\n%s\nwant\n%s", res.Stop, got.literal(), tc.want.literal())
+			}
+		})
+	}
+}
+
+// searcherCase is one query of TestSearcherGolden: its options and what it pins.
+type searcherCase struct {
+	name string
+	q    walk.Query
+	opt  Options
+	want searchGolden
+}
+
+// searcherGoldenCases returns TestSearcherGolden's graph and queries, with
+// α = 0.25 set on every query's options.
+func searcherGoldenCases(t *testing.T) (*graph.Graph, []searcherCase) {
+	t.Helper()
 	cfg := datasets.DefaultRMATConfig(10000)
 	cfg.Seed = 42
 	rmat, err := datasets.GenerateRMAT(cfg)
@@ -63,12 +94,7 @@ func TestSearcherGolden(t *testing.T) {
 	}
 	venue := func(v graph.NodeID) bool { return g.Type(v) == datasets.TypeVenue }
 	multi := walk.Query{Nodes: []graph.NodeID{hub[0], 5000, 123, 5000}, Weights: []float64{1, 2, 1, 0.5}}
-	for _, tc := range []struct {
-		name string
-		q    walk.Query
-		opt  Options
-		want searchGolden
-	}{
+	cases := []searcherCase{
 		{"hub0", walk.SingleNode(hub[0]), Options{K: 10, Epsilon: 0.01, Beta: 0.5, Budget: &Budget{MaxRounds: 6}}, searchGolden{6, 62, 597, 1141, 96, 2416, 0,
 			[]graph.NodeID{0, 6704, 3609, 9436, 1249, 2232, 714, 4171, 1859, 9617},
 			[]uint64{0x3fb05e31cc69d163, 0x3f01ce2c04cd097c, 0x3ef1ce2c04cd097c, 0x3ef1ce2c04cd097c, 0x3ee8fcc0784c82fb, 0x3ee8b527ea50c528, 0x3ee82ed3fd6bd45e, 0x3ee81e5c5040009a, 0x3ee7bd900666b750, 0x3ee7bd900666b750}}},
@@ -99,21 +125,9 @@ func TestSearcherGolden(t *testing.T) {
 		{"multi/beta0.3/gs", multi, Options{K: 10, Epsilon: 0.01, Beta: 0.3, Scheme: SchemeGS, Budget: &Budget{MaxRounds: 8}}, searchGolden{8, 91, 783, 1182, 106, 2843, 0,
 			[]graph.NodeID{5000, 0, 123, 40, 2048, 36, 2052, 17, 1024, 2304},
 			[]uint64{0x3f941abd9d2a89a5, 0x3f701f78dea976cf, 0x3f697fecfc85ef30, 0x3f13e6cdd284385f, 0x3f1398569eab15c8, 0x3efe3fd111f46e5d, 0x3efac9009ae3616b, 0x3ef7d5ab0d07dbc9, 0x3ef7bd0d01acb967, 0x3ef76bc94bc463f1}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.opt.Alpha = 0.25
-			res, err := TopK(context.Background(), g, tc.q, tc.opt)
-			if err != nil {
-				t.Fatalf("TopK: %v", err)
-			}
-			got := searchGolden{res.Rounds, res.Sweeps, res.FSeen, res.TSeen, res.RSeen, res.Touched, res.CertifiedK, nil, nil}
-			for _, r := range res.TopK {
-				got.Nodes = append(got.Nodes, r.Node)
-				got.ScoreBits = append(got.ScoreBits, math.Float64bits(r.Score))
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("stop %v; got\n%s\nwant\n%s", res.Stop, got.literal(), tc.want.literal())
-			}
-		})
 	}
+	for i := range cases {
+		cases[i].opt.Alpha = 0.25
+	}
+	return g, cases
 }
