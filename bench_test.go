@@ -552,7 +552,7 @@ func BenchmarkWalkKernels(b *testing.B) {
 			}{{"tail", tail}, {"hub", hub}} {
 				b.Run(layout.name+"/"+solver.name+"/"+q.name, func(b *testing.B) {
 					p := walk.DefaultParams()
-					counter := &rowCounter{Gatherer: walk.Local(layout.view, p.Workers)}
+					counter := &rowCounter{Gatherer: walk.Local(layout.view, 0)}
 					for i := 0; i < b.N; i++ {
 						if _, _, err := solver.solve(context.Background(), counter, walk.SingleNode(q.node), p); err != nil {
 							b.Fatal(err)

@@ -365,9 +365,8 @@ func (s *snapshot) validateFleet(f *distributed.Fleet) error {
 }
 
 // gatherer returns the row gather the exact family solves over: the fleet
-// itself, or the local view's in-process gather on workers goroutines (as
-// walk.Params.Workers).
-func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.Gatherer, error) {
+// itself, or the local view's in-process gather on GOMAXPROCS goroutines.
+func (s *snapshot) gatherer(ctx context.Context, fleet bool) (walk.Gatherer, error) {
 	if fleet {
 		r, err := s.connect(ctx)
 		if err != nil {
@@ -375,7 +374,7 @@ func (s *snapshot) gatherer(ctx context.Context, fleet bool, workers int) (walk.
 		}
 		return r.Fleet, nil
 	}
-	return walk.Local(s.view, workers), nil
+	return walk.Local(s.view, 0), nil
 }
 
 // rows returns the rows the online family searches over: a per-query session
@@ -677,7 +676,7 @@ func (p *plan) exact(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (*R
 func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (vecPair, error) {
 	wp := p.params.Walk
 	solve := func(q walk.Query) (vecPair, error) {
-		g, err := p.snap.gatherer(ctx, p.method.fleet, wp.Workers)
+		g, err := p.snap.gatherer(ctx, p.method.fleet)
 		if err != nil {
 			return vecPair{}, err
 		}

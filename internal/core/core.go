@@ -83,7 +83,7 @@ func Compute(ctx context.Context, view graph.View, q walk.Query, p Params) (*Sco
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	f, t, _, _, err := Solve(ctx, walk.Local(view, p.Walk.Workers), q, p.Walk)
+	f, t, _, _, err := Solve(ctx, walk.Local(view, 0), q, p.Walk)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,8 @@ import (
 // public doors and compared with the serial references, which share nothing
 // with that loop. Each gather is handed a NaN-poisoned dst, which it must
 // fully overwrite. The line graph has a dangling tail node; the R-MAT graph
-// is the one where T-Rank's tail jump fires, and the small BibNet the one
-// where both legs switch to mixing.
+// is the one where T-Rank switches to mixing, and the small BibNet the one
+// where both legs do.
 func TestEveryGathererMatchesSerialReferenceBitForBit(t *testing.T) {
 	ctx := context.Background()
 	p := walk.Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}

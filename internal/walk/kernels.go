@@ -24,7 +24,7 @@ import (
 // sweep skips holds an exact zero it would only have added to a non-negative
 // sum. Every Gatherer reduces each row sequentially, in stored entry order,
 // and everything around the gather (transition scaling, dangling mass,
-// update, L1 test, the accelerator's jump and mixing) is serial in ascending
+// update, L1 test, the accelerator's mixing) is serial in ascending
 // node order, so a solve is bit-identical across representations, worker
 // counts, stripe counts and to a sweep over every row by construction (the
 // serial references in kernels_test.go pin it, gather by gather).
@@ -74,9 +74,11 @@ type fetched struct {
 
 // Local returns the in-process Gatherer of a view — flat rows or packed rows,
 // whichever the layout holds. workers is the number of goroutines each gather
-// runs on, as Params.Workers. Per direction a Local keeps the rows it fetched
-// for the last list gathered — a packed view's decoded once, held as long as
-// the Local: make one per solve, or per pair of legs as core.Compute does.
+// runs on: zero or negative means GOMAXPROCS, one a serial solve on the
+// calling goroutine; results are identical for every count. Per direction a
+// Local keeps the rows it fetched for the last list gathered — a packed
+// view's decoded once, held as long as the Local: make one per solve, or per
+// pair of legs as core.Compute does.
 // Gathers on it, concurrent ones included, share no worker and never wait on
 // each other (two first gathers of one direction may both fetch).
 func Local(view graph.View, workers int) Gatherer {
@@ -236,12 +238,12 @@ func gatherInto(sums, next []float64) []float64 {
 // step from cur into next — a gather against cur and the rule's update,
 // which returns the L1 change Σ|cur−next| — swap, stop below tol. cur is
 // consumed. The seam is per vector — a per-row callback costs an indirect
-// call per node per iteration. jump, when not nil, may move next after a step
-// that neither stops the run nor is its last, so the vector returned is
+// call per node per iteration. accel, when not nil, may move next after a
+// step that neither stops the run nor is its last, so the vector returned is
 // always a plain step, and diff that step's L1 change.
 func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
 	step func(ctx context.Context, cur, next []float64) (float64, error),
-	jump func(cur, next []float64, diff float64),
+	accel func(cur, next []float64, diff float64),
 ) (x []float64, diff float64, err error) {
 	next := make([]float64, len(cur))
 	for iter := 0; iter < maxIter; iter++ {
@@ -254,8 +256,8 @@ func iterate(ctx context.Context, cur []float64, tol float64, maxIter int,
 		if diff < tol {
 			return next, diff, nil
 		}
-		if jump != nil && iter+1 < maxIter {
-			jump(cur, next, diff)
+		if accel != nil && iter+1 < maxIter {
+			accel(cur, next, diff)
 		}
 		cur, next = next, cur
 	}
@@ -399,11 +401,10 @@ func fNext(alpha, dadd, r, sum float64) float64 {
 //
 //	J(x)[v] = α·restart[v] + (1−α)·(Σ_{v→to} w(v,to)·x[to]) / outSum(v)
 //
-// with the accelerator between steps: a jump along a single geometric mode,
-// and, once the leg stalls as fRank's does, Anderson mixing for the rest of
-// the solve. The run stops at the first plain step whose L1 change
-// ‖J(x) − x‖₁ is below Tol and returns that step, J(x). J is a
-// (1−α)-contraction in the ∞-norm, so for any x, jumped, mixed or neither,
+// with fRank's accelerator between steps: once the leg stalls, Anderson
+// mixing for the rest of the solve. The run stops at the first plain step
+// whose L1 change ‖J(x) − x‖₁ is below Tol and returns that step, J(x). J is
+// a (1−α)-contraction in the ∞-norm, so for any x, mixed or not,
 // ‖t − J(x)‖∞ ≤ (1−α)/α·‖J(x) − x‖∞: the returned vector is within
 // (1−α)/α·‖J(x) − x‖₁ of t in every entry, its Bound.
 func tRank(ctx context.Context, g Gatherer, restart []float64, p Params) ([]float64, Bound, error) {
@@ -421,7 +422,7 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 	for i := range cur {
 		cur[i] = p.Alpha * restart[i]
 	}
-	accel := accelerator{rows: rows, tail: true}
+	accel := accelerator{rows: rows}
 	defer accel.release()
 	t, diff, err := iterate(ctx, cur, p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
@@ -460,34 +461,22 @@ func tNext(alpha, r, s, sum float64) float64 {
 	return acc
 }
 
-// tailGate is δ, how closely the last two changes must be one geometric mode
-// before the single-mode jump trusts it: ‖d_k − ρ·d_{k−1}‖₁ ≤ δ·‖d_k‖₁. The
-// part of d_k the mode does not explain is carried into the jump with the
-// same factor ρ/(1−ρ) as the mode itself, so a jump leaves about δ of the
-// distance to t it removes: 1 % is a 100-fold cut, some 15 plain sweeps at
-// the R-MAT spine's ρ ≈ 0.73. The gate is not a tuning knob: on the spine's
-// 32 exact queries T takes 604 gathers in all at δ = 10⁻², and 615–627 at
-// any δ from 10⁻⁴ to 10⁻¹, against 2 144 for the plain iteration. A
-// sign-alternating mode fails the gate at any δ, since ρ is a ratio of norms
-// and so never negative.
-const tailGate = 1e-2
-
 // The switch to mixing. A plain step stalls when it contracts by
-// ρ = δ_k/δ_{k−1} ≥ stallRatio, the change before it explains part of it —
-// ‖d_k ∓ ρ·d_{k−1}‖₁ ≤ stallFit·δ_k for one sign — and no single-mode jump
-// follows it. After stallRun stalled steps in a row a leg takes Anderson
-// steps of depth mixDepth for the rest of its solve. The middle clause keeps
-// a travelling change on the plain path: a walk front that moves one node a
-// step, along a cycle or a line, leaves ‖d_k ∓ ρ·d_{k−1}‖₁ at 2·δ_k for T
-// and, up to rounding, at δ_k for F, whose front trails a negative change;
-// stallFit stays clear of that rounding. Measured at seed 42 on 100 BibNet
-// paper queries (the bench's scale 0.12) and 228 R-MAT 10^5 nodes (the
-// spine's tail and hub rule): BibNet's 200 legs all engage and take 6 244
-// gathers against 10 548; on R-MAT 2 F legs engage and T keeps all 4 358 of
-// its gathers. The run length is not a sharp knob: 4, 6, 8 and 10 take 40 of
-// those BibNet queries' F legs 1 235 / 1 251 / 1 242 / 1 295 gathers against
-// 2 102, but at 4 R-MAT T engages on 147 legs for 5 % fewer gathers, and a
-// mixed step streams about as much memory as a gather.
+// ρ = δ_k/δ_{k−1} ≥ stallRatio and the change before it explains part of it:
+// ‖d_k ∓ ρ·d_{k−1}‖₁ ≤ stallFit·δ_k for one sign. After stallRun stalled
+// steps in a row a leg takes Anderson steps of depth mixDepth for the rest of
+// its solve. The second clause keeps a travelling change on the plain path: a
+// walk front that moves one node a step, along a cycle or a line, leaves
+// ‖d_k ∓ ρ·d_{k−1}‖₁ at 2·δ_k for T and, up to rounding, at δ_k for F, whose
+// front trails a negative change; stallFit stays clear of that rounding.
+// Measured at seed 42 on 100 BibNet paper queries (the bench's scale 0.12)
+// and 228 R-MAT 10^5 nodes (the spine's tail and hub rule): BibNet's 200 legs
+// all engage and take 6 300 gathers against 12 100 plain; on R-MAT every T
+// leg engages and takes 3 768 gathers in all against 15 044 plain, while F's
+// restart leaves it no stall (3 800 gathers, none mixed). The run length is
+// not a sharp knob: 4, 6, 8 and 10 took 40 of those BibNet queries' F legs
+// 1 235 / 1 251 / 1 242 / 1 295 gathers against 2 102, and a mixed step
+// streams about as much memory as a gather.
 const (
 	stallRatio = 0.5
 	stallFit   = 0.95
@@ -503,36 +492,26 @@ const mixDrop = 1e-10
 
 // accelerator moves the iterate between plain steps, serial vector math over
 // the solve's support above the Gatherer seam, so a solve stays
-// bit-identical across layouts, worker counts and fleets. It takes two forms.
-//
-// The single-mode jump, T only (Kamvar, Haveliwala, Manning, Golub,
-// "Extrapolation Methods for Accelerating PageRank Computations", WWW 2003,
-// reduced to its scalar case). T's slow mode is the walks that leak slowly
-// out of a graph's core: its change shrinks by ρ ≈ (1−α)·ρ(P) a sweep and,
-// unlike F's, it cannot be restarted away. When d_k = ρ·d_{k−1} holds, the
-// steps still to come sum to ρ/(1−ρ)·d_k, and the jump takes them at once.
-// F has none: its restart already removes the one mode, and a gated jump on
-// F was measured never to fire.
-//
-// Anderson mixing, both legs, once a leg stalls (Walker, Ni, "Anderson
+// bit-identical across layouts, worker counts and fleets: once a leg stalls,
+// Anderson mixing for the rest of its solve (Walker, Ni, "Anderson
 // Acceleration for Fixed-Point Iterations", SIAM J. Numer. Anal. 2011, type
-// II). On a near-bipartite graph such as BibNet two modes decay together — a
-// sign-alternating one and a slow positive one — and no single mode fits.
-// With f_k = G(x_k) − x_k and g_k = G(x_k), the history holds the last
-// mixDepth differences ΔF of the f and ΔG of the g; each step solves
+// II). A leg stalls where slow modes decay together: on a near-bipartite
+// graph such as BibNet a sign-alternating one beside a slow positive one, on
+// R-MAT T's walks that leak slowly out of the graph's core, which F's restart
+// removes. With f_k = G(x_k) − x_k and g_k = G(x_k), the history holds the
+// last mixDepth differences ΔF of the f and ΔG of the g; each step solves
 // min_γ ‖f_k − ΔF·γ‖₂ by its normal equations and moves to g_k − ΔG·γ,
 // clamped to [0, 1] where every f and t lies. A mixed step whose residual
 // grew clears the history.
 //
-// Either form only moves the iterate a plain step starts from: the solve
+// Mixing only moves the iterate a plain step starts from: the solve
 // stops on, and returns, a plain step G(x), and its Bound, (1−α)/α·‖G(x) − x‖₁
 // carried through F's scaling, holds for any x.
 type accelerator struct {
 	rows    []graph.NodeID // the solve's support; nil for every node
-	tail    bool           // take single-mode jumps (T)
 	prev    []float64      // d_{k−1}, the last recorded plain change; f_{k−1} once mixing
 	norm    float64        // δ_{k−1}, the last step's L1 change
-	fresh   int            // plain changes recorded in a row, since the start, a jump or a step left unrecorded
+	fresh   bool           // prev holds the change just before this one
 	stalled int            // stalled steps in a row
 
 	// Anderson mixing, from the switch on: slab, taken from mixSlabs, holds
@@ -555,19 +534,18 @@ func (a *accelerator) step(cur, next []float64, diff float64) {
 		a.mix(cur, next, rho)
 		return
 	}
-	// F records its changes only while it might stall: a fast step stalls
-	// nothing, and on the spine's R-MAT most of F's steps are fast; recording
-	// every one costs an R-MAT 10^5 F solve 5–10 % (WalkKernels/RMAT/FRank,
-	// one core).
-	if !a.tail && !(rho >= stallRatio) {
-		a.fresh, a.stalled = 0, 0
+	// A leg records its changes only while it might stall: a fast step
+	// stalls nothing, and on the spine's R-MAT most of F's steps are fast;
+	// recording every one costs an R-MAT 10^5 F solve 5–10 %
+	// (WalkKernels/RMAT/FRank, one core).
+	if !(rho >= stallRatio) {
+		a.fresh, a.stalled = false, 0
 		return
 	}
 	if a.prev == nil {
 		a.prev = make([]float64, len(next))
 	}
-	a.fresh++
-	fit := a.fresh >= 2 // prev holds the change just before this one
+	fit := a.fresh
 	same, flip := 0.0, 0.0
 	rows := a.rows
 	for i := range extent(rows, next) {
@@ -582,19 +560,8 @@ func (a *accelerator) step(cur, next []float64, diff float64) {
 		}
 		a.prev[v] = d
 	}
-	if a.tail && fit && rho < 1 && same <= tailGate*diff {
-		c := rho / (1 - rho)
-		for i := range extent(rows, next) {
-			v := i
-			if rows != nil {
-				v = int(rows[i])
-			}
-			next[v] = min(max(next[v]+c*a.prev[v], 0), 1)
-		}
-		a.fresh, a.stalled = 0, 0
-		return
-	}
-	if fit && rho >= stallRatio && min(same, flip) <= stallFit*diff {
+	a.fresh = true
+	if fit && min(same, flip) <= stallFit*diff {
 		a.stalled++
 	} else {
 		a.stalled = 0

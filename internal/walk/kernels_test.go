@@ -105,25 +105,24 @@ func serialFRank(cv graph.CSRView, restart []float64, p Params, mix bool) ([]flo
 }
 
 // serialTRankReference is the T-Rank recurrence as straight-line serial
-// code, without tRank's jump or mixing: the plain solve an accelerated one is
-// held to within its Bound.
+// code, without tRank's mixing: the plain solve an accelerated one is held to
+// within its Bound.
 func serialTRankReference(cv graph.CSRView, restart []float64, p Params) []float64 {
-	x, _, _ := serialTRank(cv, restart, p, false, false)
+	x, _, _ := serialTRank(cv, restart, p, false)
 	return x
 }
 
-// serialTRankAccelReference is tRank as straight-line serial code, the jump
-// and the mixing included.
+// serialTRankAccelReference is tRank as straight-line serial code, the
+// mixing included.
 func serialTRankAccelReference(cv graph.CSRView, restart []float64, p Params) []float64 {
-	x, _, _ := serialTRank(cv, restart, p, true, true)
+	x, _, _ := serialTRank(cv, restart, p, true)
 	return x
 }
 
 // serialTRank runs the T-Rank recurrence and returns the iterate, the number
-// of sweeps it took and whether the leg switched to mixing. With tail,
-// tRank's single-mode jump is written out between the steps; with mix too,
-// the switch to mixing (serialAccel).
-func serialTRank(cv graph.CSRView, restart []float64, p Params, tail, mix bool) ([]float64, int, bool) {
+// of sweeps it took and whether the leg switched to mixing. With mix, tRank's
+// accelerator is written out between the steps (serialAccel).
+func serialTRank(cv graph.CSRView, restart []float64, p Params, mix bool) ([]float64, int, bool) {
 	n := len(restart)
 	out := cv.OutCSR()
 	cur := make([]float64, n)
@@ -132,7 +131,7 @@ func serialTRank(cv graph.CSRView, restart []float64, p Params, tail, mix bool) 
 		cur[i] = p.Alpha * restart[i]
 	}
 	oneMinus := 1 - p.Alpha
-	accel := serialAccel{tail: true, mix: mix}
+	accel := serialAccel{mix: mix}
 	for iter := 0; iter < p.MaxIter; iter++ {
 		for v := 0; v < n; v++ {
 			acc := p.Alpha * restart[v]
@@ -153,7 +152,7 @@ func serialTRank(cv graph.CSRView, restart []float64, p Params, tail, mix bool) 
 		if diff < p.Tol {
 			return next, iter + 1, accel.engaged
 		}
-		if tail && iter+1 < p.MaxIter {
+		if iter+1 < p.MaxIter {
 			accel.step(cur, next, diff)
 		}
 		cur, next = next, cur
@@ -162,14 +161,15 @@ func serialTRank(cv graph.CSRView, restart []float64, p Params, tail, mix bool) 
 }
 
 // serialAccel is the solvers' accelerator as straight-line serial code over
-// every node: the single-mode jump (tail), the stall count, and after the
-// switch (mix) Anderson mixing with its history as a list of columns, newest
-// first, and its normal equations rebuilt from that list at every step.
+// every node: the stall count, and after the switch (mix) Anderson mixing
+// with its history as a list of columns, newest first, and its normal
+// equations rebuilt from that list at every step.
 type serialAccel struct {
-	tail, mix      bool
+	mix            bool
 	prev, g        []float64 // the last change (f once mixing), the last plain step
 	norm           float64
-	fresh, stalled int
+	fresh          bool
+	stalled        int
 	dF, dG         [][]float64 // newest first
 	mixed, engaged bool
 }
@@ -182,12 +182,11 @@ func (a *serialAccel) step(cur, next []float64, diff float64) {
 		a.mixStep(cur, next, rho)
 		return
 	}
-	if !a.tail && !(rho >= stallRatio) {
-		a.fresh, a.stalled = 0, 0
+	if !(rho >= stallRatio) {
+		a.fresh, a.stalled = false, 0
 		return
 	}
-	a.fresh++
-	fit := a.fresh >= 2
+	fit := a.fresh
 	same, flip := 0.0, 0.0
 	d := make([]float64, n)
 	for v := range d {
@@ -197,16 +196,8 @@ func (a *serialAccel) step(cur, next []float64, diff float64) {
 			flip += math.Abs(d[v] + rho*a.prev[v])
 		}
 	}
-	a.prev = d
-	if a.tail && fit && rho < 1 && same <= tailGate*diff {
-		c := rho / (1 - rho)
-		for v := range next {
-			next[v] = math.Min(math.Max(next[v]+c*d[v], 0), 1)
-		}
-		a.fresh, a.stalled = 0, 0
-		return
-	}
-	if fit && rho >= stallRatio && math.Min(same, flip) <= stallFit*diff {
+	a.prev, a.fresh = d, true
+	if fit && math.Min(same, flip) <= stallFit*diff {
 		a.stalled++
 	} else {
 		a.stalled = 0
@@ -364,8 +355,8 @@ func smallBibNet() *graph.Graph {
 }
 
 // rmatGraph is a directed R-MAT graph with the bench spine's parameters. Its
-// dead ends and skewed core give T-Rank the slow geometric mode the tail jump
-// removes.
+// dead ends and skewed core give T-Rank the slow mode on which it stalls and
+// switches to mixing.
 func rmatGraph(nodes int, seed int64) *graph.Graph {
 	cfg := datasets.DefaultRMATConfig(nodes)
 	cfg.Seed = seed
@@ -412,11 +403,11 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 }
 
 // TestKernelsMatchSerialReferenceBitForBit is the acceptance test of the
-// shared loop: the three rules over the flat and the packed gather, at
-// Workers = 1 and at every other worker count, must reproduce the serial
-// reference exactly, not just within tolerance — T-Rank's with its tail jump,
-// which fires on the R-MAT graph, and both personalized legs with the switch
-// to mixing, which both take on the small BibNet.
+// shared loop: the three rules over the flat and the packed gather, at one
+// worker and at every other worker count, must reproduce the serial
+// reference exactly, not just within tolerance — both personalized legs with
+// the switch to mixing, which T takes on the R-MAT graph and both legs take
+// on the small BibNet.
 func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	for name, g := range kernelTestGraphs() {
@@ -428,10 +419,10 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 		wantF := serialFRankAccelReference(g, restart, p)
 		wantT := serialTRankAccelReference(g, restart, p)
 		if name == "rmat" && slices.Equal(wantT, serialTRankReference(g, restart, p)) {
-			t.Fatalf("%s: the tail jump never fired, so the T pin holds only the plain recurrence", name)
+			t.Fatalf("%s: T never mixed, so the T pin holds only the plain recurrence", name)
 		}
 		_, _, mixF := serialFRank(g, restart, p, true)
-		_, _, mixT := serialTRank(g, restart, p, true, true)
+		_, _, mixT := serialTRank(g, restart, p, true)
 		if name == "bibnet" && !(mixF && mixT) {
 			t.Fatalf("%s: F engaged %v, T engaged %v, so the pin does not hold the mixing of both legs", name, mixF, mixT)
 		}
@@ -460,11 +451,11 @@ func TestKernelsMatchSerialReferenceBitForBit(t *testing.T) {
 }
 
 // TestPublicSolversUseKernelResults pins the exported entry points to the
-// same values: FRank/TRank with a Workers override must equal the serial
-// reference bit-for-bit on a CSR view.
+// same values: FRankOver/TRankOver on a one-worker Local must equal the
+// serial reference bit-for-bit on a CSR view.
 func TestPublicSolversUseKernelResults(t *testing.T) {
 	g := testgraphs.NewToy().Graph
-	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300, Workers: 1}
+	p := Params{Alpha: 0.25, Tol: 1e-11, MaxIter: 300}
 	restart := make([]float64, g.NumNodes())
 	q := SingleNode(0)
 	if err := q.restart(restart); err != nil {
@@ -475,16 +466,16 @@ func TestPublicSolversUseKernelResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalized: %v", err)
 	}
-	f, err := FRank(context.Background(), g, q, p)
+	f, _, err := FRankOver(context.Background(), Local(g, 1), q, p)
 	if err != nil {
-		t.Fatalf("FRank: %v", err)
+		t.Fatalf("FRankOver: %v", err)
 	}
-	assertBitIdentical(t, "FRank", serialFRankAccelReference(g, restart, np), f)
-	tr, err := TRank(context.Background(), g, q, p)
+	assertBitIdentical(t, "FRankOver", serialFRankAccelReference(g, restart, np), f)
+	tr, _, err := TRankOver(context.Background(), Local(g, 1), q, p)
 	if err != nil {
-		t.Fatalf("TRank: %v", err)
+		t.Fatalf("TRankOver: %v", err)
 	}
-	assertBitIdentical(t, "TRank", serialTRankAccelReference(g, restart, np), tr)
+	assertBitIdentical(t, "TRankOver", serialTRankAccelReference(g, restart, np), tr)
 }
 
 // ownedArrays is adjacency storage of the caller's own: the three methods

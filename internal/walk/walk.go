@@ -45,13 +45,6 @@ type Params struct {
 	Tol float64
 	// MaxIter caps the number of iterations. Zero means DefaultMaxIter.
 	MaxIter int
-	// Workers is the number of goroutines each in-process gather runs on:
-	// zero or negative means GOMAXPROCS, one a serial solve on the calling
-	// goroutine. The goroutines live for one gather; there is no pool to size
-	// or share. Results are identical for every worker count (each output
-	// row is reduced sequentially by one worker), so this is a scheduling
-	// knob, not a numerical one.
-	Workers int
 }
 
 // Default tolerances for the iterative solvers.
@@ -238,7 +231,7 @@ func (q Query) restart(dst []float64) error {
 // power iteration: cancelling it makes FRank return ctx.Err() within one sweep
 // over the edges.
 func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	f, _, err := FRankOver(ctx, Local(view, p.Workers), q, p)
+	f, _, err := FRankOver(ctx, Local(view, 0), q, p)
 	return f, err
 }
 
@@ -249,7 +242,7 @@ func FRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, 
 // single-node values, mirroring the linearity used for F-Rank. It is
 // TRankOver the view's Local Gatherer, cancelled exactly as FRank.
 func TRank(ctx context.Context, view graph.View, q Query, p Params) ([]float64, error) {
-	t, _, err := TRankOver(ctx, Local(view, p.Workers), q, p)
+	t, _, err := TRankOver(ctx, Local(view, 0), q, p)
 	return t, err
 }
 
