@@ -365,7 +365,8 @@ func (s *snapshot) validateFleet(f *distributed.Fleet) error {
 }
 
 // gatherer returns the row gather the exact family solves over: the fleet
-// itself, or the local view's in-process gather on GOMAXPROCS goroutines.
+// itself, or the local view's in-process gather, on as many goroutines as
+// its rows' edges call for (walk.Local), at most GOMAXPROCS.
 func (s *snapshot) gatherer(ctx context.Context, fleet bool) (walk.Gatherer, error) {
 	if fleet {
 		r, err := s.connect(ctx)
@@ -708,7 +709,7 @@ func (p *plan) vectors(ctx context.Context, cache *lru.Cache[vecKey, vecPair]) (
 // exactResponse is the tail of every exact-family method: rank the combined
 // scores, trim the zero tail, certify the rest from the solves' error bounds.
 func exactResponse(p *plan, v vecPair) *Response {
-	top := trimZeroScores(core.TopN(core.Combine(v.f, v.t, p.params.Beta), p.k, p.keep))
+	top := trimZeroScores(core.TopCombined(v.f, v.t, p.params.Beta, p.k, p.keep))
 	certK, achieved := topk.CertifyExact(top, v.f, v.t, v.fErr, v.tErr, p.params.Beta, p.keep)
 	return &Response{Results: toResults(top), Method: p.method, Converged: v.converged, CertifiedK: certK, AchievedEpsilon: achieved}
 }

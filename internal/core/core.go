@@ -122,14 +122,64 @@ func Combine(f, t []float64, beta float64) []float64 {
 		copy(out, t)
 	default:
 		for i := range f {
-			if f[i] <= 0 || t[i] <= 0 {
-				out[i] = 0
-				continue
-			}
-			out[i] = math.Pow(f[i], 1-beta) * math.Pow(t[i], beta)
+			out[i] = combined(f[i], t[i], beta)
 		}
 	}
 	return out
+}
+
+// combined is one node's RoundTripRank+ score at 0 < β < 1: f^(1−β)·t^β, zero
+// where either is not positive.
+func combined(f, t, beta float64) float64 {
+	if f <= 0 || t <= 0 {
+		return 0
+	}
+	return math.Pow(f, 1-beta) * math.Pow(t, beta)
+}
+
+// TopCombined returns TopN(Combine(f, t, beta), n, keep), entry for entry
+// and bit for bit, without combining every node: once TopN's heap holds n
+// nodes, a node is combined only if it might beat the root, the worst of
+// them (belowRoot). The two powers are most of an exact response's ranking
+// cost at β ≠ ½, where math.Pow takes no square-root path.
+func TopCombined(f, t []float64, beta float64, n int, keep func(graph.NodeID) bool) []Ranked {
+	switch {
+	case beta == 0:
+		return TopN(f, n, keep)
+	case beta == 1:
+		return TopN(t, n, keep)
+	case n <= 0:
+		return []Ranked{}
+	}
+	h := make([]Ranked, 0, min(n, len(f)))
+	for i := range f {
+		v := graph.NodeID(i)
+		switch {
+		case keep != nil && !keep(v):
+		case len(h) < n:
+			h = append(h, Ranked{Node: v, Score: combined(f[i], t[i], beta)})
+			siftUp(h)
+		case belowRoot(f[i], t[i], beta, h[0].Score):
+		default:
+			if r := (Ranked{Node: v, Score: combined(f[i], t[i], beta)}); rankOrder(r, h[0]) < 0 {
+				h[0] = r
+				siftDown(h)
+			}
+		}
+	}
+	slices.SortFunc(h, rankOrder)
+	return h
+}
+
+// belowRoot reports that f^(1−β)·t^β, as combined computes it, cannot beat
+// root — a node after the root's must beat it, not tie it. By AM–GM the
+// score is at most the weighted mean (1−β)·f + β·t, so it cannot when the
+// mean, squared and doubled against rounding (as topk.CertifyExact does), is
+// at most root squared. It never reports a root below 2^-500, whose square
+// might not be normal.
+func belowRoot(f, t, beta, root float64) bool {
+	am := (1-beta)*f + beta*t
+	return root >= 0x1p-500 && 2*am*am <= root*root
 }
 
 // Ranked pairs a node with its score.

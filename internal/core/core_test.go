@@ -431,3 +431,52 @@ func TestSolveCancelsSiblingAndReportsRootCause(t *testing.T) {
 		}
 	}
 }
+
+// TestTopCombinedEqualsTopNOfCombine pins the skip of TopCombined to the
+// ranking it replaces: at β 0, 0.3, 0.5, 0.8 and 1, on random vector pairs
+// full of ties, zeros and unbalanced pairs — scores spread over 300 decades,
+// subnormals and the 2^-500 edge of the skip among them, and a NaN — with and
+// without a keep filter, TopCombined(n) is TopN(Combine(...), n) entry for
+// entry and bit for bit, and n ≤ 0 selects nothing.
+func TestTopCombinedEqualsTopNOfCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	levels := []float64{0, 0, 0.1, 0.25, 0.25, 0.5, 1, math.Copysign(0, -1), 0x1p-500, 0x1p-501, 5e-324, 1e-310}
+	value := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return levels[rng.Intn(len(levels))]
+		case 1:
+			return rng.Float64()
+		}
+		return math.Pow(10, -300*rng.Float64())
+	}
+	for draw := 0; draw < 400; draw++ {
+		f := make([]float64, rng.Intn(200))
+		tr := make([]float64, len(f))
+		for i := range f {
+			f[i], tr[i] = value(), value()
+			if rng.Intn(4) == 0 {
+				tr[i] = f[i] // a balanced pair: the mean bound is tight
+			}
+		}
+		if len(f) > 0 && draw%10 == 0 {
+			f[rng.Intn(len(f))] = math.NaN()
+		}
+		mod := 2 + rng.Intn(3)
+		for _, beta := range []float64{0, 0.3, 0.5, 0.8, 1} {
+			for _, keep := range []func(graph.NodeID) bool{nil, func(v graph.NodeID) bool { return int(v)%mod != 0 }} {
+				for _, n := range []int{-1, 0, 1, 3, 10, len(f), len(f) + 5} {
+					got, want := TopCombined(f, tr, beta, n, keep), TopN(Combine(f, tr, beta), n, keep)
+					if len(got) != len(want) {
+						t.Fatalf("draw %d β=%g n=%d: %d entries, want %d", draw, beta, n, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Node != want[i].Node || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+							t.Fatalf("draw %d β=%g n=%d rank %d: %+v, want %+v", draw, beta, n, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

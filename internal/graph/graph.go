@@ -145,8 +145,11 @@ func (c CSR) Degree(v NodeID) int {
 // lo ≤ r < hi. Each row is reduced sequentially in stored entry order, so
 // however callers split the list or the range across goroutines the result is
 // bit-identical, and equal on every layout's FlatRows of the same content.
-// The unit form has loops of its own that stream no weights; their result is
-// the same bit for bit, since 1·x == x exactly, fused multiply-add or not.
+// Weighted rows are reduced two at a time, consecutive in the range or the
+// list (gatherPair), which overlaps their chains of adds and changes no row's
+// order. The unit form has loops of its own that stream no weights and take
+// one row at a time; their result is the same bit for bit, since 1·x == x
+// exactly, fused multiply-add or not.
 func (c CSR) Gather(x, dst []float64, rows []NodeID, lo, hi int) {
 	if rows != nil {
 		c.gatherListed(x, dst, rows[lo:hi])
@@ -169,13 +172,13 @@ func (c CSR) gatherRange(x, dst []float64, lo, hi int) {
 		}
 		return
 	}
-	for r := lo; r < hi; r++ {
-		sum := 0.0
-		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
-		for i := rowLo; i < rowHi; i++ {
-			sum += c.Weight[i] * x[c.Col[i]]
-		}
-		dst[r] = sum
+	r := lo
+	for ; r+1 < hi; r += 2 {
+		mid := c.RowPtr[r+1]
+		dst[r], dst[r+1] = gatherPair(x, c.Col, c.Weight, c.RowPtr[r], mid, mid, c.RowPtr[r+2])
+	}
+	if r < hi {
+		dst[r] = gatherRow(x, c.Col, c.Weight, c.RowPtr[r], c.RowPtr[r+1])
 	}
 }
 
@@ -193,14 +196,55 @@ func (c CSR) gatherListed(x, dst []float64, rows []NodeID) {
 		}
 		return
 	}
-	for _, r := range rows {
-		sum := 0.0
-		rowLo, rowHi := c.RowPtr[r], c.RowPtr[r+1]
-		for i := rowLo; i < rowHi; i++ {
-			sum += c.Weight[i] * x[c.Col[i]]
-		}
-		dst[r] = sum
+	k := 0
+	for ; k+1 < len(rows); k += 2 {
+		a, b := rows[k], rows[k+1]
+		dst[a], dst[b] = gatherPair(x, c.Col, c.Weight, c.RowPtr[a], c.RowPtr[a+1], c.RowPtr[b], c.RowPtr[b+1])
 	}
+	if k < len(rows) {
+		r := rows[k]
+		dst[r] = gatherRow(x, c.Col, c.Weight, c.RowPtr[r], c.RowPtr[r+1])
+	}
+}
+
+// gatherPair reduces two weighted rows, entries aLo ≤ i < aHi and
+// bLo ≤ i < bHi, with one chain each. The two chains advance one entry apiece
+// up to the shorter row's length, then the longer row finishes alone: each
+// row is still summed sequentially in stored entry order — the result is
+// gatherRow's bit for bit. A weighted row whose entries are in cache is bound
+// by its chain of adds, each waiting on the last, and two chains overlap
+// those waits: on one core, BibNet 0.12 gathers in 0.58 ns/edge, against 0.82
+// one row at a time (BenchmarkCSRGather). The unit loops stay one row at a
+// time: their rows are memory-bound, and pairing R-MAT 10^5's measured 4 %
+// slower. It takes the three slices, not the CSR, so that a call copies no
+// struct.
+func gatherPair(x []float64, col []NodeID, w []float64, aLo, aHi, bLo, bHi int64) (float64, float64) {
+	ac, aw := col[aLo:aHi], w[aLo:aHi]
+	bc, bw := col[bLo:bHi], w[bLo:bHi]
+	n := min(len(ac), len(bc))
+	pac, paw, pbc, pbw := ac[:n], aw[:n], bc[:n], bw[:n]
+	s0, s1 := 0.0, 0.0
+	for i, ca := range pac {
+		s0 += paw[i] * x[ca]
+		s1 += pbw[i] * x[pbc[i]]
+	}
+	for i := n; i < len(ac); i++ {
+		s0 += aw[i] * x[ac[i]]
+	}
+	for i := n; i < len(bc); i++ {
+		s1 += bw[i] * x[bc[i]]
+	}
+	return s0, s1
+}
+
+// gatherRow reduces one weighted row, entries lo ≤ i < hi, in stored order.
+func gatherRow(x []float64, col []NodeID, w []float64, lo, hi int64) float64 {
+	sum := 0.0
+	rc, rw := col[lo:hi], w[lo:hi]
+	for i, cc := range rc {
+		sum += rw[i] * x[cc]
+	}
+	return sum
 }
 
 // transpose is the one place the in-row layout is written: it returns the

@@ -62,30 +62,31 @@ type Gatherer interface {
 // operation order within it.
 type local struct {
 	view    graph.View
-	workers int
+	workers int                        // zero: sized by the rows fetched (splitEdges)
 	fetched [2]atomic.Pointer[fetched] // indexed by graph.Dir
 }
 
-// fetched is one direction's rows as the view served them for one row list.
+// fetched is one direction's rows as the view served them for one row list,
+// and the number of goroutines a gather over them runs on.
 type fetched struct {
-	list []graph.NodeID
-	rows graph.CSR
+	list    []graph.NodeID
+	rows    graph.CSR
+	workers int
 }
 
 // Local returns the in-process Gatherer of a view — flat rows or packed rows,
 // whichever the layout holds. workers is the number of goroutines each gather
-// runs on: zero or negative means GOMAXPROCS, one a serial solve on the
-// calling goroutine; results are identical for every count. Per direction a
+// runs on, one a serial solve on the calling goroutine; zero or negative
+// sizes each gather by the edges of the rows it sweeps, one goroutine per
+// splitEdges of them up to GOMAXPROCS — a small graph's gathers stay on the
+// calling goroutine. Results are identical for every count. Per direction a
 // Local keeps the rows it fetched for the last list gathered — a packed
 // view's decoded once, held as long as the Local: make one per solve, or per
 // pair of legs as core.Compute does.
 // Gathers on it, concurrent ones included, share no worker and never wait on
 // each other (two first gathers of one direction may both fetch).
 func Local(view graph.View, workers int) Gatherer {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &local{view: view, workers: workers}
+	return &local{view: view, workers: max(workers, 0)}
 }
 
 func (l *local) OutSums() []float64 { return l.view.OutSums() }
@@ -105,10 +106,38 @@ func (l *local) GatherOut(ctx context.Context, x, dst []float64, rows []graph.No
 func (l *local) gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
 	f := l.fetched[dir].Load()
 	if f == nil || !sameList(f.list, rows) {
-		f = &fetched{list: rows, rows: l.view.FlatRows(dir, rows)}
+		f = &fetched{list: rows, rows: l.view.FlatRows(dir, rows), workers: l.workers}
+		if f.workers == 0 {
+			f.workers = min(runtime.GOMAXPROCS(0), max(1, edges(f.rows, rows)/splitEdges))
+		}
 		l.fetched[dir].Store(f)
 	}
-	return split(ctx, extent(rows, dst), l.workers, func(lo, hi int) { f.rows.Gather(x, dst, rows, lo, hi) })
+	return split(ctx, extent(rows, dst), f.workers, func(lo, hi int) { f.rows.Gather(x, dst, rows, lo, hi) })
+}
+
+// splitEdges is how many edges a gather sweeps per goroutine when the count
+// is not given: below 2·splitEdges it runs on the calling goroutine. A
+// goroutine handed a chunk costs a start and a wake-up against a chunk's
+// share of one pass, and a solve makes some fifteen to twenty gathers a leg,
+// each a fork and a join. Measured per F solve at -cpu 2 on a 2-core x86-64
+// host, one goroutine against two: the bench's BibNet 0.12 (29 582 weighted
+// edges) 0.91 against 0.96 ms; R-MAT on 4 000, 8 000, 16 000 and 32 000
+// nodes (28 191 to 238 593 unit edges) 11 % and 7 % faster unsplit, even at
+// 117 545 edges, and 16 % slower at 238 593. R-MAT 10^5 (765 128 edges)
+// splits eleven ways, on every core of a host with no more.
+const splitEdges = 1 << 16
+
+// edges counts the entries of the listed rows of c, of every row when rows
+// is nil.
+func edges(c graph.CSR, rows []graph.NodeID) int {
+	if rows == nil {
+		return len(c.Col)
+	}
+	n := 0
+	for _, r := range rows {
+		n += c.Degree(r)
+	}
+	return n
 }
 
 // sameList reports whether a and b are one list, or both nil.

@@ -630,7 +630,7 @@ func TestConcurrentGathersDoNotQueue(t *testing.T) {
 	g := kernelTestGraphs()["toy"]
 	n := g.NumNodes()
 	view := &parkingView{Graph: g, parked: make(chan struct{}), resume: make(chan struct{})}
-	gth := Local(view, 0) // GOMAXPROCS: two chunks
+	gth := Local(view, 2) // two chunks
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i + 1)
