@@ -612,14 +612,9 @@ type rowCounter struct {
 	gathers, rows int
 }
 
-func (c *rowCounter) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+func (c *rowCounter) Gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
 	c.count(rows, dst)
-	return c.Gatherer.GatherIn(ctx, x, dst, rows)
-}
-
-func (c *rowCounter) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	c.count(rows, dst)
-	return c.Gatherer.GatherOut(ctx, x, dst, rows)
+	return c.Gatherer.Gather(ctx, dir, x, dst, rows)
 }
 
 func (c *rowCounter) count(rows []graph.NodeID, dst []float64) {

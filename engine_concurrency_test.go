@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"roundtriprank/internal/distributed"
+	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
 )
 
@@ -213,7 +214,7 @@ type failingMultiply struct {
 	entered, hold chan struct{}
 }
 
-func (f *failingMultiply) Multiply(ctx context.Context, dir distributed.Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (f *failingMultiply) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	if f.first.CompareAndSwap(false, true) {
 		close(f.entered)
 		<-f.hold

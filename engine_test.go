@@ -10,7 +10,6 @@ import (
 
 	"roundtriprank/internal/core"
 	"roundtriprank/internal/datasets"
-	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/testgraphs"
 	"roundtriprank/internal/walk"
@@ -250,7 +249,7 @@ func TestFilterParityBibNet(t *testing.T) {
 }
 
 // cancellingGatherer is the exact solvers' row-gather seam with a tripwire: it
-// counts gathers per direction, and the k-th GatherIn (the F-Rank side)
+// counts gathers per direction, and the k-th graph.In gather (the F-Rank side)
 // cancels the context, recording both counts as they stood.
 type cancellingGatherer struct {
 	walk.Gatherer
@@ -260,17 +259,14 @@ type cancellingGatherer struct {
 	inTrip, outTrip int64
 }
 
-func (c *cancellingGatherer) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	if n := c.in.Add(1); n == c.k {
+func (c *cancellingGatherer) Gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
+	if dir == graph.Out {
+		c.out.Add(1)
+	} else if n := c.in.Add(1); n == c.k {
 		c.inTrip, c.outTrip = n, c.out.Load()
 		c.cancel()
 	}
-	return c.Gatherer.GatherIn(ctx, x, dst, rows)
-}
-
-func (c *cancellingGatherer) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	c.out.Add(1)
-	return c.Gatherer.GatherOut(ctx, x, dst, rows)
+	return c.Gatherer.Gather(ctx, dir, x, dst, rows)
 }
 
 // cancellingTransport is one fleet worker with the same tripwire on the wire:
@@ -282,7 +278,7 @@ type cancellingTransport struct {
 	calls  *atomic.Int64
 }
 
-func (c *cancellingTransport) Multiply(ctx context.Context, dir distributed.Direction, fp uint32, x []float64) ([]float64, error) {
+func (c *cancellingTransport) Multiply(ctx context.Context, dir graph.Dir, fp uint32, x []float64) ([]float64, error) {
 	if c.calls.Add(1) == c.k {
 		c.cancel()
 	}

@@ -216,7 +216,7 @@ func (t *Transport) OutSums(ctx context.Context) ([]float64, error) {
 }
 
 // Multiply implements distributed.Transport.
-func (t *Transport) Multiply(ctx context.Context, dir distributed.Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (t *Transport) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	// The direction is part of the op: a Distributed solve multiplies in both
 	// directions concurrently over the same transports, and a sequence the
 	// two shared would hand out its numbers in goroutine order.

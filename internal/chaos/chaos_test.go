@@ -163,12 +163,12 @@ func TestTransportUnderReplicaSet(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	want, err := rs.Multiply(ctx, distributed.DirIn, s.GraphFingerprint(), x)
+	want, err := rs.Multiply(ctx, graph.In, s.GraphFingerprint(), x)
 	if err != nil {
 		t.Fatalf("Multiply: %v", err)
 	}
 	a.Kill()
-	got, err := rs.Multiply(ctx, distributed.DirIn, s.GraphFingerprint(), x)
+	got, err := rs.Multiply(ctx, graph.In, s.GraphFingerprint(), x)
 	if err != nil {
 		t.Fatalf("Multiply with preferred replica killed: %v", err)
 	}
@@ -179,6 +179,31 @@ func TestTransportUnderReplicaSet(t *testing.T) {
 	}
 	if rs.Failovers() == 0 {
 		t.Errorf("failover counter did not move")
+	}
+}
+
+// TestMultiplyOpsNameTheWireDirection pins the op names a multiply draws its
+// faults under, "multiply/in" and "multiply/out": they key the schedule's
+// sequences, so a seeded schedule replays only while they stay put.
+func TestMultiplyOpsNameTheWireDirection(t *testing.T) {
+	g := testgraphs.Cycle(12)
+	s := buildStripe(t, g, 0, 2)
+	sched := NewSchedule(Config{Seed: 5})
+	tr := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "w")
+	x := make([]float64, g.NumNodes())
+	for _, dir := range []graph.Dir{graph.In, graph.Out, graph.Out} {
+		if _, err := tr.Multiply(context.Background(), dir, s.GraphFingerprint(), x); err != nil {
+			t.Fatalf("Multiply(%v): %v", dir, err)
+		}
+	}
+	want := map[string]uint64{"w\x00multiply/in": 1, "w\x00multiply/out": 2}
+	if len(sched.seq) != len(want) {
+		t.Errorf("schedule keys %d sequences, want %d", len(sched.seq), len(want))
+	}
+	for key, n := range want {
+		if c := sched.seq[key]; c == nil || c.Load() != n {
+			t.Errorf("sequence %q is %v, want %d calls", key, c, n)
+		}
 	}
 }
 

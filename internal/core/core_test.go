@@ -381,7 +381,7 @@ func bruteForceReturn(g *graph.Graph, v, q graph.NodeID, L int) float64 {
 // one solve while the sibling solve still has iterations to run.
 type oneSidedGather struct {
 	n      int
-	failIn bool // GatherIn (F-Rank) fails; otherwise GatherOut (T-Rank)
+	failIn bool // graph.In (F-Rank) gathers fail; otherwise graph.Out (T-Rank)
 }
 
 var errDeadWorker = errors.New("worker died")
@@ -396,16 +396,8 @@ func (g oneSidedGather) OutSums() []float64 {
 
 func (g oneSidedGather) InSums() []float64 { return nil }
 
-func (g oneSidedGather) GatherIn(ctx context.Context, _, _ []float64, _ []graph.NodeID) error {
-	return g.gather(ctx, g.failIn)
-}
-
-func (g oneSidedGather) GatherOut(ctx context.Context, _, _ []float64, _ []graph.NodeID) error {
-	return g.gather(ctx, !g.failIn)
-}
-
-func (g oneSidedGather) gather(ctx context.Context, fail bool) error {
-	if fail {
+func (g oneSidedGather) Gather(ctx context.Context, dir graph.Dir, _, _ []float64, _ []graph.NodeID) error {
+	if (dir == graph.In) == g.failIn {
 		return errDeadWorker
 	}
 	select {

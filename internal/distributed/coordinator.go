@@ -214,9 +214,9 @@ func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch f
 	})
 }
 
-// GatherIn implements walk.Gatherer over the workers' transposed rows. With
-// GatherOut and OutSums it makes the fleet itself the row gather of the
-// distributed exact solve: each gather fans one Multiply out to every worker in
+// Gather implements walk.Gatherer over the workers' rows of one direction.
+// With OutSums it makes the fleet itself the row gather of the distributed
+// exact solve: each gather fans one Multiply out to every worker in
 // parallel, pinned to the connect-time graph fingerprint, retries transient
 // failures (multiply calls are idempotent) and scatters the partial vectors by
 // stripe; the power iteration around it is walk's own loop, and each worker
@@ -226,16 +226,7 @@ func Scatter[T any](ctx context.Context, f *Fleet, what string, dst []T, fetch f
 // through the cluster and still satisfy the exact top-K contract. A worker
 // multiplies its whole stripe whatever rows the solve lists: a row outside
 // the solve's support comes back as an exact zero the solve never reads.
-func (f *Fleet) GatherIn(ctx context.Context, x, dst []float64, _ []graph.NodeID) error {
-	return f.gather(ctx, DirIn, x, dst)
-}
-
-// GatherOut implements walk.Gatherer over the workers' forward rows.
-func (f *Fleet) GatherOut(ctx context.Context, x, dst []float64, _ []graph.NodeID) error {
-	return f.gather(ctx, DirOut, x, dst)
-}
-
-func (f *Fleet) gather(ctx context.Context, dir Direction, x, dst []float64) error {
+func (f *Fleet) Gather(ctx context.Context, dir graph.Dir, x, dst []float64, _ []graph.NodeID) error {
 	return Scatter(ctx, f, "entries", dst, func(ctx context.Context, i int) ([]float64, error) {
 		return f.ts[i].Multiply(ctx, dir, f.graph, x)
 	})

@@ -192,7 +192,7 @@ func TestCoordinatorFailsOnPersistentWorkerError(t *testing.T) {
 // yield a retryable error, while caller cancellation must not.
 func TestConnectionFailureIsTransient(t *testing.T) {
 	tr := NewHTTPTransport("http://127.0.0.1:1") // nothing listens here
-	_, err := tr.Multiply(context.Background(), DirIn, 0, []float64{1})
+	_, err := tr.Multiply(context.Background(), graph.In, 0, []float64{1})
 	if err == nil {
 		t.Fatalf("Multiply against a closed port succeeded")
 	}
@@ -201,7 +201,7 @@ func TestConnectionFailureIsTransient(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = tr.Multiply(ctx, DirIn, 0, []float64{1})
+	_, err = tr.Multiply(ctx, graph.In, 0, []float64{1})
 	if err == nil || IsTransient(err) {
 		t.Fatalf("caller cancellation classified transient: %v", err)
 	}
@@ -515,11 +515,11 @@ func TestStripeCodecThroughDistributed(t *testing.T) {
 	}
 	a := make([]float64, s.Rows())
 	b := make([]float64, s.Rows())
-	if err := s.MultiplyIn(x, a); err != nil {
-		t.Fatalf("MultiplyIn: %v", err)
+	if err := s.multiply(graph.In, x, a); err != nil {
+		t.Fatalf("multiply: %v", err)
 	}
-	if err := got.MultiplyIn(x, b); err != nil {
-		t.Fatalf("decoded MultiplyIn: %v", err)
+	if err := got.multiply(graph.In, x, b); err != nil {
+		t.Fatalf("decoded multiply: %v", err)
 	}
 	for r := range a {
 		if a[r] != b[r] {

@@ -79,32 +79,29 @@ func DecodeStripe(r io.Reader) (*Stripe, error) {
 // returned slice aliases the stripe; treat it as read-only.
 func (s *Stripe) OutSums() []float64 { return s.Out.Sum }
 
-// MultiplyIn computes one owned slice of the pull-style gather that drives
-// F-Rank: dst[r] = Σ_{u→v} w(u,v)·x[u] for each owned node v, reading v's
-// transposed adjacency row. x must have NumNodes entries and dst Rows()
-// entries. The reduction is graph.CSR.Gather, the very function the
-// in-process solve runs, so a distributed solve is bit-identical to a local
-// one.
-func (s *Stripe) MultiplyIn(x, dst []float64) error {
-	return s.multiply(s.In, x, dst)
-}
-
-// MultiplyOut computes one owned slice of the forward gather that drives
-// T-Rank: dst[r] = Σ_{v→to} w(v,to)·x[to] for each owned node v, reading v's
-// forward adjacency row. The result is the raw row reduction; the coordinator
-// applies the per-row 1/outSum normalization.
-func (s *Stripe) MultiplyOut(x, dst []float64) error {
-	return s.multiply(s.Out, x, dst)
-}
-
-func (s *Stripe) multiply(c graph.CSR, x, dst []float64) error {
+// multiply computes one owned slice of the gather over dir's rows: for
+// graph.In the pull that drives F-Rank, dst[r] = Σ_{u→v} w(u,v)·x[u] over
+// each owned node v's transposed row; for graph.Out the forward reduction
+// that drives T-Rank, dst[r] = Σ_{v→to} w(v,to)·x[to], raw — the
+// coordinator applies the 1/outSum normalization. x must have NumNodes
+// entries and dst Rows() entries. The reduction is graph.CSR.Gather, the
+// very function the in-process solve runs, so a distributed solve is
+// bit-identical to a local one.
+func (s *Stripe) multiply(dir graph.Dir, x, dst []float64) error {
+	rows := s.Out
+	switch {
+	case dir == graph.In:
+		rows = s.In
+	case dir != graph.Out:
+		return fmt.Errorf("distributed: unknown multiply direction %v", dir)
+	}
 	if len(x) != s.NumNodes {
 		return fmt.Errorf("distributed: multiply input has %d entries, stripe graph has %d nodes", len(x), s.NumNodes)
 	}
 	if len(dst) != s.Rows() {
 		return fmt.Errorf("distributed: multiply output has %d entries, stripe owns %d rows", len(dst), s.Rows())
 	}
-	c.Gather(x, dst, nil, 0, len(dst))
+	rows.Gather(x, dst, nil, 0, len(dst))
 	return nil
 }
 

@@ -24,10 +24,10 @@ import (
 //
 // The preference is kept per kind of call: one for each multiply direction
 // and one for everything else. An exact distributed solve iterates F-Rank
-// (DirIn) and T-Rank (DirOut) concurrently over the same replica sets; with
-// one shared preference, the instant at which one solve's failover re-routed
-// the other was a race, so an identical fault schedule reached the replicas as
-// different call sequences from run to run. Separate preferences make each
+// (graph.In) and T-Rank (graph.Out) concurrently over the same replica sets;
+// with one shared preference, the instant at which one solve's failover
+// re-routed the other was a race, so an identical fault schedule reached the
+// replicas as different call sequences from run to run. Separate preferences make each
 // solve's routing a function of its own calls alone, which is what lets a
 // seeded chaos schedule replay exactly (a dead member then costs one timeout
 // per direction).
@@ -38,7 +38,7 @@ import (
 // use.
 type ReplicaSet struct {
 	replicas  atomic.Pointer[[]Transport]
-	preferred [DirOut + 1]atomic.Int64 // indexed by Direction; slot 0: calls without one
+	preferred [multiplySlot + graph.In + 1]atomic.Int64 // slot otherCalls, then multiplySlot + dir
 	failovers atomic.Int64
 }
 
@@ -66,26 +66,32 @@ func (rs *ReplicaSet) SetReplicas(replicas []Transport) {
 // around it" counter.
 func (rs *ReplicaSet) Failovers() int64 { return rs.failovers.Load() }
 
+// Slots of ReplicaSet.preferred: a multiply keeps its preference in
+// multiplySlot + its graph.Dir, every other call in otherCalls. graph.Out is
+// zero, so the offset is what keeps T-Rank's multiplies and the calls without
+// a direction from re-routing each other.
+const (
+	otherCalls   = 0
+	multiplySlot = 1
+)
+
 // errNoReplicas reports a replica set whose placement has no live member.
 var errNoReplicas = errors.New("distributed: replica set has no members")
 
-// replicaCall runs op against the replicas in the preference order kept for
-// dir (zero for calls that are not multiplies). Transient
+// replicaCall runs op against the replicas in the preference order kept in
+// slot (otherCalls for calls that are not multiplies). Transient
 // failures advance to the next replica (recording a failover and promoting
 // the survivor); a permanent failure or a success returns immediately. When
 // every replica fails transiently the last error is returned — still marked
 // transient, so the coordinator's own retry loop re-enters and picks up any
 // replica that recovered in the meantime.
-func replicaCall[T any](ctx context.Context, rs *ReplicaSet, dir Direction, op func(Transport) (T, error)) (T, error) {
+func replicaCall[T any](ctx context.Context, rs *ReplicaSet, slot int, op func(Transport) (T, error)) (T, error) {
 	var zero T
 	replicas := *rs.replicas.Load()
 	if len(replicas) == 0 {
 		return zero, &TransientError{Err: errNoReplicas}
 	}
-	if int(dir) >= len(rs.preferred) {
-		dir = 0 // not a direction; the worker is the one to say so
-	}
-	preferred := &rs.preferred[dir]
+	preferred := &rs.preferred[slot]
 	start := int(preferred.Load()) % len(replicas)
 	if start < 0 {
 		start = 0
@@ -111,29 +117,33 @@ func replicaCall[T any](ctx context.Context, rs *ReplicaSet, dir Direction, op f
 
 // Info implements Transport.
 func (rs *ReplicaSet) Info(ctx context.Context) (WorkerInfo, error) {
-	return replicaCall(ctx, rs, 0, func(t Transport) (WorkerInfo, error) { return t.Info(ctx) })
+	return replicaCall(ctx, rs, otherCalls, func(t Transport) (WorkerInfo, error) { return t.Info(ctx) })
 }
 
 // OutSums implements Transport.
 func (rs *ReplicaSet) OutSums(ctx context.Context) ([]float64, error) {
-	return replicaCall(ctx, rs, 0, func(t Transport) ([]float64, error) { return t.OutSums(ctx) })
+	return replicaCall(ctx, rs, otherCalls, func(t Transport) ([]float64, error) { return t.OutSums(ctx) })
 }
 
 // Multiply implements Transport.
-func (rs *ReplicaSet) Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
-	return replicaCall(ctx, rs, dir, func(t Transport) ([]float64, error) {
+func (rs *ReplicaSet) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
+	slot := multiplySlot + int(dir)
+	if dir > graph.In {
+		slot = otherCalls // not a direction; the worker is the one to say so
+	}
+	return replicaCall(ctx, rs, slot, func(t Transport) ([]float64, error) {
 		return t.Multiply(ctx, dir, graphSum, x)
 	})
 }
 
 // OutDegrees implements Transport.
 func (rs *ReplicaSet) OutDegrees(ctx context.Context) ([]int32, error) {
-	return replicaCall(ctx, rs, 0, func(t Transport) ([]int32, error) { return t.OutDegrees(ctx) })
+	return replicaCall(ctx, rs, otherCalls, func(t Transport) ([]int32, error) { return t.OutDegrees(ctx) })
 }
 
 // FetchRows implements Transport.
 func (rs *ReplicaSet) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	return replicaCall(ctx, rs, 0, func(t Transport) (RowBatch, error) {
+	return replicaCall(ctx, rs, otherCalls, func(t Transport) (RowBatch, error) {
 		return t.FetchRows(ctx, graphSum, nodes)
 	})
 }

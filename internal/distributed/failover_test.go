@@ -50,7 +50,7 @@ func (c *chaosTransport) OutSums(ctx context.Context) ([]float64, error) {
 	return c.inner.OutSums(ctx)
 }
 
-func (c *chaosTransport) Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (c *chaosTransport) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	c.calls.Add(1)
 	if err := c.fail(); err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	}
 
 	wrapped[0].down.Store(true)
-	if _, err := rs.Multiply(ctx, DirIn, s.GraphFingerprint(), x); err != nil {
+	if _, err := rs.Multiply(ctx, graph.In, s.GraphFingerprint(), x); err != nil {
 		t.Fatalf("Multiply with one dead replica: %v", err)
 	}
 	if got := rs.Failovers(); got != 1 {
@@ -136,7 +136,7 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	// The surviving replica is now preferred: another call must not touch the
 	// dead member (no new failover, no new call on replica 0).
 	before := wrapped[0].calls.Load()
-	if _, err := rs.Multiply(ctx, DirIn, s.GraphFingerprint(), x); err != nil {
+	if _, err := rs.Multiply(ctx, graph.In, s.GraphFingerprint(), x); err != nil {
 		t.Fatalf("Multiply after promotion: %v", err)
 	}
 	if rs.Failovers() != 1 {
@@ -149,12 +149,102 @@ func TestReplicaSetFailsOverAndPromotes(t *testing.T) {
 	// The promotion belongs to the direction that failed over: the other
 	// direction's routing is its own, so it still starts at replica 0, finds
 	// it dead once, and promotes for itself.
-	if _, err := rs.Multiply(ctx, DirOut, s.GraphFingerprint(), x); err != nil {
+	if _, err := rs.Multiply(ctx, graph.Out, s.GraphFingerprint(), x); err != nil {
 		t.Fatalf("Multiply in the other direction: %v", err)
 	}
 	if rs.Failovers() != 2 || wrapped[0].calls.Load() != before+1 {
 		t.Errorf("other direction: failovers = %d, calls on the dead replica = %d; want 2 and %d",
 			rs.Failovers(), wrapped[0].calls.Load(), before+1)
+	}
+}
+
+// TestReplicaSetRoutesEachKindOfCallApart pins the three routing preferences
+// of a ReplicaSet: a failover on a call without a direction leaves both
+// multiply directions where they were, and a multiply's failover — graph.Out's
+// too, whose Dir is zero — moves neither the other direction nor the calls
+// without one.
+func TestReplicaSetRoutesEachKindOfCallApart(t *testing.T) {
+	g := testgraphs.Cycle(12)
+	ctx := context.Background()
+	x := make([]float64, g.NumNodes())
+	for i := range x {
+		x[i] = 1
+	}
+	type call struct {
+		name     string
+		multiply bool
+		run      func(rs *ReplicaSet, graphSum uint32) error
+	}
+	multiply := func(dir graph.Dir) call {
+		return call{"Multiply/" + dir.String(), true, func(rs *ReplicaSet, graphSum uint32) error {
+			_, err := rs.Multiply(ctx, dir, graphSum, x)
+			return err
+		}}
+	}
+	calls := []call{
+		{"Info", false, func(rs *ReplicaSet, _ uint32) error { _, err := rs.Info(ctx); return err }},
+		{"OutSums", false, func(rs *ReplicaSet, _ uint32) error { _, err := rs.OutSums(ctx); return err }},
+		{"FetchRows", false, func(rs *ReplicaSet, graphSum uint32) error {
+			_, err := rs.FetchRows(ctx, graphSum, []graph.NodeID{0})
+			return err
+		}},
+		{"OutDegrees", false, func(rs *ReplicaSet, _ uint32) error { _, err := rs.OutDegrees(ctx); return err }},
+		multiply(graph.In),
+		multiply(graph.Out),
+	}
+
+	// failOver runs c on a fresh set whose replica 0 is down, so that c's
+	// preference moves to replica 1, and brings replica 0 back.
+	failOver := func(t *testing.T, c call) (served func(call) int) {
+		t.Helper()
+		s, wrapped, ts := replicaFixture(t, g, 0, 2, 2)
+		rs := NewReplicaSet(ts)
+		wrapped[0].down.Store(true)
+		if err := c.run(rs, s.GraphFingerprint()); err != nil {
+			t.Fatalf("%s with one dead replica: %v", c.name, err)
+		}
+		if got := rs.Failovers(); got != 1 {
+			t.Fatalf("%s: Failovers = %d, want 1", c.name, got)
+		}
+		wrapped[0].down.Store(false)
+		// served runs a call with both replicas up and returns the one it
+		// reached: the replica its preference names.
+		return func(c call) int {
+			t.Helper()
+			before := [2]int64{wrapped[0].calls.Load(), wrapped[1].calls.Load()}
+			if err := c.run(rs, s.GraphFingerprint()); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			reached := -1
+			for i, w := range wrapped {
+				if w.calls.Load() != before[i] {
+					if reached >= 0 {
+						t.Fatalf("%s reached both replicas with both up", c.name)
+					}
+					reached = i
+				}
+			}
+			return reached
+		}
+	}
+
+	for _, failed := range calls {
+		served := failOver(t, failed)
+		if got := served(failed); got != 1 {
+			t.Errorf("after %s failed over, it went back to replica %d; want the promoted replica 1", failed.name, got)
+		}
+		for _, c := range calls {
+			if c.name == failed.name {
+				continue
+			}
+			want := 0 // a preference of its own, never moved
+			if !c.multiply && !failed.multiply {
+				want = 1 // the calls without a direction share one
+			}
+			if got := served(c); got != want {
+				t.Errorf("after %s failed over, %s went to replica %d; want %d", failed.name, c.name, got, want)
+			}
+		}
 	}
 }
 
@@ -165,7 +255,7 @@ func TestReplicaSetPermanentErrorDoesNotFailOver(t *testing.T) {
 	wrapped[0].permanentErr.Store(true)
 
 	x := make([]float64, g.NumNodes())
-	_, err := rs.Multiply(context.Background(), DirIn, s.GraphFingerprint(), x)
+	_, err := rs.Multiply(context.Background(), graph.In, s.GraphFingerprint(), x)
 	if err == nil {
 		t.Fatalf("Multiply with a permanent error succeeded via failover")
 	}
@@ -185,7 +275,7 @@ func TestReplicaSetAllDownStaysTransient(t *testing.T) {
 		w.down.Store(true)
 	}
 	x := make([]float64, g.NumNodes())
-	_, err := rs.Multiply(context.Background(), DirIn, s.GraphFingerprint(), x)
+	_, err := rs.Multiply(context.Background(), graph.In, s.GraphFingerprint(), x)
 	if err == nil {
 		t.Fatalf("Multiply with all replicas down succeeded")
 	}
@@ -348,7 +438,7 @@ func TestMultiStripeWorker(t *testing.T) {
 			t.Errorf("Info(%d) = %+v", idx, info)
 		}
 		x := make([]float64, g.NumNodes())
-		out, err := w.Multiply(idx, DirIn, stripes[i].GraphFingerprint(), x)
+		out, err := w.Multiply(idx, graph.In, stripes[i].GraphFingerprint(), x)
 		if err != nil {
 			t.Fatalf("Multiply(%d): %v", idx, err)
 		}

@@ -10,6 +10,8 @@ import (
 	"net/http/httptrace"
 	"strings"
 	"time"
+
+	"roundtriprank/internal/graph"
 )
 
 // DefaultHTTPTimeout bounds each worker RPC when the caller's context carries
@@ -113,7 +115,7 @@ func (t *HTTPTransport) OutSums(ctx context.Context) ([]float64, error) {
 // iteration, so its wire buffers are pooled: x is encoded into one that goes
 // back to the pool once net/http has written it, and the reply is read into
 // another by its Content-Length. Only the returned slice is allocated.
-func (t *HTTPTransport) Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (t *HTTPTransport) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	req := vectorBytes(len(x))
 	*req = AppendVector((*req)[:0], x)
 	path := t.withStripe(fmt.Sprintf("/v1/multiply?dir=%s&graph=%d", dir, graphSum))

@@ -4,44 +4,16 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
+
+	"roundtriprank/internal/graph"
 )
 
-// Direction selects which adjacency a worker multiplies over.
-type Direction uint8
-
-const (
-	// DirIn gathers over the transposed adjacency (the F-Rank pull step).
-	DirIn Direction = iota + 1
-	// DirOut gathers over the forward adjacency (the T-Rank step).
-	DirOut
-)
-
-// String names the direction as used in the wire protocol's dir parameter.
-func (d Direction) String() string {
-	switch d {
-	case DirIn:
-		return "in"
-	case DirOut:
-		return "out"
-	default:
-		return fmt.Sprintf("direction-%d", uint8(d))
-	}
-}
-
-// ParseDirection parses the wire form of a Direction ("in" or "out").
-func ParseDirection(s string) (Direction, error) {
-	switch s {
-	case "in":
-		return DirIn, nil
-	case "out":
-		return DirOut, nil
-	default:
-		return 0, fmt.Errorf("distributed: unknown direction %q", s)
-	}
-}
+// Direction is graph.Dir, the one direction type from the solver to the
+// wire. The alias survives only because bench/remote.go names it: ROADMAP
+// item 1(h) moves that signature to graph.Dir and deletes this.
+type Direction = graph.Dir
 
 // ProtocolVersion is the version of the coordinator/worker wire protocol; a
 // worker advertises it in WorkerInfo and the coordinator refuses mismatches.
@@ -94,7 +66,7 @@ type Transport interface {
 	// refuses the call if its stripe has since been replaced with one cut
 	// from a different graph, so a mid-lifetime redeploy fails loudly
 	// instead of silently mixing graphs.
-	Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error)
+	Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error)
 	// RowFetcher is the row-granular half of the protocol (rows.go).
 	RowFetcher
 	// Close releases the connection; the Transport is unusable afterwards.
@@ -223,7 +195,7 @@ func (l *Loopback) OutSums(ctx context.Context) ([]float64, error) {
 }
 
 // Multiply implements Transport.
-func (l *Loopback) Multiply(ctx context.Context, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (l *Loopback) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -121,7 +121,7 @@ func TestMultiplyWireAllocs(t *testing.T) {
 	tr := NewHTTPTransport(srv.URL)
 	defer tr.Close()
 	allocs, size := perCall(func() {
-		if _, err := tr.Multiply(ctx, DirIn, s.Graph, x); err != nil {
+		if _, err := tr.Multiply(ctx, graph.In, s.Graph, x); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -204,15 +204,15 @@ func TestMultiplyWireBuffersDoNotAlias(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < calls; k++ {
 				if k%4 == 3 {
-					if _, err := absent.Multiply(ctx, DirIn, s.Graph, wireVector(n, c)); err == nil {
+					if _, err := absent.Multiply(ctx, graph.In, s.Graph, wireVector(n, c)); err == nil {
 						t.Errorf("caller %d: a multiply on an absent stripe succeeded", c)
 					}
 					continue
 				}
 				x := wireVector(n, c*calls+k)
-				dir, rows := DirIn, s.In
+				dir, rows := graph.In, s.In
 				if k%2 == 1 {
-					dir, rows = DirOut, s.Out
+					dir, rows = graph.Out, s.Out
 				}
 				got, err := tr.Multiply(ctx, dir, s.Graph, x)
 				if err != nil {
@@ -276,7 +276,7 @@ func TestMultiplyWireKeepsRequestUntilWritten(t *testing.T) {
 	var want [][]byte
 	for i := 0; i < cap(rt.got); i++ {
 		x := wireVector(4096, i)
-		if _, err := tr.Multiply(context.Background(), DirIn, 0, x); err == nil || !strings.Contains(err.Error(), "stalled") {
+		if _, err := tr.Multiply(context.Background(), graph.In, 0, x); err == nil || !strings.Contains(err.Error(), "stalled") {
 			t.Fatalf("Multiply = %v, want the stalled 409", err)
 		}
 		want = append(want, AppendVector(nil, x))
@@ -325,7 +325,7 @@ func TestWireConnectionReuse(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := tr.Multiply(context.Background(), DirOut, s.Graph, x); err != nil {
+				if _, err := tr.Multiply(context.Background(), graph.Out, s.Graph, x); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -384,13 +384,32 @@ func TestMultiplyRejectsMalformedReply(t *testing.T) {
 				t.Fatalf("Connect: %v", err)
 			}
 			x := wireVector(g.NumNodes(), 4)
-			err = f.GatherIn(ctx, x, make([]float64, g.NumNodes()), nil)
+			err = f.Gather(ctx, graph.In, x, make([]float64, g.NumNodes()), nil)
 			if err == nil || IsTransient(err) || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("GatherIn = %v, want a non-transient error naming worker 1 and saying %q", err, tc.want)
+				t.Fatalf("Gather = %v, want a non-transient error naming worker 1 and saying %q", err, tc.want)
 			}
 			if _, retries := f.Stats(); retries != 0 {
 				t.Errorf("the fleet retried a malformed reply %d times", retries)
 			}
 		})
+	}
+}
+
+// TestDirWireSpelling pins the dir parameter of /v1/multiply: graph.Dir's
+// String is the wire spelling, and the handler's parser reads exactly
+// "in" and "out" back and rejects everything else.
+func TestDirWireSpelling(t *testing.T) {
+	for dir, want := range map[graph.Dir]string{graph.In: "in", graph.Out: "out"} {
+		if got := dir.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", uint8(dir), got, want)
+		}
+		if got, err := parseDir(dir.String()); err != nil || got != dir {
+			t.Errorf("parseDir(%q) = %v, %v; want %d", dir.String(), got, err, uint8(dir))
+		}
+	}
+	for _, bad := range []string{"", "IN", "Out", "sideways", "in ", "0", "1"} {
+		if got, err := parseDir(bad); err == nil {
+			t.Errorf("parseDir(%q) = %v, want an error", bad, got)
+		}
 	}
 }

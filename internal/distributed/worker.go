@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"roundtriprank/internal/graph"
 )
 
 // AnyStripe selects "the worker's sole stripe" in the stripe-addressed APIs:
@@ -171,18 +173,11 @@ func (s *Stripe) pinned(graphSum uint32) error {
 
 // gather is one multiply RPC over this stripe snapshot, into dst (Rows()
 // entries).
-func (s *Stripe) gather(dir Direction, graphSum uint32, x, dst []float64) error {
+func (s *Stripe) gather(dir graph.Dir, graphSum uint32, x, dst []float64) error {
 	if err := s.pinned(graphSum); err != nil {
 		return err
 	}
-	switch dir {
-	case DirIn:
-		return s.MultiplyIn(x, dst)
-	case DirOut:
-		return s.MultiplyOut(x, dst)
-	default:
-		return fmt.Errorf("distributed: unknown multiply direction %d", dir)
-	}
+	return s.multiply(dir, x, dst)
 }
 
 // Info is the worker side of Transport.Info: the wire metadata of the stripe
@@ -208,7 +203,7 @@ func (w *Worker) OutSums(index int) ([]float64, error) {
 // Multiply is the worker side of Transport.Multiply: it gathers over one
 // consistent snapshot of the stripe at index, whose graph fingerprint must
 // equal graphSum.
-func (w *Worker) Multiply(index int, dir Direction, graphSum uint32, x []float64) ([]float64, error) {
+func (w *Worker) Multiply(index int, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
 	s, err := w.stripeFor(index)
 	if err != nil {
 		return nil, err
@@ -343,12 +338,23 @@ func handleOutSums(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32)
 	return nil
 }
 
+// parseDir reads a multiply's dir parameter, a graph.Dir in its wire
+// spelling (graph.Dir.String): "in" or "out", nothing else.
+func parseDir(s string) (graph.Dir, error) {
+	for _, d := range [...]graph.Dir{graph.In, graph.Out} {
+		if s == d.String() {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("distributed: unknown direction %q", s)
+}
+
 // handleMultiply decodes, gathers and encodes in pooled buffers (bytePool,
 // floatPool), so a warm call allocates nothing proportional to the graph. The
 // ResponseWriter has copied or sent the reply by the time Write returns, so
 // the buffers go back to their pools when the handler does.
 func handleMultiply(rw http.ResponseWriter, r *http.Request, s *Stripe, graphSum uint32) error {
-	dir, err := ParseDirection(r.URL.Query().Get("dir"))
+	dir, err := parseDir(r.URL.Query().Get("dir"))
 	if err != nil {
 		return err
 	}

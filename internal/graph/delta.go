@@ -29,32 +29,24 @@ type Delta struct {
 	newLabels  []string
 	newByLabel map[string]NodeID
 
-	set          map[edgeKey]float64 // final weights of added/reweighted edges
-	removed      map[edgeKey]bool    // base edges to drop
+	set          map[EdgeKey]float64 // final weights of added/reweighted edges
+	removed      map[EdgeKey]bool    // base edges to drop
 	removedNodes map[NodeID]bool     // nodes to isolate
 }
-
-type edgeKey struct{ from, to NodeID }
 
 // NewDelta returns an empty mutation batch against base.
 func NewDelta(base *Graph) *Delta {
 	return &Delta{
 		base:         base,
 		newByLabel:   make(map[string]NodeID),
-		set:          make(map[edgeKey]float64),
-		removed:      make(map[edgeKey]bool),
+		set:          make(map[EdgeKey]float64),
+		removed:      make(map[EdgeKey]bool),
 		removedNodes: make(map[NodeID]bool),
 	}
 }
 
 // NumNodes returns the node count the committed graph will have.
 func (d *Delta) NumNodes() int { return d.base.numNodes + len(d.newTypes) }
-
-// Empty reports whether the delta stages no mutations. Committing an empty
-// delta still produces a new epoch (useful for forcing a rollover).
-func (d *Delta) Empty() bool {
-	return len(d.newTypes) == 0 && len(d.set) == 0 && len(d.removed) == 0 && len(d.removedNodes) == 0
-}
 
 // Ops returns the staged mutation counts, for logging and ingestion replies.
 func (d *Delta) Ops() (addedNodes, setEdges, removedEdges, removedNodes int) {
@@ -107,7 +99,7 @@ func (d *Delta) SetEdge(from, to NodeID, w float64) error {
 	if err := checkEdge(from, to, w, d.NumNodes()); err != nil {
 		return fmt.Errorf("graph: delta: %w", err)
 	}
-	k := edgeKey{from, to}
+	k := EdgeKey{from, to}
 	delete(d.removed, k)
 	d.set[k] = w
 	return nil
@@ -132,7 +124,7 @@ func (d *Delta) RemoveEdge(from, to NodeID) error {
 	if err := d.checkNode(to); err != nil {
 		return err
 	}
-	k := edgeKey{from, to}
+	k := EdgeKey{from, to}
 	staged := false
 	if _, ok := d.set[k]; ok {
 		delete(d.set, k)
@@ -166,12 +158,12 @@ func (d *Delta) RemoveNode(v NodeID) error {
 		return err
 	}
 	for k := range d.set {
-		if k.from == v || k.to == v {
+		if k.From == v || k.To == v {
 			delete(d.set, k)
 		}
 	}
 	for k := range d.removed {
-		if k.from == v || k.to == v {
+		if k.From == v || k.To == v {
 			delete(d.removed, k)
 		}
 	}
@@ -190,7 +182,7 @@ type stagedEdge struct {
 func (d *Delta) rowAdds() map[NodeID][]stagedEdge {
 	adds := make(map[NodeID][]stagedEdge)
 	for k, w := range d.set {
-		adds[k.from] = append(adds[k.from], stagedEdge{other: k.to, w: w})
+		adds[k.From] = append(adds[k.From], stagedEdge{other: k.To, w: w})
 	}
 	for _, row := range adds {
 		sort.Slice(row, func(i, j int) bool { return row[i].other < row[j].other })
@@ -205,10 +197,10 @@ func (d *Delta) dropBase(from, to NodeID) bool {
 	if d.removedNodes[from] || d.removedNodes[to] {
 		return true
 	}
-	if d.removed[edgeKey{from, to}] {
+	if d.removed[EdgeKey{from, to}] {
 		return true
 	}
-	_, shadowed := d.set[edgeKey{from, to}]
+	_, shadowed := d.set[EdgeKey{from, to}]
 	return shadowed
 }
 

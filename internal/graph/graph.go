@@ -69,6 +69,18 @@ const (
 	In
 )
 
+// String returns the direction's wire spelling, "in" or "out" (the dir
+// parameter of a worker's /v1/multiply).
+func (d Dir) String() string {
+	switch d {
+	case Out:
+		return "out"
+	case In:
+		return "in"
+	}
+	return fmt.Sprintf("Dir(%d)", uint8(d))
+}
+
 // RowsProvider is the old name of the part of View that mints row sessions.
 // It survives only because bench/probes.go asserts it: ROADMAP item 1(h)
 // drops that assertion and deletes this.
@@ -461,17 +473,6 @@ func (g *Graph) NodeByLabel(label string) NodeID {
 	return NoNode
 }
 
-// NodesOfType returns all node IDs with the given type, in increasing order.
-func (g *Graph) NodesOfType(t Type) []NodeID {
-	var out []NodeID
-	for v := 0; v < g.numNodes; v++ {
-		if g.types[v] == t {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
 // CountOfType returns the number of nodes with the given type.
 func (g *Graph) CountOfType(t Type) int {
 	n := 0
@@ -523,14 +524,6 @@ func (g *Graph) TransitionProb(from, to NodeID) float64 {
 	return TransitionProb(g, from, to)
 }
 
-// AverageDegree returns the average out-degree of the graph.
-func (g *Graph) AverageDegree() float64 {
-	if g.numNodes == 0 {
-		return 0
-	}
-	return float64(g.numEdges) / float64(g.numNodes)
-}
-
 // SizeBytes returns the in-memory size of the adjacency — both directions'
 // arrays, as CSR.SizeBytes counts them — plus one type byte per node; label
 // strings are excluded. It is used by the scalability experiments to report
@@ -577,37 +570,4 @@ func TransitionProb(v View, from, to NodeID) float64 {
 		}
 	}
 	return 0
-}
-
-// IsStronglyReachable reports whether every node in the view can reach node q
-// and be reached from node q (a cheap proxy for irreducibility with respect to
-// a query). It runs two BFS traversals.
-func IsStronglyReachable(v View, q NodeID) bool {
-	rows := v.NewRows()
-	reachFwd := bfs(rows.NumNodes(), q, rows.OutRow)
-	reachBwd := bfs(rows.NumNodes(), q, rows.InRow)
-	for i := range reachFwd {
-		if !reachFwd[i] || !reachBwd[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func bfs(n int, start NodeID, row func(NodeID) ([]NodeID, []float64)) []bool {
-	seen := make([]bool, n)
-	seen[start] = true
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		cols, _ := row(cur)
-		for _, next := range cols {
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	return seen
 }

@@ -63,24 +63,6 @@ func PrecisionAtK[T comparable](ranking []T, relevant map[T]bool, k int) float64
 	return float64(hits) / float64(k)
 }
 
-// RecallAtK computes the fraction of relevant items found in the top K.
-func RecallAtK[T comparable](ranking []T, relevant map[T]bool, k int) float64 {
-	if k <= 0 || len(relevant) == 0 {
-		return 0
-	}
-	hits := 0
-	limit := k
-	if limit > len(ranking) {
-		limit = len(ranking)
-	}
-	for i := 0; i < limit; i++ {
-		if relevant[ranking[i]] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(relevant))
-}
-
 // KendallTau computes Kendall's tau-a rank correlation between two rankings of
 // the same item set, restricted to the items present in both. Items are
 // compared by their positions; tau = (concordant − discordant) / total pairs.

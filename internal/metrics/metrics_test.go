@@ -35,16 +35,13 @@ func TestNDCGAtK(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallAtK(t *testing.T) {
+func TestPrecisionAtK(t *testing.T) {
 	rel := map[int]bool{1: true, 2: true, 3: true}
 	ranking := []int{1, 9, 2, 8, 7}
 	if got := PrecisionAtK(ranking, rel, 4); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("P@4 = %g, want 0.5", got)
 	}
-	if got := RecallAtK(ranking, rel, 4); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("R@4 = %g, want 2/3", got)
-	}
-	if PrecisionAtK(ranking, rel, 0) != 0 || RecallAtK(ranking, rel, 0) != 0 {
+	if PrecisionAtK(ranking, rel, 0) != 0 {
 		t.Errorf("k=0 should give 0")
 	}
 	// Short ranking: denominator is still k for precision.

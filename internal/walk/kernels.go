@@ -45,12 +45,12 @@ type Gatherer interface {
 	// not say (a worker fleet): F-Rank lists its support from it. Read-only,
 	// and constant for the Gatherer's lifetime.
 	InSums() []float64
-	// GatherIn fills dst[v] = Σ_{u→v} w(u,v)·x[u], the pull over the
-	// transposed adjacency that drives F-Rank and PageRank.
-	GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error
-	// GatherOut fills dst[v] = Σ_{v→to} w(v,to)·x[to], the reduction of each
-	// node's own forward row that drives T-Rank.
-	GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error
+	// Gather sweeps one direction's rows. graph.In fills dst[v] =
+	// Σ_{u→v} w(u,v)·x[u], the pull over the transposed adjacency that
+	// drives F-Rank and PageRank; graph.Out fills dst[v] = Σ_{v→to}
+	// w(v,to)·x[to], the reduction of each node's own forward row that
+	// drives T-Rank.
+	Gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error
 }
 
 // local is the in-process Gatherer: graph.CSR.Gather over the rows the view
@@ -93,17 +93,9 @@ func (l *local) OutSums() []float64 { return l.view.OutSums() }
 
 func (l *local) InSums() []float64 { return l.view.InSums() }
 
-func (l *local) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	return l.gather(ctx, graph.In, x, dst, rows)
-}
-
-func (l *local) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	return l.gather(ctx, graph.Out, x, dst, rows)
-}
-
-// gather sweeps one direction's rows, fetched first unless they were fetched
+// Gather sweeps one direction's rows, fetched first unless they were fetched
 // for this very list.
-func (l *local) gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
+func (l *local) Gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
 	f := l.fetched[dir].Load()
 	if f == nil || !sameList(f.list, rows) {
 		f = &fetched{list: rows, rows: l.view.FlatRows(dir, rows), workers: l.workers}
@@ -354,7 +346,7 @@ func fRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 					dangling += cur[u]
 				}
 			}
-			if err := g.GatherIn(ctx, scaled, gatherInto(sums, next), rows); err != nil {
+			if err := g.Gather(ctx, graph.In, scaled, gatherInto(sums, next), rows); err != nil {
 				return 0, err
 			}
 			dadd := oneMinus * dangling
@@ -455,7 +447,7 @@ func tRankShare(ctx context.Context, g Gatherer, restart []float64, p Params, sh
 	defer accel.release()
 	t, diff, err := iterate(ctx, cur, p.Tol, p.MaxIter,
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
-			if err := g.GatherOut(ctx, cur, gatherInto(sums, next), rows); err != nil {
+			if err := g.Gather(ctx, graph.Out, cur, gatherInto(sums, next), rows); err != nil {
 				return 0, err
 			}
 			if rows == nil {
@@ -749,7 +741,7 @@ func pageRank(ctx context.Context, g Gatherer, d, tol float64, maxIter int) ([]f
 		func(ctx context.Context, cur, next []float64) (diff float64, err error) {
 			dangling := scale(scaled, cur, outSum)
 			base := d*uniform + oneMinus*dangling*uniform
-			if err := g.GatherIn(ctx, scaled, next, nil); err != nil {
+			if err := g.Gather(ctx, graph.In, scaled, next, nil); err != nil {
 				return 0, err
 			}
 			for v, sum := range next {

@@ -640,11 +640,11 @@ func TestConcurrentGathersDoNotQueue(t *testing.T) {
 
 	first, second := make([]float64, n), make([]float64, n)
 	firstDone := make(chan error, 1)
-	go func() { firstDone <- gth.GatherIn(context.Background(), x, first, nil) }()
+	go func() { firstDone <- gth.Gather(context.Background(), graph.In, x, first, nil) }()
 	<-view.parked
 
 	secondDone := make(chan error, 1)
-	go func() { secondDone <- gth.GatherIn(context.Background(), x, second, nil) }()
+	go func() { secondDone <- gth.Gather(context.Background(), graph.In, x, second, nil) }()
 	select {
 	case err := <-secondDone:
 		if err != nil {

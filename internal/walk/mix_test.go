@@ -342,12 +342,7 @@ type countingGatherer struct {
 	gathers int
 }
 
-func (c *countingGatherer) GatherIn(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
+func (c *countingGatherer) Gather(ctx context.Context, dir graph.Dir, x, dst []float64, rows []graph.NodeID) error {
 	c.gathers++
-	return c.Gatherer.GatherIn(ctx, x, dst, rows)
-}
-
-func (c *countingGatherer) GatherOut(ctx context.Context, x, dst []float64, rows []graph.NodeID) error {
-	c.gathers++
-	return c.Gatherer.GatherOut(ctx, x, dst, rows)
+	return c.Gatherer.Gather(ctx, dir, x, dst, rows)
 }

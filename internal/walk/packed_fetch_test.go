@@ -94,7 +94,7 @@ func TestPackedLocalRefetchesForAnotherList(t *testing.T) {
 	gth := walk.Local(view, 2)
 	for i, rows := range [][]graph.NodeID{even, even, odd, nil} {
 		got := make([]float64, n)
-		if err := gth.GatherOut(context.Background(), x, got, rows); err != nil {
+		if err := gth.Gather(context.Background(), graph.Out, x, got, rows); err != nil {
 			t.Fatalf("gather %d: %v", i, err)
 		}
 		listed := rows
