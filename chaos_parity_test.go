@@ -148,7 +148,7 @@ func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*
 	byMember := make(map[string][]*chaos.Transport)
 	dial := func(addr string, stripe int) distributed.Transport {
 		id := strings.TrimPrefix(addr, "loop://")
-		ct := sched.Wrap(distributed.NewLoopbackAt(members[id], stripe), fmt.Sprintf("%s/s%d", id, stripe))
+		ct := sched.Wrap(distributed.NewLoopback(members[id]).ForStripe(stripe), fmt.Sprintf("%s/s%d", id, stripe))
 		mu.Lock()
 		byMember[id] = append(byMember[id], ct)
 		mu.Unlock()

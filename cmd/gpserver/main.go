@@ -151,17 +151,13 @@ func main() {
 // (minimum) epoch, and stripe_index degrades to -1 when more than one stripe
 // is held (the per-stripe identities are on /v1/info?stripe=N).
 func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
-	sum := func(f func(distributed.WorkerInfo) float64) func() float64 {
+	sum := func(f func(*distributed.Stripe) int) func() float64 {
 		return func() float64 {
-			var total float64
+			var total int
 			for _, s := range worker.Stripes() {
-				wi, err := worker.Info(s.Index)
-				if err != nil {
-					continue
-				}
-				total += f(wi)
+				total += f(s)
 			}
-			return total
+			return float64(total)
 		}
 	}
 	reg.Gauge("stripe_epoch", "Minimum epoch across the served stripes (0 when empty).", "",
@@ -201,9 +197,9 @@ func registerWorkerGauges(reg *obs.Registry, worker *distributed.Worker) {
 	reg.Gauge("stripes_held", "Number of stripes this worker currently serves.", "",
 		func() float64 { return float64(len(worker.Stripes())) })
 	reg.Gauge("stripe_rows", "Rows owned across the served stripes.", "",
-		sum(func(wi distributed.WorkerInfo) float64 { return float64(wi.Rows) }))
+		sum(func(s *distributed.Stripe) int { return s.Rows() }))
 	reg.Gauge("stripe_out_edges", "Out-edges stored across the served stripes.", "",
-		sum(func(wi distributed.WorkerInfo) float64 { return float64(wi.OutEdges) }))
+		sum(func(s *distributed.Stripe) int { return len(s.Out.Col) }))
 }
 
 // loadStripe extracts the stripe from the dataset the flags name; it returns

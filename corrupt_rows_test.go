@@ -30,18 +30,15 @@ func (c *corruptRows) FetchRows(ctx context.Context, graphSum uint32, nodes []gr
 	if err != nil {
 		return batch, err
 	}
-	// Loopback rows alias the stripe's arrays: corrupt copies.
-	batch.Rows = append([]distributed.RowData(nil), batch.Rows...)
 	for i := range batch.Rows {
-		cols := &batch.Rows[i].OutTo
+		cols := batch.Rows[i].OutTo
 		if c.inRow {
-			cols = &batch.Rows[i].InFrom
+			cols = batch.Rows[i].InFrom
 		}
-		if len(*cols) > 0 {
-			*cols = append([]graph.NodeID(nil), *cols...)
-			(*cols)[0] = c.col
+		if len(cols) > 0 {
+			cols[0] = c.col
 			if c.self {
-				(*cols)[0] = batch.Rows[i].Node
+				cols[0] = batch.Rows[i].Node
 			}
 		}
 	}

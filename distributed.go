@@ -42,7 +42,9 @@ func DialWorker(baseURL string) Transport {
 
 // LoopbackWorkers stripes g across n in-process workers and returns their
 // transports, in stripe order. It is the single-process deployment of the
-// Distributed method: identical code paths to an HTTP cluster, no network.
+// Distributed method: each transport speaks the gpserver wire protocol to its
+// worker's handler in memory, so it runs the code paths of an HTTP cluster,
+// codec included, without a network.
 func LoopbackWorkers(g *Graph, n int) ([]Transport, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("roundtriprank: need at least one worker, got %d", n)

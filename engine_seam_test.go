@@ -57,27 +57,27 @@ func TestRankBatchFeedsStatsHook(t *testing.T) {
 	}
 }
 
-// handshakes counts the three connect-time RPCs one loopback worker answers;
+// handshakes counts the three connect-time RPCs one in-process worker answers;
 // everything else (multiplies, row fetches, stripe installs and retags) is the
 // embedded transport's own.
 type handshakes struct {
-	*distributed.Loopback
+	*distributed.HTTPTransport
 	info, outSums, outDegrees atomic.Int64
 }
 
 func (h *handshakes) Info(ctx context.Context) (distributed.WorkerInfo, error) {
 	h.info.Add(1)
-	return h.Loopback.Info(ctx)
+	return h.HTTPTransport.Info(ctx)
 }
 
 func (h *handshakes) OutSums(ctx context.Context) ([]float64, error) {
 	h.outSums.Add(1)
-	return h.Loopback.OutSums(ctx)
+	return h.HTTPTransport.OutSums(ctx)
 }
 
 func (h *handshakes) OutDegrees(ctx context.Context) ([]int32, error) {
 	h.outDegrees.Add(1)
-	return h.Loopback.OutDegrees(ctx)
+	return h.HTTPTransport.OutDegrees(ctx)
 }
 
 func (h *handshakes) counts() [3]int64 {
@@ -99,7 +99,7 @@ func TestOneHandshakePerEpoch(t *testing.T) {
 			counted := make([]*handshakes, len(loop))
 			workers := make([]Transport, len(loop))
 			for i, tr := range loop {
-				counted[i] = &handshakes{Loopback: tr.(*distributed.Loopback)}
+				counted[i] = &handshakes{HTTPTransport: tr.(*distributed.HTTPTransport)}
 				workers[i] = counted[i]
 			}
 			engine, err := NewEngine(base, WithWorkers(workers...))

@@ -78,7 +78,7 @@ func TestScheduleDeterminism(t *testing.T) {
 func TestTransportInjectsTransientFaults(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s := buildStripe(t, g, 0, 2)
-	inner := distributed.NewLoopbackAt(distributed.NewWorker(s), 0)
+	inner := distributed.NewLoopback(distributed.NewWorker(s)).ForStripe(0)
 	tr := NewSchedule(Config{Seed: 1, FailRate: 1}).Wrap(inner, "w1")
 	ctx := context.Background()
 
@@ -106,7 +106,7 @@ func TestTransportInjectsTransientFaults(t *testing.T) {
 func TestTransportKillReviveAndKillAfter(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s := buildStripe(t, g, 0, 2)
-	inner := distributed.NewLoopbackAt(distributed.NewWorker(s), 0)
+	inner := distributed.NewLoopback(distributed.NewWorker(s)).ForStripe(0)
 	tr := NewSchedule(Config{Seed: 1}).Wrap(inner, "w1")
 	ctx := context.Background()
 
@@ -154,8 +154,8 @@ func TestTransportUnderReplicaSet(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s := buildStripe(t, g, 0, 2)
 	sched := NewSchedule(Config{Seed: 3})
-	a := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "a")
-	b := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "b")
+	a := sched.Wrap(distributed.NewLoopback(distributed.NewWorker(s)).ForStripe(0), "a")
+	b := sched.Wrap(distributed.NewLoopback(distributed.NewWorker(s)).ForStripe(0), "b")
 	rs := distributed.NewReplicaSet([]distributed.Transport{a, b})
 	ctx := context.Background()
 
@@ -189,7 +189,7 @@ func TestMultiplyOpsNameTheWireDirection(t *testing.T) {
 	g := testgraphs.Cycle(12)
 	s := buildStripe(t, g, 0, 2)
 	sched := NewSchedule(Config{Seed: 5})
-	tr := sched.Wrap(distributed.NewLoopbackAt(distributed.NewWorker(s), 0), "w")
+	tr := sched.Wrap(distributed.NewLoopback(distributed.NewWorker(s)).ForStripe(0), "w")
 	x := make([]float64, g.NumNodes())
 	for _, dir := range []graph.Dir{graph.In, graph.Out, graph.Out} {
 		if _, err := tr.Multiply(context.Background(), dir, s.GraphFingerprint(), x); err != nil {

@@ -4,13 +4,17 @@
 // # One client
 //
 // Transport is the whole query-time worker protocol — Info, OutSums, Multiply
-// and the row RPCs of RowFetcher — spoken by the in-process Loopback and by
-// HTTPTransport (the cmd/gpserver wire protocol) and decorated by ReplicaSet
+// and the row RPCs of RowFetcher. One implementation reaches a worker:
+// HTTPTransport, which speaks the cmd/gpserver wire protocol to a worker over
+// the network (NewHTTPTransport) or hands the same requests to the worker's
+// Handler in-process (NewLoopback), so in-process fleets run the codec, the
+// status mapping and the fingerprint pin that deployments run. ReplicaSet
 // (failover within one stripe's replica group) and chaos.Transport (fault
-// injection). StripeInstaller (send, retag, remove a stripe) is the one
-// optional capability, because a replica group cannot receive a stripe. A
-// Worker holds any number of Stripes keyed by index and has one method per RPC
-// taking the stripe selector (AnyStripe: its sole stripe).
+// injection) decorate transports. StripeInstaller (send, retag, remove a
+// stripe) is the one optional capability, because a replica group cannot
+// receive a stripe. A Worker holds any number of Stripes keyed by index and
+// answers every RPC through its Handler, whose ?stripe=N selector addresses
+// one (absent: its sole stripe).
 //
 // # Exact solves
 //

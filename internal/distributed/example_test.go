@@ -24,8 +24,8 @@ func Example() {
 	}
 	g := b.MustBuild()
 
-	// One Transport per stripe; Loopback runs the worker in-process, an HTTP
-	// deployment swaps in NewHTTPTransport with identical semantics.
+	// One Transport per stripe; NewLoopback serves the worker's wire protocol
+	// in-process, an HTTP deployment swaps in NewHTTPTransport.
 	var transports []distributed.Transport
 	for i := 0; i < 2; i++ {
 		s, err := distributed.BuildStripe(g, i, 2)
@@ -62,10 +62,10 @@ func Example() {
 	// distributed solve bit-identical to local kernel: true
 }
 
-// ExampleWorker_Retag rolls one worker to a new epoch without re-shipping its
-// stripe: after a commit that did not touch the stripe's rows, only the graph
-// fingerprint and epoch need rebinding.
-func ExampleWorker_Retag() {
+// ExampleHTTPTransport_RetagStripe rolls one worker to a new epoch without
+// re-shipping its stripe: after a commit that did not touch the stripe's rows,
+// only the graph fingerprint and epoch need rebinding.
+func ExampleHTTPTransport_RetagStripe() {
 	b := graph.NewBuilder()
 	a := b.AddNode(0, "a")
 	c := b.AddNode(0, "b")
@@ -76,12 +76,18 @@ func ExampleWorker_Retag() {
 	if err != nil {
 		panic(err)
 	}
-	w := distributed.NewWorker(s)
+	tr := distributed.NewLoopback(distributed.NewWorker(s))
+	ctx := context.Background()
 
-	info, _ := w.Info(distributed.AnyStripe)
-	fmt.Printf("serving epoch %d\n", info.Epoch)
-	info, err = w.Retag(distributed.AnyStripe, 0xabcd1234, info.Epoch+1, s.ContentFingerprint())
+	info, err := tr.Info(ctx)
 	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("serving epoch %d\n", info.Epoch)
+	if err := tr.RetagStripe(ctx, 0xabcd1234, info.Epoch+1, s.ContentFingerprint()); err != nil {
+		panic(err)
+	}
+	if info, err = tr.Info(ctx); err != nil {
 		panic(err)
 	}
 	fmt.Printf("serving epoch %d (same payload, %d rows)\n", info.Epoch, info.Rows)

@@ -12,11 +12,11 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// chaosTransport wraps a loopback transport with switchable failure modes for
+// chaosTransport wraps an in-process transport with switchable failure modes for
 // replica-set tests: down (every call fails transiently) and permanentErr
 // (every call fails permanently).
 type chaosTransport struct {
-	inner        *Loopback
+	inner        *HTTPTransport
 	down         atomic.Bool
 	permanentErr atomic.Bool
 	calls        atomic.Int64
@@ -109,7 +109,7 @@ func replicaFixture(t *testing.T, g *graph.Graph, index, count, r int) (*Stripe,
 	wrapped := make([]*chaosTransport, r)
 	ts := make([]Transport, r)
 	for i := range wrapped {
-		wrapped[i] = &chaosTransport{inner: NewLoopbackAt(NewWorker(s), index)}
+		wrapped[i] = &chaosTransport{inner: NewLoopback(NewWorker(s)).ForStripe(index)}
 		ts[i] = wrapped[i]
 	}
 	return s, wrapped, ts
@@ -293,8 +293,8 @@ func TestEnsureStripeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildStripe: %v", err)
 	}
-	holder := &chaosTransport{inner: NewLoopbackAt(NewWorker(s), 0)}
-	empty := &chaosTransport{inner: NewLoopbackAt(NewWorker(nil), 0)}
+	holder := &chaosTransport{inner: NewLoopback(NewWorker(s)).ForStripe(0)}
+	empty := &chaosTransport{inner: NewLoopback(NewWorker(nil)).ForStripe(0)}
 	ctx := context.Background()
 	ensure := func(tr Transport, s *Stripe, want DeployAction) {
 		t.Helper()
@@ -426,11 +426,13 @@ func TestMultiStripeWorker(t *testing.T) {
 	if got := len(w.Stripes()); got != 2 {
 		t.Fatalf("Stripes() returned %d, want 2", got)
 	}
-	if _, err := w.Info(AnyStripe); err == nil {
+	tr := NewLoopback(w)
+	ctx := context.Background()
+	if _, err := tr.Info(ctx); err == nil {
 		t.Errorf("unselected Info on a multi-stripe worker succeeded")
 	}
 	for i, idx := range []int{0, 2} {
-		info, err := w.Info(idx)
+		info, err := tr.ForStripe(idx).Info(ctx)
 		if err != nil {
 			t.Fatalf("Info(%d): %v", idx, err)
 		}
@@ -438,7 +440,7 @@ func TestMultiStripeWorker(t *testing.T) {
 			t.Errorf("Info(%d) = %+v", idx, info)
 		}
 		x := make([]float64, g.NumNodes())
-		out, err := w.Multiply(idx, graph.In, stripes[i].GraphFingerprint(), x)
+		out, err := tr.ForStripe(idx).Multiply(ctx, graph.In, stripes[i].GraphFingerprint(), x)
 		if err != nil {
 			t.Fatalf("Multiply(%d): %v", idx, err)
 		}
@@ -446,7 +448,7 @@ func TestMultiStripeWorker(t *testing.T) {
 			t.Errorf("Multiply(%d) returned %d rows, want %d", idx, len(out), stripes[i].Rows())
 		}
 	}
-	if _, err := w.Info(1); err == nil {
+	if _, err := tr.ForStripe(1).Info(ctx); err == nil {
 		t.Errorf("Info for an unserved stripe succeeded")
 	}
 
@@ -457,7 +459,7 @@ func TestMultiStripeWorker(t *testing.T) {
 		t.Errorf("RemoveStripe(2) removed twice")
 	}
 	// Down to one stripe: unselected calls resolve again.
-	info, err := w.Info(AnyStripe)
+	info, err := tr.Info(ctx)
 	if err != nil {
 		t.Fatalf("Info after removal: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/http/httptrace"
 	"strings"
 	"time"
@@ -53,6 +54,47 @@ func NewHTTPTransport(baseURL string) *HTTPTransport {
 		timeout: DefaultHTTPTimeout,
 		stripe:  AnyStripe,
 	}
+}
+
+// NewLoopback returns an in-process Transport to w: an HTTPTransport whose
+// client hands each request to w.Handler() on the caller's goroutine, with no
+// listener, connection or goroutine of its own. Every call runs the codec, the
+// status mapping and the fingerprint pin of a networked worker, and results
+// are copies decoded off the wire, never the stripe's own arrays.
+func NewLoopback(w *Worker) *HTTPTransport {
+	return &HTTPTransport{
+		base:    "http://in-process",
+		client:  &http.Client{Transport: inProcess{w.Handler()}},
+		timeout: DefaultHTTPTimeout,
+		stripe:  AnyStripe,
+	}
+}
+
+// inProcess is the http.RoundTripper of NewLoopback: it serves a request with
+// its handler and returns the recorded response.
+type inProcess struct{ h http.Handler }
+
+// RoundTrip implements http.RoundTripper. A request whose context is done
+// fails as net/http's would, before the handler sees it. The request's
+// WroteRequest hook fires only once ServeHTTP has returned, so the handler
+// has read the body by the time a caller reuses its buffer (HTTPTransport.
+// Multiply puts it back in bytePool then).
+func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	ctx := req.Context()
+	r := req.Clone(ctx)
+	if r.Body == nil {
+		r.Body = http.NoBody
+	}
+	defer r.Body.Close()
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, r)
+	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.WroteRequest != nil {
+		trace.WroteRequest(httptrace.WroteRequestInfo{})
+	}
+	return rec.Result(), nil
 }
 
 // ForStripe returns a copy of the transport bound to the stripe with the

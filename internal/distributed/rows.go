@@ -18,9 +18,8 @@ import (
 
 // RowData is one node's served adjacency, the unit of the row-fetch RPC. Its
 // out-weight sum is not part of it: a coordinator holds every node's in the
-// dense out-sums array it fetched at connect time. Slices returned by
-// in-process calls alias the stripe's CSR arrays (stripes are immutable, so
-// sharing is safe); treat them as read-only.
+// dense out-sums array it fetched at connect time. A transport's rows are
+// decoded off the wire, so the caller owns them.
 type RowData struct {
 	Node   graph.NodeID
 	OutTo  []graph.NodeID
@@ -55,18 +54,6 @@ type RowFetcher interface {
 // expansion wave's misses for one stripe stay far below it.
 const MaxRowFetchNodes = 1 << 20
 
-// FetchRows is the worker side of RowFetcher.FetchRows: every requested row
-// from one consistent snapshot of the stripe at index. graphSum pins the
-// source graph like Multiply's; a node not owned by the stripe is a caller bug
-// and fails the batch. The returned slices alias the stripe's arrays.
-func (w *Worker) FetchRows(index int, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return RowBatch{}, err
-	}
-	return s.fetchRows(graphSum, nodes)
-}
-
 func (s *Stripe) fetchRows(graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
 	if err := s.pinned(graphSum); err != nil {
 		return RowBatch{}, err
@@ -86,16 +73,6 @@ func (s *Stripe) fetchRows(graphSum uint32, nodes []graph.NodeID) (RowBatch, err
 		batch.Rows = append(batch.Rows, row)
 	}
 	return batch, nil
-}
-
-// OutDegrees is the worker side of RowFetcher.OutDegrees: the out-degree of
-// every node owned by the stripe at index, indexed by local row.
-func (w *Worker) OutDegrees(index int) ([]int32, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return nil, err
-	}
-	return s.outDegrees(), nil
 }
 
 func (s *Stripe) outDegrees() []int32 {
@@ -283,22 +260,6 @@ func handleOutDegs(rw http.ResponseWriter, _ *http.Request, s *Stripe, _ uint32)
 	}
 	workerBinary(rw, buf)
 	return nil
-}
-
-// FetchRows implements Transport.
-func (l *Loopback) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	if err := ctx.Err(); err != nil {
-		return RowBatch{}, err
-	}
-	return l.w.FetchRows(l.index, graphSum, nodes)
-}
-
-// OutDegrees implements Transport.
-func (l *Loopback) OutDegrees(ctx context.Context) ([]int32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.w.OutDegrees(l.index)
 }
 
 // FetchRows implements Transport.

@@ -111,30 +111,33 @@ func TestOutDegreesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFetchRowsErrors pins the failure modes of the worker-side RPC.
+// TestFetchRowsErrors pins the failure modes of the row RPCs over the
+// in-process transport.
 func TestFetchRowsErrors(t *testing.T) {
 	g := testgraphs.NewToy().Graph
 	s, err := BuildStripe(g, 0, 2)
 	if err != nil {
 		t.Fatalf("BuildStripe: %v", err)
 	}
-	w := NewWorker(s)
+	tr := NewLoopback(NewWorker(s))
+	empty := NewLoopback(NewWorker(nil))
+	ctx := context.Background()
 	fp := graph.GraphFingerprint(g)
 
 	// Unowned node: stripe 0 of 2 owns even nodes only.
-	if _, err := w.FetchRows(AnyStripe, fp, []graph.NodeID{1}); err == nil {
+	if _, err := tr.FetchRows(ctx, fp, []graph.NodeID{1}); err == nil {
 		t.Errorf("unowned node accepted")
 	}
 	// Stale graph pin: replaced-stripe classification, not transient.
-	_, err = w.FetchRows(AnyStripe, fp+1, []graph.NodeID{0})
-	if err == nil || !strings.Contains(err.Error(), "stripe has") {
+	_, err = tr.FetchRows(ctx, fp+1, []graph.NodeID{0})
+	if err == nil || !strings.Contains(err.Error(), "stripe has") || IsTransient(err) {
 		t.Errorf("stale pin accepted (err=%v)", err)
 	}
 	// Empty worker.
-	if _, err := NewWorker(nil).FetchRows(AnyStripe, fp, []graph.NodeID{0}); err == nil {
+	if _, err := empty.FetchRows(ctx, fp, []graph.NodeID{0}); err == nil {
 		t.Errorf("empty worker served rows")
 	}
-	if _, err := NewWorker(nil).OutDegrees(AnyStripe); err == nil {
+	if _, err := empty.OutDegrees(ctx); err == nil {
 		t.Errorf("empty worker served out-degrees")
 	}
 }
@@ -299,7 +302,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		if err != nil {
 			f.Fatalf("BuildStripe: %v", err)
 		}
-		batch, err := NewWorker(s).FetchRows(AnyStripe, s.GraphFingerprint(), []graph.NodeID{0, graph.NodeID(g.NumNodes() - 1)})
+		batch, err := NewLoopback(NewWorker(s)).FetchRows(context.Background(), s.GraphFingerprint(), []graph.NodeID{0, graph.NodeID(g.NumNodes() - 1)})
 		if err != nil {
 			f.Fatalf("FetchRows: %v", err)
 		}

@@ -52,9 +52,9 @@ type WorkerInfo struct {
 // and safe to retry; the Fleet relies on this when it retries transient
 // failures mid-query.
 //
-// Loopback (in-process, for tests and single-host deployments) and
-// HTTPTransport (the gpserver wire protocol) reach a worker; ReplicaSet and
-// chaos.Transport decorate other transports.
+// HTTPTransport (the gpserver wire protocol) is the one implementation that
+// reaches a worker, over the network (NewHTTPTransport) or in-process
+// (NewLoopback); ReplicaSet and chaos.Transport decorate other transports.
 type Transport interface {
 	// Info returns the stripe topology the worker serves.
 	Info(ctx context.Context) (WorkerInfo, error)
@@ -74,7 +74,7 @@ type Transport interface {
 }
 
 // StripeInstaller is the deploy-time half of the worker protocol, implemented
-// by transports that reach one worker (Loopback, HTTPTransport) and not by a
+// by the transport that reaches one worker (HTTPTransport) and not by a
 // ReplicaSet, which cannot receive a stripe: it is the one optional
 // capability, asserted by EnsureStripe and fleet reconciliation.
 type StripeInstaller interface {
@@ -159,74 +159,3 @@ func pooled[T any](p *sync.Pool, n int) *[]T {
 // vectorBytes takes a pooled byte buffer for an n-entry vector: n×8 bytes and
 // one more, into which the worker reads to tell an over-long body.
 func vectorBytes(n int) *[]byte { return pooled[byte](&bytePool, n*8+1) }
-
-// Loopback is an in-process Transport wrapping a Worker directly: no
-// serialization, no network. It keeps tests and single-process deployments
-// fast and deterministic while exercising the same coordinator code paths as
-// the HTTP transport. A Loopback may be bound to one stripe of a multi-stripe
-// worker (NewLoopbackAt); the zero binding addresses the worker's sole stripe.
-type Loopback struct {
-	w     *Worker
-	index int
-}
-
-// NewLoopback returns a Transport that calls w in-process, addressing its
-// sole stripe.
-func NewLoopback(w *Worker) *Loopback { return &Loopback{w: w, index: AnyStripe} }
-
-// NewLoopbackAt returns a Transport that calls w in-process, bound to the
-// stripe with the given index.
-func NewLoopbackAt(w *Worker, index int) *Loopback { return &Loopback{w: w, index: index} }
-
-// Info implements Transport.
-func (l *Loopback) Info(ctx context.Context) (WorkerInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return WorkerInfo{}, err
-	}
-	return l.w.Info(l.index)
-}
-
-// OutSums implements Transport.
-func (l *Loopback) OutSums(ctx context.Context) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.w.OutSums(l.index)
-}
-
-// Multiply implements Transport.
-func (l *Loopback) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.w.Multiply(l.index, dir, graphSum, x)
-}
-
-// SendStripe implements StripeInstaller.
-func (l *Loopback) SendStripe(ctx context.Context, s *Stripe) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.w.SetStripe(s)
-	return nil
-}
-
-// RetagStripe implements StripeInstaller.
-func (l *Loopback) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err := l.w.Retag(l.index, graphSum, epoch, content)
-	return err
-}
-
-// RemoveStripe implements StripeInstaller.
-func (l *Loopback) RemoveStripe(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.w.RemoveStripe(l.index)
-}
-
-// Close implements Transport; loopback transports hold no resources.
-func (l *Loopback) Close() error { return nil }

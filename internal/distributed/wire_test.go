@@ -3,6 +3,8 @@ package distributed
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"net"
@@ -19,6 +21,7 @@ import (
 
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/scratch"
+	"roundtriprank/internal/testgraphs"
 )
 
 // wireGraph is an n-node graph with weighted edges (so CSR.Gather runs its
@@ -243,7 +246,7 @@ func TestMultiplyWireBuffersDoNotAlias(t *testing.T) {
 // when a worker answers before reading the body.
 type stallingRoundTripper struct {
 	read chan struct{} // closed to let the bodies be read
-	got  chan []byte   // each body, once read
+	got  chan<- []byte // each body, once read
 }
 
 func (rt *stallingRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -262,36 +265,177 @@ func (rt *stallingRoundTripper) RoundTrip(req *http.Request) (*http.Response, er
 	}, nil
 }
 
+// scribble takes n-entry buffers from bytePool and overwrites them, as a
+// concurrent call would.
+func scribble(n int) {
+	for j := 0; j < 4; j++ {
+		b := vectorBytes(n)
+		for k := range *b {
+			(*b)[k] = 0xff
+		}
+	}
+}
+
 // TestMultiplyWireKeepsRequestUntilWritten holds the request buffer's one
 // hazard: a reply can arrive while the transport is still writing the
 // request, so the buffer must stay out of the pool until the transport is
-// done with the body, not go back when Multiply returns. Here the transport
-// reads each body only after Multiply has returned and the test has taken
-// buffers from the pool and overwritten them: the body must still be x.
+// done with the body, not go back when Multiply returns. Over the network the
+// transport here reads each body only after Multiply has returned and the
+// test has taken buffers from the pool and overwritten them; in-process the
+// handler takes and overwrites them before it reads the body. Either way the
+// body must still be x.
 func TestMultiplyWireKeepsRequestUntilWritten(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tr := NewHTTPTransport("http://worker.invalid")
-	rt := &stallingRoundTripper{read: make(chan struct{}), got: make(chan []byte, 3)}
-	tr.client = &http.Client{Transport: rt}
-	var want [][]byte
-	for i := 0; i < cap(rt.got); i++ {
-		x := wireVector(4096, i)
-		if _, err := tr.Multiply(context.Background(), graph.In, 0, x); err == nil || !strings.Contains(err.Error(), "stalled") {
-			t.Fatalf("Multiply = %v, want the stalled 409", err)
-		}
-		want = append(want, AppendVector(nil, x))
-		for j := 0; j < 4; j++ {
-			b := vectorBytes(len(x))
-			for k := range *b {
-				(*b)[k] = 0xff
+	const n, calls = 4096, 3
+	for _, tc := range []struct {
+		name string
+		// transport returns the round tripper under test, which sends each
+		// body it reads to got, and what lets it read the bodies it holds.
+		transport func(got chan<- []byte) (rt http.RoundTripper, release func())
+	}{
+		{"network", func(got chan<- []byte) (http.RoundTripper, func()) {
+			rt := &stallingRoundTripper{read: make(chan struct{}), got: got}
+			return rt, func() { close(rt.read) }
+		}},
+		{"in-process", func(got chan<- []byte) (http.RoundTripper, func()) {
+			return inProcess{http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				scribble(n)
+				var b bytes.Buffer
+				_, _ = b.ReadFrom(r.Body)
+				got <- b.Bytes()
+				workerError(rw, http.StatusConflict, "stalled")
+			})}, func() {}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make(chan []byte, calls)
+			rt, release := tc.transport(got)
+			tr := NewHTTPTransport("http://worker.invalid")
+			tr.client = &http.Client{Transport: rt}
+			var want [][]byte
+			for i := 0; i < calls; i++ {
+				x := wireVector(n, i)
+				if _, err := tr.Multiply(context.Background(), graph.In, 0, x); err == nil || !strings.Contains(err.Error(), "stalled") {
+					t.Fatalf("Multiply = %v, want the stalled 409", err)
+				}
+				want = append(want, AppendVector(nil, x))
+				scribble(n)
 			}
-		}
+			release()
+			for range want {
+				body := <-got
+				if !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(w, body) }) {
+					t.Errorf("a request body was overwritten before the transport read it")
+				}
+			}
+		})
 	}
-	close(rt.read)
-	for range want {
-		got := <-rt.got
-		if !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(w, got) }) {
-			t.Errorf("a request body was overwritten before the transport read it")
+}
+
+// wireBits is an RPC result in its wire encoding, so that two results compare
+// bit for bit.
+func wireBits(t *testing.T, v any) []byte {
+	t.Helper()
+	switch v := v.(type) {
+	case nil:
+		return nil
+	case WorkerInfo:
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	case []float64:
+		return AppendVector(nil, v)
+	case []int32:
+		var b []byte
+		for _, d := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(d))
+		}
+		return b
+	case RowBatch:
+		return appendRowBatch(nil, v)
+	}
+	t.Fatalf("no wire encoding for %T", v)
+	return nil
+}
+
+// TestInProcessMatchesNetwork holds NewLoopback to the network: every RPC and
+// every refusal, run in turn against an in-process transport and an
+// HTTPTransport on an httptest server, each over its own worker cut from the
+// same stripe, answers bit for bit alike and fails alike — the same message
+// from the worker, the same IsTransient.
+func TestInProcessMatchesNetwork(t *testing.T) {
+	g := wireGraph(t, 64)
+	s, err := BuildStripe(g, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// next is stripe 1 of another graph on as many nodes, which send installs
+	// over s: a multiply pinned to s's graph is then refused by its pin.
+	next, err := BuildStripe(testgraphs.Cycle(g.NumNodes()), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc := NewLoopback(NewWorker(s))
+	srv := httptest.NewServer(NewWorker(s).Handler())
+	defer srv.Close()
+	network := NewHTTPTransport(srv.URL)
+	defer network.Close()
+
+	x := wireVector(g.NumNodes(), 5)
+	var owned []graph.NodeID
+	for v := 1; v < g.NumNodes(); v += 2 {
+		owned = append(owned, graph.NodeID(v))
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+	for _, step := range []struct {
+		name    string
+		refused bool
+		rpc     func(tr *HTTPTransport) (any, error)
+	}{
+		{"info", false, func(tr *HTTPTransport) (any, error) { return tr.Info(ctx) }},
+		{"outsums", false, func(tr *HTTPTransport) (any, error) { return tr.OutSums(ctx) }},
+		{"outdegrees", false, func(tr *HTTPTransport) (any, error) { return tr.OutDegrees(ctx) }},
+		{"multiply in", false, func(tr *HTTPTransport) (any, error) { return tr.Multiply(ctx, graph.In, s.Graph, x) }},
+		{"multiply out", false, func(tr *HTTPTransport) (any, error) { return tr.Multiply(ctx, graph.Out, s.Graph, x) }},
+		{"fetch rows", false, func(tr *HTTPTransport) (any, error) { return tr.FetchRows(ctx, s.Graph, owned) }},
+		{"unknown stripe", true, func(tr *HTTPTransport) (any, error) { return tr.ForStripe(7).Info(ctx) }},
+		{"unknown stripe rows", true, func(tr *HTTPTransport) (any, error) { return tr.ForStripe(7).FetchRows(ctx, s.Graph, owned) }},
+		{"retag content mismatch", true, func(tr *HTTPTransport) (any, error) {
+			return nil, tr.RetagStripe(ctx, s.Graph+1, s.Epoch+1, s.ContentFingerprint()+1)
+		}},
+		{"cancelled context", true, func(tr *HTTPTransport) (any, error) { return tr.Multiply(cancelled, graph.In, s.Graph, x) }},
+		{"send", false, func(tr *HTTPTransport) (any, error) { return nil, tr.SendStripe(ctx, next) }},
+		{"info after send", false, func(tr *HTTPTransport) (any, error) { return tr.Info(ctx) }},
+		{"replaced stripe multiply", true, func(tr *HTTPTransport) (any, error) { return tr.Multiply(ctx, graph.In, s.Graph, x) }},
+		{"replaced stripe rows", true, func(tr *HTTPTransport) (any, error) { return tr.FetchRows(ctx, s.Graph, owned) }},
+		{"retag", false, func(tr *HTTPTransport) (any, error) {
+			return nil, tr.RetagStripe(ctx, next.Graph+1, next.Epoch+1, next.ContentFingerprint())
+		}},
+		{"info after retag", false, func(tr *HTTPTransport) (any, error) { return tr.Info(ctx) }},
+		{"remove", false, func(tr *HTTPTransport) (any, error) { return nil, tr.ForStripe(1).RemoveStripe(ctx) }},
+		{"remove again", true, func(tr *HTTPTransport) (any, error) { return nil, tr.ForStripe(1).RemoveStripe(ctx) }},
+		{"info when empty", true, func(tr *HTTPTransport) (any, error) { return tr.Info(ctx) }},
+	} {
+		got, gotErr := step.rpc(inproc)
+		want, wantErr := step.rpc(network)
+		if (gotErr != nil) != step.refused || (wantErr != nil) != step.refused {
+			t.Fatalf("%s: in-process err %v, network err %v; want refused=%v", step.name, gotErr, wantErr, step.refused)
+		}
+		if step.refused {
+			gotMsg := strings.ReplaceAll(gotErr.Error(), inproc.base, "")
+			wantMsg := strings.ReplaceAll(wantErr.Error(), network.base, "")
+			if gotMsg != wantMsg || IsTransient(gotErr) != IsTransient(wantErr) {
+				t.Errorf("%s: in-process refused with %q (transient %v), network with %q (transient %v)",
+					step.name, gotMsg, IsTransient(gotErr), wantMsg, IsTransient(wantErr))
+			}
+			continue
+		}
+		if !bytes.Equal(wireBits(t, got), wireBits(t, want)) {
+			t.Errorf("%s: in-process answered %+v, network %+v", step.name, got, want)
 		}
 	}
 }

@@ -19,13 +19,13 @@ import (
 // each call with an explicit index.
 const AnyStripe = -1
 
-// Worker serves stripes of the distributed iteration: the stateless multiply
-// and row-fetch RPCs the coordinator fans out, plus the topology metadata it
-// needs to assemble global vectors. A Worker may start empty and receive
-// stripes later (SetStripe, or the handler's stripe-install endpoint), and —
-// since replicated fleets place several stripes on one member — may serve any
-// number of stripes at once, keyed by stripe index. It is safe for concurrent
-// use.
+// Worker serves stripes of the distributed iteration through its Handler: the
+// stateless multiply and row-fetch RPCs the coordinator fans out, plus the
+// topology metadata it needs to assemble global vectors. A Worker may start
+// empty and receive stripes later (SetStripe, or the handler's stripe-install
+// endpoint), and — since replicated fleets place several stripes on one
+// member — may serve any number of stripes at once, keyed by stripe index. It
+// is safe for concurrent use.
 type Worker struct {
 	mu      sync.RWMutex
 	stripes map[int]*Stripe
@@ -80,16 +80,16 @@ func (w *Worker) Stripes() []*Stripe {
 // errNoStripe is returned by RPCs on a worker that has not received a stripe.
 var errNoStripe = errors.New("distributed: worker has no stripe installed")
 
-// ErrStripeReplaced reports that a worker's stripe no longer matches the
+// errStripeReplaced reports that a worker's stripe no longer matches the
 // graph fingerprint the caller pinned at connect time — typically because a
 // new epoch's stripe was installed (or the stripe retagged) after the
 // coordinator connected. Callers reconnect to pick up the new snapshot.
-var ErrStripeReplaced = errors.New("distributed: worker stripe does not match the pinned graph fingerprint")
+var errStripeReplaced = errors.New("distributed: worker stripe does not match the pinned graph fingerprint")
 
-// ErrContentMismatch reports that a retag was refused because the worker's
+// errContentMismatch reports that a retag was refused because the worker's
 // served payload differs from the content fingerprint the caller expected;
 // the caller must ship the full stripe instead.
-var ErrContentMismatch = errors.New("distributed: stripe content does not match, retag refused")
+var errContentMismatch = errors.New("distributed: stripe content does not match, retag refused")
 
 // stripeFor resolves a stripe selector: a non-negative index looks the stripe
 // up, AnyStripe resolves to the sole served stripe (and fails when the worker
@@ -123,14 +123,14 @@ func (w *Worker) stripeForLocked(index int) (*Stripe, error) {
 	return nil, fmt.Errorf("distributed: worker serves %d stripes, select one with the stripe parameter", len(w.stripes))
 }
 
-// Retag rebinds the served stripe at index to a new source-graph identity
+// retag rebinds the served stripe at index to a new source-graph identity
 // (fingerprint and epoch) without replacing its payload. The served payload's
 // content fingerprint must equal content; otherwise the call fails with
-// ErrContentMismatch and the stripe is left untouched. The rebind installs a
+// errContentMismatch and the stripe is left untouched. The rebind installs a
 // fresh Stripe value, so in-flight multiplies keep their consistent snapshot
 // (and fail their pinned-fingerprint check on the next call, as with a full
 // replacement).
-func (w *Worker) Retag(index int, graphSum uint32, epoch uint64, content uint32) (WorkerInfo, error) {
+func (w *Worker) retag(index int, graphSum uint32, epoch uint64, content uint32) (WorkerInfo, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s, err := w.stripeForLocked(index)
@@ -138,7 +138,7 @@ func (w *Worker) Retag(index int, graphSum uint32, epoch uint64, content uint32)
 		return WorkerInfo{}, err
 	}
 	if s.ContentFingerprint() != content {
-		return WorkerInfo{}, fmt.Errorf("%w (serving %08x, caller expects %08x)", ErrContentMismatch, s.ContentFingerprint(), content)
+		return WorkerInfo{}, fmt.Errorf("%w (serving %08x, caller expects %08x)", errContentMismatch, s.ContentFingerprint(), content)
 	}
 	ns := s.retagged(graphSum, epoch)
 	w.stripes[ns.Index] = ns
@@ -166,7 +166,7 @@ func (s *Stripe) info() WorkerInfo {
 // different graph fails the call instead of producing silently mixed results.
 func (s *Stripe) pinned(graphSum uint32) error {
 	if s.Graph != graphSum {
-		return fmt.Errorf("%w (stripe has %08x, caller expects %08x)", ErrStripeReplaced, s.Graph, graphSum)
+		return fmt.Errorf("%w (stripe has %08x, caller expects %08x)", errStripeReplaced, s.Graph, graphSum)
 	}
 	return nil
 }
@@ -178,42 +178,6 @@ func (s *Stripe) gather(dir graph.Dir, graphSum uint32, x, dst []float64) error 
 		return err
 	}
 	return s.multiply(dir, x, dst)
-}
-
-// Info is the worker side of Transport.Info: the wire metadata of the stripe
-// at index.
-func (w *Worker) Info(index int) (WorkerInfo, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return WorkerInfo{}, err
-	}
-	return s.info(), nil
-}
-
-// OutSums is the worker side of Transport.OutSums: the out-weight sums of the
-// owned rows of the stripe at index. The result is a copy; callers may keep it.
-func (w *Worker) OutSums(index int) ([]float64, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), s.OutSums()...), nil
-}
-
-// Multiply is the worker side of Transport.Multiply: it gathers over one
-// consistent snapshot of the stripe at index, whose graph fingerprint must
-// equal graphSum.
-func (w *Worker) Multiply(index int, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
-	s, err := w.stripeFor(index)
-	if err != nil {
-		return nil, err
-	}
-	// The caller keeps the result (Loopback hands it on), so it is not pooled.
-	dst := make([]float64, s.Rows())
-	if err := s.gather(dir, graphSum, x, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // MaxStripeUploadBytes caps the body of the stripe-install endpoint.
@@ -287,7 +251,7 @@ func (w *Worker) perStripe(rpc func(rw http.ResponseWriter, r *http.Request, s *
 		}
 		if err := rpc(rw, r, s, graphSum); err != nil {
 			status := http.StatusBadRequest
-			if errors.Is(err, errNoStripe) || errors.Is(err, ErrStripeReplaced) || errors.Is(err, ErrContentMismatch) {
+			if errors.Is(err, errNoStripe) || errors.Is(err, errStripeReplaced) || errors.Is(err, errContentMismatch) {
 				status = http.StatusConflict
 			}
 			workerError(rw, status, "%v", err)
@@ -389,7 +353,7 @@ func (w *Worker) handleRetagStripe(rw http.ResponseWriter, r *http.Request, s *S
 	if !q.Has("graph") || err1 != nil || err2 != nil {
 		return fmt.Errorf("distributed: retag needs numeric graph, epoch and content parameters")
 	}
-	info, err := w.Retag(s.Index, graphSum, epoch, uint32(content))
+	info, err := w.retag(s.Index, graphSum, epoch, uint32(content))
 	if err != nil {
 		return err
 	}

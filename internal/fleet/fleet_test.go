@@ -168,7 +168,7 @@ func newLoopbackFleet(ids ...string) *loopbackFleet {
 
 func (lf *loopbackFleet) dial(addr string, stripe int) distributed.Transport {
 	id := strings.TrimPrefix(addr, "http://")
-	return distributed.NewLoopbackAt(lf.workers[id], stripe)
+	return distributed.NewLoopback(lf.workers[id]).ForStripe(stripe)
 }
 
 func (lf *loopbackFleet) register(m *Manager, ids ...string) {
