@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"roundtriprank/internal/datasets"
-	"roundtriprank/internal/fleet"
 	"roundtriprank/internal/graph"
 	"roundtriprank/internal/topk"
 	"roundtriprank/internal/walk"
@@ -147,7 +146,7 @@ func TestRemoteBudgetParity(t *testing.T) {
 func TestChaosBudgetedRemoteParity(t *testing.T) {
 	ctx := context.Background()
 	pg := parityGraphs()[2] // cycle: every query's walk crosses all stripes
-	m, workers := chaosFleetCluster(t, pg.graph, 3, fleet.Options{})
+	m, workers := chaosFleetCluster(t, pg.graph, 3)
 	base, err := NewEngine(pg.graph, WithFleet(m))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

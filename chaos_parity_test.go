@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"roundtriprank/internal/chaos"
 	"roundtriprank/internal/distributed"
 	"roundtriprank/internal/fleet"
 )
@@ -24,17 +23,17 @@ import (
 
 // chaosFleetCluster boots n empty chaos-restartable HTTP workers, registers
 // them with a fresh R=2 fleet manager, and reconciles g onto them.
-func chaosFleetCluster(t testing.TB, g *Graph, n int, topts fleet.Options) (*Fleet, []*chaos.HTTPWorker) {
+func chaosFleetCluster(t testing.TB, g *Graph, n int) (*Fleet, []*httpWorker) {
 	t.Helper()
-	m, err := NewFleet(FleetOptions{Stripes: n, Replication: 2, Table: topts})
+	m, err := NewFleet(FleetOptions{Stripes: n, Replication: 2})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
-	workers := make([]*chaos.HTTPWorker, n)
+	workers := make([]*httpWorker, n)
 	for i := range workers {
-		hw, err := chaos.StartHTTPWorker(distributed.NewWorker(nil))
+		hw, err := startHTTPWorker(distributed.NewWorker(nil))
 		if err != nil {
-			t.Fatalf("StartHTTPWorker: %v", err)
+			t.Fatalf("startHTTPWorker: %v", err)
 		}
 		t.Cleanup(hw.Close)
 		workers[i] = hw
@@ -49,7 +48,7 @@ func chaosFleetCluster(t testing.TB, g *Graph, n int, topts fleet.Options) (*Fle
 // restartWorker restarts hw, retrying briefly in case the OS has not released
 // the port yet. A port stolen by another process is an environment flake, not
 // a product bug, so the caller skips.
-func restartWorker(t *testing.T, hw *chaos.HTTPWorker) {
+func restartWorker(t *testing.T, hw *httpWorker) {
 	t.Helper()
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
@@ -69,7 +68,7 @@ func TestChaosKillAnyWorkerParity(t *testing.T) {
 	ctx := context.Background()
 	for _, pg := range parityGraphs() {
 		const n = 3
-		m, workers := chaosFleetCluster(t, pg.graph, n, fleet.Options{})
+		m, workers := chaosFleetCluster(t, pg.graph, n)
 		// Local baselines never touch the fleet, so one engine serves them all.
 		base, err := NewEngine(pg.graph, WithFleet(m))
 		if err != nil {
@@ -138,14 +137,14 @@ func TestChaosKillAnyWorkerParity(t *testing.T) {
 // whose transports are chaos-wrapped, keyed per (member, stripe) so the
 // schedule stays deterministic regardless of cross-stripe goroutine
 // interleaving. It returns the per-member transport lists for kill control.
-func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*Fleet, map[string][]*chaos.Transport) {
+func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaosSchedule) (*Fleet, map[string][]*chaosTransport) {
 	t.Helper()
 	members := make(map[string]*distributed.Worker, n)
 	for i := 0; i < n; i++ {
 		members[fmt.Sprintf("w%d", i)] = distributed.NewWorker(nil)
 	}
 	var mu sync.Mutex
-	byMember := make(map[string][]*chaos.Transport)
+	byMember := make(map[string][]*chaosTransport)
 	dial := func(addr string, stripe int) distributed.Transport {
 		id := strings.TrimPrefix(addr, "loop://")
 		ct := sched.Wrap(distributed.NewLoopback(members[id]).ForStripe(stripe), fmt.Sprintf("%s/s%d", id, stripe))
@@ -188,7 +187,7 @@ func loopbackChaosFleet(t testing.TB, g *Graph, n int, sched *chaos.Schedule) (*
 // committed graph.
 func TestChaosApplyOverlapsKill(t *testing.T) {
 	pg := parityGraphs()[2] // cycle: every query's walk crosses all stripes
-	m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 13}))
+	m, byMember := loopbackChaosFleet(t, pg.graph, 3, newChaosSchedule(chaosConfig{Seed: 13}))
 	engine, err := NewEngine(pg.graph, WithFleet(m))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -209,7 +208,7 @@ func TestChaosApplyOverlapsKill(t *testing.T) {
 func TestChaosApplyOverlapsPartition(t *testing.T) {
 	ctx := context.Background()
 	pg := parityGraphs()[2]
-	m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 17}))
+	m, byMember := loopbackChaosFleet(t, pg.graph, 3, newChaosSchedule(chaosConfig{Seed: 17}))
 	engine, err := NewEngine(pg.graph, WithFleet(m))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -237,7 +236,7 @@ func TestChaosApplyOverlapsMidShipKill(t *testing.T) {
 	pg := parityGraphs()[2]
 	for k := 0; k <= 2; k++ {
 		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
-			m, byMember := loopbackChaosFleet(t, pg.graph, 3, chaos.NewSchedule(chaos.Config{Seed: 19}))
+			m, byMember := loopbackChaosFleet(t, pg.graph, 3, newChaosSchedule(chaosConfig{Seed: 19}))
 			engine, err := NewEngine(pg.graph, WithFleet(m))
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -325,7 +324,7 @@ func TestChaosMidQueryKillParity(t *testing.T) {
 	ctx := context.Background()
 	pg := parityGraphs()[2] // cycle: every query's walk crosses all stripes
 	const n = 3
-	m, byMember := loopbackChaosFleet(t, pg.graph, n, chaos.NewSchedule(chaos.Config{Seed: 11}))
+	m, byMember := loopbackChaosFleet(t, pg.graph, n, newChaosSchedule(chaosConfig{Seed: 11}))
 	base, err := NewEngine(pg.graph, WithFleet(m))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -381,16 +380,16 @@ func TestChaosMidQueryKillParity(t *testing.T) {
 	}
 }
 
-// TestChaosRecoveryAndRejoin walks the full incident arc under the pinned
-// liveness bound (SuspectMisses=1, DeadMisses=2): a killed member is routed
-// around immediately, turns suspect on the second tick and dead on the third,
-// the recovery reconcile ships exactly the stripes the member held and
-// nothing else, and the member's restart + re-registration converges with
-// zero re-ships because its retained payload still fingerprint-matches.
+// TestChaosRecoveryAndRejoin walks the full incident arc under the table's
+// liveness bound (suspect at 2 missed ticks, dead at 4): a killed member is
+// routed around immediately, turns suspect on the third tick and dead on the
+// fifth, the recovery reconcile ships exactly the stripes the member held
+// and nothing else, and the member's restart + re-registration converges
+// with zero re-ships because its retained payload still fingerprint-matches.
 func TestChaosRecoveryAndRejoin(t *testing.T) {
 	ctx := context.Background()
 	pg := parityGraphs()[0]
-	m, workers := chaosFleetCluster(t, pg.graph, 3, fleet.Options{SuspectMisses: 1, DeadMisses: 2})
+	m, workers := chaosFleetCluster(t, pg.graph, 3)
 	engine, err := NewEngine(pg.graph, WithFleet(m))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -430,9 +429,10 @@ func TestChaosRecoveryAndRejoin(t *testing.T) {
 	}
 
 	// Phase 2 — detection, pinned to the tick bound: alive on the first tick
-	// (it consumes the registration's seen-mark), suspect on the second, dead
-	// on the third. No wall clock anywhere.
-	wantStates := []fleet.State{fleet.StateAlive, fleet.StateSuspect, fleet.StateDead}
+	// (it consumes the registration's seen-mark) and the second (one miss),
+	// suspect on the third and fourth, dead on the fifth. No wall clock
+	// anywhere.
+	wantStates := []fleet.State{fleet.StateAlive, fleet.StateAlive, fleet.StateSuspect, fleet.StateSuspect, fleet.StateDead}
 	for tick, want := range wantStates {
 		for i := range workers {
 			if i != victimIdx {
@@ -520,7 +520,7 @@ func TestChaosSeededScheduleIsDeterministic(t *testing.T) {
 		faults  map[string]int64
 	}
 	run := func() runResult {
-		sched := chaos.NewSchedule(chaos.Config{Seed: 5, FailRate: 0.1})
+		sched := newChaosSchedule(chaosConfig{Seed: 5, FailRate: 0.1})
 		m, byMember := loopbackChaosFleet(t, pg.graph, 3, sched)
 		engine, err := NewEngine(pg.graph, WithFleet(m))
 		if err != nil {
@@ -539,8 +539,7 @@ func TestChaosSeededScheduleIsDeterministic(t *testing.T) {
 		faults := make(map[string]int64)
 		for id, trs := range byMember {
 			for _, tr := range trs {
-				f, s := tr.InjectedFaults()
-				faults[id] += f + s
+				faults[id] += tr.InjectedFaults()
 			}
 		}
 		return runResult{answers.String(), faults}

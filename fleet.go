@@ -20,7 +20,10 @@ import (
 // WithFleet.
 type Fleet = fleet.Manager
 
-// FleetOptions configures a Fleet; see fleet.ManagerOptions.
+// FleetOptions configures a Fleet — its stripe count, replication and, for
+// tests, how it dials a member; see fleet.ManagerOptions. Liveness thresholds
+// are fixed (suspect after 2 missed ticks, dead after 4); the caller's tick
+// period sets how long that is.
 type FleetOptions = fleet.ManagerOptions
 
 // NewFleet returns a fleet manager for a Stripes-way striped deployment with

@@ -8,37 +8,34 @@ import (
 	"time"
 )
 
+// The bounds every daemon's server keeps: reading a request's headers, and
+// a keep-alive connection idle between requests.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // HTTPServerConfig bundles the timeout and shutdown policy shared by the
 // repo's HTTP daemons (rtrankd, gpserver). The zero value gives the defaults
 // below.
 type HTTPServerConfig struct {
-	// ReadHeaderTimeout bounds reading a request's headers (default 5s).
-	ReadHeaderTimeout time.Duration
 	// ReadTimeout bounds reading a whole request, body included (default
 	// 1m — stripe uploads to gpserver can be large).
 	ReadTimeout time.Duration
 	// WriteTimeout bounds writing a response, measured from the end of the
 	// header read; it must cover the slowest expected query (default 5m).
 	WriteTimeout time.Duration
-	// IdleTimeout bounds keep-alive connections between requests (default 2m).
-	IdleTimeout time.Duration
 	// ShutdownGrace is how long a graceful shutdown waits for in-flight
 	// requests before forcing connections closed (default 10s).
 	ShutdownGrace time.Duration
 }
 
 func (c HTTPServerConfig) withDefaults() HTTPServerConfig {
-	if c.ReadHeaderTimeout <= 0 {
-		c.ReadHeaderTimeout = 5 * time.Second
-	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = time.Minute
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Minute
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
 	}
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
@@ -73,10 +70,10 @@ func Serve(ctx context.Context, ln net.Listener, handler http.Handler, cfg HTTPS
 	defer cancelReqs()
 	srv := &http.Server{
 		Handler:           handler,
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       cfg.ReadTimeout,
 		WriteTimeout:      cfg.WriteTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
+		IdleTimeout:       idleTimeout,
 		BaseContext:       func(net.Listener) context.Context { return reqCtx },
 	}
 

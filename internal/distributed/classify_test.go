@@ -89,9 +89,12 @@ func TestNetErrorClassification(t *testing.T) {
 		}))
 		defer srv.Close()
 		tr := NewHTTPTransport(srv.URL)
-		tr.timeout = 30 * time.Millisecond
 		defer tr.Close()
-		_, err := tr.Info(ctx)
+		// A deadline earlier than DefaultHTTPTimeout bounds the RPC in its
+		// place, and expires the same way.
+		dctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+		defer cancel()
+		_, err := tr.Info(dctx)
 		if err == nil {
 			t.Fatalf("timed-out call succeeded")
 		}

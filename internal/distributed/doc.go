@@ -9,12 +9,13 @@
 // the network (NewHTTPTransport) or hands the same requests to the worker's
 // Handler in-process (NewLoopback), so in-process fleets run the codec, the
 // status mapping and the fingerprint pin that deployments run. ReplicaSet
-// (failover within one stripe's replica group) and chaos.Transport (fault
-// injection) decorate transports. StripeInstaller (send, retag, remove a
-// stripe) is the one optional capability, because a replica group cannot
-// receive a stripe. A Worker holds any number of Stripes keyed by index and
-// answers every RPC through its Handler, whose ?stripe=N selector addresses
-// one (absent: its sole stripe).
+// (failover within one stripe's replica group) decorates transports, and
+// HTTPTransport.WithRoundTripper is the seam below one, where tests inject
+// faults that the transport classifies like network ones. StripeInstaller
+// (send, retag, remove a stripe) is the one optional capability, because a
+// replica group cannot receive a stripe. A Worker holds any number of
+// Stripes keyed by index and answers every RPC through its Handler, whose
+// ?stripe=N selector addresses one (absent: its sole stripe).
 //
 // # Exact solves
 //

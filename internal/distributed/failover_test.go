@@ -3,6 +3,7 @@ package distributed
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -12,11 +13,16 @@ import (
 	"roundtriprank/internal/walk"
 )
 
-// chaosTransport wraps an in-process transport with switchable failure modes for
-// replica-set tests: down (every call fails transiently) and permanentErr
-// (every call fails permanently).
+// chaosTransport is an in-process transport for replica-set tests whose
+// requests pass its own RoundTrip (put on the wire with WithRoundTripper)
+// under two switchable failure modes: down (every request fails as a dropped
+// connection, which HTTPTransport classifies transient) and permanentErr
+// (every request is answered 400, which it classifies permanent). By path, it
+// counts the query-time RPCs (calls), stripe ships (ships) and retags
+// (retags); a stripe removal counts as none.
 type chaosTransport struct {
-	inner        *HTTPTransport
+	*HTTPTransport
+	next         http.RoundTripper
 	down         atomic.Bool
 	permanentErr atomic.Bool
 	calls        atomic.Int64
@@ -24,80 +30,40 @@ type chaosTransport struct {
 	retags       atomic.Int64
 }
 
-func (c *chaosTransport) fail() error {
-	if c.permanentErr.Load() {
-		return errors.New("chaos: permanent failure")
-	}
-	if c.down.Load() {
-		return &TransientError{Err: errors.New("chaos: member down")}
-	}
-	return nil
+func newChaosTransport(inner *HTTPTransport) *chaosTransport {
+	c := new(chaosTransport)
+	c.HTTPTransport = inner.WithRoundTripper(func(next http.RoundTripper) http.RoundTripper {
+		c.next = next
+		return c
+	})
+	return c
 }
 
-func (c *chaosTransport) Info(ctx context.Context) (WorkerInfo, error) {
-	c.calls.Add(1)
-	if err := c.fail(); err != nil {
-		return WorkerInfo{}, err
+// RoundTrip implements http.RoundTripper.
+func (c *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch path := req.URL.Path; {
+	case path == "/v1/stripe/retag":
+		c.retags.Add(1)
+	case path != "/v1/stripe":
+		c.calls.Add(1)
+	case req.Method == http.MethodPost:
+		c.ships.Add(1)
 	}
-	return c.inner.Info(ctx)
-}
-
-func (c *chaosTransport) OutSums(ctx context.Context) ([]float64, error) {
-	c.calls.Add(1)
-	if err := c.fail(); err != nil {
-		return nil, err
+	permanent, down := c.permanentErr.Load(), c.down.Load()
+	if !permanent && !down {
+		return c.next.RoundTrip(req)
 	}
-	return c.inner.OutSums(ctx)
-}
-
-func (c *chaosTransport) Multiply(ctx context.Context, dir graph.Dir, graphSum uint32, x []float64) ([]float64, error) {
-	c.calls.Add(1)
-	if err := c.fail(); err != nil {
-		return nil, err
+	if req.Body != nil {
+		req.Body.Close()
 	}
-	return c.inner.Multiply(ctx, dir, graphSum, x)
-}
-
-func (c *chaosTransport) FetchRows(ctx context.Context, graphSum uint32, nodes []graph.NodeID) (RowBatch, error) {
-	c.calls.Add(1)
-	if err := c.fail(); err != nil {
-		return RowBatch{}, err
+	if !permanent {
+		return nil, errors.New("chaos: member down")
 	}
-	return c.inner.FetchRows(ctx, graphSum, nodes)
+	rec := httptest.NewRecorder()
+	rec.WriteHeader(http.StatusBadRequest)
+	_, _ = rec.WriteString(`{"error":"chaos: permanent failure"}`)
+	return rec.Result(), nil
 }
-
-func (c *chaosTransport) OutDegrees(ctx context.Context) ([]int32, error) {
-	c.calls.Add(1)
-	if err := c.fail(); err != nil {
-		return nil, err
-	}
-	return c.inner.OutDegrees(ctx)
-}
-
-func (c *chaosTransport) SendStripe(ctx context.Context, s *Stripe) error {
-	c.ships.Add(1)
-	if err := c.fail(); err != nil {
-		return err
-	}
-	return c.inner.SendStripe(ctx, s)
-}
-
-func (c *chaosTransport) RetagStripe(ctx context.Context, graphSum uint32, epoch uint64, content uint32) error {
-	c.retags.Add(1)
-	if err := c.fail(); err != nil {
-		return err
-	}
-	return c.inner.RetagStripe(ctx, graphSum, epoch, content)
-}
-
-func (c *chaosTransport) RemoveStripe(ctx context.Context) error {
-	if err := c.fail(); err != nil {
-		return err
-	}
-	return c.inner.RemoveStripe(ctx)
-}
-
-func (c *chaosTransport) Close() error { return c.inner.Close() }
 
 // replicaFixture builds R chaos-wrapped replicas of stripe `index` of g.
 func replicaFixture(t *testing.T, g *graph.Graph, index, count, r int) (*Stripe, []*chaosTransport, []Transport) {
@@ -109,7 +75,7 @@ func replicaFixture(t *testing.T, g *graph.Graph, index, count, r int) (*Stripe,
 	wrapped := make([]*chaosTransport, r)
 	ts := make([]Transport, r)
 	for i := range wrapped {
-		wrapped[i] = &chaosTransport{inner: NewLoopback(NewWorker(s)).ForStripe(index)}
+		wrapped[i] = newChaosTransport(NewLoopback(NewWorker(s)).ForStripe(index))
 		ts[i] = wrapped[i]
 	}
 	return s, wrapped, ts
@@ -293,8 +259,8 @@ func TestEnsureStripeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildStripe: %v", err)
 	}
-	holder := &chaosTransport{inner: NewLoopback(NewWorker(s)).ForStripe(0)}
-	empty := &chaosTransport{inner: NewLoopback(NewWorker(nil)).ForStripe(0)}
+	holder := newChaosTransport(NewLoopback(NewWorker(s)).ForStripe(0))
+	empty := newChaosTransport(NewLoopback(NewWorker(nil)).ForStripe(0))
 	ctx := context.Background()
 	ensure := func(tr Transport, s *Stripe, want DeployAction) {
 		t.Helper()

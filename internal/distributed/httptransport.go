@@ -33,9 +33,8 @@ const MaxIdleConnsPerWorker = 64
 // classified for the coordinator's retry logic: connection errors and 5xx
 // responses are transient, 4xx responses and malformed replies are not.
 type HTTPTransport struct {
-	base    string
-	client  *http.Client
-	timeout time.Duration
+	base   string
+	client *http.Client
 	// stripe is the bound stripe index appended to per-stripe RPCs, or
 	// AnyStripe for the classic unbound transport (the worker's sole stripe).
 	stripe int
@@ -49,10 +48,9 @@ func NewHTTPTransport(baseURL string) *HTTPTransport {
 	pool := http.DefaultTransport.(*http.Transport).Clone()
 	pool.MaxIdleConnsPerHost = MaxIdleConnsPerWorker
 	return &HTTPTransport{
-		base:    strings.TrimRight(baseURL, "/"),
-		client:  &http.Client{Transport: pool},
-		timeout: DefaultHTTPTimeout,
-		stripe:  AnyStripe,
+		base:   strings.TrimRight(baseURL, "/"),
+		client: &http.Client{Transport: pool},
+		stripe: AnyStripe,
 	}
 }
 
@@ -63,10 +61,9 @@ func NewHTTPTransport(baseURL string) *HTTPTransport {
 // are copies decoded off the wire, never the stripe's own arrays.
 func NewLoopback(w *Worker) *HTTPTransport {
 	return &HTTPTransport{
-		base:    "http://in-process",
-		client:  &http.Client{Transport: inProcess{w.Handler()}},
-		timeout: DefaultHTTPTimeout,
-		stripe:  AnyStripe,
+		base:   "http://in-process",
+		client: &http.Client{Transport: inProcess{w.Handler()}},
+		stripe: AnyStripe,
 	}
 }
 
@@ -104,6 +101,19 @@ func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 func (t *HTTPTransport) ForStripe(index int) *HTTPTransport {
 	nt := *t
 	nt.stripe = index
+	return &nt
+}
+
+// WithRoundTripper returns a copy of the transport whose requests go through
+// wrap(current round tripper), the seam where a test puts a fake between the
+// client and the worker: a fault injector, a request counter. What the
+// wrapper returns is classified like any network outcome — an error is a
+// dropped connection, transient unless the caller cancelled; a 5xx response
+// is transient, a 4xx one permanent. The copy has a client of its own; its
+// stripe binding is the receiver's.
+func (t *HTTPTransport) WithRoundTripper(wrap func(http.RoundTripper) http.RoundTripper) *HTTPTransport {
+	nt := *t
+	nt.client = &http.Client{Transport: wrap(t.client.Transport)}
 	return &nt
 }
 
@@ -238,7 +248,7 @@ func (t *HTTPTransport) Close() error {
 // no GetBody, so net/http never resends it) and release runs at most once;
 // if the body is never written, release never runs.
 func (t *HTTPTransport) do(ctx context.Context, method, path string, payload []byte, contentType string, release func()) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(ctx, t.timeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultHTTPTimeout)
 	// cancel must outlive the returned body: tie it to Close.
 	if release != nil {
 		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{

@@ -54,7 +54,8 @@ type WorkerInfo struct {
 //
 // HTTPTransport (the gpserver wire protocol) is the one implementation that
 // reaches a worker, over the network (NewHTTPTransport) or in-process
-// (NewLoopback); ReplicaSet and chaos.Transport decorate other transports.
+// (NewLoopback); ReplicaSet decorates other transports, and tests inject
+// faults beneath an HTTPTransport (WithRoundTripper).
 type Transport interface {
 	// Info returns the stripe topology the worker serves.
 	Info(ctx context.Context) (WorkerInfo, error)

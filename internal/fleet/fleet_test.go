@@ -11,7 +11,7 @@ import (
 )
 
 func TestTableLivenessTransitions(t *testing.T) {
-	tb := NewTable(Options{SuspectMisses: 2, DeadMisses: 4})
+	tb := NewTable()
 	tb.Register("w1", "http://w1")
 	tb.Register("w2", "http://w2")
 
@@ -51,7 +51,7 @@ func TestTableLivenessTransitions(t *testing.T) {
 }
 
 func TestTableDrainExcludesFromPlacement(t *testing.T) {
-	tb := NewTable(Options{})
+	tb := NewTable()
 	tb.Register("w1", "http://w1")
 	tb.Register("w2", "http://w2")
 	if !tb.Drain("w1") {
@@ -73,7 +73,7 @@ func TestTableDrainExcludesFromPlacement(t *testing.T) {
 }
 
 func TestTableGenTracksPlacementRelevantChanges(t *testing.T) {
-	tb := NewTable(Options{SuspectMisses: 1, DeadMisses: 2})
+	tb := NewTable()
 	g0 := tb.Gen()
 	tb.Register("w1", "http://w1")
 	if tb.Gen() == g0 {
@@ -85,7 +85,11 @@ func TestTableGenTracksPlacementRelevantChanges(t *testing.T) {
 	if tb.Gen() != g1 {
 		t.Errorf("no-op tick bumped gen")
 	}
-	tb.Tick() // miss 1 → suspect
+	tb.Tick() // miss 1: still alive
+	if tb.Gen() != g1 {
+		t.Errorf("a miss below the suspect threshold bumped gen")
+	}
+	tb.Tick() // miss 2 → suspect
 	if tb.Gen() == g1 {
 		t.Errorf("state transition did not bump gen")
 	}

@@ -188,7 +188,9 @@ func (m *Manager) handleFleet(rw http.ResponseWriter, r *http.Request) {
 // Registrar is the worker-side client of the membership protocol: it
 // registers with the coordinator and heartbeats until the context ends,
 // re-registering whenever the coordinator forgets it (eviction after an
-// outage, or a coordinator restart).
+// outage, or a coordinator restart). Each attempt is bounded by one Interval,
+// so a coordinator that accepts the connection and never answers costs one
+// beat, not every later one.
 type Registrar struct {
 	// Coordinator is the coordinator daemon's base URL.
 	Coordinator string
@@ -196,23 +198,25 @@ type Registrar struct {
 	ID string
 	// Addr is this worker's advertised wire-protocol base URL.
 	Addr string
-	// Interval is the heartbeat period (default 1s).
+	// Interval is the heartbeat period (default 1s), and the deadline of
+	// each registration or heartbeat attempt.
 	Interval time.Duration
-	// Client overrides the HTTP client.
-	Client *http.Client
 	// OnError, when set, observes failed registration/heartbeat attempts
 	// (for logging); the loop itself keeps retrying regardless.
 	OnError func(error)
 }
 
-func (reg *Registrar) client() *http.Client {
-	if reg.Client != nil {
-		return reg.Client
+func (reg *Registrar) interval() time.Duration {
+	if reg.Interval <= 0 {
+		return time.Second
 	}
-	return http.DefaultClient
+	return reg.Interval
 }
 
+// post sends one attempt, bounded by one Interval.
 func (reg *Registrar) post(ctx context.Context, path string, body RegisterRequest) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, reg.interval())
+	defer cancel()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
@@ -223,7 +227,7 @@ func (reg *Registrar) post(ctx context.Context, path string, body RegisterReques
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := reg.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -232,7 +236,7 @@ func (reg *Registrar) post(ctx context.Context, path string, body RegisterReques
 	return resp.StatusCode, nil
 }
 
-// Register performs one registration attempt.
+// Register performs one registration attempt, bounded by one Interval.
 func (reg *Registrar) Register(ctx context.Context) error {
 	status, err := reg.post(ctx, "/v1/register", RegisterRequest{ID: reg.ID, Addr: reg.Addr})
 	if err != nil {
@@ -244,21 +248,17 @@ func (reg *Registrar) Register(ctx context.Context) error {
 	return nil
 }
 
-// Run registers and then heartbeats until ctx ends. Failures are reported to
-// OnError and retried on the next beat; a 404 heartbeat triggers
-// re-registration. It never returns before ctx is done.
+// Run registers and then heartbeats until ctx ends. Failures, timeouts
+// among them, are reported to OnError and retried on the next beat; a 404
+// heartbeat triggers re-registration. It never returns before ctx is done.
 func (reg *Registrar) Run(ctx context.Context) {
-	interval := reg.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
 	report := func(err error) {
 		if reg.OnError != nil && err != nil {
 			reg.OnError(err)
 		}
 	}
 	report(reg.Register(ctx))
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(reg.interval())
 	defer ticker.Stop()
 	for {
 		select {

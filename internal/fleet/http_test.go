@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -132,6 +134,69 @@ func TestRegistrarReRegistersAfterEviction(t *testing.T) {
 	})
 	cancel()
 	<-done
+}
+
+// TestRegistrarBoundsEachAttempt runs the loop against a coordinator whose
+// heartbeat handler never answers: each beat times out after one Interval and
+// is reported, the next beat still goes out, and Run returns promptly once
+// its context ends.
+func TestRegistrarBoundsEachAttempt(t *testing.T) {
+	release := make(chan struct{})
+	var beats atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/register", func(rw http.ResponseWriter, r *http.Request) {
+		rw.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("POST /v1/heartbeat", func(rw http.ResponseWriter, r *http.Request) {
+		beats.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer close(release)
+
+	deadlines := make(chan error, 1)
+	reg := &Registrar{
+		Coordinator: srv.URL,
+		ID:          "w1",
+		Addr:        "http://10.0.0.7:7001",
+		Interval:    20 * time.Millisecond,
+		OnError: func(err error) {
+			if errors.Is(err, context.DeadlineExceeded) {
+				select {
+				case deadlines <- err:
+				default:
+				}
+			}
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	limit := time.After(time.Second)
+	go func() { reg.Run(ctx); close(done) }()
+
+	select {
+	case <-deadlines:
+	case <-limit:
+		t.Fatalf("no heartbeat reported a deadline error within 1s")
+	}
+	for beats.Load() < 2 {
+		select {
+		case <-limit:
+			t.Fatalf("%d heartbeat attempts reached the coordinator within 1s, want at least 2", beats.Load())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("Run did not return within 1s of its context ending")
+	}
 }
 
 func TestDecodeRegister(t *testing.T) {

@@ -14,7 +14,9 @@ import (
 // Dialer opens a transport to the member at addr, bound to one stripe.
 type Dialer func(addr string, stripe int) distributed.Transport
 
-// ManagerOptions tune a fleet Manager.
+// ManagerOptions tune a fleet Manager. Liveness is not among them: the
+// membership table turns a member suspect after 2 missed ticks and dead after
+// 4 (NewTable), and the owner's tick period is the one liveness setting.
 type ManagerOptions struct {
 	// Stripes is the stripe count of the deployment (required, fixed for the
 	// manager's lifetime; every graph snapshot is cut Stripes ways).
@@ -24,8 +26,6 @@ type ManagerOptions struct {
 	Replication int
 	// Dial opens member transports (default: the gpserver HTTP protocol).
 	Dial Dialer
-	// Table tunes the membership table's liveness thresholds.
-	Table Options
 }
 
 // ReconcileStats reports what one reconciliation had to move.
@@ -80,7 +80,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 	}
 	m := &Manager{
 		opts:     opts,
-		table:    NewTable(opts.Table),
+		table:    NewTable(),
 		groups:   make([]*distributed.ReplicaSet, opts.Stripes),
 		conns:    make(map[string]map[int]distributed.Transport),
 		connAddr: make(map[string]string),

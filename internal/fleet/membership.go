@@ -26,10 +26,10 @@ type State int
 const (
 	// StateAlive: heartbeats arriving on schedule.
 	StateAlive State = iota
-	// StateSuspect: missed SuspectMisses consecutive ticks; still placed,
+	// StateSuspect: missed suspectMisses consecutive ticks; still placed,
 	// but the replica call path will have promoted its replicas.
 	StateSuspect
-	// StateDead: missed DeadMisses consecutive ticks; evicted from
+	// StateDead: missed deadMisses consecutive ticks; evicted from
 	// placement, its stripes move to the surviving members.
 	StateDead
 )
@@ -64,25 +64,14 @@ type Member struct {
 	Draining bool
 }
 
-// Options tune a membership table.
-type Options struct {
-	// SuspectMisses is the consecutive missed ticks before a member turns
-	// suspect (default 2).
-	SuspectMisses int
-	// DeadMisses is the consecutive missed ticks before a member is declared
-	// dead and evicted from placement (default 4).
-	DeadMisses int
-}
-
-func (o Options) withDefaults() Options {
-	if o.SuspectMisses <= 0 {
-		o.SuspectMisses = 2
-	}
-	if o.DeadMisses <= o.SuspectMisses {
-		o.DeadMisses = o.SuspectMisses + 2
-	}
-	return o
-}
+// The liveness thresholds, in ticks: a member that missed suspectMisses
+// consecutive ticks turns suspect, one that missed deadMisses is declared dead
+// and evicted from placement. The tick period (rtrankd's -fleet-tick) is the
+// one liveness setting.
+const (
+	suspectMisses = 2
+	deadMisses    = 4
+)
 
 // Stats is the table's aggregate liveness view, exported on /metrics.
 type Stats struct {
@@ -95,7 +84,6 @@ type Stats struct {
 // for concurrent use.
 type Table struct {
 	mu      sync.Mutex
-	opts    Options
 	members map[string]*Member
 	// seen marks members heard from since the last Tick.
 	seen map[string]bool
@@ -104,10 +92,10 @@ type Table struct {
 	gen uint64
 }
 
-// NewTable returns an empty membership table.
-func NewTable(opts Options) *Table {
+// NewTable returns an empty membership table: a member turns suspect after 2
+// consecutive missed ticks and dead after 4.
+func NewTable() *Table {
 	return &Table{
-		opts:    opts.withDefaults(),
 		members: make(map[string]*Member),
 		seen:    make(map[string]bool),
 	}
@@ -198,9 +186,9 @@ func (t *Table) Tick() {
 		m.Misses++
 		want := m.State
 		switch {
-		case m.Misses >= t.opts.DeadMisses:
+		case m.Misses >= deadMisses:
 			want = StateDead
-		case m.Misses >= t.opts.SuspectMisses:
+		case m.Misses >= suspectMisses:
 			want = StateSuspect
 		}
 		if want != m.State {

@@ -15,6 +15,10 @@
 # non-test files, what configures an Engine. Last, the root package's exported
 # identifiers in its non-test files: package-level names (in or out of a
 # type/var/const block) plus methods of exported types — its public surface.
+# Last, the settable values: the exported fields of exported struct types
+# named, or ending in, Options, Config, Policy or Params in non-test Go
+# outside bench/ (a line declaring A, B, C counts three), plus the engine
+# options — every knob a caller can turn.
 # Usage: loc.sh [ref] — the tracked files of the working tree, or of the given
 # commit (e.g. HEAD~1, to put the parent's count beside the change's).
 set -euo pipefail
@@ -48,6 +52,14 @@ exports=$(gofiles | grep -E '^[^/]*\.go$' | grep -v '_test.go$' | xargs awk '
     /^(type|var|const|func) [A-Z]/ { n++; next }
     /^func \([a-z_]* *\*?[A-Z][A-Za-z0-9_]*\) [A-Z]/ { n++ }
     END { print n + 0 }')
+fields=$(gofiles | grep -v '_test.go$' | grep -v '^bench/' | xargs awk '
+    /^type (Options|Config|Policy|Params|[A-Z][A-Za-z0-9_]*(Options|Config|Policy|Params)) struct/ { inside = 1; next }
+    inside && /^}/ { inside = 0; next }
+    inside && /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* / {
+        names = $0; sub(/^\t/, "", names); sub(/ +[^ ,][^,]*$/, "", names)
+        n += split(names, parts, /, */)
+    }
+    END { print n + 0 }')
 scratch=$(gofiles | grep -E '^internal/(bca|bounds|topk)/' | grep -v '_test.go$' | xargs grep -hE "^\s+\w+\s+scratch\.($dense)\b" | wc -l)
 echo "non-test Go lines (outside bench/): $nontest"
 echo "test Go lines (outside bench/):     $tests"
@@ -57,3 +69,4 @@ echo "layout type assertions:             $asserts"
 echo "dense per-node structures:          $scratch"
 echo "engine options:                     $opts"
 echo "root exported identifiers:          $exports"
+echo "settable values:                    $((fields + opts))"
